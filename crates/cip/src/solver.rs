@@ -449,6 +449,7 @@ impl Solver {
                     lp.solve_dual()
                 };
                 self.stats.lp_solves += 1;
+                self.stats.lp_iterations += lp.iterations() as u64;
                 match st {
                     LpStatus::Infeasible => continue,
                     LpStatus::Unbounded => {
@@ -462,7 +463,6 @@ impl Solver {
                     _ => {}
                 }
                 let mut sol = lp.extract_solution();
-                self.stats.lp_iterations += sol.iterations as u64;
                 // A dual-simplex iterate is dual feasible, so its objective
                 // is a valid bound even at the iteration limit; a truncated
                 // *primal* solve is not.
@@ -495,6 +495,7 @@ impl Solver {
                     }
                     let st = lp.solve_dual();
                     self.stats.lp_solves += 1;
+                    self.stats.lp_iterations += lp.iterations() as u64;
                     if st == LpStatus::Infeasible {
                         pruned = true;
                         break;
@@ -503,7 +504,6 @@ impl Solver {
                         break;
                     }
                     sol = lp.extract_solution();
-                    self.stats.lp_iterations += sol.iterations as u64;
                     let prev = bound;
                     bound = sol.obj.max(bound);
                     relax_x = sol.x.clone();
@@ -640,13 +640,13 @@ impl Solver {
                 }
                 let st = lp.solve_dual();
                 self.stats.lp_solves += 1;
+                self.stats.lp_iterations += lp.iterations() as u64;
                 match st {
                     LpStatus::Infeasible => break Some(false),
                     LpStatus::Numerical => break Some(false),
                     _ => {}
                 }
                 let sol = lp.extract_solution();
-                self.stats.lp_iterations += sol.iterations as u64;
                 bound = sol.obj.max(bound);
                 relax_x = sol.x;
                 if bound >= self.cutoff() {
@@ -1053,11 +1053,11 @@ impl Solver {
             lp.set_var_bounds(ugrs_lp::VarId(var.0), r, r);
             let st = lp.solve_dual();
             self.stats.lp_solves += 1;
+            self.stats.lp_iterations += lp.iterations() as u64;
             if st != LpStatus::Optimal {
                 return;
             }
             let sol = lp.extract_solution();
-            self.stats.lp_iterations += sol.iterations as u64;
             if sol.obj >= self.cutoff() {
                 return; // dive is dominated
             }

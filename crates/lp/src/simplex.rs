@@ -80,7 +80,8 @@ pub struct LpSolution {
     pub reduced_costs: Vec<f64>,
     /// Row activities `Ax`.
     pub row_activity: Vec<f64>,
-    /// Simplex iterations used by the last solve.
+    /// Simplex iterations used by the last solve (for a dual solve: dual
+    /// pivots plus the primal polish).
     pub iterations: usize,
 }
 
@@ -153,6 +154,12 @@ impl Simplex {
     /// Cumulative simplex iterations over the lifetime of this solver.
     pub fn total_iterations(&self) -> usize {
         self.total_iterations
+    }
+
+    /// Simplex iterations of the last `solve_*` call (for a dual solve:
+    /// dual pivots plus the primal polish).
+    pub fn iterations(&self) -> usize {
+        self.iterations
     }
 
     fn n(&self) -> usize {
@@ -538,6 +545,13 @@ impl Simplex {
     /// polish after a dual warm start.
     pub fn solve_primal(&mut self) -> LpStatus {
         self.iterations = 0;
+        self.primal_loop()
+    }
+
+    /// The primal loop proper. `iter_limit` applies to this loop's own
+    /// pivots, so the polish after a dual solve gets a full budget.
+    fn primal_loop(&mut self) -> LpStatus {
+        let mut iters = 0usize;
         let mut stall = 0usize;
         if !self.ensure_factorized() {
             self.status = LpStatus::Numerical;
@@ -545,7 +559,7 @@ impl Simplex {
         }
         self.compute_basics();
         loop {
-            if self.iterations >= self.params.iter_limit {
+            if iters >= self.params.iter_limit {
                 self.status = LpStatus::IterLimit;
                 return self.status;
             }
@@ -577,6 +591,7 @@ impl Simplex {
                 }
                 return self.status;
             };
+            iters += 1;
             self.iterations += 1;
             self.total_iterations += 1;
             if t <= 1e-12 {
@@ -628,8 +643,9 @@ impl Simplex {
         let tol = self.params.feas_tol;
         let dtol = self.params.opt_tol;
         let mut stall = 0usize;
+        let mut iters = 0usize;
         loop {
-            if self.iterations >= self.params.iter_limit {
+            if iters >= self.params.iter_limit {
                 self.status = LpStatus::IterLimit;
                 return self.status;
             }
@@ -657,7 +673,7 @@ impl Simplex {
             let Some((rpos, below, _)) = leave else {
                 // Primal feasible: polish with the primal loop, which will
                 // confirm optimality (or fix mild dual infeasibility).
-                return self.solve_primal();
+                return self.primal_loop();
             };
 
             // Row rpos of B⁻¹N: ρ = B⁻ᵀ e_r, ᾱ_j = ρᵀ a_j.
@@ -716,6 +732,7 @@ impl Simplex {
                 return self.status;
             };
 
+            iters += 1;
             self.iterations += 1;
             self.total_iterations += 1;
 
@@ -732,7 +749,7 @@ impl Simplex {
                 }
                 stall += 1;
                 if stall > self.params.stall_limit + 20 {
-                    return self.solve_primal();
+                    return self.primal_loop();
                 }
                 continue;
             }
@@ -945,6 +962,22 @@ mod tests {
         assert_eq!(s.solve_dual(), LpStatus::Optimal);
         let second = s.obj_value();
         assert!((second + 5.0).abs() < 1e-7, "obj = {second}"); // x=3,y=1
+    }
+
+    #[test]
+    fn dual_solve_reports_dual_plus_polish_iterations() {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 10.0, -1.0);
+        let y = p.add_var(0.0, 10.0, -2.0);
+        p.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0), (y, 1.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        assert_eq!(s.solve_primal(), LpStatus::Optimal);
+        let before = s.total_iterations();
+        s.set_var_bounds(VarId(1), 0.0, 1.0);
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert!(s.iterations() >= 1, "the bound change needs a dual pivot");
+        assert_eq!(s.iterations(), s.total_iterations() - before);
+        assert_eq!(s.extract_solution().iterations, s.iterations());
     }
 
     #[test]
