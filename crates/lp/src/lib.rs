@@ -22,8 +22,9 @@
 //!
 //! i.e. each row gets a logical (slack) variable carrying the row's
 //! activity bounds, so the constraint matrix is `[A | −I]` and the basis
-//! is always square of order `m`. The basis inverse is represented by an
-//! LU factorization plus an eta file, refactorized periodically.
+//! is always square of order `m`. The basis inverse is represented by a
+//! sparse LU factorization plus a sparse eta file, refactorized
+//! periodically ([`basis`]).
 //!
 //! # Example
 //!
@@ -46,7 +47,7 @@ pub mod problem;
 pub mod simplex;
 
 pub use problem::{LpProblem, RowId, VarId};
-pub use simplex::{LpSolution, LpStatus, Simplex, SimplexParams, VarStatus};
+pub use simplex::{LpCounters, LpSolution, LpStatus, Simplex, SimplexParams, VarStatus};
 
 /// Default primal/dual feasibility tolerance.
 pub const FEAS_TOL: f64 = 1e-7;

@@ -5,9 +5,8 @@
 //! [`LpProblem`], `n..n+m` are the logical (slack) variables, one per row,
 //! entering the matrix as `[A | −I]`.
 
-use crate::basis::{BasisError, BasisFactor};
+use crate::basis::{BasisError, BasisFactor, SparseCol};
 use crate::problem::{LpProblem, VarId};
-use ugrs_linalg::Matrix;
 
 /// Termination status of a simplex run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +84,21 @@ pub struct LpSolution {
     pub iterations: usize,
 }
 
+/// Plain work counters over the lifetime of a [`Simplex`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LpCounters {
+    /// Basis refactorizations.
+    pub refactors: u64,
+    pub ftrans: u64,
+    pub btrans: u64,
+    /// Eta-file updates (basis changes between refactorizations).
+    pub eta_updates: u64,
+    /// Dual simplex iterations.
+    pub dual_pivots: u64,
+    /// Primal simplex iterations, bound flips included.
+    pub primal_pivots: u64,
+}
+
 /// A compact basis description for warm starting (SCIP-style basis
 /// storage in branch-and-bound nodes).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -107,9 +121,31 @@ pub struct Simplex {
     factor: BasisFactor,
     status: LpStatus,
     iterations: usize,
-    total_iterations: usize,
-    /// Scratch: dense column buffer.
-    colbuf: Vec<f64>,
+    counters: LpCounters,
+    /// The slack columns `−e_r`: every column of `[A | −I]` is a slice.
+    slack: Vec<(u32, f64)>,
+    /// Row-indexed scratch: FTRAN input (consumed) and BTRAN output (the
+    /// duals `y` or the pivot row `ρ`).
+    rowbuf: Vec<f64>,
+    y: Vec<f64>,
+    /// Position-indexed scratch: FTRAN output and BTRAN input (consumed).
+    w: Vec<f64>,
+    cb: Vec<f64>,
+    /// Inside `solve_dual`, per nonbasic non-fixed column: the reduced
+    /// cost, kept current from pivot to pivot while `dj_current`, and the
+    /// pivot row `ρᵀa_j`.
+    dj: Vec<f64>,
+    dj_current: bool,
+    alpha: Vec<f64>,
+}
+
+/// Column `j` of `[A | −I]`.
+#[inline]
+fn column<'a>(prob: &'a LpProblem, slack: &'a [(u32, f64)], j: usize) -> &'a SparseCol {
+    match j.checked_sub(prob.num_vars()) {
+        None => &prob.cols[j],
+        Some(r) => std::slice::from_ref(&slack[r]),
+    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -132,8 +168,15 @@ impl Simplex {
             factor: BasisFactor::new(m),
             status: LpStatus::NotSolved,
             iterations: 0,
-            total_iterations: 0,
-            colbuf: vec![0.0; m],
+            counters: LpCounters::default(),
+            slack: (0..m as u32).map(|r| (r, -1.0)).collect(),
+            rowbuf: vec![0.0; m],
+            y: vec![0.0; m],
+            w: vec![0.0; m],
+            cb: vec![0.0; m],
+            dj: vec![0.0; n + m],
+            dj_current: false,
+            alpha: vec![0.0; n + m],
         };
         s.install_slack_basis();
         s
@@ -153,7 +196,12 @@ impl Simplex {
 
     /// Cumulative simplex iterations over the lifetime of this solver.
     pub fn total_iterations(&self) -> usize {
-        self.total_iterations
+        (self.counters.dual_pivots + self.counters.primal_pivots) as usize
+    }
+
+    /// Work counters over the lifetime of this solver.
+    pub fn counters(&self) -> &LpCounters {
+        &self.counters
     }
 
     /// Simplex iterations of the last `solve_*` call (for a dual solve:
@@ -197,28 +245,36 @@ impl Simplex {
         }
     }
 
-    /// Writes column `j` of `[A | −I]` into the dense scratch buffer.
-    fn gather_col(&mut self, j: usize) {
-        for v in self.colbuf.iter_mut() {
-            *v = 0.0;
-        }
-        if j < self.n() {
-            for &(r, c) in &self.prob.cols[j] {
-                self.colbuf[r as usize] = c;
-            }
-        } else {
-            let r = j - self.n();
-            self.colbuf[r] = -1.0;
-        }
-    }
-
     /// Sparse dot of `y` with column `j`.
     fn col_dot(&self, j: usize, y: &[f64]) -> f64 {
-        if j < self.n() {
-            self.prob.cols[j].iter().map(|&(r, c)| c * y[r as usize]).sum()
-        } else {
-            -y[j - self.n()]
+        column(&self.prob, &self.slack, j).iter().map(|&(r, c)| c * y[r as usize]).sum()
+    }
+
+    /// `w ← B⁻¹ rowbuf`; `rowbuf` is consumed.
+    fn ftran(&mut self) {
+        self.counters.ftrans += 1;
+        self.factor.ftran_into(&mut self.rowbuf, &mut self.w);
+    }
+
+    /// `w ← B⁻¹ a_j`.
+    fn ftran_col(&mut self, j: usize) {
+        self.rowbuf.fill(0.0);
+        for &(r, c) in column(&self.prob, &self.slack, j) {
+            self.rowbuf[r as usize] = c;
         }
+        self.ftran();
+    }
+
+    /// True for the columns the dual ratio test looks at: nonbasic and
+    /// not fixed.
+    fn dual_candidate(&self, j: usize) -> bool {
+        self.vstat[j] != VarStatus::Basic && self.col_lb(j) != self.col_ub(j)
+    }
+
+    /// `y ← B⁻ᵀ cb`.
+    fn btran(&mut self) {
+        self.counters.btrans += 1;
+        self.factor.btran_into(&mut self.cb, &mut self.y);
     }
 
     fn nonbasic_resting_value(&self, j: usize) -> (f64, VarStatus) {
@@ -311,15 +367,27 @@ impl Simplex {
     /// the basis, preserving dual feasibility, so [`Simplex::solve_dual`]
     /// warm-starts cleanly.
     pub fn add_row(&mut self, lhs: f64, rhs: f64, terms: &[(VarId, f64)]) {
-        self.prob.add_row(lhs, rhs, terms);
-        let m = self.m();
-        let slack = self.n() + m - 1;
-        // vstat currently has n + (m-1) entries, slack columns shifted:
-        // slack statuses are a suffix so pushing keeps indices valid.
-        self.vstat.push(VarStatus::Basic);
-        self.basis_cols.push(slack);
-        self.xval.push(0.0);
-        self.colbuf = vec![0.0; m];
+        self.add_rows([(lhs, rhs, terms)]);
+    }
+
+    /// Appends a batch of rows `(lhs, rhs, terms)` as [`Simplex::add_row`]
+    /// does, invalidating the factorization once.
+    pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (f64, f64, &'a [(VarId, f64)])>) {
+        for (lhs, rhs, terms) in rows {
+            let r = self.prob.add_row(lhs, rhs, terms).0;
+            // Slack columns are a suffix of the column numbering, so
+            // pushing keeps every index valid.
+            self.vstat.push(VarStatus::Basic);
+            self.basis_cols.push(self.n() + r as usize);
+            self.xval.push(0.0);
+            self.slack.push((r, -1.0));
+        }
+        let (n, m) = (self.n(), self.m());
+        for buf in [&mut self.rowbuf, &mut self.y, &mut self.w, &mut self.cb] {
+            buf.resize(m, 0.0);
+        }
+        self.dj.resize(n + m, 0.0);
+        self.alpha.resize(n + m, 0.0);
         self.factor.reset(m);
         self.status = LpStatus::NotSolved;
     }
@@ -327,30 +395,19 @@ impl Simplex {
     /// Recomputes all basic values from the nonbasic ones:
     /// `z_B = −B⁻¹ N z_N`.
     fn compute_basics(&mut self) {
-        let m = self.m();
-        if m == 0 {
-            return;
-        }
-        let mut rhs = vec![0.0; m];
-        for j in 0..self.n() + m {
-            if self.vstat[j] == VarStatus::Basic {
-                continue;
-            }
+        self.rowbuf.fill(0.0);
+        for j in 0..self.n() + self.m() {
             let xj = self.xval[j];
-            if xj == 0.0 {
+            if self.vstat[j] == VarStatus::Basic || xj == 0.0 {
                 continue;
             }
-            if j < self.n() {
-                for &(r, c) in &self.prob.cols[j] {
-                    rhs[r as usize] -= c * xj;
-                }
-            } else {
-                rhs[j - self.n()] += xj;
+            for &(r, c) in column(&self.prob, &self.slack, j) {
+                self.rowbuf[r as usize] -= c * xj;
             }
         }
-        let xb = self.factor.ftran(&rhs);
+        self.ftran();
         for (pos, &col) in self.basis_cols.iter().enumerate() {
-            self.xval[col] = xb[pos];
+            self.xval[col] = self.w[pos];
         }
     }
 
@@ -361,34 +418,24 @@ impl Simplex {
         if !self.factor.needs_refactor() {
             return true;
         }
-        let m = self.m();
-        let mut b = Matrix::zeros(m, m);
-        let cols = self.basis_cols.clone();
-        for (pos, &col) in cols.iter().enumerate() {
-            self.gather_col(col);
-            for i in 0..m {
-                b[(i, pos)] = self.colbuf[i];
+        if self.refactor().is_err() {
+            // Singular: only the slack basis is known to factorize.
+            self.install_slack_basis();
+            if self.refactor().is_err() {
+                return false;
             }
         }
-        match self.factor.refactor(&b) {
-            Ok(()) => {
-                self.compute_basics();
-                true
-            }
-            Err(BasisError::Singular) => {
-                self.install_slack_basis();
-                let mut b = Matrix::zeros(m, m);
-                for i in 0..m {
-                    b[(i, i)] = -1.0;
-                }
-                if self.factor.refactor(&b).is_err() {
-                    return false;
-                }
-                self.compute_basics();
-                true
-            }
-            Err(_) => false,
-        }
+        self.compute_basics();
+        true
+    }
+
+    /// Factorizes the current basis from the problem's sparse columns.
+    fn refactor(&mut self) -> Result<(), BasisError> {
+        self.counters.refactors += 1;
+        self.dj_current = false;
+        let cols: Vec<&SparseCol> =
+            self.basis_cols.iter().map(|&j| column(&self.prob, &self.slack, j)).collect();
+        self.factor.refactor_cols(&cols)
     }
 
     fn force_refactor(&mut self) -> bool {
@@ -420,12 +467,11 @@ impl Simplex {
         }
     }
 
-    /// Phase-aware basic cost vector.
-    fn basic_costs(&self, phase: Phase) -> Vec<f64> {
+    /// `y ← B⁻ᵀ c_B` for the phase-aware basic cost vector `c_B`.
+    fn compute_row_duals(&mut self, phase: Phase) {
         let tol = self.params.feas_tol;
-        self.basis_cols
-            .iter()
-            .map(|&col| match phase {
+        for (pos, &col) in self.basis_cols.iter().enumerate() {
+            self.cb[pos] = match phase {
                 Phase::Two => self.col_obj(col),
                 Phase::One => {
                     let v = self.xval[col];
@@ -437,14 +483,15 @@ impl Simplex {
                         0.0
                     }
                 }
-            })
-            .collect()
+            };
+        }
+        self.btran();
     }
 
     /// Prices all nonbasic columns; returns the entering column and its
     /// movement direction (+1 increase / −1 decrease), or `None` when no
     /// candidate violates dual feasibility.
-    fn price(&self, y: &[f64], phase: Phase, bland: bool) -> Option<(usize, f64)> {
+    fn price(&self, phase: Phase, bland: bool) -> Option<(usize, f64)> {
         let tol = self.params.opt_tol;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         for j in 0..self.n() + self.m() {
@@ -457,7 +504,7 @@ impl Simplex {
                 continue; // fixed: never enters
             }
             let cj = if phase == Phase::Two { self.col_obj(j) } else { 0.0 };
-            let d = cj - self.col_dot(j, y);
+            let d = cj - self.col_dot(j, &self.y);
             let (dir, score) = match st {
                 VarStatus::AtLower if d < -tol => (1.0, -d),
                 VarStatus::AtUpper if d > tol => (-1.0, d),
@@ -478,7 +525,7 @@ impl Simplex {
     /// One primal ratio test. Returns `None` for an unbounded ray, or the
     /// blocking event `(t, block)` where `block` is either the entering
     /// column's own opposite bound (`Block::Flip`) or a basis position.
-    fn ratio_test(&self, q: usize, dir: f64, w: &[f64], phase: Phase) -> Option<(f64, Block)> {
+    fn ratio_test(&self, q: usize, dir: f64, phase: Phase) -> Option<(f64, Block)> {
         let tol = self.params.feas_tol;
         let ptol = self.params.piv_tol;
         let mut t_best = f64::INFINITY;
@@ -493,7 +540,7 @@ impl Simplex {
 
         for (pos, &col) in self.basis_cols.iter().enumerate() {
             // z_col(t) = z_col − dir·w[pos]·t; rate of decrease g:
-            let g = dir * w[pos];
+            let g = dir * self.w[pos];
             if g.abs() <= ptol {
                 continue;
             }
@@ -545,7 +592,8 @@ impl Simplex {
     /// polish after a dual warm start.
     pub fn solve_primal(&mut self) -> LpStatus {
         self.iterations = 0;
-        self.primal_loop()
+        self.status = self.primal_loop();
+        self.status
     }
 
     /// The primal loop proper. `iter_limit` applies to this loop's own
@@ -554,46 +602,31 @@ impl Simplex {
         let mut iters = 0usize;
         let mut stall = 0usize;
         if !self.ensure_factorized() {
-            self.status = LpStatus::Numerical;
-            return self.status;
+            return LpStatus::Numerical;
         }
         self.compute_basics();
         loop {
             if iters >= self.params.iter_limit {
-                self.status = LpStatus::IterLimit;
-                return self.status;
+                return LpStatus::IterLimit;
             }
             if self.factor.needs_refactor() && !self.ensure_factorized() {
-                self.status = LpStatus::Numerical;
-                return self.status;
+                return LpStatus::Numerical;
             }
             let phase = self.current_phase();
-            let cb = self.basic_costs(phase);
-            let y = if self.m() > 0 { self.factor.btran(&cb) } else { vec![] };
+            self.compute_row_duals(phase);
             let bland = stall > self.params.stall_limit;
-            let Some((q, dir)) = self.price(&y, phase, bland) else {
-                if phase == Phase::One {
-                    self.status = LpStatus::Infeasible;
-                } else {
-                    self.status = LpStatus::Optimal;
-                }
-                return self.status;
+            let Some((q, dir)) = self.price(phase, bland) else {
+                return if phase == Phase::One { LpStatus::Infeasible } else { LpStatus::Optimal };
             };
-            self.gather_col(q);
-            let w = if self.m() > 0 { self.factor.ftran(&self.colbuf) } else { vec![] };
-            let Some((t, block)) = self.ratio_test(q, dir, &w, phase) else {
-                if phase == Phase::One {
-                    // An improving phase-1 ray must hit a bound eventually;
-                    // reaching here means tolerances broke down.
-                    self.status = LpStatus::Numerical;
-                } else {
-                    self.status = LpStatus::Unbounded;
-                }
-                return self.status;
+            self.ftran_col(q);
+            let Some((t, block)) = self.ratio_test(q, dir, phase) else {
+                // An improving phase-1 ray must hit a bound eventually;
+                // reaching here means tolerances broke down.
+                return if phase == Phase::One { LpStatus::Numerical } else { LpStatus::Unbounded };
             };
             iters += 1;
             self.iterations += 1;
-            self.total_iterations += 1;
+            self.counters.primal_pivots += 1;
             if t <= 1e-12 {
                 stall += 1;
             } else {
@@ -601,7 +634,7 @@ impl Simplex {
             }
             // Apply the step to the basic values and the entering column.
             for (pos, &col) in self.basis_cols.iter().enumerate() {
-                self.xval[col] -= dir * w[pos] * t;
+                self.xval[col] -= dir * self.w[pos] * t;
             }
             self.xval[q] += dir * t;
             match block {
@@ -618,9 +651,9 @@ impl Simplex {
                         if at_upper { self.col_ub(leaving) } else { self.col_lb(leaving) };
                     self.vstat[q] = VarStatus::Basic;
                     self.basis_cols[pos] = q;
-                    if self.factor.update(pos, w.clone()).is_err() && !self.force_refactor() {
-                        self.status = LpStatus::Numerical;
-                        return self.status;
+                    self.counters.eta_updates += 1;
+                    if self.factor.update(pos, &self.w).is_err() && !self.force_refactor() {
+                        return LpStatus::Numerical;
                     }
                 }
             }
@@ -630,44 +663,52 @@ impl Simplex {
     /// Dual simplex re-optimization from the current (dual feasible)
     /// basis. Falls back to `solve_primal` when it detects that the basis
     /// is not dual feasible or on numerical trouble.
+    ///
+    /// The reduced costs `dj` are computed from `y = B⁻ᵀc_B` when the call
+    /// starts and after every refactorization, and in between updated from
+    /// the pivot row `ρᵀa_j` the ratio test computes anyway; under Bland's
+    /// rule the ratio test stops at the first candidate, so they are
+    /// recomputed for the next iteration.
     pub fn solve_dual(&mut self) -> LpStatus {
         self.iterations = 0;
+        self.status = self.dual_loop();
+        self.status
+    }
+
+    fn dual_loop(&mut self) -> LpStatus {
         // Refactorize only when the representation is stale (row added /
         // never factorized / eta file full); otherwise just recompute the
         // basic values under the (possibly changed) bounds.
         if self.factor.needs_refactor() && !self.ensure_factorized() {
-            self.status = LpStatus::Numerical;
-            return self.status;
+            return LpStatus::Numerical;
         }
         self.compute_basics();
         let tol = self.params.feas_tol;
         let dtol = self.params.opt_tol;
         let mut stall = 0usize;
         let mut iters = 0usize;
+        self.dj_current = false;
         loop {
             if iters >= self.params.iter_limit {
-                self.status = LpStatus::IterLimit;
-                return self.status;
+                return LpStatus::IterLimit;
             }
             if self.factor.needs_refactor() && !self.ensure_factorized() {
-                self.status = LpStatus::Numerical;
-                return self.status;
+                return LpStatus::Numerical;
             }
             // Leaving candidate: most infeasible basic.
             let mut leave: Option<(usize, bool, f64)> = None; // (pos, below, viol)
             for (pos, &col) in self.basis_cols.iter().enumerate() {
                 let v = self.xval[col];
                 let (lb, ub) = (self.col_lb(col), self.col_ub(col));
-                if v < lb - tol {
-                    let viol = lb - v;
-                    if leave.as_ref().is_none_or(|l| viol > l.2) {
-                        leave = Some((pos, true, viol));
-                    }
+                let (below, viol) = if v < lb - tol {
+                    (true, lb - v)
                 } else if v > ub + tol {
-                    let viol = v - ub;
-                    if leave.as_ref().is_none_or(|l| viol > l.2) {
-                        leave = Some((pos, false, viol));
-                    }
+                    (false, v - ub)
+                } else {
+                    continue;
+                };
+                if leave.as_ref().is_none_or(|l| viol > l.2) {
+                    leave = Some((pos, below, viol));
                 }
             }
             let Some((rpos, below, _)) = leave else {
@@ -676,47 +717,47 @@ impl Simplex {
                 return self.primal_loop();
             };
 
-            // Row rpos of B⁻¹N: ρ = B⁻ᵀ e_r, ᾱ_j = ρᵀ a_j.
-            let mut e = vec![0.0; self.m()];
-            e[rpos] = 1.0;
-            let rho = self.factor.btran(&e);
-            // Current duals for the ratio test.
-            let cb = self.basic_costs(Phase::Two);
-            let y = self.factor.btran(&cb);
+            #[cfg(debug_assertions)]
+            if self.dj_current {
+                self.check_reduced_costs();
+            }
+            if !self.dj_current {
+                self.compute_reduced_costs();
+                self.dj_current = true;
+            }
+            // Row rpos of B⁻¹N: ρ = B⁻ᵀ e_r (held in `y`), ᾱ_j = ρᵀ a_j.
+            self.cb.fill(0.0);
+            self.cb[rpos] = 1.0;
+            self.btran();
 
             // sign = +1 when the leaving variable must increase.
             let sgn = if below { 1.0 } else { -1.0 };
             let bland = stall > self.params.stall_limit;
-            let mut enter: Option<(usize, f64)> = None; // (col, ratio)
+            let mut enter: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
             for j in 0..self.n() + self.m() {
-                if self.vstat[j] == VarStatus::Basic {
+                if !self.dual_candidate(j) {
                     continue;
                 }
-                let (lb, ub) = (self.col_lb(j), self.col_ub(j));
-                if lb == ub {
-                    continue;
-                }
-                let alpha = self.col_dot(j, &rho) * sgn;
+                self.alpha[j] = self.col_dot(j, &self.y);
+                let alpha = self.alpha[j] * sgn;
                 // x_Br changes by −ᾱ_j·Δx_j (with ᾱ in unsigned orientation);
                 // after sign-folding we need: at-lower j with alpha < 0 can
                 // increase, at-upper j with alpha > 0 can decrease, free j any.
-                let d = self.col_obj(j) - self.col_dot(j, &y);
-                let (ok, ratio) = match self.vstat[j] {
+                let d = self.dj[j];
+                let ratio = match self.vstat[j] {
                     VarStatus::AtLower | VarStatus::Free if alpha < -self.params.piv_tol => {
-                        (true, (d.max(0.0)) / (-alpha))
+                        (d.max(0.0)) / (-alpha)
                     }
                     VarStatus::AtUpper | VarStatus::Free if alpha > self.params.piv_tol => {
-                        (true, ((-d).max(0.0)) / alpha)
+                        ((-d).max(0.0)) / alpha
                     }
-                    _ => (false, 0.0),
+                    _ => continue,
                 };
-                if !ok {
-                    continue;
-                }
                 if bland {
-                    enter = Some((j, ratio));
+                    enter = Some(j);
+                    self.dj_current = false; // the rest of the pivot row is not computed
                     break;
                 }
                 if ratio < best_ratio - dtol
@@ -724,28 +765,25 @@ impl Simplex {
                 {
                     best_ratio = ratio;
                     best_alpha = alpha.abs();
-                    enter = Some((j, ratio));
+                    enter = Some(j);
                 }
             }
-            let Some((q, _)) = enter else {
-                self.status = LpStatus::Infeasible;
-                return self.status;
+            let Some(q) = enter else {
+                return LpStatus::Infeasible;
             };
 
             iters += 1;
             self.iterations += 1;
-            self.total_iterations += 1;
+            self.counters.dual_pivots += 1;
 
             // Pivot: q enters at position rpos; leaving goes to its
             // violated bound.
-            self.gather_col(q);
-            let w = self.factor.ftran(&self.colbuf);
-            if w[rpos].abs() <= self.params.piv_tol {
+            self.ftran_col(q);
+            if self.w[rpos].abs() <= self.params.piv_tol {
                 // Numerically void pivot; refactorize and retry, falling
                 // back to primal if it persists.
                 if !self.force_refactor() {
-                    self.status = LpStatus::Numerical;
-                    return self.status;
+                    return LpStatus::Numerical;
                 }
                 stall += 1;
                 if stall > self.params.stall_limit + 20 {
@@ -754,31 +792,69 @@ impl Simplex {
                 continue;
             }
             let leaving = self.basis_cols[rpos];
+            if self.dj_current {
+                // y moves by θρ, so d_j by −θᾱ_j; the leaving column has ᾱ = 1.
+                let theta = self.dj[q] / self.alpha[q];
+                if theta != 0.0 {
+                    for j in 0..self.n() + self.m() {
+                        if self.dual_candidate(j) {
+                            self.dj[j] -= theta * self.alpha[j];
+                        }
+                    }
+                }
+                self.dj[leaving] = -theta;
+                self.dj[q] = 0.0;
+            }
             let (llb, lub) = (self.col_lb(leaving), self.col_ub(leaving));
             let lv = self.xval[leaving];
             let target = if below { llb } else { lub };
             // Step length of entering variable: Δ such that leaving reaches
             // its bound: x_leaving + (−w[rpos])·Δ... leaving moves by
             // −w[rpos]·Δ when q moves by Δ (z_B = −B⁻¹N z_N).
-            let delta = (target - lv) / (-w[rpos]);
+            let delta = (target - lv) / (-self.w[rpos]);
             if delta.abs() <= 1e-12 {
                 stall += 1;
             } else {
                 stall = 0;
             }
             for (pos, &col) in self.basis_cols.iter().enumerate() {
-                self.xval[col] -= w[pos] * delta;
+                self.xval[col] -= self.w[pos] * delta;
             }
             self.xval[q] += delta;
             self.vstat[leaving] = if below { VarStatus::AtLower } else { VarStatus::AtUpper };
             self.xval[leaving] = target;
             self.vstat[q] = VarStatus::Basic;
             self.basis_cols[rpos] = q;
-            if self.factor.update(rpos, w).is_err() && !self.force_refactor() {
-                self.status = LpStatus::Numerical;
-                return self.status;
+            self.counters.eta_updates += 1;
+            if self.factor.update(rpos, &self.w).is_err() && !self.force_refactor() {
+                return LpStatus::Numerical;
             }
         }
+    }
+
+    /// `dj ← c − Aᵀy` with `y = B⁻ᵀc_B`, from scratch.
+    fn compute_reduced_costs(&mut self) {
+        self.compute_row_duals(Phase::Two);
+        for j in 0..self.n() + self.m() {
+            self.dj[j] = self.col_obj(j) - self.col_dot(j, &self.y);
+        }
+    }
+
+    /// The incrementally updated reduced costs against `c − AᵀB⁻ᵀc_B`
+    /// computed from scratch; debug builds check at every dual iteration.
+    #[cfg(debug_assertions)]
+    fn check_reduced_costs(&mut self) {
+        let (kept, counted) = (self.dj.clone(), self.counters.btrans);
+        self.compute_reduced_costs();
+        self.counters.btrans = counted;
+        for j in (0..kept.len()).filter(|&j| self.dual_candidate(j)) {
+            let (inc, fresh) = (kept[j], self.dj[j]);
+            assert!(
+                (inc - fresh).abs() <= 1e-6 * (1.0 + fresh.abs()),
+                "reduced cost of column {j} drifted: updated {inc}, recomputed {fresh}"
+            );
+        }
+        self.dj = kept;
     }
 
     /// Objective value of the current iterate.
@@ -797,8 +873,8 @@ impl Simplex {
             if self.factor.needs_refactor() {
                 let _ = self.ensure_factorized();
             }
-            let cb = self.basic_costs(Phase::Two);
-            row_duals = self.factor.btran(&cb);
+            self.compute_row_duals(Phase::Two);
+            row_duals.copy_from_slice(&self.y);
         }
         for (j, rj) in reduced.iter_mut().enumerate() {
             *rj = self.prob.obj[j] - self.col_dot(j, &row_duals);

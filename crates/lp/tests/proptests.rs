@@ -172,3 +172,195 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Steiner-shaped LPs, driven the way branch-and-cut drives the simplex
+// ---------------------------------------------------------------------
+
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use ugrs_lp::LpSolution;
+
+/// The LP relaxation of a directed-cut Steiner model on a random graph:
+/// arc variables `y_a ∈ [0,1]`, node variables `z_v ∈ [0,1]` for the
+/// non-terminals, in-degree equalities (`= 0` at the root, `= 1` at a
+/// terminal, `= z_v` elsewhere), flow balance `y(δ⁺(v)) ≥ z_v`, and unit
+/// cut rows `y(δ⁻(W)) ≥ 1` added later. Unit costs make it as degenerate
+/// as the real thing.
+struct SteinerLp {
+    nodes: usize,
+    /// `(tail, head)` of arc variable `a`.
+    arcs: Vec<(usize, usize)>,
+    terminals: Vec<usize>,
+    lp: LpProblem,
+}
+
+impl SteinerLp {
+    fn new(nodes: usize, unit_costs: bool, rng: &mut SmallRng) -> Self {
+        // A random spanning tree plus ~1.5·nodes extra edges, both directions.
+        let mut edges: Vec<(usize, usize)> = (1..nodes).map(|v| (rng.gen_range(0..v), v)).collect();
+        while edges.len() < 5 * nodes / 2 {
+            let (u, v) = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
+            if u != v && !edges.contains(&(u, v)) && !edges.contains(&(v, u)) {
+                edges.push((u, v));
+            }
+        }
+        let arcs: Vec<(usize, usize)> = edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        let mut is_terminal = vec![false; nodes];
+        is_terminal[0] = true; // the root
+        while is_terminal.iter().filter(|t| **t).count() < (nodes / 6).max(3) {
+            is_terminal[rng.gen_range(0..nodes)] = true;
+        }
+        let mut lp = LpProblem::new();
+        let y: Vec<VarId> = arcs
+            .iter()
+            .map(|_| lp.add_var(0.0, 1.0, if unit_costs { 1.0 } else { rng.gen_range(1.0..2.0) }))
+            .collect();
+        for (v, &terminal) in is_terminal.iter().enumerate() {
+            let into =
+                |w| y.iter().zip(&arcs).filter(move |(_, a)| a.1 == w).map(|(&id, _)| (id, 1.0));
+            let out_of =
+                |w| y.iter().zip(&arcs).filter(move |(_, a)| a.0 == w).map(|(&id, _)| (id, 1.0));
+            if terminal {
+                let indeg = if v == 0 { 0.0 } else { 1.0 };
+                lp.add_row(indeg, indeg, &into(v).collect::<Vec<_>>());
+            } else {
+                let z = lp.add_var(0.0, 1.0, 0.0);
+                lp.add_row(0.0, 0.0, &into(v).chain([(z, -1.0)]).collect::<Vec<_>>());
+                lp.add_row(0.0, f64::INFINITY, &out_of(v).chain([(z, -1.0)]).collect::<Vec<_>>());
+            }
+        }
+        let terminals = (1..nodes).filter(|&v| is_terminal[v]).collect();
+        SteinerLp { nodes, arcs, terminals, lp }
+    }
+
+    /// One separation round at `x`: for every terminal the root does not
+    /// reach over arcs with `x_a > 0`, the violated cut `y(δ⁻(W)) ≥ 1`
+    /// with `W` the nodes that reach it; at most `limit` of them.
+    fn separate(&self, x: &[f64], limit: usize) -> Vec<Vec<(VarId, f64)>> {
+        let reach = |start: usize, forward: bool| {
+            let mut seen = vec![false; self.nodes];
+            let mut stack = vec![start];
+            seen[start] = true;
+            while let Some(v) = stack.pop() {
+                for (a, &(tail, head)) in self.arcs.iter().enumerate() {
+                    let (from, to) = if forward { (tail, head) } else { (head, tail) };
+                    if from == v && !seen[to] && x[a] > 1e-9 {
+                        seen[to] = true;
+                        stack.push(to);
+                    }
+                }
+            }
+            seen
+        };
+        let from_root = reach(0, true);
+        let mut cuts: Vec<Vec<(VarId, f64)>> = Vec::new();
+        for &t in self.terminals.iter().filter(|&&t| !from_root[t]) {
+            let w = reach(t, false);
+            let cut: Vec<(VarId, f64)> = (0..self.arcs.len())
+                .filter(|&a| !w[self.arcs[a].0] && w[self.arcs[a].1])
+                .map(|a| (VarId(a as u32), 1.0))
+                .collect();
+            if !cuts.contains(&cut) && cuts.len() < limit {
+                cuts.push(cut);
+            }
+        }
+        cuts
+    }
+}
+
+/// The stalls the pivot rules allow on LPs this degenerate (Bland's rule
+/// picks only the entering column) are not what these tests are about: a
+/// solve that needs more than this many iterations ends the case.
+const SHAPE_ITER_LIMIT: usize = 5_000;
+
+/// The warm-started `s` against a cold solve of the same problem. `None`
+/// when there is no optimum to carry into the next round.
+fn assert_matches_cold_solve(
+    s: &mut Simplex,
+    warm: LpStatus,
+) -> Result<Option<LpSolution>, TestCaseError> {
+    let p = s.problem().clone();
+    let mut cold = Simplex::new(p.clone(), shape_params());
+    let cold_status = cold.solve_primal();
+    if warm == LpStatus::IterLimit || cold_status == LpStatus::IterLimit {
+        return Ok(None);
+    }
+    prop_assert_eq!(warm, cold_status);
+    if warm != LpStatus::Optimal {
+        return Ok(None);
+    }
+    let sol = s.extract_solution();
+    let cold_obj = cold.obj_value();
+    prop_assert!(
+        (sol.obj - cold_obj).abs() <= 1e-7 * (1.0 + cold_obj.abs()),
+        "warm {} vs cold {}",
+        sol.obj,
+        cold_obj
+    );
+    assert_kkt(&p, &sol);
+    Ok(Some(sol))
+}
+
+fn shape_params() -> SimplexParams {
+    SimplexParams { iter_limit: SHAPE_ITER_LIMIT, ..Default::default() }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// m = 100–300 rows and the usage pattern of `cip::Solver`: a cold
+    /// primal solve, then rounds of cut rows + dual simplex and of
+    /// branching bounds + dual simplex, each checked against a cold solve.
+    /// In debug builds every dual iteration also checks the incrementally
+    /// updated reduced costs against `c − AᵀB⁻ᵀc_B` from scratch.
+    #[test]
+    fn steiner_shaped_lp_through_cut_and_branch_rounds(
+        seed in any::<u64>(),
+        nodes in 55usize..150,
+        unit_costs in any::<bool>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let model = SteinerLp::new(nodes, unit_costs, &mut rng);
+        prop_assert!((100..=300).contains(&model.lp.num_rows()));
+        let mut s = Simplex::new(model.lp.clone(), shape_params());
+        let st = s.solve_primal();
+        let Some(mut sol) = assert_matches_cold_solve(&mut s, st)? else {
+            return Err(TestCaseError::fail("the cut-free relaxation has an optimum"));
+        };
+        let mut solves = 1;
+        for round in 0..24 {
+            let cuts = model.separate(&sol.x, 8);
+            if round % 3 != 2 && !cuts.is_empty() {
+                // A separation round, as one batch of rows or row by row.
+                if round % 2 == 0 {
+                    s.add_rows(cuts.iter().map(|c| (1.0, f64::INFINITY, &c[..])));
+                } else {
+                    for c in &cuts {
+                        s.add_row(1.0, f64::INFINITY, c);
+                    }
+                }
+            } else {
+                // A branching step on the most fractional arc (any arc
+                // if the point is integral).
+                let frac = |a: &usize| (sol.x[*a] - 0.5).abs();
+                let a = (0..model.arcs.len()).min_by(|p, q| frac(p).total_cmp(&frac(q))).unwrap();
+                let side = if rng.gen_bool(0.5) { 1.0 } else { 0.0 };
+                s.set_var_bounds(VarId(a as u32), side, side);
+            }
+            let st = s.solve_dual();
+            solves += 1;
+            match assert_matches_cold_solve(&mut s, st)? {
+                Some(next) => sol = next,
+                None => break, // branched into an infeasible subproblem, or stalled
+            }
+        }
+        prop_assert!(solves > 3, "only {solves} solves");
+        // The duals are carried from pivot to pivot: one BTRAN per pivot,
+        // not two, plus one per refactorization, up to three per solve,
+        // and a second one per pivot only under Bland's rule.
+        let c = *s.counters();
+        let pivots = c.dual_pivots + c.primal_pivots;
+        prop_assert!(c.btrans <= pivots + pivots / 4 + c.refactors + 3 * solves, "{c:?}");
+    }
+}
