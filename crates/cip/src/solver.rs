@@ -17,7 +17,8 @@ use crate::solution::{Incumbents, Solution};
 use crate::stats::Statistics;
 use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
 use std::collections::HashSet;
-use ugrs_lp::{LpProblem, LpStatus, Simplex, SimplexParams};
+use std::time::Instant;
+use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
 
 /// Final status of a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -278,25 +279,13 @@ impl Solver {
         }
 
         // ---- Build the LP relaxation --------------------------------------
-        let mut lp_prob = LpProblem::new();
-        for (_, var) in self.model.vars() {
-            lp_prob.add_var(var.lb, var.ub, var.obj);
-        }
-        for cons in self.model.conss() {
-            let terms: Vec<(ugrs_lp::VarId, f64)> =
-                cons.terms.iter().map(|&(v, c)| (ugrs_lp::VarId(v.0), c)).collect();
-            lp_prob.add_row(cons.lhs, cons.rhs, &terms);
-        }
-        let base_rows = lp_prob.num_rows();
-        let mut lp = Simplex::new(
-            lp_prob,
-            SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() },
-        );
+        self.cut_pool.clear();
+        self.active_cuts.clear();
+        let mut lp = self.build_lp();
+        let base_rows = lp.problem().num_rows();
         let mut lp_fresh = true;
         // Initial rows from constraint handlers (e.g. dual-ascent cuts),
         // installed as (ageable) cut rows.
-        self.cut_pool.clear();
-        self.active_cuts.clear();
         {
             let mut buf = CutBuffer::default();
             let mut hdlrs = std::mem::take(&mut self.conshdlrs);
@@ -441,28 +430,14 @@ impl Solver {
                 for j in 0..n {
                     lp.set_var_bounds(ugrs_lp::VarId(j as u32), lb[j], ub[j]);
                 }
-                let was_fresh = lp_fresh;
-                let st = if lp_fresh {
-                    lp_fresh = false;
-                    lp.solve_primal()
-                } else {
-                    lp.solve_dual()
-                };
-                self.stats.lp_solves += 1;
-                self.stats.lp_iterations += lp.iterations() as u64;
-                match st {
-                    LpStatus::Infeasible => continue,
-                    LpStatus::Unbounded => {
-                        if depth == 0 {
-                            status = SolveStatus::Unbounded;
-                            break 'mainloop;
-                        }
-                        continue;
-                    }
-                    LpStatus::Numerical => continue,
-                    _ => {}
+                let was_fresh = std::mem::replace(&mut lp_fresh, false);
+                let (st, sol) = self.solve_lp(&mut lp, was_fresh);
+                if st == LpStatus::Unbounded && depth == 0 {
+                    status = SolveStatus::Unbounded;
+                    break 'mainloop;
                 }
-                let mut sol = lp.extract_solution();
+                // Infeasible, unbounded below the root, or numerically lost.
+                let Some(mut sol) = sol else { continue };
                 // A dual-simplex iterate is dual feasible, so its objective
                 // is a valid bound even at the iteration limit; a truncated
                 // *primal* solve is not.
@@ -493,17 +468,13 @@ impl Solver {
                     if added == 0 {
                         break;
                     }
-                    let st = lp.solve_dual();
-                    self.stats.lp_solves += 1;
-                    self.stats.lp_iterations += lp.iterations() as u64;
+                    let (st, resolved) = self.solve_lp(&mut lp, false);
                     if st == LpStatus::Infeasible {
                         pruned = true;
                         break;
                     }
-                    if st == LpStatus::Numerical {
-                        break;
-                    }
-                    sol = lp.extract_solution();
+                    let Some(resolved) = resolved else { break };
+                    sol = resolved;
                     let prev = bound;
                     bound = sol.obj.max(bound);
                     relax_x = sol.x.clone();
@@ -638,15 +609,7 @@ impl Solver {
                 if enforce_rounds > 200 || self.stats.elapsed() > self.settings.time_limit {
                     break Some(false);
                 }
-                let st = lp.solve_dual();
-                self.stats.lp_solves += 1;
-                self.stats.lp_iterations += lp.iterations() as u64;
-                match st {
-                    LpStatus::Infeasible => break Some(false),
-                    LpStatus::Numerical => break Some(false),
-                    _ => {}
-                }
-                let sol = lp.extract_solution();
+                let Some(sol) = self.solve_lp(&mut lp, false).1 else { break Some(false) };
                 bound = sol.obj.max(bound);
                 relax_x = sol.x;
                 if bound >= self.cutoff() {
@@ -887,22 +850,76 @@ impl Solver {
         self.install_cuts(buf, lp)
     }
 
+    /// Installs the buffer's cuts that are not in the pool yet as LP rows,
+    /// in one batch. Returns the number of rows added.
     fn install_cuts(&mut self, buf: CutBuffer, lp: &mut Simplex) -> usize {
-        let mut added = 0;
+        let first_new = self.active_cuts.len();
         for cut in buf.cuts {
             let fp = cut.fingerprint();
-            if !self.cut_pool.insert(fp) {
+            if self.cut_pool.insert(fp) {
+                self.active_cuts.push((cut, fp, 0));
+            } else {
                 self.stats.cuts_duplicate += 1;
-                continue;
             }
-            let terms: Vec<(ugrs_lp::VarId, f64)> =
-                cut.terms.iter().map(|&(v, c)| (ugrs_lp::VarId(v.0), c)).collect();
-            lp.add_row(cut.lhs, cut.rhs, &terms);
-            self.active_cuts.push((cut, fp, 0));
-            self.stats.cuts_applied += 1;
-            added += 1;
         }
-        added
+        let new = &self.active_cuts[first_new..];
+        let terms: Vec<_> = new.iter().map(|(cut, _, _)| lp_terms(&cut.terms)).collect();
+        lp.add_rows(new.iter().zip(&terms).map(|((cut, _, _), t)| (cut.lhs, cut.rhs, &t[..])));
+        self.stats.cuts_applied += new.len() as u64;
+        new.len()
+    }
+
+    /// The LP relaxation of the model plus the active cuts, at the slack
+    /// basis (model rows first, cut rows in `active_cuts` order).
+    fn build_lp(&self) -> Simplex {
+        let mut lp_prob = LpProblem::new();
+        for (_, var) in self.model.vars() {
+            lp_prob.add_var(var.lb, var.ub, var.obj);
+        }
+        for cons in self.model.conss() {
+            lp_prob.add_row(cons.lhs, cons.rhs, &lp_terms(&cons.terms));
+        }
+        for (cut, _, _) in &self.active_cuts {
+            lp_prob.add_row(cut.lhs, cut.rhs, &lp_terms(&cut.terms));
+        }
+        Simplex::new(lp_prob, self.lp_params())
+    }
+
+    fn lp_params(&self) -> SimplexParams {
+        SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() }
+    }
+
+    /// One LP solve — cold (primal simplex) or warm (dual simplex) — with
+    /// all of the LP accounting. Numerical trouble is counted and retried
+    /// once from the slack basis before the caller gives the node up. The
+    /// solution is extracted for the outcomes that have one (`Optimal`,
+    /// `IterLimit`).
+    fn solve_lp(&mut self, lp: &mut Simplex, cold: bool) -> (LpStatus, Option<LpSolution>) {
+        let started = Instant::now();
+        let mut refactors_seen = lp.counters().refactors;
+        let mut st = if cold { lp.solve_primal() } else { lp.solve_dual() };
+        self.stats.lp_solves += 1;
+        self.stats.lp_iterations += lp.iterations() as u64;
+        if st == LpStatus::Numerical {
+            self.stats.lp_numerical += 1;
+            self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
+            refactors_seen = 0;
+            *lp = Simplex::new(lp.problem().clone(), self.lp_params());
+            st = lp.solve_primal();
+            self.stats.lp_iterations += lp.iterations() as u64;
+            if st == LpStatus::Numerical {
+                self.stats.lp_numerical += 1;
+            } else if st == LpStatus::IterLimit && !cold {
+                // A truncated primal solve has no valid bound to offer, and
+                // only a caller that asked for a cold solve expects one.
+                st = LpStatus::Numerical;
+            }
+        }
+        let sol =
+            matches!(st, LpStatus::Optimal | LpStatus::IterLimit).then(|| lp.extract_solution());
+        self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
+        self.stats.lp_time += started.elapsed().as_secs_f64();
+        (st, sol)
     }
 
     /// Ages cut rows by their duals in the last LP solution (`base_rows`
@@ -926,7 +943,6 @@ impl Solver {
             return None;
         }
         let max_age = self.settings.cut_max_age;
-        let before = self.active_cuts.len();
         let mut kept: Vec<(Cut, u64, u32)> = Vec::new();
         for rec in self.active_cuts.drain(..) {
             if rec.2 <= max_age {
@@ -943,26 +959,9 @@ impl Solver {
             }
         }
         self.active_cuts = kept;
-        let _ = before;
-        let mut lp_prob = LpProblem::new();
-        for (_, var) in self.model.vars() {
-            lp_prob.add_var(var.lb, var.ub, var.obj);
-        }
-        for cons in self.model.conss() {
-            let terms: Vec<(ugrs_lp::VarId, f64)> =
-                cons.terms.iter().map(|&(v, c)| (ugrs_lp::VarId(v.0), c)).collect();
-            lp_prob.add_row(cons.lhs, cons.rhs, &terms);
-        }
-        debug_assert_eq!(lp_prob.num_rows(), base_rows);
-        for (cut, _, _) in &self.active_cuts {
-            let terms: Vec<(ugrs_lp::VarId, f64)> =
-                cut.terms.iter().map(|&(v, c)| (ugrs_lp::VarId(v.0), c)).collect();
-            lp_prob.add_row(cut.lhs, cut.rhs, &terms);
-        }
-        Some(Simplex::new(
-            lp_prob,
-            SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() },
-        ))
+        let lp = self.build_lp();
+        debug_assert_eq!(lp.problem().num_rows(), base_rows + self.active_cuts.len());
+        Some(lp)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1051,13 +1050,7 @@ impl Solver {
             dlb[j] = r;
             dub[j] = r;
             lp.set_var_bounds(ugrs_lp::VarId(var.0), r, r);
-            let st = lp.solve_dual();
-            self.stats.lp_solves += 1;
-            self.stats.lp_iterations += lp.iterations() as u64;
-            if st != LpStatus::Optimal {
-                return;
-            }
-            let sol = lp.extract_solution();
+            let (LpStatus::Optimal, Some(sol)) = self.solve_lp(lp, false) else { return };
             if sol.obj >= self.cutoff() {
                 return; // dive is dominated
             }
@@ -1139,6 +1132,11 @@ impl Solver {
     pub fn best_solution(&self) -> Option<&Solution> {
         self.incumbents.best()
     }
+}
+
+/// Model terms in the LP's variable numbering (the two coincide).
+fn lp_terms(terms: &[(VarId, f64)]) -> Vec<(ugrs_lp::VarId, f64)> {
+    terms.iter().map(|&(v, c)| (ugrs_lp::VarId(v.0), c)).collect()
 }
 
 #[cfg(test)]

@@ -10,8 +10,16 @@ pub struct Statistics {
     pub nodes: u64,
     /// LP solves.
     pub lp_solves: u64,
-    /// Total simplex iterations.
+    /// Total simplex iterations (dual pivots and primal polish).
     pub lp_iterations: u64,
+    /// Basis refactorizations inside the LP solves.
+    pub lp_refactors: u64,
+    /// LP solves that ended in numerical trouble, cold retries included;
+    /// each one that persists costs a node its proof.
+    pub lp_numerical: u64,
+    /// Wall-clock seconds inside the simplex (solve and solution
+    /// extraction).
+    pub lp_time: f64,
     /// Relaxator solves.
     pub relax_solves: u64,
     /// Cuts installed into the LP.
@@ -47,6 +55,9 @@ impl Default for Statistics {
             nodes: 0,
             lp_solves: 0,
             lp_iterations: 0,
+            lp_refactors: 0,
+            lp_numerical: 0,
+            lp_time: 0.0,
             relax_solves: 0,
             cuts_applied: 0,
             cuts_duplicate: 0,

@@ -207,6 +207,19 @@ mod tests {
     }
 
     #[test]
+    fn lp_accounting_is_filled_in() {
+        let g = code_covering(2, 3, 5, CostScheme::Perturbed, 4);
+        let opts = SteinerOptions { skip_reductions: true, ..Default::default() };
+        let res = SteinerSolver::new(g, opts).solve();
+        assert_eq!(res.status, SolveStatus::Optimal);
+        let st = res.cip_stats.expect("unreduced instance goes through branch-and-cut");
+        assert!(st.lp_solves >= 1 && st.lp_iterations >= 1, "{st:?}");
+        assert!(st.lp_refactors >= 1, "every LP solve starts from a factorization");
+        assert!(0.0 < st.lp_time && st.lp_time <= st.total_time, "{st:?}");
+        assert_eq!(st.lp_numerical, 0);
+    }
+
+    #[test]
     fn bipartite_instance_end_to_end() {
         let g = bipartite(4, 6, 2, CostScheme::Unit, 3);
         let mut s = SteinerSolver::new(g.clone(), SteinerOptions::default());

@@ -52,6 +52,8 @@ fn check(p: MisdpProblem, tol: f64) {
             p.name
         );
         assert!(p.is_feasible(res.y.as_ref().unwrap(), 1e-4));
+        // A node pruned on LP numerical trouble is pruned without proof.
+        assert_eq!(res.stats.lp_numerical, 0, "{:?} on {}", approach, p.name);
     }
     let par = ug_solve_misdp(&p, ParallelOptions { num_solvers: 2, ..Default::default() });
     assert!(par.solved, "{}", p.name);
@@ -84,5 +86,6 @@ fn racing_settings_all_reach_optimum() {
         let res = MisdpSolver::new(p.clone(), approach, cip).solve();
         let obj = res.best_obj.unwrap();
         assert!((obj - expected).abs() < 1e-3, "settings {}: {obj} vs {expected}", s.name);
+        assert_eq!(res.stats.lp_numerical, 0, "settings {}", s.name);
     }
 }

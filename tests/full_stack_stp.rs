@@ -39,6 +39,8 @@ fn check_instance(g: Graph) {
     assert!((cost - expected).abs() < 1e-6, "sequential {cost} vs brute force {expected}");
     let tree = res.tree.unwrap();
     assert!(tree.is_valid(&g));
+    // A node pruned on LP numerical trouble is pruned without proof.
+    assert_eq!(res.cip_stats.map_or(0, |st| st.lp_numerical), 0);
 
     // Parallel through UG.
     let par = ug_solve_stp(
@@ -87,8 +89,11 @@ fn reductions_never_change_the_optimum() {
         let mut with = SteinerSolver::new(g.clone(), SteinerOptions::default());
         let mut without =
             SteinerSolver::new(g, SteinerOptions { skip_reductions: true, ..Default::default() });
-        let c1 = with.solve().best_cost.unwrap();
-        let c2 = without.solve().best_cost.unwrap();
+        let (r1, r2) = (with.solve(), without.solve());
+        let (c1, c2) = (r1.best_cost.unwrap(), r2.best_cost.unwrap());
+        for st in [r1.cip_stats, r2.cip_stats].into_iter().flatten() {
+            assert_eq!(st.lp_numerical, 0, "seed {seed}");
+        }
         assert!((c1 - expected).abs() < 1e-6, "seed {seed}: reduced {c1} vs {expected}");
         assert!((c2 - expected).abs() < 1e-6, "seed {seed}: unreduced {c2} vs {expected}");
     }
