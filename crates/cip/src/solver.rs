@@ -18,7 +18,7 @@ use crate::stats::Statistics;
 use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
 use std::collections::HashSet;
 use std::time::Instant;
-use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
+use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams, VarStatus};
 
 /// Final status of a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -438,14 +438,7 @@ impl Solver {
                 }
                 // Infeasible, unbounded below the root, or numerically lost.
                 let Some(mut sol) = sol else { continue };
-                // A dual-simplex iterate is dual feasible, so its objective
-                // is a valid bound even at the iteration limit; a truncated
-                // *primal* solve is not.
-                bound = if st == LpStatus::IterLimit && was_fresh {
-                    node_bound_in
-                } else {
-                    sol.obj.max(node_bound_in)
-                };
+                bound = sol.obj.max(node_bound_in);
                 relax_x = sol.x.clone();
 
                 // ---- separation loop --------------------------------------
@@ -889,15 +882,27 @@ impl Solver {
         SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() }
     }
 
-    /// One LP solve — cold (primal simplex) or warm (dual simplex) — with
-    /// all of the LP accounting. Numerical trouble is counted and retried
-    /// once from the slack basis before the caller gives the node up. The
-    /// solution is extracted for the outcomes that have one (`Optimal`,
-    /// `IterLimit`).
-    fn solve_lp(&mut self, lp: &mut Simplex, cold: bool) -> (LpStatus, Option<LpSolution>) {
+    /// One LP solve with all of the LP accounting. A fresh LP is solved from
+    /// its slack basis — by the dual simplex when that basis is dual
+    /// feasible, as it is for cost vectors `c ≥ 0` over variables resting
+    /// at their lower bounds (the Steiner models), else by the primal
+    /// simplex, which is far more prone to stall there; every other solve is
+    /// a dual simplex warm start. Numerical trouble is counted and retried
+    /// once from the slack basis before the caller gives the node up.
+    ///
+    /// The solution is extracted for the outcomes that have one (`Optimal`,
+    /// `IterLimit`). A solve stopped at the iteration limit offers no bound
+    /// — a truncated primal solve never does, and neither does a dual one
+    /// that started dual infeasible after a jump in the tree or made
+    /// Bland's-rule pivots — so its objective is reported as `−∞`.
+    fn solve_lp(&mut self, lp: &mut Simplex, fresh: bool) -> (LpStatus, Option<LpSolution>) {
         let started = Instant::now();
         let mut refactors_seen = lp.counters().refactors;
-        let mut st = if cold { lp.solve_primal() } else { lp.solve_dual() };
+        let mut st = if fresh && !slack_basis_is_dual_feasible(lp) {
+            lp.solve_primal()
+        } else {
+            lp.solve_dual()
+        };
         self.stats.lp_solves += 1;
         self.stats.lp_iterations += lp.iterations() as u64;
         if st == LpStatus::Numerical {
@@ -907,16 +912,15 @@ impl Solver {
             *lp = Simplex::new(lp.problem().clone(), self.lp_params());
             st = lp.solve_primal();
             self.stats.lp_iterations += lp.iterations() as u64;
-            if st == LpStatus::Numerical {
-                self.stats.lp_numerical += 1;
-            } else if st == LpStatus::IterLimit && !cold {
-                // A truncated primal solve has no valid bound to offer, and
-                // only a caller that asked for a cold solve expects one.
-                st = LpStatus::Numerical;
-            }
+            self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
         }
-        let sol =
-            matches!(st, LpStatus::Optimal | LpStatus::IterLimit).then(|| lp.extract_solution());
+        let sol = matches!(st, LpStatus::Optimal | LpStatus::IterLimit).then(|| {
+            let mut sol = lp.extract_solution();
+            if st == LpStatus::IterLimit {
+                sol.obj = f64::NEG_INFINITY;
+            }
+            sol
+        });
         self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
         self.stats.lp_time += started.elapsed().as_secs_f64();
         (st, sol)
@@ -1132,6 +1136,23 @@ impl Solver {
     pub fn best_solution(&self) -> Option<&Solution> {
         self.incumbents.best()
     }
+}
+
+/// True if the dual simplex can start from the slack basis of a freshly
+/// built LP: the reduced costs there are the costs themselves, so every
+/// non-fixed variable must rest on the bound its cost pushes it to.
+fn slack_basis_is_dual_feasible(lp: &Simplex) -> bool {
+    let p = lp.problem();
+    lp.basis_snapshot().col_status.iter().take(p.num_vars()).enumerate().all(|(j, status)| {
+        let var = ugrs_lp::VarId(j as u32);
+        let (cost, (lb, ub)) = (p.obj_coef(var), p.bounds(var));
+        lb == ub
+            || match status {
+                VarStatus::AtLower => cost >= 0.0,
+                VarStatus::AtUpper => cost <= 0.0,
+                _ => cost == 0.0,
+            }
+    })
 }
 
 /// Model terms in the LP's variable numbering (the two coincide).
