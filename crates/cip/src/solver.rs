@@ -18,7 +18,7 @@ use crate::stats::Statistics;
 use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
 use std::collections::HashSet;
 use std::time::Instant;
-use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams, VarStatus};
+use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
 
 /// Final status of a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -283,7 +283,6 @@ impl Solver {
         self.active_cuts.clear();
         let mut lp = self.build_lp();
         let base_rows = lp.problem().num_rows();
-        let mut lp_fresh = true;
         // Initial rows from constraint handlers (e.g. dual-ascent cuts),
         // installed as (ageable) cut rows.
         {
@@ -407,13 +406,9 @@ impl Solver {
                     RelaxResult::Infeasible => continue,
                     RelaxResult::Error => {
                         // fall back to pure bound inheritance + branching on
-                        // the domain midpoint of some unfixed integer var
+                        // some unfixed integer var
                         bound = node_bound_in;
-                        relax_x = lb
-                            .iter()
-                            .zip(ub.iter())
-                            .map(|(l, u)| 0.5 * (l.max(-1e18) + u.min(1e18)))
-                            .collect();
+                        relax_x = unsolved_point(&lb, &ub);
                     }
                     RelaxResult::Bounded { bound: b, x } => {
                         bound = b.max(node_bound_in);
@@ -425,93 +420,101 @@ impl Solver {
                 // local bounds, warm start dual simplex.
                 if let Some(newlp) = self.maybe_rebuild_lp(base_rows) {
                     lp = newlp;
-                    lp_fresh = true;
                 }
                 for j in 0..n {
                     lp.set_var_bounds(ugrs_lp::VarId(j as u32), lb[j], ub[j]);
                 }
-                let was_fresh = std::mem::replace(&mut lp_fresh, false);
-                let (st, sol) = self.solve_lp(&mut lp, was_fresh);
-                if st == LpStatus::Unbounded && depth == 0 {
-                    status = SolveStatus::Unbounded;
-                    break 'mainloop;
+                let (st, sol) = self.solve_lp(&mut lp);
+                match st {
+                    LpStatus::Unbounded if depth == 0 => {
+                        status = SolveStatus::Unbounded;
+                        break 'mainloop;
+                    }
+                    // Infeasible, or unbounded below the root.
+                    LpStatus::Infeasible | LpStatus::Unbounded => continue,
+                    _ => {}
                 }
-                // Infeasible, unbounded below the root, or numerically lost.
-                let Some(mut sol) = sol else { continue };
-                bound = sol.obj.max(node_bound_in);
-                relax_x = sol.x.clone();
-
-                // ---- separation loop --------------------------------------
-                let max_rounds = if depth == 0 {
-                    self.settings.root_sepa_rounds
-                } else {
-                    self.settings.node_sepa_rounds
-                };
-                let mut pruned = false;
-                let mut stalled_rounds = 0usize;
-                for _round in 0..max_rounds {
-                    if bound >= self.cutoff() {
-                        pruned = true;
-                        break;
-                    }
-                    if self.stats.elapsed() > self.settings.time_limit {
-                        break;
-                    }
-                    let added = self.run_separation(depth, &lb, &ub, &sol.x, bound, &mut lp);
-                    if added == 0 {
-                        break;
-                    }
-                    let (st, resolved) = self.solve_lp(&mut lp, false);
-                    if st == LpStatus::Infeasible {
-                        pruned = true;
-                        break;
-                    }
-                    let Some(resolved) = resolved else { break };
-                    sol = resolved;
-                    let prev = bound;
-                    bound = sol.obj.max(bound);
+                if let Some(mut sol) = sol {
+                    bound = sol.obj.max(node_bound_in);
                     relax_x = sol.x.clone();
-                    // Long root separation phases must still report progress
-                    // (racing compares bounds *during* the root).
-                    if depth == 0 {
-                        self.stats.record_dual_bound(
-                            bound.min(self.incumbents.best_obj().unwrap_or(f64::INFINITY)),
-                        );
-                        hooks.on_status(
-                            self.stats.dual_bound,
-                            tree.num_open() + 1,
-                            self.stats.nodes,
-                        );
-                    }
-                    // Stop when the dual bound stalls ("as long as the
-                    // dual-bound can be sufficiently improved", §3.1).
-                    if bound - prev < 1e-6 * (1.0 + bound.abs()) {
-                        stalled_rounds += 1;
-                        if stalled_rounds >= 2 {
+
+                    // ---- separation loop --------------------------------------
+                    let max_rounds = if depth == 0 {
+                        self.settings.root_sepa_rounds
+                    } else {
+                        self.settings.node_sepa_rounds
+                    };
+                    let mut pruned = false;
+                    let mut stalled_rounds = 0usize;
+                    for _round in 0..max_rounds {
+                        if bound >= self.cutoff() {
+                            pruned = true;
                             break;
                         }
-                    } else {
-                        stalled_rounds = 0;
+                        if self.stats.elapsed() > self.settings.time_limit {
+                            break;
+                        }
+                        let added = self.run_separation(depth, &lb, &ub, &sol.x, bound, &mut lp);
+                        if added == 0 {
+                            break;
+                        }
+                        let (st, resolved) = self.solve_lp(&mut lp);
+                        if st == LpStatus::Infeasible {
+                            pruned = true;
+                            break;
+                        }
+                        let Some(resolved) = resolved else { break };
+                        sol = resolved;
+                        let prev = bound;
+                        bound = sol.obj.max(bound);
+                        relax_x = sol.x.clone();
+                        // Long root separation phases must still report progress
+                        // (racing compares bounds *during* the root).
+                        if depth == 0 {
+                            self.stats.record_dual_bound(
+                                bound.min(self.incumbents.best_obj().unwrap_or(f64::INFINITY)),
+                            );
+                            hooks.on_status(
+                                self.stats.dual_bound,
+                                tree.num_open() + 1,
+                                self.stats.nodes,
+                            );
+                        }
+                        // Stop when the dual bound stalls ("as long as the
+                        // dual-bound can be sufficiently improved", §3.1).
+                        if bound - prev < 1e-6 * (1.0 + bound.abs()) {
+                            stalled_rounds += 1;
+                            if stalled_rounds >= 2 {
+                                break;
+                            }
+                        } else {
+                            stalled_rounds = 0;
+                        }
                     }
-                }
-                self.age_cuts(base_rows, &sol.row_duals);
-                if pruned {
-                    self.update_pseudocosts(binfo, bound);
-                    continue;
-                }
+                    self.age_cuts(base_rows, &sol.row_duals);
+                    if pruned {
+                        self.update_pseudocosts(binfo, bound);
+                        continue;
+                    }
 
-                // ---- reduced-cost fixing ----------------------------------
-                if self.settings.use_redcost_fixing {
-                    let fixed = redcost_fixing(
-                        &self.model,
-                        &sol.x,
-                        &sol.reduced_costs,
-                        bound,
-                        self.cutoff(),
-                        &mut lb,
-                        &mut ub,
-                    );
-                    self.stats.redcost_fixings += fixed as u64;
+                    // ---- reduced-cost fixing ----------------------------------
+                    if self.settings.use_redcost_fixing {
+                        let fixed = redcost_fixing(
+                            &self.model,
+                            &sol.x,
+                            &sol.reduced_costs,
+                            bound,
+                            self.cutoff(),
+                            &mut lb,
+                            &mut ub,
+                        );
+                        self.stats.redcost_fixings += fixed as u64;
+                    }
+                } else {
+                    // No answer from the LP: the node keeps the bound it came
+                    // with and is branched on some unfixed integer var.
+                    bound = node_bound_in;
+                    relax_x = unsolved_point(&lb, &ub);
                 }
             }
 
@@ -602,7 +605,15 @@ impl Solver {
                 if enforce_rounds > 200 || self.stats.elapsed() > self.settings.time_limit {
                     break Some(false);
                 }
-                let Some(sol) = self.solve_lp(&mut lp, false).1 else { break Some(false) };
+                let sol = match self.solve_lp(&mut lp) {
+                    (_, Some(sol)) => sol,
+                    (LpStatus::IterLimit | LpStatus::Numerical, None) => {
+                        // No answer from the LP: branch instead of cutting on.
+                        relax_x = unsolved_point(&lb, &ub);
+                        break None;
+                    }
+                    _ => break Some(false),
+                };
                 bound = sol.obj.max(bound);
                 relax_x = sol.x;
                 if bound >= self.cutoff() {
@@ -882,31 +893,29 @@ impl Solver {
         SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() }
     }
 
-    /// One LP solve with all of the LP accounting. A fresh LP is solved from
-    /// its slack basis — by the dual simplex when that basis is dual
-    /// feasible, as it is for cost vectors `c ≥ 0` over variables resting
-    /// at their lower bounds (the Steiner models), else by the primal
-    /// simplex, which is far more prone to stall there; every other solve is
-    /// a dual simplex warm start. Numerical trouble is counted and retried
-    /// once from the slack basis before the caller gives the node up.
+    /// One LP solve with all of the LP accounting. Every solve is a
+    /// `solve_dual` from the basis the simplex holds: a warm start after
+    /// bound changes and added rows; from the slack basis of a fresh LP the
+    /// dual simplex where that basis is dual feasible (costs `c ≥ 0` over
+    /// variables resting at their lower bounds, every Steiner model) and the
+    /// primal simplex where it is primal feasible, because the dual phase
+    /// then has nothing to do and hands over to the primal polish at once
+    /// (where it is neither, dual pivots on clamped reduced costs come first).
+    /// A solve that ends without an answer — in numerical trouble (counted)
+    /// or at the iteration limit — is retried once cold: the simplex rebuilt
+    /// from the slack basis, `solve_primal`.
     ///
-    /// The solution is extracted for the outcomes that have one (`Optimal`,
-    /// `IterLimit`). A solve stopped at the iteration limit offers no bound
-    /// — a truncated primal solve never does, and neither does a dual one
-    /// that started dual infeasible after a jump in the tree or made
-    /// Bland's-rule pivots — so its objective is reported as `−∞`.
-    fn solve_lp(&mut self, lp: &mut Simplex, fresh: bool) -> (LpStatus, Option<LpSolution>) {
+    /// Only an optimal solve has a solution. A truncated one has no bound to
+    /// offer (its basis is not known to be dual feasible) and its point
+    /// satisfies nothing, so the callers treat the node as unsolved.
+    fn solve_lp(&mut self, lp: &mut Simplex) -> (LpStatus, Option<LpSolution>) {
         let started = Instant::now();
         let mut refactors_seen = lp.counters().refactors;
-        let mut st = if fresh && !slack_basis_is_dual_feasible(lp) {
-            lp.solve_primal()
-        } else {
-            lp.solve_dual()
-        };
+        let mut st = lp.solve_dual();
         self.stats.lp_solves += 1;
         self.stats.lp_iterations += lp.iterations() as u64;
-        if st == LpStatus::Numerical {
-            self.stats.lp_numerical += 1;
+        if matches!(st, LpStatus::Numerical | LpStatus::IterLimit) {
+            self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
             self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
             refactors_seen = 0;
             *lp = Simplex::new(lp.problem().clone(), self.lp_params());
@@ -914,13 +923,7 @@ impl Solver {
             self.stats.lp_iterations += lp.iterations() as u64;
             self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
         }
-        let sol = matches!(st, LpStatus::Optimal | LpStatus::IterLimit).then(|| {
-            let mut sol = lp.extract_solution();
-            if st == LpStatus::IterLimit {
-                sol.obj = f64::NEG_INFINITY;
-            }
-            sol
-        });
+        let sol = (st == LpStatus::Optimal).then(|| lp.extract_solution());
         self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
         self.stats.lp_time += started.elapsed().as_secs_f64();
         (st, sol)
@@ -1054,7 +1057,7 @@ impl Solver {
             dlb[j] = r;
             dub[j] = r;
             lp.set_var_bounds(ugrs_lp::VarId(var.0), r, r);
-            let (LpStatus::Optimal, Some(sol)) = self.solve_lp(lp, false) else { return };
+            let (LpStatus::Optimal, Some(sol)) = self.solve_lp(lp) else { return };
             if sol.obj >= self.cutoff() {
                 return; // dive is dominated
             }
@@ -1138,21 +1141,12 @@ impl Solver {
     }
 }
 
-/// True if the dual simplex can start from the slack basis of a freshly
-/// built LP: the reduced costs there are the costs themselves, so every
-/// non-fixed variable must rest on the bound its cost pushes it to.
-fn slack_basis_is_dual_feasible(lp: &Simplex) -> bool {
-    let p = lp.problem();
-    lp.basis_snapshot().col_status.iter().take(p.num_vars()).enumerate().all(|(j, status)| {
-        let var = ugrs_lp::VarId(j as u32);
-        let (cost, (lb, ub)) = (p.obj_coef(var), p.bounds(var));
-        lb == ub
-            || match status {
-                VarStatus::AtLower => cost >= 0.0,
-                VarStatus::AtUpper => cost <= 0.0,
-                _ => cost == 0.0,
-            }
-    })
+/// The point a node is branched on when its relaxation gave none: every
+/// variable half a unit above its lower bound, or in the middle of a
+/// narrower domain — fractional for each unfixed integer variable.
+fn unsolved_point(lb: &[f64], ub: &[f64]) -> Vec<f64> {
+    let clamped = lb.iter().zip(ub).map(|(l, u)| (l.max(-1e18), u.min(1e18)));
+    clamped.map(|(l, u)| l + 0.5 * (u - l).min(1.0)).collect()
 }
 
 /// Model terms in the LP's variable numbering (the two coincide).
@@ -1183,6 +1177,28 @@ mod tests {
         // capacity 7: best is items (4,12)+(2,7)+(1,4) = 23.
         assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "obj {:?}", res.best_obj);
         assert!((res.dual_bound - 23.0).abs() < 1e-6);
+    }
+
+    /// An LP that stops at its iteration limit (also on the retry) gives the
+    /// node neither a bound nor a point: the node is branched, not closed on
+    /// whatever the truncated solve left behind.
+    #[test]
+    fn truncated_lp_solves_do_not_lose_the_optimum() {
+        for lp_iter_limit in 1..=6 {
+            let st = Settings { lp_iter_limit, ..Default::default() };
+            let res = Solver::new_bare(knapsack(), st.clone()).solve(&mut NoHooks);
+            assert_eq!(res.status, SolveStatus::Optimal);
+            assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
+
+            // General integers: the branching point must split [0, 2] too.
+            let mut m = Model::new("t");
+            m.set_maximize();
+            let x = m.add_var("x", VarType::Integer, 0.0, 2.0, 1.0);
+            let y = m.add_var("y", VarType::Integer, 0.0, 2.0, 1.0);
+            m.add_linear(f64::NEG_INFINITY, 3.5, &[(x, 1.0), (y, 1.0)]);
+            let res = Solver::new_bare(m, st).solve(&mut NoHooks);
+            assert!((res.best_obj.unwrap() - 3.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
+        }
     }
 
     #[test]

@@ -660,9 +660,9 @@ impl Simplex {
         }
     }
 
-    /// Dual simplex re-optimization from the current (dual feasible)
-    /// basis. Falls back to `solve_primal` when it detects that the basis
-    /// is not dual feasible or on numerical trouble.
+    /// Dual simplex from the current basis, then a primal polish. A basis
+    /// that is not dual feasible is tolerated (reduced costs are clamped in
+    /// the ratio test): a primal feasible start goes to the polish at once.
     ///
     /// The reduced costs `dj` are computed from `y = B⁻ᵀc_B` when the call
     /// starts and after every refactorization, and in between updated from
@@ -1085,6 +1085,37 @@ mod tests {
         s.set_var_bounds(VarId(0), 0.0, 3.0);
         s.set_var_bounds(VarId(1), 0.0, 3.0);
         assert_eq!(s.solve_dual(), LpStatus::Infeasible);
+    }
+
+    /// `solve_dual` from the slack basis of a fresh LP is the dual simplex
+    /// where that basis is dual feasible, and the very pivots of
+    /// `solve_primal` where it is primal feasible.
+    #[test]
+    fn solve_dual_from_the_slack_basis_picks_the_fitting_algorithm() {
+        // Covering LP, c ≥ 0 at lower bounds: dual feasible, primal infeasible.
+        let mut cover = LpProblem::new();
+        let v: Vec<VarId> = (0..4).map(|j| cover.add_var(0.0, 1.0, 1.0 + j as f64)).collect();
+        cover.add_row(1.0, f64::INFINITY, &[(v[0], 1.0), (v[1], 1.0)]);
+        cover.add_row(1.0, f64::INFINITY, &[(v[1], 1.0), (v[2], 1.0), (v[3], 1.0)]);
+        let mut s = Simplex::new(cover.clone(), SimplexParams::default());
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert!((s.obj_value() - 2.0).abs() < 1e-9);
+        assert!(s.counters().dual_pivots >= 1);
+        assert_eq!(s.counters().primal_pivots, 0, "a dual feasible start needs no polish");
+
+        // Packing LP, c < 0: primal feasible, dual infeasible.
+        let mut pack = LpProblem::new();
+        let v: Vec<VarId> = (0..4).map(|j| pack.add_var(0.0, 1.0, -1.0 - j as f64)).collect();
+        pack.add_row(f64::NEG_INFINITY, 1.0, &[(v[0], 1.0), (v[1], 1.0)]);
+        pack.add_row(f64::NEG_INFINITY, 1.5, &[(v[1], 1.0), (v[2], 1.0), (v[3], 1.0)]);
+        let mut warm = Simplex::new(pack.clone(), SimplexParams::default());
+        let mut cold = Simplex::new(pack, SimplexParams::default());
+        assert_eq!(warm.solve_dual(), LpStatus::Optimal);
+        assert_eq!(cold.solve_primal(), LpStatus::Optimal);
+        assert_eq!(warm.counters().dual_pivots, 0);
+        assert_eq!(warm.counters().primal_pivots, cold.counters().primal_pivots);
+        assert_eq!(warm.basis_snapshot(), cold.basis_snapshot());
+        assert_eq!(warm.obj_value(), cold.obj_value());
     }
 
     #[test]

@@ -57,13 +57,18 @@ fn solve_to(g: &Graph, with_keyvertex: bool, target: f64) -> (u64, u64, Vec<f64>
     (res.stats.nodes, hits.load(Ordering::Relaxed), hooks.incumbents)
 }
 
-/// Under identical seeds and settings, the key-vertex local search
-/// reaches the proven optimum in strictly fewer B&B nodes than the
-/// baseline plugin set — on these instances it improves the root
-/// incumbent to optimal before branching even starts.
+/// Under identical seeds and settings, the key-vertex local search never
+/// reaches the proven optimum later than the baseline plugin set, and on
+/// the instances where the TM construction tree leaves it something to do
+/// it gets there in strictly fewer B&B nodes — it improves the root
+/// incumbent to optimal before branching even starts. Which instances
+/// those are depends on the vertex the root LP ends in (seeds 3, 8 and 10
+/// while the root LP was solved by the primal simplex; 3, 7 and 8 since
+/// it is solved by the dual), so the test names none.
 #[test]
 fn keyvertex_reaches_optimum_earlier_than_baseline() {
-    for seed in [3u64, 7, 8] {
+    let mut earlier = Vec::new();
+    for seed in 1u64..=12 {
         let g = hypercube(4, CostScheme::Perturbed, seed);
 
         // Establish the true optimum first with a full solve.
@@ -78,14 +83,22 @@ fn keyvertex_reaches_optimum_earlier_than_baseline() {
         let (nodes_kv, hits_kv, trace_kv) = solve_to(&g, true, optimum);
         let (nodes_base, hits_base, trace_base) = solve_to(&g, false, optimum);
 
-        assert!(hits_kv >= 1, "seed {seed}: key-vertex search must improve at least once");
         assert_eq!(hits_base, 0, "seed {seed}: baseline has no key-vertex plugin");
         assert!(
-            nodes_kv < nodes_base,
-            "seed {seed}: key-vertex must reach the optimum earlier \
+            nodes_kv <= nodes_base,
+            "seed {seed}: key-vertex must not reach the optimum later \
              ({nodes_kv} nodes vs baseline {nodes_base}); traces {trace_kv:?} vs {trace_base:?}"
         );
+        if nodes_kv < nodes_base {
+            assert!(hits_kv >= 1, "seed {seed}: an earlier optimum must be a key-vertex hit");
+            earlier.push(seed);
+        }
     }
+    assert!(
+        earlier.len() >= 3,
+        "key-vertex must reach the optimum strictly earlier on at least three of the \
+         twelve instances, did on seeds {earlier:?}"
+    );
 }
 
 /// An STP plugin set whose key-vertex hit counter is shared across all
