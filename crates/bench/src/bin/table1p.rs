@@ -11,14 +11,12 @@
 //! ```sh
 //! cargo build --release --bin ugd-worker
 //! cargo run -p ugrs-bench --release --bin table1p \
-//!     [-- --limit <s>] [--ranks 1,2,4] [--codec v2|v3] [--no-batch]
+//!     [-- --limit <s>] [--ranks 1,2,4] [--codec v2|v3]
 //! ```
 //!
 //! `--codec` caps the wire protocol of every run (coordinator and
-//! spawned workers alike — the runner forwards the cap), and
-//! `--no-batch` disables v3 writer-side frame batching; together they
-//! produce the JSON-vs-binary bytes-on-wire comparison recorded in
-//! EXPERIMENTS.md. The `wire` column is this process's tx+rx byte
+//! spawned workers alike — the runner forwards the cap): the
+//! JSON-vs-binary bytes-on-wire comparison recorded in EXPERIMENTS.md. The `wire` column is this process's tx+rx byte
 //! delta over the distributed run (`ugrs_wire_{tx,rx}_bytes_total` —
 //! coordinator-side traffic; worker-side bytes mirror it).
 //!
@@ -73,9 +71,6 @@ fn main() {
             }
         }
     }
-    if args.iter().any(|a| a == "--no-batch") {
-        comm.batch = None;
-    }
 
     let Some(worker) = worker_binary() else {
         eprintln!(
@@ -87,9 +82,8 @@ fn main() {
 
     println!("Table 1 (ProcessComm): thread vs process back-end wall times");
     println!(
-        "(worker: {worker}; per-run limit {limit}s; codec cap v{}, batching {})\n",
-        comm.advertised_protocol(),
-        if comm.batch.is_some() { "on" } else { "off" }
+        "(worker: {worker}; per-run limit {limit}s; codec cap v{})\n",
+        comm.advertised_protocol()
     );
     println!(
         "{:>10} {:>7} {:>12} {:>12} {:>10} {:>10} {:>7}",

@@ -10,13 +10,13 @@
 //! ```sh
 //! cargo build --release --bin ugd-worker
 //! cargo run -p ugrs-bench --release --bin table_serve \
-//!     [-- --jobs <n>] [--solvers <k>] [--codec v2|v3] [--no-batch]
+//!     [-- --jobs <n>] [--solvers <k>] [--codec v2|v3]
 //! ```
 //!
 //! `--codec` caps the wire protocol of both paths (the server passes
 //! the cap to its pool workers, the per-call runner to its spawned
-//! fleet) and `--no-batch` disables v3 frame batching — the knobs
-//! behind the JSON-vs-binary throughput rows in EXPERIMENTS.md.
+//! fleet) — the knob behind the JSON-vs-binary throughput rows in
+//! EXPERIMENTS.md.
 //!
 //! The worker is looked up next to this executable (both live in
 //! `target/<profile>/`); override with the `UGD_WORKER` env var.
@@ -172,9 +172,6 @@ fn main() {
             }
         }
     }
-    if args.iter().any(|a| a == "--no-batch") {
-        comm.batch = None;
-    }
 
     let Some(worker) = worker_binary() else {
         eprintln!(
@@ -187,9 +184,8 @@ fn main() {
     let graphs = instances(jobs);
     println!(
         "Serve-mode throughput: {jobs} STP jobs x {solvers} solvers \
-         (worker: {worker}; codec cap v{}, batching {})\n",
-        comm.advertised_protocol(),
-        if comm.batch.is_some() { "on" } else { "off" }
+         (worker: {worker}; codec cap v{})\n",
+        comm.advertised_protocol()
     );
     println!(
         "{:>12} {:>9} {:>10} {:>10} {:>10}",

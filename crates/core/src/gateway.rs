@@ -49,6 +49,7 @@
 
 use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
 use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
+use crate::rpc::{empty_finished, serve_clients, state_label, EventLog, RequestHandler};
 use crate::server::{
     fenced_epoch, ClientRequest, FleetStatus, JobClient, JobEvent, JobEventKind, JobSpec, JobState,
     JobSummary, MetricsReport, ServerReply, ServerStatus, ShardSummary, SubmitOutcome, WireType,
@@ -370,6 +371,23 @@ struct GwJob<Inst, Sub> {
     tracker_spawned: bool,
 }
 
+impl<Inst, Sub> GwJob<Inst, Sub> {
+    /// A job waiting in the dispatch queue, not yet routed.
+    fn queued(spec: JobSpec<Inst, Sub>, restart_from: Option<String>, run_index: u32) -> Self {
+        GwJob {
+            tenant: spec.tenant.clone().unwrap_or_else(|| "default".into()),
+            spec,
+            state: JobState::Queued,
+            epoch: 0,
+            route: None,
+            restart_from,
+            next_shard_seq: 0,
+            run_index,
+            tracker_spawned: false,
+        }
+    }
+}
+
 /// One dispatch-queue entry. `target` pins the destination (work
 /// stealing routes to the idle shard it chose); `None` lets rendezvous
 /// decide.
@@ -399,14 +417,52 @@ struct ShardHealth {
     queued_local: Vec<u64>,
 }
 
-struct GwLog<Sol> {
-    events: Vec<JobEvent<Sol>>,
-    done: bool,
+const REJECT_REASONS: [&str; 4] = ["quota", "capacity", "standby", "draining"];
+
+/// Handles of the gateway's unlabeled series, registered once at start
+/// so a scrape right after startup sees the full schema.
+struct GwMetrics {
+    stolen: Arc<telemetry::Counter>,
+    failed_over: Arc<telemetry::Counter>,
+    rejoined: Arc<telemetry::Counter>,
+    lease_renewals: Arc<telemetry::Counter>,
+    failovers: Arc<telemetry::Counter>,
+    fenced_rpcs: Arc<telemetry::Counter>,
+    role: Arc<telemetry::Gauge>,
+    shards_healthy: Arc<telemetry::Gauge>,
+    submit_ack: Arc<telemetry::Histogram>,
 }
 
-impl<Sol> Default for GwLog<Sol> {
-    fn default() -> Self {
-        GwLog { events: Vec::new(), done: false }
+impl GwMetrics {
+    fn new(r: &MetricsRegistry) -> Self {
+        GwMetrics {
+            stolen: r
+                .counter("ugrs_gateway_jobs_stolen_total", "Queued jobs migrated off a deep shard"),
+            failed_over: r.counter(
+                "ugrs_gateway_jobs_failed_over_total",
+                "Jobs replayed from a dead shard onto a peer",
+            ),
+            rejoined: r.counter(
+                "ugrs_gateway_jobs_rejoined_total",
+                "Queued jobs migrated back to a revived shard",
+            ),
+            lease_renewals: r
+                .counter("ugrs_gateway_lease_renewals_total", "Lease renewal writes while primary"),
+            failovers: r
+                .counter("ugrs_gateway_failovers_total", "Lease takeovers from a dead primary"),
+            fenced_rpcs: r.counter(
+                "ugrs_gateway_fenced_rpcs_total",
+                "Gateway RPCs a shard refused because our lease epoch was stale",
+            ),
+            role: r.gauge("ugrs_gateway_role", "1 while this gateway holds the lease (primary)"),
+            shards_healthy: r.gauge("ugrs_gateway_shards_healthy", "Shards answering health polls"),
+            submit_ack: r.histogram_with(
+                "ugrs_gateway_submit_ack_seconds",
+                &[],
+                "Submit receipt to durable ack, seconds",
+                &[0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25],
+            ),
+        }
     }
 }
 
@@ -424,11 +480,12 @@ struct GwShared<Inst, Sub, Sol> {
     state: Mutex<GwState<Inst, Sub>>,
     /// Wakes the dispatcher and trackers (new dispatch, new route).
     cv: Condvar,
-    events: Mutex<HashMap<u64, GwLog<Sol>>>,
-    events_cv: Condvar,
+    /// Every job's event log; `Watch` streams from it.
+    events: EventLog<Sol>,
     health: Mutex<Vec<ShardHealth>>,
     tenants: Mutex<HashMap<String, Bucket>>,
     metrics: MetricsRegistry,
+    series: GwMetrics,
     ledger: Option<JobLedger>,
     journal: Option<Mutex<io::BufWriter<std::fs::File>>>,
     /// The fleet-tier tuner handle (with `config.tuner_refresh_jobs`
@@ -497,11 +554,7 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
     /// Records that a shard fenced us: a standby claimed a newer
     /// epoch. The lease loop picks the flag up and demotes.
     fn note_fenced(&self, usurper_epoch: u64) {
-        self.counter(
-            "ugrs_gateway_fenced_rpcs_total",
-            "Gateway RPCs a shard refused because our lease epoch was stale",
-        )
-        .inc();
+        self.series.fenced_rpcs.inc();
         self.journal(serde_json::json!({
             "ev": "fenced", "usurper_epoch": usurper_epoch,
         }));
@@ -540,30 +593,12 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
             if let Some(l) = inner.lease.as_mut() {
                 if dir.renew(l).is_ok() {
                     inner.last_renewed = Instant::now();
-                    self.counter(
-                        "ugrs_gateway_lease_renewals_total",
-                        "Lease renewal writes while primary",
-                    )
-                    .inc();
+                    self.series.lease_renewals.inc();
                 }
             }
         }
         true
     }
-    fn emit(&self, gid: u64, kind: JobEventKind<Sol>) {
-        let mut logs = self.events.lock().unwrap();
-        let log = logs.entry(gid).or_default();
-        if log.done {
-            return;
-        }
-        if matches!(kind, JobEventKind::Finished { .. }) {
-            log.done = true;
-        }
-        let seq = log.events.len();
-        log.events.push(JobEvent { job: gid, seq, kind });
-        self.events_cv.notify_all();
-    }
-
     /// Appends one decision line to the gateway journal (best-effort).
     fn journal(&self, value: serde_json::Value) {
         if let Some(j) = &self.journal {
@@ -583,8 +618,60 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         }
     }
 
-    fn counter(&self, name: &'static str, help: &'static str) -> Arc<telemetry::Counter> {
-        self.metrics.counter(name, help)
+    fn submitted(&self, family: &str) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_gateway_jobs_submitted_total",
+            &[("family", family)],
+            "Jobs accepted by the gateway, by instance family",
+        )
+    }
+
+    fn rejected(&self, reason: &str) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_gateway_jobs_rejected_total",
+            &[("reason", reason)],
+            "Submissions refused by admission control, by reason",
+        )
+    }
+
+    /// `resumed` from a checkpoint, or requeued from scratch.
+    fn recovered(&self, resumed: bool) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_gateway_jobs_recovered_total",
+            &[("mode", if resumed { "resumed" } else { "requeued" })],
+            "Jobs brought back by the startup recovery pass, by mode",
+        )
+    }
+
+    /// The terminal bookkeeping every finished job gets, in the order
+    /// a takeover relies on (DESIGN §5f): the `finish` journal line —
+    /// unless an earlier lease holder already wrote it, so the merged
+    /// journals stay exactly-once —, then ledger retirement, then the
+    /// counter.
+    fn record_finish(&self, gid: u64, tenant: &str, family: &str, state: JobState, run_index: u32) {
+        if !self.prior_finishes.lock().unwrap().contains(&gid) {
+            self.journal(serde_json::json!({
+                "ev": "finish", "gid": gid, "tenant": tenant,
+                "state": state_label(state), "run_index": run_index,
+            }));
+        }
+        self.retire(gid, state, family);
+    }
+
+    /// Retires `gid`'s ledger record and counts its terminal state.
+    fn retire(&self, gid: u64, state: JobState, family: &str) {
+        if let Some(ledger) = &self.ledger {
+            if let Err(e) = ledger.record_finished(gid) {
+                eprintln!("ugd-gateway: cannot retire ledger record of job {gid}: {e}");
+            }
+        }
+        self.metrics
+            .counter_with(
+                "ugrs_gateway_jobs_finished_total",
+                &[("state", state_label(state)), ("family", family)],
+                "Jobs that reached a terminal state, by state and instance family",
+            )
+            .inc();
     }
 }
 
@@ -689,21 +776,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         let mut jobs = BTreeMap::new();
         let mut dispatch = VecDeque::new();
         for r in &recovered {
-            let tenant = r.spec.tenant.clone().unwrap_or_else(|| "default".into());
-            jobs.insert(
-                r.job,
-                GwJob {
-                    spec: r.spec.clone(),
-                    tenant,
-                    state: JobState::Queued,
-                    epoch: 0,
-                    route: None,
-                    restart_from: r.checkpoint.clone(),
-                    run_index: r.run_index,
-                    next_shard_seq: 0,
-                    tracker_spawned: false,
-                },
-            );
+            jobs.insert(r.job, GwJob::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index));
             dispatch.push_back(Dispatch { gid: r.job, target: None });
         }
         let inflight = jobs.len();
@@ -716,10 +789,10 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
             config,
             state: Mutex::new(GwState { jobs, dispatch, next_gid, inflight }),
             cv: Condvar::new(),
-            events: Mutex::new(HashMap::new()),
-            events_cv: Condvar::new(),
+            events: EventLog::new(),
             health: Mutex::new(health),
             tenants: Mutex::new(HashMap::new()),
+            series: GwMetrics::new(&metrics),
             metrics,
             ledger,
             journal,
@@ -743,76 +816,28 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
                 "ev": "tuner_model", "version": t.model_version(),
             }));
         }
-        // Pre-register the families so a scrape right after startup
-        // sees the full schema.
+        // Pre-register the labeled series so a scrape right after
+        // startup sees the full schema.
         for family in ["stp", "misdp", "maxcut"] {
-            shared.metrics.counter_with(
-                "ugrs_gateway_jobs_submitted_total",
-                &[("family", family)],
-                "Jobs accepted by the gateway, by instance family",
-            );
+            shared.submitted(family);
         }
-        shared.counter("ugrs_gateway_jobs_stolen_total", "Queued jobs migrated off a deep shard");
-        shared.counter(
-            "ugrs_gateway_jobs_failed_over_total",
-            "Jobs replayed from a dead shard onto a peer",
-        );
-        for reason in ["quota", "capacity", "standby", "draining"] {
-            shared.metrics.counter_with(
-                "ugrs_gateway_jobs_rejected_total",
-                &[("reason", reason)],
-                "Submissions refused by admission control, by reason",
-            );
+        for reason in REJECT_REASONS {
+            shared.rejected(reason);
         }
-        shared
-            .metrics
-            .gauge("ugrs_gateway_role", "1 while this gateway holds the lease (primary)")
-            .set(if shared.is_primary() { 1.0 } else { 0.0 });
-        shared.counter("ugrs_gateway_lease_renewals_total", "Lease renewal writes while primary");
-        shared.counter("ugrs_gateway_failovers_total", "Lease takeovers from a dead primary");
-        shared.counter(
-            "ugrs_gateway_fenced_rpcs_total",
-            "Gateway RPCs a shard refused because our lease epoch was stale",
-        );
-        shared.counter(
-            "ugrs_gateway_jobs_rejoined_total",
-            "Queued jobs migrated back to a revived shard",
-        );
-        for mode in ["requeued", "resumed"] {
-            shared.metrics.counter_with(
-                "ugrs_gateway_jobs_recovered_total",
-                &[("mode", mode)],
-                "Jobs brought back by the startup recovery pass, by mode",
-            );
-        }
+        shared.recovered(false);
+        shared.recovered(true);
+        shared.series.role.set(if shared.is_primary() { 1.0 } else { 0.0 });
+        shared.series.shards_healthy.set(shared.config.shards.len() as f64);
         // Re-announce the recovered jobs: same Queued-before-ack shape a
         // live submit has, so a watcher reattaching after the restart
         // sees a well-formed stream from seq 0.
         for r in &recovered {
-            let mode = if r.checkpoint.is_some() { "resumed" } else { "requeued" };
-            shared
-                .metrics
-                .counter_with(
-                    "ugrs_gateway_jobs_recovered_total",
-                    &[("mode", mode)],
-                    "Jobs brought back by the startup recovery pass, by mode",
-                )
-                .inc();
-            shared.emit(r.job, JobEventKind::Queued);
+            shared.recovered(r.checkpoint.is_some()).inc();
+            shared.events.emit(r.job, JobEventKind::Queued);
             shared.journal(serde_json::json!({
                 "ev": "recover", "gid": r.job, "resumed": r.checkpoint.is_some(),
             }));
         }
-        shared
-            .metrics
-            .gauge("ugrs_gateway_shards_healthy", "Shards answering health polls")
-            .set(shared.config.shards.len() as f64);
-        shared.metrics.histogram_with(
-            "ugrs_gateway_submit_ack_seconds",
-            &[],
-            "Submit receipt to durable ack, seconds",
-            &[0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25],
-        );
         // HA bootstrap: claim the lease when nobody healthy holds it.
         // A `--standby` gateway never claims at startup — it only takes
         // over on expiry, from the lease thread. Two non-standby
@@ -847,7 +872,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         threads.push(
             std::thread::Builder::new()
                 .name("ugw-accept".into())
-                .spawn(move || accept_loop(sh, listener))?,
+                .spawn(move || serve_clients(sh, listener, "ugw-client"))?,
         );
         if ha_mode {
             let sh = shared.clone();
@@ -879,7 +904,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cv.notify_all();
-        self.shared.events_cv.notify_all();
+        self.shared.events.wake();
     }
 
     /// [`Self::shutdown`] followed by joining every gateway thread
@@ -1030,7 +1055,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared.lease_epoch.store(epoch, Ordering::SeqCst);
     shared.journal(serde_json::json!({ "ev": "promote", "epoch": epoch }));
     if epoch > 1 {
-        shared.counter("ugrs_gateway_failovers_total", "Lease takeovers from a dead primary").inc();
+        shared.series.failovers.inc();
     }
     // The dedup sets must exist before any tracker can deliver.
     let mut journaled_gid_floor = 0u64;
@@ -1096,18 +1121,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
         st.next_gid = st.next_gid.max(rec.next_job).max(journaled_gid_floor);
         for r in &rec.jobs {
             let gid = r.job;
-            let tenant = r.spec.tenant.clone().unwrap_or_else(|| "default".into());
-            let mut job = GwJob {
-                spec: r.spec.clone(),
-                tenant,
-                state: JobState::Queued,
-                epoch: 0,
-                route: None,
-                restart_from: r.checkpoint.clone(),
-                run_index: r.run_index,
-                next_shard_seq: 0,
-                tracker_spawned: false,
-            };
+            let mut job = GwJob::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index);
             match routes.get(&gid) {
                 Some(route) if route.shard < shared.config.shards.len() => {
                     let shard_state =
@@ -1145,14 +1159,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                         // checkpoint when reachable.
                         Some(None) => {
                             let spec = &shared.config.shards[route.shard];
-                            let local = route.local;
-                            if let Some(cp) = spec
-                                .state_dir
-                                .as_ref()
-                                .map(|d| d.join("checkpoints").join(format!("job-{local}.json")))
-                                .and_then(|p| ledger::read_state_text(&p).ok())
-                                .filter(|json| ledger::checkpoint_meta(json).is_some())
-                            {
+                            if let Some(cp) = shard_checkpoint(spec, route.local) {
                                 job.restart_from = Some(cp);
                             }
                             st.dispatch.push_back(Dispatch { gid, target: None });
@@ -1183,25 +1190,14 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
         }
     }
     for (gid, routed) in &announce {
-        let mode = {
+        let resumed = {
             let st = shared.state.lock().unwrap();
-            if st.jobs.get(gid).is_some_and(|j| j.restart_from.is_some()) {
-                "resumed"
-            } else {
-                "requeued"
-            }
+            st.jobs.get(gid).is_some_and(|j| j.restart_from.is_some())
         };
-        shared
-            .metrics
-            .counter_with(
-                "ugrs_gateway_jobs_recovered_total",
-                &[("mode", mode)],
-                "Jobs brought back by the startup recovery pass, by mode",
-            )
-            .inc();
-        shared.emit(*gid, JobEventKind::Queued);
+        shared.recovered(resumed).inc();
+        shared.events.emit(*gid, JobEventKind::Queued);
         if let Some(shard) = routed {
-            shared.emit(
+            shared.events.emit(
                 *gid,
                 JobEventKind::Routed { shard: shared.config.shards[*shard].name.clone() },
             );
@@ -1217,10 +1213,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
     // and orphan its job (in-flight forever, tracker_spawned left true
     // so the dispatcher never respawns it).
     shared.role_primary.store(true, Ordering::SeqCst);
-    shared
-        .metrics
-        .gauge("ugrs_gateway_role", "1 while this gateway holds the lease (primary)")
-        .set(1.0);
+    shared.series.role.set(1.0);
     for (gid, _) in &announce {
         let spawn = {
             let st = shared.state.lock().unwrap();
@@ -1260,12 +1253,12 @@ fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
             JobEventKind::Finished { state, run_index, .. } => (state, run_index, ev.kind),
             // A shard cannot report a terminal job and then stream a
             // non-terminal tail, but fail safe anyway.
-            _ => (JobState::Failed, 1, empty_finished_gw(JobState::Failed, 1)),
+            _ => (JobState::Failed, 1, empty_finished(JobState::Failed, 1)),
         },
         // The shard vanished between the snapshot and this fetch: the
         // result is gone with it and the record was never retired, so
         // fail the job rather than invent an answer.
-        None => (JobState::Failed, 1, empty_finished_gw(JobState::Failed, 1)),
+        None => (JobState::Failed, 1, empty_finished(JobState::Failed, 1)),
     };
     let (tenant, family) = {
         let mut st = shared.state.lock().unwrap();
@@ -1277,28 +1270,9 @@ fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
         st.inflight -= 1;
         meta
     };
-    let already = shared.prior_finishes.lock().unwrap().contains(&gid);
-    if !already {
-        shared.journal(serde_json::json!({
-            "ev": "finish", "gid": gid, "tenant": tenant,
-            "state": state_label(state), "run_index": run_index,
-        }));
-    }
-    if let Some(ledger) = &shared.ledger {
-        if let Err(e) = ledger.record_finished(gid) {
-            eprintln!("ugd-gateway: cannot retire ledger record of job {gid}: {e}");
-        }
-    }
-    shared
-        .metrics
-        .counter_with(
-            "ugrs_gateway_jobs_finished_total",
-            &[("state", state_label(state)), ("family", &family)],
-            "Jobs that reached a terminal state, by state and instance family",
-        )
-        .inc();
-    shared.emit(gid, JobEventKind::Queued);
-    shared.emit(gid, kind);
+    shared.record_finish(gid, &tenant, &family, state, run_index);
+    shared.events.emit(gid, JobEventKind::Queued);
+    shared.events.emit(gid, kind);
 }
 
 /// Steps down after a newer epoch fenced this gateway: drop every
@@ -1317,15 +1291,11 @@ fn demote<Inst, Sub, Sol: Clone>(shared: &GwShared<Inst, Sub, Sol>, usurper_epoc
         st.dispatch.clear();
         st.inflight = 0;
     }
-    shared.events.lock().unwrap().clear();
     shared.fenced.store(false, Ordering::SeqCst);
     shared.journal(serde_json::json!({ "ev": "demote", "usurper_epoch": usurper_epoch }));
-    shared
-        .metrics
-        .gauge("ugrs_gateway_role", "1 while this gateway holds the lease (primary)")
-        .set(0.0);
+    shared.series.role.set(0.0);
     shared.cv.notify_all();
-    shared.events_cv.notify_all();
+    shared.events.clear();
 }
 
 /// The HA election thread. Primary: renew at TTL/4 (backstop for the
@@ -1375,9 +1345,7 @@ fn renew_lease<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) {
         if dir.renew(lease).is_ok() {
             inner.last_renewed = Instant::now();
             drop(inner);
-            shared
-                .counter("ugrs_gateway_lease_renewals_total", "Lease renewal writes while primary")
-                .inc();
+            shared.series.lease_renewals.inc();
         }
     }
 }
@@ -1391,14 +1359,7 @@ fn reject<Inst, Sub, Sol: Clone>(
     tenant: &str,
     reason: &'static str,
 ) {
-    shared
-        .metrics
-        .counter_with(
-            "ugrs_gateway_jobs_rejected_total",
-            &[("reason", reason)],
-            "Submissions refused by admission control, by reason",
-        )
-        .inc();
+    shared.rejected(reason).inc();
     shared.journal(serde_json::json!({ "ev": "reject", "tenant": tenant, "reason": reason }));
 }
 
@@ -1467,41 +1428,14 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
             .as_deref()
             .and_then(ledger::checkpoint_meta)
             .map_or(1, |(run, _)| run + 1);
-        st.jobs.insert(
-            gid,
-            GwJob {
-                restart_from: spec.restart_from.clone(),
-                spec,
-                tenant: tenant.clone(),
-                state: JobState::Queued,
-                epoch: 0,
-                route: None,
-                run_index,
-                next_shard_seq: 0,
-                tracker_spawned: false,
-            },
-        );
+        let restart_from = spec.restart_from.clone();
+        st.jobs.insert(gid, GwJob::queued(spec, restart_from, run_index));
         st.dispatch.push_back(Dispatch { gid, target: None });
     };
-    shared
-        .metrics
-        .counter_with(
-            "ugrs_gateway_jobs_submitted_total",
-            &[("family", &family)],
-            "Jobs accepted by the gateway, by instance family",
-        )
-        .inc();
-    shared.emit(gid, JobEventKind::Queued);
+    shared.submitted(&family).inc();
+    shared.events.emit(gid, JobEventKind::Queued);
     shared.journal(serde_json::json!({ "ev": "submit", "gid": gid, "tenant": tenant }));
-    shared
-        .metrics
-        .histogram_with(
-            "ugrs_gateway_submit_ack_seconds",
-            &[],
-            "Submit receipt to durable ack, seconds",
-            &[0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25],
-        )
-        .observe(t0.elapsed().as_secs_f64());
+    shared.series.submit_ack.observe(t0.elapsed().as_secs_f64());
     shared.cv.notify_all();
     Ok(Ok(gid))
 }
@@ -1643,7 +1577,7 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                         eprintln!("ugd-gateway: route log append failed for job {gid}: {e}");
                     }
                 }
-                shared.emit(
+                shared.events.emit(
                     gid,
                     JobEventKind::Routed { shard: shared.config.shards[target].name.clone() },
                 );
@@ -1819,26 +1753,7 @@ fn deliver<Inst, Sub, Sol: Clone>(
             if let Some(rl) = &shared.route_log {
                 let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
             }
-            let already = shared.prior_finishes.lock().unwrap().contains(&gid);
-            if !already {
-                shared.journal(serde_json::json!({
-                    "ev": "finish", "gid": gid, "tenant": tenant,
-                    "state": state_label(*state), "run_index": run_index,
-                }));
-            }
-            if let Some(ledger) = &shared.ledger {
-                if let Err(e) = ledger.record_finished(gid) {
-                    eprintln!("ugd-gateway: cannot retire ledger record of job {gid}: {e}");
-                }
-            }
-            shared
-                .metrics
-                .counter_with(
-                    "ugrs_gateway_jobs_finished_total",
-                    &[("state", state_label(*state)), ("family", &family)],
-                    "Jobs that reached a terminal state, by state and instance family",
-                )
-                .inc();
+            shared.record_finish(gid, &tenant, &family, *state, *run_index);
             if let Some(t) = &shared.tuner {
                 let before = t.model_version();
                 t.job_finished();
@@ -1849,7 +1764,7 @@ fn deliver<Inst, Sub, Sol: Clone>(
                     }));
                 }
             }
-            shared.emit(gid, event.kind);
+            shared.events.emit(gid, event.kind);
             shared.cv.notify_all();
             false
         }
@@ -1887,21 +1802,9 @@ fn deliver<Inst, Sub, Sol: Clone>(
                     }));
                 }
             }
-            shared.emit(gid, event.kind);
+            shared.events.emit(gid, event.kind);
             true
         }
-    }
-}
-
-fn state_label(state: JobState) -> &'static str {
-    match state {
-        JobState::Queued => "queued",
-        JobState::Running => "running",
-        JobState::Solved => "solved",
-        JobState::Infeasible => "infeasible",
-        JobState::TimedOut => "timed_out",
-        JobState::Cancelled => "cancelled",
-        JobState::Failed => "failed",
     }
 }
 
@@ -1956,10 +1859,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             }
             let healthy = health.iter().filter(|h| h.alive).count();
             drop(health);
-            shared
-                .metrics
-                .gauge("ugrs_gateway_shards_healthy", "Shards answering health polls")
-                .set(healthy as f64);
+            shared.series.shards_healthy.set(healthy as f64);
         }
         // The sweep is the lease's natural heartbeat; the dedicated
         // lease thread is the backstop when a sweep stalls on slow
@@ -2009,6 +1909,13 @@ fn poll_shard<Inst: WireType, Sub: WireType, Sol: WireType>(
     })
 }
 
+/// The freshest checkpoint `shard` left on disk for its local job,
+/// when its state dir is reachable and the file holds a usable one.
+fn shard_checkpoint(shard: &ShardSpec, local: u64) -> Option<String> {
+    let path = shard.state_dir.as_ref()?.join("checkpoints").join(format!("job-{local}.json"));
+    ledger::read_state_text(&path).ok().filter(|json| ledger::checkpoint_meta(json).is_some())
+}
+
 /// A shard died: every job routed to it goes back through dispatch.
 /// Jobs that were mid-run resume from the dead shard's last on-disk
 /// checkpoint (when its state dir is reachable) as run `1.k` — the
@@ -2035,12 +1942,7 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
         // Checkpoint replay: the dead shard's coordinator saved its
         // primitive nodes every checkpoint interval; the freshest save
         // is the resume point.
-        let checkpoint = spec
-            .state_dir
-            .as_ref()
-            .map(|d| d.join("checkpoints").join(format!("job-{local}.json")))
-            .and_then(|p| ledger::read_state_text(&p).ok())
-            .filter(|json| ledger::checkpoint_meta(json).is_some());
+        let checkpoint = shard_checkpoint(spec, local);
         let resumed = checkpoint.is_some();
         {
             let mut st = shared.state.lock().unwrap();
@@ -2059,12 +1961,7 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
         if let Some(rl) = &shared.route_log {
             let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
         }
-        shared
-            .counter(
-                "ugrs_gateway_jobs_failed_over_total",
-                "Jobs replayed from a dead shard onto a peer",
-            )
-            .inc();
+        shared.series.failed_over.inc();
         shared.journal(serde_json::json!({
             "ev": "failover", "gid": gid, "from": spec.name, "resumed": resumed,
         }));
@@ -2197,9 +2094,7 @@ fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
             return;
         }
         if migrate_queued(shared, gid, local, epoch, victim, idle) {
-            shared
-                .counter("ugrs_gateway_jobs_stolen_total", "Queued jobs migrated off a deep shard")
-                .inc();
+            shared.series.stolen.inc();
             shared.journal(serde_json::json!({
                 "ev": "steal", "gid": gid,
                 "from": shared.config.shards[victim].name, "to": shared.config.shards[idle].name,
@@ -2245,12 +2140,7 @@ fn rejoin_migrate<Inst: WireType, Sub: WireType, Sol: WireType>(
             return;
         }
         if migrate_queued(shared, gid, local, epoch, from, revived) {
-            shared
-                .counter(
-                    "ugrs_gateway_jobs_rejoined_total",
-                    "Queued jobs migrated back to a revived shard",
-                )
-                .inc();
+            shared.series.rejoined.inc();
             shared.journal(serde_json::json!({
                 "ev": "rejoin", "gid": gid,
                 "from": shared.config.shards[from].name,
@@ -2264,133 +2154,95 @@ fn rejoin_migrate<Inst: WireType, Sub: WireType, Sol: WireType>(
 // Client connections
 // ---------------------------------------------------------------------
 
-fn accept_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<GwShared<Inst, Sub, Sol>>,
-    listener: TcpListener,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let sh = shared.clone();
-                let _ = std::thread::Builder::new().name("ugw-client".into()).spawn(move || {
-                    let _ = serve_client(&sh, stream);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
+impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<Inst, Sub, Sol> {
+    type Inst = Inst;
+    type Sub = Sub;
+    type Conn = ();
 
-fn serve_client<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
-    stream: TcpStream,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let mut dec = FrameDecoder::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let req = match wire::read_msg::<ClientRequest<Inst, Sub>, _>(&mut reader, &mut dec) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()),
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        match req {
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn handle(
+        &self,
+        _conn: &mut (),
+        req: ClientRequest<Inst, Sub>,
+        out: &mut TcpStream,
+    ) -> io::Result<bool> {
+        let reply: ServerReply<Sol> = match req {
             ClientRequest::Submit { spec } => {
                 // Drain and role come before admission: a draining or
                 // standby gateway turns submits away with a reason the
                 // client's fallback list knows to route around.
-                let turn_away = if shared.draining.load(Ordering::SeqCst) {
+                let turn_away = if self.draining.load(Ordering::SeqCst) {
                     Some("draining")
-                } else if !shared.is_primary() {
+                } else if !self.is_primary() {
                     Some("standby")
                 } else {
                     None
                 };
                 if let Some(reason) = turn_away {
-                    let tenant = spec.tenant.clone().unwrap_or_else(|| "default".into());
-                    reject(shared, &tenant, reason);
-                    wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::Rejected { reason: reason.into() },
-                    )?;
-                    continue;
-                }
-                match gw_submit(shared, spec) {
-                    Ok(Ok(job)) => {
-                        wire::write_msg(&mut writer, &ServerReply::<Sol>::Submitted { job })?
+                    reject(self, spec.tenant.as_deref().unwrap_or("default"), reason);
+                    ServerReply::Rejected { reason: reason.into() }
+                } else {
+                    match gw_submit(self, spec) {
+                        Ok(Ok(job)) => ServerReply::Submitted { job },
+                        Ok(Err(reason)) => ServerReply::Rejected { reason: reason.into() },
+                        Err(e) => {
+                            ServerReply::Error { message: format!("ledger write failed: {e}") }
+                        }
                     }
-                    Ok(Err(reason)) => wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::Rejected { reason: reason.into() },
-                    )?,
-                    Err(e) => wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::Error { message: format!("ledger write failed: {e}") },
-                    )?,
                 }
             }
-            ClientRequest::GatewayEpoch { epoch } => {
-                // Epoch announcements address shards; a gateway is the
-                // announcer, never the announced-to.
-                let _ = epoch;
-                wire::write_msg(
-                    &mut writer,
-                    &ServerReply::<Sol>::Error {
-                        message: "gateway epochs fence shards; a gateway does not accept them"
-                            .into(),
-                    },
-                )?;
-            }
+            // Epoch announcements address shards; a gateway is the
+            // announcer, never the announced-to.
+            ClientRequest::GatewayEpoch { .. } => ServerReply::Error {
+                message: "gateway epochs fence shards; a gateway does not accept them".into(),
+            },
             ClientRequest::Cancel { job } => {
-                let ok = gw_cancel(shared, job);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::CancelResult { job, ok })?;
+                ServerReply::CancelResult { job, ok: gw_cancel(self, job) }
             }
-            ClientRequest::Reclaim { job } => {
-                let _ = job;
-                wire::write_msg(
-                    &mut writer,
-                    &ServerReply::<Sol>::Error {
-                        message: "a gateway steals for itself; Reclaim addresses shards".into(),
-                    },
-                )?;
-            }
+            ClientRequest::Reclaim { .. } => ServerReply::Error {
+                message: "a gateway steals for itself; Reclaim addresses shards".into(),
+            },
             ClientRequest::Watch { job, from_seq } => {
-                stream_gw_events(shared, &mut writer, job, from_seq)?;
+                let gone = |mid_watch: bool| {
+                    if mid_watch {
+                        // A demotion cleared the logs: the client fails
+                        // over to the new primary instead of hanging.
+                        format!("job {job} is no longer tracked here (gateway standby)")
+                    } else if self.ha.is_some() {
+                        // Under HA an unknown gid is indistinguishable
+                        // from a job that finished and *retired* under a
+                        // previous primary: its ledger record is gone, so
+                        // takeover replay never saw it, and its event log
+                        // died with the old process. Answer the
+                        // takeover-aware message so clients stop retrying
+                        // and fall back to the journals, which hold its
+                        // finish line.
+                        format!(
+                            "job {job} is no longer tracked here (retired under an earlier primary?)"
+                        )
+                    } else {
+                        format!("unknown job {job}")
+                    }
+                };
+                self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                return Ok(true);
             }
-            ClientRequest::Status => {
-                let status = gw_status(shared);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::Status { status })?;
-            }
-            ClientRequest::Metrics => {
-                let report = gw_metrics(shared);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::Metrics { report })?;
-            }
-            ClientRequest::Fleet => {
-                let fleet = gw_fleet(shared);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::Fleet { fleet })?;
-            }
+            ClientRequest::Status => ServerReply::Status { status: gw_status(self) },
+            ClientRequest::Metrics => ServerReply::Metrics { report: gw_metrics(self) },
+            ClientRequest::Fleet => ServerReply::Fleet { fleet: gw_fleet(self) },
             ClientRequest::Shutdown => {
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::ShuttingDown)?;
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.cv.notify_all();
-                shared.events_cv.notify_all();
-                return Ok(());
+                wire::write_msg(out, &ServerReply::<Sol>::ShuttingDown)?;
+                self.shutdown.store(true, Ordering::SeqCst);
+                self.cv.notify_all();
+                self.events.wake();
+                return Ok(false);
             }
-        }
+        };
+        wire::write_msg(out, &reply)?;
+        Ok(true)
     }
 }
 
@@ -2398,7 +2250,7 @@ fn serve_client<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// (finish it locally) or routed (forward the cancel; the shard's
 /// terminal event comes back through the tracker).
 fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
+    shared: &GwShared<Inst, Sub, Sol>,
     gid: u64,
 ) -> bool {
     if !shared.is_primary() {
@@ -2433,101 +2285,14 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
     match location {
         Where::Unknown => false,
         Where::Undispatched { run_index, family } => {
-            if let Some(ledger) = &shared.ledger {
-                let _ = ledger.record_finished(gid);
-            }
-            shared
-                .metrics
-                .counter_with(
-                    "ugrs_gateway_jobs_finished_total",
-                    &[("state", state_label(JobState::Cancelled)), ("family", &family)],
-                    "Jobs that reached a terminal state, by state and instance family",
-                )
-                .inc();
-            shared.emit(gid, empty_finished_gw(JobState::Cancelled, run_index));
+            shared.retire(gid, JobState::Cancelled, &family);
+            shared.events.emit(gid, empty_finished(JobState::Cancelled, run_index));
             shared.cv.notify_all();
             true
         }
         Where::Routed { addr, local } => gw_connect::<Inst, Sub, Sol>(shared, &addr)
             .and_then(|mut c| c.cancel(local).inspect_err(|e| note_rpc_error(shared, e)))
             .unwrap_or(false),
-    }
-}
-
-/// The gateway-side equivalent of the server's `empty_finished`.
-fn empty_finished_gw<Sol>(state: JobState, run_index: u32) -> JobEventKind<Sol> {
-    JobEventKind::Finished {
-        state,
-        obj: None,
-        dual_bound: f64::NEG_INFINITY,
-        solution: None,
-        nodes: 0,
-        nodes_so_far: 0,
-        run_index,
-        open_nodes: 0,
-        workers_lost: 0,
-        wall_time: 0.0,
-        final_checkpoint: None,
-    }
-}
-
-fn stream_gw_events<Inst, Sub, Sol: WireType>(
-    shared: &GwShared<Inst, Sub, Sol>,
-    writer: &mut TcpStream,
-    gid: u64,
-    from_seq: usize,
-) -> io::Result<()> {
-    {
-        let logs = shared.events.lock().unwrap();
-        if !logs.contains_key(&gid) {
-            drop(logs);
-            // Under HA an unknown gid is indistinguishable from a job
-            // that finished and *retired* under a previous primary: its
-            // ledger record is gone, so takeover replay never saw it,
-            // and its event log died with the old process. Answer the
-            // takeover-aware message so clients stop retrying and fall
-            // back to the journals, which hold its finish line.
-            let message = if shared.ha.is_some() {
-                format!("job {gid} is no longer tracked here (retired under an earlier primary?)")
-            } else {
-                format!("unknown job {gid}")
-            };
-            return wire::write_msg(writer, &ServerReply::<Sol>::Error { message });
-        }
-    }
-    let mut next = from_seq;
-    loop {
-        let (batch, done_len) = {
-            let logs = shared.events.lock().unwrap();
-            // A demotion clears the log map mid-watch: end the stream
-            // with an error so the client fails over to the new
-            // primary instead of hanging on a gone log.
-            let Some(log) = logs.get(&gid) else {
-                drop(logs);
-                return wire::write_msg(
-                    writer,
-                    &ServerReply::<Sol>::Error {
-                        message: format!("job {gid} is no longer tracked here (gateway standby)"),
-                    },
-                );
-            };
-            let batch: Vec<JobEvent<Sol>> =
-                log.events.get(next..).map(|s| s.to_vec()).unwrap_or_default();
-            let done_len = if log.done { Some(log.events.len()) } else { None };
-            (batch, done_len)
-        };
-        next += batch.len();
-        for event in batch {
-            wire::write_msg(writer, &ServerReply::<Sol>::Event { event })?;
-        }
-        if matches!(done_len, Some(len) if next >= len) {
-            return Ok(());
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let logs = shared.events.lock().unwrap();
-        let _ = shared.events_cv.wait_timeout(logs, Duration::from_millis(200)).unwrap();
     }
 }
 
@@ -2622,28 +2387,9 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
         inflight,
         dispatch_depth,
         families,
-        stolen_total: shared
-            .counter("ugrs_gateway_jobs_stolen_total", "Queued jobs migrated off a deep shard")
-            .get(),
-        failed_over_total: shared
-            .counter(
-                "ugrs_gateway_jobs_failed_over_total",
-                "Jobs replayed from a dead shard onto a peer",
-            )
-            .get(),
-        rejected_total: ["quota", "capacity", "standby", "draining"]
-            .iter()
-            .map(|reason| {
-                shared
-                    .metrics
-                    .counter_with(
-                        "ugrs_gateway_jobs_rejected_total",
-                        &[("reason", reason)],
-                        "Submissions refused by admission control, by reason",
-                    )
-                    .get()
-            })
-            .sum(),
+        stolen_total: shared.series.stolen.get(),
+        failed_over_total: shared.series.failed_over.get(),
+        rejected_total: REJECT_REASONS.iter().map(|reason| shared.rejected(reason).get()).sum(),
         ha_role: if shared.ha.is_some() {
             if shared.is_primary() {
                 "primary".into()
@@ -2654,24 +2400,10 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
             "single".into()
         },
         ha_epoch: shared.lease_epoch.load(Ordering::SeqCst),
-        lease_renewals_total: shared
-            .counter("ugrs_gateway_lease_renewals_total", "Lease renewal writes while primary")
-            .get(),
-        failovers_total: shared
-            .counter("ugrs_gateway_failovers_total", "Lease takeovers from a dead primary")
-            .get(),
-        fenced_rpcs_total: shared
-            .counter(
-                "ugrs_gateway_fenced_rpcs_total",
-                "Gateway RPCs a shard refused because our lease epoch was stale",
-            )
-            .get(),
-        rejoined_total: shared
-            .counter(
-                "ugrs_gateway_jobs_rejoined_total",
-                "Queued jobs migrated back to a revived shard",
-            )
-            .get(),
+        lease_renewals_total: shared.series.lease_renewals.get(),
+        failovers_total: shared.series.failovers.get(),
+        fenced_rpcs_total: shared.series.fenced_rpcs.get(),
+        rejoined_total: shared.series.rejoined.get(),
     }
 }
 

@@ -45,6 +45,7 @@ pub mod ledger;
 pub mod lz;
 pub mod messages;
 pub mod process;
+pub mod rpc;
 pub mod runner;
 pub mod server;
 pub mod settings;

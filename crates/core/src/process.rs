@@ -9,21 +9,24 @@
 //!
 //! **Handshake.** A connecting worker sends `Hello { protocol,
 //! rank_hint, max_protocol, resume }` (always as a v1 frame); the
-//! coordinator verifies the base protocol, assigns a rank (honoring
-//! the hint when free — this is what makes spawned worker *i*
-//! deterministically become rank *i*), negotiates the protocol
-//! revision (`min(worker max_protocol, coordinator cap)`, so old
-//! peers keep speaking v1/v2 and `--codec v2` forces a rollback), and
-//! answers `Welcome { rank, num_workers, protocol, session }`. After
-//! the welcome both directions switch to the negotiated format.
-//! Version-mismatched or garbled connections are dropped before they
-//! can corrupt a run. Each connection handshakes on its own thread, so
-//! a client that stalls mid-hello occupies only itself — never the
-//! accept loop, and never a rank slot (ranks are claimed only once a
-//! complete hello arrives, and released again if the welcome cannot be
-//! written).
+//! coordinator verifies the base protocol, negotiates the protocol
+//! revision (`min(worker max_protocol, coordinator cap)`, so a v2 peer
+//! holds the pair at v2 and `--codec v2` forces a rollback), assigns a
+//! rank (honoring the hint when free — this is what makes spawned
+//! worker *i* deterministically become rank *i*), and answers
+//! `Welcome { rank, num_workers, protocol, session }`. After the
+//! welcome both directions switch to checksummed v2 frames. The
+//! resumable session is the only mode: a hello that advertises no
+//! `max_protocol`, or one below [`MIN_SESSION_PROTOCOL`], is refused —
+//! the connection is closed without a welcome and without touching a
+//! rank slot. Version-mismatched or garbled connections are dropped
+//! before they can corrupt a run. Each connection handshakes on its
+//! own thread, so a client that stalls mid-hello occupies only itself —
+//! never the accept loop, and never a rank slot (ranks are claimed
+//! only once a complete hello arrives, and released again if the
+//! welcome cannot be written).
 //!
-//! **Self-healing (protocol v2).** Every v2 connection belongs to a
+//! **Self-healing.** Every connection belongs to a
 //! *session* identified by a token from the welcome. Reliable frames
 //! carry sequence numbers and CRC32 checksums ([`crate::wire`]); both
 //! ends keep a bounded retransmit ring of un-acked payloads. When a
@@ -40,8 +43,8 @@
 //! `send_to` frames are ringed and flushed afterwards, in order — so
 //! a fresh frame can never overtake a replayed one on the wire. The
 //! supervisor never hears about a transient drop. Only when the
-//! deadline expires (or on a v1 connection, or with a zero deadline,
-//! or when a retransmit ring overflows) does the transport synthesize
+//! deadline expires (or with a zero deadline, or when a retransmit
+//! ring overflows) does the transport synthesize
 //! [`Message::WorkerDied`] — exactly once per rank — and the existing
 //! requeue → pool-refill path fires. Recoveries are recorded in
 //! `ugrs_comm_reconnects_total` and
@@ -52,8 +55,7 @@
 //! at a fixed interval, independent of solving, so a busy-but-healthy
 //! worker deep in a subtree is never declared dead. A liveness sweep
 //! in `recv_timeout` catches the hung-but-connected case: the silent
-//! socket is shut down, which for a v2 session merely opens the
-//! reconnect window.
+//! socket is shut down, which merely opens the reconnect window.
 //!
 //! **Chaos.** With [`ProcessCommConfig::chaos`] set, the worker-side
 //! send path consults a deterministic [`FaultInjector`] before every
@@ -67,6 +69,7 @@
 
 use crate::chaos::{ChaosConfig, FaultAction, FaultInjector, SplitMix64};
 use crate::messages::Message;
+use crate::rpc::accept_loop;
 use crate::telemetry;
 use crate::wire::{self, FrameDecoder, FrameHeader};
 use serde::de::DeserializeOwned;
@@ -91,6 +94,11 @@ pub const PROTOCOL_VERSION: u32 = 3;
 /// a different value here drops the connection instead of
 /// desynchronizing mid-run.
 pub const BASE_PROTOCOL: u32 = 1;
+
+/// Lowest negotiated revision a worker session may run at: the
+/// checksummed, sequence-numbered, resumable frames of v2. A hello
+/// that negotiates below it is refused at the handshake.
+pub const MIN_SESSION_PROTOCOL: u32 = 2;
 
 /// Un-acked payloads kept per direction for replay after a reconnect.
 /// A ring that reaches capacity means the peer has been unreachable
@@ -130,25 +138,20 @@ pub struct ProcessCommConfig {
     pub liveness_timeout: Duration,
     /// Interval of the worker-side heartbeat `Ping`.
     pub heartbeat_interval: Duration,
-    /// Budget for a broken v2 connection to reconnect and resume its
+    /// Budget for a broken connection to reconnect and resume its
     /// session before the rank is declared dead. Zero disables
     /// reconnection entirely (every break is an immediate
-    /// [`Message::WorkerDied`], the pre-v2 behavior).
+    /// [`Message::WorkerDied`]).
     pub reconnect_deadline: Duration,
     /// Deterministic fault-injection schedule applied to the worker's
     /// outgoing frames; `None` (the default) injects nothing. Chaos
-    /// also disables worker-side frame batching: fault injection acts
-    /// per frame and needs direct writes.
+    /// also disables frame batching: fault injection acts per frame
+    /// and needs direct writes.
     pub chaos: Option<ChaosConfig>,
     /// Highest protocol revision this endpoint offers in negotiation
-    /// (`--codec v2` sets 2 for a forced rollback). Clamped to
-    /// `BASE_PROTOCOL..=PROTOCOL_VERSION`.
+    /// (`--codec v2` sets 2 for a forced rollback to JSON payloads).
+    /// Must lie in `MIN_SESSION_PROTOCOL..=PROTOCOL_VERSION`.
     pub max_protocol: u32,
-    /// Writer-side frame batching for v3 sessions: whole frames are
-    /// coalesced into one socket write under a size cap, with a
-    /// flusher thread enforcing the latency cap. `None` writes every
-    /// frame directly (the v2 behavior).
-    pub batch: Option<wire::BatchConfig>,
 }
 
 impl Default for ProcessCommConfig {
@@ -160,7 +163,6 @@ impl Default for ProcessCommConfig {
             reconnect_deadline: Duration::from_secs(5),
             chaos: None,
             max_protocol: PROTOCOL_VERSION,
-            batch: Some(wire::BatchConfig::default()),
         }
     }
 }
@@ -177,52 +179,74 @@ impl ProcessCommConfig {
                 self.liveness_timeout, self.heartbeat_interval
             ));
         }
-        if !(BASE_PROTOCOL..=PROTOCOL_VERSION).contains(&self.max_protocol) {
+        if !(MIN_SESSION_PROTOCOL..=PROTOCOL_VERSION).contains(&self.max_protocol) {
             return Err(format!(
-                "max_protocol {} outside supported range {}..={} (use --codec v1|v2|v3)",
-                self.max_protocol, BASE_PROTOCOL, PROTOCOL_VERSION
+                "max_protocol {} outside supported range {}..={} (use --codec v2|v3)",
+                self.max_protocol, MIN_SESSION_PROTOCOL, PROTOCOL_VERSION
             ));
-        }
-        if self.batch.as_ref().is_some_and(|b| b.max_bytes == 0) {
-            return Err("batch max_bytes must be > 0 (or disable batching)".into());
         }
         Ok(())
     }
 
     /// The protocol revision advertised in the hello, after clamping.
     pub fn advertised_protocol(&self) -> u32 {
-        self.max_protocol.clamp(BASE_PROTOCOL, PROTOCOL_VERSION)
+        self.max_protocol.clamp(MIN_SESSION_PROTOCOL, PROTOCOL_VERSION)
     }
+}
 
-    /// Batching config for a negotiated session: only v3 sessions
-    /// batch, and chaos forces per-frame writes.
-    fn batch_for(&self, proto: u32) -> Option<wire::BatchConfig> {
-        if proto >= 3 && self.chaos.is_none() {
-            self.batch
-        } else {
-            None
-        }
+/// Wraps a dup of `stream` in the writer-side frame batching of a v3
+/// session: whole frames are coalesced into one socket write under the
+/// measured caps of [`wire::BatchConfig::default`] (32 KiB / 1 ms),
+/// with a flusher thread enforcing the latency cap. `None` — every
+/// frame is written directly — for a v2 session, and whenever
+/// `batching` is off (chaos is configured: fault injection acts on
+/// individual writes).
+fn batch_writer(
+    stream: &TcpStream,
+    proto: u32,
+    batching: bool,
+) -> Option<Arc<wire::BatchWriter<TcpStream>>> {
+    if proto < 3 || !batching {
+        return None;
     }
+    let dup = stream.try_clone().ok()?;
+    Some(Arc::new(wire::BatchWriter::new(dup, wire::BatchConfig::default())))
+}
+
+/// Tick of the flusher threads: half the latency cap.
+fn flush_tick() -> Duration {
+    let max_delay = wire::BatchConfig::default().max_delay;
+    (max_delay / 2).clamp(Duration::from_micros(200), Duration::from_millis(10))
 }
 
 /// The negotiation rule both ends apply, factored out so it can be
 /// property-tested: the session speaks
 /// `min(peer's advertised max, our configured cap)`, floored at the
 /// base protocol. A peer that does not advertise (`None`, a pre-v2
-/// build) speaks v1.
+/// build) lands on v1 — below [`MIN_SESSION_PROTOCOL`], so the
+/// handshake refuses it.
 pub fn negotiate_protocol(local_cap: u32, peer_max: Option<u32>) -> u32 {
     peer_max.unwrap_or(BASE_PROTOCOL).min(local_cap).clamp(BASE_PROTOCOL, PROTOCOL_VERSION)
 }
 
-/// Parses a `--codec` flag value into a protocol cap: `v1`/`v2`/`v3`
-/// (or bare digits), plus the aliases `json` (= v2) and `binary`
-/// (= v3). Shared by the daemon binaries and the runner.
+/// The payload encoding a negotiated revision implies: binary from v3
+/// on, JSON below.
+pub(crate) fn payload_codec(proto: u32) -> wire::Codec {
+    if proto >= 3 {
+        wire::Codec::Binary
+    } else {
+        wire::Codec::Json
+    }
+}
+
+/// Parses a `--codec` flag value into a protocol cap: `v2`/`v3` (or
+/// bare digits), plus the aliases `json` (= v2) and `binary` (= v3).
+/// Shared by the daemon binaries and the runner.
 pub fn parse_codec_flag(s: &str) -> Result<u32, String> {
     match s.trim().to_ascii_lowercase().as_str() {
-        "v1" | "1" => Ok(1),
         "v2" | "2" | "json" => Ok(2),
         "v3" | "3" | "binary" | "bin" => Ok(3),
-        other => Err(format!("unknown codec {other:?} (expected v1, v2, v3, json, or binary)")),
+        other => Err(format!("unknown codec {other:?} (expected v2, v3, json, or binary)")),
     }
 }
 
@@ -246,8 +270,8 @@ struct Hello {
     /// accept new workers unchanged.
     protocol: u32,
     rank_hint: Option<usize>,
-    /// Highest frame format the worker speaks; absent (old worker)
-    /// means v1.
+    /// Highest protocol revision the worker speaks; a hello without
+    /// it (a pre-v2 worker) is refused.
     #[serde(default)]
     max_protocol: Option<u32>,
     /// Present when re-attaching to an existing session.
@@ -268,11 +292,12 @@ struct Resume {
 struct Welcome {
     rank: usize,
     num_workers: usize,
-    /// Negotiated frame format; absent (old coordinator) means v1.
+    /// Negotiated protocol revision; a welcome without it (a pre-v2
+    /// coordinator) is refused by the worker.
     #[serde(default)]
     protocol: Option<u32>,
-    /// v2 only: the session identity, and on resume the next upward
-    /// seq the coordinator expects (the worker replays from it).
+    /// The session identity, and on resume the next upward seq the
+    /// coordinator expects (the worker replays from it).
     #[serde(default)]
     session: Option<Session>,
 }
@@ -292,7 +317,7 @@ struct Session {
 struct Link {
     /// Write half; `None` while disconnected (or before first claim).
     writer: Option<TcpStream>,
-    /// Negotiated protocol revision of the current session (1..=3).
+    /// Negotiated protocol revision of the current session (2 or 3).
     proto: u32,
     /// v3 batching writer wrapping a dup of `writer`; `None` while
     /// disconnected or when the session does not batch. Cleared by
@@ -325,7 +350,7 @@ impl Link {
     fn new() -> Self {
         Link {
             writer: None,
-            proto: BASE_PROTOCOL,
+            proto: MIN_SESSION_PROTOCOL,
             batch: None,
             epoch: 0,
             claimed: false,
@@ -357,11 +382,7 @@ impl Link {
 
     /// Payload codec of the current session.
     fn codec(&self) -> wire::Codec {
-        if self.proto >= 3 {
-            wire::Codec::Binary
-        } else {
-            wire::Codec::Json
-        }
+        payload_codec(self.proto)
     }
 
     /// Routes one already-framed buffer through the batching writer
@@ -384,13 +405,8 @@ impl Link {
 
     /// (Re)creates the batching writer from a dup of the published
     /// writer; call after `writer` and `proto` are set.
-    fn attach_batch(&mut self, cfg: Option<wire::BatchConfig>) {
-        self.batch = None;
-        if let (Some(cfg), Some(w)) = (cfg, self.writer.as_ref()) {
-            if let Ok(dup) = w.try_clone() {
-                self.batch = Some(Arc::new(wire::BatchWriter::new(dup, cfg)));
-            }
-        }
+    fn attach_batch(&mut self, batching: bool) {
+        self.batch = self.writer.as_ref().and_then(|w| batch_writer(w, self.proto, batching));
     }
 }
 
@@ -404,8 +420,8 @@ struct Shared {
     reconnect_deadline: Duration,
     /// Coordinator-side protocol cap offered in negotiation.
     max_protocol: u32,
-    /// Batching config applied to v3 sessions; `None` disables.
-    batch: Option<wire::BatchConfig>,
+    /// v3 sessions batch their writes (off under chaos).
+    batching: bool,
 }
 
 fn fresh_token() -> u64 {
@@ -442,8 +458,8 @@ impl ProcessListener {
     /// coordinator endpoint. Connections with the wrong protocol
     /// version (or that fail to say hello in time) are dropped and do
     /// not count toward `n`. The accept loop keeps running in the
-    /// background afterwards, so broken v2 sessions can reconnect for
-    /// as long as the endpoint lives.
+    /// background afterwards, so broken sessions can reconnect for as
+    /// long as the endpoint lives.
     pub fn accept_workers<Sub, Sol>(
         self,
         n: usize,
@@ -464,7 +480,7 @@ impl ProcessListener {
             liveness_timeout: config.liveness_timeout,
             reconnect_deadline: config.reconnect_deadline,
             max_protocol: config.advertised_protocol(),
-            batch: if config.chaos.is_none() { config.batch } else { None },
+            batching: config.chaos.is_none(),
         });
         let (up_tx, up_rx) = channel();
         spawn_accept_loop::<Sub, Sol>(self.listener, shared.clone(), up_tx.clone());
@@ -501,26 +517,21 @@ fn spawn_accept_loop<Sub, Sol>(
 {
     std::thread::Builder::new()
         .name("lc-accept".into())
-        .spawn(move || loop {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = shared.clone();
-                    let up_tx = up_tx.clone();
-                    std::thread::Builder::new()
-                        .name("lc-handshake".into())
-                        .spawn(move || {
-                            let _ = handshake_accept(stream, &shared, up_tx);
-                        })
-                        .expect("spawn lc handshake thread");
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
+        .spawn(move || {
+            accept_loop(listener, &shared.shutdown, Duration::from_millis(5), |stream| {
+                let shared = shared.clone();
+                let up_tx = up_tx.clone();
+                std::thread::Builder::new()
+                    .name("lc-handshake".into())
+                    .spawn(move || {
+                        if let Err(e) = handshake_accept(stream, &shared, up_tx) {
+                            if e.kind() == io::ErrorKind::InvalidData {
+                                eprintln!("ugrs: refused a worker connection: {e}");
+                            }
+                        }
+                    })
+                    .expect("spawn lc handshake thread");
+            })
         })
         .expect("spawn lc accept thread");
 }
@@ -533,8 +544,10 @@ fn spawn_accept_loop<Sub, Sol>(
 /// lock is retaken and the link disconnected only if the same batch is
 /// still installed (a reconnect may have superseded it meanwhile).
 fn spawn_lc_flusher(shared: Arc<Shared>) {
-    let Some(cfg) = shared.batch else { return };
-    let tick = (cfg.max_delay / 2).clamp(Duration::from_micros(200), Duration::from_millis(10));
+    if !shared.batching {
+        return;
+    }
+    let tick = flush_tick();
     std::thread::Builder::new()
         .name("lc-flusher".into())
         .spawn(move || loop {
@@ -592,7 +605,16 @@ where
     }
 
     let proto = negotiate_protocol(shared.max_protocol, hello.max_protocol);
-    let v2 = proto >= 2;
+    if proto < MIN_SESSION_PROTOCOL {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "hello advertises max_protocol {:?}, which negotiates v{proto}; only \
+                 resumable sessions (v{MIN_SESSION_PROTOCOL}+) are served — upgrade the worker",
+                hello.max_protocol
+            ),
+        ));
+    }
     let token = fresh_token();
 
     // Claim a rank (hint when free, else first unclaimed) under the
@@ -615,7 +637,7 @@ where
         rank,
         num_workers: n,
         protocol: Some(proto),
-        session: v2.then_some(Session { token, rx_next: 0 }),
+        session: Some(Session { token, rx_next: 0 }),
     };
     if let Err(e) = wire::write_msg(&mut (&stream), &welcome) {
         // Welcome undeliverable: release the slot for a late,
@@ -628,11 +650,7 @@ where
         let mut link = shared.links[rank].lock().unwrap();
         link.writer = Some(stream);
         link.proto = proto;
-        if proto >= 3 {
-            link.attach_batch(shared.batch);
-        } else {
-            link.batch = None;
-        }
+        link.attach_batch(shared.batching);
         link.epoch += 1;
         link.token = token;
         link.died = false;
@@ -645,7 +663,7 @@ where
     };
     shared.last_heard.lock().unwrap()[rank] = Instant::now();
     reader.set_read_timeout(None)?;
-    dec.set_v2(v2);
+    dec.set_v2(true);
     spawn_lc_reader::<Sub, Sol>(rank, epoch, reader, dec, shared.clone(), up_tx);
     Ok(())
 }
@@ -681,7 +699,7 @@ where
         .iter()
         .position(|l| {
             let l = l.lock().unwrap();
-            l.claimed && l.proto >= 2 && !l.died && l.token == resume.token
+            l.claimed && !l.died && l.token == resume.token
         })
         .ok_or_else(stale)?;
 
@@ -779,9 +797,7 @@ where
             return Ok(());
         }
         link.writer = Some(writer);
-        if link.proto >= 3 {
-            link.attach_batch(shared.batch);
-        }
+        link.attach_batch(shared.batching);
     }
     Ok(())
 }
@@ -809,44 +825,41 @@ fn spawn_lc_reader<Sub, Sol>(
                         if link.epoch != epoch {
                             return; // superseded by a reconnection
                         }
-                        if link.proto >= 2 {
-                            if header.seq != UNSEQ {
-                                if header.seq < link.rx_next {
-                                    telemetry::comm().dup_frames.inc();
-                                    drop(link);
-                                    shared.last_heard.lock().unwrap()[rank] = Instant::now();
-                                    continue;
-                                }
-                                if header.seq > link.rx_next {
-                                    // A gap means frames vanished from
-                                    // the byte stream — never silently
-                                    // accept it; force a reconnect so
-                                    // the resume replays the missing
-                                    // range (from our unmoved rx_next).
-                                    telemetry::comm().seq_gaps.inc();
-                                    drop(link);
-                                    let gap = io::Error::new(
-                                        io::ErrorKind::ConnectionReset,
-                                        "upward sequence gap",
-                                    );
-                                    lc_reader_on_error(rank, epoch, &shared, &up_tx, Some(gap));
-                                    return;
-                                }
-                                link.rx_next = header.seq + 1;
+                        if header.seq != UNSEQ {
+                            if header.seq < link.rx_next {
+                                telemetry::comm().dup_frames.inc();
+                                drop(link);
+                                shared.last_heard.lock().unwrap()[rank] = Instant::now();
+                                continue;
                             }
-                            link.trim_ring(header.ack);
-                            link.rx_count += 1;
-                            if link.rx_count.is_multiple_of(ACK_EVERY) {
-                                let ping = wire::to_payload_codec(
-                                    &WireMsg::<Sub, Sol>::Ping { rank },
-                                    link.codec(),
+                            if header.seq > link.rx_next {
+                                // A gap means frames vanished from the
+                                // byte stream — never silently accept
+                                // it; force a reconnect so the resume
+                                // replays the missing range (from our
+                                // unmoved rx_next).
+                                telemetry::comm().seq_gaps.inc();
+                                drop(link);
+                                let gap = io::Error::new(
+                                    io::ErrorKind::ConnectionReset,
+                                    "upward sequence gap",
                                 );
-                                let ack = link.rx_next;
-                                if link.writer.is_some() {
-                                    let framed =
-                                        wire::frame_v2(&ping, FrameHeader { seq: UNSEQ, ack });
-                                    link.write_framed(&framed);
-                                }
+                                lc_reader_on_error(rank, epoch, &shared, &up_tx, Some(gap));
+                                return;
+                            }
+                            link.rx_next = header.seq + 1;
+                        }
+                        link.trim_ring(header.ack);
+                        link.rx_count += 1;
+                        if link.rx_count.is_multiple_of(ACK_EVERY) {
+                            let ping = wire::to_payload_codec(
+                                &WireMsg::<Sub, Sol>::Ping { rank },
+                                link.codec(),
+                            );
+                            let ack = link.rx_next;
+                            if link.writer.is_some() {
+                                let framed = wire::frame_v2(&ping, FrameHeader { seq: UNSEQ, ack });
+                                link.write_framed(&framed);
                             }
                         }
                     }
@@ -879,8 +892,8 @@ fn spawn_lc_reader<Sub, Sol>(
         .expect("spawn lc reader thread");
 }
 
-/// Reader-side connection teardown: for a v2 session within budget
-/// this merely opens the reconnect window; otherwise the rank dies
+/// Reader-side connection teardown: within the reconnect budget this
+/// merely opens the reconnect window; otherwise the rank dies
 /// (exactly once — the `died` flag is checked and set under the link
 /// mutex by every path that can report a death).
 fn lc_reader_on_error<Sub, Sol>(
@@ -896,7 +909,7 @@ fn lc_reader_on_error<Sub, Sol>(
         return;
     }
     link.disconnect();
-    if fatal || link.proto < 2 || shared.reconnect_deadline.is_zero() {
+    if fatal || shared.reconnect_deadline.is_zero() {
         link.died = true;
         drop(link);
         let _ = up_tx.send(Message::WorkerDied { rank });
@@ -929,17 +942,14 @@ where
         self.shared.links.len()
     }
 
-    /// Sends to one rank. On a v2 session the payload is ringed for
-    /// replay first, so `true` means *delivered or will be on resume*;
-    /// a failed write merely opens the reconnect window, and `false`
-    /// reports a dead rank — including the rank dying right here
-    /// because its retransmit ring overflowed (the un-acked backlog
-    /// outgrew any useful resume horizon; `WorkerDied` is synthesized
-    /// so the supervisor requeues instead of the message silently
-    /// vanishing). On a v1 session `false` reports a dead rank or
-    /// failed write (the writer is retired), exactly as before.
+    /// Sends to one rank. The payload is ringed for replay first, so
+    /// `true` means *delivered or will be on resume*; a failed write
+    /// merely opens the reconnect window, and `false` reports a dead
+    /// rank — including the rank dying right here because its
+    /// retransmit ring overflowed (the un-acked backlog outgrew any
+    /// useful resume horizon; `WorkerDied` is synthesized so the
+    /// supervisor requeues instead of the message silently vanishing).
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        use std::io::Write;
         let Some(slot) = self.shared.links.get(rank) else { return false };
         let mut link = slot.lock().unwrap();
         if !link.claimed || link.died {
@@ -948,38 +958,27 @@ where
         // Encoded under the link lock: the codec is a session property
         // and must match the negotiated protocol of *this* connection.
         let payload = Arc::new(wire::to_payload_codec(&WireMsg::Msg(msg), link.codec()));
-        if link.proto >= 2 {
-            if link.ring.len() >= RETRANSMIT_RING_CAP {
-                telemetry::comm().ring_overflows.inc();
-                link.died = true;
-                link.disconnect();
-                drop(link);
-                let _ = self.up_tx.send(Message::WorkerDied { rank });
-                return false;
-            }
-            let seq = link.tx_next;
-            link.tx_next += 1;
-            link.ring.push_back((seq, payload.clone()));
-            let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: link.rx_next });
-            link.write_framed(&framed);
-            true
-        } else {
-            let Some(w) = link.writer.as_mut() else { return false };
-            match w.write_all(&wire::frame_v1(&payload)).and_then(|_| w.flush()) {
-                Ok(()) => true,
-                Err(_) => {
-                    link.writer = None;
-                    false
-                }
-            }
+        if link.ring.len() >= RETRANSMIT_RING_CAP {
+            telemetry::comm().ring_overflows.inc();
+            link.died = true;
+            link.disconnect();
+            drop(link);
+            let _ = self.up_tx.send(Message::WorkerDied { rank });
+            return false;
         }
+        let seq = link.tx_next;
+        link.tx_next += 1;
+        link.ring.push_back((seq, payload.clone()));
+        let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: link.rx_next });
+        link.write_framed(&framed);
+        true
     }
 
     /// Receives the next upward message, sweeping liveness first: a
-    /// rank silent past the timeout has its socket shut down, which on
-    /// a v2 session opens the reconnect window; a rank disconnected
-    /// past the reconnect deadline (immediately, for v1 or a zero
-    /// deadline) is reported as [`Message::WorkerDied`] exactly once.
+    /// rank silent past the timeout has its socket shut down, which
+    /// opens the reconnect window; a rank disconnected past the
+    /// reconnect deadline (immediately, for a zero deadline) is
+    /// reported as [`Message::WorkerDied`] exactly once.
     pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
         let n = self.shared.links.len();
         for rank in 0..n {
@@ -991,7 +990,7 @@ where
                 let heard = self.shared.last_heard.lock().unwrap()[rank];
                 if heard.elapsed() > self.shared.liveness_timeout {
                     link.disconnect();
-                    if link.proto < 2 || self.shared.reconnect_deadline.is_zero() {
+                    if self.shared.reconnect_deadline.is_zero() {
                         link.died = true;
                         return Some(Message::WorkerDied { rank });
                     }
@@ -1039,7 +1038,7 @@ impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
 struct WorkerInner {
     /// Write half; `None` while disconnected.
     stream: Option<TcpStream>,
-    /// Negotiated protocol revision of the session (1..=3).
+    /// Negotiated protocol revision of the session (2 or 3).
     proto: u32,
     /// v3 batching writer wrapping a dup of `stream`; cleared together
     /// with the stream so buffered frames are replayed from the ring
@@ -1073,11 +1072,7 @@ impl WorkerInner {
 
     /// Payload codec of the current session.
     fn codec(&self) -> wire::Codec {
-        if self.proto >= 3 {
-            wire::Codec::Binary
-        } else {
-            wire::Codec::Json
-        }
+        payload_codec(self.proto)
     }
 }
 
@@ -1089,29 +1084,25 @@ impl WorkerInner {
 /// instead of evicting (losing) the oldest un-acked payload.
 fn send_locked(inner: &mut WorkerInner, payload: Arc<Vec<u8>>, reliable: bool) {
     use std::io::Write;
-    let framed = if inner.proto >= 2 {
-        let seq = if reliable {
-            if inner.ring.len() >= RETRANSMIT_RING_CAP {
-                // Unreachable past any useful resume horizon: die
-                // loudly (the coordinator's reconnect deadline then
-                // requeues the rank) instead of silently evicting the
-                // oldest un-acked payload.
-                telemetry::comm().ring_overflows.inc();
-                inner.dead = true;
-                inner.drop_stream();
-                return;
-            }
-            let seq = inner.tx_next;
-            inner.tx_next += 1;
-            inner.ring.push_back((seq, payload.clone()));
-            seq
-        } else {
-            UNSEQ
-        };
-        wire::frame_v2(&payload, FrameHeader { seq, ack: inner.rx_next })
+    let seq = if reliable {
+        if inner.ring.len() >= RETRANSMIT_RING_CAP {
+            // Unreachable past any useful resume horizon: die loudly
+            // (the coordinator's reconnect deadline then requeues the
+            // rank) instead of silently evicting the oldest un-acked
+            // payload.
+            telemetry::comm().ring_overflows.inc();
+            inner.dead = true;
+            inner.drop_stream();
+            return;
+        }
+        let seq = inner.tx_next;
+        inner.tx_next += 1;
+        inner.ring.push_back((seq, payload.clone()));
+        seq
     } else {
-        wire::frame_v1(&payload)
+        UNSEQ
     };
+    let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: inner.rx_next });
     if let Some(until) = inner.partition_until {
         if Instant::now() < until {
             return; // partitioned: sequenced payloads wait in the ring
@@ -1177,11 +1168,27 @@ fn send_locked(inner: &mut WorkerInner, payload: Arc<Vec<u8>>, reliable: bool) {
     }
 }
 
-/// Connects to the coordinator, retrying until it is listening (worker
-/// processes may win the race against the coordinator's bind), and
-/// completes the handshake. The returned endpoint already has its
-/// heartbeat running, and on a v2 session its reader owns the
-/// reconnect-and-resume policy.
+/// Connects to a coordinator or pool server, retrying every 20 ms
+/// until it listens or `timeout` is spent (worker processes may win
+/// the race against the bind). The stream comes back with Nagle off
+/// and the 10 s read timeout the hello/welcome exchange runs under.
+pub(crate) fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+    let deadline = Instant::now() + timeout;
+    let stream = loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => break s,
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    Ok(stream)
+}
+
+/// Connects to the coordinator and completes the handshake. The
+/// returned endpoint already has its heartbeat running, and its reader
+/// owns the reconnect-and-resume policy.
 pub fn connect_worker<Sub, Sol>(
     addr: &str,
     rank_hint: Option<usize>,
@@ -1192,16 +1199,7 @@ where
     Sol: Serialize + DeserializeOwned + Send + 'static,
 {
     validated(config)?;
-    let deadline = Instant::now() + config.handshake_timeout;
-    let stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    let stream = dial(addr, config.handshake_timeout)?;
     let advertised = config.advertised_protocol();
     wire::write_msg(
         &mut (&stream),
@@ -1217,18 +1215,24 @@ where
     let rank = welcome.rank;
     // Clamp to our own advertisement: a buggy coordinator answering
     // higher than offered must not push us past what we can speak.
-    let proto = if welcome.session.is_some() {
-        welcome.protocol.unwrap_or(BASE_PROTOCOL).min(advertised).max(BASE_PROTOCOL)
-    } else {
-        BASE_PROTOCOL
+    let proto = welcome.protocol.unwrap_or(BASE_PROTOCOL).min(advertised);
+    let Some(session) = welcome.session.filter(|_| proto >= MIN_SESSION_PROTOCOL) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "coordinator answered protocol {:?} {} a session; only resumable sessions \
+                 (v{MIN_SESSION_PROTOCOL}+) are spoken — upgrade the coordinator",
+                welcome.protocol,
+                if welcome.session.is_some() { "with" } else { "without" },
+            ),
+        ));
     };
-    let token = welcome.session.map(|s| s.token).unwrap_or(0);
-    dec.set_v2(proto >= 2);
+    let token = session.token;
+    dec.set_v2(true);
 
-    let batch_cfg = config.batch_for(proto);
-    let batch = batch_cfg.and_then(|cfg| {
-        stream.try_clone().ok().map(|dup| Arc::new(wire::BatchWriter::new(dup, cfg)))
-    });
+    let batching = config.chaos.is_none();
+    let batch = batch_writer(&stream, proto, batching);
+    let flusher = batch.is_some();
     let inner = Arc::new(Mutex::new(WorkerInner {
         stream: Some(stream),
         proto,
@@ -1254,15 +1258,15 @@ where
         down_tx,
     );
     spawn_heartbeat::<Sub, Sol>(rank, inner.clone(), shutdown.clone(), config.heartbeat_interval);
-    if let Some(cfg) = batch_cfg {
-        spawn_worker_flusher(rank, inner.clone(), shutdown.clone(), cfg);
+    if flusher {
+        spawn_worker_flusher(rank, inner.clone(), shutdown.clone());
     }
 
     Ok(ProcessWorkerComm { rank, inner, down_rx, shutdown })
 }
 
-/// The worker's read loop plus, on a v2 session, the reconnect-and-
-/// resume policy: on any retryable connection failure it redials with
+/// The worker's read loop plus the reconnect-and-resume policy: on any
+/// retryable connection failure it redials with
 /// exponential backoff + jitter under the reconnect deadline, resumes
 /// the session by token, replays its un-acked ring (bypassing chaos —
 /// recovery must be deterministic), and carries on. Returning from
@@ -1293,25 +1297,23 @@ fn spawn_worker_reader<Sub, Sol>(
                         let mut gap = false;
                         {
                             let mut g = inner.lock().unwrap();
-                            if g.proto >= 2 {
-                                if header.seq != UNSEQ {
-                                    if header.seq < g.rx_next {
-                                        telemetry::comm().dup_frames.inc();
-                                        continue;
-                                    }
-                                    // A gap is in-stream loss: never
-                                    // accept it silently; reconnect and
-                                    // let the resume replay the missing
-                                    // downward range.
-                                    gap = header.seq > g.rx_next;
-                                    if !gap {
-                                        g.rx_next = header.seq + 1;
-                                    }
+                            if header.seq != UNSEQ {
+                                if header.seq < g.rx_next {
+                                    telemetry::comm().dup_frames.inc();
+                                    continue;
                                 }
+                                // A gap is in-stream loss: never accept
+                                // it silently; reconnect and let the
+                                // resume replay the missing downward
+                                // range.
+                                gap = header.seq > g.rx_next;
                                 if !gap {
-                                    while g.ring.front().is_some_and(|(s, _)| *s < header.ack) {
-                                        g.ring.pop_front();
-                                    }
+                                    g.rx_next = header.seq + 1;
+                                }
+                            }
+                            if !gap {
+                                while g.ring.front().is_some_and(|(s, _)| *s < header.ack) {
+                                    g.ring.pop_front();
                                 }
                             }
                         }
@@ -1342,11 +1344,8 @@ fn spawn_worker_reader<Sub, Sol>(
                     return;
                 }
                 let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
-                let (v2, dead) = {
-                    let g = inner.lock().unwrap();
-                    (g.proto >= 2, g.dead)
-                };
-                if fatal || !v2 || dead || config.reconnect_deadline.is_zero() {
+                let dead = inner.lock().unwrap().dead;
+                if fatal || dead || config.reconnect_deadline.is_zero() {
                     let mut g = inner.lock().unwrap();
                     g.drop_stream();
                     g.dead = true;
@@ -1458,9 +1457,7 @@ fn reconnect_worker(
         }
         // Re-arm batching for the resumed session (same negotiated
         // protocol, fresh socket).
-        g.batch = config.batch_for(g.proto).and_then(|cfg| {
-            writer.try_clone().ok().map(|dup| Arc::new(wire::BatchWriter::new(dup, cfg)))
-        });
+        g.batch = batch_writer(&writer, g.proto, config.chaos.is_none());
         g.stream = Some(writer);
         g.partition_until = None;
         let mut dec = FrameDecoder::new();
@@ -1489,9 +1486,6 @@ fn spawn_heartbeat<Sub, Sol>(
             if g.dead {
                 return;
             }
-            if g.proto < 2 && g.stream.is_none() {
-                return; // v1: connection gone for good
-            }
             let ping =
                 Arc::new(wire::to_payload_codec(&WireMsg::<Sub, Sol>::Ping { rank }, g.codec()));
             send_locked(&mut g, ping, false);
@@ -1505,13 +1499,8 @@ fn spawn_heartbeat<Sub, Sol>(
 /// session is dead). The flush runs on a clone of the batch handle
 /// outside the inner lock; on failure the stream is torn down only if
 /// the same batch is still installed.
-fn spawn_worker_flusher(
-    rank: usize,
-    inner: Arc<Mutex<WorkerInner>>,
-    shutdown: Arc<AtomicBool>,
-    cfg: wire::BatchConfig,
-) {
-    let tick = (cfg.max_delay / 2).clamp(Duration::from_micros(200), Duration::from_millis(10));
+fn spawn_worker_flusher(rank: usize, inner: Arc<Mutex<WorkerInner>>, shutdown: Arc<AtomicBool>) {
+    let tick = flush_tick();
     std::thread::Builder::new()
         .name(format!("worker-flusher-{rank}"))
         .spawn(move || loop {
@@ -1562,16 +1551,16 @@ where
     }
 
     /// Blocking receive; `None` when the connection is gone for good
-    /// (on a v2 session: only after the reconnect budget ran out).
+    /// (only after the reconnect budget ran out).
     pub fn recv(&self) -> Option<Message<Sub, Sol>> {
         self.down_rx.recv().ok()
     }
 
-    /// Sends a message upward. On a v2 session the payload is ringed
-    /// before the write, so `true` means *delivered or will be on
-    /// resume*; `false` only once the session is dead for good —
-    /// including dying right here because the retransmit ring
-    /// overflowed (this payload was *not* ringed).
+    /// Sends a message upward. The payload is ringed before the write,
+    /// so `true` means *delivered or will be on resume*; `false` only
+    /// once the session is dead for good — including dying right here
+    /// because the retransmit ring overflowed (this payload was *not*
+    /// ringed).
     pub fn send(&self, msg: Message<Sub, Sol>) -> bool {
         let mut g = self.inner.lock().unwrap();
         if g.dead {
@@ -1580,14 +1569,8 @@ where
         // Encoded under the lock: the codec follows the negotiated
         // session protocol.
         let payload = Arc::new(wire::to_payload_codec(&WireMsg::Msg(msg), g.codec()));
-        if g.proto >= 2 {
-            send_locked(&mut g, payload, true);
-            !g.dead
-        } else {
-            let before = g.stream.is_some();
-            send_locked(&mut g, payload, true);
-            before && g.stream.is_some()
-        }
+        send_locked(&mut g, payload, true);
+        !g.dead
     }
 
     /// Test hook: tears the TCP connection down underneath the
@@ -1743,8 +1726,8 @@ mod tests {
 
     /// The liveness sweep must report each silent rank dead exactly
     /// once — the doc comment has always claimed it; this asserts it.
-    /// The clients handshake as v1 (no `max_protocol`), so silence is
-    /// immediately terminal.
+    /// The sweep shuts the silent socket down, nobody resumes the
+    /// session, and the reconnect deadline turns that into the death.
     #[test]
     fn liveness_sweep_reports_each_silent_rank_exactly_once() {
         let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
@@ -1755,7 +1738,7 @@ mod tests {
             ..config()
         };
 
-        // Two raw v1 clients that say hello and then go silent while
+        // Two raw clients that say hello and then go silent while
         // keeping their sockets open (the hung-but-connected case the
         // sweep exists for). They run on threads because the welcome
         // only arrives once `accept_workers` below is pumping.
@@ -1769,7 +1752,7 @@ mod tests {
                     &Hello {
                         protocol: BASE_PROTOCOL,
                         rank_hint: Some(rank),
-                        max_protocol: None,
+                        max_protocol: Some(PROTOCOL_VERSION),
                         resume: None,
                     },
                 )
@@ -1791,8 +1774,8 @@ mod tests {
         for _ in 0..2 {
             let (rank, protocol, has_session) =
                 welcome_rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(protocol, Some(BASE_PROTOCOL));
-            assert!(!has_session, "a v1 worker must not be handed a session");
+            assert_eq!(protocol, Some(PROTOCOL_VERSION));
+            assert!(has_session, "every welcome carries a session");
             welcomed.push(rank);
         }
         welcomed.sort_unstable();
@@ -1820,6 +1803,47 @@ mod tests {
                 "a rank died twice"
             );
         }
+    }
+
+    /// The resumable session is the only mode: a hello that does not
+    /// advertise `max_protocol` (a pre-v2 worker) is hung up on without
+    /// a welcome, takes no rank slot, and the worker that connects
+    /// after it still gets the rank the old one hinted at.
+    #[test]
+    fn hello_without_max_protocol_is_refused_and_takes_no_rank() {
+        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = config();
+
+        let clients = std::thread::spawn(move || {
+            let old = TcpStream::connect(addr).unwrap();
+            wire::write_msg(
+                &mut (&old),
+                &Hello {
+                    protocol: BASE_PROTOCOL,
+                    rank_hint: Some(0),
+                    max_protocol: None,
+                    resume: None,
+                },
+            )
+            .unwrap();
+            let mut reader = old.try_clone().unwrap();
+            reader.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut dec = FrameDecoder::new();
+            assert!(
+                matches!(wire::read_msg::<Welcome, _>(&mut reader, &mut dec), Ok(None)),
+                "a pre-v2 hello must be answered by a hang-up, not a downgraded welcome"
+            );
+            // Only now, with the refusal complete, does the real worker
+            // arrive: had the old hello kept rank 0 it would get none.
+            let comm = connect_worker::<u32, u32>(&addr.to_string(), Some(0), &config()).unwrap();
+            assert_eq!(comm.rank(), 0);
+            assert!(matches!(comm.recv(), Some(Message::Terminate)));
+        });
+
+        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        assert!(lc.send_to(0, Message::Terminate));
+        clients.join().unwrap();
     }
 
     /// A client that stalls mid-hello must not block the accept path
@@ -2066,7 +2090,7 @@ mod tests {
             liveness_timeout: Duration::from_secs(30),
             reconnect_deadline: Duration::from_secs(30),
             max_protocol: PROTOCOL_VERSION,
-            batch: None,
+            batching: false,
         });
         {
             let mut link = shared.links[0].lock().unwrap();
@@ -2153,14 +2177,16 @@ mod tests {
     }
 
     #[test]
-    fn negotiate_protocol_applies_min_rule_with_v1_fallback() {
+    fn negotiate_protocol_applies_min_rule_and_flags_pre_v2_peers() {
         assert_eq!(negotiate_protocol(3, Some(3)), 3, "two v3 peers speak v3");
-        assert_eq!(negotiate_protocol(3, Some(2)), 2, "old worker holds the pair at v2");
+        assert_eq!(negotiate_protocol(3, Some(2)), 2, "a v2 worker holds the pair at v2");
         assert_eq!(negotiate_protocol(2, Some(3)), 2, "--codec v2 caps a v3 worker");
-        assert_eq!(negotiate_protocol(3, None), 1, "no advertisement means v1");
-        assert_eq!(negotiate_protocol(1, Some(3)), 1, "--codec v1 forces v1");
+        assert_eq!(negotiate_protocol(2, Some(2)), 2, "two v2 peers speak v2");
         assert_eq!(negotiate_protocol(99, Some(99)), PROTOCOL_VERSION, "capped at ours");
-        assert_eq!(negotiate_protocol(0, Some(3)), BASE_PROTOCOL, "floored at base");
+        // What the handshake refuses: no advertisement, or one below v2.
+        assert!(negotiate_protocol(3, None) < MIN_SESSION_PROTOCOL);
+        assert!(negotiate_protocol(3, Some(1)) < MIN_SESSION_PROTOCOL);
+        assert_eq!(negotiate_protocol(3, Some(0)), BASE_PROTOCOL, "floored at base");
     }
 
     #[test]
@@ -2169,8 +2195,13 @@ mod tests {
         assert_eq!(parse_codec_flag("binary"), Ok(3));
         assert_eq!(parse_codec_flag("V2"), Ok(2));
         assert_eq!(parse_codec_flag("json"), Ok(2));
-        assert_eq!(parse_codec_flag("1"), Ok(1));
         assert!(parse_codec_flag("v4").is_err());
+        // v1 is no session mode any more: neither the flag nor a
+        // hand-built config can ask for it.
+        assert!(parse_codec_flag("v1").is_err());
+        assert!(parse_codec_flag("1").is_err());
+        let msg = ProcessCommConfig { max_protocol: 1, ..config() }.validate().unwrap_err();
+        assert!(msg.contains("--codec v2|v3"), "unhelpful message: {msg}");
     }
 
     /// End-to-end mixed-version interop in one room: a v3↔v3 pair, a
@@ -2229,18 +2260,12 @@ mod tests {
     /// Batched v3 traffic must honor the latency cap: a lone small
     /// frame sits in the writer buffer no longer than `max_delay`
     /// before the flusher pushes it out — the message still arrives
-    /// promptly even with a batching threshold far above its size.
+    /// promptly although it is far below the 32 KiB size cap.
     #[test]
     fn batched_session_delivers_a_lone_frame_within_the_latency_cap() {
         let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let cfg = ProcessCommConfig {
-            batch: Some(wire::BatchConfig {
-                max_bytes: 1 << 20, // never size-flushes in this test
-                max_delay: Duration::from_millis(2),
-            }),
-            ..config()
-        };
+        let cfg = config();
 
         let worker = {
             let addr = addr.clone();

@@ -36,12 +36,15 @@ use crate::comm::LcComm;
 use crate::ledger::JobLedger;
 use crate::messages::Message;
 use crate::process::ProcessCommConfig;
+use crate::rpc::{
+    accept_loop, empty_finished, serve_clients, state_label, EventLog, RequestHandler, ACCEPT_POLL,
+};
 use crate::runner::{ParallelOptions, ParallelResult, RampUp};
 use crate::settings::SolverSettings;
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
 use crate::wire::{self, FrameDecoder};
-use crate::worker::{BaseSolver, ParaControl, SolverFactory};
+use crate::worker::{solve_and_report, BaseSolver, SolverFactory, Uplink};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
@@ -723,11 +726,7 @@ type SharedWriter = Arc<Mutex<Option<PoolConn>>>;
 /// ends cap at protocol 3+, reusing the per-call transport's min rule
 /// (an absent advertisement means an old peer: JSON).
 fn pool_codec(local_cap: u32, peer_max: Option<u32>) -> wire::Codec {
-    if crate::process::negotiate_protocol(local_cap, peer_max) >= 3 {
-        wire::Codec::Binary
-    } else {
-        wire::Codec::Json
-    }
+    crate::process::payload_codec(crate::process::negotiate_protocol(local_cap, peer_max))
 }
 
 struct WorkerEntry {
@@ -760,6 +759,20 @@ struct JobRecord<Inst, Sub, Sol> {
     run_index: u32,
 }
 
+impl<Inst, Sub, Sol> JobRecord<Inst, Sub, Sol> {
+    /// A job entering the queue; `run_index` is its upcoming run.
+    fn queued(spec: JobSpec<Inst, Sub>, restart_from: Option<String>, run_index: u32) -> Self {
+        JobRecord {
+            spec,
+            state: JobState::Queued,
+            cancel: Arc::new(AtomicBool::new(false)),
+            inbox: None,
+            restart_from,
+            run_index,
+        }
+    }
+}
+
 struct ServerState<Inst, Sub, Sol> {
     workers: HashMap<u64, WorkerEntry>,
     /// Spawned but not yet handshaken, keyed by spawn tag.
@@ -773,27 +786,12 @@ struct ServerState<Inst, Sub, Sol> {
     shutdown: bool,
 }
 
-/// One job's append-only event log plus progress-dedup watermarks.
-struct JobLog<Sol> {
-    events: Vec<JobEvent<Sol>>,
-    done: bool,
-    best_obj: Option<f64>,
-    best_bound: f64,
-}
-
-impl<Sol> Default for JobLog<Sol> {
-    fn default() -> Self {
-        JobLog { events: Vec::new(), done: false, best_obj: None, best_bound: f64::NEG_INFINITY }
-    }
-}
-
 struct SharedState<Inst, Sub, Sol> {
     state: Mutex<ServerState<Inst, Sub, Sol>>,
     /// Wakes the scheduler (submission, worker change, job end).
     sched: Condvar,
-    events: Mutex<HashMap<u64, JobLog<Sol>>>,
-    /// Wakes watchers streaming a job's events.
-    events_cv: Condvar,
+    /// Every job's event log; `Watch` streams from it.
+    events: EventLog<Sol>,
     config: ServerConfig,
     /// Resolved worker-listener address workers are spawned against.
     worker_addr: String,
@@ -832,63 +830,6 @@ struct StartedJob<Inst, Sub, Sol> {
     inbox: Receiver<Message<Sub, Sol>>,
     /// Checkpoint JSON to resume from (recovered jobs only).
     restart_from: Option<String>,
-}
-
-// ---------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------
-
-fn emit<Inst, Sub, Sol: Clone>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    job: u64,
-    kind: JobEventKind<Sol>,
-) {
-    let mut logs = shared.events.lock().unwrap();
-    let log = logs.entry(job).or_default();
-    if log.done {
-        return;
-    }
-    if matches!(kind, JobEventKind::Finished { .. }) {
-        log.done = true;
-    }
-    let seq = log.events.len();
-    log.events.push(JobEvent { job, seq, kind });
-    shared.events_cv.notify_all();
-}
-
-/// Turns upward coordination traffic into deduped progress events:
-/// improving incumbents and finite improving dual bounds.
-fn emit_progress<Inst, Sub, Sol: Clone>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    job: u64,
-    msg: &Message<Sub, Sol>,
-) {
-    let (is_obj, value) = match msg {
-        Message::SolutionFound { obj, .. } => (true, *obj),
-        Message::Status { dual_bound, .. } if dual_bound.is_finite() => (false, *dual_bound),
-        _ => return,
-    };
-    let mut logs = shared.events.lock().unwrap();
-    let log = logs.entry(job).or_default();
-    if log.done {
-        return;
-    }
-    let kind = if is_obj {
-        if !log.best_obj.is_none_or(|cur| value < cur - crate::OBJ_EPS) {
-            return;
-        }
-        log.best_obj = Some(value);
-        JobEventKind::Incumbent { obj: value }
-    } else {
-        if value <= log.best_bound + crate::OBJ_EPS {
-            return;
-        }
-        log.best_bound = value;
-        JobEventKind::Bound { dual_bound: value }
-    };
-    let seq = log.events.len();
-    log.events.push(JobEvent { job, seq, kind });
-    shared.events_cv.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -1033,14 +974,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             queue.push(r.job);
             jobs.insert(
                 r.job,
-                JobRecord {
-                    spec: r.spec.clone(),
-                    state: JobState::Queued,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    inbox: None,
-                    restart_from: r.checkpoint.clone(),
-                    run_index: r.run_index,
-                },
+                JobRecord::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index),
             );
         }
         let metrics = MetricsRegistry::new();
@@ -1070,8 +1004,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 shutdown: false,
             }),
             sched: Condvar::new(),
-            events: Mutex::new(HashMap::new()),
-            events_cv: Condvar::new(),
+            events: EventLog::new(),
             config,
             worker_addr: worker_addr.to_string(),
             shutdown: AtomicBool::new(false),
@@ -1085,41 +1018,16 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
         // Pre-register the lazily-observed families so a Metrics
         // request right after startup already shows the full schema.
         for family in ["stp", "misdp", "maxcut"] {
-            shared.metrics.counter_with(
-                "ugrs_server_jobs_submitted_total",
-                &[("family", family)],
-                "Jobs accepted via Submit, by instance family",
-            );
+            shared.submitted(family);
         }
-        shared
-            .metrics
-            .counter("ugrs_server_workers_lost_total", "Pool workers removed dead or stuck");
-        for mode in ["requeued", "resumed"] {
-            shared.metrics.counter_with(
-                "ugrs_server_jobs_recovered_total",
-                &[("mode", mode)],
-                "Jobs brought back by the startup recovery pass, by mode",
-            );
-        }
-        shared.metrics.histogram_with(
-            "ugrs_server_heartbeat_gap_seconds",
-            &[],
-            "Gap between consecutive frames of a pool worker",
-            &[0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0],
-        );
+        shared.workers_lost();
+        shared.recovered(false);
+        shared.recovered(true);
+        shared.heartbeat_gap();
         for r in &recovered {
-            let mode = if r.checkpoint.is_some() { "resumed" } else { "requeued" };
-            shared
-                .metrics
-                .counter_with(
-                    "ugrs_server_jobs_recovered_total",
-                    &[("mode", mode)],
-                    "Jobs brought back by the startup recovery pass, by mode",
-                )
-                .inc();
-            emit(&shared, r.job, JobEventKind::Queued);
-            emit(
-                &shared,
+            shared.recovered(r.checkpoint.is_some()).inc();
+            shared.events.emit(r.job, JobEventKind::Queued);
+            shared.events.emit(
                 r.job,
                 JobEventKind::Recovered { run_index: r.run_index, nodes_so_far: r.nodes_so_far },
             );
@@ -1132,16 +1040,18 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 .spawn(move || scheduler_loop(sh))?,
         );
         let sh = shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("ugd-worker-accept".into())
-                .spawn(move || worker_accept_loop(sh, worker_listener))?,
-        );
+        threads.push(std::thread::Builder::new().name("ugd-worker-accept".into()).spawn(
+            move || {
+                accept_loop(worker_listener, &sh.shutdown, ACCEPT_POLL, |stream| {
+                    let _ = admit_worker(&sh, stream);
+                })
+            },
+        )?);
         let sh = shared.clone();
         threads.push(
             std::thread::Builder::new()
                 .name("ugd-client-accept".into())
-                .spawn(move || client_accept_loop(sh, client_listener))?,
+                .spawn(move || serve_clients(sh, client_listener, "ugd-client"))?,
         );
         let resumed = recovered.iter().filter(|r| r.checkpoint.is_some()).count();
         Ok(Server {
@@ -1219,7 +1129,7 @@ fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.state.lock().unwrap().shutdown = true;
     shared.sched.notify_all();
-    shared.events_cv.notify_all();
+    shared.events.wake();
 }
 
 // ---------------------------------------------------------------------
@@ -1379,7 +1289,7 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             worker_lost(&shared, id);
         }
         for s in starts {
-            emit(&shared, s.jid, JobEventKind::Started { workers: s.writers.len() });
+            shared.events.emit(s.jid, JobEventKind::Started { workers: s.writers.len() });
             let sh = shared.clone();
             let name = format!("ugd-job-{}", s.jid);
             std::thread::Builder::new()
@@ -1425,13 +1335,10 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
         let _ = c.kill();
         let _ = c.wait();
     }
-    shared
-        .metrics
-        .counter("ugrs_server_workers_lost_total", "Pool workers removed dead or stuck")
-        .inc();
+    shared.workers_lost().inc();
     if let Some((tx, jid, rank)) = notify {
         let _ = tx.send(Message::WorkerDied { rank });
-        emit(shared, jid, JobEventKind::WorkerLost { rank });
+        shared.events.emit(jid, JobEventKind::WorkerLost { rank });
     }
     shared.sched.notify_all();
 }
@@ -1570,8 +1477,7 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
     if let Some(tuner) = &shared.tuner {
         tuner.job_finished();
     }
-    emit(
-        &shared,
+    shared.events.emit(
         jid,
         JobEventKind::Finished {
             state,
@@ -1601,36 +1507,6 @@ fn retire_ledger_record<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>, ji
         if let Err(e) = ledger.record_finished(jid) {
             eprintln!("ugd-server: cannot retire ledger record of job {jid}: {e}");
         }
-    }
-}
-
-/// The `Finished` event of a job that never ran (cancelled while
-/// queued, or swept up by shutdown): no bounds, no nodes, no solution.
-fn empty_finished<Sol>(state: JobState, run_index: u32) -> JobEventKind<Sol> {
-    JobEventKind::Finished {
-        state,
-        obj: None,
-        dual_bound: f64::NEG_INFINITY,
-        solution: None,
-        nodes: 0,
-        nodes_so_far: 0,
-        run_index,
-        open_nodes: 0,
-        workers_lost: 0,
-        wall_time: 0.0,
-        final_checkpoint: None,
-    }
-}
-
-fn state_label(state: JobState) -> &'static str {
-    match state {
-        JobState::Queued => "queued",
-        JobState::Running => "running",
-        JobState::Solved => "solved",
-        JobState::Infeasible => "infeasible",
-        JobState::TimedOut => "timed_out",
-        JobState::Cancelled => "cancelled",
-        JobState::Failed => "failed",
     }
 }
 
@@ -1687,7 +1563,7 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
             retire_ledger_record(shared, j);
         }
         record_job_finished(shared, j, JobState::Cancelled);
-        emit(shared, j, empty_finished(JobState::Cancelled, run_index));
+        shared.events.emit(j, empty_finished(JobState::Cancelled, run_index));
     }
     // Let running jobs drain through their cancel flags, bounded.
     let deadline = Instant::now() + shared.config.drain_timeout;
@@ -1722,26 +1598,6 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
 // ---------------------------------------------------------------------
 // Worker pool: accept, handshake, per-worker readers
 // ---------------------------------------------------------------------
-
-fn worker_accept_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
-    listener: TcpListener,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = admit_worker(&shared, stream);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
 
 fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: &Arc<SharedState<Inst, Sub, Sol>>,
@@ -1853,18 +1709,7 @@ fn handle_pool_up<Inst, Sub, Sol: Clone>(
                 w.last_heard = Instant::now();
                 gap
             };
-            // Observed gap between consecutive frames: the live
-            // heartbeat-latency distribution (nominal = the configured
-            // heartbeat interval; the tail shows scheduling delay).
-            shared
-                .metrics
-                .histogram_with(
-                    "ugrs_server_heartbeat_gap_seconds",
-                    &[],
-                    "Gap between consecutive frames of a pool worker",
-                    &[0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0],
-                )
-                .observe(gap.as_secs_f64());
+            shared.heartbeat_gap().observe(gap.as_secs_f64());
         }
         PoolUp::JobDone { .. } => {
             {
@@ -1890,7 +1735,7 @@ fn handle_pool_up<Inst, Sub, Sol: Clone>(
                 st.jobs.get(&jid).and_then(|j| j.inbox.clone())
             };
             if let Some(tx) = tx {
-                emit_progress(shared, job, &msg);
+                shared.events.emit_progress(job, &msg);
                 let _ = tx.send(msg);
             }
         }
@@ -1901,174 +1746,143 @@ fn handle_pool_up<Inst, Sub, Sol: Clone>(
 // Client connections
 // ---------------------------------------------------------------------
 
-fn client_accept_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
-    listener: TcpListener,
-) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let sh = shared.clone();
-                let _ = std::thread::Builder::new().name("ugd-client".into()).spawn(move || {
-                    let _ = serve_client(&sh, stream);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
+/// The gateway epoch a client connection announced, if any. Checked
+/// before every mutating request: a connection from a deposed primary
+/// (announced epoch below the highest known) may read but not mutate —
+/// the fencing half of gateway HA.
+#[derive(Default)]
+struct ClientConn {
+    gateway_epoch: Option<u64>,
 }
 
-fn serve_client<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<SharedState<Inst, Sub, Sol>>,
-    stream: TcpStream,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut reader = stream.try_clone()?;
-    let mut writer = stream;
-    let mut dec = FrameDecoder::new();
-    // The gateway epoch this connection announced, if any. Checked
-    // before every mutating request: a connection from a deposed
-    // primary (announced epoch below the highest known) may read but
-    // not mutate — the fencing half of gateway HA.
-    let mut conn_gateway_epoch: Option<u64> = None;
-    let fenced = |shared: &Arc<SharedState<Inst, Sub, Sol>>, conn: Option<u64>| -> Option<u64> {
-        let announced = conn?;
-        let current = shared.gateway_epoch.load(Ordering::SeqCst);
-        if announced < current {
-            shared
-                .metrics
+impl<Inst, Sub, Sol> SharedState<Inst, Sub, Sol> {
+    fn submitted(&self, family: &str) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_server_jobs_submitted_total",
+            &[("family", family)],
+            "Jobs accepted via Submit, by instance family",
+        )
+    }
+
+    /// `resumed` from a checkpoint, or requeued from scratch.
+    fn recovered(&self, resumed: bool) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_server_jobs_recovered_total",
+            &[("mode", if resumed { "resumed" } else { "requeued" })],
+            "Jobs brought back by the startup recovery pass, by mode",
+        )
+    }
+
+    fn workers_lost(&self) -> Arc<telemetry::Counter> {
+        self.metrics.counter("ugrs_server_workers_lost_total", "Pool workers removed dead or stuck")
+    }
+
+    /// Observed gap between consecutive frames of a pool worker: the
+    /// live heartbeat-latency distribution (nominal = the configured
+    /// heartbeat interval; the tail shows scheduling delay).
+    fn heartbeat_gap(&self) -> Arc<telemetry::Histogram> {
+        self.metrics.histogram_with(
+            "ugrs_server_heartbeat_gap_seconds",
+            &[],
+            "Gap between consecutive frames of a pool worker",
+            &[0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0],
+        )
+    }
+
+    /// `Some(current epoch)` when `conn` announced a stale one.
+    fn fenced(&self, conn: &ClientConn) -> Option<u64> {
+        let current = self.gateway_epoch.load(Ordering::SeqCst);
+        (conn.gateway_epoch? < current).then(|| {
+            self.metrics
                 .counter(
                     "ugrs_server_fenced_rpcs_total",
                     "Mutating RPCs refused because the sender's gateway epoch was stale",
                 )
                 .inc();
-            Some(current)
-        } else {
-            None
-        }
-    };
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let req = match wire::read_msg::<ClientRequest<Inst, Sub>, _>(&mut reader, &mut dec) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()), // client hung up
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        match req {
+            current
+        })
+    }
+}
+
+impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedState<Inst, Sub, Sol> {
+    type Inst = Inst;
+    type Sub = Sub;
+    type Conn = ClientConn;
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn handle(
+        &self,
+        conn: &mut ClientConn,
+        req: ClientRequest<Inst, Sub>,
+        out: &mut TcpStream,
+    ) -> io::Result<bool> {
+        let reply: ServerReply<Sol> = match req {
             ClientRequest::GatewayEpoch { epoch } => {
-                let prev = shared.gateway_epoch.fetch_max(epoch, Ordering::SeqCst);
-                let current = prev.max(epoch);
-                shared
-                    .metrics
+                let current = self.gateway_epoch.fetch_max(epoch, Ordering::SeqCst).max(epoch);
+                self.metrics
                     .gauge(
                         "ugrs_server_gateway_epoch",
                         "Highest gateway lease epoch announced to this shard",
                     )
                     .set(current as f64);
-                conn_gateway_epoch = Some(epoch);
-                if epoch < current {
-                    shared
-                        .metrics
-                        .counter(
-                            "ugrs_server_fenced_rpcs_total",
-                            "Mutating RPCs refused because the sender's gateway epoch was stale",
-                        )
-                        .inc();
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::Fenced { epoch: current })?;
-                } else {
-                    wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::GatewayEpochAck { epoch: current },
-                    )?;
+                conn.gateway_epoch = Some(epoch);
+                match self.fenced(conn) {
+                    Some(epoch) => ServerReply::Fenced { epoch },
+                    None => ServerReply::GatewayEpochAck { epoch: current },
                 }
             }
             ClientRequest::Submit { spec } => {
-                if let Some(current) = fenced(shared, conn_gateway_epoch) {
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::Fenced { epoch: current })?;
-                } else if shared.draining.load(Ordering::SeqCst) {
+                if let Some(epoch) = self.fenced(conn) {
+                    ServerReply::Fenced { epoch }
+                } else if self.draining.load(Ordering::SeqCst) {
                     // A draining server refuses politely: the client
                     // should resubmit to a peer (or wait for the
                     // replacement), not treat this as a hard error.
-                    wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::Rejected { reason: "draining".into() },
-                    )?;
-                } else if shared.shutdown.load(Ordering::SeqCst) {
-                    wire::write_msg(
-                        &mut writer,
-                        &ServerReply::<Sol>::Error { message: "server shutting down".into() },
-                    )?;
+                    ServerReply::Rejected { reason: "draining".into() }
+                } else if self.shutdown.load(Ordering::SeqCst) {
+                    ServerReply::Error { message: "server shutting down".into() }
                 } else {
-                    match submit_job(shared, spec) {
-                        Ok(job) => {
-                            wire::write_msg(&mut writer, &ServerReply::<Sol>::Submitted { job })?
-                        }
+                    match submit_job(self, spec) {
+                        Ok(job) => ServerReply::Submitted { job },
                         // The WAL write failed: the job was NOT accepted
                         // (nothing durable, nothing queued), tell the
                         // client instead of acknowledging a job that a
                         // crash would silently lose.
-                        Err(e) => wire::write_msg(
-                            &mut writer,
-                            &ServerReply::<Sol>::Error {
-                                message: format!("ledger write failed: {e}"),
-                            },
-                        )?,
+                        Err(e) => {
+                            ServerReply::Error { message: format!("ledger write failed: {e}") }
+                        }
                     }
                 }
             }
-            ClientRequest::Cancel { job } => {
-                if let Some(current) = fenced(shared, conn_gateway_epoch) {
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::Fenced { epoch: current })?;
-                } else {
-                    let ok = cancel_job(shared, job);
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::CancelResult { job, ok })?;
-                }
-            }
-            ClientRequest::Reclaim { job } => {
-                if let Some(current) = fenced(shared, conn_gateway_epoch) {
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::Fenced { epoch: current })?;
-                } else {
-                    let ok = reclaim_job(shared, job);
-                    wire::write_msg(&mut writer, &ServerReply::<Sol>::CancelResult { job, ok })?;
-                }
-            }
-            ClientRequest::Fleet => {
-                wire::write_msg(
-                    &mut writer,
-                    &ServerReply::<Sol>::Error {
-                        message: "not a gateway: connect ugd fleet to a ugd-gateway".into(),
-                    },
-                )?;
-            }
-            ClientRequest::Status => {
-                let status = server_status(shared);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::Status { status })?;
-            }
-            ClientRequest::Metrics => {
-                let report = metrics_report(shared);
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::Metrics { report })?;
-            }
+            ClientRequest::Cancel { job } => match self.fenced(conn) {
+                Some(epoch) => ServerReply::Fenced { epoch },
+                None => ServerReply::CancelResult { job, ok: cancel_job(self, job) },
+            },
+            ClientRequest::Reclaim { job } => match self.fenced(conn) {
+                Some(epoch) => ServerReply::Fenced { epoch },
+                None => ServerReply::CancelResult { job, ok: reclaim_job(self, job) },
+            },
+            ClientRequest::Fleet => ServerReply::Error {
+                message: "not a gateway: connect ugd fleet to a ugd-gateway".into(),
+            },
+            ClientRequest::Status => ServerReply::Status { status: server_status(self) },
+            ClientRequest::Metrics => ServerReply::Metrics { report: metrics_report(self) },
             ClientRequest::Watch { job, from_seq } => {
-                stream_events(shared, &mut writer, job, from_seq)?;
+                let gone = |_| format!("unknown job {job}");
+                self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                return Ok(true);
             }
             ClientRequest::Shutdown => {
-                wire::write_msg(&mut writer, &ServerReply::<Sol>::ShuttingDown)?;
-                initiate_shutdown(shared);
-                return Ok(());
+                wire::write_msg(out, &ServerReply::<Sol>::ShuttingDown)?;
+                initiate_shutdown(self);
+                return Ok(false);
             }
-        }
+        };
+        wire::write_msg(out, &reply)?;
+        Ok(true)
     }
 }
 
@@ -2098,31 +1912,14 @@ fn submit_job<Inst: Serialize, Sub: Serialize, Sol: Clone>(
             },
             None => (None, 1, None),
         };
-        st.jobs.insert(
-            jid,
-            JobRecord {
-                spec,
-                state: JobState::Queued,
-                cancel: Arc::new(AtomicBool::new(false)),
-                inbox: None,
-                restart_from,
-                run_index,
-            },
-        );
+        st.jobs.insert(jid, JobRecord::queued(spec, restart_from, run_index));
         st.queue.push(jid);
         (jid, run_index, resumed_nodes)
     };
-    shared
-        .metrics
-        .counter_with(
-            "ugrs_server_jobs_submitted_total",
-            &[("family", &family)],
-            "Jobs accepted via Submit, by instance family",
-        )
-        .inc();
-    emit(shared, jid, JobEventKind::Queued);
+    shared.submitted(&family).inc();
+    shared.events.emit(jid, JobEventKind::Queued);
     if let Some(nodes_so_far) = resumed_nodes {
-        emit(shared, jid, JobEventKind::Recovered { run_index, nodes_so_far });
+        shared.events.emit(jid, JobEventKind::Recovered { run_index, nodes_so_far });
     }
     shared.sched.notify_all();
     Ok(jid)
@@ -2152,7 +1949,7 @@ fn reclaim_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job:
         .counter("ugrs_server_jobs_reclaimed_total", "Queued jobs taken back via Reclaim")
         .inc();
     record_job_finished(shared, job, JobState::Cancelled);
-    emit(shared, job, empty_finished(JobState::Cancelled, run_index));
+    shared.events.emit(job, empty_finished(JobState::Cancelled, run_index));
     shared.sched.notify_all();
     true
 }
@@ -2188,7 +1985,7 @@ fn cancel_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job: 
         Outcome::WasQueued { run_index } => {
             retire_ledger_record(shared, job);
             record_job_finished(shared, job, JobState::Cancelled);
-            emit(shared, job, empty_finished(JobState::Cancelled, run_index));
+            shared.events.emit(job, empty_finished(JobState::Cancelled, run_index));
             shared.sched.notify_all();
             true
         }
@@ -2301,48 +2098,6 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
     MetricsReport { text, jobs }
 }
 
-fn stream_events<Inst, Sub, Sol: WireType>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    writer: &mut TcpStream,
-    job: u64,
-    from_seq: usize,
-) -> io::Result<()> {
-    {
-        let logs = shared.events.lock().unwrap();
-        if !logs.contains_key(&job) {
-            return wire::write_msg(
-                writer,
-                &ServerReply::<Sol>::Error { message: format!("unknown job {job}") },
-            );
-        }
-    }
-    let mut next = from_seq;
-    loop {
-        let (batch, done_len) = {
-            let logs = shared.events.lock().unwrap();
-            let log = &logs[&job];
-            let batch: Vec<JobEvent<Sol>> =
-                log.events.get(next..).map(|s| s.to_vec()).unwrap_or_default();
-            let done_len = if log.done { Some(log.events.len()) } else { None };
-            (batch, done_len)
-        };
-        next += batch.len();
-        for event in batch {
-            wire::write_msg(writer, &ServerReply::<Sol>::Event { event })?;
-        }
-        // `done` means the Finished event is in the log; once everything
-        // up to the log's end is sent there is nothing more to stream.
-        if matches!(done_len, Some(len) if next >= len) {
-            return Ok(());
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let logs = shared.events.lock().unwrap();
-        let _ = shared.events_cv.wait_timeout(logs, Duration::from_millis(200)).unwrap();
-    }
-}
-
 // ---------------------------------------------------------------------
 // The worker side: a standing pool member
 // ---------------------------------------------------------------------
@@ -2363,16 +2118,7 @@ where
     S: BaseSolver + 'static,
     F: Fn(&Inst) -> SolverFactory<S>,
 {
-    let deadline = Instant::now() + config.handshake_timeout;
-    let stream = loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => break s,
-            Err(e) if Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    let stream = crate::process::dial(addr, config.handshake_timeout)?;
     wire::write_msg(
         &mut (&stream),
         &PoolHello {
@@ -2462,62 +2208,55 @@ where
         match down {
             PoolDown::Begin { job, instance } => current = Some((job, make_factory(&instance))),
             PoolDown::Ug { job, msg } => {
-                let (cur, factory) = match current.as_ref() {
-                    Some((c, f)) => (*c, f.clone()),
-                    None => continue,
-                };
-                if cur != job {
+                let Some((cur, factory)) = current.as_ref() else { continue };
+                if *cur != job {
                     continue; // stale frame of a finished job
                 }
-                match msg {
-                    Message::Terminate => {
-                        send_up(writer, &PoolUp::<S::Sub, S::Sol>::JobDone { job, worker });
-                        current = None;
-                    }
+                let uplink = JobUplink { writer, down_rx, job, worker };
+                let job_over = match msg {
+                    Message::Terminate => true,
                     Message::Subproblem { sub, incumbent, settings } => {
                         let settings = settings.unwrap_or_else(SolverSettings::default_bundle);
                         let mut solver = factory(worker as usize, &settings);
-                        let mut ctl = ServeCtl {
-                            writer,
-                            down_rx,
-                            job,
-                            worker,
-                            collect: false,
-                            abort: false,
-                            terminate_seen: false,
-                            pending_incumbent: incumbent,
-                            last_status: Instant::now(),
-                            status_interval,
-                        };
-                        let outcome = solver.solve_subproblem(
-                            &sub.sub,
-                            sub.dual_bound,
-                            ctl.pending_incumbent.clone().map(|p| p.0).as_ref(),
-                            &mut ctl,
-                        );
-                        let terminate_after = ctl.terminate_seen;
-                        send_up(
-                            writer,
-                            &PoolUp::Ug {
-                                job,
-                                worker,
-                                msg: Message::<S::Sub, S::Sol>::Completed {
-                                    rank: 0,
-                                    dual_bound: outcome.dual_bound.max(sub.dual_bound),
-                                    nodes: outcome.nodes,
-                                    aborted: outcome.aborted,
-                                },
-                            },
-                        );
-                        if terminate_after {
-                            send_up(writer, &PoolUp::<S::Sub, S::Sol>::JobDone { job, worker });
-                            current = None;
-                        }
+                        // Reports itself as rank 0 — the server rewrites.
+                        solve_and_report(&uplink, 0, &mut solver, sub, incumbent, status_interval)
                     }
-                    _ => {} // stale control while idle
+                    _ => false, // stale control while idle
+                };
+                if job_over {
+                    send_up(writer, &PoolUp::<S::Sub, S::Sol>::JobDone { job, worker });
+                    current = None;
                 }
             }
         }
+    }
+}
+
+/// The transport of a pool worker while it serves `job`: like the
+/// plain worker's, but frames travel as [`PoolUp::Ug`] tagged with the
+/// job id, and the downlink multiplexes [`PoolDown`] (job-tagged)
+/// instead of raw messages.
+struct JobUplink<'a, Inst, Sub, Sol> {
+    writer: &'a Mutex<TcpStream>,
+    down_rx: &'a Receiver<PoolDown<Inst, Sub, Sol>>,
+    job: u64,
+    worker: u64,
+}
+
+impl<Inst, Sub: Serialize, Sol: Serialize> Uplink<Sub, Sol> for JobUplink<'_, Inst, Sub, Sol> {
+    fn try_recv(&self) -> Option<Message<Sub, Sol>> {
+        loop {
+            // `Begin` mid-solve cannot happen (leases release on
+            // JobDone only); drop it and wrong-job frames defensively.
+            match self.down_rx.try_recv().ok()? {
+                PoolDown::Ug { job, msg } if job == self.job => return Some(msg),
+                _ => {}
+            }
+        }
+    }
+
+    fn send(&self, msg: Message<Sub, Sol>) -> bool {
+        send_up(self.writer, &PoolUp::Ug { job: self.job, worker: self.worker, msg })
     }
 }
 
@@ -2599,99 +2338,6 @@ fn pool_chaos_write<T: Serialize>(stream: &mut TcpStream, msg: &T) -> io::Result
     }
     stream.write_all(&frame)?;
     stream.flush()
-}
-
-/// [`ParaControl`] of a pool worker: like the plain worker's control
-/// surface, but frames travel as [`PoolUp::Ug`] tagged with the job id,
-/// and the downlink multiplexes [`PoolDown`] (job-tagged) instead of
-/// raw messages. Reports itself as rank 0 — the server rewrites.
-struct ServeCtl<'a, Inst, Sub, Sol> {
-    writer: &'a Mutex<TcpStream>,
-    down_rx: &'a Receiver<PoolDown<Inst, Sub, Sol>>,
-    job: u64,
-    worker: u64,
-    collect: bool,
-    abort: bool,
-    terminate_seen: bool,
-    pending_incumbent: Option<(Sol, f64)>,
-    last_status: Instant,
-    status_interval: Duration,
-}
-
-impl<Inst, Sub, Sol> ServeCtl<'_, Inst, Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
-    fn pump(&mut self) {
-        while let Ok(down) = self.down_rx.try_recv() {
-            // `Begin` mid-solve cannot happen (leases release on
-            // JobDone only); drop it and wrong-job frames defensively.
-            let PoolDown::Ug { job, msg } = down else { continue };
-            if job != self.job {
-                continue;
-            }
-            match msg {
-                Message::Incumbent { sol, obj } => {
-                    let better = self.pending_incumbent.as_ref().is_none_or(|(_, cur)| obj < *cur);
-                    if better {
-                        self.pending_incumbent = Some((sol, obj));
-                    }
-                }
-                Message::StartCollecting => self.collect = true,
-                Message::StopCollecting => self.collect = false,
-                Message::AbortSubproblem => self.abort = true,
-                Message::Terminate => {
-                    self.abort = true;
-                    self.terminate_seen = true;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn send(&self, msg: Message<Sub, Sol>) {
-        send_up(self.writer, &PoolUp::Ug { job: self.job, worker: self.worker, msg });
-    }
-}
-
-impl<Inst, Sub, Sol> ParaControl<Sub, Sol> for ServeCtl<'_, Inst, Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
-    fn should_abort(&mut self) -> bool {
-        self.pump();
-        self.abort
-    }
-
-    fn on_solution(&mut self, sol: Sol, obj: f64) {
-        self.send(Message::SolutionFound { rank: 0, sol, obj });
-    }
-
-    fn poll_incumbent(&mut self) -> Option<(Sol, f64)> {
-        self.pump();
-        self.pending_incumbent.take()
-    }
-
-    fn on_status(&mut self, dual_bound: f64, open: usize, nodes: u64) {
-        if self.last_status.elapsed() >= self.status_interval {
-            self.last_status = Instant::now();
-            self.send(Message::Status { rank: 0, dual_bound, open, nodes });
-        }
-    }
-
-    fn collect_requested(&mut self) -> bool {
-        self.pump();
-        self.collect
-    }
-
-    fn export_subproblem(&mut self, sub: Sub, dual_bound: f64) {
-        self.send(Message::ExportedNode {
-            rank: 0,
-            sub: crate::messages::SubproblemMsg { sub, dual_bound },
-        });
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -66,9 +66,32 @@ pub trait BaseSolver: Send {
 pub type SolverFactory<S> =
     std::sync::Arc<dyn Fn(usize, &SolverSettings) -> S + Send + Sync + 'static>;
 
+/// What a ParaSolver needs from its transport while it solves: poll
+/// for control messages, send upward. Implemented by [`WorkerComm`]
+/// and by the per-job endpoint of a pool worker ([`crate::server`]).
+pub(crate) trait Uplink<Sub, Sol> {
+    /// Non-blocking receive of the next message for this solver.
+    fn try_recv(&self) -> Option<Message<Sub, Sol>>;
+    /// Sends upward to the LoadCoordinator.
+    fn send(&self, msg: Message<Sub, Sol>) -> bool;
+}
+
+impl<Sub, Sol> Uplink<Sub, Sol> for WorkerComm<Sub, Sol>
+where
+    Sub: serde::Serialize + serde::de::DeserializeOwned,
+    Sol: serde::Serialize + serde::de::DeserializeOwned,
+{
+    fn try_recv(&self) -> Option<Message<Sub, Sol>> {
+        WorkerComm::try_recv(self)
+    }
+    fn send(&self, msg: Message<Sub, Sol>) -> bool {
+        WorkerComm::send(self, msg)
+    }
+}
+
 /// The concrete [`ParaControl`] wired to the communicator.
-pub struct WorkerCtl<'a, Sub, Sol> {
-    comm: &'a WorkerComm<Sub, Sol>,
+struct WorkerCtl<'a, C, Sol> {
+    comm: &'a C,
     rank: usize,
     collect: bool,
     abort: bool,
@@ -79,27 +102,12 @@ pub struct WorkerCtl<'a, Sub, Sol> {
     exported: u64,
 }
 
-impl<'a, Sub, Sol> WorkerCtl<'a, Sub, Sol>
-where
-    Sub: serde::Serialize + serde::de::DeserializeOwned,
-    Sol: serde::Serialize + serde::de::DeserializeOwned,
-{
-    fn new(comm: &'a WorkerComm<Sub, Sol>, rank: usize, status_interval: Duration) -> Self {
-        WorkerCtl {
-            comm,
-            rank,
-            collect: false,
-            abort: false,
-            terminate_seen: false,
-            pending_incumbent: None,
-            last_status: Instant::now(),
-            status_interval,
-            exported: 0,
-        }
-    }
-
+impl<C, Sol> WorkerCtl<'_, C, Sol> {
     /// Drains pending control messages.
-    fn pump(&mut self) {
+    fn pump<Sub>(&mut self)
+    where
+        C: Uplink<Sub, Sol>,
+    {
         while let Some(msg) = self.comm.try_recv() {
             match msg {
                 Message::Incumbent { sol, obj } => {
@@ -122,11 +130,7 @@ where
     }
 }
 
-impl<Sub, Sol> ParaControl<Sub, Sol> for WorkerCtl<'_, Sub, Sol>
-where
-    Sub: serde::Serialize + serde::de::DeserializeOwned,
-    Sol: serde::Serialize + serde::de::DeserializeOwned,
-{
+impl<C: Uplink<Sub, Sol>, Sub, Sol> ParaControl<Sub, Sol> for WorkerCtl<'_, C, Sol> {
     fn should_abort(&mut self) -> bool {
         self.pump();
         self.abort
@@ -227,6 +231,43 @@ where
     }
 }
 
+/// Solves one received subproblem on `solver` and reports `Completed`
+/// under `rank`, relaying control traffic over `comm` meanwhile.
+/// Returns true when `Terminate` arrived during the solve.
+pub(crate) fn solve_and_report<S: BaseSolver, C: Uplink<S::Sub, S::Sol>>(
+    comm: &C,
+    rank: usize,
+    solver: &mut S,
+    sub: SubproblemMsg<S::Sub>,
+    incumbent: Option<(S::Sol, f64)>,
+    status_interval: Duration,
+) -> bool {
+    let mut ctl = WorkerCtl {
+        comm,
+        rank,
+        collect: false,
+        abort: false,
+        terminate_seen: false,
+        pending_incumbent: incumbent,
+        last_status: Instant::now(),
+        status_interval,
+        exported: 0,
+    };
+    let outcome = solver.solve_subproblem(
+        &sub.sub,
+        sub.dual_bound,
+        ctl.pending_incumbent.clone().map(|p| p.0).as_ref(),
+        &mut ctl,
+    );
+    comm.send(Message::Completed {
+        rank,
+        dual_bound: outcome.dual_bound.max(sub.dual_bound),
+        nodes: outcome.nodes,
+        aborted: outcome.aborted,
+    });
+    ctl.terminate_seen
+}
+
 /// The worker main loop (Algorithm 2): waits for subproblems, solves
 /// them with a freshly constructed base-solver instance, reports
 /// completion; exits on `Terminate`.
@@ -243,24 +284,7 @@ pub fn worker_loop<S: BaseSolver>(
             Message::Subproblem { sub, incumbent, settings } => {
                 let settings = settings.unwrap_or_else(SolverSettings::default_bundle);
                 let mut solver = factory(rank, &settings);
-                let mut ctl = WorkerCtl::new(&comm, rank, status_interval);
-                if let Some((sol, obj)) = incumbent {
-                    ctl.pending_incumbent = Some((sol, obj));
-                }
-                let outcome = solver.solve_subproblem(
-                    &sub.sub,
-                    sub.dual_bound,
-                    ctl.pending_incumbent.clone().map(|p| p.0).as_ref(),
-                    &mut ctl,
-                );
-                let terminate_after = ctl.terminate_seen;
-                comm.send(Message::Completed {
-                    rank,
-                    dual_bound: outcome.dual_bound.max(sub.dual_bound),
-                    nodes: outcome.nodes,
-                    aborted: outcome.aborted,
-                });
-                if terminate_after {
+                if solve_and_report(&comm, rank, &mut solver, sub, incumbent, status_interval) {
                     return;
                 }
             }

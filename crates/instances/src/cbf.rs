@@ -3,11 +3,11 @@
 //! The dialect is exactly what `ugrs_misdp::cbf::write_cbf` emits —
 //! `VER`, `OBJSENSE`, `VAR` (F/L+/L− cones), `INT`, `BOUNDS` (extension:
 //! `idx lb ub`), `OBJACOORD`, `PSDCON`, `HCOORD` (with H = −A),
-//! `DCOORD` (D = C) and `LROWS` — but unlike the lenient reader in
-//! `ugrs-misdp`, every rejection here is diagnosed with line and column,
-//! sections may appear at most once, indices are range-checked at the
-//! line that uses them, and duplicate coordinate entries are errors
-//! rather than silent overwrites.
+//! `DCOORD` (D = C) and `LROWS`. This is the one reader of the dialect:
+//! every rejection is diagnosed with line and column, sections may
+//! appear at most once, indices are range-checked at the line that uses
+//! them, and duplicate coordinate entries are errors rather than silent
+//! overwrites.
 
 use crate::error::{parse_finite, parse_no_nan, LineTokens, ParseError, ReadError};
 use std::collections::HashSet;
@@ -438,26 +438,17 @@ pub fn problems_equal(a: &MisdpProblem, b: &MisdpProblem) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ugrs_misdp::gen::{cardinality_ls, truss_topology};
+    use ugrs_misdp::gen::{cardinality_ls, min_k_partitioning, truss_topology};
 
     #[test]
     fn round_trips_generated_instances() {
-        for p in [truss_topology(3, 4, 1), cardinality_ls(3, 2, 2)] {
+        for p in [truss_topology(3, 4, 1), cardinality_ls(3, 2, 2), min_k_partitioning(4, 2, 3)] {
             let text = write_cbf(&p);
             let q = parse_cbf(&text, "rt").unwrap();
             assert!(problems_equal(&p, &q), "round trip changed {}", p.name);
             // And the canonical writer is a fixed point.
             assert_eq!(write_cbf(&q), text);
         }
-    }
-
-    #[test]
-    fn agrees_with_lenient_reader() {
-        let p = truss_topology(3, 4, 7);
-        let text = write_cbf(&p);
-        let lenient = ugrs_misdp::cbf::parse_cbf(&text).unwrap();
-        let strict = parse_cbf(&text, "x").unwrap();
-        assert!(problems_equal(&lenient, &strict));
     }
 
     #[test]

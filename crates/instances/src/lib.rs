@@ -20,9 +20,9 @@
 //! All parsers are *strict*: counts must match, indices are
 //! range-checked, and every rejection is a [`ParseError`] naming the
 //! line (and usually column) at fault — never a panic, never a silent
-//! misread. The lenient readers in `ugrs-steiner`/`ugrs-misdp` remain
-//! for tolerant ingestion; this crate is the validating front door the
-//! `ug-instances` CLI and the serve path use.
+//! misread. They are the workspace's only readers of these formats:
+//! `ug-instances`, `ugd submit --file`, the examples and the benchmark
+//! all come through here.
 
 pub mod catalog;
 pub mod cbf;

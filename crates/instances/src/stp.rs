@@ -1,10 +1,9 @@
 //! Strict SteinLib/OR-Library `.stp` I/O.
 //!
-//! The lenient reader in `ugrs_steiner::stp` tolerates almost anything
-//! around the `Nodes`/`E`/`T` lines; this module is its opposite: a
-//! section-aware parser that enforces the SteinLib skeleton (magic line,
-//! `SECTION … END` blocks, declared counts matching the data lines, a
-//! final `EOF`) and diagnoses every rejection with line and column. The
+//! The one `.stp` reader of the workspace: a section-aware parser that
+//! enforces the SteinLib skeleton (magic line, `SECTION … END` blocks,
+//! declared counts matching the data lines, a final `EOF`) and
+//! diagnoses every rejection with line and column. The
 //! writer emits exactly the dialect the parser accepts, so
 //! `parse(write(x)) == x` holds structurally — the round-trip property
 //! the proptests pin down.
@@ -423,14 +422,5 @@ mod tests {
     fn rejects_nan_cost() {
         let text = tiny().write().replace("E 1 2 1.5", "E 1 2 NaN");
         assert!(parse_stp(&text).unwrap_err().msg.contains("finite"));
-    }
-
-    #[test]
-    fn lenient_reader_accepts_our_output() {
-        // The strict writer's dialect must stay readable by the solver's
-        // lenient `.stp` reader (ugd submit uses it).
-        let g = ugrs_steiner::stp::parse_stp(&tiny().write()).unwrap();
-        assert_eq!(g.num_nodes(), 3);
-        assert_eq!(g.num_terminals(), 2);
     }
 }

@@ -1,49 +1,17 @@
-//! CBF-lite I/O: a reader/writer for the subset of the Conic Benchmark
+//! CBF-lite output: the writer for the subset of the Conic Benchmark
 //! Format (CBLIB's format, [Friberg 2016]) that MISDPs of form (8) need.
 //!
-//! Supported sections: `VER`, `OBJSENSE`, `VAR` (with `F`/`L+`/`L-`
-//! domains folded into bounds), `INT`, `PSDCON` (one entry per block
-//! dimension), `OBJACOORD` (objective), `ACOORD`-style linear rows via
-//! `CON`/`LCOORD`/`LRHS` (simplified), and the PSD coefficient sections
-//! `HCOORD` (variable k, block b, row i, col j, value) and `DCOORD`
-//! (block constants). This covers everything our generators and solver
-//! need; exotic CBF features (power cones etc.) are rejected loudly.
+//! Sections written: `VER`, `OBJSENSE`, `VAR`, `INT`, `BOUNDS`
+//! (extension: `idx lb ub`), `OBJACOORD` (objective), `PSDCON` (one
+//! entry per block dimension), the PSD coefficient sections `HCOORD`
+//! (variable k, block b, row i, col j, value) and `DCOORD` (block
+//! constants), and `LROWS` (linear rows).
 //!
-//! The writer emits exactly the dialect the reader accepts, so generated
-//! instances can be exported, inspected and re-imported.
+//! The one reader of this dialect is the strict parser
+//! `ugrs_instances::cbf::parse_cbf`, so generated instances can be
+//! exported, inspected and re-imported.
 
 use crate::model::MisdpProblem;
-use ugrs_linalg::Matrix;
-use ugrs_sdp::SdpBlock;
-
-/// Errors from CBF parsing.
-#[derive(Debug)]
-pub enum CbfError {
-    Io(std::io::Error),
-    Parse(String),
-}
-
-impl std::fmt::Display for CbfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CbfError::Io(e) => write!(f, "io error: {e}"),
-            CbfError::Parse(s) => write!(f, "cbf parse error: {s}"),
-        }
-    }
-}
-impl std::error::Error for CbfError {}
-impl From<std::io::Error> for CbfError {
-    fn from(e: std::io::Error) -> Self {
-        CbfError::Io(e)
-    }
-}
-
-/// `(lhs, rhs, sparse coefficients)` of a parsed linear row.
-type LinearRow = (f64, f64, Vec<(usize, f64)>);
-
-fn perr(msg: impl Into<String>) -> CbfError {
-    CbfError::Parse(msg.into())
-}
 
 /// Writes a problem in CBF-lite text.
 pub fn write_cbf(p: &MisdpProblem) -> String {
@@ -126,332 +94,4 @@ pub fn write_cbf(p: &MisdpProblem) -> String {
         writeln!(s).unwrap();
     }
     s
-}
-
-/// Parses CBF-lite text into a problem.
-pub fn parse_cbf(text: &str) -> Result<MisdpProblem, CbfError> {
-    let mut tokens: Vec<&str> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        tokens.push(line);
-    }
-    let mut pos = 0usize;
-    let mut m = 0usize;
-    let mut maximize = true;
-    let mut integers: Vec<usize> = Vec::new();
-    let mut bounds: Vec<(usize, f64, f64)> = Vec::new();
-    let mut obj: Vec<(usize, f64)> = Vec::new();
-    let mut dims: Vec<usize> = Vec::new();
-    let mut hcoords: Vec<(usize, usize, usize, usize, f64)> = Vec::new();
-    let mut dcoords: Vec<(usize, usize, usize, f64)> = Vec::new();
-    let mut lrows: Vec<LinearRow> = Vec::new();
-
-    let next = |pos: &mut usize, tokens: &[&str]| -> Result<String, CbfError> {
-        let t = tokens.get(*pos).ok_or_else(|| perr("unexpected end of file"))?;
-        *pos += 1;
-        Ok(t.to_string())
-    };
-
-    while pos < tokens.len() {
-        let section = next(&mut pos, &tokens)?;
-        match section.as_str() {
-            "VER" => {
-                let _ = next(&mut pos, &tokens)?;
-            }
-            "OBJSENSE" => {
-                let s = next(&mut pos, &tokens)?;
-                maximize = s.eq_ignore_ascii_case("MAX");
-            }
-            "VAR" => {
-                let header = next(&mut pos, &tokens)?;
-                let mut it = header.split_whitespace();
-                m = it
-                    .next()
-                    .ok_or_else(|| perr("VAR needs a count"))?
-                    .parse()
-                    .map_err(|e| perr(format!("bad VAR count: {e}")))?;
-                let ncones: usize = it
-                    .next()
-                    .ok_or_else(|| perr("VAR needs a cone count"))?
-                    .parse()
-                    .map_err(|e| perr(format!("bad cone count: {e}")))?;
-                let mut seen = 0usize;
-                for _ in 0..ncones {
-                    let cone = next(&mut pos, &tokens)?;
-                    let mut it = cone.split_whitespace();
-                    let kind = it.next().ok_or_else(|| perr("empty cone line"))?.to_string();
-                    let len: usize = it
-                        .next()
-                        .ok_or_else(|| perr("cone needs a length"))?
-                        .parse()
-                        .map_err(|e| perr(format!("bad cone length: {e}")))?;
-                    match kind.as_str() {
-                        "F" => {}
-                        "L+" => {
-                            for i in seen..seen + len {
-                                bounds.push((i, 0.0, 1e9));
-                            }
-                        }
-                        "L-" => {
-                            for i in seen..seen + len {
-                                bounds.push((i, -1e9, 0.0));
-                            }
-                        }
-                        other => return Err(perr(format!("unsupported cone `{other}`"))),
-                    }
-                    seen += len;
-                }
-            }
-            "INT" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad INT count: {e}")))?;
-                for _ in 0..n {
-                    integers.push(
-                        next(&mut pos, &tokens)?
-                            .parse()
-                            .map_err(|e| perr(format!("bad INT index: {e}")))?,
-                    );
-                }
-            }
-            "BOUNDS" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad BOUNDS count: {e}")))?;
-                for _ in 0..n {
-                    let line = next(&mut pos, &tokens)?;
-                    let v: Vec<&str> = line.split_whitespace().collect();
-                    if v.len() != 3 {
-                        return Err(perr("BOUNDS line needs `idx lb ub`"));
-                    }
-                    bounds.push((
-                        v[0].parse().map_err(|e| perr(format!("bad index: {e}")))?,
-                        v[1].parse().map_err(|e| perr(format!("bad lb: {e}")))?,
-                        v[2].parse().map_err(|e| perr(format!("bad ub: {e}")))?,
-                    ));
-                }
-            }
-            "OBJACOORD" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad OBJACOORD count: {e}")))?;
-                for _ in 0..n {
-                    let line = next(&mut pos, &tokens)?;
-                    let v: Vec<&str> = line.split_whitespace().collect();
-                    if v.len() != 2 {
-                        return Err(perr("OBJACOORD line needs `idx value`"));
-                    }
-                    obj.push((
-                        v[0].parse().map_err(|e| perr(format!("bad index: {e}")))?,
-                        v[1].parse().map_err(|e| perr(format!("bad value: {e}")))?,
-                    ));
-                }
-            }
-            "PSDCON" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad PSDCON count: {e}")))?;
-                for _ in 0..n {
-                    dims.push(
-                        next(&mut pos, &tokens)?
-                            .parse()
-                            .map_err(|e| perr(format!("bad PSDCON dim: {e}")))?,
-                    );
-                }
-            }
-            "HCOORD" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad HCOORD count: {e}")))?;
-                for _ in 0..n {
-                    let line = next(&mut pos, &tokens)?;
-                    let v: Vec<&str> = line.split_whitespace().collect();
-                    if v.len() != 5 {
-                        return Err(perr("HCOORD line needs 5 fields"));
-                    }
-                    hcoords.push((
-                        v[0].parse().map_err(|e| perr(format!("bad var: {e}")))?,
-                        v[1].parse().map_err(|e| perr(format!("bad block: {e}")))?,
-                        v[2].parse().map_err(|e| perr(format!("bad row: {e}")))?,
-                        v[3].parse().map_err(|e| perr(format!("bad col: {e}")))?,
-                        v[4].parse().map_err(|e| perr(format!("bad value: {e}")))?,
-                    ));
-                }
-            }
-            "DCOORD" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad DCOORD count: {e}")))?;
-                for _ in 0..n {
-                    let line = next(&mut pos, &tokens)?;
-                    let v: Vec<&str> = line.split_whitespace().collect();
-                    if v.len() != 4 {
-                        return Err(perr("DCOORD line needs 4 fields"));
-                    }
-                    dcoords.push((
-                        v[0].parse().map_err(|e| perr(format!("bad block: {e}")))?,
-                        v[1].parse().map_err(|e| perr(format!("bad row: {e}")))?,
-                        v[2].parse().map_err(|e| perr(format!("bad col: {e}")))?,
-                        v[3].parse().map_err(|e| perr(format!("bad value: {e}")))?,
-                    ));
-                }
-            }
-            "LROWS" => {
-                let n: usize = next(&mut pos, &tokens)?
-                    .parse()
-                    .map_err(|e| perr(format!("bad LROWS count: {e}")))?;
-                for _ in 0..n {
-                    let line = next(&mut pos, &tokens)?;
-                    let v: Vec<&str> = line.split_whitespace().collect();
-                    if v.len() < 3 {
-                        return Err(perr("LROWS line needs `lhs rhs n [idx coef]...`"));
-                    }
-                    let lhs: f64 = v[0].parse().map_err(|e| perr(format!("bad lhs: {e}")))?;
-                    let rhs: f64 = v[1].parse().map_err(|e| perr(format!("bad rhs: {e}")))?;
-                    let k: usize = v[2].parse().map_err(|e| perr(format!("bad count: {e}")))?;
-                    if v.len() != 3 + 2 * k {
-                        return Err(perr("LROWS line has wrong term count"));
-                    }
-                    let mut terms = Vec::with_capacity(k);
-                    for t in 0..k {
-                        terms.push((
-                            v[3 + 2 * t].parse().map_err(|e| perr(format!("bad idx: {e}")))?,
-                            v[4 + 2 * t].parse().map_err(|e| perr(format!("bad coef: {e}")))?,
-                        ));
-                    }
-                    lrows.push((lhs, rhs, terms));
-                }
-            }
-            other => return Err(perr(format!("unsupported section `{other}`"))),
-        }
-    }
-
-    if m == 0 {
-        return Err(perr("no VAR section"));
-    }
-    let mut p = MisdpProblem::new("cbf", m);
-    if !maximize {
-        // Internal form maximizes; flip the objective.
-        for (_, v) in obj.iter_mut() {
-            *v = -*v;
-        }
-    }
-    for (i, v) in obj {
-        if i >= m {
-            return Err(perr("objective index out of range"));
-        }
-        p.b[i] = v;
-    }
-    for (i, l, u) in bounds {
-        if i >= m {
-            return Err(perr("bound index out of range"));
-        }
-        p.lb[i] = l;
-        p.ub[i] = u;
-    }
-    for i in integers {
-        if i >= m {
-            return Err(perr("integer index out of range"));
-        }
-        p.integer[i] = true;
-    }
-    let mut blocks: Vec<SdpBlock> = dims.iter().map(|&d| SdpBlock::new(d, m)).collect();
-    for (b, r, c, v) in dcoords {
-        let blk = blocks.get_mut(b).ok_or_else(|| perr("DCOORD block out of range"))?;
-        if r >= blk.dim || c >= blk.dim {
-            return Err(perr("DCOORD entry out of range"));
-        }
-        blk.c[(r, c)] = v;
-        blk.c[(c, r)] = v;
-    }
-    // H = −A: accumulate into dense A matrices.
-    let mut amats: Vec<Vec<Option<Matrix>>> = dims.iter().map(|&_d| vec![None; m]).collect();
-    for (var, b, r, c, v) in hcoords {
-        if var >= m {
-            return Err(perr("HCOORD var out of range"));
-        }
-        let dim = *dims.get(b).ok_or_else(|| perr("HCOORD block out of range"))?;
-        if r >= dim || c >= dim {
-            return Err(perr("HCOORD entry out of range"));
-        }
-        let slot = &mut amats[b][var];
-        let mat = slot.get_or_insert_with(|| Matrix::zeros(dim, dim));
-        mat[(r, c)] = -v;
-        mat[(c, r)] = -v;
-    }
-    for (b, vars) in amats.into_iter().enumerate() {
-        for (var, mat) in vars.into_iter().enumerate() {
-            if let Some(mat) = mat {
-                blocks[b].set_a(var, mat);
-            }
-        }
-    }
-    for blk in blocks {
-        p.blocks.push(blk);
-    }
-    for (lhs, rhs, terms) in lrows {
-        for (i, _) in &terms {
-            if *i >= m {
-                return Err(perr("LROWS index out of range"));
-            }
-        }
-        p.lin.push(ugrs_sdp::LinRow { lhs, rhs, terms });
-    }
-    Ok(p)
-}
-
-/// Reads a CBF-lite file.
-pub fn read_cbf(path: &std::path::Path) -> Result<MisdpProblem, CbfError> {
-    let text = std::fs::read_to_string(path)?;
-    parse_cbf(&text)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gen::{cardinality_ls, min_k_partitioning, truss_topology};
-
-    fn round_trip(p: &MisdpProblem) {
-        let text = write_cbf(p);
-        let q = parse_cbf(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
-        assert_eq!(q.m, p.m);
-        assert_eq!(q.integer, p.integer);
-        assert_eq!(q.b, p.b);
-        assert_eq!(q.blocks.len(), p.blocks.len());
-        assert_eq!(q.lin.len(), p.lin.len());
-        // Semantics: feasibility of reference points must agree.
-        let mid: Vec<f64> =
-            (0..p.m).map(|i| 0.5 * (p.lb[i] + p.ub[i]).clamp(-10.0, 10.0)).collect();
-        assert_eq!(p.is_feasible(&mid, 1e-7), q.is_feasible(&mid, 1e-7));
-        let ones: Vec<f64> = (0..p.m).map(|i| p.ub[i].min(1.0)).collect();
-        assert_eq!(p.is_feasible(&ones, 1e-7), q.is_feasible(&ones, 1e-7));
-    }
-
-    #[test]
-    fn generated_families_round_trip() {
-        round_trip(&truss_topology(3, 6, 1));
-        round_trip(&cardinality_ls(5, 2, 2));
-        round_trip(&min_k_partitioning(4, 2, 3));
-    }
-
-    #[test]
-    fn rejects_unknown_sections() {
-        assert!(parse_cbf("POWCONES\n1\n").is_err());
-    }
-
-    #[test]
-    fn rejects_out_of_range_indices() {
-        let text = "VER\n3\nVAR\n2 1\nF 2\nOBJACOORD\n1\n5 1.0\n";
-        assert!(parse_cbf(text).is_err());
-    }
-
-    #[test]
-    fn minimization_objective_is_flipped() {
-        let text = "VER\n3\nOBJSENSE\nMIN\nVAR\n1 1\nF 1\nOBJACOORD\n1\n0 2.0\n";
-        let p = parse_cbf(text).unwrap();
-        assert_eq!(p.b[0], -2.0); // internal sense maximizes
-    }
 }

@@ -25,9 +25,9 @@
 //! `ugrs-cip` framework; `ugrs-glue` exposes the same plugin set to UG for
 //! the parallel runs of §4.1.
 //!
-//! Instances can be read from SteinLib `.stp` files ([`stp`]) or generated
-//! as PUC-like families ([`gen`]): hypercube `hc`, code covering `cc` and
-//! bipartite `bip` instances.
+//! Instances are generated as PUC-like families ([`gen`]): hypercube
+//! `hc`, code covering `cc` and bipartite `bip` instances; SteinLib
+//! `.stp` files are read by `ugrs_instances::stp`.
 
 pub mod dualascent;
 pub mod gen;
@@ -38,7 +38,6 @@ pub mod plugins;
 pub mod reduce;
 pub mod sap;
 pub mod solver;
-pub mod stp;
 pub mod tree;
 pub mod util;
 pub mod variants;

@@ -6,7 +6,6 @@ use ugrs_steiner::dualascent::dual_ascent;
 use ugrs_steiner::heur::{real_weights, tm_best, tree_from_vertices};
 use ugrs_steiner::reduce::{reduce, ReduceParams};
 use ugrs_steiner::sap::SapGraph;
-use ugrs_steiner::stp::{parse_stp, write_stp};
 use ugrs_steiner::{Graph, SteinerOptions, SteinerSolver};
 
 /// Random connected graph: a spanning-tree backbone plus extra edges;
@@ -122,16 +121,5 @@ proptest! {
         prop_assert!((cost - expected).abs() < 1e-6, "solver {} vs oracle {}", cost, expected);
         prop_assert!(res.tree.unwrap().is_valid(&g));
         prop_assert!((res.dual_bound - expected).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stp_io_round_trip(spg in random_spg()) {
-        let g = build(&spg);
-        let text = write_stp(&g, "prop");
-        let g2 = parse_stp(&text).unwrap();
-        prop_assert_eq!(g2.num_nodes(), g.num_nodes());
-        prop_assert_eq!(g2.num_alive_edges(), g.num_alive_edges());
-        prop_assert_eq!(g2.num_terminals(), g.num_terminals());
-        prop_assert!((brute_force(&g2) - brute_force(&g)).abs() < 1e-9);
     }
 }

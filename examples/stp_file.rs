@@ -6,8 +6,8 @@
 //! Without arguments, a built-in sample instance is solved instead.
 
 use ugrs::glue::ug_solve_stp;
+use ugrs::instances::stp::{parse_stp, read_stp};
 use ugrs::steiner::reduce::ReduceParams;
-use ugrs::steiner::stp::{parse_stp, read_stp};
 use ugrs::ug::ParallelOptions;
 
 const SAMPLE: &str = "\
@@ -36,11 +36,11 @@ EOF
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let graph = match args.first() {
+    let instance = match args.first() {
         Some(path) => match read_stp(std::path::Path::new(path)) {
-            Ok(g) => {
+            Ok(i) => {
                 println!("read {}", path);
-                g
+                i
             }
             Err(e) => {
                 eprintln!("failed to read {path}: {e}");
@@ -52,6 +52,7 @@ fn main() {
             parse_stp(SAMPLE).expect("sample parses")
         }
     };
+    let graph = instance.to_graph();
     let threads: usize = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(2);
     println!(
         "instance: {} vertices, {} edges, {} terminals; solving with {threads} ParaSolvers",

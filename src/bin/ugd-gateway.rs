@@ -34,35 +34,11 @@
 //! shard checkpoints (same host or shared filesystem); without it, a
 //! dead shard's running jobs restart from scratch instead of resuming.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use ugrs_core::chaos::{ChaosProfile, FaultPlan};
 use ugrs_core::gateway::{GatewayConfig, ShardSpec, TenantQuota};
+use ugrs_core::rpc::wait_for_shutdown_or_sigterm;
 use ugrs_glue::SolveGateway;
-
-/// Set by the SIGTERM handler; polled by the main loop. A signal
-/// handler may only do async-signal-safe work, and a relaxed store to a
-/// static atomic is exactly that.
-static SIGTERM_RECEIVED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_sigterm(_sig: i32) {
-    SIGTERM_RECEIVED.store(true, Ordering::Relaxed);
-}
-
-/// Installs the SIGTERM handler via the C `signal()` entry point that
-/// libc (already linked by std) exports — no new dependency.
-fn install_sigterm_handler() {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn signal(signum: i32, handler: *const ()) -> *const ();
-        }
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGTERM, on_sigterm as *const ());
-        }
-    }
-}
 
 fn parse_shard(arg: &str) -> Result<ShardSpec, String> {
     // name=host:port[:state_dir] or name=[v6]:port[:state_dir]. The
@@ -261,21 +237,10 @@ fn main() {
     if total > 0 {
         println!("ugd-gateway recovered {total} jobs ({resumed} resuming from a checkpoint)");
     }
-    install_sigterm_handler();
-    // Poll instead of blocking in join(): the SIGTERM flag must be able
-    // to interrupt the wait.
-    while !gateway.shutdown_requested() && !SIGTERM_RECEIVED.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    if SIGTERM_RECEIVED.load(Ordering::Relaxed) && !gateway.shutdown_requested() {
-        // A supervisor that sent the SIGTERM may have closed our
-        // stdout already — a failed progress line must not abort the
-        // drain (println! would panic on EPIPE).
-        use std::io::Write as _;
-        let _ = writeln!(
-            std::io::stdout(),
-            "ugd-gateway: SIGTERM — draining (refusing new submits, handing the lease over)"
-        );
+    if wait_for_shutdown_or_sigterm(
+        || gateway.shutdown_requested(),
+        "ugd-gateway: SIGTERM — draining (refusing new submits, handing the lease over)",
+    ) {
         gateway.drain(drain_timeout);
     }
     gateway.shutdown_and_join();

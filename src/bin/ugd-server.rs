@@ -12,7 +12,7 @@
 //!            [--pool-size 4] [--max-jobs 2] [--worker <path>]
 //!            [--status-interval 0.05] [--handicap-ms 0]
 //!            [--journal-dir <dir>] [--state-dir <dir>] [--compress-state]
-//!            [--checkpoint-interval 1.0] [--codec v1|v2|v3]
+//!            [--checkpoint-interval 1.0] [--codec v2|v3]
 //!            [--adaptive [--tuner-refresh 32]]
 //! ```
 //!
@@ -21,9 +21,6 @@
 //! `--codec v2` is the operational rollback to JSON payloads, `v3`
 //! (the default) negotiates the binary codec per worker — a
 //! mid-upgrade pool mixes both freely. See `PROTOCOL.md`.
-//! `--batch-bytes` / `--batch-ms` tune the v3 writer-side frame
-//! batching caps (defaults 32768 / 1 ms); `--no-batch` writes every
-//! frame directly.
 //! `--compress-state` writes ledger records and checkpoints through
 //! the LZ container; reads always auto-detect, so the flag can be
 //! flipped between restarts over the same `--state-dir`.
@@ -57,34 +54,11 @@
 //! interrupted job as run `1.k`. This is what lets an operator (or an
 //! orchestrator's rolling restart) recycle a shard without losing work.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::Write as _;
 use ugrs_core::chaos::{ChaosConfig, ChaosProfile};
+use ugrs_core::rpc::wait_for_shutdown_or_sigterm;
 use ugrs_core::ServerConfig;
 use ugrs_glue::SolveServer;
-
-/// Set by the SIGTERM handler; polled by the main loop. A signal
-/// handler may only do async-signal-safe work, and a relaxed store to a
-/// static atomic is exactly that.
-static SIGTERM_RECEIVED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_sigterm(_sig: i32) {
-    SIGTERM_RECEIVED.store(true, Ordering::Relaxed);
-}
-
-/// Installs the SIGTERM handler via the C `signal()` entry point that
-/// libc (already linked by std) exports — no new dependency.
-fn install_sigterm_handler() {
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn signal(signum: i32, handler: *const ()) -> *const ();
-        }
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGTERM, on_sigterm as *const ());
-        }
-    }
-}
 
 struct Args {
     config: ServerConfig,
@@ -128,16 +102,6 @@ fn parse_args() -> Result<Args, String> {
             "--codec" => {
                 config.comm.max_protocol = ugrs_core::process::parse_codec_flag(&value("--codec")?)?
             }
-            "--batch-bytes" => {
-                let bytes = value("--batch-bytes")?.parse::<usize>().map_err(|e| format!("{e}"))?;
-                config.comm.batch.get_or_insert_with(Default::default).max_bytes = bytes;
-            }
-            "--batch-ms" => {
-                let ms = value("--batch-ms")?.parse::<f64>().map_err(|e| format!("{e}"))?;
-                config.comm.batch.get_or_insert_with(Default::default).max_delay =
-                    std::time::Duration::from_secs_f64(ms / 1000.0);
-            }
-            "--no-batch" => config.comm.batch = None,
             "--checkpoint-interval" => {
                 config.checkpoint_interval =
                     value("--checkpoint-interval")?.parse().map_err(|e| format!("{e}"))?
@@ -224,14 +188,14 @@ fn main() {
                  \x20       [--handicap-ms <ms>] [--journal-dir <dir>]\n\
                  \x20       [--state-dir <dir>] [--compress-state] [--checkpoint-interval <secs>]\n\
                  \x20       [--heartbeat-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
-                 \x20       [--codec v1|v2|v3] [--batch-bytes <n>] [--batch-ms <ms>] [--no-batch]\n\
+                 \x20       [--codec v2|v3]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\
                  \x20       [--adaptive [--tuner-refresh <jobs>]]\n\
                  \n\
                  --state-dir <dir>            durable job ledger + checkpoints; on restart,\n\
                  \x20                            unfinished jobs are requeued/resumed from here\n\
                  --compress-state             LZ-compress ledger records and checkpoints\n\
-                 --codec v1|v2|v3             cap the wire protocol spoken to workers (v2 = rollback)\n\
+                 --codec v2|v3                cap the wire protocol spoken to workers (v2 = rollback)\n\
                  --checkpoint-interval <secs> how often running jobs checkpoint (default 1.0)\n\
                  --adaptive                   race jobs under the mined tuner model in\n\
                  \x20                            <state-dir>/tuner (needs --state-dir)\n\
@@ -275,16 +239,12 @@ fn main() {
             dir.display()
         );
     }
-    install_sigterm_handler();
-    // Poll instead of blocking in join(): the SIGTERM flag must be able
-    // to interrupt the wait. 50 ms is invisible next to job runtimes.
-    while !server.shutdown_requested() && !SIGTERM_RECEIVED.load(Ordering::Relaxed) {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    if SIGTERM_RECEIVED.load(Ordering::Relaxed) && !server.shutdown_requested() {
-        println!("ugd-server: SIGTERM — draining (checkpointing running jobs, keeping ledger)");
+    if wait_for_shutdown_or_sigterm(
+        || server.shutdown_requested(),
+        "ugd-server: SIGTERM — draining (checkpointing running jobs, keeping ledger)",
+    ) {
         server.drain_and_join();
-        println!("ugd-server: drained");
+        let _ = writeln!(std::io::stdout(), "ugd-server: drained");
     } else {
         server.join();
     }

@@ -35,10 +35,8 @@
 //! `--heartbeat-ms` / `--handshake-ms` / `--liveness-ms` /
 //! `--reconnect-ms` tune the transport to match the coordinator's
 //! [`ProcessCommConfig`] instead of assuming defaults. `--codec
-//! v1|v2|v3` caps the wire protocol this worker advertises (the
-//! session speaks `min(both ends)`; see `PROTOCOL.md`), and
-//! `--batch-bytes` / `--batch-ms` / `--no-batch` tune or disable the
-//! v3 writer-side frame batching caps.
+//! v2|v3` caps the wire protocol this worker advertises (the session
+//! speaks `min(both ends)`; see `PROTOCOL.md`).
 //!
 //! The hidden `--chaos-seed <n>` / `--chaos-profile <name|json>` pair
 //! arms deterministic fault injection on the worker's outgoing frames
@@ -121,16 +119,6 @@ fn parse_args() -> Result<Args, String> {
             "--codec" => {
                 comm.max_protocol = ugrs_core::process::parse_codec_flag(&value("--codec")?)?
             }
-            "--batch-bytes" => {
-                let bytes = value("--batch-bytes")?.parse::<usize>().map_err(|e| e.to_string())?;
-                comm.batch.get_or_insert_with(Default::default).max_bytes = bytes;
-            }
-            "--batch-ms" => {
-                let ms = value("--batch-ms")?.parse::<f64>().map_err(|e| e.to_string())?;
-                comm.batch.get_or_insert_with(Default::default).max_delay =
-                    Duration::from_secs_f64(ms / 1000.0);
-            }
-            "--no-batch" => comm.batch = None,
             "--chaos-seed" => {
                 chaos_seed = Some(value("--chaos-seed")?.parse::<u64>().map_err(|e| e.to_string())?)
             }
@@ -173,7 +161,7 @@ fn main() {
                  \x20      ugd-worker --serve --connect <addr> [--pool-tag <t>]\n\
                  common: [--status-interval <secs>] [--handicap-ms <ms>]\n\
                  \x20       [--heartbeat-ms <ms>] [--handshake-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
-                 \x20       [--codec v1|v2|v3] [--batch-bytes <n>] [--batch-ms <ms>] [--no-batch]\n\
+                 \x20       [--codec v2|v3]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]"
             );
             std::process::exit(2);

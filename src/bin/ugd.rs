@@ -265,12 +265,12 @@ fn load_spec(path: &str, o: &Opts) -> SolveJobSpec {
     let ext = p.extension().and_then(|e| e.to_str()).unwrap_or("");
     let mut spec = match ext {
         "stp" => {
-            let graph = ugrs_steiner::stp::read_stp(p)
+            let instance = ugrs_instances::stp::read_stp(p)
                 .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-            stp_job(name, &graph, &ReduceParams::default())
+            stp_job(name, &instance.to_graph(), &ReduceParams::default())
         }
         "cbf" => {
-            let problem = ugrs_misdp::cbf::read_cbf(p)
+            let problem = ugrs_instances::cbf::read_cbf(p)
                 .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
             misdp_job(name, &problem)
         }
