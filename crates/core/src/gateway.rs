@@ -49,13 +49,16 @@
 
 use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
 use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
-use crate::rpc::{empty_finished, serve_clients, state_label, EventLog, RequestHandler};
+use crate::rpc::{
+    empty_finished, serve_clients, state_label, wake_listener, EventLog, RequestHandler,
+};
 use crate::server::{
-    fenced_epoch, ClientRequest, FleetStatus, JobClient, JobEvent, JobEventKind, JobSpec, JobState,
-    JobSummary, MetricsReport, ServerReply, ServerStatus, ShardSummary, SubmitOutcome, WireType,
+    cancel_outcome, fenced_epoch, fenced_io_error, submit_outcome, ClientRequest, FleetStatus,
+    JobClient, JobEvent, JobEventKind, JobSpec, JobState, JobSummary, MetricsReport, ServerReply,
+    ServerStatus, ShardSummary, SubmitOutcome, WireType,
 };
 use crate::telemetry::{self, MetricsRegistry};
-use crate::wire::{self, FrameDecoder};
+use crate::wire;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -390,10 +393,18 @@ impl<Inst, Sub> GwJob<Inst, Sub> {
 
 /// One dispatch-queue entry. `target` pins the destination (work
 /// stealing routes to the idle shard it chose); `None` lets rendezvous
-/// decide.
+/// decide. An entry whose submit failed is parked until `retry_at`
+/// while the dispatcher serves the entries behind it.
 struct Dispatch {
     gid: u64,
     target: Option<usize>,
+    retry_at: Option<Instant>,
+}
+
+impl Dispatch {
+    fn new(gid: u64, target: Option<usize>) -> Self {
+        Dispatch { gid, target, retry_at: None }
+    }
 }
 
 struct GwState<Inst, Sub> {
@@ -415,6 +426,33 @@ struct ShardHealth {
     /// Local ids of the shard's queued jobs at the last poll (steal
     /// victims are picked from these).
     queued_local: Vec<u64>,
+}
+
+/// Idle connections kept per shard; one returned beyond that is closed.
+const POOL_IDLE_MAX: usize = 8;
+
+/// Read timeout of a tracker's `Watch`: what lets it notice a route
+/// change while the stale shard's stream is silent.
+const WATCH_WAKE: Duration = Duration::from_millis(500);
+
+/// One gateway→shard connection out of a [`ShardPool`].
+struct ShardConn<Inst, Sub, Sol> {
+    client: JobClient<Inst, Sub, Sol>,
+    /// The lease epoch last announced on it (0 = none).
+    announced: u64,
+    /// Taken from the idle list, not dialled: a failure on first use
+    /// may only mean the shard closed it meanwhile (a restart).
+    reused: bool,
+}
+
+/// The idle gateway→shard connections of one shard. Every shard RPC
+/// but the health probe and the takeover path borrows from here and
+/// returns the connection after a *completed* exchange; a connection an
+/// exchange failed on, or whose stream was abandoned, is dropped.
+struct ShardPool<Inst, Sub, Sol> {
+    idle: Mutex<Vec<ShardConn<Inst, Sub, Sol>>>,
+    dials: Arc<telemetry::Counter>,
+    reused: Arc<telemetry::Counter>,
 }
 
 const REJECT_REASONS: [&str; 4] = ["quota", "capacity", "standby", "draining"];
@@ -477,6 +515,10 @@ struct HaInner {
 
 struct GwShared<Inst, Sub, Sol> {
     config: GatewayConfig,
+    /// The bound client listener: what [`Self::begin_shutdown`] dials.
+    client_addr: SocketAddr,
+    /// Per-shard connection pools, indexed like `config.shards`.
+    pools: Vec<ShardPool<Inst, Sub, Sol>>,
     state: Mutex<GwState<Inst, Sub>>,
     /// Wakes the dispatcher and trackers (new dispatch, new route).
     cv: Condvar,
@@ -527,6 +569,16 @@ struct GwShared<Inst, Sub, Sol> {
 impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
     fn is_primary(&self) -> bool {
         self.role_primary.load(Ordering::SeqCst)
+    }
+
+    /// Stops the gateway's own threads: the flag, then a wake-up for
+    /// everything that blocks — condvar waiters, watchers, the accept
+    /// loop.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+        self.events.wake();
+        wake_listener(self.client_addr);
     }
 
     /// The chaos gate every gateway→shard RPC passes first: injected
@@ -777,7 +829,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         let mut dispatch = VecDeque::new();
         for r in &recovered {
             jobs.insert(r.job, GwJob::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index));
-            dispatch.push_back(Dispatch { gid: r.job, target: None });
+            dispatch.push_back(Dispatch::new(r.job, None));
         }
         let inflight = jobs.len();
         let metrics = MetricsRegistry::new();
@@ -785,8 +837,29 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
             (Some(dir), n) if n > 0 => Some(crate::tuner::TunerService::open(dir, n, &metrics)),
             _ => None,
         };
+        let pools = config
+            .shards
+            .iter()
+            .map(|shard| {
+                let counter =
+                    |name, help| metrics.counter_with(name, &[("shard", &shard.name)], help);
+                ShardPool {
+                    idle: Mutex::new(Vec::new()),
+                    dials: counter(
+                        "ugrs_gateway_shard_dials_total",
+                        "Pooled shard connections opened",
+                    ),
+                    reused: counter(
+                        "ugrs_gateway_shard_conn_reused_total",
+                        "Shard RPCs served by an idle pooled connection",
+                    ),
+                }
+            })
+            .collect();
         let shared = Arc::new(GwShared {
             config,
+            client_addr,
+            pools,
             state: Mutex::new(GwState { jobs, dispatch, next_gid, inflight }),
             cv: Condvar::new(),
             events: EventLog::new(),
@@ -902,9 +975,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
     /// Stops the gateway's own threads. The shards keep running — a
     /// gateway is a routing tier, not the fleet's owner.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-        self.shared.events.wake();
+        self.shared.begin_shutdown();
     }
 
     /// [`Self::shutdown`] followed by joining every gateway thread
@@ -1162,7 +1233,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                             if let Some(cp) = shard_checkpoint(spec, route.local) {
                                 job.restart_from = Some(cp);
                             }
-                            st.dispatch.push_back(Dispatch { gid, target: None });
+                            st.dispatch.push_back(Dispatch::new(gid, None));
                             announce.push((gid, None));
                         }
                     }
@@ -1170,7 +1241,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                 _ => {
                     // Never routed (or a garbage shard index from a
                     // reconfigured fleet): plain requeue.
-                    st.dispatch.push_back(Dispatch { gid, target: None });
+                    st.dispatch.push_back(Dispatch::new(gid, None));
                     announce.push((gid, None));
                 }
             }
@@ -1430,7 +1501,7 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
             .map_or(1, |(run, _)| run + 1);
         let restart_from = spec.restart_from.clone();
         st.jobs.insert(gid, GwJob::queued(spec, restart_from, run_index));
-        st.dispatch.push_back(Dispatch { gid, target: None });
+        st.dispatch.push_back(Dispatch::new(gid, None));
     };
     shared.submitted(&family).inc();
     shared.events.emit(gid, JobEventKind::Queued);
@@ -1461,41 +1532,121 @@ fn pick_shard<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>, gid: u64) -> Op
     best.map(|(i, _)| i)
 }
 
-/// Opens a shard connection the HA-safe way: the chaos gate first,
-/// then the gateway-epoch announcement, so every mutating RPC on the
-/// connection carries this gateway's fencing token. A `Fenced` answer
-/// (a newer lease epoch exists) marks this gateway deposed.
-fn gw_connect<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &GwShared<Inst, Sub, Sol>,
-    addr: &str,
-) -> io::Result<JobClient<Inst, Sub, Sol>> {
-    shared.chaos_check()?;
-    let mut client = JobClient::connect_timeout(addr, shared.config.probe_timeout)?;
-    let epoch = shared.lease_epoch.load(Ordering::SeqCst);
-    if epoch > 0 {
-        if let Err(e) = client.announce_gateway_epoch(epoch) {
-            if let Some(newer) = fenced_epoch(&e) {
-                shared.note_fenced(newer);
+/// The shard connection pool (DESIGN §5f).
+impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
+    /// The pool's dial path, bounded by `probe_timeout`.
+    fn dial(&self, shard: usize) -> io::Result<ShardConn<Inst, Sub, Sol>> {
+        self.pools[shard].dials.inc();
+        let addr = &self.config.shards[shard].addr;
+        let client = JobClient::connect_timeout(addr, self.config.probe_timeout)?;
+        Ok(ShardConn { client, announced: 0, reused: false })
+    }
+
+    /// Borrows a connection to `shard` whose reads time out after
+    /// `read_timeout`: the chaos gate first, then an idle connection
+    /// or a fresh dial. Hand it back with [`Self::give_back`] after a
+    /// completed exchange; drop it otherwise.
+    fn borrow(
+        &self,
+        shard: usize,
+        read_timeout: Duration,
+    ) -> io::Result<ShardConn<Inst, Sub, Sol>> {
+        self.chaos_check()?;
+        let pool = &self.pools[shard];
+        let idle = pool.idle.lock().unwrap().pop();
+        let conn = match idle {
+            Some(conn) => {
+                pool.reused.inc();
+                ShardConn { reused: true, ..conn }
             }
-            return Err(e);
+            None => self.dial(shard)?,
+        };
+        conn.client.set_read_timeout(read_timeout)?;
+        Ok(conn)
+    }
+
+    fn give_back(&self, shard: usize, conn: ShardConn<Inst, Sub, Sol>) {
+        let mut idle = self.pools[shard].idle.lock().unwrap();
+        if idle.len() < POOL_IDLE_MAX {
+            idle.push(conn);
         }
     }
-    Ok(client)
-}
 
-/// Folds a shard RPC error into HA state: a `Fenced` answer (the shard
-/// already follows a newer lease epoch) deposes this gateway.
-fn note_rpc_error<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>, e: &io::Error) {
-    if let Some(newer) = fenced_epoch(e) {
-        shared.note_fenced(newer);
+    /// Whether `e` on `conn` may only say that a pooled connection went
+    /// stale (the shard closed it, typically by restarting) — a timeout
+    /// or a fencing refusal is the live shard's own answer. If so its
+    /// idle siblings, which date from the same shard process, are
+    /// dropped, and the caller retries once on a fresh dial before the
+    /// failure counts against the shard.
+    fn went_stale(&self, shard: usize, conn: &ShardConn<Inst, Sub, Sol>, e: &io::Error) -> bool {
+        let stale = conn.reused
+            && fenced_epoch(e).is_none()
+            && !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
+        if stale {
+            self.pools[shard].idle.lock().unwrap().clear();
+        }
+        stale
+    }
+
+    /// `req` on `conn` under this gateway's fencing token: the lease
+    /// epoch is announced on a connection before its first exchange,
+    /// and again once a promote has moved it. `Fenced` — to either —
+    /// comes back as the fencing error.
+    fn exchange(
+        &self,
+        conn: &mut ShardConn<Inst, Sub, Sol>,
+        req: &ClientRequest<Inst, Sub>,
+    ) -> io::Result<ServerReply<Sol>> {
+        let epoch = self.lease_epoch.load(Ordering::SeqCst);
+        if epoch > 0 && epoch != conn.announced {
+            conn.client.announce_gateway_epoch(epoch)?;
+            conn.announced = epoch;
+        }
+        match conn.client.request(req)? {
+            ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
+            reply => Ok(reply),
+        }
+    }
+
+    /// One request/reply exchange with `shard` on a pooled connection.
+    /// A fencing refusal (a newer lease epoch exists) marks this
+    /// gateway deposed.
+    fn shard_rpc(
+        &self,
+        shard: usize,
+        req: &ClientRequest<Inst, Sub>,
+    ) -> io::Result<ServerReply<Sol>> {
+        let mut conn = self.borrow(shard, self.config.probe_timeout)?;
+        let reply = loop {
+            match self.exchange(&mut conn, req) {
+                // At most once: a dialled connection is not `reused`.
+                Err(e) if self.went_stale(shard, &conn, &e) => conn = self.dial(shard)?,
+                reply => break reply,
+            }
+        };
+        let reply = reply.inspect_err(|e| {
+            if let Some(newer) = fenced_epoch(e) {
+                self.note_fenced(newer);
+            }
+        })?;
+        self.give_back(shard, conn);
+        Ok(reply)
+    }
+
+    /// Parks `gid`'s dispatch entry for a health interval — the health
+    /// loop sorts the fleet out meanwhile — without holding up the
+    /// entries behind it.
+    fn park(&self, gid: u64) {
+        let retry_at = Some(Instant::now() + self.config.health_interval);
+        self.state.lock().unwrap().dispatch.push_back(Dispatch { gid, target: None, retry_at });
     }
 }
 
 /// Routes queued dispatch entries to shards, one at a time: clone the
 /// spec (with the freshest `restart_from`), pick a target, submit over
-/// a bounded connection, then record the route and make sure a tracker
-/// thread is watching. Failures requeue the entry — a job is never
-/// dropped between the gateway's ledger and a shard's.
+/// a pooled connection, then record the route and make sure a tracker
+/// thread is watching. Failures park the entry for a retry — a job is
+/// never dropped between the gateway's ledger and a shard's.
 fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: Arc<GwShared<Inst, Sub, Sol>>,
 ) {
@@ -1506,17 +1657,24 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                let mut wait = Duration::from_millis(200);
                 // A standby's dispatch queue is empty; gate anyway so a
                 // freshly deposed primary stops routing immediately.
                 if shared.is_primary() {
-                    if let Some(e) = st.dispatch.pop_front() {
-                        break e;
+                    let now = Instant::now();
+                    let due = |d: &Dispatch| d.retry_at.is_none_or(|at| at <= now);
+                    if let Some(i) = st.dispatch.iter().position(due) {
+                        break st.dispatch.remove(i).expect("position is in range");
+                    }
+                    // Only parked entries: sleep until the first is due.
+                    if let Some(at) = st.dispatch.iter().filter_map(|d| d.retry_at).min() {
+                        wait = wait.min(at - now);
                     }
                 }
-                st = shared.cv.wait_timeout(st, Duration::from_millis(200)).unwrap().0;
+                st = shared.cv.wait_timeout(st, wait).unwrap().0;
             }
         };
-        let Dispatch { gid, target } = entry;
+        let Dispatch { gid, target, .. } = entry;
         let (spec, epoch) = {
             let st = shared.state.lock().unwrap();
             let Some(job) = st.jobs.get(&gid) else { continue };
@@ -1533,17 +1691,13 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             .filter(|&t| shared.health.lock().unwrap()[t].alive)
             .or_else(|| pick_shard(&shared, gid));
         let Some(target) = target else {
-            // No healthy shard right now: park the entry and retry.
-            let mut st = shared.state.lock().unwrap();
-            st.dispatch.push_back(Dispatch { gid, target: None });
-            drop(st);
-            std::thread::sleep(shared.config.health_interval);
+            // No healthy shard right now.
+            shared.park(gid);
             continue;
         };
-        let addr = shared.config.shards[target].addr.clone();
         let resumed = spec.restart_from.is_some();
-        let outcome = gw_connect::<Inst, Sub, Sol>(&shared, &addr)
-            .and_then(|mut c| c.try_submit(spec).inspect_err(|e| note_rpc_error(&shared, e)));
+        let outcome =
+            shared.shard_rpc(target, &ClientRequest::Submit { spec }).and_then(submit_outcome);
         match outcome {
             Ok(SubmitOutcome::Accepted(local)) => {
                 let spawn_tracker = {
@@ -1555,9 +1709,7 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     // not recorded.
                     if job.epoch != epoch || job.state.is_terminal() {
                         drop(st);
-                        if let Ok(mut c) = gw_connect::<Inst, Sub, Sol>(&shared, &addr) {
-                            let _ = c.cancel(local);
-                        }
+                        let _ = shared.shard_rpc(target, &ClientRequest::Cancel { job: local });
                         continue;
                     }
                     job.route = Some(Route { shard: target, local });
@@ -1594,14 +1746,8 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 }
                 shared.cv.notify_all();
             }
-            Ok(SubmitOutcome::Rejected(_)) | Err(_) => {
-                // Shard draining, dead or unreachable: requeue and let
-                // the health loop sort the fleet out.
-                let mut st = shared.state.lock().unwrap();
-                st.dispatch.push_back(Dispatch { gid, target: None });
-                drop(st);
-                std::thread::sleep(shared.config.health_interval);
-            }
+            // Shard draining, dead or unreachable.
+            Ok(SubmitOutcome::Rejected(_)) | Err(_) => shared.park(gid),
         }
     }
 }
@@ -1638,49 +1784,35 @@ fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 st = shared.cv.wait_timeout(st, Duration::from_millis(200)).unwrap().0;
             }
         };
-        if shared.chaos_check().is_err() {
-            // Injected link fault: back off and re-resolve like any
-            // other connect failure.
-            std::thread::sleep(Duration::from_millis(100));
-            continue 'routes;
-        }
-        let addr = shared.config.shards[shard].addr.clone();
-        let stream = match TcpStream::connect(&addr) {
-            Ok(s) => s,
+        let mut conn = match shared.borrow(shard, WATCH_WAKE) {
+            Ok(conn) => conn,
             Err(_) => {
-                // Shard unreachable: wait for failover to re-route.
+                // Injected link fault, or the shard is unreachable (the
+                // dial gives up after `probe_timeout`): back off, then
+                // re-resolve — failover may have re-routed meanwhile.
                 std::thread::sleep(Duration::from_millis(100));
                 continue 'routes;
             }
         };
-        stream.set_nodelay(true).ok();
-        // The periodic timeout is what lets this thread notice a route
-        // change while the stale shard's stream is silent.
-        if stream.set_read_timeout(Some(Duration::from_millis(500))).is_err() {
-            continue 'routes;
-        }
-        let mut reader = match stream.try_clone() {
-            Ok(r) => r,
-            Err(_) => continue 'routes,
-        };
-        let mut writer = stream;
-        if wire::write_msg(&mut writer, &ClientRequest::<Inst, Sub>::Watch { job: local, from_seq })
-            .is_err()
-        {
-            std::thread::sleep(Duration::from_millis(100));
-            continue 'routes;
-        }
-        let mut dec = FrameDecoder::new();
+        let mut reply = conn.client.request(&ClientRequest::Watch { job: local, from_seq });
         loop {
-            match wire::read_msg::<ServerReply<Sol>, _>(&mut reader, &mut dec) {
-                Ok(Some(ServerReply::Event { event })) => {
+            match reply {
+                Ok(ServerReply::Event { event }) => {
+                    let finished = matches!(event.kind, JobEventKind::Finished { .. });
                     if !deliver(&shared, gid, epoch, event) {
+                        // `Finished` completes the stream and puts the
+                        // shard back in its request loop: only then may
+                        // the connection serve someone else. A stream
+                        // abandoned mid-way (stale epoch) takes it along.
+                        if finished {
+                            shared.give_back(shard, conn);
+                        }
                         continue 'routes;
                     }
                 }
-                Ok(Some(_)) | Ok(None) => {
-                    // Error reply (shard restarted and forgot the job)
-                    // or clean close: re-resolve the route.
+                Ok(_) => {
+                    // Error reply (shard restarted and forgot the job):
+                    // re-resolve the route.
                     std::thread::sleep(Duration::from_millis(100));
                     continue 'routes;
                 }
@@ -1697,11 +1829,16 @@ fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                         _ => continue 'routes,
                     }
                 }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(100));
+                Err(e) => {
+                    // A pooled connection that went stale is retried at
+                    // once, on a dial; anything else backs off first.
+                    if !shared.went_stale(shard, &conn, &e) {
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
                     continue 'routes;
                 }
             }
+            reply = conn.client.read_reply();
         }
     }
 }
@@ -1956,7 +2093,7 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
             if let Some(cp) = checkpoint {
                 job.restart_from = Some(cp);
             }
-            st.dispatch.push_back(Dispatch { gid, target: None });
+            st.dispatch.push_back(Dispatch::new(gid, None));
         }
         if let Some(rl) = &shared.route_log {
             let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
@@ -1996,9 +2133,9 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
     if let Some(rl) = &shared.route_log {
         let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
     }
-    let addr = shared.config.shards[from].addr.clone();
-    let reclaimed = gw_connect::<Inst, Sub, Sol>(shared, &addr)
-        .and_then(|mut c| c.reclaim(local).inspect_err(|e| note_rpc_error(shared, e)))
+    let reclaimed = shared
+        .shard_rpc(from, &ClientRequest::Reclaim { job: local })
+        .and_then(cancel_outcome)
         .unwrap_or(false);
     let mut st = shared.state.lock().unwrap();
     let Some(job) = st.jobs.get_mut(&gid) else { return false };
@@ -2017,16 +2154,14 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
             // terminal — forward the cancel instead of restoring the
             // route (best-effort: the shard's pool should not keep
             // burning on a job nobody is waiting for).
-            if let Ok(mut c) = gw_connect::<Inst, Sub, Sol>(shared, &addr) {
-                let _ = c.cancel(local);
-            }
+            let _ = shared.shard_rpc(from, &ClientRequest::Cancel { job: local });
         }
         shared.cv.notify_all();
         return false;
     }
     if reclaimed {
         job.state = JobState::Queued;
-        st.dispatch.push_back(Dispatch { gid, target: Some(to) });
+        st.dispatch.push_back(Dispatch::new(gid, Some(to)));
         drop(st);
     } else {
         // The job started (or finished) before the reclaim landed: it
@@ -2235,9 +2370,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<I
             ClientRequest::Fleet => ServerReply::Fleet { fleet: gw_fleet(self) },
             ClientRequest::Shutdown => {
                 wire::write_msg(out, &ServerReply::<Sol>::ShuttingDown)?;
-                self.shutdown.store(true, Ordering::SeqCst);
-                self.cv.notify_all();
-                self.events.wake();
+                self.begin_shutdown();
                 return Ok(false);
             }
         };
@@ -2259,7 +2392,7 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
     enum Where {
         Unknown,
         Undispatched { run_index: u32, family: String },
-        Routed { addr: String, local: u64 },
+        Routed { shard: usize, local: u64 },
     }
     let location = {
         let mut st = shared.state.lock().unwrap();
@@ -2267,10 +2400,7 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
             None => Where::Unknown,
             Some(job) if job.state.is_terminal() => Where::Unknown,
             Some(job) => match &job.route {
-                Some(r) => Where::Routed {
-                    addr: shared.config.shards[r.shard].addr.clone(),
-                    local: r.local,
-                },
+                Some(r) => Where::Routed { shard: r.shard, local: r.local },
                 None => {
                     job.state = JobState::Cancelled;
                     let run_index = job.run_index;
@@ -2290,8 +2420,9 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
             shared.cv.notify_all();
             true
         }
-        Where::Routed { addr, local } => gw_connect::<Inst, Sub, Sol>(shared, &addr)
-            .and_then(|mut c| c.cancel(local).inspect_err(|e| note_rpc_error(shared, e)))
+        Where::Routed { shard, local } => shared
+            .shard_rpc(shard, &ClientRequest::Cancel { job: local })
+            .and_then(cancel_outcome)
             .unwrap_or(false),
     }
 }
@@ -2522,5 +2653,256 @@ mod tests {
         assert!(health_weight(0, 0) > health_weight(0, 2));
         assert!(health_weight(0, 2) > health_weight(5, 2));
         assert!(health_weight(100, 100) > 0.0);
+    }
+
+    // -----------------------------------------------------------------
+    // The service hop, against scripted shards
+    // -----------------------------------------------------------------
+
+    type Req = ClientRequest<u32, u32>;
+    type Reply = ServerReply<u32>;
+    type Gw = Gateway<u32, u32, u32>;
+
+    /// A scripted shard: every request on every connection is logged
+    /// with its connection number and arrival time, then answered by
+    /// the script (`None` = stay silent). Its threads end with the
+    /// test process.
+    struct FakeShard {
+        addr: String,
+        log: Arc<Mutex<Vec<(usize, Req, Instant)>>>,
+    }
+
+    impl FakeShard {
+        /// The logged requests `keep` selects, with their connections.
+        fn seen(&self, keep: impl Fn(&Req) -> bool) -> Vec<(usize, Req)> {
+            let log = self.log.lock().unwrap();
+            log.iter().filter(|(_, r, _)| keep(r)).map(|(c, r, _)| (*c, r.clone())).collect()
+        }
+    }
+
+    fn fake_shard(script: impl Fn(&Req) -> Option<Reply> + Send + Sync + 'static) -> FakeShard {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let script = Arc::new(script);
+        let shard = FakeShard { addr, log: log.clone() };
+        std::thread::spawn(move || {
+            for (conn, stream) in listener.incoming().enumerate() {
+                let Ok(mut stream) = stream else { return };
+                let (log, script) = (log.clone(), script.clone());
+                std::thread::spawn(move || {
+                    let mut reader = stream.try_clone().unwrap();
+                    let mut dec = wire::FrameDecoder::new();
+                    while let Ok(Some(req)) = wire::read_msg::<Req, _>(&mut reader, &mut dec) {
+                        log.lock().unwrap().push((conn, req.clone(), Instant::now()));
+                        if let Some(reply) = script(&req) {
+                            if wire::write_msg(&mut stream, &reply).is_err() {
+                                return;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        shard
+    }
+
+    /// Accepts every submit under job id 7, acks epochs and cancels,
+    /// never emits a job event; health polls get an error (the shard
+    /// stays "alive" on its start-up grace).
+    fn accepting(req: &Req) -> Option<Reply> {
+        match req {
+            Req::Submit { .. } => Some(Reply::Submitted { job: 7 }),
+            Req::GatewayEpoch { epoch } => Some(Reply::GatewayEpochAck { epoch: *epoch }),
+            Req::Cancel { job } | Req::Reclaim { job } => {
+                Some(Reply::CancelResult { job: *job, ok: false })
+            }
+            Req::Watch { .. } => None,
+            _ => Some(Reply::Error { message: "scripted shard".into() }),
+        }
+    }
+
+    /// A gateway over `addrs` whose health loop keeps out of the way:
+    /// one sweep at start, the next after the test is long over (so
+    /// tests `shutdown` it and leave the sleeping thread behind).
+    fn quiet_gateway(addrs: &[&str], probe_timeout: Duration) -> Gw {
+        Gw::start(GatewayConfig {
+            shards: addrs
+                .iter()
+                .enumerate()
+                .map(|(i, addr)| ShardSpec::new(format!("s{i}"), *addr))
+                .collect(),
+            health_interval: Duration::from_secs(20),
+            shard_liveness: Duration::from_secs(60),
+            probe_timeout,
+            steal_margin: 0,
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start")
+    }
+
+    fn wait_until(what: &str, timeout: Duration, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + timeout;
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// One refusing shard used to put the single dispatcher thread to
+    /// sleep for a health interval per refusal, with every job for the
+    /// healthy shard queued behind it.
+    #[test]
+    fn a_refusing_shard_does_not_hold_up_jobs_for_a_healthy_one() {
+        let up = fake_shard(accepting);
+        let down = fake_shard(|req| match req {
+            Req::Submit { .. } => Some(Reply::Rejected { reason: "draining".into() }),
+            other => accepting(other),
+        });
+        // Job 0, the head of the queue, goes to the refusing shard.
+        let names = ["s0", "s1"];
+        let down_idx = pick(0, &names, &[1.0, 1.0]);
+        let mut addrs = [up.addr.as_str(); 2];
+        addrs[down_idx] = &down.addr;
+        let gw = quiet_gateway(&addrs, Duration::from_secs(1));
+        let shared = &gw.shared;
+
+        let jobs = 10u64;
+        for gid in 0..jobs {
+            let spec = JobSpec::new(format!("j{gid}"), 0u32, 0u32);
+            assert_eq!(gw_submit(shared, spec).unwrap(), Ok(gid));
+        }
+        let for_down: Vec<u64> =
+            (0..jobs).filter(|&g| pick(g, &names, &[1.0, 1.0]) == down_idx).collect();
+        assert!(for_down.contains(&0) && for_down.len() < jobs as usize, "{for_down:?}");
+
+        // Far inside the 20 s health interval a failed submit parks
+        // its entry for: every job for the healthy shard is routed.
+        wait_until("the healthy shard's jobs to be routed", Duration::from_secs(5), || {
+            let st = shared.state.lock().unwrap();
+            (0..jobs).filter(|g| !for_down.contains(g)).all(|g| st.jobs[&g].route.is_some())
+        });
+        let refused = down.seen(|r| matches!(r, Req::Submit { .. }));
+        assert_eq!(refused.len(), for_down.len(), "each refused job was tried once, none retried");
+        let st = shared.state.lock().unwrap();
+        assert!(for_down.iter().all(|g| st.jobs[g].route.is_none()));
+        assert_eq!(st.dispatch.len(), for_down.len(), "the refused jobs are parked, not lost");
+        assert!(st.dispatch.iter().all(|d| d.retry_at.is_some()));
+        drop(st);
+        gw.shutdown();
+    }
+
+    /// The pool's borrow/return rule under a moving lease epoch: one
+    /// connection serves successive RPCs, announces the epoch once,
+    /// announces it again after a promote moved it, and a `Fenced`
+    /// reply deposes the gateway and retires the connection.
+    #[test]
+    fn pooled_connections_are_reused_and_reannounce_a_moved_epoch() {
+        let shard = fake_shard(|req| match req {
+            Req::Cancel { job: 99 } => Some(Reply::Fenced { epoch: 9 }),
+            other => accepting(other),
+        });
+        let gw = quiet_gateway(&[&shard.addr], Duration::from_secs(1));
+        let shared = &gw.shared;
+        let cancel = |job| shared.shard_rpc(0, &Req::Cancel { job });
+
+        shared.lease_epoch.store(1, Ordering::SeqCst);
+        cancel(1).unwrap();
+        cancel(2).unwrap();
+        shared.lease_epoch.store(2, Ordering::SeqCst);
+        cancel(3).unwrap();
+        let pool = &shared.pools[0];
+        assert_eq!((pool.dials.get(), pool.reused.get()), (1, 2));
+
+        let traffic = shard.seen(|r| matches!(r, Req::Cancel { .. } | Req::GatewayEpoch { .. }));
+        let conn = traffic[0].0;
+        assert!(traffic.iter().all(|(c, _)| *c == conn), "one connection: {traffic:?}");
+        let kinds: Vec<String> = traffic
+            .iter()
+            .map(|(_, r)| match r {
+                Req::GatewayEpoch { epoch } => format!("epoch {epoch}"),
+                Req::Cancel { job } => format!("cancel {job}"),
+                other => panic!("filtered out: {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, ["epoch 1", "cancel 1", "cancel 2", "epoch 2", "cancel 3"]);
+
+        let err = cancel(99).expect_err("the shard follows a newer epoch");
+        assert_eq!(fenced_epoch(&err), Some(9));
+        assert!(shared.fenced.load(Ordering::SeqCst), "a Fenced reply deposes the gateway");
+        assert!(pool.idle.lock().unwrap().is_empty(), "the fenced connection is not returned");
+        gw.shutdown();
+    }
+
+    /// A listener that answers no SYN: its accept queue is full and
+    /// nobody accepts, so the kernel drops further handshakes the way
+    /// a dead host's network does. `None` where that cannot be set up
+    /// (descriptor limit below the listen backlog).
+    fn black_hole() -> Option<(std::net::TcpListener, Vec<TcpStream>)> {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").ok()?;
+        let addr = listener.local_addr().ok()?;
+        let mut filler = Vec::new();
+        for _ in 0..10_000 {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(150)) {
+                Ok(conn) => filler.push(conn),
+                Err(e) if e.kind() == io::ErrorKind::TimedOut => return Some((listener, filler)),
+                Err(_) => return None,
+            }
+        }
+        None
+    }
+
+    /// The tracker used to dial with an unbounded `connect`: a shard
+    /// whose host stopped answering pinned it for the OS connect
+    /// timeout (minutes), and a re-route was not picked up before.
+    #[test]
+    fn a_tracker_stuck_on_a_black_holed_shard_follows_a_reroute() {
+        let Some((hole, _filler)) = black_hole() else {
+            eprintln!("skipped: cannot build a black-hole listener here");
+            return;
+        };
+        let hole_addr = hole.local_addr().unwrap().to_string();
+        let up = fake_shard(accepting);
+        let probe_timeout = Duration::from_millis(500);
+        let gw = quiet_gateway(&[&hole_addr, &up.addr], probe_timeout);
+        let shared = gw.shared.clone();
+
+        // A job routed to the black hole, as after a submit that just
+        // made it before the host went away.
+        let gid = 0;
+        {
+            let mut st = shared.state.lock().unwrap();
+            let mut job = GwJob::queued(JobSpec::new("j", 0u32, 0u32), None, 1);
+            job.route = Some(Route { shard: 0, local: 3 });
+            job.tracker_spawned = true;
+            st.jobs.insert(gid, job);
+            st.inflight += 1;
+        }
+        let tracker = {
+            let shared = shared.clone();
+            std::thread::spawn(move || tracker_loop(shared, gid))
+        };
+        // The tracker is inside its dial when failover re-routes.
+        std::thread::sleep(Duration::from_millis(150));
+        let rerouted = Instant::now();
+        {
+            let mut st = shared.state.lock().unwrap();
+            let job = st.jobs.get_mut(&gid).unwrap();
+            job.epoch += 1;
+            job.route = Some(Route { shard: 1, local: 7 });
+        }
+        shared.cv.notify_all();
+
+        let watched = |r: &Req| matches!(r, Req::Watch { job: 7, .. });
+        // The rest of the bounded dial, the 100 ms back-off, and slack.
+        let bound = probe_timeout + Duration::from_millis(100) + Duration::from_millis(100);
+        wait_until("the tracker to watch the new route", Duration::from_secs(10), || {
+            !up.seen(watched).is_empty()
+        });
+        let took = up.log.lock().unwrap().iter().find(|(_, r, _)| watched(r)).unwrap().2 - rerouted;
+        assert!(took < bound, "the tracker followed the re-route after {took:?}");
+
+        gw.shutdown();
+        tracker.join().unwrap();
     }
 }

@@ -69,7 +69,7 @@
 
 use crate::chaos::{ChaosConfig, FaultAction, FaultInjector, SplitMix64};
 use crate::messages::Message;
-use crate::rpc::accept_loop;
+use crate::rpc::{accept_loop, wake_listener};
 use crate::telemetry;
 use crate::wire::{self, FrameDecoder, FrameHeader};
 use serde::de::DeserializeOwned;
@@ -79,7 +79,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Highest protocol revision this build speaks (v3: v2's checksummed,
@@ -415,6 +415,9 @@ struct Shared {
     last_heard: Mutex<Vec<Instant>>,
     /// Serializes rank selection across concurrent handshake threads.
     claim_lock: Mutex<()>,
+    /// Signalled (under `claim_lock`) whenever a rank's first handshake
+    /// is complete; what [`ProcessListener::accept_workers`] waits on.
+    rank_ready: Condvar,
     shutdown: AtomicBool,
     liveness_timeout: Duration,
     reconnect_deadline: Duration,
@@ -471,11 +474,11 @@ impl ProcessListener {
     {
         validated(config)?;
         let deadline = Instant::now() + config.handshake_timeout;
-        self.listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             links: (0..n).map(|_| Mutex::new(Link::new())).collect(),
             last_heard: Mutex::new(vec![Instant::now(); n]),
             claim_lock: Mutex::new(()),
+            rank_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             liveness_timeout: config.liveness_timeout,
             reconnect_deadline: config.reconnect_deadline,
@@ -483,25 +486,33 @@ impl ProcessListener {
             batching: config.chaos.is_none(),
         });
         let (up_tx, up_rx) = channel();
-        spawn_accept_loop::<Sub, Sol>(self.listener, shared.clone(), up_tx.clone());
+        let addr = self.listener.local_addr()?;
+        let accept = spawn_accept_loop::<Sub, Sol>(self.listener, shared.clone(), up_tx.clone());
         spawn_lc_flusher(shared.clone());
+        // From here on dropping `lc` — the error return below included
+        // — stops the accept loop.
+        let lc =
+            ProcessLcComm { shared: shared.clone(), up_rx, up_tx, accept: Some((addr, accept)) };
 
-        // Wait for every rank to be claimed by a completed handshake.
+        // Wait until every rank has completed a handshake (its link
+        // carries a connection epoch): only then can `send_to` reach it.
+        let mut claim = shared.claim_lock.lock().unwrap();
         loop {
-            let claimed = shared.links.iter().filter(|l| l.lock().unwrap().claimed).count();
-            if claimed == n {
+            let ready = shared.links.iter().filter(|l| l.lock().unwrap().epoch > 0).count();
+            if ready == n {
                 break;
             }
-            if Instant::now() >= deadline {
-                shared.shutdown.store(true, Ordering::SeqCst);
+            let now = Instant::now();
+            if now >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("only {claimed}/{n} workers connected in time"),
+                    format!("only {ready}/{n} workers connected in time"),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            claim = shared.rank_ready.wait_timeout(claim, deadline - now).unwrap().0;
         }
-        Ok(ProcessLcComm { shared, up_rx, up_tx })
+        drop(claim);
+        Ok(lc)
     }
 }
 
@@ -511,14 +522,15 @@ fn spawn_accept_loop<Sub, Sol>(
     listener: TcpListener,
     shared: Arc<Shared>,
     up_tx: Sender<Message<Sub, Sol>>,
-) where
+) -> std::thread::JoinHandle<()>
+where
     Sub: Serialize + DeserializeOwned + Send + 'static,
     Sol: Serialize + DeserializeOwned + Send + 'static,
 {
     std::thread::Builder::new()
         .name("lc-accept".into())
         .spawn(move || {
-            accept_loop(listener, &shared.shutdown, Duration::from_millis(5), |stream| {
+            accept_loop(listener, &shared.shutdown, |stream| {
                 let shared = shared.clone();
                 let up_tx = up_tx.clone();
                 std::thread::Builder::new()
@@ -533,7 +545,7 @@ fn spawn_accept_loop<Sub, Sol>(
                     .expect("spawn lc handshake thread");
             })
         })
-        .expect("spawn lc accept thread");
+        .expect("spawn lc accept thread")
 }
 
 /// Sweeps every link's batching writer and flushes buffers older than
@@ -586,7 +598,6 @@ where
     Sol: Serialize + DeserializeOwned + Send + 'static,
 {
     let n = shared.links.len();
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = stream.try_clone()?;
@@ -661,6 +672,10 @@ where
         link.rx_count = 0;
         link.epoch
     };
+    // Under the claim lock, or a waiter between its count and its wait
+    // would miss the wake-up.
+    drop(shared.claim_lock.lock().unwrap());
+    shared.rank_ready.notify_all();
     shared.last_heard.lock().unwrap()[rank] = Instant::now();
     reader.set_read_timeout(None)?;
     dec.set_v2(true);
@@ -924,6 +939,9 @@ pub struct ProcessLcComm<Sub, Sol> {
     /// original reader thread has exited, and lets `send_to`
     /// synthesize `WorkerDied` on retransmit-ring overflow.
     up_tx: Sender<Message<Sub, Sol>>,
+    /// The `lc-accept` thread and the address that wakes it; taken and
+    /// joined on drop so the thread never outlives the endpoint.
+    accept: Option<(SocketAddr, std::thread::JoinHandle<()>)>,
 }
 
 impl<Sub, Sol> std::fmt::Debug for ProcessLcComm<Sub, Sol> {
@@ -1022,6 +1040,13 @@ impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
                 if let Some(s) = link.writer.take() {
                     let _ = s.shutdown(Shutdown::Both);
                 }
+            }
+        }
+        if let Some((addr, thread)) = self.accept.take() {
+            // Without the wake-up the thread stays in `accept()`:
+            // leave it behind rather than hang the drop.
+            if wake_listener(addr) {
+                let _ = thread.join();
             }
         }
     }
@@ -1710,6 +1735,32 @@ mod tests {
         bad.join().unwrap();
     }
 
+    /// The accept loop blocks in `accept()`; the endpoint's drop has to
+    /// get it out of there, or every finished run leaks a thread and a
+    /// listening socket.
+    #[test]
+    fn dropping_the_endpoint_ends_its_accept_thread() {
+        for workers in [0usize, 1] {
+            let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let cfg =
+                ProcessCommConfig { handshake_timeout: Duration::from_millis(50), ..config() };
+            let (done_tx, done_rx) = channel();
+            std::thread::spawn(move || {
+                // 0 ranks: an endpoint, dropped at once. 1 rank and no
+                // worker: the timed-out accept drops it itself.
+                drop(listener.accept_workers::<u32, u32>(workers, &cfg));
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the drop joins lc-accept, which must have been woken");
+            // The thread owned the listening socket: gone with it.
+            let refused = TcpStream::connect(addr).expect_err("nobody listens any more");
+            assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+        }
+    }
+
     #[test]
     fn misconfigured_liveness_is_rejected_up_front() {
         let cfg = ProcessCommConfig {
@@ -2086,6 +2137,7 @@ mod tests {
             links: vec![Mutex::new(Link::new())],
             last_heard: Mutex::new(vec![Instant::now()]),
             claim_lock: Mutex::new(()),
+            rank_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             liveness_timeout: Duration::from_secs(30),
             reconnect_deadline: Duration::from_secs(30),
@@ -2100,7 +2152,7 @@ mod tests {
             link.disconnected_since = Some(Instant::now());
         }
         let (up_tx, up_rx) = channel();
-        let lc = ProcessLcComm::<u32, u32> { shared, up_rx, up_tx };
+        let lc = ProcessLcComm::<u32, u32> { shared, up_rx, up_tx, accept: None };
 
         let overflows_before = telemetry::comm().ring_overflows.get();
         for _ in 0..RETRANSMIT_RING_CAP {

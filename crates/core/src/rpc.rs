@@ -5,9 +5,10 @@
 //! serving it that does not depend on *which* daemon answers lives
 //! here, once:
 //!
-//! * `accept_loop` — the polling accept loop every listener of this
+//! * `accept_loop` — the blocking accept loop every listener of this
 //!   crate runs (client listeners, the server's pool listener, the
-//!   process transport's worker listener);
+//!   process transport's worker listener), and `wake_listener`, the
+//!   dial that gets it out of `accept()` at shutdown;
 //! * `serve_clients` — one thread per client connection running the
 //!   framed request loop; a daemon supplies only its `RequestHandler`;
 //! * `EventLog` — the per-job append-only event logs with the
@@ -22,13 +23,18 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Sleep of a client or pool accept loop between polls of its listener.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(10);
+/// Pause after a failed `accept()` (descriptor exhaustion, a reset in
+/// the backlog): a persistent error must not spin the loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on the wake-up dial of [`wake_listener`]; the listener is our
+/// own, so the connect completes in the kernel at once.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Read timeout of a client connection: how often an idle connection
 /// thread looks at the shutdown flag.
@@ -38,24 +44,50 @@ const READ_TIMEOUT: Duration = Duration::from_millis(500);
 const STREAM_WAIT: Duration = Duration::from_millis(200);
 
 /// Accepts connections until `shutdown` is set, handing each to
-/// `on_conn`. The listener is polled (nonblocking + `poll` sleep) so
-/// the flag is noticed without a wake-up connection; an accept error is
-/// treated like an idle poll.
+/// `on_conn`. The loop blocks in `accept()`: whoever sets the flag
+/// then calls [`wake_listener`] with the listener's address, and the
+/// connection that dial makes (or any client racing it) is dropped
+/// unserved.
 pub(crate) fn accept_loop(
     listener: TcpListener,
     shutdown: &AtomicBool,
-    poll: Duration,
+    on_conn: impl FnMut(TcpStream),
+) {
+    run_accept(|| listener.accept().map(|(stream, _peer)| stream), shutdown, on_conn);
+}
+
+/// [`accept_loop`] over any source of connections (tests pass a
+/// failing one). An accept error backs off briefly instead of
+/// spinning.
+fn run_accept(
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
+    shutdown: &AtomicBool,
     mut on_conn: impl FnMut(TcpStream),
 ) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => on_conn(stream),
-            Err(_) => std::thread::sleep(poll),
+    loop {
+        let conn = accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match conn {
+            Ok(stream) => on_conn(stream),
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
+}
+
+/// Gets the [`accept_loop`] of the listener at `addr` out of its
+/// blocked `accept()` by connecting to it once; call after setting the
+/// loop's shutdown flag. A wildcard bind is dialled on loopback.
+/// Returns whether the dial landed, i.e. whether the loop will return.
+pub(crate) fn wake_listener(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok()
 }
 
 /// What a daemon contributes to its client connections: the `match` on
@@ -69,8 +101,12 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
     type Conn: Default;
 
     /// Set once the daemon shuts down: connection threads return at
-    /// their next read timeout, accept loops at their next poll.
+    /// their next read timeout, accept loops when woken.
     fn shutdown(&self) -> &AtomicBool;
+
+    /// Called for every connection the client listener accepts (a
+    /// daemon that counts them overrides it).
+    fn connection_accepted(&self) {}
 
     /// Answers one request on `out`. `Ok(false)` closes the connection
     /// (after `Shutdown`); an error closes it too.
@@ -89,7 +125,8 @@ pub(crate) fn serve_clients<H: RequestHandler>(
     listener: TcpListener,
     thread_name: &'static str,
 ) {
-    accept_loop(listener, handler.shutdown(), ACCEPT_POLL, |stream| {
+    accept_loop(listener, handler.shutdown(), |stream| {
+        handler.connection_accepted();
         let handler = handler.clone();
         let _ = std::thread::Builder::new().name(thread_name.into()).spawn(move || {
             let _ = serve_conn(&*handler, stream);
@@ -288,12 +325,16 @@ impl<Sol> EventLog<Sol> {
             if done_len.is_some_and(|len| next >= len) || shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
+            // Wait only if nothing was appended while the batch was on
+            // its way out: that append's wake-up found nobody waiting.
             let logs = self.lock();
-            drop(
-                self.appended
-                    .wait_timeout(logs, STREAM_WAIT)
-                    .expect("a thread panicked while holding the event logs"),
-            );
+            if logs.get(&job).is_some_and(|log| log.events.len() <= next) {
+                drop(
+                    self.appended
+                        .wait_timeout(logs, STREAM_WAIT)
+                        .expect("a thread panicked while holding the event logs"),
+                );
+            }
         }
     }
 }
@@ -382,6 +423,149 @@ mod tests {
                 other => panic!("unexpected reply {other:?}"),
             })
             .collect()
+    }
+
+    /// A daemon of the smallest kind: `Status` and `Watch` over one
+    /// event log, everything else refused.
+    struct Daemon {
+        shutdown: AtomicBool,
+        events: Log,
+    }
+
+    impl RequestHandler for Daemon {
+        type Inst = u32;
+        type Sub = u32;
+        type Conn = ();
+
+        fn shutdown(&self) -> &AtomicBool {
+            &self.shutdown
+        }
+
+        fn handle(
+            &self,
+            _conn: &mut (),
+            req: ClientRequest<u32, u32>,
+            out: &mut TcpStream,
+        ) -> io::Result<bool> {
+            match req {
+                ClientRequest::Status => {
+                    let status = crate::server::ServerStatus {
+                        pool_target: 0,
+                        workers: Vec::new(),
+                        queued: Vec::new(),
+                        jobs: Vec::new(),
+                    };
+                    wire::write_msg(out, &ServerReply::<u32>::Status { status })?;
+                }
+                ClientRequest::Watch { job, from_seq } => {
+                    let gone = |_| format!("unknown job {job}");
+                    self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                }
+                _ => wire::write_msg(out, &ServerReply::<u32>::Error { message: "no".into() })?,
+            }
+            Ok(true)
+        }
+    }
+
+    type Client = crate::server::JobClient<u32, u32, u32>;
+
+    /// Starts a [`Daemon`] on an OS-picked port; returns it, its
+    /// address and its accept thread.
+    fn daemon() -> (Arc<Daemon>, SocketAddr, std::thread::JoinHandle<()>) {
+        let daemon = Arc::new(Daemon { shutdown: AtomicBool::new(false), events: Log::new() });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handler = daemon.clone();
+        let accept = std::thread::spawn(move || serve_clients(handler, listener, "test-client"));
+        (daemon, addr, accept)
+    }
+
+    /// Sets the flag, wakes the listener and returns how long the
+    /// accept thread took to end.
+    fn stop(daemon: &Daemon, addr: SocketAddr, accept: std::thread::JoinHandle<()>) -> Duration {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let t0 = std::time::Instant::now();
+        daemon.shutdown.store(true, Ordering::SeqCst);
+        assert!(wake_listener(addr), "the wake-up dial must land");
+        std::thread::spawn(move || {
+            accept.join().expect("the accept thread must not panic");
+            let _ = done_tx.send(());
+        });
+        done_rx.recv_timeout(Duration::from_secs(5)).expect("the accept loop must return");
+        t0.elapsed()
+    }
+
+    #[test]
+    fn a_blocked_accept_loop_returns_promptly_on_shutdown() {
+        let (daemon, addr, accept) = daemon();
+        // No client ever connects: the loop sits in `accept()`.
+        std::thread::sleep(Duration::from_millis(30));
+        let took = stop(&daemon, addr, accept);
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    }
+
+    /// Every dial used to wait out the rest of a 10 ms poll interval:
+    /// 200 of them took a second or more.
+    #[test]
+    fn sequential_dials_are_accepted_at_once() {
+        let (daemon, addr, accept) = daemon();
+        let t0 = std::time::Instant::now();
+        for _ in 0..200 {
+            let mut client = Client::connect(&addr.to_string()).unwrap();
+            client.status().unwrap();
+        }
+        let took = t0.elapsed();
+        stop(&daemon, addr, accept);
+        assert!(took < Duration::from_millis(400), "200 dial + Status round trips took {took:?}");
+    }
+
+    #[test]
+    fn a_persistent_accept_error_does_not_spin() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let attempts = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let looper = {
+            let (shutdown, attempts) = (shutdown.clone(), attempts.clone());
+            std::thread::spawn(move || {
+                let failing = || {
+                    attempts.fetch_add(1, Ordering::SeqCst);
+                    Err(io::Error::other("too many open files"))
+                };
+                run_accept(failing, &shutdown, |_| panic!("nothing was accepted"));
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        shutdown.store(true, Ordering::SeqCst);
+        looper.join().unwrap();
+        let n = attempts.load(Ordering::SeqCst);
+        assert!((2..=8).contains(&n), "{n} accept attempts in 50 ms at a 10 ms back-off");
+    }
+
+    /// What a gateway's pooled connection relies on (PROTOCOL.md §4.4):
+    /// a `Watch` stream ends with `Finished` or one `Error`, and the
+    /// connection then serves the next request.
+    #[test]
+    fn watches_in_a_row_on_one_connection_each_deliver_their_own_job() {
+        let (daemon, addr, accept) = daemon();
+        for job in [1u64, 2] {
+            daemon.events.emit(job, JobEventKind::Queued);
+            daemon.events.emit(job, JobEventKind::Started { workers: job as usize });
+            daemon.events.emit(job, finished(JobState::Solved));
+        }
+        let mut client = Client::connect(&addr.to_string()).unwrap();
+        for job in [1u64, 9, 2] {
+            let mut seen = Vec::new();
+            let end = client.watch(job, 0, |ev| seen.push((ev.job, ev.seq)));
+            if job == 9 {
+                let err = end.expect_err("job 9 does not exist");
+                assert!(err.to_string().contains("unknown job 9"), "{err}");
+                assert!(seen.is_empty());
+            } else {
+                end.unwrap();
+                assert_eq!(seen, vec![(job, 0), (job, 1), (job, 2)]);
+            }
+        }
+        client.status().expect("the connection still serves requests after three streams");
+        stop(&daemon, addr, accept);
     }
 
     #[test]
@@ -504,6 +688,34 @@ mod tests {
             }
             other => panic!("unexpected replies {other:?}"),
         }
+    }
+
+    /// An event appended while the watcher is writing the previous
+    /// batch notifies nobody; the watcher used to go to sleep on the
+    /// condvar regardless and deliver it `STREAM_WAIT` late.
+    #[test]
+    fn an_event_appended_during_a_write_is_not_slept_on() {
+        /// Appends the job's `Finished` inside the first write.
+        struct AppendOnWrite(Arc<Log>, bool, Vec<u8>);
+        impl Write for AppendOnWrite {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if !std::mem::replace(&mut self.1, true) {
+                    self.0.emit(6, finished(JobState::Solved));
+                }
+                self.2.write(buf)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let log = Arc::new(Log::new());
+        log.emit(6, JobEventKind::Queued);
+        let mut out = AppendOnWrite(log.clone(), false, Vec::new());
+        let t0 = std::time::Instant::now();
+        log.stream(&mut out, &AtomicBool::new(false), 6, 0, |_| unreachable!()).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(replies(&out.2).len(), 2, "Queued, then the Finished appended meanwhile");
+        assert!(took < STREAM_WAIT / 2, "the stream slept {took:?} on an event it already had");
     }
 
     #[test]

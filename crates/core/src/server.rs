@@ -37,7 +37,8 @@ use crate::ledger::JobLedger;
 use crate::messages::Message;
 use crate::process::ProcessCommConfig;
 use crate::rpc::{
-    accept_loop, empty_finished, serve_clients, state_label, EventLog, RequestHandler, ACCEPT_POLL,
+    accept_loop, empty_finished, serve_clients, state_label, wake_listener, EventLog,
+    RequestHandler,
 };
 use crate::runner::{ParallelOptions, ParallelResult, RampUp};
 use crate::settings::SolverSettings;
@@ -795,6 +796,9 @@ struct SharedState<Inst, Sub, Sol> {
     config: ServerConfig,
     /// Resolved worker-listener address workers are spawned against.
     worker_addr: String,
+    /// The client and the pool listener's addresses: what
+    /// [`initiate_shutdown`] dials to end their accept loops.
+    listeners: [SocketAddr; 2],
     shutdown: AtomicBool,
     /// Set by [`Server::drain`]: this shutdown must *preserve* the
     /// ledger records of jobs it stops (they resume on the next server
@@ -1007,6 +1011,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             events: EventLog::new(),
             config,
             worker_addr: worker_addr.to_string(),
+            listeners: [client_addr, worker_addr],
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             gateway_epoch: AtomicU64::new(0),
@@ -1021,6 +1026,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             shared.submitted(family);
         }
         shared.workers_lost();
+        shared.connections_accepted("client");
+        shared.connections_accepted("pool");
         shared.recovered(false);
         shared.recovered(true);
         shared.heartbeat_gap();
@@ -1042,7 +1049,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
         let sh = shared.clone();
         threads.push(std::thread::Builder::new().name("ugd-worker-accept".into()).spawn(
             move || {
-                accept_loop(worker_listener, &sh.shutdown, ACCEPT_POLL, |stream| {
+                accept_loop(worker_listener, &sh.shutdown, |stream| {
+                    sh.connections_accepted("pool").inc();
                     let _ = admit_worker(&sh, stream);
                 })
             },
@@ -1130,6 +1138,9 @@ fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
     shared.state.lock().unwrap().shutdown = true;
     shared.sched.notify_all();
     shared.events.wake();
+    for addr in shared.listeners {
+        wake_listener(addr);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1603,7 +1614,6 @@ fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: &Arc<SharedState<Inst, Sub, Sol>>,
     stream: TcpStream,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = stream.try_clone()?;
@@ -1773,6 +1783,16 @@ impl<Inst, Sub, Sol> SharedState<Inst, Sub, Sol> {
         )
     }
 
+    /// Connections accepted on the `client` or the `pool` listener —
+    /// the count a connection-reusing gateway keeps flat.
+    fn connections_accepted(&self, listener: &str) -> Arc<telemetry::Counter> {
+        self.metrics.counter_with(
+            "ugrs_server_connections_accepted_total",
+            &[("listener", listener)],
+            "Connections accepted, by listener",
+        )
+    }
+
     fn workers_lost(&self) -> Arc<telemetry::Counter> {
         self.metrics.counter("ugrs_server_workers_lost_total", "Pool workers removed dead or stuck")
     }
@@ -1811,6 +1831,10 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedStat
 
     fn shutdown(&self) -> &AtomicBool {
         &self.shutdown
+    }
+
+    fn connection_accepted(&self) {
+        self.connections_accepted("client").inc();
     }
 
     fn handle(
@@ -2382,7 +2406,7 @@ impl std::fmt::Display for FencedError {
 
 impl std::error::Error for FencedError {}
 
-fn fenced_io_error(epoch: u64) -> io::Error {
+pub(crate) fn fenced_io_error(epoch: u64) -> io::Error {
     io::Error::new(io::ErrorKind::PermissionDenied, FencedError { epoch })
 }
 
@@ -2447,13 +2471,21 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
         }
     }
 
-    fn read_reply(&mut self) -> io::Result<ServerReply<Sol>> {
+    /// Bounds every later read (a pooled connection changes hands).
+    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
+        self.stream.set_read_timeout(Some(timeout))
+    }
+
+    pub(crate) fn read_reply(&mut self) -> io::Result<ServerReply<Sol>> {
         wire::read_msg(&mut self.stream, &mut self.dec)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })
     }
 
-    fn request(&mut self, req: &ClientRequest<Inst, Sub>) -> io::Result<ServerReply<Sol>> {
+    pub(crate) fn request(
+        &mut self,
+        req: &ClientRequest<Inst, Sub>,
+    ) -> io::Result<ServerReply<Sol>> {
         wire::write_msg(&mut self.stream, req)?;
         self.read_reply()
     }
@@ -2471,23 +2503,13 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
     /// Submits a job, reporting an admission-control rejection as a
     /// normal [`SubmitOutcome`] instead of an error.
     pub fn try_submit(&mut self, spec: JobSpec<Inst, Sub>) -> io::Result<SubmitOutcome> {
-        match self.request(&ClientRequest::Submit { spec })? {
-            ServerReply::Submitted { job } => Ok(SubmitOutcome::Accepted(job)),
-            ServerReply::Rejected { reason } => Ok(SubmitOutcome::Rejected(reason)),
-            ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
-            ServerReply::Error { message } => Err(io::Error::other(message)),
-            _ => Err(unexpected_reply()),
-        }
+        submit_outcome(self.request(&ClientRequest::Submit { spec })?)
     }
 
     /// Takes a *queued* job back from the server (the work-stealing
     /// primitive); `Ok(false)` when it already started or finished.
     pub fn reclaim(&mut self, job: u64) -> io::Result<bool> {
-        match self.request(&ClientRequest::Reclaim { job })? {
-            ServerReply::CancelResult { ok, .. } => Ok(ok),
-            ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
-            _ => Err(unexpected_reply()),
-        }
+        cancel_outcome(self.request(&ClientRequest::Reclaim { job })?)
     }
 
     /// Fetches the fleet snapshot (gateways only; a plain server
@@ -2503,11 +2525,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
     /// Cancels a job; `Ok(false)` when it already reached a terminal
     /// state (or is unknown).
     pub fn cancel(&mut self, job: u64) -> io::Result<bool> {
-        match self.request(&ClientRequest::Cancel { job })? {
-            ServerReply::CancelResult { ok, .. } => Ok(ok),
-            ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
-            _ => Err(unexpected_reply()),
-        }
+        cancel_outcome(self.request(&ClientRequest::Cancel { job })?)
     }
 
     /// Fetches a [`ServerStatus`] snapshot.
@@ -2564,6 +2582,26 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
             ServerReply::ShuttingDown => Ok(()),
             _ => Err(unexpected_reply()),
         }
+    }
+}
+
+/// What a reply to `Submit` means to the submitter.
+pub(crate) fn submit_outcome<Sol>(reply: ServerReply<Sol>) -> io::Result<SubmitOutcome> {
+    match reply {
+        ServerReply::Submitted { job } => Ok(SubmitOutcome::Accepted(job)),
+        ServerReply::Rejected { reason } => Ok(SubmitOutcome::Rejected(reason)),
+        ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
+        ServerReply::Error { message } => Err(io::Error::other(message)),
+        _ => Err(unexpected_reply()),
+    }
+}
+
+/// What a reply to `Cancel` or `Reclaim` means to the caller.
+pub(crate) fn cancel_outcome<Sol>(reply: ServerReply<Sol>) -> io::Result<bool> {
+    match reply {
+        ServerReply::CancelResult { ok, .. } => Ok(ok),
+        ServerReply::Fenced { epoch } => Err(fenced_io_error(epoch)),
+        _ => Err(unexpected_reply()),
     }
 }
 

@@ -23,7 +23,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use ugrs::glue::{misdp_job, stp_job, JobInstance, SolveClient, SolveGateway, SolveJobSpec};
+use ugrs::glue::{
+    misdp_job, stp_job, JobInstance, SolveClient, SolveGateway, SolveJobSpec, SolveServer,
+};
 use ugrs::misdp::gen::cardinality_ls;
 use ugrs::steiner::gen::{bipartite, hypercube_sparse_terminals, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
@@ -423,6 +425,18 @@ fn fleet_survives_shard_kill_under_sustained_load() {
         assert!(journal.contains(ev), "journal is missing {ev} lines");
     }
 
+    // What `ugd metrics` shows an operator (and CI's fleet-smoke greps
+    // on its own small fleet): the survivors' jobs ran over pooled
+    // connections.
+    let metrics = fleet_client.metrics().expect("gateway metrics").text;
+    for survivor in ["shard-1", "shard-2"] {
+        let series = format!("ugrs_gateway_shard_conn_reused_total{{shard=\"{survivor}\"}}");
+        assert!(
+            sample(&metrics, &series) > 0,
+            "{survivor} was never reached over a pooled connection"
+        );
+    }
+
     gateway.shutdown_and_join();
     drop(shards);
     std::fs::remove_dir_all(&root).ok();
@@ -522,6 +536,93 @@ fn work_stealing_drains_a_slow_shard_onto_an_idle_one() {
     gateway.shutdown_and_join();
     drop((slow, fast));
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// One sample of an exposition, by its full `name{labels}` spelling.
+fn sample(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no series {series} in:\n{text}"))
+}
+
+/// The service hop reuses its shard connections: the gateway used to
+/// open two per job (submit, watch), so 50 jobs meant 100 accepts on
+/// the shard. The shard's own counter is the witness, the gateway's
+/// pair tells the same story from the other side. Then the shard is
+/// restarted on its address with the pool full of dead connections:
+/// the next job costs exactly one redial and no parked dispatch entry.
+#[test]
+fn gateway_reuses_shard_connections_and_redials_once_after_a_shard_restart() {
+    let g = bipartite(5, 9, 3, CostScheme::Perturbed, 42);
+    let shard_config = |client_addr: String| ugrs::ug::ServerConfig {
+        client_addr,
+        worker_command: vec![WORKER_BIN.to_string()],
+        pool_size: 1,
+        max_concurrent_jobs: 1,
+        ..Default::default()
+    };
+    let shard = SolveServer::start(shard_config("127.0.0.1:0".into())).expect("shard start");
+    let shard_addr = shard.client_addr().to_string();
+    // One health sweep at start, the next long after the test: every
+    // accept below is the job path's.
+    let gateway = SolveGateway::start(GatewayConfig {
+        shards: vec![ShardSpec::new("s0", shard_addr.clone())],
+        health_interval: Duration::from_secs(20),
+        shard_liveness: Duration::from_secs(60),
+        steal_margin: 0,
+        ..GatewayConfig::default()
+    })
+    .expect("gateway start");
+    let mut client = SolveClient::connect(&gateway.client_addr().to_string()).expect("client");
+    let mut solve = |name: String| {
+        let mut spec = stp_job(name, &g, &ReduceParams::default());
+        spec.num_solvers = 1;
+        let job = client.submit(spec).expect("submit");
+        match client.wait(job).expect("wait").kind {
+            JobEventKind::Finished { state, .. } => assert_eq!(state, JobState::Solved),
+            other => panic!("unexpected terminal {other:?}"),
+        }
+    };
+    let accepted = |direct: &mut SolveClient| {
+        let text = direct.metrics().expect("shard metrics").text;
+        sample(&text, "ugrs_server_connections_accepted_total{listener=\"client\"}")
+    };
+    let gw_counters = || {
+        let mut c = SolveClient::connect(&gateway.client_addr().to_string()).expect("client");
+        let text = c.metrics().expect("gateway metrics").text;
+        (
+            sample(&text, "ugrs_gateway_shard_dials_total{shard=\"s0\"}"),
+            sample(&text, "ugrs_gateway_shard_conn_reused_total{shard=\"s0\"}"),
+        )
+    };
+
+    let mut direct = SolveClient::connect(&shard_addr).expect("direct client");
+    let before = accepted(&mut direct);
+    for i in 0..50 {
+        solve(format!("reuse-{i}"));
+    }
+    let grew = accepted(&mut direct) - before;
+    assert!(grew <= 6, "50 jobs made the shard accept {grew} connections");
+    let (dials, reused) = gw_counters();
+    assert!(dials <= 6, "50 jobs cost {dials} dials");
+    assert!(reused >= 94, "100 shard RPCs, {reused} of them on a pooled connection");
+
+    // Restart the shard where the gateway expects it. The pause lets
+    // the old instance's connection threads see the shutdown flag and
+    // hang up (they look every 500 ms).
+    drop(direct);
+    shard.shutdown_and_join();
+    std::thread::sleep(Duration::from_millis(700));
+    let shard = SolveServer::start(shard_config(shard_addr)).expect("shard restart");
+    let t0 = Instant::now();
+    solve("after-restart".into());
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(10), "no parked retry (20 s) on the way: {took:?}");
+    assert_eq!(gw_counters().0, dials + 1, "the stale pool costs exactly one redial");
+
+    // Not joined: the health thread sleeps out its 20 s interval.
+    gateway.shutdown();
+    shard.shutdown_and_join();
 }
 
 /// A gateway restart must replay its own write-ahead ledger: jobs
@@ -1080,7 +1181,8 @@ fn revived_shard_wins_back_its_queued_rendezvous_share() {
     let addr = gateway.client_addr().to_string();
     let mut client = SolveClient::connect(&addr).expect("client");
 
-    // All 20 jobs land on a (b is dead) and queue behind its one slot.
+    // All 20 jobs end up on a — b's share once the gateway has
+    // declared it dead — and queue behind its one slot.
     let jobs: Vec<u64> = (0..20)
         .map(|i| {
             let mut spec = stp_job(format!("rejoin-{i}"), &g, &ReduceParams::default());
@@ -1089,13 +1191,15 @@ fn revived_shard_wins_back_its_queued_rendezvous_share() {
         })
         .collect();
 
-    // Wait until a is actually grinding, then revive b where the
-    // config expects it — with a fresh state dir, like a reprovisioned
-    // host.
+    // Wait until b's start-up grace has run out (until then the jobs
+    // rendezvous gives it are parked for retries, not queued on a) and
+    // a is actually grinding, then revive b where the config expects
+    // it — with a fresh state dir, like a reprovisioned host.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let fleet = client.fleet().expect("fleet rpc");
-        if fleet.shards[0].jobs_running >= 1 && fleet.shards[0].queue_depth >= 8 {
+        let a_backlogged = fleet.shards[0].jobs_running >= 1 && fleet.shards[0].queue_depth >= 8;
+        if a_backlogged && !fleet.shards[1].healthy && fleet.dispatch_depth == 0 {
             break;
         }
         assert!(Instant::now() < deadline, "shard a never built a backlog: {fleet:?}");

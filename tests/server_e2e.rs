@@ -314,9 +314,25 @@ fn stale_gateway_epoch_is_fenced() {
     let server = SolveServer::start(server_config(1, 1, 0)).expect("server start");
     let addr = server.client_addr().to_string();
 
-    // The usurper (epoch 5) introduces itself first.
+    // A primary's *pooled* connection: announced under epoch 3 while
+    // that was current, kept open, and in good standing so far.
+    let mut pooled = SolveClient::connect(&addr).expect("pooled connect");
+    assert_eq!(pooled.announce_gateway_epoch(3).expect("current epoch is acked"), 3);
+    assert!(!pooled.cancel(999).expect("an unfenced cancel answers normally"));
+
+    // The usurper (epoch 5) introduces itself.
     let mut usurper = SolveClient::connect(&addr).expect("usurper connect");
     assert_eq!(usurper.announce_gateway_epoch(5).expect("fresh epoch is acked"), 5);
+
+    // The persistent connection needs no new handshake to be fenced:
+    // its very next Submit bounces, naming the usurper.
+    let spec = stp_job("fenced", &stp_graph(1), &ReduceParams::default());
+    let err = pooled.try_submit(spec).expect_err("a submit under the deposed epoch must fail");
+    assert_eq!(ugrs::ug::server::fenced_epoch(&err), Some(5));
+    // Re-announcing on the live connection (what a re-promoted gateway
+    // does on its next borrow) heals it.
+    assert_eq!(pooled.announce_gateway_epoch(5).expect("re-announcement is acked"), 5);
+    assert!(!pooled.cancel(999).expect("healed"));
 
     // The deposed primary (epoch 3) wakes up late: its announcement is
     // refused, naming the epoch that fenced it.
@@ -347,7 +363,7 @@ fn stale_gateway_epoch_is_fenced() {
         .find(|l| l.starts_with("ugrs_server_fenced_rpcs_total"))
         .expect("fenced counter exported");
     let n: u64 = fenced_line.split_whitespace().last().unwrap().parse().unwrap();
-    assert!(n >= 2, "expected >= 2 fenced RPCs, metrics say {n}");
+    assert!(n >= 3, "expected >= 3 fenced RPCs, metrics say {n}");
 
     server.shutdown_and_join();
 }
