@@ -3,7 +3,7 @@
 //! instances as `table1`, each solved with `ug [SteinerJack,
 //! ThreadComm]` and `ug [SteinerJack, ProcessComm]` at a growing rank
 //! count, reporting wall times side by side. The gap between the two
-//! columns is the transport overhead (process spawn + handshake + JSON
+//! columns is the transport overhead (process spawn + handshake +
 //! frames over localhost TCP) that the shared-memory runs avoid.
 //!
 //! Requires the worker binary:
@@ -11,12 +11,10 @@
 //! ```sh
 //! cargo build --release --bin ugd-worker
 //! cargo run -p ugrs-bench --release --bin table1p \
-//!     [-- --limit <s>] [--ranks 1,2,4] [--codec v2|v3]
+//!     [-- --limit <s>] [--ranks 1,2,4]
 //! ```
 //!
-//! `--codec` caps the wire protocol of every run (coordinator and
-//! spawned workers alike — the runner forwards the cap): the
-//! JSON-vs-binary bytes-on-wire comparison recorded in EXPERIMENTS.md. The `wire` column is this process's tx+rx byte
+//! The `wire` column is this process's tx+rx byte
 //! delta over the distributed run (`ugrs_wire_{tx,rx}_bytes_total` —
 //! coordinator-side traffic; worker-side bytes mirror it).
 //!
@@ -25,7 +23,7 @@
 
 use std::time::Instant;
 use ugrs_bench::fmt_time;
-use ugrs_core::{DistributedOptions, ParallelOptions, ProcessCommConfig};
+use ugrs_core::{DistributedOptions, ParallelOptions};
 use ugrs_glue::{ug_solve_stp, ug_solve_stp_distributed};
 use ugrs_steiner::gen as sgen;
 use ugrs_steiner::reduce::ReduceParams;
@@ -61,16 +59,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.split(',').filter_map(|t| t.parse().ok()).collect())
         .unwrap_or_else(|| vec![1, 2, 4]);
-    let mut comm = ProcessCommConfig::default();
-    if let Some(i) = args.iter().position(|a| a == "--codec") {
-        match args.get(i + 1).map(|s| ugrs_core::process::parse_codec_flag(s)) {
-            Some(Ok(cap)) => comm.max_protocol = cap,
-            other => {
-                eprintln!("table1p: bad --codec: {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
 
     let Some(worker) = worker_binary() else {
         eprintln!(
@@ -81,10 +69,7 @@ fn main() {
     };
 
     println!("Table 1 (ProcessComm): thread vs process back-end wall times");
-    println!(
-        "(worker: {worker}; per-run limit {limit}s; codec cap v{})\n",
-        comm.advertised_protocol()
-    );
+    println!("(worker: {worker}; per-run limit {limit}s)\n");
     println!(
         "{:>10} {:>7} {:>12} {:>12} {:>10} {:>10} {:>7}",
         "instance", "ranks", "ThreadComm", "ProcessComm", "overhead", "wire", "agree"
@@ -106,11 +91,7 @@ fn main() {
                 &g,
                 &ReduceParams::default(),
                 options,
-                DistributedOptions {
-                    worker_command: vec![worker.clone()],
-                    comm: comm.clone(),
-                    ..Default::default()
-                },
+                DistributedOptions { worker_command: vec![worker.clone()], ..Default::default() },
             );
             let t_proc = t0.elapsed().as_secs_f64();
             let wire_bytes = w.tx_bytes.get() + w.rx_bytes.get() - wire_before;

@@ -10,19 +10,14 @@
 //! ```sh
 //! cargo build --release --bin ugd-worker
 //! cargo run -p ugrs-bench --release --bin table_serve \
-//!     [-- --jobs <n>] [--solvers <k>] [--codec v2|v3]
+//!     [-- --jobs <n>] [--solvers <k>]
 //! ```
-//!
-//! `--codec` caps the wire protocol of both paths (the server passes
-//! the cap to its pool workers, the per-call runner to its spawned
-//! fleet) — the knob behind the JSON-vs-binary throughput rows in
-//! EXPERIMENTS.md.
 //!
 //! The worker is looked up next to this executable (both live in
 //! `target/<profile>/`); override with the `UGD_WORKER` env var.
 
 use std::time::{Duration, Instant};
-use ugrs_core::{ParallelOptions, ProcessCommConfig, ServerConfig};
+use ugrs_core::{ParallelOptions, ServerConfig};
 use ugrs_glue::{stp_job, SolveClient, SolveServer};
 use ugrs_steiner::gen as sgen;
 use ugrs_steiner::reduce::ReduceParams;
@@ -92,14 +87,12 @@ fn run_served(
     graphs: &[(String, Graph)],
     solvers: usize,
     journal_dir: Option<std::path::PathBuf>,
-    comm: &ProcessCommConfig,
 ) -> std::io::Result<Batch> {
     let config = ServerConfig {
         worker_command: vec![worker.to_string()],
         pool_size: solvers,
         max_concurrent_jobs: 1,
         journal_dir,
-        comm: comm.clone(),
         ..Default::default()
     };
     let server = SolveServer::start(config)?;
@@ -136,7 +129,6 @@ fn run_per_call(
     worker: &str,
     graphs: &[(String, Graph)],
     solvers: usize,
-    comm: &ProcessCommConfig,
 ) -> std::io::Result<Batch> {
     let t0 = Instant::now();
     let mut latencies = Vec::new();
@@ -148,7 +140,6 @@ fn run_per_call(
             ParallelOptions { num_solvers: solvers, ..Default::default() },
             ugrs_core::DistributedOptions {
                 worker_command: vec![worker.to_string()],
-                comm: comm.clone(),
                 ..Default::default()
             },
         )?;
@@ -162,16 +153,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let jobs = arg(&args, "--jobs").map(|v| v as usize).unwrap_or(8);
     let solvers = arg(&args, "--solvers").map(|v| v as usize).unwrap_or(2);
-    let mut comm = ProcessCommConfig::default();
-    if let Some(i) = args.iter().position(|a| a == "--codec") {
-        match args.get(i + 1).map(|s| ugrs_core::process::parse_codec_flag(s)) {
-            Some(Ok(cap)) => comm.max_protocol = cap,
-            other => {
-                eprintln!("table_serve: bad --codec: {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
 
     let Some(worker) = worker_binary() else {
         eprintln!(
@@ -182,18 +163,14 @@ fn main() {
     };
 
     let graphs = instances(jobs);
-    println!(
-        "Serve-mode throughput: {jobs} STP jobs x {solvers} solvers \
-         (worker: {worker}; codec cap v{})\n",
-        comm.advertised_protocol()
-    );
+    println!("Serve-mode throughput: {jobs} STP jobs x {solvers} solvers (worker: {worker})\n");
     println!(
         "{:>12} {:>9} {:>10} {:>10} {:>10}",
         "path", "jobs/s", "p50 [ms]", "p95 [ms]", "wall [ms]"
     );
 
     // Serve the batch once to warm the page cache for both paths.
-    let _ = run_served(&worker, &graphs[..1.min(graphs.len())], solvers, None, &comm);
+    let _ = run_served(&worker, &graphs[..1.min(graphs.len())], solvers, None);
 
     // The served batch is tens of milliseconds; one run's scheduling
     // jitter swamps a few-percent telemetry delta. Interleave the two
@@ -214,7 +191,7 @@ fn main() {
     for round in 0..6 {
         let mut one = |tel: bool| {
             let dir = tel.then(|| journal_dir.clone());
-            if let Ok(b) = run_served(&worker, &graphs, solvers, dir, &comm) {
+            if let Ok(b) = run_served(&worker, &graphs, solvers, dir) {
                 best(if tel { &mut telemetered } else { &mut plain }, b);
             }
             std::thread::sleep(Duration::from_millis(100));
@@ -230,7 +207,7 @@ fn main() {
         Some(b) => b.report("served+tel"),
         None => eprintln!("table_serve: telemetry path failed"),
     }
-    match run_per_call(&worker, &graphs, solvers, &comm) {
+    match run_per_call(&worker, &graphs, solvers) {
         Ok(b) => b.report("per-call"),
         Err(e) => eprintln!("table_serve: per-call path failed: {e}"),
     }

@@ -7,9 +7,10 @@
 //! one-line JSON the plan serializes to (`--chaos-seed`/
 //! `--chaos-profile` on `ugd-worker`/`ugd-server`, see the README
 //! chaos runbook). The injector sits on the worker's frame-write path
-//! inside [`crate::process`]; every outgoing frame (heartbeats
-//! included) advances the schedule, which gives the plan a steady
-//! clock even while the solver is quiet.
+//! ([`write_frame`], called by the per-call session's
+//! [`crate::process::Endpoint`] and by the pool worker's uplink);
+//! every outgoing frame (heartbeats included) advances the schedule,
+//! which gives the plan a steady clock even while the solver is quiet.
 //!
 //! Faults model what real networks do to a TCP connection:
 //!
@@ -25,13 +26,15 @@
 //!   the receiver's CRC must catch it and drop the connection.
 //! * **Partition** — all writes (heartbeats included) stop for a
 //!   while; the connection is torn down when the partition lifts (or
-//!   earlier, by the coordinator's liveness sweep) and the resume
-//!   replays the suppressed frames — never leaving a sequence gap.
+//!   earlier, by the peer's liveness sweep), so the suppressed frames
+//!   are replayed by the session resume — never leaving a sequence
+//!   gap — or, on a pool connection, the worker is replaced.
 //! * **Kill** — the worker process exits immediately (exit code 137,
 //!   as if SIGKILLed): exercises the `WorkerDied` → requeue path.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::io::{self, Write};
+use std::time::{Duration, Instant};
 
 /// What the injector decided for one outgoing frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,6 +248,75 @@ impl FaultInjector {
     /// The plan this injector walks (for repro messages).
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
+    }
+}
+
+/// The fault schedule on one connection's write path: the injector
+/// plus the partition it may have opened.
+#[derive(Debug)]
+pub struct FrameFaults {
+    injector: FaultInjector,
+    /// Writes are suppressed (the socket stays open and silent) until
+    /// this instant.
+    partition_until: Option<Instant>,
+}
+
+impl FrameFaults {
+    /// Arms `plan` on a connection's write path.
+    pub fn new(plan: &FaultPlan) -> Self {
+        FrameFaults { injector: plan.injector(), partition_until: None }
+    }
+
+    /// A fresh connection replaces the one a partition silenced.
+    pub fn reconnected(&mut self) {
+        self.partition_until = None;
+    }
+}
+
+/// Writes one complete frame to `w`, through the fault schedule when
+/// `faults` is armed — the one place a [`FaultAction`] becomes bytes
+/// (or their absence) on a socket. `Ok` means the connection is still
+/// usable: the frame was written, or a partition swallowed it. `Err`
+/// means the caller must tear the connection down: the write failed, a
+/// `Drop` fired (TCP never loses a frame mid-stream silently — loss is
+/// a torn connection), or a partition lifted with frames suppressed
+/// behind it (writing on would leave a hole in the stream). A frame
+/// suppressed by an open partition does not advance the schedule.
+pub fn write_frame<W: Write>(
+    faults: Option<&mut FrameFaults>,
+    w: &mut W,
+    frame: &[u8],
+) -> io::Result<()> {
+    let mut write = |bytes: &[u8]| w.write_all(bytes).and_then(|_| w.flush());
+    let Some(f) = faults else { return write(frame) };
+    if let Some(until) = f.partition_until {
+        if Instant::now() < until {
+            return Ok(());
+        }
+        f.partition_until = None;
+        return Err(io::Error::other("chaos: partition lifted over suppressed frames"));
+    }
+    match f.injector.on_frame() {
+        FaultAction::Pass => write(frame),
+        FaultAction::Delay(d) => {
+            std::thread::sleep(d);
+            write(frame)
+        }
+        FaultAction::Drop => Err(io::Error::other("chaos: frame dropped, connection torn")),
+        FaultAction::Duplicate => write(frame).and_then(|_| write(frame)),
+        FaultAction::Corrupt { bit } => {
+            let mut bad = frame.to_vec();
+            let b = (bit % (bad.len() as u64 * 8)) as usize;
+            bad[b / 8] ^= 1 << (b % 8);
+            write(&bad)
+        }
+        FaultAction::Partition(d) => {
+            f.partition_until = Some(Instant::now() + d);
+            Ok(())
+        }
+        // Hard worker loss; only meaningful in spawned worker
+        // processes (the chaos e2e suites), never in-process.
+        FaultAction::Kill => std::process::exit(137),
     }
 }
 

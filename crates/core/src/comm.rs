@@ -20,13 +20,11 @@
 //! know which transport carries their messages.
 //!
 //! **Delivery guarantees.** ThreadComm delivers every message exactly
-//! once, in order (it *is* an mpsc channel). ProcessComm at protocol
-//! v2+ matches that for every [`Message`]: payloads are
-//! CRC32-checksummed, sequence-numbered, ring-buffered until acked,
-//! replayed across reconnects and de-duplicated by seq — a transient
-//! connection loss is invisible above this layer. Protocol v3 keeps
-//! exactly these guarantees and changes only the bytes: binary
-//! payloads and writer-side frame batching (see `PROTOCOL.md`). Transport-internal
+//! once, in order (it *is* an mpsc channel). ProcessComm matches that
+//! for every [`Message`]: payloads are CRC32-checksummed,
+//! sequence-numbered, ring-buffered until acked, replayed across
+//! reconnects and de-duplicated by seq — a transient connection loss is
+//! invisible above this layer (see `PROTOCOL.md`). Transport-internal
 //! heartbeats are fire-and-forget (loss only delays liveness, never
 //! state). The guarantee is bounded by the reconnect deadline: when it
 //! expires the back-end synthesizes [`Message::WorkerDied`] upward —

@@ -576,9 +576,26 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
     /// loop.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Under the state lock, or a waiter between its flag check and
+        // its wait would miss the wake-up.
+        drop(self.state.lock().unwrap());
         self.cv.notify_all();
         self.events.wake();
         wake_listener(self.client_addr);
+    }
+
+    /// The health loop's pause between sweeps: one health interval, cut
+    /// short by [`Self::begin_shutdown`].
+    fn pause_health_loop(&self) {
+        let deadline = Instant::now() + self.config.health_interval;
+        let mut st = self.state.lock().unwrap();
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            st = self.cv.wait_timeout(st, left).unwrap().0;
+        }
     }
 
     /// The chaos gate every gateway→shard RPC passes first: injected
@@ -1957,7 +1974,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             // A standby does not poll: its view rebuilds on promote,
             // and polling from two gateways would double the load the
             // shards see.
-            std::thread::sleep(shared.config.health_interval);
+            shared.pause_health_loop();
             continue;
         }
         let mut newly_dead = Vec::new();
@@ -2015,7 +2032,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
         if shared.config.steal_margin > 0 && shared.still_primary() {
             maybe_steal(&shared);
         }
-        std::thread::sleep(shared.config.health_interval);
+        shared.pause_health_loop();
     }
 }
 
@@ -2723,8 +2740,7 @@ mod tests {
     }
 
     /// A gateway over `addrs` whose health loop keeps out of the way:
-    /// one sweep at start, the next after the test is long over (so
-    /// tests `shutdown` it and leave the sleeping thread behind).
+    /// one sweep at start, the next after the test is long over.
     fn quiet_gateway(addrs: &[&str], probe_timeout: Duration) -> Gw {
         Gw::start(GatewayConfig {
             shards: addrs
@@ -2789,7 +2805,31 @@ mod tests {
         assert_eq!(st.dispatch.len(), for_down.len(), "the refused jobs are parked, not lost");
         assert!(st.dispatch.iter().all(|d| d.retry_at.is_some()));
         drop(st);
-        gw.shutdown();
+        gw.shutdown_and_join();
+    }
+
+    /// The health loop used to sleep its interval out uninterruptibly,
+    /// so joining a gateway took up to a whole interval; it now waits on
+    /// the condvar `begin_shutdown` notifies.
+    #[test]
+    fn shutdown_and_join_does_not_wait_out_the_health_interval() {
+        let shard = fake_shard(accepting);
+        let gw = Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            health_interval: Duration::from_secs(5),
+            shard_liveness: Duration::from_secs(60),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start");
+        // The first sweep is under way or over: whether the shutdown
+        // finds the loop before or inside its pause, the pause must end.
+        wait_until("the first health poll", Duration::from_secs(5), || {
+            !shard.seen(|r| matches!(r, Req::Metrics)).is_empty()
+        });
+        let t0 = Instant::now();
+        gw.shutdown_and_join();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(200), "joining took {took:?}");
     }
 
     /// The pool's borrow/return rule under a moving lease epoch: one
@@ -2831,7 +2871,7 @@ mod tests {
         assert_eq!(fenced_epoch(&err), Some(9));
         assert!(shared.fenced.load(Ordering::SeqCst), "a Fenced reply deposes the gateway");
         assert!(pool.idle.lock().unwrap().is_empty(), "the fenced connection is not returned");
-        gw.shutdown();
+        gw.shutdown_and_join();
     }
 
     /// A listener that answers no SYN: its accept queue is full and
@@ -2902,7 +2942,7 @@ mod tests {
         let took = up.log.lock().unwrap().iter().find(|(_, r, _)| watched(r)).unwrap().2 - rerouted;
         assert!(took < bound, "the tracker followed the re-route after {took:?}");
 
-        gw.shutdown();
+        gw.shutdown_and_join();
         tracker.join().unwrap();
     }
 }

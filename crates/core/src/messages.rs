@@ -20,8 +20,8 @@ pub struct SubproblemMsg<Sub> {
 ///
 /// The enum derives serde so the *whole protocol* is wire-shippable:
 /// the process transport ([`crate::process`]) moves exactly these
-/// values as checksummed frames — JSON or the binary codec, whichever
-/// the session negotiated (`PROTOCOL.md` §3) — while the thread
+/// values as checksummed frames in the binary codec (`PROTOCOL.md`
+/// §3) — while the thread
 /// transport moves them in memory: same protocol, different carrier.
 ///
 /// Every variant is *reliable* on every transport: sequenced, ringed

@@ -9,39 +9,35 @@
 //!
 //! **Handshake.** A connecting worker sends `Hello { protocol,
 //! rank_hint, max_protocol, resume }` (always as a v1 frame); the
-//! coordinator verifies the base protocol, negotiates the protocol
-//! revision (`min(worker max_protocol, coordinator cap)`, so a v2 peer
-//! holds the pair at v2 and `--codec v2` forces a rollback), assigns a
-//! rank (honoring the hint when free — this is what makes spawned
-//! worker *i* deterministically become rank *i*), and answers
-//! `Welcome { rank, num_workers, protocol, session }`. After the
-//! welcome both directions switch to checksummed v2 frames. The
-//! resumable session is the only mode: a hello that advertises no
-//! `max_protocol`, or one below [`MIN_SESSION_PROTOCOL`], is refused —
+//! coordinator verifies the base protocol and the advertised wire
+//! revision (`require_revision`: [`PROTOCOL_VERSION`] or refused —
 //! the connection is closed without a welcome and without touching a
-//! rank slot. Version-mismatched or garbled connections are dropped
-//! before they can corrupt a run. Each connection handshakes on its
-//! own thread, so a client that stalls mid-hello occupies only itself —
-//! never the accept loop, and never a rank slot (ranks are claimed
-//! only once a complete hello arrives, and released again if the
-//! welcome cannot be written).
+//! rank slot), assigns a rank (honoring the hint when free — this is
+//! what makes spawned worker *i* deterministically become rank *i*),
+//! and answers `Welcome { rank, num_workers, protocol, session }`.
+//! After the welcome both directions speak checksummed v2 frames
+//! carrying binary payloads, each written directly to the socket.
+//! Version-mismatched or garbled connections are dropped before they
+//! can corrupt a run. Each connection handshakes on its own thread, so
+//! a client that stalls mid-hello occupies only itself — never the
+//! accept loop, and never a rank slot (ranks are claimed only once a
+//! complete hello arrives, and released again if the welcome cannot be
+//! written).
 //!
-//! **Self-healing.** Every connection belongs to a
-//! *session* identified by a token from the welcome. Reliable frames
-//! carry sequence numbers and CRC32 checksums ([`crate::wire`]); both
-//! ends keep a bounded retransmit ring of un-acked payloads. When a
-//! connection breaks — EOF, write error, CRC corruption, or the
-//! liveness sweep shutting down a silent socket — the worker
-//! reconnects with exponential backoff + jitter under the
-//! [`ProcessCommConfig::reconnect_deadline`] budget, presents its
-//! token, and both sides replay whatever the other had not yet acked;
-//! duplicate deliveries are suppressed by sequence number, and a
-//! sequence *gap* (a frame from the future) is treated as a torn
-//! stream that forces another reconnect, so in-stream loss can never
-//! be silently accepted. During a coordinator-side resume the writer
-//! stays unpublished until the replay completes — concurrent
-//! `send_to` frames are ringed and flushed afterwards, in order — so
-//! a fresh frame can never overtake a replayed one on the wire. The
+//! **Self-healing.** Both ends of a connection hold the same
+//! [`Endpoint`]: the write half, the session token from the welcome,
+//! both sequence spaces and a bounded retransmit ring of un-acked
+//! payloads. Reliable frames carry sequence numbers and CRC32
+//! checksums ([`crate::wire`]). When a connection breaks — EOF, write
+//! error, CRC corruption, or the liveness sweep shutting down a silent
+//! socket — the worker reconnects with exponential backoff + jitter
+//! under the [`ProcessCommConfig::reconnect_deadline`] budget,
+//! presents its token, and both sides replay whatever the other had
+//! not yet acked ([`Endpoint::replay_onto`], which carries the
+//! ordering rule); duplicate deliveries are suppressed by sequence
+//! number, and a sequence *gap* (a frame from the future) is treated
+//! as a torn stream that forces another reconnect, so in-stream loss
+//! can never be silently accepted ([`Endpoint::on_header`]). The
 //! supervisor never hears about a transient drop. Only when the
 //! deadline expires (or with a zero deadline, or when a retransmit
 //! ring overflows) does the transport synthesize
@@ -57,37 +53,37 @@
 //! in `recv_timeout` catches the hung-but-connected case: the silent
 //! socket is shut down, which merely opens the reconnect window.
 //!
-//! **Chaos.** With [`ProcessCommConfig::chaos`] set, the worker-side
-//! send path consults a deterministic [`FaultInjector`] before every
-//! outgoing frame and injects the scheduled delay / drop / duplicate /
-//! corruption / partition / kill faults. A partition suppresses writes
-//! while it lasts and tears the stream down when it lifts, so the
-//! suppressed (ringed) frames are replayed by the resume instead of
-//! leaving a sequence gap. The recovery path (replay on resume)
-//! bypasses injection, so a seeded schedule perturbs the stream but
-//! never the repair.
+//! **Chaos.** With [`ProcessCommConfig::chaos`] set, the worker's
+//! endpoint passes every outgoing frame through
+//! [`crate::chaos::write_frame`], which injects the scheduled delay /
+//! drop / duplicate / corruption / partition / kill faults. A
+//! partition suppresses writes while it lasts and tears the stream
+//! down when it lifts, so the suppressed (ringed) frames are replayed
+//! by the resume instead of leaving a sequence gap. The recovery path
+//! (replay on resume) bypasses injection, so a seeded schedule
+//! perturbs the stream but never the repair.
 
-use crate::chaos::{ChaosConfig, FaultAction, FaultInjector, SplitMix64};
+use crate::chaos::{self, ChaosConfig, FrameFaults, SplitMix64};
 use crate::messages::Message;
 use crate::rpc::{accept_loop, wake_listener};
 use crate::telemetry;
-use crate::wire::{self, FrameDecoder, FrameHeader};
+use crate::wire::{self, FrameDecoder, FrameHeader, UNSEQ};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Highest protocol revision this build speaks (v3: v2's checksummed,
-/// sequence-numbered, resumable frames carrying the compact binary
-/// payload codec, with writer-side frame batching). Advertised as
-/// `max_protocol` in the hello; the coordinator negotiates
-/// `min(worker max_protocol, coordinator cap)` — see
-/// [`negotiate_protocol`] and PROTOCOL.md for the normative rules.
+/// The wire revision every worker connection — per-call session or
+/// pool — speaks after its handshake: checksummed, sequence-numbered
+/// v2 frames carrying the binary payload codec. Advertised as
+/// `max_protocol` in the hello and as `protocol` in the welcome; a
+/// peer advertising anything else is refused (`require_revision`,
+/// PROTOCOL.md §4).
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The base protocol every peer must share for the handshake itself;
@@ -95,32 +91,19 @@ pub const PROTOCOL_VERSION: u32 = 3;
 /// desynchronizing mid-run.
 pub const BASE_PROTOCOL: u32 = 1;
 
-/// Lowest negotiated revision a worker session may run at: the
-/// checksummed, sequence-numbered, resumable frames of v2. A hello
-/// that negotiates below it is refused at the handshake.
-pub const MIN_SESSION_PROTOCOL: u32 = 2;
-
 /// Un-acked payloads kept per direction for replay after a reconnect.
 /// A ring that reaches capacity means the peer has been unreachable
 /// past any useful resume horizon: the session is declared dead loudly
 /// (counted in `ugrs_comm_ring_overflows_total`, surfacing the usual
 /// requeue path) rather than silently evicting — and thereby losing —
 /// the oldest un-acked payload.
-const RETRANSMIT_RING_CAP: usize = 1024;
+pub const RETRANSMIT_RING_CAP: usize = 1024;
 
 /// Write timeout applied while a retransmit ring is replayed on
-/// resume. Both ends replay before their regular read loop resumes; if
-/// neither read while both rings exceeded the socket buffers, the two
-/// blocking `write_all`s would deadlock. The coordinator additionally
-/// starts its reader *before* replaying, so this timeout is the
-/// backstop that turns any residual stall into another reconnect
-/// instead of a hang.
+/// resume: the backstop that turns a replay stalled on a peer that
+/// does not read into another reconnect instead of a hang (see
+/// [`Endpoint::replay_onto`]).
 const REPLAY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Sentinel sequence number of unsequenced frames (heartbeats and ack
-/// carriers): not ringed, not replayed, exempt from duplicate
-/// suppression, and they never advance the receiver's `rx_next`.
-const UNSEQ: u64 = u64::MAX;
 
 /// Coordinator sends an ack-carrying frame downward after this many
 /// received frames, so a chatty worker's retransmit ring stays
@@ -144,14 +127,8 @@ pub struct ProcessCommConfig {
     /// [`Message::WorkerDied`]).
     pub reconnect_deadline: Duration,
     /// Deterministic fault-injection schedule applied to the worker's
-    /// outgoing frames; `None` (the default) injects nothing. Chaos
-    /// also disables frame batching: fault injection acts per frame
-    /// and needs direct writes.
+    /// outgoing frames; `None` (the default) injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Highest protocol revision this endpoint offers in negotiation
-    /// (`--codec v2` sets 2 for a forced rollback to JSON payloads).
-    /// Must lie in `MIN_SESSION_PROTOCOL..=PROTOCOL_VERSION`.
-    pub max_protocol: u32,
 }
 
 impl Default for ProcessCommConfig {
@@ -162,7 +139,6 @@ impl Default for ProcessCommConfig {
             heartbeat_interval: Duration::from_millis(500),
             reconnect_deadline: Duration::from_secs(5),
             chaos: None,
-            max_protocol: PROTOCOL_VERSION,
         }
     }
 }
@@ -179,75 +155,27 @@ impl ProcessCommConfig {
                 self.liveness_timeout, self.heartbeat_interval
             ));
         }
-        if !(MIN_SESSION_PROTOCOL..=PROTOCOL_VERSION).contains(&self.max_protocol) {
-            return Err(format!(
-                "max_protocol {} outside supported range {}..={} (use --codec v2|v3)",
-                self.max_protocol, MIN_SESSION_PROTOCOL, PROTOCOL_VERSION
-            ));
-        }
         Ok(())
     }
+}
 
-    /// The protocol revision advertised in the hello, after clamping.
-    pub fn advertised_protocol(&self) -> u32 {
-        self.max_protocol.clamp(MIN_SESSION_PROTOCOL, PROTOCOL_VERSION)
+/// The revision check of every worker handshake, per-call and pool,
+/// hello and welcome alike: the peer advertises [`PROTOCOL_VERSION`]
+/// or the connection is refused. There is nothing to negotiate — every
+/// binary is built from one tree.
+pub(crate) fn require_revision(who: &str, advertised: Option<u32>) -> io::Result<()> {
+    if advertised == Some(PROTOCOL_VERSION) {
+        return Ok(());
     }
-}
-
-/// Wraps a dup of `stream` in the writer-side frame batching of a v3
-/// session: whole frames are coalesced into one socket write under the
-/// measured caps of [`wire::BatchConfig::default`] (32 KiB / 1 ms),
-/// with a flusher thread enforcing the latency cap. `None` — every
-/// frame is written directly — for a v2 session, and whenever
-/// `batching` is off (chaos is configured: fault injection acts on
-/// individual writes).
-fn batch_writer(
-    stream: &TcpStream,
-    proto: u32,
-    batching: bool,
-) -> Option<Arc<wire::BatchWriter<TcpStream>>> {
-    if proto < 3 || !batching {
-        return None;
-    }
-    let dup = stream.try_clone().ok()?;
-    Some(Arc::new(wire::BatchWriter::new(dup, wire::BatchConfig::default())))
-}
-
-/// Tick of the flusher threads: half the latency cap.
-fn flush_tick() -> Duration {
-    let max_delay = wire::BatchConfig::default().max_delay;
-    (max_delay / 2).clamp(Duration::from_micros(200), Duration::from_millis(10))
-}
-
-/// The negotiation rule both ends apply, factored out so it can be
-/// property-tested: the session speaks
-/// `min(peer's advertised max, our configured cap)`, floored at the
-/// base protocol. A peer that does not advertise (`None`, a pre-v2
-/// build) lands on v1 — below [`MIN_SESSION_PROTOCOL`], so the
-/// handshake refuses it.
-pub fn negotiate_protocol(local_cap: u32, peer_max: Option<u32>) -> u32 {
-    peer_max.unwrap_or(BASE_PROTOCOL).min(local_cap).clamp(BASE_PROTOCOL, PROTOCOL_VERSION)
-}
-
-/// The payload encoding a negotiated revision implies: binary from v3
-/// on, JSON below.
-pub(crate) fn payload_codec(proto: u32) -> wire::Codec {
-    if proto >= 3 {
-        wire::Codec::Binary
-    } else {
-        wire::Codec::Json
-    }
-}
-
-/// Parses a `--codec` flag value into a protocol cap: `v2`/`v3` (or
-/// bare digits), plus the aliases `json` (= v2) and `binary` (= v3).
-/// Shared by the daemon binaries and the runner.
-pub fn parse_codec_flag(s: &str) -> Result<u32, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "v2" | "2" | "json" => Ok(2),
-        "v3" | "3" | "binary" | "bin" => Ok(3),
-        other => Err(format!("unknown codec {other:?} (expected v2, v3, json, or binary)")),
-    }
+    let theirs =
+        advertised.map_or("no wire revision".to_string(), |v| format!("wire revision {v}"));
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{who} advertises {theirs}; this build speaks revision {PROTOCOL_VERSION} only — \
+             run both ends from the same build"
+        ),
+    ))
 }
 
 fn validated(config: &ProcessCommConfig) -> io::Result<()> {
@@ -266,12 +194,11 @@ enum WireMsg<Sub, Sol> {
 
 #[derive(serde::Serialize, serde::Deserialize)]
 struct Hello {
-    /// Always [`BASE_PROTOCOL`]; kept first so pre-v2 coordinators
-    /// accept new workers unchanged.
+    /// Always [`BASE_PROTOCOL`].
     protocol: u32,
     rank_hint: Option<usize>,
-    /// Highest protocol revision the worker speaks; a hello without
-    /// it (a pre-v2 worker) is refused.
+    /// The wire revision the worker speaks after the welcome; anything
+    /// but [`PROTOCOL_VERSION`] (or nothing) is refused.
     #[serde(default)]
     max_protocol: Option<u32>,
     /// Present when re-attaching to an existing session.
@@ -292,8 +219,8 @@ struct Resume {
 struct Welcome {
     rank: usize,
     num_workers: usize,
-    /// Negotiated protocol revision; a welcome without it (a pre-v2
-    /// coordinator) is refused by the worker.
+    /// The wire revision of the session; the worker refuses anything
+    /// but [`PROTOCOL_VERSION`] (or nothing).
     #[serde(default)]
     protocol: Option<u32>,
     /// The session identity, and on resume the next upward seq the
@@ -309,109 +236,324 @@ struct Session {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator side
+// The session endpoint: what both ends of a connection keep
 // ---------------------------------------------------------------------
 
-/// Per-rank connection state. Lock ordering: a `Link` mutex is always
-/// taken *before* `Shared::last_heard`, never the other way around.
-struct Link {
-    /// Write half; `None` while disconnected (or before first claim).
-    writer: Option<TcpStream>,
-    /// Negotiated protocol revision of the current session (2 or 3).
-    proto: u32,
-    /// v3 batching writer wrapping a dup of `writer`; `None` while
-    /// disconnected or when the session does not batch. Cleared by
-    /// [`Link::disconnect`] so buffered-but-unsent frames are replayed
-    /// from the ring on resume instead of leaking.
-    batch: Option<Arc<wire::BatchWriter<TcpStream>>>,
-    /// Bumped on every (re)connection; readers spawned for an older
-    /// epoch must drop everything they hold.
-    epoch: u64,
-    /// A worker has completed a hello for this rank at least once.
-    claimed: bool,
-    /// Session identity a reconnecting worker must present.
-    token: u64,
-    /// Terminal; set at most once, and `WorkerDied` is synthesized by
-    /// whoever sets it.
-    died: bool,
-    /// When the current disconnection began; `None` while connected.
-    disconnected_since: Option<Instant>,
-    /// Next downward sequence number.
-    tx_next: u64,
-    /// Un-acked downward payloads for replay on resume.
-    ring: VecDeque<(u64, Arc<Vec<u8>>)>,
-    /// Next upward seq expected; anything below is a duplicate.
-    rx_next: u64,
-    /// Upward frames since the last downward ack carrier.
-    rx_count: u64,
+/// What an [`Endpoint`] needs of a connection's write half beyond
+/// bytes out. Implemented by `TcpStream`; tests substitute an
+/// in-memory pipe.
+pub trait Conn: Write {
+    /// Tears the connection down under every dup of it, so the reader
+    /// blocked on the other half wakes up too.
+    fn close(&self);
+    /// Bounds every later write (`None` = block indefinitely).
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
 }
 
-impl Link {
-    fn new() -> Self {
-        Link {
-            writer: None,
-            proto: MIN_SESSION_PROTOCOL,
-            batch: None,
-            epoch: 0,
-            claimed: false,
-            token: 0,
-            died: false,
-            disconnected_since: None,
+impl Conn for TcpStream {
+    fn close(&self) {
+        let _ = self.shutdown(Shutdown::Both);
+    }
+
+    fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_write_timeout(self, timeout)
+    }
+}
+
+/// What [`Endpoint::on_header`] made of a received frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arrival {
+    /// In order (or unsequenced): deliver the payload.
+    Accept,
+    /// Already delivered before a reconnect: drop the payload.
+    Duplicate,
+    /// A frame from the future — bytes vanished in-stream. Never
+    /// accepted: the caller tears the connection down so the resume
+    /// replays the missing range from the unmoved `rx_next`.
+    Gap,
+}
+
+/// [`Endpoint::send`] refused a reliable payload: the retransmit ring
+/// holds [`RETRANSMIT_RING_CAP`] un-acked payloads. The payload was
+/// *not* ringed and nothing was evicted; the session is beyond repair
+/// and the caller declares it dead.
+#[derive(Debug, PartialEq, Eq)]
+pub struct RingFull;
+
+/// One end of a resumable worker session — the coordinator holds one
+/// per rank, the worker holds one. It owns the write half of the
+/// current connection (if any), the session token, both sequence
+/// spaces and the retransmit ring, and the rules on them; who may
+/// declare the session dead, and when, stays with the owner.
+pub struct Endpoint<W: Conn = TcpStream> {
+    /// Write half; `None` while disconnected, and during a resume
+    /// until the replay is on the wire.
+    writer: Option<W>,
+    /// Session identity a reconnecting worker must present.
+    token: u64,
+    /// Next outgoing sequence number.
+    tx_next: u64,
+    /// Un-acked outgoing payloads for replay on resume.
+    ring: VecDeque<(u64, Arc<Vec<u8>>)>,
+    /// Next incoming seq expected; anything below is a duplicate.
+    rx_next: u64,
+    /// The seeded fault schedule on the write path (worker side under
+    /// chaos only).
+    faults: Option<FrameFaults>,
+}
+
+impl<W: Conn> Endpoint<W> {
+    /// A fresh session: both sequence spaces at zero, nothing ringed.
+    pub fn new(token: u64, writer: Option<W>, chaos: Option<&ChaosConfig>) -> Self {
+        Endpoint {
+            writer,
+            token,
             tx_next: 0,
             ring: VecDeque::new(),
             rx_next: 0,
-            rx_count: 0,
+            faults: chaos.map(FrameFaults::new),
         }
     }
 
-    fn trim_ring(&mut self, ack: u64) {
+    /// The session token.
+    pub fn token(&self) -> u64 {
+        self.token
+    }
+
+    /// Next incoming sequence number expected — what a resume tells
+    /// the peer to replay from.
+    pub fn rx_next(&self) -> u64 {
+        self.rx_next
+    }
+
+    /// Whether a connection is currently published for writing.
+    pub fn is_attached(&self) -> bool {
+        self.writer.is_some()
+    }
+
+    /// Sequence numbers of the payloads still awaiting an ack, oldest
+    /// first.
+    pub fn unacked(&self) -> impl Iterator<Item = u64> + '_ {
+        self.ring.iter().map(|(seq, _)| *seq)
+    }
+
+    /// Sends one payload. A `reliable` payload is sequenced and ringed
+    /// *before* the write, so `Ok` means delivered, or replayed by the
+    /// next resume; an unreliable one (heartbeat, ack carrier) goes
+    /// out [`UNSEQ`] and is simply lost with the connection. A failed
+    /// write (or an injected fault that demands it) detaches the
+    /// connection — the owner's reader notices and the reconnect
+    /// window opens. `Err` only on ring overflow.
+    pub fn send(&mut self, payload: Vec<u8>, reliable: bool) -> Result<(), RingFull> {
+        let seq = if reliable {
+            if self.ring.len() >= RETRANSMIT_RING_CAP {
+                telemetry::comm().ring_overflows.inc();
+                return Err(RingFull);
+            }
+            let seq = self.tx_next;
+            self.tx_next += 1;
+            seq
+        } else {
+            UNSEQ
+        };
+        let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: self.rx_next });
+        if reliable {
+            self.ring.push_back((seq, Arc::new(payload)));
+        }
+        if let Some(w) = self.writer.as_mut() {
+            if chaos::write_frame(self.faults.as_mut(), w, &framed).is_err() {
+                self.detach();
+            }
+        }
+        Ok(())
+    }
+
+    /// Applies a received frame's header: duplicate suppression, gap
+    /// detection, advancing `rx_next`, and trimming the ring by the
+    /// peer's cumulative ack. Only an [`Arrival::Accept`]ed frame moves
+    /// any state.
+    pub fn on_header(&mut self, header: FrameHeader) -> Arrival {
+        if header.seq != UNSEQ {
+            if header.seq < self.rx_next {
+                telemetry::comm().dup_frames.inc();
+                return Arrival::Duplicate;
+            }
+            if header.seq > self.rx_next {
+                telemetry::comm().seq_gaps.inc();
+                return Arrival::Gap;
+            }
+            self.rx_next = header.seq + 1;
+        }
+        self.trim(header.ack);
+        Arrival::Accept
+    }
+
+    fn trim(&mut self, ack: u64) {
         while self.ring.front().is_some_and(|(seq, _)| *seq < ack) {
             self.ring.pop_front();
         }
     }
 
-    fn disconnect(&mut self) {
-        self.batch = None;
-        if let Some(s) = self.writer.take() {
-            let _ = s.shutdown(Shutdown::Both);
+    /// Drops the current connection (if any), closing the socket under
+    /// the reader. Session state is untouched: ringed payloads await
+    /// the resume.
+    pub fn detach(&mut self) {
+        if let Some(w) = self.writer.take() {
+            w.close();
         }
+    }
+
+    /// Re-attaches the session to `stream` after the resume handshake:
+    /// replays every payload the peer has not received (`peer_rx_next`
+    /// is the peer's [`Self::rx_next`] from its hello or welcome), then
+    /// publishes `stream` as the writer. `lock` + `endpoint` reach the
+    /// endpoint inside its owner's state; `endpoint` returns `None`
+    /// once the owner gave the session up (died, or a newer connection
+    /// superseded this one), which abandons the resume: `Ok(false)`.
+    /// On `Err` the stream is closed and the session stays detached
+    /// for the next attempt.
+    ///
+    /// This is the one ordering rule of the transport. The writer
+    /// stays *unpublished* until the whole replay is on the wire, and
+    /// the replay runs outside the owner's lock: a concurrent
+    /// [`Self::send`] therefore rings its payload without writing, and
+    /// those frames are flushed — in sequence order, under the lock —
+    /// just before publication, so a fresh frame can never overtake a
+    /// replayed one (the peer would bump its `rx_next` past the replay
+    /// and discard the rest as duplicates). Replay bypasses fault
+    /// injection. Both ends replay at once; the coordinator starts its
+    /// reader *before* calling this, so the worker's replay always
+    /// drains, and `REPLAY_WRITE_TIMEOUT` (armed for the whole call)
+    /// turns any residual stall — the worker's reader is the thread
+    /// doing its replay — into another reconnect instead of a
+    /// deadlock of two blocking writes.
+    pub fn replay_onto<L>(
+        lock: &Mutex<L>,
+        endpoint: impl Fn(&mut L) -> Option<&mut Self>,
+        mut stream: W,
+        peer_rx_next: u64,
+    ) -> io::Result<bool> {
+        match Self::replay(lock, &endpoint, &mut stream, peer_rx_next) {
+            Ok(Some(mut owner)) => {
+                let ep = endpoint(&mut owner).expect("checked under this guard");
+                if let Some(faults) = ep.faults.as_mut() {
+                    faults.reconnected();
+                }
+                ep.writer = Some(stream);
+                Ok(true)
+            }
+            Ok(None) => {
+                stream.close();
+                Ok(false)
+            }
+            Err(e) => {
+                stream.close();
+                Err(e)
+            }
+        }
+    }
+
+    /// The writes of [`Self::replay_onto`]. `Some(guard)`: everything
+    /// is on the wire and the owner's lock is still held, so the
+    /// caller publishes before any other `send` can run.
+    fn replay<'l, L>(
+        lock: &'l Mutex<L>,
+        endpoint: &impl Fn(&mut L) -> Option<&mut Self>,
+        stream: &mut W,
+        peer_rx_next: u64,
+    ) -> io::Result<Option<MutexGuard<'l, L>>> {
+        let write = |stream: &mut W, seq: u64, payload: &[u8], ack: u64| {
+            stream.write_all(&wire::frame_v2(payload, FrameHeader { seq, ack }))?;
+            stream.flush()
+        };
+        stream.set_write_timeout(Some(REPLAY_WRITE_TIMEOUT))?;
+        let (backlog, ack, tx_high) = {
+            let mut owner = lock.lock().unwrap();
+            let Some(ep) = endpoint(&mut owner) else { return Ok(None) };
+            ep.trim(peer_rx_next);
+            (ep.ring.iter().cloned().collect::<Vec<_>>(), ep.rx_next, ep.tx_next)
+        };
+        for (seq, payload) in &backlog {
+            write(stream, *seq, payload, ack)?;
+            telemetry::comm().frames_retransmitted.inc();
+        }
+        let mut owner = lock.lock().unwrap();
+        let Some(ep) = endpoint(&mut owner) else { return Ok(None) };
+        for (seq, payload) in ep.ring.iter().filter(|(seq, _)| *seq >= tx_high) {
+            write(stream, *seq, payload, ep.rx_next)?;
+        }
+        stream.set_write_timeout(None)?;
+        Ok(Some(owner))
+    }
+
+    /// Test hook: tears the connection down underneath the session (as
+    /// a mid-run network fault would) without touching any session
+    /// state.
+    #[cfg(test)]
+    fn break_connection(&self) {
+        if let Some(w) = self.writer.as_ref() {
+            w.close();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Coordinator side
+// ---------------------------------------------------------------------
+
+/// Per-rank state: the session endpoint plus what only the coordinator
+/// decides. Lock ordering: a `Rank` mutex is always taken *before*
+/// `Shared::last_heard`, never the other way around.
+struct Rank {
+    ep: Endpoint,
+    /// Bumped on every (re)connection; readers spawned for an older
+    /// epoch must drop everything they hold.
+    epoch: u64,
+    /// A worker has completed a hello for this rank at least once.
+    claimed: bool,
+    /// Terminal; set at most once, and `WorkerDied` is synthesized by
+    /// whoever sets it.
+    died: bool,
+    /// When the current disconnection began; `None` while connected
+    /// (and while a resume replay is in flight).
+    disconnected_since: Option<Instant>,
+    /// Upward frames since the last downward ack carrier.
+    rx_count: u64,
+}
+
+impl Rank {
+    fn new() -> Self {
+        Rank {
+            ep: Endpoint::new(0, None, None),
+            epoch: 0,
+            claimed: false,
+            died: false,
+            disconnected_since: None,
+            rx_count: 0,
+        }
+    }
+
+    fn disconnect(&mut self) {
+        self.ep.detach();
         if self.disconnected_since.is_none() {
             self.disconnected_since = Some(Instant::now());
         }
     }
 
-    /// Payload codec of the current session.
-    fn codec(&self) -> wire::Codec {
-        payload_codec(self.proto)
-    }
-
-    /// Routes one already-framed buffer through the batching writer
-    /// when the session batches, else writes it directly. Failures
-    /// disconnect the link (opening the reconnect window); a missing
-    /// writer is a no-op — sequenced frames are already ringed and the
-    /// resume replays them.
-    fn write_framed(&mut self, framed: &[u8]) {
-        use std::io::Write;
-        if let Some(batch) = self.batch.clone() {
-            if batch.push(framed).is_err() {
-                self.disconnect();
-            }
-        } else if let Some(w) = self.writer.as_mut() {
-            if w.write_all(framed).and_then(|_| w.flush()).is_err() {
-                self.disconnect();
-            }
+    /// [`Endpoint::send`], opening the reconnect window when the write
+    /// tore the connection down.
+    fn send(&mut self, payload: Vec<u8>, reliable: bool) -> Result<(), RingFull> {
+        let attached = self.ep.is_attached();
+        let sent = self.ep.send(payload, reliable);
+        if attached && !self.ep.is_attached() {
+            self.disconnect();
         }
-    }
-
-    /// (Re)creates the batching writer from a dup of the published
-    /// writer; call after `writer` and `proto` are set.
-    fn attach_batch(&mut self, batching: bool) {
-        self.batch = self.writer.as_ref().and_then(|w| batch_writer(w, self.proto, batching));
+        sent
     }
 }
 
 struct Shared {
-    links: Vec<Mutex<Link>>,
+    ranks: Vec<Mutex<Rank>>,
     last_heard: Mutex<Vec<Instant>>,
     /// Serializes rank selection across concurrent handshake threads.
     claim_lock: Mutex<()>,
@@ -421,10 +563,12 @@ struct Shared {
     shutdown: AtomicBool,
     liveness_timeout: Duration,
     reconnect_deadline: Duration,
-    /// Coordinator-side protocol cap offered in negotiation.
-    max_protocol: u32,
-    /// v3 sessions batch their writes (off under chaos).
-    batching: bool,
+}
+
+impl Shared {
+    fn heard_from(&self, rank: usize) {
+        self.last_heard.lock().unwrap()[rank] = Instant::now();
+    }
 }
 
 fn fresh_token() -> u64 {
@@ -475,30 +619,27 @@ impl ProcessListener {
         validated(config)?;
         let deadline = Instant::now() + config.handshake_timeout;
         let shared = Arc::new(Shared {
-            links: (0..n).map(|_| Mutex::new(Link::new())).collect(),
+            ranks: (0..n).map(|_| Mutex::new(Rank::new())).collect(),
             last_heard: Mutex::new(vec![Instant::now(); n]),
             claim_lock: Mutex::new(()),
             rank_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             liveness_timeout: config.liveness_timeout,
             reconnect_deadline: config.reconnect_deadline,
-            max_protocol: config.advertised_protocol(),
-            batching: config.chaos.is_none(),
         });
         let (up_tx, up_rx) = channel();
         let addr = self.listener.local_addr()?;
         let accept = spawn_accept_loop::<Sub, Sol>(self.listener, shared.clone(), up_tx.clone());
-        spawn_lc_flusher(shared.clone());
         // From here on dropping `lc` — the error return below included
         // — stops the accept loop.
         let lc =
             ProcessLcComm { shared: shared.clone(), up_rx, up_tx, accept: Some((addr, accept)) };
 
-        // Wait until every rank has completed a handshake (its link
+        // Wait until every rank has completed a handshake (its state
         // carries a connection epoch): only then can `send_to` reach it.
         let mut claim = shared.claim_lock.lock().unwrap();
         loop {
-            let ready = shared.links.iter().filter(|l| l.lock().unwrap().epoch > 0).count();
+            let ready = shared.ranks.iter().filter(|r| r.lock().unwrap().epoch > 0).count();
             if ready == n {
                 break;
             }
@@ -548,40 +689,6 @@ where
         .expect("spawn lc accept thread")
 }
 
-/// Sweeps every link's batching writer and flushes buffers older than
-/// the latency cap, so a lone small frame never waits longer than
-/// `BatchConfig::max_delay` for a companion. Runs for the lifetime of
-/// the endpoint; exits once `shutdown` is set. Flushing happens on a
-/// clone of the batch handle *outside* the link lock — on failure the
-/// lock is retaken and the link disconnected only if the same batch is
-/// still installed (a reconnect may have superseded it meanwhile).
-fn spawn_lc_flusher(shared: Arc<Shared>) {
-    if !shared.batching {
-        return;
-    }
-    let tick = flush_tick();
-    std::thread::Builder::new()
-        .name("lc-flusher".into())
-        .spawn(move || loop {
-            std::thread::sleep(tick);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            for slot in &shared.links {
-                let batch = slot.lock().unwrap().batch.clone();
-                if let Some(b) = batch {
-                    if b.flush_if_due().is_err() {
-                        let mut link = slot.lock().unwrap();
-                        if link.batch.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, &b)) {
-                            link.disconnect();
-                        }
-                    }
-                }
-            }
-        })
-        .expect("spawn lc flusher thread");
-}
-
 /// Performs the coordinator half of the hello/welcome exchange on one
 /// connection: claims a rank for a fresh worker, or re-attaches a
 /// returning worker to its session and replays the un-acked ring. A
@@ -597,7 +704,7 @@ where
     Sub: Serialize + DeserializeOwned + Send + 'static,
     Sol: Serialize + DeserializeOwned + Send + 'static,
 {
-    let n = shared.links.len();
+    let n = shared.ranks.len();
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = stream.try_clone()?;
@@ -610,211 +717,118 @@ where
             format!("protocol {} != {}", hello.protocol, BASE_PROTOCOL),
         ));
     }
-
-    if let Some(resume) = hello.resume {
-        return handshake_resume(stream, shared, up_tx, resume);
-    }
-
-    let proto = negotiate_protocol(shared.max_protocol, hello.max_protocol);
-    if proto < MIN_SESSION_PROTOCOL {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "hello advertises max_protocol {:?}, which negotiates v{proto}; only \
-                 resumable sessions (v{MIN_SESSION_PROTOCOL}+) are served — upgrade the worker",
-                hello.max_protocol
-            ),
-        ));
-    }
-    let token = fresh_token();
-
-    // Claim a rank (hint when free, else first unclaimed) under the
-    // claim lock so concurrent handshakes cannot race to one slot.
-    let rank = {
-        let _claim = shared.claim_lock.lock().unwrap();
-        let free = |r: usize| !shared.links[r].lock().unwrap().claimed;
-        let rank = match hello.rank_hint {
-            Some(h) if h < n && free(h) => Some(h),
-            _ => (0..n).find(|&r| free(r)),
-        };
-        let Some(rank) = rank else {
-            return Err(io::Error::other("all ranks claimed"));
-        };
-        shared.links[rank].lock().unwrap().claimed = true;
-        rank
-    };
-
-    let welcome = Welcome {
-        rank,
-        num_workers: n,
-        protocol: Some(proto),
-        session: Some(Session { token, rx_next: 0 }),
-    };
-    if let Err(e) = wire::write_msg(&mut (&stream), &welcome) {
-        // Welcome undeliverable: release the slot for a late,
-        // legitimate worker instead of leaving it half-registered.
-        shared.links[rank].lock().unwrap().claimed = false;
-        return Err(e);
-    }
-
-    let epoch = {
-        let mut link = shared.links[rank].lock().unwrap();
-        link.writer = Some(stream);
-        link.proto = proto;
-        link.attach_batch(shared.batching);
-        link.epoch += 1;
-        link.token = token;
-        link.died = false;
-        link.disconnected_since = None;
-        link.tx_next = 0;
-        link.ring.clear();
-        link.rx_next = 0;
-        link.rx_count = 0;
-        link.epoch
-    };
-    // Under the claim lock, or a waiter between its count and its wait
-    // would miss the wake-up.
-    drop(shared.claim_lock.lock().unwrap());
-    shared.rank_ready.notify_all();
-    shared.last_heard.lock().unwrap()[rank] = Instant::now();
+    require_revision("worker hello", hello.max_protocol)?;
     reader.set_read_timeout(None)?;
     dec.set_v2(true);
+
+    // `Some` on a resume: the stream the un-acked ring is replayed onto
+    // and where the worker wants the replay to start.
+    let (rank, epoch, replay) = match hello.resume {
+        Some(resume) => {
+            let (rank, epoch) = welcome_back(&stream, shared, resume)?;
+            (rank, epoch, Some((stream, resume.rx_next)))
+        }
+        None => {
+            // Claim a rank (hint when free, else first unclaimed) under
+            // the claim lock so concurrent handshakes cannot race to
+            // one slot.
+            let rank = {
+                let _claim = shared.claim_lock.lock().unwrap();
+                let free = |r: usize| !shared.ranks[r].lock().unwrap().claimed;
+                let rank = match hello.rank_hint {
+                    Some(h) if h < n && free(h) => Some(h),
+                    _ => (0..n).find(|&r| free(r)),
+                };
+                let Some(rank) = rank else {
+                    return Err(io::Error::other("all ranks claimed"));
+                };
+                shared.ranks[rank].lock().unwrap().claimed = true;
+                rank
+            };
+            let token = fresh_token();
+            let welcome = Welcome {
+                rank,
+                num_workers: n,
+                protocol: Some(PROTOCOL_VERSION),
+                session: Some(Session { token, rx_next: 0 }),
+            };
+            if let Err(e) = wire::write_msg(&mut (&stream), &welcome) {
+                // Welcome undeliverable: release the slot for a late,
+                // legitimate worker instead of leaving it
+                // half-registered.
+                shared.ranks[rank].lock().unwrap().claimed = false;
+                return Err(e);
+            }
+            let epoch = {
+                let mut state = shared.ranks[rank].lock().unwrap();
+                state.ep = Endpoint::new(token, Some(stream), None);
+                state.epoch += 1;
+                state.died = false;
+                state.disconnected_since = None;
+                state.rx_count = 0;
+                state.epoch
+            };
+            // Under the claim lock, or a waiter between its count and
+            // its wait would miss the wake-up.
+            drop(shared.claim_lock.lock().unwrap());
+            shared.rank_ready.notify_all();
+            (rank, epoch, None)
+        }
+    };
+
+    // The reader runs before any replay starts: the worker is replaying
+    // its own ring at the same time (see [`Endpoint::replay_onto`]).
+    shared.heard_from(rank);
     spawn_lc_reader::<Sub, Sol>(rank, epoch, reader, dec, shared.clone(), up_tx);
+    if let Some((stream, from)) = replay {
+        let resumed = Endpoint::replay_onto(
+            &shared.ranks[rank],
+            |state: &mut Rank| (state.epoch == epoch && !state.died).then_some(&mut state.ep),
+            stream,
+            from,
+        );
+        if resumed.is_err() {
+            // Keep the reconnect window open for the next attempt
+            // (unless a newer connection superseded this one).
+            let mut state = shared.ranks[rank].lock().unwrap();
+            if state.epoch == epoch && state.disconnected_since.is_none() {
+                state.disconnected_since = Some(Instant::now());
+            }
+        }
+    }
     Ok(())
 }
 
-/// Re-attaches a returning worker: validates the session token,
-/// replays every un-acked downward frame, and restarts the reader.
-///
-/// Two ordering rules keep the resume safe. The writer stays
-/// *unpublished* (`link.writer == None`) until the whole replay is on
-/// the wire: a concurrent `send_to` therefore rings its payload
-/// without writing, and those frames are flushed — in sequence order,
-/// under the link lock — just before publication, so a fresh frame
-/// can never overtake a replayed one (the worker would bump its
-/// `rx_next` past the replay and discard the rest as duplicates). And
-/// the reader is spawned *before* the replay starts: the worker is
-/// replaying its own ring at the same time, and with neither side
-/// reading, two rings larger than the socket buffers would deadlock
-/// both `write_all`s ([`REPLAY_WRITE_TIMEOUT`] backstops the rest).
-fn handshake_resume<Sub, Sol>(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    up_tx: Sender<Message<Sub, Sol>>,
-    resume: Resume,
-) -> io::Result<()>
-where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
-{
-    use std::io::Write;
+/// The resume half of the handshake up to the welcome: validates the
+/// session token, kicks out a half-alive predecessor connection, opens
+/// a new connection epoch and tells the worker where to replay from.
+/// The writer stays unpublished; [`Endpoint::replay_onto`] finishes the
+/// job once the reader runs.
+fn welcome_back(stream: &TcpStream, shared: &Shared, resume: Resume) -> io::Result<(usize, u64)> {
     let stale = || io::Error::new(io::ErrorKind::NotFound, "unknown or dead session token");
-    let rank = shared
-        .links
-        .iter()
-        .position(|l| {
-            let l = l.lock().unwrap();
-            l.claimed && !l.died && l.token == resume.token
-        })
-        .ok_or_else(stale)?;
-
-    let reader = stream.try_clone()?;
-    let mut writer = stream;
-    writer.set_write_timeout(Some(REPLAY_WRITE_TIMEOUT))?;
-    // Marks the link disconnected again (unless superseded) so the
-    // reconnect window stays open for the next attempt.
-    let fail = |writer: &TcpStream, epoch: u64| {
-        let _ = writer.shutdown(Shutdown::Both);
-        let mut link = shared.links[rank].lock().unwrap();
-        if link.epoch == epoch && link.disconnected_since.is_none() {
-            link.disconnected_since = Some(Instant::now());
-        }
+    let live = |state: &Rank| state.claimed && !state.died && state.ep.token() == resume.token;
+    let rank = shared.ranks.iter().position(|r| live(&r.lock().unwrap())).ok_or_else(stale)?;
+    let mut state = shared.ranks[rank].lock().unwrap();
+    // Double-check under the lock (a racing resume may have won).
+    if !live(&state) {
+        return Err(stale());
+    }
+    state.disconnect();
+    state.epoch += 1;
+    let welcome = Welcome {
+        rank,
+        num_workers: shared.ranks.len(),
+        protocol: Some(PROTOCOL_VERSION),
+        session: Some(Session { token: resume.token, rx_next: state.ep.rx_next() }),
     };
-
-    let (epoch, replay, rx_next, tx_high) = {
-        let mut link = shared.links[rank].lock().unwrap();
-        // Double-check under the lock (a racing resume may have won).
-        if link.died || link.token != resume.token {
-            return Err(stale());
-        }
-        // Kick out a half-alive predecessor connection, if any.
-        if let Some(old) = link.writer.take() {
-            let _ = old.shutdown(Shutdown::Both);
-        }
-        link.epoch += 1;
-        let welcome = Welcome {
-            rank,
-            num_workers: shared.links.len(),
-            // A resumed session keeps the protocol (and codec) it was
-            // negotiated with; renegotiating mid-session would tear
-            // the already-ringed payloads' encoding from under it.
-            protocol: Some(link.proto),
-            session: Some(Session { token: link.token, rx_next: link.rx_next }),
-        };
-        wire::write_msg(&mut (&writer), &welcome)?;
-        link.trim_ring(resume.rx_next);
-        let replay: Vec<(u64, Arc<Vec<u8>>)> = link.ring.iter().cloned().collect();
-        // Writer deliberately NOT published yet; see the doc comment.
-        link.disconnected_since = None;
-        (link.epoch, replay, link.rx_next, link.tx_next)
-    };
-
+    let mut out = stream;
+    wire::write_msg(&mut out, &welcome)?;
+    state.disconnected_since = None;
     // The session is re-attached: count the reconnect now, before the
     // reader can surface any resumed traffic (a test observing the
     // replayed messages must already see the counter).
-    let comm_stats = telemetry::comm();
-    comm_stats.reconnects.inc();
-
-    // Reader first (see the doc comment), then the replay, outside the
-    // link lock: the frames are already ordered and the receiver
-    // suppresses any duplicate by seq.
-    shared.last_heard.lock().unwrap()[rank] = Instant::now();
-    reader.set_read_timeout(None)?;
-    let mut dec = FrameDecoder::new();
-    dec.set_v2(true);
-    spawn_lc_reader::<Sub, Sol>(rank, epoch, reader, dec, shared.clone(), up_tx);
-    for (seq, payload) in &replay {
-        let framed = wire::frame_v2(payload, FrameHeader { seq: *seq, ack: rx_next });
-        if writer.write_all(&framed).and_then(|_| writer.flush()).is_err() {
-            fail(&writer, epoch);
-            return Ok(());
-        }
-        comm_stats.frames_retransmitted.inc();
-    }
-
-    // Publish the writer, first flushing whatever `send_to` ringed
-    // while it was unpublished (every seq from `tx_high` up). The
-    // write timeout is still armed, so a stalled peer fails this
-    // resume instead of hanging the coordinator on a held link lock.
-    {
-        let mut link = shared.links[rank].lock().unwrap();
-        if link.epoch != epoch || link.died {
-            let _ = writer.shutdown(Shutdown::Both);
-            return Ok(()); // a newer connection took over mid-replay
-        }
-        let pending: Vec<(u64, Arc<Vec<u8>>)> =
-            link.ring.iter().filter(|(seq, _)| *seq >= tx_high).cloned().collect();
-        for (seq, payload) in &pending {
-            let framed = wire::frame_v2(payload, FrameHeader { seq: *seq, ack: link.rx_next });
-            if writer.write_all(&framed).and_then(|_| writer.flush()).is_err() {
-                let _ = writer.shutdown(Shutdown::Both);
-                if link.disconnected_since.is_none() {
-                    link.disconnected_since = Some(Instant::now());
-                }
-                return Ok(());
-            }
-        }
-        if writer.set_write_timeout(None).is_err() {
-            let _ = writer.shutdown(Shutdown::Both);
-            if link.disconnected_since.is_none() {
-                link.disconnected_since = Some(Instant::now());
-            }
-            return Ok(());
-        }
-        link.writer = Some(writer);
-        link.attach_batch(shared.batching);
-    }
-    Ok(())
+    telemetry::comm().reconnects.inc();
+    Ok((rank, state.epoch))
 }
 
 fn spawn_lc_reader<Sub, Sol>(
@@ -831,85 +845,60 @@ fn spawn_lc_reader<Sub, Sol>(
     std::thread::Builder::new()
         .name(format!("lc-reader-{rank}"))
         .spawn(move || loop {
-            match wire::read_frame(&mut stream, &mut dec) {
+            let err = match wire::read_frame(&mut stream, &mut dec) {
                 Ok(Some((header, payload))) => {
-                    // Header bookkeeping under the link lock; decoding
+                    // Header bookkeeping under the rank lock; decoding
                     // happens outside it.
-                    {
-                        let mut link = shared.links[rank].lock().unwrap();
-                        if link.epoch != epoch {
+                    let arrival = {
+                        let mut state = shared.ranks[rank].lock().unwrap();
+                        if state.epoch != epoch {
                             return; // superseded by a reconnection
                         }
-                        if header.seq != UNSEQ {
-                            if header.seq < link.rx_next {
-                                telemetry::comm().dup_frames.inc();
-                                drop(link);
-                                shared.last_heard.lock().unwrap()[rank] = Instant::now();
-                                continue;
-                            }
-                            if header.seq > link.rx_next {
-                                // A gap means frames vanished from the
-                                // byte stream — never silently accept
-                                // it; force a reconnect so the resume
-                                // replays the missing range (from our
-                                // unmoved rx_next).
-                                telemetry::comm().seq_gaps.inc();
-                                drop(link);
-                                let gap = io::Error::new(
-                                    io::ErrorKind::ConnectionReset,
-                                    "upward sequence gap",
-                                );
-                                lc_reader_on_error(rank, epoch, &shared, &up_tx, Some(gap));
-                                return;
-                            }
-                            link.rx_next = header.seq + 1;
-                        }
-                        link.trim_ring(header.ack);
-                        link.rx_count += 1;
-                        if link.rx_count.is_multiple_of(ACK_EVERY) {
-                            let ping = wire::to_payload_codec(
-                                &WireMsg::<Sub, Sol>::Ping { rank },
-                                link.codec(),
-                            );
-                            let ack = link.rx_next;
-                            if link.writer.is_some() {
-                                let framed = wire::frame_v2(&ping, FrameHeader { seq: UNSEQ, ack });
-                                link.write_framed(&framed);
+                        let arrival = state.ep.on_header(header);
+                        if arrival == Arrival::Accept {
+                            state.rx_count += 1;
+                            if state.rx_count.is_multiple_of(ACK_EVERY) {
+                                let ping = WireMsg::<Sub, Sol>::Ping { rank };
+                                let _ = state.send(wire::to_payload_binary(&ping), false);
                             }
                         }
-                    }
-                    shared.last_heard.lock().unwrap()[rank] = Instant::now();
-                    match wire::decode::<WireMsg<Sub, Sol>>(&payload) {
-                        Ok(WireMsg::Ping { .. }) => {}
-                        Ok(WireMsg::Msg(msg)) => {
-                            if up_tx.send(msg).is_err() {
-                                return; // coordinator gone
+                        arrival
+                    };
+                    let decoded = match arrival {
+                        Arrival::Accept => wire::decode::<WireMsg<Sub, Sol>>(&payload),
+                        // Nothing to deliver, but the rank is alive.
+                        Arrival::Duplicate => Ok(WireMsg::Ping { rank }),
+                        Arrival::Gap => Err(wire::WireError::Io("upward sequence gap".into())),
+                    };
+                    match decoded {
+                        Ok(msg) => {
+                            shared.heard_from(rank);
+                            if let WireMsg::Msg(msg) = msg {
+                                if up_tx.send(msg).is_err() {
+                                    return; // coordinator gone
+                                }
                             }
+                            continue;
                         }
-                        Err(e) => {
-                            // CRC-clean but unparseable: protocol bug,
-                            // not line noise. Kill the rank.
-                            lc_reader_on_error(rank, epoch, &shared, &up_tx, Some(e.into()));
-                            return;
-                        }
+                        // A gap merely reopens the reconnect window; a
+                        // CRC-clean but unparseable payload is a
+                        // protocol bug, not line noise, and kills the
+                        // rank.
+                        Err(e) => Some(e.into()),
                     }
                 }
-                Ok(None) => {
-                    lc_reader_on_error(rank, epoch, &shared, &up_tx, None);
-                    return;
-                }
-                Err(e) => {
-                    lc_reader_on_error(rank, epoch, &shared, &up_tx, Some(e));
-                    return;
-                }
-            }
+                Ok(None) => None,
+                Err(e) => Some(e),
+            };
+            lc_reader_on_error(rank, epoch, &shared, &up_tx, err);
+            return;
         })
         .expect("spawn lc reader thread");
 }
 
 /// Reader-side connection teardown: within the reconnect budget this
 /// merely opens the reconnect window; otherwise the rank dies
-/// (exactly once — the `died` flag is checked and set under the link
+/// (exactly once — the `died` flag is checked and set under the rank
 /// mutex by every path that can report a death).
 fn lc_reader_on_error<Sub, Sol>(
     rank: usize,
@@ -919,14 +908,14 @@ fn lc_reader_on_error<Sub, Sol>(
     err: Option<io::Error>,
 ) {
     let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
-    let mut link = shared.links[rank].lock().unwrap();
-    if link.epoch != epoch || link.died || shared.shutdown.load(Ordering::SeqCst) {
+    let mut state = shared.ranks[rank].lock().unwrap();
+    if state.epoch != epoch || state.died || shared.shutdown.load(Ordering::SeqCst) {
         return;
     }
-    link.disconnect();
+    state.disconnect();
     if fatal || shared.reconnect_deadline.is_zero() {
-        link.died = true;
-        drop(link);
+        state.died = true;
+        drop(state);
         let _ = up_tx.send(Message::WorkerDied { rank });
     }
 }
@@ -946,7 +935,7 @@ pub struct ProcessLcComm<Sub, Sol> {
 
 impl<Sub, Sol> std::fmt::Debug for ProcessLcComm<Sub, Sol> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProcessLcComm(n={})", self.shared.links.len())
+        write!(f, "ProcessLcComm(n={})", self.shared.ranks.len())
     }
 }
 
@@ -957,7 +946,7 @@ where
 {
     /// Number of connected worker processes.
     pub fn num_workers(&self) -> usize {
-        self.shared.links.len()
+        self.shared.ranks.len()
     }
 
     /// Sends to one rank. The payload is ringed for replay first, so
@@ -968,27 +957,19 @@ where
     /// useful resume horizon; `WorkerDied` is synthesized so the
     /// supervisor requeues instead of the message silently vanishing).
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        let Some(slot) = self.shared.links.get(rank) else { return false };
-        let mut link = slot.lock().unwrap();
-        if !link.claimed || link.died {
+        let Some(slot) = self.shared.ranks.get(rank) else { return false };
+        let payload = wire::to_payload_binary(&WireMsg::Msg(msg));
+        let mut state = slot.lock().unwrap();
+        if !state.claimed || state.died {
             return false;
         }
-        // Encoded under the link lock: the codec is a session property
-        // and must match the negotiated protocol of *this* connection.
-        let payload = Arc::new(wire::to_payload_codec(&WireMsg::Msg(msg), link.codec()));
-        if link.ring.len() >= RETRANSMIT_RING_CAP {
-            telemetry::comm().ring_overflows.inc();
-            link.died = true;
-            link.disconnect();
-            drop(link);
+        if state.send(payload, true).is_err() {
+            state.died = true;
+            state.disconnect();
+            drop(state);
             let _ = self.up_tx.send(Message::WorkerDied { rank });
             return false;
         }
-        let seq = link.tx_next;
-        link.tx_next += 1;
-        link.ring.push_back((seq, payload.clone()));
-        let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: link.rx_next });
-        link.write_framed(&framed);
         true
     }
 
@@ -998,24 +979,23 @@ where
     /// reconnect deadline (immediately, for a zero deadline) is
     /// reported as [`Message::WorkerDied`] exactly once.
     pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
-        let n = self.shared.links.len();
-        for rank in 0..n {
-            let mut link = self.shared.links[rank].lock().unwrap();
-            if !link.claimed || link.died {
+        for (rank, slot) in self.shared.ranks.iter().enumerate() {
+            let mut state = slot.lock().unwrap();
+            if !state.claimed || state.died {
                 continue;
             }
-            if link.writer.is_some() {
+            if state.ep.is_attached() {
                 let heard = self.shared.last_heard.lock().unwrap()[rank];
                 if heard.elapsed() > self.shared.liveness_timeout {
-                    link.disconnect();
+                    state.disconnect();
                     if self.shared.reconnect_deadline.is_zero() {
-                        link.died = true;
+                        state.died = true;
                         return Some(Message::WorkerDied { rank });
                     }
                 }
-            } else if let Some(since) = link.disconnected_since {
+            } else if let Some(since) = state.disconnected_since {
                 if since.elapsed() > self.shared.reconnect_deadline {
-                    link.died = true;
+                    state.died = true;
                     return Some(Message::WorkerDied { rank });
                 }
             }
@@ -1030,16 +1010,9 @@ where
 impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for slot in &self.shared.links {
-            if let Ok(mut link) = slot.lock() {
-                // Flush buffered frames (e.g. a final Terminate) before
-                // tearing the socket down.
-                if let Some(b) = link.batch.take() {
-                    let _ = b.flush();
-                }
-                if let Some(s) = link.writer.take() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
+        for slot in &self.shared.ranks {
+            if let Ok(mut state) = slot.lock() {
+                state.ep.detach();
             }
         }
         if let Some((addr, thread)) = self.accept.take() {
@@ -1056,140 +1029,18 @@ impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
 // Worker side
 // ---------------------------------------------------------------------
 
-/// Worker-side connection state behind one mutex: the socket, the
-/// session identity, both sequence spaces, the retransmit ring, and
-/// the fault injector. Everything that writes to the socket goes
-/// through [`send_locked`] while holding this.
-struct WorkerInner {
-    /// Write half; `None` while disconnected.
-    stream: Option<TcpStream>,
-    /// Negotiated protocol revision of the session (2 or 3).
-    proto: u32,
-    /// v3 batching writer wrapping a dup of `stream`; cleared together
-    /// with the stream so buffered frames are replayed from the ring
-    /// on resume. Never present when chaos is configured (fault
-    /// injection acts on individual writes).
-    batch: Option<Arc<wire::BatchWriter<TcpStream>>>,
-    token: u64,
-    /// Next upward sequence number.
-    tx_next: u64,
-    /// Un-acked upward payloads for replay on resume.
-    ring: VecDeque<(u64, Arc<Vec<u8>>)>,
-    /// Next downward seq expected; anything below is a duplicate.
-    rx_next: u64,
-    /// Chaos partition in force: writes are suppressed (the socket
-    /// stays open and silent) until this instant. When it lifts the
-    /// stream is torn down so the resume replays the suppressed
-    /// (ringed) frames instead of leaving a sequence gap.
-    partition_until: Option<Instant>,
-    chaos: Option<FaultInjector>,
-    /// The reader gave up for good; sends fail from here on.
+/// Worker-side state behind one mutex: the session endpoint, and
+/// whether the reader gave the session up for good (sends fail from
+/// there on).
+struct WorkerSide {
+    ep: Endpoint,
     dead: bool,
 }
 
-impl WorkerInner {
-    fn drop_stream(&mut self) {
-        self.batch = None;
-        if let Some(s) = self.stream.take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-
-    /// Payload codec of the current session.
-    fn codec(&self) -> wire::Codec {
-        payload_codec(self.proto)
-    }
-}
-
-/// Writes one payload under the inner lock, applying sequencing,
-/// ring-buffering (reliable frames only), the partition gate, and one
-/// scheduled fault. Write failures silently drop the stream — the
-/// reader notices and runs the reconnect, and ringed payloads are
-/// replayed on resume. A full retransmit ring kills the session
-/// instead of evicting (losing) the oldest un-acked payload.
-fn send_locked(inner: &mut WorkerInner, payload: Arc<Vec<u8>>, reliable: bool) {
-    use std::io::Write;
-    let seq = if reliable {
-        if inner.ring.len() >= RETRANSMIT_RING_CAP {
-            // Unreachable past any useful resume horizon: die loudly
-            // (the coordinator's reconnect deadline then requeues the
-            // rank) instead of silently evicting the oldest un-acked
-            // payload.
-            telemetry::comm().ring_overflows.inc();
-            inner.dead = true;
-            inner.drop_stream();
-            return;
-        }
-        let seq = inner.tx_next;
-        inner.tx_next += 1;
-        inner.ring.push_back((seq, payload.clone()));
-        seq
-    } else {
-        UNSEQ
-    };
-    let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: inner.rx_next });
-    if let Some(until) = inner.partition_until {
-        if Instant::now() < until {
-            return; // partitioned: sequenced payloads wait in the ring
-        }
-        // The partition lifts with sequenced frames suppressed (ringed
-        // but never written): writing fresh frames now would open a
-        // seq gap past the suppressed range. Tear the stream down
-        // instead — the reader reconnects and the resume replays
-        // everything, in order.
-        inner.partition_until = None;
-        inner.drop_stream();
-        return;
-    }
-    if inner.stream.is_none() {
-        return; // disconnected: the reconnect path replays the ring
-    }
-    let write = |inner: &mut WorkerInner, bytes: &[u8]| {
-        // Batching (v3, chaos-free sessions only) coalesces whole
-        // frames into one socket write; failures tear the stream so
-        // the reader reconnects and the ring replays.
-        if let Some(batch) = inner.batch.clone() {
-            if batch.push(bytes).is_err() {
-                inner.drop_stream();
-            }
-            return;
-        }
-        if let Some(s) = inner.stream.as_mut() {
-            if s.write_all(bytes).and_then(|_| s.flush()).is_err() {
-                inner.drop_stream();
-            }
-        }
-    };
-    match inner.chaos.as_mut().map(|c| c.on_frame()).unwrap_or(FaultAction::Pass) {
-        FaultAction::Pass => write(inner, &framed),
-        FaultAction::Delay(d) => {
-            std::thread::sleep(d);
-            write(inner, &framed);
-        }
-        FaultAction::Drop => {
-            // TCP never loses a frame mid-stream silently; a "drop"
-            // is a torn connection. The payload stays ringed and is
-            // replayed on resume.
-            inner.drop_stream();
-        }
-        FaultAction::Duplicate => {
-            write(inner, &framed);
-            write(inner, &framed);
-        }
-        FaultAction::Corrupt { bit } => {
-            let mut bad = framed.clone();
-            let b = (bit % (bad.len() as u64 * 8)) as usize;
-            bad[b / 8] ^= 1 << (b % 8);
-            write(inner, &bad);
-        }
-        FaultAction::Partition(d) => {
-            inner.partition_until = Some(Instant::now() + d);
-        }
-        FaultAction::Kill => {
-            // Hard worker loss; only meaningful in spawned worker
-            // processes (the chaos e2e suite), never in-process.
-            std::process::exit(137);
-        }
+impl WorkerSide {
+    fn give_up(&mut self) {
+        self.dead = true;
+        self.ep.detach();
     }
 }
 
@@ -1211,6 +1062,32 @@ pub(crate) fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// The worker half of the hello/welcome exchange on a dialled stream:
+/// returns the reader (already switched to post-handshake frames), the
+/// assigned rank and the session the coordinator answered with.
+fn say_hello(
+    stream: &TcpStream,
+    rank_hint: Option<usize>,
+    resume: Option<Resume>,
+) -> io::Result<(TcpStream, FrameDecoder, usize, Session)> {
+    let hello =
+        Hello { protocol: BASE_PROTOCOL, rank_hint, max_protocol: Some(PROTOCOL_VERSION), resume };
+    let mut out = stream;
+    wire::write_msg(&mut out, &hello)?;
+    let mut reader = stream.try_clone()?;
+    let mut dec = FrameDecoder::new();
+    let welcome: Welcome = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "coordinator closed before welcome")
+    })?;
+    require_revision("coordinator welcome", welcome.protocol)?;
+    let session = welcome.session.ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidData, "coordinator welcome carries no session")
+    })?;
+    stream.set_read_timeout(None)?;
+    dec.set_v2(true);
+    Ok((reader, dec, welcome.rank, session))
+}
+
 /// Connects to the coordinator and completes the handshake. The
 /// returned endpoint already has its heartbeat running, and its reader
 /// owns the reconnect-and-resume policy.
@@ -1225,49 +1102,9 @@ where
 {
     validated(config)?;
     let stream = dial(addr, config.handshake_timeout)?;
-    let advertised = config.advertised_protocol();
-    wire::write_msg(
-        &mut (&stream),
-        &Hello { protocol: BASE_PROTOCOL, rank_hint, max_protocol: Some(advertised), resume: None },
-    )?;
-    let mut reader = stream.try_clone()?;
-    let mut dec = FrameDecoder::new();
-    let welcome: Welcome = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::UnexpectedEof, "coordinator closed before welcome")
-    })?;
-    stream.set_read_timeout(None)?;
-
-    let rank = welcome.rank;
-    // Clamp to our own advertisement: a buggy coordinator answering
-    // higher than offered must not push us past what we can speak.
-    let proto = welcome.protocol.unwrap_or(BASE_PROTOCOL).min(advertised);
-    let Some(session) = welcome.session.filter(|_| proto >= MIN_SESSION_PROTOCOL) else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "coordinator answered protocol {:?} {} a session; only resumable sessions \
-                 (v{MIN_SESSION_PROTOCOL}+) are spoken — upgrade the coordinator",
-                welcome.protocol,
-                if welcome.session.is_some() { "with" } else { "without" },
-            ),
-        ));
-    };
-    let token = session.token;
-    dec.set_v2(true);
-
-    let batching = config.chaos.is_none();
-    let batch = batch_writer(&stream, proto, batching);
-    let flusher = batch.is_some();
-    let inner = Arc::new(Mutex::new(WorkerInner {
-        stream: Some(stream),
-        proto,
-        batch,
-        token,
-        tx_next: 0,
-        ring: VecDeque::new(),
-        rx_next: 0,
-        partition_until: None,
-        chaos: config.chaos.as_ref().map(|plan| plan.injector()),
+    let (reader, dec, rank, session) = say_hello(&stream, rank_hint, None)?;
+    let inner = Arc::new(Mutex::new(WorkerSide {
+        ep: Endpoint::new(session.token, Some(stream), config.chaos.as_ref()),
         dead: false,
     }));
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -1275,7 +1112,7 @@ where
     spawn_worker_reader::<Sub, Sol>(
         rank,
         addr.to_string(),
-        config.clone(),
+        config.reconnect_deadline,
         reader,
         dec,
         inner.clone(),
@@ -1283,9 +1120,6 @@ where
         down_tx,
     );
     spawn_heartbeat::<Sub, Sol>(rank, inner.clone(), shutdown.clone(), config.heartbeat_interval);
-    if flusher {
-        spawn_worker_flusher(rank, inner.clone(), shutdown.clone());
-    }
 
     Ok(ProcessWorkerComm { rank, inner, down_rx, shutdown })
 }
@@ -1293,18 +1127,17 @@ where
 /// The worker's read loop plus the reconnect-and-resume policy: on any
 /// retryable connection failure it redials with
 /// exponential backoff + jitter under the reconnect deadline, resumes
-/// the session by token, replays its un-acked ring (bypassing chaos —
-/// recovery must be deterministic), and carries on. Returning from
-/// this thread drops `down_tx`, which is how `recv()` learns the
-/// connection is gone for good.
+/// the session by token, replays its un-acked ring, and carries on.
+/// Returning from this thread drops `down_tx`, which is how `recv()`
+/// learns the connection is gone for good.
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker_reader<Sub, Sol>(
     rank: usize,
     addr: String,
-    config: ProcessCommConfig,
-    stream: TcpStream,
-    dec: FrameDecoder,
-    inner: Arc<Mutex<WorkerInner>>,
+    reconnect_deadline: Duration,
+    mut stream: TcpStream,
+    mut dec: FrameDecoder,
+    inner: Arc<Mutex<WorkerSide>>,
     shutdown: Arc<AtomicBool>,
     down_tx: Sender<Message<Sub, Sol>>,
 ) where
@@ -1313,80 +1146,44 @@ fn spawn_worker_reader<Sub, Sol>(
 {
     std::thread::Builder::new()
         .name(format!("worker-reader-{rank}"))
-        .spawn(move || {
-            let mut stream = stream;
-            let mut dec = dec;
-            loop {
-                let err = match wire::read_frame(&mut stream, &mut dec) {
-                    Ok(Some((header, payload))) => {
-                        let mut gap = false;
-                        {
-                            let mut g = inner.lock().unwrap();
-                            if header.seq != UNSEQ {
-                                if header.seq < g.rx_next {
-                                    telemetry::comm().dup_frames.inc();
-                                    continue;
-                                }
-                                // A gap is in-stream loss: never accept
-                                // it silently; reconnect and let the
-                                // resume replay the missing downward
-                                // range.
-                                gap = header.seq > g.rx_next;
-                                if !gap {
-                                    g.rx_next = header.seq + 1;
-                                }
+        .spawn(move || loop {
+            let err = match wire::read_frame(&mut stream, &mut dec) {
+                Ok(Some((header, payload))) => {
+                    let arrival = inner.lock().unwrap().ep.on_header(header);
+                    let decoded = match arrival {
+                        Arrival::Accept => wire::decode::<WireMsg<Sub, Sol>>(&payload),
+                        Arrival::Duplicate => continue,
+                        Arrival::Gap => Err(wire::WireError::Io("downward sequence gap".into())),
+                    };
+                    match decoded {
+                        Ok(WireMsg::Ping { .. }) => continue,
+                        Ok(WireMsg::Msg(msg)) => {
+                            if down_tx.send(msg).is_err() {
+                                return; // endpoint dropped
                             }
-                            if !gap {
-                                while g.ring.front().is_some_and(|(s, _)| *s < header.ack) {
-                                    g.ring.pop_front();
-                                }
-                            }
+                            continue;
                         }
-                        if gap {
-                            telemetry::comm().seq_gaps.inc();
-                            Some(io::Error::new(
-                                io::ErrorKind::ConnectionReset,
-                                "downward sequence gap",
-                            ))
-                        } else {
-                            match wire::decode::<WireMsg<Sub, Sol>>(&payload) {
-                                Ok(WireMsg::Ping { .. }) => continue,
-                                Ok(WireMsg::Msg(msg)) => {
-                                    if down_tx.send(msg).is_err() {
-                                        return; // endpoint dropped
-                                    }
-                                    continue;
-                                }
-                                Err(e) => Some(io::Error::from(e)),
-                            }
-                        }
+                        Err(e) => Some(io::Error::from(e)),
                     }
-                    Ok(None) => None,
-                    Err(e) => Some(e),
-                };
-                // Connection-level failure (or fatal codec error).
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
                 }
-                let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
-                let dead = inner.lock().unwrap().dead;
-                if fatal || dead || config.reconnect_deadline.is_zero() {
-                    let mut g = inner.lock().unwrap();
-                    g.drop_stream();
-                    g.dead = true;
+                Ok(None) => None,
+                Err(e) => Some(e),
+            };
+            // Connection-level failure (or fatal codec error).
+            if shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
+            let resumed = if fatal || reconnect_deadline.is_zero() {
+                None
+            } else {
+                reconnect_worker(rank, &addr, reconnect_deadline, &inner, &shutdown)
+            };
+            match resumed {
+                Some((s, d)) => (stream, dec) = (s, d),
+                None => {
+                    inner.lock().unwrap().give_up();
                     return;
-                }
-                match reconnect_worker(rank, &addr, &config, &inner, &shutdown) {
-                    Some((s, d)) => {
-                        stream = s;
-                        dec = d;
-                    }
-                    None => {
-                        let mut g = inner.lock().unwrap();
-                        g.drop_stream();
-                        g.dead = true;
-                        return;
-                    }
                 }
             }
         })
@@ -1394,24 +1191,24 @@ fn spawn_worker_reader<Sub, Sol>(
 }
 
 /// Redials and resumes the session; `None` when the deadline budget
-/// runs out (the rank then dies and the coordinator requeues).
+/// runs out or the session died meanwhile (the rank then dies and the
+/// coordinator requeues).
 fn reconnect_worker(
     rank: usize,
     addr: &str,
-    config: &ProcessCommConfig,
-    inner: &Arc<Mutex<WorkerInner>>,
-    shutdown: &Arc<AtomicBool>,
+    reconnect_deadline: Duration,
+    inner: &Mutex<WorkerSide>,
+    shutdown: &AtomicBool,
 ) -> Option<(TcpStream, FrameDecoder)> {
-    use std::io::Write;
     let (token, rx_next) = {
         let mut g = inner.lock().unwrap();
-        g.drop_stream();
-        (g.token, g.rx_next)
+        g.ep.detach();
+        (g.ep.token(), g.ep.rx_next())
     };
-    let deadline = Instant::now() + config.reconnect_deadline;
+    let deadline = Instant::now() + reconnect_deadline;
     let mut jitter = SplitMix64::new(token ^ rank as u64);
     let mut attempt = 0u32;
-    'redial: loop {
+    loop {
         if attempt > 0 {
             let base = 50u64.saturating_mul(1u64 << attempt.min(5)).min(2000);
             let backoff = Duration::from_millis(base + jitter.next_u64() % (base / 2 + 1));
@@ -1419,81 +1216,40 @@ fn reconnect_worker(
             std::thread::sleep(backoff.min(remaining));
         }
         attempt += 1;
-        if shutdown.load(Ordering::SeqCst) || Instant::now() >= deadline {
-            return None;
+        if shutdown.load(Ordering::SeqCst)
+            || Instant::now() >= deadline
+            || inner.lock().unwrap().dead
+        {
+            return None; // dead: e.g. ring overflow while we were redialing
         }
         let Ok(stream) = TcpStream::connect(addr) else { continue };
         stream.set_nodelay(true).ok();
         if stream.set_read_timeout(Some(Duration::from_secs(5))).is_err() {
             continue;
         }
-        let hello = Hello {
-            protocol: BASE_PROTOCOL,
-            rank_hint: Some(rank),
-            max_protocol: Some(config.advertised_protocol()),
-            resume: Some(Resume { token, rx_next }),
-        };
-        if wire::write_msg(&mut (&stream), &hello).is_err() {
+        // A refused token or a hang-up: redial.
+        let Ok((reader, dec, _, session)) =
+            say_hello(&stream, Some(rank), Some(Resume { token, rx_next }))
+        else {
             continue;
-        }
-        let mut reader = match stream.try_clone() {
-            Ok(r) => r,
+        };
+        let resumed = Endpoint::replay_onto(
+            inner,
+            |side: &mut WorkerSide| (!side.dead).then_some(&mut side.ep),
+            stream,
+            session.rx_next,
+        );
+        match resumed {
+            Ok(true) => return Some((reader, dec)),
+            Ok(false) => return None,
             Err(_) => continue,
-        };
-        let mut hs_dec = FrameDecoder::new();
-        let welcome: Welcome = match wire::read_msg(&mut reader, &mut hs_dec) {
-            Ok(Some(w)) => w,
-            _ => continue, // coordinator refused the token or hung up
-        };
-        let Some(session) = welcome.session else { continue };
-        if stream.set_read_timeout(None).is_err() {
-            continue;
         }
-        let mut g = inner.lock().unwrap();
-        if g.dead {
-            return None; // e.g. ring overflow while we were redialing
-        }
-        // Replay everything the coordinator has not acked, in order,
-        // chaos-free: the schedule perturbs fresh traffic, never the
-        // repair itself. The write timeout bounds the replay — the
-        // coordinator is replaying its own ring concurrently, and a
-        // stalled peer must fail us into another redial, not hang the
-        // worker on a held inner lock.
-        while g.ring.front().is_some_and(|(s, _)| *s < session.rx_next) {
-            g.ring.pop_front();
-        }
-        let replay: Vec<(u64, Arc<Vec<u8>>)> = g.ring.iter().cloned().collect();
-        let ack = g.rx_next;
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => continue,
-        };
-        if writer.set_write_timeout(Some(REPLAY_WRITE_TIMEOUT)).is_err() {
-            continue;
-        }
-        for (seq, payload) in &replay {
-            let framed = wire::frame_v2(payload, FrameHeader { seq: *seq, ack });
-            if writer.write_all(&framed).and_then(|_| writer.flush()).is_err() {
-                continue 'redial;
-            }
-        }
-        if writer.set_write_timeout(None).is_err() {
-            continue 'redial;
-        }
-        // Re-arm batching for the resumed session (same negotiated
-        // protocol, fresh socket).
-        g.batch = batch_writer(&writer, g.proto, config.chaos.is_none());
-        g.stream = Some(writer);
-        g.partition_until = None;
-        let mut dec = FrameDecoder::new();
-        dec.set_v2(true);
-        return Some((reader, dec));
     }
 }
 
 fn spawn_heartbeat<Sub, Sol>(
     rank: usize,
-    inner: Arc<Mutex<WorkerInner>>,
+    inner: Arc<Mutex<WorkerSide>>,
     shutdown: Arc<AtomicBool>,
     interval: Duration,
 ) where
@@ -1511,51 +1267,16 @@ fn spawn_heartbeat<Sub, Sol>(
             if g.dead {
                 return;
             }
-            let ping =
-                Arc::new(wire::to_payload_codec(&WireMsg::<Sub, Sol>::Ping { rank }, g.codec()));
-            send_locked(&mut g, ping, false);
+            let ping = wire::to_payload_binary(&WireMsg::<Sub, Sol>::Ping { rank });
+            let _ = g.ep.send(ping, false);
         })
         .expect("spawn heartbeat thread");
-}
-
-/// Worker-side latency-cap enforcement for batched v3 sessions: wakes
-/// on a sub-cap tick and flushes any buffer older than
-/// `BatchConfig::max_delay`. Exits with the endpoint (or once the
-/// session is dead). The flush runs on a clone of the batch handle
-/// outside the inner lock; on failure the stream is torn down only if
-/// the same batch is still installed.
-fn spawn_worker_flusher(rank: usize, inner: Arc<Mutex<WorkerInner>>, shutdown: Arc<AtomicBool>) {
-    let tick = flush_tick();
-    std::thread::Builder::new()
-        .name(format!("worker-flusher-{rank}"))
-        .spawn(move || loop {
-            std::thread::sleep(tick);
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let batch = {
-                let g = inner.lock().unwrap();
-                if g.dead {
-                    return;
-                }
-                g.batch.clone()
-            };
-            if let Some(b) = batch {
-                if b.flush_if_due().is_err() {
-                    let mut g = inner.lock().unwrap();
-                    if g.batch.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, &b)) {
-                        g.drop_stream();
-                    }
-                }
-            }
-        })
-        .expect("spawn worker flusher thread");
 }
 
 /// Worker endpoint of the process transport.
 pub struct ProcessWorkerComm<Sub, Sol> {
     rank: usize,
-    inner: Arc<Mutex<WorkerInner>>,
+    inner: Arc<Mutex<WorkerSide>>,
     down_rx: Receiver<Message<Sub, Sol>>,
     shutdown: Arc<AtomicBool>,
 }
@@ -1585,45 +1306,33 @@ where
     /// so `true` means *delivered or will be on resume*; `false` only
     /// once the session is dead for good — including dying right here
     /// because the retransmit ring overflowed (this payload was *not*
-    /// ringed).
+    /// ringed; the coordinator's reconnect deadline then requeues the
+    /// rank).
     pub fn send(&self, msg: Message<Sub, Sol>) -> bool {
+        let payload = wire::to_payload_binary(&WireMsg::Msg(msg));
         let mut g = self.inner.lock().unwrap();
-        if g.dead {
-            return false;
+        if !g.dead && g.ep.send(payload, true).is_err() {
+            g.give_up();
         }
-        // Encoded under the lock: the codec follows the negotiated
-        // session protocol.
-        let payload = Arc::new(wire::to_payload_codec(&WireMsg::Msg(msg), g.codec()));
-        send_locked(&mut g, payload, true);
         !g.dead
     }
 
-    /// Test hook: tears the TCP connection down underneath the
-    /// transport (as a mid-run network fault would) without touching
-    /// any session state, so tests can exercise the reconnect-and-
-    /// resume path deterministically and in-process.
+    /// Test hook: see [`Endpoint::break_connection`].
     #[cfg(test)]
     pub(crate) fn test_break_connection(&self) {
-        if let Some(s) = self.inner.lock().unwrap().stream.as_ref() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
+        self.inner.lock().unwrap().ep.break_connection();
     }
 }
 
 impl<Sub, Sol> Drop for ProcessWorkerComm<Sub, Sol> {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        // `shutdown` acts on the socket itself, past every `try_clone`
-        // dup the reader and heartbeat threads hold — they unblock with
-        // EOF/EPIPE and exit, and the coordinator sees the hang-up at
-        // once (even when the worker is dying abnormally).
+        // Closing acts on the socket itself, past every `try_clone`
+        // dup the reader thread holds — it unblocks with EOF/EPIPE and
+        // exits, and the coordinator sees the hang-up at once (even
+        // when the worker is dying abnormally).
         if let Ok(mut g) = self.inner.lock() {
-            // Flush buffered frames (e.g. a final solution) before the
-            // socket goes away.
-            if let Some(b) = g.batch.take() {
-                let _ = b.flush();
-            }
-            g.drop_stream();
+            g.ep.detach();
         }
     }
 }
@@ -1856,10 +1565,12 @@ mod tests {
         }
     }
 
-    /// The resumable session is the only mode: a hello that does not
-    /// advertise `max_protocol` (a pre-v2 worker) is hung up on without
-    /// a welcome, takes no rank slot, and the worker that connects
-    /// after it still gets the rank the old one hinted at.
+    /// There is one wire revision and no negotiation: a hello that
+    /// advertises none (a pre-v2 worker) or an older one (`max_protocol:
+    /// 2`, the retired JSON session) is hung up on without a welcome,
+    /// the refusal names both revisions, it takes no rank slot, and the
+    /// worker that connects afterwards still gets the rank the refused
+    /// ones hinted at.
     #[test]
     fn hello_without_max_protocol_is_refused_and_takes_no_rank() {
         let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
@@ -1867,26 +1578,28 @@ mod tests {
         let cfg = config();
 
         let clients = std::thread::spawn(move || {
-            let old = TcpStream::connect(addr).unwrap();
-            wire::write_msg(
-                &mut (&old),
-                &Hello {
-                    protocol: BASE_PROTOCOL,
-                    rank_hint: Some(0),
-                    max_protocol: None,
-                    resume: None,
-                },
-            )
-            .unwrap();
-            let mut reader = old.try_clone().unwrap();
-            reader.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut dec = FrameDecoder::new();
-            assert!(
-                matches!(wire::read_msg::<Welcome, _>(&mut reader, &mut dec), Ok(None)),
-                "a pre-v2 hello must be answered by a hang-up, not a downgraded welcome"
-            );
-            // Only now, with the refusal complete, does the real worker
-            // arrive: had the old hello kept rank 0 it would get none.
+            for max_protocol in [None, Some(2)] {
+                let old = TcpStream::connect(addr).unwrap();
+                wire::write_msg(
+                    &mut (&old),
+                    &Hello {
+                        protocol: BASE_PROTOCOL,
+                        rank_hint: Some(0),
+                        max_protocol,
+                        resume: None,
+                    },
+                )
+                .unwrap();
+                let mut reader = old.try_clone().unwrap();
+                reader.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                let mut dec = FrameDecoder::new();
+                assert!(
+                    matches!(wire::read_msg::<Welcome, _>(&mut reader, &mut dec), Ok(None)),
+                    "hello {max_protocol:?} must be answered by a hang-up, not a welcome"
+                );
+            }
+            // Only now, with the refusals complete, does the real worker
+            // arrive: had an old hello kept rank 0 it would get none.
             let comm = connect_worker::<u32, u32>(&addr.to_string(), Some(0), &config()).unwrap();
             assert_eq!(comm.rank(), 0);
             assert!(matches!(comm.recv(), Some(Message::Terminate)));
@@ -1895,6 +1608,13 @@ mod tests {
         let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
         assert!(lc.send_to(0, Message::Terminate));
         clients.join().unwrap();
+
+        for advertised in [None, Some(2), Some(4)] {
+            let msg = require_revision("worker hello", advertised).unwrap_err().to_string();
+            let theirs = advertised.map_or("no wire revision".into(), |v| format!("revision {v}"));
+            assert!(msg.contains(&theirs) && msg.contains("revision 3"), "unhelpful: {msg}");
+        }
+        assert!(require_revision("worker hello", Some(PROTOCOL_VERSION)).is_ok());
     }
 
     /// A client that stalls mid-hello must not block the accept path
@@ -2134,25 +1854,22 @@ mod tests {
     #[test]
     fn coordinator_ring_overflow_kills_the_rank_loudly() {
         let shared = Arc::new(Shared {
-            links: vec![Mutex::new(Link::new())],
+            ranks: vec![Mutex::new(Rank::new())],
             last_heard: Mutex::new(vec![Instant::now()]),
             claim_lock: Mutex::new(()),
             rank_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             liveness_timeout: Duration::from_secs(30),
             reconnect_deadline: Duration::from_secs(30),
-            max_protocol: PROTOCOL_VERSION,
-            batching: false,
         });
         {
-            let mut link = shared.links[0].lock().unwrap();
-            link.claimed = true;
-            link.proto = PROTOCOL_VERSION;
+            let mut state = shared.ranks[0].lock().unwrap();
+            state.claimed = true;
             // Disconnected: every send rings its payload un-acked.
-            link.disconnected_since = Some(Instant::now());
+            state.disconnected_since = Some(Instant::now());
         }
         let (up_tx, up_rx) = channel();
-        let lc = ProcessLcComm::<u32, u32> { shared, up_rx, up_tx, accept: None };
+        let lc = ProcessLcComm::<u32, u32> { shared: shared.clone(), up_rx, up_tx, accept: None };
 
         let overflows_before = telemetry::comm().ring_overflows.get();
         for _ in 0..RETRANSMIT_RING_CAP {
@@ -2168,32 +1885,32 @@ mod tests {
         );
         assert!(!lc.send_to(0, Message::Terminate), "the rank must stay dead");
         assert!(telemetry::comm().ring_overflows.get() > overflows_before);
+        let unacked = shared.ranks[0].lock().unwrap().ep.unacked().count();
+        assert_eq!(unacked, RETRANSMIT_RING_CAP, "no payload may be evicted");
     }
 
-    /// The worker-side ring behaves the same: at capacity the session
-    /// dies, the stream drops, and no ringed payload is evicted.
+    /// The worker end reacts to the same overflow the same way: at
+    /// capacity the session dies, sends fail from there on, and no
+    /// ringed payload is evicted.
     #[test]
     fn worker_ring_overflow_kills_the_session() {
-        let mut inner = WorkerInner {
-            stream: None,
-            proto: PROTOCOL_VERSION,
-            batch: None,
-            token: 1,
-            tx_next: 0,
-            ring: VecDeque::new(),
-            rx_next: 0,
-            partition_until: None,
-            chaos: None,
-            dead: false,
+        let inner =
+            Arc::new(Mutex::new(WorkerSide { ep: Endpoint::new(1, None, None), dead: false }));
+        let (_down_tx, down_rx) = channel();
+        let comm = ProcessWorkerComm::<u32, u32> {
+            rank: 0,
+            inner: inner.clone(),
+            down_rx,
+            shutdown: Arc::new(AtomicBool::new(false)),
         };
-        let payload = Arc::new(wire::to_payload(&WireMsg::<u32, u32>::Ping { rank: 0 }));
         for _ in 0..RETRANSMIT_RING_CAP {
-            send_locked(&mut inner, payload.clone(), true);
+            assert!(comm.send(Message::Terminate), "ringed sends report success");
         }
-        assert!(!inner.dead);
-        send_locked(&mut inner, payload.clone(), true);
-        assert!(inner.dead, "overflow must kill the session loudly");
-        assert_eq!(inner.ring.len(), RETRANSMIT_RING_CAP, "no payload may be evicted");
+        assert!(!inner.lock().unwrap().dead);
+        assert!(!comm.send(Message::Terminate), "overflow must kill the session loudly");
+        let side = inner.lock().unwrap();
+        assert!(side.dead);
+        assert_eq!(side.ep.unacked().count(), RETRANSMIT_RING_CAP, "no payload may be evicted");
     }
 
     /// When a chaos partition lifts, the suppressed (ringed but never
@@ -2205,145 +1922,21 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (_peer, _) = listener.accept().unwrap();
-        let mut inner = WorkerInner {
-            stream: Some(stream),
-            proto: PROTOCOL_VERSION,
-            batch: None,
-            token: 1,
-            tx_next: 0,
-            ring: VecDeque::new(),
-            rx_next: 0,
-            partition_until: Some(Instant::now() + Duration::from_millis(10)),
-            chaos: None,
-            dead: false,
+        // Every frame the schedule sees opens a 10 ms partition.
+        let profile = crate::chaos::ChaosProfile {
+            partition_p: 1.0,
+            partition_ms: 10,
+            ..crate::chaos::ChaosProfile::none()
         };
-        let payload = Arc::new(wire::to_payload(&WireMsg::<u32, u32>::Ping { rank: 0 }));
-        send_locked(&mut inner, payload.clone(), true); // suppressed, ringed
-        assert!(inner.stream.is_some(), "the socket stays open while partitioned");
+        let plan = ChaosConfig::new(7, profile);
+        let mut ep = Endpoint::new(1, Some(stream), Some(&plan));
+        let payload = wire::to_payload_binary(&WireMsg::<u32, u32>::Ping { rank: 0 });
+        ep.send(payload.clone(), true).unwrap(); // opens the partition: suppressed, ringed
+        ep.send(payload.clone(), true).unwrap(); // partitioned: suppressed, ringed
+        assert!(ep.is_attached(), "the socket stays open while partitioned");
         std::thread::sleep(Duration::from_millis(25));
-        send_locked(&mut inner, payload.clone(), true); // lift
-        assert!(inner.stream.is_none(), "lifting the partition must force a reconnect");
-        assert!(inner.partition_until.is_none());
-        assert_eq!(inner.ring.len(), 2, "both frames must await the resume replay");
-        assert!(!inner.dead, "a partition is recoverable, not terminal");
-    }
-
-    #[test]
-    fn negotiate_protocol_applies_min_rule_and_flags_pre_v2_peers() {
-        assert_eq!(negotiate_protocol(3, Some(3)), 3, "two v3 peers speak v3");
-        assert_eq!(negotiate_protocol(3, Some(2)), 2, "a v2 worker holds the pair at v2");
-        assert_eq!(negotiate_protocol(2, Some(3)), 2, "--codec v2 caps a v3 worker");
-        assert_eq!(negotiate_protocol(2, Some(2)), 2, "two v2 peers speak v2");
-        assert_eq!(negotiate_protocol(99, Some(99)), PROTOCOL_VERSION, "capped at ours");
-        // What the handshake refuses: no advertisement, or one below v2.
-        assert!(negotiate_protocol(3, None) < MIN_SESSION_PROTOCOL);
-        assert!(negotiate_protocol(3, Some(1)) < MIN_SESSION_PROTOCOL);
-        assert_eq!(negotiate_protocol(3, Some(0)), BASE_PROTOCOL, "floored at base");
-    }
-
-    #[test]
-    fn codec_flag_parses_versions_and_aliases() {
-        assert_eq!(parse_codec_flag("v3"), Ok(3));
-        assert_eq!(parse_codec_flag("binary"), Ok(3));
-        assert_eq!(parse_codec_flag("V2"), Ok(2));
-        assert_eq!(parse_codec_flag("json"), Ok(2));
-        assert!(parse_codec_flag("v4").is_err());
-        // v1 is no session mode any more: neither the flag nor a
-        // hand-built config can ask for it.
-        assert!(parse_codec_flag("v1").is_err());
-        assert!(parse_codec_flag("1").is_err());
-        let msg = ProcessCommConfig { max_protocol: 1, ..config() }.validate().unwrap_err();
-        assert!(msg.contains("--codec v2|v3"), "unhelpful message: {msg}");
-    }
-
-    /// End-to-end mixed-version interop in one room: a v3↔v3 pair, a
-    /// v2-capped coordinator against a v3 worker, and a v2-capped
-    /// worker against a v3 coordinator all exchange traffic in both
-    /// directions. The negotiated revision is not directly observable
-    /// from the public API, so the assertion is behavioral: every
-    /// message round-trips regardless of which side was capped.
-    #[test]
-    fn mixed_version_peers_interoperate() {
-        for (lc_cap, worker_cap) in [(3u32, 3u32), (2, 3), (3, 2), (2, 2)] {
-            let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap().to_string();
-            let lc_cfg = ProcessCommConfig { max_protocol: lc_cap, ..config() };
-            let wk_cfg = ProcessCommConfig { max_protocol: worker_cap, ..config() };
-
-            let worker = {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let comm = connect_worker::<u32, u32>(&addr, Some(0), &wk_cfg).unwrap();
-                    assert!(comm.send(Message::Status {
-                        rank: 0,
-                        dual_bound: 3.5,
-                        open: 1,
-                        nodes: 7
-                    }));
-                    match comm.recv() {
-                        Some(Message::Incumbent { obj, .. }) => assert_eq!(obj, 11.0),
-                        other => panic!("expected incumbent, got {other:?}"),
-                    }
-                    assert!(matches!(comm.recv(), Some(Message::Terminate)));
-                })
-            };
-
-            let lc = listener.accept_workers::<u32, u32>(1, &lc_cfg).unwrap();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                match lc.recv_timeout(Duration::from_millis(50)) {
-                    Some(Message::Status { dual_bound, nodes, .. }) => {
-                        assert_eq!((dual_bound, nodes), (3.5, 7));
-                        break;
-                    }
-                    Some(other) => panic!("caps ({lc_cap},{worker_cap}): unexpected {other:?}"),
-                    None => assert!(
-                        Instant::now() < deadline,
-                        "caps ({lc_cap},{worker_cap}): status never arrived"
-                    ),
-                }
-            }
-            assert!(lc.send_to(0, Message::Incumbent { sol: 1, obj: 11.0 }));
-            assert!(lc.send_to(0, Message::Terminate));
-            worker.join().unwrap();
-        }
-    }
-
-    /// Batched v3 traffic must honor the latency cap: a lone small
-    /// frame sits in the writer buffer no longer than `max_delay`
-    /// before the flusher pushes it out — the message still arrives
-    /// promptly although it is far below the 32 KiB size cap.
-    #[test]
-    fn batched_session_delivers_a_lone_frame_within_the_latency_cap() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let cfg = config();
-
-        let worker = {
-            let addr = addr.clone();
-            let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                let comm = connect_worker::<u32, u32>(&addr, Some(0), &cfg).unwrap();
-                assert!(comm.send(Message::Status { rank: 0, dual_bound: 1.0, open: 1, nodes: 1 }));
-                assert!(matches!(comm.recv(), Some(Message::Terminate)));
-            })
-        };
-
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
-        let started = Instant::now();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            match lc.recv_timeout(Duration::from_millis(20)) {
-                Some(Message::Status { .. }) => break,
-                Some(other) => panic!("unexpected {other:?}"),
-                None => assert!(Instant::now() < deadline, "batched status never flushed"),
-            }
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(2),
-            "latency cap must bound the batch delay"
-        );
-        assert!(lc.send_to(0, Message::Terminate));
-        worker.join().unwrap();
+        ep.send(payload, true).unwrap(); // lift
+        assert!(!ep.is_attached(), "lifting the partition must force a reconnect");
+        assert_eq!(ep.unacked().count(), 3, "every frame must await the resume replay");
     }
 }

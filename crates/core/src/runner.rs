@@ -163,9 +163,8 @@ pub struct DistributedOptions {
     /// Worker executable followed by its fixed leading arguments (the
     /// problem selector etc.). The runner appends `--connect <addr>
     /// --rank <i> --status-interval <s>` plus the transport tuning
-    /// (`--heartbeat-ms --handshake-ms --liveness-ms --reconnect-ms
-    /// --codec`) per spawned worker, so both ends share one
-    /// [`ProcessCommConfig`].
+    /// (`--heartbeat-ms --handshake-ms --liveness-ms --reconnect-ms`)
+    /// per spawned worker, so both ends share one [`ProcessCommConfig`].
     pub worker_command: Vec<String>,
     /// Coordinator listen address; `"127.0.0.1:0"` lets the OS pick a
     /// free port.
@@ -223,8 +222,6 @@ where
             .arg(dist.comm.liveness_timeout.as_millis().to_string())
             .arg("--reconnect-ms")
             .arg(dist.comm.reconnect_deadline.as_millis().to_string())
-            .arg("--codec")
-            .arg(format!("v{}", dist.comm.advertised_protocol()))
             .stdin(std::process::Stdio::null())
             .stdout(std::process::Stdio::null())
             .spawn()?;

@@ -25,17 +25,24 @@
 //!   *and* replaced by a pool-refill respawn, so the server degrades
 //!   gracefully instead of shrinking forever.
 //!
-//! Wire protocols (all length-prefixed JSON frames, [`crate::wire`]):
-//! clients speak [`ClientRequest`]/[`ServerReply`]; pool workers speak
-//! [`PoolHello`]/[`PoolWelcome`] at handshake and then
-//! [`PoolDown`]/[`PoolUp`]. The `Begin` frame carrying the instance is
-//! encoded **once** per job and the same bytes are written to every
-//! leased worker — the instance never re-serializes per rank.
+//! Wire protocols ([`crate::wire`]): clients speak
+//! [`ClientRequest`]/[`ServerReply`] and pool workers handshake with
+//! [`PoolHello`]/[`PoolWelcome`], all as length-prefixed JSON frames;
+//! after its handshake a pool connection carries
+//! [`PoolDown`]/[`PoolUp`] in the same checksummed binary frames as a
+//! per-call worker session. The pool keeps no retransmit ring — a torn
+//! connection is recovered by replacing the worker — so downward
+//! frames go out unsequenced ([`wire::frame_unseq`]); upward frames are
+//! numbered, and the server applies the session's duplicate/gap rule
+//! to them ([`Endpoint::on_header`]). The `Begin` frame carrying the
+//! instance is encoded **once** per job and the same bytes are written
+//! to every leased worker — the instance never re-serializes per rank.
 
+use crate::chaos::{self, FrameFaults};
 use crate::comm::LcComm;
 use crate::ledger::JobLedger;
 use crate::messages::Message;
-use crate::process::ProcessCommConfig;
+use crate::process::{require_revision, Arrival, Endpoint, ProcessCommConfig, PROTOCOL_VERSION};
 use crate::rpc::{
     accept_loop, empty_finished, serve_clients, state_label, wake_listener, EventLog,
     RequestHandler,
@@ -65,7 +72,7 @@ impl<T: Clone + Send + Serialize + DeserializeOwned + 'static> WireType for T {}
 
 /// Bumped on any change to the pool or client protocol; a mismatch at
 /// handshake drops the connection instead of desynchronizing the pool.
-pub const POOL_PROTOCOL_VERSION: u32 = 4;
+pub const POOL_PROTOCOL_VERSION: u32 = 5;
 
 // ---------------------------------------------------------------------
 // Pool protocol (server ⇄ standing workers)
@@ -83,12 +90,11 @@ pub struct PoolHello {
     /// The worker's OS pid (reported even when externally started, so
     /// `ServerStatus` can expose it for targeted kills in tests).
     pub pid: Option<u32>,
-    /// Highest payload codec revision the worker speaks (3 = the
-    /// binary v3 codec); absent (an old worker) means JSON. The frame
-    /// format of the pool path stays v1 either way — only the payload
-    /// encoding is negotiated.
+    /// The wire revision the worker speaks after the welcome; anything
+    /// but [`PROTOCOL_VERSION`] (or nothing) is refused, as on the
+    /// per-call path.
     #[serde(default)]
-    pub max_codec: Option<u32>,
+    pub max_protocol: Option<u32>,
 }
 
 /// The server's handshake answer: the worker's permanent pool id.
@@ -96,10 +102,10 @@ pub struct PoolHello {
 pub struct PoolWelcome {
     /// The pool id every later frame names.
     pub worker: u64,
-    /// Negotiated payload codec (`min` of both ends' caps, like the
-    /// per-call transport); absent (an old server) means JSON.
+    /// The wire revision of every later frame; the worker refuses
+    /// anything but [`PROTOCOL_VERSION`] (or nothing).
     #[serde(default)]
-    pub codec: Option<u32>,
+    pub protocol: Option<u32>,
 }
 
 /// Server → worker frames after the handshake.
@@ -629,8 +635,7 @@ pub struct ServerConfig {
     /// Worker executable + fixed leading arguments. The server appends
     /// `--serve --connect <addr> --pool-tag <tag> --status-interval <s>
     /// --heartbeat-ms <ms> --handshake-ms <ms> --liveness-ms <ms>
-    /// --reconnect-ms <ms> --codec v<n>` per spawn. Leave empty to run
-    /// with
+    /// --reconnect-ms <ms>` per spawn. Leave empty to run with
     /// externally started workers only (no refill).
     pub worker_command: Vec<String>,
     /// Standing pool size the scheduler maintains.
@@ -713,21 +718,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted pool connection's write half plus the payload codec
-/// negotiated at its handshake (each worker may speak a different
-/// revision — a mid-upgrade pool mixes them freely).
-struct PoolConn {
-    stream: TcpStream,
-    codec: wire::Codec,
-}
+/// One admitted pool connection's write half; `None` once retired.
+type SharedWriter = Arc<Mutex<Option<TcpStream>>>;
 
-type SharedWriter = Arc<Mutex<Option<PoolConn>>>;
-
-/// The pool-path codec negotiation: binary payloads only when both
-/// ends cap at protocol 3+, reusing the per-call transport's min rule
-/// (an absent advertisement means an old peer: JSON).
-fn pool_codec(local_cap: u32, peer_max: Option<u32>) -> wire::Codec {
-    crate::process::payload_codec(crate::process::negotiate_protocol(local_cap, peer_max))
+/// Writes one complete downward frame; a failed write retires the
+/// writer. False when the connection is (now) gone.
+fn write_down(slot: &SharedWriter, frame: &[u8]) -> bool {
+    let mut guard = slot.lock().unwrap();
+    let Some(stream) = guard.as_mut() else { return false };
+    let sent = stream.write_all(frame).and_then(|_| stream.flush()).is_ok();
+    if !sent {
+        *guard = None;
+    }
+    sent
 }
 
 struct WorkerEntry {
@@ -865,17 +868,7 @@ where
     /// of range or its connection is gone (the writer is retired).
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
         let Some(slot) = self.writers.get(rank) else { return false };
-        let mut guard = slot.lock().unwrap();
-        let Some(conn) = guard.as_mut() else { return false };
-        let codec = conn.codec;
-        match wire::write_msg_codec(&mut conn.stream, &PoolDownUg::Ug { job: self.job, msg }, codec)
-        {
-            Ok(()) => true,
-            Err(_) => {
-                *guard = None;
-                false
-            }
-        }
+        write_down(slot, &wire::frame_unseq(&PoolDownUg::Ug { job: self.job, msg }))
     }
 
     /// Receives the next worker message, waiting at most `d`.
@@ -1051,7 +1044,11 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             move || {
                 accept_loop(worker_listener, &sh.shutdown, |stream| {
                     sh.connections_accepted("pool").inc();
-                    let _ = admit_worker(&sh, stream);
+                    if let Err(e) = admit_worker(&sh, stream) {
+                        if e.kind() == io::ErrorKind::InvalidData {
+                            eprintln!("ugrs: refused a pool worker connection: {e}");
+                        }
+                    }
                 })
             },
         )?);
@@ -1168,9 +1165,7 @@ fn spawn_pool_worker(config: &ServerConfig, worker_addr: &str, tag: u64) -> io::
         .arg("--liveness-ms")
         .arg(config.comm.liveness_timeout.as_millis().to_string())
         .arg("--reconnect-ms")
-        .arg(config.comm.reconnect_deadline.as_millis().to_string())
-        .arg("--codec")
-        .arg(format!("v{}", config.comm.advertised_protocol()));
+        .arg(config.comm.reconnect_deadline.as_millis().to_string());
     if let Some(plan) = &config.comm.chaos {
         // Each worker gets a per-worker variant of the plan (seed +
         // worker id): still deterministic given the spawn order, but
@@ -1327,7 +1322,7 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
         let Some(mut w) = st.workers.remove(&id) else { return };
         if let Ok(mut g) = w.writer.lock() {
             if let Some(c) = g.take() {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
+                let _ = c.shutdown(std::net::Shutdown::Both);
             }
         }
         let mut notify = None;
@@ -1361,24 +1356,13 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
 ) {
     let StartedJob { jid, spec, cancel, writers, inbox, restart_from } = start;
     let n = writers.len();
-    // One encode per codec, n identical writes: the worker-pool
-    // amortization (the binary variant is built lazily — an all-JSON
-    // pool never pays for it, and vice versa).
-    let begin_msg = PoolDown::<Inst, Sub, Sol>::Begin { job: jid, instance: spec.instance.clone() };
-    let mut begin_json: Option<Vec<u8>> = None;
-    let mut begin_bin: Option<Vec<u8>> = None;
+    // One encode, n identical writes: the worker-pool amortization.
+    let begin = wire::frame_unseq(&PoolDown::<Inst, Sub, Sol>::Begin {
+        job: jid,
+        instance: spec.instance.clone(),
+    });
     for w in &writers {
-        let mut guard = w.lock().unwrap();
-        if let Some(conn) = guard.as_mut() {
-            let begin = match conn.codec {
-                wire::Codec::Json => begin_json.get_or_insert_with(|| wire::encode(&begin_msg)),
-                wire::Codec::Binary => begin_bin
-                    .get_or_insert_with(|| wire::frame_v1(&wire::to_payload_binary(&begin_msg))),
-            };
-            if conn.stream.write_all(begin).and_then(|_| conn.stream.flush()).is_err() {
-                *guard = None;
-            }
-        }
+        write_down(w, &begin);
     }
     // Telemetry wiring: an optional per-job journal plus a progress
     // sink feeding the server's live per-job snapshot map.
@@ -1587,7 +1571,7 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
     for (_, mut w) in st.workers.drain() {
         if let Ok(mut g) = w.writer.lock() {
             if let Some(c) = g.take() {
-                let _ = c.stream.shutdown(std::net::Shutdown::Both);
+                let _ = c.shutdown(std::net::Shutdown::Both);
             }
         }
         if let Some(c) = w.child.take() {
@@ -1627,6 +1611,9 @@ fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
             format!("pool protocol {} != {}", hello.protocol, POOL_PROTOCOL_VERSION),
         ));
     }
+    // Refused before the hello can take a pool id (or adopt a child).
+    require_revision("pool worker hello", hello.max_protocol)?;
+    dec.set_v2(true);
     let (id, mut child) = {
         let mut st = shared.state.lock().unwrap();
         match hello.tag {
@@ -1640,17 +1627,9 @@ fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
             }
         }
     };
-    let codec = pool_codec(shared.config.comm.max_protocol, hello.max_codec);
     let finish = (|| -> io::Result<TcpStream> {
-        // The Welcome itself is always JSON: the worker has not learned
-        // the verdict yet, so it can only parse the base codec.
-        wire::write_msg(
-            &mut (&stream),
-            &PoolWelcome {
-                worker: id,
-                codec: Some(if codec == wire::Codec::Binary { 3 } else { 2 }),
-            },
-        )?;
+        let welcome = PoolWelcome { worker: id, protocol: Some(PROTOCOL_VERSION) };
+        wire::write_msg(&mut (&stream), &welcome)?;
         stream.set_read_timeout(None)?;
         stream.try_clone()
     })();
@@ -1671,7 +1650,7 @@ fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
         st.workers.insert(
             id,
             WorkerEntry {
-                writer: Arc::new(Mutex::new(Some(PoolConn { stream: writer_stream, codec }))),
+                writer: Arc::new(Mutex::new(Some(writer_stream))),
                 child,
                 pid,
                 lease: None,
@@ -1691,12 +1670,24 @@ fn spawn_pool_reader<Inst: WireType, Sub: WireType, Sol: WireType>(
     mut stream: TcpStream,
     mut dec: FrameDecoder,
 ) {
+    // Only the receive half of a session: nothing is sent through it.
+    let mut session = Endpoint::<TcpStream>::new(0, None, None);
     std::thread::Builder::new()
         .name(format!("pool-reader-{id}"))
         .spawn(move || loop {
-            match wire::read_msg::<PoolUp<Sub, Sol>, _>(&mut stream, &mut dec) {
-                Ok(Some(up)) => handle_pool_up(&shared, id, up),
-                Ok(None) | Err(_) => {
+            let up = match wire::read_frame(&mut stream, &mut dec) {
+                Ok(Some((header, payload))) => match session.on_header(header) {
+                    Arrival::Accept => wire::decode::<PoolUp<Sub, Sol>>(&payload).ok(),
+                    Arrival::Duplicate => continue,
+                    // Nothing can replay the missing frames: the worker
+                    // is lost, like on any other torn stream.
+                    Arrival::Gap => None,
+                },
+                Ok(None) | Err(_) => None,
+            };
+            match up {
+                Some(up) => handle_pool_up(&shared, id, up),
+                None => {
                     worker_lost(&shared, id);
                     return;
                 }
@@ -2149,7 +2140,7 @@ where
             protocol: POOL_PROTOCOL_VERSION,
             tag,
             pid: Some(std::process::id()),
-            max_codec: Some(config.advertised_protocol()),
+            max_protocol: Some(PROTOCOL_VERSION),
         },
     )?;
     let mut reader = stream.try_clone()?;
@@ -2157,21 +2148,15 @@ where
     let welcome: PoolWelcome = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
         io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before welcome")
     })?;
+    require_revision("pool server welcome", welcome.protocol)?;
     stream.set_read_timeout(None)?;
+    dec.set_v2(true);
     let worker = welcome.worker;
-    // Clamp the server's verdict by our own advertisement: a buggy
-    // server cannot push us past what we offered to speak.
-    let codec = pool_codec(config.advertised_protocol(), welcome.codec);
-    POOL_UP_BINARY.store(codec == wire::Codec::Binary, Ordering::Relaxed);
-    if let Some(plan) = &config.chaos {
-        // Armed only after the handshake: a worker must always be able
-        // to (re)join the pool, exactly as resume frames bypass chaos
-        // on the per-call path.
-        let _ = POOL_CHAOS
-            .set(Mutex::new(PoolChaosState { injector: plan.injector(), partition_until: None }));
-    }
-
-    let writer = Arc::new(Mutex::new(stream));
+    // Faults are armed only after the handshake: a worker must always
+    // be able to join the pool, exactly as resume frames bypass chaos
+    // on the per-call path.
+    let faults = config.chaos.as_ref().map(FrameFaults::new);
+    let writer = Arc::new(Mutex::new(PoolUplink { stream, faults, tx_next: 0 }));
     let hb_shutdown = Arc::new(AtomicBool::new(false));
     {
         let writer = writer.clone();
@@ -2184,9 +2169,7 @@ where
                 if hb_shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                let ping: PoolUp<S::Sub, S::Sol> = PoolUp::Ping { worker };
-                let mut stream = writer.lock().unwrap();
-                if pool_chaos_write(&mut stream, &ping).is_err() {
+                if !send_up(&writer, &PoolUp::<S::Sub, S::Sol>::Ping { worker }) {
                     return;
                 }
             })
@@ -2209,15 +2192,15 @@ where
 
     let result = serve_loop::<Inst, S>(worker, &writer, &down_rx, &make_factory, status_interval);
     hb_shutdown.store(true, Ordering::SeqCst);
-    if let Ok(stream) = writer.lock() {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
+    if let Ok(up) = writer.lock() {
+        let _ = up.stream.shutdown(std::net::Shutdown::Both);
     }
     result
 }
 
 fn serve_loop<Inst, S>(
     worker: u64,
-    writer: &Mutex<TcpStream>,
+    writer: &Mutex<PoolUplink>,
     down_rx: &Receiver<PoolDown<Inst, S::Sub, S::Sol>>,
     make_factory: &dyn Fn(&Inst) -> SolverFactory<S>,
     status_interval: Duration,
@@ -2261,7 +2244,7 @@ where
 /// job id, and the downlink multiplexes [`PoolDown`] (job-tagged)
 /// instead of raw messages.
 struct JobUplink<'a, Inst, Sub, Sol> {
-    writer: &'a Mutex<TcpStream>,
+    writer: &'a Mutex<PoolUplink>,
     down_rx: &'a Receiver<PoolDown<Inst, Sub, Sol>>,
     job: u64,
     worker: u64,
@@ -2284,84 +2267,39 @@ impl<Inst, Sub: Serialize, Sol: Serialize> Uplink<Sub, Sol> for JobUplink<'_, In
     }
 }
 
+/// A pool worker's write half. The pool transport has no session
+/// resume — a torn connection is recovered by *replacement* (the server
+/// requeues the job and refills the pool) — so the seeded fault
+/// schedule (`ProcessCommConfig::chaos`, `None` in production)
+/// exercises the worker-loss machinery rather than reconnect/replay.
+struct PoolUplink {
+    stream: TcpStream,
+    faults: Option<FrameFaults>,
+    /// Next upward sequence number: what lets the server drop a
+    /// duplicated frame instead of acting on it twice.
+    tx_next: u64,
+}
+
+/// Writes one upward frame through [`chaos::write_frame`]: Corrupt
+/// flips one bit, which the server's frame CRC catches; Duplicate is
+/// suppressed by sequence number; Partition silences writes until the
+/// server's liveness sweep fires or the partition lifts. Whatever
+/// fails — the write, a Drop, a lifted partition — tears the
+/// connection down: the server sees the worker lost and replaces it.
 fn send_up<Sub: Serialize, Sol: Serialize>(
-    writer: &Mutex<TcpStream>,
+    writer: &Mutex<PoolUplink>,
     msg: &PoolUp<Sub, Sol>,
 ) -> bool {
-    let mut stream = writer.lock().unwrap();
-    pool_chaos_write(&mut stream, msg).is_ok()
-}
-
-/// Pool-path fault injection: one process-global injector (a pool
-/// worker is one process holding one connection), armed once in
-/// [`serve_worker`] from `ProcessCommConfig::chaos` and `None` in
-/// production. The pool transport has no session resume — a torn
-/// connection here is recovered by *replacement* (the server requeues
-/// the job and refills the pool), so chaos on this path exercises the
-/// worker-loss machinery rather than reconnect/replay.
-static POOL_CHAOS: std::sync::OnceLock<Mutex<PoolChaosState>> = std::sync::OnceLock::new();
-
-/// The negotiated up-path codec, process-global for the same reason as
-/// [`POOL_CHAOS`]: a pool worker is one process holding one connection.
-/// Set once in [`serve_worker`] from the server's `PoolWelcome` verdict
-/// (clamped by our own advertisement); `false` (JSON) until then, so
-/// the handshake itself is always base-codec.
-static POOL_UP_BINARY: AtomicBool = AtomicBool::new(false);
-
-fn pool_up_codec() -> wire::Codec {
-    if POOL_UP_BINARY.load(Ordering::Relaxed) {
-        wire::Codec::Binary
-    } else {
-        wire::Codec::Json
+    let mut guard = writer.lock().unwrap();
+    let up = &mut *guard;
+    let header = wire::FrameHeader { seq: up.tx_next, ack: 0 };
+    up.tx_next += 1;
+    let frame = wire::frame_v2(&wire::to_payload_binary(msg), header);
+    let sent = chaos::write_frame(up.faults.as_mut(), &mut up.stream, &frame);
+    if sent.is_err() {
+        let _ = up.stream.shutdown(std::net::Shutdown::Both);
     }
-}
-
-struct PoolChaosState {
-    injector: crate::chaos::FaultInjector,
-    partition_until: Option<Instant>,
-}
-
-/// Writes one upward frame through the armed fault schedule (or
-/// directly when chaos is off). Mirrors the per-call worker's
-/// semantics: a Drop discards the frame *and* tears the connection,
-/// Corrupt flips one bit for the server's CRC to catch, Partition
-/// silences writes until the server's liveness sweep fires.
-fn pool_chaos_write<T: Serialize>(stream: &mut TcpStream, msg: &T) -> io::Result<()> {
-    let Some(chaos) = POOL_CHAOS.get() else {
-        return wire::write_msg_codec(stream, msg, pool_up_codec());
-    };
-    let mut st = chaos.lock().unwrap();
-    if let Some(until) = st.partition_until {
-        if Instant::now() < until {
-            st.injector.on_frame(); // the schedule keeps ticking while silent
-            return Ok(());
-        }
-        st.partition_until = None;
-    }
-    let frame = wire::frame_v1(&wire::to_payload_codec(msg, pool_up_codec()));
-    match st.injector.on_frame() {
-        crate::chaos::FaultAction::Pass => {}
-        crate::chaos::FaultAction::Delay(d) => std::thread::sleep(d),
-        crate::chaos::FaultAction::Duplicate => stream.write_all(&frame)?,
-        crate::chaos::FaultAction::Corrupt { bit } => {
-            let mut bad = frame.clone();
-            let b = (bit as usize) % (bad.len() * 8);
-            bad[b / 8] ^= 1 << (b % 8);
-            stream.write_all(&bad)?;
-            return stream.flush();
-        }
-        crate::chaos::FaultAction::Drop => {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return Err(io::Error::other("chaos: frame dropped, connection torn"));
-        }
-        crate::chaos::FaultAction::Partition(d) => {
-            st.partition_until = Some(Instant::now() + d);
-            return Ok(());
-        }
-        crate::chaos::FaultAction::Kill => std::process::exit(137),
-    }
-    stream.write_all(&frame)?;
-    stream.flush()
+    sent.is_ok()
 }
 
 // ---------------------------------------------------------------------

@@ -475,13 +475,6 @@ pub struct WireStats {
     pub rx_frames: Arc<Counter>,
     /// Bytes (including length prefixes) decoded by this process.
     pub rx_bytes: Arc<Counter>,
-    /// Batched writer flushes (each one socket write of >= 1 frame).
-    pub batch_flushes: Arc<Counter>,
-    /// Frames that went out through a batched writer. Divide by
-    /// `batch_flushes` for the achieved coalescing factor.
-    pub batch_frames: Arc<Counter>,
-    /// Bytes that went out through a batched writer.
-    pub batch_bytes: Arc<Counter>,
 }
 
 /// The process-wide wire counters, registered in [`global`] on first use.
@@ -502,14 +495,6 @@ pub fn wire() -> &'static WireStats {
                 "ugrs_wire_rx_bytes_total",
                 "Wire bytes (frames incl. length prefix) decoded by this process",
             ),
-            batch_flushes: r.counter(
-                "ugrs_wire_batch_flushes_total",
-                "Batched writer flushes (one socket write each)",
-            ),
-            batch_frames: r
-                .counter("ugrs_wire_batch_frames_total", "Frames sent through a batched writer"),
-            batch_bytes: r
-                .counter("ugrs_wire_batch_bytes_total", "Bytes sent through a batched writer"),
         }
     })
 }

@@ -1,34 +1,30 @@
 //! The wire codec of the distributed back-end: how a [`crate::Message`]
 //! becomes bytes on a socket and comes back out intact.
 //!
-//! Three protocol revisions share the socket, negotiated at handshake
-//! (the normative byte-level reference is `PROTOCOL.md` at the repo
-//! root; this comment is the summary):
+//! Two formats share the socket (the normative byte-level reference is
+//! `PROTOCOL.md` at the repo root; this comment is the summary):
 //!
-//! * **v1** — 4-byte big-endian length prefix + JSON payload. JSON
-//!   (rather than a binary format) keeps frames human-debuggable with
-//!   `tcpdump`/`nc` and reuses the exact serde path the checkpoint
-//!   files already exercise — including the non-finite-float
-//!   extension, which matters because every root subproblem ships
-//!   with a `-Infinity` dual bound.
-//! * **v2** — the same length prefix followed by a [`FrameHeader`]:
-//!   a header CRC32, a sequence number, a cumulative ack, and a
-//!   payload CRC32. The two CRCs make any single flipped bit anywhere
-//!   in the frame (length prefix included) surface as
-//!   [`WireError::Corrupt`] instead of desynchronizing the stream,
-//!   and the seq/ack pair is what lets [`crate::process`] replay
-//!   un-acked frames and suppress duplicates across a reconnect.
-//! * **v3** — the v2 frame unchanged, but the payload inside it is the
+//! * **v1 + JSON** — 4-byte big-endian length prefix + JSON payload:
+//!   every handshake and the whole `ugd` client protocol. JSON keeps
+//!   those frames human-debuggable with `tcpdump`/`nc` and reuses the
+//!   exact serde path the checkpoint files already exercise —
+//!   including the non-finite-float extension, which matters because
+//!   every root subproblem ships with a `-Infinity` dual bound.
+//! * **v2 + binary** — what every worker connection (per-call session
+//!   or pool) speaks after its handshake. The length prefix is
+//!   followed by a [`FrameHeader`]: a header CRC32, a sequence number,
+//!   a cumulative ack, and a payload CRC32. The two CRCs make any
+//!   single flipped bit anywhere in the frame (length prefix included)
+//!   surface as [`WireError::Corrupt`] instead of desynchronizing the
+//!   stream, and the seq/ack pair is what lets [`crate::process`]
+//!   replay un-acked frames and suppress duplicates across a reconnect
+//!   (the pool keeps no ring and sends [`UNSEQ`]). The payload is the
 //!   compact binary encoding of the serde `Value` tree
-//!   ([`to_payload_binary`]) instead of JSON text: a [`BINARY_MAGIC`]
-//!   byte, then tag-prefixed nodes with zigzag-varint integers,
-//!   fixed-width little-endian doubles, varint-length strings and
-//!   interned object keys. Decoding auto-detects the payload codec
-//!   (the magic byte can never start a JSON document), so a v3
-//!   receiver accepts both — negotiation only governs what a sender
-//!   may *emit*. v3 senders may additionally coalesce whole frames
-//!   per writer flush through a [`BatchWriter`] under a size/latency
-//!   cap; frames are self-delimiting, so receivers need no changes.
+//!   ([`to_payload_binary`]): a [`BINARY_MAGIC`] byte, then
+//!   tag-prefixed nodes with zigzag-varint integers, fixed-width
+//!   little-endian doubles, varint-length strings and interned object
+//!   keys. Decoding auto-detects the payload codec (the magic byte can
+//!   never start a JSON document).
 //!
 //! The decoder is incremental: bytes arrive in arbitrary chunks (TCP
 //! guarantees order, not boundaries) and are buffered until a whole
@@ -38,8 +34,6 @@ use bytes::{Bytes, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::io::{Read, Write};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Refuse frames larger than this (a corrupt or malicious length prefix
 /// would otherwise make the receiver try to buffer gigabytes).
@@ -208,6 +202,18 @@ pub fn frame_v2(payload: &[u8], header: FrameHeader) -> Vec<u8> {
     framed
 }
 
+/// Sentinel sequence number of unsequenced frames (heartbeats, ack
+/// carriers, and everything on a pool connection): not ringed, not
+/// replayed, exempt from duplicate suppression, and they never advance
+/// the receiver's expected sequence number.
+pub const UNSEQ: u64 = u64::MAX;
+
+/// Frames `msg` for a post-handshake worker connection that keeps no
+/// retransmit ring (the pool): v2 + binary, unsequenced.
+pub fn frame_unseq<T: Serialize>(msg: &T) -> Vec<u8> {
+    frame_v2(&to_payload_binary(msg), FrameHeader { seq: UNSEQ, ack: 0 })
+}
+
 /// Serializes `msg` to its JSON payload bytes (no framing, no
 /// telemetry) — what retransmit rings store, so a replay re-frames
 /// the identical payload under a fresh header.
@@ -216,29 +222,29 @@ pub fn to_payload<T: Serialize>(msg: &T) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// v3 payload codec: a compact binary encoding of the serde Value tree
+// Binary payload codec: a compact encoding of the serde Value tree
 // ---------------------------------------------------------------------
 
-/// First byte of every binary (v3) payload. JSON text can never start
-/// with this byte (payloads from [`to_payload`] begin with an ASCII
-/// token), so [`decode`] distinguishes the two codecs without any
-/// out-of-band state — negotiation only constrains what a sender may
-/// emit, never what a receiver accepts.
+/// First byte of every binary payload. JSON text can never start with
+/// this byte (payloads from [`to_payload`] begin with an ASCII token),
+/// so [`decode`] distinguishes the two codecs without any out-of-band
+/// state.
 pub const BINARY_MAGIC: u8 = 0xB3;
 
 /// Which payload encoding a sender uses inside a frame. Orthogonal to
-/// the *frame* format (v1/v2): protocol v3 is "v2 frames carrying
-/// `Binary` payloads".
+/// the *frame* format (v1/v2).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Codec {
-    /// Length-delimited JSON text (protocol v1/v2 payloads).
+    /// JSON text (handshakes and the client protocol).
     #[default]
     Json,
-    /// The magic-prefixed binary Value encoding (protocol v3 payloads).
+    /// The magic-prefixed binary Value encoding (worker connections).
     Binary,
 }
 
-/// Serializes `msg` under the given payload codec.
+/// Serializes `msg` under a payload codec chosen by value — what the
+/// benchmark's JSON-vs-binary kernels call; the transports call
+/// [`to_payload`] or [`to_payload_binary`] directly.
 pub fn to_payload_codec<T: Serialize>(msg: &T, codec: Codec) -> Vec<u8> {
     match codec {
         Codec::Json => to_payload(msg),
@@ -504,9 +510,8 @@ pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
 }
 
 /// Deserializes one frame *payload* (without prefix or header),
-/// auto-detecting the payload codec by [`BINARY_MAGIC`] — a receiver
-/// understands both codecs regardless of what was negotiated. Counts
-/// the frame in the process-wide rx wire telemetry.
+/// auto-detecting the payload codec by [`BINARY_MAGIC`]. Counts the
+/// frame in the process-wide rx wire telemetry.
 pub fn decode<T: DeserializeOwned>(payload: &[u8]) -> Result<T, WireError> {
     let w = crate::telemetry::wire();
     w.rx_frames.inc();
@@ -632,20 +637,6 @@ pub fn write_msg<T: Serialize, W: Write>(w: &mut W, msg: &T) -> std::io::Result<
     w.flush()
 }
 
-/// [`write_msg`] with an explicit payload codec: the frame stays v1
-/// (length-prefixed), but the payload is binary when `codec` says so.
-/// Receivers need no matching switch — [`decode`] auto-detects by the
-/// [`BINARY_MAGIC`] byte, which is what lets the pool protocol
-/// negotiate the codec per connection while old peers keep reading.
-pub fn write_msg_codec<T: Serialize, W: Write>(
-    w: &mut W,
-    msg: &T,
-    codec: Codec,
-) -> std::io::Result<()> {
-    w.write_all(&frame_v1(&to_payload_codec(msg, codec)))?;
-    w.flush()
-}
-
 /// Reads until one whole message is decodable. Returns `Ok(None)` on a
 /// clean EOF *between* frames; EOF mid-frame is an error. Honors the
 /// reader's own timeout semantics (e.g. `TcpStream::set_read_timeout`)
@@ -684,128 +675,6 @@ pub fn read_frame<R: Read>(
             }
             Ok(n) => dec.push(&chunk[..n]),
             Err(e) => return Err(e),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// v3 writer-side frame batching
-// ---------------------------------------------------------------------
-
-/// Flush policy of a [`BatchWriter`]: buffered frames are written out
-/// as one `write_all` once the buffer reaches `max_bytes`, or once the
-/// oldest buffered frame has waited `max_delay` (enforced by whoever
-/// calls [`BatchWriter::flush_if_due`] periodically — the transports
-/// run a flusher thread).
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Size cap: a push that fills the buffer to this point flushes
-    /// inline.
-    pub max_bytes: usize,
-    /// Latency cap: no frame waits in the buffer longer than this.
-    pub max_delay: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig { max_bytes: 32 * 1024, max_delay: Duration::from_millis(1) }
-    }
-}
-
-/// Coalesces whole, already-framed messages into one socket write per
-/// flush. Every pushed buffer must be a complete frame (they are
-/// self-delimiting, so the receiver's [`FrameDecoder`] is oblivious to
-/// batching); ordering is preserved because everything funnels through
-/// one internal buffer. A write failure is sticky: the first error is
-/// returned to the caller that triggers it and every later push, so
-/// the transport's usual disconnect path runs — buffered-but-unsent
-/// sequenced frames are already in the retransmit ring and replay on
-/// resume.
-pub struct BatchWriter<W: Write + Send> {
-    cfg: BatchConfig,
-    state: Mutex<BatchState<W>>,
-}
-
-struct BatchState<W> {
-    writer: W,
-    buf: Vec<u8>,
-    /// Frames currently buffered (for the per-flush telemetry).
-    frames: u64,
-    /// When the oldest buffered frame was pushed.
-    first_at: Option<Instant>,
-    failed: bool,
-}
-
-impl<W: Write + Send> BatchWriter<W> {
-    /// Wraps `writer` under the given flush policy.
-    pub fn new(writer: W, cfg: BatchConfig) -> Self {
-        BatchWriter {
-            cfg,
-            state: Mutex::new(BatchState {
-                writer,
-                buf: Vec::with_capacity(cfg.max_bytes.min(64 * 1024)),
-                frames: 0,
-                first_at: None,
-                failed: false,
-            }),
-        }
-    }
-
-    fn flush_locked(&self, s: &mut BatchState<W>) -> std::io::Result<()> {
-        if s.buf.is_empty() {
-            return Ok(());
-        }
-        let w = crate::telemetry::wire();
-        w.batch_flushes.inc();
-        w.batch_frames.add(s.frames);
-        w.batch_bytes.add(s.buf.len() as u64);
-        let result = s.writer.write_all(&s.buf).and_then(|_| s.writer.flush());
-        s.buf.clear();
-        s.frames = 0;
-        s.first_at = None;
-        if result.is_err() {
-            s.failed = true;
-        }
-        result
-    }
-
-    /// Buffers one complete frame, flushing inline when the size cap
-    /// is reached. Returns the sticky error once the writer failed.
-    pub fn push(&self, frame: &[u8]) -> std::io::Result<()> {
-        let mut s = self.state.lock().unwrap();
-        if s.failed {
-            return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "batch writer failed"));
-        }
-        s.buf.extend_from_slice(frame);
-        s.frames += 1;
-        if s.first_at.is_none() {
-            s.first_at = Some(Instant::now());
-        }
-        if s.buf.len() >= self.cfg.max_bytes {
-            return self.flush_locked(&mut s);
-        }
-        Ok(())
-    }
-
-    /// Forces everything buffered onto the wire now.
-    pub fn flush(&self) -> std::io::Result<()> {
-        let mut s = self.state.lock().unwrap();
-        if s.failed {
-            return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "batch writer failed"));
-        }
-        self.flush_locked(&mut s)
-    }
-
-    /// Flushes only when the oldest buffered frame has exceeded the
-    /// latency cap — what the transports' flusher threads call.
-    pub fn flush_if_due(&self) -> std::io::Result<()> {
-        let mut s = self.state.lock().unwrap();
-        if s.failed {
-            return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "batch writer failed"));
-        }
-        match s.first_at {
-            Some(t) if t.elapsed() >= self.cfg.max_delay => self.flush_locked(&mut s),
-            _ => Ok(()),
         }
     }
 }
@@ -1036,64 +905,5 @@ mod tests {
         let mut trailing = to_payload_binary(&7u64);
         trailing.push(0x00);
         assert!(matches!(decode::<u64>(&trailing), Err(WireError::Codec(_))));
-    }
-
-    #[test]
-    fn batch_writer_flushes_on_size_and_latency() {
-        use std::sync::Arc;
-        #[derive(Clone, Default)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = Sink::default();
-        let bw = BatchWriter::new(
-            sink.clone(),
-            BatchConfig { max_bytes: 32, max_delay: Duration::from_millis(5) },
-        );
-        let frame = frame_v1(b"0123456789");
-        bw.push(&frame).unwrap(); // 14 bytes: buffered
-        assert!(sink.0.lock().unwrap().is_empty(), "below the size cap: not yet written");
-        bw.flush_if_due().unwrap();
-        assert!(sink.0.lock().unwrap().is_empty(), "latency cap not reached yet");
-        bw.push(&frame).unwrap(); // 28 bytes: still buffered
-        bw.push(&frame).unwrap(); // 42 >= 32: size-cap flush
-        assert_eq!(sink.0.lock().unwrap().len(), 3 * frame.len());
-        bw.push(&frame).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        bw.flush_if_due().unwrap(); // latency-cap flush
-        assert_eq!(sink.0.lock().unwrap().len(), 4 * frame.len());
-        // The coalesced byte stream decodes as individual frames.
-        let mut dec = FrameDecoder::new();
-        dec.push(&sink.0.lock().unwrap());
-        for _ in 0..4 {
-            let payload = dec.next_frame().unwrap().expect("frame");
-            assert_eq!(&payload[..], b"0123456789");
-        }
-        assert!(dec.next_frame().unwrap().is_none());
-    }
-
-    #[test]
-    fn batch_writer_errors_are_sticky() {
-        struct Failing;
-        impl Write for Failing {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "down"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let bw = BatchWriter::new(Failing, BatchConfig::default());
-        bw.push(&frame_v1(b"x")).unwrap();
-        assert!(bw.flush().is_err());
-        assert!(bw.push(&frame_v1(b"y")).is_err(), "after a failure every push errors");
-        assert!(bw.flush_if_due().is_err());
     }
 }

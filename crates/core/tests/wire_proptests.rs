@@ -1,11 +1,13 @@
 //! Property tests for the ProcessComm wire codec: every `Message`
 //! variant must survive encode → arbitrary re-chunking →
 //! `FrameDecoder` → decode, because a TCP stream may hand the reader
-//! any fragmentation whatsoever. The v3 section at the bottom holds
-//! the binary payload codec to the same bar plus its own: bit flips
-//! under v2 framing are always `Corrupt`, arbitrary bytes never panic
-//! the decoder, truncation never half-decodes, and the version
-//! negotiation rule is symmetric (see `PROTOCOL.md`).
+//! any fragmentation whatsoever. The v3 section holds the binary
+//! payload codec to the same bar plus its own: bit flips under v2
+//! framing are always `Corrupt` (session and pool frames alike),
+//! arbitrary bytes never panic the decoder, truncation never
+//! half-decodes. The last section is a model-based test of the session
+//! [`Endpoint`] both ends of a worker connection hold (see
+//! `PROTOCOL.md` §4).
 //!
 //! `Message` has no `PartialEq` (it carries `f64` payloads including
 //! NaN), so equality is checked on the canonical re-encoded byte
@@ -14,11 +16,11 @@
 
 use proptest::prelude::*;
 use ugrs_core::messages::{Message, SubproblemMsg};
-use ugrs_core::process::negotiate_protocol;
+use ugrs_core::process::{Arrival, Conn, Endpoint, RingFull, RETRANSMIT_RING_CAP};
 use ugrs_core::server::{JobEvent, JobEventKind, JobSummary, PoolDown, PoolUp, WorkerInfo};
 use ugrs_core::wire::{
-    decode, encode, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder, FrameHeader,
-    WireError, BINARY_MAGIC, MAX_FRAME_LEN,
+    decode, encode, frame_unseq, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder,
+    FrameHeader, WireError, BINARY_MAGIC, MAX_FRAME_LEN, UNSEQ,
 };
 use ugrs_core::{
     ClientRequest, FleetStatus, JobProgress, JobSpec, JobState, MetricsReport, ProgressMsg,
@@ -578,24 +580,30 @@ proptest! {
     /// A single flipped bit anywhere in a v2-framed *binary* payload —
     /// length, header, or payload — surfaces as `WireError::Corrupt`:
     /// the CRC catches it before the binary decoder ever runs, so a
-    /// compact encoding cannot silently misdecode on a session link.
+    /// compact encoding cannot silently misdecode — on a session link
+    /// or on a pool connection, whose frames are the same format.
     #[test]
     fn v3_single_bit_flip_surfaces_as_corrupt(
         msg in arb_msg(),
+        up in arb_pool_up(),
         seq in 0u64..1_000_000,
         ack in 0u64..1_000_000,
         bit_pick in any::<u64>(),
     ) {
-        let framed = frame_v2(&to_payload_binary(&msg), FrameHeader { seq, ack });
-        let bit = (bit_pick % (framed.len() * 8) as u64) as usize;
-        let mut bad = framed;
-        bad[bit / 8] ^= 1 << (bit % 8);
-        let mut dec = FrameDecoder::new();
-        dec.set_v2(true);
-        dec.push(&bad);
-        match dec.next_frame2() {
-            Err(e @ WireError::Corrupt(_)) => prop_assert!(e.is_retryable()),
-            other => prop_assert!(false, "bit {bit}: expected Corrupt, got {other:?}"),
+        let session = frame_v2(&to_payload_binary(&msg), FrameHeader { seq, ack });
+        let pool_up = frame_v2(&to_payload_binary(&up), FrameHeader { seq, ack: 0 });
+        let pool_down = frame_unseq(&Down::Ug { job: seq, msg });
+        for framed in [session, pool_up, pool_down] {
+            let bit = (bit_pick % (framed.len() * 8) as u64) as usize;
+            let mut bad = framed;
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let mut dec = FrameDecoder::new();
+            dec.set_v2(true);
+            dec.push(&bad);
+            match dec.next_frame2() {
+                Err(e @ WireError::Corrupt(_)) => prop_assert!(e.is_retryable()),
+                other => prop_assert!(false, "bit {bit}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 
@@ -628,19 +636,242 @@ proptest! {
             other => prop_assert!(false, "cut at {cut}: expected Codec error, got {other:?}"),
         }
     }
+}
 
-    /// The negotiation rule: symmetric (both ends compute the same
-    /// revision from the exchanged caps), never above either cap or
-    /// the supported maximum, never below the v1 base, and a silent
-    /// peer (no advertisement) lands exactly on v1.
+// ---------------------------------------------------------------------
+// The session endpoint, modelled once for both roles
+// ---------------------------------------------------------------------
+
+/// An in-memory connection half: what one end writes, the test hands
+/// to the other end's decoder. Closed pipes refuse writes, like a
+/// socket after `shutdown`.
+#[derive(Clone, Default)]
+struct Pipe(std::sync::Arc<std::sync::Mutex<(Vec<u8>, bool)>>);
+
+impl std::io::Write for Pipe {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut pipe = self.0.lock().unwrap();
+        if pipe.1 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        pipe.0.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Conn for Pipe {
+    fn close(&self) {
+        self.0.lock().unwrap().1 = true;
+    }
+
+    fn set_write_timeout(&self, _: Option<std::time::Duration>) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One end of the modelled connection: the endpoint under test behind
+/// its owner's lock, the pipe it currently writes into, the decoder of
+/// what it receives, and the model's two ledgers.
+struct End {
+    ep: std::sync::Mutex<Endpoint<Pipe>>,
+    out: Pipe,
+    dec: FrameDecoder,
+    /// Reliable payloads this end sent, in order.
+    sent: Vec<u64>,
+    /// Reliable payloads this end accepted, in order.
+    delivered: Vec<u64>,
+    /// The last frame this end received, for duplicate delivery.
+    last: Option<(FrameHeader, Vec<u8>)>,
+}
+
+impl End {
+    fn new() -> Self {
+        let out = Pipe::default();
+        let mut dec = FrameDecoder::new();
+        dec.set_v2(true);
+        End {
+            ep: std::sync::Mutex::new(Endpoint::new(7, Some(out.clone()), None)),
+            out,
+            dec,
+            sent: Vec::new(),
+            delivered: Vec::new(),
+            last: None,
+        }
+    }
+
+    /// Applies one received frame the way both reader threads do.
+    fn receive(&mut self, header: FrameHeader, payload: &[u8]) -> Result<Arrival, TestCaseError> {
+        let mut ep = self.ep.lock().unwrap();
+        let arrival = ep.on_header(header);
+        prop_assert!(arrival != Arrival::Gap, "nothing in this model loses a frame in-stream");
+        if arrival == Arrival::Accept {
+            prop_assert!(
+                ep.unacked().all(|seq| seq >= header.ack),
+                "ring entry below the peer's ack {}: {:?}",
+                header.ack,
+                ep.unacked().collect::<Vec<_>>()
+            );
+            if header.seq != UNSEQ {
+                self.delivered.push(u64::from_be_bytes(payload.try_into().unwrap()));
+            }
+        }
+        Ok(arrival)
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    /// `side` sends one payload, reliable or not (an unreliable frame
+    /// is the heartbeat / ack carrier).
+    Send { side: usize, reliable: bool },
+    /// `side` reads the next frame its peer wrote, if one is there.
+    Deliver { side: usize },
+    /// `side` sees its last received frame again.
+    Redeliver { side: usize },
+    /// The connection breaks; whatever was in flight is gone.
+    Cut,
+    /// A fresh connection: both ends replay and re-attach.
+    Resume,
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    // Weights 4 : 4 : 1 : 1 : 1 — mostly traffic, regularly a fault.
+    (0u8..11, 0usize..2, any::<bool>()).prop_map(|(pick, side, reliable)| match pick {
+        0..=3 => Step::Send { side, reliable },
+        4..=7 => Step::Deliver { side },
+        8 => Step::Redeliver { side },
+        9 => Step::Cut,
+        _ => Step::Resume,
+    })
+}
+
+/// Both ends detach and everything in flight is lost with the wires.
+fn cut(ends: &mut [End; 2]) {
+    for end in ends.iter_mut() {
+        end.ep.lock().unwrap().detach();
+        end.out = Pipe::default();
+        end.dec = FrameDecoder::new();
+        end.dec.set_v2(true);
+        end.last = None;
+    }
+}
+
+/// The resume handshake: each end learns the other's `rx_next`, then
+/// replays onto its half of the fresh connection.
+fn resume(ends: &mut [End; 2]) -> Result<(), TestCaseError> {
+    cut(ends);
+    let rx_next = [0, 1].map(|i| ends[i].ep.lock().unwrap().rx_next());
+    for (i, end) in ends.iter_mut().enumerate() {
+        let attached =
+            Endpoint::replay_onto(&end.ep, |ep| Some(ep), end.out.clone(), rx_next[1 - i]);
+        prop_assert!(matches!(attached, Ok(true)), "replay onto an open pipe: {attached:?}");
+    }
+    Ok(())
+}
+
+fn deliver(ends: &mut [End; 2], side: usize) -> Result<bool, TestCaseError> {
+    let wire = std::mem::take(&mut ends[1 - side].out.0.lock().unwrap().0);
+    ends[side].dec.push(&wire);
+    let Some((header, payload)) = ends[side].dec.next_frame2().expect("clean frames") else {
+        return Ok(false);
+    };
+    ends[side].receive(header, &payload)?;
+    ends[side].last = Some((header, payload.to_vec()));
+    Ok(true)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Two endpoints joined by an in-memory connection, driven through
+    /// an arbitrary schedule of sends, deliveries, duplicate
+    /// deliveries, cuts and resumes: every reliable payload arrives
+    /// exactly once and in order, in both directions, no ring entry
+    /// survives the ack that covers it, and once everything is acked
+    /// both rings are empty. The same type serves the coordinator's
+    /// rank and the worker, so this is the one test of the rule.
     #[test]
-    fn negotiate_protocol_is_symmetric_and_clamped(a in 0u32..10, b in 0u32..10) {
-        let ab = negotiate_protocol(a, Some(b));
-        let ba = negotiate_protocol(b, Some(a));
-        prop_assert_eq!(ab, ba);
-        prop_assert!((1..=3).contains(&ab));
-        prop_assert!(ab <= a.max(1) && ab <= b.max(1));
-        prop_assert_eq!(negotiate_protocol(a, None), 1);
+    fn endpoints_deliver_exactly_once_in_order_across_cuts(
+        steps in proptest::collection::vec(arb_step(), 1..160),
+    ) {
+        let mut ends = [End::new(), End::new()];
+        let mut next_payload = 0u64;
+        for step in steps {
+            match step {
+                Step::Send { side, reliable } => {
+                    let end = &mut ends[side];
+                    let sent = end.ep.lock().unwrap().send(next_payload.to_be_bytes().to_vec(), reliable);
+                    prop_assert_eq!(sent, Ok(()));
+                    if reliable {
+                        end.sent.push(next_payload);
+                    }
+                    next_payload += 1;
+                }
+                Step::Deliver { side } => {
+                    deliver(&mut ends, side)?;
+                }
+                Step::Redeliver { side } => {
+                    if let Some((header, payload)) = ends[side].last.clone() {
+                        let again = ends[side].receive(header, &payload)?;
+                        if header.seq != UNSEQ {
+                            prop_assert_eq!(again, Arrival::Duplicate);
+                        }
+                    }
+                }
+                Step::Cut => cut(&mut ends),
+                Step::Resume => resume(&mut ends)?,
+            }
+            for (i, end) in ends.iter().enumerate() {
+                let peer = &ends[1 - i].sent;
+                prop_assert!(peer.starts_with(&end.delivered), "{:?} vs {peer:?}", end.delivered);
+            }
+        }
+        // Heal, exchange one ack carrier each way, and drain.
+        resume(&mut ends)?;
+        for round in 0..2 {
+            for side in 0..2 {
+                while deliver(&mut ends, side)? {}
+                if round == 0 {
+                    let ack = ends[side].ep.lock().unwrap().send(Vec::new(), false);
+                    prop_assert_eq!(ack, Ok(()));
+                }
+            }
+        }
+        for (i, end) in ends.iter().enumerate() {
+            prop_assert_eq!(&end.delivered, &ends[1 - i].sent, "end {} missed payloads", i);
+            let left: Vec<u64> = end.ep.lock().unwrap().unacked().collect();
+            prop_assert!(left.is_empty(), "end {i} still rings {left:?} after a full ack");
+        }
+    }
+
+    /// The ring is capped and the cap is an error: at
+    /// `RETRANSMIT_RING_CAP` un-acked payloads `send` refuses the next
+    /// one and evicts nothing; an ack makes exactly that much room.
+    #[test]
+    fn endpoint_ring_overflow_is_an_error_never_an_eviction(
+        extra in 1usize..40,
+        acked in 0u64..RETRANSMIT_RING_CAP as u64,
+    ) {
+        let cap = RETRANSMIT_RING_CAP as u64;
+        let mut ep = Endpoint::<Pipe>::new(7, None, None);
+        for _ in 0..cap {
+            prop_assert_eq!(ep.send(vec![1], true), Ok(()));
+        }
+        for _ in 0..extra {
+            prop_assert_eq!(ep.send(vec![2], true), Err(RingFull));
+            prop_assert_eq!(ep.send(Vec::new(), false), Ok(()), "unreliable frames need no room");
+        }
+        prop_assert!(ep.unacked().eq(0..cap), "an overflow must not evict");
+        prop_assert_eq!(ep.on_header(FrameHeader { seq: UNSEQ, ack: acked }), Arrival::Accept);
+        for _ in 0..acked {
+            prop_assert_eq!(ep.send(vec![3], true), Ok(()));
+        }
+        prop_assert_eq!(ep.send(vec![4], true), Err(RingFull));
+        prop_assert!(ep.unacked().eq(acked..cap + acked));
     }
 }
 

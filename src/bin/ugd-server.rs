@@ -12,15 +12,10 @@
 //!            [--pool-size 4] [--max-jobs 2] [--worker <path>]
 //!            [--status-interval 0.05] [--handicap-ms 0]
 //!            [--journal-dir <dir>] [--state-dir <dir>] [--compress-state]
-//!            [--checkpoint-interval 1.0] [--codec v2|v3]
+//!            [--checkpoint-interval 1.0]
 //!            [--adaptive [--tuner-refresh 32]]
 //! ```
 //!
-//! `--codec` caps the wire protocol the server speaks to its pool
-//! workers (and passes the same cap to the workers it spawns):
-//! `--codec v2` is the operational rollback to JSON payloads, `v3`
-//! (the default) negotiates the binary codec per worker — a
-//! mid-upgrade pool mixes both freely. See `PROTOCOL.md`.
 //! `--compress-state` writes ledger records and checkpoints through
 //! the LZ container; reads always auto-detect, so the flag can be
 //! flipped between restarts over the same `--state-dir`.
@@ -99,9 +94,6 @@ fn parse_args() -> Result<Args, String> {
                 config.state_dir = Some(value("--state-dir")?.into());
             }
             "--compress-state" => config.compress_state = true,
-            "--codec" => {
-                config.comm.max_protocol = ugrs_core::process::parse_codec_flag(&value("--codec")?)?
-            }
             "--checkpoint-interval" => {
                 config.checkpoint_interval =
                     value("--checkpoint-interval")?.parse().map_err(|e| format!("{e}"))?
@@ -188,14 +180,12 @@ fn main() {
                  \x20       [--handicap-ms <ms>] [--journal-dir <dir>]\n\
                  \x20       [--state-dir <dir>] [--compress-state] [--checkpoint-interval <secs>]\n\
                  \x20       [--heartbeat-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
-                 \x20       [--codec v2|v3]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\
                  \x20       [--adaptive [--tuner-refresh <jobs>]]\n\
                  \n\
                  --state-dir <dir>            durable job ledger + checkpoints; on restart,\n\
                  \x20                            unfinished jobs are requeued/resumed from here\n\
                  --compress-state             LZ-compress ledger records and checkpoints\n\
-                 --codec v2|v3                cap the wire protocol spoken to workers (v2 = rollback)\n\
                  --checkpoint-interval <secs> how often running jobs checkpoint (default 1.0)\n\
                  --adaptive                   race jobs under the mined tuner model in\n\
                  \x20                            <state-dir>/tuner (needs --state-dir)\n\

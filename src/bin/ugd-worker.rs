@@ -34,9 +34,7 @@
 //! (a handicapped worker is reliably mid-subproblem when killed).
 //! `--heartbeat-ms` / `--handshake-ms` / `--liveness-ms` /
 //! `--reconnect-ms` tune the transport to match the coordinator's
-//! [`ProcessCommConfig`] instead of assuming defaults. `--codec
-//! v2|v3` caps the wire protocol this worker advertises (the session
-//! speaks `min(both ends)`; see `PROTOCOL.md`).
+//! [`ProcessCommConfig`] instead of assuming defaults.
 //!
 //! The hidden `--chaos-seed <n>` / `--chaos-profile <name|json>` pair
 //! arms deterministic fault injection on the worker's outgoing frames
@@ -116,9 +114,6 @@ fn parse_args() -> Result<Args, String> {
                     value("--reconnect-ms")?.parse::<u64>().map_err(|e| e.to_string())?,
                 )
             }
-            "--codec" => {
-                comm.max_protocol = ugrs_core::process::parse_codec_flag(&value("--codec")?)?
-            }
             "--chaos-seed" => {
                 chaos_seed = Some(value("--chaos-seed")?.parse::<u64>().map_err(|e| e.to_string())?)
             }
@@ -161,7 +156,6 @@ fn main() {
                  \x20      ugd-worker --serve --connect <addr> [--pool-tag <t>]\n\
                  common: [--status-interval <secs>] [--handicap-ms <ms>]\n\
                  \x20       [--heartbeat-ms <ms>] [--handshake-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
-                 \x20       [--codec v2|v3]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]"
             );
             std::process::exit(2);

@@ -63,7 +63,6 @@ fn healing_comm() -> ProcessCommConfig {
         heartbeat_interval: Duration::from_millis(20),
         reconnect_deadline: Duration::from_secs(10),
         chaos: None, // faults are injected worker-side via --chaos-seed
-        ..Default::default()
     }
 }
 
@@ -223,7 +222,6 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
         heartbeat_interval: Duration::from_millis(40),
         reconnect_deadline: Duration::ZERO,
         chaos: None,
-        ..Default::default()
     };
     let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();

@@ -94,7 +94,6 @@ fn killed_worker_is_survived_and_requeued() {
         heartbeat_interval: Duration::from_millis(100),
         reconnect_deadline: Duration::from_millis(500),
         chaos: None,
-        ..Default::default()
     };
     let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();

@@ -144,7 +144,6 @@ fn served_from_file_with_checksum_provenance() {
             heartbeat_interval: Duration::from_millis(100),
             reconnect_deadline: Duration::from_millis(500),
             chaos: None,
-            ..Default::default()
         },
         drain_timeout: Duration::from_secs(5),
         journal_dir: Some(journal_dir.clone()),

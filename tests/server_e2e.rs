@@ -1,13 +1,20 @@
 //! End-to-end tests of the `ugd-server` job service: one server, a
 //! standing pool of real `ugd-worker --serve` processes, and mixed
 //! STP/MISDP jobs submitted over the client protocol — including
-//! cancellation and a worker SIGKILL mid-job.
+//! cancellation, a worker SIGKILL mid-job, and seeded fault injection
+//! on the pool workers' uplinks:
+//!
+//! ```text
+//! UGRS_CHAOS_SEED=1337 cargo test --test server_e2e pool_workers_under_seeded_chaos
+//! ```
 
 use std::time::{Duration, Instant};
 use ugrs::glue::{misdp_job, stp_job, JobInstance, SolveClient, SolveServer};
 use ugrs::misdp::gen::cardinality_ls;
 use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
+use ugrs::ug::chaos::{ChaosProfile, FaultAction, FaultPlan};
+use ugrs::ug::telemetry::sample_sum;
 use ugrs::ug::{
     JobEventKind, JobState, ParallelOptions, ProcessCommConfig, ServerConfig, ServerStatus,
 };
@@ -23,7 +30,6 @@ fn comm() -> ProcessCommConfig {
         heartbeat_interval: Duration::from_millis(100),
         reconnect_deadline: Duration::from_millis(500),
         chaos: None,
-        ..Default::default()
     }
 }
 
@@ -68,6 +74,17 @@ fn stp_graph(seed: u64) -> ugrs::steiner::Graph {
     bipartite(5, 9, 3, CostScheme::Perturbed, seed)
 }
 
+/// Threaded reference optimum of an STP instance (external sense).
+fn stp_reference(g: &ugrs::steiner::Graph) -> f64 {
+    let r = ugrs::glue::ug_solve_stp(
+        g,
+        &ReduceParams::default(),
+        ParallelOptions { num_solvers: 2, ..Default::default() },
+    );
+    assert!(r.solved);
+    r.tree.expect("threaded reference must find a tree").1
+}
+
 /// External-sense optimum of the job's `Finished` event (the event's
 /// `obj` is internal; STP adds the presolve-fixed cost, MISDP negates).
 fn external_obj(instance: &JobInstance, kind: &JobEventKind<Vec<f64>>) -> f64 {
@@ -86,17 +103,8 @@ fn three_concurrent_mixed_jobs() {
     let g2 = stp_graph(1337);
     let mp = cardinality_ls(5, 2, 12);
 
-    let stp_ref = |g: &ugrs::steiner::Graph| {
-        let r = ugrs::glue::ug_solve_stp(
-            g,
-            &ReduceParams::default(),
-            ParallelOptions { num_solvers: 2, ..Default::default() },
-        );
-        assert!(r.solved);
-        r.tree.expect("threaded reference must find a tree").1
-    };
-    let expected1 = stp_ref(&g1);
-    let expected2 = stp_ref(&g2);
+    let expected1 = stp_reference(&g1);
+    let expected2 = stp_reference(&g2);
     let misdp_ref =
         ugrs::glue::ug_solve_misdp(&mp, ParallelOptions { num_solvers: 2, ..Default::default() });
     assert!(misdp_ref.solved);
@@ -365,5 +373,193 @@ fn stale_gateway_epoch_is_fenced() {
     let n: u64 = fenced_line.split_whitespace().last().unwrap().parse().unwrap();
     assert!(n >= 3, "expected >= 3 fenced RPCs, metrics say {n}");
 
+    server.shutdown_and_join();
+}
+
+/// The pool path's frames are checksummed: a pool worker whose uplink
+/// flips one bit (the `corrupt` chaos profile) is caught by the
+/// server's frame CRC — counted, the connection ends in a lost worker,
+/// the job carries on with its other lease and reaches the reference
+/// optimum, and the pool is refilled. Before pool frames carried a CRC
+/// the flipped bit either failed to parse or was *accepted as a
+/// different number*, and `ugrs_comm_frames_corrupt_total` stayed 0.
+#[test]
+fn corrupted_pool_frame_is_caught_by_the_crc_and_the_job_still_solves() {
+    let g = stp_graph(42);
+    let expected = stp_reference(&g);
+
+    // The server hands pool worker `tag` the plan `seed + tag`. Pick
+    // the seed so that one of the two initial workers corrupts the very
+    // first frame it writes and the other writes its first 150 frames
+    // clean — far more than one small job needs.
+    let profile = ChaosProfile::named("corrupt").expect("preset");
+    let first_fault = |seed: u64| {
+        FaultPlan::new(seed, profile.clone()).events(1, 150).first().map(|(frame, _)| *frame)
+    };
+    let seed = (0u64..)
+        .find(|&s| {
+            let (a, b) = (first_fault(s), first_fault(s + 1));
+            matches!((a, b), (Some(0), None) | (None, Some(0)))
+        })
+        .expect("some seed arms exactly one early corrupter");
+    let plan = FaultPlan::new(seed, profile);
+
+    // Slow heartbeats: the schedule advances on job frames only.
+    let mut config = server_config(2, 1, 100);
+    config.comm.heartbeat_interval = Duration::from_millis(900);
+    config.comm.chaos = Some(plan.clone());
+    let server = SolveServer::start(config).expect("server start");
+    let addr = server.client_addr().to_string();
+    let mut client = SolveClient::connect(&addr).expect("client connect");
+
+    // Jobs until the armed worker has written its first frame (a lease
+    // that ends up as an idle rank writes only the closing `JobDone`,
+    // which counts just as well).
+    let mut lost = 0.0;
+    for round in 0..4 {
+        let spec = stp_job(format!("crc-{round}"), &g, &ReduceParams::default());
+        let instance = spec.instance.clone();
+        let job = client.submit(spec).expect("submit");
+        let done = client.wait(job).expect("wait");
+        match &done.kind {
+            JobEventKind::Finished { state, .. } => {
+                assert_eq!(*state, JobState::Solved, "round {round}; plan: {plan}")
+            }
+            other => panic!("round {round}: unexpected terminal event {other:?}; plan: {plan}"),
+        }
+        let cost = external_obj(&instance, &done.kind);
+        assert!((cost - expected).abs() < 1e-6, "optimum {cost} != {expected}; plan: {plan}");
+        lost =
+            sample_sum(&client.metrics().expect("metrics").text, "ugrs_server_workers_lost_total");
+        if lost >= 1.0 {
+            break;
+        }
+    }
+    let text = client.metrics().expect("metrics").text;
+    assert!(lost >= 1.0, "the corrupting worker must be lost; plan: {plan}\n{text}");
+    assert!(
+        sample_sum(&text, "ugrs_comm_frames_corrupt_total") >= 1.0,
+        "the flipped bit must be caught by the frame CRC; plan: {plan}\n{text}"
+    );
+    await_status(&mut client, Duration::from_secs(30), "pool refilled to 2", |st| {
+        st.workers.len() == 2
+    });
+    server.shutdown_and_join();
+}
+
+/// A hello on the pool listener that advertises an older wire revision
+/// (or none) is refused like on the per-call listener: hung up on
+/// without a welcome, and it takes no pool id.
+#[test]
+fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
+    use ugrs::ug::wire::{self, FrameDecoder};
+    use ugrs::ug::{PoolHello, PoolWelcome, POOL_PROTOCOL_VERSION};
+
+    let mut config = server_config(1, 1, 0);
+    config.worker_command.clear(); // externally started workers only
+    let server = SolveServer::start(config).expect("server start");
+    let mut client = SolveClient::connect(&server.client_addr().to_string()).expect("connect");
+
+    let hello = |max_protocol| {
+        let stream = std::net::TcpStream::connect(server.worker_addr()).expect("pool connect");
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let hello =
+            PoolHello { protocol: POOL_PROTOCOL_VERSION, tag: None, pid: None, max_protocol };
+        wire::write_msg(&mut (&stream), &hello).expect("hello");
+        let mut reader = stream.try_clone().unwrap();
+        let welcome = wire::read_msg::<PoolWelcome, _>(&mut reader, &mut FrameDecoder::new());
+        (stream, welcome)
+    };
+    for old in [None, Some(2)] {
+        let (_stream, welcome) = hello(old);
+        assert!(matches!(welcome, Ok(None)), "hello {old:?} must be hung up on: {welcome:?}");
+        assert!(client.status().expect("status").workers.is_empty(), "{old:?} took a pool id");
+    }
+    // The same hello at revision 3 is admitted, under the first id.
+    let (_stream, welcome) = hello(Some(3));
+    let welcome = welcome.expect("welcome").expect("a revision-3 hello is admitted");
+    assert_eq!((welcome.worker, welcome.protocol), (0, Some(3)));
+    await_status(&mut client, Duration::from_secs(5), "the admitted worker", |st| {
+        st.workers.len() == 1
+    });
+    server.shutdown_and_join();
+}
+
+/// The seed under test. CI's `wire` job sweeps a fixed set (41, 1337,
+/// 20260807) by exporting `UGRS_CHAOS_SEED`, as `tests/chaos.rs` does.
+fn chaos_seed() -> u64 {
+    std::env::var("UGRS_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(41)
+}
+
+/// The pool path under the seeded `flaky` schedule (`ugd-server
+/// --chaos-seed/--chaos-profile` arms it in every spawned worker):
+/// drops, corruption, duplicates and delays on the workers' uplinks.
+/// The pool transport has no session resume, so every torn connection
+/// is a lost worker — the job requeues the lost rank's work onto its
+/// other leases, the scheduler refills the pool — and every job must
+/// still end `Solved` at its reference optimum.
+#[test]
+fn pool_workers_under_seeded_chaos_reach_reference_optima() {
+    let plan = FaultPlan::new(chaos_seed(), ChaosProfile::named("flaky").expect("preset"));
+    // Vacuity guard: the first workers' schedules must tear something.
+    let tears = (0..3u64)
+        .flat_map(|tag| FaultPlan::new(plan.seed + tag, plan.profile.clone()).events(64, 400))
+        .filter(|(_, a)| matches!(a, FaultAction::Drop | FaultAction::Corrupt { .. }))
+        .count();
+    assert!(tears >= 3, "plan tears only {tears} connection(s) in 3 x 400 frames; plan: {plan}");
+
+    let graphs: Vec<_> = [42u64, 1337, 7, 11, 19, 23, 31, 47].into_iter().map(stp_graph).collect();
+    let misdps: Vec<_> = [12u64, 13, 14, 15].into_iter().map(|s| cardinality_ls(5, 2, s)).collect();
+    let mut specs = Vec::new();
+    let mut expected = Vec::new();
+    for (i, g) in graphs.iter().enumerate() {
+        specs.push(stp_job(format!("stp-{i}"), g, &ReduceParams::default()));
+        expected.push((stp_reference(g), 1e-6));
+    }
+    for (i, mp) in misdps.iter().enumerate() {
+        let r = ugrs::glue::ug_solve_misdp(
+            mp,
+            ParallelOptions { num_solvers: 2, ..Default::default() },
+        );
+        assert!(r.solved);
+        specs.insert(3 * i + 2, misdp_job(format!("cls-{i}"), mp));
+        expected.insert(3 * i + 2, (r.best_obj.expect("threaded MISDP reference"), 1e-3));
+    }
+    assert_eq!(specs.len(), 12);
+
+    let mut config = server_config(3, 1, 0);
+    config.comm.chaos = Some(plan.clone());
+    let server = SolveServer::start(config).expect("server start");
+    let addr = server.client_addr().to_string();
+    let mut client = SolveClient::connect(&addr).expect("client connect");
+
+    let instances: Vec<JobInstance> = specs.iter().map(|s| s.instance.clone()).collect();
+    let jobs: Vec<u64> = specs
+        .into_iter()
+        .map(|mut s| {
+            s.num_solvers = 3;
+            client.submit(s).expect("submit")
+        })
+        .collect();
+    for ((job, instance), (want, tol)) in jobs.iter().zip(&instances).zip(&expected) {
+        let done = client.wait(*job).expect("wait");
+        match &done.kind {
+            JobEventKind::Finished { state, .. } => {
+                assert_eq!(*state, JobState::Solved, "job {job} under chaos; plan: {plan}")
+            }
+            other => panic!("job {job}: unexpected terminal event {other:?}; plan: {plan}"),
+        }
+        let got = external_obj(instance, &done.kind);
+        assert!((got - want).abs() < *tol, "job {job}: optimum {got} != {want}; plan: {plan}");
+    }
+
+    let text = client.metrics().expect("metrics").text;
+    assert!(
+        sample_sum(&text, "ugrs_server_workers_lost_total") >= 1.0,
+        "the schedule must have cost at least one worker; plan: {plan}\n{text}"
+    );
+    await_status(&mut client, Duration::from_secs(30), "pool back at 3 idle workers", |st| {
+        st.workers.len() == 3 && st.workers.iter().all(|w| w.job.is_none() && !w.draining)
+    });
     server.shutdown_and_join();
 }
