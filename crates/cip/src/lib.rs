@@ -60,7 +60,8 @@ pub use heurengine::{HeurEngine, HeurSchedule, HeurStats, PrimalHeuristic};
 pub use model::{LinCons, Model, VarId, VarType};
 pub use plugins::{
     BranchDecision, BranchRule, ConstraintHandler, Cut, CutBuffer, EnforceResult, Heuristic,
-    Presolver, PropResult, Propagator, RelaxResult, Relaxator, SepaResult, Separator, SolveCtx,
+    Presolver, PropResult, Propagator, RelaxOutcome, RelaxResult, Relaxator, SepaResult, Separator,
+    SolveCtx,
 };
 pub use settings::{BranchingRule, Emphasis, NodeSelection, Settings};
 pub use solution::Solution;

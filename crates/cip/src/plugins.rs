@@ -149,13 +149,24 @@ pub enum PropResult {
 
 /// Outcome of a relaxator solve.
 #[derive(Clone, Debug)]
-pub enum RelaxResult {
+pub enum RelaxOutcome {
     /// Relaxation infeasible — prune.
     Infeasible,
     /// Relaxation solved: dual bound (internal sense) and its solution.
     Bounded { bound: f64, x: Vec<f64> },
     /// The relaxation solver failed; the framework falls back to the LP.
     Error,
+}
+
+/// A relaxator solve: its outcome and the work it took, which the solver
+/// adds to [`crate::Statistics`]`::{relax_iterations, relax_fallbacks}`.
+#[derive(Clone, Debug)]
+pub struct RelaxResult {
+    pub outcome: RelaxOutcome,
+    /// Iterations of the relaxation solver (the SDP's Newton steps).
+    pub iterations: u64,
+    /// Re-solves with a fallback formulation (the SDP's penalty solves).
+    pub fallbacks: u64,
 }
 
 /// Outcome of a presolver call.

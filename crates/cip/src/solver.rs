@@ -402,15 +402,17 @@ impl Solver {
                 };
                 self.relaxator = Some(relaxator);
                 self.stats.relax_solves += 1;
-                match res {
-                    RelaxResult::Infeasible => continue,
-                    RelaxResult::Error => {
+                self.stats.relax_iterations += res.iterations;
+                self.stats.relax_fallbacks += res.fallbacks;
+                match res.outcome {
+                    RelaxOutcome::Infeasible => continue,
+                    RelaxOutcome::Error => {
                         // fall back to pure bound inheritance + branching on
                         // some unfixed integer var
                         bound = node_bound_in;
                         relax_x = unsolved_point(&lb, &ub);
                     }
-                    RelaxResult::Bounded { bound: b, x } => {
+                    RelaxOutcome::Bounded { bound: b, x } => {
                         bound = b.max(node_bound_in);
                         relax_x = x;
                     }

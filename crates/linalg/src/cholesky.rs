@@ -1,5 +1,6 @@
 //! Cholesky (LLᵀ) factorization for symmetric positive definite systems.
 
+use crate::vector::axpy;
 use crate::{LinalgError, Matrix, Result};
 
 /// Cholesky factor `L` with `A + shift·I = L Lᵀ`.
@@ -118,6 +119,36 @@ impl CholeskyFactor {
     pub fn log_det(&self) -> f64 {
         (0..self.order()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
+
+    /// `(A + shift·I)⁻¹ = L⁻ᵀ L⁻¹`, exactly symmetric: the SDP barrier
+    /// builds its whole Newton system from this one inverse per block.
+    pub fn inverse(&self) -> Matrix {
+        let n = self.order();
+        // X = L⁻¹ row by row: x_i = (e_i − Σ_{k<i} L_ik x_k) / L_ii.
+        let mut x = Matrix::zeros(n, n);
+        for i in 0..n {
+            let (done, rest) = x.data_mut().split_at_mut(i * n);
+            let xi = &mut rest[..n];
+            xi[i] = 1.0;
+            for k in 0..i {
+                axpy(-self.l[(i, k)], &done[k * n..k * n + k + 1], &mut xi[..k + 1]);
+            }
+            let lii = self.l[(i, i)];
+            for v in &mut xi[..i + 1] {
+                *v /= lii;
+            }
+        }
+        // Xᵀ X as a sum of outer products of X's rows (row k is zero
+        // beyond column k); each term is symmetric, so the sum is too.
+        let mut w = Matrix::zeros(n, n);
+        for k in 0..n {
+            let xk = &x.row(k)[..k + 1];
+            for (i, &xki) in xk.iter().enumerate() {
+                axpy(xki, xk, &mut w.row_mut(i)[..k + 1]);
+            }
+        }
+        w
+    }
 }
 
 /// Returns `true` iff `a` is positive definite (up to factorization
@@ -184,6 +215,16 @@ mod tests {
         }
         let ax = shifted.matvec(&x);
         assert!((ax[0] - 1.0).abs() < 1e-8 && ax[1].abs() < 1e-8);
+    }
+
+    #[test]
+    fn inverse_is_symmetric_and_inverts() {
+        let a = spd3();
+        let w = CholeskyFactor::new(&a).unwrap().inverse();
+        assert_eq!(w.asymmetry(), 0.0);
+        let mut diff = a.matmul(&w).unwrap();
+        diff.add_scaled(-1.0, &Matrix::identity(3)).unwrap();
+        assert!(diff.norm_frobenius() < 1e-12);
     }
 
     #[test]

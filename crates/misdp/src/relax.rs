@@ -5,21 +5,18 @@
 
 use crate::model::MisdpProblem;
 use std::sync::Arc;
-use ugrs_cip::{RelaxResult, Relaxator, SolveCtx};
+use ugrs_cip::{RelaxOutcome, RelaxResult, Relaxator, SolveCtx};
 use ugrs_sdp::{solve, solve_penalty, SdpOptions, SdpStatus};
 
 /// The relaxator plugin.
 pub struct SdpRelaxator {
     pub problem: Arc<MisdpProblem>,
     pub options: SdpOptions,
-    /// Counts of plain/penalty solves (exposed for statistics/ablation).
-    pub plain_solves: u64,
-    pub penalty_solves: u64,
 }
 
 impl SdpRelaxator {
     pub fn new(problem: Arc<MisdpProblem>) -> Self {
-        SdpRelaxator { problem, options: SdpOptions::default(), plain_solves: 0, penalty_solves: 0 }
+        SdpRelaxator { problem, options: SdpOptions::default() }
     }
 }
 
@@ -30,23 +27,26 @@ impl Relaxator for SdpRelaxator {
 
     fn solve_relaxation(&mut self, ctx: &mut SolveCtx) -> RelaxResult {
         let sdp = self.problem.sdp_relaxation(ctx.local_lb, ctx.local_ub);
-        self.plain_solves += 1;
         let mut res = solve(&sdp, &self.options);
+        let mut iterations = res.iterations;
+        let mut fallbacks = res.fallbacks;
         if res.status == SdpStatus::Numerical {
             // The penalty formulation (§3.2) repairs ill-posed relaxations
             // created by branching.
-            self.penalty_solves += 1;
             res = solve_penalty(&sdp, &self.options);
+            iterations += res.iterations;
+            fallbacks += 1;
         }
-        match res.status {
-            SdpStatus::Infeasible => RelaxResult::Infeasible,
+        let outcome = match res.status {
+            SdpStatus::Infeasible => RelaxOutcome::Infeasible,
             SdpStatus::Optimal => {
                 // cip minimizes internally; the model stores obj = −b, so
                 // the internal bound is −(bᵀy).
-                RelaxResult::Bounded { bound: -res.obj, x: res.y }
+                RelaxOutcome::Bounded { bound: -res.obj, x: res.y }
             }
-            SdpStatus::Unbounded | SdpStatus::Numerical => RelaxResult::Error,
-        }
+            SdpStatus::Unbounded | SdpStatus::Numerical => RelaxOutcome::Error,
+        };
+        RelaxResult { outcome, iterations: iterations as u64, fallbacks: fallbacks as u64 }
     }
 }
 
@@ -57,7 +57,7 @@ mod tests {
     use ugrs_linalg::Matrix;
     use ugrs_sdp::SdpBlock;
 
-    fn run_relax(p: Arc<MisdpProblem>, lb: Vec<f64>, ub: Vec<f64>) -> RelaxResult {
+    fn run_relax(p: Arc<MisdpProblem>, lb: Vec<f64>, ub: Vec<f64>) -> RelaxOutcome {
         let mut r = SdpRelaxator::new(p);
         let model = Model::new("t");
         let mut cuts = CutBuffer::default();
@@ -76,7 +76,7 @@ mod tests {
             tightenings: &mut tight,
             seed: 0,
         };
-        r.solve_relaxation(&mut ctx)
+        r.solve_relaxation(&mut ctx).outcome
     }
 
     fn toy() -> Arc<MisdpProblem> {
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn bound_is_internal_sense() {
         match run_relax(toy(), vec![0.0], vec![5.0]) {
-            RelaxResult::Bounded { bound, x } => {
+            RelaxOutcome::Bounded { bound, x } => {
                 // max y = 1 → internal bound −1.
                 assert!((bound + 1.0).abs() < 1e-3, "bound = {bound}");
                 assert!((x[0] - 1.0).abs() < 1e-3);
@@ -109,7 +109,7 @@ mod tests {
     fn branching_bounds_propagate() {
         // Tighten y ≤ 0.4: SDP optimum moves to 0.4.
         match run_relax(toy(), vec![0.0], vec![0.4]) {
-            RelaxResult::Bounded { bound, .. } => {
+            RelaxOutcome::Bounded { bound, .. } => {
                 assert!((bound + 0.4).abs() < 1e-3, "bound = {bound}");
             }
             other => panic!("unexpected {other:?}"),
@@ -120,7 +120,7 @@ mod tests {
     fn infeasible_bounds_detected() {
         // Force y ≥ 2 while the block caps y ≤ 1.
         match run_relax(toy(), vec![2.0], vec![5.0]) {
-            RelaxResult::Infeasible => {}
+            RelaxOutcome::Infeasible => {}
             other => panic!("unexpected {other:?}"),
         }
     }

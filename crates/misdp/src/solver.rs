@@ -162,6 +162,17 @@ mod tests {
     }
 
     #[test]
+    fn relaxation_work_reaches_the_statistics() {
+        // Branches past the root, so up-branches fix y_ij = 1, make a 2×2
+        // minor singular and force penalty solves.
+        let (lp, sdp) = solve_both(min_k_partitioning(6, 2, 1001));
+        assert!(sdp.stats.nodes > 1, "{:?}", sdp.stats);
+        assert!(sdp.stats.relax_iterations > 0, "{:?}", sdp.stats);
+        assert!(sdp.stats.relax_fallbacks > 0, "{:?}", sdp.stats);
+        assert_eq!((lp.stats.relax_iterations, lp.stats.relax_fallbacks), (0, 0));
+    }
+
+    #[test]
     fn racing_settings_drive_solver_modes() {
         let p = toy();
         for s in racing_settings(4) {

@@ -11,9 +11,13 @@
 //!
 //! The engine is a log-det **barrier method** with damped Newton steps: it
 //! maximizes `t·bᵀy + Σ log det S_k(y) + Σ log(bound slacks)` along the
-//! central path, geometrically increasing `t`. The matrices here are
-//! small and dense, which is exactly the regime of the CBLIB-style
-//! relaxations the MISDP solver feeds it.
+//! central path, geometrically increasing `t`. The blocks of the
+//! CBLIB-style relaxations the MISDP solver feeds it are small, and each
+//! coefficient matrix `Aᵢ` is sparse or low-rank (one diagonal entry, two
+//! off-diagonal entries, rank one, `−I`): the solver keeps every `Aᵢ` as
+//! its nonzeros and assembles each Newton system from one inverse
+//! `S⁻¹` per block (Fujisawa–Kojima–Nakata's sparse Schur-complement
+//! formulas).
 //!
 //! Two properties the paper's solution approach depends on are
 //! reproduced faithfully:

@@ -123,32 +123,6 @@ impl SdpProblem {
         }
         true
     }
-
-    /// The barrier degree ν (sum of block dims + finite bound/row sides):
-    /// drives the duality-gap estimate of the barrier method.
-    pub fn barrier_degree(&self) -> f64 {
-        let mut nu = 0.0;
-        for b in &self.blocks {
-            nu += b.dim as f64;
-        }
-        for i in 0..self.m {
-            if self.lb[i] > -1e8 {
-                nu += 1.0;
-            }
-            if self.ub[i] < 1e8 {
-                nu += 1.0;
-            }
-        }
-        for r in &self.lin {
-            if r.lhs > -1e8 {
-                nu += 1.0;
-            }
-            if r.rhs < 1e8 {
-                nu += 1.0;
-            }
-        }
-        nu.max(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -180,14 +154,5 @@ mod tests {
         assert!(p.is_feasible(&[0.5], 1e-9));
         assert!(!p.is_feasible(&[0.9], 1e-9)); // row violated
         assert!(!p.is_feasible(&[1.5], 1e-9)); // block violated
-    }
-
-    #[test]
-    fn barrier_degree_counts_finite_sides() {
-        let mut p = SdpProblem::new(2);
-        p.lb = vec![0.0, -1e12];
-        p.ub = vec![1.0, 1e12];
-        p.add_block(SdpBlock::new(3, 2));
-        assert_eq!(p.barrier_degree(), 3.0 + 2.0);
     }
 }
