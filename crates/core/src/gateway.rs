@@ -140,14 +140,6 @@ pub struct GatewayConfig {
     /// (submit, reject, route, steal, failover, finish) to
     /// `<dir>/gateway.jsonl` — the artifact CI uploads.
     pub journal_dir: Option<PathBuf>,
-    /// When > 0 (and [`Self::state_dir`] is set), the gateway loads
-    /// the [`crate::tuner`] model from `<state_dir>/tuner/` at
-    /// startup, journals its version, re-loads it after every this
-    /// many finished jobs, and exports the `ugrs_tuner_*_total`
-    /// counters — the fleet-tier visibility half of adaptive tuning
-    /// (the racing decisions themselves happen on the shards). 0
-    /// disables the tuner at the gateway.
-    pub tuner_refresh_jobs: u64,
     /// When set (requires [`Self::state_dir`]), the gateway runs in
     /// **high-availability mode**: it participates in the lease
     /// election under `<state_dir>/lease/`, announces its lease epoch
@@ -193,7 +185,6 @@ impl Default for GatewayConfig {
             state_dir: None,
             compress_state: false,
             journal_dir: None,
-            tuner_refresh_jobs: 0,
             lease_ttl: None,
             standby: false,
             ha_owner: String::new(),
@@ -530,10 +521,6 @@ struct GwShared<Inst, Sub, Sol> {
     series: GwMetrics,
     ledger: Option<JobLedger>,
     journal: Option<Mutex<io::BufWriter<std::fs::File>>>,
-    /// The fleet-tier tuner handle (with `config.tuner_refresh_jobs`
-    /// and a state dir): tracks the mined model's version and reloads
-    /// it after every N finished jobs.
-    tuner: Option<crate::tuner::TunerService>,
     shutdown: AtomicBool,
     /// 1 while this gateway is the fleet's primary (always 1 without
     /// HA), 0 while standing by. The cheap check every mutating loop
@@ -584,10 +571,11 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         wake_listener(self.client_addr);
     }
 
-    /// The health loop's pause between sweeps: one health interval, cut
-    /// short by [`Self::begin_shutdown`].
-    fn pause_health_loop(&self) {
-        let deadline = Instant::now() + self.config.health_interval;
+    /// Sleeps for `d` on the gateway condvar, cut short by
+    /// [`Self::begin_shutdown`] — the pause of every gateway loop, so
+    /// none holds a shutdown up for its interval.
+    fn pause(&self, d: Duration) {
+        let deadline = Instant::now() + d;
         let mut st = self.state.lock().unwrap();
         while !self.shutdown.load(Ordering::SeqCst) {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -850,10 +838,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         }
         let inflight = jobs.len();
         let metrics = MetricsRegistry::new();
-        let tuner = match (&config.state_dir, config.tuner_refresh_jobs) {
-            (Some(dir), n) if n > 0 => Some(crate::tuner::TunerService::open(dir, n, &metrics)),
-            _ => None,
-        };
         let pools = config
             .shards
             .iter()
@@ -886,7 +870,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
             metrics,
             ledger,
             journal,
-            tuner,
             shutdown: AtomicBool::new(false),
             role_primary: AtomicBool::new(!ha_mode),
             lease_epoch: AtomicU64::new(0),
@@ -899,13 +882,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
             prior_finishes: Mutex::new(HashSet::new()),
             prior_started: Mutex::new(HashSet::new()),
         });
-        // Journal the model the fleet starts with — the line an
-        // operator greps to confirm a `ugd tune` pass was picked up.
-        if let Some(t) = &shared.tuner {
-            shared.journal(serde_json::json!({
-                "ev": "tuner_model", "version": t.model_version(),
-            }));
-        }
         // Pre-register the labeled series so a scrape right after
         // startup sees the full schema.
         for family in ["stp", "misdp", "maxcut"] {
@@ -1008,8 +984,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
     /// gateway thread — what the `ugd-gateway` binary does after its
     /// banner.
     pub fn join(self) {
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
+        while !self.shutdown_requested() {
+            self.shared.pause(Duration::from_secs(60));
         }
         for t in self.threads {
             let _ = t.join();
@@ -1420,7 +1396,7 @@ fn lease_loop<Inst: WireType, Sub: WireType, Sol: WireType>(shared: Arc<GwShared
                 }
             }
         }
-        std::thread::sleep(tick);
+        shared.pause(tick);
     }
 }
 
@@ -1908,16 +1884,6 @@ fn deliver<Inst, Sub, Sol: Clone>(
                 let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
             }
             shared.record_finish(gid, &tenant, &family, *state, *run_index);
-            if let Some(t) = &shared.tuner {
-                let before = t.model_version();
-                t.job_finished();
-                let after = t.model_version();
-                if after != before {
-                    shared.journal(serde_json::json!({
-                        "ev": "tuner_model", "version": after,
-                    }));
-                }
-            }
             shared.events.emit(gid, event.kind);
             shared.cv.notify_all();
             false
@@ -1974,7 +1940,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             // A standby does not poll: its view rebuilds on promote,
             // and polling from two gateways would double the load the
             // shards see.
-            shared.pause_health_loop();
+            shared.pause(shared.config.health_interval);
             continue;
         }
         let mut newly_dead = Vec::new();
@@ -2032,7 +1998,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
         if shared.config.steal_margin > 0 && shared.still_primary() {
             maybe_steal(&shared);
         }
-        shared.pause_health_loop();
+        shared.pause(shared.config.health_interval);
     }
 }
 
@@ -2830,6 +2796,49 @@ mod tests {
         gw.shutdown_and_join();
         let took = t0.elapsed();
         assert!(took < Duration::from_millis(200), "joining took {took:?}");
+    }
+
+    /// The lease loop used to `sleep` its tick (1 s under an 8 s TTL),
+    /// holding an HA gateway's shutdown up for up to that long.
+    #[test]
+    fn ha_shutdown_and_join_does_not_wait_out_the_lease_tick() {
+        let shard = fake_shard(accepting);
+        let state = std::env::temp_dir().join(format!("ugrs-gw-lease-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let gw = Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            shard_liveness: Duration::from_secs(60),
+            state_dir: Some(state.clone()),
+            lease_ttl: Some(Duration::from_secs(8)),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start");
+        assert!(gw.is_primary(), "the only gateway claims the lease at start");
+        // Past the lease loop's first renewal, inside its pause.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        gw.shutdown_and_join();
+        let took = t0.elapsed();
+        let _ = std::fs::remove_dir_all(&state);
+        assert!(took < Duration::from_millis(200), "joining took {took:?}");
+    }
+
+    /// `join` used to poll the shutdown flag every 50 ms; it now waits
+    /// on the condvar `begin_shutdown` notifies.
+    #[test]
+    fn join_returns_promptly_after_shutdown_from_another_thread() {
+        let shard = fake_shard(accepting);
+        let gw = quiet_gateway(&[&shard.addr], Duration::from_secs(1));
+        let shared = gw.shared.clone();
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let t0 = Instant::now();
+            shared.begin_shutdown();
+            t0
+        });
+        gw.join();
+        let took = stopper.join().unwrap().elapsed();
+        assert!(took < Duration::from_millis(100), "join returned {took:?} after shutdown");
     }
 
     /// The pool's borrow/return rule under a moving lease epoch: one

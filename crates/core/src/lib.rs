@@ -52,7 +52,6 @@ pub mod settings;
 pub mod stats;
 pub mod supervisor;
 pub mod telemetry;
-pub mod tuner;
 pub mod wire;
 pub mod worker;
 
@@ -78,7 +77,6 @@ pub use telemetry::{
     Journal, JournalRecord, MetricsRegistry, ProgressMsg, ProgressSink, RacingArm, TelemetryEvent,
     TelemetrySink,
 };
-pub use tuner::{adaptive_node_budget, DecisionSource, TunerDecision, TunerModel, TunerService};
 pub use worker::{BaseSolver, ParaControl, SubproblemOutcome};
 
 /// The internal objective sense across the whole framework is

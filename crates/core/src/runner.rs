@@ -71,13 +71,6 @@ pub struct ParallelOptions {
     /// Live telemetry wiring: an optional JSONL run journal and an
     /// optional progress callback. Disabled (and near-free) by default.
     pub telemetry: crate::telemetry::TelemetrySink,
-    /// Adaptive-racing decision from the [`crate::tuner`] subsystem:
-    /// when set, racing rank `r` runs settings index
-    /// `decision.order[r]` instead of the identity mapping, and the
-    /// decision is journaled as a `TunerDecision` event. `None` (the
-    /// default) keeps the fixed roster byte-identical to the
-    /// pre-tuner behavior.
-    pub tuner: Option<crate::tuner::TunerDecision>,
 }
 
 impl Default for ParallelOptions {
@@ -95,7 +88,6 @@ impl Default for ParallelOptions {
             node_limit: None,
             cancel: None,
             telemetry: crate::telemetry::TelemetrySink::default(),
-            tuner: None,
         }
     }
 }

@@ -47,7 +47,7 @@ use crate::rpc::{
     accept_loop, empty_finished, serve_clients, state_label, wake_listener, EventLog,
     RequestHandler,
 };
-use crate::runner::{ParallelOptions, ParallelResult, RampUp};
+use crate::runner::{ParallelOptions, ParallelResult};
 use crate::settings::SolverSettings;
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
@@ -217,8 +217,9 @@ pub struct JobSpec<Inst, Sub> {
     pub checksum: Option<String>,
     /// Instance size hint in a family-specific unit (STP alive edges,
     /// MISDP variables, max-cut edges), set by the application's job
-    /// constructors. Feeds the tuner's size-bucket fingerprint
-    /// ([`crate::tuner::fingerprint`]) and the journal head record.
+    /// constructors. Journaled in the
+    /// [`TelemetryEvent::JobMeta`](crate::telemetry::TelemetryEvent)
+    /// head record.
     #[serde(default)]
     pub size_hint: Option<u64>,
 }
@@ -673,27 +674,6 @@ pub struct ServerConfig {
     /// so a state dir may mix compressed and plain entries and the
     /// flag can be flipped (or rolled back) between restarts freely.
     pub compress_state: bool,
-    /// Enables the [`crate::tuner`] adaptive-racing policy: multi-
-    /// solver jobs race the root under a model-ranked settings roster
-    /// (legacy identity roster while the family is unseen), restart
-    /// budgets grow when the model predicts a stall, and every
-    /// decision is journaled. Requires [`Self::state_dir`] (the model
-    /// lives under `<state_dir>/tuner/`) and a
-    /// [`Self::racing_settings`] generator. Off by default: jobs ramp
-    /// up exactly as before.
-    pub adaptive_tuning: bool,
-    /// With [`Self::adaptive_tuning`], reload the tuner model from
-    /// disk after every this many finished jobs (so an operator's
-    /// `ugd tune` pass is picked up without a restart). 0 disables
-    /// periodic refresh.
-    pub tuner_refresh_jobs: u64,
-    /// Racing-roster generator for adaptive tuning: maps an instance
-    /// family label and a universe size `n` to `n` settings bundles
-    /// (index `i` of the returned vector is settings index `i` in the
-    /// tuner model). A plain `fn` pointer so the config stays
-    /// `Clone + Debug`. `None` disables adaptive racing even when
-    /// [`Self::adaptive_tuning`] is set.
-    pub racing_settings: Option<fn(&str, usize) -> Vec<crate::settings::SolverSettings>>,
 }
 
 impl Default for ServerConfig {
@@ -711,9 +691,6 @@ impl Default for ServerConfig {
             state_dir: None,
             checkpoint_interval: 1.0,
             compress_state: false,
-            adaptive_tuning: false,
-            tuner_refresh_jobs: 32,
-            racing_settings: None,
         }
     }
 }
@@ -821,10 +798,6 @@ struct SharedState<Inst, Sub, Sol> {
     /// The durable job ledger (with `config.state_dir`): submissions
     /// are WAL'd here before being acknowledged, terminal jobs retired.
     ledger: Option<JobLedger>,
-    /// The adaptive-racing tuner (with `config.adaptive_tuning` and a
-    /// state dir): serves model-ranked rosters to `run_job` and
-    /// refreshes its model after every N finished jobs.
-    tuner: Option<crate::tuner::TunerService>,
 }
 
 /// Everything a job thread needs, collected under the state lock and
@@ -974,21 +947,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 JobRecord::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index),
             );
         }
-        let metrics = MetricsRegistry::new();
-        // The tuner needs a durable home for its model; adaptive
-        // tuning without a state dir is a configuration error surfaced
-        // at startup, not a silent no-op.
-        let tuner = if config.adaptive_tuning {
-            let dir = config.state_dir.as_ref().ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "adaptive tuning needs a state dir (the model lives under <state-dir>/tuner)",
-                )
-            })?;
-            Some(crate::tuner::TunerService::open(dir, config.tuner_refresh_jobs, &metrics))
-        } else {
-            None
-        };
         let shared = Arc::new(SharedState {
             state: Mutex::new(ServerState {
                 workers: HashMap::new(),
@@ -1009,9 +967,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             draining: AtomicBool::new(false),
             gateway_epoch: AtomicU64::new(0),
             progress: Mutex::new(HashMap::new()),
-            metrics,
+            metrics: MetricsRegistry::new(),
             ledger,
-            tuner,
         });
         // Pre-register the lazily-observed families so a Metrics
         // request right after startup already shows the full schema.
@@ -1391,42 +1348,10 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
     // a recovered job restarts from the checkpoint the dead server
     // left behind.
     let checkpoint_path = shared.ledger.as_ref().map(|l| l.checkpoint_path(jid));
-    // Adaptive tuning: fresh multi-solver jobs race the root under a
-    // tuner-decided roster (model-ranked once the family is mined, the
-    // legacy identity roster while it is unseen — that exploration is
-    // what generates training journals), and restarted jobs on
-    // stall-predicted families get a grown Table-2 node budget.
-    let mut ramp_up = RampUp::Normal;
-    let mut tuner_decision = None;
-    let mut node_limit = spec.node_limit;
-    if let (Some(tuner), Some(mk)) = (&shared.tuner, shared.config.racing_settings) {
-        let family = spec.family.as_deref();
-        if restart_from.is_none() && n > 1 {
-            let decision = tuner.decide(family, spec.size_hint, n);
-            let universe = decision.order.len().max(n);
-            let label = family.unwrap_or("unknown");
-            ramp_up = RampUp::Racing {
-                settings: mk(label, universe),
-                time_trigger: (spec.time_limit * 0.1).clamp(0.05, 5.0),
-                open_nodes_trigger: 4 * n,
-            };
-            tuner_decision = Some(decision);
-        } else if restart_from.is_some() {
-            let fp = crate::tuner::fingerprint(family, spec.size_hint);
-            let stall = tuner.model().stats_for(&fp).map(|s| s.predicts_stall()).unwrap_or(false);
-            if let Some(base) = node_limit {
-                let chain = {
-                    let st = shared.state.lock().unwrap();
-                    st.jobs.get(&jid).map(|j| j.run_index + 1).unwrap_or(2)
-                };
-                node_limit = Some(crate::tuner::adaptive_node_budget(base, chain, stall));
-            }
-        }
-    }
     let options = ParallelOptions {
         num_solvers: n,
         time_limit: spec.time_limit,
-        node_limit,
+        node_limit: spec.node_limit,
         cancel: Some(cancel.clone()),
         status_interval: shared.config.status_interval,
         telemetry: TelemetrySink { journal, progress: Some(progress) },
@@ -1434,8 +1359,6 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
         checkpoint_interval: shared.config.checkpoint_interval,
         compress_checkpoints: shared.config.compress_state,
         restart_from,
-        ramp_up,
-        tuner: tuner_decision,
         ..ParallelOptions::default()
     };
     let comm = LcComm::Job(JobComm { job: jid, writers, inbox });
@@ -1469,9 +1392,6 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
         retire_ledger_record(&shared, jid);
     }
     record_job_finished(&shared, jid, state);
-    if let Some(tuner) = &shared.tuner {
-        tuner.job_finished();
-    }
     shared.events.emit(
         jid,
         JobEventKind::Finished {

@@ -31,7 +31,6 @@ pub struct LoadCoordinator<Sub, Sol> {
     incumbent: Option<(Sol, f64)>,
     collect_mode: bool,
     phase: Phase,
-    racing_settings_of_rank: HashMap<usize, usize>,
     racing_winner: Option<usize>,
     start: Instant,
     idle_since: Vec<Option<Instant>>,
@@ -71,7 +70,6 @@ where
             incumbent: None,
             collect_mode: false,
             phase: Phase::Normal,
-            racing_settings_of_rank: HashMap::new(),
             racing_winner: None,
             start: now,
             idle_since: vec![Some(now); n],
@@ -246,8 +244,7 @@ where
                     // solved (its bound is global). `racing_winner` stays
                     // None — the race was never *decided* (Figure 1
                     // excludes these) — but the field is still journaled,
-                    // solver first, so the tuner's miner can credit the
-                    // arm that finished the instance outright.
+                    // the arm that finished the instance outright first.
                     self.log_racing_field(Some((rank, dual_bound, nodes)));
                     self.assigned.remove(&rank);
                     self.mark_idle(rank);
@@ -324,27 +321,9 @@ where
         let n = self.comm.num_workers();
         let root = SubproblemMsg { sub: self.root.clone(), dual_bound: f64::NEG_INFINITY };
         self.phase = Phase::Racing;
-        // An adaptive tuner decision re-maps rank -> settings index
-        // (model-ranked roster); without one, rank r races settings r —
-        // the fixed roster, byte-identical to the pre-tuner behavior.
-        if let Some(decision) = self.opts.tuner.clone() {
-            self.opts.telemetry.log(TelemetryEvent::TunerDecision {
-                fingerprint: decision.fingerprint.clone(),
-                order: decision.order.clone(),
-                model_version: decision.model_version,
-                predicted_stall: decision.predicted_stall,
-                source: decision.source.label().to_string(),
-            });
-            for rank in 0..n {
-                let idx = decision.index_for_rank(rank);
-                self.racing_settings_of_rank.insert(rank, idx);
-                self.send_sub(rank, root.clone(), Some(idx));
-            }
-        } else {
-            for rank in 0..n {
-                self.racing_settings_of_rank.insert(rank, rank);
-                self.send_sub(rank, root.clone(), Some(rank));
-            }
+        // Rank r races settings r (round-robin over the bundles).
+        for rank in 0..n {
+            self.send_sub(rank, root.clone(), Some(rank));
         }
         self.queue.clear();
     }
@@ -360,10 +339,11 @@ where
     }
 
     /// Journals the whole racing field, best arm first (same ordering as
-    /// the winner pick) — the tuner's miner scores every arm from this,
-    /// not just the winner. `solved_by` marks a racer that finished the
+    /// the winner pick), so a journal shows how every arm stood, not
+    /// just the winner. `solved_by` marks a racer that finished the
     /// root outright (solved-during-racing): it leads the field with its
-    /// final bound regardless of the last status snapshot.
+    /// final bound regardless of the last status snapshot. Rank r raced
+    /// settings r.
     fn log_racing_field(&mut self, solved_by: Option<(usize, f64, u64)>) {
         let mut arms: Vec<crate::telemetry::RacingArm> = self
             .assigned
@@ -373,7 +353,7 @@ where
                     self.statuses.get(&rank).copied().unwrap_or((f64::NEG_INFINITY, 0, 0));
                 crate::telemetry::RacingArm {
                     rank,
-                    settings_index: self.racing_settings_of_rank.get(&rank).copied().unwrap_or(0),
+                    settings_index: rank,
                     dual_bound: dual,
                     open_nodes: open,
                     nodes,
@@ -393,7 +373,7 @@ where
                 0,
                 crate::telemetry::RacingArm {
                     rank,
-                    settings_index: self.racing_settings_of_rank.get(&rank).copied().unwrap_or(0),
+                    settings_index: rank,
                     dual_bound: dual,
                     open_nodes: 0,
                     nodes,
@@ -417,7 +397,7 @@ where
                 sa.0.partial_cmp(&sb.0).unwrap_or(std::cmp::Ordering::Equal).then(sa.1.cmp(&sb.1))
             })
             .unwrap_or(0);
-        self.racing_winner = Some(self.racing_settings_of_rank.get(&winner).copied().unwrap_or(0));
+        self.racing_winner = Some(winner);
         self.stats.racing_winner = self.racing_winner;
         self.log_racing_field(None);
         self.opts.telemetry.log(TelemetryEvent::RacingWinner {

@@ -693,35 +693,12 @@ pub enum TelemetryEvent {
         /// Hex FNV-1a 64 of the source instance file, if known.
         checksum: Option<String>,
         /// Instance size hint (family-specific unit: STP alive edges,
-        /// MISDP variables, max-cut edges); feeds the tuner's
-        /// size-bucket fingerprint.
+        /// MISDP variables, max-cut edges).
         size: Option<u64>,
     },
-    /// An adaptive-racing roster decision (the tuner's audit trail):
-    /// written when racing starts under a [`crate::tuner`] policy, so
-    /// `Journal::replay` reconstructs exactly which roster ran and from
-    /// which model version it came.
-    TunerDecision {
-        /// Instance-family fingerprint the decision was keyed on.
-        fingerprint: String,
-        /// Settings indices assigned to ranks `0..n` in order.
-        order: Vec<usize>,
-        /// Version of the mined model that produced the ranking
-        /// (0 = no model).
-        model_version: u64,
-        /// True when the model predicted a dual-bound stall for this
-        /// family (grows the restart node budget).
-        predicted_stall: bool,
-        /// `"model"` when the roster came from mined statistics,
-        /// `"fallback"` when the family was unseen and the legacy
-        /// identity roster ran.
-        source: String,
-    },
     /// The full racing field at the moment racing concluded: every
-    /// arm's settings index and final root progress, best first. The
-    /// tuner's miner scores *all* arms from this (not only the winner),
-    /// which is what makes mined rankings meaningful beyond a single
-    /// win/loss bit.
+    /// arm's settings index and final root progress, best first — how
+    /// every arm stood, not only which one won.
     RacingField {
         /// All racing arms, ordered best (winner) to worst.
         arms: Vec<RacingArm>,
@@ -741,8 +718,7 @@ pub struct RacingArm {
     /// Open nodes the arm reported at the trigger.
     pub open_nodes: usize,
     /// Branch-and-bound nodes the arm had spent by the trigger — what
-    /// its bound *cost*. The tuner's miner discounts arms that bought
-    /// their field position with above-median node churn.
+    /// its bound *cost*.
     pub nodes: u64,
 }
 

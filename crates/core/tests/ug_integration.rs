@@ -333,78 +333,6 @@ fn seeded_incumbent_survives() {
 }
 
 #[test]
-fn adaptive_tuner_decision_remaps_roster_and_is_journaled() {
-    use ugrs_core::telemetry::{Journal, TelemetryEvent, TelemetrySink};
-    use ugrs_core::tuner::{DecisionSource, TunerDecision};
-    let inst = Arc::new(Knapsack::gen(16, 13));
-    let expected = inst.brute_force();
-    let dir = std::env::temp_dir().join(format!("ugrs-tuner-integ-{}", std::process::id()));
-    let path = dir.join("run.jsonl");
-    let journal = Arc::new(Journal::create(&path).unwrap());
-    // A model-ranked roster over a 5-settings universe for 3 workers:
-    // rank 0 races settings 4, rank 1 settings 2, rank 2 settings 0.
-    let order = vec![4usize, 2, 0, 1, 3];
-    let opts = ParallelOptions {
-        num_solvers: 3,
-        ramp_up: RampUp::Racing {
-            settings: SolverSettings::default_racing_set(5),
-            time_trigger: 0.05,
-            open_nodes_trigger: 6,
-        },
-        tuner: Some(TunerDecision {
-            fingerprint: "knapsack/b5".into(),
-            order: order.clone(),
-            model_version: 7,
-            predicted_stall: false,
-            source: DecisionSource::Model,
-        }),
-        telemetry: TelemetrySink { journal: Some(journal), progress: None },
-        ..Default::default()
-    };
-    let res = solve_parallel(factory(inst.clone(), 60), Vec::new(), opts);
-    assert!(res.solved);
-    let (sol, _) = res.solution.unwrap();
-    assert!((profit_of(&inst, &sol) - expected).abs() < 1e-9);
-    // A decided race must have picked a settings index from the
-    // roster's first 3 entries (the arms that actually raced).
-    if let Some(w) = res.stats.racing_winner {
-        assert!(order[..3].contains(&w), "winner settings {w} not in roster {:?}", &order[..3]);
-    }
-    // The decision is auditable from the journal alone.
-    let records = Journal::replay(&path).unwrap();
-    let decision = records
-        .iter()
-        .find_map(|r| match &r.event {
-            TelemetryEvent::TunerDecision { fingerprint, order, model_version, source, .. } => {
-                Some((fingerprint.clone(), order.clone(), *model_version, source.clone()))
-            }
-            _ => None,
-        })
-        .expect("racing under a tuner decision must journal it");
-    assert_eq!(decision.0, "knapsack/b5");
-    assert_eq!(decision.1, order);
-    assert_eq!(decision.2, 7);
-    assert_eq!(decision.3, "model");
-    // A decided race also journals the full field with the remapped
-    // settings indices, winner first.
-    if let Some(winner) = res.stats.racing_winner {
-        let arms = records
-            .iter()
-            .find_map(|r| match &r.event {
-                TelemetryEvent::RacingField { arms } => Some(arms.clone()),
-                _ => None,
-            })
-            .expect("a decided race must journal its field");
-        assert_eq!(arms.len(), 3);
-        assert_eq!(arms[0].settings_index, winner);
-        for a in &arms {
-            assert!(order[..3].contains(&a.settings_index));
-        }
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn idle_statistics_are_consistent() {
     let inst = Arc::new(Knapsack::gen(14, 9));
     let opts = ParallelOptions { num_solvers: 4, ..Default::default() };

@@ -57,36 +57,16 @@ pub fn ug_solve_misdp(problem: &MisdpProblem, options: ParallelOptions) -> Misdp
 }
 
 /// `ug [ScipSdp, ProcessComm]`: the same solve over worker *processes*
-/// (`dist.worker_command`, typically the `ugd-worker` binary). The
-/// instance is written to a temp file as a serialized
-/// [`crate::JobInstance`] whose path is appended as
-/// `--instance-job <path>` — the job-service format, so one worker
-/// binary serves both applications per-call and pooled.
+/// (`dist.worker_command`, typically the `ugd-worker` binary), which
+/// read the instance as a serialized [`crate::JobInstance`] from the
+/// file named by `--instance-job`.
 pub fn ug_solve_misdp_distributed(
     problem: &MisdpProblem,
     options: ParallelOptions,
-    mut dist: ugrs_core::DistributedOptions,
+    dist: ugrs_core::DistributedOptions,
 ) -> std::io::Result<MisdpParallelResult> {
     let instance = crate::JobInstance::Misdp { problem: problem.clone() };
-    let instance_path = std::env::temp_dir().join(format!(
-        "ugrs-misdp-{}-{:x}.json",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0)
-    ));
-    std::fs::write(&instance_path, serde_json::to_string(&instance)?)?;
-    dist.worker_command.push("--instance-job".into());
-    dist.worker_command.push(instance_path.to_string_lossy().into_owned());
-
-    let res = ugrs_core::solve_parallel_distributed::<NodeDesc, Vec<f64>>(
-        NodeDesc::root(),
-        options,
-        dist,
-    );
-    let _ = std::fs::remove_file(&instance_path);
-    Ok(map_back(res?))
+    Ok(map_back(crate::serve::solve_per_call(&instance, options, dist)?))
 }
 
 /// Converts a UG result from the internal minimization of −bᵀy back to

@@ -92,15 +92,16 @@ pub fn ug_solve_stp_seeded(
 
 /// `ug [SteinerJack, ProcessComm]`: the same solve, but the ParaSolvers
 /// are worker *processes* (`dist.worker_command`, typically the
-/// `ugd-worker` binary) on localhost. The reduced instance is written
-/// to a temp file whose path is appended as `--instance <path>`; every
-/// subproblem and solution then crosses the wire as frames. Workers
-/// dying mid-run are survived: their subproblems are requeued.
+/// `ugd-worker` binary) on localhost. The workers read the reduced
+/// instance as a serialized [`crate::JobInstance`] from the file named
+/// by `--instance-job`; every subproblem and solution then crosses the
+/// wire as frames. Workers dying mid-run are survived: their
+/// subproblems are requeued.
 pub fn ug_solve_stp_distributed(
     graph: &Graph,
     reduce_params: &ugrs_steiner::reduce::ReduceParams,
     options: ParallelOptions,
-    mut dist: ugrs_core::DistributedOptions,
+    dist: ugrs_core::DistributedOptions,
 ) -> std::io::Result<StpParallelResult> {
     let mut g = graph.clone();
     ugrs_steiner::reduce::reduce(&mut g, reduce_params);
@@ -108,38 +109,8 @@ pub fn ug_solve_stp_distributed(
         // Solved by presolving alone — no workers needed.
         return Ok(trivial_result(&g));
     }
-
-    let instance_path = std::env::temp_dir().join(format!(
-        "ugrs-stp-{}-{:x}.json",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0)
-    ));
-    std::fs::write(&instance_path, serde_json::to_string(&g)?)?;
-    dist.worker_command.push("--instance".into());
-    dist.worker_command.push(instance_path.to_string_lossy().into_owned());
-
-    let res = ugrs_core::solve_parallel_distributed::<NodeDesc, Vec<f64>>(
-        NodeDesc::root(),
-        options,
-        dist,
-    );
-    let _ = std::fs::remove_file(&instance_path);
-    Ok(map_back(&g, res?))
-}
-
-/// Builds the factory a worker process uses to serve a distributed STP
-/// run: load the (already reduced) instance the coordinator wrote, then
-/// construct one SCIP-Jack-armed solver per received subproblem.
-pub fn stp_worker_factory(
-    instance_path: &std::path::Path,
-) -> std::io::Result<ugrs_core::worker::SolverFactory<UgCipSolver<StpPlugins>>> {
-    let text = std::fs::read_to_string(instance_path)?;
-    let graph: Graph = serde_json::from_str(&text)?;
-    let plugins = Arc::new(StpPlugins { graph: Arc::new(graph), in_tree_reductions: true });
-    Ok(UgCipSolver::factory(plugins))
+    let instance = crate::JobInstance::Stp { graph: g.clone() };
+    Ok(map_back(&g, crate::serve::solve_per_call(&instance, options, dist)?))
 }
 
 /// Maps a UG result on the reduced graph back to original edge ids:

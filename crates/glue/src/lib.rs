@@ -31,11 +31,11 @@ pub use apps::misdp::{
     MisdpPlugins,
 };
 pub use apps::stp::{
-    stp_racing_settings, stp_worker_factory, ug_solve_stp, ug_solve_stp_distributed,
-    ug_solve_stp_seeded, StpParallelResult, StpPlugins,
+    stp_racing_settings, ug_solve_stp, ug_solve_stp_distributed, ug_solve_stp_seeded,
+    StpParallelResult, StpPlugins,
 };
 pub use base::{CipUserPlugins, UgCipSolver};
 pub use serve::{
-    family_racing_settings, job_factory, maxcut_job, misdp_job, serve_jobs, stp_job, DelaySolver,
-    JobInstance, JobSolver, SolveClient, SolveGateway, SolveJobEvent, SolveJobSpec, SolveServer,
+    job_factory, maxcut_job, misdp_job, serve_jobs, stp_job, DelaySolver, JobInstance, JobSolver,
+    SolveClient, SolveGateway, SolveJobEvent, SolveJobSpec, SolveServer,
 };

@@ -7,7 +7,7 @@
 //! pool serves Steiner tree and MISDP jobs interleaved. A pool worker
 //! receives the instance with the job's `Begin` frame and builds the
 //! matching plugin set per subproblem, exactly like the per-call
-//! distributed workers do from their `--instance` file.
+//! distributed workers do from their `--instance-job` file.
 
 use crate::apps::misdp::MisdpPlugins;
 use crate::apps::stp::StpPlugins;
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use ugrs_cip::NodeDesc;
 use ugrs_core::worker::{BaseSolver, ParaControl, SolverFactory, SubproblemOutcome};
-use ugrs_core::{JobSpec, ProcessCommConfig};
+use ugrs_core::{DistributedOptions, JobSpec, ParallelOptions, ParallelResult, ProcessCommConfig};
 use ugrs_instances::MaxCutInstance;
 use ugrs_misdp::MisdpProblem;
 use ugrs_steiner::Graph;
@@ -60,9 +60,7 @@ impl JobInstance {
 
     /// A family-specific size measure — STP alive edges, MISDP
     /// variables, max-cut edges. Stamped into [`JobSpec::size_hint`]
-    /// so the tuner's size-bucket fingerprint
-    /// ([`ugrs_core::tuner::fingerprint`]) can separate toy from
-    /// production instances of the same family.
+    /// and from there into the job journal's head record.
     pub fn size_hint(&self) -> u64 {
         match self {
             JobInstance::Stp { graph } => graph.num_alive_edges() as u64,
@@ -72,20 +70,30 @@ impl JobInstance {
     }
 }
 
-/// The racing-roster generator [`ugrs_core::ServerConfig::racing_settings`]
-/// takes for the mixed solve service: STP jobs race under
-/// [`crate::apps::stp::stp_racing_settings`], MISDP and max-cut jobs
-/// (solved via their MISDP formulation) under
-/// [`crate::apps::misdp::misdp_racing_settings`]. Index `i` of the
-/// returned roster is settings index `i` in the tuner model — both
-/// generators are prefix-stable (element `i` is independent of `n`),
-/// so a model mined from wide rosters still indexes correctly into
-/// narrow ones.
-pub fn family_racing_settings(family: &str, n: usize) -> Vec<ugrs_core::SolverSettings> {
-    match family {
-        "stp" => crate::apps::stp::stp_racing_settings(n),
-        _ => crate::apps::misdp::misdp_racing_settings(n),
-    }
+/// The per-call distributed solve of every application: writes
+/// `instance` to a temp file, appends `--instance-job <path>` to the
+/// worker command, runs the coordinator over the spawned workers and
+/// removes the file again.
+pub(crate) fn solve_per_call(
+    instance: &JobInstance,
+    options: ParallelOptions,
+    mut dist: DistributedOptions,
+) -> std::io::Result<ParallelResult<NodeDesc, Vec<f64>>> {
+    let path = std::env::temp_dir().join(format!(
+        "ugrs-{}-{}-{:x}.json",
+        instance.family(),
+        std::process::id(),
+        std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos())
+            .unwrap_or(0)
+    ));
+    std::fs::write(&path, serde_json::to_string(instance)?)?;
+    dist.worker_command.push("--instance-job".into());
+    dist.worker_command.push(path.to_string_lossy().into_owned());
+    let res = ugrs_core::solve_parallel_distributed(NodeDesc::root(), options, dist);
+    let _ = std::fs::remove_file(&path);
+    res
 }
 
 /// A base solver serving either application, chosen by the job's

@@ -8,18 +8,10 @@
 //!             [--max-inflight 1024] [--tenant-rate 0] [--tenant-burst 0]
 //!             [--tenant-quota <name>=<rate>:<burst>]...
 //!             [--state-dir <dir>] [--compress-state] [--journal-dir <dir>]
-//!             [--tuner-refresh <jobs>]
 //! ```
 //!
 //! `--compress-state` writes the gateway's own ledger through the LZ
 //! container; recovery auto-detects either format.
-//!
-//! With `--tuner-refresh N` (needs `--state-dir`), the gateway loads
-//! the `ugrs_core::tuner` model from `<state-dir>/tuner/` at startup,
-//! journals its version, reloads it after every N finished jobs and
-//! exports the `ugrs_tuner_*_total` counters — fleet-tier visibility
-//! into the adaptive-racing loop (the racing decisions themselves
-//! happen on the shards).
 //!
 //! The gateway speaks the same protocol as a single `ugd-server`, so
 //! every `ugd` subcommand works against it unchanged — plus `ugd fleet`
@@ -142,10 +134,6 @@ fn parse_args() -> Result<Args, String> {
             "--state-dir" => config.state_dir = Some(value("--state-dir")?.into()),
             "--compress-state" => config.compress_state = true,
             "--journal-dir" => config.journal_dir = Some(value("--journal-dir")?.into()),
-            "--tuner-refresh" => {
-                config.tuner_refresh_jobs =
-                    value("--tuner-refresh")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--lease-ttl-ms" => {
                 config.lease_ttl = Some(Duration::from_millis(
                     value("--lease-ttl-ms")?.parse().map_err(|e| format!("{e}"))?,
@@ -177,11 +165,6 @@ fn parse_args() -> Result<Args, String> {
         let burst = if default_burst > 0.0 { default_burst } else { default_rate.max(1.0) };
         config.default_quota = Some(TenantQuota { rate: default_rate, burst });
     }
-    if config.tuner_refresh_jobs > 0 && config.state_dir.is_none() {
-        return Err("--tuner-refresh needs --state-dir (the tuner model lives under \
-                    <state-dir>/tuner)"
-            .into());
-    }
     if chaos_profile.is_some() && chaos_seed.is_none() {
         return Err("--chaos-profile needs --chaos-seed".into());
     }
@@ -204,7 +187,6 @@ fn main() {
                  \x20       [--tenant-rate <per-sec> [--tenant-burst <n>]]\n\
                  \x20       [--tenant-quota <name>=<rate>:<burst>]...\n\
                  \x20       [--state-dir <dir>] [--compress-state] [--journal-dir <dir>]\n\
-                 \x20       [--tuner-refresh <jobs>]\n\
                  \x20       [--lease-ttl-ms <ms> [--standby] [--ha-owner <name>]]\n\
                  \x20       [--steal-batch <n>] [--drain-timeout-secs <s>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\

@@ -13,19 +13,11 @@
 //!            [--status-interval 0.05] [--handicap-ms 0]
 //!            [--journal-dir <dir>] [--state-dir <dir>] [--compress-state]
 //!            [--checkpoint-interval 1.0]
-//!            [--adaptive [--tuner-refresh 32]]
 //! ```
 //!
 //! `--compress-state` writes ledger records and checkpoints through
 //! the LZ container; reads always auto-detect, so the flag can be
 //! flipped between restarts over the same `--state-dir`.
-//!
-//! With `--adaptive` (needs `--state-dir`), multi-solver jobs race
-//! their root under the `ugrs_core::tuner` policy: the roster comes
-//! from the mined model under `<state-dir>/tuner/` once `ugd tune` has
-//! built one (the legacy fixed roster until then), every decision is
-//! journaled, and the model is reloaded after every `--tuner-refresh`
-//! finished jobs.
 //!
 //! With `--journal-dir`, every job writes a JSONL run journal
 //! (`job-<id>-<name>.jsonl`) of timestamped telemetry events there —
@@ -98,14 +90,6 @@ fn parse_args() -> Result<Args, String> {
                 config.checkpoint_interval =
                     value("--checkpoint-interval")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--adaptive" => {
-                config.adaptive_tuning = true;
-                config.racing_settings = Some(ugrs_glue::family_racing_settings);
-            }
-            "--tuner-refresh" => {
-                config.tuner_refresh_jobs =
-                    value("--tuner-refresh")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--worker" => worker = Some(value("--worker")?),
             "--heartbeat-ms" => {
                 config.comm.heartbeat_interval = std::time::Duration::from_millis(
@@ -136,11 +120,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if chaos_profile.is_some() && chaos_seed.is_none() {
         return Err("--chaos-profile needs --chaos-seed".into());
-    }
-    if config.adaptive_tuning && config.state_dir.is_none() {
-        return Err(
-            "--adaptive needs --state-dir (the tuner model lives under <state-dir>/tuner)".into()
-        );
     }
     if let Some(seed) = chaos_seed {
         // The scheduler hands each pool worker a per-worker variant of
@@ -181,15 +160,11 @@ fn main() {
                  \x20       [--state-dir <dir>] [--compress-state] [--checkpoint-interval <secs>]\n\
                  \x20       [--heartbeat-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\
-                 \x20       [--adaptive [--tuner-refresh <jobs>]]\n\
                  \n\
                  --state-dir <dir>            durable job ledger + checkpoints; on restart,\n\
                  \x20                            unfinished jobs are requeued/resumed from here\n\
                  --compress-state             LZ-compress ledger records and checkpoints\n\
-                 --checkpoint-interval <secs> how often running jobs checkpoint (default 1.0)\n\
-                 --adaptive                   race jobs under the mined tuner model in\n\
-                 \x20                            <state-dir>/tuner (needs --state-dir)\n\
-                 --tuner-refresh <jobs>       reload the model every N finished jobs (default 32)"
+                 --checkpoint-interval <secs> how often running jobs checkpoint (default 1.0)"
             );
             std::process::exit(2);
         }

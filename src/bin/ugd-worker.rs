@@ -5,12 +5,13 @@
 //! **Per-call mode** (the original ParaSCIP shape): a coordinator such as
 //! [`ugrs_glue::apps::stp::ug_solve_stp_distributed`] spawns one worker
 //! per rank for a single solve. Each connects back over TCP, handshakes
-//! for its rank, loads the reduced instance the coordinator wrote, and
-//! serves subproblems until `Terminate`:
+//! for its rank, loads the instance the coordinator wrote — a serialized
+//! [`ugrs_glue::JobInstance`], the format the job service ships over the
+//! wire — and serves subproblems until `Terminate`:
 //!
 //! ```text
 //! ugd-worker --connect 127.0.0.1:40123 --rank 2 \
-//!            --instance /tmp/ugrs-stp-1234-abc.json \
+//!            --instance-job /tmp/ugrs-stp-1234-abc.json \
 //!            [--status-interval 0.05] [--handicap-ms 0]
 //! ```
 //!
@@ -22,12 +23,6 @@
 //! ```text
 //! ugd-worker --serve --connect 127.0.0.1:40123 [--pool-tag 7]
 //! ```
-//!
-//! Per-call mode also accepts `--instance-job <path>`: the file holds a
-//! serialized [`ugrs_glue::JobInstance`] (STP *or* MISDP) instead of a
-//! raw Steiner graph, which is how
-//! [`ugrs_glue::apps::misdp::ug_solve_misdp_distributed`] ships MISDPs
-//! to per-call workers.
 //!
 //! `--handicap-ms` delays every subproblem solve by the given amount —
 //! a test/benchmark knob that makes worker-death scenarios reproducible
@@ -44,7 +39,6 @@
 use std::time::Duration;
 use ugrs_core::chaos::{ChaosConfig, ChaosProfile};
 use ugrs_core::{run_distributed_worker, ProcessCommConfig};
-use ugrs_glue::apps::stp::stp_worker_factory;
 use ugrs_glue::{job_factory, DelaySolver, JobInstance};
 
 struct Args {
@@ -52,7 +46,6 @@ struct Args {
     connect: String,
     rank: Option<usize>,
     pool_tag: Option<u64>,
-    instance: Option<std::path::PathBuf>,
     instance_job: Option<std::path::PathBuf>,
     status_interval: f64,
     handicap: Duration,
@@ -64,7 +57,6 @@ fn parse_args() -> Result<Args, String> {
     let mut connect = None;
     let mut rank = None;
     let mut pool_tag = None;
-    let mut instance = None;
     let mut instance_job = None;
     let mut status_interval = 0.05f64;
     let mut handicap = Duration::ZERO;
@@ -81,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
             "--pool-tag" => {
                 pool_tag = Some(value("--pool-tag")?.parse::<u64>().map_err(|e| e.to_string())?)
             }
-            "--instance" => instance = Some(std::path::PathBuf::from(value("--instance")?)),
             "--instance-job" => {
                 instance_job = Some(std::path::PathBuf::from(value("--instance-job")?))
             }
@@ -124,8 +115,8 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let connect = connect.ok_or("--connect is required")?;
-    if !serve && instance.is_none() && instance_job.is_none() {
-        return Err("--instance or --instance-job is required (unless --serve)".into());
+    if !serve && instance_job.is_none() {
+        return Err("--instance-job is required (unless --serve)".into());
     }
     if let Some(seed) = chaos_seed {
         comm.chaos = Some(ChaosConfig::new(seed, chaos_profile.unwrap_or_else(ChaosProfile::none)));
@@ -133,17 +124,7 @@ fn parse_args() -> Result<Args, String> {
         return Err("--chaos-profile needs --chaos-seed".into());
     }
     comm.validate()?;
-    Ok(Args {
-        serve,
-        connect,
-        rank,
-        pool_tag,
-        instance,
-        instance_job,
-        status_interval,
-        handicap,
-        comm,
-    })
+    Ok(Args { serve, connect, rank, pool_tag, instance_job, status_interval, handicap, comm })
 }
 
 fn main() {
@@ -152,7 +133,7 @@ fn main() {
         Err(e) => {
             eprintln!("ugd-worker: {e}");
             eprintln!(
-                "usage: ugd-worker --connect <addr> (--instance <path> | --instance-job <path>) [--rank <n>]\n\
+                "usage: ugd-worker --connect <addr> --instance-job <path> [--rank <n>]\n\
                  \x20      ugd-worker --serve --connect <addr> [--pool-tag <t>]\n\
                  common: [--status-interval <secs>] [--handicap-ms <ms>]\n\
                  \x20       [--heartbeat-ms <ms>] [--handshake-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
@@ -176,44 +157,25 @@ fn main() {
         return;
     }
     let delay = args.handicap;
-    let result = if let Some(path) = args.instance_job {
-        // A serialized JobInstance: STP or MISDP, same file format the
-        // job service ships over the wire.
-        let inner_factory = match std::fs::read(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|raw| {
-                serde_json::from_slice::<JobInstance>(&raw).map_err(|e| format!("{e:?}"))
-            })
-            .map(|inst| job_factory(&inst))
-        {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("ugd-worker: cannot load job instance {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        };
-        let factory: ugrs_core::worker::SolverFactory<DelaySolver<_>> =
-            std::sync::Arc::new(move |rank, settings| DelaySolver {
-                inner: inner_factory(rank, settings),
-                delay,
-            });
-        run_distributed_worker(&args.connect, args.rank, factory, status_interval, &args.comm)
-    } else {
-        let instance = args.instance.expect("checked in parse_args");
-        let inner_factory = match stp_worker_factory(&instance) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("ugd-worker: cannot load instance {}: {e}", instance.display());
-                std::process::exit(2);
-            }
-        };
-        let factory: ugrs_core::worker::SolverFactory<DelaySolver<_>> =
-            std::sync::Arc::new(move |rank, settings| DelaySolver {
-                inner: inner_factory(rank, settings),
-                delay,
-            });
-        run_distributed_worker(&args.connect, args.rank, factory, status_interval, &args.comm)
+    let path = args.instance_job.expect("checked in parse_args");
+    let inner_factory = match std::fs::read(&path)
+        .map_err(|e| e.to_string())
+        .and_then(|raw| serde_json::from_slice::<JobInstance>(&raw).map_err(|e| format!("{e:?}")))
+        .map(|inst| job_factory(&inst))
+    {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("ugd-worker: cannot load job instance {}: {e}", path.display());
+            std::process::exit(2);
+        }
     };
+    let factory: ugrs_core::worker::SolverFactory<DelaySolver<_>> =
+        std::sync::Arc::new(move |rank, settings| DelaySolver {
+            inner: inner_factory(rank, settings),
+            delay,
+        });
+    let result =
+        run_distributed_worker(&args.connect, args.rank, factory, status_interval, &args.comm);
     if let Err(e) = result {
         eprintln!("ugd-worker: {e}");
         std::process::exit(1);

@@ -11,20 +11,15 @@
 //! ugd metrics       [--addr <a>]
 //! ugd fleet         [--addr <a>]
 //! ugd shutdown      [--addr <a>]
-//! ugd tune          --journal-dir <dir> --state-dir <dir> [--dry-run]
 //! ugd journal <file.jsonl>
 //! ```
 //!
-//! `tune` and `journal` are **offline** — they read files, not a
-//! server. `tune` mines a directory of archived run journals into the
-//! adaptive-racing model under `<state-dir>/tuner/` (see
-//! `ugrs_core::tuner`); a server started with `--adaptive` on the same
-//! state dir picks the model up and races future jobs under the mined
-//! roster. `--dry-run` prints the per-family roster diff without
-//! writing. `journal` prints a human-readable replay of one run
-//! journal: provenance, phases, the racing field and winner, any tuner
-//! decision, gap-over-time milestones and the reconstructed final
-//! statistics.
+//! `journal` is **offline** — it reads a file, not a server: a
+//! human-readable replay of one run journal with provenance, phases,
+//! the racing field and winner, gap-over-time milestones and the
+//! reconstructed final statistics. Lines it cannot read — torn by a
+//! crash, or an event this version no longer writes — are skipped and
+//! counted.
 //!
 //! `submit` detects the application by extension: `.stp` (SteinLib) is
 //! reduced client-side and submitted as a Steiner job, `.cbf` as a
@@ -70,11 +65,10 @@ fn usage() -> ! {
          \x20      ugd metrics [--addr <a>]\n\
          \x20      ugd fleet [--addr <a>]\n\
          \x20      ugd shutdown [--addr <a>]\n\
-         \x20      ugd tune --journal-dir <dir> --state-dir <dir> [--dry-run]\n\
          \x20      ugd journal <file.jsonl>\n\
          (--gateway <a[,b]> is an alias of --addr; a comma list names an HA\n\
          \x20gateway pair tried in order with backoff; fleet/--tenant need a\n\
-         \x20gateway; tune/journal are offline — they read files, not a server)"
+         \x20gateway; journal is offline — it reads a file, not a server)"
     );
     std::process::exit(2);
 }
@@ -96,9 +90,6 @@ struct Opts {
     interval: f64,
     iterations: Option<u64>,
     tenant: Option<String>,
-    journal_dir: Option<String>,
-    state_dir: Option<String>,
-    dry_run: bool,
 }
 
 fn parse_opts(mut it: std::env::Args) -> Result<Opts, String> {
@@ -116,9 +107,6 @@ fn parse_opts(mut it: std::env::Args) -> Result<Opts, String> {
         interval: 1.0,
         iterations: None,
         tenant: None,
-        journal_dir: None,
-        state_dir: None,
-        dry_run: false,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
@@ -150,9 +138,6 @@ fn parse_opts(mut it: std::env::Args) -> Result<Opts, String> {
                 o.iterations = Some(value("--iterations")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--no-watch" => o.watch = false,
-            "--journal-dir" => o.journal_dir = Some(value("--journal-dir")?),
-            "--state-dir" => o.state_dir = Some(value("--state-dir")?),
-            "--dry-run" => o.dry_run = true,
             other if !other.starts_with('-') && o.positional.is_none() => {
                 o.positional = Some(other.to_string())
             }
@@ -429,79 +414,13 @@ fn run_top(client: &mut SolveClient, interval: f64, iterations: Option<u64>) {
     }
 }
 
-/// The fingerprints a model knows, with the roster the bandit would
-/// serve for each (universe = highest mined settings index + 1, at
-/// least 4 — what a 4-solver job would race).
-fn roster_table(model: &ugrs_core::TunerModel) -> Vec<(String, String)> {
-    model
-        .families
-        .keys()
-        .map(|fp| {
-            let universe = model
-                .families
-                .get(fp)
-                .and_then(|s| s.settings.iter().map(|r| r.index + 1).max())
-                .unwrap_or(0)
-                .max(4);
-            let roster = match model.rank(fp, universe) {
-                Some(order) => order.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(","),
-                None => "(legacy fallback)".to_string(),
-            };
-            (fp.clone(), roster)
-        })
-        .collect()
-}
-
-/// `ugd tune`: mine a journal dir into the adaptive-racing model under
-/// `<state-dir>/tuner/` and print the per-family roster table.
-fn run_tune(o: &Opts) {
-    use ugrs_core::TunerModel;
-    let Some(journal_dir) = &o.journal_dir else {
-        fail("tune needs --journal-dir <dir>");
-    };
-    let Some(state_dir) = &o.state_dir else {
-        fail("tune needs --state-dir <dir>");
-    };
-    let tuner_dir = TunerModel::dir_in(std::path::Path::new(state_dir));
-    let (current, status) = TunerModel::load(&tuner_dir);
-    if status == ugrs_core::tuner::LoadStatus::Torn {
-        eprintln!("ugd: existing model at {} is torn; mining from scratch", tuner_dir.display());
-    }
-    let mut mined = current.clone();
-    let report = mined
-        .mine_dir(std::path::Path::new(journal_dir))
-        .unwrap_or_else(|e| fail(format!("cannot mine {journal_dir}: {e}")));
-    println!(
-        "mined {} journal(s) ({} already in the model, {} torn line(s) skipped)",
-        report.mined, report.already_mined, report.torn_lines
-    );
-    let before: std::collections::BTreeMap<String, String> =
-        roster_table(&current).into_iter().collect();
-    println!("{:<20} {:>6} {:>7} {:>8}  ROSTER", "FAMILY", "RUNS", "STALLS", "NODES");
-    for (fp, roster) in roster_table(&mined) {
-        let s = &mined.families[&fp];
-        let diff = match before.get(&fp) {
-            Some(old) if old != &roster => format!("  (was {old})"),
-            None => "  (new)".to_string(),
-            _ => String::new(),
-        };
-        println!("{fp:<20} {:>6} {:>7} {:>8}  {roster}{diff}", s.runs, s.stalls, s.nodes);
-    }
-    if o.dry_run {
-        println!("dry run: model v{} left untouched", current.version);
-        return;
-    }
-    mined.save(&tuner_dir).unwrap_or_else(|e| fail(format!("cannot save model: {e}")));
-    println!("saved model v{} to {}", mined.version, TunerModel::path_in(&tuner_dir).display());
-}
-
 /// `ugd journal <file>`: human-readable replay of one run journal.
 fn run_journal(path: &str) {
     use ugrs_core::telemetry::{reconstruct_stats, Journal};
     use ugrs_core::TelemetryEvent as Ev;
-    let (records, torn) =
+    let (records, skipped) =
         Journal::replay_counted(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-    println!("{path}: {} event(s), {torn} torn line(s) skipped", records.len());
+    println!("{path}: {} event(s), {skipped} unreadable line(s) skipped", records.len());
     // Gap milestones: print the first time the gap drops under each
     // threshold (the gap-over-time curve, compressed to its knees).
     let mut milestones = [(f64::INFINITY, "finite"), (10.0, "<10%"), (1.0, "<1%"), (0.0, "0%")]
@@ -521,13 +440,6 @@ fn run_journal(path: &str) {
                 if *restarted { " (resumed from checkpoint)" } else { "" }
             ),
             Ev::Phase { phase } => println!("  [{t:8.3}s] phase: {phase}"),
-            Ev::TunerDecision { fingerprint, order, model_version, predicted_stall, source } => {
-                println!(
-                    "  [{t:8.3}s] tuner decision: {source} roster {order:?} \
-                     (fingerprint {fingerprint}, model v{model_version}, \
-                     predicted_stall={predicted_stall})"
-                )
-            }
             Ev::RacingField { arms } => {
                 println!("  [{t:8.3}s] racing field (best first):");
                 for a in arms {
@@ -773,7 +685,6 @@ fn main() {
             client.shutdown_server().unwrap_or_else(|e| fail(e));
             println!("server shutting down");
         }
-        "tune" => run_tune(&o),
         "journal" => {
             let Some(path) = o.positional.clone().or_else(|| o.file.clone()) else { usage() };
             run_journal(&path);

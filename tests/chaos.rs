@@ -18,7 +18,7 @@
 use std::time::Duration;
 use ugrs::cip::NodeDesc;
 use ugrs::glue::{
-    ug_solve_misdp, ug_solve_misdp_distributed, ug_solve_stp, ug_solve_stp_distributed,
+    ug_solve_misdp, ug_solve_misdp_distributed, ug_solve_stp, ug_solve_stp_distributed, JobInstance,
 };
 use ugrs::misdp::gen as mgen;
 use ugrs::steiner::gen::{bipartite, CostScheme};
@@ -213,7 +213,9 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
     ugrs::steiner::reduce::reduce(&mut reduced, &ReduceParams::default());
     let instance_path =
         std::env::temp_dir().join(format!("ugrs-chaos-degrade-{}.json", std::process::id()));
-    std::fs::write(&instance_path, serde_json::to_string(&reduced).unwrap()).unwrap();
+    let fixed_cost = reduced.fixed_cost;
+    let instance = JobInstance::Stp { graph: reduced };
+    std::fs::write(&instance_path, serde_json::to_string(&instance).unwrap()).unwrap();
 
     let n = 4;
     let config = ProcessCommConfig {
@@ -232,7 +234,7 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
             .arg(&addr)
             .arg("--rank")
             .arg(rank.to_string())
-            .arg("--instance")
+            .arg("--instance-job")
             .arg(&instance_path)
             .arg("--status-interval")
             .arg("0.05")
@@ -292,7 +294,7 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
     );
     assert!(res.solved, "the requeued root must still be solved to optimality; plan: {plan}");
     let (_, obj) = res.solution.expect("a tree must be found despite the degradation");
-    let cost = obj + reduced.fixed_cost;
+    let cost = obj + fixed_cost;
     assert!(
         (cost - expected).abs() < 1e-6,
         "optimum after degradation {cost} != reference {expected}; plan: {plan}"

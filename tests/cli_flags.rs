@@ -1,13 +1,15 @@
-//! The daemons' command lines after the worker-session, codec and
-//! batching options were removed: the retired spellings are usage
-//! errors (exit 2) whose usage text names only flags that still exist,
-//! and a SIGTERM drain survives a closed stdout.
+//! The command lines after the worker-session, codec, batching,
+//! adaptive-racing and raw-instance options were removed: the retired
+//! spellings are usage errors (exit 2) whose usage text names only
+//! flags that still exist, and a SIGTERM drain survives a closed stdout.
 
 use std::io::BufRead;
 use std::process::{Command, Stdio};
 
 const SERVER_BIN: &str = env!("CARGO_BIN_EXE_ugd-server");
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ugd-worker");
+const GATEWAY_BIN: &str = env!("CARGO_BIN_EXE_ugd-gateway");
+const UGD_BIN: &str = env!("CARGO_BIN_EXE_ugd");
 
 /// Runs `bin args`, asserts the usage-error exit code and returns
 /// stderr (the complaint followed by the usage text).
@@ -38,6 +40,32 @@ fn retired_codec_and_batching_flags_are_usage_errors() {
     for text in &complaints {
         let usage = &text[text.find("usage:").expect("usage text follows the complaint")..];
         assert!(!usage.contains("codec") && !usage.contains("batch"), "retired flag in: {usage}");
+    }
+}
+
+#[test]
+fn retired_adaptive_racing_and_raw_instance_flags_are_usage_errors() {
+    let cases: [(&str, &[&str], &str); 4] = [
+        (SERVER_BIN, &["--adaptive"], "--adaptive"),
+        (SERVER_BIN, &["--tuner-refresh", "1"], "--tuner-refresh"),
+        (GATEWAY_BIN, &["--shard", "a=127.0.0.1:1", "--tuner-refresh", "1"], "--tuner-refresh"),
+        (WORKER_BIN, &["--connect", "127.0.0.1:1", "--instance", "x"], "--instance"),
+    ];
+    let mut complaints = Vec::new();
+    for (bin, args, flag) in cases {
+        let text = usage_error(bin, args);
+        assert!(text.contains(&format!("unknown flag {flag}\n")), "{text}");
+        complaints.push(text);
+    }
+    let tune = usage_error(UGD_BIN, &["tune"]);
+    assert!(tune.starts_with("usage: ugd submit"), "{tune}");
+    complaints.push(tune);
+
+    for text in &complaints {
+        let usage = &text[text.find("usage:").expect("usage text follows the complaint")..];
+        for retired in ["tune", "adaptive", "--instance "] {
+            assert!(!usage.contains(retired), "retired {retired:?} in: {usage}");
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 use ugrs::cip::NodeDesc;
-use ugrs::glue::{ug_solve_stp, ug_solve_stp_distributed};
+use ugrs::glue::{ug_solve_stp, ug_solve_stp_distributed, JobInstance};
 use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::comm::LcComm;
@@ -80,7 +80,9 @@ fn killed_worker_is_survived_and_requeued() {
     );
     let instance_path =
         std::env::temp_dir().join(format!("ugrs-kill-test-{}.json", std::process::id()));
-    std::fs::write(&instance_path, serde_json::to_string(&reduced).unwrap()).unwrap();
+    let fixed_cost = reduced.fixed_cost;
+    let instance = JobInstance::Stp { graph: reduced };
+    std::fs::write(&instance_path, serde_json::to_string(&instance).unwrap()).unwrap();
 
     // Short transport timeouts (the defaults wait 15 s before declaring
     // a silent worker dead — pointless stall in a kill test), passed to
@@ -104,7 +106,7 @@ fn killed_worker_is_survived_and_requeued() {
             .arg(&addr)
             .arg("--rank")
             .arg(rank.to_string())
-            .arg("--instance")
+            .arg("--instance-job")
             .arg(&instance_path)
             .arg("--status-interval")
             .arg("0.05")
@@ -161,7 +163,7 @@ fn killed_worker_is_survived_and_requeued() {
     assert_eq!(res.stats.workers_died, 1, "exactly the killed rank must be detected dead");
     assert!(res.solved, "the requeued root must still be solved to optimality");
     let (_, obj) = res.solution.expect("a tree must be found despite the death");
-    let cost = obj + reduced.fixed_cost;
+    let cost = obj + fixed_cost;
     assert!(
         (cost - expected).abs() < 1e-6,
         "optimum after worker death {cost} != reference {expected}"

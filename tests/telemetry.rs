@@ -4,11 +4,11 @@
 //! Figure 1-style gap-over-time plots and post-mortems.
 
 use std::sync::{Arc, Mutex};
-use ugrs::glue::ug_solve_stp;
+use ugrs::glue::{stp_racing_settings, ug_solve_stp};
 use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::telemetry::{reconstruct_stats, Journal, JournalRecord, TelemetryEvent};
-use ugrs::ug::{ParallelOptions, ProgressMsg, ProgressSink, TelemetrySink};
+use ugrs::ug::{ParallelOptions, ProgressMsg, ProgressSink, RampUp, TelemetrySink};
 
 fn journal_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("ugrs-telemetry-test");
@@ -112,6 +112,73 @@ fn progress_sink_sees_live_and_final_snapshots() {
     assert_eq!(last.transferred, r.stats.transferred);
     assert!((last.gap_percent - r.stats.gap_percent()).abs() < 1e-9);
     assert_eq!(last.phase, "normal");
+}
+
+/// `ugd journal` on a racing run's journal prints the racing field, the
+/// winner and the final statistics; a line of an event this version no
+/// longer writes (the roster-decision record of older journals) is
+/// skipped, counted, and does not fail the replay.
+#[test]
+fn ugd_journal_replays_a_racing_run_and_skips_retired_events() {
+    let path = journal_path("racing");
+    // A zero time trigger decides the race at the coordinator's first
+    // check; a racer that solves the root before that leaves no winner,
+    // so try a few instances.
+    let decided = (0..5).any(|k| {
+        let g = nontrivial_graph(42 + 100 * k);
+        let journal = Arc::new(Journal::create(&path).unwrap());
+        let r = ug_solve_stp(
+            &g,
+            &ReduceParams::default(),
+            ParallelOptions {
+                num_solvers: 2,
+                ramp_up: RampUp::Racing {
+                    settings: stp_racing_settings(2),
+                    time_trigger: 0.0,
+                    open_nodes_trigger: 1,
+                },
+                telemetry: TelemetrySink::with_journal(journal),
+                ..Default::default()
+            },
+        );
+        assert!(r.solved);
+        r.stats.racing_winner.is_some()
+    });
+    assert!(decided, "no instance left the race to the trigger");
+
+    let replay = || {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ugd"))
+            .arg("journal")
+            .arg(&path)
+            .output()
+            .expect("spawn ugd");
+        assert!(out.status.success(), "ugd journal failed: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let racing_lines = |text: &str| {
+        assert!(text.contains("racing field (best first):"), "{text}");
+        assert!(text.contains("racing winner: rank"), "{text}");
+        assert!(text.contains("run finished:"), "{text}");
+    };
+    let text = replay();
+    assert!(text.contains(" 0 unreadable line(s) skipped"), "{text}");
+    racing_lines(&text);
+
+    {
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        writeln!(
+            f,
+            "{{\"t\":0.001,\"event\":{{\"TunerDecision\":{{\"fingerprint\":\"stp/b5\",\
+             \"order\":[1,0],\"model_version\":1,\"predicted_stall\":false,\
+             \"source\":\"model\"}}}}}}"
+        )
+        .unwrap();
+    }
+    let text = replay();
+    assert!(text.contains(" 1 unreadable line(s) skipped"), "{text}");
+    racing_lines(&text);
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
