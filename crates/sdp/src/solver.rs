@@ -294,32 +294,31 @@ impl Work {
     /// One centering: damped Newton maximization of `f(t, ·)` from `y`.
     /// `chols` factors the slacks at `y` and follows it: the factor of
     /// the accepted trial point is the next step's. Returns the Newton
-    /// iterations used, or `None` on numerical failure.
+    /// iterations used; on numerical failure, `Err` carries those taken.
     fn center(
         &self,
         t: f64,
         y: &mut [f64],
         chols: &mut Vec<CholeskyFactor>,
         max_newton: usize,
-    ) -> Option<usize> {
+    ) -> Result<usize, usize> {
         let mut ytrial = y.to_vec();
-        let mut iters = 0;
-        for _ in 0..max_newton {
-            iters += 1;
+        for iters in 1..=max_newton {
             let (grad, h) = self.newton_system(t, y, chols);
             // Newton direction: (−H) dx = grad.
-            let hc = CholeskyFactor::new_shifted(&h, 1e-12, 1e6).ok()?;
-            let dx = hc.solve(&grad).ok()?;
+            let dx = CholeskyFactor::new_shifted(&h, 1e-12, 1e6)
+                .and_then(|hc| hc.solve(&grad))
+                .map_err(|_| iters)?;
             let decrement: f64 = grad.iter().zip(&dx).map(|(g, d)| g * d).sum();
             if decrement < 1e-10 {
-                return Some(iters);
+                return Ok(iters);
             }
             // Backtracking line search maintaining strict feasibility. A
             // trial's slacks come from the trial point, never as S − α·ΔS:
             // that form differs from S(ytrial) by rounding, accepts points
             // whose true slack is singular, and so weakens penalty bounds.
             let f0 = self.f(t, y, chols);
-            let mut accepted = false;
+            let mut gain = None;
             let mut alpha = 1.0;
             for _ in 0..60 {
                 ytrial.copy_from_slice(y);
@@ -327,51 +326,59 @@ impl Work {
                     ytrial[i] += alpha * dx[gi];
                 }
                 if let Some(trial) = self.factor(&ytrial) {
-                    if self.f(t, &ytrial, &trial) >= f0 + 0.25 * alpha * decrement.min(1e18) - 1e-12
-                    {
+                    let armijo = 0.25 * alpha * decrement.min(1e18);
+                    if self.f(t, &ytrial, &trial) >= f0 + armijo - 1e-12 {
                         y.copy_from_slice(&ytrial);
                         *chols = trial;
-                        accepted = true;
+                        gain = Some(armijo);
                         break;
                     }
                 }
                 alpha *= 0.5;
             }
-            if !accepted {
-                // No progress possible: accept the current center.
-                return Some(iters);
+            // End on no accepted step (no progress possible), or on one
+            // whose certified gain, less the test's 1e-12 slack, is within
+            // f's rounding at y (≈ 4ε|f0|): that trial may have passed by
+            // rounding alone, and further steps would only halve α until
+            // rounding lets another one through. A trial that left y
+            // unchanged (f(trial) = f0) is the extreme case.
+            match gain {
+                Some(g) if g - 1e-12 > 4.0 * f64::EPSILON * f0.abs() => {}
+                _ => return Ok(iters),
             }
         }
-        Some(iters)
+        Ok(max_newton)
     }
 
     /// Full barrier path following from a strictly feasible `y`, cut
-    /// short when `done(y)` holds after a centering.
+    /// short when `done(y)` holds after a centering. Returns the Newton
+    /// iterations used; on numerical failure, `Err` carries those taken.
     fn barrier(
         &self,
         y: &mut [f64],
         opts: &SdpOptions,
         done: impl Fn(&[f64]) -> bool,
-    ) -> Option<usize> {
+    ) -> Result<usize, usize> {
         if self.free.is_empty() {
-            return Some(0);
+            return Ok(0);
         }
-        let mut chols = self.factor(y)?;
+        let mut chols = self.factor(y).ok_or(0usize)?;
         let nu = self.nu();
         let mut t = opts.t0;
         let mut total = 0;
         while nu / t > opts.tol {
-            total += self.center(t, y, &mut chols, opts.max_newton)?;
+            total += self.center(t, y, &mut chols, opts.max_newton).map_err(|it| total + it)?;
             if done(y) {
-                return Some(total);
+                return Ok(total);
             }
             t *= opts.mu;
             if total > 100_000 {
-                return None;
+                return Err(total);
             }
         }
-        total += self.center(nu / opts.tol, y, &mut chols, opts.max_newton)?;
-        Some(total)
+        total +=
+            self.center(nu / opts.tol, y, &mut chols, opts.max_newton).map_err(|it| total + it)?;
+        Ok(total)
     }
 
     /// Extends this work problem with the penalty variable `z`
@@ -463,15 +470,15 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
         }
         let interior = |yz: &[f64]| yz[w.m] < 0.0 && w.strictly_feasible(&yz[..w.m]);
         match ph1.barrier(&mut yz, &SdpOptions { tol: 1e-6, ..*opts }, interior) {
-            Some(it) => iters += it,
-            None => {
+            Ok(it) => iters += it,
+            Err(it) => {
                 let obj = p.obj(&y);
                 return SdpResult {
                     status: SdpStatus::Numerical,
                     y,
                     obj,
                     penalty_z: None,
-                    iterations: iters,
+                    iterations: iters + it,
                     fallbacks: 0,
                 };
             }
@@ -499,14 +506,14 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
     }
 
     match w.barrier(&mut y, opts, |_| false) {
-        Some(it) => iters += it,
-        None => {
+        Ok(it) => iters += it,
+        Err(it) => {
             return SdpResult {
                 status: SdpStatus::Numerical,
                 y: y.clone(),
                 obj: p.obj(&y),
                 penalty_z: None,
-                iterations: iters,
+                iterations: iters + it,
                 fallbacks: 0,
             }
         }
@@ -537,19 +544,19 @@ pub fn solve_penalty(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
         };
     }
     match pen.barrier(&mut yz, opts, |_| false) {
-        Some(iters) => {
+        Ok(iters) => {
             let z = yz[w.m].max(0.0);
             let y = yz[..w.m].to_vec();
             let obj = p.obj(&y);
             let status = if z > 1e-5 { SdpStatus::Infeasible } else { SdpStatus::Optimal };
             SdpResult { status, y, obj, penalty_z: Some(z), iterations: iters, fallbacks: 0 }
         }
-        None => SdpResult {
+        Err(iters) => SdpResult {
             status: SdpStatus::Numerical,
             y: yz[..w.m].to_vec(),
             obj: 0.0,
             penalty_z: None,
-            iterations: 0,
+            iterations: iters,
             fallbacks: 0,
         },
     }
@@ -697,6 +704,104 @@ mod tests {
         assert!(p.is_feasible(&res.y, 1e-5));
         // By symmetry y_i = c: S = C − cI ⪰ 0 ⇔ c ≤ λmin(C) = 0.5 → obj 1.5.
         assert!((res.obj - 1.5).abs() < 1e-3, "obj = {}", res.obj);
+    }
+
+    /// The Newton steps of the default barrier path from `y`, centering
+    /// by centering, up to and including the one that fails; `None` if
+    /// none does.
+    fn steps_until_failure(w: &Work, mut y: Vec<f64>) -> Option<usize> {
+        let opts = SdpOptions::default();
+        let mut chols = w.factor(&y).expect("strictly feasible start");
+        let (mut t, mut total) = (opts.t0, 0);
+        while w.nu() / t > opts.tol {
+            match w.center(t, &mut y, &mut chols, opts.max_newton) {
+                Ok(it) => total += it,
+                Err(it) => return Some(total + it),
+            }
+            t *= opts.mu;
+        }
+        None
+    }
+
+    #[test]
+    fn steps_before_a_numerical_failure_are_counted() {
+        // max c·(y0 + y1) s.t. 1 − y0 − y1 ≥ 0: y0 and y1 enter the block
+        // identically, so the Newton system is singular along y0 − y1 but
+        // for the box terms, at a scale growing like (t·c)². Past
+        // t·c ≈ 1e9 no shift the solver allows lifts its second pivot above
+        // the Cholesky tolerance, after several completed centerings.
+        let c = 1e4;
+        let mut p = SdpProblem::new(2);
+        p.b = vec![c, c];
+        p.lb = vec![-10.0; 2];
+        p.ub = vec![10.0; 2];
+        let mut blk = SdpBlock::new(1, 2);
+        blk.c = Matrix::from_diag(&[1.0]);
+        blk.set_a(0, Matrix::from_diag(&[1.0]));
+        blk.set_a(1, Matrix::from_diag(&[1.0]));
+        p.add_block(blk);
+        let w = Work::from_problem(&p);
+
+        let res = solve(&p, &SdpOptions::default());
+        assert_eq!(res.status, SdpStatus::Numerical);
+        assert_eq!(Some(res.iterations), steps_until_failure(&w, w.start_point()));
+
+        let res = solve_penalty(&p, &SdpOptions::default());
+        assert_eq!(res.status, SdpStatus::Numerical);
+        let pen = w.penalized(SdpOptions::default().penalty_gamma, 1.0, 0.0);
+        let mut yz = w.start_point();
+        yz.push(1.0); // the slack at the start point is 1: z0 = 0 + 1
+        assert_eq!(Some(res.iterations), steps_until_failure(&pen, yz));
+    }
+
+    /// The root relaxation of a minimum-2-partitioning MISDP on `n`
+    /// vertices with seeded weights, in the shape `misdp::gen` builds:
+    /// `max −Σ w_ij y_ij` s.t. `X ⪰ 0`, `X_ii = 1`, `X_ij = 2y_ij − 1`,
+    /// `y ∈ [0, 1]`.
+    fn mkp_relaxation(n: usize, seed: u64) -> SdpProblem {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let pairs: Vec<(usize, usize)> =
+            (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
+        let mut p = SdpProblem::new(pairs.len());
+        let mut blk = SdpBlock::new(n, pairs.len());
+        blk.c = Matrix::from_rows(n, n, vec![-1.0; n * n]).unwrap();
+        for d in 0..n {
+            blk.c[(d, d)] = 1.0;
+        }
+        for (v, &(i, j)) in pairs.iter().enumerate() {
+            p.b[v] = -(rng.gen_range(1..10) as f64);
+            p.lb[v] = 0.0;
+            p.ub[v] = 1.0;
+            let mut a = Matrix::zeros(n, n);
+            a[(i, j)] = -2.0;
+            a[(j, i)] = -2.0;
+            blk.set_a(v, a);
+        }
+        p.add_block(blk);
+        p
+    }
+
+    #[test]
+    fn recentering_a_centered_point_ends_at_once() {
+        // At t = 1e8, |f| is ≈ 1e9 and the Newton decrement stays above
+        // the 1e-10 exit. Without the stop on a gain below f's
+        // resolution, the second centering at 1e8 below ran to
+        // max_newton = 60 on each of these relaxations.
+        let opts = SdpOptions::default();
+        for (n, seed) in [(5, 2), (6, 0), (7, 0), (8, 0)] {
+            let w = Work::from_problem(&mkp_relaxation(n, seed));
+            let mut y = w.start_point();
+            let mut chols = w.factor(&y).expect("X = I at the box midpoint");
+            let mut t = opts.t0;
+            while t <= 1e8 {
+                w.center(t, &mut y, &mut chols, opts.max_newton).expect("centered");
+                t *= opts.mu;
+            }
+            let again = w.center(1e8, &mut y, &mut chols, opts.max_newton).expect("centered");
+            assert!(again <= 2, "n = {n}, seed {seed}: {again} Newton steps");
+        }
     }
 
     /// A random point `y` and a problem whose block slack at `y` is the

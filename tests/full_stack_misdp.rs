@@ -9,6 +9,7 @@ use ugrs::linalg::eigen::symmetric_eigen;
 use ugrs::linalg::Matrix;
 use ugrs::misdp::gen::{cardinality_ls, min_k_partitioning, truss_topology};
 use ugrs::misdp::{Approach, MisdpProblem, MisdpSolver};
+use ugrs::sdp::{solve, SdpOptions, SdpStatus};
 use ugrs::ug::ParallelOptions;
 
 /// Exact optimum by enumerating every assignment of the binaries and
@@ -150,6 +151,19 @@ fn sdp_tree_sizes_stay_near_the_reference() {
             res.stats.nodes
         );
     }
+}
+
+/// A centering ends once the gain its line search certifies is below the
+/// rounding of the barrier value; before that rule, centerings near
+/// `t = 10⁸` backtracked to `α ≈ 10⁻¹⁵` and ran to `max_newton`. This root
+/// relaxation took 183 Newton steps at commit 2510c5c and takes 72 with
+/// the rule.
+#[test]
+fn root_relaxation_newton_steps_stay_at_the_reference() {
+    let p = min_k_partitioning(6, 2, 1001);
+    let res = solve(&p.sdp_relaxation(&p.lb, &p.ub), &SdpOptions::default());
+    assert_eq!(res.status, SdpStatus::Optimal, "{}", p.name);
+    assert!(res.iterations <= 72, "{}: {} Newton steps, reference 72", p.name, res.iterations);
 }
 
 #[test]
