@@ -4,12 +4,13 @@
 //! The coefficient matrices the MISDP generators produce are tiny: one
 //! diagonal entry (CLS `zᵢ`), two off-diagonal entries (MkP), rank one
 //! (TTD), `−I` (CLS `t`, the penalty variable). The working form keeps
-//! each `Aᵢ` as its nonzeros and assembles the Newton system from one
-//! inverse `W = S⁻¹` per block, after Fujisawa–Kojima–Nakata:
-//! `∂ᵢ log det S = −⟨W, Aᵢ⟩` and `−∂ᵢ∂ⱼ log det S = ⟨W Aᵢ W, Aⱼ⟩`.
+//! each `Aᵢ` as its nonzeros, and a dense `Aᵢ` that is `σ g gᵀ` also as
+//! `(σ, g)`, and assembles the Newton system from one inverse `W = S⁻¹`
+//! per block, after Fujisawa–Kojima–Nakata: `∂ᵢ log det S = −⟨W, Aᵢ⟩` and
+//! `−∂ᵢ∂ⱼ log det S = ⟨W Aᵢ W, Aⱼ⟩`, by a formula chosen per pair of shapes.
 
 use crate::problem::{SdpBlock, SdpProblem};
-use ugrs_linalg::vector::axpy;
+use ugrs_linalg::vector::{axpy, dot};
 use ugrs_linalg::{CholeskyFactor, Matrix};
 
 /// Solver knobs.
@@ -64,6 +65,35 @@ pub struct SdpResult {
 
 const BOUND_INF: f64 = 1e8;
 
+/// How the Newton system treats a coefficient matrix `Aᵢ`.
+#[derive(Clone, Debug, PartialEq)]
+enum Shape {
+    /// At most `dim` nonzeros.
+    Sparse,
+    /// More than `dim` nonzeros, equal to `σ g gᵀ` (see [`rank_one`]).
+    RankOne { sigma: f64, g: Vec<f64> },
+    /// More than `dim` nonzeros, not rank one.
+    Dense,
+}
+
+/// `(σ, g)` with `σ = ±1` and `a = σ g gᵀ` entry by entry to `1e-13` of
+/// `a`'s largest entry, or `None`. `g` is the column of the largest
+/// diagonal entry `a_kk`, scaled by `1/√|a_kk|`.
+fn rank_one(a: &Matrix) -> Option<(f64, Vec<f64>)> {
+    let n = a.rows();
+    let k = (0..n).max_by(|&p, &q| a[(p, p)].abs().total_cmp(&a[(q, q)].abs()))?;
+    let pivot = a[(k, k)];
+    if pivot == 0.0 {
+        return None;
+    }
+    let sigma = pivot.signum();
+    let scale = pivot.abs().sqrt();
+    let g: Vec<f64> = (0..n).map(|p| a[(p, k)] / scale).collect();
+    let tol = 1e-13 * a.data().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let fits = (0..n).all(|p| (0..n).all(|q| (a[(p, q)] - sigma * g[p] * g[q]).abs() <= tol));
+    fits.then_some((sigma, g))
+}
+
 /// One coefficient matrix `Aᵢ` of a working block, as its nonzeros.
 #[derive(Clone)]
 struct Term {
@@ -72,6 +102,7 @@ struct Term {
     free: Option<usize>,
     /// `(p, q, a)` for every `Aᵢ[p][q] = a ≠ 0`, both triangles.
     entries: Vec<(usize, usize, f64)>,
+    shape: Shape,
 }
 
 impl Term {
@@ -80,28 +111,34 @@ impl Term {
         self.entries.iter().map(|&(p, q, a)| a * m[(p, q)]).sum()
     }
 
-    /// `g = W Aᵢ W` for a symmetric `W`. With at most `dim` nonzeros it is
-    /// a sum of outer products of `W`'s columns (`nnz·dim²` flops), else
-    /// the dense product `W (Aᵢ W)` (`dim³ + nnz·dim`); `aw` is scratch.
-    fn sandwich(&self, w: &Matrix, g: &mut Matrix, aw: &mut Matrix) {
-        let dim = w.rows();
-        g.data_mut().fill(0.0);
-        if self.entries.len() <= dim {
-            // a·W e_p e_qᵀ W: row r gains a·W[r][p]·(row q of W).
-            for &(p, q, a) in &self.entries {
-                for (r, &wpr) in w.row(p).iter().enumerate() {
-                    axpy(a * wpr, w.row(q), g.row_mut(r));
-                }
+    /// `uᵀ Aᵢ u`.
+    fn quad(&self, u: &[f64]) -> f64 {
+        self.entries.iter().map(|&(p, q, a)| a * u[p] * u[q]).sum()
+    }
+
+    /// `⟨W Aᵢ W, Aⱼ⟩ = Σ a·b·W[s][p]·W[q][r]` over `Aᵢ`'s nonzeros
+    /// `(p, q, a)` and `Aⱼ`'s `(r, s, b)`: `nnzᵢ·nnzⱼ` flops.
+    fn pair(&self, other: &Term, w: &Matrix) -> f64 {
+        let mut v = 0.0;
+        for &(p, q, a) in &self.entries {
+            for &(r, s, b) in &other.entries {
+                v += a * b * w[(s, p)] * w[(q, r)];
             }
-        } else {
-            aw.data_mut().fill(0.0);
-            for &(p, q, a) in &self.entries {
-                axpy(a, w.row(q), aw.row_mut(p));
-            }
-            for r in 0..dim {
-                for (p, &wrp) in w.row(r).iter().enumerate() {
-                    axpy(wrp, aw.row(p), g.row_mut(r));
-                }
+        }
+        v
+    }
+
+    /// `wiw = W Aᵢ W` for a symmetric `W` as the dense product `W (Aᵢ W)`
+    /// (`dim³ + nnz·dim` flops); `aw` is scratch.
+    fn sandwich(&self, w: &Matrix, wiw: &mut Matrix, aw: &mut Matrix) {
+        wiw.data_mut().fill(0.0);
+        aw.data_mut().fill(0.0);
+        for &(p, q, a) in &self.entries {
+            axpy(a, w.row(q), aw.row_mut(p));
+        }
+        for r in 0..w.rows() {
+            for (p, &wrp) in w.row(r).iter().enumerate() {
+                axpy(wrp, aw.row(p), wiw.row_mut(r));
             }
         }
     }
@@ -130,7 +167,14 @@ impl Block {
                     .flat_map(|p| (0..n).map(move |q| (p, q, a[(p, q)])))
                     .filter(|&(_, _, v)| v != 0.0)
                     .collect();
-                (!entries.is_empty()).then_some(Term { var, free: free_pos[var], entries })
+                let shape = if entries.len() <= n {
+                    Shape::Sparse
+                } else if let Some((sigma, g)) = rank_one(a) {
+                    Shape::RankOne { sigma, g }
+                } else {
+                    Shape::Dense
+                };
+                (!entries.is_empty()).then_some(Term { var, free: free_pos[var], entries, shape })
             })
             .collect();
         Block { dim: n, c: blk.c.clone(), terms }
@@ -152,17 +196,41 @@ impl Block {
 
     /// Adds this block's share of the Newton system at `W = S⁻¹`:
     /// `grad_i −= ⟨W, Aᵢ⟩` and `h_ij += ⟨W Aᵢ W, Aⱼ⟩` over its free terms.
+    /// With `u = W g` once per rank-one term, a pair with a rank-one
+    /// `σ g gᵀ` is `σᵢσⱼ(gᵢᵀuⱼ)²` or `σ uᵀAu`; a dense `Aᵢ` pairs through
+    /// its sandwich `W Aᵢ W`, a sparse one through [`Term::pair`].
     fn add_newton_terms(&self, w: &Matrix, grad: &mut [f64], h: &mut Matrix) {
-        let mut g = Matrix::zeros(self.dim, self.dim);
-        let mut aw = Matrix::zeros(self.dim, self.dim);
         let free: Vec<(usize, &Term)> =
             self.terms.iter().filter_map(|t| Some((t.free?, t))).collect();
+        let us: Vec<Vec<f64>> = free
+            .iter()
+            .map(|(_, t)| match &t.shape {
+                Shape::RankOne { g, .. } => w.matvec(g),
+                _ => Vec::new(),
+            })
+            .collect();
+        let (mut wiw, mut aw) =
+            (Matrix::zeros(self.dim, self.dim), Matrix::zeros(self.dim, self.dim));
         for (n, &(gi, ti)) in free.iter().enumerate() {
-            grad[gi] -= ti.inner(w);
-            ti.sandwich(w, &mut g, &mut aw);
+            grad[gi] -= match &ti.shape {
+                Shape::RankOne { sigma, g } => sigma * dot(g, &us[n]),
+                _ => ti.inner(w),
+            };
+            if ti.shape == Shape::Dense {
+                ti.sandwich(w, &mut wiw, &mut aw);
+            }
             // Terms run in variable order, so gj ≥ gi: one triangle, mirrored.
-            for &(gj, tj) in &free[n..] {
-                let v = tj.inner(&g);
+            for (&(gj, tj), uj) in free[n..].iter().zip(&us[n..]) {
+                let v = match (&ti.shape, &tj.shape) {
+                    (Shape::RankOne { sigma: si, g }, Shape::RankOne { sigma: sj, .. }) => {
+                        let d = dot(g, uj);
+                        si * sj * d * d
+                    }
+                    (Shape::RankOne { sigma, .. }, _) => sigma * tj.quad(&us[n]),
+                    (_, Shape::RankOne { sigma, .. }) => sigma * ti.quad(uj),
+                    (Shape::Dense, _) => tj.inner(&wiw),
+                    (Shape::Sparse, _) => ti.pair(tj, w),
+                };
                 h[(gi, gj)] += v;
                 if gi != gj {
                     h[(gj, gi)] += v;
@@ -291,16 +359,31 @@ impl Work {
         (grad, h)
     }
 
-    /// One centering: damped Newton maximization of `f(t, ·)` from `y`.
-    /// `chols` factors the slacks at `y` and follows it: the factor of
-    /// the accepted trial point is the next step's. Returns the Newton
-    /// iterations used; on numerical failure, `Err` carries those taken.
+    /// The Newton-decrement exit `λ²` of the centering at `t` on the path
+    /// to `ν/tol`: `¼`, where damped Newton on a self-concordant barrier
+    /// enters its quadratic phase, except for the last three centerings
+    /// (`t·μ² ≥ ν/tol`), which end at `1e-10` — or at `f`'s resolution,
+    /// see [`Work::center`] — because their points are what a solve returns.
+    fn decrement_exit(&self, t: f64, opts: &SdpOptions) -> f64 {
+        if t * opts.mu * opts.mu >= self.nu() / opts.tol {
+            1e-10
+        } else {
+            0.25
+        }
+    }
+
+    /// One centering: damped Newton maximization of `f(t, ·)` from `y`
+    /// until the Newton decrement `λ²` is at most `exit`. `chols` factors
+    /// the slacks at `y` and follows it: the factor of the accepted trial
+    /// point is the next step's. Returns the Newton iterations used; on
+    /// numerical failure, `Err` carries those taken.
     fn center(
         &self,
         t: f64,
         y: &mut [f64],
         chols: &mut Vec<CholeskyFactor>,
         max_newton: usize,
+        exit: f64,
     ) -> Result<usize, usize> {
         let mut ytrial = y.to_vec();
         for iters in 1..=max_newton {
@@ -310,7 +393,7 @@ impl Work {
                 .and_then(|hc| hc.solve(&grad))
                 .map_err(|_| iters)?;
             let decrement: f64 = grad.iter().zip(&dx).map(|(g, d)| g * d).sum();
-            if decrement < 1e-10 {
+            if decrement <= exit {
                 return Ok(iters);
             }
             // Backtracking line search maintaining strict feasibility. A
@@ -366,8 +449,12 @@ impl Work {
         let nu = self.nu();
         let mut t = opts.t0;
         let mut total = 0;
+        let mut center_at = |t: f64, y: &mut [f64], total: usize| {
+            let exit = self.decrement_exit(t, opts);
+            self.center(t, y, &mut chols, opts.max_newton, exit).map_err(|it| total + it)
+        };
         while nu / t > opts.tol {
-            total += self.center(t, y, &mut chols, opts.max_newton).map_err(|it| total + it)?;
+            total += center_at(t, y, total)?;
             if done(y) {
                 return Ok(total);
             }
@@ -376,9 +463,47 @@ impl Work {
                 return Err(total);
             }
         }
-        total +=
-            self.center(nu / opts.tol, y, &mut chols, opts.max_newton).map_err(|it| total + it)?;
+        total += center_at(nu / opts.tol, y, total)?;
         Ok(total)
+    }
+
+    /// The verdict on a phase-1/penalty point `yz = (y, z)` with `z > 0`:
+    /// `Infeasible` only if its slacks certify that no `y` in the box is
+    /// feasible, else `Numerical`. With `Z_k = (S_k(y) + z·I)⁻¹ ≻ 0`,
+    /// every feasible `y` has `Σ_k ⟨S_k(y), Z_k⟩ ≥ 0`; that sum is affine
+    /// in `y`, so a negative maximum over the box (Farkas) rules them all
+    /// out. A path that stalled short of its optimum leaves `z > 0` with no
+    /// such certificate.
+    fn infeasible_or_numerical(&self, yz: &[f64]) -> SdpStatus {
+        let (y, z) = (&yz[..self.m], yz[self.m]);
+        let mut sup = 0.0;
+        let mut coef = vec![0.0; self.m];
+        for blk in &self.blocks {
+            let mut s = blk.slack(y);
+            for d in 0..blk.dim {
+                s[(d, d)] += z;
+            }
+            let Ok(chol) = CholeskyFactor::new(&s) else { return SdpStatus::Numerical };
+            let zk = chol.inverse();
+            sup += dot(blk.c.data(), zk.data());
+            for term in &blk.terms {
+                coef[term.var] += term.inner(&zk);
+            }
+        }
+        // Σ_k ⟨S_k(y), Z_k⟩ = sup − Σᵢ coefᵢ·yᵢ: take each yᵢ at the bound
+        // that maximizes it.
+        for (i, &c) in coef.iter().enumerate().filter(|&(_, &c)| c != 0.0) {
+            let at = if c > 0.0 { self.lb[i] } else { self.ub[i] };
+            if at.abs() >= BOUND_INF {
+                return SdpStatus::Numerical;
+            }
+            sup -= c * at;
+        }
+        if sup < 0.0 {
+            SdpStatus::Infeasible
+        } else {
+            SdpStatus::Numerical
+        }
     }
 
     /// Extends this work problem with the penalty variable `z`
@@ -399,7 +524,7 @@ impl Work {
                 // A_z = −I ⇒ S' = S + z·I.
                 let mut nb = blk.clone();
                 let entries = (0..blk.dim).map(|d| (d, d, -1.0)).collect();
-                nb.terms.push(Term { var: self.m, free: z, entries });
+                nb.terms.push(Term { var: self.m, free: z, entries, shape: Shape::Sparse });
                 nb
             })
             .collect();
@@ -486,7 +611,7 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
         let z = yz[w.m];
         if z > 1e-5 {
             return SdpResult {
-                status: SdpStatus::Infeasible,
+                status: w.infeasible_or_numerical(&yz),
                 y: yz[..w.m].to_vec(),
                 obj: 0.0,
                 penalty_z: Some(z),
@@ -548,7 +673,7 @@ pub fn solve_penalty(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
             let z = yz[w.m].max(0.0);
             let y = yz[..w.m].to_vec();
             let obj = p.obj(&y);
-            let status = if z > 1e-5 { SdpStatus::Infeasible } else { SdpStatus::Optimal };
+            let status = if z > 1e-5 { w.infeasible_or_numerical(&yz) } else { SdpStatus::Optimal };
             SdpResult { status, y, obj, penalty_z: Some(z), iterations: iters, fallbacks: 0 }
         }
         Err(iters) => SdpResult {
@@ -714,7 +839,7 @@ mod tests {
         let mut chols = w.factor(&y).expect("strictly feasible start");
         let (mut t, mut total) = (opts.t0, 0);
         while w.nu() / t > opts.tol {
-            match w.center(t, &mut y, &mut chols, opts.max_newton) {
+            match w.center(t, &mut y, &mut chols, opts.max_newton, w.decrement_exit(t, &opts)) {
                 Ok(it) => total += it,
                 Err(it) => return Some(total + it),
             }
@@ -795,28 +920,68 @@ mod tests {
             let mut y = w.start_point();
             let mut chols = w.factor(&y).expect("X = I at the box midpoint");
             let mut t = opts.t0;
+            let mut center = |t: f64| {
+                let exit = w.decrement_exit(t, &opts);
+                w.center(t, &mut y, &mut chols, opts.max_newton, exit).expect("centered")
+            };
             while t <= 1e8 {
-                w.center(t, &mut y, &mut chols, opts.max_newton).expect("centered");
+                center(t);
                 t *= opts.mu;
             }
-            let again = w.center(1e8, &mut y, &mut chols, opts.max_newton).expect("centered");
+            let again = center(1e8);
             assert!(again <= 2, "n = {n}, seed {seed}: {again} Newton steps");
         }
     }
 
-    /// A random point `y` and a problem whose block slack at `y` is the
-    /// random PD `MᵀM + I`, with one variable per coefficient shape the
-    /// generators produce: diagonal (0), two-entry off-diagonal (1),
-    /// dense rank one (2), −I (3), full dense (4), a variable found only
-    /// in the linear row (5), and a fixed one (6). The two-sided row over
-    /// 0, 2 and 5 folds into two 1×1 blocks.
+    /// `σ g gᵀ`.
+    fn outer(sigma: f64, g: &[f64]) -> Matrix {
+        let n = g.len();
+        Matrix::from_rows(
+            n,
+            n,
+            g.iter().flat_map(|&p| g.iter().map(move |&q| sigma * p * q)).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn rank_one_accepts_signed_outer_products_only() {
+        let g = [0.3, -1.2, 0.7, 2.1];
+        for sigma in [1.0, -1.0] {
+            let a = outer(sigma, &g);
+            let (s, h) = rank_one(&a).expect("σ g gᵀ is rank one");
+            assert_eq!(s, sigma);
+            let back = outer(s, &h);
+            for (x, y) in a.data().iter().zip(back.data()) {
+                assert!((x - y).abs() <= 1e-13 * 4.41, "{x} vs {y}");
+            }
+        }
+        let mut two = outer(1.0, &g);
+        two.add_scaled(1.0, &outer(1.0, &[1.0, 0.5, -0.25, 0.0])).unwrap();
+        assert!(rank_one(&two).is_none(), "rank two");
+        let mut bent = outer(-1.0, &g);
+        bent[(0, 1)] += 1e-10 * 4.41;
+        bent[(1, 0)] += 1e-10 * 4.41;
+        assert!(rank_one(&bent).is_none(), "g gᵀ perturbed by 1e-10 of its largest entry");
+        assert!(rank_one(&Matrix::zeros(3, 3)).is_none());
+    }
+
+    /// A random point `y` and a problem whose block slacks at `y` are
+    /// random PD matrices `MᵀM + I`. The first block has one variable per
+    /// coefficient shape the generators produce: diagonal (0), two-entry
+    /// off-diagonal (1), dense rank one (2), −I (3), full dense (4), a
+    /// variable found only in the linear row (5), and a fixed one (6). The
+    /// second is a penalized TTD block: the −I of 3, then one axis bar
+    /// `−c e_k e_kᵀ` per dimension and three dense bars `−g gᵀ` (variables
+    /// from 7 on). The two-sided row over 0, 2 and 5 folds into two 1×1
+    /// blocks.
     fn newton_case(dim: usize, seed: u64) -> (SdpProblem, Vec<f64>) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut uniform =
             |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect() };
-        let m = 7;
+        let m = 7 + dim + 3;
         let y = uniform(m);
         let mut a: Vec<Option<Matrix>> = vec![None; m];
         let mut diag = Matrix::zeros(dim, dim);
@@ -826,45 +991,47 @@ mod tests {
         pair[(0, dim - 1)] = -0.75;
         pair[(dim - 1, 0)] = -0.75;
         a[1] = Some(pair);
-        let g = uniform(dim);
-        let mut rank_one = Matrix::zeros(dim, dim);
-        for p in 0..dim {
-            for q in 0..dim {
-                rank_one[(p, q)] = -g[p] * g[q];
-            }
-        }
-        a[2] = Some(rank_one);
+        a[2] = Some(outer(-1.0, &uniform(dim)));
         let mut neg_i = Matrix::identity(dim);
         ugrs_linalg::vector::scale(-1.0, neg_i.data_mut());
-        a[3] = Some(neg_i);
+        a[3] = Some(neg_i.clone());
         let mut dense = Matrix::from_rows(dim, dim, uniform(dim * dim)).unwrap();
         dense.symmetrize();
         a[4] = Some(dense);
         let mut fixed = Matrix::from_rows(dim, dim, uniform(dim * dim)).unwrap();
         fixed.symmetrize();
         a[6] = Some(fixed);
+        let mut ttd: Vec<Option<Matrix>> = vec![None; m];
+        ttd[3] = Some(neg_i);
+        for (k, bar) in ttd[7..].iter_mut().enumerate() {
+            let g = if k < dim {
+                let mut g = vec![0.0; dim];
+                g[k] = 1.25 + uniform(1)[0] / 4.0;
+                g
+            } else {
+                uniform(dim)
+            };
+            *bar = Some(outer(-1.0, &g));
+        }
 
-        let mraw = Matrix::from_rows(dim, dim, uniform(dim * dim)).unwrap();
-        let mut c = mraw.transpose().matmul(&mraw).unwrap();
-        for d in 0..dim {
-            c[(d, d)] += 1.0;
-        }
-        for (i, ai) in a.iter().enumerate() {
-            if let Some(ai) = ai {
-                c.add_scaled(y[i], ai).unwrap();
-            }
-        }
         let mut p = SdpProblem::new(m);
         p.lb[6] = y[6];
         p.ub[6] = y[6];
-        let mut blk = SdpBlock::new(dim, m);
-        blk.c = c;
-        for (i, ai) in a.into_iter().enumerate() {
-            if let Some(ai) = ai {
-                blk.set_a(i, ai);
+        for a in [a, ttd] {
+            let mraw = Matrix::from_rows(dim, dim, uniform(dim * dim)).unwrap();
+            let mut blk = SdpBlock::new(dim, m);
+            blk.c = mraw.transpose().matmul(&mraw).unwrap();
+            for d in 0..dim {
+                blk.c[(d, d)] += 1.0;
             }
+            for (i, ai) in a.into_iter().enumerate() {
+                if let Some(ai) = ai {
+                    blk.c.add_scaled(y[i], &ai).unwrap();
+                    blk.set_a(i, ai);
+                }
+            }
+            p.add_block(blk);
         }
-        p.add_block(blk);
         let terms = vec![(0, 0.5), (2, -1.25), (5, 2.0)];
         let act: f64 = terms.iter().map(|&(i, c)| c * y[i]).sum();
         p.add_lin_row(act - 0.7, act + 1.3, terms);
@@ -918,14 +1085,40 @@ mod tests {
         (grad, h)
     }
 
+    /// `PROPTEST_CASES` when it is set, else `default`.
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    }
+
+    /// The shapes of a block's terms, one letter each, in term order.
+    fn shapes(blk: &Block) -> String {
+        let letter = |t: &Term| match t.shape {
+            Shape::Sparse => 'S',
+            Shape::RankOne { .. } => 'R',
+            Shape::Dense => 'D',
+        };
+        blk.terms.iter().map(letter).collect()
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(64)))]
 
         #[test]
         fn newton_system_matches_its_definition(dim in 1usize..7, seed in proptest::prelude::any::<u64>()) {
             let (p, y) = newton_case(dim, seed);
             let w = Work::from_problem(&p);
-            assert_eq!(w.free, vec![0, 1, 2, 3, 4, 5]);
+            assert_eq!(w.free, (0..p.m).filter(|&i| i != 6).collect::<Vec<_>>());
+            if dim > 1 {
+                // Between them the two blocks pair rank one with rank one
+                // (2 with itself, the dense bars with each other), rank one
+                // with the rest (2 with 3, 4), the rest with rank one (0 with
+                // 2, −I and the axis bars with the dense bars), dense with
+                // dense (4 with itself) and sparse with non-rank-one
+                // (0 with 1, 3, 4; −I with the axis bars): every formula of
+                // `Block::add_newton_terms`.
+                assert_eq!(shapes(&w.blocks[0]), "SSRSDD");
+                assert_eq!(shapes(&w.blocks[1]), format!("S{}RRR", "S".repeat(dim)));
+            }
             let chols = w.factor(&y).expect("S(y) is PD by construction");
             // b = 0 and no finite bounds on the free variables: only the
             // log det terms remain.

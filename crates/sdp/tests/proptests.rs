@@ -54,8 +54,13 @@ fn build(r: &RandomSdp) -> SdpProblem {
     p
 }
 
+/// `PROPTEST_CASES` when it is set, else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(cases(32)))]
 
     #[test]
     fn solution_is_feasible_and_locally_optimal(r in random_sdp()) {

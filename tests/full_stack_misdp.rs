@@ -155,15 +155,28 @@ fn sdp_tree_sizes_stay_near_the_reference() {
 
 /// A centering ends once the gain its line search certifies is below the
 /// rounding of the barrier value; before that rule, centerings near
-/// `t = 10⁸` backtracked to `α ≈ 10⁻¹⁵` and ran to `max_newton`. This root
-/// relaxation took 183 Newton steps at commit 2510c5c and takes 72 with
-/// the rule.
+/// `t = 10⁸` backtracked to `α ≈ 10⁻¹⁵` and ran to `max_newton`. And every
+/// centering but the last three ends at a Newton decrement `λ² ≤ ¼`
+/// instead of `1e-10`. The root relaxations of an MkP and a TTD instance
+/// pin the Newton steps the two rules leave.
 #[test]
 fn root_relaxation_newton_steps_stay_at_the_reference() {
-    let p = min_k_partitioning(6, 2, 1001);
-    let res = solve(&p.sdp_relaxation(&p.lb, &p.ub), &SdpOptions::default());
-    assert_eq!(res.status, SdpStatus::Optimal, "{}", p.name);
-    assert!(res.iterations <= 72, "{}: {} Newton steps, reference 72", p.name, res.iterations);
+    let cases = [
+        // 183 steps at commit 2510c5c, 72 at 758b6f4 (every centering exact).
+        (min_k_partitioning(6, 2, 1001), 59),
+        // 70 steps at 758b6f4.
+        (truss_topology(6, 20, 1002), 52),
+    ];
+    for (p, reference) in cases {
+        let res = solve(&p.sdp_relaxation(&p.lb, &p.ub), &SdpOptions::default());
+        assert_eq!(res.status, SdpStatus::Optimal, "{}", p.name);
+        assert!(
+            res.iterations <= reference,
+            "{}: {} Newton steps, reference {reference}",
+            p.name,
+            res.iterations
+        );
+    }
 }
 
 #[test]

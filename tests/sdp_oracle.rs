@@ -5,13 +5,18 @@
 //! eigenvalues, and one binding row `Σ y_k ≤ r` makes it `r`. The
 //! reference is computed with `linalg::eigen` alone (`L = A_k^{1/2}`) and
 //! never calls the barrier.
+//!
+//! Every such problem is feasible, so a solve may fail (`Numerical`) but
+//! never lie: `barrier_never_lies` admits `Optimal` at the closed form or
+//! `Numerical`, at 1 024 cases or `PROPTEST_CASES`. The stricter
+//! `barrier_reaches_the_closed_form_optimum` demands `Optimal` on its 64.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use ugrs::linalg::eigen::symmetric_eigen;
 use ugrs::linalg::Matrix;
-use ugrs::sdp::{solve, solve_penalty, SdpBlock, SdpOptions, SdpProblem, SdpStatus};
+use ugrs::sdp::{solve, solve_penalty, SdpBlock, SdpOptions, SdpProblem, SdpResult, SdpStatus};
 
 /// A random symmetric `d × d` matrix with entries in `[−1, 1]`.
 fn symmetric(d: usize, rng: &mut SmallRng) -> Matrix {
@@ -70,8 +75,58 @@ fn separable(dims: &[usize], seed: u64, binding_row: bool) -> (SdpProblem, f64) 
     (p, optimum)
 }
 
+/// `PROPTEST_CASES` when it is set, else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
+
+/// A solve of `p` either reaches `optimum` or admits a numerical failure;
+/// it never claims infeasibility and never reports a wrong optimum.
+fn check_never_lies(name: &str, optimum: f64, res: SdpResult) -> Result<(), TestCaseError> {
+    let tol = 1e-6 * optimum.abs().max(1.0);
+    match res.status {
+        SdpStatus::Numerical => {}
+        SdpStatus::Optimal => {
+            prop_assert!((res.obj - optimum).abs() <= tol, "{}: {} vs {}", name, res.obj, optimum)
+        }
+        status => prop_assert!(false, "{}: {:?} on a feasible SDP", name, status),
+    }
+    Ok(())
+}
+
+/// The t = 1 centering of this penalty solve runs out of Newton steps
+/// (Γ = 1e5 against unit-scale data), the line search then stalls, and
+/// the path used to end at z = 0.523 and report the feasible problem
+/// Infeasible. Without a Farkas certificate it may only say Numerical.
+#[test]
+fn stalled_penalty_solve_does_not_report_a_feasible_sdp_infeasible() {
+    let (p, optimum) = separable(&[2, 6, 4], 4141335149884617536, false);
+    assert!((optimum + 3.5335).abs() < 1e-4, "optimum {optimum}");
+    for (name, res) in [
+        ("solve", solve(&p, &SdpOptions::default())),
+        ("solve_penalty", solve_penalty(&p, &SdpOptions::default())),
+    ] {
+        check_never_lies(name, optimum, res).unwrap();
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases(1024)))]
+
+    #[test]
+    fn barrier_never_lies(
+        dims in proptest::collection::vec(1usize..7, 1..4),
+        seed in any::<u64>(),
+        binding_row in any::<bool>(),
+    ) {
+        let (p, optimum) = separable(&dims, seed, binding_row);
+        check_never_lies("solve", optimum, solve(&p, &SdpOptions::default()))?;
+        check_never_lies("solve_penalty", optimum, solve_penalty(&p, &SdpOptions::default()))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
 
     #[test]
     fn barrier_reaches_the_closed_form_optimum(

@@ -122,10 +122,13 @@ fn progress_sink_sees_live_and_final_snapshots() {
 fn ugd_journal_replays_a_racing_run_and_skips_retired_events() {
     let path = journal_path("racing");
     // A zero time trigger decides the race at the coordinator's first
-    // check; a racer that solves the root before that leaves no winner,
-    // so try a few instances.
+    // check, after it has drained the messages of its first 2 ms; a
+    // racer that solves the root before that leaves no winner, so try a
+    // few instances. On `nontrivial_graph`'s 5 × 9 graphs both racers
+    // could finish every one of 40 instances in that window (5 of 40
+    // runs failed on a 2-vCPU host); 7 × 14 graphs keep them busier.
     let decided = (0..5).any(|k| {
-        let g = nontrivial_graph(42 + 100 * k);
+        let g = bipartite(7, 14, 3, CostScheme::Perturbed, 42 + 100 * k);
         let journal = Arc::new(Journal::create(&path).unwrap());
         let r = ug_solve_stp(
             &g,
