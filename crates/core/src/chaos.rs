@@ -7,8 +7,8 @@
 //! one-line JSON the plan serializes to (`--chaos-seed`/
 //! `--chaos-profile` on `ugd-worker`/`ugd-server`, see the README
 //! chaos runbook). The injector sits on the worker's frame-write path
-//! ([`write_frame`], called by the per-call session's
-//! [`crate::process::Endpoint`] and by the pool worker's uplink);
+//! ([`write_frame`], called by every worker's
+//! [`crate::process::Endpoint`], per-call and pool alike);
 //! every outgoing frame (heartbeats included) advances the schedule,
 //! which gives the plan a steady clock even while the solver is quiet.
 //!
@@ -28,7 +28,7 @@
 //!   while; the connection is torn down when the partition lifts (or
 //!   earlier, by the peer's liveness sweep), so the suppressed frames
 //!   are replayed by the session resume — never leaving a sequence
-//!   gap — or, on a pool connection, the worker is replaced.
+//!   gap.
 //! * **Kill** — the worker process exits immediately (exit code 137,
 //!   as if SIGKILLed): exercises the `WorkerDied` → requeue path.
 

@@ -50,8 +50,8 @@ pub enum LcComm<Sub, Sol> {
     /// TCP to spawned worker processes (ParaSCIP-style).
     Process(ProcessLcComm<Sub, Sol>),
     /// Leased standing-pool workers of one `ugd-server` job
-    /// ([`crate::server`]): same frames as `Process`, but multiplexed
-    /// over connections that outlive the job.
+    /// ([`crate::server`]): the same sessions as `Process`, but
+    /// multiplexed over connections that outlive the job.
     Job(JobComm<Sub, Sol>),
 }
 

@@ -60,15 +60,14 @@ pub use checkpoint::{write_atomic, Checkpoint};
 pub use gateway::{Gateway, GatewayConfig, ShardSpec, TenantQuota};
 pub use ledger::{JobLedger, LedgerRecord, RecoveredJob, Recovery};
 pub use messages::{Message, SubproblemMsg};
-pub use process::ProcessCommConfig;
+pub use process::{Hello, ProcessCommConfig, Welcome};
 pub use runner::{
     run_distributed_worker, solve_parallel, solve_parallel_distributed, DistributedOptions,
     ParallelOptions, ParallelResult, RampUp,
 };
 pub use server::{
     serve_worker, ClientRequest, JobClient, JobEvent, JobEventKind, JobSpec, JobState, JobSummary,
-    PoolDown, PoolHello, PoolUp, PoolWelcome, Server, ServerConfig, ServerReply, ServerStatus,
-    WireType, WorkerInfo, POOL_PROTOCOL_VERSION,
+    PoolDown, PoolUp, Server, ServerConfig, ServerReply, ServerStatus, WireType, WorkerInfo,
 };
 pub use server::{FleetStatus, JobProgress, MetricsReport, ShardSummary, SubmitOutcome};
 pub use settings::SolverSettings;

@@ -1,28 +1,40 @@
-//! The distributed back-end: **ProcessComm**, `ug [ugrs-*,
-//! ProcessComm]` — the ParaSCIP half of the paper's transport matrix,
-//! with localhost TCP standing in for MPI.
+//! The worker transport: **ProcessComm**, `ug [ugrs-*, ProcessComm]` —
+//! the ParaSCIP half of the paper's transport matrix, with localhost
+//! TCP standing in for MPI — and the connection layer of `ugd-server`'s
+//! worker pool, which is the same thing.
 //!
 //! Topology is a star, exactly like UG's LoadCoordinator-centric MPI
-//! layout: the coordinator process binds a [`ProcessListener`], spawns
-//! (or is joined by) worker processes, and each worker holds one
-//! connection carrying [`crate::wire`] frames both ways.
+//! layout: the coordinator process listens, spawns (or is joined by)
+//! worker processes, and each worker holds one connection carrying
+//! [`crate::wire`] frames both ways.
 //!
-//! **Handshake.** A connecting worker sends `Hello { protocol,
-//! rank_hint, max_protocol, resume }` (always as a v1 frame); the
-//! coordinator verifies the base protocol and the advertised wire
-//! revision (`require_revision`: [`PROTOCOL_VERSION`] or refused —
-//! the connection is closed without a welcome and without touching a
-//! rank slot), assigns a rank (honoring the hint when free — this is
-//! what makes spawned worker *i* deterministically become rank *i*),
-//! and answers `Welcome { rank, num_workers, protocol, session }`.
-//! After the welcome both directions speak checksummed v2 frames
-//! carrying binary payloads, each written directly to the socket.
-//! Version-mismatched or garbled connections are dropped before they
-//! can corrupt a run. Each connection handshakes on its own thread, so
-//! a client that stalls mid-hello occupies only itself — never the
-//! accept loop, and never a rank slot (ranks are claimed only once a
-//! complete hello arrives, and released again if the welcome cannot be
-//! written).
+//! **One session layer, two owners.** [`Sessions`] is the coordinator
+//! half of every worker connection: the accept loop, the
+//! hello/welcome/resume handshake, one reader per connection, the ack
+//! carrier, the liveness sweep and death reporting. It accepts members
+//! at any time. What a delivered payload or a death *means* belongs to
+//! its [`SessionOwner`]: [`ProcessLcComm`] (a per-call run: `n` fixed
+//! ranks, payloads are [`Message`]s) or the server's pool
+//! ([`crate::server`]: members come and go, payloads are
+//! [`crate::server::PoolUp`]). The worker half — dial, hello, the
+//! reader with its reconnect policy, the heartbeat — is [`WorkerLink`],
+//! shared by [`connect_worker`] and [`crate::server::serve_worker`].
+//!
+//! **Handshake.** A connecting worker sends a [`Hello`] (always as a v1
+//! frame); the coordinator verifies the base protocol and the
+//! advertised wire revision (`require_revision`: [`PROTOCOL_VERSION`]
+//! or refused — the connection is closed without a welcome and without
+//! taking a member id), lets the owner pick the member id (a per-call
+//! run honors the rank hint when free — this is what makes spawned
+//! worker *i* deterministically become rank *i*; the pool marries the
+//! spawn tag back to its `Child`), and answers with a [`Welcome`]
+//! carrying the id and a session token. After the welcome both
+//! directions speak checksummed v2 frames carrying binary payloads,
+//! each written directly to the socket. Each connection handshakes on
+//! its own thread, so a client that stalls mid-hello occupies only
+//! itself — never the accept loop, and never a member id (ids are
+//! taken only once a complete hello arrives, and given back if the
+//! welcome cannot be written).
 //!
 //! **Self-healing.** Both ends of a connection hold the same
 //! [`Endpoint`]: the write half, the session token from the welcome,
@@ -37,21 +49,21 @@
 //! ordering rule); duplicate deliveries are suppressed by sequence
 //! number, and a sequence *gap* (a frame from the future) is treated
 //! as a torn stream that forces another reconnect, so in-stream loss
-//! can never be silently accepted ([`Endpoint::on_header`]). The
-//! supervisor never hears about a transient drop. Only when the
-//! deadline expires (or with a zero deadline, or when a retransmit
-//! ring overflows) does the transport synthesize
-//! [`Message::WorkerDied`] — exactly once per rank — and the existing
-//! requeue → pool-refill path fires. Recoveries are recorded in
-//! `ugrs_comm_reconnects_total` and
+//! can never be silently accepted ([`Endpoint::on_header`]). The owner
+//! never hears about a transient drop. Only when the deadline expires
+//! (or with a zero deadline, or when a retransmit ring overflows) does
+//! the session die — reported to the owner exactly once, which turns
+//! it into [`Message::WorkerDied`] and the requeue → refill path.
+//! Recoveries are recorded in `ugrs_comm_reconnects_total` and
 //! `ugrs_comm_frames_retransmitted_total`; anomalies in
 //! `ugrs_comm_seq_gaps_total` and `ugrs_comm_ring_overflows_total`.
 //!
-//! **Liveness.** Every worker runs a heartbeat thread sending `Ping`
-//! at a fixed interval, independent of solving, so a busy-but-healthy
-//! worker deep in a subtree is never declared dead. A liveness sweep
-//! in `recv_timeout` catches the hung-but-connected case: the silent
-//! socket is shut down, which merely opens the reconnect window.
+//! **Liveness.** Every worker runs a heartbeat thread sending an empty
+//! unsequenced frame at a fixed interval, independent of solving, so a
+//! busy-but-healthy worker deep in a subtree is never declared dead.
+//! The owner's periodic [`Sessions::sweep`] catches the
+//! hung-but-connected case: the silent socket is shut down, which
+//! merely opens the reconnect window.
 //!
 //! **Chaos.** With [`ProcessCommConfig::chaos`] set, the worker's
 //! endpoint passes every outgoing frame through
@@ -67,23 +79,23 @@ use crate::chaos::{self, ChaosConfig, FrameFaults, SplitMix64};
 use crate::messages::Message;
 use crate::rpc::{accept_loop, wake_listener};
 use crate::telemetry;
-use crate::wire::{self, FrameDecoder, FrameHeader, UNSEQ};
+use crate::wire::{self, FrameDecoder, FrameHeader, WireError, UNSEQ};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// The wire revision every worker connection — per-call session or
-/// pool — speaks after its handshake: checksummed, sequence-numbered
-/// v2 frames carrying the binary payload codec. Advertised as
-/// `max_protocol` in the hello and as `protocol` in the welcome; a
-/// peer advertising anything else is refused (`require_revision`,
-/// PROTOCOL.md §4).
+/// The wire revision every worker connection speaks after its
+/// handshake: checksummed, sequence-numbered v2 frames carrying the
+/// binary payload codec. Advertised as `max_protocol` in the hello and
+/// as `protocol` in the welcome; a peer advertising anything else is
+/// refused (`require_revision`, PROTOCOL.md §4).
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// The base protocol every peer must share for the handshake itself;
@@ -116,13 +128,13 @@ pub struct ProcessCommConfig {
     /// How long the coordinator waits for all workers to connect and
     /// complete the hello/welcome exchange.
     pub handshake_timeout: Duration,
-    /// A rank whose last frame (of any kind) is older than this is
+    /// A worker whose last frame (of any kind) is older than this is
     /// declared unreachable even though its socket is still open.
     pub liveness_timeout: Duration,
-    /// Interval of the worker-side heartbeat `Ping`.
+    /// Interval of the worker-side heartbeat.
     pub heartbeat_interval: Duration,
     /// Budget for a broken connection to reconnect and resume its
-    /// session before the rank is declared dead. Zero disables
+    /// session before the worker is declared dead. Zero disables
     /// reconnection entirely (every break is an immediate
     /// [`Message::WorkerDied`]).
     pub reconnect_deadline: Duration,
@@ -146,7 +158,7 @@ impl Default for ProcessCommConfig {
 impl ProcessCommConfig {
     /// Rejects configurations that would flap ranks: the liveness
     /// timeout must exceed twice the heartbeat interval, otherwise a
-    /// single delayed ping gets a healthy rank declared dead.
+    /// single delayed heartbeat gets a healthy worker declared dead.
     pub fn validate(&self) -> Result<(), String> {
         if self.liveness_timeout <= self.heartbeat_interval * 2 {
             return Err(format!(
@@ -159,10 +171,10 @@ impl ProcessCommConfig {
     }
 }
 
-/// The revision check of every worker handshake, per-call and pool,
-/// hello and welcome alike: the peer advertises [`PROTOCOL_VERSION`]
-/// or the connection is refused. There is nothing to negotiate — every
-/// binary is built from one tree.
+/// The revision check of every worker handshake, hello and welcome
+/// alike: the peer advertises [`PROTOCOL_VERSION`] or the connection is
+/// refused. There is nothing to negotiate — every binary is built from
+/// one tree.
 pub(crate) fn require_revision(who: &str, advertised: Option<u32>) -> io::Result<()> {
     if advertised == Some(PROTOCOL_VERSION) {
         return Ok(());
@@ -182,57 +194,78 @@ fn validated(config: &ProcessCommConfig) -> io::Result<()> {
     config.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
-/// Everything that crosses a worker connection after the handshake.
-#[derive(serde::Serialize, serde::Deserialize)]
-enum WireMsg<Sub, Sol> {
-    /// Keep-alive / ack carrier; consumed by the transport, never
-    /// surfaced to coordination logic.
-    Ping { rank: usize },
-    /// A protocol message, verbatim.
-    Msg(Message<Sub, Sol>),
-}
-
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Hello {
+/// The first frame of every worker connection, per-call and pool.
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+pub struct Hello {
     /// Always [`BASE_PROTOCOL`].
-    protocol: u32,
-    rank_hint: Option<usize>,
+    pub protocol: u32,
+    /// The rank a spawned per-call worker asks for.
+    #[serde(default)]
+    pub rank_hint: Option<usize>,
     /// The wire revision the worker speaks after the welcome; anything
     /// but [`PROTOCOL_VERSION`] (or nothing) is refused.
     #[serde(default)]
-    max_protocol: Option<u32>,
+    pub max_protocol: Option<u32>,
     /// Present when re-attaching to an existing session.
     #[serde(default)]
-    resume: Option<Resume>,
+    pub resume: Option<Resume>,
+    /// The spawn tag a server passed on a pool worker's command line,
+    /// so the server can marry the connection back to the `Child` it
+    /// spawned. `None` for externally started workers.
+    #[serde(default)]
+    pub tag: Option<u64>,
+    /// The worker's OS pid (shown in the server's status, for targeted
+    /// kills).
+    #[serde(default)]
+    pub pid: Option<u32>,
 }
 
-#[derive(serde::Serialize, serde::Deserialize, Clone, Copy)]
-struct Resume {
+impl Hello {
+    /// The hello of a fresh worker of this build.
+    pub fn new(rank_hint: Option<usize>, tag: Option<u64>) -> Self {
+        Hello {
+            protocol: BASE_PROTOCOL,
+            rank_hint,
+            max_protocol: Some(PROTOCOL_VERSION),
+            resume: None,
+            tag,
+            pid: Some(std::process::id()),
+        }
+    }
+}
+
+/// What a reconnecting worker presents in its [`Hello`].
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+pub struct Resume {
     /// The session token from the original welcome.
-    token: u64,
+    pub token: u64,
     /// Next downward seq the worker expects; the coordinator replays
     /// its ring from here.
-    rx_next: u64,
+    pub rx_next: u64,
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
-struct Welcome {
-    rank: usize,
-    num_workers: usize,
+/// The coordinator's answer to a [`Hello`].
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+pub struct Welcome {
+    /// The member id: a per-call worker's rank, a pool worker's pool id.
+    pub rank: u64,
     /// The wire revision of the session; the worker refuses anything
     /// but [`PROTOCOL_VERSION`] (or nothing).
     #[serde(default)]
-    protocol: Option<u32>,
+    pub protocol: Option<u32>,
     /// The session identity, and on resume the next upward seq the
     /// coordinator expects (the worker replays from it).
     #[serde(default)]
-    session: Option<Session>,
+    pub session: Option<Session>,
 }
 
-#[derive(serde::Serialize, serde::Deserialize, Clone, Copy)]
-struct Session {
-    token: u64,
-    rx_next: u64,
+/// The session part of a [`Welcome`].
+#[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
+pub struct Session {
+    /// The token a reconnecting worker presents.
+    pub token: u64,
+    /// Next upward seq the coordinator expects.
+    pub rx_next: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -281,7 +314,7 @@ pub enum Arrival {
 pub struct RingFull;
 
 /// One end of a resumable worker session — the coordinator holds one
-/// per rank, the worker holds one. It owns the write half of the
+/// per member, the worker holds one. It owns the write half of the
 /// current connection (if any), the session token, both sequence
 /// spaces and the retransmit ring, and the rules on them; who may
 /// declare the session dead, and when, stays with the owner.
@@ -339,12 +372,19 @@ impl<W: Conn> Endpoint<W> {
 
     /// Sends one payload. A `reliable` payload is sequenced and ringed
     /// *before* the write, so `Ok` means delivered, or replayed by the
-    /// next resume; an unreliable one (heartbeat, ack carrier) goes
-    /// out [`UNSEQ`] and is simply lost with the connection. A failed
-    /// write (or an injected fault that demands it) detaches the
-    /// connection — the owner's reader notices and the reconnect
-    /// window opens. `Err` only on ring overflow.
-    pub fn send(&mut self, payload: Vec<u8>, reliable: bool) -> Result<(), RingFull> {
+    /// next resume; an unreliable one (heartbeat, ack carrier — both an
+    /// empty payload) goes out [`UNSEQ`] and is simply lost with the
+    /// connection. A payload shared by several sessions (a job's
+    /// instance) is passed as one `Arc` and ringed without a copy. A
+    /// failed write (or an injected fault that demands it) detaches the
+    /// connection — the owner's reader notices and the reconnect window
+    /// opens. `Err` only on ring overflow.
+    pub fn send(
+        &mut self,
+        payload: impl Into<Arc<Vec<u8>>>,
+        reliable: bool,
+    ) -> Result<(), RingFull> {
+        let payload = payload.into();
         let seq = if reliable {
             if self.ring.len() >= RETRANSMIT_RING_CAP {
                 telemetry::comm().ring_overflows.inc();
@@ -358,7 +398,7 @@ impl<W: Conn> Endpoint<W> {
         };
         let framed = wire::frame_v2(&payload, FrameHeader { seq, ack: self.rx_next });
         if reliable {
-            self.ring.push_back((seq, Arc::new(payload)));
+            self.ring.push_back((seq, payload));
         }
         if let Some(w) = self.writer.as_mut() {
             if chaos::write_frame(self.faults.as_mut(), w, &framed).is_err() {
@@ -498,37 +538,61 @@ impl<W: Conn> Endpoint<W> {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator side
+// Coordinator side: the session table
 // ---------------------------------------------------------------------
 
-/// Per-rank state: the session endpoint plus what only the coordinator
-/// decides. Lock ordering: a `Rank` mutex is always taken *before*
-/// `Shared::last_heard`, never the other way around.
-struct Rank {
+/// What the owner of a [`Sessions`] table decides: who a fresh worker
+/// becomes, and what a delivered payload or a death means. Every call
+/// but [`Self::admit`] comes without a session lock held; owners never
+/// call into their table while holding a lock of their own that
+/// `admit` takes.
+pub(crate) trait SessionOwner: Send + Sync + 'static {
+    /// The member id of a fresh worker, or `None` to refuse its hello.
+    /// `taken` tells the ids already in the table. Called under the
+    /// table lock, so two hellos can never pick one id.
+    fn admit(&self, hello: &Hello, taken: &dyn Fn(u64) -> bool) -> Option<u64>;
+    /// The welcome of member `id` is on the wire.
+    fn joined(&self, id: u64, hello: &Hello);
+    /// One in-order, non-empty payload from member `id`. An error (a
+    /// CRC-clean payload that does not decode: a protocol bug, not line
+    /// noise) kills the member.
+    fn deliver(&self, id: u64, payload: &[u8]) -> Result<(), WireError>;
+    /// Member `id` is dead; reported exactly once, by whichever path —
+    /// reader, sweep, or an overflowing send — saw it first.
+    fn died(&self, id: u64);
+    /// A worker connection was accepted (before its hello).
+    fn accepted(&self) {}
+    /// A heartbeat arrived `gap` after the member's previous frame.
+    fn heartbeat(&self, _gap: Duration) {}
+}
+
+/// One member's state: the session endpoint plus what only the
+/// coordinator decides.
+struct Member {
     ep: Endpoint,
     /// Bumped on every (re)connection; readers spawned for an older
     /// epoch must drop everything they hold.
     epoch: u64,
-    /// A worker has completed a hello for this rank at least once.
-    claimed: bool,
-    /// Terminal; set at most once, and `WorkerDied` is synthesized by
-    /// whoever sets it.
+    /// Terminal; set at most once, and the owner hears of the death
+    /// from whoever sets it.
     died: bool,
     /// When the current disconnection began; `None` while connected
     /// (and while a resume replay is in flight).
     disconnected_since: Option<Instant>,
+    /// Arrival of the last frame (of any kind): the liveness clock.
+    last_heard: Instant,
     /// Upward frames since the last downward ack carrier.
     rx_count: u64,
 }
 
-impl Rank {
-    fn new() -> Self {
-        Rank {
-            ep: Endpoint::new(0, None, None),
+impl Member {
+    fn new(token: u64) -> Self {
+        Member {
+            ep: Endpoint::new(token, None, None),
             epoch: 0,
-            claimed: false,
             died: false,
             disconnected_since: None,
+            last_heard: Instant::now(),
             rx_count: 0,
         }
     }
@@ -542,7 +606,7 @@ impl Rank {
 
     /// [`Endpoint::send`], opening the reconnect window when the write
     /// tore the connection down.
-    fn send(&mut self, payload: Vec<u8>, reliable: bool) -> Result<(), RingFull> {
+    fn send(&mut self, payload: impl Into<Arc<Vec<u8>>>, reliable: bool) -> Result<(), RingFull> {
         let attached = self.ep.is_attached();
         let sent = self.ep.send(payload, reliable);
         if attached && !self.ep.is_attached() {
@@ -552,22 +616,148 @@ impl Rank {
     }
 }
 
-struct Shared {
-    ranks: Vec<Mutex<Rank>>,
-    last_heard: Mutex<Vec<Instant>>,
-    /// Serializes rank selection across concurrent handshake threads.
-    claim_lock: Mutex<()>,
-    /// Signalled (under `claim_lock`) whenever a rank's first handshake
-    /// is complete; what [`ProcessListener::accept_workers`] waits on.
-    rank_ready: Condvar,
-    shutdown: AtomicBool,
+struct Table {
+    /// Lock order: the table before any member, never the reverse.
+    members: Mutex<HashMap<u64, Arc<Mutex<Member>>>>,
+    owner: Arc<dyn SessionOwner>,
     liveness_timeout: Duration,
     reconnect_deadline: Duration,
+    shutdown: AtomicBool,
+    /// The accept thread and the address that wakes it; taken and
+    /// joined by [`Sessions::close`].
+    accept: Mutex<Option<(SocketAddr, std::thread::JoinHandle<()>)>>,
 }
 
-impl Shared {
-    fn heard_from(&self, rank: usize) {
-        self.last_heard.lock().unwrap()[rank] = Instant::now();
+/// The coordinator half of every worker connection (see the module
+/// docs). Cloning shares the table.
+#[derive(Clone)]
+pub(crate) struct Sessions(Arc<Table>);
+
+impl Sessions {
+    /// An empty table for `owner`; [`Self::listen`] opens it to workers.
+    pub(crate) fn new(config: &ProcessCommConfig, owner: Arc<dyn SessionOwner>) -> Self {
+        Sessions(Arc::new(Table {
+            members: Mutex::new(HashMap::new()),
+            owner,
+            liveness_timeout: config.liveness_timeout,
+            reconnect_deadline: config.reconnect_deadline,
+            shutdown: AtomicBool::new(false),
+            accept: Mutex::new(None),
+        }))
+    }
+
+    /// Accepts worker connections on `listener` until [`Self::close`],
+    /// handing each to its own handshake thread.
+    pub(crate) fn listen(&self, listener: TcpListener) -> io::Result<()> {
+        let addr = listener.local_addr()?;
+        let table = self.0.clone();
+        let thread =
+            std::thread::Builder::new().name("session-accept".into()).spawn(move || {
+                accept_loop(listener, &table.shutdown, |stream| {
+                    table.owner.accepted();
+                    let table = table.clone();
+                    std::thread::Builder::new()
+                        .name("session-handshake".into())
+                        .spawn(move || {
+                            if let Err(e) = handshake(&table, stream) {
+                                if e.kind() == io::ErrorKind::InvalidData {
+                                    eprintln!("ugrs: refused a worker connection: {e}");
+                                }
+                            }
+                        })
+                        .expect("spawn session handshake thread");
+                })
+            })?;
+        *self.0.accept.lock().unwrap() = Some((addr, thread));
+        Ok(())
+    }
+
+    /// Sends one reliable payload to member `id`. It is ringed for
+    /// replay first, so `true` means *delivered or will be on resume*;
+    /// a failed write merely opens the reconnect window. `false`: no
+    /// such member, a dead one — or one dying right here because its
+    /// retransmit ring overflowed (the un-acked backlog outgrew any
+    /// useful resume horizon; the owner hears of the death so the
+    /// payload does not silently vanish).
+    pub(crate) fn send(&self, id: u64, payload: impl Into<Arc<Vec<u8>>>) -> bool {
+        let Some(member) = self.0.members.lock().unwrap().get(&id).cloned() else { return false };
+        let mut m = member.lock().unwrap();
+        if m.died {
+            return false;
+        }
+        if m.send(payload, true).is_ok() {
+            return true;
+        }
+        m.died = true;
+        m.disconnect();
+        drop(m);
+        self.0.owner.died(id);
+        false
+    }
+
+    /// The liveness sweep, run by the owner between other work: a
+    /// member silent past the liveness timeout has its socket shut
+    /// down, which opens the reconnect window; a member disconnected
+    /// past the reconnect deadline (immediately, for a zero deadline)
+    /// dies.
+    pub(crate) fn sweep(&self) {
+        let t = &self.0;
+        let mut dead = Vec::new();
+        for (id, member) in t.members.lock().unwrap().iter() {
+            let mut m = member.lock().unwrap();
+            if m.died {
+                continue;
+            }
+            let expired = if m.ep.is_attached() {
+                let silent = m.last_heard.elapsed() > t.liveness_timeout;
+                if silent {
+                    m.disconnect();
+                }
+                silent && t.reconnect_deadline.is_zero()
+            } else {
+                m.disconnected_since.is_some_and(|since| since.elapsed() > t.reconnect_deadline)
+            };
+            if expired {
+                m.died = true;
+                dead.push(*id);
+            }
+        }
+        for id in dead {
+            t.owner.died(id);
+        }
+    }
+
+    /// Drops member `id` for good, at the owner's request (its process
+    /// exited, or it is stuck): the connection closes, a resume finds
+    /// no session, and the owner hears no death — it decided it.
+    pub(crate) fn evict(&self, id: u64) {
+        let member = self.0.members.lock().unwrap().remove(&id);
+        if let Some(member) = member {
+            let mut m = member.lock().unwrap();
+            m.died = true;
+            m.ep.detach();
+        }
+    }
+
+    /// Stops accepting, closes every connection and joins the accept
+    /// thread. Readers exit quietly; no death is reported from here on.
+    pub(crate) fn close(&self) {
+        self.0.shutdown.store(true, Ordering::SeqCst);
+        if let Ok(members) = self.0.members.lock() {
+            for member in members.values() {
+                if let Ok(mut m) = member.lock() {
+                    m.ep.detach();
+                }
+            }
+        }
+        let accept = self.0.accept.lock().ok().and_then(|mut a| a.take());
+        if let Some((addr, thread)) = accept {
+            // Without the wake-up the thread stays in `accept()`:
+            // leave it behind rather than hang.
+            if wake_listener(addr) {
+                let _ = thread.join();
+            }
+        }
     }
 }
 
@@ -582,6 +772,230 @@ fn fresh_token() -> u64 {
     // 53 bits: survives any JSON number path unscathed.
     rng.next_u64() >> 11
 }
+
+/// The coordinator half of the hello/welcome exchange on one
+/// connection: admits a fresh worker, or re-attaches a returning one
+/// to its session and replays the un-acked ring.
+fn handshake(table: &Arc<Table>, stream: TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true).ok();
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    let mut reader = stream.try_clone()?;
+    let mut dec = FrameDecoder::new();
+    let hello: Hello = wire::read_msg(&mut reader, &mut dec)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before hello"))?;
+    if hello.protocol != BASE_PROTOCOL {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("protocol {} != {}", hello.protocol, BASE_PROTOCOL),
+        ));
+    }
+    require_revision("worker hello", hello.max_protocol)?;
+    reader.set_read_timeout(None)?;
+    dec.set_v2(true);
+    let (id, member, epoch, replay) = match hello.resume {
+        Some(resume) => {
+            let (id, member, epoch) = welcome_back(&stream, table, resume)?;
+            (id, member, epoch, Some((stream, resume.rx_next)))
+        }
+        None => {
+            let (id, member, epoch) = welcome(stream, table, &hello)?;
+            (id, member, epoch, None)
+        }
+    };
+    // The reader runs before any replay starts: the worker is replaying
+    // its own ring at the same time (see [`Endpoint::replay_onto`]).
+    spawn_reader(table.clone(), id, member.clone(), epoch, reader, dec);
+    if let Some((stream, from)) = replay {
+        let resumed = Endpoint::replay_onto(
+            &member,
+            |m: &mut Member| (m.epoch == epoch && !m.died).then_some(&mut m.ep),
+            stream,
+            from,
+        );
+        if resumed.is_err() {
+            // Keep the reconnect window open for the next attempt
+            // (unless a newer connection superseded this one).
+            let mut m = member.lock().unwrap();
+            if m.epoch == epoch && m.disconnected_since.is_none() {
+                m.disconnected_since = Some(Instant::now());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Admits a fresh worker: the owner picks its id under the table lock,
+/// and the id is given back if the welcome cannot be written — a
+/// stalling or bogus client never leaves one half-registered.
+fn welcome(
+    stream: TcpStream,
+    table: &Table,
+    hello: &Hello,
+) -> io::Result<(u64, Arc<Mutex<Member>>, u64)> {
+    let token = fresh_token();
+    let (id, member) = {
+        let mut members = table.members.lock().unwrap();
+        let id = table
+            .owner
+            .admit(hello, &|id| members.contains_key(&id))
+            .filter(|id| !members.contains_key(id))
+            .ok_or_else(|| io::Error::other("no member id left for this worker"))?;
+        let member = Arc::new(Mutex::new(Member::new(token)));
+        members.insert(id, member.clone());
+        (id, member)
+    };
+    let welcome = Welcome {
+        rank: id,
+        protocol: Some(PROTOCOL_VERSION),
+        session: Some(Session { token, rx_next: 0 }),
+    };
+    if let Err(e) = wire::write_msg(&mut (&stream), &welcome) {
+        table.members.lock().unwrap().remove(&id);
+        return Err(e);
+    }
+    let epoch = {
+        let mut m = member.lock().unwrap();
+        m.ep.writer = Some(stream);
+        m.epoch += 1;
+        m.last_heard = Instant::now();
+        m.epoch
+    };
+    table.owner.joined(id, hello);
+    Ok((id, member, epoch))
+}
+
+/// The resume half of the handshake up to the welcome: validates the
+/// session token, kicks out a half-alive predecessor connection, opens
+/// a new connection epoch and tells the worker where to replay from.
+/// The writer stays unpublished; [`Endpoint::replay_onto`] finishes the
+/// job once the reader runs.
+fn welcome_back(
+    stream: &TcpStream,
+    table: &Table,
+    resume: Resume,
+) -> io::Result<(u64, Arc<Mutex<Member>>, u64)> {
+    let stale = || io::Error::new(io::ErrorKind::NotFound, "unknown or dead session token");
+    let live = |m: &Member| !m.died && m.ep.token() == resume.token;
+    let (id, member) = table
+        .members
+        .lock()
+        .unwrap()
+        .iter()
+        .find(|(_, m)| live(&m.lock().unwrap()))
+        .map(|(id, m)| (*id, m.clone()))
+        .ok_or_else(stale)?;
+    let mut m = member.lock().unwrap();
+    // Double-check under the lock (a racing resume may have won).
+    if !live(&m) {
+        return Err(stale());
+    }
+    m.disconnect();
+    m.epoch += 1;
+    let welcome = Welcome {
+        rank: id,
+        protocol: Some(PROTOCOL_VERSION),
+        session: Some(Session { token: resume.token, rx_next: m.ep.rx_next() }),
+    };
+    wire::write_msg(&mut { stream }, &welcome)?;
+    m.disconnected_since = None;
+    m.last_heard = Instant::now();
+    // The session is re-attached: count the reconnect now, before the
+    // reader can surface any resumed traffic (a test observing the
+    // replayed messages must already see the counter).
+    telemetry::comm().reconnects.inc();
+    let epoch = m.epoch;
+    drop(m);
+    Ok((id, member, epoch))
+}
+
+/// The per-connection reader: header bookkeeping under the member lock,
+/// heartbeats and ack carriers (empty payloads) consumed here, every
+/// other payload handed to the owner outside the lock.
+fn spawn_reader(
+    table: Arc<Table>,
+    id: u64,
+    member: Arc<Mutex<Member>>,
+    epoch: u64,
+    mut stream: TcpStream,
+    mut dec: FrameDecoder,
+) {
+    std::thread::Builder::new()
+        .name(format!("session-{id}"))
+        .spawn(move || loop {
+            let err = match wire::read_frame(&mut stream, &mut dec) {
+                Ok(Some((header, payload))) => {
+                    let (arrival, gap) = {
+                        let mut m = member.lock().unwrap();
+                        if m.epoch != epoch {
+                            return; // superseded by a reconnection
+                        }
+                        let arrival = m.ep.on_header(header);
+                        let gap = m.last_heard.elapsed();
+                        if arrival != Arrival::Gap {
+                            m.last_heard = Instant::now();
+                        }
+                        if arrival == Arrival::Accept {
+                            m.rx_count += 1;
+                            if m.rx_count.is_multiple_of(ACK_EVERY) {
+                                let _ = m.send(Vec::new(), false);
+                            }
+                        }
+                        (arrival, gap)
+                    };
+                    // A gap merely reopens the reconnect window; a
+                    // payload the owner cannot decode kills the member.
+                    let delivered = match arrival {
+                        Arrival::Duplicate => Ok(()),
+                        Arrival::Accept if payload.is_empty() => {
+                            table.owner.heartbeat(gap);
+                            Ok(())
+                        }
+                        Arrival::Accept => table.owner.deliver(id, &payload),
+                        Arrival::Gap => Err(WireError::Io("upward sequence gap".into())),
+                    };
+                    match delivered {
+                        Ok(()) => continue,
+                        Err(e) => Some(e.into()),
+                    }
+                }
+                Ok(None) => None,
+                Err(e) => Some(e),
+            };
+            reader_failed(&table, id, &member, epoch, err);
+            return;
+        })
+        .expect("spawn session reader thread");
+}
+
+/// Reader-side connection teardown: within the reconnect budget this
+/// merely opens the reconnect window; otherwise the member dies
+/// (exactly once — the `died` flag is checked and set under the member
+/// lock by every path that can report a death).
+fn reader_failed(
+    table: &Table,
+    id: u64,
+    member: &Mutex<Member>,
+    epoch: u64,
+    err: Option<io::Error>,
+) {
+    let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
+    {
+        let mut m = member.lock().unwrap();
+        if m.epoch != epoch || m.died || table.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        m.disconnect();
+        if !fatal && !table.reconnect_deadline.is_zero() {
+            return;
+        }
+        m.died = true;
+    }
+    table.owner.died(id);
+}
+
+// ---------------------------------------------------------------------
+// Coordinator side: the per-call owner
+// ---------------------------------------------------------------------
 
 /// The coordinator's accept socket. Bind first, then spawn workers
 /// pointed at [`Self::local_addr`], then collect them with
@@ -618,324 +1032,82 @@ impl ProcessListener {
     {
         validated(config)?;
         let deadline = Instant::now() + config.handshake_timeout;
-        let shared = Arc::new(Shared {
-            ranks: (0..n).map(|_| Mutex::new(Rank::new())).collect(),
-            last_heard: Mutex::new(vec![Instant::now(); n]),
-            claim_lock: Mutex::new(()),
-            rank_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            liveness_timeout: config.liveness_timeout,
-            reconnect_deadline: config.reconnect_deadline,
-        });
         let (up_tx, up_rx) = channel();
-        let addr = self.listener.local_addr()?;
-        let accept = spawn_accept_loop::<Sub, Sol>(self.listener, shared.clone(), up_tx.clone());
+        let ranks = Arc::new(Ranks { n, up_tx, joined: Mutex::new(0), all_joined: Condvar::new() });
+        let sessions = Sessions::new(config, ranks.clone());
+        sessions.listen(self.listener)?;
         // From here on dropping `lc` — the error return below included
-        // — stops the accept loop.
-        let lc =
-            ProcessLcComm { shared: shared.clone(), up_rx, up_tx, accept: Some((addr, accept)) };
-
-        // Wait until every rank has completed a handshake (its state
-        // carries a connection epoch): only then can `send_to` reach it.
-        let mut claim = shared.claim_lock.lock().unwrap();
-        loop {
-            let ready = shared.ranks.iter().filter(|r| r.lock().unwrap().epoch > 0).count();
-            if ready == n {
-                break;
-            }
+        // — closes the table.
+        let lc = ProcessLcComm { sessions, n, up_rx };
+        let mut joined = ranks.joined.lock().unwrap();
+        while *joined < n {
             let now = Instant::now();
             if now >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("only {ready}/{n} workers connected in time"),
+                    format!("only {}/{n} workers connected in time", *joined),
                 ));
             }
-            claim = shared.rank_ready.wait_timeout(claim, deadline - now).unwrap().0;
+            joined = ranks.all_joined.wait_timeout(joined, deadline - now).unwrap().0;
         }
-        drop(claim);
+        drop(joined);
         Ok(lc)
     }
 }
 
-/// Persistent accept loop: hands every inbound connection to its own
-/// handshake thread and exits when the endpoint shuts down.
-fn spawn_accept_loop<Sub, Sol>(
-    listener: TcpListener,
-    shared: Arc<Shared>,
+/// The per-call owner of a session table: `n` ranks, each claimed by
+/// the first hello that asks for it (or any free one); payloads are
+/// [`Message`]s forwarded to the coordinator, a death is
+/// [`Message::WorkerDied`].
+struct Ranks<Sub, Sol> {
+    n: usize,
     up_tx: Sender<Message<Sub, Sol>>,
-) -> std::thread::JoinHandle<()>
+    /// Ranks whose first welcome is out; what
+    /// [`ProcessListener::accept_workers`] waits on.
+    joined: Mutex<usize>,
+    all_joined: Condvar,
+}
+
+impl<Sub, Sol> SessionOwner for Ranks<Sub, Sol>
 where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
+    Sub: DeserializeOwned + Send + 'static,
+    Sol: DeserializeOwned + Send + 'static,
 {
-    std::thread::Builder::new()
-        .name("lc-accept".into())
-        .spawn(move || {
-            accept_loop(listener, &shared.shutdown, |stream| {
-                let shared = shared.clone();
-                let up_tx = up_tx.clone();
-                std::thread::Builder::new()
-                    .name("lc-handshake".into())
-                    .spawn(move || {
-                        if let Err(e) = handshake_accept(stream, &shared, up_tx) {
-                            if e.kind() == io::ErrorKind::InvalidData {
-                                eprintln!("ugrs: refused a worker connection: {e}");
-                            }
-                        }
-                    })
-                    .expect("spawn lc handshake thread");
-            })
-        })
-        .expect("spawn lc accept thread")
-}
-
-/// Performs the coordinator half of the hello/welcome exchange on one
-/// connection: claims a rank for a fresh worker, or re-attaches a
-/// returning worker to its session and replays the un-acked ring. A
-/// rank is claimed only after a complete hello, and released again if
-/// the welcome cannot be delivered — a stalling or bogus client can
-/// never leave a slot half-registered.
-fn handshake_accept<Sub, Sol>(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    up_tx: Sender<Message<Sub, Sol>>,
-) -> io::Result<()>
-where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
-{
-    let n = shared.ranks.len();
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = stream.try_clone()?;
-    let mut dec = FrameDecoder::new();
-    let hello: Hello = wire::read_msg(&mut reader, &mut dec)?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed before hello"))?;
-    if hello.protocol != BASE_PROTOCOL {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("protocol {} != {}", hello.protocol, BASE_PROTOCOL),
-        ));
+    fn admit(&self, hello: &Hello, taken: &dyn Fn(u64) -> bool) -> Option<u64> {
+        let free = |r: usize| !taken(r as u64);
+        let rank = match hello.rank_hint {
+            Some(h) if h < self.n && free(h) => Some(h),
+            _ => (0..self.n).find(|&r| free(r)),
+        };
+        rank.map(|r| r as u64)
     }
-    require_revision("worker hello", hello.max_protocol)?;
-    reader.set_read_timeout(None)?;
-    dec.set_v2(true);
 
-    // `Some` on a resume: the stream the un-acked ring is replayed onto
-    // and where the worker wants the replay to start.
-    let (rank, epoch, replay) = match hello.resume {
-        Some(resume) => {
-            let (rank, epoch) = welcome_back(&stream, shared, resume)?;
-            (rank, epoch, Some((stream, resume.rx_next)))
-        }
-        None => {
-            // Claim a rank (hint when free, else first unclaimed) under
-            // the claim lock so concurrent handshakes cannot race to
-            // one slot.
-            let rank = {
-                let _claim = shared.claim_lock.lock().unwrap();
-                let free = |r: usize| !shared.ranks[r].lock().unwrap().claimed;
-                let rank = match hello.rank_hint {
-                    Some(h) if h < n && free(h) => Some(h),
-                    _ => (0..n).find(|&r| free(r)),
-                };
-                let Some(rank) = rank else {
-                    return Err(io::Error::other("all ranks claimed"));
-                };
-                shared.ranks[rank].lock().unwrap().claimed = true;
-                rank
-            };
-            let token = fresh_token();
-            let welcome = Welcome {
-                rank,
-                num_workers: n,
-                protocol: Some(PROTOCOL_VERSION),
-                session: Some(Session { token, rx_next: 0 }),
-            };
-            if let Err(e) = wire::write_msg(&mut (&stream), &welcome) {
-                // Welcome undeliverable: release the slot for a late,
-                // legitimate worker instead of leaving it
-                // half-registered.
-                shared.ranks[rank].lock().unwrap().claimed = false;
-                return Err(e);
-            }
-            let epoch = {
-                let mut state = shared.ranks[rank].lock().unwrap();
-                state.ep = Endpoint::new(token, Some(stream), None);
-                state.epoch += 1;
-                state.died = false;
-                state.disconnected_since = None;
-                state.rx_count = 0;
-                state.epoch
-            };
-            // Under the claim lock, or a waiter between its count and
-            // its wait would miss the wake-up.
-            drop(shared.claim_lock.lock().unwrap());
-            shared.rank_ready.notify_all();
-            (rank, epoch, None)
-        }
-    };
-
-    // The reader runs before any replay starts: the worker is replaying
-    // its own ring at the same time (see [`Endpoint::replay_onto`]).
-    shared.heard_from(rank);
-    spawn_lc_reader::<Sub, Sol>(rank, epoch, reader, dec, shared.clone(), up_tx);
-    if let Some((stream, from)) = replay {
-        let resumed = Endpoint::replay_onto(
-            &shared.ranks[rank],
-            |state: &mut Rank| (state.epoch == epoch && !state.died).then_some(&mut state.ep),
-            stream,
-            from,
-        );
-        if resumed.is_err() {
-            // Keep the reconnect window open for the next attempt
-            // (unless a newer connection superseded this one).
-            let mut state = shared.ranks[rank].lock().unwrap();
-            if state.epoch == epoch && state.disconnected_since.is_none() {
-                state.disconnected_since = Some(Instant::now());
-            }
-        }
+    fn joined(&self, _id: u64, _hello: &Hello) {
+        *self.joined.lock().unwrap() += 1;
+        self.all_joined.notify_all();
     }
-    Ok(())
-}
 
-/// The resume half of the handshake up to the welcome: validates the
-/// session token, kicks out a half-alive predecessor connection, opens
-/// a new connection epoch and tells the worker where to replay from.
-/// The writer stays unpublished; [`Endpoint::replay_onto`] finishes the
-/// job once the reader runs.
-fn welcome_back(stream: &TcpStream, shared: &Shared, resume: Resume) -> io::Result<(usize, u64)> {
-    let stale = || io::Error::new(io::ErrorKind::NotFound, "unknown or dead session token");
-    let live = |state: &Rank| state.claimed && !state.died && state.ep.token() == resume.token;
-    let rank = shared.ranks.iter().position(|r| live(&r.lock().unwrap())).ok_or_else(stale)?;
-    let mut state = shared.ranks[rank].lock().unwrap();
-    // Double-check under the lock (a racing resume may have won).
-    if !live(&state) {
-        return Err(stale());
+    fn deliver(&self, _id: u64, payload: &[u8]) -> Result<(), WireError> {
+        // A send error means the coordinator is gone; nothing to do.
+        let _ = self.up_tx.send(wire::decode(payload)?);
+        Ok(())
     }
-    state.disconnect();
-    state.epoch += 1;
-    let welcome = Welcome {
-        rank,
-        num_workers: shared.ranks.len(),
-        protocol: Some(PROTOCOL_VERSION),
-        session: Some(Session { token: resume.token, rx_next: state.ep.rx_next() }),
-    };
-    let mut out = stream;
-    wire::write_msg(&mut out, &welcome)?;
-    state.disconnected_since = None;
-    // The session is re-attached: count the reconnect now, before the
-    // reader can surface any resumed traffic (a test observing the
-    // replayed messages must already see the counter).
-    telemetry::comm().reconnects.inc();
-    Ok((rank, state.epoch))
-}
 
-fn spawn_lc_reader<Sub, Sol>(
-    rank: usize,
-    epoch: u64,
-    mut stream: TcpStream,
-    mut dec: FrameDecoder,
-    shared: Arc<Shared>,
-    up_tx: Sender<Message<Sub, Sol>>,
-) where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
-{
-    std::thread::Builder::new()
-        .name(format!("lc-reader-{rank}"))
-        .spawn(move || loop {
-            let err = match wire::read_frame(&mut stream, &mut dec) {
-                Ok(Some((header, payload))) => {
-                    // Header bookkeeping under the rank lock; decoding
-                    // happens outside it.
-                    let arrival = {
-                        let mut state = shared.ranks[rank].lock().unwrap();
-                        if state.epoch != epoch {
-                            return; // superseded by a reconnection
-                        }
-                        let arrival = state.ep.on_header(header);
-                        if arrival == Arrival::Accept {
-                            state.rx_count += 1;
-                            if state.rx_count.is_multiple_of(ACK_EVERY) {
-                                let ping = WireMsg::<Sub, Sol>::Ping { rank };
-                                let _ = state.send(wire::to_payload_binary(&ping), false);
-                            }
-                        }
-                        arrival
-                    };
-                    let decoded = match arrival {
-                        Arrival::Accept => wire::decode::<WireMsg<Sub, Sol>>(&payload),
-                        // Nothing to deliver, but the rank is alive.
-                        Arrival::Duplicate => Ok(WireMsg::Ping { rank }),
-                        Arrival::Gap => Err(wire::WireError::Io("upward sequence gap".into())),
-                    };
-                    match decoded {
-                        Ok(msg) => {
-                            shared.heard_from(rank);
-                            if let WireMsg::Msg(msg) = msg {
-                                if up_tx.send(msg).is_err() {
-                                    return; // coordinator gone
-                                }
-                            }
-                            continue;
-                        }
-                        // A gap merely reopens the reconnect window; a
-                        // CRC-clean but unparseable payload is a
-                        // protocol bug, not line noise, and kills the
-                        // rank.
-                        Err(e) => Some(e.into()),
-                    }
-                }
-                Ok(None) => None,
-                Err(e) => Some(e),
-            };
-            lc_reader_on_error(rank, epoch, &shared, &up_tx, err);
-            return;
-        })
-        .expect("spawn lc reader thread");
-}
-
-/// Reader-side connection teardown: within the reconnect budget this
-/// merely opens the reconnect window; otherwise the rank dies
-/// (exactly once — the `died` flag is checked and set under the rank
-/// mutex by every path that can report a death).
-fn lc_reader_on_error<Sub, Sol>(
-    rank: usize,
-    epoch: u64,
-    shared: &Arc<Shared>,
-    up_tx: &Sender<Message<Sub, Sol>>,
-    err: Option<io::Error>,
-) {
-    let fatal = err.as_ref().is_some_and(wire::io_error_is_fatal);
-    let mut state = shared.ranks[rank].lock().unwrap();
-    if state.epoch != epoch || state.died || shared.shutdown.load(Ordering::SeqCst) {
-        return;
-    }
-    state.disconnect();
-    if fatal || shared.reconnect_deadline.is_zero() {
-        state.died = true;
-        drop(state);
-        let _ = up_tx.send(Message::WorkerDied { rank });
+    fn died(&self, id: u64) {
+        let _ = self.up_tx.send(Message::WorkerDied { rank: id as usize });
     }
 }
 
 /// Coordinator endpoint of the process transport.
 pub struct ProcessLcComm<Sub, Sol> {
-    shared: Arc<Shared>,
+    sessions: Sessions,
+    n: usize,
     up_rx: Receiver<Message<Sub, Sol>>,
-    /// Keeps the channel open for reconnecting readers even when every
-    /// original reader thread has exited, and lets `send_to`
-    /// synthesize `WorkerDied` on retransmit-ring overflow.
-    up_tx: Sender<Message<Sub, Sol>>,
-    /// The `lc-accept` thread and the address that wakes it; taken and
-    /// joined on drop so the thread never outlives the endpoint.
-    accept: Option<(SocketAddr, std::thread::JoinHandle<()>)>,
 }
 
 impl<Sub, Sol> std::fmt::Debug for ProcessLcComm<Sub, Sol> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProcessLcComm(n={})", self.shared.ranks.len())
+        write!(f, "ProcessLcComm(n={})", self.n)
     }
 }
 
@@ -946,60 +1118,21 @@ where
 {
     /// Number of connected worker processes.
     pub fn num_workers(&self) -> usize {
-        self.shared.ranks.len()
+        self.n
     }
 
-    /// Sends to one rank. The payload is ringed for replay first, so
-    /// `true` means *delivered or will be on resume*; a failed write
-    /// merely opens the reconnect window, and `false` reports a dead
-    /// rank — including the rank dying right here because its
-    /// retransmit ring overflowed (the un-acked backlog outgrew any
-    /// useful resume horizon; `WorkerDied` is synthesized so the
-    /// supervisor requeues instead of the message silently vanishing).
+    /// Sends to one rank: [`Sessions::send`] — `true` means *delivered
+    /// or will be on resume*, `false` a dead rank (`WorkerDied` is
+    /// synthesized when the send itself killed it).
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        let Some(slot) = self.shared.ranks.get(rank) else { return false };
-        let payload = wire::to_payload_binary(&WireMsg::Msg(msg));
-        let mut state = slot.lock().unwrap();
-        if !state.claimed || state.died {
-            return false;
-        }
-        if state.send(payload, true).is_err() {
-            state.died = true;
-            state.disconnect();
-            drop(state);
-            let _ = self.up_tx.send(Message::WorkerDied { rank });
-            return false;
-        }
-        true
+        self.sessions.send(rank as u64, wire::to_payload_binary(&msg))
     }
 
-    /// Receives the next upward message, sweeping liveness first: a
-    /// rank silent past the timeout has its socket shut down, which
-    /// opens the reconnect window; a rank disconnected past the
-    /// reconnect deadline (immediately, for a zero deadline) is
-    /// reported as [`Message::WorkerDied`] exactly once.
+    /// Receives the next upward message, sweeping liveness first
+    /// ([`Sessions::sweep`]): a dead rank arrives as
+    /// [`Message::WorkerDied`], exactly once.
     pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
-        for (rank, slot) in self.shared.ranks.iter().enumerate() {
-            let mut state = slot.lock().unwrap();
-            if !state.claimed || state.died {
-                continue;
-            }
-            if state.ep.is_attached() {
-                let heard = self.shared.last_heard.lock().unwrap()[rank];
-                if heard.elapsed() > self.shared.liveness_timeout {
-                    state.disconnect();
-                    if self.shared.reconnect_deadline.is_zero() {
-                        state.died = true;
-                        return Some(Message::WorkerDied { rank });
-                    }
-                }
-            } else if let Some(since) = state.disconnected_since {
-                if since.elapsed() > self.shared.reconnect_deadline {
-                    state.died = true;
-                    return Some(Message::WorkerDied { rank });
-                }
-            }
-        }
+        self.sessions.sweep();
         match self.up_rx.recv_timeout(d) {
             Ok(m) => Some(m),
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
@@ -1009,19 +1142,7 @@ where
 
 impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for slot in &self.shared.ranks {
-            if let Ok(mut state) = slot.lock() {
-                state.ep.detach();
-            }
-        }
-        if let Some((addr, thread)) = self.accept.take() {
-            // Without the wake-up the thread stays in `accept()`:
-            // leave it behind rather than hang the drop.
-            if wake_listener(addr) {
-                let _ = thread.join();
-            }
-        }
+        self.sessions.close();
     }
 }
 
@@ -1048,7 +1169,7 @@ impl WorkerSide {
 /// until it listens or `timeout` is spent (worker processes may win
 /// the race against the bind). The stream comes back with Nagle off
 /// and the 10 s read timeout the hello/welcome exchange runs under.
-pub(crate) fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
+fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
     let deadline = Instant::now() + timeout;
     let stream = loop {
         match TcpStream::connect(addr) {
@@ -1064,16 +1185,13 @@ pub(crate) fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 
 /// The worker half of the hello/welcome exchange on a dialled stream:
 /// returns the reader (already switched to post-handshake frames), the
-/// assigned rank and the session the coordinator answered with.
+/// assigned member id and the session the coordinator answered with.
 fn say_hello(
     stream: &TcpStream,
-    rank_hint: Option<usize>,
-    resume: Option<Resume>,
-) -> io::Result<(TcpStream, FrameDecoder, usize, Session)> {
-    let hello =
-        Hello { protocol: BASE_PROTOCOL, rank_hint, max_protocol: Some(PROTOCOL_VERSION), resume };
+    hello: &Hello,
+) -> io::Result<(TcpStream, FrameDecoder, u64, Session)> {
     let mut out = stream;
-    wire::write_msg(&mut out, &hello)?;
+    wire::write_msg(&mut out, hello)?;
     let mut reader = stream.try_clone()?;
     let mut dec = FrameDecoder::new();
     let welcome: Welcome = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
@@ -1088,9 +1206,8 @@ fn say_hello(
     Ok((reader, dec, welcome.rank, session))
 }
 
-/// Connects to the coordinator and completes the handshake. The
-/// returned endpoint already has its heartbeat running, and its reader
-/// owns the reconnect-and-resume policy.
+/// Connects to a per-call coordinator and completes the handshake
+/// ([`WorkerLink::connect`] with the rank hint).
 pub fn connect_worker<Sub, Sol>(
     addr: &str,
     rank_hint: Option<usize>,
@@ -1100,28 +1217,109 @@ where
     Sub: Serialize + DeserializeOwned + Send + 'static,
     Sol: Serialize + DeserializeOwned + Send + 'static,
 {
-    validated(config)?;
-    let stream = dial(addr, config.handshake_timeout)?;
-    let (reader, dec, rank, session) = say_hello(&stream, rank_hint, None)?;
-    let inner = Arc::new(Mutex::new(WorkerSide {
-        ep: Endpoint::new(session.token, Some(stream), config.chaos.as_ref()),
-        dead: false,
-    }));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (down_tx, down_rx) = channel();
-    spawn_worker_reader::<Sub, Sol>(
-        rank,
-        addr.to_string(),
-        config.reconnect_deadline,
-        reader,
-        dec,
-        inner.clone(),
-        shutdown.clone(),
-        down_tx,
-    );
-    spawn_heartbeat::<Sub, Sol>(rank, inner.clone(), shutdown.clone(), config.heartbeat_interval);
+    WorkerLink::connect(addr, &Hello::new(rank_hint, None), config)
+}
 
-    Ok(ProcessWorkerComm { rank, inner, down_rx, shutdown })
+/// Worker endpoint of a per-call run: coordinator messages both ways.
+pub type ProcessWorkerComm<Sub, Sol> = WorkerLink<Message<Sub, Sol>, Message<Sub, Sol>>;
+
+/// The worker half of a session, per-call and pool alike: the
+/// connection, its reader — which decodes `D`s from the coordinator
+/// and owns the reconnect-and-resume policy — and the heartbeat; `U`
+/// is what the worker sends up.
+pub struct WorkerLink<D, U> {
+    id: u64,
+    inner: Arc<Mutex<WorkerSide>>,
+    down_rx: Receiver<D>,
+    shutdown: Arc<AtomicBool>,
+    up: PhantomData<fn(U)>,
+}
+
+impl<D: DeserializeOwned + Send + 'static, U> WorkerLink<D, U> {
+    /// Dials `addr`, says `hello` and starts the reader and the
+    /// heartbeat.
+    pub(crate) fn connect(
+        addr: &str,
+        hello: &Hello,
+        config: &ProcessCommConfig,
+    ) -> io::Result<Self> {
+        validated(config)?;
+        let stream = dial(addr, config.handshake_timeout)?;
+        let (reader, dec, id, session) = say_hello(&stream, hello)?;
+        // Faults are armed only after the handshake: a worker must
+        // always be able to join, exactly as resume frames bypass chaos.
+        let inner = Arc::new(Mutex::new(WorkerSide {
+            ep: Endpoint::new(session.token, Some(stream), config.chaos.as_ref()),
+            dead: false,
+        }));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (down_tx, down_rx) = channel();
+        spawn_worker_reader(
+            id,
+            addr.to_string(),
+            config.reconnect_deadline,
+            reader,
+            dec,
+            inner.clone(),
+            shutdown.clone(),
+            down_tx,
+        );
+        spawn_heartbeat(id, inner.clone(), shutdown.clone(), config.heartbeat_interval);
+        Ok(WorkerLink { id, inner, down_rx, shutdown, up: PhantomData })
+    }
+}
+
+impl<D, U: Serialize> WorkerLink<D, U> {
+    /// The member id the welcome assigned: a per-call worker's rank, a
+    /// pool worker's pool id.
+    pub fn rank(&self) -> usize {
+        self.id as usize
+    }
+
+    /// Non-blocking receive of the next coordinator message.
+    pub fn try_recv(&self) -> Option<D> {
+        self.down_rx.try_recv().ok()
+    }
+
+    /// Blocking receive; `None` when the connection is gone for good
+    /// (only after the reconnect budget ran out).
+    pub fn recv(&self) -> Option<D> {
+        self.down_rx.recv().ok()
+    }
+
+    /// Sends a message upward. The payload is ringed before the write,
+    /// so `true` means *delivered or will be on resume*; `false` only
+    /// once the session is dead for good — including dying right here
+    /// because the retransmit ring overflowed (this payload was *not*
+    /// ringed; the coordinator's reconnect deadline then requeues the
+    /// worker).
+    pub fn send(&self, msg: U) -> bool {
+        let payload = wire::to_payload_binary(&msg);
+        let mut g = self.inner.lock().unwrap();
+        if !g.dead && g.ep.send(payload, true).is_err() {
+            g.give_up();
+        }
+        !g.dead
+    }
+
+    /// Test hook: see [`Endpoint::break_connection`].
+    #[cfg(test)]
+    pub(crate) fn test_break_connection(&self) {
+        self.inner.lock().unwrap().ep.break_connection();
+    }
+}
+
+impl<D, U> Drop for WorkerLink<D, U> {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // Closing acts on the socket itself, past every `try_clone`
+        // dup the reader thread holds — it unblocks with EOF/EPIPE and
+        // exits, and the coordinator sees the hang-up at once (even
+        // when the worker is dying abnormally).
+        if let Ok(mut g) = self.inner.lock() {
+            g.ep.detach();
+        }
+    }
 }
 
 /// The worker's read loop plus the reconnect-and-resume policy: on any
@@ -1131,33 +1329,31 @@ where
 /// Returning from this thread drops `down_tx`, which is how `recv()`
 /// learns the connection is gone for good.
 #[allow(clippy::too_many_arguments)]
-fn spawn_worker_reader<Sub, Sol>(
-    rank: usize,
+fn spawn_worker_reader<D: DeserializeOwned + Send + 'static>(
+    id: u64,
     addr: String,
     reconnect_deadline: Duration,
     mut stream: TcpStream,
     mut dec: FrameDecoder,
     inner: Arc<Mutex<WorkerSide>>,
     shutdown: Arc<AtomicBool>,
-    down_tx: Sender<Message<Sub, Sol>>,
-) where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
-{
+    down_tx: Sender<D>,
+) {
     std::thread::Builder::new()
-        .name(format!("worker-reader-{rank}"))
+        .name(format!("worker-reader-{id}"))
         .spawn(move || loop {
             let err = match wire::read_frame(&mut stream, &mut dec) {
                 Ok(Some((header, payload))) => {
                     let arrival = inner.lock().unwrap().ep.on_header(header);
                     let decoded = match arrival {
-                        Arrival::Accept => wire::decode::<WireMsg<Sub, Sol>>(&payload),
                         Arrival::Duplicate => continue,
-                        Arrival::Gap => Err(wire::WireError::Io("downward sequence gap".into())),
+                        // An ack carrier: `on_header` has applied it.
+                        Arrival::Accept if payload.is_empty() => continue,
+                        Arrival::Accept => wire::decode::<D>(&payload),
+                        Arrival::Gap => Err(WireError::Io("downward sequence gap".into())),
                     };
                     match decoded {
-                        Ok(WireMsg::Ping { .. }) => continue,
-                        Ok(WireMsg::Msg(msg)) => {
+                        Ok(msg) => {
                             if down_tx.send(msg).is_err() {
                                 return; // endpoint dropped
                             }
@@ -1177,7 +1373,7 @@ fn spawn_worker_reader<Sub, Sol>(
             let resumed = if fatal || reconnect_deadline.is_zero() {
                 None
             } else {
-                reconnect_worker(rank, &addr, reconnect_deadline, &inner, &shutdown)
+                reconnect_worker(id, &addr, reconnect_deadline, &inner, &shutdown)
             };
             match resumed {
                 Some((s, d)) => (stream, dec) = (s, d),
@@ -1191,10 +1387,10 @@ fn spawn_worker_reader<Sub, Sol>(
 }
 
 /// Redials and resumes the session; `None` when the deadline budget
-/// runs out or the session died meanwhile (the rank then dies and the
+/// runs out or the session died meanwhile (the worker then dies and the
 /// coordinator requeues).
 fn reconnect_worker(
-    rank: usize,
+    id: u64,
     addr: &str,
     reconnect_deadline: Duration,
     inner: &Mutex<WorkerSide>,
@@ -1205,8 +1401,9 @@ fn reconnect_worker(
         g.ep.detach();
         (g.ep.token(), g.ep.rx_next())
     };
+    let hello = Hello { resume: Some(Resume { token, rx_next }), ..Hello::new(None, None) };
     let deadline = Instant::now() + reconnect_deadline;
-    let mut jitter = SplitMix64::new(token ^ rank as u64);
+    let mut jitter = SplitMix64::new(token ^ id);
     let mut attempt = 0u32;
     loop {
         if attempt > 0 {
@@ -1222,17 +1419,9 @@ fn reconnect_worker(
         {
             return None; // dead: e.g. ring overflow while we were redialing
         }
-        let Ok(stream) = TcpStream::connect(addr) else { continue };
-        stream.set_nodelay(true).ok();
-        if stream.set_read_timeout(Some(Duration::from_secs(5))).is_err() {
-            continue;
-        }
+        let Ok(stream) = dial(addr, Duration::ZERO) else { continue };
         // A refused token or a hang-up: redial.
-        let Ok((reader, dec, _, session)) =
-            say_hello(&stream, Some(rank), Some(Resume { token, rx_next }))
-        else {
-            continue;
-        };
+        let Ok((reader, dec, _, session)) = say_hello(&stream, &hello) else { continue };
         let resumed = Endpoint::replay_onto(
             inner,
             |side: &mut WorkerSide| (!side.dead).then_some(&mut side.ep),
@@ -1247,17 +1436,16 @@ fn reconnect_worker(
     }
 }
 
-fn spawn_heartbeat<Sub, Sol>(
-    rank: usize,
+/// Sends an empty unsequenced frame every `interval`: the liveness
+/// signal, and the carrier of the worker's cumulative ack.
+fn spawn_heartbeat(
+    id: u64,
     inner: Arc<Mutex<WorkerSide>>,
     shutdown: Arc<AtomicBool>,
     interval: Duration,
-) where
-    Sub: Serialize + Send + 'static,
-    Sol: Serialize + Send + 'static,
-{
+) {
     std::thread::Builder::new()
-        .name(format!("heartbeat-{rank}"))
+        .name(format!("heartbeat-{id}"))
         .spawn(move || loop {
             std::thread::sleep(interval);
             if shutdown.load(Ordering::SeqCst) {
@@ -1267,74 +1455,9 @@ fn spawn_heartbeat<Sub, Sol>(
             if g.dead {
                 return;
             }
-            let ping = wire::to_payload_binary(&WireMsg::<Sub, Sol>::Ping { rank });
-            let _ = g.ep.send(ping, false);
+            let _ = g.ep.send(Vec::new(), false);
         })
         .expect("spawn heartbeat thread");
-}
-
-/// Worker endpoint of the process transport.
-pub struct ProcessWorkerComm<Sub, Sol> {
-    rank: usize,
-    inner: Arc<Mutex<WorkerSide>>,
-    down_rx: Receiver<Message<Sub, Sol>>,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl<Sub, Sol> ProcessWorkerComm<Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
-    /// This worker's rank as assigned in the handshake.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Non-blocking receive of the next coordinator message.
-    pub fn try_recv(&self) -> Option<Message<Sub, Sol>> {
-        self.down_rx.try_recv().ok()
-    }
-
-    /// Blocking receive; `None` when the connection is gone for good
-    /// (only after the reconnect budget ran out).
-    pub fn recv(&self) -> Option<Message<Sub, Sol>> {
-        self.down_rx.recv().ok()
-    }
-
-    /// Sends a message upward. The payload is ringed before the write,
-    /// so `true` means *delivered or will be on resume*; `false` only
-    /// once the session is dead for good — including dying right here
-    /// because the retransmit ring overflowed (this payload was *not*
-    /// ringed; the coordinator's reconnect deadline then requeues the
-    /// rank).
-    pub fn send(&self, msg: Message<Sub, Sol>) -> bool {
-        let payload = wire::to_payload_binary(&WireMsg::Msg(msg));
-        let mut g = self.inner.lock().unwrap();
-        if !g.dead && g.ep.send(payload, true).is_err() {
-            g.give_up();
-        }
-        !g.dead
-    }
-
-    /// Test hook: see [`Endpoint::break_connection`].
-    #[cfg(test)]
-    pub(crate) fn test_break_connection(&self) {
-        self.inner.lock().unwrap().ep.break_connection();
-    }
-}
-
-impl<Sub, Sol> Drop for ProcessWorkerComm<Sub, Sol> {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Closing acts on the socket itself, past every `try_clone`
-        // dup the reader thread holds — it unblocks with EOF/EPIPE and
-        // exits, and the coordinator sees the hang-up at once (even
-        // when the worker is dying abnormally).
-        if let Ok(mut g) = self.inner.lock() {
-            g.ep.detach();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1422,9 +1545,8 @@ mod tests {
                 &mut (&stream),
                 &Hello {
                     protocol: BASE_PROTOCOL + 98,
-                    rank_hint: None,
                     max_protocol: None,
-                    resume: None,
+                    ..Hello::new(None, None)
                 },
             )
             .unwrap();
@@ -1463,7 +1585,7 @@ mod tests {
             });
             done_rx
                 .recv_timeout(Duration::from_secs(5))
-                .expect("the drop joins lc-accept, which must have been woken");
+                .expect("the drop joins the accept thread, which must have been woken");
             // The thread owned the listening socket: gone with it.
             let refused = TcpStream::connect(addr).expect_err("nobody listens any more");
             assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
@@ -1502,21 +1624,12 @@ mod tests {
         // keeping their sockets open (the hung-but-connected case the
         // sweep exists for). They run on threads because the welcome
         // only arrives once `accept_workers` below is pumping.
-        let (welcome_tx, welcome_rx) = channel::<(usize, Option<u32>, bool)>();
+        let (welcome_tx, welcome_rx) = channel::<(u64, Option<u32>, bool)>();
         for rank in 0..2usize {
             let welcome_tx = welcome_tx.clone();
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(addr).unwrap();
-                wire::write_msg(
-                    &mut (&stream),
-                    &Hello {
-                        protocol: BASE_PROTOCOL,
-                        rank_hint: Some(rank),
-                        max_protocol: Some(PROTOCOL_VERSION),
-                        resume: None,
-                    },
-                )
-                .unwrap();
+                wire::write_msg(&mut (&stream), &Hello::new(Some(rank), None)).unwrap();
                 let mut reader = stream.try_clone().unwrap();
                 let mut dec = FrameDecoder::new();
                 let welcome: Welcome = wire::read_msg(&mut reader, &mut dec).unwrap().unwrap();
@@ -1580,16 +1693,8 @@ mod tests {
         let clients = std::thread::spawn(move || {
             for max_protocol in [None, Some(2)] {
                 let old = TcpStream::connect(addr).unwrap();
-                wire::write_msg(
-                    &mut (&old),
-                    &Hello {
-                        protocol: BASE_PROTOCOL,
-                        rank_hint: Some(0),
-                        max_protocol,
-                        resume: None,
-                    },
-                )
-                .unwrap();
+                wire::write_msg(&mut (&old), &Hello { max_protocol, ..Hello::new(Some(0), None) })
+                    .unwrap();
                 let mut reader = old.try_clone().unwrap();
                 reader.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
                 let mut dec = FrameDecoder::new();
@@ -1772,16 +1877,7 @@ mod tests {
         let (done_tx, done_rx) = channel::<()>();
         let client = std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).unwrap();
-            wire::write_msg(
-                &mut (&stream),
-                &Hello {
-                    protocol: BASE_PROTOCOL,
-                    rank_hint: Some(0),
-                    max_protocol: Some(PROTOCOL_VERSION),
-                    resume: None,
-                },
-            )
-            .unwrap();
+            wire::write_msg(&mut (&stream), &Hello::new(Some(0), None)).unwrap();
             let mut reader = stream.try_clone().unwrap();
             let mut dec = FrameDecoder::new();
             let welcome: Welcome = wire::read_msg(&mut reader, &mut dec).unwrap().unwrap();
@@ -1789,12 +1885,12 @@ mod tests {
 
             // Seq 5 while the coordinator expects 0: frames 0..5 are
             // missing from the stream.
-            let payload = wire::to_payload(&WireMsg::<u32, u32>::Msg(Message::Status {
+            let payload = wire::to_payload(&Message::<u32, u32>::Status {
                 rank: 0,
                 dual_bound: 9.0,
                 open: 1,
                 nodes: 1,
-            }));
+            });
             (&stream).write_all(&wire::frame_v2(&payload, FrameHeader { seq: 5, ack: 0 })).unwrap();
 
             // The coordinator must hang up on us...
@@ -1811,10 +1907,8 @@ mod tests {
             wire::write_msg(
                 &mut (&stream2),
                 &Hello {
-                    protocol: BASE_PROTOCOL,
-                    rank_hint: Some(0),
-                    max_protocol: Some(PROTOCOL_VERSION),
                     resume: Some(Resume { token: session.token, rx_next: 0 }),
+                    ..Hello::new(Some(0), None)
                 },
             )
             .unwrap();
@@ -1853,23 +1947,17 @@ mod tests {
     /// skip.
     #[test]
     fn coordinator_ring_overflow_kills_the_rank_loudly() {
-        let shared = Arc::new(Shared {
-            ranks: vec![Mutex::new(Rank::new())],
-            last_heard: Mutex::new(vec![Instant::now()]),
-            claim_lock: Mutex::new(()),
-            rank_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            liveness_timeout: Duration::from_secs(30),
-            reconnect_deadline: Duration::from_secs(30),
-        });
-        {
-            let mut state = shared.ranks[0].lock().unwrap();
-            state.claimed = true;
-            // Disconnected: every send rings its payload un-acked.
-            state.disconnected_since = Some(Instant::now());
-        }
         let (up_tx, up_rx) = channel();
-        let lc = ProcessLcComm::<u32, u32> { shared: shared.clone(), up_rx, up_tx, accept: None };
+        let ranks =
+            Arc::new(Ranks { n: 1, up_tx, joined: Mutex::new(1), all_joined: Condvar::new() });
+        let sessions = Sessions::new(&config(), ranks);
+        {
+            let mut member = Member::new(1);
+            // Disconnected: every send rings its payload un-acked.
+            member.disconnected_since = Some(Instant::now());
+            sessions.0.members.lock().unwrap().insert(0, Arc::new(Mutex::new(member)));
+        }
+        let lc = ProcessLcComm::<u32, u32> { sessions: sessions.clone(), n: 1, up_rx };
 
         let overflows_before = telemetry::comm().ring_overflows.get();
         for _ in 0..RETRANSMIT_RING_CAP {
@@ -1885,7 +1973,7 @@ mod tests {
         );
         assert!(!lc.send_to(0, Message::Terminate), "the rank must stay dead");
         assert!(telemetry::comm().ring_overflows.get() > overflows_before);
-        let unacked = shared.ranks[0].lock().unwrap().ep.unacked().count();
+        let unacked = sessions.0.members.lock().unwrap()[&0].lock().unwrap().ep.unacked().count();
         assert_eq!(unacked, RETRANSMIT_RING_CAP, "no payload may be evicted");
     }
 
@@ -1898,10 +1986,11 @@ mod tests {
             Arc::new(Mutex::new(WorkerSide { ep: Endpoint::new(1, None, None), dead: false }));
         let (_down_tx, down_rx) = channel();
         let comm = ProcessWorkerComm::<u32, u32> {
-            rank: 0,
+            id: 0,
             inner: inner.clone(),
             down_rx,
             shutdown: Arc::new(AtomicBool::new(false)),
+            up: PhantomData,
         };
         for _ in 0..RETRANSMIT_RING_CAP {
             assert!(comm.send(Message::Terminate), "ringed sends report success");
@@ -1930,7 +2019,7 @@ mod tests {
         };
         let plan = ChaosConfig::new(7, profile);
         let mut ep = Endpoint::new(1, Some(stream), Some(&plan));
-        let payload = wire::to_payload_binary(&WireMsg::<u32, u32>::Ping { rank: 0 });
+        let payload = wire::to_payload_binary(&Message::<u32, u32>::Terminate);
         ep.send(payload.clone(), true).unwrap(); // opens the partition: suppressed, ringed
         ep.send(payload.clone(), true).unwrap(); // partitioned: suppressed, ringed
         assert!(ep.is_attached(), "the socket stays open while partitioned");

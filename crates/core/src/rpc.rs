@@ -6,11 +6,12 @@
 //! here, once:
 //!
 //! * `accept_loop` — the blocking accept loop every listener of this
-//!   crate runs (client listeners, the server's pool listener, the
-//!   process transport's worker listener), and `wake_listener`, the
+//!   crate runs (client listeners and the worker listener of
+//!   [`crate::process::Sessions`]), and `wake_listener`, the
 //!   dial that gets it out of `accept()` at shutdown;
 //! * `serve_clients` — one thread per client connection running the
-//!   framed request loop; a daemon supplies only its `RequestHandler`;
+//!   framed request loop, every connection shut down when the accept
+//!   loop ends; a daemon supplies only its `RequestHandler`;
 //! * `EventLog` — the per-job append-only event logs with the
 //!   progress-dedup watermarks and the resumable `Watch` stream;
 //! * [`wait_for_shutdown_or_sigterm`] — the main-thread wait of both
@@ -23,7 +24,7 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -35,10 +36,6 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 /// Bound on the wake-up dial of [`wake_listener`]; the listener is our
 /// own, so the connect completes in the kernel at once.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// Read timeout of a client connection: how often an idle connection
-/// thread looks at the shutdown flag.
-const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Longest a watcher sleeps before re-reading its job's log.
 const STREAM_WAIT: Duration = Duration::from_millis(200);
@@ -100,8 +97,8 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
     /// State kept per connection across requests.
     type Conn: Default;
 
-    /// Set once the daemon shuts down: connection threads return at
-    /// their next read timeout, accept loops when woken.
+    /// Set once the daemon shuts down: accept loops return when woken,
+    /// and [`serve_clients`] then closes every client connection.
     fn shutdown(&self) -> &AtomicBool;
 
     /// Called for every connection the client listener accepts (a
@@ -120,44 +117,46 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
 
 /// Runs the client listener of a daemon: accepts until shutdown and
 /// serves every connection on a thread of its own named `thread_name`.
+/// When the accept loop ends, every connection still open is shut
+/// down, which ends its thread's blocking read at once.
 pub(crate) fn serve_clients<H: RequestHandler>(
     handler: Arc<H>,
     listener: TcpListener,
     thread_name: &'static str,
 ) {
+    const POISONED: &str = "a connection thread panicked while holding the connection table";
+    let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
+    let mut next = 0u64;
     accept_loop(listener, handler.shutdown(), |stream| {
         handler.connection_accepted();
-        let handler = handler.clone();
+        let Ok(dup) = stream.try_clone() else { return };
+        let id = next;
+        next += 1;
+        open.lock().expect(POISONED).insert(id, dup);
+        let (handler, open) = (handler.clone(), open.clone());
         let _ = std::thread::Builder::new().name(thread_name.into()).spawn(move || {
             let _ = serve_conn(&*handler, stream);
+            open.lock().expect(POISONED).remove(&id);
         });
     });
+    for (_, stream) in open.lock().expect(POISONED).drain() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
 /// The framed request loop of one client connection.
 fn serve_conn<H: RequestHandler>(handler: &H, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     let mut reader = stream.try_clone()?;
     let mut writer = stream;
     let mut dec = FrameDecoder::new();
     let mut conn = H::Conn::default();
-    loop {
-        if handler.shutdown().load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let req = match wire::read_msg(&mut reader, &mut dec) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()), // client hung up
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
+    while let Some(req) = wire::read_msg(&mut reader, &mut dec)? {
         if !handler.handle(&mut conn, req, &mut writer)? {
-            return Ok(());
+            break;
         }
     }
+    Ok(())
 }
 
 /// The metric-label spelling of a job state.

@@ -26,43 +26,41 @@
 //!   gracefully instead of shrinking forever.
 //!
 //! Wire protocols ([`crate::wire`]): clients speak
-//! [`ClientRequest`]/[`ServerReply`] and pool workers handshake with
-//! [`PoolHello`]/[`PoolWelcome`], all as length-prefixed JSON frames;
-//! after its handshake a pool connection carries
-//! [`PoolDown`]/[`PoolUp`] in the same checksummed binary frames as a
-//! per-call worker session. The pool keeps no retransmit ring — a torn
-//! connection is recovered by replacing the worker — so downward
-//! frames go out unsequenced ([`wire::frame_unseq`]); upward frames are
-//! numbered, and the server applies the session's duplicate/gap rule
-//! to them ([`Endpoint::on_header`]). The `Begin` frame carrying the
-//! instance is encoded **once** per job and the same bytes are written
-//! to every leased worker — the instance never re-serializes per rank.
+//! [`ClientRequest`]/[`ServerReply`] as length-prefixed JSON frames.
+//! Pool workers are members of the same session layer as per-call
+//! workers ([`Sessions`]: the hello/welcome handshake, resumable
+//! sessions with retransmit rings, heartbeats, the liveness sweep); the
+//! pool is its owner and gives the payloads their meaning —
+//! [`PoolDown`]/[`PoolUp`] — and a death its consequences. A torn pool
+//! connection therefore resumes like a per-call one; a worker is
+//! replaced only once its session dies or its process exits. The
+//! `Begin` payload carrying the instance is encoded **once** per job
+//! and shared by every leased worker's retransmit ring — the instance
+//! never re-serializes per rank.
 
-use crate::chaos::{self, FrameFaults};
 use crate::comm::LcComm;
 use crate::ledger::JobLedger;
 use crate::messages::Message;
-use crate::process::{require_revision, Arrival, Endpoint, ProcessCommConfig, PROTOCOL_VERSION};
+use crate::process::{Hello, ProcessCommConfig, SessionOwner, Sessions, WorkerLink};
 use crate::rpc::{
-    accept_loop, empty_finished, serve_clients, state_label, wake_listener, EventLog,
-    RequestHandler,
+    empty_finished, serve_clients, state_label, wake_listener, EventLog, RequestHandler,
 };
 use crate::runner::{ParallelOptions, ParallelResult};
 use crate::settings::SolverSettings;
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
-use crate::wire::{self, FrameDecoder};
+use crate::wire::{self, FrameDecoder, WireError};
 use crate::worker::{solve_and_report, BaseSolver, SolverFactory, Uplink};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Everything that crosses a wire in this module: the bound shared by
@@ -70,45 +68,11 @@ use std::time::{Duration, Instant};
 pub trait WireType: Clone + Send + Serialize + DeserializeOwned + 'static {}
 impl<T: Clone + Send + Serialize + DeserializeOwned + 'static> WireType for T {}
 
-/// Bumped on any change to the pool or client protocol; a mismatch at
-/// handshake drops the connection instead of desynchronizing the pool.
-pub const POOL_PROTOCOL_VERSION: u32 = 5;
-
 // ---------------------------------------------------------------------
 // Pool protocol (server ⇄ standing workers)
 // ---------------------------------------------------------------------
 
-/// First frame of a connecting pool worker.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct PoolHello {
-    /// Must equal [`POOL_PROTOCOL_VERSION`].
-    pub protocol: u32,
-    /// The spawn tag the server passed on the command line, so the
-    /// server can marry the connection back to the `Child` it spawned.
-    /// `None` for externally started workers.
-    pub tag: Option<u64>,
-    /// The worker's OS pid (reported even when externally started, so
-    /// `ServerStatus` can expose it for targeted kills in tests).
-    pub pid: Option<u32>,
-    /// The wire revision the worker speaks after the welcome; anything
-    /// but [`PROTOCOL_VERSION`] (or nothing) is refused, as on the
-    /// per-call path.
-    #[serde(default)]
-    pub max_protocol: Option<u32>,
-}
-
-/// The server's handshake answer: the worker's permanent pool id.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct PoolWelcome {
-    /// The pool id every later frame names.
-    pub worker: u64,
-    /// The wire revision of every later frame; the worker refuses
-    /// anything but [`PROTOCOL_VERSION`] (or nothing).
-    #[serde(default)]
-    pub protocol: Option<u32>,
-}
-
-/// Server → worker frames after the handshake.
+/// Server → worker payloads of a pool session.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub enum PoolDown<Inst, Sub, Sol> {
     /// A new job starts on this worker: load the instance. Encoded once
@@ -128,33 +92,25 @@ pub enum PoolDown<Inst, Sub, Sol> {
     },
 }
 
-/// Worker → server frames after the handshake.
+/// Worker → server payloads of a pool session (the session names the
+/// sending worker).
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub enum PoolUp<Sub, Sol> {
-    /// Keep-alive, independent of solving.
-    Ping {
-        /// The sending worker's pool id.
-        worker: u64,
-    },
     /// A coordination message of the named job. The worker always says
     /// rank 0 about itself; the server rewrites the rank from its lease
     /// table before forwarding to the job's coordinator.
     Ug {
         /// The job this message belongs to.
         job: u64,
-        /// The sending worker's pool id.
-        worker: u64,
         /// The worker's message to the coordinator.
         msg: Message<Sub, Sol>,
     },
     /// The worker acknowledged the job's `Terminate` and is free again.
-    /// Leases are only released on this frame, so a worker still
+    /// Leases are only released on this payload, so a worker still
     /// draining one job can never receive the next job's `Begin`.
     JobDone {
         /// The finished job.
         job: u64,
-        /// The now-free worker's pool id.
-        worker: u64,
     },
 }
 
@@ -695,23 +651,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// One admitted pool connection's write half; `None` once retired.
-type SharedWriter = Arc<Mutex<Option<TcpStream>>>;
-
-/// Writes one complete downward frame; a failed write retires the
-/// writer. False when the connection is (now) gone.
-fn write_down(slot: &SharedWriter, frame: &[u8]) -> bool {
-    let mut guard = slot.lock().unwrap();
-    let Some(stream) = guard.as_mut() else { return false };
-    let sent = stream.write_all(frame).and_then(|_| stream.flush()).is_ok();
-    if !sent {
-        *guard = None;
-    }
-    sent
-}
-
+/// A pool member; its connection is the session of the same id.
 struct WorkerEntry {
-    writer: SharedWriter,
     /// The `Child` when the server spawned this worker itself.
     child: Option<Child>,
     pid: Option<u32>,
@@ -719,8 +660,6 @@ struct WorkerEntry {
     lease: Option<(u64, usize)>,
     /// Set when the leased job finished; cleared by `JobDone`.
     draining_since: Option<Instant>,
-    /// Last frame of any kind (heartbeats included).
-    last_heard: Instant,
 }
 
 struct PendingSpawn {
@@ -776,9 +715,11 @@ struct SharedState<Inst, Sub, Sol> {
     config: ServerConfig,
     /// Resolved worker-listener address workers are spawned against.
     worker_addr: String,
-    /// The client and the pool listener's addresses: what
-    /// [`initiate_shutdown`] dials to end their accept loops.
-    listeners: [SocketAddr; 2],
+    /// The pool's connections: one session per worker.
+    sessions: Sessions,
+    /// The client listener's address: what [`initiate_shutdown`] dials
+    /// to end its accept loop.
+    client_addr: SocketAddr,
     shutdown: AtomicBool,
     /// Set by [`Server::drain`]: this shutdown must *preserve* the
     /// ledger records of jobs it stops (they resume on the next server
@@ -806,7 +747,8 @@ struct StartedJob<Inst, Sub, Sol> {
     jid: u64,
     spec: JobSpec<Inst, Sub>,
     cancel: Arc<AtomicBool>,
-    writers: Vec<SharedWriter>,
+    /// The leased workers' pool ids, by rank.
+    workers: Vec<u64>,
     inbox: Receiver<Message<Sub, Sol>>,
     /// Checkpoint JSON to resume from (recovered jobs only).
     restart_from: Option<String>,
@@ -817,13 +759,14 @@ struct StartedJob<Inst, Sub, Sol> {
 // ---------------------------------------------------------------------
 
 /// The coordinator endpoint of one *job*: sends to its leased pool
-/// workers (wrapped as [`PoolDown::Ug`] frames), receives from the
-/// inbox the server's pool readers forward into. `WorkerDied` for a
-/// lost lease is injected by the server, mirroring what the process
-/// transport synthesizes.
+/// workers' sessions (wrapped as [`PoolDown::Ug`]), receives from the
+/// inbox the pool forwards into. `WorkerDied` for a lost lease is
+/// injected by the server, mirroring what the per-call transport
+/// synthesizes.
 pub struct JobComm<Sub, Sol> {
     job: u64,
-    writers: Vec<SharedWriter>,
+    sessions: Sessions,
+    workers: Vec<u64>,
     inbox: Receiver<Message<Sub, Sol>>,
 }
 
@@ -834,14 +777,14 @@ where
 {
     /// Number of leased workers (= the job's solver ranks).
     pub fn num_workers(&self) -> usize {
-        self.writers.len()
+        self.workers.len()
     }
 
     /// Sends to the worker leased as `rank`; false when the rank is out
-    /// of range or its connection is gone (the writer is retired).
+    /// of range or its session is dead.
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        let Some(slot) = self.writers.get(rank) else { return false };
-        write_down(slot, &wire::frame_unseq(&PoolDownUg::Ug { job: self.job, msg }))
+        let Some(&worker) = self.workers.get(rank) else { return false };
+        self.sessions.send(worker, wire::to_payload_binary(&PoolDownUg::Ug { job: self.job, msg }))
     }
 
     /// Receives the next worker message, waiting at most `d`.
@@ -947,7 +890,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 JobRecord::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index),
             );
         }
-        let shared = Arc::new(SharedState {
+        let pool_comm = config.comm.clone();
+        let shared = Arc::new_cyclic(|me: &Weak<SharedState<Inst, Sub, Sol>>| SharedState {
             state: Mutex::new(ServerState {
                 workers: HashMap::new(),
                 pending: HashMap::new(),
@@ -962,7 +906,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             events: EventLog::new(),
             config,
             worker_addr: worker_addr.to_string(),
-            listeners: [client_addr, worker_addr],
+            sessions: Sessions::new(&pool_comm, Arc::new(Pool(me.clone()))),
+            client_addr,
             shutdown: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             gateway_epoch: AtomicU64::new(0),
@@ -996,19 +941,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 .name("ugd-scheduler".into())
                 .spawn(move || scheduler_loop(sh))?,
         );
-        let sh = shared.clone();
-        threads.push(std::thread::Builder::new().name("ugd-worker-accept".into()).spawn(
-            move || {
-                accept_loop(worker_listener, &sh.shutdown, |stream| {
-                    sh.connections_accepted("pool").inc();
-                    if let Err(e) = admit_worker(&sh, stream) {
-                        if e.kind() == io::ErrorKind::InvalidData {
-                            eprintln!("ugrs: refused a pool worker connection: {e}");
-                        }
-                    }
-                })
-            },
-        )?);
+        shared.sessions.listen(worker_listener)?;
         let sh = shared.clone();
         threads.push(
             std::thread::Builder::new()
@@ -1092,9 +1025,7 @@ fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
     shared.state.lock().unwrap().shutdown = true;
     shared.sched.notify_all();
     shared.events.wake();
-    for addr in shared.listeners {
-        wake_listener(addr);
-    }
+    wake_listener(shared.client_addr);
 }
 
 // ---------------------------------------------------------------------
@@ -1136,14 +1067,16 @@ fn spawn_pool_worker(config: &ServerConfig, worker_addr: &str, tag: u64) -> io::
     cmd.stdin(std::process::Stdio::null()).stdout(std::process::Stdio::null()).spawn()
 }
 
-/// The scheduler: pool refill, liveness, and job starts. Each pass has
-/// three phases — decide under the state lock (A), act lock-free (B:
-/// kill lost workers, spawn job threads, emit events), then block on
-/// the condvar (C). Nothing slow ever runs under the lock.
+/// The scheduler: pool refill, liveness, and job starts. Each pass
+/// sweeps the pool's sessions, then has three phases — decide under the
+/// state lock (A), act lock-free (B: kill lost workers, spawn job
+/// threads, emit events), then block on the condvar (C). Nothing slow
+/// ever runs under the lock.
 fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: Arc<SharedState<Inst, Sub, Sol>>,
 ) {
     loop {
+        shared.sessions.sweep();
         let mut lost: Vec<u64> = Vec::new();
         let mut starts: Vec<StartedJob<Inst, Sub, Sol>> = Vec::new();
         {
@@ -1177,14 +1110,15 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     }
                 }
             }
-            // Liveness sweep + expired drains.
-            for (id, w) in st.workers.iter() {
-                if w.last_heard.elapsed() > shared.config.comm.liveness_timeout {
+            // A spawned worker whose process has exited is lost now —
+            // no resume can bring it back, so its session's reconnect
+            // window is not waited out. So is one stuck draining.
+            for (id, w) in st.workers.iter_mut() {
+                let exited = w.child.as_mut().is_some_and(|c| matches!(c.try_wait(), Ok(Some(_))));
+                let stuck =
+                    w.draining_since.is_some_and(|t| t.elapsed() > shared.config.drain_timeout);
+                if exited || stuck {
                     lost.push(*id);
-                } else if let Some(t) = w.draining_since {
-                    if t.elapsed() > shared.config.drain_timeout {
-                        lost.push(*id);
-                    }
                 }
             }
             // Start queued jobs while capacity and free workers allow.
@@ -1222,12 +1156,10 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 let Some((qi, jid)) = pick else { break };
                 let want = st.jobs[&jid].spec.num_solvers.clamp(1, shared.config.pool_size.max(1));
                 st.queue.remove(qi);
-                let chosen: Vec<u64> = free[..want].to_vec();
-                let mut writers = Vec::with_capacity(want);
-                for (rank, wid) in chosen.iter().enumerate() {
-                    let w = st.workers.get_mut(wid).expect("chosen from live workers");
-                    w.lease = Some((jid, rank));
-                    writers.push(w.writer.clone());
+                let workers: Vec<u64> = free[..want].to_vec();
+                for (rank, wid) in workers.iter().enumerate() {
+                    st.workers.get_mut(wid).expect("chosen from live workers").lease =
+                        Some((jid, rank));
                 }
                 let (tx, rx) = channel();
                 st.running += 1;
@@ -1238,7 +1170,7 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     jid,
                     spec: job.spec.clone(),
                     cancel: job.cancel.clone(),
-                    writers,
+                    workers,
                     inbox: rx,
                     // Consumed on first start: if this run is later lost
                     // to a *worker*-side failure the coordinator already
@@ -1252,7 +1184,7 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             worker_lost(&shared, id);
         }
         for s in starts {
-            shared.events.emit(s.jid, JobEventKind::Started { workers: s.writers.len() });
+            shared.events.emit(s.jid, JobEventKind::Started { workers: s.workers.len() });
             let sh = shared.clone();
             let name = format!("ugd-job-{}", s.jid);
             std::thread::Builder::new()
@@ -1269,19 +1201,14 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
     shutdown_cleanup(&shared);
 }
 
-/// Removes a dead/stuck worker: retire its connection, kill its
-/// process, tell its job's coordinator (requeue path), wake the
-/// scheduler (refill path). Idempotent — the pool reader and the
-/// liveness sweep may both report the same worker.
+/// Removes a dead/stuck worker: evict its session, kill its process,
+/// tell its job's coordinator (requeue path), wake the scheduler
+/// (refill path). Idempotent — the session layer and the scheduler's
+/// process check may both report the same worker.
 fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: u64) {
     let (child, notify) = {
         let mut st = shared.state.lock().unwrap();
         let Some(mut w) = st.workers.remove(&id) else { return };
-        if let Ok(mut g) = w.writer.lock() {
-            if let Some(c) = g.take() {
-                let _ = c.shutdown(std::net::Shutdown::Both);
-            }
-        }
         let mut notify = None;
         if let Some((jid, rank)) = w.lease {
             if let Some(job) = st.jobs.get(&jid) {
@@ -1294,6 +1221,7 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
         }
         (w.child.take(), notify)
     };
+    shared.sessions.evict(id);
     if let Some(mut c) = child {
         let _ = c.kill();
         let _ = c.wait();
@@ -1311,15 +1239,16 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: Arc<SharedState<Inst, Sub, Sol>>,
     start: StartedJob<Inst, Sub, Sol>,
 ) {
-    let StartedJob { jid, spec, cancel, writers, inbox, restart_from } = start;
-    let n = writers.len();
-    // One encode, n identical writes: the worker-pool amortization.
-    let begin = wire::frame_unseq(&PoolDown::<Inst, Sub, Sol>::Begin {
+    let StartedJob { jid, spec, cancel, workers, inbox, restart_from } = start;
+    let n = workers.len();
+    // One encode, n sessions ringing the same bytes: the worker-pool
+    // amortization.
+    let begin = Arc::new(wire::to_payload_binary(&PoolDown::<Inst, Sub, Sol>::Begin {
         job: jid,
         instance: spec.instance.clone(),
-    });
-    for w in &writers {
-        write_down(w, &begin);
+    }));
+    for &w in &workers {
+        shared.sessions.send(w, begin.clone());
     }
     // Telemetry wiring: an optional per-job journal plus a progress
     // sink feeding the server's live per-job snapshot map.
@@ -1361,7 +1290,7 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
         restart_from,
         ..ParallelOptions::default()
     };
-    let comm = LcComm::Job(JobComm { job: jid, writers, inbox });
+    let comm = LcComm::Job(JobComm { job: jid, sessions: shared.sessions.clone(), workers, inbox });
     let mut coordinator = LoadCoordinator::new(comm, options, spec.root.clone());
     let res = coordinator.run();
     let state = classify(&res, cancel.load(Ordering::SeqCst), n);
@@ -1487,21 +1416,10 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
         let (guard, _) = shared.sched.wait_timeout(st, Duration::from_millis(50)).unwrap();
         st = guard;
     }
-    let mut children: Vec<Child> = Vec::new();
-    for (_, mut w) in st.workers.drain() {
-        if let Ok(mut g) = w.writer.lock() {
-            if let Some(c) = g.take() {
-                let _ = c.shutdown(std::net::Shutdown::Both);
-            }
-        }
-        if let Some(c) = w.child.take() {
-            children.push(c);
-        }
-    }
-    for (_, p) in st.pending.drain() {
-        children.push(p.child);
-    }
+    let mut children: Vec<Child> = st.workers.drain().filter_map(|(_, w)| w.child).collect();
+    children.extend(st.pending.drain().map(|(_, p)| p.child));
     drop(st);
+    shared.sessions.close();
     for mut c in children {
         if !matches!(c.try_wait(), Ok(Some(_))) {
             let _ = c.kill();
@@ -1511,154 +1429,83 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
 }
 
 // ---------------------------------------------------------------------
-// Worker pool: accept, handshake, per-worker readers
+// Worker pool: the owner of the pool's sessions
 // ---------------------------------------------------------------------
 
-fn admit_worker<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<SharedState<Inst, Sub, Sol>>,
-    stream: TcpStream,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let mut reader = stream.try_clone()?;
-    let mut dec = FrameDecoder::new();
-    let hello: PoolHello = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::UnexpectedEof, "worker closed before hello")
-    })?;
-    if hello.protocol != POOL_PROTOCOL_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("pool protocol {} != {}", hello.protocol, POOL_PROTOCOL_VERSION),
-        ));
-    }
-    // Refused before the hello can take a pool id (or adopt a child).
-    require_revision("pool worker hello", hello.max_protocol)?;
-    dec.set_v2(true);
-    let (id, mut child) = {
+/// The pool as the owner of its [`Sessions`]: a hello's spawn tag marries
+/// the connection back to its `Child`, payloads are [`PoolUp`]s, a death
+/// is a lost worker. Weak, because the table lives inside the state.
+struct Pool<Inst, Sub, Sol>(Weak<SharedState<Inst, Sub, Sol>>);
+
+impl<Inst: WireType, Sub: WireType, Sol: WireType> SessionOwner for Pool<Inst, Sub, Sol> {
+    fn admit(&self, hello: &Hello, _taken: &dyn Fn(u64) -> bool) -> Option<u64> {
+        let shared = self.0.upgrade()?;
         let mut st = shared.state.lock().unwrap();
         match hello.tag {
-            Some(t) if st.pending.contains_key(&t) => {
-                (t, Some(st.pending.remove(&t).expect("checked").child))
-            }
+            Some(tag) if st.pending.contains_key(&tag) => Some(tag),
             _ => {
-                let id = st.next_worker_tag;
                 st.next_worker_tag += 1;
-                (id, None)
+                Some(st.next_worker_tag - 1)
             }
         }
-    };
-    let finish = (|| -> io::Result<TcpStream> {
-        let welcome = PoolWelcome { worker: id, protocol: Some(PROTOCOL_VERSION) };
-        wire::write_msg(&mut (&stream), &welcome)?;
-        stream.set_read_timeout(None)?;
-        stream.try_clone()
-    })();
-    let writer_stream = match finish {
-        Ok(s) => s,
-        Err(e) => {
-            // An adopted child whose handshake failed must not leak.
-            if let Some(c) = child.as_mut() {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-            return Err(e);
-        }
-    };
-    let pid = hello.pid.or_else(|| child.as_ref().map(|c| c.id()));
-    {
-        let mut st = shared.state.lock().unwrap();
-        st.workers.insert(
-            id,
-            WorkerEntry {
-                writer: Arc::new(Mutex::new(Some(writer_stream))),
-                child,
-                pid,
-                lease: None,
-                draining_since: None,
-                last_heard: Instant::now(),
-            },
-        );
     }
-    spawn_pool_reader(shared.clone(), id, reader, dec);
-    shared.sched.notify_all();
-    Ok(())
-}
 
-fn spawn_pool_reader<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
-    id: u64,
-    mut stream: TcpStream,
-    mut dec: FrameDecoder,
-) {
-    // Only the receive half of a session: nothing is sent through it.
-    let mut session = Endpoint::<TcpStream>::new(0, None, None);
-    std::thread::Builder::new()
-        .name(format!("pool-reader-{id}"))
-        .spawn(move || loop {
-            let up = match wire::read_frame(&mut stream, &mut dec) {
-                Ok(Some((header, payload))) => match session.on_header(header) {
-                    Arrival::Accept => wire::decode::<PoolUp<Sub, Sol>>(&payload).ok(),
-                    Arrival::Duplicate => continue,
-                    // Nothing can replay the missing frames: the worker
-                    // is lost, like on any other torn stream.
-                    Arrival::Gap => None,
-                },
-                Ok(None) | Err(_) => None,
-            };
-            match up {
-                Some(up) => handle_pool_up(&shared, id, up),
-                None => {
-                    worker_lost(&shared, id);
-                    return;
-                }
-            }
-        })
-        .expect("spawn pool reader thread");
-}
-
-fn handle_pool_up<Inst, Sub, Sol: Clone>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    id: u64,
-    up: PoolUp<Sub, Sol>,
-) {
-    match up {
-        PoolUp::Ping { .. } => {
-            let gap = {
-                let mut st = shared.state.lock().unwrap();
-                let Some(w) = st.workers.get_mut(&id) else { return };
-                let gap = w.last_heard.elapsed();
-                w.last_heard = Instant::now();
-                gap
-            };
-            shared.heartbeat_gap().observe(gap.as_secs_f64());
+    fn joined(&self, id: u64, hello: &Hello) {
+        let Some(shared) = self.0.upgrade() else { return };
+        {
+            let mut st = shared.state.lock().unwrap();
+            let child = st.pending.remove(&id).map(|p| p.child);
+            let pid = hello.pid.or_else(|| child.as_ref().map(Child::id));
+            st.workers.insert(id, WorkerEntry { child, pid, lease: None, draining_since: None });
         }
-        PoolUp::JobDone { .. } => {
-            {
-                let mut st = shared.state.lock().unwrap();
-                if let Some(w) = st.workers.get_mut(&id) {
-                    w.last_heard = Instant::now();
+        shared.sched.notify_all();
+    }
+
+    fn deliver(&self, id: u64, payload: &[u8]) -> Result<(), WireError> {
+        let up = wire::decode::<PoolUp<Sub, Sol>>(payload)?;
+        let Some(shared) = self.0.upgrade() else { return Ok(()) };
+        match up {
+            PoolUp::JobDone { .. } => {
+                if let Some(w) = shared.state.lock().unwrap().workers.get_mut(&id) {
                     w.lease = None;
                     w.draining_since = None;
                 }
+                shared.sched.notify_all();
             }
-            shared.sched.notify_all();
-        }
-        PoolUp::Ug { job, mut msg, .. } => {
-            let tx = {
-                let mut st = shared.state.lock().unwrap();
-                let Some(w) = st.workers.get_mut(&id) else { return };
-                w.last_heard = Instant::now();
-                let Some((jid, rank)) = w.lease else { return };
-                if jid != job {
-                    return; // stale frame of a previous job
+            PoolUp::Ug { job, mut msg } => {
+                let tx = {
+                    let st = shared.state.lock().unwrap();
+                    let lease = st.workers.get(&id).and_then(|w| w.lease);
+                    let Some((jid, rank)) = lease.filter(|(jid, _)| *jid == job) else {
+                        return Ok(()); // no lease, or a stale payload of a previous job
+                    };
+                    set_rank(&mut msg, rank);
+                    st.jobs.get(&jid).and_then(|j| j.inbox.clone())
+                };
+                if let Some(tx) = tx {
+                    shared.events.emit_progress(job, &msg);
+                    let _ = tx.send(msg);
                 }
-                set_rank(&mut msg, rank);
-                st.jobs.get(&jid).and_then(|j| j.inbox.clone())
-            };
-            if let Some(tx) = tx {
-                shared.events.emit_progress(job, &msg);
-                let _ = tx.send(msg);
             }
+        }
+        Ok(())
+    }
+
+    fn died(&self, id: u64) {
+        if let Some(shared) = self.0.upgrade() {
+            worker_lost(&shared, id);
+        }
+    }
+
+    fn accepted(&self) {
+        if let Some(shared) = self.0.upgrade() {
+            shared.connections_accepted("pool").inc();
+        }
+    }
+
+    fn heartbeat(&self, gap: Duration) {
+        if let Some(shared) = self.0.upgrade() {
+            shared.heartbeat_gap().observe(gap.as_secs_f64());
         }
     }
 }
@@ -2037,10 +1884,11 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
 // The worker side: a standing pool member
 // ---------------------------------------------------------------------
 
-/// Joins a server's worker pool and serves jobs until the server hangs
-/// up: the pool analogue of [`crate::runner::run_distributed_worker`].
-/// `make_factory` turns each received instance into the base-solver
-/// factory used for that job's subproblems.
+/// Joins a server's worker pool and serves jobs until the server is
+/// gone for good: the pool analogue of
+/// [`crate::runner::run_distributed_worker`], over the same
+/// [`WorkerLink`]. `make_factory` turns each received instance into the
+/// base-solver factory used for that job's subproblems.
 pub fn serve_worker<Inst, S, F>(
     addr: &str,
     tag: Option<u64>,
@@ -2053,129 +1901,56 @@ where
     S: BaseSolver + 'static,
     F: Fn(&Inst) -> SolverFactory<S>,
 {
-    let stream = crate::process::dial(addr, config.handshake_timeout)?;
-    wire::write_msg(
-        &mut (&stream),
-        &PoolHello {
-            protocol: POOL_PROTOCOL_VERSION,
-            tag,
-            pid: Some(std::process::id()),
-            max_protocol: Some(PROTOCOL_VERSION),
-        },
+    let link = WorkerLink::<PoolDown<Inst, S::Sub, S::Sol>, PoolUp<S::Sub, S::Sol>>::connect(
+        addr,
+        &Hello::new(None, tag),
+        config,
     )?;
-    let mut reader = stream.try_clone()?;
-    let mut dec = FrameDecoder::new();
-    let welcome: PoolWelcome = wire::read_msg(&mut reader, &mut dec)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::UnexpectedEof, "server closed before welcome")
-    })?;
-    require_revision("pool server welcome", welcome.protocol)?;
-    stream.set_read_timeout(None)?;
-    dec.set_v2(true);
-    let worker = welcome.worker;
-    // Faults are armed only after the handshake: a worker must always
-    // be able to join the pool, exactly as resume frames bypass chaos
-    // on the per-call path.
-    let faults = config.chaos.as_ref().map(FrameFaults::new);
-    let writer = Arc::new(Mutex::new(PoolUplink { stream, faults, tx_next: 0 }));
-    let hb_shutdown = Arc::new(AtomicBool::new(false));
-    {
-        let writer = writer.clone();
-        let hb_shutdown = hb_shutdown.clone();
-        let interval = config.heartbeat_interval;
-        std::thread::Builder::new()
-            .name(format!("pool-heartbeat-{worker}"))
-            .spawn(move || loop {
-                std::thread::sleep(interval);
-                if hb_shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if !send_up(&writer, &PoolUp::<S::Sub, S::Sol>::Ping { worker }) {
-                    return;
-                }
-            })
-            .expect("spawn pool heartbeat thread");
-    }
-    let (down_tx, down_rx) = channel::<PoolDown<Inst, S::Sub, S::Sol>>();
-    std::thread::Builder::new()
-        .name(format!("pool-downlink-{worker}"))
-        .spawn(move || loop {
-            match wire::read_msg::<PoolDown<Inst, S::Sub, S::Sol>, _>(&mut reader, &mut dec) {
-                Ok(Some(m)) => {
-                    if down_tx.send(m).is_err() {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => return, // server gone: recv() errors out
-            }
-        })
-        .expect("spawn pool downlink thread");
-
-    let result = serve_loop::<Inst, S>(worker, &writer, &down_rx, &make_factory, status_interval);
-    hb_shutdown.store(true, Ordering::SeqCst);
-    if let Ok(up) = writer.lock() {
-        let _ = up.stream.shutdown(std::net::Shutdown::Both);
-    }
-    result
-}
-
-fn serve_loop<Inst, S>(
-    worker: u64,
-    writer: &Mutex<PoolUplink>,
-    down_rx: &Receiver<PoolDown<Inst, S::Sub, S::Sol>>,
-    make_factory: &dyn Fn(&Inst) -> SolverFactory<S>,
-    status_interval: Duration,
-) -> io::Result<()>
-where
-    Inst: WireType,
-    S: BaseSolver + 'static,
-{
     let mut current: Option<(u64, SolverFactory<S>)> = None;
-    loop {
-        let Ok(down) = down_rx.recv() else { return Ok(()) };
+    while let Some(down) = link.recv() {
         match down {
             PoolDown::Begin { job, instance } => current = Some((job, make_factory(&instance))),
             PoolDown::Ug { job, msg } => {
                 let Some((cur, factory)) = current.as_ref() else { continue };
                 if *cur != job {
-                    continue; // stale frame of a finished job
+                    continue; // stale payload of a finished job
                 }
-                let uplink = JobUplink { writer, down_rx, job, worker };
                 let job_over = match msg {
                     Message::Terminate => true,
                     Message::Subproblem { sub, incumbent, settings } => {
                         let settings = settings.unwrap_or_else(SolverSettings::default_bundle);
-                        let mut solver = factory(worker as usize, &settings);
+                        let mut solver = factory(link.rank(), &settings);
+                        let uplink = JobUplink { link: &link, job };
                         // Reports itself as rank 0 — the server rewrites.
                         solve_and_report(&uplink, 0, &mut solver, sub, incumbent, status_interval)
                     }
                     _ => false, // stale control while idle
                 };
                 if job_over {
-                    send_up(writer, &PoolUp::<S::Sub, S::Sol>::JobDone { job, worker });
+                    link.send(PoolUp::JobDone { job });
                     current = None;
                 }
             }
         }
     }
+    Ok(())
 }
 
 /// The transport of a pool worker while it serves `job`: like the
-/// plain worker's, but frames travel as [`PoolUp::Ug`] tagged with the
-/// job id, and the downlink multiplexes [`PoolDown`] (job-tagged)
+/// plain worker's, but messages travel as [`PoolUp::Ug`] tagged with
+/// the job id, and the downlink multiplexes [`PoolDown`] (job-tagged)
 /// instead of raw messages.
 struct JobUplink<'a, Inst, Sub, Sol> {
-    writer: &'a Mutex<PoolUplink>,
-    down_rx: &'a Receiver<PoolDown<Inst, Sub, Sol>>,
+    link: &'a WorkerLink<PoolDown<Inst, Sub, Sol>, PoolUp<Sub, Sol>>,
     job: u64,
-    worker: u64,
 }
 
 impl<Inst, Sub: Serialize, Sol: Serialize> Uplink<Sub, Sol> for JobUplink<'_, Inst, Sub, Sol> {
     fn try_recv(&self) -> Option<Message<Sub, Sol>> {
         loop {
             // `Begin` mid-solve cannot happen (leases release on
-            // JobDone only); drop it and wrong-job frames defensively.
-            match self.down_rx.try_recv().ok()? {
+            // JobDone only); drop it and wrong-job payloads defensively.
+            match self.link.try_recv()? {
                 PoolDown::Ug { job, msg } if job == self.job => return Some(msg),
                 _ => {}
             }
@@ -2183,43 +1958,8 @@ impl<Inst, Sub: Serialize, Sol: Serialize> Uplink<Sub, Sol> for JobUplink<'_, In
     }
 
     fn send(&self, msg: Message<Sub, Sol>) -> bool {
-        send_up(self.writer, &PoolUp::Ug { job: self.job, worker: self.worker, msg })
+        self.link.send(PoolUp::Ug { job: self.job, msg })
     }
-}
-
-/// A pool worker's write half. The pool transport has no session
-/// resume — a torn connection is recovered by *replacement* (the server
-/// requeues the job and refills the pool) — so the seeded fault
-/// schedule (`ProcessCommConfig::chaos`, `None` in production)
-/// exercises the worker-loss machinery rather than reconnect/replay.
-struct PoolUplink {
-    stream: TcpStream,
-    faults: Option<FrameFaults>,
-    /// Next upward sequence number: what lets the server drop a
-    /// duplicated frame instead of acting on it twice.
-    tx_next: u64,
-}
-
-/// Writes one upward frame through [`chaos::write_frame`]: Corrupt
-/// flips one bit, which the server's frame CRC catches; Duplicate is
-/// suppressed by sequence number; Partition silences writes until the
-/// server's liveness sweep fires or the partition lifts. Whatever
-/// fails — the write, a Drop, a lifted partition — tears the
-/// connection down: the server sees the worker lost and replaces it.
-fn send_up<Sub: Serialize, Sol: Serialize>(
-    writer: &Mutex<PoolUplink>,
-    msg: &PoolUp<Sub, Sol>,
-) -> bool {
-    let mut guard = writer.lock().unwrap();
-    let up = &mut *guard;
-    let header = wire::FrameHeader { seq: up.tx_next, ack: 0 };
-    up.tx_next += 1;
-    let frame = wire::frame_v2(&wire::to_payload_binary(msg), header);
-    let sent = chaos::write_frame(up.faults.as_mut(), &mut up.stream, &frame);
-    if sent.is_err() {
-        let _ = up.stream.shutdown(std::net::Shutdown::Both);
-    }
-    sent.is_ok()
 }
 
 // ---------------------------------------------------------------------
@@ -2566,5 +2306,23 @@ mod tests {
         assert_eq!(spec.num_solvers, 2);
         assert!(spec.time_limit.is_infinite());
         assert!(spec.node_limit.is_none());
+    }
+
+    /// A shutdown closes idle client connections at once instead of
+    /// leaving each to notice at its next read timeout.
+    #[test]
+    fn an_idle_client_reads_eof_right_after_shutdown() {
+        let server = Server::<u32, u32, u32>::start(ServerConfig::default()).expect("start");
+        let mut client = JobClient::<u32, u32, u32>::connect(&server.client_addr().to_string())
+            .expect("connect");
+        client.status().expect("the connection is being served");
+        client.set_read_timeout(Duration::from_secs(5)).unwrap();
+        let t0 = Instant::now();
+        server.shutdown();
+        let err = client.read_reply().expect_err("nothing but EOF may arrive");
+        let took = t0.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(took < Duration::from_millis(100), "EOF took {took:?}");
+        server.join();
     }
 }

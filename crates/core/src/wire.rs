@@ -17,8 +17,8 @@
 //!   single flipped bit anywhere in the frame (length prefix included)
 //!   surface as [`WireError::Corrupt`] instead of desynchronizing the
 //!   stream, and the seq/ack pair is what lets [`crate::process`]
-//!   replay un-acked frames and suppress duplicates across a reconnect
-//!   (the pool keeps no ring and sends [`UNSEQ`]). The payload is the
+//!   replay un-acked frames and suppress duplicates across a reconnect.
+//!   An empty payload is a heartbeat or ack carrier. The payload is the
 //!   compact binary encoding of the serde `Value` tree
 //!   ([`to_payload_binary`]): a [`BINARY_MAGIC`] byte, then
 //!   tag-prefixed nodes with zigzag-varint integers, fixed-width
@@ -202,17 +202,11 @@ pub fn frame_v2(payload: &[u8], header: FrameHeader) -> Vec<u8> {
     framed
 }
 
-/// Sentinel sequence number of unsequenced frames (heartbeats, ack
-/// carriers, and everything on a pool connection): not ringed, not
-/// replayed, exempt from duplicate suppression, and they never advance
-/// the receiver's expected sequence number.
+/// Sentinel sequence number of unsequenced frames (heartbeats and ack
+/// carriers): not ringed, not replayed, exempt from duplicate
+/// suppression, and they never advance the receiver's expected
+/// sequence number.
 pub const UNSEQ: u64 = u64::MAX;
-
-/// Frames `msg` for a post-handshake worker connection that keeps no
-/// retransmit ring (the pool): v2 + binary, unsequenced.
-pub fn frame_unseq<T: Serialize>(msg: &T) -> Vec<u8> {
-    frame_v2(&to_payload_binary(msg), FrameHeader { seq: UNSEQ, ack: 0 })
-}
 
 /// Serializes `msg` to its JSON payload bytes (no framing, no
 /// telemetry) — what retransmit rings store, so a replay re-frames

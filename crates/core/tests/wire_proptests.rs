@@ -19,8 +19,8 @@ use ugrs_core::messages::{Message, SubproblemMsg};
 use ugrs_core::process::{Arrival, Conn, Endpoint, RingFull, RETRANSMIT_RING_CAP};
 use ugrs_core::server::{JobEvent, JobEventKind, JobSummary, PoolDown, PoolUp, WorkerInfo};
 use ugrs_core::wire::{
-    decode, encode, frame_unseq, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder,
-    FrameHeader, WireError, BINARY_MAGIC, MAX_FRAME_LEN, UNSEQ,
+    decode, encode, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder, FrameHeader,
+    WireError, BINARY_MAGIC, MAX_FRAME_LEN, UNSEQ,
 };
 use ugrs_core::{
     ClientRequest, FleetStatus, JobProgress, JobSpec, JobState, MetricsReport, ProgressMsg,
@@ -353,11 +353,11 @@ fn arb_pool_down() -> impl Strategy<Value = Down> {
 }
 
 fn arb_pool_up() -> impl Strategy<Value = Up> {
-    (0usize..3, 0u64..1_000, 0u64..64, arb_msg()).prop_map(|(variant, job, worker, msg)| {
-        match variant {
-            0 => PoolUp::Ping { worker },
-            1 => PoolUp::Ug { job, worker, msg },
-            _ => PoolUp::JobDone { job, worker },
+    (any::<bool>(), 0u64..1_000, arb_msg()).prop_map(|(ug, job, msg)| {
+        if ug {
+            PoolUp::Ug { job, msg }
+        } else {
+            PoolUp::JobDone { job }
         }
     })
 }
@@ -591,8 +591,9 @@ proptest! {
         bit_pick in any::<u64>(),
     ) {
         let session = frame_v2(&to_payload_binary(&msg), FrameHeader { seq, ack });
-        let pool_up = frame_v2(&to_payload_binary(&up), FrameHeader { seq, ack: 0 });
-        let pool_down = frame_unseq(&Down::Ug { job: seq, msg });
+        let pool_up = frame_v2(&to_payload_binary(&up), FrameHeader { seq, ack });
+        let down = to_payload_binary(&Down::Ug { job: seq, msg });
+        let pool_down = frame_v2(&down, FrameHeader { seq, ack });
         for framed in [session, pool_up, pool_down] {
             let bit = (bit_pick % (framed.len() * 8) as u64) as usize;
             let mut bad = framed;
@@ -940,7 +941,7 @@ fn job_protocol_variant_count(req: &Req, reply: &Reply, down: &Down, up: &Up, st
         PoolDown::Begin { .. } | PoolDown::Ug { .. } => {}
     }
     match up {
-        PoolUp::Ping { .. } | PoolUp::Ug { .. } | PoolUp::JobDone { .. } => {}
+        PoolUp::Ug { .. } | PoolUp::JobDone { .. } => {}
     }
     match state {
         JobState::Queued

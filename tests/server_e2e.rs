@@ -378,31 +378,16 @@ fn stale_gateway_epoch_is_fenced() {
 
 /// The pool path's frames are checksummed: a pool worker whose uplink
 /// flips one bit (the `corrupt` chaos profile) is caught by the
-/// server's frame CRC — counted, the connection ends in a lost worker,
-/// the job carries on with its other lease and reaches the reference
-/// optimum, and the pool is refilled. Before pool frames carried a CRC
-/// the flipped bit either failed to parse or was *accepted as a
-/// different number*, and `ugrs_comm_frames_corrupt_total` stayed 0.
+/// server's frame CRC — counted — and, since a pool connection is a
+/// resumable session, the worker reconnects and replays instead of
+/// being lost; the job reaches the reference optimum on the same pool.
+/// Before pool frames carried a CRC the flipped bit either failed to
+/// parse or was *accepted as a different number*.
 #[test]
 fn corrupted_pool_frame_is_caught_by_the_crc_and_the_job_still_solves() {
     let g = stp_graph(42);
     let expected = stp_reference(&g);
-
-    // The server hands pool worker `tag` the plan `seed + tag`. Pick
-    // the seed so that one of the two initial workers corrupts the very
-    // first frame it writes and the other writes its first 150 frames
-    // clean — far more than one small job needs.
-    let profile = ChaosProfile::named("corrupt").expect("preset");
-    let first_fault = |seed: u64| {
-        FaultPlan::new(seed, profile.clone()).events(1, 150).first().map(|(frame, _)| *frame)
-    };
-    let seed = (0u64..)
-        .find(|&s| {
-            let (a, b) = (first_fault(s), first_fault(s + 1));
-            matches!((a, b), (Some(0), None) | (None, Some(0)))
-        })
-        .expect("some seed arms exactly one early corrupter");
-    let plan = FaultPlan::new(seed, profile);
+    let plan = one_early_faulty_worker("corrupt");
 
     // Slow heartbeats: the schedule advances on job frames only.
     let mut config = server_config(2, 1, 100);
@@ -415,35 +400,109 @@ fn corrupted_pool_frame_is_caught_by_the_crc_and_the_job_still_solves() {
     // Jobs until the armed worker has written its first frame (a lease
     // that ends up as an idle rank writes only the closing `JobDone`,
     // which counts just as well).
+    let corrupt_before = sample_sum(&client.metrics().expect("metrics").text, CORRUPT);
+    for round in 0..4 {
+        solve_one(&mut client, format!("crc-{round}"), &g, expected, &plan);
+        let text = client.metrics().expect("metrics").text;
+        if sample_sum(&text, CORRUPT) > corrupt_before {
+            break;
+        }
+    }
+    // The resume may still be under way when the job is done.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let text = loop {
+        let text = client.metrics().expect("metrics").text;
+        if sample_sum(&text, "ugrs_comm_reconnects_total") >= 1.0 || Instant::now() > deadline {
+            break text;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        sample_sum(&text, CORRUPT) >= 1.0,
+        "the flipped bit must be caught by the frame CRC; plan: {plan}\n{text}"
+    );
+    assert!(
+        sample_sum(&text, "ugrs_comm_reconnects_total") >= 1.0,
+        "the torn connection must resume; plan: {plan}\n{text}"
+    );
+    assert_eq!(
+        sample_sum(&text, "ugrs_server_workers_lost_total"),
+        0.0,
+        "a resumable pool session must not cost the worker; plan: {plan}\n{text}"
+    );
+    server.shutdown_and_join();
+}
+
+/// With a zero reconnect budget a torn pool connection cannot resume:
+/// the worker is lost, its job requeues the lost rank's work and still
+/// reaches the optimum, and the scheduler refills the pool.
+#[test]
+fn zero_reconnect_budget_pool_worker_is_replaced_and_the_job_still_solves() {
+    let g = stp_graph(42);
+    let expected = stp_reference(&g);
+    let plan = one_early_faulty_worker("corrupt");
+
+    let mut config = server_config(2, 1, 100);
+    config.comm.heartbeat_interval = Duration::from_millis(900);
+    config.comm.reconnect_deadline = Duration::ZERO;
+    config.comm.chaos = Some(plan.clone());
+    let server = SolveServer::start(config).expect("server start");
+    let addr = server.client_addr().to_string();
+    let mut client = SolveClient::connect(&addr).expect("client connect");
+
     let mut lost = 0.0;
     for round in 0..4 {
-        let spec = stp_job(format!("crc-{round}"), &g, &ReduceParams::default());
-        let instance = spec.instance.clone();
-        let job = client.submit(spec).expect("submit");
-        let done = client.wait(job).expect("wait");
-        match &done.kind {
-            JobEventKind::Finished { state, .. } => {
-                assert_eq!(*state, JobState::Solved, "round {round}; plan: {plan}")
-            }
-            other => panic!("round {round}: unexpected terminal event {other:?}; plan: {plan}"),
-        }
-        let cost = external_obj(&instance, &done.kind);
-        assert!((cost - expected).abs() < 1e-6, "optimum {cost} != {expected}; plan: {plan}");
+        solve_one(&mut client, format!("zero-{round}"), &g, expected, &plan);
         lost =
             sample_sum(&client.metrics().expect("metrics").text, "ugrs_server_workers_lost_total");
         if lost >= 1.0 {
             break;
         }
     }
-    let text = client.metrics().expect("metrics").text;
-    assert!(lost >= 1.0, "the corrupting worker must be lost; plan: {plan}\n{text}");
-    assert!(
-        sample_sum(&text, "ugrs_comm_frames_corrupt_total") >= 1.0,
-        "the flipped bit must be caught by the frame CRC; plan: {plan}\n{text}"
-    );
+    assert!(lost >= 1.0, "without a budget the torn worker must be lost; plan: {plan}");
     await_status(&mut client, Duration::from_secs(30), "pool refilled to 2", |st| {
         st.workers.len() == 2
     });
+    server.shutdown_and_join();
+}
+
+/// Kill detection does not wait out the reconnect budget: a spawned
+/// worker whose process exited can never resume, so the server reports
+/// it lost at once even with a 10 s `reconnect_deadline`.
+#[test]
+fn sigkilled_pool_worker_is_lost_within_a_second_despite_a_long_reconnect_budget() {
+    let g = stp_graph(42);
+    let expected = stp_reference(&g);
+    let mut config = server_config(2, 1, 1500);
+    config.comm.reconnect_deadline = Duration::from_secs(10);
+    let server = SolveServer::start(config).expect("server start");
+    let addr = server.client_addr().to_string();
+    let mut client = SolveClient::connect(&addr).expect("client connect");
+
+    let spec = stp_job("victim", &g, &ReduceParams::default());
+    let instance = spec.instance.clone();
+    let job = client.submit(spec).expect("submit");
+    let mut status_client = SolveClient::connect(&addr).expect("status client");
+    let st = await_status(&mut status_client, Duration::from_secs(30), "job running", |st| {
+        st.workers.iter().any(|w| w.job == Some(job) && w.rank == Some(0))
+    });
+    let victim = st.workers.iter().find(|w| w.job == Some(job) && w.rank == Some(0)).unwrap();
+    let pid = victim.pid.expect("server-spawned workers have pids");
+    let killed_at = Instant::now();
+    let killed = std::process::Command::new("kill").arg("-9").arg(pid.to_string()).status();
+    assert!(killed.expect("spawn kill").success(), "kill -9 {pid} failed");
+
+    let mut lost_after = None;
+    let done = client
+        .watch(job, 0, |ev| {
+            if matches!(ev.kind, JobEventKind::WorkerLost { .. }) && lost_after.is_none() {
+                lost_after = Some(killed_at.elapsed());
+            }
+        })
+        .expect("watch");
+    let lost_after = lost_after.expect("the kill must be reported as WorkerLost");
+    assert!(lost_after < Duration::from_secs(1), "WorkerLost came {lost_after:?} after the kill");
+    assert!((external_obj(&instance, &done.kind) - expected).abs() < 1e-6);
     server.shutdown_and_join();
 }
 
@@ -453,7 +512,7 @@ fn corrupted_pool_frame_is_caught_by_the_crc_and_the_job_still_solves() {
 #[test]
 fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
     use ugrs::ug::wire::{self, FrameDecoder};
-    use ugrs::ug::{PoolHello, PoolWelcome, POOL_PROTOCOL_VERSION};
+    use ugrs::ug::{Hello, Welcome};
 
     let mut config = server_config(1, 1, 0);
     config.worker_command.clear(); // externally started workers only
@@ -463,11 +522,10 @@ fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
     let hello = |max_protocol| {
         let stream = std::net::TcpStream::connect(server.worker_addr()).expect("pool connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let hello =
-            PoolHello { protocol: POOL_PROTOCOL_VERSION, tag: None, pid: None, max_protocol };
+        let hello = Hello { max_protocol, ..Hello::new(None, None) };
         wire::write_msg(&mut (&stream), &hello).expect("hello");
         let mut reader = stream.try_clone().unwrap();
-        let welcome = wire::read_msg::<PoolWelcome, _>(&mut reader, &mut FrameDecoder::new());
+        let welcome = wire::read_msg::<Welcome, _>(&mut reader, &mut FrameDecoder::new());
         (stream, welcome)
     };
     for old in [None, Some(2)] {
@@ -478,11 +536,52 @@ fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
     // The same hello at revision 3 is admitted, under the first id.
     let (_stream, welcome) = hello(Some(3));
     let welcome = welcome.expect("welcome").expect("a revision-3 hello is admitted");
-    assert_eq!((welcome.worker, welcome.protocol), (0, Some(3)));
+    assert_eq!((welcome.rank, welcome.protocol), (0, Some(3)));
     await_status(&mut client, Duration::from_secs(5), "the admitted worker", |st| {
         st.workers.len() == 1
     });
     server.shutdown_and_join();
+}
+
+const CORRUPT: &str = "ugrs_comm_frames_corrupt_total";
+
+/// A plan under which, of a pool's two initial workers (the server
+/// hands worker `tag` the plan `seed + tag`), one faults on the very
+/// first frame it writes and the other writes its first 150 frames
+/// clean — far more than one small job needs.
+fn one_early_faulty_worker(profile: &str) -> FaultPlan {
+    let profile = ChaosProfile::named(profile).expect("preset");
+    let first_fault = |seed: u64| {
+        FaultPlan::new(seed, profile.clone()).events(1, 150).first().map(|(frame, _)| *frame)
+    };
+    let seed = (0u64..)
+        .find(|&s| {
+            matches!((first_fault(s), first_fault(s + 1)), (Some(0), None) | (None, Some(0)))
+        })
+        .expect("some seed arms exactly one early faulty worker");
+    FaultPlan::new(seed, profile)
+}
+
+/// Submits one STP job and asserts it ends `Solved` at `expected`.
+fn solve_one(
+    client: &mut SolveClient,
+    name: String,
+    g: &ugrs::steiner::Graph,
+    expected: f64,
+    plan: &FaultPlan,
+) {
+    let spec = stp_job(name.clone(), g, &ReduceParams::default());
+    let instance = spec.instance.clone();
+    let job = client.submit(spec).expect("submit");
+    let done = client.wait(job).expect("wait");
+    match &done.kind {
+        JobEventKind::Finished { state, .. } => {
+            assert_eq!(*state, JobState::Solved, "{name}; plan: {plan}")
+        }
+        other => panic!("{name}: unexpected terminal event {other:?}; plan: {plan}"),
+    }
+    let cost = external_obj(&instance, &done.kind);
+    assert!((cost - expected).abs() < 1e-6, "{name}: optimum {cost} != {expected}; plan: {plan}");
 }
 
 /// The seed under test. CI's `wire` job sweeps a fixed set (41, 1337,
@@ -494,10 +593,9 @@ fn chaos_seed() -> u64 {
 /// The pool path under the seeded `flaky` schedule (`ugd-server
 /// --chaos-seed/--chaos-profile` arms it in every spawned worker):
 /// drops, corruption, duplicates and delays on the workers' uplinks.
-/// The pool transport has no session resume, so every torn connection
-/// is a lost worker — the job requeues the lost rank's work onto its
-/// other leases, the scheduler refills the pool — and every job must
-/// still end `Solved` at its reference optimum.
+/// Pool connections are resumable sessions: within the healing budget
+/// every torn connection resumes, no worker is lost, and every job
+/// ends `Solved` at its reference optimum.
 #[test]
 fn pool_workers_under_seeded_chaos_reach_reference_optima() {
     let plan = FaultPlan::new(chaos_seed(), ChaosProfile::named("flaky").expect("preset"));
@@ -528,6 +626,7 @@ fn pool_workers_under_seeded_chaos_reach_reference_optima() {
     assert_eq!(specs.len(), 12);
 
     let mut config = server_config(3, 1, 0);
+    config.comm.reconnect_deadline = Duration::from_secs(5);
     config.comm.chaos = Some(plan.clone());
     let server = SolveServer::start(config).expect("server start");
     let addr = server.client_addr().to_string();
@@ -555,8 +654,13 @@ fn pool_workers_under_seeded_chaos_reach_reference_optima() {
 
     let text = client.metrics().expect("metrics").text;
     assert!(
-        sample_sum(&text, "ugrs_server_workers_lost_total") >= 1.0,
-        "the schedule must have cost at least one worker; plan: {plan}\n{text}"
+        sample_sum(&text, "ugrs_comm_reconnects_total") >= 1.0,
+        "the schedule must have torn and resumed a connection; plan: {plan}\n{text}"
+    );
+    assert_eq!(
+        sample_sum(&text, "ugrs_server_workers_lost_total"),
+        0.0,
+        "within the healing budget no worker may be lost; plan: {plan}\n{text}"
     );
     await_status(&mut client, Duration::from_secs(30), "pool back at 3 idle workers", |st| {
         st.workers.len() == 3 && st.workers.iter().all(|w| w.job.is_none() && !w.draining)
