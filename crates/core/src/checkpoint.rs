@@ -88,24 +88,12 @@ where
     /// [`write_atomic`] — a crash during or shortly after the save
     /// leaves either the previous complete checkpoint or the new one.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        self.save_with(path, false)
-    }
-
-    /// [`Self::save`] with optional `--compress-state` compression:
-    /// the JSON body is wrapped in the [`crate::lz`] container before
-    /// the atomic write. [`Self::load`] auto-detects either format, so
-    /// flipping the flag between runs needs no migration.
-    pub fn save_with(&self, path: &Path, compress: bool) -> std::io::Result<()> {
-        let data = serde_json::to_vec(self)?;
-        if compress {
-            write_atomic(path, &crate::lz::compress(&data))
-        } else {
-            write_atomic(path, &data)
-        }
+        write_atomic(path, &serde_json::to_vec(self)?)
     }
 
     /// Loads from JSON, transparently decompressing a
-    /// [`crate::lz`]-compressed artifact first. Corrupt or torn
+    /// [`crate::lz`]-compressed artifact first (older servers could
+    /// write checkpoints compressed). Corrupt or torn
     /// contents surface as [`std::io::ErrorKind::InvalidData`] rather
     /// than a panic, so a recovery pass can skip a bad artifact and
     /// continue.
@@ -170,8 +158,9 @@ mod tests {
         let dir = scratch_dir("compressed");
         let plain = dir.join("plain.json");
         let packed = dir.join("packed.json");
-        cp.save_with(&plain, false).unwrap();
-        cp.save_with(&packed, true).unwrap();
+        cp.save(&plain).unwrap();
+        let json = serde_json::to_vec(&cp).unwrap();
+        write_atomic(&packed, &crate::lz::compress(&json)).unwrap();
         assert!(crate::lz::is_compressed(&std::fs::read(&packed).unwrap()));
         assert!(!crate::lz::is_compressed(&std::fs::read(&plain).unwrap()));
         // One loader reads both formats — rollback needs no migration.

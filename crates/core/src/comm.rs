@@ -2,16 +2,19 @@
 //!
 //! UG abstracts the transport behind base classes so that the *same*
 //! coordination logic runs over pthreads/C++11 threads (FiberSCIP) and
-//! MPI (ParaSCIP). We reproduce that boundary: [`LcComm`] and
-//! [`WorkerComm`] are enum-dispatched endpoints with two back-ends —
+//! MPI (ParaSCIP). We reproduce that boundary: the coordinator's
+//! [`LcComm`] is an enum-dispatched endpoint with two back-ends —
 //!
 //! * **ThreadComm** (this module): in-process, one `std::sync::mpsc`
 //!   channel pair per rank — the FiberSCIP half, `ug [ugrs-*,
-//!   ThreadComm]`;
+//!   ThreadComm]`, whose ParaSolvers hold a [`WorkerComm`];
 //! * **ProcessComm** ([`crate::process`]): length-prefixed frames
-//!   ([`crate::wire`]) over localhost TCP between a coordinator process
-//!   and spawned worker processes — the ParaSCIP half, `ug [ugrs-*,
-//!   ProcessComm]`, standing in for MPI.
+//!   ([`crate::wire`]) over localhost TCP between a coordinator and
+//!   worker processes — the ParaSCIP half, `ug [ugrs-*, ProcessComm]`,
+//!   standing in for MPI. Its endpoint is one job's [`JobComm`], alike
+//!   for a per-call run (a private one-job pool) and a `ugd-server` job
+//!   on leased pool workers; the worker processes run
+//!   [`crate::worker::serve_worker`].
 //!
 //! All coordination code talks *only* in rank-addressed [`Message`]s —
 //! no shared state crosses this boundary (the supervisor and workers
@@ -35,8 +38,7 @@
 //! the whole process down anyway).
 
 use crate::messages::Message;
-use crate::process::{ProcessLcComm, ProcessWorkerComm};
-use crate::server::JobComm;
+use crate::process::JobComm;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -47,20 +49,8 @@ use std::time::Duration;
 pub enum LcComm<Sub, Sol> {
     /// In-process channels (FiberSCIP-style).
     Thread(ThreadLcComm<Sub, Sol>),
-    /// TCP to spawned worker processes (ParaSCIP-style).
-    Process(ProcessLcComm<Sub, Sol>),
-    /// Leased standing-pool workers of one `ugd-server` job
-    /// ([`crate::server`]): the same sessions as `Process`, but
-    /// multiplexed over connections that outlive the job.
-    Job(JobComm<Sub, Sol>),
-}
-
-/// A ParaSolver's endpoint: receives its own messages, sends upward.
-pub enum WorkerComm<Sub, Sol> {
-    /// In-process channels (FiberSCIP-style).
-    Thread(ThreadWorkerComm<Sub, Sol>),
-    /// TCP back to the spawning coordinator (ParaSCIP-style).
-    Process(ProcessWorkerComm<Sub, Sol>),
+    /// TCP to worker processes (ParaSCIP-style): one job's sessions.
+    Process(JobComm<Sub, Sol>),
 }
 
 // ---------------------------------------------------------------------
@@ -73,8 +63,9 @@ pub struct ThreadLcComm<Sub, Sol> {
     from_workers: Receiver<Message<Sub, Sol>>,
 }
 
-/// Worker side of the in-process transport.
-pub struct ThreadWorkerComm<Sub, Sol> {
+/// A ParaSolver thread's endpoint: receives its own messages, sends
+/// upward.
+pub struct WorkerComm<Sub, Sol> {
     rank: usize,
     rx: Receiver<Message<Sub, Sol>>,
     tx: Sender<Message<Sub, Sol>>,
@@ -88,7 +79,7 @@ pub fn thread_comm<Sub, Sol>(n: usize) -> (LcComm<Sub, Sol>, Vec<WorkerComm<Sub,
     for rank in 0..n {
         let (tx, rx) = channel();
         to_workers.push(tx);
-        endpoints.push(WorkerComm::Thread(ThreadWorkerComm { rank, rx, tx: up_tx.clone() }));
+        endpoints.push(WorkerComm { rank, rx, tx: up_tx.clone() });
     }
     (LcComm::Thread(ThreadLcComm { to_workers, from_workers: up_rx }), endpoints)
 }
@@ -108,7 +99,6 @@ where
         match self {
             LcComm::Thread(c) => c.to_workers.len(),
             LcComm::Process(c) => c.num_workers(),
-            LcComm::Job(c) => c.num_workers(),
         }
     }
 
@@ -123,7 +113,6 @@ where
                 None => false,
             },
             LcComm::Process(c) => c.send_to(rank, msg),
-            LcComm::Job(c) => c.send_to(rank, msg),
         }
     }
 
@@ -149,46 +138,29 @@ where
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
             },
             LcComm::Process(c) => c.recv_timeout(d),
-            LcComm::Job(c) => c.recv_timeout(d),
         }
     }
 }
 
-impl<Sub, Sol> WorkerComm<Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
+impl<Sub, Sol> WorkerComm<Sub, Sol> {
     /// This endpoint's rank as assigned by the communicator.
     pub fn rank(&self) -> usize {
-        match self {
-            WorkerComm::Thread(c) => c.rank,
-            WorkerComm::Process(c) => c.rank(),
-        }
+        self.rank
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Message<Sub, Sol>> {
-        match self {
-            WorkerComm::Thread(c) => c.rx.try_recv().ok(),
-            WorkerComm::Process(c) => c.try_recv(),
-        }
+        self.rx.try_recv().ok()
     }
 
     /// Blocking receive; `None` when the coordinator hung up.
     pub fn recv(&self) -> Option<Message<Sub, Sol>> {
-        match self {
-            WorkerComm::Thread(c) => c.rx.recv().ok(),
-            WorkerComm::Process(c) => c.recv(),
-        }
+        self.rx.recv().ok()
     }
 
     /// Sends upward to the LoadCoordinator.
     pub fn send(&self, msg: Message<Sub, Sol>) -> bool {
-        match self {
-            WorkerComm::Thread(c) => c.tx.send(msg).is_ok(),
-            WorkerComm::Process(c) => c.send(msg),
-        }
+        self.tx.send(msg).is_ok()
     }
 }
 

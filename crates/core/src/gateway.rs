@@ -132,10 +132,6 @@ pub struct GatewayConfig {
     /// on its terminal event — the safety net that makes a job survive
     /// the reclaim/resubmit window of a steal and a gateway crash.
     pub state_dir: Option<PathBuf>,
-    /// `--compress-state`: write the gateway ledger's records through
-    /// the [`crate::lz`] container. Recovery always auto-detects, so
-    /// the flag can be flipped between restarts over an existing dir.
-    pub compress_state: bool,
     /// When set, the gateway appends one JSON line per fleet decision
     /// (submit, reject, route, steal, failover, finish) to
     /// `<dir>/gateway.jsonl` — the artifact CI uploads.
@@ -183,7 +179,6 @@ impl Default for GatewayConfig {
             default_quota: None,
             tenant_quotas: HashMap::new(),
             state_dir: None,
-            compress_state: false,
             journal_dir: None,
             lease_ttl: None,
             standby: false,
@@ -772,7 +767,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         let mut next_gid = 0u64;
         let ledger = match &config.state_dir {
             Some(dir) => {
-                let l = JobLedger::open_with(dir, config.compress_state)?;
+                let l = JobLedger::open(dir)?;
                 // With HA the recovery pass belongs to `promote`: a
                 // standby must not load jobs it does not own yet.
                 if !ha_mode {

@@ -85,35 +85,18 @@ pub struct Recovery<Inst, Sub> {
 pub struct JobLedger {
     jobs_dir: PathBuf,
     checkpoints_dir: PathBuf,
-    /// Write new records through the [`crate::lz`] container
-    /// (`--compress-state`). Reads always auto-detect, so flipping
-    /// this between restarts is safe.
-    compress: bool,
 }
 
 impl JobLedger {
-    /// Opens (creating as needed) the ledger under `state_dir`,
-    /// writing plain JSON records.
+    /// Opens (creating as needed) the ledger under `state_dir`. New
+    /// records are plain JSON; recovery also reads records an older
+    /// server wrote through the [`crate::lz`] container.
     pub fn open(state_dir: &Path) -> io::Result<Self> {
-        Self::open_with(state_dir, false)
-    }
-
-    /// [`Self::open`] with `--compress-state` control: when `compress`
-    /// is set, new job records are LZ-compressed on disk. Recovery
-    /// reads both formats either way.
-    pub fn open_with(state_dir: &Path, compress: bool) -> io::Result<Self> {
         let jobs_dir = state_dir.join("jobs");
         let checkpoints_dir = state_dir.join("checkpoints");
         std::fs::create_dir_all(&jobs_dir)?;
         std::fs::create_dir_all(&checkpoints_dir)?;
-        Ok(JobLedger { jobs_dir, checkpoints_dir, compress })
-    }
-
-    /// Whether this ledger compresses new state artifacts; the server
-    /// forwards this to the per-job checkpoint writer so both kinds of
-    /// durable state follow one flag.
-    pub fn compresses(&self) -> bool {
-        self.compress
+        Ok(JobLedger { jobs_dir, checkpoints_dir })
     }
 
     fn record_path(&self, job: u64) -> PathBuf {
@@ -138,9 +121,7 @@ impl JobLedger {
         // Serialized through a Value so the borrowed spec need not be
         // cloned; the shape must match [`LedgerRecord`]'s derive.
         let record = serde_json::json!({ "job": job, "spec": spec });
-        let data = serde_json::to_vec(&record)?;
-        let data = if self.compress { crate::lz::compress(&data) } else { data };
-        crate::checkpoint::write_atomic(&self.record_path(job), &data)
+        crate::checkpoint::write_atomic(&self.record_path(job), &serde_json::to_vec(&record)?)
     }
 
     /// Retires a job that reached a terminal state: its record and
@@ -225,9 +206,8 @@ impl JobLedger {
 }
 
 /// Reads a state artifact as text, transparently decompressing the
-/// [`crate::lz`] container when present — the checkpoint next to a
-/// ledger record may be either format depending on the
-/// `--compress-state` flag of the run that wrote it.
+/// [`crate::lz`] container when present — a state dir written by an
+/// older server may hold compressed checkpoints.
 pub fn read_state_text(path: &Path) -> io::Result<String> {
     let data = crate::lz::decompress_if_needed(std::fs::read(path)?)?;
     String::from_utf8(data).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -708,6 +688,27 @@ mod tests {
         assert_eq!(rec.jobs[0].spec.name, "good");
         assert_eq!(rec.skipped.len(), 1, "the torn .json is reported");
         assert!(rec.skipped[0].ends_with("job-1.json"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record an older server packed through the [`crate::lz`]
+    /// container still recovers.
+    #[test]
+    fn compressed_record_is_recovered() {
+        let dir = scratch_dir("packed");
+        let ledger = JobLedger::open(&dir).unwrap();
+        ledger.record_submitted(3, &spec("packed")).unwrap();
+        let path = dir.join("jobs/job-3.json");
+        let packed = crate::lz::compress(&std::fs::read(&path).unwrap());
+        std::fs::write(&path, &packed).unwrap();
+        assert!(crate::lz::is_compressed(&std::fs::read(&path).unwrap()));
+
+        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        assert!(rec.skipped.is_empty(), "the packed record must parse");
+        assert_eq!(rec.jobs.len(), 1);
+        assert_eq!((rec.jobs[0].job, rec.jobs[0].spec.name.as_str()), (3, "packed"));
+        assert_eq!(rec.jobs[0].spec.priority, 3);
+        assert_eq!(rec.next_job, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

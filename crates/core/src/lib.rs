@@ -60,14 +60,14 @@ pub use checkpoint::{write_atomic, Checkpoint};
 pub use gateway::{Gateway, GatewayConfig, ShardSpec, TenantQuota};
 pub use ledger::{JobLedger, LedgerRecord, RecoveredJob, Recovery};
 pub use messages::{Message, SubproblemMsg};
-pub use process::{Hello, ProcessCommConfig, Welcome};
+pub use process::{Hello, PoolDown, PoolUp, ProcessCommConfig, Welcome};
 pub use runner::{
-    run_distributed_worker, solve_parallel, solve_parallel_distributed, DistributedOptions,
-    ParallelOptions, ParallelResult, RampUp,
+    solve_parallel, solve_parallel_distributed, DistributedOptions, ParallelOptions,
+    ParallelResult, RampUp,
 };
 pub use server::{
-    serve_worker, ClientRequest, JobClient, JobEvent, JobEventKind, JobSpec, JobState, JobSummary,
-    PoolDown, PoolUp, Server, ServerConfig, ServerReply, ServerStatus, WireType, WorkerInfo,
+    ClientRequest, JobClient, JobEvent, JobEventKind, JobSpec, JobState, JobSummary, Server,
+    ServerConfig, ServerReply, ServerStatus, WireType, WorkerInfo,
 };
 pub use server::{FleetStatus, JobProgress, MetricsReport, ShardSummary, SubmitOutcome};
 pub use settings::SolverSettings;
@@ -76,7 +76,7 @@ pub use telemetry::{
     Journal, JournalRecord, MetricsRegistry, ProgressMsg, ProgressSink, RacingArm, TelemetryEvent,
     TelemetrySink,
 };
-pub use worker::{BaseSolver, ParaControl, SubproblemOutcome};
+pub use worker::{serve_worker, BaseSolver, ParaControl, SubproblemOutcome};
 
 /// The internal objective sense across the whole framework is
 /// *minimization*; base solvers must convert at their boundary.

@@ -1,13 +1,12 @@
 //! Raw-LZ compression for durable state artifacts.
 //!
 //! Checkpoints and ledger records are JSON (deliberately — restart
-//! artifacts stay human-inspectable), but at fleet scale a checkpoint
-//! holding thousands of primitive nodes is megabytes of highly
-//! repetitive text. Behind `--compress-state` those artifacts are
-//! wrapped in the LZSS-style container implemented here; readers
-//! auto-detect by magic, so compressed and plain state files coexist
-//! in one state directory and a `--compress-state` rollback (or a v2
-//! codec rollback) reads both without migration.
+//! artifacts stay human-inspectable). Earlier servers could wrap them
+//! in the LZSS-style container implemented here (`--compress-state`,
+//! since retired: no benchmark workload turned it on).
+//! Readers still auto-detect it by magic ([`decompress_if_needed`]),
+//! so a state directory such a server left behind still recovers; the
+//! benchmark measures [`compress`] on a checkpoint as `core.lz_ratio`.
 //!
 //! ## Container layout
 //!

@@ -8,27 +8,33 @@
 //! worker processes, and each worker holds one connection carrying
 //! [`crate::wire`] frames both ways.
 //!
+//! **One worker protocol.** Every worker speaks the pool protocol
+//! ([`PoolDown`]/[`PoolUp`]): it receives each job's instance in a
+//! `Begin` and the job's coordination messages tagged with the job id,
+//! and it stays alive across jobs ([`crate::worker::serve_worker`]). A
+//! per-call distributed solve is a private one-job pool: it spawns its
+//! workers, sends one `Begin` for job 0, runs its coordinator over a
+//! [`JobComm`] exactly like a served job does, and ends the workers by
+//! closing the sessions and killing the processes (`reap`).
+//!
 //! **One session layer, two owners.** [`Sessions`] is the coordinator
 //! half of every worker connection: the accept loop, the
 //! hello/welcome/resume handshake, one reader per connection, the ack
 //! carrier, the liveness sweep and death reporting. It accepts members
 //! at any time. What a delivered payload or a death *means* belongs to
-//! its [`SessionOwner`]: [`ProcessLcComm`] (a per-call run: `n` fixed
-//! ranks, payloads are [`Message`]s) or the server's pool
-//! ([`crate::server`]: members come and go, payloads are
-//! [`crate::server::PoolUp`]). The worker half — dial, hello, the
-//! reader with its reconnect policy, the heartbeat — is [`WorkerLink`],
-//! shared by [`connect_worker`] and [`crate::server::serve_worker`].
+//! its [`SessionOwner`]: a per-call run's `Ranks` (`n` fixed members,
+//! see [`accept_ranks`]) or the server's pool ([`crate::server`]:
+//! members come and go). The worker half — dial, hello, the reader with
+//! its reconnect policy, the heartbeat — is [`WorkerLink`].
 //!
 //! **Handshake.** A connecting worker sends a [`Hello`] (always as a v1
 //! frame); the coordinator verifies the base protocol and the
 //! advertised wire revision (`require_revision`: [`PROTOCOL_VERSION`]
 //! or refused — the connection is closed without a welcome and without
-//! taking a member id), lets the owner pick the member id (a per-call
-//! run honors the rank hint when free — this is what makes spawned
-//! worker *i* deterministically become rank *i*; the pool marries the
-//! spawn tag back to its `Child`), and answers with a [`Welcome`]
-//! carrying the id and a session token. After the welcome both
+//! taking a member id), lets the owner pick the member id from the
+//! hello's spawn tag (a per-call run's worker tagged *i* becomes rank
+//! *i*; the pool marries the tag back to its `Child`), and answers
+//! with a [`Welcome`] carrying the id and a session token. After the welcome both
 //! directions speak checksummed v2 frames carrying binary payloads,
 //! each written directly to the socket. Each connection handshakes on
 //! its own thread, so a client that stalls mid-hello occupies only
@@ -53,7 +59,8 @@
 //! never hears about a transient drop. Only when the deadline expires
 //! (or with a zero deadline, or when a retransmit ring overflows) does
 //! the session die — reported to the owner exactly once, which turns
-//! it into [`Message::WorkerDied`] and the requeue → refill path.
+//! it into [`Message::WorkerDied`] and the requeue path (plus, in the
+//! pool, a refill).
 //! Recoveries are recorded in `ugrs_comm_reconnects_total` and
 //! `ugrs_comm_frames_retransmitted_total`; anomalies in
 //! `ugrs_comm_seq_gaps_total` and `ugrs_comm_ring_overflows_total`.
@@ -85,7 +92,8 @@ use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::marker::PhantomData;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -93,10 +101,11 @@ use std::time::{Duration, Instant};
 
 /// The wire revision every worker connection speaks after its
 /// handshake: checksummed, sequence-numbered v2 frames carrying the
-/// binary payload codec. Advertised as `max_protocol` in the hello and
-/// as `protocol` in the welcome; a peer advertising anything else is
-/// refused (`require_revision`, PROTOCOL.md §4).
-pub const PROTOCOL_VERSION: u32 = 3;
+/// binary payload codec, whose payloads are the pool protocol
+/// ([`PoolDown`]/[`PoolUp`]). Advertised as `max_protocol` in the hello
+/// and as `protocol` in the welcome; a peer advertising anything else
+/// is refused (`require_revision`, PROTOCOL.md §4).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// The base protocol every peer must share for the handshake itself;
 /// a different value here drops the connection instead of
@@ -194,14 +203,11 @@ fn validated(config: &ProcessCommConfig) -> io::Result<()> {
     config.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))
 }
 
-/// The first frame of every worker connection, per-call and pool.
+/// The first frame of every worker connection.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Hello {
     /// Always [`BASE_PROTOCOL`].
     pub protocol: u32,
-    /// The rank a spawned per-call worker asks for.
-    #[serde(default)]
-    pub rank_hint: Option<usize>,
     /// The wire revision the worker speaks after the welcome; anything
     /// but [`PROTOCOL_VERSION`] (or nothing) is refused.
     #[serde(default)]
@@ -209,9 +215,10 @@ pub struct Hello {
     /// Present when re-attaching to an existing session.
     #[serde(default)]
     pub resume: Option<Resume>,
-    /// The spawn tag a server passed on a pool worker's command line,
-    /// so the server can marry the connection back to the `Child` it
-    /// spawned. `None` for externally started workers.
+    /// The spawn tag on the worker's command line (`--pool-tag`): a
+    /// per-call worker's rank, and what lets a server marry the
+    /// connection back to the `Child` it spawned. `None` for externally
+    /// started workers.
     #[serde(default)]
     pub tag: Option<u64>,
     /// The worker's OS pid (shown in the server's status, for targeted
@@ -222,10 +229,9 @@ pub struct Hello {
 
 impl Hello {
     /// The hello of a fresh worker of this build.
-    pub fn new(rank_hint: Option<usize>, tag: Option<u64>) -> Self {
+    pub fn new(tag: Option<u64>) -> Self {
         Hello {
             protocol: BASE_PROTOCOL,
-            rank_hint,
             max_protocol: Some(PROTOCOL_VERSION),
             resume: None,
             tag,
@@ -266,6 +272,65 @@ pub struct Session {
     pub token: u64,
     /// Next upward seq the coordinator expects.
     pub rx_next: u64,
+}
+
+// ---------------------------------------------------------------------
+// The pool protocol: the payloads of every worker session
+// ---------------------------------------------------------------------
+
+/// Coordinator → worker payloads.
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+pub enum PoolDown<Inst, Sub, Sol> {
+    /// A new job starts on this worker: load the instance. Encoded once
+    /// per job; every worker of the job receives the identical bytes.
+    Begin {
+        /// The job the following frames belong to (0 in a per-call run).
+        job: u64,
+        /// The instance the worker builds its base solver from.
+        instance: Inst,
+    },
+    /// A coordination message of the named job, verbatim.
+    Ug {
+        /// The addressed job.
+        job: u64,
+        /// The coordinator's message to this worker.
+        msg: Message<Sub, Sol>,
+    },
+}
+
+/// Worker → coordinator payloads (the session names the sending
+/// worker).
+#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+pub enum PoolUp<Sub, Sol> {
+    /// A coordination message of the named job. The worker always says
+    /// rank 0 about itself; the session's owner rewrites the rank
+    /// (`set_rank`) before forwarding to the job's coordinator.
+    Ug {
+        /// The job this message belongs to.
+        job: u64,
+        /// The worker's message to the coordinator.
+        msg: Message<Sub, Sol>,
+    },
+    /// The worker acknowledged the job's `Terminate` and is free again.
+    /// A pool releases a lease only on this payload, so a worker still
+    /// draining one job can never receive the next job's `Begin`.
+    JobDone {
+        /// The finished job.
+        job: u64,
+    },
+}
+
+/// Rewrites the rank a worker reported (always 0 about itself) to its
+/// rank within the job.
+pub(crate) fn set_rank<Sub, Sol>(msg: &mut Message<Sub, Sol>, rank: usize) {
+    match msg {
+        Message::SolutionFound { rank: r, .. }
+        | Message::Status { rank: r, .. }
+        | Message::ExportedNode { rank: r, .. }
+        | Message::Completed { rank: r, .. }
+        | Message::WorkerDied { rank: r } => *r = rank,
+        _ => {}
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -994,76 +1059,141 @@ fn reader_failed(
 }
 
 // ---------------------------------------------------------------------
-// Coordinator side: the per-call owner
+// Coordinator side: one job's endpoint, per-call and served
 // ---------------------------------------------------------------------
 
-/// The coordinator's accept socket. Bind first, then spawn workers
-/// pointed at [`Self::local_addr`], then collect them with
-/// [`Self::accept_workers`].
-pub struct ProcessListener {
-    listener: TcpListener,
+/// The coordinator endpoint of one job, per-call and served alike:
+/// sends to the job's workers' sessions as [`PoolDown`] payloads,
+/// receives the messages the sessions' owner forwarded (ranks already
+/// rewritten by `set_rank`), a dead worker's
+/// [`Message::WorkerDied`] among them.
+pub struct JobComm<Sub, Sol> {
+    job: u64,
+    sessions: Sessions,
+    /// Member ids, by rank within the job.
+    workers: Vec<u64>,
+    inbox: Receiver<Message<Sub, Sol>>,
+    /// A per-call run's endpoint owns its session table: dropping it
+    /// closes the sessions and ends the accept loop. A served job's
+    /// borrows the pool's.
+    owns_sessions: bool,
 }
 
-impl ProcessListener {
-    /// Binds; pass port 0 (e.g. `"127.0.0.1:0"`) to let the OS pick.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-        Ok(ProcessListener { listener: TcpListener::bind(addr)? })
+impl<Sub, Sol> JobComm<Sub, Sol>
+where
+    Sub: Serialize + DeserializeOwned,
+    Sol: Serialize + DeserializeOwned,
+{
+    /// A served job's endpoint over (a share of) the pool's sessions.
+    pub(crate) fn new(
+        job: u64,
+        sessions: Sessions,
+        workers: Vec<u64>,
+        inbox: Receiver<Message<Sub, Sol>>,
+    ) -> Self {
+        JobComm { job, sessions, workers, inbox, owns_sessions: false }
     }
 
-    /// The bound address (useful after binding port 0).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+    /// Number of the job's workers (= its solver ranks).
+    pub fn num_workers(&self) -> usize {
+        self.workers.len()
     }
 
-    /// Accepts and handshakes exactly `n` workers, then returns the
-    /// coordinator endpoint. Connections with the wrong protocol
-    /// version (or that fail to say hello in time) are dropped and do
-    /// not count toward `n`. The accept loop keeps running in the
-    /// background afterwards, so broken sessions can reconnect for as
-    /// long as the endpoint lives.
-    pub fn accept_workers<Sub, Sol>(
-        self,
-        n: usize,
-        config: &ProcessCommConfig,
-    ) -> io::Result<ProcessLcComm<Sub, Sol>>
-    where
-        Sub: Serialize + DeserializeOwned + Send + 'static,
-        Sol: Serialize + DeserializeOwned + Send + 'static,
-    {
-        validated(config)?;
-        let deadline = Instant::now() + config.handshake_timeout;
-        let (up_tx, up_rx) = channel();
-        let ranks = Arc::new(Ranks { n, up_tx, joined: Mutex::new(0), all_joined: Condvar::new() });
-        let sessions = Sessions::new(config, ranks.clone());
-        sessions.listen(self.listener)?;
-        // From here on dropping `lc` — the error return below included
-        // — closes the table.
-        let lc = ProcessLcComm { sessions, n, up_rx };
-        let mut joined = ranks.joined.lock().unwrap();
-        while *joined < n {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("only {}/{n} workers connected in time", *joined),
-                ));
-            }
-            joined = ranks.all_joined.wait_timeout(joined, deadline - now).unwrap().0;
+    /// Starts the job on every worker: one `Begin`, encoded once, that
+    /// every session rings without a copy.
+    pub fn begin<Inst: Serialize>(&self, instance: &Inst) {
+        let begin = PoolDown::<&Inst, Sub, Sol>::Begin { job: self.job, instance };
+        let begin = Arc::new(wire::to_payload_binary(&begin));
+        for &worker in &self.workers {
+            self.sessions.send(worker, begin.clone());
         }
-        drop(joined);
-        Ok(lc)
+    }
+
+    /// Sends to the worker of `rank`: [`Sessions::send`] — `true` means
+    /// *delivered or will be on resume*, `false` an unknown rank or a
+    /// dead session (`WorkerDied` is reported when the send itself
+    /// killed it).
+    pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
+        let Some(&worker) = self.workers.get(rank) else { return false };
+        // A `Ug` payload carries no instance: any serializable stand-in
+        // for the instance type encodes the same bytes.
+        let ug = PoolDown::<&str, Sub, Sol>::Ug { job: self.job, msg };
+        self.sessions.send(worker, wire::to_payload_binary(&ug))
+    }
+
+    /// Receives the next worker message, sweeping liveness first
+    /// ([`Sessions::sweep`]): a dead worker arrives as
+    /// [`Message::WorkerDied`], exactly once.
+    pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
+        self.sessions.sweep();
+        match self.inbox.recv_timeout(d) {
+            Ok(m) => Some(m),
+            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
+        }
     }
 }
 
-/// The per-call owner of a session table: `n` ranks, each claimed by
-/// the first hello that asks for it (or any free one); payloads are
-/// [`Message`]s forwarded to the coordinator, a death is
+impl<Sub, Sol> std::fmt::Debug for JobComm<Sub, Sol> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "JobComm(job={}, n={})", self.job, self.workers.len())
+    }
+}
+
+impl<Sub, Sol> Drop for JobComm<Sub, Sol> {
+    fn drop(&mut self) {
+        if self.owns_sessions {
+            self.sessions.close();
+        }
+    }
+}
+
+/// Accepts the `n` workers of a per-call run on `listener` — a private
+/// one-job pool, job 0 — and returns its endpoint once all `n` have
+/// joined. Connections that fail the handshake do not count toward
+/// `n`; `TimedOut` once `config.handshake_timeout` is spent. The accept
+/// loop keeps running afterwards, so broken sessions can resume for as
+/// long as the endpoint lives; dropping it (the error return included)
+/// closes the table.
+pub fn accept_ranks<Sub, Sol>(
+    listener: TcpListener,
+    n: usize,
+    config: &ProcessCommConfig,
+) -> io::Result<JobComm<Sub, Sol>>
+where
+    Sub: Serialize + DeserializeOwned + Send + 'static,
+    Sol: Serialize + DeserializeOwned + Send + 'static,
+{
+    validated(config)?;
+    let deadline = Instant::now() + config.handshake_timeout;
+    let (up_tx, inbox) = channel();
+    let ranks = Arc::new(Ranks { n, up_tx, joined: Mutex::new(0), all_joined: Condvar::new() });
+    let sessions = Sessions::new(config, ranks.clone());
+    sessions.listen(listener)?;
+    let workers = (0..n as u64).collect();
+    let comm = JobComm { job: 0, sessions, workers, inbox, owns_sessions: true };
+    let mut joined = ranks.joined.lock().unwrap();
+    while *joined < n {
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                format!("only {}/{n} workers connected in time", *joined),
+            ));
+        }
+        joined = ranks.all_joined.wait_timeout(joined, deadline - now).unwrap().0;
+    }
+    drop(joined);
+    Ok(comm)
+}
+
+/// The owner of a per-call run's sessions: `n` fixed ranks. Spawn tag
+/// *i* becomes rank *i*; an untagged (or out-of-range) hello takes the
+/// lowest free rank. Payloads are [`PoolUp`]s, a death is
 /// [`Message::WorkerDied`].
 struct Ranks<Sub, Sol> {
     n: usize,
     up_tx: Sender<Message<Sub, Sol>>,
-    /// Ranks whose first welcome is out; what
-    /// [`ProcessListener::accept_workers`] waits on.
+    /// Ranks whose first welcome is out; what [`accept_ranks`] waits on.
     joined: Mutex<usize>,
     all_joined: Condvar,
 }
@@ -1074,12 +1204,8 @@ where
     Sol: DeserializeOwned + Send + 'static,
 {
     fn admit(&self, hello: &Hello, taken: &dyn Fn(u64) -> bool) -> Option<u64> {
-        let free = |r: usize| !taken(r as u64);
-        let rank = match hello.rank_hint {
-            Some(h) if h < self.n && free(h) => Some(h),
-            _ => (0..self.n).find(|&r| free(r)),
-        };
-        rank.map(|r| r as u64)
+        let free = |rank: u64| rank < self.n as u64 && !taken(rank);
+        hello.tag.filter(|&t| free(t)).or_else(|| (0..self.n as u64).find(|&r| free(r)))
     }
 
     fn joined(&self, _id: u64, _hello: &Hello) {
@@ -1087,9 +1213,13 @@ where
         self.all_joined.notify_all();
     }
 
-    fn deliver(&self, _id: u64, payload: &[u8]) -> Result<(), WireError> {
-        // A send error means the coordinator is gone; nothing to do.
-        let _ = self.up_tx.send(wire::decode(payload)?);
+    fn deliver(&self, id: u64, payload: &[u8]) -> Result<(), WireError> {
+        // `JobDone` needs no answer: the run ends its workers itself.
+        if let PoolUp::Ug { mut msg, .. } = wire::decode::<PoolUp<Sub, Sol>>(payload)? {
+            set_rank(&mut msg, id as usize);
+            // A send error means the coordinator is gone; nothing to do.
+            let _ = self.up_tx.send(msg);
+        }
         Ok(())
     }
 
@@ -1098,51 +1228,52 @@ where
     }
 }
 
-/// Coordinator endpoint of the process transport.
-pub struct ProcessLcComm<Sub, Sol> {
-    sessions: Sessions,
-    n: usize,
-    up_rx: Receiver<Message<Sub, Sol>>,
+// ---------------------------------------------------------------------
+// Worker processes: how they start and how they end
+// ---------------------------------------------------------------------
+
+/// Spawns one `ugd-worker`-style process: `command` (program and fixed
+/// leading arguments), then `--connect <addr> --pool-tag <tag>`, the
+/// status interval and `config`'s transport tuning, so both ends share
+/// one [`ProcessCommConfig`]. Under `config.chaos` each worker gets a
+/// variant of the plan (seed + tag): deterministic given the tags, but
+/// de-correlated — with one shared seed every worker's schedule would
+/// tear its connection on the same frame.
+pub(crate) fn spawn_worker(
+    command: &[String],
+    addr: &str,
+    tag: u64,
+    status_interval: f64,
+    config: &ProcessCommConfig,
+) -> io::Result<Child> {
+    let (program, fixed_args) = command
+        .split_first()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty worker_command"))?;
+    let millis = |d: Duration| d.as_millis().to_string();
+    let mut cmd = std::process::Command::new(program);
+    cmd.args(fixed_args)
+        .args(["--connect", addr, "--pool-tag", &tag.to_string()])
+        .args(["--status-interval", &status_interval.to_string()])
+        .args(["--heartbeat-ms", &millis(config.heartbeat_interval)])
+        .args(["--handshake-ms", &millis(config.handshake_timeout)])
+        .args(["--liveness-ms", &millis(config.liveness_timeout)])
+        .args(["--reconnect-ms", &millis(config.reconnect_deadline)]);
+    if let Some(plan) = &config.chaos {
+        let profile = serde_json::to_string(&plan.profile).expect("profile serializes");
+        cmd.args(["--chaos-seed", &plan.seed.wrapping_add(tag).to_string()])
+            .args(["--chaos-profile", &profile]);
+    }
+    cmd.stdin(std::process::Stdio::null()).stdout(std::process::Stdio::null()).spawn()
 }
 
-impl<Sub, Sol> std::fmt::Debug for ProcessLcComm<Sub, Sol> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ProcessLcComm(n={})", self.n)
-    }
-}
-
-impl<Sub, Sol> ProcessLcComm<Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
-    /// Number of connected worker processes.
-    pub fn num_workers(&self) -> usize {
-        self.n
-    }
-
-    /// Sends to one rank: [`Sessions::send`] — `true` means *delivered
-    /// or will be on resume*, `false` a dead rank (`WorkerDied` is
-    /// synthesized when the send itself killed it).
-    pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        self.sessions.send(rank as u64, wire::to_payload_binary(&msg))
-    }
-
-    /// Receives the next upward message, sweeping liveness first
-    /// ([`Sessions::sweep`]): a dead rank arrives as
-    /// [`Message::WorkerDied`], exactly once.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
-        self.sessions.sweep();
-        match self.up_rx.recv_timeout(d) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-}
-
-impl<Sub, Sol> Drop for ProcessLcComm<Sub, Sol> {
-    fn drop(&mut self) {
-        self.sessions.close();
+/// Ends worker processes: kills and waits for each. A worker never
+/// exits on `Terminate` — it waits for its next `Begin` — so this is
+/// how every worker ends, per-call and pool alike; the owner closes the
+/// workers' sessions first, so their hang-ups report no deaths.
+pub(crate) fn reap(children: impl IntoIterator<Item = Child>) {
+    for mut child in children {
+        let _ = child.kill();
+        let _ = child.wait();
     }
 }
 
@@ -1206,24 +1337,7 @@ fn say_hello(
     Ok((reader, dec, welcome.rank, session))
 }
 
-/// Connects to a per-call coordinator and completes the handshake
-/// ([`WorkerLink::connect`] with the rank hint).
-pub fn connect_worker<Sub, Sol>(
-    addr: &str,
-    rank_hint: Option<usize>,
-    config: &ProcessCommConfig,
-) -> io::Result<ProcessWorkerComm<Sub, Sol>>
-where
-    Sub: Serialize + DeserializeOwned + Send + 'static,
-    Sol: Serialize + DeserializeOwned + Send + 'static,
-{
-    WorkerLink::connect(addr, &Hello::new(rank_hint, None), config)
-}
-
-/// Worker endpoint of a per-call run: coordinator messages both ways.
-pub type ProcessWorkerComm<Sub, Sol> = WorkerLink<Message<Sub, Sol>, Message<Sub, Sol>>;
-
-/// The worker half of a session, per-call and pool alike: the
+/// The worker half of a session (see [`crate::worker::serve_worker`]): the
 /// connection, its reader — which decodes `D`s from the coordinator
 /// and owns the reconnect-and-resume policy — and the heartbeat; `U`
 /// is what the worker sends up.
@@ -1373,7 +1487,7 @@ fn spawn_worker_reader<D: DeserializeOwned + Send + 'static>(
             let resumed = if fatal || reconnect_deadline.is_zero() {
                 None
             } else {
-                reconnect_worker(id, &addr, reconnect_deadline, &inner, &shutdown)
+                redial_and_resume(id, &addr, reconnect_deadline, &inner, &shutdown)
             };
             match resumed {
                 Some((s, d)) => (stream, dec) = (s, d),
@@ -1389,7 +1503,7 @@ fn spawn_worker_reader<D: DeserializeOwned + Send + 'static>(
 /// Redials and resumes the session; `None` when the deadline budget
 /// runs out or the session died meanwhile (the worker then dies and the
 /// coordinator requeues).
-fn reconnect_worker(
+fn redial_and_resume(
     id: u64,
     addr: &str,
     reconnect_deadline: Duration,
@@ -1401,7 +1515,7 @@ fn reconnect_worker(
         g.ep.detach();
         (g.ep.token(), g.ep.rx_next())
     };
-    let hello = Hello { resume: Some(Resume { token, rx_next }), ..Hello::new(None, None) };
+    let hello = Hello { resume: Some(Resume { token, rx_next }), ..Hello::new(None) };
     let deadline = Instant::now() + reconnect_deadline;
     let mut jitter = SplitMix64::new(token ^ id);
     let mut attempt = 0u32;
@@ -1464,6 +1578,49 @@ fn spawn_heartbeat(
 mod tests {
     use super::*;
 
+    type Down = PoolDown<u32, u32, u32>;
+    type Up = PoolUp<u32, u32>;
+
+    /// What a per-call worker sends: a coordination message of job 0.
+    fn ug(msg: Message<u32, u32>) -> Up {
+        PoolUp::Ug { job: 0, msg }
+    }
+
+    /// A worker of a per-call run, as the tests drive it: the pool
+    /// protocol's job 0, unwrapped.
+    struct TestWorker(WorkerLink<Down, Up>);
+
+    impl TestWorker {
+        fn rank(&self) -> usize {
+            self.0.rank()
+        }
+
+        fn send(&self, msg: Message<u32, u32>) -> bool {
+            self.0.send(ug(msg))
+        }
+
+        fn recv(&self) -> Option<Message<u32, u32>> {
+            loop {
+                if let PoolDown::Ug { msg, .. } = self.0.recv()? {
+                    return Some(msg);
+                }
+            }
+        }
+
+        fn test_break_connection(&self) {
+            self.0.test_break_connection();
+        }
+    }
+
+    /// Joins the per-call run at `addr` with spawn tag `tag`.
+    fn join_as(addr: &str, tag: Option<u64>, config: &ProcessCommConfig) -> io::Result<TestWorker> {
+        WorkerLink::connect(addr, &Hello::new(tag), config).map(TestWorker)
+    }
+
+    fn bind() -> TcpListener {
+        TcpListener::bind("127.0.0.1:0").unwrap()
+    }
+
     fn config() -> ProcessCommConfig {
         ProcessCommConfig {
             handshake_timeout: Duration::from_secs(10),
@@ -1474,11 +1631,11 @@ mod tests {
         }
     }
 
-    /// Full in-process exercise of the socket path: handshake with rank
-    /// hints, both message directions, and worker-death synthesis.
+    /// Full in-process exercise of the socket path: handshake with spawn
+    /// tags, both message directions, and worker-death synthesis.
     #[test]
     fn handshake_roundtrip_and_death_detection() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap().to_string();
         let cfg = config();
 
@@ -1487,7 +1644,7 @@ mod tests {
             let addr = addr.clone();
             let cfg = cfg.clone();
             joins.push(std::thread::spawn(move || {
-                let comm = connect_worker::<u32, u32>(&addr, Some(rank), &cfg).unwrap();
+                let comm = join_as(&addr, Some(rank as u64), &cfg).unwrap();
                 assert_eq!(comm.rank(), rank);
                 assert!(comm.send(Message::Status {
                     rank,
@@ -1506,7 +1663,7 @@ mod tests {
             }));
         }
 
-        let lc = listener.accept_workers::<u32, u32>(2, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 2, &cfg).unwrap();
         assert_eq!(lc.num_workers(), 2);
         let mut status_ranks = Vec::new();
         let mut died = Vec::new();
@@ -1535,7 +1692,7 @@ mod tests {
 
     #[test]
     fn protocol_mismatch_is_rejected() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap();
         let cfg = ProcessCommConfig { handshake_timeout: Duration::from_millis(600), ..config() };
 
@@ -1543,11 +1700,7 @@ mod tests {
             let stream = TcpStream::connect(addr).unwrap();
             wire::write_msg(
                 &mut (&stream),
-                &Hello {
-                    protocol: BASE_PROTOCOL + 98,
-                    max_protocol: None,
-                    ..Hello::new(None, None)
-                },
+                &Hello { protocol: BASE_PROTOCOL + 98, max_protocol: None, ..Hello::new(None) },
             )
             .unwrap();
             // The coordinator must drop us without a welcome.
@@ -1561,7 +1714,7 @@ mod tests {
         });
 
         // With only a bad client around, the accept must time out.
-        let err = listener.accept_workers::<u32, u32>(1, &cfg).unwrap_err();
+        let err = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         bad.join().unwrap();
     }
@@ -1572,7 +1725,7 @@ mod tests {
     #[test]
     fn dropping_the_endpoint_ends_its_accept_thread() {
         for workers in [0usize, 1] {
-            let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+            let listener = bind();
             let addr = listener.local_addr().unwrap();
             let cfg =
                 ProcessCommConfig { handshake_timeout: Duration::from_millis(50), ..config() };
@@ -1580,7 +1733,7 @@ mod tests {
             std::thread::spawn(move || {
                 // 0 ranks: an endpoint, dropped at once. 1 rank and no
                 // worker: the timed-out accept drops it itself.
-                drop(listener.accept_workers::<u32, u32>(workers, &cfg));
+                drop(accept_ranks::<u32, u32>(listener, workers, &cfg));
                 let _ = done_tx.send(());
             });
             done_rx
@@ -1601,8 +1754,8 @@ mod tests {
         };
         let msg = cfg.validate().unwrap_err();
         assert!(msg.contains("liveness"), "unhelpful message: {msg}");
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
-        let err = listener.accept_workers::<u32, u32>(1, &cfg).unwrap_err();
+        let listener = bind();
+        let err = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
@@ -1612,7 +1765,7 @@ mod tests {
     /// session, and the reconnect deadline turns that into the death.
     #[test]
     fn liveness_sweep_reports_each_silent_rank_exactly_once() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap();
         let cfg = ProcessCommConfig {
             liveness_timeout: Duration::from_millis(300),
@@ -1623,13 +1776,13 @@ mod tests {
         // Two raw clients that say hello and then go silent while
         // keeping their sockets open (the hung-but-connected case the
         // sweep exists for). They run on threads because the welcome
-        // only arrives once `accept_workers` below is pumping.
+        // only arrives once `accept_ranks` below is pumping.
         let (welcome_tx, welcome_rx) = channel::<(u64, Option<u32>, bool)>();
         for rank in 0..2usize {
             let welcome_tx = welcome_tx.clone();
             std::thread::spawn(move || {
                 let stream = TcpStream::connect(addr).unwrap();
-                wire::write_msg(&mut (&stream), &Hello::new(Some(rank), None)).unwrap();
+                wire::write_msg(&mut (&stream), &Hello::new(Some(rank as u64))).unwrap();
                 let mut reader = stream.try_clone().unwrap();
                 let mut dec = FrameDecoder::new();
                 let welcome: Welcome = wire::read_msg(&mut reader, &mut dec).unwrap().unwrap();
@@ -1642,7 +1795,7 @@ mod tests {
             });
         }
 
-        let lc = listener.accept_workers::<u32, u32>(2, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 2, &cfg).unwrap();
         let mut welcomed = Vec::new();
         for _ in 0..2 {
             let (rank, protocol, has_session) =
@@ -1680,20 +1833,20 @@ mod tests {
 
     /// There is one wire revision and no negotiation: a hello that
     /// advertises none (a pre-v2 worker) or an older one (`max_protocol:
-    /// 2`, the retired JSON session) is hung up on without a welcome,
-    /// the refusal names both revisions, it takes no rank slot, and the
-    /// worker that connects afterwards still gets the rank the refused
-    /// ones hinted at.
+    /// 3`, the retired raw-`Message` per-call session) is hung up on
+    /// without a welcome, the refusal names both revisions, it takes no
+    /// rank slot, and the worker that connects afterwards still gets
+    /// the rank the refused ones were tagged with.
     #[test]
     fn hello_without_max_protocol_is_refused_and_takes_no_rank() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap();
         let cfg = config();
 
         let clients = std::thread::spawn(move || {
-            for max_protocol in [None, Some(2)] {
+            for max_protocol in [None, Some(PROTOCOL_VERSION - 1)] {
                 let old = TcpStream::connect(addr).unwrap();
-                wire::write_msg(&mut (&old), &Hello { max_protocol, ..Hello::new(Some(0), None) })
+                wire::write_msg(&mut (&old), &Hello { max_protocol, ..Hello::new(Some(0)) })
                     .unwrap();
                 let mut reader = old.try_clone().unwrap();
                 reader.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -1705,19 +1858,20 @@ mod tests {
             }
             // Only now, with the refusals complete, does the real worker
             // arrive: had an old hello kept rank 0 it would get none.
-            let comm = connect_worker::<u32, u32>(&addr.to_string(), Some(0), &config()).unwrap();
+            let comm = join_as(&addr.to_string(), Some(0), &config()).unwrap();
             assert_eq!(comm.rank(), 0);
             assert!(matches!(comm.recv(), Some(Message::Terminate)));
         });
 
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap();
         assert!(lc.send_to(0, Message::Terminate));
         clients.join().unwrap();
 
-        for advertised in [None, Some(2), Some(4)] {
+        let ours = format!("revision {PROTOCOL_VERSION}");
+        for advertised in [None, Some(PROTOCOL_VERSION - 1), Some(PROTOCOL_VERSION + 1)] {
             let msg = require_revision("worker hello", advertised).unwrap_err().to_string();
             let theirs = advertised.map_or("no wire revision".into(), |v| format!("revision {v}"));
-            assert!(msg.contains(&theirs) && msg.contains("revision 3"), "unhelpful: {msg}");
+            assert!(msg.contains(&theirs) && msg.contains(&ours), "unhelpful: {msg}");
         }
         assert!(require_revision("worker hello", Some(PROTOCOL_VERSION)).is_ok());
     }
@@ -1727,7 +1881,7 @@ mod tests {
     /// well within the handshake deadline.
     #[test]
     fn stalled_hello_does_not_block_a_late_worker() {
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap().to_string();
         let cfg = ProcessCommConfig { handshake_timeout: Duration::from_secs(3), ..config() };
 
@@ -1740,14 +1894,14 @@ mod tests {
             let cfg = cfg.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(150));
-                let comm = connect_worker::<u32, u32>(&addr, Some(0), &cfg).unwrap();
+                let comm = join_as(&addr, Some(0), &cfg).unwrap();
                 assert_eq!(comm.rank(), 0);
                 assert!(matches!(comm.recv(), Some(Message::Terminate)));
             })
         };
 
         let started = Instant::now();
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(3),
             "stalled client must not consume the handshake budget"
@@ -1764,7 +1918,7 @@ mod tests {
     #[test]
     fn broken_connection_resumes_without_a_death() {
         let reconnects_before = telemetry::comm().reconnects.get();
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap().to_string();
         let cfg = ProcessCommConfig { reconnect_deadline: Duration::from_secs(10), ..config() };
 
@@ -1773,7 +1927,7 @@ mod tests {
             let addr = addr.clone();
             let cfg = cfg.clone();
             std::thread::spawn(move || {
-                let comm = connect_worker::<u32, u32>(&addr, Some(0), &cfg).unwrap();
+                let comm = join_as(&addr, Some(0), &cfg).unwrap();
                 assert!(comm.send(Message::Status { rank: 0, dual_bound: 1.0, open: 1, nodes: 1 }));
                 // Tear the TCP connection down underneath the session.
                 comm.test_break_connection();
@@ -1790,7 +1944,7 @@ mod tests {
             })
         };
 
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap();
         let mut bounds = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
         while bounds.len() < 2 && Instant::now() < deadline {
@@ -1824,7 +1978,7 @@ mod tests {
     #[test]
     fn downward_stream_survives_repeated_breaks_in_order() {
         const N: usize = 200;
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap().to_string();
         let cfg = ProcessCommConfig { reconnect_deadline: Duration::from_secs(10), ..config() };
 
@@ -1832,7 +1986,7 @@ mod tests {
             let addr = addr.clone();
             let cfg = cfg.clone();
             std::thread::spawn(move || {
-                let comm = connect_worker::<u32, u32>(&addr, Some(0), &cfg).unwrap();
+                let comm = join_as(&addr, Some(0), &cfg).unwrap();
                 let mut objs = Vec::new();
                 while objs.len() < N {
                     match comm.recv() {
@@ -1850,7 +2004,7 @@ mod tests {
             })
         };
 
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap();
         for i in 0..N {
             assert!(lc.send_to(0, Message::Incumbent { sol: 0, obj: i as f64 }));
             // Keep the sweep running so an (unexpected) death surfaces.
@@ -1870,14 +2024,14 @@ mod tests {
     fn coordinator_treats_a_seq_gap_as_a_torn_stream() {
         use std::io::Write;
         let gaps_before = telemetry::comm().seq_gaps.get();
-        let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+        let listener = bind();
         let addr = listener.local_addr().unwrap();
         let cfg = ProcessCommConfig { reconnect_deadline: Duration::from_secs(10), ..config() };
 
         let (done_tx, done_rx) = channel::<()>();
         let client = std::thread::spawn(move || {
             let stream = TcpStream::connect(addr).unwrap();
-            wire::write_msg(&mut (&stream), &Hello::new(Some(0), None)).unwrap();
+            wire::write_msg(&mut (&stream), &Hello::new(Some(0))).unwrap();
             let mut reader = stream.try_clone().unwrap();
             let mut dec = FrameDecoder::new();
             let welcome: Welcome = wire::read_msg(&mut reader, &mut dec).unwrap().unwrap();
@@ -1885,12 +2039,12 @@ mod tests {
 
             // Seq 5 while the coordinator expects 0: frames 0..5 are
             // missing from the stream.
-            let payload = wire::to_payload(&Message::<u32, u32>::Status {
+            let payload = wire::to_payload(&ug(Message::Status {
                 rank: 0,
                 dual_bound: 9.0,
                 open: 1,
                 nodes: 1,
-            });
+            }));
             (&stream).write_all(&wire::frame_v2(&payload, FrameHeader { seq: 5, ack: 0 })).unwrap();
 
             // The coordinator must hang up on us...
@@ -1908,7 +2062,7 @@ mod tests {
                 &mut (&stream2),
                 &Hello {
                     resume: Some(Resume { token: session.token, rx_next: 0 }),
-                    ..Hello::new(Some(0), None)
+                    ..Hello::new(Some(0))
                 },
             )
             .unwrap();
@@ -1923,7 +2077,7 @@ mod tests {
             done_tx.send(()).unwrap();
         });
 
-        let lc = listener.accept_workers::<u32, u32>(1, &cfg).unwrap();
+        let lc = accept_ranks::<u32, u32>(listener, 1, &cfg).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut done = false;
         while !done && Instant::now() < deadline {
@@ -1957,7 +2111,13 @@ mod tests {
             member.disconnected_since = Some(Instant::now());
             sessions.0.members.lock().unwrap().insert(0, Arc::new(Mutex::new(member)));
         }
-        let lc = ProcessLcComm::<u32, u32> { sessions: sessions.clone(), n: 1, up_rx };
+        let lc = JobComm::<u32, u32> {
+            job: 0,
+            sessions: sessions.clone(),
+            workers: vec![0],
+            inbox: up_rx,
+            owns_sessions: true,
+        };
 
         let overflows_before = telemetry::comm().ring_overflows.get();
         for _ in 0..RETRANSMIT_RING_CAP {
@@ -1985,7 +2145,7 @@ mod tests {
         let inner =
             Arc::new(Mutex::new(WorkerSide { ep: Endpoint::new(1, None, None), dead: false }));
         let (_down_tx, down_rx) = channel();
-        let comm = ProcessWorkerComm::<u32, u32> {
+        let comm = WorkerLink::<Down, Up> {
             id: 0,
             inner: inner.clone(),
             down_rx,
@@ -1993,10 +2153,10 @@ mod tests {
             up: PhantomData,
         };
         for _ in 0..RETRANSMIT_RING_CAP {
-            assert!(comm.send(Message::Terminate), "ringed sends report success");
+            assert!(comm.send(ug(Message::Terminate)), "ringed sends report success");
         }
         assert!(!inner.lock().unwrap().dead);
-        assert!(!comm.send(Message::Terminate), "overflow must kill the session loudly");
+        assert!(!comm.send(ug(Message::Terminate)), "overflow must kill the session loudly");
         let side = inner.lock().unwrap();
         assert!(side.dead);
         assert_eq!(side.ep.unacked().count(), RETRANSMIT_RING_CAP, "no payload may be evicted");
@@ -2027,5 +2187,49 @@ mod tests {
         ep.send(payload, true).unwrap(); // lift
         assert!(!ep.is_attached(), "lifting the partition must force a reconnect");
         assert_eq!(ep.unacked().count(), 3, "every frame must await the resume replay");
+    }
+
+    #[test]
+    fn set_rank_rewrites_every_upward_variant() {
+        let mut msgs: Vec<Message<u32, u32>> = vec![
+            Message::SolutionFound { rank: 0, sol: 1, obj: 2.0 },
+            Message::Status { rank: 0, dual_bound: 1.0, open: 2, nodes: 3 },
+            Message::ExportedNode {
+                rank: 0,
+                sub: crate::messages::SubproblemMsg { sub: 1, dual_bound: 0.0 },
+            },
+            Message::Completed { rank: 0, dual_bound: 1.0, nodes: 2, aborted: false },
+            Message::WorkerDied { rank: 0 },
+        ];
+        for m in msgs.iter_mut() {
+            set_rank(m, 7);
+        }
+        for m in &msgs {
+            let got = match m {
+                Message::SolutionFound { rank, .. }
+                | Message::Status { rank, .. }
+                | Message::ExportedNode { rank, .. }
+                | Message::Completed { rank, .. }
+                | Message::WorkerDied { rank } => *rank,
+                _ => unreachable!(),
+            };
+            assert_eq!(got, 7);
+        }
+        // Downward messages are untouched.
+        let mut down: Message<u32, u32> = Message::Terminate;
+        set_rank(&mut down, 7);
+        assert_eq!(down.tag(), "termination");
+    }
+
+    /// A `Ug` payload encoded with a stand-in instance type decodes as
+    /// the real [`PoolDown`]: what [`JobComm::send_to`] relies on.
+    #[test]
+    fn ug_payload_does_not_depend_on_the_instance_type() {
+        let msg = Message::<u32, u32>::Incumbent { sol: 3, obj: 1.5 };
+        let bytes = wire::to_payload_binary(&PoolDown::<&str, u32, u32>::Ug { job: 9, msg });
+        match wire::decode::<PoolDown<Vec<String>, u32, u32>>(&bytes).unwrap() {
+            PoolDown::Ug { job, msg } => assert_eq!((job, msg.tag()), (9, "incumbent")),
+            other => panic!("decoded as {other:?}"),
+        }
     }
 }

@@ -4,19 +4,20 @@
 //! [`solve_parallel`] runs `ug [base solver, ThreadComm]` — workers are
 //! threads of this process. [`solve_parallel_distributed`] runs `ug
 //! [base solver, ProcessComm]` — workers are spawned OS processes
-//! hosting the base solver (see [`run_distributed_worker`] for their
-//! half), connected over localhost TCP. Both drive the *same*
+//! hosting the base solver (see [`crate::worker::serve_worker`] for
+//! their half), connected over localhost TCP. Both drive the *same*
 //! [`LoadCoordinator`]; only the transport handed to it differs.
 
 use crate::checkpoint::Checkpoint;
-use crate::comm::{thread_comm, LcComm, WorkerComm};
-use crate::process::{connect_worker, ProcessCommConfig, ProcessListener};
+use crate::comm::{thread_comm, LcComm};
+use crate::process::{accept_ranks, reap, spawn_worker, ProcessCommConfig};
 use crate::settings::SolverSettings;
 use crate::stats::UgStats;
 use crate::supervisor::LoadCoordinator;
 use crate::worker::{worker_loop, BaseSolver, SolverFactory};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
+use std::net::TcpListener;
 use std::time::Duration;
 
 /// Ramp-up strategy (§2.2).
@@ -52,9 +53,6 @@ pub struct ParallelOptions {
     pub checkpoint_path: Option<std::path::PathBuf>,
     /// Seconds between periodic checkpoints (0 = only at shutdown).
     pub checkpoint_interval: f64,
-    /// `--compress-state`: write checkpoints through the
-    /// [`crate::lz`] container (loads always auto-detect).
-    pub compress_checkpoints: bool,
     /// Resume from this checkpoint.
     pub restart_from: Option<String>,
     /// Desired size of the coordinator's subproblem pool per idle solver
@@ -81,7 +79,6 @@ impl Default for ParallelOptions {
             time_limit: f64::INFINITY,
             checkpoint_path: None,
             checkpoint_interval: 0.0,
-            compress_checkpoints: false,
             restart_from: None,
             pool_target_per_solver: 1.0,
             status_interval: 0.05,
@@ -152,9 +149,9 @@ pub fn solve_parallel_seeded<S: BaseSolver + 'static>(
 /// How to launch and talk to distributed workers.
 #[derive(Clone, Debug)]
 pub struct DistributedOptions {
-    /// Worker executable followed by its fixed leading arguments (the
-    /// problem selector etc.). The runner appends `--connect <addr>
-    /// --rank <i> --status-interval <s>` plus the transport tuning
+    /// Worker executable followed by its fixed leading arguments. The
+    /// runner appends `--connect <addr> --pool-tag <rank>
+    /// --status-interval <s>` plus the transport tuning
     /// (`--heartbeat-ms --handshake-ms --liveness-ms --reconnect-ms`)
     /// per spawned worker, so both ends share one [`ProcessCommConfig`].
     pub worker_command: Vec<String>,
@@ -175,123 +172,52 @@ impl Default for DistributedOptions {
     }
 }
 
-/// Runs the parallel solve with `num_solvers` *worker processes*
-/// spawned from `dist.worker_command` — `ug [base solver,
-/// ProcessComm]`. The subproblem and every protocol message cross
-/// process boundaries as wire frames; the coordinator logic is
-/// identical to the threaded run. Workers are reaped (waited for, then
-/// killed if unresponsive) before this returns.
-pub fn solve_parallel_distributed<Sub, Sol>(
+/// Runs the parallel solve on `instance` with `num_solvers` *worker
+/// processes* spawned from `dist.worker_command` — `ug [base solver,
+/// ProcessComm]`. The run is a private one-job pool: worker *i* joins
+/// as rank *i*, receives `instance` in the job's one `Begin`, and every
+/// protocol message crosses process boundaries as wire frames; the
+/// coordinator logic is identical to the threaded run. Before this
+/// returns — on every path, a panic included — the sessions are closed
+/// and the workers killed and waited for.
+pub fn solve_parallel_distributed<Inst, Sub, Sol>(
+    instance: &Inst,
     root: Sub,
     options: ParallelOptions,
     dist: DistributedOptions,
 ) -> std::io::Result<ParallelResult<Sub, Sol>>
 where
+    Inst: Serialize,
     Sub: Clone + Send + Serialize + DeserializeOwned + 'static,
     Sol: Clone + Send + Serialize + DeserializeOwned + 'static,
 {
     let n = options.num_solvers.max(1);
-    let (program, fixed_args) = dist.worker_command.split_first().ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, "empty worker_command")
-    })?;
-    let listener = ProcessListener::bind(&dist.listen_addr)?;
+    let listener = TcpListener::bind(&dist.listen_addr)?;
     let addr = listener.local_addr()?.to_string();
-    let mut children = ChildReaper(Vec::with_capacity(n));
-    for rank in 0..n {
-        let child = std::process::Command::new(program)
-            .args(fixed_args)
-            .arg("--connect")
-            .arg(&addr)
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--status-interval")
-            .arg(options.status_interval.to_string())
-            .arg("--heartbeat-ms")
-            .arg(dist.comm.heartbeat_interval.as_millis().to_string())
-            .arg("--handshake-ms")
-            .arg(dist.comm.handshake_timeout.as_millis().to_string())
-            .arg("--liveness-ms")
-            .arg(dist.comm.liveness_timeout.as_millis().to_string())
-            .arg("--reconnect-ms")
-            .arg(dist.comm.reconnect_deadline.as_millis().to_string())
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .spawn()?;
-        children.0.push(child);
+    // Dropped last on every path: once the comm's drop has closed the
+    // sessions, this kills the processes.
+    let mut workers = Workers(Vec::with_capacity(n));
+    for rank in 0..n as u64 {
+        let spawned =
+            spawn_worker(&dist.worker_command, &addr, rank, options.status_interval, &dist.comm);
+        workers.0.push(spawned?);
     }
-
-    let lc = LcComm::Process(listener.accept_workers::<Sub, Sol>(n, &dist.comm)?);
-    let mut coordinator = LoadCoordinator::new(lc, options, root);
-    let result = coordinator.run();
-    children.reap();
+    let comm = accept_ranks::<Sub, Sol>(listener, n, &dist.comm)?;
+    comm.begin(instance);
+    // The coordinator, and with it the comm, drops at the end of this
+    // statement.
+    let result = LoadCoordinator::new(LcComm::Process(comm), options, root).run();
     Ok(result)
 }
 
-/// Drop guard around the spawned worker fleet: any exit path that skips
-/// the graceful [`ChildReaper::reap`] — a `?` during spawn or handshake,
-/// or a panic inside the coordinator — still kills and waits on every
-/// child, so no `ugd-worker` can outlive its run.
-struct ChildReaper(Vec<std::process::Child>);
+/// The worker processes of one per-call run, reaped ([`reap`]) when
+/// dropped.
+struct Workers(Vec<std::process::Child>);
 
-impl ChildReaper {
-    /// Graceful reap after `Terminate` was broadcast: bounded wait for
-    /// voluntary exits, then kill stragglers.
-    fn reap(mut self) {
-        reap_children(&mut self.0);
-        self.0.clear();
-    }
-}
-
-impl Drop for ChildReaper {
+impl Drop for Workers {
     fn drop(&mut self) {
-        // Non-graceful path: nobody told the workers to terminate, so
-        // waiting first would only stall the error/panic propagation —
-        // kill immediately.
-        for c in self.0.iter_mut() {
-            if !matches!(c.try_wait(), Ok(Some(_))) {
-                let _ = c.kill();
-                let _ = c.wait();
-            }
-        }
+        reap(self.0.drain(..));
     }
-}
-
-/// Waits (bounded) for worker processes to exit after `Terminate`, then
-/// kills stragglers so a hung worker can never wedge the coordinator.
-fn reap_children(children: &mut [std::process::Child]) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let all_done = children.iter_mut().all(|c| matches!(c.try_wait(), Ok(Some(_))));
-        if all_done {
-            return;
-        }
-        if std::time::Instant::now() >= deadline {
-            for c in children.iter_mut() {
-                if !matches!(c.try_wait(), Ok(Some(_))) {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// The worker-process half of a distributed run: connect to the
-/// coordinator at `addr`, then serve subproblems with `factory`-built
-/// base solvers until `Terminate`. This is what a worker binary (e.g.
-/// `ugd-worker`) calls after parsing its command line.
-pub fn run_distributed_worker<S: BaseSolver + 'static>(
-    addr: &str,
-    rank_hint: Option<usize>,
-    factory: SolverFactory<S>,
-    status_interval: Duration,
-    config: &ProcessCommConfig,
-) -> std::io::Result<()> {
-    let comm = WorkerComm::Process(connect_worker::<S::Sub, S::Sol>(addr, rank_hint, config)?);
-    worker_loop(comm, factory, status_interval);
-    Ok(())
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The job-serving subsystem: a persistent solve service with a shared
 //! worker pool — `ugd-server`'s core.
 //!
-//! PR 1's [`crate::runner::solve_parallel_distributed`] spawns and reaps
-//! an entire worker fleet *per call*. The deployment model of the paper
+//! [`crate::runner::solve_parallel_distributed`] spawns and reaps an
+//! entire worker fleet *per call*. The deployment model of the paper
 //! (ParaSCIP on a standing HLRN III allocation, Table 2's multi-run
 //! restart chains) presumes the opposite: a long-lived coordinator that
 //! amortizes worker startup across many solves. This module provides
@@ -15,8 +15,9 @@
 //! * a **scheduler** leases free pool workers to queued jobs by
 //!   (priority, FIFO) order, bounded by `max_concurrent_jobs`; each
 //!   running job gets its own [`crate::supervisor::LoadCoordinator`]
-//!   driving its leased workers through a [`JobComm`] — the third
-//!   [`crate::comm::LcComm`] back-end;
+//!   driving its leased workers through a [`JobComm`] — the process
+//!   back-end of [`crate::comm::LcComm`], the same one a per-call run
+//!   drives its private one-job pool through;
 //! * jobs move through a lifecycle `Queued → Running → {Solved,
 //!   Infeasible, TimedOut, Cancelled, Failed}` ([`JobState`]), with
 //!   progress streamed to watching clients as [`JobEvent`]s;
@@ -27,30 +28,31 @@
 //!
 //! Wire protocols ([`crate::wire`]): clients speak
 //! [`ClientRequest`]/[`ServerReply`] as length-prefixed JSON frames.
-//! Pool workers are members of the same session layer as per-call
-//! workers ([`Sessions`]: the hello/welcome handshake, resumable
-//! sessions with retransmit rings, heartbeats, the liveness sweep); the
-//! pool is its owner and gives the payloads their meaning —
-//! [`PoolDown`]/[`PoolUp`] — and a death its consequences. A torn pool
-//! connection therefore resumes like a per-call one; a worker is
+//! Pool workers are members of the session layer every worker joins
+//! ([`Sessions`]: the hello/welcome handshake, resumable sessions with
+//! retransmit rings, heartbeats, the liveness sweep) and speak the one
+//! worker protocol, [`crate::process::PoolDown`]/[`PoolUp`]; the pool
+//! is the sessions' owner and gives a payload its job and a death its
+//! consequences. A torn pool connection therefore resumes; a worker is
 //! replaced only once its session dies or its process exits. The
-//! `Begin` payload carrying the instance is encoded **once** per job
-//! and shared by every leased worker's retransmit ring — the instance
-//! never re-serializes per rank.
+//! `Begin` payload
+//! carrying the instance is encoded **once** per job and shared by
+//! every leased worker's retransmit ring ([`JobComm::begin`]) — the
+//! instance never re-serializes per rank.
 
 use crate::comm::LcComm;
 use crate::ledger::JobLedger;
 use crate::messages::Message;
-use crate::process::{Hello, ProcessCommConfig, SessionOwner, Sessions, WorkerLink};
+use crate::process::{
+    reap, set_rank, spawn_worker, Hello, JobComm, PoolUp, ProcessCommConfig, SessionOwner, Sessions,
+};
 use crate::rpc::{
     empty_finished, serve_clients, state_label, wake_listener, EventLog, RequestHandler,
 };
 use crate::runner::{ParallelOptions, ParallelResult};
-use crate::settings::SolverSettings;
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
 use crate::wire::{self, FrameDecoder, WireError};
-use crate::worker::{solve_and_report, BaseSolver, SolverFactory, Uplink};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
@@ -59,7 +61,7 @@ use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::Child;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -67,62 +69,6 @@ use std::time::{Duration, Instant};
 /// instance, subproblem and solution types.
 pub trait WireType: Clone + Send + Serialize + DeserializeOwned + 'static {}
 impl<T: Clone + Send + Serialize + DeserializeOwned + 'static> WireType for T {}
-
-// ---------------------------------------------------------------------
-// Pool protocol (server ⇄ standing workers)
-// ---------------------------------------------------------------------
-
-/// Server → worker payloads of a pool session.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub enum PoolDown<Inst, Sub, Sol> {
-    /// A new job starts on this worker: load the instance. Encoded once
-    /// per job; every leased worker receives the identical bytes.
-    Begin {
-        /// The job the following frames belong to.
-        job: u64,
-        /// The instance the worker builds its base solver from.
-        instance: Inst,
-    },
-    /// A coordination message of the named job, verbatim.
-    Ug {
-        /// The addressed job.
-        job: u64,
-        /// The coordinator's message to this worker.
-        msg: Message<Sub, Sol>,
-    },
-}
-
-/// Worker → server payloads of a pool session (the session names the
-/// sending worker).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub enum PoolUp<Sub, Sol> {
-    /// A coordination message of the named job. The worker always says
-    /// rank 0 about itself; the server rewrites the rank from its lease
-    /// table before forwarding to the job's coordinator.
-    Ug {
-        /// The job this message belongs to.
-        job: u64,
-        /// The worker's message to the coordinator.
-        msg: Message<Sub, Sol>,
-    },
-    /// The worker acknowledged the job's `Terminate` and is free again.
-    /// Leases are only released on this payload, so a worker still
-    /// draining one job can never receive the next job's `Begin`.
-    JobDone {
-        /// The finished job.
-        job: u64,
-    },
-}
-
-/// Serialize-only mirror of [`PoolDown::Ug`] without the instance type
-/// parameter: [`JobComm`] does not know `Inst`, and the vendored serde
-/// has no `Serialize` for `()` to plug the hole with. Externally-tagged
-/// encoding makes this byte-identical to `PoolDown::Ug` — keep the
-/// variant shape in sync (covered by a unit test below).
-#[derive(serde::Serialize)]
-enum PoolDownUg<Sub, Sol> {
-    Ug { job: u64, msg: Message<Sub, Sol> },
-}
 
 // ---------------------------------------------------------------------
 // Client protocol
@@ -590,7 +536,7 @@ pub struct JobSummary {
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Worker executable + fixed leading arguments. The server appends
-    /// `--serve --connect <addr> --pool-tag <tag> --status-interval <s>
+    /// `--connect <addr> --pool-tag <tag> --status-interval <s>
     /// --heartbeat-ms <ms> --handshake-ms <ms> --liveness-ms <ms>
     /// --reconnect-ms <ms>` per spawn. Leave empty to run with
     /// externally started workers only (no refill).
@@ -625,11 +571,6 @@ pub struct ServerConfig {
     /// can lose). `<= 0` disables periodic saves — a crash then
     /// requeues running jobs from scratch.
     pub checkpoint_interval: f64,
-    /// `--compress-state`: write ledger records and job checkpoints
-    /// through the [`crate::lz`] container. Readers always auto-detect,
-    /// so a state dir may mix compressed and plain entries and the
-    /// flag can be flipped (or rolled back) between restarts freely.
-    pub compress_state: bool,
 }
 
 impl Default for ServerConfig {
@@ -646,7 +587,6 @@ impl Default for ServerConfig {
             journal_dir: None,
             state_dir: None,
             checkpoint_interval: 1.0,
-            compress_state: false,
         }
     }
 }
@@ -754,61 +694,6 @@ struct StartedJob<Inst, Sub, Sol> {
     restart_from: Option<String>,
 }
 
-// ---------------------------------------------------------------------
-// The job-side communicator: LcComm's third back-end
-// ---------------------------------------------------------------------
-
-/// The coordinator endpoint of one *job*: sends to its leased pool
-/// workers' sessions (wrapped as [`PoolDown::Ug`]), receives from the
-/// inbox the pool forwards into. `WorkerDied` for a lost lease is
-/// injected by the server, mirroring what the per-call transport
-/// synthesizes.
-pub struct JobComm<Sub, Sol> {
-    job: u64,
-    sessions: Sessions,
-    workers: Vec<u64>,
-    inbox: Receiver<Message<Sub, Sol>>,
-}
-
-impl<Sub, Sol> JobComm<Sub, Sol>
-where
-    Sub: Serialize + DeserializeOwned,
-    Sol: Serialize + DeserializeOwned,
-{
-    /// Number of leased workers (= the job's solver ranks).
-    pub fn num_workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Sends to the worker leased as `rank`; false when the rank is out
-    /// of range or its session is dead.
-    pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
-        let Some(&worker) = self.workers.get(rank) else { return false };
-        self.sessions.send(worker, wire::to_payload_binary(&PoolDownUg::Ug { job: self.job, msg }))
-    }
-
-    /// Receives the next worker message, waiting at most `d`.
-    pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
-        match self.inbox.recv_timeout(d) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
-    }
-}
-
-/// Rewrites the rank a worker reported (always 0 about itself) to the
-/// rank its lease assigns within the job.
-fn set_rank<Sub, Sol>(msg: &mut Message<Sub, Sol>, rank: usize) {
-    match msg {
-        Message::SolutionFound { rank: r, .. }
-        | Message::Status { rank: r, .. }
-        | Message::ExportedNode { rank: r, .. }
-        | Message::Completed { rank: r, .. }
-        | Message::WorkerDied { rank: r } => *r = rank,
-        _ => {}
-    }
-}
-
 /// Classifies a finished run into the job lifecycle's terminal states.
 fn classify<Sub, Sol>(
     res: &ParallelResult<Sub, Sol>,
@@ -865,7 +750,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
         let mut recovered = Vec::new();
         let mut next_job = 0u64;
         if let Some(dir) = &config.state_dir {
-            let l = JobLedger::open_with(dir, config.compress_state)?;
+            let l = JobLedger::open(dir)?;
             let rec = l.recover::<Inst, Sub>()?;
             for path in &rec.skipped {
                 eprintln!(
@@ -1032,41 +917,6 @@ fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
 // Scheduler
 // ---------------------------------------------------------------------
 
-fn spawn_pool_worker(config: &ServerConfig, worker_addr: &str, tag: u64) -> io::Result<Child> {
-    let (program, fixed_args) = config
-        .worker_command
-        .split_first()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty worker_command"))?;
-    let mut cmd = std::process::Command::new(program);
-    cmd.args(fixed_args)
-        .arg("--serve")
-        .arg("--connect")
-        .arg(worker_addr)
-        .arg("--pool-tag")
-        .arg(tag.to_string())
-        .arg("--status-interval")
-        .arg(config.status_interval.to_string())
-        .arg("--heartbeat-ms")
-        .arg(config.comm.heartbeat_interval.as_millis().to_string())
-        .arg("--handshake-ms")
-        .arg(config.comm.handshake_timeout.as_millis().to_string())
-        .arg("--liveness-ms")
-        .arg(config.comm.liveness_timeout.as_millis().to_string())
-        .arg("--reconnect-ms")
-        .arg(config.comm.reconnect_deadline.as_millis().to_string());
-    if let Some(plan) = &config.comm.chaos {
-        // Each worker gets a per-worker variant of the plan (seed +
-        // worker id): still deterministic given the spawn order, but
-        // de-correlated — with one shared seed every worker's schedule
-        // would tear all of a job's leases on the same frame.
-        cmd.arg("--chaos-seed")
-            .arg(plan.seed.wrapping_add(tag).to_string())
-            .arg("--chaos-profile")
-            .arg(serde_json::to_string(&plan.profile).expect("profile serializes"));
-    }
-    cmd.stdin(std::process::Stdio::null()).stdout(std::process::Stdio::null()).spawn()
-}
-
 /// The scheduler: pool refill, liveness, and job starts. Each pass
 /// sweeps the pool's sessions, then has three phases — decide under the
 /// state lock (A), act lock-free (B: kill lost workers, spawn job
@@ -1102,7 +952,15 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 while st.workers.len() + st.pending.len() < shared.config.pool_size {
                     let tag = st.next_worker_tag;
                     st.next_worker_tag += 1;
-                    match spawn_pool_worker(&shared.config, &shared.worker_addr, tag) {
+                    let config = &shared.config;
+                    let spawned = spawn_worker(
+                        &config.worker_command,
+                        &shared.worker_addr,
+                        tag,
+                        config.status_interval,
+                        &config.comm,
+                    );
+                    match spawned {
                         Ok(child) => {
                             st.pending.insert(tag, PendingSpawn { child, since: Instant::now() });
                         }
@@ -1222,10 +1080,7 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
         (w.child.take(), notify)
     };
     shared.sessions.evict(id);
-    if let Some(mut c) = child {
-        let _ = c.kill();
-        let _ = c.wait();
-    }
+    reap(child);
     shared.workers_lost().inc();
     if let Some((tx, jid, rank)) = notify {
         let _ = tx.send(Message::WorkerDied { rank });
@@ -1241,15 +1096,8 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
 ) {
     let StartedJob { jid, spec, cancel, workers, inbox, restart_from } = start;
     let n = workers.len();
-    // One encode, n sessions ringing the same bytes: the worker-pool
-    // amortization.
-    let begin = Arc::new(wire::to_payload_binary(&PoolDown::<Inst, Sub, Sol>::Begin {
-        job: jid,
-        instance: spec.instance.clone(),
-    }));
-    for &w in &workers {
-        shared.sessions.send(w, begin.clone());
-    }
+    let comm = JobComm::new(jid, shared.sessions.clone(), workers, inbox);
+    comm.begin(&spec.instance);
     // Telemetry wiring: an optional per-job journal plus a progress
     // sink feeding the server's live per-job snapshot map.
     let journal = shared.config.journal_dir.as_ref().and_then(|dir| {
@@ -1286,12 +1134,10 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
         telemetry: TelemetrySink { journal, progress: Some(progress) },
         checkpoint_path,
         checkpoint_interval: shared.config.checkpoint_interval,
-        compress_checkpoints: shared.config.compress_state,
         restart_from,
         ..ParallelOptions::default()
     };
-    let comm = LcComm::Job(JobComm { job: jid, sessions: shared.sessions.clone(), workers, inbox });
-    let mut coordinator = LoadCoordinator::new(comm, options, spec.root.clone());
+    let mut coordinator = LoadCoordinator::new(LcComm::Process(comm), options, spec.root.clone());
     let res = coordinator.run();
     let state = classify(&res, cancel.load(Ordering::SeqCst), n);
     {
@@ -1420,12 +1266,7 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
     children.extend(st.pending.drain().map(|(_, p)| p.child));
     drop(st);
     shared.sessions.close();
-    for mut c in children {
-        if !matches!(c.try_wait(), Ok(Some(_))) {
-            let _ = c.kill();
-        }
-        let _ = c.wait();
-    }
+    reap(children);
 }
 
 // ---------------------------------------------------------------------
@@ -1881,88 +1722,6 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
 }
 
 // ---------------------------------------------------------------------
-// The worker side: a standing pool member
-// ---------------------------------------------------------------------
-
-/// Joins a server's worker pool and serves jobs until the server is
-/// gone for good: the pool analogue of
-/// [`crate::runner::run_distributed_worker`], over the same
-/// [`WorkerLink`]. `make_factory` turns each received instance into the
-/// base-solver factory used for that job's subproblems.
-pub fn serve_worker<Inst, S, F>(
-    addr: &str,
-    tag: Option<u64>,
-    make_factory: F,
-    status_interval: Duration,
-    config: &ProcessCommConfig,
-) -> io::Result<()>
-where
-    Inst: WireType,
-    S: BaseSolver + 'static,
-    F: Fn(&Inst) -> SolverFactory<S>,
-{
-    let link = WorkerLink::<PoolDown<Inst, S::Sub, S::Sol>, PoolUp<S::Sub, S::Sol>>::connect(
-        addr,
-        &Hello::new(None, tag),
-        config,
-    )?;
-    let mut current: Option<(u64, SolverFactory<S>)> = None;
-    while let Some(down) = link.recv() {
-        match down {
-            PoolDown::Begin { job, instance } => current = Some((job, make_factory(&instance))),
-            PoolDown::Ug { job, msg } => {
-                let Some((cur, factory)) = current.as_ref() else { continue };
-                if *cur != job {
-                    continue; // stale payload of a finished job
-                }
-                let job_over = match msg {
-                    Message::Terminate => true,
-                    Message::Subproblem { sub, incumbent, settings } => {
-                        let settings = settings.unwrap_or_else(SolverSettings::default_bundle);
-                        let mut solver = factory(link.rank(), &settings);
-                        let uplink = JobUplink { link: &link, job };
-                        // Reports itself as rank 0 — the server rewrites.
-                        solve_and_report(&uplink, 0, &mut solver, sub, incumbent, status_interval)
-                    }
-                    _ => false, // stale control while idle
-                };
-                if job_over {
-                    link.send(PoolUp::JobDone { job });
-                    current = None;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The transport of a pool worker while it serves `job`: like the
-/// plain worker's, but messages travel as [`PoolUp::Ug`] tagged with
-/// the job id, and the downlink multiplexes [`PoolDown`] (job-tagged)
-/// instead of raw messages.
-struct JobUplink<'a, Inst, Sub, Sol> {
-    link: &'a WorkerLink<PoolDown<Inst, Sub, Sol>, PoolUp<Sub, Sol>>,
-    job: u64,
-}
-
-impl<Inst, Sub: Serialize, Sol: Serialize> Uplink<Sub, Sol> for JobUplink<'_, Inst, Sub, Sol> {
-    fn try_recv(&self) -> Option<Message<Sub, Sol>> {
-        loop {
-            // `Begin` mid-solve cannot happen (leases release on
-            // JobDone only); drop it and wrong-job payloads defensively.
-            match self.link.try_recv()? {
-                PoolDown::Ug { job, msg } if job == self.job => return Some(msg),
-                _ => {}
-            }
-        }
-    }
-
-    fn send(&self, msg: Message<Sub, Sol>) -> bool {
-        self.link.send(PoolUp::Ug { job: self.job, msg })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Client
 // ---------------------------------------------------------------------
 
@@ -2250,53 +2009,6 @@ mod tests {
         assert_eq!(classify(&result(false, None, 1), false, 2), JobState::TimedOut);
         // A cancel that arrives after the proof changes nothing.
         assert_eq!(classify(&result(true, Some((1, 5.0)), 0), true, 2), JobState::Solved);
-    }
-
-    #[test]
-    fn set_rank_rewrites_every_upward_variant() {
-        let mut msgs: Vec<Message<u32, u32>> = vec![
-            Message::SolutionFound { rank: 0, sol: 1, obj: 2.0 },
-            Message::Status { rank: 0, dual_bound: 1.0, open: 2, nodes: 3 },
-            Message::ExportedNode {
-                rank: 0,
-                sub: crate::messages::SubproblemMsg { sub: 1, dual_bound: 0.0 },
-            },
-            Message::Completed { rank: 0, dual_bound: 1.0, nodes: 2, aborted: false },
-            Message::WorkerDied { rank: 0 },
-        ];
-        for m in msgs.iter_mut() {
-            set_rank(m, 7);
-        }
-        for m in &msgs {
-            let got = match m {
-                Message::SolutionFound { rank, .. }
-                | Message::Status { rank, .. }
-                | Message::ExportedNode { rank, .. }
-                | Message::Completed { rank, .. }
-                | Message::WorkerDied { rank } => *rank,
-                _ => unreachable!(),
-            };
-            assert_eq!(got, 7);
-        }
-        // Downward messages are untouched.
-        let mut down: Message<u32, u32> = Message::Terminate;
-        set_rank(&mut down, 7);
-        assert_eq!(down.tag(), "termination");
-    }
-
-    #[test]
-    fn pool_down_ug_mirror_is_wire_compatible() {
-        let mirror: PoolDownUg<u32, u32> =
-            PoolDownUg::Ug { job: 9, msg: Message::Incumbent { sol: 3, obj: 1.5 } };
-        let bytes = wire::encode(&mirror);
-        let full: PoolDown<String, u32, u32> = wire::decode(&bytes[4..]).unwrap();
-        match full {
-            PoolDown::Ug { job, msg } => {
-                assert_eq!(job, 9);
-                assert_eq!(msg.tag(), "incumbent");
-            }
-            other => panic!("mirror decoded as {other:?}"),
-        }
     }
 
     #[test]

@@ -498,7 +498,7 @@ where
             self.last_checkpoint = Instant::now();
             if let Some(path) = self.opts.checkpoint_path.clone() {
                 let cp = self.build_checkpoint();
-                if cp.save_with(&path, self.opts.compress_checkpoints).is_ok() {
+                if cp.save(&path).is_ok() {
                     self.opts.telemetry.log(TelemetryEvent::CheckpointSaved {
                         primitive_nodes: cp.num_primitive_nodes(),
                     });
@@ -690,7 +690,7 @@ where
         let checkpoint = if hit_time_limit || !solved {
             let cp = self.build_checkpoint();
             if let Some(path) = &self.opts.checkpoint_path {
-                if cp.save_with(path, self.opts.compress_checkpoints).is_ok() {
+                if cp.save(path).is_ok() {
                     self.opts.telemetry.log(TelemetryEvent::CheckpointSaved {
                         primitive_nodes: cp.num_primitive_nodes(),
                     });

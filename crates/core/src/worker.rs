@@ -1,9 +1,13 @@
 //! The ParaSolver: wraps one base-solver instance per received
-//! subproblem and runs Algorithm 2 of the paper.
+//! subproblem and runs Algorithm 2 of the paper — as a thread of the
+//! coordinator's process ([`worker_loop`]) or as a worker process
+//! ([`serve_worker`]).
 
 use crate::comm::WorkerComm;
 use crate::messages::{Message, SubproblemMsg};
+use crate::process::{Hello, PoolDown, PoolUp, ProcessCommConfig, WorkerLink};
 use crate::settings::SolverSettings;
+use serde::de::DeserializeOwned;
 use std::time::{Duration, Instant};
 
 /// What a base solver reports after working on one subproblem.
@@ -68,19 +72,15 @@ pub type SolverFactory<S> =
 
 /// What a ParaSolver needs from its transport while it solves: poll
 /// for control messages, send upward. Implemented by [`WorkerComm`]
-/// and by the per-job endpoint of a pool worker ([`crate::server`]).
-pub(crate) trait Uplink<Sub, Sol> {
+/// and by a worker process's per-job endpoint ([`JobUplink`]).
+trait Uplink<Sub, Sol> {
     /// Non-blocking receive of the next message for this solver.
     fn try_recv(&self) -> Option<Message<Sub, Sol>>;
     /// Sends upward to the LoadCoordinator.
     fn send(&self, msg: Message<Sub, Sol>) -> bool;
 }
 
-impl<Sub, Sol> Uplink<Sub, Sol> for WorkerComm<Sub, Sol>
-where
-    Sub: serde::Serialize + serde::de::DeserializeOwned,
-    Sol: serde::Serialize + serde::de::DeserializeOwned,
-{
+impl<Sub, Sol> Uplink<Sub, Sol> for WorkerComm<Sub, Sol> {
     fn try_recv(&self) -> Option<Message<Sub, Sol>> {
         WorkerComm::try_recv(self)
     }
@@ -234,7 +234,7 @@ where
 /// Solves one received subproblem on `solver` and reports `Completed`
 /// under `rank`, relaying control traffic over `comm` meanwhile.
 /// Returns true when `Terminate` arrived during the solve.
-pub(crate) fn solve_and_report<S: BaseSolver, C: Uplink<S::Sub, S::Sol>>(
+fn solve_and_report<S: BaseSolver, C: Uplink<S::Sub, S::Sol>>(
     comm: &C,
     rank: usize,
     solver: &mut S,
@@ -291,6 +291,90 @@ pub fn worker_loop<S: BaseSolver>(
             // Control messages while idle are stale; ignore.
             _ => {}
         }
+    }
+}
+
+/// The worker-process main loop, the one way a worker process runs:
+/// joins the coordinator or pool server at `addr` (under the spawn
+/// `tag` it was started with) and serves jobs until the coordinator is
+/// gone for good. `make_factory` turns each job's instance, received in
+/// its `Begin`, into the base-solver factory for that job's
+/// subproblems. A job ends on its `Terminate`, acknowledged with
+/// `JobDone`; the worker then waits for the next `Begin` — a per-call
+/// run, a one-job pool, ends its workers itself.
+pub fn serve_worker<Inst, S, F>(
+    addr: &str,
+    tag: Option<u64>,
+    make_factory: F,
+    status_interval: Duration,
+    config: &ProcessCommConfig,
+) -> std::io::Result<()>
+where
+    Inst: DeserializeOwned + Send + 'static,
+    S: BaseSolver + 'static,
+    F: Fn(&Inst) -> SolverFactory<S>,
+{
+    let link = WorkerLink::<PoolDown<Inst, S::Sub, S::Sol>, PoolUp<S::Sub, S::Sol>>::connect(
+        addr,
+        &Hello::new(tag),
+        config,
+    )?;
+    let mut current: Option<(u64, SolverFactory<S>)> = None;
+    while let Some(down) = link.recv() {
+        match down {
+            PoolDown::Begin { job, instance } => current = Some((job, make_factory(&instance))),
+            PoolDown::Ug { job, msg } => {
+                let Some((cur, factory)) = current.as_ref() else { continue };
+                if *cur != job {
+                    continue; // stale payload of a finished job
+                }
+                let job_over = match msg {
+                    Message::Terminate => true,
+                    Message::Subproblem { sub, incumbent, settings } => {
+                        let settings = settings.unwrap_or_else(SolverSettings::default_bundle);
+                        let mut solver = factory(link.rank(), &settings);
+                        let uplink = JobUplink { link: &link, job };
+                        // Reports itself as rank 0 — the coordinator side
+                        // rewrites it.
+                        solve_and_report(&uplink, 0, &mut solver, sub, incumbent, status_interval)
+                    }
+                    _ => false, // stale control while idle
+                };
+                if job_over {
+                    link.send(PoolUp::JobDone { job });
+                    current = None;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A worker process's transport while it serves `job`: messages travel
+/// as [`PoolUp::Ug`] tagged with the job id, and the downlink
+/// multiplexes [`PoolDown`] (job-tagged) instead of raw messages.
+struct JobUplink<'a, Inst, Sub, Sol> {
+    link: &'a WorkerLink<PoolDown<Inst, Sub, Sol>, PoolUp<Sub, Sol>>,
+    job: u64,
+}
+
+impl<Inst, Sub: serde::Serialize, Sol: serde::Serialize> Uplink<Sub, Sol>
+    for JobUplink<'_, Inst, Sub, Sol>
+{
+    fn try_recv(&self) -> Option<Message<Sub, Sol>> {
+        loop {
+            // `Begin` mid-solve cannot happen (a job's `Begin` follows
+            // the previous job's `JobDone`); drop it and wrong-job
+            // payloads defensively.
+            match self.link.try_recv()? {
+                PoolDown::Ug { job, msg } if job == self.job => return Some(msg),
+                _ => {}
+            }
+        }
+    }
+
+    fn send(&self, msg: Message<Sub, Sol>) -> bool {
+        self.link.send(PoolUp::Ug { job: self.job, msg })
     }
 }
 

@@ -16,8 +16,10 @@
 
 use proptest::prelude::*;
 use ugrs_core::messages::{Message, SubproblemMsg};
-use ugrs_core::process::{Arrival, Conn, Endpoint, RingFull, RETRANSMIT_RING_CAP};
-use ugrs_core::server::{JobEvent, JobEventKind, JobSummary, PoolDown, PoolUp, WorkerInfo};
+use ugrs_core::process::{
+    Arrival, Conn, Endpoint, PoolDown, PoolUp, RingFull, RETRANSMIT_RING_CAP,
+};
+use ugrs_core::server::{JobEvent, JobEventKind, JobSummary, WorkerInfo};
 use ugrs_core::wire::{
     decode, encode, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder, FrameHeader,
     WireError, BINARY_MAGIC, MAX_FRAME_LEN, UNSEQ,

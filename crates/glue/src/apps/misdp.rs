@@ -58,15 +58,16 @@ pub fn ug_solve_misdp(problem: &MisdpProblem, options: ParallelOptions) -> Misdp
 
 /// `ug [ScipSdp, ProcessComm]`: the same solve over worker *processes*
 /// (`dist.worker_command`, typically the `ugd-worker` binary), which
-/// read the instance as a serialized [`crate::JobInstance`] from the
-/// file named by `--instance-job`.
+/// receive the instance as a [`crate::JobInstance`] in the run's one
+/// `Begin`.
 pub fn ug_solve_misdp_distributed(
     problem: &MisdpProblem,
     options: ParallelOptions,
     dist: ugrs_core::DistributedOptions,
 ) -> std::io::Result<MisdpParallelResult> {
     let instance = crate::JobInstance::Misdp { problem: problem.clone() };
-    Ok(map_back(crate::serve::solve_per_call(&instance, options, dist)?))
+    let res = ugrs_core::solve_parallel_distributed(&instance, NodeDesc::root(), options, dist)?;
+    Ok(map_back(res))
 }
 
 /// Converts a UG result from the internal minimization of −bᵀy back to

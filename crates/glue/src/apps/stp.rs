@@ -92,11 +92,10 @@ pub fn ug_solve_stp_seeded(
 
 /// `ug [SteinerJack, ProcessComm]`: the same solve, but the ParaSolvers
 /// are worker *processes* (`dist.worker_command`, typically the
-/// `ugd-worker` binary) on localhost. The workers read the reduced
-/// instance as a serialized [`crate::JobInstance`] from the file named
-/// by `--instance-job`; every subproblem and solution then crosses the
-/// wire as frames. Workers dying mid-run are survived: their
-/// subproblems are requeued.
+/// `ugd-worker` binary) on localhost. The workers receive the reduced
+/// instance as a [`crate::JobInstance`] in the run's one `Begin`; every
+/// subproblem and solution then crosses the wire as frames. Workers
+/// dying mid-run are survived: their subproblems are requeued.
 pub fn ug_solve_stp_distributed(
     graph: &Graph,
     reduce_params: &ugrs_steiner::reduce::ReduceParams,
@@ -110,7 +109,8 @@ pub fn ug_solve_stp_distributed(
         return Ok(trivial_result(&g));
     }
     let instance = crate::JobInstance::Stp { graph: g.clone() };
-    Ok(map_back(&g, crate::serve::solve_per_call(&instance, options, dist)?))
+    let res = ugrs_core::solve_parallel_distributed(&instance, NodeDesc::root(), options, dist)?;
+    Ok(map_back(&g, res))
 }
 
 /// Maps a UG result on the reduced graph back to original edge ids:

@@ -4,10 +4,11 @@
 //! The core server ([`ugrs_core::server`]) is generic over an instance
 //! type; this module instantiates it with [`JobInstance`] — an enum
 //! over both customized solvers of the paper — so one standing worker
-//! pool serves Steiner tree and MISDP jobs interleaved. A pool worker
+//! pool serves Steiner tree and MISDP jobs interleaved. A worker
 //! receives the instance with the job's `Begin` frame and builds the
-//! matching plugin set per subproblem, exactly like the per-call
-//! distributed workers do from their `--instance-job` file.
+//! matching plugin set per subproblem — a pool worker for every job it
+//! is leased to, a per-call run's worker
+//! ([`crate::apps::stp::ug_solve_stp_distributed`]) for its one job.
 
 use crate::apps::misdp::MisdpPlugins;
 use crate::apps::stp::StpPlugins;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use ugrs_cip::NodeDesc;
 use ugrs_core::worker::{BaseSolver, ParaControl, SolverFactory, SubproblemOutcome};
-use ugrs_core::{DistributedOptions, JobSpec, ParallelOptions, ParallelResult, ProcessCommConfig};
+use ugrs_core::{JobSpec, ProcessCommConfig};
 use ugrs_instances::MaxCutInstance;
 use ugrs_misdp::MisdpProblem;
 use ugrs_steiner::Graph;
@@ -70,43 +71,19 @@ impl JobInstance {
     }
 }
 
-/// The per-call distributed solve of every application: writes
-/// `instance` to a temp file, appends `--instance-job <path>` to the
-/// worker command, runs the coordinator over the spawned workers and
-/// removes the file again.
-pub(crate) fn solve_per_call(
-    instance: &JobInstance,
-    options: ParallelOptions,
-    mut dist: DistributedOptions,
-) -> std::io::Result<ParallelResult<NodeDesc, Vec<f64>>> {
-    let path = std::env::temp_dir().join(format!(
-        "ugrs-{}-{}-{:x}.json",
-        instance.family(),
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0)
-    ));
-    std::fs::write(&path, serde_json::to_string(instance)?)?;
-    dist.worker_command.push("--instance-job".into());
-    dist.worker_command.push(path.to_string_lossy().into_owned());
-    let res = ugrs_core::solve_parallel_distributed(NodeDesc::root(), options, dist);
-    let _ = std::fs::remove_file(&path);
-    res
-}
-
 /// A base solver serving either application, chosen by the job's
-/// instance — the pool worker's reason to exist.
+/// instance — the worker process's reason to exist.
 pub enum JobSolver {
     Stp(UgCipSolver<StpPlugins>),
     Misdp(UgCipSolver<MisdpPlugins>),
     /// The instance was fully solved by presolving (an STP graph left
     /// with fewer than two terminals): report the empty solution at
     /// internal objective 0 and exhaust the subproblem immediately.
-    /// The per-call path short-circuits this case coordinator-side
-    /// ([`crate::apps::stp::ug_solve_stp_distributed`]); a job service
-    /// must also survive it arriving over the wire.
+    /// A per-call run never ships such an instance: it short-circuits
+    /// the case coordinator-side
+    /// ([`crate::apps::stp::ug_solve_stp_distributed`]). A served job
+    /// can carry one, so a worker must survive it arriving in a
+    /// `Begin`.
     Trivial,
 }
 
@@ -189,9 +166,9 @@ impl<S: BaseSolver> BaseSolver for DelaySolver<S> {
     }
 }
 
-/// Joins a `ugd-server` pool and serves mixed STP/MISDP jobs until the
-/// server hangs up — what `ugd-worker --serve` calls after parsing its
-/// command line.
+/// Joins a coordinator — a `ugd-server` pool or a per-call run — and
+/// serves mixed STP/MISDP jobs until it is gone for good: what
+/// `ugd-worker` calls after parsing its command line.
 pub fn serve_jobs(
     addr: &str,
     tag: Option<u64>,

@@ -7,11 +7,8 @@
 //!             [--shard-liveness-ms 2000] [--steal-margin 2]
 //!             [--max-inflight 1024] [--tenant-rate 0] [--tenant-burst 0]
 //!             [--tenant-quota <name>=<rate>:<burst>]...
-//!             [--state-dir <dir>] [--compress-state] [--journal-dir <dir>]
+//!             [--state-dir <dir>] [--journal-dir <dir>]
 //! ```
-//!
-//! `--compress-state` writes the gateway's own ledger through the LZ
-//! container; recovery auto-detects either format.
 //!
 //! The gateway speaks the same protocol as a single `ugd-server`, so
 //! every `ugd` subcommand works against it unchanged — plus `ugd fleet`
@@ -132,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
                 config.tenant_quotas.insert(name, quota);
             }
             "--state-dir" => config.state_dir = Some(value("--state-dir")?.into()),
-            "--compress-state" => config.compress_state = true,
             "--journal-dir" => config.journal_dir = Some(value("--journal-dir")?.into()),
             "--lease-ttl-ms" => {
                 config.lease_ttl = Some(Duration::from_millis(
@@ -186,7 +182,7 @@ fn main() {
                  \x20       [--probe-timeout-ms <ms>] [--steal-margin <n>] [--max-inflight <n>]\n\
                  \x20       [--tenant-rate <per-sec> [--tenant-burst <n>]]\n\
                  \x20       [--tenant-quota <name>=<rate>:<burst>]...\n\
-                 \x20       [--state-dir <dir>] [--compress-state] [--journal-dir <dir>]\n\
+                 \x20       [--state-dir <dir>] [--journal-dir <dir>]\n\
                  \x20       [--lease-ttl-ms <ms> [--standby] [--ha-owner <name>]]\n\
                  \x20       [--steal-batch <n>] [--drain-timeout-secs <s>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\

@@ -2,7 +2,7 @@
 //! pool.
 //!
 //! Where `ug [*, ProcessComm]` spawns workers per call, this daemon
-//! keeps a standing pool of `ugd-worker --serve` processes and runs a
+//! keeps a standing pool of `ugd-worker` processes and runs a
 //! queue of mixed STP/MISDP jobs over them, each job under its own
 //! `LoadCoordinator`, with priorities, per-job limits, cancellation and
 //! streaming progress for `ugd` clients:
@@ -11,13 +11,9 @@
 //! ugd-server [--client-addr 127.0.0.1:7163] [--worker-addr 127.0.0.1:0]
 //!            [--pool-size 4] [--max-jobs 2] [--worker <path>]
 //!            [--status-interval 0.05] [--handicap-ms 0]
-//!            [--journal-dir <dir>] [--state-dir <dir>] [--compress-state]
+//!            [--journal-dir <dir>] [--state-dir <dir>]
 //!            [--checkpoint-interval 1.0]
 //! ```
-//!
-//! `--compress-state` writes ledger records and checkpoints through
-//! the LZ container; reads always auto-detect, so the flag can be
-//! flipped between restarts over the same `--state-dir`.
 //!
 //! With `--journal-dir`, every job writes a JSONL run journal
 //! (`job-<id>-<name>.jsonl`) of timestamped telemetry events there —
@@ -85,7 +81,6 @@ fn parse_args() -> Result<Args, String> {
             "--state-dir" => {
                 config.state_dir = Some(value("--state-dir")?.into());
             }
-            "--compress-state" => config.compress_state = true,
             "--checkpoint-interval" => {
                 config.checkpoint_interval =
                     value("--checkpoint-interval")?.parse().map_err(|e| format!("{e}"))?
@@ -157,13 +152,12 @@ fn main() {
                 "usage: ugd-server [--client-addr <a>] [--worker-addr <a>] [--pool-size <n>]\n\
                  \x20       [--max-jobs <n>] [--worker <path>] [--status-interval <secs>]\n\
                  \x20       [--handicap-ms <ms>] [--journal-dir <dir>]\n\
-                 \x20       [--state-dir <dir>] [--compress-state] [--checkpoint-interval <secs>]\n\
+                 \x20       [--state-dir <dir>] [--checkpoint-interval <secs>]\n\
                  \x20       [--heartbeat-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\
                  \n\
                  --state-dir <dir>            durable job ledger + checkpoints; on restart,\n\
                  \x20                            unfinished jobs are requeued/resumed from here\n\
-                 --compress-state             LZ-compress ledger records and checkpoints\n\
                  --checkpoint-interval <secs> how often running jobs checkpoint (default 1.0)"
             );
             std::process::exit(2);

@@ -1,28 +1,22 @@
 //! `ugd-worker` — the worker-process half of `ug [SCIP-*, ProcessComm]`.
 //!
-//! Two modes share this binary:
-//!
-//! **Per-call mode** (the original ParaSCIP shape): a coordinator such as
-//! [`ugrs_glue::apps::stp::ug_solve_stp_distributed`] spawns one worker
-//! per rank for a single solve. Each connects back over TCP, handshakes
-//! for its rank, loads the instance the coordinator wrote — a serialized
-//! [`ugrs_glue::JobInstance`], the format the job service ships over the
-//! wire — and serves subproblems until `Terminate`:
+//! One mode: the worker joins a coordinator, receives each job's
+//! instance — a [`ugrs_glue::JobInstance`] — in the job's `Begin`
+//! frame, and serves mixed STP/MISDP jobs until the coordinator is gone
+//! for good:
 //!
 //! ```text
-//! ugd-worker --connect 127.0.0.1:40123 --rank 2 \
-//!            --instance-job /tmp/ugrs-stp-1234-abc.json \
+//! ugd-worker --connect 127.0.0.1:40123 [--pool-tag 2] \
 //!            [--status-interval 0.05] [--handicap-ms 0]
 //! ```
 //!
-//! **Pool mode** (`--serve`): the worker joins a `ugd-server` pool and
-//! stays alive across jobs. It receives each job's instance over the
-//! wire with the job's `Begin` frame — no instance file — and serves
-//! mixed STP/MISDP jobs until the server hangs up:
-//!
-//! ```text
-//! ugd-worker --serve --connect 127.0.0.1:40123 [--pool-tag 7]
-//! ```
+//! The coordinator is either a `ugd-server`, whose standing pool the
+//! worker stays in across jobs, or a per-call distributed solve such as
+//! [`ugrs_glue::apps::stp::ug_solve_stp_distributed`], a private
+//! one-job pool that spawns one worker per rank and kills them when
+//! the solve ends. `--pool-tag` is the spawn tag the coordinator put on
+//! the command line: a per-call worker tagged *i* becomes rank *i*, and
+//! a server marries the connection back to the process it spawned.
 //!
 //! `--handicap-ms` delays every subproblem solve by the given amount —
 //! a test/benchmark knob that makes worker-death scenarios reproducible
@@ -38,26 +32,19 @@
 
 use std::time::Duration;
 use ugrs_core::chaos::{ChaosConfig, ChaosProfile};
-use ugrs_core::{run_distributed_worker, ProcessCommConfig};
-use ugrs_glue::{job_factory, DelaySolver, JobInstance};
+use ugrs_core::ProcessCommConfig;
 
 struct Args {
-    serve: bool,
     connect: String,
-    rank: Option<usize>,
     pool_tag: Option<u64>,
-    instance_job: Option<std::path::PathBuf>,
     status_interval: f64,
     handicap: Duration,
     comm: ProcessCommConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut serve = false;
     let mut connect = None;
-    let mut rank = None;
     let mut pool_tag = None;
-    let mut instance_job = None;
     let mut status_interval = 0.05f64;
     let mut handicap = Duration::ZERO;
     let mut comm = ProcessCommConfig::default();
@@ -67,14 +54,9 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--serve" => serve = true,
             "--connect" => connect = Some(value("--connect")?),
-            "--rank" => rank = Some(value("--rank")?.parse::<usize>().map_err(|e| e.to_string())?),
             "--pool-tag" => {
                 pool_tag = Some(value("--pool-tag")?.parse::<u64>().map_err(|e| e.to_string())?)
-            }
-            "--instance-job" => {
-                instance_job = Some(std::path::PathBuf::from(value("--instance-job")?))
             }
             "--status-interval" => {
                 status_interval =
@@ -115,16 +97,13 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     let connect = connect.ok_or("--connect is required")?;
-    if !serve && instance_job.is_none() {
-        return Err("--instance-job is required (unless --serve)".into());
-    }
     if let Some(seed) = chaos_seed {
         comm.chaos = Some(ChaosConfig::new(seed, chaos_profile.unwrap_or_else(ChaosProfile::none)));
     } else if chaos_profile.is_some() {
         return Err("--chaos-profile needs --chaos-seed".into());
     }
     comm.validate()?;
-    Ok(Args { serve, connect, rank, pool_tag, instance_job, status_interval, handicap, comm })
+    Ok(Args { connect, pool_tag, status_interval, handicap, comm })
 }
 
 fn main() {
@@ -133,9 +112,8 @@ fn main() {
         Err(e) => {
             eprintln!("ugd-worker: {e}");
             eprintln!(
-                "usage: ugd-worker --connect <addr> --instance-job <path> [--rank <n>]\n\
-                 \x20      ugd-worker --serve --connect <addr> [--pool-tag <t>]\n\
-                 common: [--status-interval <secs>] [--handicap-ms <ms>]\n\
+                "usage: ugd-worker --connect <addr> [--pool-tag <t>]\n\
+                 \x20       [--status-interval <secs>] [--handicap-ms <ms>]\n\
                  \x20       [--heartbeat-ms <ms>] [--handshake-ms <ms>] [--liveness-ms <ms>] [--reconnect-ms <ms>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]"
             );
@@ -143,40 +121,14 @@ fn main() {
         }
     };
     let status_interval = Duration::from_secs_f64(args.status_interval);
-    if args.serve {
-        if let Err(e) = ugrs_glue::serve_jobs(
-            &args.connect,
-            args.pool_tag,
-            args.handicap,
-            status_interval,
-            &args.comm,
-        ) {
-            eprintln!("ugd-worker: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let delay = args.handicap;
-    let path = args.instance_job.expect("checked in parse_args");
-    let inner_factory = match std::fs::read(&path)
-        .map_err(|e| e.to_string())
-        .and_then(|raw| serde_json::from_slice::<JobInstance>(&raw).map_err(|e| format!("{e:?}")))
-        .map(|inst| job_factory(&inst))
-    {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("ugd-worker: cannot load job instance {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    };
-    let factory: ugrs_core::worker::SolverFactory<DelaySolver<_>> =
-        std::sync::Arc::new(move |rank, settings| DelaySolver {
-            inner: inner_factory(rank, settings),
-            delay,
-        });
-    let result =
-        run_distributed_worker(&args.connect, args.rank, factory, status_interval, &args.comm);
-    if let Err(e) = result {
+    let served = ugrs_glue::serve_jobs(
+        &args.connect,
+        args.pool_tag,
+        args.handicap,
+        status_interval,
+        &args.comm,
+    );
+    if let Err(e) = served {
         eprintln!("ugd-worker: {e}");
         std::process::exit(1);
     }

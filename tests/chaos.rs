@@ -25,7 +25,7 @@ use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::chaos::{ChaosProfile, FaultAction, FaultPlan};
 use ugrs::ug::comm::LcComm;
-use ugrs::ug::process::ProcessListener;
+use ugrs::ug::process::accept_ranks;
 use ugrs::ug::supervisor::LoadCoordinator;
 use ugrs::ug::telemetry;
 use ugrs::ug::{DistributedOptions, ParallelOptions, ProcessCommConfig};
@@ -211,11 +211,8 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
 
     let mut reduced = g.clone();
     ugrs::steiner::reduce::reduce(&mut reduced, &ReduceParams::default());
-    let instance_path =
-        std::env::temp_dir().join(format!("ugrs-chaos-degrade-{}.json", std::process::id()));
     let fixed_cost = reduced.fixed_cost;
     let instance = JobInstance::Stp { graph: reduced };
-    std::fs::write(&instance_path, serde_json::to_string(&instance).unwrap()).unwrap();
 
     let n = 4;
     let config = ProcessCommConfig {
@@ -225,17 +222,15 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
         reconnect_deadline: Duration::ZERO,
         chaos: None,
     };
-    let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let mut children = Vec::new();
     for rank in 0..n {
         let mut cmd = std::process::Command::new(WORKER_BIN);
         cmd.arg("--connect")
             .arg(&addr)
-            .arg("--rank")
+            .arg("--pool-tag")
             .arg(rank.to_string())
-            .arg("--instance-job")
-            .arg(&instance_path)
             .arg("--status-interval")
             .arg("0.05")
             .arg("--heartbeat-ms")
@@ -262,31 +257,22 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
         children.push(cmd.spawn().expect("spawn ugd-worker"));
     }
 
-    let lc = LcComm::Process(
-        listener.accept_workers::<NodeDesc, Vec<f64>>(n, &config).expect("handshake"),
-    );
+    let comm = accept_ranks::<NodeDesc, Vec<f64>>(listener, n, &config).expect("handshake");
+    comm.begin(&instance);
     let mut coordinator = LoadCoordinator::new(
-        lc,
+        LcComm::Process(comm),
         ParallelOptions { num_solvers: n, status_interval: 0.05, ..Default::default() },
         NodeDesc::root(),
     );
     let res = coordinator.run();
 
+    // Close the sessions, then end the workers: after `Terminate` a
+    // worker waits for its next job.
+    drop(coordinator);
     for mut c in children {
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match c.try_wait() {
-                Ok(Some(_)) => break,
-                _ if std::time::Instant::now() >= deadline => {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+        let _ = c.kill();
+        let _ = c.wait();
     }
-    let _ = std::fs::remove_file(&instance_path);
 
     assert_eq!(
         res.stats.workers_died, 1,

@@ -1,7 +1,8 @@
 //! The command lines after the worker-session, codec, batching,
-//! adaptive-racing and raw-instance options were removed: the retired
-//! spellings are usage errors (exit 2) whose usage text names only
-//! flags that still exist, and a SIGTERM drain survives a closed stdout.
+//! adaptive-racing, raw-instance, per-call worker-mode and
+//! state-compression options were removed: the retired spellings are
+//! usage errors (exit 2) whose usage text names only flags that still
+//! exist, and a SIGTERM drain survives a closed stdout.
 
 use std::io::BufRead;
 use std::process::{Command, Stdio};
@@ -64,6 +65,29 @@ fn retired_adaptive_racing_and_raw_instance_flags_are_usage_errors() {
     for text in &complaints {
         let usage = &text[text.find("usage:").expect("usage text follows the complaint")..];
         for retired in ["tune", "adaptive", "--instance "] {
+            assert!(!usage.contains(retired), "retired {retired:?} in: {usage}");
+        }
+    }
+}
+
+/// A worker has one mode — it joins a coordinator and receives each
+/// job's instance in its `Begin` — and the daemons no longer compress
+/// their state: the retired spellings are usage errors.
+#[test]
+fn retired_worker_modes_and_state_compression_are_usage_errors() {
+    let worker = ["--connect", "127.0.0.1:1"];
+    let cases: [(&str, Vec<&str>, &str); 5] = [
+        (WORKER_BIN, [&worker[..], &["--serve"]].concat(), "--serve"),
+        (WORKER_BIN, [&worker[..], &["--rank", "0"]].concat(), "--rank"),
+        (WORKER_BIN, [&worker[..], &["--instance-job", "x"]].concat(), "--instance-job"),
+        (SERVER_BIN, vec!["--compress-state"], "--compress-state"),
+        (GATEWAY_BIN, vec!["--shard", "a=127.0.0.1:1", "--compress-state"], "--compress-state"),
+    ];
+    for (bin, args, flag) in cases {
+        let text = usage_error(bin, &args);
+        assert!(text.contains(&format!("unknown flag {flag}\n")), "{text}");
+        let usage = &text[text.find("usage:").expect("usage text follows the complaint")..];
+        for retired in ["--serve", "--rank ", "instance-job", "compress"] {
             assert!(!usage.contains(retired), "retired {retired:?} in: {usage}");
         }
     }

@@ -9,7 +9,7 @@ use ugrs::glue::{ug_solve_stp, ug_solve_stp_distributed, JobInstance};
 use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::comm::LcComm;
-use ugrs::ug::process::ProcessListener;
+use ugrs::ug::process::accept_ranks;
 use ugrs::ug::supervisor::LoadCoordinator;
 use ugrs::ug::{DistributedOptions, ParallelOptions, ProcessCommConfig};
 
@@ -55,7 +55,8 @@ fn thread_and_process_backends_agree() {
 /// the coordinator must requeue its work and still reach the optimum.
 ///
 /// Built from the compositional pieces (listener + hand-spawned
-/// workers) so the test holds the `Child` handle it wants to kill.
+/// workers tagged with their ranks + `accept_ranks`) so the test holds
+/// the `Child` handle it wants to kill.
 /// Rank 0 is started with a 3 s `--handicap-ms`, and under the Normal
 /// ramp-up the root goes to `idle[0]` = rank 0 — so when we kill it
 /// shortly after start it is reliably mid-subproblem with the whole
@@ -71,18 +72,15 @@ fn killed_worker_is_survived_and_requeued() {
     let (_, expected) = threaded.tree.expect("threaded run must find a tree");
 
     // Coordinator-side presolve, exactly as ug_solve_stp_distributed
-    // does it, then ship the reduced instance via a temp file.
+    // does it; the reduced instance ships in the run's `Begin`.
     let mut reduced = g.clone();
     ugrs::steiner::reduce::reduce(&mut reduced, &ReduceParams::default());
     assert!(
         reduced.num_terminals() >= 2,
         "instance must stay nontrivial after presolve or the test exercises nothing"
     );
-    let instance_path =
-        std::env::temp_dir().join(format!("ugrs-kill-test-{}.json", std::process::id()));
     let fixed_cost = reduced.fixed_cost;
     let instance = JobInstance::Stp { graph: reduced };
-    std::fs::write(&instance_path, serde_json::to_string(&instance).unwrap()).unwrap();
 
     // Short transport timeouts (the defaults wait 15 s before declaring
     // a silent worker dead — pointless stall in a kill test), passed to
@@ -97,17 +95,15 @@ fn killed_worker_is_survived_and_requeued() {
         reconnect_deadline: Duration::from_millis(500),
         chaos: None,
     };
-    let listener = ProcessListener::bind("127.0.0.1:0").unwrap();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let mut children = Vec::new();
     for rank in 0..n {
         let mut cmd = std::process::Command::new(WORKER_BIN);
         cmd.arg("--connect")
             .arg(&addr)
-            .arg("--rank")
+            .arg("--pool-tag")
             .arg(rank.to_string())
-            .arg("--instance-job")
-            .arg(&instance_path)
             .arg("--status-interval")
             .arg("0.05")
             .arg("--heartbeat-ms")
@@ -122,11 +118,10 @@ fn killed_worker_is_survived_and_requeued() {
         children.push(cmd.spawn().expect("spawn ugd-worker"));
     }
 
-    let lc = LcComm::Process(
-        listener.accept_workers::<NodeDesc, Vec<f64>>(n, &config).expect("handshake"),
-    );
+    let comm = accept_ranks::<NodeDesc, Vec<f64>>(listener, n, &config).expect("handshake");
+    comm.begin(&instance);
     let mut coordinator = LoadCoordinator::new(
-        lc,
+        LcComm::Process(comm),
         ParallelOptions { num_solvers: n, ..Default::default() },
         NodeDesc::root(),
     );
@@ -142,23 +137,13 @@ fn killed_worker_is_survived_and_requeued() {
 
     let res = coordinator.run();
     killer.join().unwrap();
+    // Close the sessions, then end the survivors: after `Terminate` a
+    // worker waits for its next job, as a per-call run's own do.
+    drop(coordinator);
     for mut c in children {
-        // run() already sent Terminate; give survivors a moment, then
-        // make sure nothing outlives the test.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            match c.try_wait() {
-                Ok(Some(_)) => break,
-                _ if std::time::Instant::now() >= deadline => {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                    break;
-                }
-                _ => std::thread::sleep(Duration::from_millis(10)),
-            }
-        }
+        let _ = c.kill();
+        let _ = c.wait();
     }
-    let _ = std::fs::remove_file(&instance_path);
 
     assert_eq!(res.stats.workers_died, 1, "exactly the killed rank must be detected dead");
     assert!(res.solved, "the requeued root must still be solved to optimality");

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `ugd-server` job service: one server, a
-//! standing pool of real `ugd-worker --serve` processes, and mixed
+//! standing pool of real `ugd-worker` processes, and mixed
 //! STP/MISDP jobs submitted over the client protocol — including
 //! cancellation, a worker SIGKILL mid-job, and seeded fault injection
 //! on the pool workers' uplinks:
@@ -507,10 +507,11 @@ fn sigkilled_pool_worker_is_lost_within_a_second_despite_a_long_reconnect_budget
 }
 
 /// A hello on the pool listener that advertises an older wire revision
-/// (or none) is refused like on the per-call listener: hung up on
+/// (or none) is refused like on a per-call run's listener: hung up on
 /// without a welcome, and it takes no pool id.
 #[test]
-fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
+fn pool_hello_from_another_revision_is_refused_and_takes_no_pool_id() {
+    use ugrs::ug::process::PROTOCOL_VERSION;
     use ugrs::ug::wire::{self, FrameDecoder};
     use ugrs::ug::{Hello, Welcome};
 
@@ -522,21 +523,22 @@ fn pool_hello_without_revision_3_is_refused_and_takes_no_pool_id() {
     let hello = |max_protocol| {
         let stream = std::net::TcpStream::connect(server.worker_addr()).expect("pool connect");
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let hello = Hello { max_protocol, ..Hello::new(None, None) };
+        let hello = Hello { max_protocol, ..Hello::new(None) };
         wire::write_msg(&mut (&stream), &hello).expect("hello");
         let mut reader = stream.try_clone().unwrap();
         let welcome = wire::read_msg::<Welcome, _>(&mut reader, &mut FrameDecoder::new());
         (stream, welcome)
     };
-    for old in [None, Some(2)] {
+    for old in [None, Some(2), Some(PROTOCOL_VERSION - 1)] {
         let (_stream, welcome) = hello(old);
         assert!(matches!(welcome, Ok(None)), "hello {old:?} must be hung up on: {welcome:?}");
         assert!(client.status().expect("status").workers.is_empty(), "{old:?} took a pool id");
     }
-    // The same hello at revision 3 is admitted, under the first id.
-    let (_stream, welcome) = hello(Some(3));
-    let welcome = welcome.expect("welcome").expect("a revision-3 hello is admitted");
-    assert_eq!((welcome.rank, welcome.protocol), (0, Some(3)));
+    // The same hello at this build's revision is admitted, under the
+    // first id.
+    let (_stream, welcome) = hello(Some(PROTOCOL_VERSION));
+    let welcome = welcome.expect("welcome").expect("a current-revision hello is admitted");
+    assert_eq!((welcome.rank, welcome.protocol), (0, Some(PROTOCOL_VERSION)));
     await_status(&mut client, Duration::from_secs(5), "the admitted worker", |st| {
         st.workers.len() == 1
     });
