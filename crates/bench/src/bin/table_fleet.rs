@@ -119,7 +119,6 @@ fn main() {
     let submitters = arg(&args, "--submitters").map(|v| v as usize).unwrap_or(200);
     let slo_ms = arg(&args, "--slo-ms").unwrap_or(250.0);
     let kill = !args.iter().any(|a| a == "--no-kill");
-    let steal_batch = arg(&args, "--steal-batch").map(|v| v as u64).unwrap_or(4);
 
     let (Some(server), Some(worker)) =
         (find_binary("UGD_SERVER", "ugd-server"), find_binary("UGD_WORKER", "ugd-worker"))
@@ -152,7 +151,6 @@ fn main() {
         shard_liveness: Duration::from_millis(600),
         probe_timeout: Duration::from_millis(800),
         steal_margin: 2,
-        steal_batch,
         max_inflight: jobs.max(1024),
         state_dir: Some(root.join("gateway")),
         journal_dir: Some(root.join("journal")),

@@ -102,7 +102,6 @@ pub fn select_branching_var(
         let p = perm_score(seed, v);
         let score = match rule {
             BranchingRule::MostFractional => 0.5 - (frac - 0.5).abs(),
-            BranchingRule::FirstIndex => -((p as f64) + v.0 as f64),
             BranchingRule::Pseudocost => {
                 let f = val - val.floor();
                 pcost.score(v, f).unwrap_or_else(|| 10.0 * (0.5 - (frac - 0.5).abs()))

@@ -77,8 +77,7 @@ pub trait PrimalHeuristic: Send {
     /// Identifier shown in statistics.
     fn name(&self) -> &str;
 
-    /// The schedule this heuristic registers under (overridable at
-    /// registration time via [`HeurEngine::add_with_schedule`]).
+    /// The schedule this heuristic registers under.
     fn default_schedule(&self) -> HeurSchedule {
         HeurSchedule::default()
     }
@@ -159,16 +158,11 @@ pub struct HeurEngine {
 }
 
 impl HeurEngine {
-    /// Registers a heuristic under its own default schedule.
+    /// Registers a heuristic under its own default schedule. Entries stay
+    /// sorted by descending priority (stable, so registration order
+    /// breaks ties).
     pub fn add(&mut self, heur: Box<dyn PrimalHeuristic>) {
         let schedule = heur.default_schedule();
-        self.add_with_schedule(heur, schedule);
-    }
-
-    /// Registers a heuristic under an explicit schedule, overriding its
-    /// default. Entries stay sorted by descending priority (stable, so
-    /// registration order breaks ties).
-    pub fn add_with_schedule(&mut self, heur: Box<dyn PrimalHeuristic>, schedule: HeurSchedule) {
         self.entries.push(HeurEntry { heur, schedule, calls: 0, hits: 0, spent: Duration::ZERO });
         self.best.push(None);
         // Stable insertion keeps equal priorities in registration order.

@@ -10,14 +10,13 @@
 //!
 //! * [`plugins::ConstraintHandler`] — non-linear/combinatorial constraints
 //!   enforced by lazy cuts or feasibility checks (directed Steiner cuts,
-//!   SDP eigenvector cuts),
-//! * [`plugins::Separator`] — cutting planes for fractional LP solutions,
-//! * [`plugins::Propagator`] — domain propagation,
+//!   SDP eigenvector cuts); its optional `separate` and `propagate`
+//!   callbacks are the one way a plugin adds cutting planes for
+//!   fractional LP solutions or propagates domains,
 //! * [`plugins::Heuristic`] — primal heuristics,
 //! * [`plugins::BranchRule`] — custom branching,
 //! * [`plugins::Relaxator`] — alternative relaxations (the SDP relaxation
-//!   of SCIP-SDP's nonlinear branch-and-bound mode),
-//! * [`plugins::Presolver`] — problem-specific presolving.
+//!   of SCIP-SDP's nonlinear branch-and-bound mode).
 //!
 //! The framework itself ships default plugins: activity-based linear
 //! propagation and reduced-cost fixing, rounding and diving heuristics,
@@ -60,8 +59,7 @@ pub use heurengine::{HeurEngine, HeurSchedule, HeurStats, PrimalHeuristic};
 pub use model::{LinCons, Model, VarId, VarType};
 pub use plugins::{
     BranchDecision, BranchRule, ConstraintHandler, Cut, CutBuffer, EnforceResult, Heuristic,
-    Presolver, PropResult, Propagator, RelaxOutcome, RelaxResult, Relaxator, SepaResult, Separator,
-    SolveCtx,
+    PropResult, RelaxOutcome, RelaxResult, Relaxator, SepaResult, SolveCtx,
 };
 pub use settings::{BranchingRule, Emphasis, NodeSelection, Settings};
 pub use solution::Solution;
@@ -75,12 +73,6 @@ pub const INT_TOL: f64 = 1e-6;
 
 /// General feasibility tolerance used by checks in this crate.
 pub const FEAS_TOL: f64 = 1e-6;
-
-/// Returns true if `v` is integral within [`INT_TOL`].
-#[inline]
-pub fn is_integral(v: f64) -> bool {
-    (v - v.round()).abs() <= INT_TOL
-}
 
 /// Fractionality of a value: distance to the nearest integer.
 #[inline]

@@ -118,11 +118,6 @@ impl Model {
         self.maximize = true;
     }
 
-    /// True if the user sense is maximization.
-    pub fn is_maximize(&self) -> bool {
-        self.maximize
-    }
-
     /// Converts an internal (minimization) objective value to the user's
     /// sense.
     pub fn external_obj(&self, internal: f64) -> f64 {

@@ -1,6 +1,8 @@
 //! Plugin traits — the extension points problem-specific solvers hook
-//! into, mirroring SCIP's constraint handlers, separators, propagators,
-//! heuristics, branching rules, relaxators and presolvers.
+//! into, mirroring SCIP's constraint handlers, heuristics, branching
+//! rules and relaxators. A constraint handler's optional `separate` and
+//! `propagate` callbacks take the place of SCIP's separator and
+//! propagator plugins; presolving is the framework's own.
 
 use crate::model::{Model, VarId};
 
@@ -99,16 +101,6 @@ pub struct SolveCtx<'a> {
 }
 
 impl SolveCtx<'_> {
-    /// Convenience: request fixing `v` to `val`.
-    pub fn fix_var(&mut self, v: VarId, val: f64) {
-        self.tightenings.push((v, val, val));
-    }
-
-    /// Convenience: request a new lower bound for `v`.
-    pub fn tighten_lb(&mut self, v: VarId, lb: f64) {
-        self.tightenings.push((v, lb, f64::INFINITY));
-    }
-
     /// Convenience: request a new upper bound for `v`.
     pub fn tighten_ub(&mut self, v: VarId, ub: f64) {
         self.tightenings.push((v, f64::NEG_INFINITY, ub));
@@ -118,7 +110,7 @@ impl SolveCtx<'_> {
 /// Outcome of a separation call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SepaResult {
-    /// The separator chose not to run.
+    /// The handler chose not to separate.
     DidNotRun,
     /// Ran, found nothing violated.
     NoCuts,
@@ -169,14 +161,6 @@ pub struct RelaxResult {
     pub fallbacks: u64,
 }
 
-/// Outcome of a presolver call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PresolveOutcome {
-    Unchanged,
-    Reduced,
-    Infeasible,
-}
-
 /// A branching decision: split on `var` at `value` (floor/ceil children).
 #[derive(Clone, Copy, Debug)]
 pub struct BranchDecision {
@@ -213,18 +197,6 @@ pub trait ConstraintHandler: Send {
     fn init_lp(&mut self, _model: &Model, _cuts: &mut CutBuffer) {}
 }
 
-/// Cutting-plane separator for fractional solutions.
-pub trait Separator: Send {
-    fn name(&self) -> &str;
-    fn separate(&mut self, ctx: &mut SolveCtx) -> SepaResult;
-}
-
-/// Domain propagator.
-pub trait Propagator: Send {
-    fn name(&self) -> &str;
-    fn propagate(&mut self, ctx: &mut SolveCtx) -> PropResult;
-}
-
 /// Primal heuristic: returns a candidate assignment (the framework
 /// validates it before installing).
 pub trait Heuristic: Send {
@@ -243,12 +215,6 @@ pub trait BranchRule: Send {
 pub trait Relaxator: Send {
     fn name(&self) -> &str;
     fn solve_relaxation(&mut self, ctx: &mut SolveCtx) -> RelaxResult;
-}
-
-/// Problem-specific presolver, run in the presolve fixpoint loop.
-pub trait Presolver: Send {
-    fn name(&self) -> &str;
-    fn presolve(&mut self, model: &mut Model) -> PresolveOutcome;
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Global presolving: the fixpoint loop the paper's *layered presolving*
 //! scheme re-runs inside every ParaSolver on each received subproblem
-//! (§2.2). The loop combines the built-in reductions below with any
-//! registered [`crate::plugins::Presolver`] plugins.
+//! (§2.2), built from the reductions below. Problem-specific reductions
+//! happen before the model is built (the Steiner graph reductions).
 
 use crate::model::Model;
 use crate::propagation::{propagate_linear, PropOutcome};

@@ -2,9 +2,12 @@
 //!
 //! UG's racing ramp-up (§2.2 of the paper) relies on running the same
 //! solver under *different parameter settings and permutations of
-//! variables* so that each racer explores a different tree. The knobs
-//! gathered here are exactly the ones the racing settings generator in
-//! `ugrs-glue` varies.
+//! variables* so that each racer explores a different tree. The racing
+//! settings generators in `ugrs-glue` and `ugrs-misdp` vary the emphasis
+//! preset (named by [`Emphasis::name`]), which sets the separation,
+//! heuristic, presolve and node-selection fields, the permutation seed
+//! and, for MISDPs, the relaxator switch. Parameters that nothing varies
+//! are constants of the solver, not settings.
 
 /// Which rule picks the branching variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -14,8 +17,6 @@ pub enum BranchingRule {
     /// Pseudocost product score (SCIP-style), falling back to most
     /// fractional while pseudocosts are uninitialized.
     Pseudocost,
-    /// First fractional variable in (permuted) index order.
-    FirstIndex,
 }
 
 /// Node selection strategy.
@@ -25,8 +26,6 @@ pub enum NodeSelection {
     BestBound,
     /// Depth-first (plunging; finds incumbents early, uses little memory).
     DepthFirst,
-    /// Best bound, but prefer children of the last node (plunge a little).
-    Hybrid,
 }
 
 /// Emphasis presets mirroring SCIP's `set emphasis` / `easycip` settings
@@ -41,6 +40,27 @@ pub enum Emphasis {
     Feasibility,
     /// Aggressive separation + propagation, fewer heuristics.
     Optimality,
+}
+
+impl Emphasis {
+    /// Every preset, in the order generic racing cycles through them.
+    pub const ALL: [Emphasis; 4] =
+        [Emphasis::Default, Emphasis::EasyCip, Emphasis::Feasibility, Emphasis::Optimality];
+
+    /// The preset's name in racing settings bundles.
+    pub fn name(self) -> &'static str {
+        match self {
+            Emphasis::Default => "default",
+            Emphasis::EasyCip => "easycip",
+            Emphasis::Feasibility => "feas",
+            Emphasis::Optimality => "opt",
+        }
+    }
+
+    /// The preset [`Self::name`] gives `name`, if any.
+    pub fn parse(name: &str) -> Option<Emphasis> {
+        Emphasis::ALL.into_iter().find(|e| e.name() == name)
+    }
 }
 
 /// All tunable parameters of the [`crate::Solver`].
@@ -58,16 +78,10 @@ pub struct Settings {
     pub heur_frequency: usize,
     /// Presolve fixpoint rounds (0 disables presolving).
     pub presolve_rounds: usize,
-    /// Enable reduced-cost fixing.
-    pub use_redcost_fixing: bool,
-    /// Enable activity-based linear propagation.
-    pub use_propagation: bool,
     /// Node limit (u64::MAX = unlimited).
     pub node_limit: u64,
     /// Wall-clock limit in seconds (f64::INFINITY = unlimited).
     pub time_limit: f64,
-    /// Stop when gap (|primal−dual| / max(|primal|,1)) falls below this.
-    pub gap_limit: f64,
     /// Seed for the variable permutation applied to tie-breaking in
     /// pricing/branching — the racing diversification device of §2.2.
     pub permutation_seed: u64,
@@ -76,17 +90,6 @@ pub struct Settings {
     pub use_relaxator: bool,
     /// LP iteration limit handed to the simplex per solve.
     pub lp_iter_limit: usize,
-    /// Maximum cut rows kept in the LP; beyond this, aged-out cuts are
-    /// dropped and the LP is rebuilt (SCIP's cut aging).
-    pub max_cut_rows: usize,
-    /// A cut is dropped at rebuild when it has been slack (zero dual) for
-    /// this many consecutive LP solutions.
-    pub cut_max_age: u32,
-    /// Enable the LP diving heuristic (fix-and-resolve toward an integral
-    /// point, SCIP's fracdiving), run alongside the other heuristics.
-    pub use_diving: bool,
-    /// Maximum diving depth per invocation.
-    pub dive_depth: usize,
 }
 
 impl Default for Settings {
@@ -99,18 +102,11 @@ impl Default for Settings {
             node_sepa_rounds: 5,
             heur_frequency: 10,
             presolve_rounds: 5,
-            use_redcost_fixing: true,
-            use_propagation: true,
             node_limit: u64::MAX,
             time_limit: f64::INFINITY,
-            gap_limit: 0.0,
             permutation_seed: 0,
             use_relaxator: false,
             lp_iter_limit: 5_000,
-            max_cut_rows: 250,
-            cut_max_age: 3,
-            use_diving: true,
-            dive_depth: 12,
         }
     }
 }
@@ -162,6 +158,14 @@ mod tests {
         let f = Settings::default().with_emphasis(Emphasis::Feasibility);
         assert_eq!(f.node_selection, NodeSelection::DepthFirst);
         assert_eq!(f.heur_frequency, 1);
+    }
+
+    #[test]
+    fn emphasis_names_round_trip() {
+        for e in Emphasis::ALL {
+            assert_eq!(Emphasis::parse(e.name()), Some(e));
+        }
+        assert_eq!(Emphasis::parse("bogus"), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! collect-mode node export and aborts — enters through [`ControlHooks`].
 
 use crate::branching::{select_branching_var, Pseudocosts};
-use crate::heurengine::{HeurEngine, HeurSchedule, HeurStats, PrimalHeuristic};
+use crate::heurengine::{HeurEngine, HeurStats, PrimalHeuristic};
 use crate::heuristics::{ShiftRounding, SimpleRounding};
 use crate::model::{Model, VarId};
 use crate::plugins::*;
@@ -19,6 +19,15 @@ use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
 use std::collections::HashSet;
 use std::time::Instant;
 use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
+
+/// Maximum cut rows kept in the LP; beyond this, aged-out cuts are
+/// dropped and the LP is rebuilt (SCIP's cut aging).
+const MAX_CUT_ROWS: usize = 250;
+/// A cut is dropped at rebuild when it has been slack (zero dual) for more
+/// than this many consecutive LP solutions.
+const CUT_MAX_AGE: u32 = 3;
+/// Maximum depth of one LP dive.
+const DIVE_DEPTH: usize = 12;
 
 /// Final status of a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,8 +42,6 @@ pub enum SolveStatus {
     NodeLimit,
     /// Stopped at the time limit.
     TimeLimit,
-    /// Stopped at the gap limit.
-    GapLimit,
     /// Aborted externally (UG termination / racing loser).
     Aborted,
 }
@@ -87,12 +94,9 @@ pub struct Solver {
     model: Model,
     settings: Settings,
     conshdlrs: Vec<Box<dyn ConstraintHandler>>,
-    separators: Vec<Box<dyn Separator>>,
-    propagators: Vec<Box<dyn Propagator>>,
     heuristics: HeurEngine,
     branchrules: Vec<Box<dyn BranchRule>>,
     relaxator: Option<Box<dyn Relaxator>>,
-    presolvers: Vec<Box<dyn Presolver>>,
     pcost: Pseudocosts,
     stats: Statistics,
     incumbents: Incumbents,
@@ -113,8 +117,6 @@ impl Solver {
             model,
             settings,
             conshdlrs: Vec::new(),
-            separators: Vec::new(),
-            propagators: Vec::new(),
             heuristics: {
                 let mut engine = HeurEngine::default();
                 engine.add_legacy(Box::new(SimpleRounding));
@@ -123,7 +125,6 @@ impl Solver {
             },
             branchrules: Vec::new(),
             relaxator: None,
-            presolvers: Vec::new(),
             pcost: Pseudocosts::new(nvars),
             stats: Statistics::default(),
             incumbents: Incumbents::default(),
@@ -144,12 +145,6 @@ impl Solver {
     pub fn add_conshdlr(&mut self, h: Box<dyn ConstraintHandler>) {
         self.conshdlrs.push(h);
     }
-    pub fn add_separator(&mut self, s: Box<dyn Separator>) {
-        self.separators.push(s);
-    }
-    pub fn add_propagator(&mut self, p: Box<dyn Propagator>) {
-        self.propagators.push(p);
-    }
     /// Registers a legacy [`Heuristic`] plugin (runs at every heuristic
     /// round, unlimited budget).
     pub fn add_heuristic(&mut self, h: Box<dyn Heuristic>) {
@@ -160,11 +155,6 @@ impl Solver {
     pub fn add_primal_heuristic(&mut self, h: Box<dyn PrimalHeuristic>) {
         self.heuristics.add(h);
     }
-    /// Registers a scheduled [`PrimalHeuristic`] under an explicit
-    /// schedule, overriding the plugin's default.
-    pub fn add_primal_heuristic_with(&mut self, h: Box<dyn PrimalHeuristic>, s: HeurSchedule) {
-        self.heuristics.add_with_schedule(h, s);
-    }
     /// Per-heuristic call/hit/time accounting for the solve so far.
     pub fn heur_stats(&self) -> Vec<HeurStats> {
         self.heuristics.stats()
@@ -174,9 +164,6 @@ impl Solver {
     }
     pub fn set_relaxator(&mut self, r: Box<dyn Relaxator>) {
         self.relaxator = Some(r);
-    }
-    pub fn add_presolver(&mut self, p: Box<dyn Presolver>) {
-        self.presolvers.push(p);
     }
 
     pub fn model(&self) -> &Model {
@@ -262,20 +249,12 @@ impl Solver {
             return self.finish(SolveStatus::Infeasible);
         }
 
-        // ---- Presolve (built-in + plugins) -------------------------------
+        // ---- Presolve -----------------------------------------------------
         if self.settings.presolve_rounds > 0 {
             let ps = presolve(&mut self.model, self.settings.presolve_rounds);
             if ps.infeasible {
                 return self.finish(SolveStatus::Infeasible);
             }
-            let mut presolvers = std::mem::take(&mut self.presolvers);
-            for p in presolvers.iter_mut() {
-                if p.presolve(&mut self.model) == PresolveOutcome::Infeasible {
-                    self.presolvers = presolvers;
-                    return self.finish(SolveStatus::Infeasible);
-                }
-            }
-            self.presolvers = presolvers;
         }
 
         // ---- Build the LP relaxation --------------------------------------
@@ -355,10 +334,6 @@ impl Solver {
                 .min(node_bound_in)
                 .min(self.incumbents.best_obj().unwrap_or(f64::INFINITY));
             self.stats.record_dual_bound(global_bound);
-            if self.gap_reached() {
-                status = SolveStatus::GapLimit;
-                break;
-            }
             // Status flows every node; the receiving side rate-limits.
             hooks.on_status(self.stats.dual_bound, tree.num_open(), self.stats.nodes);
 
@@ -379,14 +354,12 @@ impl Solver {
             }
 
             // ---- propagation ------------------------------------------------
-            if self.settings.use_propagation {
-                match propagate_linear(&self.model, &mut lb, &mut ub, 3) {
-                    PropOutcome::Infeasible => continue,
-                    PropOutcome::Tightened => self.stats.propagations += 1,
-                    PropOutcome::Unchanged => {}
-                }
+            match propagate_linear(&self.model, &mut lb, &mut ub, 3) {
+                PropOutcome::Infeasible => continue,
+                PropOutcome::Tightened => self.stats.propagations += 1,
+                PropOutcome::Unchanged => {}
             }
-            if self.run_plugin_propagators(depth, &mut lb, &mut ub).is_err() {
+            if self.run_handler_propagation(depth, &mut lb, &mut ub).is_err() {
                 continue;
             }
 
@@ -500,18 +473,16 @@ impl Solver {
                     }
 
                     // ---- reduced-cost fixing ----------------------------------
-                    if self.settings.use_redcost_fixing {
-                        let fixed = redcost_fixing(
-                            &self.model,
-                            &sol.x,
-                            &sol.reduced_costs,
-                            bound,
-                            self.cutoff(),
-                            &mut lb,
-                            &mut ub,
-                        );
-                        self.stats.redcost_fixings += fixed as u64;
-                    }
+                    let fixed = redcost_fixing(
+                        &self.model,
+                        &sol.x,
+                        &sol.reduced_costs,
+                        bound,
+                        self.cutoff(),
+                        &mut lb,
+                        &mut ub,
+                    );
+                    self.stats.redcost_fixings += fixed as u64;
                 } else {
                     // No answer from the LP: the node keeps the bound it came
                     // with and is branched on some unfixed integer var.
@@ -650,7 +621,7 @@ impl Solver {
             let freq = self.settings.heur_frequency;
             if depth == 0 || (freq > 0 && depth.is_multiple_of(freq)) {
                 self.run_heuristics(depth, &lb, &ub, &relax_x, bound, hooks, &mut tree);
-                if !use_relax && self.settings.use_diving {
+                if !use_relax {
                     self.run_diving(&lb, &ub, &relax_x, &mut lp, hooks, &mut tree);
                 }
             }
@@ -709,18 +680,6 @@ impl Solver {
         self.solve(hooks)
     }
 
-    fn gap_reached(&self) -> bool {
-        if self.settings.gap_limit <= 0.0 {
-            return false;
-        }
-        let (p, d) = (self.stats.primal_bound, self.stats.dual_bound);
-        let p = self.incumbents.best_obj().unwrap_or(p);
-        if !p.is_finite() || !d.is_finite() {
-            return false;
-        }
-        (p - d).max(0.0) / p.abs().max(1e-9) < self.settings.gap_limit
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn ctx<'a>(
         &'a self,
@@ -775,60 +734,52 @@ impl Solver {
         Ok(changed)
     }
 
-    fn run_plugin_propagators(
+    /// Up to three rounds of the handlers' `propagate`, until a round
+    /// tightens nothing. `Err` when the node's domain became empty.
+    fn run_handler_propagation(
         &mut self,
         depth: usize,
         lb: &mut [f64],
         ub: &mut [f64],
     ) -> Result<(), ()> {
-        let mut props = std::mem::take(&mut self.propagators);
         let mut hdlrs = std::mem::take(&mut self.conshdlrs);
         let mut result = Ok(());
         'outer: for _ in 0..3 {
             let mut any = false;
-            for kind in 0..2 {
-                let count = if kind == 0 { props.len() } else { hdlrs.len() };
-                for i in 0..count {
-                    let mut cuts = CutBuffer::default();
-                    let mut tight = Vec::new();
-                    let pr = {
-                        let mut ctx =
-                            self.ctx(depth, lb, ub, None, None, &[], &mut cuts, &mut tight);
-                        if kind == 0 {
-                            props[i].propagate(&mut ctx)
-                        } else {
-                            hdlrs[i].propagate(&mut ctx)
-                        }
-                    };
-                    match pr {
-                        PropResult::Infeasible => {
-                            result = Err(());
-                            break 'outer;
-                        }
-                        PropResult::Reduced => {
-                            match Self::apply_tightenings(&tight, lb, ub) {
-                                Ok(c) => any |= c,
-                                Err(()) => {
-                                    result = Err(());
-                                    break 'outer;
-                                }
-                            }
-                            self.stats.propagations += 1;
-                        }
-                        PropResult::Nothing => {}
+            for h in hdlrs.iter_mut() {
+                let mut cuts = CutBuffer::default();
+                let mut tight = Vec::new();
+                let pr = {
+                    let mut ctx = self.ctx(depth, lb, ub, None, None, &[], &mut cuts, &mut tight);
+                    h.propagate(&mut ctx)
+                };
+                match pr {
+                    PropResult::Infeasible => {
+                        result = Err(());
+                        break 'outer;
                     }
+                    PropResult::Reduced => {
+                        match Self::apply_tightenings(&tight, lb, ub) {
+                            Ok(c) => any |= c,
+                            Err(()) => {
+                                result = Err(());
+                                break 'outer;
+                            }
+                        }
+                        self.stats.propagations += 1;
+                    }
+                    PropResult::Nothing => {}
                 }
             }
             if !any {
                 break;
             }
         }
-        self.propagators = props;
         self.conshdlrs = hdlrs;
         result
     }
 
-    /// Runs separators and handler separation; installs surviving cuts.
+    /// Runs the handlers' separation; installs surviving cuts.
     /// Returns the number of rows added to the LP.
     fn run_separation(
         &mut self,
@@ -841,12 +792,6 @@ impl Solver {
     ) -> usize {
         let mut buf = CutBuffer::default();
         let mut tight = Vec::new();
-        let mut seps = std::mem::take(&mut self.separators);
-        for s in seps.iter_mut() {
-            let mut ctx = self.ctx(depth, lb, ub, Some(x), Some(bound), &[], &mut buf, &mut tight);
-            let _ = s.separate(&mut ctx);
-        }
-        self.separators = seps;
         let mut hdlrs = std::mem::take(&mut self.conshdlrs);
         for h in hdlrs.iter_mut() {
             let mut ctx = self.ctx(depth, lb, ub, Some(x), Some(bound), &[], &mut buf, &mut tight);
@@ -892,7 +837,7 @@ impl Solver {
     }
 
     fn lp_params(&self) -> SimplexParams {
-        SimplexParams { iter_limit: self.settings.lp_iter_limit, ..Default::default() }
+        SimplexParams { iter_limit: self.settings.lp_iter_limit }
     }
 
     /// One LP solve with all of the LP accounting. Every solve is a
@@ -945,24 +890,23 @@ impl Solver {
     }
 
     /// Drops aged-out cuts and rebuilds the LP when the cut rows exceed
-    /// the configured maximum. Returns a fresh simplex when a rebuild
+    /// [`MAX_CUT_ROWS`]. Returns a fresh simplex when a rebuild
     /// happened (the caller re-solves from scratch).
     fn maybe_rebuild_lp(&mut self, base_rows: usize) -> Option<Simplex> {
-        if self.active_cuts.len() <= self.settings.max_cut_rows {
+        if self.active_cuts.len() <= MAX_CUT_ROWS {
             return None;
         }
-        let max_age = self.settings.cut_max_age;
         let mut kept: Vec<(Cut, u64, u32)> = Vec::new();
         for rec in self.active_cuts.drain(..) {
-            if rec.2 <= max_age {
+            if rec.2 <= CUT_MAX_AGE {
                 kept.push(rec);
             } else {
                 self.cut_pool.remove(&rec.1);
             }
         }
         // Still too many: keep the most recently added ones.
-        if kept.len() > self.settings.max_cut_rows {
-            let drop_n = kept.len() - self.settings.max_cut_rows;
+        if kept.len() > MAX_CUT_ROWS {
+            let drop_n = kept.len() - MAX_CUT_ROWS;
             for rec in kept.drain(..drop_n) {
                 self.cut_pool.remove(&rec.1);
             }
@@ -1029,7 +973,7 @@ impl Solver {
         let mut x = start_x.to_vec();
         let mut dlb = lb.to_vec();
         let mut dub = ub.to_vec();
-        for _ in 0..self.settings.dive_depth {
+        for _ in 0..DIVE_DEPTH {
             if self.stats.elapsed() > self.settings.time_limit {
                 return;
             }

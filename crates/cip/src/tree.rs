@@ -158,7 +158,7 @@ impl Tree {
         self.nodes.push(Node { id, parent, depth, changes, dual_bound, open: true, branch_info });
         let e = OpenEntry { id, bound: dual_bound, depth };
         match self.selection {
-            NodeSelection::BestBound | NodeSelection::Hybrid => self.heap.push(BestBoundOrd(e)),
+            NodeSelection::BestBound => self.heap.push(BestBoundOrd(e)),
             NodeSelection::DepthFirst => self.stack.push(e),
         }
         self.open_count += 1;
@@ -171,7 +171,7 @@ impl Tree {
     pub fn pop_best(&mut self, cutoff: f64) -> Option<usize> {
         loop {
             let e = match self.selection {
-                NodeSelection::BestBound | NodeSelection::Hybrid => self.heap.pop().map(|b| b.0),
+                NodeSelection::BestBound => self.heap.pop().map(|b| b.0),
                 NodeSelection::DepthFirst => self.stack.pop(),
             }?;
             if !self.nodes[e.id].open {
@@ -255,11 +255,6 @@ impl Tree {
     pub fn describe(&self, id: usize) -> NodeDesc {
         let n = &self.nodes[id];
         NodeDesc { bound_changes: self.path_changes(id), depth: n.depth, dual_bound: n.dual_bound }
-    }
-
-    /// Descriptions of all open nodes (checkpointing).
-    pub fn describe_open(&self) -> Vec<NodeDesc> {
-        self.nodes.iter().filter(|n| n.open).map(|n| self.describe(n.id)).collect()
     }
 }
 

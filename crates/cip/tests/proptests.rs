@@ -86,7 +86,7 @@ proptest! {
         use ugrs_cip::NodeSelection;
         let model = build(&bip);
         let mut objs = Vec::new();
-        for sel in [NodeSelection::BestBound, NodeSelection::DepthFirst, NodeSelection::Hybrid] {
+        for sel in [NodeSelection::BestBound, NodeSelection::DepthFirst] {
             let st = Settings { node_selection: sel, ..Default::default() };
             let res = model.optimize(st);
             objs.push((res.status, res.best_obj));

@@ -154,11 +154,6 @@ pub struct GatewayConfig {
     /// name (conventionally its client address). Defaults to
     /// `pid-<pid>` when empty.
     pub ha_owner: String,
-    /// Upper bound on jobs one steal sweep may migrate off a deep
-    /// shard; the sweep takes `min(gap/2, steal_batch)` (at least 1)
-    /// where `gap` is the queue-depth gap. 1 reproduces the original
-    /// one-steal-per-sweep behavior.
-    pub steal_batch: u64,
     /// Seeded fault injection on the gateway↔shard RPC links (health
     /// polls, dispatch submits, reclaims, cancel forwards, tracker
     /// connects) — `None` everywhere in production, `Some` only under
@@ -183,7 +178,6 @@ impl Default for GatewayConfig {
             lease_ttl: None,
             standby: false,
             ha_owner: String::new(),
-            steal_batch: 4,
             chaos: None,
         }
     }
@@ -232,9 +226,6 @@ impl GatewayConfig {
         }
         if self.standby && self.lease_ttl.is_none() {
             return Err("--standby only makes sense with --lease-ttl-ms (HA mode)".into());
-        }
-        if self.steal_batch == 0 {
-            return Err("steal_batch must be at least 1".into());
         }
         let quotas =
             self.tenant_quotas.values().chain(self.default_quota.as_ref()).collect::<Vec<_>>();
@@ -899,23 +890,18 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
                 "ev": "recover", "gid": r.job, "resumed": r.checkpoint.is_some(),
             }));
         }
-        // HA bootstrap: claim the lease when nobody healthy holds it.
-        // A `--standby` gateway never claims at startup — it only takes
-        // over on expiry, from the lease thread. Two non-standby
-        // gateways racing here both see a free lease; the hard-link
-        // publish in `LeaseDir::claim` lets exactly one win.
+        // HA bootstrap: claim the lease when nobody healthy holds it
+        // (`LeaseDir::claim` declines a live lease). A `--standby`
+        // gateway never claims at startup — it only takes over on
+        // expiry, from the lease thread. Two non-standby gateways racing
+        // here both see a free lease; the hard-link publish in
+        // `LeaseDir::claim` lets exactly one win.
         let mut ha_recovered = (0usize, 0usize);
         if ha_mode && !shared.config.standby {
             let dir = shared.lease_dir.as_ref().expect("HA mode");
             let ttl = shared.config.lease_ttl.expect("HA mode");
-            let free = match dir.read() {
-                Some(cur) => cur.expired_at(ledger::unix_ms_now()),
-                None => true,
-            };
-            if free {
-                if let Some(lease) = dir.claim(&shared.config.ha_owner, ttl)? {
-                    ha_recovered = promote(&shared, lease);
-                }
+            if let Some(lease) = dir.claim(&shared.config.ha_owner, ttl)? {
+                ha_recovered = promote(&shared, lease);
             }
         }
         let mut threads = Vec::new();
@@ -1381,14 +1367,9 @@ fn lease_loop<Inst: WireType, Sub: WireType, Sol: WireType>(shared: Arc<GwShared
                 }
             }
         } else if !shared.draining.load(Ordering::SeqCst) {
-            let free = match dir.read() {
-                Some(cur) => cur.expired_at(ledger::unix_ms_now()),
-                None => true,
-            };
-            if free {
-                if let Ok(Some(lease)) = dir.claim(&shared.config.ha_owner, ttl) {
-                    promote(&shared, lease);
-                }
+            // Claims only once the lease is free (absent or expired).
+            if let Ok(Some(lease)) = dir.claim(&shared.config.ha_owner, ttl) {
+                promote(&shared, lease);
             }
         }
         shared.pause(tick);
@@ -2158,10 +2139,14 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
     reclaimed
 }
 
+/// Upper bound on jobs one steal sweep may migrate off a deep shard.
+const STEAL_BATCH: u64 = 4;
+
 /// Batch work stealing: if some healthy shard idles while another's
-/// queue is at least `steal_margin` deep, move `min(gap/2,
-/// steal_batch)` queued jobs per sweep (gap = the depth difference),
-/// each under the epoch-bump protocol of [`migrate_queued`].
+/// queue is at least `steal_margin` deep, move `min(gap/2,`
+/// [`STEAL_BATCH`]`)` (at least 1) queued jobs per sweep (gap = the
+/// depth difference), each under the epoch-bump protocol of
+/// [`migrate_queued`].
 fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared: &Arc<GwShared<Inst, Sub, Sol>>,
 ) {
@@ -2185,7 +2170,7 @@ fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
             _ => return,
         }
     };
-    let batch = (gap / 2).min(shared.config.steal_batch).max(1) as usize;
+    let batch = (gap / 2).clamp(1, STEAL_BATCH) as usize;
     // Map the victim's queued local ids back to gateway jobs, oldest
     // first, up to the batch size.
     let picked: Vec<(u64, u64, u64)> = {

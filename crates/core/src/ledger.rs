@@ -319,15 +319,22 @@ impl LeaseDir {
     }
 
     /// Tries to claim the next epoch for `owner`. Returns the freshly
-    /// held lease, or `None` when another claimant published the same
-    /// epoch first (the caller should re-read the lease and go back to
-    /// standing by — if the winner is healthy its lease is now fresh).
+    /// held lease, or `None` when the current lease is live or another
+    /// claimant published the same epoch first (the caller goes back to
+    /// standing by).
     ///
-    /// The caller is responsible for only claiming when [`Self::read`]
-    /// returned `None` or an expired lease; claiming over a live lease
-    /// is how a *deliberate* takeover (operator-forced) works.
+    /// A claim publishes only over an absent or expired lease, judged on
+    /// the same read that numbers the new epoch. Every claimant that
+    /// read the same lease computes the same epoch, so the hard link
+    /// below lets one of them win; a claimant that reads after the
+    /// winner published sees a live lease and declines, instead of
+    /// usurping it with the epoch after.
     pub fn claim(&self, owner: &str, ttl: std::time::Duration) -> io::Result<Option<Lease>> {
-        let epoch = self.read().map_or(1, |l| l.epoch + 1);
+        let current = self.read();
+        if current.as_ref().is_some_and(|l| !l.expired_at(unix_ms_now())) {
+            return Ok(None);
+        }
+        let epoch = current.map_or(1, |l| l.epoch + 1);
         let lease = Lease {
             epoch,
             owner: owner.to_string(),
@@ -730,7 +737,7 @@ mod tests {
         let dir = scratch_dir("lease");
         let leases = LeaseDir::open(&dir).unwrap();
         assert!(leases.read().is_none(), "no epoch claimed yet");
-        let ttl = std::time::Duration::from_millis(500);
+        let ttl = std::time::Duration::from_secs(60);
         let mut a = leases.claim("gw-a", ttl).unwrap().expect("first claim wins");
         assert_eq!(a.epoch, 1);
         let before = a.renewed_unix_ms;
@@ -738,6 +745,13 @@ mod tests {
         leases.renew(&mut a).unwrap();
         assert!(a.renewed_unix_ms >= before);
         assert_eq!(leases.read().unwrap(), a, "reader sees the renewal");
+        // A live lease is never usurped.
+        assert!(leases.claim("gw-b", ttl).unwrap().is_none(), "claim over a live lease");
+        assert_eq!(leases.read().unwrap(), a);
+        // The owner stops renewing: its last renewal falls out of the TTL.
+        let lapsed = Lease { renewed_unix_ms: unix_ms_now() - a.ttl_ms - 1, ..a.clone() };
+        let data = serde_json::to_vec(&lapsed).unwrap();
+        crate::checkpoint::write_atomic(&leases.epoch_path(1), &data).unwrap();
         // A standby usurps with epoch 2; the stale owner's renewal
         // touches only lease-1.json and cannot clobber it.
         let b = leases.claim("gw-b", ttl).unwrap().expect("usurping claim");
@@ -770,8 +784,9 @@ mod tests {
         std::fs::write(dir.join("lease/lease-7.json"), b"{\"epoch\":7,\"ow").unwrap();
         assert_eq!(leases.read().unwrap(), a, "torn epoch file is ignored");
         // But a claim counts it out by number? No: claim goes off the
-        // highest *parseable* epoch, so the next claim is 2 (the torn 7
-        // is dead weight on disk, nothing more).
+        // highest *parseable* epoch, so the next claim after a's release
+        // is 2 (the torn 7 is dead weight on disk, nothing more).
+        leases.release(&a).unwrap();
         let b = leases.claim("gw-b", std::time::Duration::from_millis(100)).unwrap().unwrap();
         assert_eq!(b.epoch, 2);
         std::fs::remove_dir_all(&dir).ok();

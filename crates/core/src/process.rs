@@ -17,12 +17,12 @@
 //! [`JobComm`] exactly like a served job does, and ends the workers by
 //! closing the sessions and killing the processes (`reap`).
 //!
-//! **One session layer, two owners.** [`Sessions`] is the coordinator
+//! **One session layer, two owners.** `Sessions` is the coordinator
 //! half of every worker connection: the accept loop, the
 //! hello/welcome/resume handshake, one reader per connection, the ack
 //! carrier, the liveness sweep and death reporting. It accepts members
 //! at any time. What a delivered payload or a death *means* belongs to
-//! its [`SessionOwner`]: a per-call run's `Ranks` (`n` fixed members,
+//! its `SessionOwner`: a per-call run's `Ranks` (`n` fixed members,
 //! see [`accept_ranks`]) or the server's pool ([`crate::server`]:
 //! members come and go). The worker half — dial, hello, the reader with
 //! its reconnect policy, the heartbeat — is [`WorkerLink`].
@@ -68,7 +68,7 @@
 //! **Liveness.** Every worker runs a heartbeat thread sending an empty
 //! unsequenced frame at a fixed interval, independent of solving, so a
 //! busy-but-healthy worker deep in a subtree is never declared dead.
-//! The owner's periodic [`Sessions::sweep`] catches the
+//! The owner's periodic `Sessions::sweep` catches the
 //! hung-but-connected case: the silent socket is shut down, which
 //! merely opens the reconnect window.
 //!
@@ -1109,7 +1109,7 @@ where
         }
     }
 
-    /// Sends to the worker of `rank`: [`Sessions::send`] — `true` means
+    /// Sends to the worker of `rank`: `Sessions::send` — `true` means
     /// *delivered or will be on resume*, `false` an unknown rank or a
     /// dead session (`WorkerDied` is reported when the send itself
     /// killed it).
@@ -1122,7 +1122,7 @@ where
     }
 
     /// Receives the next worker message, sweeping liveness first
-    /// ([`Sessions::sweep`]): a dead worker arrives as
+    /// (`Sessions::sweep`): a dead worker arrives as
     /// [`Message::WorkerDied`], exactly once.
     pub fn recv_timeout(&self, d: Duration) -> Option<Message<Sub, Sol>> {
         self.sessions.sweep();

@@ -7,7 +7,7 @@
 //!
 //! * `accept_loop` — the blocking accept loop every listener of this
 //!   crate runs (client listeners and the worker listener of
-//!   [`crate::process::Sessions`]), and `wake_listener`, the
+//!   `process::Sessions`), and `wake_listener`, the
 //!   dial that gets it out of `accept()` at shutdown;
 //! * `serve_clients` — one thread per client connection running the
 //!   framed request loop, every connection shut down when the accept

@@ -55,9 +55,6 @@ pub struct ParallelOptions {
     pub checkpoint_interval: f64,
     /// Resume from this checkpoint.
     pub restart_from: Option<String>,
-    /// Desired size of the coordinator's subproblem pool per idle solver
-    /// (collect-mode hysteresis).
-    pub pool_target_per_solver: f64,
     /// Minimum seconds between a worker's status reports.
     pub status_interval: f64,
     /// Stop (like the time limit: abort, drain, checkpoint) once the
@@ -80,7 +77,6 @@ impl Default for ParallelOptions {
             checkpoint_path: None,
             checkpoint_interval: 0.0,
             restart_from: None,
-            pool_target_per_solver: 1.0,
             status_interval: 0.05,
             node_limit: None,
             cancel: None,

@@ -29,7 +29,7 @@
 //! Wire protocols ([`crate::wire`]): clients speak
 //! [`ClientRequest`]/[`ServerReply`] as length-prefixed JSON frames.
 //! Pool workers are members of the session layer every worker joins
-//! ([`Sessions`]: the hello/welcome handshake, resumable sessions with
+//! (`process::Sessions`: the hello/welcome handshake, resumable sessions with
 //! retransmit rings, heartbeats, the liveness sweep) and speak the one
 //! worker protocol, [`crate::process::PoolDown`]/[`PoolUp`]; the pool
 //! is the sessions' owner and gives a payload its job and a death its
@@ -143,11 +143,6 @@ impl<Inst, Sub> JobSpec<Inst, Sub> {
             checksum: None,
             size_hint: None,
         }
-    }
-
-    /// The `family` metric-label value (`unknown` when unset).
-    pub fn family_label(&self) -> &str {
-        self.family.as_deref().unwrap_or("unknown")
     }
 }
 
@@ -1798,21 +1793,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(timeout))?;
         Ok(JobClient { stream, dec: FrameDecoder::new(), _types: PhantomData })
-    }
-
-    /// Tries each address in turn (bounded per attempt) and returns the
-    /// first that connects, with its index — the client half of gateway
-    /// HA: `--gateway a,b` hands `ugd` both the primary and the
-    /// standby, and whichever answers serves the request.
-    pub fn connect_any(addrs: &[String], timeout: Duration) -> io::Result<(usize, Self)> {
-        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no addresses given");
-        for (i, addr) in addrs.iter().enumerate() {
-            match Self::connect_timeout(addr, timeout) {
-                Ok(client) => return Ok((i, client)),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
     }
 
     /// Announces the caller's gateway lease epoch on this connection

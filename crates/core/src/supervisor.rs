@@ -426,8 +426,9 @@ where
         if self.comm.num_workers() == 1 {
             return;
         }
-        let want =
-            ((self.idle.len() as f64 + 1.0) * self.opts.pool_target_per_solver).ceil() as usize;
+        // Collect until the pool holds one subproblem per idle solver
+        // and one spare.
+        let want = self.idle.len() + 1;
         if !self.collect_mode && self.queue.len() < want {
             for rank in self.assigned.keys() {
                 self.comm.send_to(*rank, Message::StartCollecting);

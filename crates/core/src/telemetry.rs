@@ -101,11 +101,6 @@ impl Histogram {
         Histogram { bounds, buckets, count: AtomicU64::new(0), sum_bits: AtomicU64::new(0) }
     }
 
-    /// Default bounds for sub-second latencies (seconds).
-    pub fn latency_seconds() -> Self {
-        Self::new(&[0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0])
-    }
-
     /// Records one observation.
     pub fn observe(&self, v: f64) {
         let idx = self.bounds.partition_point(|&b| b < v);

@@ -100,12 +100,22 @@ proptest! {
             prop_assert_eq!(read.as_ref().unwrap().renewed_unix_ms == 0, expired);
         }
         let parseable_max = read.as_ref().map_or(0, |l| l.epoch);
+        // A live lease is never claimed over: its owner hands it over
+        // first, as a draining primary does.
+        if let Some(live) = read.as_ref().filter(|l| !l.expired_at(unix_ms_now())) {
+            lease_dir.release(live).unwrap();
+        }
+        let before_claim = lease_dir.read();
 
         // A claim over this rubble either wins an epoch strictly above
         // every parseable one, or collides with an existing file (a
         // torn file occupying `parseable_max + 1`) and loses cleanly.
         match lease_dir.claim("claimant", TTL).unwrap() {
             Some(won) => {
+                prop_assert!(
+                    before_claim.is_none_or(|l| l.expired_at(unix_ms_now())),
+                    "a claim may only win over an absent or expired lease"
+                );
                 prop_assert!(won.epoch > parseable_max);
                 prop_assert_eq!(lease_dir.read().map(|l| l.epoch), Some(won.epoch));
             }

@@ -3,7 +3,7 @@
 
 use crate::base::{CipUserPlugins, UgCipSolver};
 use std::sync::Arc;
-use ugrs_cip::{NodeDesc, Solver as CipSolver};
+use ugrs_cip::{Emphasis, NodeDesc, Solver as CipSolver};
 use ugrs_core::{ParallelOptions, ParallelResult, SolverSettings};
 use ugrs_steiner::plugins::{build_model, register_plugins};
 use ugrs_steiner::Graph;
@@ -31,16 +31,11 @@ impl CipUserPlugins for StpPlugins {
 }
 
 /// Problem-specific racing settings for STP (the paper's *customized
-/// racing*): seed/emphasis variants plus branching-rule alternation.
+/// racing*): a permutation seed per racer and the emphasis presets in
+/// the order default, feas, opt, easycip.
 pub fn stp_racing_settings(n: usize) -> Vec<SolverSettings> {
-    let emphases = ["default", "feas", "opt", "easycip"];
-    (0..n)
-        .map(|i| SolverSettings {
-            index: i,
-            name: format!("stp-{}-{}", emphases[i % 4], i),
-            params: serde_json::json!({ "seed": i as u64, "emphasis": emphases[i % 4] }),
-        })
-        .collect()
+    let cycle = [Emphasis::Default, Emphasis::Feasibility, Emphasis::Optimality, Emphasis::EasyCip];
+    (0..n).map(|i| crate::base::emphasis_bundle("stp", cycle[i % 4], i)).collect()
 }
 
 /// Result of a parallel STP solve, mapped back to the original instance.

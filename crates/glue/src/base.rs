@@ -2,7 +2,7 @@
 //! CIP solver to the UG [`BaseSolver`] contract.
 
 use std::sync::Arc;
-use ugrs_cip::{ControlHooks, NodeDesc, Solver as CipSolver};
+use ugrs_cip::{ControlHooks, Emphasis, NodeDesc, Solver as CipSolver};
 use ugrs_core::{BaseSolver, ParaControl, SolverSettings, SubproblemOutcome};
 
 /// The `ScipUserPlugins` analog: everything an application must provide
@@ -115,24 +115,24 @@ impl<P: CipUserPlugins> BaseSolver for UgCipSolver<P> {
 /// applications without problem-specific racing parameters (UG's default
 /// racing; the *customized racing* sets live with each app).
 pub fn generic_racing_settings(n: usize) -> Vec<SolverSettings> {
-    let emphases = ["default", "easycip", "feas", "opt"];
-    (0..n)
-        .map(|i| SolverSettings {
-            index: i,
-            name: format!("cip-{}-{}", emphases[i % 4], i),
-            params: serde_json::json!({ "seed": i as u64, "emphasis": emphases[i % 4] }),
-        })
-        .collect()
+    (0..n).map(|i| emphasis_bundle("cip", Emphasis::ALL[i % 4], i)).collect()
+}
+
+/// Racing bundle `i`, named `<prefix>-<emphasis>-<i>`: permutation seed
+/// `i` under `emphasis`.
+pub(crate) fn emphasis_bundle(prefix: &str, emphasis: Emphasis, i: usize) -> SolverSettings {
+    let name = emphasis.name();
+    SolverSettings {
+        index: i,
+        name: format!("{prefix}-{name}-{i}"),
+        params: serde_json::json!({ "seed": i as u64, "emphasis": name }),
+    }
 }
 
 /// Decodes the generic settings bundles into CIP settings.
 pub fn decode_generic(settings: &SolverSettings) -> ugrs_cip::Settings {
-    let emphasis = match settings.params.get("emphasis").and_then(|v| v.as_str()) {
-        Some("easycip") => ugrs_cip::Emphasis::EasyCip,
-        Some("feas") => ugrs_cip::Emphasis::Feasibility,
-        Some("opt") => ugrs_cip::Emphasis::Optimality,
-        _ => ugrs_cip::Emphasis::Default,
-    };
+    let emphasis = settings.params.get("emphasis").and_then(|v| v.as_str());
+    let emphasis = emphasis.and_then(Emphasis::parse).unwrap_or(Emphasis::Default);
     let seed = settings.params.get("seed").and_then(|v| v.as_u64()).unwrap_or(0);
     ugrs_cip::Settings::default().with_emphasis(emphasis).with_seed(seed)
 }
@@ -146,9 +146,26 @@ mod tests {
         let set = generic_racing_settings(6);
         assert_eq!(set.len(), 6);
         let s1 = decode_generic(&set[1]);
-        assert_eq!(s1.emphasis, ugrs_cip::Emphasis::EasyCip);
+        assert_eq!(s1.emphasis, Emphasis::EasyCip);
         assert_eq!(s1.permutation_seed, 1);
         let s0 = decode_generic(&set[0]);
-        assert_eq!(s0.emphasis, ugrs_cip::Emphasis::Default);
+        assert_eq!(s0.emphasis, Emphasis::Default);
+    }
+
+    /// The racing bundles' names and params, as the generators have
+    /// always spelled them.
+    #[test]
+    fn racing_bundles_keep_their_names_and_params() {
+        let names = |set: Vec<SolverSettings>| set.into_iter().map(|s| s.name).collect::<Vec<_>>();
+        let generic =
+            ["cip-default-0", "cip-easycip-1", "cip-feas-2", "cip-opt-3", "cip-default-4"];
+        assert_eq!(names(generic_racing_settings(5)), generic);
+        let stp = ["stp-default-0", "stp-feas-1", "stp-opt-2", "stp-easycip-3", "stp-default-4"];
+        assert_eq!(names(crate::apps::stp::stp_racing_settings(5)), stp);
+        let third = &crate::apps::stp::stp_racing_settings(3)[2];
+        assert_eq!(third.params, serde_json::json!({ "seed": 2u64, "emphasis": "opt" }));
+        for (i, s) in generic_racing_settings(4).iter().enumerate() {
+            assert_eq!(decode_generic(s).emphasis, Emphasis::ALL[i]);
+        }
     }
 }

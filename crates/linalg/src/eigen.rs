@@ -23,12 +23,6 @@ impl SymmetricEigen {
     pub fn min_pair(&self) -> (f64, Vec<f64>) {
         (self.values[0], self.vectors.col(0))
     }
-
-    /// Largest eigenvalue with its eigenvector.
-    pub fn max_pair(&self) -> (f64, Vec<f64>) {
-        let k = self.values.len() - 1;
-        (self.values[k], self.vectors.col(k))
-    }
 }
 
 /// Computes the eigendecomposition of a symmetric matrix by the cyclic

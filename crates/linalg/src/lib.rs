@@ -8,7 +8,6 @@
 //! * [`lu::LuFactor`] — LU factorization with partial pivoting,
 //! * [`cholesky::CholeskyFactor`] — LLᵀ factorization of SPD matrices with
 //!   an adaptive diagonal shift (used by the SDP barrier Newton systems),
-//! * [`ldlt::LdltFactor`] — LDLᵀ for symmetric quasi-definite systems,
 //! * [`eigen`] — a cyclic Jacobi eigensolver for symmetric matrices, which
 //!   powers the eigenvector-cut separator of the MISDP solver.
 //!
@@ -18,14 +17,12 @@
 
 pub mod cholesky;
 pub mod eigen;
-pub mod ldlt;
 pub mod lu;
 pub mod matrix;
 pub mod vector;
 
 pub use cholesky::CholeskyFactor;
 pub use eigen::{symmetric_eigen, SymmetricEigen};
-pub use ldlt::LdltFactor;
 pub use lu::LuFactor;
 pub use matrix::Matrix;
 

@@ -49,9 +49,9 @@ pub mod simplex;
 pub use problem::{LpProblem, RowId, VarId};
 pub use simplex::{LpCounters, LpSolution, LpStatus, Simplex, SimplexParams, VarStatus};
 
-/// Default primal/dual feasibility tolerance.
+/// Primal feasibility tolerance on bounds.
 pub const FEAS_TOL: f64 = 1e-7;
-/// Default reduced-cost (optimality) tolerance.
+/// Dual feasibility (reduced-cost) tolerance.
 pub const OPT_TOL: f64 = 1e-7;
 /// The solver's notion of infinity for bounds.
 pub const INF: f64 = 1e100;

@@ -89,11 +89,6 @@ impl LpProblem {
         self.obj[v.0 as usize]
     }
 
-    /// Sets the objective coefficient of `v`.
-    pub fn set_obj_coef(&mut self, v: VarId, c: f64) {
-        self.obj[v.0 as usize] = c;
-    }
-
     /// Bounds of `v`.
     pub fn bounds(&self, v: VarId) -> (f64, f64) {
         (self.lb[v.0 as usize], self.ub[v.0 as usize])

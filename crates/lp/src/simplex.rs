@@ -7,6 +7,7 @@
 
 use crate::basis::{BasisError, BasisFactor, SparseCol};
 use crate::problem::{LpProblem, VarId};
+use crate::{FEAS_TOL, OPT_TOL};
 
 /// Termination status of a simplex run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,30 +39,21 @@ pub enum VarStatus {
     Free,
 }
 
-/// Tunable parameters of the simplex engine.
+/// Minimum acceptable pivot magnitude in the ratio test.
+const PIV_TOL: f64 = 1e-9;
+/// Consecutive degenerate iterations before switching to Bland's rule.
+const STALL_LIMIT: usize = 50;
+
+/// Parameters of the simplex engine.
 #[derive(Clone, Copy, Debug)]
 pub struct SimplexParams {
-    /// Primal feasibility tolerance on bounds.
-    pub feas_tol: f64,
-    /// Dual feasibility (reduced cost) tolerance.
-    pub opt_tol: f64,
-    /// Minimum acceptable pivot magnitude in the ratio test.
-    pub piv_tol: f64,
     /// Iteration limit per `solve_*` call.
     pub iter_limit: usize,
-    /// Consecutive degenerate iterations before switching to Bland's rule.
-    pub stall_limit: usize,
 }
 
 impl Default for SimplexParams {
     fn default() -> Self {
-        SimplexParams {
-            feas_tol: crate::FEAS_TOL,
-            opt_tol: crate::OPT_TOL,
-            piv_tol: 1e-9,
-            iter_limit: 50_000,
-            stall_limit: 50,
-        }
+        SimplexParams { iter_limit: 50_000 }
     }
 }
 
@@ -445,7 +437,7 @@ impl Simplex {
 
     /// Total primal infeasibility of the basic variables.
     fn primal_infeasibility(&self) -> f64 {
-        let tol = self.params.feas_tol;
+        let tol = FEAS_TOL;
         let mut s = 0.0;
         for &col in &self.basis_cols {
             let v = self.xval[col];
@@ -469,7 +461,7 @@ impl Simplex {
 
     /// `y ← B⁻ᵀ c_B` for the phase-aware basic cost vector `c_B`.
     fn compute_row_duals(&mut self, phase: Phase) {
-        let tol = self.params.feas_tol;
+        let tol = FEAS_TOL;
         for (pos, &col) in self.basis_cols.iter().enumerate() {
             self.cb[pos] = match phase {
                 Phase::Two => self.col_obj(col),
@@ -492,7 +484,7 @@ impl Simplex {
     /// movement direction (+1 increase / −1 decrease), or `None` when no
     /// candidate violates dual feasibility.
     fn price(&self, phase: Phase, bland: bool) -> Option<(usize, f64)> {
-        let tol = self.params.opt_tol;
+        let tol = OPT_TOL;
         let mut best: Option<(usize, f64, f64)> = None; // (col, dir, score)
         for j in 0..self.n() + self.m() {
             let st = self.vstat[j];
@@ -526,8 +518,8 @@ impl Simplex {
     /// blocking event `(t, block)` where `block` is either the entering
     /// column's own opposite bound (`Block::Flip`) or a basis position.
     fn ratio_test(&self, q: usize, dir: f64, phase: Phase) -> Option<(f64, Block)> {
-        let tol = self.params.feas_tol;
-        let ptol = self.params.piv_tol;
+        let tol = FEAS_TOL;
+        let ptol = PIV_TOL;
         let mut t_best = f64::INFINITY;
         let mut block = Block::Flip;
         let mut piv_best = 0.0f64;
@@ -614,7 +606,7 @@ impl Simplex {
             }
             let phase = self.current_phase();
             self.compute_row_duals(phase);
-            let bland = stall > self.params.stall_limit;
+            let bland = stall > STALL_LIMIT;
             let Some((q, dir)) = self.price(phase, bland) else {
                 return if phase == Phase::One { LpStatus::Infeasible } else { LpStatus::Optimal };
             };
@@ -683,8 +675,8 @@ impl Simplex {
             return LpStatus::Numerical;
         }
         self.compute_basics();
-        let tol = self.params.feas_tol;
-        let dtol = self.params.opt_tol;
+        let tol = FEAS_TOL;
+        let dtol = OPT_TOL;
         let mut stall = 0usize;
         let mut iters = 0usize;
         self.dj_current = false;
@@ -732,7 +724,7 @@ impl Simplex {
 
             // sign = +1 when the leaving variable must increase.
             let sgn = if below { 1.0 } else { -1.0 };
-            let bland = stall > self.params.stall_limit;
+            let bland = stall > STALL_LIMIT;
             let mut enter: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
@@ -747,10 +739,10 @@ impl Simplex {
                 // increase, at-upper j with alpha > 0 can decrease, free j any.
                 let d = self.dj[j];
                 let ratio = match self.vstat[j] {
-                    VarStatus::AtLower | VarStatus::Free if alpha < -self.params.piv_tol => {
+                    VarStatus::AtLower | VarStatus::Free if alpha < -PIV_TOL => {
                         (d.max(0.0)) / (-alpha)
                     }
-                    VarStatus::AtUpper | VarStatus::Free if alpha > self.params.piv_tol => {
+                    VarStatus::AtUpper | VarStatus::Free if alpha > PIV_TOL => {
                         ((-d).max(0.0)) / alpha
                     }
                     _ => continue,
@@ -779,14 +771,14 @@ impl Simplex {
             // Pivot: q enters at position rpos; leaving goes to its
             // violated bound.
             self.ftran_col(q);
-            if self.w[rpos].abs() <= self.params.piv_tol {
+            if self.w[rpos].abs() <= PIV_TOL {
                 // Numerically void pivot; refactorize and retry, falling
                 // back to primal if it persists.
                 if !self.force_refactor() {
                     return LpStatus::Numerical;
                 }
                 stall += 1;
-                if stall > self.params.stall_limit + 20 {
+                if stall > STALL_LIMIT + 20 {
                     return self.primal_loop();
                 }
                 continue;

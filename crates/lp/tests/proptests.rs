@@ -303,7 +303,7 @@ fn assert_matches_cold_solve(
 }
 
 fn shape_params() -> SimplexParams {
-    SimplexParams { iter_limit: SHAPE_ITER_LIMIT, ..Default::default() }
+    SimplexParams { iter_limit: SHAPE_ITER_LIMIT }
 }
 
 proptest! {

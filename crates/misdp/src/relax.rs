@@ -11,12 +11,11 @@ use ugrs_sdp::{solve, solve_penalty, SdpOptions, SdpStatus};
 /// The relaxator plugin.
 pub struct SdpRelaxator {
     pub problem: Arc<MisdpProblem>,
-    pub options: SdpOptions,
 }
 
 impl SdpRelaxator {
     pub fn new(problem: Arc<MisdpProblem>) -> Self {
-        SdpRelaxator { problem, options: SdpOptions::default() }
+        SdpRelaxator { problem }
     }
 }
 
@@ -27,13 +26,13 @@ impl Relaxator for SdpRelaxator {
 
     fn solve_relaxation(&mut self, ctx: &mut SolveCtx) -> RelaxResult {
         let sdp = self.problem.sdp_relaxation(ctx.local_lb, ctx.local_ub);
-        let mut res = solve(&sdp, &self.options);
+        let mut res = solve(&sdp, &SdpOptions::default());
         let mut iterations = res.iterations;
         let mut fallbacks = res.fallbacks;
         if res.status == SdpStatus::Numerical {
             // The penalty formulation (§3.2) repairs ill-posed relaxations
             // created by branching.
-            res = solve_penalty(&sdp, &self.options);
+            res = solve_penalty(&sdp, &SdpOptions::default());
             iterations += res.iterations;
             fallbacks += 1;
         }

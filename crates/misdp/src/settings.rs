@@ -20,13 +20,6 @@ pub enum Approach {
     Lp,
 }
 
-const EMPHASES: [(&str, Emphasis); 4] = [
-    ("default", Emphasis::Default),
-    ("easycip", Emphasis::EasyCip),
-    ("feas", Emphasis::Feasibility),
-    ("opt", Emphasis::Optimality),
-];
-
 /// Builds `n` racing settings: odd 1-based indices are SDP-based, even
 /// are LP-based; the emphasis cycles and the permutation seed varies.
 pub fn racing_settings(n: usize) -> Vec<SolverSettings> {
@@ -34,7 +27,7 @@ pub fn racing_settings(n: usize) -> Vec<SolverSettings> {
         .map(|i| {
             let one_based = i + 1;
             let approach = if one_based % 2 == 1 { "sdp" } else { "lp" };
-            let (ename, _) = EMPHASES[(i / 2) % EMPHASES.len()];
+            let ename = Emphasis::ALL[(i / 2) % Emphasis::ALL.len()].name();
             SolverSettings {
                 index: i,
                 name: format!("{approach}-{ename}-{i}"),
@@ -54,12 +47,8 @@ pub fn decode_settings(s: &SolverSettings) -> (Approach, Settings) {
         Some("lp") => Approach::Lp,
         _ => Approach::Sdp,
     };
-    let emphasis = match s.params.get("emphasis").and_then(|v| v.as_str()) {
-        Some("easycip") => Emphasis::EasyCip,
-        Some("feas") => Emphasis::Feasibility,
-        Some("opt") => Emphasis::Optimality,
-        _ => Emphasis::Default,
-    };
+    let emphasis = s.params.get("emphasis").and_then(|v| v.as_str());
+    let emphasis = emphasis.and_then(Emphasis::parse).unwrap_or(Emphasis::Default);
     let seed = s.params.get("seed").and_then(|v| v.as_u64()).unwrap_or(0);
     let mut settings = Settings::default().with_emphasis(emphasis).with_seed(seed);
     settings.use_relaxator = approach == Approach::Sdp;
@@ -94,6 +83,9 @@ mod tests {
         let (_, s2) = decode_settings(&set[2]);
         assert_eq!(s0.emphasis, Emphasis::Default);
         assert_eq!(s2.emphasis, Emphasis::EasyCip);
+        let names: Vec<_> = set.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names[..4], ["sdp-default-0", "lp-default-1", "sdp-easycip-2", "lp-easycip-3"]);
+        assert_eq!(names[4..8], ["sdp-feas-4", "lp-feas-5", "sdp-opt-6", "lp-opt-7"]);
     }
 
     #[test]

@@ -13,26 +13,24 @@ use crate::problem::{SdpBlock, SdpProblem};
 use ugrs_linalg::vector::{axpy, dot};
 use ugrs_linalg::{CholeskyFactor, Matrix};
 
-/// Solver knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SdpOptions {
-    /// Target duality-gap estimate (ν / t).
-    pub tol: f64,
-    /// Barrier parameter growth factor.
-    pub mu: f64,
-    /// Initial barrier parameter.
-    pub t0: f64,
-    /// Newton iterations per centering step.
-    pub max_newton: usize,
-    /// Penalty coefficient Γ for [`solve_penalty`].
-    pub penalty_gamma: f64,
-}
+/// Target duality-gap estimate (ν / t) of a solve.
+const TOL: f64 = 1e-7;
+/// Target duality-gap estimate of phase 1, which only needs an interior
+/// point.
+const PHASE1_TOL: f64 = 1e-6;
+/// Barrier parameter growth factor μ.
+const MU: f64 = 10.0;
+/// Initial barrier parameter t₀.
+const T0: f64 = 1.0;
+/// Newton iterations per centering step.
+const MAX_NEWTON: usize = 60;
+/// Penalty coefficient Γ of [`solve_penalty`].
+const PENALTY_GAMMA: f64 = 1e5;
 
-impl Default for SdpOptions {
-    fn default() -> Self {
-        SdpOptions { tol: 1e-7, mu: 10.0, t0: 1.0, max_newton: 60, penalty_gamma: 1e5 }
-    }
-}
+/// The options of [`solve`] and [`solve_penalty`]. It has no field: the
+/// solver's parameters are this module's constants.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SdpOptions {}
 
 /// Termination status.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -364,8 +362,8 @@ impl Work {
     /// enters its quadratic phase, except for the last three centerings
     /// (`t·μ² ≥ ν/tol`), which end at `1e-10` — or at `f`'s resolution,
     /// see [`Work::center`] — because their points are what a solve returns.
-    fn decrement_exit(&self, t: f64, opts: &SdpOptions) -> f64 {
-        if t * opts.mu * opts.mu >= self.nu() / opts.tol {
+    fn decrement_exit(&self, t: f64, tol: f64) -> f64 {
+        if t * MU * MU >= self.nu() / tol {
             1e-10
         } else {
             0.25
@@ -373,20 +371,20 @@ impl Work {
     }
 
     /// One centering: damped Newton maximization of `f(t, ·)` from `y`
-    /// until the Newton decrement `λ²` is at most `exit`. `chols` factors
-    /// the slacks at `y` and follows it: the factor of the accepted trial
-    /// point is the next step's. Returns the Newton iterations used; on
-    /// numerical failure, `Err` carries those taken.
+    /// until the Newton decrement `λ²` is at most `exit`, in at most
+    /// [`MAX_NEWTON`] steps. `chols` factors the slacks at `y` and
+    /// follows it: the factor of the accepted trial point is the next
+    /// step's. Returns the Newton iterations used; on numerical failure,
+    /// `Err` carries those taken.
     fn center(
         &self,
         t: f64,
         y: &mut [f64],
         chols: &mut Vec<CholeskyFactor>,
-        max_newton: usize,
         exit: f64,
     ) -> Result<usize, usize> {
         let mut ytrial = y.to_vec();
-        for iters in 1..=max_newton {
+        for iters in 1..=MAX_NEWTON {
             let (grad, h) = self.newton_system(t, y, chols);
             // Newton direction: (−H) dx = grad.
             let dx = CholeskyFactor::new_shifted(&h, 1e-12, 1e6)
@@ -430,16 +428,17 @@ impl Work {
                 _ => return Ok(iters),
             }
         }
-        Ok(max_newton)
+        Ok(MAX_NEWTON)
     }
 
-    /// Full barrier path following from a strictly feasible `y`, cut
-    /// short when `done(y)` holds after a centering. Returns the Newton
-    /// iterations used; on numerical failure, `Err` carries those taken.
+    /// Full barrier path following from a strictly feasible `y` to the
+    /// gap estimate `tol`, cut short when `done(y)` holds after a
+    /// centering. Returns the Newton iterations used; on numerical
+    /// failure, `Err` carries those taken.
     fn barrier(
         &self,
         y: &mut [f64],
-        opts: &SdpOptions,
+        tol: f64,
         done: impl Fn(&[f64]) -> bool,
     ) -> Result<usize, usize> {
         if self.free.is_empty() {
@@ -447,23 +446,23 @@ impl Work {
         }
         let mut chols = self.factor(y).ok_or(0usize)?;
         let nu = self.nu();
-        let mut t = opts.t0;
+        let mut t = T0;
         let mut total = 0;
         let mut center_at = |t: f64, y: &mut [f64], total: usize| {
-            let exit = self.decrement_exit(t, opts);
-            self.center(t, y, &mut chols, opts.max_newton, exit).map_err(|it| total + it)
+            let exit = self.decrement_exit(t, tol);
+            self.center(t, y, &mut chols, exit).map_err(|it| total + it)
         };
-        while nu / t > opts.tol {
+        while nu / t > tol {
             total += center_at(t, y, total)?;
             if done(y) {
                 return Ok(total);
             }
-            t *= opts.mu;
+            t *= MU;
             if total > 100_000 {
                 return Err(total);
             }
         }
-        total += center_at(nu / opts.tol, y, total)?;
+        total += center_at(nu / tol, y, total)?;
         Ok(total)
     }
 
@@ -594,7 +593,7 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
             };
         }
         let interior = |yz: &[f64]| yz[w.m] < 0.0 && w.strictly_feasible(&yz[..w.m]);
-        match ph1.barrier(&mut yz, &SdpOptions { tol: 1e-6, ..*opts }, interior) {
+        match ph1.barrier(&mut yz, PHASE1_TOL, interior) {
             Ok(it) => iters += it,
             Err(it) => {
                 let obj = p.obj(&y);
@@ -630,7 +629,7 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
         }
     }
 
-    match w.barrier(&mut y, opts, |_| false) {
+    match w.barrier(&mut y, TOL, |_| false) {
         Ok(it) => iters += it,
         Err(it) => {
             return SdpResult {
@@ -652,9 +651,9 @@ pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
 /// z ≥ 0` — always strictly feasible, so it survives Slater-condition
 /// failures introduced by branching (§3.2). When the returned `z` is
 /// (near) zero the result is feasible for the original SDP.
-pub fn solve_penalty(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
+pub fn solve_penalty(p: &SdpProblem, _opts: &SdpOptions) -> SdpResult {
     let w = Work::from_problem(p);
-    let pen = w.penalized(opts.penalty_gamma, 1.0, 0.0);
+    let pen = w.penalized(PENALTY_GAMMA, 1.0, 0.0);
     let mut yz = w.start_point();
     let z0 = (-w.min_slack_eigen(&yz)).max(0.0) + 1.0;
     yz.push(z0.min(1e6));
@@ -668,7 +667,7 @@ pub fn solve_penalty(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
             fallbacks: 0,
         };
     }
-    match pen.barrier(&mut yz, opts, |_| false) {
+    match pen.barrier(&mut yz, TOL, |_| false) {
         Ok(iters) => {
             let z = yz[w.m].max(0.0);
             let y = yz[..w.m].to_vec();
@@ -835,15 +834,14 @@ mod tests {
     /// by centering, up to and including the one that fails; `None` if
     /// none does.
     fn steps_until_failure(w: &Work, mut y: Vec<f64>) -> Option<usize> {
-        let opts = SdpOptions::default();
         let mut chols = w.factor(&y).expect("strictly feasible start");
-        let (mut t, mut total) = (opts.t0, 0);
-        while w.nu() / t > opts.tol {
-            match w.center(t, &mut y, &mut chols, opts.max_newton, w.decrement_exit(t, &opts)) {
+        let (mut t, mut total) = (T0, 0);
+        while w.nu() / t > TOL {
+            match w.center(t, &mut y, &mut chols, w.decrement_exit(t, TOL)) {
                 Ok(it) => total += it,
                 Err(it) => return Some(total + it),
             }
-            t *= opts.mu;
+            t *= MU;
         }
         None
     }
@@ -873,7 +871,7 @@ mod tests {
 
         let res = solve_penalty(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Numerical);
-        let pen = w.penalized(SdpOptions::default().penalty_gamma, 1.0, 0.0);
+        let pen = w.penalized(PENALTY_GAMMA, 1.0, 0.0);
         let mut yz = w.start_point();
         yz.push(1.0); // the slack at the start point is 1: z0 = 0 + 1
         assert_eq!(Some(res.iterations), steps_until_failure(&pen, yz));
@@ -913,20 +911,19 @@ mod tests {
         // At t = 1e8, |f| is ≈ 1e9 and the Newton decrement stays above
         // the 1e-10 exit. Without the stop on a gain below f's
         // resolution, the second centering at 1e8 below ran to
-        // max_newton = 60 on each of these relaxations.
-        let opts = SdpOptions::default();
+        // MAX_NEWTON = 60 on each of these relaxations.
         for (n, seed) in [(5, 2), (6, 0), (7, 0), (8, 0)] {
             let w = Work::from_problem(&mkp_relaxation(n, seed));
             let mut y = w.start_point();
             let mut chols = w.factor(&y).expect("X = I at the box midpoint");
-            let mut t = opts.t0;
+            let mut t = T0;
             let mut center = |t: f64| {
-                let exit = w.decrement_exit(t, &opts);
-                w.center(t, &mut y, &mut chols, opts.max_newton, exit).expect("centered")
+                let exit = w.decrement_exit(t, TOL);
+                w.center(t, &mut y, &mut chols, exit).expect("centered")
             };
             while t <= 1e8 {
                 center(t);
-                t *= opts.mu;
+                t *= MU;
             }
             let again = center(1e8);
             assert!(again <= 2, "n = {n}, seed {seed}: {again} Newton steps");

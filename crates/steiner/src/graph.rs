@@ -49,8 +49,6 @@ pub struct Graph {
     pub fixed_cost: f64,
     /// Original edge ids fixed into every solution by contractions.
     pub fixed_edges: Vec<u32>,
-    /// Number of edges of the *original* instance (before any reduction).
-    original_edges: usize,
 }
 
 impl Graph {
@@ -64,7 +62,6 @@ impl Graph {
             num_terminals: 0,
             fixed_cost: 0.0,
             fixed_edges: Vec::new(),
-            original_edges: 0,
         }
     }
 
@@ -83,7 +80,6 @@ impl Graph {
         });
         self.adj[u].push(id);
         self.adj[v].push(id);
-        self.original_edges = self.edges.len();
         id
     }
 
@@ -138,11 +134,6 @@ impl Graph {
     /// Count of alive edges.
     pub fn num_alive_edges(&self) -> usize {
         self.edges.iter().filter(|e| e.alive).count()
-    }
-
-    /// Number of edges in the original (unreduced) instance.
-    pub fn num_original_edges(&self) -> usize {
-        self.original_edges
     }
 
     pub fn edge(&self, id: u32) -> &Edge {
@@ -294,11 +285,6 @@ impl Graph {
                 self.collect_originals(b, f);
             }
         }
-    }
-
-    /// Total cost of a set of *original* edge ids (utility for checks).
-    pub fn original_cost(&self, edge_ids: &[u32]) -> f64 {
-        edge_ids.iter().map(|&e| self.edges[e as usize].cost).sum()
     }
 
     /// True if the alive graph connects all terminals (sanity check for

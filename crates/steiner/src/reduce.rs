@@ -21,33 +21,15 @@ use crate::sap::SapGraph;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Knobs of the reduction loop.
-#[derive(Clone, Debug)]
-pub struct ReduceParams {
-    /// Vertex-scan limit of the bounded Dijkstra in the SD test.
-    pub sd_scan_limit: usize,
-    /// Enable dual-ascent bound-based tests.
-    pub use_da: bool,
-    /// Enable the restricted extended reduction (depth-1 extension).
-    pub extended: bool,
-    /// Outer loop passes.
-    pub rounds: usize,
-    /// Known upper bound on the *current graph's* optimum (excluding
-    /// `fixed_cost`); when absent a TM bound is computed internally.
-    pub upper_bound: Option<f64>,
-}
+/// Vertex-scan limit of the bounded Dijkstra in the SD test.
+const SD_SCAN_LIMIT: usize = 400;
+/// Outer passes of the reduction loop.
+const ROUNDS: usize = 8;
 
-impl Default for ReduceParams {
-    fn default() -> Self {
-        ReduceParams {
-            sd_scan_limit: 400,
-            use_da: true,
-            extended: true,
-            rounds: 8,
-            upper_bound: None,
-        }
-    }
-}
+/// The parameters of [`reduce`]. It has no field: the reduction loop's
+/// parameters are this module's constants.
+#[derive(Clone, Debug, Default)]
+pub struct ReduceParams {}
 
 /// Per-technique reduction counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,17 +58,18 @@ impl ReduceStats {
     }
 }
 
-/// Runs the reduction loop in place. The graph's `fixed_cost` /
-/// `fixed_edges` accumulate mandatory parts of the solution.
-pub fn reduce(g: &mut Graph, params: &ReduceParams) -> ReduceStats {
+/// Runs the reduction loop in place, at most `ROUNDS` (8) passes. The
+/// graph's `fixed_cost` / `fixed_edges` accumulate mandatory parts of the
+/// solution.
+pub fn reduce(g: &mut Graph, _params: &ReduceParams) -> ReduceStats {
     let mut stats = ReduceStats::default();
-    for _ in 0..params.rounds {
+    for _ in 0..ROUNDS {
         let mut changed = false;
         changed |= degree_tests(g, &mut stats);
         changed |= nnt_test(g, &mut stats);
-        changed |= sd_test(g, params.sd_scan_limit, &mut stats);
-        if params.use_da && g.num_terminals() >= 2 {
-            changed |= da_tests(g, params, &mut stats);
+        changed |= sd_test(g, SD_SCAN_LIMIT, &mut stats);
+        if g.num_terminals() >= 2 {
+            changed |= da_tests(g, &mut stats);
         }
         stats.rounds_run += 1;
         if !changed {
@@ -257,14 +240,12 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
 }
 
 /// Dual-ascent bound-based vertex/arc tests plus the restricted extended
-/// test. Needs ≥ 2 terminals.
-fn da_tests(g: &mut Graph, params: &ReduceParams, stats: &mut ReduceStats) -> bool {
-    let ub = match params.upper_bound {
-        Some(u) => u,
-        None => match tm_best(g, 4, &real_weights(g)) {
-            Some(t) => t.cost,
-            None => return false, // disconnected; degree tests will clean up
-        },
+/// test, against the upper bound of a TM solution of the current graph.
+/// Needs ≥ 2 terminals.
+fn da_tests(g: &mut Graph, stats: &mut ReduceStats) -> bool {
+    let ub = match tm_best(g, 4, &real_weights(g)) {
+        Some(t) => t.cost,
+        None => return false, // disconnected; degree tests will clean up
     };
     let root = SapGraph::pick_root(g);
     let sap = SapGraph::from_graph(g, root);
@@ -296,11 +277,11 @@ fn da_tests(g: &mut Graph, params: &ReduceParams, stats: &mut ReduceStats) -> bo
         let a1 = find_arc(&sap, e, g.edge(e).u, g.edge(e).v);
         let a2 = find_arc(&sap, e, g.edge(e).v, g.edge(e).u);
         let (Some(a1), Some(a2)) = (a1, a2) else { continue };
-        let excl1 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a1, params.extended);
+        let excl1 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a1);
         if !excl1 {
             continue;
         }
-        let excl2 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a2, params.extended);
+        let excl2 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a2);
         if excl2 {
             g.delete_edge(e);
             stats.da_edges_deleted += 1;
@@ -318,8 +299,8 @@ fn find_arc(sap: &SapGraph, edge: u32, tail: u32, head: u32) -> Option<u32> {
 }
 
 /// Can arc `a` be excluded from every optimal arborescence? Base test:
-/// `lb + d̃(r→tail) + c̃(a) + d̃(head→T) > ub`. The *extended* variant
-/// replaces `d̃(head→T)` for non-terminal heads by the best depth-1
+/// `lb + d̃(r→tail) + c̃(a) + d̃(head→T) > ub`. The *extended* test
+/// then replaces `d̃(head→T)` for non-terminal heads by the best depth-1
 /// continuation `min_{w≠tail} c̃(head→w) + d̃(w→T)` — valid because a
 /// non-terminal head must continue toward a terminal via an arc other
 /// than the reverse of `a`.
@@ -333,7 +314,6 @@ fn arc_excludable(
     lb: f64,
     ub: f64,
     a: u32,
-    extended: bool,
 ) -> bool {
     let arc = &sap.arcs[a as usize];
     let tail = arc.tail as usize;
@@ -343,7 +323,7 @@ fn arc_excludable(
     if base + dtt[head] > ub + tol {
         return true;
     }
-    if !extended || g.is_terminal(head) {
+    if g.is_terminal(head) {
         return false;
     }
     // Extended: every continuation out of `head` (other than back to
@@ -452,8 +432,7 @@ mod tests {
         g.add_edge(1, 2, 10.0);
         g.set_terminal(0, true);
         g.set_terminal(1, true);
-        let params = ReduceParams { rounds: 2, ..Default::default() };
-        let stats = reduce(&mut g, &params);
+        let stats = reduce(&mut g, &ReduceParams::default());
         assert!(!g.is_node_alive(2) || g.degree(2) == 0);
         assert!(stats.total_eliminations() > 0);
     }

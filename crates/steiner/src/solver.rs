@@ -13,8 +13,6 @@ use ugrs_cip::{ControlHooks, NoHooks, Settings, SolveStatus, Solver as CipSolver
 /// Options of a Steiner solve.
 #[derive(Clone, Debug)]
 pub struct SteinerOptions {
-    /// Graph-level presolve reductions.
-    pub reduce: ReduceParams,
     /// Settings of the underlying CIP solver.
     pub settings: Settings,
     /// Apply dual-ascent reductions inside the tree (the paper's
@@ -27,7 +25,6 @@ pub struct SteinerOptions {
 impl Default for SteinerOptions {
     fn default() -> Self {
         SteinerOptions {
-            reduce: ReduceParams::default(),
             settings: Settings::default(),
             in_tree_reductions: true,
             skip_reductions: false,
@@ -78,7 +75,7 @@ impl SteinerSolver {
         let stats = if self.options.skip_reductions {
             ReduceStats::default()
         } else {
-            reduce(&mut g, &self.options.reduce)
+            reduce(&mut g, &ReduceParams::default())
         };
         if g.num_terminals() < 2 {
             return Err(Box::new((g, stats)));

@@ -137,9 +137,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--standby" => config.standby = true,
             "--ha-owner" => config.ha_owner = value("--ha-owner")?,
-            "--steal-batch" => {
-                config.steal_batch = value("--steal-batch")?.parse().map_err(|e| format!("{e}"))?
-            }
             "--drain-timeout-secs" => {
                 drain_timeout = Duration::from_secs(
                     value("--drain-timeout-secs")?.parse().map_err(|e| format!("{e}"))?,
@@ -184,13 +181,12 @@ fn main() {
                  \x20       [--tenant-quota <name>=<rate>:<burst>]...\n\
                  \x20       [--state-dir <dir>] [--journal-dir <dir>]\n\
                  \x20       [--lease-ttl-ms <ms> [--standby] [--ha-owner <name>]]\n\
-                 \x20       [--steal-batch <n>] [--drain-timeout-secs <s>]\n\
+                 \x20       [--drain-timeout-secs <s>]\n\
                  \x20       [--chaos-seed <n> [--chaos-profile <name|json>]]\n\
                  \n\
                  --shard            one ugd-server: client address, plus its state dir when\n\
                  \x20                 reachable (enables checkpoint replay on failover)\n\
                  --steal-margin     steal queued jobs from shards at least this deep (0 = off)\n\
-                 --steal-batch      max queued jobs moved per steal sweep (default 4)\n\
                  --lease-ttl-ms     HA pair: lease TTL shared via --state-dir (needs it)\n\
                  --standby          start standing by; take over only when the lease expires\n\
                  --ha-owner         lease owner name (default gw-<pid>)\n\

@@ -1,6 +1,6 @@
 //! The command lines after the worker-session, codec, batching,
-//! adaptive-racing, raw-instance, per-call worker-mode and
-//! state-compression options were removed: the retired spellings are
+//! adaptive-racing, raw-instance, per-call worker-mode, state-compression
+//! and steal-batch options were removed: the retired spellings are
 //! usage errors (exit 2) whose usage text names only flags that still
 //! exist, and a SIGTERM drain survives a closed stdout.
 
@@ -71,23 +71,25 @@ fn retired_adaptive_racing_and_raw_instance_flags_are_usage_errors() {
 }
 
 /// A worker has one mode — it joins a coordinator and receives each
-/// job's instance in its `Begin` — and the daemons no longer compress
-/// their state: the retired spellings are usage errors.
+/// job's instance in its `Begin` — the daemons no longer compress their
+/// state, and a gateway steal sweep moves at most a fixed number of
+/// jobs: the retired spellings are usage errors.
 #[test]
 fn retired_worker_modes_and_state_compression_are_usage_errors() {
     let worker = ["--connect", "127.0.0.1:1"];
-    let cases: [(&str, Vec<&str>, &str); 5] = [
+    let cases: [(&str, Vec<&str>, &str); 6] = [
         (WORKER_BIN, [&worker[..], &["--serve"]].concat(), "--serve"),
         (WORKER_BIN, [&worker[..], &["--rank", "0"]].concat(), "--rank"),
         (WORKER_BIN, [&worker[..], &["--instance-job", "x"]].concat(), "--instance-job"),
         (SERVER_BIN, vec!["--compress-state"], "--compress-state"),
         (GATEWAY_BIN, vec!["--shard", "a=127.0.0.1:1", "--compress-state"], "--compress-state"),
+        (GATEWAY_BIN, vec!["--shard", "a=127.0.0.1:1", "--steal-batch", "2"], "--steal-batch"),
     ];
     for (bin, args, flag) in cases {
         let text = usage_error(bin, &args);
         assert!(text.contains(&format!("unknown flag {flag}\n")), "{text}");
         let usage = &text[text.find("usage:").expect("usage text follows the complaint")..];
-        for retired in ["--serve", "--rank ", "instance-job", "compress"] {
+        for retired in ["--serve", "--rank ", "instance-job", "compress", "steal-batch"] {
             assert!(!usage.contains(retired), "retired {retired:?} in: {usage}");
         }
     }

@@ -155,7 +155,7 @@ fn sdp_tree_sizes_stay_near_the_reference() {
 
 /// A centering ends once the gain its line search certifies is below the
 /// rounding of the barrier value; before that rule, centerings near
-/// `t = 10⁸` backtracked to `α ≈ 10⁻¹⁵` and ran to `max_newton`. And every
+/// `t = 10⁸` backtracked to `α ≈ 10⁻¹⁵` and ran to 60 Newton steps. And every
 /// centering but the last three ends at a Newton decrement `λ² ≤ ¼`
 /// instead of `1e-10`. The root relaxations of an MkP and a TTD instance
 /// pin the Newton steps the two rules leave.
