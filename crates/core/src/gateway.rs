@@ -41,6 +41,10 @@
 //!   they resume as run `1.k` of their restart chain (Table 2
 //!   semantics) instead of starting over.
 //!
+//! The job life cycle — record, table, write-ahead submit, terminal
+//! sequence, recovery — is `core::jobs`, shared with the server; the
+//! shard router is its executor.
+//!
 //! One OS thread per in-flight job ("tracker") proxies the owning
 //! shard's `Watch` stream into the gateway's own event log, rewriting
 //! local job ids to gateway ids — a watcher of the gateway sees one
@@ -48,18 +52,19 @@
 //! [`JobEventKind::Routed`] markers.
 
 use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
-use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
-use crate::rpc::{
-    empty_finished, serve_clients, state_label, wake_listener, EventLog, RequestHandler,
+use crate::jobs::{
+    empty_finished, state_label, submit_reply, JobBook, JobTable, Terminal, GATEWAY,
 };
+use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
+use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
 use crate::server::{
     cancel_outcome, fenced_epoch, fenced_io_error, submit_outcome, ClientRequest, FleetStatus,
-    JobClient, JobEvent, JobEventKind, JobSpec, JobState, JobSummary, MetricsReport, ServerReply,
-    ServerStatus, ShardSummary, SubmitOutcome, WireType,
+    JobClient, JobEvent, JobEventKind, JobSpec, JobState, MetricsReport, ServerReply, ServerStatus,
+    ShardSummary, SubmitOutcome, WireType,
 };
 use crate::telemetry::{self, MetricsRegistry};
 use crate::wire;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -325,19 +330,15 @@ struct Route {
     local: u64,
 }
 
-struct GwJob<Inst, Sub> {
-    spec: JobSpec<Inst, Sub>,
+/// The shard router's part of a job record.
+struct Routing {
     tenant: String,
-    state: JobState,
     /// Bumped on every re-dispatch (steal, failover): a tracker holding
     /// an older epoch must discard what it reads — its shard no longer
     /// owns the job.
     epoch: u64,
     /// `None` while the job sits in the dispatch queue.
     route: Option<Route>,
-    /// Freshest checkpoint to resume from at the next dispatch (set by
-    /// failover from the dead shard's state dir).
-    restart_from: Option<String>,
     /// The next shard-side event seq the tracker should ask for —
     /// `Watch { from_seq }` on (re)connect resumes here instead of
     /// replaying the shard's whole log, so a transient disconnect (or
@@ -347,22 +348,17 @@ struct GwJob<Inst, Sub> {
     /// starts fresh); kept across a failed steal (same shard, same
     /// local id, same log).
     next_shard_seq: usize,
-    run_index: u32,
     tracker_spawned: bool,
 }
 
-impl<Inst, Sub> GwJob<Inst, Sub> {
+impl Routing {
     /// A job waiting in the dispatch queue, not yet routed.
-    fn queued(spec: JobSpec<Inst, Sub>, restart_from: Option<String>, run_index: u32) -> Self {
-        GwJob {
+    fn new<Inst, Sub>(spec: &JobSpec<Inst, Sub>) -> Self {
+        Routing {
             tenant: spec.tenant.clone().unwrap_or_else(|| "default".into()),
-            spec,
-            state: JobState::Queued,
             epoch: 0,
             route: None,
-            restart_from,
             next_shard_seq: 0,
-            run_index,
             tracker_spawned: false,
         }
     }
@@ -385,11 +381,9 @@ impl Dispatch {
 }
 
 struct GwState<Inst, Sub> {
-    jobs: BTreeMap<u64, GwJob<Inst, Sub>>,
+    /// Its live count is the `max_inflight` meter.
+    jobs: JobTable<Inst, Sub, Routing>,
     dispatch: VecDeque<Dispatch>,
-    next_gid: u64,
-    /// Accepted and not yet terminal (the `max_inflight` meter).
-    inflight: usize,
 }
 
 /// Health-loop view of one shard.
@@ -661,12 +655,14 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         }
     }
 
-    fn submitted(&self, family: &str) -> Arc<telemetry::Counter> {
-        self.metrics.counter_with(
-            "ugrs_gateway_jobs_submitted_total",
-            &[("family", family)],
-            "Jobs accepted by the gateway, by instance family",
-        )
+    /// The job life cycle's ledger, events and counters.
+    fn book(&self) -> JobBook<'_, Sol> {
+        JobBook {
+            daemon: &GATEWAY,
+            ledger: self.ledger.as_ref(),
+            events: &self.events,
+            metrics: &self.metrics,
+        }
     }
 
     fn rejected(&self, reason: &str) -> Arc<telemetry::Counter> {
@@ -677,44 +673,16 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         )
     }
 
-    /// `resumed` from a checkpoint, or requeued from scratch.
-    fn recovered(&self, resumed: bool) -> Arc<telemetry::Counter> {
-        self.metrics.counter_with(
-            "ugrs_gateway_jobs_recovered_total",
-            &[("mode", if resumed { "resumed" } else { "requeued" })],
-            "Jobs brought back by the startup recovery pass, by mode",
-        )
-    }
-
-    /// The terminal bookkeeping every finished job gets, in the order
-    /// a takeover relies on (DESIGN §5f): the `finish` journal line —
-    /// unless an earlier lease holder already wrote it, so the merged
-    /// journals stay exactly-once —, then ledger retirement, then the
-    /// counter.
-    fn record_finish(&self, gid: u64, tenant: &str, family: &str, state: JobState, run_index: u32) {
-        if !self.prior_finishes.lock().unwrap().contains(&gid) {
+    /// The `finish` journal line that goes in front of the terminal
+    /// sequence (DESIGN §5f) — unless an earlier lease holder already
+    /// wrote it, so the merged journals stay exactly-once.
+    fn journal_finish(&self, t: &Terminal, tenant: &str) {
+        if !self.prior_finishes.lock().unwrap().contains(&t.job) {
             self.journal(serde_json::json!({
-                "ev": "finish", "gid": gid, "tenant": tenant,
-                "state": state_label(state), "run_index": run_index,
+                "ev": "finish", "gid": t.job, "tenant": tenant,
+                "state": state_label(t.state), "run_index": t.run_index,
             }));
         }
-        self.retire(gid, state, family);
-    }
-
-    /// Retires `gid`'s ledger record and counts its terminal state.
-    fn retire(&self, gid: u64, state: JobState, family: &str) {
-        if let Some(ledger) = &self.ledger {
-            if let Err(e) = ledger.record_finished(gid) {
-                eprintln!("ugd-gateway: cannot retire ledger record of job {gid}: {e}");
-            }
-        }
-        self.metrics
-            .counter_with(
-                "ugrs_gateway_jobs_finished_total",
-                &[("state", state_label(state)), ("family", family)],
-                "Jobs that reached a terminal state, by state and instance family",
-            )
-            .inc();
     }
 }
 
@@ -754,28 +722,10 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         if ha_mode && config.ha_owner.is_empty() {
             config.ha_owner = format!("gw-{}", std::process::id());
         }
-        let mut recovered: Vec<ledger::RecoveredJob<Inst, Sub>> = Vec::new();
-        let mut next_gid = 0u64;
-        let ledger = match &config.state_dir {
-            Some(dir) => {
-                let l = JobLedger::open(dir)?;
-                // With HA the recovery pass belongs to `promote`: a
-                // standby must not load jobs it does not own yet.
-                if !ha_mode {
-                    let rec = l.recover::<Inst, Sub>()?;
-                    for path in &rec.skipped {
-                        eprintln!(
-                            "ugd-gateway: skipping unreadable ledger record {} (torn write?)",
-                            path.display()
-                        );
-                    }
-                    next_gid = rec.next_job;
-                    recovered = rec.jobs;
-                }
-                Some(l)
-            }
-            None => None,
-        };
+        // With HA the recovery pass belongs to `promote`: a standby must
+        // not load jobs it does not own yet.
+        let (ledger, jobs, recovered) =
+            GATEWAY.open(config.state_dir.as_deref(), !ha_mode, Routing::new)?;
         let (lease_dir, route_log) = if ha_mode {
             let dir = config.state_dir.as_ref().expect("validated: HA requires a state dir");
             (Some(LeaseDir::open(dir)?), Some(RouteLog::open(dir)?))
@@ -816,13 +766,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
                 queued_local: Vec::new(),
             })
             .collect();
-        let mut jobs = BTreeMap::new();
-        let mut dispatch = VecDeque::new();
-        for r in &recovered {
-            jobs.insert(r.job, GwJob::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index));
-            dispatch.push_back(Dispatch::new(r.job, None));
-        }
-        let inflight = jobs.len();
+        let dispatch = recovered.iter().map(|r| Dispatch::new(r.job, None)).collect();
         let metrics = MetricsRegistry::new();
         let pools = config
             .shards
@@ -847,7 +791,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
             config,
             client_addr,
             pools,
-            state: Mutex::new(GwState { jobs, dispatch, next_gid, inflight }),
+            state: Mutex::new(GwState { jobs, dispatch }),
             cv: Condvar::new(),
             events: EventLog::new(),
             health: Mutex::new(health),
@@ -870,24 +814,16 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         });
         // Pre-register the labeled series so a scrape right after
         // startup sees the full schema.
-        for family in ["stp", "misdp", "maxcut"] {
-            shared.submitted(family);
-        }
+        shared.book().register_series();
         for reason in REJECT_REASONS {
             shared.rejected(reason);
         }
-        shared.recovered(false);
-        shared.recovered(true);
         shared.series.role.set(if shared.is_primary() { 1.0 } else { 0.0 });
         shared.series.shards_healthy.set(shared.config.shards.len() as f64);
-        // Re-announce the recovered jobs: same Queued-before-ack shape a
-        // live submit has, so a watcher reattaching after the restart
-        // sees a well-formed stream from seq 0.
         for r in &recovered {
-            shared.recovered(r.checkpoint.is_some()).inc();
-            shared.events.emit(r.job, JobEventKind::Queued);
+            shared.book().recovered(r);
             shared.journal(serde_json::json!({
-                "ev": "recover", "gid": r.job, "resumed": r.checkpoint.is_some(),
+                "ev": "recover", "gid": r.job, "resumed": r.resumed,
             }));
         }
         // HA bootstrap: claim the lease when nobody healthy holds it
@@ -929,7 +865,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
                     .spawn(move || lease_loop(sh))?,
             );
         }
-        let resumed = recovered.iter().filter(|r| r.checkpoint.is_some()).count();
+        let resumed = recovered.iter().filter(|r| r.resumed).count();
         let recovered_counts = if ha_mode { ha_recovered } else { (recovered.len(), resumed) };
         Ok(Gateway { shared, client_addr, threads, recovered: recovered_counts })
     }
@@ -995,7 +931,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
         self.shared.journal(serde_json::json!({ "ev": "drain_begin" }));
         let t0 = Instant::now();
         while t0.elapsed() < timeout && self.shared.is_primary() {
-            if self.shared.state.lock().unwrap().inflight == 0 {
+            if self.shared.state.lock().unwrap().jobs.live() == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -1010,7 +946,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
                 let _ = dir.release(&lease);
             }
         }
-        let drained = self.shared.state.lock().unwrap().inflight == 0;
+        let drained = self.shared.state.lock().unwrap().jobs.live() == 0;
         self.shared.journal(serde_json::json!({ "ev": "drain_end", "drained": drained }));
         self.shutdown();
     }
@@ -1134,39 +1070,33 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                 .map(|st| st.jobs.into_iter().map(|j| (j.job, j.state)).collect())
         })
         .collect();
-    let rec = match shared.ledger.as_ref().expect("HA requires a ledger").recover::<Inst, Sub>() {
-        Ok(rec) => rec,
-        Err(e) => {
-            eprintln!("ugd-gateway: takeover ledger replay failed: {e}");
-            ledger::Recovery { jobs: Vec::new(), next_job: 0, skipped: Vec::new() }
-        }
-    };
-    for path in &rec.skipped {
-        eprintln!(
-            "ugd-gateway: skipping unreadable ledger record {} (torn write?)",
-            path.display()
-        );
-    }
+    let ledger = shared.ledger.as_ref().expect("HA requires a ledger");
+    let rec = GATEWAY.recover::<Inst, Sub>(ledger).unwrap_or_else(|e| {
+        eprintln!("ugd-gateway: takeover ledger replay failed: {e}");
+        ledger::Recovery { jobs: Vec::new(), next_job: 0, skipped: Vec::new() }
+    });
     let routes = shared.route_log.as_ref().and_then(|rl| rl.replay().ok()).unwrap_or_default();
     let total = rec.jobs.len();
     let mut resumed = 0usize;
     let mut live_routes: std::collections::HashMap<u64, ledger::ReplayedRoute> =
         std::collections::HashMap::new();
     // What to announce/spawn after the state lock drops.
-    let mut announce: Vec<(u64, Option<usize>)> = Vec::new();
+    let mut announce = Vec::new();
     let mut reconcile: Vec<(u64, usize, u64)> = Vec::new();
     {
-        let mut st = shared.state.lock().unwrap();
+        let mut guard = shared.state.lock().unwrap();
+        let st = &mut *guard;
         st.jobs.clear();
         st.dispatch.clear();
+        let recovered = st.jobs.restore(rec, Routing::new);
         // Seed past both the live ledger records *and* every gid the
         // journals mention: when the old primary retired everything
         // before dying, the ledger alone would restart at 0 and reuse
         // journaled ids.
-        st.next_gid = st.next_gid.max(rec.next_job).max(journaled_gid_floor);
-        for r in &rec.jobs {
-            let gid = r.job;
-            let mut job = GwJob::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index);
+        st.jobs.seed(journaled_gid_floor);
+        for mut owed in recovered {
+            let gid = owed.job;
+            let job = st.jobs.get_mut(&gid).expect("just restored");
             match routes.get(&gid) {
                 Some(route) if route.shard < shared.config.shards.len() => {
                     let shard_state =
@@ -1177,21 +1107,14 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                         // resume the tracker from the replayed cursor.
                         None | Some(Some(JobState::Queued)) | Some(Some(JobState::Running)) => {
                             if matches!(shard_state, Some(Some(JobState::Running))) {
-                                job.state = JobState::Running;
+                                job.set_state(JobState::Running);
                             }
-                            job.route = Some(Route { shard: route.shard, local: route.local });
-                            job.next_shard_seq = route.next_seq;
-                            job.tracker_spawned = true;
-                            live_routes.insert(
-                                gid,
-                                ledger::ReplayedRoute {
-                                    shard: route.shard,
-                                    local: route.local,
-                                    lease_epoch: epoch,
-                                    next_seq: route.next_seq,
-                                },
-                            );
-                            announce.push((gid, Some(route.shard)));
+                            job.exec.route = Some(Route { shard: route.shard, local: route.local });
+                            job.exec.next_shard_seq = route.next_seq;
+                            job.exec.tracker_spawned = true;
+                            let adopted = ledger::ReplayedRoute { lease_epoch: epoch, ..*route };
+                            live_routes.insert(gid, adopted);
+                            announce.push((owed, Some(route.shard)));
                         }
                         // Terminal on the shard: the old primary died
                         // somewhere inside its finish sequence. Settle
@@ -1207,8 +1130,9 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                             if let Some(cp) = shard_checkpoint(spec, route.local) {
                                 job.restart_from = Some(cp);
                             }
+                            owed.resumed = job.restart_from.is_some();
                             st.dispatch.push_back(Dispatch::new(gid, None));
-                            announce.push((gid, None));
+                            announce.push((owed, None));
                         }
                     }
                 }
@@ -1216,15 +1140,11 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
                     // Never routed (or a garbage shard index from a
                     // reconfigured fleet): plain requeue.
                     st.dispatch.push_back(Dispatch::new(gid, None));
-                    announce.push((gid, None));
+                    announce.push((owed, None));
                 }
             }
-            if job.restart_from.is_some() {
-                resumed += 1;
-            }
-            st.jobs.insert(gid, job);
+            resumed += usize::from(st.jobs[&gid].restart_from.is_some());
         }
-        st.inflight = st.jobs.len();
     }
     // Re-log the adopted routes under the new epoch and rewrite the
     // log to just the live set — takeover is the natural compaction
@@ -1234,21 +1154,16 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
             eprintln!("ugd-gateway: route log compaction failed: {e}");
         }
     }
-    for (gid, routed) in &announce {
-        let resumed = {
-            let st = shared.state.lock().unwrap();
-            st.jobs.get(gid).is_some_and(|j| j.restart_from.is_some())
-        };
-        shared.recovered(resumed).inc();
-        shared.events.emit(*gid, JobEventKind::Queued);
+    for (owed, routed) in &announce {
+        shared.book().recovered(owed);
         if let Some(shard) = routed {
             shared.events.emit(
-                *gid,
+                owed.job,
                 JobEventKind::Routed { shard: shared.config.shards[*shard].name.clone() },
             );
         }
         shared.journal(serde_json::json!({
-            "ev": "recover", "gid": gid, "adopted": routed.is_some(),
+            "ev": "recover", "gid": owed.job, "adopted": routed.is_some(),
         }));
     }
     // Become primary BEFORE the adopted trackers start: a tracker's
@@ -1259,14 +1174,14 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
     // so the dispatcher never respawns it).
     shared.role_primary.store(true, Ordering::SeqCst);
     shared.series.role.set(1.0);
-    for (gid, _) in &announce {
+    for (owed, _) in &announce {
         let spawn = {
             let st = shared.state.lock().unwrap();
-            st.jobs.get(gid).is_some_and(|j| j.tracker_spawned)
+            st.jobs.get(&owed.job).is_some_and(|j| j.exec.tracker_spawned)
         };
         if spawn {
             let sh = shared.clone();
-            let gid = *gid;
+            let gid = owed.job;
             let _ = std::thread::Builder::new()
                 .name(format!("ugw-track-{gid}"))
                 .spawn(move || tracker_loop(sh, gid));
@@ -1305,19 +1220,15 @@ fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
         // fail the job rather than invent an answer.
         None => (JobState::Failed, 1, empty_finished(JobState::Failed, 1)),
     };
-    let (tenant, family) = {
+    let (terminal, tenant) = {
         let mut st = shared.state.lock().unwrap();
-        let Some(job) = st.jobs.get_mut(&gid) else { return };
-        job.state = state;
-        job.run_index = run_index;
-        let meta =
-            (job.tenant.clone(), job.spec.family.clone().unwrap_or_else(|| "unknown".into()));
-        st.inflight -= 1;
-        meta
+        let Some(tenant) = st.jobs.get(&gid).map(|j| j.exec.tenant.clone()) else { return };
+        let Some(terminal) = st.jobs.finish(gid, state, Some(run_index)) else { return };
+        (terminal, tenant)
     };
-    shared.record_finish(gid, &tenant, &family, state, run_index);
+    shared.journal_finish(&terminal, &tenant);
     shared.events.emit(gid, JobEventKind::Queued);
-    shared.events.emit(gid, kind);
+    shared.book().finish(terminal, Some(kind), false);
 }
 
 /// Steps down after a newer epoch fenced this gateway: drop every
@@ -1334,7 +1245,6 @@ fn demote<Inst, Sub, Sol: Clone>(shared: &GwShared<Inst, Sub, Sol>, usurper_epoc
         let mut st = shared.state.lock().unwrap();
         st.jobs.clear();
         st.dispatch.clear();
-        st.inflight = 0;
     }
     shared.fenced.store(false, Ordering::SeqCst);
     shared.journal(serde_json::json!({ "ev": "demote", "usurper_epoch": usurper_epoch }));
@@ -1408,76 +1318,50 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
     spec: JobSpec<Inst, Sub>,
 ) -> io::Result<Result<u64, &'static str>> {
     let t0 = Instant::now();
-    let tenant = spec.tenant.clone().unwrap_or_else(|| "default".into());
-    let family = spec.family.clone().unwrap_or_else(|| "unknown".into());
+    let routing = Routing::new(&spec);
+    let tenant = routing.tenant.clone();
     let quota =
         shared.config.tenant_quotas.get(&tenant).or(shared.config.default_quota.as_ref()).copied();
-    // Admission and id assignment are one critical section: N racing
+    // Admission and id reservation are one critical section: N racing
     // submits cannot all pass the capacity check and then overshoot
-    // `max_inflight`, because each one *reserves* its inflight slot
-    // (and its tenant token) before the lock drops. The write-ahead
-    // fsync happens outside the lock — every submitter syncs its own
-    // record file, so concurrent submits do not serialize on the disk —
-    // and a failed write rolls the reservation and the token back.
-    let gid = {
-        let mut st = shared.state.lock().unwrap();
-        if st.inflight >= shared.config.max_inflight {
-            drop(st);
-            reject(shared, &tenant, "capacity");
-            return Ok(Err("capacity"));
+    // `max_inflight`, because each one reserves its id — counted live —
+    // and its tenant token before the lock drops.
+    let admit = |st: &mut GwState<Inst, Sub>| {
+        if st.jobs.live() >= shared.config.max_inflight {
+            return Err("capacity");
         }
         if let Some(quota) = &quota {
             let now = Instant::now();
             let mut tenants = shared.tenants.lock().unwrap();
             let bucket = tenants.entry(tenant.clone()).or_insert_with(|| Bucket::new(quota, now));
             if !bucket.try_take(quota, now) {
-                drop(tenants);
-                drop(st);
-                reject(shared, &tenant, "quota");
-                return Ok(Err("quota"));
+                return Err("quota");
             }
         }
-        let gid = st.next_gid;
-        st.next_gid += 1;
-        st.inflight += 1;
-        gid
+        Ok(())
     };
-    // Same write-ahead discipline as the server: durable before the
-    // ack, so neither a gateway crash nor the reclaim window of a later
-    // steal can lose an acknowledged job. The gid is not in `st.jobs`
-    // yet, but the client cannot name it before the ack either.
-    if let Some(ledger) = &shared.ledger {
-        if let Err(e) = ledger.record_submitted(gid, &spec) {
-            // The submit is answered with an Error: release the
-            // reserved slot and put the tenant's token back — a failed
-            // disk must not bill the bucket for a job never accepted.
-            // (The gid itself is burned; ids need not be dense.)
-            shared.state.lock().unwrap().inflight -= 1;
+    let enqueue =
+        |st: &mut GwState<Inst, Sub>, gid| st.dispatch.push_back(Dispatch::new(gid, None));
+    let outcome =
+        shared.book().submit(&shared.state, |st| &mut st.jobs, spec, routing, admit, enqueue);
+    match &outcome {
+        Ok(Ok(gid)) => {
+            shared.journal(serde_json::json!({ "ev": "submit", "gid": gid, "tenant": tenant }));
+            shared.series.submit_ack.observe(t0.elapsed().as_secs_f64());
+            shared.cv.notify_all();
+        }
+        Ok(Err(reason)) => reject(shared, &tenant, reason),
+        // The ledger write failed: put the tenant's token back — a
+        // failed disk must not bill the bucket for a job never accepted.
+        Err(_) => {
             if let Some(quota) = &quota {
                 if let Some(b) = shared.tenants.lock().unwrap().get_mut(&tenant) {
                     b.tokens = (b.tokens + 1.0).min(quota.burst);
                 }
             }
-            return Err(e);
         }
     }
-    {
-        let mut st = shared.state.lock().unwrap();
-        let run_index = spec
-            .restart_from
-            .as_deref()
-            .and_then(ledger::checkpoint_meta)
-            .map_or(1, |(run, _)| run + 1);
-        let restart_from = spec.restart_from.clone();
-        st.jobs.insert(gid, GwJob::queued(spec, restart_from, run_index));
-        st.dispatch.push_back(Dispatch::new(gid, None));
-    };
-    shared.submitted(&family).inc();
-    shared.events.emit(gid, JobEventKind::Queued);
-    shared.journal(serde_json::json!({ "ev": "submit", "gid": gid, "tenant": tenant }));
-    shared.series.submit_ack.observe(t0.elapsed().as_secs_f64());
-    shared.cv.notify_all();
-    Ok(Ok(gid))
+    outcome
 }
 
 // ---------------------------------------------------------------------
@@ -1647,12 +1531,12 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
         let (spec, epoch) = {
             let st = shared.state.lock().unwrap();
             let Some(job) = st.jobs.get(&gid) else { continue };
-            if job.state.is_terminal() {
+            if job.state().is_terminal() {
                 continue;
             }
             let mut spec = job.spec.clone();
             spec.restart_from = job.restart_from.clone();
-            (spec, job.epoch)
+            (spec, job.exec.epoch)
         };
         // A failed-over job must not fan out wider than its chain: its
         // resumed run reuses the original worker request.
@@ -1676,18 +1560,17 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     // entry has none, so the epoch cannot have moved —
                     // checked anyway: a stale submit must be cancelled,
                     // not recorded.
-                    if job.epoch != epoch || job.state.is_terminal() {
+                    if job.exec.epoch != epoch || job.state().is_terminal() {
                         drop(st);
                         let _ = shared.shard_rpc(target, &ClientRequest::Cancel { job: local });
                         continue;
                     }
-                    job.route = Some(Route { shard: target, local });
+                    let routing = &mut job.exec;
+                    routing.route = Some(Route { shard: target, local });
                     // A new shard-local job means a new event log that
                     // starts at seq 0 — the tracker must not skip it.
-                    job.next_shard_seq = 0;
-                    let spawn = !job.tracker_spawned;
-                    job.tracker_spawned = true;
-                    spawn
+                    routing.next_shard_seq = 0;
+                    !std::mem::replace(&mut routing.tracker_spawned, true)
                 };
                 // Durable before the `Routed` announcement: a standby
                 // replaying this log must find every route a client
@@ -1744,11 +1627,11 @@ fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     return;
                 }
                 let Some(job) = st.jobs.get(&gid) else { return };
-                if job.state.is_terminal() {
+                if job.state().is_terminal() {
                     return;
                 }
-                if let Some(r) = &job.route {
-                    break (r.shard, r.local, job.epoch, job.next_shard_seq);
+                if let Some(r) = &job.exec.route {
+                    break (r.shard, r.local, job.exec.epoch, job.exec.next_shard_seq);
                 }
                 st = shared.cv.wait_timeout(st, Duration::from_millis(200)).unwrap().0;
             }
@@ -1794,7 +1677,7 @@ fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                     // Stale? (steal/failover bumped the epoch)
                     let st = shared.state.lock().unwrap();
                     match st.jobs.get(&gid) {
-                        Some(job) if job.epoch == epoch && !job.state.is_terminal() => {}
+                        Some(job) if job.exec.epoch == epoch && !job.state().is_terminal() => {}
                         _ => continue 'routes,
                     }
                 }
@@ -1831,23 +1714,22 @@ fn deliver<Inst, Sub, Sol: Clone>(
     }
     let mut st = shared.state.lock().unwrap();
     let Some(job) = st.jobs.get_mut(&gid) else { return false };
-    if job.epoch != epoch || job.state.is_terminal() {
+    if job.exec.epoch != epoch || job.state().is_terminal() {
         return false;
     }
     // Consumed under the owning epoch: the reconnect cursor moves past
     // this event so a later `Watch` never re-delivers it.
-    job.next_shard_seq = job.next_shard_seq.max(event.seq + 1);
+    job.exec.next_shard_seq = job.exec.next_shard_seq.max(event.seq + 1);
     let lease_ep = shared.lease_epoch.load(Ordering::SeqCst);
     match &event.kind {
         // The gateway emitted its own Queued at submit; the shard's
         // (and its re-runs after a steal) would just repeat it.
         JobEventKind::Queued => true,
         JobEventKind::Finished { state, run_index, .. } => {
-            job.state = *state;
-            job.run_index = *run_index;
-            let tenant = job.tenant.clone();
-            let family = job.spec.family.clone().unwrap_or_else(|| "unknown".into());
-            st.inflight -= 1;
+            let tenant = job.exec.tenant.clone();
+            let Some(terminal) = st.jobs.finish(gid, *state, Some(*run_index)) else {
+                return false;
+            };
             drop(st);
             // Takeover-safe terminal sequence — the order is load-
             // bearing (see DESIGN §5f): (1) fsync the cursor past the
@@ -1859,8 +1741,8 @@ fn deliver<Inst, Sub, Sol: Clone>(
             if let Some(rl) = &shared.route_log {
                 let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
             }
-            shared.record_finish(gid, &tenant, &family, *state, *run_index);
-            shared.events.emit(gid, event.kind);
+            shared.journal_finish(&terminal, &tenant);
+            shared.book().finish(terminal, Some(event.kind), false);
             shared.cv.notify_all();
             false
         }
@@ -1870,8 +1752,8 @@ fn deliver<Inst, Sub, Sol: Clone>(
             }
             let mut started_at = None;
             if let JobEventKind::Started { .. } = &event.kind {
-                job.state = JobState::Running;
-                if let Some(r) = &job.route {
+                job.set_state(JobState::Running);
+                if let Some(r) = &job.exec.route {
                     started_at = Some((r.shard, r.local));
                 }
             }
@@ -2025,9 +1907,10 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
         let st = shared.state.lock().unwrap();
         st.jobs
             .iter()
-            .filter(|(_, j)| !j.state.is_terminal())
+            .filter(|(_, j)| !j.state().is_terminal())
             .filter_map(|(gid, j)| {
-                j.route.as_ref().filter(|r| r.shard == shard).map(|r| (*gid, r.local, j.epoch))
+                let r = j.exec.route.filter(|r| r.shard == shard)?;
+                Some((*gid, r.local, j.exec.epoch))
             })
             .collect()
     };
@@ -2043,12 +1926,12 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
         {
             let mut st = shared.state.lock().unwrap();
             let Some(job) = st.jobs.get_mut(&gid) else { continue };
-            if job.epoch != epoch || job.state.is_terminal() {
+            if job.exec.epoch != epoch || job.state().is_terminal() {
                 continue; // moved or finished while we read the disk
             }
-            job.epoch += 1;
-            job.route = None;
-            job.state = JobState::Queued;
+            job.exec.epoch += 1;
+            job.exec.route = None;
+            job.set_state(JobState::Queued);
             if let Some(cp) = checkpoint {
                 job.restart_from = Some(cp);
             }
@@ -2083,11 +1966,11 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
     {
         let mut st = shared.state.lock().unwrap();
         let Some(job) = st.jobs.get_mut(&gid) else { return false };
-        if job.epoch != epoch || job.state.is_terminal() {
+        if job.exec.epoch != epoch || job.state().is_terminal() {
             return false;
         }
-        job.epoch += 1;
-        job.route = None;
+        job.exec.epoch += 1;
+        job.exec.route = None;
     }
     if let Some(rl) = &shared.route_log {
         let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
@@ -2100,12 +1983,10 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
     let Some(job) = st.jobs.get_mut(&gid) else { return false };
     // The disown window is not exclusive: while the route was empty a
     // cancel can take the undispatched path (terminal `Cancelled`,
-    // inflight released, ledger retired). Requeueing now would
-    // resurrect an acknowledged-cancelled job — and underflow the
-    // inflight meter at its second terminal. Nothing else may bump the
-    // epoch either (defense in depth: a concurrent owner means this
-    // migration lost).
-    if job.epoch != epoch + 1 || job.state.is_terminal() {
+    // ledger retired). Requeueing now would resurrect an acknowledged-
+    // cancelled job. Nothing else may bump the epoch either (defense in
+    // depth: a concurrent owner means this migration lost).
+    if job.exec.epoch != epoch + 1 || job.state().is_terminal() {
         drop(st);
         if !reclaimed {
             // The reclaim was refused, so the job still runs on the
@@ -2119,7 +2000,7 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
         return false;
     }
     if reclaimed {
-        job.state = JobState::Queued;
+        job.set_state(JobState::Queued);
         st.dispatch.push_back(Dispatch::new(gid, Some(to)));
         drop(st);
     } else {
@@ -2129,7 +2010,7 @@ fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
         // `next_shard_seq` — the delivery cursor did not move for
         // anything the disown window discarded, so those events are
         // re-fetched exactly once, not the whole log again.
-        job.route = Some(Route { shard: from, local });
+        job.exec.route = Some(Route { shard: from, local });
         drop(st);
         if let Some(rl) = &shared.route_log {
             let _ = rl.record_route(gid, from, local, shared.lease_epoch.load(Ordering::SeqCst));
@@ -2179,9 +2060,9 @@ fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
             .iter()
             .filter_map(|&local| {
                 st.jobs.iter().find_map(|(gid, j)| {
-                    (!j.state.is_terminal()
-                        && j.route.map(|r| r.shard == victim && r.local == local).unwrap_or(false))
-                    .then_some((*gid, local, j.epoch))
+                    (!j.state().is_terminal()
+                        && j.exec.route.is_some_and(|r| r.shard == victim && r.local == local))
+                    .then_some((*gid, local, j.exec.epoch))
                 })
             })
             .take(batch)
@@ -2222,14 +2103,18 @@ fn rejoin_migrate<Inst: WireType, Sub: WireType, Sol: WireType>(
         let st = shared.state.lock().unwrap();
         st.jobs
             .iter()
-            .filter(|(_, j)| !j.state.is_terminal())
+            .filter(|(_, j)| !j.state().is_terminal())
             .filter_map(|(gid, j)| {
-                let r = j.route?;
+                let r = j.exec.route?;
                 if r.shard == revived || !queued_elsewhere[r.shard].contains(&r.local) {
                     return None;
                 }
-                (pick_shard(shared, *gid) == Some(revived))
-                    .then_some((*gid, r.local, j.epoch, r.shard))
+                (pick_shard(shared, *gid) == Some(revived)).then_some((
+                    *gid,
+                    r.local,
+                    j.exec.epoch,
+                    r.shard,
+                ))
             })
             .collect()
     };
@@ -2283,13 +2168,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<I
                     reject(self, spec.tenant.as_deref().unwrap_or("default"), reason);
                     ServerReply::Rejected { reason: reason.into() }
                 } else {
-                    match gw_submit(self, spec) {
-                        Ok(Ok(job)) => ServerReply::Submitted { job },
-                        Ok(Err(reason)) => ServerReply::Rejected { reason: reason.into() },
-                        Err(e) => {
-                            ServerReply::Error { message: format!("ledger write failed: {e}") }
-                        }
-                    }
+                    submit_reply(gw_submit(self, spec))
                 }
             }
             // Epoch announcements address shards; a gateway is the
@@ -2352,41 +2231,32 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
     if !shared.is_primary() {
         return false;
     }
-    enum Where {
-        Unknown,
-        Undispatched { run_index: u32, family: String },
-        Routed { shard: usize, local: u64 },
-    }
-    let location = {
-        let mut st = shared.state.lock().unwrap();
-        match st.jobs.get_mut(&gid) {
-            None => Where::Unknown,
-            Some(job) if job.state.is_terminal() => Where::Unknown,
-            Some(job) => match &job.route {
-                Some(r) => Where::Routed { shard: r.shard, local: r.local },
-                None => {
-                    job.state = JobState::Cancelled;
-                    let run_index = job.run_index;
-                    let family = job.spec.family.clone().unwrap_or_else(|| "unknown".into());
-                    st.dispatch.retain(|d| d.gid != gid);
-                    st.inflight -= 1;
-                    Where::Undispatched { run_index, family }
-                }
-            },
+    // Routed, the shard owns the cancel; undispatched, it ends here.
+    let routed = {
+        let mut guard = shared.state.lock().unwrap();
+        let st = &mut *guard;
+        let Some(job) = st.jobs.get(&gid).filter(|j| !j.state().is_terminal()) else {
+            return false;
+        };
+        match job.exec.route {
+            Some(r) => Ok(r),
+            None => {
+                st.dispatch.retain(|d| d.gid != gid);
+                Err(st.jobs.finish(gid, JobState::Cancelled, None))
+            }
         }
     };
-    match location {
-        Where::Unknown => false,
-        Where::Undispatched { run_index, family } => {
-            shared.retire(gid, JobState::Cancelled, &family);
-            shared.events.emit(gid, empty_finished(JobState::Cancelled, run_index));
+    match routed {
+        Ok(r) => shared
+            .shard_rpc(r.shard, &ClientRequest::Cancel { job: r.local })
+            .and_then(cancel_outcome)
+            .unwrap_or(false),
+        Err(None) => false,
+        Err(Some(t)) => {
+            shared.book().finish(t, None, false);
             shared.cv.notify_all();
             true
         }
-        Where::Routed { shard, local } => shared
-            .shard_rpc(shard, &ClientRequest::Cancel { job: local })
-            .and_then(cancel_outcome)
-            .unwrap_or(false),
     }
 }
 
@@ -2400,19 +2270,7 @@ fn gw_status<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> ServerStatus 
         health.iter().map(|h| h.pool_workers as usize).sum()
     };
     let st = shared.state.lock().unwrap();
-    let jobs = st
-        .jobs
-        .iter()
-        .map(|(gid, j)| JobSummary {
-            job: *gid,
-            name: j.spec.name.clone(),
-            state: j.state,
-            priority: j.spec.priority,
-            num_solvers: j.spec.num_solvers,
-            run_index: j.run_index,
-            open_nodes: None,
-        })
-        .collect();
+    let jobs = st.jobs.summaries(|_| None);
     ServerStatus {
         pool_target,
         workers: Vec::new(),
@@ -2422,25 +2280,17 @@ fn gw_status<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> ServerStatus 
 }
 
 fn gw_metrics<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> MetricsReport {
-    let jobs: Vec<crate::server::JobProgress> = {
+    let jobs = {
         let st = shared.state.lock().unwrap();
         shared
             .metrics
             .gauge("ugrs_gateway_inflight", "Accepted jobs not yet terminal")
-            .set(st.inflight as f64);
+            .set(st.jobs.live() as f64);
         shared
             .metrics
             .gauge("ugrs_gateway_dispatch_depth", "Jobs waiting in the dispatch queue")
             .set(st.dispatch.len() as f64);
-        st.jobs
-            .iter()
-            .map(|(gid, j)| crate::server::JobProgress {
-                job: *gid,
-                name: j.spec.name.clone(),
-                state: j.state,
-                progress: None,
-            })
-            .collect()
+        st.jobs.progress_rows(|_| None)
     };
     let mut text = shared.metrics.render();
     telemetry::global().render_into(&mut text);
@@ -2471,10 +2321,9 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
         let st = shared.state.lock().unwrap();
         let mut families = std::collections::BTreeMap::new();
         for j in st.jobs.values() {
-            let label = j.spec.family.clone().unwrap_or_else(|| "unknown".into());
-            *families.entry(label).or_insert(0u64) += 1;
+            *families.entry(j.family().to_owned()).or_insert(0u64) += 1;
         }
-        (st.inflight, st.dispatch.len(), families)
+        (st.jobs.live(), st.dispatch.len(), families)
     };
     FleetStatus {
         shards,
@@ -2504,6 +2353,7 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::Job;
 
     fn config(n: usize) -> GatewayConfig {
         GatewayConfig {
@@ -2742,12 +2592,12 @@ mod tests {
         // its entry for: every job for the healthy shard is routed.
         wait_until("the healthy shard's jobs to be routed", Duration::from_secs(5), || {
             let st = shared.state.lock().unwrap();
-            (0..jobs).filter(|g| !for_down.contains(g)).all(|g| st.jobs[&g].route.is_some())
+            (0..jobs).filter(|g| !for_down.contains(g)).all(|g| st.jobs[&g].exec.route.is_some())
         });
         let refused = down.seen(|r| matches!(r, Req::Submit { .. }));
         assert_eq!(refused.len(), for_down.len(), "each refused job was tried once, none retried");
         let st = shared.state.lock().unwrap();
-        assert!(for_down.iter().all(|g| st.jobs[g].route.is_none()));
+        assert!(for_down.iter().all(|g| st.jobs[g].exec.route.is_none()));
         assert_eq!(st.dispatch.len(), for_down.len(), "the refused jobs are parked, not lost");
         assert!(st.dispatch.iter().all(|d| d.retry_at.is_some()));
         drop(st);
@@ -2898,15 +2748,15 @@ mod tests {
 
         // A job routed to the black hole, as after a submit that just
         // made it before the host went away.
-        let gid = 0;
-        {
+        let gid = {
             let mut st = shared.state.lock().unwrap();
-            let mut job = GwJob::queued(JobSpec::new("j", 0u32, 0u32), None, 1);
-            job.route = Some(Route { shard: 0, local: 3 });
-            job.tracker_spawned = true;
-            st.jobs.insert(gid, job);
-            st.inflight += 1;
-        }
+            let spec = JobSpec::new("j", 0u32, 0u32);
+            let mut job = Job::queued(spec.clone(), None, 1, Routing::new(&spec));
+            job.exec.route = Some(Route { shard: 0, local: 3 });
+            job.exec.tracker_spawned = true;
+            let id = st.jobs.reserve();
+            st.jobs.insert(id, job)
+        };
         let tracker = {
             let shared = shared.clone();
             std::thread::spawn(move || tracker_loop(shared, gid))
@@ -2917,8 +2767,8 @@ mod tests {
         {
             let mut st = shared.state.lock().unwrap();
             let job = st.jobs.get_mut(&gid).unwrap();
-            job.epoch += 1;
-            job.route = Some(Route { shard: 1, local: 7 });
+            job.exec.epoch += 1;
+            job.exec.route = Some(Route { shard: 1, local: 7 });
         }
         shared.cv.notify_all();
 
@@ -2933,5 +2783,66 @@ mod tests {
 
         gw.shutdown_and_join();
         tracker.join().unwrap();
+    }
+
+    /// A `restart_from` no checkpoint can be read from starts the job
+    /// from scratch: the gateway must not ship the bytes to the shard
+    /// (nor call the run resumed).
+    #[test]
+    fn a_torn_restart_from_is_not_forwarded_to_the_shard() {
+        let shard = fake_shard(accepting);
+        let gw = quiet_gateway(&[&shard.addr], Duration::from_secs(1));
+        let mut spec = JobSpec::new("j", 0u32, 0u32);
+        spec.restart_from = Some("{torn".into());
+        assert_eq!(gw_submit(&gw.shared, spec).unwrap(), Ok(0));
+
+        let submits = || shard.seen(|r| matches!(r, Req::Submit { .. }));
+        wait_until("the dispatch", Duration::from_secs(5), || !submits().is_empty());
+        let Req::Submit { spec } = &submits()[0].1 else { unreachable!("filtered") };
+        assert_eq!(spec.restart_from, None);
+        assert_eq!(gw.shared.state.lock().unwrap().jobs[&0].run_index, 1);
+        gw.shutdown_and_join();
+    }
+
+    /// A submit whose write-ahead record cannot be written is refused
+    /// and takes nothing with it: no job, no in-flight slot, no tenant
+    /// token; its id is burned. A regular file where the ledger's `jobs`
+    /// directory was fails the write with ENOTDIR, also for root.
+    #[test]
+    fn a_failed_ledger_write_refuses_the_submit_and_returns_slot_and_token() {
+        let shard = fake_shard(accepting);
+        let state = std::env::temp_dir().join(format!("ugrs-gw-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let once = TenantQuota { rate: 1e-6, burst: 1.0 };
+        let gw = Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            health_interval: Duration::from_secs(20),
+            shard_liveness: Duration::from_secs(60),
+            steal_margin: 0,
+            state_dir: Some(state.clone()),
+            tenant_quotas: HashMap::from([("t".to_string(), once)]),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start");
+        let mut client =
+            JobClient::<u32, u32, u32>::connect(&gw.client_addr().to_string()).expect("connect");
+        let mut spec = JobSpec::new("j", 0u32, 0u32);
+        spec.tenant = Some("t".into());
+        let jobs = state.join("jobs");
+        std::fs::remove_dir_all(&jobs).unwrap();
+        std::fs::write(&jobs, b"not a directory").unwrap();
+
+        let err = client.submit(spec.clone()).expect_err("the write must fail");
+        assert!(err.to_string().starts_with("ledger write failed: "), "{err}");
+        assert!(client.status().unwrap().jobs.is_empty(), "no job was accepted");
+        let text = client.metrics().unwrap().text;
+        assert_eq!(telemetry::sample_sum(&text, "ugrs_gateway_inflight"), 0.0);
+
+        std::fs::remove_file(&jobs).unwrap();
+        std::fs::create_dir(&jobs).unwrap();
+        // The bucket holds one token: accepted only if it was returned.
+        assert_eq!(client.submit(spec).unwrap(), 1, "a fresh id");
+        gw.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&state);
     }
 }

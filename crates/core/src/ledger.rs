@@ -173,25 +173,14 @@ impl JobLedger {
                 }
             };
             next_job = next_job.max(record.job + 1);
-            let (checkpoint, run_index, nodes_so_far) =
-                match read_state_text(&self.checkpoint_path(record.job)) {
-                    Ok(json) => match checkpoint_meta(&json) {
-                        // Resuming run k's checkpoint makes the next run k+1.
-                        Some((run_index, nodes)) => (Some(json), run_index + 1, nodes),
-                        None => (None, 1, 0), // torn checkpoint: from scratch
-                    },
-                    // No local checkpoint: a spec that itself carries one
-                    // (a job handed over mid-chain by a gateway failover
-                    // or drain, interrupted again before this shard's
-                    // first periodic save) resumes from that instead.
-                    Err(_) => match &record.spec.restart_from {
-                        Some(json) => match checkpoint_meta(json) {
-                            Some((run_index, nodes)) => (Some(json.clone()), run_index + 1, nodes),
-                            None => (None, 1, 0),
-                        },
-                        None => (None, 1, 0),
-                    },
-                };
+            // No local checkpoint: a spec that itself carries one (a job
+            // handed over mid-chain by a gateway failover or drain,
+            // interrupted again before this shard's first periodic save)
+            // resumes from that instead.
+            let checkpoint = read_state_text(&self.checkpoint_path(record.job))
+                .ok()
+                .or_else(|| record.spec.restart_from.clone());
+            let (checkpoint, run_index, nodes_so_far) = crate::jobs::resume_point(checkpoint);
             jobs.push(RecoveredJob {
                 job: record.job,
                 spec: record.spec,
@@ -216,9 +205,9 @@ pub fn read_state_text(path: &Path) -> io::Result<String> {
 /// Extracts `(run_index, nodes_so_far)` from a checkpoint's JSON
 /// without knowing its `Sub`/`Sol` types (the ledger is generic; the
 /// full checkpoint is deserialized later by the coordinator). Returns
-/// `None` for torn or non-checkpoint JSON. Public because the server's
-/// submit path and the gateway's failover path both need the chain
-/// position of a `restart_from` payload without its full types.
+/// `None` for torn or non-checkpoint JSON. Public because the job life
+/// cycle and the gateway's failover path both need the chain position
+/// of a `restart_from` payload without its full types.
 pub fn checkpoint_meta(json: &str) -> Option<(u32, u64)> {
     let v: serde_json::Value = serde_json::from_str(json).ok()?;
     let run_index = v.get("run_index")?.as_u64()? as u32;

@@ -41,6 +41,7 @@ pub mod chaos;
 pub mod checkpoint;
 pub mod comm;
 pub mod gateway;
+pub(crate) mod jobs;
 pub mod ledger;
 pub mod lz;
 pub mod messages;

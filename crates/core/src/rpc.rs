@@ -18,7 +18,7 @@
 //!   daemon binaries.
 
 use crate::messages::Message;
-use crate::server::{ClientRequest, JobEvent, JobEventKind, JobState, ServerReply};
+use crate::server::{ClientRequest, JobEvent, JobEventKind, ServerReply};
 use crate::wire::{self, FrameDecoder};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -157,38 +157,6 @@ fn serve_conn<H: RequestHandler>(handler: &H, stream: TcpStream) -> io::Result<(
         }
     }
     Ok(())
-}
-
-/// The metric-label spelling of a job state.
-pub(crate) fn state_label(state: JobState) -> &'static str {
-    match state {
-        JobState::Queued => "queued",
-        JobState::Running => "running",
-        JobState::Solved => "solved",
-        JobState::Infeasible => "infeasible",
-        JobState::TimedOut => "timed_out",
-        JobState::Cancelled => "cancelled",
-        JobState::Failed => "failed",
-    }
-}
-
-/// The `Finished` event of a job that never ran (cancelled while
-/// queued, swept up by shutdown, lost with its shard): no bounds, no
-/// nodes, no solution.
-pub(crate) fn empty_finished<Sol>(state: JobState, run_index: u32) -> JobEventKind<Sol> {
-    JobEventKind::Finished {
-        state,
-        obj: None,
-        dual_bound: f64::NEG_INFINITY,
-        solution: None,
-        nodes: 0,
-        nodes_so_far: 0,
-        run_index,
-        open_nodes: 0,
-        workers_lost: 0,
-        wall_time: 0.0,
-        final_checkpoint: None,
-    }
 }
 
 /// One job's append-only event log plus progress-dedup watermarks.
@@ -389,6 +357,8 @@ pub fn wait_for_shutdown_or_sigterm(shutdown_requested: impl Fn() -> bool, annou
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::empty_finished;
+    use crate::server::JobState;
 
     type Log = EventLog<u32>;
 

@@ -20,7 +20,10 @@
 //!   drives its private one-job pool through;
 //! * jobs move through a lifecycle `Queued → Running → {Solved,
 //!   Infeasible, TimedOut, Cancelled, Failed}` ([`JobState`]), with
-//!   progress streamed to watching clients as [`JobEvent`]s;
+//!   progress streamed to watching clients as [`JobEvent`]s — the life
+//!   cycle (record, table, write-ahead submit, terminal sequence,
+//!   recovery) is `core::jobs`, shared with the gateway; the pool
+//!   scheduler is its executor;
 //! * a worker that dies mid-job is reported to that job's coordinator
 //!   as [`Message::WorkerDied`] (triggering the existing requeue path)
 //!   *and* replaced by a pool-refill respawn, so the server degrades
@@ -41,21 +44,20 @@
 //! instance never re-serializes per rank.
 
 use crate::comm::LcComm;
+use crate::jobs::{submit_reply, JobBook, JobTable, Terminal, SERVER};
 use crate::ledger::JobLedger;
 use crate::messages::Message;
 use crate::process::{
     reap, set_rank, spawn_worker, Hello, JobComm, PoolUp, ProcessCommConfig, SessionOwner, Sessions,
 };
-use crate::rpc::{
-    empty_finished, serve_clients, state_label, wake_listener, EventLog, RequestHandler,
-};
+use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
 use crate::runner::{ParallelOptions, ParallelResult};
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
 use crate::wire::{self, FrameDecoder, WireError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -602,29 +604,16 @@ struct PendingSpawn {
     since: Instant,
 }
 
-struct JobRecord<Inst, Sub, Sol> {
-    spec: JobSpec<Inst, Sub>,
-    state: JobState,
+/// The pool scheduler's part of a job record.
+struct RunHandle<Sub, Sol> {
     cancel: Arc<AtomicBool>,
     /// Upward channel into the running job's coordinator.
     inbox: Option<Sender<Message<Sub, Sol>>>,
-    /// Checkpoint JSON a recovered job resumes from (taken at start).
-    restart_from: Option<String>,
-    /// Current (or, while queued, upcoming) run of the restart chain.
-    run_index: u32,
 }
 
-impl<Inst, Sub, Sol> JobRecord<Inst, Sub, Sol> {
-    /// A job entering the queue; `run_index` is its upcoming run.
-    fn queued(spec: JobSpec<Inst, Sub>, restart_from: Option<String>, run_index: u32) -> Self {
-        JobRecord {
-            spec,
-            state: JobState::Queued,
-            cancel: Arc::new(AtomicBool::new(false)),
-            inbox: None,
-            restart_from,
-            run_index,
-        }
+impl<Sub, Sol> RunHandle<Sub, Sol> {
+    fn new() -> Self {
+        RunHandle { cancel: Arc::new(AtomicBool::new(false)), inbox: None }
     }
 }
 
@@ -635,8 +624,7 @@ struct ServerState<Inst, Sub, Sol> {
     next_worker_tag: u64,
     /// Waiting job ids in submission order.
     queue: Vec<u64>,
-    jobs: BTreeMap<u64, JobRecord<Inst, Sub, Sol>>,
-    next_job: u64,
+    jobs: JobTable<Inst, Sub, RunHandle<Sub, Sol>>,
     running: usize,
     shutdown: bool,
 }
@@ -741,35 +729,13 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
     /// without the durability the caller asked for would be worse).
     pub fn start(config: ServerConfig) -> io::Result<Self> {
         config.comm.validate().map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let mut ledger = None;
-        let mut recovered = Vec::new();
-        let mut next_job = 0u64;
-        if let Some(dir) = &config.state_dir {
-            let l = JobLedger::open(dir)?;
-            let rec = l.recover::<Inst, Sub>()?;
-            for path in &rec.skipped {
-                eprintln!(
-                    "ugd-server: skipping unreadable ledger record {} (torn write?)",
-                    path.display()
-                );
-            }
-            next_job = rec.next_job;
-            recovered = rec.jobs;
-            ledger = Some(l);
-        }
+        let (ledger, jobs, recovered) =
+            SERVER.open(config.state_dir.as_deref(), true, |_| RunHandle::new())?;
         let client_listener = TcpListener::bind(&config.client_addr)?;
         let worker_listener = TcpListener::bind(&config.worker_addr)?;
         let client_addr = client_listener.local_addr()?;
         let worker_addr = worker_listener.local_addr()?;
-        let mut jobs = BTreeMap::new();
-        let mut queue = Vec::new();
-        for r in &recovered {
-            queue.push(r.job);
-            jobs.insert(
-                r.job,
-                JobRecord::queued(r.spec.clone(), r.checkpoint.clone(), r.run_index),
-            );
-        }
+        let queue = recovered.iter().map(|r| r.job).collect();
         let pool_comm = config.comm.clone();
         let shared = Arc::new_cyclic(|me: &Weak<SharedState<Inst, Sub, Sol>>| SharedState {
             state: Mutex::new(ServerState {
@@ -778,7 +744,6 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 next_worker_tag: 0,
                 queue,
                 jobs,
-                next_job,
                 running: 0,
                 shutdown: false,
             }),
@@ -795,24 +760,15 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
             metrics: MetricsRegistry::new(),
             ledger,
         });
-        // Pre-register the lazily-observed families so a Metrics
-        // request right after startup already shows the full schema.
-        for family in ["stp", "misdp", "maxcut"] {
-            shared.submitted(family);
-        }
+        // Pre-register the lazily-observed series so a Metrics request
+        // right after startup already shows the full schema.
+        shared.book().register_series();
         shared.workers_lost();
         shared.connections_accepted("client");
         shared.connections_accepted("pool");
-        shared.recovered(false);
-        shared.recovered(true);
         shared.heartbeat_gap();
         for r in &recovered {
-            shared.recovered(r.checkpoint.is_some()).inc();
-            shared.events.emit(r.job, JobEventKind::Queued);
-            shared.events.emit(
-                r.job,
-                JobEventKind::Recovered { run_index: r.run_index, nodes_so_far: r.nodes_so_far },
-            );
+            shared.book().recovered(r);
         }
         let mut threads = Vec::new();
         let sh = shared.clone();
@@ -828,7 +784,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
                 .name("ugd-client-accept".into())
                 .spawn(move || serve_clients(sh, client_listener, "ugd-client"))?,
         );
-        let resumed = recovered.iter().filter(|r| r.checkpoint.is_some()).count();
+        let resumed = recovered.iter().filter(|r| r.resumed).count();
         Ok(Server {
             shared,
             client_addr,
@@ -1017,12 +973,12 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
                 let (tx, rx) = channel();
                 st.running += 1;
                 let job = st.jobs.get_mut(&jid).expect("queued job has a record");
-                job.state = JobState::Running;
-                job.inbox = Some(tx);
+                job.set_state(JobState::Running);
+                job.exec.inbox = Some(tx);
                 starts.push(StartedJob {
                     jid,
                     spec: job.spec.clone(),
-                    cancel: job.cancel.clone(),
+                    cancel: job.exec.cancel.clone(),
                     workers,
                     inbox: rx,
                     // Consumed on first start: if this run is later lost
@@ -1062,16 +1018,10 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
     let (child, notify) = {
         let mut st = shared.state.lock().unwrap();
         let Some(mut w) = st.workers.remove(&id) else { return };
-        let mut notify = None;
-        if let Some((jid, rank)) = w.lease {
-            if let Some(job) = st.jobs.get(&jid) {
-                if job.state == JobState::Running {
-                    if let Some(tx) = &job.inbox {
-                        notify = Some((tx.clone(), jid, rank));
-                    }
-                }
-            }
-        }
+        // A job has an inbox exactly while it runs.
+        let notify = w
+            .lease
+            .and_then(|(jid, rank)| Some((st.jobs.get(&jid)?.exec.inbox.clone()?, jid, rank)));
         (w.child.take(), notify)
     };
     shared.sessions.evict(id);
@@ -1135,13 +1085,12 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
     let mut coordinator = LoadCoordinator::new(LcComm::Process(comm), options, spec.root.clone());
     let res = coordinator.run();
     let state = classify(&res, cancel.load(Ordering::SeqCst), n);
-    {
+    let terminal = {
         let mut st = shared.state.lock().unwrap();
         if let Some(job) = st.jobs.get_mut(&jid) {
-            job.state = state;
-            job.inbox = None;
-            job.run_index = res.stats.run_index;
+            job.exec.inbox = None;
         }
+        let terminal = st.jobs.finish(jid, state, Some(res.stats.run_index));
         // Leases release on JobDone; stamp the drain clock so a worker
         // that never acks is eventually recycled.
         for w in st.workers.values_mut() {
@@ -1150,92 +1099,45 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
             }
         }
         st.running -= 1;
-    }
-    // Retire the ledger record *before* announcing the terminal state:
-    // a crash in between re-runs a finished job (at-least-once), while
-    // the opposite order could lose an acknowledged job (at-most-once).
-    // Exception: a job stopped by a graceful drain keeps its record and
-    // final checkpoint — the next server on this state dir owes it a
-    // resumed run `1.k`, exactly like a crash would, minus the losses.
+        terminal
+    };
+    // A job stopped by a graceful drain keeps its record and final
+    // checkpoint: the next server on this state dir owes it a resumed
+    // run `1.k`, exactly like after a crash, minus the losses.
     let drain_stopped = state == JobState::Cancelled && shared.draining.load(Ordering::SeqCst);
-    if !drain_stopped {
-        retire_ledger_record(&shared, jid);
+    let finished = JobEventKind::Finished {
+        state,
+        obj: res.solution.as_ref().map(|(_, o)| *o),
+        dual_bound: res.dual_bound,
+        solution: res.solution.map(|(s, _)| s),
+        nodes: res.stats.nodes_total,
+        nodes_so_far: res.stats.nodes_so_far,
+        run_index: res.stats.run_index,
+        open_nodes: res.stats.open_nodes,
+        workers_lost: res.stats.workers_died,
+        wall_time: res.stats.wall_time,
+        final_checkpoint: res
+            .final_checkpoint
+            .as_ref()
+            .and_then(|cp| serde_json::to_string(cp).ok()),
+    };
+    if let Some(terminal) = terminal {
+        shared.book().finish(terminal, Some(finished), drain_stopped);
     }
-    record_job_finished(&shared, jid, state);
-    shared.events.emit(
-        jid,
-        JobEventKind::Finished {
-            state,
-            obj: res.solution.as_ref().map(|(_, o)| *o),
-            dual_bound: res.dual_bound,
-            solution: res.solution.map(|(s, _)| s),
-            nodes: res.stats.nodes_total,
-            nodes_so_far: res.stats.nodes_so_far,
-            run_index: res.stats.run_index,
-            open_nodes: res.stats.open_nodes,
-            workers_lost: res.stats.workers_died,
-            wall_time: res.stats.wall_time,
-            final_checkpoint: res
-                .final_checkpoint
-                .as_ref()
-                .and_then(|cp| serde_json::to_string(cp).ok()),
-        },
-    );
     shared.sched.notify_all();
 }
 
-/// Removes a terminal job's WAL record and checkpoint from the ledger
-/// so recovery will not resurrect it. A deletion failure is reported
-/// but not fatal: the worst outcome is a re-run after a restart.
-fn retire_ledger_record<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>, jid: u64) {
-    if let Some(ledger) = &shared.ledger {
-        if let Err(e) = ledger.record_finished(jid) {
-            eprintln!("ugd-server: cannot retire ledger record of job {jid}: {e}");
-        }
-    }
-}
-
-fn record_job_finished<Inst, Sub, Sol>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    job: u64,
-    state: JobState,
-) {
-    // Family comes from the job's own record, so every terminal path
-    // (finish, cancel, reclaim, shutdown) labels consistently.
-    let family = {
-        let st = shared.state.lock().unwrap();
-        st.jobs.get(&job).and_then(|r| r.spec.family.clone()).unwrap_or_else(|| "unknown".into())
-    };
-    shared
-        .metrics
-        .counter_with(
-            "ugrs_server_jobs_finished_total",
-            &[("state", state_label(state)), ("family", &family)],
-            "Jobs that reached a terminal state, by state and instance family",
-        )
-        .inc();
-}
-
 fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>) {
-    let queued: Vec<(u64, u32)> = {
+    let queued: Vec<Terminal> = {
         let mut st = shared.state.lock().unwrap();
         let queued = std::mem::take(&mut st.queue);
         let queued = queued
             .into_iter()
-            .map(|j| {
-                let run_index = match st.jobs.get_mut(&j) {
-                    Some(r) => {
-                        r.state = JobState::Cancelled;
-                        r.run_index
-                    }
-                    None => 1,
-                };
-                (j, run_index)
-            })
+            .filter_map(|j| st.jobs.finish(j, JobState::Cancelled, None))
             .collect();
         for r in st.jobs.values() {
-            if r.state == JobState::Running {
-                r.cancel.store(true, Ordering::SeqCst);
+            if r.state() == JobState::Running {
+                r.exec.cancel.store(true, Ordering::SeqCst);
             }
         }
         queued
@@ -1243,12 +1145,8 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
     // A drain keeps the queued jobs' WAL records: they never ran, so
     // the next server simply requeues them as submitted.
     let draining = shared.draining.load(Ordering::SeqCst);
-    for (j, run_index) in queued {
-        if !draining {
-            retire_ledger_record(shared, j);
-        }
-        record_job_finished(shared, j, JobState::Cancelled);
-        shared.events.emit(j, empty_finished(JobState::Cancelled, run_index));
+    for t in queued {
+        shared.book().finish(t, None, draining);
     }
     // Let running jobs drain through their cancel flags, bounded.
     let deadline = Instant::now() + shared.config.drain_timeout;
@@ -1316,7 +1214,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> SessionOwner for Pool<Inst, S
                         return Ok(()); // no lease, or a stale payload of a previous job
                     };
                     set_rank(&mut msg, rank);
-                    st.jobs.get(&jid).and_then(|j| j.inbox.clone())
+                    st.jobs.get(&jid).and_then(|j| j.exec.inbox.clone())
                 };
                 if let Some(tx) = tx {
                     shared.events.emit_progress(job, &msg);
@@ -1360,21 +1258,14 @@ struct ClientConn {
 }
 
 impl<Inst, Sub, Sol> SharedState<Inst, Sub, Sol> {
-    fn submitted(&self, family: &str) -> Arc<telemetry::Counter> {
-        self.metrics.counter_with(
-            "ugrs_server_jobs_submitted_total",
-            &[("family", family)],
-            "Jobs accepted via Submit, by instance family",
-        )
-    }
-
-    /// `resumed` from a checkpoint, or requeued from scratch.
-    fn recovered(&self, resumed: bool) -> Arc<telemetry::Counter> {
-        self.metrics.counter_with(
-            "ugrs_server_jobs_recovered_total",
-            &[("mode", if resumed { "resumed" } else { "requeued" })],
-            "Jobs brought back by the startup recovery pass, by mode",
-        )
+    /// The job life cycle's ledger, events and counters.
+    fn book(&self) -> JobBook<'_, Sol> {
+        JobBook {
+            daemon: &SERVER,
+            ledger: self.ledger.as_ref(),
+            events: &self.events,
+            metrics: &self.metrics,
+        }
     }
 
     /// Connections accepted on the `client` or the `pool` listener —
@@ -1463,21 +1354,21 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedStat
                 } else if self.shutdown.load(Ordering::SeqCst) {
                     ServerReply::Error { message: "server shutting down".into() }
                 } else {
-                    match submit_job(self, spec) {
-                        Ok(job) => ServerReply::Submitted { job },
-                        // The WAL write failed: the job was NOT accepted
-                        // (nothing durable, nothing queued), tell the
-                        // client instead of acknowledging a job that a
-                        // crash would silently lose.
-                        Err(e) => {
-                            ServerReply::Error { message: format!("ledger write failed: {e}") }
-                        }
-                    }
+                    let outcome = self.book().submit(
+                        &self.state,
+                        |st| &mut st.jobs,
+                        spec,
+                        RunHandle::new(),
+                        |_| Ok(()),
+                        |st, jid| st.queue.push(jid),
+                    );
+                    self.sched.notify_all();
+                    submit_reply(outcome)
                 }
             }
             ClientRequest::Cancel { job } => match self.fenced(conn) {
                 Some(epoch) => ServerReply::Fenced { epoch },
-                None => ServerReply::CancelResult { job, ok: cancel_job(self, job) },
+                None => ServerReply::CancelResult { job, ok: cancel_job(self, job, true) },
             },
             ClientRequest::Reclaim { job } => match self.fenced(conn) {
                 Some(epoch) => ServerReply::Fenced { epoch },
@@ -1504,112 +1395,50 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedStat
     }
 }
 
-fn submit_job<Inst: Serialize, Sub: Serialize, Sol: Clone>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    spec: JobSpec<Inst, Sub>,
-) -> io::Result<u64> {
-    let family = spec.family.clone().unwrap_or_else(|| "unknown".into());
-    let (jid, run_index, resumed_nodes) = {
-        let mut st = shared.state.lock().unwrap();
-        // Write-ahead: the submission record must be durable before the
-        // job id is acknowledged, otherwise a crash right after the ack
-        // would silently lose an accepted job. The fsync happens under
-        // the state lock, which is fine at job-submission rates.
-        if let Some(ledger) = &shared.ledger {
-            ledger.record_submitted(st.next_job, &spec)?;
-        }
-        let jid = st.next_job;
-        st.next_job += 1;
-        // A spec carrying a checkpoint (a gateway failing a job over
-        // from a dead shard) enters mid-chain: resuming run k makes
-        // this run k + 1, with the chain's nodes already banked.
-        let (restart_from, run_index, resumed_nodes) = match &spec.restart_from {
-            Some(json) => match crate::ledger::checkpoint_meta(json) {
-                Some((run, nodes)) => (Some(json.clone()), run + 1, Some(nodes)),
-                None => (None, 1, None), // torn checkpoint: from scratch
-            },
-            None => (None, 1, None),
-        };
-        st.jobs.insert(jid, JobRecord::queued(spec, restart_from, run_index));
-        st.queue.push(jid);
-        (jid, run_index, resumed_nodes)
-    };
-    shared.submitted(&family).inc();
-    shared.events.emit(jid, JobEventKind::Queued);
-    if let Some(nodes_so_far) = resumed_nodes {
-        shared.events.emit(jid, JobEventKind::Recovered { run_index, nodes_so_far });
+/// The work-stealing primitive: takes a *queued* job back so its owner
+/// (a gateway) can resubmit it elsewhere. A job that already started
+/// (or finished) is refused, because its leased workers own it now. On
+/// success the job's ledger record is retired here (the caller's own
+/// ledger keeps it at-least-once across the move) and the job finishes
+/// `Cancelled`.
+fn reclaim_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job: u64) -> bool {
+    let reclaimed = cancel_job(shared, job, false);
+    if reclaimed {
+        shared
+            .metrics
+            .counter("ugrs_server_jobs_reclaimed_total", "Queued jobs taken back via Reclaim")
+            .inc();
     }
-    shared.sched.notify_all();
-    Ok(jid)
+    reclaimed
 }
 
-/// The work-stealing primitive: takes a *queued* job back so its owner
-/// (a gateway) can resubmit it elsewhere. Atomic under the state lock —
-/// a job that already started (or finished) is refused, because its
-/// leased workers own it now. On success the job's ledger record is
-/// retired here (the caller's own ledger keeps it at-least-once across
-/// the move) and the job finishes `Cancelled`.
-fn reclaim_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job: u64) -> bool {
-    let run_index = {
+/// Cancels `job` atomically under the state lock: a queued one finishes
+/// `Cancelled` here; a running one, when `running` allows, is stopped
+/// through its cancel flag and finishes when its coordinator returns.
+/// False when neither applies.
+fn cancel_job<Inst, Sub, Sol: Clone>(
+    shared: &SharedState<Inst, Sub, Sol>,
+    job: u64,
+    running: bool,
+) -> bool {
+    let terminal = {
         let mut st = shared.state.lock().unwrap();
-        let Some(rec) = st.jobs.get_mut(&job) else { return false };
-        if rec.state != JobState::Queued {
-            return false;
+        match st.jobs.get(&job).map(|j| j.state()) {
+            Some(JobState::Running) if running => {
+                st.jobs[&job].exec.cancel.store(true, Ordering::SeqCst);
+                return true;
+            }
+            Some(JobState::Queued) => {
+                st.queue.retain(|&j| j != job);
+                st.jobs.finish(job, JobState::Cancelled, None)
+            }
+            _ => None,
         }
-        rec.state = JobState::Cancelled;
-        let run_index = rec.run_index;
-        st.queue.retain(|&j| j != job);
-        run_index
     };
-    retire_ledger_record(shared, job);
-    shared
-        .metrics
-        .counter("ugrs_server_jobs_reclaimed_total", "Queued jobs taken back via Reclaim")
-        .inc();
-    record_job_finished(shared, job, JobState::Cancelled);
-    shared.events.emit(job, empty_finished(JobState::Cancelled, run_index));
+    let Some(t) = terminal else { return false };
+    shared.book().finish(t, None, false);
     shared.sched.notify_all();
     true
-}
-
-fn cancel_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job: u64) -> bool {
-    enum Outcome {
-        NotCancellable,
-        WasQueued { run_index: u32 },
-        WasRunning,
-    }
-    let outcome = {
-        let mut st = shared.state.lock().unwrap();
-        let outcome = match st.jobs.get_mut(&job) {
-            None => Outcome::NotCancellable,
-            Some(rec) => match rec.state {
-                JobState::Queued => {
-                    rec.state = JobState::Cancelled;
-                    Outcome::WasQueued { run_index: rec.run_index }
-                }
-                JobState::Running => {
-                    rec.cancel.store(true, Ordering::SeqCst);
-                    Outcome::WasRunning
-                }
-                _ => Outcome::NotCancellable,
-            },
-        };
-        if matches!(outcome, Outcome::WasQueued { .. }) {
-            st.queue.retain(|&j| j != job);
-        }
-        outcome
-    };
-    match outcome {
-        Outcome::WasQueued { run_index } => {
-            retire_ledger_record(shared, job);
-            record_job_finished(shared, job, JobState::Cancelled);
-            shared.events.emit(job, empty_finished(JobState::Cancelled, run_index));
-            shared.sched.notify_all();
-            true
-        }
-        Outcome::WasRunning => true,
-        Outcome::NotCancellable => false,
-    }
 }
 
 fn server_status<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> ServerStatus {
@@ -1633,19 +1462,7 @@ fn server_status<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Server
         })
         .collect();
     workers.sort_by_key(|w| w.id);
-    let jobs = st
-        .jobs
-        .iter()
-        .map(|(j, r)| JobSummary {
-            job: *j,
-            name: r.spec.name.clone(),
-            state: r.state,
-            priority: r.spec.priority,
-            num_solvers: r.spec.num_solvers,
-            open_nodes: open.get(j).copied(),
-            run_index: r.run_index,
-        })
-        .collect();
+    let jobs = st.jobs.summaries(|j| open.get(&j).copied());
     ServerStatus { pool_target: shared.config.pool_size, workers, queued: st.queue.clone(), jobs }
 }
 
@@ -1656,7 +1473,7 @@ fn server_status<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Server
 fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> MetricsReport {
     use std::fmt::Write as _;
     let progress: HashMap<u64, ProgressMsg> = shared.progress.lock().unwrap().clone();
-    let jobs_meta: Vec<(u64, String, JobState)> = {
+    let jobs = {
         let st = shared.state.lock().unwrap();
         let r = &shared.metrics;
         r.gauge("ugrs_server_pool_workers", "Connected pool workers").set(st.workers.len() as f64);
@@ -1671,7 +1488,7 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
             .set(busy as f64);
         r.gauge("ugrs_server_workers_idle", "Connected pool workers without a lease")
             .set(st.workers.len().saturating_sub(busy) as f64);
-        st.jobs.iter().map(|(j, r)| (*j, r.spec.name.clone(), r.state)).collect()
+        st.jobs.progress_rows(|j| progress.get(&j).cloned())
     };
     let mut text = shared.metrics.render();
     telemetry::global().render_into(&mut text);
@@ -1689,8 +1506,8 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
     ];
     for (name, help, get) in families {
         let mut any = false;
-        for (jid, jname, _) in &jobs_meta {
-            let Some(p) = progress.get(jid) else { continue };
+        for row in &jobs {
+            let Some(p) = &row.progress else { continue };
             if !any {
                 let _ = writeln!(text, "# HELP {name} {help}");
                 let _ = writeln!(text, "# TYPE {name} gauge");
@@ -1698,21 +1515,13 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
             }
             let _ = writeln!(
                 text,
-                "{name}{{job=\"{jid}\",name=\"{}\"}} {}",
-                telemetry::escape_label(jname),
+                "{name}{{job=\"{}\",name=\"{}\"}} {}",
+                row.job,
+                telemetry::escape_label(&row.name),
                 telemetry::fmt_value(get(p))
             );
         }
     }
-    let jobs = jobs_meta
-        .into_iter()
-        .map(|(job, name, state)| JobProgress {
-            job,
-            name,
-            state,
-            progress: progress.get(&job).cloned(),
-        })
-        .collect();
     MetricsReport { text, jobs }
 }
 
@@ -2016,5 +1825,32 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
         assert!(took < Duration::from_millis(100), "EOF took {took:?}");
         server.join();
+    }
+
+    /// A submit whose write-ahead record cannot be written is refused:
+    /// no job is left behind and its id is burned. A regular file where
+    /// the ledger's `jobs` directory was fails the write with ENOTDIR,
+    /// also for root.
+    #[test]
+    fn a_failed_ledger_write_refuses_the_submit_and_burns_its_id() {
+        let state = std::env::temp_dir().join(format!("ugrs-server-wal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let config = ServerConfig { state_dir: Some(state.clone()), ..ServerConfig::default() };
+        let server = Server::<u32, u32, u32>::start(config).expect("start");
+        let mut client = JobClient::<u32, u32, u32>::connect(&server.client_addr().to_string())
+            .expect("connect");
+        let jobs = state.join("jobs");
+        std::fs::remove_dir_all(&jobs).unwrap();
+        std::fs::write(&jobs, b"not a directory").unwrap();
+
+        let err = client.submit(JobSpec::new("j", 0, 0)).expect_err("the write must fail");
+        assert!(err.to_string().starts_with("ledger write failed: "), "{err}");
+        assert!(client.status().unwrap().jobs.is_empty(), "no job was accepted");
+
+        std::fs::remove_file(&jobs).unwrap();
+        std::fs::create_dir(&jobs).unwrap();
+        assert_eq!(client.submit(JobSpec::new("j", 0, 0)).unwrap(), 1, "a fresh id");
+        server.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&state);
     }
 }
