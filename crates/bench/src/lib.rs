@@ -11,6 +11,8 @@
 //! | Table 3 | `table3` | racing re-runs with injected incumbents on an hc-like instance |
 //! | Table 4 | `table4` | SCIP-SDP vs ug[SCIP-SDP] with 1..8 threads over TTD/CLS/MkP |
 //! | Figure 1 | `figure1` | racing-winner histogram across the settings list |
+//! | Table 1, distributed | `table1p` | Table 1's instances under ThreadComm vs ProcessComm, side by side |
+//! | (instance sizes) | `calibrate` | sequential/parallel solve times used to pick each table's instance sizes |
 
 /// Shifted geometric mean with shift `s` — the aggregation used by
 /// Table 4 ("shifted geometric mean with shift s = 10").
@@ -29,15 +31,6 @@ pub fn fmt_time(t: f64) -> String {
     } else {
         format!("{t:.2}")
     }
-}
-
-/// Simple fixed-width row printer.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$} ", w = w));
-    }
-    println!("{line}");
 }
 
 #[cfg(test)]

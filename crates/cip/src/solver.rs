@@ -1080,11 +1080,6 @@ impl Solver {
             stats: self.stats.clone(),
         }
     }
-
-    /// Access to the incumbent store (used by glue/tests).
-    pub fn best_solution(&self) -> Option<&Solution> {
-        self.incumbents.best()
-    }
 }
 
 /// The point a node is branched on when its relaxation gave none: every

@@ -673,16 +673,18 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         )
     }
 
-    /// The `finish` journal line that goes in front of the terminal
-    /// sequence (DESIGN §5f) — unless an earlier lease holder already
-    /// wrote it, so the merged journals stay exactly-once.
-    fn journal_finish(&self, t: &Terminal, tenant: &str) {
+    /// Every gateway job's terminal sequence (DESIGN §5f): the `finish`
+    /// journal line — unless an earlier lease holder already wrote it,
+    /// so the merged journals stay exactly-once — then ledger
+    /// retirement, the counter and the terminal event.
+    fn finish(&self, t: Terminal, tenant: &str, event: Option<JobEventKind<Sol>>) {
         if !self.prior_finishes.lock().unwrap().contains(&t.job) {
             self.journal(serde_json::json!({
                 "ev": "finish", "gid": t.job, "tenant": tenant,
                 "state": state_label(t.state), "run_index": t.run_index,
             }));
         }
+        self.book().finish(t, event, false);
     }
 }
 
@@ -1226,9 +1228,8 @@ fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
         let Some(terminal) = st.jobs.finish(gid, state, Some(run_index)) else { return };
         (terminal, tenant)
     };
-    shared.journal_finish(&terminal, &tenant);
     shared.events.emit(gid, JobEventKind::Queued);
-    shared.book().finish(terminal, Some(kind), false);
+    shared.finish(terminal, &tenant, Some(kind));
 }
 
 /// Steps down after a newer epoch fenced this gateway: drop every
@@ -1741,8 +1742,7 @@ fn deliver<Inst, Sub, Sol: Clone>(
             if let Some(rl) = &shared.route_log {
                 let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
             }
-            shared.journal_finish(&terminal, &tenant);
-            shared.book().finish(terminal, Some(event.kind), false);
+            shared.finish(terminal, &tenant, Some(event.kind));
             shared.cv.notify_all();
             false
         }
@@ -1805,22 +1805,28 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
         let mut revived = Vec::new();
         for i in 0..shared.config.shards.len() {
             let addr = shared.config.shards[i].addr.clone();
-            // The chaos gate sits on the poll like on any other
-            // gateway→shard RPC — an injected partition looks exactly
-            // like a dead shard and drives real failovers.
-            let poll = shared
-                .chaos_check()
-                .and_then(|()| poll_shard::<Inst, Sub, Sol>(&addr, shared.config.probe_timeout));
+            // One bounded status RPC: its snapshot, taken under the
+            // shard's state lock, carries both the load figures the steal
+            // and routing decisions read and the queued local ids steals
+            // pick victims from. The chaos gate sits on the poll like on
+            // any other gateway→shard RPC — an injected partition looks
+            // exactly like a dead shard and drives real failovers.
+            let poll = shared.chaos_check().and_then(|()| {
+                JobClient::<Inst, Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)?
+                    .status()
+            });
             let mut health = shared.health.lock().unwrap();
             let h = &mut health[i];
             match poll {
-                Ok(p) => {
+                Ok(status) => {
+                    let running = status.jobs.iter().filter(|j| j.state == JobState::Running);
                     h.last_ok = Instant::now();
-                    h.queue_depth = p.queue_depth;
-                    h.workers_busy = p.workers_busy;
-                    h.pool_workers = p.pool_workers;
-                    h.jobs_running = p.jobs_running;
-                    h.queued_local = p.queued_local;
+                    h.queue_depth = status.queued.len() as u64;
+                    h.workers_busy =
+                        status.workers.iter().filter(|w| w.job.is_some()).count() as u64;
+                    h.pool_workers = status.workers.len() as u64;
+                    h.jobs_running = running.count() as u64;
+                    h.queued_local = status.queued;
                     if !h.alive {
                         // The shard came back (a fresh instance on the
                         // same address): route to it again.
@@ -1860,37 +1866,10 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
     }
 }
 
-struct ShardPoll {
-    queue_depth: u64,
-    workers_busy: u64,
-    pool_workers: u64,
-    jobs_running: u64,
-    queued_local: Vec<u64>,
-}
-
-/// One bounded health poll: the shard's exposition (for the gauges the
-/// steal and routing decisions read) plus its status (for the queued
-/// local ids steals pick victims from).
-fn poll_shard<Inst: WireType, Sub: WireType, Sol: WireType>(
-    addr: &str,
-    timeout: Duration,
-) -> io::Result<ShardPoll> {
-    let mut client = JobClient::<Inst, Sub, Sol>::connect_timeout(addr, timeout)?;
-    let report = client.metrics()?;
-    let status = client.status()?;
-    Ok(ShardPoll {
-        queue_depth: telemetry::sample_sum(&report.text, "ugrs_server_queue_depth") as u64,
-        workers_busy: telemetry::sample_sum(&report.text, "ugrs_server_workers_busy") as u64,
-        pool_workers: telemetry::sample_sum(&report.text, "ugrs_server_pool_workers") as u64,
-        jobs_running: telemetry::sample_sum(&report.text, "ugrs_server_jobs_running") as u64,
-        queued_local: status.queued,
-    })
-}
-
 /// The freshest checkpoint `shard` left on disk for its local job,
 /// when its state dir is reachable and the file holds a usable one.
 fn shard_checkpoint(shard: &ShardSpec, local: u64) -> Option<String> {
-    let path = shard.state_dir.as_ref()?.join("checkpoints").join(format!("job-{local}.json"));
+    let path = ledger::checkpoint_path(shard.state_dir.as_ref()?, local);
     ledger::read_state_text(&path).ok().filter(|json| ledger::checkpoint_meta(json).is_some())
 }
 
@@ -2241,8 +2220,9 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
         match job.exec.route {
             Some(r) => Ok(r),
             None => {
+                let tenant = job.exec.tenant.clone();
                 st.dispatch.retain(|d| d.gid != gid);
-                Err(st.jobs.finish(gid, JobState::Cancelled, None))
+                Err(st.jobs.finish(gid, JobState::Cancelled, None).map(|t| (t, tenant)))
             }
         }
     };
@@ -2252,8 +2232,8 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
             .and_then(cancel_outcome)
             .unwrap_or(false),
         Err(None) => false,
-        Err(Some(t)) => {
-            shared.book().finish(t, None, false);
+        Err(Some((t, tenant))) => {
+            shared.finish(t, &tenant, None);
             shared.cv.notify_all();
             true
         }
@@ -2354,6 +2334,7 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
 mod tests {
     use super::*;
     use crate::jobs::Job;
+    use crate::server::{JobSummary, WorkerInfo};
 
     fn config(n: usize) -> GatewayConfig {
         GatewayConfig {
@@ -2620,12 +2601,93 @@ mod tests {
         // The first sweep is under way or over: whether the shutdown
         // finds the loop before or inside its pause, the pause must end.
         wait_until("the first health poll", Duration::from_secs(5), || {
-            !shard.seen(|r| matches!(r, Req::Metrics)).is_empty()
+            !shard.seen(|r| matches!(r, Req::Status)).is_empty()
         });
         let t0 = Instant::now();
         gw.shutdown_and_join();
         let took = t0.elapsed();
         assert!(took < Duration::from_millis(200), "joining took {took:?}");
+    }
+
+    /// A health poll used to fetch the shard's whole exposition next to
+    /// its status and scrape the load gauges from the text; the status
+    /// alone carries them, so the poll is one RPC.
+    #[test]
+    fn a_health_poll_reads_the_load_figures_from_one_status_reply() {
+        let worker = |id, job| WorkerInfo { id, pid: None, job, rank: None, draining: false };
+        let row = |job, state| JobSummary {
+            job,
+            name: format!("j{job}"),
+            state,
+            priority: 0,
+            num_solvers: 1,
+            run_index: 1,
+            open_nodes: None,
+        };
+        let status = ServerStatus {
+            pool_target: 2,
+            workers: vec![worker(0, Some(1)), worker(1, None)],
+            queued: vec![2, 3],
+            jobs: vec![
+                row(0, JobState::Solved),
+                row(1, JobState::Running),
+                row(2, JobState::Queued),
+                row(3, JobState::Queued),
+            ],
+        };
+        let shard = fake_shard(move |req| match req {
+            Req::Status => Some(Reply::Status { status: status.clone() }),
+            other => accepting(other),
+        });
+        let gw = quiet_gateway(&[&shard.addr], Duration::from_secs(1));
+        wait_until("the first health poll", Duration::from_secs(5), || {
+            gw_fleet(&gw.shared).shards[0].pool_workers > 0
+        });
+        let s = &gw_fleet(&gw.shared).shards[0];
+        assert_eq!((s.pool_workers, s.workers_busy, s.queue_depth, s.jobs_running), (2, 1, 2, 1));
+        assert!(shard.seen(|r| matches!(r, Req::Metrics)).is_empty(), "no exposition fetched");
+        gw.shutdown_and_join();
+    }
+
+    /// A job cancelled before dispatch used to skip the `finish` journal
+    /// line the other terminal paths write, so the merged journals
+    /// missed its finish and takeover dedup could not see it.
+    #[test]
+    fn a_job_cancelled_before_dispatch_journals_one_finish() {
+        let shard = fake_shard(|req| match req {
+            Req::Submit { .. } => Some(Reply::Rejected { reason: "draining".into() }),
+            other => accepting(other),
+        });
+        let journal = std::env::temp_dir().join(format!("ugrs-gw-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&journal);
+        let gw = Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            health_interval: Duration::from_secs(20),
+            shard_liveness: Duration::from_secs(60),
+            steal_margin: 0,
+            journal_dir: Some(journal.clone()),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start");
+        let shared = &gw.shared;
+        let gid = gw_submit(shared, JobSpec::new("j", 0u32, 0u32)).unwrap().unwrap();
+        // The refused submit parks the job: it is still undispatched.
+        wait_until("the refused submit", Duration::from_secs(5), || {
+            shared.state.lock().unwrap().dispatch.iter().any(|d| d.retry_at.is_some())
+        });
+        assert!(gw_cancel(shared, gid));
+        gw.shutdown_and_join();
+
+        let text = std::fs::read_to_string(journal.join("gateway.jsonl")).unwrap();
+        let _ = std::fs::remove_dir_all(&journal);
+        let finishes: Vec<serde_json::Value> = text
+            .lines()
+            .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+            .filter(|v| v.get("ev").and_then(|e| e.as_str()) == Some("finish"))
+            .filter(|v| v.get("gid").and_then(|g| g.as_u64()) == Some(gid))
+            .collect();
+        assert_eq!(finishes.len(), 1, "{text}");
+        assert_eq!(finishes[0].get("state").and_then(|s| s.as_str()), Some("cancelled"));
     }
 
     /// The lease loop used to `sleep` its tick (1 s under an 8 s TTL),

@@ -80,11 +80,18 @@ pub struct Recovery<Inst, Sub> {
     pub skipped: Vec<PathBuf>,
 }
 
+/// Where the ledger under `state_dir` keeps `job`'s latest checkpoint.
+/// A path only: it creates nothing, so a gateway can read a dead
+/// shard's checkpoint without writing into that shard's state dir.
+pub fn checkpoint_path(state_dir: &Path, job: u64) -> PathBuf {
+    state_dir.join("checkpoints").join(format!("job-{job}.json"))
+}
+
 /// The durable job ledger of one server (see the module docs).
 #[derive(Debug)]
 pub struct JobLedger {
     jobs_dir: PathBuf,
-    checkpoints_dir: PathBuf,
+    state_dir: PathBuf,
 }
 
 impl JobLedger {
@@ -93,10 +100,9 @@ impl JobLedger {
     /// server wrote through the [`crate::lz`] container.
     pub fn open(state_dir: &Path) -> io::Result<Self> {
         let jobs_dir = state_dir.join("jobs");
-        let checkpoints_dir = state_dir.join("checkpoints");
         std::fs::create_dir_all(&jobs_dir)?;
-        std::fs::create_dir_all(&checkpoints_dir)?;
-        Ok(JobLedger { jobs_dir, checkpoints_dir })
+        std::fs::create_dir_all(state_dir.join("checkpoints"))?;
+        Ok(JobLedger { jobs_dir, state_dir: state_dir.to_path_buf() })
     }
 
     fn record_path(&self, job: u64) -> PathBuf {
@@ -107,7 +113,7 @@ impl JobLedger {
     /// checkpoints (handed to
     /// [`ParallelOptions::checkpoint_path`](crate::ParallelOptions)).
     pub fn checkpoint_path(&self, job: u64) -> PathBuf {
-        self.checkpoints_dir.join(format!("job-{job}.json"))
+        checkpoint_path(&self.state_dir, job)
     }
 
     /// Write-ahead-logs a submission: the record is fsync'd and

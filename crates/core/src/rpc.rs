@@ -14,8 +14,8 @@
 //!   loop ends; a daemon supplies only its `RequestHandler`;
 //! * `EventLog` — the per-job append-only event logs with the
 //!   progress-dedup watermarks and the resumable `Watch` stream;
-//! * [`wait_for_shutdown_or_sigterm`] — the main-thread wait of both
-//!   daemon binaries.
+//! * [`install_sigterm_handler`] and [`wait_for_shutdown_or_sigterm`] —
+//!   the SIGTERM handling and main-thread wait of both daemon binaries.
 
 use crate::messages::Message;
 use crate::server::{ClientRequest, JobEvent, JobEventKind, ServerReply};
@@ -316,8 +316,11 @@ extern "C" fn on_sigterm(_sig: i32) {
 }
 
 /// Installs the SIGTERM handler via the C `signal()` entry point that
-/// libc (already linked by std) exports — no new dependency.
-fn install_sigterm_handler() {
+/// libc (already linked by std) exports — no new dependency. A daemon
+/// calls it before it starts and announces itself: a supervisor may send
+/// SIGTERM as soon as it reads the banner, and one that arrived before
+/// the handler would kill the process instead of draining it.
+pub fn install_sigterm_handler() {
     #[cfg(unix)]
     {
         extern "C" {
@@ -335,7 +338,8 @@ fn install_sigterm_handler() {
 /// The main-thread wait of a daemon binary: blocks until
 /// `shutdown_requested` turns true (a client sent `Shutdown`) or the
 /// process receives SIGTERM, polling every 50 ms — invisible next to
-/// job runtimes, and a flag is all a signal handler may set.
+/// job runtimes, and a flag is all a signal handler may set. SIGTERM is
+/// seen only once [`install_sigterm_handler`] ran.
 ///
 /// Returns true when SIGTERM came first, after printing `announce` to
 /// standard output: the caller then drains. A supervisor that sent the
@@ -343,7 +347,6 @@ fn install_sigterm_handler() {
 /// ignored — `println!` would panic on EPIPE and the drain, with its
 /// final checkpoints, would never run.
 pub fn wait_for_shutdown_or_sigterm(shutdown_requested: impl Fn() -> bool, announce: &str) -> bool {
-    install_sigterm_handler();
     while !shutdown_requested() && !SIGTERM_RECEIVED.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -321,13 +321,15 @@ pub struct ShardSummary {
     /// False once the liveness sweep declared the shard dead.
     pub healthy: bool,
     /// Jobs waiting in the shard's scheduler queue
-    /// (`ugrs_server_queue_depth` from its exposition).
+    /// ([`ServerStatus::queued`] of its last status reply).
     pub queue_depth: u64,
-    /// Pool workers currently leased (`ugrs_server_workers_busy`).
+    /// Pool workers currently leased (its [`ServerStatus::workers`]
+    /// with a job).
     pub workers_busy: u64,
-    /// Connected pool workers (`ugrs_server_pool_workers`).
+    /// Connected pool workers (its [`ServerStatus::workers`]).
     pub pool_workers: u64,
-    /// Jobs currently running (`ugrs_server_jobs_running`).
+    /// Jobs currently running (its [`ServerStatus::jobs`] in
+    /// [`JobState::Running`]).
     pub jobs_running: u64,
     /// Milliseconds since the shard last answered a health poll.
     pub last_heard_ms: u64,

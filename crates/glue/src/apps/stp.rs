@@ -13,7 +13,6 @@ use ugrs_steiner::Graph;
 /// and installs the SCIP-Jack plugin set into every fresh solver.
 pub struct StpPlugins {
     pub graph: Arc<Graph>,
-    pub in_tree_reductions: bool,
 }
 
 impl CipUserPlugins for StpPlugins {
@@ -25,7 +24,7 @@ impl CipUserPlugins for StpPlugins {
         let (model, data) = build_model(&self.graph);
         let cip_settings = crate::base::decode_generic(settings);
         let mut solver = CipSolver::new(model, cip_settings);
-        register_plugins(&mut solver, data, self.in_tree_reductions);
+        register_plugins(&mut solver, data);
         solver
     }
 }
@@ -78,7 +77,7 @@ pub fn ug_solve_stp_seeded(
         return trivial_result(&g);
     }
     let g = Arc::new(g);
-    let plugins = Arc::new(StpPlugins { graph: g.clone(), in_tree_reductions: true });
+    let plugins = Arc::new(StpPlugins { graph: g.clone() });
     let factory = UgCipSolver::factory(plugins);
     let res =
         ugrs_core::runner::solve_parallel_seeded(factory, NodeDesc::root(), seed_solution, options);

@@ -116,8 +116,7 @@ pub fn job_factory(instance: &JobInstance) -> SolverFactory<JobSolver> {
             Arc::new(|_, _| JobSolver::Trivial)
         }
         JobInstance::Stp { graph } => {
-            let plugins =
-                Arc::new(StpPlugins { graph: Arc::new(graph.clone()), in_tree_reductions: true });
+            let plugins = Arc::new(StpPlugins { graph: Arc::new(graph.clone()) });
             let inner = UgCipSolver::factory(plugins);
             Arc::new(move |rank, settings| JobSolver::Stp(inner(rank, settings)))
         }

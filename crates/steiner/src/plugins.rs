@@ -195,13 +195,9 @@ fn build_model_opts(g: &Graph, root: usize, strong_rows: bool) -> (Model, Arc<Sp
 }
 
 /// Registers the full SCIP-Jack plugin set on a solver for the model
-/// built by [`build_model`].
-pub fn register_plugins(
-    solver: &mut ugrs_cip::Solver,
-    data: Arc<SpgData>,
-    in_tree_reductions: bool,
-) {
-    register_plugins_with_hits(solver, data, in_tree_reductions, None);
+/// built by [`build_model`], in-tree dual-ascent reductions included.
+pub fn register_plugins(solver: &mut ugrs_cip::Solver, data: Arc<SpgData>) {
+    register_plugins_with_hits(solver, data, None);
 }
 
 /// [`register_plugins`] plus an externally observable hit counter for
@@ -210,10 +206,9 @@ pub fn register_plugins(
 pub fn register_plugins_with_hits(
     solver: &mut ugrs_cip::Solver,
     data: Arc<SpgData>,
-    in_tree_reductions: bool,
     keyvertex_hits: Option<Arc<AtomicU64>>,
 ) {
-    solver.add_conshdlr(Box::new(DirectedCutHandler::new(data.clone(), in_tree_reductions)));
+    solver.add_conshdlr(Box::new(DirectedCutHandler::new(data.clone(), true)));
     solver.add_heuristic(Box::new(TmHeuristic { data: data.clone() }));
     solver.add_primal_heuristic(Box::new(KeyVertexHeuristic {
         data: data.clone(),
@@ -579,7 +574,7 @@ mod tests {
     fn solve_graph(g: &Graph) -> (f64, ugrs_cip::SolveResult, Arc<SpgData>) {
         let (model, data) = build_model(g);
         let mut solver = Solver::new(model, Settings::default());
-        register_plugins(&mut solver, data.clone(), true);
+        register_plugins(&mut solver, data.clone());
         let res = solver.solve(&mut ugrs_cip::NoHooks);
         (res.best_obj.unwrap_or(f64::NAN), res, data)
     }

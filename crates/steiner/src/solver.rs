@@ -11,25 +11,12 @@ use std::sync::Arc;
 use ugrs_cip::{ControlHooks, NoHooks, Settings, SolveStatus, Solver as CipSolver};
 
 /// Options of a Steiner solve.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SteinerOptions {
     /// Settings of the underlying CIP solver.
     pub settings: Settings,
-    /// Apply dual-ascent reductions inside the tree (the paper's
-    /// extended-reductions-deep-in-the-tree effect).
-    pub in_tree_reductions: bool,
     /// Skip graph reductions entirely (for ablation benches).
     pub skip_reductions: bool,
-}
-
-impl Default for SteinerOptions {
-    fn default() -> Self {
-        SteinerOptions {
-            settings: Settings::default(),
-            in_tree_reductions: true,
-            skip_reductions: false,
-        }
-    }
 }
 
 /// Result of a Steiner solve, expressed on the *original* instance.
@@ -111,7 +98,7 @@ impl SteinerSolver {
             }
             Ok((model, data, g, stats)) => {
                 let mut solver = CipSolver::new(model, self.options.settings.clone());
-                register_plugins(&mut solver, data.clone(), self.options.in_tree_reductions);
+                register_plugins(&mut solver, data.clone());
                 // Seed with a TM + local search solution (the paper: dual
                 // ascent / heuristics provide the initial incumbent).
                 if let Some(t0) = tm_best(&g, 4, &real_weights(&g)) {

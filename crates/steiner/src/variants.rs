@@ -129,7 +129,7 @@ impl PcstpInstance {
         let desc =
             ugrs_cip::NodeDesc { bound_changes: changes, depth: 0, dual_bound: f64::NEG_INFINITY };
         let mut solver = ugrs_cip::Solver::new(model, options.settings.clone());
-        crate::plugins::register_plugins(&mut solver, data.clone(), options.in_tree_reductions);
+        crate::plugins::register_plugins(&mut solver, data.clone());
         let res = solver.solve_subproblem(&desc, &mut ugrs_cip::NoHooks);
         let Some(x) = res.best_x else {
             return PcstpResult {

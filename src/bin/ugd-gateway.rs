@@ -26,7 +26,7 @@
 use std::time::Duration;
 use ugrs_core::chaos::{ChaosProfile, FaultPlan};
 use ugrs_core::gateway::{GatewayConfig, ShardSpec, TenantQuota};
-use ugrs_core::rpc::wait_for_shutdown_or_sigterm;
+use ugrs_core::rpc::{install_sigterm_handler, wait_for_shutdown_or_sigterm};
 use ugrs_glue::SolveGateway;
 
 fn parse_shard(arg: &str) -> Result<ShardSpec, String> {
@@ -198,6 +198,7 @@ fn main() {
         }
     };
     let shards = config.shards.len();
+    install_sigterm_handler();
     let gateway = match SolveGateway::start(config) {
         Ok(g) => g,
         Err(e) => {

@@ -39,7 +39,7 @@
 
 use std::io::Write as _;
 use ugrs_core::chaos::{ChaosConfig, ChaosProfile};
-use ugrs_core::rpc::wait_for_shutdown_or_sigterm;
+use ugrs_core::rpc::{install_sigterm_handler, wait_for_shutdown_or_sigterm};
 use ugrs_core::ServerConfig;
 use ugrs_glue::SolveServer;
 
@@ -179,6 +179,7 @@ fn main() {
         }
     }
     let state_dir = config.state_dir.clone();
+    install_sigterm_handler();
     let server = match SolveServer::start(config) {
         Ok(s) => s,
         Err(e) => {

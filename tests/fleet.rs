@@ -394,10 +394,10 @@ fn fleet_survives_shard_kill_under_sustained_load() {
     assert_eq!(fleet.inflight, 0, "no job may linger after all terminals");
 
     // ---- p99 submit-to-ack SLO --------------------------------------
-    // The 250 ms SLO is a release-build claim (CI's fleet-smoke job and
-    // `table_fleet` both assert it under --release); an unoptimized
-    // build only gets a sanity bound so `cargo test` still catches a
-    // submit path that serializes the fleet outright.
+    // The 250 ms SLO is a release-build claim (CI's fleet-smoke job
+    // runs this test under --release); an unoptimized build only gets
+    // a sanity bound so `cargo test` still catches a submit path that
+    // serializes the fleet outright.
     let slo = if cfg!(debug_assertions) {
         Duration::from_millis(2000)
     } else {

@@ -46,7 +46,7 @@ fn solve_to(g: &Graph, with_keyvertex: bool, target: f64) -> (u64, u64, Vec<f64>
     let hits = Arc::new(AtomicU64::new(0));
     let mut s = Solver::new(model, ugrs::cip::Settings::default());
     if with_keyvertex {
-        register_plugins_with_hits(&mut s, data, true, Some(hits.clone()));
+        register_plugins_with_hits(&mut s, data, Some(hits.clone()));
     } else {
         s.add_conshdlr(Box::new(DirectedCutHandler::new(data.clone(), true)));
         s.add_heuristic(Box::new(TmHeuristic { data: data.clone() }));
@@ -74,7 +74,7 @@ fn keyvertex_reaches_optimum_earlier_than_baseline() {
         // Establish the true optimum first with a full solve.
         let (model, data) = build_model(&g);
         let mut full = Solver::new(model, ugrs::cip::Settings::default());
-        register_plugins_with_hits(&mut full, data, true, None);
+        register_plugins_with_hits(&mut full, data, None);
         let proof = full.solve(&mut ugrs::cip::NoHooks);
         let optimum = proof
             .best_obj
@@ -116,7 +116,7 @@ impl CipUserPlugins for KvPlugins {
     fn create_solver(&self, settings: &ugrs::ug::SolverSettings) -> Solver {
         let (model, data) = build_model(&self.graph);
         let mut solver = Solver::new(model, ugrs::glue::base::decode_generic(settings));
-        register_plugins_with_hits(&mut solver, data, true, Some(self.hits.clone()));
+        register_plugins_with_hits(&mut solver, data, Some(self.hits.clone()));
         solver
     }
 }
