@@ -27,7 +27,7 @@
 //!   move, so a crash mid-steal re-runs it (at-least-once) rather than
 //!   losing it.
 //! * **Admission control** — a token bucket per tenant key (from
-//!   [`JobSpec::tenant`]) plus a global in-flight bound. An over-quota
+//!   [`JobSpec::tenant`](crate::JobSpec::tenant)) plus a global in-flight bound. An over-quota
 //!   submit is answered with [`ServerReply::Rejected`] — the 429 of
 //!   this protocol — with nothing assigned, queued or made durable, so
 //!   a misbehaving tenant cannot OOM the fleet or starve its peers.
@@ -37,7 +37,8 @@
 //!   [`ProcessCommConfig::validate`](crate::process::ProcessCommConfig))
 //!   is declared dead. Every job routed to it is re-dispatched to a
 //!   surviving peer; for jobs that were mid-run the gateway replays the
-//!   dead shard's on-disk checkpoint as [`JobSpec::restart_from`], so
+//!   dead shard's on-disk checkpoint as
+//!   [`JobSpec::restart_from`](crate::JobSpec::restart_from), so
 //!   they resume as run `1.k` of their restart chain (Table 2
 //!   semantics) instead of starting over.
 //!
@@ -53,13 +54,14 @@
 
 use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
 use crate::jobs::{
-    empty_finished, state_label, submit_reply, JobBook, JobTable, Terminal, GATEWAY,
+    empty_finished, state_label, submit_reply, JobBook, JobTable, Spec, Terminal, BAD_INSTANCE,
+    GATEWAY,
 };
 use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
 use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
 use crate::server::{
     cancel_outcome, fenced_epoch, fenced_io_error, submit_outcome, ClientRequest, FleetStatus,
-    JobClient, JobEvent, JobEventKind, JobSpec, JobState, MetricsReport, ServerReply, ServerStatus,
+    JobClient, JobEvent, JobEventKind, JobState, MetricsReport, ServerReply, ServerStatus,
     ShardSummary, SubmitOutcome, WireType,
 };
 use crate::telemetry::{self, MetricsRegistry};
@@ -130,7 +132,7 @@ pub struct GatewayConfig {
     /// Budget applied to tenants without an explicit entry in
     /// [`Self::tenant_quotas`]. `None` = unmetered.
     pub default_quota: Option<TenantQuota>,
-    /// Per-tenant overrides, keyed by [`JobSpec::tenant`].
+    /// Per-tenant overrides, keyed by [`JobSpec::tenant`](crate::JobSpec::tenant).
     pub tenant_quotas: HashMap<String, TenantQuota>,
     /// When set, the gateway keeps its own write-ahead [`JobLedger`]
     /// here: every accepted job is durable before its ack and retired
@@ -353,7 +355,7 @@ struct Routing {
 
 impl Routing {
     /// A job waiting in the dispatch queue, not yet routed.
-    fn new<Inst, Sub>(spec: &JobSpec<Inst, Sub>) -> Self {
+    fn new<Sub>(spec: &Spec<Sub>) -> Self {
         Routing {
             tenant: spec.tenant.clone().unwrap_or_else(|| "default".into()),
             epoch: 0,
@@ -380,9 +382,9 @@ impl Dispatch {
     }
 }
 
-struct GwState<Inst, Sub> {
+struct GwState<Sub> {
     /// Its live count is the `max_inflight` meter.
-    jobs: JobTable<Inst, Sub, Routing>,
+    jobs: JobTable<Sub, Routing>,
     dispatch: VecDeque<Dispatch>,
 }
 
@@ -406,9 +408,15 @@ const POOL_IDLE_MAX: usize = 8;
 /// change while the stale shard's stream is silent.
 const WATCH_WAKE: Duration = Duration::from_millis(500);
 
+/// The gateway's client of a shard. It forwards the encoded instance
+/// it stored ([`JobClient::try_submit_encoded`]) and has no typed
+/// instance of its own: `Infallible` has no `Serialize`, so
+/// [`JobClient::submit`], which encodes, cannot be called on it.
+type ShardClient<Sub, Sol> = JobClient<std::convert::Infallible, Sub, Sol>;
+
 /// One gateway→shard connection out of a [`ShardPool`].
-struct ShardConn<Inst, Sub, Sol> {
-    client: JobClient<Inst, Sub, Sol>,
+struct ShardConn<Sub, Sol> {
+    client: ShardClient<Sub, Sol>,
     /// The lease epoch last announced on it (0 = none).
     announced: u64,
     /// Taken from the idle list, not dialled: a failure on first use
@@ -420,13 +428,13 @@ struct ShardConn<Inst, Sub, Sol> {
 /// but the health probe and the takeover path borrows from here and
 /// returns the connection after a *completed* exchange; a connection an
 /// exchange failed on, or whose stream was abandoned, is dropped.
-struct ShardPool<Inst, Sub, Sol> {
-    idle: Mutex<Vec<ShardConn<Inst, Sub, Sol>>>,
+struct ShardPool<Sub, Sol> {
+    idle: Mutex<Vec<ShardConn<Sub, Sol>>>,
     dials: Arc<telemetry::Counter>,
     reused: Arc<telemetry::Counter>,
 }
 
-const REJECT_REASONS: [&str; 4] = ["quota", "capacity", "standby", "draining"];
+const REJECT_REASONS: [&str; 5] = ["quota", "capacity", "standby", "draining", BAD_INSTANCE];
 
 /// Handles of the gateway's unlabeled series, registered once at start
 /// so a scrape right after startup sees the full schema.
@@ -484,13 +492,13 @@ struct HaInner {
     last_renewed: Instant,
 }
 
-struct GwShared<Inst, Sub, Sol> {
+struct GwShared<Sub, Sol> {
     config: GatewayConfig,
     /// The bound client listener: what [`Self::begin_shutdown`] dials.
     client_addr: SocketAddr,
     /// Per-shard connection pools, indexed like `config.shards`.
-    pools: Vec<ShardPool<Inst, Sub, Sol>>,
-    state: Mutex<GwState<Inst, Sub>>,
+    pools: Vec<ShardPool<Sub, Sol>>,
+    state: Mutex<GwState<Sub>>,
     /// Wakes the dispatcher and trackers (new dispatch, new route).
     cv: Condvar,
     /// Every job's event log; `Watch` streams from it.
@@ -533,7 +541,7 @@ struct GwShared<Inst, Sub, Sol> {
     prior_started: Mutex<HashSet<String>>,
 }
 
-impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
+impl<Sub, Sol> GwShared<Sub, Sol> {
     fn is_primary(&self) -> bool {
         self.role_primary.load(Ordering::SeqCst)
     }
@@ -669,7 +677,7 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
         self.metrics.counter_with(
             "ugrs_gateway_jobs_rejected_total",
             &[("reason", reason)],
-            "Submissions refused by admission control, by reason",
+            "Submissions refused by admission control or for a failed instance CRC, by reason",
         )
     }
 
@@ -695,8 +703,8 @@ impl<Inst, Sub, Sol> GwShared<Inst, Sub, Sol> {
 /// A running fleet gateway. Start one with [`Gateway::start`]; clients
 /// connect to [`Gateway::client_addr`] exactly as they would to a
 /// single server.
-pub struct Gateway<Inst: WireType, Sub: WireType, Sol: WireType> {
-    shared: Arc<GwShared<Inst, Sub, Sol>>,
+pub struct Gateway<Sub: WireType, Sol: WireType> {
+    shared: Arc<GwShared<Sub, Sol>>,
     client_addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
     /// `(total, resumed-from-checkpoint)` jobs the startup recovery
@@ -704,7 +712,7 @@ pub struct Gateway<Inst: WireType, Sub: WireType, Sol: WireType> {
     recovered: (usize, usize),
 }
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> Gateway<Inst, Sub, Sol> {
+impl<Sub: WireType, Sol: WireType> Gateway<Sub, Sol> {
     /// Validates the config, binds the client listener and starts the
     /// dispatcher and health threads. Shards may come up later: an
     /// unreachable shard is simply unhealthy until its first successful
@@ -1024,8 +1032,8 @@ fn journaled_lines(journal_dir: &std::path::Path) -> (HashSet<u64>, HashSet<Stri
 /// restart path, adopt routes that still run, reconcile ones that
 /// finished while no primary was watching, and requeue the rest.
 /// Returns `(recovered, resumed_from_checkpoint)` for the banner.
-fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
+fn promote<Sub: WireType, Sol: WireType>(
+    shared: &Arc<GwShared<Sub, Sol>>,
     lease: Lease,
 ) -> (usize, usize) {
     let epoch = lease.epoch;
@@ -1054,7 +1062,7 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
     // connection instead.
     for shard in &shared.config.shards {
         if let Ok(mut c) =
-            JobClient::<Inst, Sub, Sol>::connect_timeout(&shard.addr, shared.config.probe_timeout)
+            ShardClient::<Sub, Sol>::connect_timeout(&shard.addr, shared.config.probe_timeout)
         {
             let _ = c.announce_gateway_epoch(epoch);
         }
@@ -1066,14 +1074,14 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
         .shards
         .iter()
         .map(|s| {
-            JobClient::<Inst, Sub, Sol>::connect_timeout(&s.addr, shared.config.probe_timeout)
+            ShardClient::<Sub, Sol>::connect_timeout(&s.addr, shared.config.probe_timeout)
                 .and_then(|mut c| c.status())
                 .ok()
                 .map(|st| st.jobs.into_iter().map(|j| (j.job, j.state)).collect())
         })
         .collect();
     let ledger = shared.ledger.as_ref().expect("HA requires a ledger");
-    let rec = GATEWAY.recover::<Inst, Sub>(ledger).unwrap_or_else(|e| {
+    let rec = GATEWAY.recover::<Sub>(ledger).unwrap_or_else(|e| {
         eprintln!("ugd-gateway: takeover ledger replay failed: {e}");
         ledger::Recovery { jobs: Vec::new(), next_job: 0, skipped: Vec::new() }
     });
@@ -1200,14 +1208,14 @@ fn promote<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// alive to have delivered it: fetch the final event and run the
 /// finish sequence — journal line deduped against what the dead
 /// primary already wrote, so the merged journals stay exactly-once.
-fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
+fn settle_finished<Sub: WireType, Sol: WireType>(
+    shared: &Arc<GwShared<Sub, Sol>>,
     gid: u64,
     shard: usize,
     local: u64,
 ) {
     let addr = shared.config.shards[shard].addr.clone();
-    let terminal = JobClient::<Inst, Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)
+    let terminal = ShardClient::<Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)
         .and_then(|mut c| c.watch(local, 0, |_| {}))
         .ok();
     let (state, run_index, kind) = match terminal {
@@ -1236,7 +1244,7 @@ fn settle_finished<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// in-memory job (the new primary replayed them from the shared
 /// ledger) and return to standby. Watchers see their streams end and
 /// reconnect through the client's gateway fallback list.
-fn demote<Inst, Sub, Sol: Clone>(shared: &GwShared<Inst, Sub, Sol>, usurper_epoch: u64) {
+fn demote<Sub, Sol: Clone>(shared: &GwShared<Sub, Sol>, usurper_epoch: u64) {
     shared.role_primary.store(false, Ordering::SeqCst);
     shared.lease_epoch.store(0, Ordering::SeqCst);
     if let Some(ha) = &shared.ha {
@@ -1258,7 +1266,7 @@ fn demote<Inst, Sub, Sol: Clone>(shared: &GwShared<Inst, Sub, Sol>, usurper_epoc
 /// health sweep's inline renewal) and step down the moment a higher
 /// epoch shows up — on disk or via a shard's `Fenced` answer. Standby:
 /// poll the lease and race to claim once it expires.
-fn lease_loop<Inst: WireType, Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Inst, Sub, Sol>>) {
+fn lease_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>) {
     let ttl = shared.config.lease_ttl.expect("lease loop requires HA");
     // Tick fast enough to renew well inside the TTL, but never slower
     // than 1 s: a *released* lease (graceful drain handover) must be
@@ -1289,7 +1297,7 @@ fn lease_loop<Inst: WireType, Sub: WireType, Sol: WireType>(shared: Arc<GwShared
 
 /// One lease renewal write (no-op unless primary with a lease) —
 /// called from the health sweep and the lease thread.
-fn renew_lease<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) {
+fn renew_lease<Sub, Sol>(shared: &GwShared<Sub, Sol>) {
     let (Some(ha), Some(dir)) = (&shared.ha, &shared.lease_dir) else { return };
     let mut inner = ha.lock().unwrap();
     if let Some(lease) = inner.lease.as_mut() {
@@ -1305,18 +1313,14 @@ fn renew_lease<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) {
 // Admission + submit
 // ---------------------------------------------------------------------
 
-fn reject<Inst, Sub, Sol: Clone>(
-    shared: &GwShared<Inst, Sub, Sol>,
-    tenant: &str,
-    reason: &'static str,
-) {
+fn reject<Sub, Sol: Clone>(shared: &GwShared<Sub, Sol>, tenant: &str, reason: &'static str) {
     shared.rejected(reason).inc();
     shared.journal(serde_json::json!({ "ev": "reject", "tenant": tenant, "reason": reason }));
 }
 
-fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &GwShared<Inst, Sub, Sol>,
-    spec: JobSpec<Inst, Sub>,
+fn gw_submit<Sub: WireType, Sol: WireType>(
+    shared: &GwShared<Sub, Sol>,
+    spec: Spec<Sub>,
 ) -> io::Result<Result<u64, &'static str>> {
     let t0 = Instant::now();
     let routing = Routing::new(&spec);
@@ -1327,7 +1331,7 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
     // submits cannot all pass the capacity check and then overshoot
     // `max_inflight`, because each one reserves its id — counted live —
     // and its tenant token before the lock drops.
-    let admit = |st: &mut GwState<Inst, Sub>| {
+    let admit = |st: &mut GwState<Sub>| {
         if st.jobs.live() >= shared.config.max_inflight {
             return Err("capacity");
         }
@@ -1341,8 +1345,7 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
         }
         Ok(())
     };
-    let enqueue =
-        |st: &mut GwState<Inst, Sub>, gid| st.dispatch.push_back(Dispatch::new(gid, None));
+    let enqueue = |st: &mut GwState<Sub>, gid| st.dispatch.push_back(Dispatch::new(gid, None));
     let outcome =
         shared.book().submit(&shared.state, |st| &mut st.jobs, spec, routing, admit, enqueue);
     match &outcome {
@@ -1370,7 +1373,7 @@ fn gw_submit<Inst: WireType, Sub: WireType, Sol: WireType>(
 // ---------------------------------------------------------------------
 
 /// Picks the healthy shard that wins the weighted rendezvous for `gid`.
-fn pick_shard<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>, gid: u64) -> Option<usize> {
+fn pick_shard<Sub, Sol>(shared: &GwShared<Sub, Sol>, gid: u64) -> Option<usize> {
     let health = shared.health.lock().unwrap();
     let mut best: Option<(usize, f64)> = None;
     for (i, h) in health.iter().enumerate() {
@@ -1387,9 +1390,9 @@ fn pick_shard<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>, gid: u64) -> Op
 }
 
 /// The shard connection pool (DESIGN §5f).
-impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
+impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
     /// The pool's dial path, bounded by `probe_timeout`.
-    fn dial(&self, shard: usize) -> io::Result<ShardConn<Inst, Sub, Sol>> {
+    fn dial(&self, shard: usize) -> io::Result<ShardConn<Sub, Sol>> {
         self.pools[shard].dials.inc();
         let addr = &self.config.shards[shard].addr;
         let client = JobClient::connect_timeout(addr, self.config.probe_timeout)?;
@@ -1400,11 +1403,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
     /// `read_timeout`: the chaos gate first, then an idle connection
     /// or a fresh dial. Hand it back with [`Self::give_back`] after a
     /// completed exchange; drop it otherwise.
-    fn borrow(
-        &self,
-        shard: usize,
-        read_timeout: Duration,
-    ) -> io::Result<ShardConn<Inst, Sub, Sol>> {
+    fn borrow(&self, shard: usize, read_timeout: Duration) -> io::Result<ShardConn<Sub, Sol>> {
         self.chaos_check()?;
         let pool = &self.pools[shard];
         let idle = pool.idle.lock().unwrap().pop();
@@ -1419,7 +1418,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
         Ok(conn)
     }
 
-    fn give_back(&self, shard: usize, conn: ShardConn<Inst, Sub, Sol>) {
+    fn give_back(&self, shard: usize, conn: ShardConn<Sub, Sol>) {
         let mut idle = self.pools[shard].idle.lock().unwrap();
         if idle.len() < POOL_IDLE_MAX {
             idle.push(conn);
@@ -1432,7 +1431,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
     /// idle siblings, which date from the same shard process, are
     /// dropped, and the caller retries once on a fresh dial before the
     /// failure counts against the shard.
-    fn went_stale(&self, shard: usize, conn: &ShardConn<Inst, Sub, Sol>, e: &io::Error) -> bool {
+    fn went_stale(&self, shard: usize, conn: &ShardConn<Sub, Sol>, e: &io::Error) -> bool {
         let stale = conn.reused
             && fenced_epoch(e).is_none()
             && !matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut);
@@ -1448,8 +1447,8 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
     /// comes back as the fencing error.
     fn exchange(
         &self,
-        conn: &mut ShardConn<Inst, Sub, Sol>,
-        req: &ClientRequest<Inst, Sub>,
+        conn: &mut ShardConn<Sub, Sol>,
+        req: &ClientRequest<Sub>,
     ) -> io::Result<ServerReply<Sol>> {
         let epoch = self.lease_epoch.load(Ordering::SeqCst);
         if epoch > 0 && epoch != conn.announced {
@@ -1465,11 +1464,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
     /// One request/reply exchange with `shard` on a pooled connection.
     /// A fencing refusal (a newer lease epoch exists) marks this
     /// gateway deposed.
-    fn shard_rpc(
-        &self,
-        shard: usize,
-        req: &ClientRequest<Inst, Sub>,
-    ) -> io::Result<ServerReply<Sol>> {
+    fn shard_rpc(&self, shard: usize, req: &ClientRequest<Sub>) -> io::Result<ServerReply<Sol>> {
         let mut conn = self.borrow(shard, self.config.probe_timeout)?;
         let reply = loop {
             match self.exchange(&mut conn, req) {
@@ -1501,9 +1496,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> GwShared<Inst, Sub, Sol> {
 /// a pooled connection, then record the route and make sure a tracker
 /// thread is watching. Failures park the entry for a retry — a job is
 /// never dropped between the gateway's ledger and a shard's.
-fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<GwShared<Inst, Sub, Sol>>,
-) {
+fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>) {
     loop {
         let entry = {
             let mut st = shared.state.lock().unwrap();
@@ -1615,10 +1608,7 @@ fn dispatcher_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// stale stream is abandoned — the epoch check makes delivered events
 /// from a disowned shard inert, including its `Cancelled` terminal from
 /// a reclaim.
-fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<GwShared<Inst, Sub, Sol>>,
-    gid: u64,
-) {
+fn tracker_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>, gid: u64) {
     'routes: loop {
         // Wait for a current route (or terminality).
         let (shard, local, epoch, from_seq) = {
@@ -1702,8 +1692,8 @@ fn tracker_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// steal linearizable: the steal bumps the epoch *before* it reclaims,
 /// so the reclaim's `Cancelled` terminal can never be mistaken for the
 /// job's real end.
-fn deliver<Inst, Sub, Sol: Clone>(
-    shared: &GwShared<Inst, Sub, Sol>,
+fn deliver<Sub, Sol: Clone>(
+    shared: &GwShared<Sub, Sol>,
     gid: u64,
     epoch: u64,
     event: JobEvent<Sol>,
@@ -1790,9 +1780,7 @@ fn deliver<Inst, Sub, Sol: Clone>(
 // Health loop: polling, failover, stealing
 // ---------------------------------------------------------------------
 
-fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<GwShared<Inst, Sub, Sol>>,
-) {
+fn health_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         if !shared.is_primary() {
             // A standby does not poll: its view rebuilds on promote,
@@ -1812,7 +1800,7 @@ fn health_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
             // any other gateway→shard RPC — an injected partition looks
             // exactly like a dead shard and drives real failovers.
             let poll = shared.chaos_check().and_then(|()| {
-                JobClient::<Inst, Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)?
+                ShardClient::<Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)?
                     .status()
             });
             let mut health = shared.health.lock().unwrap();
@@ -1877,10 +1865,7 @@ fn shard_checkpoint(shard: &ShardSpec, local: u64) -> Option<String> {
 /// Jobs that were mid-run resume from the dead shard's last on-disk
 /// checkpoint (when its state dir is reachable) as run `1.k` — the
 /// fleet-level replay of the server's own crash recovery.
-fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
-    shard: usize,
-) {
+fn fail_over<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>, shard: usize) {
     let spec = &shared.config.shards[shard];
     let orphans: Vec<(u64, u64, u64)> = {
         let st = shared.state.lock().unwrap();
@@ -1932,8 +1917,8 @@ fn fail_over<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// against the job's tracker — see [`deliver`]. Returns true when the
 /// job actually moved (the reclaim landed before the shard started
 /// it).
-fn migrate_queued<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
+fn migrate_queued<Sub: WireType, Sol: WireType>(
+    shared: &Arc<GwShared<Sub, Sol>>,
     gid: u64,
     local: u64,
     epoch: u64,
@@ -2007,9 +1992,7 @@ const STEAL_BATCH: u64 = 4;
 /// [`STEAL_BATCH`]`)` (at least 1) queued jobs per sweep (gap = the
 /// depth difference), each under the epoch-bump protocol of
 /// [`migrate_queued`].
-fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
-) {
+fn maybe_steal<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>) {
     let (idle, victim, victim_queued, gap) = {
         let health = shared.health.lock().unwrap();
         let idle = health
@@ -2068,10 +2051,7 @@ fn maybe_steal<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// Running jobs are never moved (their progress lives where they
 /// run); undispatched jobs need nothing, the dispatcher's next pick
 /// already sees the shard alive.
-fn rejoin_migrate<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Inst, Sub, Sol>>,
-    revived: usize,
-) {
+fn rejoin_migrate<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>, revived: usize) {
     // Snapshot which (shard, local) pairs are still queued shard-side:
     // only those can move — a reclaim of anything else is refused.
     let queued_elsewhere: Vec<Vec<u64>> = {
@@ -2116,8 +2096,7 @@ fn rejoin_migrate<Inst: WireType, Sub: WireType, Sol: WireType>(
 // Client connections
 // ---------------------------------------------------------------------
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<Inst, Sub, Sol> {
-    type Inst = Inst;
+impl<Sub: WireType, Sol: WireType> RequestHandler for GwShared<Sub, Sol> {
     type Sub = Sub;
     type Conn = ();
 
@@ -2128,7 +2107,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<I
     fn handle(
         &self,
         _conn: &mut (),
-        req: ClientRequest<Inst, Sub>,
+        req: ClientRequest<Sub>,
         out: &mut TcpStream,
     ) -> io::Result<bool> {
         let reply: ServerReply<Sol> = match req {
@@ -2203,10 +2182,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for GwShared<I
 /// Cancels a gateway job wherever it is: still in the dispatch queue
 /// (finish it locally) or routed (forward the cancel; the shard's
 /// terminal event comes back through the tracker).
-fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: &GwShared<Inst, Sub, Sol>,
-    gid: u64,
-) -> bool {
+fn gw_cancel<Sub: WireType, Sol: WireType>(shared: &GwShared<Sub, Sol>, gid: u64) -> bool {
     if !shared.is_primary() {
         return false;
     }
@@ -2244,7 +2220,7 @@ fn gw_cancel<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// tooling works unchanged against a gateway: `pool_target` aggregates
 /// the shards' pools, `queued` is the dispatch queue, and each job row
 /// reports the gateway's lifecycle view.
-fn gw_status<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> ServerStatus {
+fn gw_status<Sub, Sol>(shared: &GwShared<Sub, Sol>) -> ServerStatus {
     let pool_target = {
         let health = shared.health.lock().unwrap();
         health.iter().map(|h| h.pool_workers as usize).sum()
@@ -2259,7 +2235,7 @@ fn gw_status<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> ServerStatus 
     }
 }
 
-fn gw_metrics<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> MetricsReport {
+fn gw_metrics<Sub, Sol>(shared: &GwShared<Sub, Sol>) -> MetricsReport {
     let jobs = {
         let st = shared.state.lock().unwrap();
         shared
@@ -2277,7 +2253,7 @@ fn gw_metrics<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> MetricsRepor
     MetricsReport { text, jobs }
 }
 
-fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
+fn gw_fleet<Sub, Sol>(shared: &GwShared<Sub, Sol>) -> FleetStatus {
     let shards = {
         let health = shared.health.lock().unwrap();
         shared
@@ -2334,7 +2310,8 @@ fn gw_fleet<Inst, Sub, Sol>(shared: &GwShared<Inst, Sub, Sol>) -> FleetStatus {
 mod tests {
     use super::*;
     use crate::jobs::Job;
-    use crate::server::{JobSummary, WorkerInfo};
+    use crate::server::{JobSpec, JobSummary, WorkerInfo};
+    use crate::wire::{base64_decode, base64_encode, EncodedInstance};
 
     fn config(n: usize) -> GatewayConfig {
         GatewayConfig {
@@ -2453,9 +2430,14 @@ mod tests {
     // The service hop, against scripted shards
     // -----------------------------------------------------------------
 
-    type Req = ClientRequest<u32, u32>;
+    type Req = ClientRequest<u32>;
     type Reply = ServerReply<u32>;
-    type Gw = Gateway<u32, u32, u32>;
+    type Gw = Gateway<u32, u32>;
+
+    /// A job as a client submits it: its instance encoded.
+    fn spec(name: impl Into<String>) -> Spec<u32> {
+        JobSpec::new(name, EncodedInstance::encode(&0u32), 0u32)
+    }
 
     /// A scripted shard: every request on every connection is logged
     /// with its connection number and arrival time, then answered by
@@ -2562,7 +2544,7 @@ mod tests {
 
         let jobs = 10u64;
         for gid in 0..jobs {
-            let spec = JobSpec::new(format!("j{gid}"), 0u32, 0u32);
+            let spec = spec(format!("j{gid}"));
             assert_eq!(gw_submit(shared, spec).unwrap(), Ok(gid));
         }
         let for_down: Vec<u64> =
@@ -2670,7 +2652,7 @@ mod tests {
         })
         .expect("gateway start");
         let shared = &gw.shared;
-        let gid = gw_submit(shared, JobSpec::new("j", 0u32, 0u32)).unwrap().unwrap();
+        let gid = gw_submit(shared, spec("j")).unwrap().unwrap();
         // The refused submit parks the job: it is still undispatched.
         wait_until("the refused submit", Duration::from_secs(5), || {
             shared.state.lock().unwrap().dispatch.iter().any(|d| d.retry_at.is_some())
@@ -2812,7 +2794,7 @@ mod tests {
         // made it before the host went away.
         let gid = {
             let mut st = shared.state.lock().unwrap();
-            let spec = JobSpec::new("j", 0u32, 0u32);
+            let spec = spec("j");
             let mut job = Job::queued(spec.clone(), None, 1, Routing::new(&spec));
             job.exec.route = Some(Route { shard: 0, local: 3 });
             job.exec.tracker_spawned = true;
@@ -2854,7 +2836,7 @@ mod tests {
     fn a_torn_restart_from_is_not_forwarded_to_the_shard() {
         let shard = fake_shard(accepting);
         let gw = quiet_gateway(&[&shard.addr], Duration::from_secs(1));
-        let mut spec = JobSpec::new("j", 0u32, 0u32);
+        let mut spec = spec("j");
         spec.restart_from = Some("{torn".into());
         assert_eq!(gw_submit(&gw.shared, spec).unwrap(), Ok(0));
 
@@ -2904,6 +2886,50 @@ mod tests {
         std::fs::create_dir(&jobs).unwrap();
         // The bucket holds one token: accepted only if it was returned.
         assert_eq!(client.submit(spec).unwrap(), 1, "a fresh id");
+        gw.shutdown_and_join();
+        let _ = std::fs::remove_dir_all(&state);
+    }
+
+    /// The gateway never looks inside an instance, so the CRC it checks
+    /// at `Submit` is its one guard: a flipped bit is rejected before
+    /// the write-ahead record and never reaches a shard, and a sound
+    /// instance is forwarded byte for byte as the client encoded it.
+    #[test]
+    fn a_bad_crc_submit_is_rejected_and_never_forwarded() {
+        let shard = fake_shard(accepting);
+        let state = std::env::temp_dir().join(format!("ugrs-gw-crc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state);
+        let gw = Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            health_interval: Duration::from_secs(20),
+            shard_liveness: Duration::from_secs(60),
+            steal_margin: 0,
+            state_dir: Some(state.clone()),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start");
+        let mut client =
+            JobClient::<u32, u32, u32>::connect(&gw.client_addr().to_string()).expect("connect");
+        let good = spec("j");
+        let text = serde_json::to_string(&good.instance).unwrap();
+        let mut blob = base64_decode(text.trim_matches('"')).unwrap();
+        *blob.last_mut().unwrap() ^= 0x01;
+        let flipped = format!("\"{}\"", base64_encode(&blob));
+        let bad = Spec { instance: serde_json::from_str(&flipped).unwrap(), ..good.clone() };
+
+        let outcome = client.try_submit_encoded(bad).unwrap();
+        assert_eq!(outcome, SubmitOutcome::Rejected(BAD_INSTANCE.into()));
+        assert!(client.status().unwrap().jobs.is_empty(), "no job was accepted");
+        let records = std::fs::read_dir(state.join("jobs")).unwrap().count();
+        assert_eq!(records, 0, "nothing was written ahead");
+
+        assert_eq!(client.try_submit_encoded(good.clone()).unwrap(), SubmitOutcome::Accepted(0));
+        let submits = || shard.seen(|r| matches!(r, Req::Submit { .. }));
+        wait_until("the dispatch", Duration::from_secs(5), || !submits().is_empty());
+        let forwarded = submits();
+        assert_eq!(forwarded.len(), 1, "only the sound submit reached the shard");
+        let Req::Submit { spec } = &forwarded[0].1 else { unreachable!("filtered") };
+        assert_eq!(spec.instance, good.instance, "forwarded as the client encoded it");
         gw.shutdown_and_join();
         let _ = std::fs::remove_dir_all(&state);
     }

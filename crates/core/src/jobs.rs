@@ -15,12 +15,19 @@ use crate::ledger::{JobLedger, Recovery};
 use crate::rpc::EventLog;
 use crate::server::{JobEventKind, JobProgress, JobSpec, JobState, JobSummary, ServerReply};
 use crate::telemetry::{Counter, MetricsRegistry, ProgressMsg};
+use crate::wire::EncodedInstance;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::{Arc, Mutex};
 
 const POISONED: &str = "a thread panicked while holding the daemon state";
+
+/// A job as the daemons hold it: the instance stays encoded.
+pub(crate) type Spec<Sub> = JobSpec<EncodedInstance, Sub>;
+
+/// The rejection reason of a submit whose instance fails its CRC.
+pub(crate) const BAD_INSTANCE: &str = "instance checksum mismatch";
 
 /// Families whose submit counters a scrape sees from the start.
 const FAMILIES: [&str; 3] = ["stp", "misdp", "maxcut"];
@@ -57,16 +64,20 @@ pub(crate) const GATEWAY: Daemon = Daemon {
 
 impl Daemon {
     /// The jobs `ledger` still owes an answer for, in submission order;
-    /// unreadable records (torn writes) are reported and skipped.
-    pub(crate) fn recover<Inst, Sub>(&self, ledger: &JobLedger) -> io::Result<Recovery<Inst, Sub>>
+    /// unreadable records (torn writes, a failed instance CRC, records
+    /// from before wire revision 5) are reported and skipped.
+    pub(crate) fn recover<Sub>(&self, ledger: &JobLedger) -> io::Result<Recovery<Sub>>
     where
-        Inst: serde::de::DeserializeOwned,
         Sub: serde::de::DeserializeOwned,
     {
-        let rec = ledger.recover::<Inst, Sub>()?;
+        let rec = ledger.recover::<Sub>()?;
         for path in &rec.skipped {
             let path = path.display();
-            eprintln!("{}: skipping unreadable ledger record {path} (torn write?)", self.program);
+            eprintln!(
+                "{}: skipping unreadable ledger record {path} \
+                 (torn write, failed instance CRC, or written before wire revision 5?)",
+                self.program
+            );
         }
         Ok(rec)
     }
@@ -74,14 +85,13 @@ impl Daemon {
     /// Opens the ledger under `state_dir`, if any, and with `recover`
     /// puts every job it owes into a new table.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn open<Inst, Sub, X>(
+    pub(crate) fn open<Sub, X>(
         &self,
         state_dir: Option<&std::path::Path>,
         recover: bool,
-        exec: impl Fn(&JobSpec<Inst, Sub>) -> X,
-    ) -> io::Result<(Option<JobLedger>, JobTable<Inst, Sub, X>, Vec<Owed>)>
+        exec: impl Fn(&Spec<Sub>) -> X,
+    ) -> io::Result<(Option<JobLedger>, JobTable<Sub, X>, Vec<Owed>)>
     where
-        Inst: serde::de::DeserializeOwned,
         Sub: serde::de::DeserializeOwned,
     {
         let mut table = JobTable::new();
@@ -148,9 +158,9 @@ pub(crate) fn submit_reply<Sol>(
 }
 
 /// One job of a daemon's table.
-pub(crate) struct Job<Inst, Sub, X> {
+pub(crate) struct Job<Sub, X> {
     /// The submission; its `restart_from` lives in [`Self::restart_from`].
-    pub(crate) spec: JobSpec<Inst, Sub>,
+    pub(crate) spec: Spec<Sub>,
     /// Private: the table's live count follows it.
     state: JobState,
     /// Checkpoint JSON the next run resumes from.
@@ -161,10 +171,10 @@ pub(crate) struct Job<Inst, Sub, X> {
     pub(crate) exec: X,
 }
 
-impl<Inst, Sub, X> Job<Inst, Sub, X> {
+impl<Sub, X> Job<Sub, X> {
     /// A job entering the queue at `restart_from`'s chain position.
     pub(crate) fn queued(
-        mut spec: JobSpec<Inst, Sub>,
+        mut spec: Spec<Sub>,
         restart_from: Option<String>,
         run_index: u32,
         exec: X,
@@ -215,14 +225,14 @@ pub(crate) struct Owed {
 }
 
 /// Every job a daemon knows, the next id, and the live count.
-pub(crate) struct JobTable<Inst, Sub, X> {
-    jobs: BTreeMap<u64, Job<Inst, Sub, X>>,
+pub(crate) struct JobTable<Sub, X> {
+    jobs: BTreeMap<u64, Job<Sub, X>>,
     next_id: u64,
     reserved: usize,
     open: usize,
 }
 
-impl<Inst, Sub, X> JobTable<Inst, Sub, X> {
+impl<Sub, X> JobTable<Sub, X> {
     pub(crate) fn new() -> Self {
         JobTable { jobs: BTreeMap::new(), next_id: 0, reserved: 0, open: 0 }
     }
@@ -244,13 +254,13 @@ impl<Inst, Sub, X> JobTable<Inst, Sub, X> {
     }
 
     /// Enters `job` under its reserved id; returns the id.
-    pub(crate) fn insert(&mut self, id: Reserved, job: Job<Inst, Sub, X>) -> u64 {
+    pub(crate) fn insert(&mut self, id: Reserved, job: Job<Sub, X>) -> u64 {
         self.reserved -= 1;
         self.put(id.0, job);
         id.0
     }
 
-    fn put(&mut self, id: u64, job: Job<Inst, Sub, X>) {
+    fn put(&mut self, id: u64, job: Job<Sub, X>) {
         self.open += usize::from(!job.state.is_terminal());
         if let Some(old) = self.jobs.insert(id, job) {
             self.open -= usize::from(!old.state.is_terminal());
@@ -261,8 +271,8 @@ impl<Inst, Sub, X> JobTable<Inst, Sub, X> {
     /// seeds the next id past every id the ledger ever recorded.
     pub(crate) fn restore(
         &mut self,
-        rec: Recovery<Inst, Sub>,
-        exec: impl Fn(&JobSpec<Inst, Sub>) -> X,
+        rec: Recovery<Sub>,
+        exec: impl Fn(&Spec<Sub>) -> X,
     ) -> Vec<Owed> {
         self.seed(rec.next_job);
         rec.jobs
@@ -310,7 +320,7 @@ impl<Inst, Sub, X> JobTable<Inst, Sub, X> {
     }
 
     /// Any change but a terminal one; those go through [`Self::finish`].
-    pub(crate) fn get_mut(&mut self, job: &u64) -> Option<&mut Job<Inst, Sub, X>> {
+    pub(crate) fn get_mut(&mut self, job: &u64) -> Option<&mut Job<Sub, X>> {
         self.jobs.get_mut(job)
     }
 
@@ -346,8 +356,8 @@ impl<Inst, Sub, X> JobTable<Inst, Sub, X> {
 }
 
 /// Reads see the jobs by id.
-impl<Inst, Sub, X> std::ops::Deref for JobTable<Inst, Sub, X> {
-    type Target = BTreeMap<u64, Job<Inst, Sub, X>>;
+impl<Sub, X> std::ops::Deref for JobTable<Sub, X> {
+    type Target = BTreeMap<u64, Job<Sub, X>>;
 
     fn deref(&self) -> &Self::Target {
         &self.jobs
@@ -387,20 +397,26 @@ impl<Sol> JobBook<'_, Sol> {
         self.recovered_total(true);
     }
 
-    /// Under `state`'s lock `admit` may turn the job away, else its id
-    /// is reserved; the write-ahead record is fsync'd outside the lock,
-    /// so submits do not serialize on the disk; back under it the job
-    /// is inserted and `enqueue` hands it to the executor. A failed
-    /// write abandons the id and answers the submit.
-    pub(crate) fn submit<S, Inst: Serialize, Sub: Serialize, X>(
+    /// An instance whose CRC fails is rejected before anything else:
+    /// the daemons never look inside an instance, so this is their one
+    /// check on it, and nothing is admitted or written ahead for it.
+    /// Then under `state`'s lock `admit` may turn the job away, else
+    /// its id is reserved; the write-ahead record is fsync'd outside
+    /// the lock, so submits do not serialize on the disk; back under it
+    /// the job is inserted and `enqueue` hands it to the executor. A
+    /// failed write abandons the id and answers the submit.
+    pub(crate) fn submit<S, Sub: Serialize, X>(
         &self,
         state: &Mutex<S>,
-        table: fn(&mut S) -> &mut JobTable<Inst, Sub, X>,
-        mut spec: JobSpec<Inst, Sub>,
+        table: fn(&mut S) -> &mut JobTable<Sub, X>,
+        mut spec: Spec<Sub>,
         exec: X,
         admit: impl FnOnce(&mut S) -> Result<(), &'static str>,
         enqueue: impl FnOnce(&mut S, u64),
     ) -> io::Result<Result<u64, &'static str>> {
+        if spec.instance.verify().is_err() {
+            return Ok(Err(BAD_INSTANCE));
+        }
         let id = {
             let mut st = state.lock().expect(POISONED);
             if let Err(reason) = admit(&mut st) {
@@ -469,7 +485,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    type Table = JobTable<u32, u32, ()>;
+    type Table = JobTable<u32, ()>;
 
     /// A ledger in a fresh directory, removed again on drop.
     struct Dir(PathBuf);
@@ -518,7 +534,7 @@ mod tests {
             }
         }
 
-        fn submit(&self, spec: JobSpec<u32, u32>) -> io::Result<u64> {
+        fn submit(&self, spec: Spec<u32>) -> io::Result<u64> {
             let outcome = self.book().submit(&self.table, |t| t, spec, (), |_| Ok(()), |_, _| {});
             Ok(outcome?.expect("nothing turns a job away"))
         }
@@ -560,8 +576,8 @@ mod tests {
         }
     }
 
-    fn spec() -> JobSpec<u32, u32> {
-        JobSpec::new("j", 1, 2)
+    fn spec() -> Spec<u32> {
+        JobSpec::new("j", EncodedInstance::encode(&1u32), 2)
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! temp-file + fsync + rename discipline:
 //!
 //! * `jobs/job-<id>.json` — the **write-ahead record** of one accepted
-//!   job: its full [`JobSpec`] (instance, root, priority, limits). It is
+//!   job: its full [`JobSpec`] (the client's
+//!   [`EncodedInstance`], root, priority, limits). It is
 //!   durable *before* the server acknowledges the submission, and
 //!   removed only when the job reaches a terminal state — so the set of
 //!   files in `jobs/` is exactly the set of jobs the server still owes
@@ -26,11 +27,14 @@
 //! without a checkpoint is requeued as submitted (run `1.1`); one with
 //! a checkpoint resumes from it with the chain's cumulative statistics
 //! (`run_index`, `nodes_so_far`, `wall_time_so_far`) carried over. A
-//! record that cannot be parsed — a torn write from a crash mid-rename,
-//! or manual tampering — is *skipped and reported*, never fatal: one
-//! bad artifact must not take the whole service down with it.
+//! record that cannot be parsed or whose instance fails its CRC — a
+//! torn write from a crash mid-rename, manual tampering, or a record
+//! from before wire revision 5, which held the instance decoded — is
+//! *skipped and reported*, never fatal: one bad artifact must not take
+//! the whole service down with it.
 
 use crate::server::JobSpec;
+use crate::wire::EncodedInstance;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::io::{self, Write as _};
@@ -48,12 +52,12 @@ pub struct LedgerRecord<Inst, Sub> {
 
 /// A job reconstructed by the recovery pass.
 #[derive(Clone, Debug)]
-pub struct RecoveredJob<Inst, Sub> {
+pub struct RecoveredJob<Sub> {
     /// The job id from the ledger record (reused, so watchers and
     /// `ugd status` keep naming the same job across the restart).
     pub job: u64,
     /// The original submission.
-    pub spec: JobSpec<Inst, Sub>,
+    pub spec: JobSpec<EncodedInstance, Sub>,
     /// The latest checkpoint of an interrupted run, as the JSON string
     /// [`ParallelOptions::restart_from`](crate::ParallelOptions)
     /// accepts; `None` when the job never ran long enough to checkpoint
@@ -69,14 +73,15 @@ pub struct RecoveredJob<Inst, Sub> {
 
 /// Everything [`JobLedger::recover`] found in a state directory.
 #[derive(Clone, Debug)]
-pub struct Recovery<Inst, Sub> {
+pub struct Recovery<Sub> {
     /// Recovered jobs in ascending id order (the pre-crash FIFO order).
-    pub jobs: Vec<RecoveredJob<Inst, Sub>>,
+    pub jobs: Vec<RecoveredJob<Sub>>,
     /// The next job id to assign: one past the highest id ever
     /// recorded, so recovered and new jobs never collide.
     pub next_job: u64,
-    /// Ledger files that could not be parsed (torn or corrupt); they
-    /// were left on disk for inspection but will not run.
+    /// Ledger files that could not be parsed (torn, corrupt, or
+    /// written before wire revision 5) or whose instance fails its CRC;
+    /// they were left on disk for inspection but will not run.
     pub skipped: Vec<PathBuf>,
 }
 
@@ -151,11 +156,7 @@ impl JobLedger {
     /// submission order. Unparseable records or checkpoints degrade
     /// gracefully (a bad checkpoint requeues the job from scratch; a
     /// bad record is skipped and reported in [`Recovery::skipped`]).
-    pub fn recover<Inst, Sub>(&self) -> io::Result<Recovery<Inst, Sub>>
-    where
-        Inst: DeserializeOwned,
-        Sub: DeserializeOwned,
-    {
+    pub fn recover<Sub: DeserializeOwned>(&self) -> io::Result<Recovery<Sub>> {
         let mut jobs = Vec::new();
         let mut skipped = Vec::new();
         let mut next_job = 0u64;
@@ -167,13 +168,13 @@ impl JobLedger {
             if path.extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
             }
-            let record: LedgerRecord<Inst, Sub> = match std::fs::read(&path)
+            let record: Result<LedgerRecord<EncodedInstance, Sub>, _> = std::fs::read(&path)
                 .and_then(crate::lz::decompress_if_needed)
                 .map_err(|e| e.to_string())
-                .and_then(|data| serde_json::from_slice(&data).map_err(|e| e.to_string()))
-            {
-                Ok(r) => r,
-                Err(_) => {
+                .and_then(|data| serde_json::from_slice(&data).map_err(|e| e.to_string()));
+            let record = match record {
+                Ok(r) if r.spec.instance.verify().is_ok() => r,
+                _ => {
                     skipped.push(path);
                     continue;
                 }
@@ -614,8 +615,9 @@ mod tests {
         dir
     }
 
-    fn spec(name: &str) -> JobSpec<String, u32> {
-        JobSpec { priority: 3, ..JobSpec::new(name, "instance".to_string(), 7) }
+    fn spec(name: &str) -> JobSpec<EncodedInstance, u32> {
+        let instance = EncodedInstance::encode(&"instance".to_string());
+        JobSpec { priority: 3, ..JobSpec::new(name, instance, 7) }
     }
 
     #[test]
@@ -625,7 +627,7 @@ mod tests {
         ledger.record_submitted(0, &spec("a")).unwrap();
         ledger.record_submitted(1, &spec("b")).unwrap();
 
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert_eq!(rec.jobs.len(), 2);
         assert_eq!(rec.next_job, 2);
         assert!(rec.skipped.is_empty());
@@ -637,7 +639,7 @@ mod tests {
 
         ledger.record_finished(0).unwrap();
         ledger.record_finished(0).unwrap(); // idempotent
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert_eq!(rec.jobs.len(), 1);
         assert_eq!(rec.jobs[0].job, 1);
         assert_eq!(rec.next_job, 2, "retiring a job must not reuse its id");
@@ -661,7 +663,7 @@ mod tests {
         };
         cp.save(&ledger.checkpoint_path(4)).unwrap();
 
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert_eq!(rec.jobs.len(), 1);
         let j = &rec.jobs[0];
         assert_eq!(j.run_index, 3, "resuming run 2's checkpoint starts run 3");
@@ -685,11 +687,38 @@ mod tests {
         // And an orphaned temp file from a crash before the rename.
         std::fs::write(dir.join("jobs/job-2.tmp"), b"{\"job\":2").unwrap();
 
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert_eq!(rec.jobs.len(), 1, "only the intact record runs");
         assert_eq!(rec.jobs[0].spec.name, "good");
         assert_eq!(rec.skipped.len(), 1, "the torn .json is reported");
         assert!(rec.skipped[0].ends_with("job-1.json"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record written before wire revision 5 (the instance decoded,
+    /// not a string) and one whose instance fails its CRC are skipped
+    /// and reported, like a torn one.
+    #[test]
+    fn records_without_a_sound_encoded_instance_are_skipped() {
+        let dir = scratch_dir("rev4");
+        let ledger = JobLedger::open(&dir).unwrap();
+        ledger.record_submitted(0, &spec("good")).unwrap();
+        let typed = JobSpec::new("rev4", vec![1u32, 2, 3], 7u32);
+        ledger.record_submitted(1, &typed).unwrap();
+        let good = serde_json::to_string(&spec("flipped").instance).unwrap();
+        let mut blob = crate::wire::base64_decode(good.trim_matches('"')).unwrap();
+        blob[6] ^= 0x10;
+        let flipped = format!("\"{}\"", crate::wire::base64_encode(&blob));
+        let flipped: EncodedInstance = serde_json::from_str(&flipped).unwrap();
+        ledger.record_submitted(2, &JobSpec { instance: flipped, ..spec("flipped") }).unwrap();
+
+        let rec: Recovery<u32> = ledger.recover().unwrap();
+        assert_eq!(rec.jobs.len(), 1, "only the sound record runs");
+        assert_eq!(rec.jobs[0].spec.name, "good");
+        let mut skipped: Vec<_> = rec.skipped.iter().filter_map(|p| p.file_name()).collect();
+        skipped.sort();
+        assert_eq!(skipped, ["job-1.json", "job-2.json"]);
+        assert_eq!(rec.next_job, 1, "a skipped record names no id");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -705,7 +734,7 @@ mod tests {
         std::fs::write(&path, &packed).unwrap();
         assert!(crate::lz::is_compressed(&std::fs::read(&path).unwrap()));
 
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert!(rec.skipped.is_empty(), "the packed record must parse");
         assert_eq!(rec.jobs.len(), 1);
         assert_eq!((rec.jobs[0].job, rec.jobs[0].spec.name.as_str()), (3, "packed"));
@@ -720,7 +749,7 @@ mod tests {
         let ledger = JobLedger::open(&dir).unwrap();
         ledger.record_submitted(0, &spec("j")).unwrap();
         std::fs::write(ledger.checkpoint_path(0), b"{\"queue\":[{\"sub\"").unwrap();
-        let rec: Recovery<String, u32> = ledger.recover().unwrap();
+        let rec: Recovery<u32> = ledger.recover().unwrap();
         assert_eq!(rec.jobs.len(), 1);
         assert!(rec.jobs[0].checkpoint.is_none(), "torn checkpoint: restart from scratch");
         assert_eq!(rec.jobs[0].run_index, 1);

@@ -77,6 +77,7 @@ pub use telemetry::{
     Journal, JournalRecord, MetricsRegistry, ProgressMsg, ProgressSink, RacingArm, TelemetryEvent,
     TelemetrySink,
 };
+pub use wire::EncodedInstance;
 pub use worker::{serve_worker, BaseSolver, ParaControl, SubproblemOutcome};
 
 /// The internal objective sense across the whole framework is

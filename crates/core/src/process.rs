@@ -86,7 +86,7 @@ use crate::chaos::{self, ChaosConfig, FrameFaults, SplitMix64};
 use crate::messages::Message;
 use crate::rpc::{accept_loop, wake_listener};
 use crate::telemetry;
-use crate::wire::{self, FrameDecoder, FrameHeader, WireError, UNSEQ};
+use crate::wire::{self, EncodedInstance, FrameDecoder, FrameHeader, WireError, UNSEQ};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -102,10 +102,11 @@ use std::time::{Duration, Instant};
 /// The wire revision every worker connection speaks after its
 /// handshake: checksummed, sequence-numbered v2 frames carrying the
 /// binary payload codec, whose payloads are the pool protocol
-/// ([`PoolDown`]/[`PoolUp`]). Advertised as `max_protocol` in the hello
-/// and as `protocol` in the welcome; a peer advertising anything else
-/// is refused (`require_revision`, PROTOCOL.md §4).
-pub const PROTOCOL_VERSION: u32 = 4;
+/// ([`PoolDown`]/[`PoolUp`]), a `Begin` carrying the
+/// [`EncodedInstance`]. Advertised as `max_protocol` in the hello and
+/// as `protocol` in the welcome; a peer advertising anything else is
+/// refused (`require_revision`, PROTOCOL.md §4).
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// The base protocol every peer must share for the handshake itself;
 /// a different value here drops the connection instead of
@@ -280,14 +281,15 @@ pub struct Session {
 
 /// Coordinator → worker payloads.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub enum PoolDown<Inst, Sub, Sol> {
+pub enum PoolDown<Sub, Sol> {
     /// A new job starts on this worker: load the instance. Encoded once
     /// per job; every worker of the job receives the identical bytes.
     Begin {
         /// The job the following frames belong to (0 in a per-call run).
         job: u64,
-        /// The instance the worker builds its base solver from.
-        instance: Inst,
+        /// The instance the worker builds its base solver from, as the
+        /// client encoded it; the worker's job loop decodes it.
+        instance: EncodedInstance,
     },
     /// A coordination message of the named job, verbatim.
     Ug {
@@ -1099,10 +1101,10 @@ where
         self.workers.len()
     }
 
-    /// Starts the job on every worker: one `Begin`, encoded once, that
+    /// Starts the job on every worker: one `Begin`, framed once, that
     /// every session rings without a copy.
-    pub fn begin<Inst: Serialize>(&self, instance: &Inst) {
-        let begin = PoolDown::<&Inst, Sub, Sol>::Begin { job: self.job, instance };
+    pub fn begin(&self, instance: EncodedInstance) {
+        let begin = PoolDown::<Sub, Sol>::Begin { job: self.job, instance };
         let begin = Arc::new(wire::to_payload_binary(&begin));
         for &worker in &self.workers {
             self.sessions.send(worker, begin.clone());
@@ -1115,9 +1117,7 @@ where
     /// killed it).
     pub fn send_to(&self, rank: usize, msg: Message<Sub, Sol>) -> bool {
         let Some(&worker) = self.workers.get(rank) else { return false };
-        // A `Ug` payload carries no instance: any serializable stand-in
-        // for the instance type encodes the same bytes.
-        let ug = PoolDown::<&str, Sub, Sol>::Ug { job: self.job, msg };
+        let ug = PoolDown::Ug { job: self.job, msg };
         self.sessions.send(worker, wire::to_payload_binary(&ug))
     }
 
@@ -1578,7 +1578,7 @@ fn spawn_heartbeat(
 mod tests {
     use super::*;
 
-    type Down = PoolDown<u32, u32, u32>;
+    type Down = PoolDown<u32, u32>;
     type Up = PoolUp<u32, u32>;
 
     /// What a per-call worker sends: a coordination message of job 0.
@@ -2221,14 +2221,19 @@ mod tests {
         assert_eq!(down.tag(), "termination");
     }
 
-    /// A `Ug` payload encoded with a stand-in instance type decodes as
-    /// the real [`PoolDown`]: what [`JobComm::send_to`] relies on.
+    /// A `Begin` carries the client's encoded instance verbatim: the
+    /// pool protocol's decode leaves it opaque, and it decodes to the
+    /// client's value only when asked.
     #[test]
-    fn ug_payload_does_not_depend_on_the_instance_type() {
-        let msg = Message::<u32, u32>::Incumbent { sol: 3, obj: 1.5 };
-        let bytes = wire::to_payload_binary(&PoolDown::<&str, u32, u32>::Ug { job: 9, msg });
-        match wire::decode::<PoolDown<Vec<String>, u32, u32>>(&bytes).unwrap() {
-            PoolDown::Ug { job, msg } => assert_eq!((job, msg.tag()), (9, "incumbent")),
+    fn begin_carries_the_encoded_instance_verbatim() {
+        let instance = EncodedInstance::encode(&vec!["a".to_string(), "b".to_string()]);
+        let begin = PoolDown::<u32, u32>::Begin { job: 9, instance: instance.clone() };
+        let bytes = wire::to_payload_binary(&begin);
+        match wire::decode::<PoolDown<u32, u32>>(&bytes).unwrap() {
+            PoolDown::Begin { job, instance: got } => {
+                assert_eq!((job, &got), (9, &instance));
+                assert_eq!(got.decode::<Vec<String>>().unwrap(), ["a", "b"]);
+            }
             other => panic!("decoded as {other:?}"),
         }
     }

@@ -90,8 +90,6 @@ pub(crate) fn wake_listener(mut addr: SocketAddr) -> bool {
 /// What a daemon contributes to its client connections: the `match` on
 /// the request.
 pub(crate) trait RequestHandler: Send + Sync + 'static {
-    /// Instance type of the jobs this daemon accepts.
-    type Inst: DeserializeOwned;
     /// Subproblem type of the jobs this daemon accepts.
     type Sub: DeserializeOwned;
     /// State kept per connection across requests.
@@ -110,7 +108,7 @@ pub(crate) trait RequestHandler: Send + Sync + 'static {
     fn handle(
         &self,
         conn: &mut Self::Conn,
-        req: ClientRequest<Self::Inst, Self::Sub>,
+        req: ClientRequest<Self::Sub>,
         out: &mut TcpStream,
     ) -> io::Result<bool>;
 }
@@ -405,7 +403,6 @@ mod tests {
     }
 
     impl RequestHandler for Daemon {
-        type Inst = u32;
         type Sub = u32;
         type Conn = ();
 
@@ -416,7 +413,7 @@ mod tests {
         fn handle(
             &self,
             _conn: &mut (),
-            req: ClientRequest<u32, u32>,
+            req: ClientRequest<u32>,
             out: &mut TcpStream,
         ) -> io::Result<bool> {
             match req {

@@ -14,6 +14,7 @@ use crate::process::{accept_ranks, reap, spawn_worker, ProcessCommConfig};
 use crate::settings::SolverSettings;
 use crate::stats::UgStats;
 use crate::supervisor::LoadCoordinator;
+use crate::wire::EncodedInstance;
 use crate::worker::{worker_loop, BaseSolver, SolverFactory};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -171,19 +172,19 @@ impl Default for DistributedOptions {
 /// Runs the parallel solve on `instance` with `num_solvers` *worker
 /// processes* spawned from `dist.worker_command` — `ug [base solver,
 /// ProcessComm]`. The run is a private one-job pool: worker *i* joins
-/// as rank *i*, receives `instance` in the job's one `Begin`, and every
+/// as rank *i*, receives `instance` — encoded once by the caller — in
+/// the job's one `Begin`, and every
 /// protocol message crosses process boundaries as wire frames; the
 /// coordinator logic is identical to the threaded run. Before this
 /// returns — on every path, a panic included — the sessions are closed
 /// and the workers killed and waited for.
-pub fn solve_parallel_distributed<Inst, Sub, Sol>(
-    instance: &Inst,
+pub fn solve_parallel_distributed<Sub, Sol>(
+    instance: EncodedInstance,
     root: Sub,
     options: ParallelOptions,
     dist: DistributedOptions,
 ) -> std::io::Result<ParallelResult<Sub, Sol>>
 where
-    Inst: Serialize,
     Sub: Clone + Send + Serialize + DeserializeOwned + 'static,
     Sol: Clone + Send + Serialize + DeserializeOwned + 'static,
 {

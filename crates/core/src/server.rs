@@ -37,14 +37,17 @@
 //! worker protocol, [`crate::process::PoolDown`]/[`PoolUp`]; the pool
 //! is the sessions' owner and gives a payload its job and a death its
 //! consequences. A torn pool connection therefore resumes; a worker is
-//! replaced only once its session dies or its process exits. The
-//! `Begin` payload
-//! carrying the instance is encoded **once** per job and shared by
-//! every leased worker's retransmit ring ([`JobComm::begin`]) — the
-//! instance never re-serializes per rank.
+//! replaced only once its session dies or its process exits.
+//!
+//! The server never looks inside an instance. A job's instance arrives
+//! as the [`EncodedInstance`] its client made; the server checks its
+//! CRC at `Submit`, before the write-ahead record, writes it ahead and
+//! ships it verbatim in the job's `Begin`, framed once and shared by
+//! every leased worker's retransmit ring ([`JobComm::begin`]). Only the
+//! worker decodes it.
 
 use crate::comm::LcComm;
-use crate::jobs::{submit_reply, JobBook, JobTable, Terminal, SERVER};
+use crate::jobs::{submit_reply, JobBook, JobTable, Spec, Terminal, SERVER};
 use crate::ledger::JobLedger;
 use crate::messages::Message;
 use crate::process::{
@@ -54,7 +57,7 @@ use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
 use crate::runner::{ParallelOptions, ParallelResult};
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
-use crate::wire::{self, FrameDecoder, WireError};
+use crate::wire::{self, EncodedInstance, FrameDecoder, WireError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -81,7 +84,10 @@ impl<T: Clone + Send + Serialize + DeserializeOwned + 'static> WireType for T {}
 pub struct JobSpec<Inst, Sub> {
     /// Free-form label, echoed in status and events.
     pub name: String,
-    /// The solver-independent instance (shipped to every leased worker).
+    /// The solver-independent instance. A client holds it typed; on
+    /// the wire, in the daemons and in their ledgers it is an
+    /// [`EncodedInstance`] (see [`JobClient::submit`]), shipped as is to
+    /// every leased worker.
     pub instance: Inst,
     /// The root subproblem handed to the job's coordinator.
     pub root: Sub,
@@ -146,15 +152,35 @@ impl<Inst, Sub> JobSpec<Inst, Sub> {
             size_hint: None,
         }
     }
+
+    /// The same job with its instance replaced by `f(instance)`.
+    pub fn map_instance<I>(self, f: impl FnOnce(Inst) -> I) -> JobSpec<I, Sub> {
+        JobSpec {
+            name: self.name,
+            instance: f(self.instance),
+            root: self.root,
+            priority: self.priority,
+            num_solvers: self.num_solvers,
+            time_limit: self.time_limit,
+            node_limit: self.node_limit,
+            tenant: self.tenant,
+            restart_from: self.restart_from,
+            family: self.family,
+            checksum: self.checksum,
+            size_hint: self.size_hint,
+        }
+    }
 }
 
 /// Client → server requests.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub enum ClientRequest<Inst, Sub> {
-    /// Enqueue a job; answered with [`ServerReply::Submitted`].
+pub enum ClientRequest<Sub> {
+    /// Enqueue a job; answered with [`ServerReply::Submitted`], or
+    /// [`ServerReply::Rejected`] when the instance fails its CRC.
     Submit {
-        /// What to solve and under which limits.
-        spec: JobSpec<Inst, Sub>,
+        /// What to solve and under which limits, the instance encoded
+        /// once by the client.
+        spec: JobSpec<EncodedInstance, Sub>,
     },
     /// Cancel a queued or running job (`ok: false` when already done).
     Cancel {
@@ -619,20 +645,20 @@ impl<Sub, Sol> RunHandle<Sub, Sol> {
     }
 }
 
-struct ServerState<Inst, Sub, Sol> {
+struct ServerState<Sub, Sol> {
     workers: HashMap<u64, WorkerEntry>,
     /// Spawned but not yet handshaken, keyed by spawn tag.
     pending: HashMap<u64, PendingSpawn>,
     next_worker_tag: u64,
     /// Waiting job ids in submission order.
     queue: Vec<u64>,
-    jobs: JobTable<Inst, Sub, RunHandle<Sub, Sol>>,
+    jobs: JobTable<Sub, RunHandle<Sub, Sol>>,
     running: usize,
     shutdown: bool,
 }
 
-struct SharedState<Inst, Sub, Sol> {
-    state: Mutex<ServerState<Inst, Sub, Sol>>,
+struct SharedState<Sub, Sol> {
+    state: Mutex<ServerState<Sub, Sol>>,
     /// Wakes the scheduler (submission, worker change, job end).
     sched: Condvar,
     /// Every job's event log; `Watch` streams from it.
@@ -668,9 +694,9 @@ struct SharedState<Inst, Sub, Sol> {
 
 /// Everything a job thread needs, collected under the state lock and
 /// handed out of it (threads are spawned lock-free in phase B).
-struct StartedJob<Inst, Sub, Sol> {
+struct StartedJob<Sub, Sol> {
     jid: u64,
-    spec: JobSpec<Inst, Sub>,
+    spec: Spec<Sub>,
     cancel: Arc<AtomicBool>,
     /// The leased workers' pool ids, by rank.
     workers: Vec<u64>,
@@ -707,8 +733,8 @@ fn classify<Sub, Sol>(
 // ---------------------------------------------------------------------
 
 /// A running job service: worker pool + scheduler + client listener.
-pub struct Server<Inst: WireType, Sub: WireType, Sol: WireType> {
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
+pub struct Server<Sub: WireType, Sol: WireType> {
+    shared: Arc<SharedState<Sub, Sol>>,
     client_addr: SocketAddr,
     worker_addr: SocketAddr,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -717,7 +743,7 @@ pub struct Server<Inst: WireType, Sub: WireType, Sol: WireType> {
     recovered: (usize, usize),
 }
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
+impl<Sub: WireType, Sol: WireType> Server<Sub, Sol> {
     /// Binds both listeners and starts the scheduler; returns once the
     /// server is accepting (workers fill in asynchronously).
     ///
@@ -739,7 +765,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
         let worker_addr = worker_listener.local_addr()?;
         let queue = recovered.iter().map(|r| r.job).collect();
         let pool_comm = config.comm.clone();
-        let shared = Arc::new_cyclic(|me: &Weak<SharedState<Inst, Sub, Sol>>| SharedState {
+        let shared = Arc::new_cyclic(|me: &Weak<SharedState<Sub, Sol>>| SharedState {
             state: Mutex::new(ServerState {
                 workers: HashMap::new(),
                 pending: HashMap::new(),
@@ -858,7 +884,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> Server<Inst, Sub, Sol> {
     }
 }
 
-fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
+fn initiate_shutdown<Sub, Sol>(shared: &SharedState<Sub, Sol>) {
     shared.shutdown.store(true, Ordering::SeqCst);
     shared.state.lock().unwrap().shutdown = true;
     shared.sched.notify_all();
@@ -875,13 +901,11 @@ fn initiate_shutdown<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) {
 /// state lock (A), act lock-free (B: kill lost workers, spawn job
 /// threads, emit events), then block on the condvar (C). Nothing slow
 /// ever runs under the lock.
-fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
-) {
+fn scheduler_loop<Sub: WireType, Sol: WireType>(shared: Arc<SharedState<Sub, Sol>>) {
     loop {
         shared.sessions.sweep();
         let mut lost: Vec<u64> = Vec::new();
-        let mut starts: Vec<StartedJob<Inst, Sub, Sol>> = Vec::new();
+        let mut starts: Vec<StartedJob<Sub, Sol>> = Vec::new();
         {
             let mut st = shared.state.lock().unwrap();
             if st.shutdown {
@@ -1016,7 +1040,7 @@ fn scheduler_loop<Inst: WireType, Sub: WireType, Sol: WireType>(
 /// tell its job's coordinator (requeue path), wake the scheduler
 /// (refill path). Idempotent — the session layer and the scheduler's
 /// process check may both report the same worker.
-fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: u64) {
+fn worker_lost<Sub, Sol: Clone>(shared: &SharedState<Sub, Sol>, id: u64) {
     let (child, notify) = {
         let mut st = shared.state.lock().unwrap();
         let Some(mut w) = st.workers.remove(&id) else { return };
@@ -1037,14 +1061,14 @@ fn worker_lost<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, id: 
 }
 
 /// Runs one job to completion on its leased workers (the job thread).
-fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
-    shared: Arc<SharedState<Inst, Sub, Sol>>,
-    start: StartedJob<Inst, Sub, Sol>,
+fn run_job<Sub: WireType, Sol: WireType>(
+    shared: Arc<SharedState<Sub, Sol>>,
+    start: StartedJob<Sub, Sol>,
 ) {
     let StartedJob { jid, spec, cancel, workers, inbox, restart_from } = start;
     let n = workers.len();
     let comm = JobComm::new(jid, shared.sessions.clone(), workers, inbox);
-    comm.begin(&spec.instance);
+    comm.begin(spec.instance);
     // Telemetry wiring: an optional per-job journal plus a progress
     // sink feeding the server's live per-job snapshot map.
     let journal = shared.config.journal_dir.as_ref().and_then(|dir| {
@@ -1129,7 +1153,7 @@ fn run_job<Inst: WireType, Sub: WireType, Sol: WireType>(
     shared.sched.notify_all();
 }
 
-fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>) {
+fn shutdown_cleanup<Sub, Sol: Clone>(shared: &SharedState<Sub, Sol>) {
     let queued: Vec<Terminal> = {
         let mut st = shared.state.lock().unwrap();
         let queued = std::mem::take(&mut st.queue);
@@ -1171,9 +1195,9 @@ fn shutdown_cleanup<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>)
 /// The pool as the owner of its [`Sessions`]: a hello's spawn tag marries
 /// the connection back to its `Child`, payloads are [`PoolUp`]s, a death
 /// is a lost worker. Weak, because the table lives inside the state.
-struct Pool<Inst, Sub, Sol>(Weak<SharedState<Inst, Sub, Sol>>);
+struct Pool<Sub, Sol>(Weak<SharedState<Sub, Sol>>);
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> SessionOwner for Pool<Inst, Sub, Sol> {
+impl<Sub: WireType, Sol: WireType> SessionOwner for Pool<Sub, Sol> {
     fn admit(&self, hello: &Hello, _taken: &dyn Fn(u64) -> bool) -> Option<u64> {
         let shared = self.0.upgrade()?;
         let mut st = shared.state.lock().unwrap();
@@ -1259,7 +1283,7 @@ struct ClientConn {
     gateway_epoch: Option<u64>,
 }
 
-impl<Inst, Sub, Sol> SharedState<Inst, Sub, Sol> {
+impl<Sub, Sol> SharedState<Sub, Sol> {
     /// The job life cycle's ledger, events and counters.
     fn book(&self) -> JobBook<'_, Sol> {
         JobBook {
@@ -1311,8 +1335,7 @@ impl<Inst, Sub, Sol> SharedState<Inst, Sub, Sol> {
     }
 }
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedState<Inst, Sub, Sol> {
-    type Inst = Inst;
+impl<Sub: WireType, Sol: WireType> RequestHandler for SharedState<Sub, Sol> {
     type Sub = Sub;
     type Conn = ClientConn;
 
@@ -1327,7 +1350,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedStat
     fn handle(
         &self,
         conn: &mut ClientConn,
-        req: ClientRequest<Inst, Sub>,
+        req: ClientRequest<Sub>,
         out: &mut TcpStream,
     ) -> io::Result<bool> {
         let reply: ServerReply<Sol> = match req {
@@ -1403,7 +1426,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> RequestHandler for SharedStat
 /// success the job's ledger record is retired here (the caller's own
 /// ledger keeps it at-least-once across the move) and the job finishes
 /// `Cancelled`.
-fn reclaim_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job: u64) -> bool {
+fn reclaim_job<Sub, Sol: Clone>(shared: &SharedState<Sub, Sol>, job: u64) -> bool {
     let reclaimed = cancel_job(shared, job, false);
     if reclaimed {
         shared
@@ -1418,11 +1441,7 @@ fn reclaim_job<Inst, Sub, Sol: Clone>(shared: &SharedState<Inst, Sub, Sol>, job:
 /// `Cancelled` here; a running one, when `running` allows, is stopped
 /// through its cancel flag and finishes when its coordinator returns.
 /// False when neither applies.
-fn cancel_job<Inst, Sub, Sol: Clone>(
-    shared: &SharedState<Inst, Sub, Sol>,
-    job: u64,
-    running: bool,
-) -> bool {
+fn cancel_job<Sub, Sol: Clone>(shared: &SharedState<Sub, Sol>, job: u64, running: bool) -> bool {
     let terminal = {
         let mut st = shared.state.lock().unwrap();
         match st.jobs.get(&job).map(|j| j.state()) {
@@ -1443,7 +1462,7 @@ fn cancel_job<Inst, Sub, Sol: Clone>(
     true
 }
 
-fn server_status<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> ServerStatus {
+fn server_status<Sub, Sol>(shared: &SharedState<Sub, Sol>) -> ServerStatus {
     // `progress` is locked before `state` is taken (disjoint critical
     // sections) — the snapshot may lag a status by one interval, which
     // is fine for a status display.
@@ -1472,7 +1491,7 @@ fn server_status<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Server
 /// gauges, render this server's registry plus the process-wide one,
 /// synthesize per-job series from the progress snapshots, and attach
 /// the structured snapshots themselves.
-fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> MetricsReport {
+fn metrics_report<Sub, Sol>(shared: &SharedState<Sub, Sol>) -> MetricsReport {
     use std::fmt::Write as _;
     let progress: HashMap<u64, ProgressMsg> = shared.progress.lock().unwrap().clone();
     let jobs = {
@@ -1534,7 +1553,9 @@ fn metrics_report<Inst, Sub, Sol>(shared: &SharedState<Inst, Sub, Sol>) -> Metri
 /// Zero-sized marker pinning a client to its server's wire types.
 type ClientTypes<Inst, Sub, Sol> = PhantomData<fn() -> (Inst, Sub, Sol)>;
 
-/// A blocking client of one [`Server`] (one TCP connection).
+/// A blocking client of one [`Server`] (one TCP connection). `Inst` is
+/// the typed instance [`Self::submit`] encodes; everything else the
+/// client sends or reads is independent of it.
 pub struct JobClient<Inst, Sub, Sol> {
     stream: TcpStream,
     dec: FrameDecoder,
@@ -1580,7 +1601,7 @@ pub fn fenced_epoch(e: &io::Error) -> Option<u64> {
     e.get_ref().and_then(|inner| inner.downcast_ref::<FencedError>()).map(|f| f.epoch)
 }
 
-impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
+impl<Inst, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
     /// Connects to a server's client address.
     pub fn connect(addr: &str) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
@@ -1630,27 +1651,19 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
         })
     }
 
-    pub(crate) fn request(
-        &mut self,
-        req: &ClientRequest<Inst, Sub>,
-    ) -> io::Result<ServerReply<Sol>> {
+    pub(crate) fn request(&mut self, req: &ClientRequest<Sub>) -> io::Result<ServerReply<Sol>> {
         wire::write_msg(&mut self.stream, req)?;
         self.read_reply()
     }
 
-    /// Submits a job; returns its id. An admission-control rejection
-    /// surfaces as an error here — use [`Self::try_submit`] to tell a
-    /// quota refusal apart from a transport failure.
-    pub fn submit(&mut self, spec: JobSpec<Inst, Sub>) -> io::Result<u64> {
-        match self.try_submit(spec)? {
-            SubmitOutcome::Accepted(job) => Ok(job),
-            SubmitOutcome::Rejected(reason) => Err(io::Error::other(format!("rejected: {reason}"))),
-        }
-    }
-
-    /// Submits a job, reporting an admission-control rejection as a
-    /// normal [`SubmitOutcome`] instead of an error.
-    pub fn try_submit(&mut self, spec: JobSpec<Inst, Sub>) -> io::Result<SubmitOutcome> {
+    /// Submits a job whose instance is already encoded — what a gateway
+    /// forwards: the bytes it stored, not a re-encoding. A rejection
+    /// (admission control, a failed instance CRC) is a normal
+    /// [`SubmitOutcome`].
+    pub fn try_submit_encoded(
+        &mut self,
+        spec: JobSpec<EncodedInstance, Sub>,
+    ) -> io::Result<SubmitOutcome> {
         submit_outcome(self.request(&ClientRequest::Submit { spec })?)
     }
 
@@ -1702,7 +1715,7 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
         from_seq: usize,
         mut on_event: impl FnMut(&JobEvent<Sol>),
     ) -> io::Result<JobEvent<Sol>> {
-        wire::write_msg(&mut self.stream, &ClientRequest::<Inst, Sub>::Watch { job, from_seq })?;
+        wire::write_msg(&mut self.stream, &ClientRequest::<Sub>::Watch { job, from_seq })?;
         loop {
             match self.read_reply()? {
                 ServerReply::Event { event } => {
@@ -1730,6 +1743,26 @@ impl<Inst: WireType, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
             ServerReply::ShuttingDown => Ok(()),
             _ => Err(unexpected_reply()),
         }
+    }
+}
+
+impl<Inst: Serialize, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
+    /// Submits a job; returns its id. An admission-control rejection
+    /// surfaces as an error here — use [`Self::try_submit`] to tell a
+    /// quota refusal apart from a transport failure.
+    pub fn submit(&mut self, spec: JobSpec<Inst, Sub>) -> io::Result<u64> {
+        match self.try_submit(spec)? {
+            SubmitOutcome::Accepted(job) => Ok(job),
+            SubmitOutcome::Rejected(reason) => Err(io::Error::other(format!("rejected: {reason}"))),
+        }
+    }
+
+    /// Submits a job, reporting an admission-control rejection as a
+    /// normal [`SubmitOutcome`] instead of an error. The instance is
+    /// encoded here, once: nothing between this client and the worker
+    /// that solves the job encodes or decodes it again.
+    pub fn try_submit(&mut self, spec: JobSpec<Inst, Sub>) -> io::Result<SubmitOutcome> {
+        self.try_submit_encoded(spec.map_instance(|i| EncodedInstance::encode(&i)))
     }
 }
 
@@ -1815,7 +1848,7 @@ mod tests {
     /// leaving each to notice at its next read timeout.
     #[test]
     fn an_idle_client_reads_eof_right_after_shutdown() {
-        let server = Server::<u32, u32, u32>::start(ServerConfig::default()).expect("start");
+        let server = Server::<u32, u32>::start(ServerConfig::default()).expect("start");
         let mut client = JobClient::<u32, u32, u32>::connect(&server.client_addr().to_string())
             .expect("connect");
         client.status().expect("the connection is being served");
@@ -1838,7 +1871,7 @@ mod tests {
         let state = std::env::temp_dir().join(format!("ugrs-server-wal-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&state);
         let config = ServerConfig { state_dir: Some(state.clone()), ..ServerConfig::default() };
-        let server = Server::<u32, u32, u32>::start(config).expect("start");
+        let server = Server::<u32, u32>::start(config).expect("start");
         let mut client = JobClient::<u32, u32, u32>::connect(&server.client_addr().to_string())
             .expect("connect");
         let jobs = state.join("jobs");

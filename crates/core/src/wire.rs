@@ -29,6 +29,11 @@
 //! The decoder is incremental: bytes arrive in arbitrary chunks (TCP
 //! guarantees order, not boundaries) and are buffered until a whole
 //! frame is available.
+//!
+//! A job's instance rides inside those payloads as an
+//! [`EncodedInstance`]: its binary payload behind a CRC32, as one
+//! base64 string, encoded by the client and decoded by the worker
+//! only.
 
 use bytes::{Bytes, BytesMut};
 use serde::de::DeserializeOwned;
@@ -495,6 +500,159 @@ mod binval {
     }
 }
 
+// ---------------------------------------------------------------------
+// The instance as it travels: opaque, checksummed, base64
+// ---------------------------------------------------------------------
+
+const BASE64_ALPHABET: &[u8; 64] =
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+/// Marks a byte outside the alphabet in [`BASE64_VALUES`].
+const NOT_BASE64: u8 = 0xFF;
+
+const fn base64_values() -> [u8; 256] {
+    let mut table = [NOT_BASE64; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64_ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+}
+
+static BASE64_VALUES: [u8; 256] = base64_values();
+
+/// Standard base64 (RFC 4648 §4: `+/` alphabet, `=` padding) of `data`.
+pub fn base64_encode(data: &[u8]) -> String {
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    for chunk in data.chunks(3) {
+        let b = [chunk[0], *chunk.get(1).unwrap_or(&0), *chunk.get(2).unwrap_or(&0)];
+        let n = u32::from_be_bytes([0, b[0], b[1], b[2]]);
+        for k in 0..4 {
+            out.push(if k <= chunk.len() {
+                BASE64_ALPHABET[(n >> (18 - 6 * k) & 0x3F) as usize]
+            } else {
+                b'='
+            });
+        }
+    }
+    String::from_utf8(out).expect("the alphabet is ASCII")
+}
+
+/// Decodes standard padded base64. Strict: the length must be a
+/// multiple of four, `=` may only end the last quantum (at most two),
+/// and the bits a padded quantum drops must be zero, so every byte
+/// string has exactly one accepted encoding. Anything else is a
+/// [`WireError::Codec`].
+pub fn base64_decode(text: &str) -> Result<Vec<u8>, WireError> {
+    let bad = |what: String| WireError::Codec(format!("bad base64: {what}"));
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(4) {
+        return Err(bad(format!("length {} is not a multiple of 4", bytes.len())));
+    }
+    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
+    let quanta = bytes.len() / 4;
+    for (q, quad) in bytes.chunks_exact(4).enumerate() {
+        let pad = quad.iter().rev().take_while(|&&c| c == b'=').count();
+        if pad > 2 || (pad > 0 && q + 1 != quanta) {
+            return Err(bad(format!("misplaced padding in quantum {q}")));
+        }
+        let mut n = 0u32;
+        for (k, &c) in quad[..4 - pad].iter().enumerate() {
+            let v = BASE64_VALUES[c as usize];
+            if v == NOT_BASE64 {
+                return Err(bad(format!("byte 0x{c:02x} at offset {}", 4 * q + k)));
+            }
+            n |= (v as u32) << (18 - 6 * k);
+        }
+        let [_, b0, b1, b2] = n.to_be_bytes();
+        let (keep, dropped) = match pad {
+            0 => (&[b0, b1, b2][..], 0),
+            1 => (&[b0, b1][..], b2),
+            _ => (&[b0][..], b1 | b2),
+        };
+        if dropped != 0 {
+            return Err(bad(format!("non-zero padding bits in quantum {q}")));
+        }
+        out.extend_from_slice(keep);
+    }
+    Ok(out)
+}
+
+/// A job's instance as it travels from the client to the worker: the
+/// instance's binary payload ([`to_payload_binary`]) behind a CRC32,
+/// carried as **one base64 string** (the serde `Value` has no bytes
+/// variant). A JSON frame therefore carries one string instead of a
+/// tree, and the binary codec copies it as one string node.
+///
+/// The client encodes it once ([`Self::encode`]); the daemons, their
+/// ledgers and the gateway→shard hop hold and forward the string
+/// without looking inside — a daemon only checks the CRC at `Submit`
+/// ([`Self::verify`]) — and the worker decodes it once
+/// ([`Self::decode`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EncodedInstance(String);
+
+impl EncodedInstance {
+    /// Encodes `instance`: binary payload, CRC32, base64.
+    pub fn encode<T: Serialize>(instance: &T) -> Self {
+        Self::from_payload(&to_payload_binary(instance))
+    }
+
+    /// Wraps an already-encoded payload: the big-endian CRC32 of
+    /// `payload`, then `payload`, in base64.
+    pub fn from_payload(payload: &[u8]) -> Self {
+        let mut blob = Vec::with_capacity(4 + payload.len());
+        blob.extend_from_slice(&crc32(payload).to_be_bytes());
+        blob.extend_from_slice(payload);
+        EncodedInstance(base64_encode(&blob))
+    }
+
+    /// The payload, once its CRC is checked: [`WireError::Codec`] for
+    /// malformed base64 or a blob too short to hold a CRC,
+    /// [`WireError::Corrupt`] for a CRC mismatch.
+    pub fn payload(&self) -> Result<Vec<u8>, WireError> {
+        let mut blob = base64_decode(&self.0)?;
+        if blob.len() < 4 {
+            return Err(WireError::Codec(format!("instance blob of {} bytes", blob.len())));
+        }
+        let payload = blob.split_off(4);
+        let sent = u32::from_be_bytes(blob.try_into().expect("4 bytes"));
+        let computed = crc32(&payload);
+        if sent != computed {
+            return Err(WireError::Corrupt(format!(
+                "instance crc mismatch ({sent:08x} != {computed:08x})"
+            )));
+        }
+        Ok(payload)
+    }
+
+    /// Checks the CRC without decoding the instance: what a daemon does
+    /// at `Submit`, before anything is written ahead.
+    pub fn verify(&self) -> Result<(), WireError> {
+        self.payload().map(drop)
+    }
+
+    /// Decodes the instance: the worker's half.
+    pub fn decode<T: DeserializeOwned>(&self) -> Result<T, WireError> {
+        decode_payload(&self.payload()?)
+    }
+}
+
+impl Serialize for EncodedInstance {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.0.clone())
+    }
+}
+
+impl serde::Deserialize for EncodedInstance {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        v.as_str()
+            .map(|s| EncodedInstance(s.to_owned()))
+            .ok_or_else(|| serde::Error::msg("an encoded instance is a base64 string"))
+    }
+}
+
 /// Serializes `msg` into one v1 framed buffer (prefix + payload),
 /// ready for a single `write_all`. Every encoded frame is counted in
 /// the process-wide wire telemetry ([`crate::telemetry::wire`]),
@@ -510,6 +668,11 @@ pub fn decode<T: DeserializeOwned>(payload: &[u8]) -> Result<T, WireError> {
     let w = crate::telemetry::wire();
     w.rx_frames.inc();
     w.rx_bytes.add(payload.len() as u64 + 4);
+    decode_payload(payload)
+}
+
+/// [`decode`] without the telemetry: a payload that is not a frame's.
+fn decode_payload<T: DeserializeOwned>(payload: &[u8]) -> Result<T, WireError> {
     if payload.first() == Some(&BINARY_MAGIC) {
         let value = binval::decode(&payload[1..])
             .map_err(|e| WireError::Codec(format!("bad binary payload: {e}")))?;

@@ -297,11 +297,17 @@ pub fn worker_loop<S: BaseSolver>(
 /// The worker-process main loop, the one way a worker process runs:
 /// joins the coordinator or pool server at `addr` (under the spawn
 /// `tag` it was started with) and serves jobs until the coordinator is
-/// gone for good. `make_factory` turns each job's instance, received in
-/// its `Begin`, into the base-solver factory for that job's
-/// subproblems. A job ends on its `Terminate`, acknowledged with
-/// `JobDone`; the worker then waits for the next `Begin` — a per-call
-/// run, a one-job pool, ends its workers itself.
+/// gone for good. Each job's instance arrives encoded in its `Begin`;
+/// this loop decodes it — the one place between client and worker that
+/// looks inside — and `make_factory` turns it into the base-solver
+/// factory for that job's subproblems. A job ends on its `Terminate`,
+/// acknowledged with `JobDone`; the worker then waits for the next
+/// `Begin` — a per-call run, a one-job pool, ends its workers itself.
+///
+/// An instance that does not decode (its CRC held, so the client sent
+/// it that way) ends the worker with an `InvalidData` error: its
+/// coordinator sees a dead worker, and a job whose every worker died
+/// ends `Failed` while a pool replaces the process.
 pub fn serve_worker<Inst, S, F>(
     addr: &str,
     tag: Option<u64>,
@@ -310,11 +316,11 @@ pub fn serve_worker<Inst, S, F>(
     config: &ProcessCommConfig,
 ) -> std::io::Result<()>
 where
-    Inst: DeserializeOwned + Send + 'static,
+    Inst: DeserializeOwned,
     S: BaseSolver + 'static,
     F: Fn(&Inst) -> SolverFactory<S>,
 {
-    let link = WorkerLink::<PoolDown<Inst, S::Sub, S::Sol>, PoolUp<S::Sub, S::Sol>>::connect(
+    let link = WorkerLink::<PoolDown<S::Sub, S::Sol>, PoolUp<S::Sub, S::Sol>>::connect(
         addr,
         &Hello::new(tag),
         config,
@@ -322,7 +328,15 @@ where
     let mut current: Option<(u64, SolverFactory<S>)> = None;
     while let Some(down) = link.recv() {
         match down {
-            PoolDown::Begin { job, instance } => current = Some((job, make_factory(&instance))),
+            PoolDown::Begin { job, instance } => {
+                let instance: Inst = instance.decode().map_err(|e| {
+                    std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("job {job}: instance does not decode: {e}"),
+                    )
+                })?;
+                current = Some((job, make_factory(&instance)));
+            }
             PoolDown::Ug { job, msg } => {
                 let Some((cur, factory)) = current.as_ref() else { continue };
                 if *cur != job {
@@ -353,14 +367,12 @@ where
 /// A worker process's transport while it serves `job`: messages travel
 /// as [`PoolUp::Ug`] tagged with the job id, and the downlink
 /// multiplexes [`PoolDown`] (job-tagged) instead of raw messages.
-struct JobUplink<'a, Inst, Sub, Sol> {
-    link: &'a WorkerLink<PoolDown<Inst, Sub, Sol>, PoolUp<Sub, Sol>>,
+struct JobUplink<'a, Sub, Sol> {
+    link: &'a WorkerLink<PoolDown<Sub, Sol>, PoolUp<Sub, Sol>>,
     job: u64,
 }
 
-impl<Inst, Sub: serde::Serialize, Sol: serde::Serialize> Uplink<Sub, Sol>
-    for JobUplink<'_, Inst, Sub, Sol>
-{
+impl<Sub: serde::Serialize, Sol: serde::Serialize> Uplink<Sub, Sol> for JobUplink<'_, Sub, Sol> {
     fn try_recv(&self) -> Option<Message<Sub, Sol>> {
         loop {
             // `Begin` mid-solve cannot happen (a job's `Begin` follows

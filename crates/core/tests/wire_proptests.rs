@@ -21,7 +21,8 @@ use ugrs_core::process::{
 };
 use ugrs_core::server::{JobEvent, JobEventKind, JobSummary, WorkerInfo};
 use ugrs_core::wire::{
-    decode, encode, frame_v1, frame_v2, to_payload, to_payload_binary, FrameDecoder, FrameHeader,
+    base64_decode, base64_encode, decode, encode, frame_v1, frame_v2, to_payload,
+    to_payload_binary, to_payload_codec, Codec, EncodedInstance, FrameDecoder, FrameHeader,
     WireError, BINARY_MAGIC, MAX_FRAME_LEN, UNSEQ,
 };
 use ugrs_core::{
@@ -30,9 +31,9 @@ use ugrs_core::{
 };
 
 type Msg = Message<Vec<u32>, Vec<f64>>;
-type Req = ClientRequest<String, Vec<u32>>;
+type Req = ClientRequest<Vec<u32>>;
 type Reply = ServerReply<Vec<f64>>;
-type Down = PoolDown<String, Vec<u32>, Vec<f64>>;
+type Down = PoolDown<Vec<u32>, Vec<f64>>;
 type Up = PoolUp<Vec<u32>, Vec<f64>>;
 
 /// Finite and non-finite doubles — the bound fields routinely carry
@@ -111,7 +112,7 @@ fn arb_job_state() -> impl Strategy<Value = JobState> {
     })
 }
 
-fn arb_job_spec() -> impl Strategy<Value = JobSpec<String, Vec<u32>>> {
+fn arb_job_spec() -> impl Strategy<Value = JobSpec<EncodedInstance, Vec<u32>>> {
     (
         0usize..1_000,
         proptest::collection::vec(0u32..10_000, 0..8),
@@ -130,7 +131,7 @@ fn arb_job_spec() -> impl Strategy<Value = JobSpec<String, Vec<u32>>> {
                 (has_limit, limit, has_tenant, has_restart),
             )| JobSpec {
                 name: format!("job-{n}"),
-                instance: format!("inst-{n}"),
+                instance: EncodedInstance::encode(&format!("inst-{n}")),
                 root,
                 priority,
                 num_solvers,
@@ -347,11 +348,35 @@ fn arb_server_reply() -> impl Strategy<Value = Reply> {
 fn arb_pool_down() -> impl Strategy<Value = Down> {
     (any::<bool>(), 0u64..1_000, 0usize..1_000, arb_msg()).prop_map(|(begin, job, n, msg)| {
         if begin {
-            PoolDown::Begin { job, instance: format!("inst-{n}") }
+            PoolDown::Begin { job, instance: EncodedInstance::encode(&format!("inst-{n}")) }
         } else {
             PoolDown::Ug { job, msg }
         }
     })
+}
+
+/// The base64 text an [`EncodedInstance`] travels as.
+fn instance_text(e: &EncodedInstance) -> String {
+    match serde_json::to_value(e) {
+        serde::Value::Str(text) => text,
+        other => panic!("an encoded instance serialized as {other:?}"),
+    }
+}
+
+/// The instance a peer sending `text` would deliver.
+fn instance_from_text(text: String) -> EncodedInstance {
+    serde_json::from_value(&serde::Value::Str(text)).expect("any string is an encoded instance")
+}
+
+/// Bytes of a fixed pseudo-random pattern (an LCG), `n` long.
+fn pattern(n: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..n)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 56) as u8
+        })
+        .collect()
 }
 
 fn arb_pool_up() -> impl Strategy<Value = Up> {
@@ -521,6 +546,83 @@ proptest! {
             Err(e @ WireError::Codec(_)) => prop_assert!(!e.is_retryable()),
             other => prop_assert!(false, "expected Codec, got {other:?}"),
         }
+    }
+
+    // ---------------------------------------------------------------
+    // The encoded instance: base64 + CRC, opaque from client to worker
+    // ---------------------------------------------------------------
+
+    /// Arbitrary payload bytes survive both payload codecs bit-exactly:
+    /// what leaves the client is what the worker's decode sees.
+    #[test]
+    fn encoded_instance_roundtrips_arbitrary_bytes_through_both_codecs(
+        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        let sent = EncodedInstance::from_payload(&bytes);
+        for codec in [Codec::Json, Codec::Binary] {
+            let got: EncodedInstance = decode(&to_payload_codec(&sent, codec)).unwrap();
+            prop_assert_eq!(&got, &sent);
+            prop_assert_eq!(got.payload().unwrap(), bytes.clone());
+        }
+    }
+
+    /// Anything malformed — a byte outside the alphabet, padding out of
+    /// place, a string cut short — is a structured `Codec` error, from
+    /// the base64 decoder and from the instance alike; arbitrary text
+    /// never panics either.
+    #[test]
+    fn malformed_base64_is_a_codec_error_never_a_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 1..300),
+        pick in any::<usize>(),
+        junk in 0u8..128,
+        cut in 1usize..4,
+        text in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let good = base64_encode(&bytes);
+        // An ASCII byte outside the alphabet and not `=`.
+        let junk = match junk {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'+' | b'/' | b'=' => b'!',
+            other => other,
+        };
+        let text = String::from_utf8_lossy(&text).into_owned();
+        let codec = |r: Result<Vec<u8>, WireError>| matches!(r, Err(WireError::Codec(_)));
+        // A byte outside the alphabet (and not `=`) anywhere.
+        let mut bad = good.clone().into_bytes();
+        bad[pick % good.len()] = junk;
+        let bad = String::from_utf8(bad).expect("ASCII");
+        prop_assert!(codec(base64_decode(&bad)), "{bad:?} decoded");
+        // Padding that does not end the last quantum, or too much of it.
+        let early = format!("{}{good}", base64_encode(&bytes[..1]));
+        prop_assert!(codec(base64_decode(&early)), "{early:?} decoded");
+        prop_assert!(codec(base64_decode(&format!("{good}A===="))));
+        prop_assert!(codec(base64_decode("A===")));
+        // Truncated mid-quantum.
+        let short = &good[..good.len() - cut];
+        prop_assert!(codec(base64_decode(short)), "{short:?} decoded");
+        let inst = instance_from_text(short.to_string());
+        prop_assert!(matches!(inst.payload(), Err(WireError::Codec(_))));
+        prop_assert!(matches!(inst.decode::<String>(), Err(WireError::Codec(_))));
+        // Any text at all: decoded or refused, never a panic.
+        if let Err(e) = base64_decode(&text) {
+            prop_assert!(matches!(e, WireError::Codec(_)), "{e:?}");
+        }
+        let _ = instance_from_text(text).payload();
+    }
+
+    /// Any single flipped bit in the blob — CRC or payload — fails the
+    /// CRC: a daemon rejects it at `Submit`, a worker refuses to decode.
+    #[test]
+    fn a_single_flipped_bit_in_the_blob_fails_the_crc(
+        bytes in proptest::collection::vec(any::<u8>(), 0..512),
+        bit_pick in any::<u64>(),
+    ) {
+        let sent = EncodedInstance::from_payload(&bytes);
+        let mut blob = base64_decode(&instance_text(&sent)).unwrap();
+        let bit = (bit_pick % (blob.len() * 8) as u64) as usize;
+        blob[bit / 8] ^= 1 << (bit % 8);
+        let got = instance_from_text(base64_encode(&blob));
+        prop_assert!(matches!(got.verify(), Err(WireError::Corrupt(_))), "bit {bit}");
+        prop_assert!(matches!(got.decode::<Vec<u8>>(), Err(WireError::Corrupt(_))));
     }
 
     // ---------------------------------------------------------------
@@ -954,4 +1056,20 @@ fn job_protocol_variant_count(req: &Req, reply: &Reply, down: &Down, up: &Up, st
         | JobState::Cancelled
         | JobState::Failed => {}
     }
+}
+
+/// Base64 round-trips every length from 0 to 3k + 2 (here k = 200),
+/// so every tail — no padding, `==`, `=` — occurs many times, and the
+/// text is always `4 · ⌈n / 3⌉` long.
+#[test]
+fn base64_roundtrips_every_length_up_to_3k_plus_2() {
+    for n in 0..=3 * 200 + 2 {
+        let data = pattern(n, n as u64);
+        let text = base64_encode(&data);
+        assert_eq!(text.len(), n.div_ceil(3) * 4, "length {n}");
+        assert_eq!(base64_decode(&text).unwrap(), data, "length {n}");
+    }
+    assert_eq!(base64_encode(b"foobar"), "Zm9vYmFy");
+    assert_eq!(base64_encode(b"fooba"), "Zm9vYmE=");
+    assert_eq!(base64_encode(b"foob"), "Zm9vYg==");
 }

@@ -58,15 +58,16 @@ pub fn ug_solve_misdp(problem: &MisdpProblem, options: ParallelOptions) -> Misdp
 
 /// `ug [ScipSdp, ProcessComm]`: the same solve over worker *processes*
 /// (`dist.worker_command`, typically the `ugd-worker` binary), which
-/// receive the instance as a [`crate::JobInstance`] in the run's one
-/// `Begin`.
+/// receive the instance as a [`crate::JobInstance`] — encoded here,
+/// once — in the run's one `Begin`.
 pub fn ug_solve_misdp_distributed(
     problem: &MisdpProblem,
     options: ParallelOptions,
     dist: ugrs_core::DistributedOptions,
 ) -> std::io::Result<MisdpParallelResult> {
     let instance = crate::JobInstance::Misdp { problem: problem.clone() };
-    let res = ugrs_core::solve_parallel_distributed(&instance, NodeDesc::root(), options, dist)?;
+    let instance = ugrs_core::EncodedInstance::encode(&instance);
+    let res = ugrs_core::solve_parallel_distributed(instance, NodeDesc::root(), options, dist)?;
     Ok(map_back(res))
 }
 

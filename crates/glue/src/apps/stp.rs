@@ -87,7 +87,8 @@ pub fn ug_solve_stp_seeded(
 /// `ug [SteinerJack, ProcessComm]`: the same solve, but the ParaSolvers
 /// are worker *processes* (`dist.worker_command`, typically the
 /// `ugd-worker` binary) on localhost. The workers receive the reduced
-/// instance as a [`crate::JobInstance`] in the run's one `Begin`; every
+/// instance as a [`crate::JobInstance`] — encoded here, once — in the
+/// run's one `Begin`; every
 /// subproblem and solution then crosses the wire as frames. Workers
 /// dying mid-run are survived: their subproblems are requeued.
 pub fn ug_solve_stp_distributed(
@@ -103,7 +104,8 @@ pub fn ug_solve_stp_distributed(
         return Ok(trivial_result(&g));
     }
     let instance = crate::JobInstance::Stp { graph: g.clone() };
-    let res = ugrs_core::solve_parallel_distributed(&instance, NodeDesc::root(), options, dist)?;
+    let instance = ugrs_core::EncodedInstance::encode(&instance);
+    let res = ugrs_core::solve_parallel_distributed(instance, NodeDesc::root(), options, dist)?;
     Ok(map_back(&g, res))
 }
 

@@ -1,14 +1,18 @@
 //! Job-service glue: what makes `ugd-server` a *mixed* STP/MISDP
 //! service.
 //!
-//! The core server ([`ugrs_core::server`]) is generic over an instance
-//! type; this module instantiates it with [`JobInstance`] — an enum
-//! over both customized solvers of the paper — so one standing worker
-//! pool serves Steiner tree and MISDP jobs interleaved. A worker
-//! receives the instance with the job's `Begin` frame and builds the
+//! The core server ([`ugrs_core::server`]) never looks inside an
+//! instance; this module fixes what the two ends of a job put there:
+//! [`JobInstance`] — an enum over both customized solvers of the paper
+//! — so one standing worker pool serves Steiner tree and MISDP jobs
+//! interleaved. [`SolveClient::submit`](ugrs_core::JobClient::submit)
+//! encodes the `JobInstance` once, and the gateway, the server and
+//! both ledgers carry those bytes as they are. The worker decodes them
+//! when the job's `Begin` arrives ([`serve_jobs`]) and builds the
 //! matching plugin set per subproblem — a pool worker for every job it
 //! is leased to, a per-call run's worker
-//! ([`crate::apps::stp::ug_solve_stp_distributed`]) for its one job.
+//! ([`crate::apps::stp::ug_solve_stp_distributed`], which encodes the
+//! instance itself) for its one job.
 
 use crate::apps::misdp::MisdpPlugins;
 use crate::apps::stp::StpPlugins;
@@ -224,13 +228,15 @@ fn job_spec(name: impl Into<String>, instance: JobInstance) -> SolveJobSpec {
 }
 
 /// The concrete server/client/spec types of the mixed solve service.
-pub type SolveServer = ugrs_core::Server<JobInstance, NodeDesc, Vec<f64>>;
+/// Only the client and the spec name the instance type: the server
+/// and the gateway hold it encoded.
+pub type SolveServer = ugrs_core::Server<NodeDesc, Vec<f64>>;
 pub type SolveClient = ugrs_core::JobClient<JobInstance, NodeDesc, Vec<f64>>;
 pub type SolveJobSpec = JobSpec<JobInstance, NodeDesc>;
 pub type SolveJobEvent = ugrs_core::JobEvent<Vec<f64>>;
 /// The fleet gateway over the mixed solve service — same wire types as
 /// [`SolveServer`], so `ugd` talks to either transparently.
-pub type SolveGateway = ugrs_core::Gateway<JobInstance, NodeDesc, Vec<f64>>;
+pub type SolveGateway = ugrs_core::Gateway<NodeDesc, Vec<f64>>;
 
 #[cfg(test)]
 mod tests {
@@ -249,8 +255,8 @@ mod tests {
     #[test]
     fn job_instance_round_trips_through_the_wire_codec() {
         let inst = JobInstance::Misdp { problem: MisdpProblem::new("rt", 2) };
-        let framed = ugrs_core::wire::encode(&inst);
-        let back: JobInstance = ugrs_core::wire::decode(&framed[4..]).unwrap();
+        let encoded = ugrs_core::EncodedInstance::encode(&inst);
+        let back: JobInstance = encoded.decode().unwrap();
         match back {
             JobInstance::Misdp { problem } => {
                 assert_eq!(problem.name, "rt");

@@ -1,9 +1,11 @@
 //! `ugd-worker` — the worker-process half of `ug [SCIP-*, ProcessComm]`.
 //!
 //! One mode: the worker joins a coordinator, receives each job's
-//! instance — a [`ugrs_glue::JobInstance`] — in the job's `Begin`
-//! frame, and serves mixed STP/MISDP jobs until the coordinator is gone
-//! for good:
+//! instance in the job's `Begin` frame — a [`ugrs_glue::JobInstance`]
+//! as its client encoded it, which this process is the only one to
+//! decode — and serves mixed STP/MISDP jobs until the coordinator is
+//! gone for good. An instance that does not decode ends the process
+//! with exit status 1; its job fails and a pool replaces the worker:
 //!
 //! ```text
 //! ugd-worker --connect 127.0.0.1:40123 [--pool-tag 2] \

@@ -28,7 +28,7 @@ use ugrs::ug::comm::LcComm;
 use ugrs::ug::process::accept_ranks;
 use ugrs::ug::supervisor::LoadCoordinator;
 use ugrs::ug::telemetry;
-use ugrs::ug::{DistributedOptions, ParallelOptions, ProcessCommConfig};
+use ugrs::ug::{DistributedOptions, EncodedInstance, ParallelOptions, ProcessCommConfig};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ugd-worker");
 
@@ -258,7 +258,7 @@ fn zero_reconnect_budget_degrades_to_requeue_and_still_solves() {
     }
 
     let comm = accept_ranks::<NodeDesc, Vec<f64>>(listener, n, &config).expect("handshake");
-    comm.begin(&instance);
+    comm.begin(EncodedInstance::encode(&instance));
     let mut coordinator = LoadCoordinator::new(
         LcComm::Process(comm),
         ParallelOptions { num_solvers: n, status_interval: 0.05, ..Default::default() },

@@ -11,7 +11,7 @@ use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::comm::LcComm;
 use ugrs::ug::process::accept_ranks;
 use ugrs::ug::supervisor::LoadCoordinator;
-use ugrs::ug::{DistributedOptions, ParallelOptions, ProcessCommConfig};
+use ugrs::ug::{DistributedOptions, EncodedInstance, ParallelOptions, ProcessCommConfig};
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ugd-worker");
 
@@ -119,7 +119,7 @@ fn killed_worker_is_survived_and_requeued() {
     }
 
     let comm = accept_ranks::<NodeDesc, Vec<f64>>(listener, n, &config).expect("handshake");
-    comm.begin(&instance);
+    comm.begin(EncodedInstance::encode(&instance));
     let mut coordinator = LoadCoordinator::new(
         LcComm::Process(comm),
         ParallelOptions { num_solvers: n, ..Default::default() },

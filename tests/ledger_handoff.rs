@@ -10,9 +10,9 @@
 
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use ugrs::ug::{JobLedger, JobSpec};
+use ugrs::ug::{EncodedInstance, JobLedger, JobSpec};
 
-type Spec = JobSpec<String, u32>;
+type Spec = JobSpec<EncodedInstance, u32>;
 
 fn scratch_dir(label: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +28,7 @@ fn scratch_dir(label: &str) -> PathBuf {
 }
 
 fn spec(name: &str) -> Spec {
-    JobSpec::new(name, format!("instance-of-{name}"), 7)
+    JobSpec::new(name, EncodedInstance::encode(&format!("instance-of-{name}")), 7)
 }
 
 /// A syntactically valid checkpoint payload at a given chain position —
@@ -70,7 +70,7 @@ fn fate_strategy() -> impl Strategy<Value = Fate> {
 
 /// Builds shard A's state dir according to `fates`, then recovers it
 /// from a brand-new `JobLedger` (a different instance, as in failover).
-fn build_and_recover(dir: &Path, fates: &[Fate]) -> ugrs::ug::Recovery<String, u32> {
+fn build_and_recover(dir: &Path, fates: &[Fate]) -> ugrs::ug::Recovery<u32> {
     let a = JobLedger::open(dir).expect("open shard A ledger");
     for (i, fate) in fates.iter().enumerate() {
         let id = i as u64;
@@ -165,8 +165,7 @@ fn handoff_resumes_chain_position_from_best_available_source() {
     std::fs::write(a.checkpoint_path(3), checkpoint_json(4, 90)).unwrap();
 
     drop(a);
-    let recovery: ugrs::ug::Recovery<String, u32> =
-        JobLedger::open(&dir).unwrap().recover().unwrap();
+    let recovery: ugrs::ug::Recovery<u32> = JobLedger::open(&dir).unwrap().recover().unwrap();
     let by_id: Vec<(u64, u32, u64, bool)> = recovery
         .jobs
         .iter()
@@ -191,8 +190,7 @@ fn finished_jobs_never_resurrect_across_instances() {
     std::fs::write(a.checkpoint_path(0), checkpoint_json(1, 10)).unwrap();
     a.record_finished(0).unwrap();
     drop(a);
-    let recovery: ugrs::ug::Recovery<String, u32> =
-        JobLedger::open(&dir).unwrap().recover().unwrap();
+    let recovery: ugrs::ug::Recovery<u32> = JobLedger::open(&dir).unwrap().recover().unwrap();
     assert!(recovery.jobs.is_empty(), "retired job came back: {:?}", recovery.jobs.len());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,8 +15,10 @@ use ugrs::steiner::gen::{bipartite, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::chaos::{ChaosProfile, FaultAction, FaultPlan};
 use ugrs::ug::telemetry::sample_sum;
+use ugrs::ug::wire::{base64_decode, base64_encode};
 use ugrs::ug::{
-    JobEventKind, JobState, ParallelOptions, ProcessCommConfig, ServerConfig, ServerStatus,
+    EncodedInstance, JobEventKind, JobState, ParallelOptions, ProcessCommConfig, ServerConfig,
+    ServerStatus, SubmitOutcome,
 };
 
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ugd-worker");
@@ -529,7 +531,9 @@ fn pool_hello_from_another_revision_is_refused_and_takes_no_pool_id() {
         let welcome = wire::read_msg::<Welcome, _>(&mut reader, &mut FrameDecoder::new());
         (stream, welcome)
     };
-    for old in [None, Some(2), Some(PROTOCOL_VERSION - 1)] {
+    // Revision 4 is the last one whose `Begin` carried the instance
+    // decoded.
+    for old in [None, Some(2), Some(4)] {
         let (_stream, welcome) = hello(old);
         assert!(matches!(welcome, Ok(None)), "hello {old:?} must be hung up on: {welcome:?}");
         assert!(client.status().expect("status").workers.is_empty(), "{old:?} took a pool id");
@@ -542,6 +546,99 @@ fn pool_hello_from_another_revision_is_refused_and_takes_no_pool_id() {
     await_status(&mut client, Duration::from_secs(5), "the admitted worker", |st| {
         st.workers.len() == 1
     });
+    server.shutdown_and_join();
+}
+
+/// `instance` with one bit of its checksummed blob flipped, as a line
+/// error between client and daemon would leave it.
+fn flip_a_bit(instance: &EncodedInstance) -> EncodedInstance {
+    let text = serde_json::to_string(instance).expect("serializes");
+    let mut blob = base64_decode(text.trim_matches('"')).expect("valid base64");
+    let mid = blob.len() / 2;
+    blob[mid] ^= 0x04;
+    serde_json::from_str(&format!("\"{}\"", base64_encode(&blob))).expect("a string")
+}
+
+/// The daemon is the trust boundary's near end: it never decodes an
+/// instance, but it checks the instance's CRC at `Submit`, before the
+/// write-ahead record. A flipped bit is rejected and leaves no ledger
+/// record; the next, sound submit is accepted and solved.
+#[test]
+fn a_flipped_instance_bit_is_rejected_before_the_ledger() {
+    let g = stp_graph(42);
+    let expected = stp_reference(&g);
+    let state = std::env::temp_dir().join(format!("ugrs-e2e-crc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let mut config = server_config(1, 1, 0);
+    config.state_dir = Some(state.clone());
+    let server = SolveServer::start(config).expect("server start");
+    let mut client = SolveClient::connect(&server.client_addr().to_string()).expect("connect");
+
+    let spec = stp_job("crc", &g, &ReduceParams::default());
+    let instance = spec.instance.clone();
+    let sound = spec.map_instance(|i| EncodedInstance::encode(&i));
+    let flipped = ugrs::ug::JobSpec { instance: flip_a_bit(&sound.instance), ..sound.clone() };
+    match client.try_submit_encoded(flipped).expect("an answer") {
+        SubmitOutcome::Rejected(reason) => assert!(reason.contains("checksum"), "{reason}"),
+        other => panic!("a flipped bit must be rejected, got {other:?}"),
+    }
+    let records: Vec<_> = std::fs::read_dir(state.join("jobs"))
+        .expect("the ledger directory")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("job-") && name.ends_with(".json"))
+        .collect();
+    assert!(records.is_empty(), "a rejected submit was written ahead: {records:?}");
+    assert!(client.status().expect("status").jobs.is_empty(), "no job was accepted");
+
+    let job = match client.try_submit_encoded(sound).expect("an answer") {
+        SubmitOutcome::Accepted(job) => job,
+        other => panic!("the sound instance must be accepted, got {other:?}"),
+    };
+    let done = client.wait(job).expect("wait");
+    assert!((external_obj(&instance, &done.kind) - expected).abs() < 1e-6);
+    server.shutdown_and_join();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// The trust boundary's far end: an instance whose CRC holds but which
+/// does not decode fails its job — `Failed`, neither `TimedOut` nor a
+/// hang — because each leased worker gives up on it and dies. The pool
+/// refills to its configured size, and the next sound job is solved at
+/// its reference optimum.
+#[test]
+fn an_instance_that_does_not_decode_fails_its_job_not_the_pool() {
+    let g = stp_graph(1337);
+    let expected = stp_reference(&g);
+    let server = SolveServer::start(server_config(2, 1, 0)).expect("server start");
+    let addr = server.client_addr().to_string();
+    let mut client = SolveClient::connect(&addr).expect("connect");
+    await_status(&mut client, Duration::from_secs(30), "the pool", |st| st.workers.len() == 2);
+
+    let sound = stp_job("after", &g, &ReduceParams::default());
+    // A limit, so a job that hung would end `TimedOut`, not hang the test.
+    let mut garbage =
+        sound.clone().map_instance(|_| EncodedInstance::from_payload(b"not an instance"));
+    garbage.name = "garbage".into();
+    garbage.time_limit = 60.0;
+    let garbage = match client.try_submit_encoded(garbage).expect("an answer") {
+        SubmitOutcome::Accepted(job) => job,
+        other => panic!("a CRC-valid instance must be accepted, got {other:?}"),
+    };
+    let t0 = Instant::now();
+    match client.wait(garbage).expect("wait").kind {
+        JobEventKind::Finished { state, .. } => assert_eq!(state, JobState::Failed),
+        other => panic!("unexpected terminal event {other:?}"),
+    }
+    assert!(t0.elapsed() < Duration::from_secs(30), "failing took {:?}", t0.elapsed());
+    await_status(&mut client, Duration::from_secs(30), "pool refilled to 2", |st| {
+        st.workers.len() == 2
+    });
+
+    let instance = sound.instance.clone();
+    let job = client.submit(sound).expect("submit");
+    let done = client.wait(job).expect("wait");
+    assert!(matches!(done.kind, JobEventKind::Finished { state: JobState::Solved, .. }));
+    assert!((external_obj(&instance, &done.kind) - expected).abs() < 1e-6);
     server.shutdown_and_join();
 }
 
