@@ -123,9 +123,13 @@ pub struct Simplex {
     /// Position-indexed scratch: FTRAN output and BTRAN input (consumed).
     w: Vec<f64>,
     cb: Vec<f64>,
+    /// `y` holds `B⁻ᵀc_B` with the phase-2 costs of the current basis: the
+    /// primal loop has just returned `Optimal`, and no BTRAN, row addition,
+    /// refactorization or basis install has happened since.
+    y_duals: bool,
     /// Inside `solve_dual`, per nonbasic non-fixed column: the reduced
     /// cost, kept current from pivot to pivot while `dj_current`, and the
-    /// pivot row `ρᵀa_j`.
+    /// pivot row `ρᵀa_j` (every column of `[A | −I]`, row-wise).
     dj: Vec<f64>,
     dj_current: bool,
     alpha: Vec<f64>,
@@ -166,6 +170,7 @@ impl Simplex {
             y: vec![0.0; m],
             w: vec![0.0; m],
             cb: vec![0.0; m],
+            y_duals: false,
             dj: vec![0.0; n + m],
             dj_current: false,
             alpha: vec![0.0; n + m],
@@ -266,6 +271,7 @@ impl Simplex {
     /// `y ← B⁻ᵀ cb`.
     fn btran(&mut self) {
         self.counters.btrans += 1;
+        self.y_duals = false;
         self.factor.btran_into(&mut self.cb, &mut self.y);
     }
 
@@ -300,6 +306,7 @@ impl Simplex {
         }
         self.basis_cols = (n..n + m).collect();
         self.factor.reset(m);
+        self.y_duals = false;
     }
 
     /// Installs a caller-provided basis snapshot; falls back to the slack
@@ -323,6 +330,7 @@ impl Simplex {
             }
         }
         self.factor.reset(m);
+        self.y_duals = false;
     }
 
     /// Returns the current basis for storage in a B&B node.
@@ -381,6 +389,7 @@ impl Simplex {
         self.dj.resize(n + m, 0.0);
         self.alpha.resize(n + m, 0.0);
         self.factor.reset(m);
+        self.y_duals = false;
         self.status = LpStatus::NotSolved;
     }
 
@@ -421,10 +430,23 @@ impl Simplex {
         true
     }
 
+    /// Readies the basis for a new solve: a stale factorization is
+    /// refactored, which recomputes the basic values; a current one keeps
+    /// its factors and only recomputes the basics under the (possibly
+    /// changed) bounds. `false` as for [`Simplex::ensure_factorized`].
+    fn prepare_basis(&mut self) -> bool {
+        if self.factor.needs_refactor() {
+            return self.ensure_factorized();
+        }
+        self.compute_basics();
+        true
+    }
+
     /// Factorizes the current basis from the problem's sparse columns.
     fn refactor(&mut self) -> Result<(), BasisError> {
         self.counters.refactors += 1;
         self.dj_current = false;
+        self.y_duals = false;
         let cols: Vec<&SparseCol> =
             self.basis_cols.iter().map(|&j| column(&self.prob, &self.slack, j)).collect();
         self.factor.refactor_cols(&cols)
@@ -593,10 +615,9 @@ impl Simplex {
     fn primal_loop(&mut self) -> LpStatus {
         let mut iters = 0usize;
         let mut stall = 0usize;
-        if !self.ensure_factorized() {
+        if !self.prepare_basis() {
             return LpStatus::Numerical;
         }
-        self.compute_basics();
         loop {
             if iters >= self.params.iter_limit {
                 return LpStatus::IterLimit;
@@ -608,7 +629,11 @@ impl Simplex {
             self.compute_row_duals(phase);
             let bland = stall > STALL_LIMIT;
             let Some((q, dir)) = self.price(phase, bland) else {
-                return if phase == Phase::One { LpStatus::Infeasible } else { LpStatus::Optimal };
+                if phase == Phase::One {
+                    return LpStatus::Infeasible;
+                }
+                self.y_duals = true;
+                return LpStatus::Optimal;
             };
             self.ftran_col(q);
             let Some((t, block)) = self.ratio_test(q, dir, phase) else {
@@ -656,11 +681,12 @@ impl Simplex {
     /// that is not dual feasible is tolerated (reduced costs are clamped in
     /// the ratio test): a primal feasible start goes to the polish at once.
     ///
-    /// The reduced costs `dj` are computed from `y = B⁻ᵀc_B` when the call
-    /// starts and after every refactorization, and in between updated from
-    /// the pivot row `ρᵀa_j` the ratio test computes anyway; under Bland's
-    /// rule the ratio test stops at the first candidate, so they are
-    /// recomputed for the next iteration.
+    /// Each iteration builds the pivot row `ᾱ = ρᵀ[A | −I]` row-wise from
+    /// the nonzeros of `ρ = B⁻ᵀe_r`. The reduced costs `dj` are computed
+    /// from `y = B⁻ᵀc_B` when the call starts and after every
+    /// refactorization, and in between updated from that pivot row; under
+    /// Bland's rule the ratio test stops at the first candidate, and they
+    /// are recomputed for the next iteration.
     pub fn solve_dual(&mut self) -> LpStatus {
         self.iterations = 0;
         self.status = self.dual_loop();
@@ -668,13 +694,9 @@ impl Simplex {
     }
 
     fn dual_loop(&mut self) -> LpStatus {
-        // Refactorize only when the representation is stale (row added /
-        // never factorized / eta file full); otherwise just recompute the
-        // basic values under the (possibly changed) bounds.
-        if self.factor.needs_refactor() && !self.ensure_factorized() {
+        if !self.prepare_basis() {
             return LpStatus::Numerical;
         }
-        self.compute_basics();
         let tol = FEAS_TOL;
         let dtol = OPT_TOL;
         let mut stall = 0usize;
@@ -721,6 +743,9 @@ impl Simplex {
             self.cb.fill(0.0);
             self.cb[rpos] = 1.0;
             self.btran();
+            self.compute_pivot_row();
+            #[cfg(debug_assertions)]
+            self.check_pivot_row();
 
             // sign = +1 when the leaving variable must increase.
             let sgn = if below { 1.0 } else { -1.0 };
@@ -732,7 +757,6 @@ impl Simplex {
                 if !self.dual_candidate(j) {
                     continue;
                 }
-                self.alpha[j] = self.col_dot(j, &self.y);
                 let alpha = self.alpha[j] * sgn;
                 // x_Br changes by −ᾱ_j·Δx_j (with ᾱ in unsigned orientation);
                 // after sign-folding we need: at-lower j with alpha < 0 can
@@ -749,7 +773,7 @@ impl Simplex {
                 };
                 if bland {
                     enter = Some(j);
-                    self.dj_current = false; // the rest of the pivot row is not computed
+                    self.dj_current = false; // Bland pivots price from fresh reduced costs
                     break;
                 }
                 if ratio < best_ratio - dtol
@@ -824,6 +848,38 @@ impl Simplex {
         }
     }
 
+    /// `alpha ← ρᵀ[A | −I]` for `ρ` in `y`, row by row over the nonzeros
+    /// of `ρ` in increasing row order: every `ᾱ_j` sums the products
+    /// `c·ρ_i` of [`Simplex::col_dot`] in its order, so it is the same
+    /// value, up to the sign of an exact zero.
+    fn compute_pivot_row(&mut self) {
+        let n = self.n();
+        self.alpha.fill(0.0);
+        for (i, &rho) in self.y.iter().enumerate() {
+            if rho == 0.0 {
+                continue;
+            }
+            for &(j, c) in &self.prob.rows[i] {
+                self.alpha[j as usize] += c * rho;
+            }
+            self.alpha[n + i] = -rho;
+        }
+    }
+
+    /// The row-wise pivot row against `col_dot(j, ρ)` for every dual
+    /// candidate, bit for bit with `±0` equal; debug builds check at every
+    /// dual iteration.
+    #[cfg(debug_assertions)]
+    fn check_pivot_row(&self) {
+        for j in (0..self.n() + self.m()).filter(|&j| self.dual_candidate(j)) {
+            let (row, col) = (self.alpha[j], self.col_dot(j, &self.y));
+            assert!(
+                row.to_bits() == col.to_bits() || (row == 0.0 && col == 0.0),
+                "pivot row entry of column {j}: row-wise {row:e}, column-wise {col:e}"
+            );
+        }
+    }
+
     /// `dj ← c − Aᵀy` with `y = B⁻ᵀc_B`, from scratch.
     fn compute_reduced_costs(&mut self) {
         self.compute_row_duals(Phase::Two);
@@ -865,7 +921,9 @@ impl Simplex {
             if self.factor.needs_refactor() {
                 let _ = self.ensure_factorized();
             }
-            self.compute_row_duals(Phase::Two);
+            if !self.y_duals {
+                self.compute_row_duals(Phase::Two);
+            }
             row_duals.copy_from_slice(&self.y);
         }
         for (j, rj) in reduced.iter_mut().enumerate() {
@@ -1012,6 +1070,34 @@ mod tests {
                                               // strong duality: obj = Σ y_i · rhs_i for binding rows
         let dual_obj: f64 = s.row_duals[0] * 4.0 + s.row_duals[1] * 12.0 + s.row_duals[2] * 18.0;
         assert!((dual_obj - s.obj).abs() < 1e-6, "dual {} vs {}", dual_obj, s.obj);
+    }
+
+    /// After an optimal solve `extract_solution` returns the duals the
+    /// final basis was priced with, without a BTRAN, and they are the
+    /// duals a fresh BTRAN computes, bit for bit.
+    #[test]
+    fn extract_solution_reuses_the_duals_of_the_optimal_basis() {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 10.0, -3.0);
+        let y = p.add_var(0.0, 10.0, -5.0);
+        p.add_row(f64::NEG_INFINITY, 4.0, &[(x, 1.0)]);
+        p.add_row(f64::NEG_INFINITY, 12.0, &[(y, 2.0)]);
+        p.add_row(f64::NEG_INFINITY, 18.0, &[(x, 3.0), (y, 2.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        assert_eq!(s.solve_primal(), LpStatus::Optimal);
+        for round in 0..2 {
+            let btrans = s.counters().btrans;
+            let reused = s.extract_solution().row_duals;
+            assert_eq!(s.counters().btrans, btrans, "round {round}: no BTRAN");
+            s.y_duals = false;
+            let fresh = s.extract_solution().row_duals;
+            assert_eq!(s.counters().btrans, btrans + 1);
+            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused), bits(&fresh), "round {round}");
+            // The dual simplex ends in the primal polish, which prices too.
+            s.set_var_bounds(y, 0.0, 5.0);
+            assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        }
     }
 
     #[test]

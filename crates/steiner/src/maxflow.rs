@@ -41,6 +41,18 @@ impl MaxFlow {
         id
     }
 
+    /// Undoes every flow: forward arc `k` (the `k`-th [`MaxFlow::add_arc`])
+    /// gets capacity `max(caps[k], 0)`, its residual arc 0. The arcs and
+    /// their adjacency order stay, so a reset network runs exactly as a
+    /// freshly built one with these capacities.
+    pub fn reset_capacities(&mut self, caps: &[f64]) {
+        assert_eq!(2 * caps.len(), self.cap.len(), "one capacity per arc");
+        for (pair, &c) in self.cap.chunks_exact_mut(2).zip(caps) {
+            pair[0] = c.max(0.0);
+            pair[1] = 0.0;
+        }
+    }
+
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.iter_mut().for_each(|l| *l = -1);
         let mut queue = std::collections::VecDeque::new();
@@ -125,6 +137,48 @@ impl MaxFlow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn build(n: usize, arcs: &[(usize, usize)], caps: &[f64]) -> MaxFlow {
+        let mut mf = MaxFlow::new(n);
+        for (&(u, v), &c) in arcs.iter().zip(caps) {
+            mf.add_arc(u, v, c);
+        }
+        mf
+    }
+
+    /// Capacities over the arcs, a sink, and whether the flow is capped
+    /// at 1 (as separation caps it) or not.
+    type Round = (Vec<f64>, usize, bool);
+
+    /// A digraph on `n` vertices (source 0) and a sequence of rounds.
+    fn networks() -> impl Strategy<Value = (usize, Vec<(usize, usize)>, Vec<Round>)> {
+        (3usize..9, 1usize..24).prop_flat_map(|(n, m)| {
+            let arcs = prop::collection::vec((0..n, 1..n), m).prop_map(move |arcs| {
+                arcs.into_iter().map(|(u, d)| (u, (u + d) % n)).collect::<Vec<_>>()
+            });
+            let round = (prop::collection::vec(-0.5f64..2.0, m), 1..n, any::<bool>());
+            (Just(n), arcs, prop::collection::vec(round, 1..6))
+        })
+    }
+
+    proptest! {
+        /// One network reset and solved for sink after sink gives the flow
+        /// and the min cut of a freshly built network for each.
+        #[test]
+        fn reset_network_solves_as_a_fresh_one(net in networks()) {
+            let (n, arcs, rounds) = net;
+            let mut reused = build(n, &arcs, &rounds[0].0);
+            for (caps, t, capped) in &rounds {
+                let limit = if *capped { 1.0 } else { f64::INFINITY };
+                reused.reset_capacities(caps);
+                let mut fresh = build(n, &arcs, caps);
+                let (got, want) = (reused.max_flow(0, *t, limit), fresh.max_flow(0, *t, limit));
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(reused.min_cut_source_side(0), fresh.min_cut_source_side(0));
+            }
+        }
+    }
 
     #[test]
     fn classic_network() {

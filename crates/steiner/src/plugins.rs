@@ -227,11 +227,24 @@ pub struct DirectedCutHandler {
     /// Enable dual-ascent propagation at depth > 0.
     in_tree_reductions: bool,
     round_robin: usize,
+    /// The SAP graph as a max-flow network, built once: each sink's
+    /// separation resets its capacities to the LP point.
+    network: MaxFlow,
 }
 
 impl DirectedCutHandler {
     pub fn new(data: Arc<SpgData>, in_tree_reductions: bool) -> Self {
-        DirectedCutHandler { data, max_cuts_per_round: 25, in_tree_reductions, round_robin: 0 }
+        let mut network = MaxFlow::new(data.sap.n);
+        for arc in &data.sap.arcs {
+            network.add_arc(arc.tail as usize, arc.head as usize, 0.0);
+        }
+        DirectedCutHandler {
+            data,
+            max_cuts_per_round: 25,
+            in_tree_reductions,
+            round_robin: 0,
+            network,
+        }
     }
 
     /// Runs min-cut separation against the capacities in `x`; adds up to
@@ -242,6 +255,7 @@ impl DirectedCutHandler {
         if sinks.is_empty() {
             return 0;
         }
+        let caps: Vec<f64> = d.arc_var.iter().map(|v| x[v.0 as usize]).collect();
         let mut added = 0;
         let k = sinks.len();
         for i in 0..k {
@@ -249,18 +263,12 @@ impl DirectedCutHandler {
                 break;
             }
             let t = sinks[(self.round_robin + i) % k];
-            let mut mf = MaxFlow::new(d.sap.n);
-            let mut arc_ids: Vec<(usize, u32)> = Vec::with_capacity(d.sap.num_arcs());
-            for (ai, arc) in d.sap.arcs.iter().enumerate() {
-                let cap = x[d.arc_var[ai].0 as usize].max(0.0);
-                let id = mf.add_arc(arc.tail as usize, arc.head as usize, cap);
-                arc_ids.push((id, ai as u32));
-            }
-            let flow = mf.max_flow(d.root, t, 1.0);
+            self.network.reset_capacities(&caps);
+            let flow = self.network.max_flow(d.root, t, 1.0);
             if flow >= 1.0 - 1e-6 {
                 continue;
             }
-            let source_side = mf.min_cut_source_side(d.root);
+            let source_side = self.network.min_cut_source_side(d.root);
             let mut terms: Vec<(VarId, f64)> = Vec::new();
             for (ai, arc) in d.sap.arcs.iter().enumerate() {
                 if source_side[arc.tail as usize] && !source_side[arc.head as usize] {
