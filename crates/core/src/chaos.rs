@@ -334,9 +334,10 @@ pub enum RpcFault {
 /// Fault injection for the gateway↔shard *RPC* links: where the frame
 /// injector sits on the worker transport's write path, this gate sits
 /// in front of every control-plane call the gateway makes (health
-/// polls, dispatch submits, steal reclaims, cancel forwards, tracker
-/// connects). The same [`FaultPlan`] vocabulary applies, re-read as RPC
-/// semantics: `Delay` slows the call, `Drop`/`Corrupt` fail it
+/// polls, dispatch submits, steal reclaims, cancel forwards,
+/// catch-ups, watcher connects). The same [`FaultPlan`] vocabulary
+/// applies, re-read as RPC semantics: `Delay` slows the call,
+/// `Drop`/`Corrupt` fail it
 /// (a failed RPC and a corrupted one look identical to a bounded
 /// client — an `io::Error`), `Partition` fails every call for its
 /// duration, `Duplicate` is a no-op (the gateway's RPCs are idempotent

@@ -46,19 +46,20 @@
 //! sequence, recovery — is `core::jobs`, shared with the server; the
 //! shard router is its executor.
 //!
-//! One OS thread per in-flight job ("tracker") proxies the owning
-//! shard's `Watch` stream into the gateway's own event log, rewriting
-//! local job ids to gateway ids — a watcher of the gateway sees one
-//! continuous event stream across steals and failovers, punctuated by
-//! [`JobEventKind::Routed`] markers.
+//! One watcher thread per shard follows the shard's `WatchAll` stream
+//! and appends each event to the gateway's own event log under the
+//! gateway id its route `(shard, local)` maps to — a watcher of the
+//! gateway sees one continuous event stream across steals and
+//! failovers, punctuated by [`JobEventKind::Routed`] markers. Whenever
+//! an event could have been missed, one `catch_up` of the job fetches
+//! the shard log's tail from the job's cursor.
 
 use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
 use crate::jobs::{
-    empty_finished, state_label, submit_reply, JobBook, JobTable, Spec, Terminal, BAD_INSTANCE,
-    GATEWAY,
+    state_label, submit_reply, JobBook, JobTable, Spec, Terminal, BAD_INSTANCE, GATEWAY,
 };
 use crate::ledger::{self, JobLedger, Lease, LeaseDir, RouteLog};
-use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
+use crate::rpc::{serve_clients, wake_listener, EventLog, Follow, RequestHandler};
 use crate::server::{
     cancel_outcome, fenced_epoch, fenced_io_error, submit_outcome, ClientRequest, FleetStatus,
     JobClient, JobEvent, JobEventKind, JobState, MetricsReport, ServerReply, ServerStatus,
@@ -162,8 +163,8 @@ pub struct GatewayConfig {
     /// `pid-<pid>` when empty.
     pub ha_owner: String,
     /// Seeded fault injection on the gateway↔shard RPC links (health
-    /// polls, dispatch submits, reclaims, cancel forwards, tracker
-    /// connects) — `None` everywhere in production, `Some` only under
+    /// polls, dispatch submits, reclaims, cancel forwards, catch-ups,
+    /// watcher connects) — `None` everywhere in production, `Some` only under
     /// test harnesses. `Kill` exits the gateway process with 137.
     pub chaos: Option<FaultPlan>,
 }
@@ -326,7 +327,7 @@ impl Bucket {
 // ---------------------------------------------------------------------
 
 /// Where a job currently lives: shard index + the shard's local job id.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Route {
     shard: usize,
     local: u64,
@@ -335,22 +336,17 @@ struct Route {
 /// The shard router's part of a job record.
 struct Routing {
     tenant: String,
-    /// Bumped on every re-dispatch (steal, failover): a tracker holding
-    /// an older epoch must discard what it reads — its shard no longer
-    /// owns the job.
-    epoch: u64,
-    /// `None` while the job sits in the dispatch queue.
+    /// `None` while the job sits in the dispatch queue or is disowned
+    /// for a steal. Set only through [`GwState::set_route`].
     route: Option<Route>,
-    /// The next shard-side event seq the tracker should ask for —
-    /// `Watch { from_seq }` on (re)connect resumes here instead of
-    /// replaying the shard's whole log, so a transient disconnect (or
-    /// the deliberate reconnect after a failed steal) never duplicates
-    /// already-delivered events in the gateway's log. Reset to 0 by the
-    /// dispatcher whenever a *new* shard-local job is assigned (its log
-    /// starts fresh); kept across a failed steal (same shard, same
+    /// The seq of the next shard event to apply: events are applied in
+    /// dense order from here, and `catch_up` fetches the shard log's
+    /// tail from here, so no event reaches the gateway's log twice.
+    /// Reset to 0 whenever a *new* shard-local job is assigned (its log
+    /// starts fresh), and when the shard's log turns out shorter (the
+    /// shard restarted); kept across a failed steal (same shard, same
     /// local id, same log).
     next_shard_seq: usize,
-    tracker_spawned: bool,
 }
 
 impl Routing {
@@ -358,10 +354,8 @@ impl Routing {
     fn new<Sub>(spec: &Spec<Sub>) -> Self {
         Routing {
             tenant: spec.tenant.clone().unwrap_or_else(|| "default".into()),
-            epoch: 0,
             route: None,
             next_shard_seq: 0,
-            tracker_spawned: false,
         }
     }
 }
@@ -385,7 +379,39 @@ impl Dispatch {
 struct GwState<Sub> {
     /// Its live count is the `max_inflight` meter.
     jobs: JobTable<Sub, Routing>,
+    /// The job each current route belongs to: how a shard event finds
+    /// its gateway job.
+    routed: HashMap<Route, u64>,
     dispatch: VecDeque<Dispatch>,
+}
+
+impl<Sub> GwState<Sub> {
+    /// Routes `gid` to `route`, or disowns its route (`None`).
+    fn set_route(&mut self, gid: u64, route: Option<Route>) {
+        let Some(job) = self.jobs.get_mut(&gid) else { return };
+        if let Some(old) = std::mem::replace(&mut job.exec.route, route) {
+            if self.routed.get(&old) == Some(&gid) {
+                self.routed.remove(&old);
+            }
+        }
+        if let Some(r) = route {
+            self.routed.insert(r, gid);
+        }
+    }
+
+    /// The live job routed to `route`.
+    fn routed_to(&self, route: Route) -> Option<u64> {
+        let gid = *self.routed.get(&route)?;
+        let job = self.jobs.get(&gid)?;
+        (job.exec.route == Some(route) && !job.state().is_terminal()).then_some(gid)
+    }
+
+    /// Forgets every job (demote, promote).
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.routed.clear();
+        self.dispatch.clear();
+    }
 }
 
 /// Health-loop view of one shard.
@@ -404,9 +430,9 @@ struct ShardHealth {
 /// Idle connections kept per shard; one returned beyond that is closed.
 const POOL_IDLE_MAX: usize = 8;
 
-/// Read timeout of a tracker's `Watch`: what lets it notice a route
-/// change while the stale shard's stream is silent.
-const WATCH_WAKE: Duration = Duration::from_millis(500);
+/// Pause of a shard's watcher between two subscriptions, and between
+/// two looks at the role while standing by.
+const WATCH_RETRY: Duration = Duration::from_millis(100);
 
 /// The gateway's client of a shard. It forwards the encoded instance
 /// it stored ([`JobClient::try_submit_encoded`]) and has no typed
@@ -424,14 +450,20 @@ struct ShardConn<Sub, Sol> {
     reused: bool,
 }
 
-/// The idle gateway→shard connections of one shard. Every shard RPC
-/// but the health probe and the takeover path borrows from here and
-/// returns the connection after a *completed* exchange; a connection an
-/// exchange failed on, or whose stream was abandoned, is dropped.
+/// The gateway's links to one shard. Every shard RPC but the health
+/// probe and the takeover path borrows from `idle` and returns the
+/// connection after a *completed* exchange; a connection an exchange
+/// failed on is dropped. The watcher's stream is not one of them.
 struct ShardPool<Sub, Sol> {
     idle: Mutex<Vec<ShardConn<Sub, Sol>>>,
     dials: Arc<telemetry::Counter>,
     reused: Arc<telemetry::Counter>,
+    /// The watcher's subscribed connection, for closing it from another
+    /// thread ([`GwShared::close_watcher`]).
+    watcher: Mutex<Option<TcpStream>>,
+    /// Held across a `catch_up`, so the catch-ups of one shard take
+    /// turns on one pooled connection.
+    catching_up: Mutex<()>,
 }
 
 const REJECT_REASONS: [&str; 5] = ["quota", "capacity", "standby", "draining", BAD_INSTANCE];
@@ -499,7 +531,7 @@ struct GwShared<Sub, Sol> {
     /// Per-shard connection pools, indexed like `config.shards`.
     pools: Vec<ShardPool<Sub, Sol>>,
     state: Mutex<GwState<Sub>>,
-    /// Wakes the dispatcher and trackers (new dispatch, new route).
+    /// Wakes the dispatcher (new dispatch).
     cv: Condvar,
     /// Every job's event log; `Watch` streams from it.
     events: EventLog<Sol>,
@@ -547,8 +579,8 @@ impl<Sub, Sol> GwShared<Sub, Sol> {
     }
 
     /// Stops the gateway's own threads: the flag, then a wake-up for
-    /// everything that blocks — condvar waiters, watchers, the accept
-    /// loop.
+    /// everything that blocks — condvar waiters, client watches, the
+    /// shard watchers' streams, the accept loop.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Under the state lock, or a waiter between its flag check and
@@ -556,7 +588,19 @@ impl<Sub, Sol> GwShared<Sub, Sol> {
         drop(self.state.lock().unwrap());
         self.cv.notify_all();
         self.events.wake();
+        for shard in 0..self.pools.len() {
+            self.close_watcher(shard);
+        }
         wake_listener(self.client_addr);
+    }
+
+    /// Ends `shard`'s watcher stream, if one is open. The watcher
+    /// subscribes again — and catches up every route on the shard — for
+    /// as long as this gateway is primary and running.
+    fn close_watcher(&self, shard: usize) {
+        if let Some(conn) = self.pools[shard].watcher.lock().unwrap().take() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
     }
 
     /// Sleeps for `d` on the gateway condvar, cut short by
@@ -794,6 +838,8 @@ impl<Sub: WireType, Sol: WireType> Gateway<Sub, Sol> {
                         "ugrs_gateway_shard_conn_reused_total",
                         "Shard RPCs served by an idle pooled connection",
                     ),
+                    watcher: Mutex::new(None),
+                    catching_up: Mutex::new(()),
                 }
             })
             .collect();
@@ -801,7 +847,7 @@ impl<Sub: WireType, Sol: WireType> Gateway<Sub, Sol> {
             config,
             client_addr,
             pools,
-            state: Mutex::new(GwState { jobs, dispatch }),
+            state: Mutex::new(GwState { jobs, routed: HashMap::new(), dispatch }),
             cv: Condvar::new(),
             events: EventLog::new(),
             health: Mutex::new(health),
@@ -875,6 +921,14 @@ impl<Sub: WireType, Sol: WireType> Gateway<Sub, Sol> {
                     .spawn(move || lease_loop(sh))?,
             );
         }
+        for shard in 0..shared.config.shards.len() {
+            let sh = shared.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("ugw-watch-{shard}"))
+                    .spawn(move || watcher_loop(sh, shard))?,
+            );
+        }
         let resumed = recovered.iter().filter(|r| r.resumed).count();
         let recovered_counts = if ha_mode { ha_recovered } else { (recovered.len(), resumed) };
         Ok(Gateway { shared, client_addr, threads, recovered: recovered_counts })
@@ -898,8 +952,7 @@ impl<Sub: WireType, Sol: WireType> Gateway<Sub, Sol> {
         self.shared.begin_shutdown();
     }
 
-    /// [`Self::shutdown`] followed by joining every gateway thread
-    /// (tracker threads exit on the shutdown flag as well).
+    /// [`Self::shutdown`] followed by joining every gateway thread.
     pub fn shutdown_and_join(self) {
         self.shutdown();
         for t in self.threads {
@@ -1029,8 +1082,8 @@ fn journaled_lines(journal_dir: &std::path::Path) -> (HashSet<u64>, HashSet<Stri
 
 /// Takes over as primary under `lease`: fence the shards with the new
 /// epoch, replay the shared ledger + route log exactly like the
-/// restart path, adopt routes that still run, reconcile ones that
-/// finished while no primary was watching, and requeue the rest.
+/// restart path, adopt every route whose shard did not forget its job,
+/// and requeue the rest.
 /// Returns `(recovered, resumed_from_checkpoint)` for the banner.
 fn promote<Sub: WireType, Sol: WireType>(
     shared: &Arc<GwShared<Sub, Sol>>,
@@ -1048,7 +1101,7 @@ fn promote<Sub: WireType, Sol: WireType>(
     if epoch > 1 {
         shared.series.failovers.inc();
     }
-    // The dedup sets must exist before any tracker can deliver.
+    // The dedup sets must exist before any watcher can deliver.
     let mut journaled_gid_floor = 0u64;
     if let Some(dir) = &shared.config.journal_dir {
         let (fin, sta, floor) = journaled_lines(dir);
@@ -1090,14 +1143,12 @@ fn promote<Sub: WireType, Sol: WireType>(
     let mut resumed = 0usize;
     let mut live_routes: std::collections::HashMap<u64, ledger::ReplayedRoute> =
         std::collections::HashMap::new();
-    // What to announce/spawn after the state lock drops.
+    // What to announce after the state lock drops.
     let mut announce = Vec::new();
-    let mut reconcile: Vec<(u64, usize, u64)> = Vec::new();
     {
         let mut guard = shared.state.lock().unwrap();
         let st = &mut *guard;
-        st.jobs.clear();
-        st.dispatch.clear();
+        st.clear();
         let recovered = st.jobs.restore(rec, Routing::new);
         // Seed past both the live ledger records *and* every gid the
         // journals mention: when the old primary retired everything
@@ -1106,44 +1157,41 @@ fn promote<Sub: WireType, Sol: WireType>(
         st.jobs.seed(journaled_gid_floor);
         for mut owed in recovered {
             let gid = owed.job;
-            let job = st.jobs.get_mut(&gid).expect("just restored");
             match routes.get(&gid) {
                 Some(route) if route.shard < shared.config.shards.len() => {
                     let shard_state =
                         snapshots[route.shard].as_ref().map(|m| m.get(&route.local).copied());
-                    match shard_state {
-                        // Shard unreachable, or reachable and still
-                        // holding the job live: adopt the route and
-                        // resume the tracker from the replayed cursor.
-                        None | Some(Some(JobState::Queued)) | Some(Some(JobState::Running)) => {
-                            if matches!(shard_state, Some(Some(JobState::Running))) {
-                                job.set_state(JobState::Running);
-                            }
-                            job.exec.route = Some(Route { shard: route.shard, local: route.local });
-                            job.exec.next_shard_seq = route.next_seq;
-                            job.exec.tracker_spawned = true;
-                            let adopted = ledger::ReplayedRoute { lease_epoch: epoch, ..*route };
-                            live_routes.insert(gid, adopted);
-                            announce.push((owed, Some(route.shard)));
+                    let job = st.jobs.get_mut(&gid).expect("just restored");
+                    if let Some(None) = shard_state {
+                        // The shard restarted and forgot the job: fleet
+                        // failover, from its freshest on-disk checkpoint
+                        // when reachable.
+                        let spec = &shared.config.shards[route.shard];
+                        if let Some(cp) = shard_checkpoint(spec, route.local) {
+                            job.restart_from = Some(cp);
                         }
-                        // Terminal on the shard: the old primary died
-                        // somewhere inside its finish sequence. Settle
-                        // it synchronously after the lock drops.
-                        Some(Some(_term)) => {
-                            reconcile.push((gid, route.shard, route.local));
+                        owed.resumed = job.restart_from.is_some();
+                        st.dispatch.push_back(Dispatch::new(gid, None));
+                        announce.push((owed, None));
+                    } else {
+                        // Shard unreachable, or holding the job live or
+                        // terminal: adopt the route. The watcher's
+                        // catch-up once it subscribes delivers the rest
+                        // — a terminal job's `Finished` included, the
+                        // journal line deduped against what the old
+                        // primary wrote. A live job resumes at the
+                        // replayed cursor; one that may have ended is
+                        // read from 0, as the old primary's cursor may
+                        // already be past its `Finished`.
+                        if let Some(Some(JobState::Running)) = shard_state {
+                            job.set_state(JobState::Running);
                         }
-                        // The shard restarted and forgot the job:
-                        // fleet failover, from its freshest on-disk
-                        // checkpoint when reachable.
-                        Some(None) => {
-                            let spec = &shared.config.shards[route.shard];
-                            if let Some(cp) = shard_checkpoint(spec, route.local) {
-                                job.restart_from = Some(cp);
-                            }
-                            owed.resumed = job.restart_from.is_some();
-                            st.dispatch.push_back(Dispatch::new(gid, None));
-                            announce.push((owed, None));
-                        }
+                        let live = matches!(shard_state, Some(Some(s)) if !s.is_terminal());
+                        job.exec.next_shard_seq = if live { route.next_seq } else { 0 };
+                        st.set_route(gid, Some(Route { shard: route.shard, local: route.local }));
+                        let adopted = ledger::ReplayedRoute { lease_epoch: epoch, ..*route };
+                        live_routes.insert(gid, adopted);
+                        announce.push((owed, Some(route.shard)));
                     }
                 }
                 _ => {
@@ -1176,84 +1224,28 @@ fn promote<Sub: WireType, Sol: WireType>(
             "ev": "recover", "gid": owed.job, "adopted": routed.is_some(),
         }));
     }
-    // Become primary BEFORE the adopted trackers start: a tracker's
-    // first act is to bail out if this gateway is not primary, and the
-    // settle_finished reconcile below can block on shard RPCs for long
-    // enough that a tracker spawned here would reliably lose that race
-    // and orphan its job (in-flight forever, tracker_spawned left true
-    // so the dispatcher never respawns it).
+    // The watchers subscribe now, each catching up every adopted route
+    // on its shard.
     shared.role_primary.store(true, Ordering::SeqCst);
     shared.series.role.set(1.0);
-    for (owed, _) in &announce {
-        let spawn = {
-            let st = shared.state.lock().unwrap();
-            st.jobs.get(&owed.job).is_some_and(|j| j.exec.tracker_spawned)
-        };
-        if spawn {
-            let sh = shared.clone();
-            let gid = owed.job;
-            let _ = std::thread::Builder::new()
-                .name(format!("ugw-track-{gid}"))
-                .spawn(move || tracker_loop(sh, gid));
-        }
-    }
-    for (gid, shard, local) in reconcile {
-        settle_finished(shared, gid, shard, local);
-    }
     shared.cv.notify_all();
     (total, resumed)
 }
 
-/// A job found terminal on its shard during takeover, with no primary
-/// alive to have delivered it: fetch the final event and run the
-/// finish sequence — journal line deduped against what the dead
-/// primary already wrote, so the merged journals stay exactly-once.
-fn settle_finished<Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Sub, Sol>>,
-    gid: u64,
-    shard: usize,
-    local: u64,
-) {
-    let addr = shared.config.shards[shard].addr.clone();
-    let terminal = ShardClient::<Sub, Sol>::connect_timeout(&addr, shared.config.probe_timeout)
-        .and_then(|mut c| c.watch(local, 0, |_| {}))
-        .ok();
-    let (state, run_index, kind) = match terminal {
-        Some(ev) => match ev.kind {
-            JobEventKind::Finished { state, run_index, .. } => (state, run_index, ev.kind),
-            // A shard cannot report a terminal job and then stream a
-            // non-terminal tail, but fail safe anyway.
-            _ => (JobState::Failed, 1, empty_finished(JobState::Failed, 1)),
-        },
-        // The shard vanished between the snapshot and this fetch: the
-        // result is gone with it and the record was never retired, so
-        // fail the job rather than invent an answer.
-        None => (JobState::Failed, 1, empty_finished(JobState::Failed, 1)),
-    };
-    let (terminal, tenant) = {
-        let mut st = shared.state.lock().unwrap();
-        let Some(tenant) = st.jobs.get(&gid).map(|j| j.exec.tenant.clone()) else { return };
-        let Some(terminal) = st.jobs.finish(gid, state, Some(run_index)) else { return };
-        (terminal, tenant)
-    };
-    shared.events.emit(gid, JobEventKind::Queued);
-    shared.finish(terminal, &tenant, Some(kind));
-}
-
 /// Steps down after a newer epoch fenced this gateway: drop every
 /// in-memory job (the new primary replayed them from the shared
-/// ledger) and return to standby. Watchers see their streams end and
-/// reconnect through the client's gateway fallback list.
+/// ledger), close the shard watchers' streams and return to standby.
+/// Client watches see their streams end and reconnect through the
+/// client's gateway fallback list.
 fn demote<Sub, Sol: Clone>(shared: &GwShared<Sub, Sol>, usurper_epoch: u64) {
     shared.role_primary.store(false, Ordering::SeqCst);
     shared.lease_epoch.store(0, Ordering::SeqCst);
     if let Some(ha) = &shared.ha {
         ha.lock().unwrap().lease = None;
     }
-    {
-        let mut st = shared.state.lock().unwrap();
-        st.jobs.clear();
-        st.dispatch.clear();
+    shared.state.lock().unwrap().clear();
+    for shard in 0..shared.pools.len() {
+        shared.close_watcher(shard);
     }
     shared.fenced.store(false, Ordering::SeqCst);
     shared.journal(serde_json::json!({ "ev": "demote", "usurper_epoch": usurper_epoch }));
@@ -1391,7 +1383,8 @@ fn pick_shard<Sub, Sol>(shared: &GwShared<Sub, Sol>, gid: u64) -> Option<usize> 
 
 /// The shard connection pool (DESIGN §5f).
 impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
-    /// The pool's dial path, bounded by `probe_timeout`.
+    /// The pool's dial path: the connect and every read on the
+    /// connection are bounded by `probe_timeout`.
     fn dial(&self, shard: usize) -> io::Result<ShardConn<Sub, Sol>> {
         self.pools[shard].dials.inc();
         let addr = &self.config.shards[shard].addr;
@@ -1399,23 +1392,21 @@ impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
         Ok(ShardConn { client, announced: 0, reused: false })
     }
 
-    /// Borrows a connection to `shard` whose reads time out after
-    /// `read_timeout`: the chaos gate first, then an idle connection
-    /// or a fresh dial. Hand it back with [`Self::give_back`] after a
-    /// completed exchange; drop it otherwise.
-    fn borrow(&self, shard: usize, read_timeout: Duration) -> io::Result<ShardConn<Sub, Sol>> {
+    /// Borrows a connection to `shard`: the chaos gate first, then an
+    /// idle connection or a fresh dial. Hand it back with
+    /// [`Self::give_back`] after a completed exchange; drop it
+    /// otherwise.
+    fn borrow(&self, shard: usize) -> io::Result<ShardConn<Sub, Sol>> {
         self.chaos_check()?;
         let pool = &self.pools[shard];
         let idle = pool.idle.lock().unwrap().pop();
-        let conn = match idle {
+        match idle {
             Some(conn) => {
                 pool.reused.inc();
-                ShardConn { reused: true, ..conn }
+                Ok(ShardConn { reused: true, ..conn })
             }
-            None => self.dial(shard)?,
-        };
-        conn.client.set_read_timeout(read_timeout)?;
-        Ok(conn)
+            None => self.dial(shard),
+        }
     }
 
     fn give_back(&self, shard: usize, conn: ShardConn<Sub, Sol>) {
@@ -1465,7 +1456,7 @@ impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
     /// A fencing refusal (a newer lease epoch exists) marks this
     /// gateway deposed.
     fn shard_rpc(&self, shard: usize, req: &ClientRequest<Sub>) -> io::Result<ServerReply<Sol>> {
-        let mut conn = self.borrow(shard, self.config.probe_timeout)?;
+        let mut conn = self.borrow(shard)?;
         let reply = loop {
             match self.exchange(&mut conn, req) {
                 // At most once: a dialled connection is not `reused`.
@@ -1493,9 +1484,10 @@ impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
 
 /// Routes queued dispatch entries to shards, one at a time: clone the
 /// spec (with the freshest `restart_from`), pick a target, submit over
-/// a pooled connection, then record the route and make sure a tracker
-/// thread is watching. Failures park the entry for a retry — a job is
-/// never dropped between the gateway's ledger and a shard's.
+/// a pooled connection, then record the route and catch the job up —
+/// its shard's watcher found no route for the events it appended
+/// meanwhile. Failures park the entry for a retry — a job is never
+/// dropped between the gateway's ledger and a shard's.
 fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>) {
     loop {
         let entry = {
@@ -1522,7 +1514,7 @@ fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>
             }
         };
         let Dispatch { gid, target, .. } = entry;
-        let (spec, epoch) = {
+        let spec = {
             let st = shared.state.lock().unwrap();
             let Some(job) = st.jobs.get(&gid) else { continue };
             if job.state().is_terminal() {
@@ -1530,7 +1522,7 @@ fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>
             }
             let mut spec = job.spec.clone();
             spec.restart_from = job.restart_from.clone();
-            (spec, job.exec.epoch)
+            spec
         };
         // A failed-over job must not fan out wider than its chain: its
         // resumed run reuses the original worker request.
@@ -1547,25 +1539,22 @@ fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>
             shared.shard_rpc(target, &ClientRequest::Submit { spec }).and_then(submit_outcome);
         match outcome {
             Ok(SubmitOutcome::Accepted(local)) => {
-                let spawn_tracker = {
+                {
                     let mut st = shared.state.lock().unwrap();
                     let Some(job) = st.jobs.get_mut(&gid) else { continue };
-                    // Only the dispatcher assigns routes and a queued
-                    // entry has none, so the epoch cannot have moved —
-                    // checked anyway: a stale submit must be cancelled,
-                    // not recorded.
-                    if job.exec.epoch != epoch || job.state().is_terminal() {
+                    // Only the dispatcher routes a queued entry, so no
+                    // route can have appeared meanwhile — checked anyway:
+                    // a stale submit must be cancelled, not recorded.
+                    if job.exec.route.is_some() || job.state().is_terminal() {
                         drop(st);
                         let _ = shared.shard_rpc(target, &ClientRequest::Cancel { job: local });
                         continue;
                     }
-                    let routing = &mut job.exec;
-                    routing.route = Some(Route { shard: target, local });
                     // A new shard-local job means a new event log that
-                    // starts at seq 0 — the tracker must not skip it.
-                    routing.next_shard_seq = 0;
-                    !std::mem::replace(&mut routing.tracker_spawned, true)
-                };
+                    // starts at seq 0.
+                    job.exec.next_shard_seq = 0;
+                    st.set_route(gid, Some(Route { shard: target, local }));
+                }
                 // Durable before the `Routed` announcement: a standby
                 // replaying this log must find every route a client
                 // could have observed.
@@ -1583,14 +1572,7 @@ fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>
                     "ev": "route", "gid": gid, "shard": shared.config.shards[target].name,
                     "local": local, "resumed": resumed,
                 }));
-                if spawn_tracker {
-                    let sh = shared.clone();
-                    std::thread::Builder::new()
-                        .name(format!("ugw-track-{gid}"))
-                        .spawn(move || tracker_loop(sh, gid))
-                        .expect("spawn tracker thread");
-                }
-                shared.cv.notify_all();
+                shared.catch_up(gid);
             }
             // Shard draining, dead or unreachable.
             Ok(SubmitOutcome::Rejected(_)) | Err(_) => shared.park(gid),
@@ -1599,158 +1581,176 @@ fn dispatcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>
 }
 
 // ---------------------------------------------------------------------
-// Trackers: one thread per in-flight job
+// Watchers: one event stream per shard
 // ---------------------------------------------------------------------
 
-/// Follows `gid` wherever routing sends it: watches the owning shard's
-/// event stream, rewrites local ids to the gateway id, and appends to
-/// the gateway's log. When the route changes (steal, failover) the
-/// stale stream is abandoned — the epoch check makes delivered events
-/// from a disowned shard inert, including its `Cancelled` terminal from
-/// a reclaim.
-fn tracker_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>, gid: u64) {
-    'routes: loop {
-        // Wait for a current route (or terminality).
-        let (shard, local, epoch, from_seq) = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) || !shared.is_primary() {
-                    return;
-                }
-                let Some(job) = st.jobs.get(&gid) else { return };
-                if job.state().is_terminal() {
-                    return;
-                }
-                if let Some(r) = &job.exec.route {
-                    break (r.shard, r.local, job.exec.epoch, job.exec.next_shard_seq);
-                }
-                st = shared.cv.wait_timeout(st, Duration::from_millis(200)).unwrap().0;
+/// Follows shard `shard`'s `WatchAll` stream for as long as this
+/// gateway is primary and running: subscribe, catch up every job routed
+/// to the shard (whatever the shard appended before the subscription is
+/// not on the stream), then apply each event as it arrives. Shutdown,
+/// demotion and the shard's death close the stream from outside
+/// ([`GwShared::close_watcher`]); the watcher then subscribes again.
+fn watcher_loop<Sub: WireType, Sol: WireType>(shared: Arc<GwShared<Sub, Sol>>, shard: usize) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if !shared.is_primary() {
+            shared.pause(WATCH_RETRY);
+            continue;
+        }
+        if let Ok(mut client) = shared.subscribe(shard) {
+            let routes: Vec<u64> = {
+                let st = shared.state.lock().unwrap();
+                st.routed.iter().filter(|(r, _)| r.shard == shard).map(|(_, &gid)| gid).collect()
+            };
+            for gid in routes {
+                shared.catch_up(gid);
             }
-        };
-        let mut conn = match shared.borrow(shard, WATCH_WAKE) {
-            Ok(conn) => conn,
-            Err(_) => {
-                // Injected link fault, or the shard is unreachable (the
-                // dial gives up after `probe_timeout`): back off, then
-                // re-resolve — failover may have re-routed meanwhile.
-                std::thread::sleep(Duration::from_millis(100));
-                continue 'routes;
+            while let Ok(reply) = client.read_reply() {
+                if let ServerReply::Event { event } = reply {
+                    if let Some(gid) = deliver(&shared, shard, event) {
+                        shared.catch_up(gid);
+                    }
+                }
             }
+        }
+        shared.pools[shard].watcher.lock().unwrap().take();
+        shared.pause(WATCH_RETRY);
+    }
+}
+
+impl<Sub: WireType, Sol: WireType> GwShared<Sub, Sol> {
+    /// Opens `shard`'s `WatchAll` stream on a connection of its own (not
+    /// a pooled one: it never returns to a request loop) and waits for
+    /// the shard's `Watching`, after which every event it appends is on
+    /// the stream. The connection is registered for
+    /// [`Self::close_watcher`] first; a gateway that stopped being
+    /// primary (or running) meanwhile gets no stream.
+    fn subscribe(&self, shard: usize) -> io::Result<ShardClient<Sub, Sol>> {
+        self.chaos_check()?;
+        let addr = &self.config.shards[shard].addr;
+        let mut client = ShardClient::<Sub, Sol>::connect_timeout(addr, self.config.probe_timeout)?;
+        *self.pools[shard].watcher.lock().unwrap() = Some(client.try_clone_stream()?);
+        if !self.is_primary() || self.shutdown.load(Ordering::SeqCst) {
+            self.close_watcher(shard);
+            return Err(io::Error::other("not primary"));
+        }
+        match client.request(&ClientRequest::WatchAll)? {
+            ServerReply::Watching => {
+                client.set_read_timeout(None)?;
+                Ok(client)
+            }
+            _ => Err(io::Error::new(io::ErrorKind::InvalidData, "WatchAll not acknowledged")),
+        }
+    }
+
+    /// Brings `gid` up to date with its shard: fetches the shard log's
+    /// tail from the job's cursor (`Events`) and applies it. A tail that
+    /// ends below the cursor is a log the shard started afresh
+    /// (it restarted and recovered the job): the job is fetched again
+    /// from 0. A shard that no longer knows the job lost it: the job
+    /// goes back through dispatch. A failed fetch closes the shard's
+    /// watcher stream, whose next subscription catches the job up again.
+    fn catch_up(&self, gid: u64) {
+        let Some(route) = self.state.lock().unwrap().jobs.get(&gid).and_then(|j| j.exec.route)
+        else {
+            return;
         };
-        let mut reply = conn.client.request(&ClientRequest::Watch { job: local, from_seq });
+        let _turn = self.pools[route.shard].catching_up.lock().unwrap();
         loop {
-            match reply {
-                Ok(ServerReply::Event { event }) => {
-                    let finished = matches!(event.kind, JobEventKind::Finished { .. });
-                    if !deliver(&shared, gid, epoch, event) {
-                        // `Finished` completes the stream and puts the
-                        // shard back in its request loop: only then may
-                        // the connection serve someone else. A stream
-                        // abandoned mid-way (stale epoch) takes it along.
-                        if finished {
-                            shared.give_back(shard, conn);
-                        }
-                        continue 'routes;
+            let from_seq = {
+                let st = self.state.lock().unwrap();
+                if st.routed_to(route) != Some(gid) {
+                    return;
+                }
+                st.jobs[&gid].exec.next_shard_seq
+            };
+            let req = ClientRequest::Events { job: route.local, from_seq };
+            match self.shard_rpc(route.shard, &req) {
+                Ok(ServerReply::Events { end, .. }) if end < from_seq => {
+                    let mut st = self.state.lock().unwrap();
+                    if st.routed_to(route) == Some(gid) {
+                        st.jobs.get_mut(&gid).expect("routed").exec.next_shard_seq = 0;
                     }
                 }
-                Ok(_) => {
-                    // Error reply (shard restarted and forgot the job):
-                    // re-resolve the route.
-                    std::thread::sleep(Duration::from_millis(100));
-                    continue 'routes;
+                Ok(ServerReply::Events { events, .. }) => {
+                    for event in events {
+                        deliver(self, route.shard, event);
+                    }
+                    return;
                 }
-                Err(e)
-                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-                {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Stale? (steal/failover bumped the epoch)
-                    let st = shared.state.lock().unwrap();
-                    match st.jobs.get(&gid) {
-                        Some(job) if job.exec.epoch == epoch && !job.state().is_terminal() => {}
-                        _ => continue 'routes,
-                    }
+                Ok(ServerReply::Error { .. }) => {
+                    requeue_lost(self, gid, route);
+                    return;
                 }
-                Err(e) => {
-                    // A pooled connection that went stale is retried at
-                    // once, on a dial; anything else backs off first.
-                    if !shared.went_stale(shard, &conn, &e) {
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                    continue 'routes;
+                _ => {
+                    self.close_watcher(route.shard);
+                    return;
                 }
             }
-            reply = conn.client.read_reply();
         }
     }
 }
 
-/// Applies one shard event to the gateway's view of `gid`. Returns
-/// false when the tracker must abandon this stream (stale epoch or
-/// terminal). Holding `epoch` fixed across the whole delivery makes a
-/// steal linearizable: the steal bumps the epoch *before* it reclaims,
-/// so the reclaim's `Cancelled` terminal can never be mistaken for the
-/// job's real end.
+/// Applies one event of shard `shard` to the job routed to `(shard,
+/// event.job)`, if any, under the delivery rule: a job's events are
+/// applied in dense `seq` order from its cursor; one below the cursor is
+/// dropped, except a `Finished`, which is always applied; one above it
+/// is not applied but returns the gateway id — an event was missed, and
+/// the caller catches the job up.
 fn deliver<Sub, Sol: Clone>(
     shared: &GwShared<Sub, Sol>,
-    gid: u64,
-    epoch: u64,
+    shard: usize,
     event: JobEvent<Sol>,
-) -> bool {
+) -> Option<u64> {
     // A deposed primary must not consume events: the new lease holder
     // owns this job's ledger record and journal lines now.
     if !shared.still_primary() {
-        return false;
+        return None;
     }
+    let route = Route { shard, local: event.job };
     let mut st = shared.state.lock().unwrap();
-    let Some(job) = st.jobs.get_mut(&gid) else { return false };
-    if job.exec.epoch != epoch || job.state().is_terminal() {
-        return false;
+    let gid = st.routed_to(route)?;
+    let job = st.jobs.get_mut(&gid).expect("routed");
+    let finished = matches!(event.kind, JobEventKind::Finished { .. });
+    if event.seq > job.exec.next_shard_seq {
+        return Some(gid);
     }
-    // Consumed under the owning epoch: the reconnect cursor moves past
-    // this event so a later `Watch` never re-delivers it.
-    job.exec.next_shard_seq = job.exec.next_shard_seq.max(event.seq + 1);
+    if event.seq < job.exec.next_shard_seq && !finished {
+        return None;
+    }
+    job.exec.next_shard_seq = event.seq + 1;
     let lease_ep = shared.lease_epoch.load(Ordering::SeqCst);
     match &event.kind {
         // The gateway emitted its own Queued at submit; the shard's
         // (and its re-runs after a steal) would just repeat it.
-        JobEventKind::Queued => true,
+        JobEventKind::Queued => {}
         JobEventKind::Finished { state, run_index, .. } => {
             let tenant = job.exec.tenant.clone();
-            let Some(terminal) = st.jobs.finish(gid, *state, Some(*run_index)) else {
-                return false;
-            };
+            let terminal = st.jobs.finish(gid, *state, Some(*run_index))?;
+            st.routed.remove(&route);
             drop(st);
             // Takeover-safe terminal sequence — the order is load-
             // bearing (see DESIGN §5f): (1) fsync the cursor past the
             // terminal, (2) the journal line, (3) ledger retirement.
             // Whatever prefix a crash leaves, the next promote either
-            // finds the record retired (done), or reconciles it
-            // against the shard and the journal dedup set — never a
-            // lost or double-counted finish.
+            // finds the record retired (done), or adopts the route and
+            // catches the terminal up again, deduping the journal line
+            // against what this primary wrote — never a lost or
+            // double-counted finish.
             if let Some(rl) = &shared.route_log {
                 let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
             }
             shared.finish(terminal, &tenant, Some(event.kind));
             shared.cv.notify_all();
-            false
         }
         _ => {
             if let JobEventKind::Recovered { run_index, .. } = &event.kind {
                 job.run_index = *run_index;
             }
-            let mut started_at = None;
-            if let JobEventKind::Started { .. } = &event.kind {
+            let started = matches!(event.kind, JobEventKind::Started { .. });
+            if started {
                 job.set_state(JobState::Running);
-                if let Some(r) = &job.exec.route {
-                    started_at = Some((r.shard, r.local));
-                }
             }
-            let durable = matches!(
-                &event.kind,
-                JobEventKind::Started { .. } | JobEventKind::Recovered { .. }
-            );
+            let durable = started || matches!(event.kind, JobEventKind::Recovered { .. });
             drop(st);
             // Run-boundary events move the durable cursor so a
             // takeover resumes the stream without replaying them;
@@ -1761,19 +1761,19 @@ fn deliver<Sub, Sol: Clone>(
                     let _ = rl.record_cursor(gid, event.seq + 1, lease_ep, true);
                 }
             }
-            if let Some((shard, local)) = started_at {
+            if started {
                 let name = &shared.config.shards[shard].name;
-                let key = format!("{gid}/{name}/{local}");
+                let key = format!("{gid}/{name}/{}", route.local);
                 if !shared.prior_started.lock().unwrap().contains(&key) {
                     shared.journal(serde_json::json!({
-                        "ev": "started", "gid": gid, "shard": name, "local": local,
+                        "ev": "started", "gid": gid, "shard": name, "local": route.local,
                     }));
                 }
             }
             shared.events.emit(gid, event.kind);
-            true
         }
     }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -1861,86 +1861,82 @@ fn shard_checkpoint(shard: &ShardSpec, local: u64) -> Option<String> {
     ledger::read_state_text(&path).ok().filter(|json| ledger::checkpoint_meta(json).is_some())
 }
 
-/// A shard died: every job routed to it goes back through dispatch.
-/// Jobs that were mid-run resume from the dead shard's last on-disk
-/// checkpoint (when its state dir is reachable) as run `1.k` — the
-/// fleet-level replay of the server's own crash recovery.
-fn fail_over<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>, shard: usize) {
-    let spec = &shared.config.shards[shard];
-    let orphans: Vec<(u64, u64, u64)> = {
+/// A shard died: every job routed to it goes back through dispatch
+/// ([`requeue_lost`]), and its watcher's stream, which can tell nothing
+/// more, is closed.
+fn fail_over<Sub: WireType, Sol: WireType>(shared: &GwShared<Sub, Sol>, shard: usize) {
+    let orphans: Vec<(u64, Route)> = {
         let st = shared.state.lock().unwrap();
-        st.jobs
-            .iter()
-            .filter(|(_, j)| !j.state().is_terminal())
-            .filter_map(|(gid, j)| {
-                let r = j.exec.route.filter(|r| r.shard == shard)?;
-                Some((*gid, r.local, j.exec.epoch))
-            })
-            .collect()
+        st.routed.iter().filter(|(r, _)| r.shard == shard).map(|(&r, &gid)| (gid, r)).collect()
     };
     shared.journal(serde_json::json!({
-        "ev": "shard_dead", "shard": spec.name, "orphans": orphans.len(),
+        "ev": "shard_dead", "shard": shared.config.shards[shard].name, "orphans": orphans.len(),
     }));
-    for (gid, local, epoch) in orphans {
-        // Checkpoint replay: the dead shard's coordinator saved its
-        // primitive nodes every checkpoint interval; the freshest save
-        // is the resume point.
-        let checkpoint = shard_checkpoint(spec, local);
-        let resumed = checkpoint.is_some();
-        {
-            let mut st = shared.state.lock().unwrap();
-            let Some(job) = st.jobs.get_mut(&gid) else { continue };
-            if job.exec.epoch != epoch || job.state().is_terminal() {
-                continue; // moved or finished while we read the disk
-            }
-            job.exec.epoch += 1;
-            job.exec.route = None;
-            job.set_state(JobState::Queued);
-            if let Some(cp) = checkpoint {
-                job.restart_from = Some(cp);
-            }
-            st.dispatch.push_back(Dispatch::new(gid, None));
-        }
-        if let Some(rl) = &shared.route_log {
-            let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
-        }
-        shared.series.failed_over.inc();
-        shared.journal(serde_json::json!({
-            "ev": "failover", "gid": gid, "from": spec.name, "resumed": resumed,
-        }));
+    shared.close_watcher(shard);
+    for (gid, route) in orphans {
+        requeue_lost(shared, gid, route);
     }
+}
+
+/// `gid`'s shard-side job at `route` is gone (its shard died, or
+/// restarted without it): the job goes back through dispatch. A job
+/// that was mid-run resumes from the shard's last on-disk checkpoint
+/// (when its state dir is reachable) as run `1.k` — the fleet-level
+/// replay of the server's own crash recovery.
+fn requeue_lost<Sub, Sol: Clone>(shared: &GwShared<Sub, Sol>, gid: u64, route: Route) {
+    let from = &shared.config.shards[route.shard];
+    // Checkpoint replay: the shard's coordinator saved its primitive
+    // nodes every checkpoint interval; the freshest save is the resume
+    // point.
+    let checkpoint = shard_checkpoint(from, route.local);
+    let resumed = checkpoint.is_some();
+    {
+        let mut st = shared.state.lock().unwrap();
+        // Moved or finished while we read the disk.
+        if st.routed_to(route) != Some(gid) {
+            return;
+        }
+        let job = st.jobs.get_mut(&gid).expect("routed");
+        job.set_state(JobState::Queued);
+        if let Some(cp) = checkpoint {
+            job.restart_from = Some(cp);
+        }
+        st.set_route(gid, None);
+        st.dispatch.push_back(Dispatch::new(gid, None));
+    }
+    if let Some(rl) = &shared.route_log {
+        let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
+    }
+    shared.series.failed_over.inc();
+    shared.journal(serde_json::json!({
+        "ev": "failover", "gid": gid, "from": from.name, "resumed": resumed,
+    }));
     shared.cv.notify_all();
 }
 
-/// Moves one job the gateway believes queued on `from` to `to`, under
-/// the disown-first epoch-bump protocol that linearizes the migration
-/// against the job's tracker — see [`deliver`]. Returns true when the
-/// job actually moved (the reclaim landed before the shard started
-/// it).
+/// Moves one job the gateway believes queued at `route` to shard `to`,
+/// disowning the route first: while it is away, the watcher finds no
+/// job for the old shard's events — the reclaim's `Cancelled` terminal
+/// included. Returns true when the job actually moved (the reclaim
+/// landed before the shard started it).
 fn migrate_queued<Sub: WireType, Sol: WireType>(
-    shared: &Arc<GwShared<Sub, Sol>>,
+    shared: &GwShared<Sub, Sol>,
     gid: u64,
-    local: u64,
-    epoch: u64,
-    from: usize,
+    route: Route,
     to: usize,
 ) -> bool {
-    // Disown first: from here on every event the old shard still sends
-    // (including the reclaim's Cancelled terminal) is stale by epoch.
     {
         let mut st = shared.state.lock().unwrap();
-        let Some(job) = st.jobs.get_mut(&gid) else { return false };
-        if job.exec.epoch != epoch || job.state().is_terminal() {
+        if st.routed_to(route) != Some(gid) {
             return false;
         }
-        job.exec.epoch += 1;
-        job.exec.route = None;
+        st.set_route(gid, None);
     }
     if let Some(rl) = &shared.route_log {
         let _ = rl.record_unroute(gid, shared.lease_epoch.load(Ordering::SeqCst));
     }
     let reclaimed = shared
-        .shard_rpc(from, &ClientRequest::Reclaim { job: local })
+        .shard_rpc(route.shard, &ClientRequest::Reclaim { job: route.local })
         .and_then(cancel_outcome)
         .unwrap_or(false);
     let mut st = shared.state.lock().unwrap();
@@ -1948,9 +1944,9 @@ fn migrate_queued<Sub: WireType, Sol: WireType>(
     // The disown window is not exclusive: while the route was empty a
     // cancel can take the undispatched path (terminal `Cancelled`,
     // ledger retired). Requeueing now would resurrect an acknowledged-
-    // cancelled job. Nothing else may bump the epoch either (defense in
+    // cancelled job. Nothing else may route it either (defense in
     // depth: a concurrent owner means this migration lost).
-    if job.exec.epoch != epoch + 1 || job.state().is_terminal() {
+    if job.exec.route.is_some() || job.state().is_terminal() {
         drop(st);
         if !reclaimed {
             // The reclaim was refused, so the job still runs on the
@@ -1958,7 +1954,7 @@ fn migrate_queued<Sub: WireType, Sol: WireType>(
             // terminal — forward the cancel instead of restoring the
             // route (best-effort: the shard's pool should not keep
             // burning on a job nobody is waiting for).
-            let _ = shared.shard_rpc(from, &ClientRequest::Cancel { job: local });
+            let _ = shared.shard_rpc(route.shard, &ClientRequest::Cancel { job: route.local });
         }
         shared.cv.notify_all();
         return false;
@@ -1969,16 +1965,16 @@ fn migrate_queued<Sub: WireType, Sol: WireType>(
         drop(st);
     } else {
         // The job started (or finished) before the reclaim landed: it
-        // stays where it is. The route returns under the *new* epoch,
-        // so its tracker reconnects and resumes the stream from
-        // `next_shard_seq` — the delivery cursor did not move for
-        // anything the disown window discarded, so those events are
-        // re-fetched exactly once, not the whole log again.
-        job.exec.route = Some(Route { shard: from, local });
+        // stays where it is. The route returns with the cursor where the
+        // disown left it, and the catch-up fetches exactly the events
+        // the watcher found no job for meanwhile.
+        st.set_route(gid, Some(route));
         drop(st);
         if let Some(rl) = &shared.route_log {
-            let _ = rl.record_route(gid, from, local, shared.lease_epoch.load(Ordering::SeqCst));
+            let ep = shared.lease_epoch.load(Ordering::SeqCst);
+            let _ = rl.record_route(gid, route.shard, route.local, ep);
         }
+        shared.catch_up(gid);
     }
     shared.cv.notify_all();
     reclaimed
@@ -1990,9 +1986,8 @@ const STEAL_BATCH: u64 = 4;
 /// Batch work stealing: if some healthy shard idles while another's
 /// queue is at least `steal_margin` deep, move `min(gap/2,`
 /// [`STEAL_BATCH`]`)` (at least 1) queued jobs per sweep (gap = the
-/// depth difference), each under the epoch-bump protocol of
-/// [`migrate_queued`].
-fn maybe_steal<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>) {
+/// depth difference), each by [`migrate_queued`].
+fn maybe_steal<Sub: WireType, Sol: WireType>(shared: &GwShared<Sub, Sol>) {
     let (idle, victim, victim_queued, gap) = {
         let health = shared.health.lock().unwrap();
         let idle = health
@@ -2016,25 +2011,20 @@ fn maybe_steal<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>) {
     let batch = (gap / 2).clamp(1, STEAL_BATCH) as usize;
     // Map the victim's queued local ids back to gateway jobs, oldest
     // first, up to the batch size.
-    let picked: Vec<(u64, u64, u64)> = {
+    let picked: Vec<(u64, Route)> = {
         let st = shared.state.lock().unwrap();
         victim_queued
             .iter()
-            .filter_map(|&local| {
-                st.jobs.iter().find_map(|(gid, j)| {
-                    (!j.state().is_terminal()
-                        && j.exec.route.is_some_and(|r| r.shard == victim && r.local == local))
-                    .then_some((*gid, local, j.exec.epoch))
-                })
-            })
+            .map(|&local| Route { shard: victim, local })
+            .filter_map(|r| Some((st.routed_to(r)?, r)))
             .take(batch)
             .collect()
     };
-    for (gid, local, epoch) in picked {
+    for (gid, route) in picked {
         if !shared.still_primary() {
             return;
         }
-        if migrate_queued(shared, gid, local, epoch, victim, idle) {
+        if migrate_queued(shared, gid, route, idle) {
             shared.series.stolen.inc();
             shared.journal(serde_json::json!({
                 "ev": "steal", "gid": gid,
@@ -2051,41 +2041,31 @@ fn maybe_steal<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>) {
 /// Running jobs are never moved (their progress lives where they
 /// run); undispatched jobs need nothing, the dispatcher's next pick
 /// already sees the shard alive.
-fn rejoin_migrate<Sub: WireType, Sol: WireType>(shared: &Arc<GwShared<Sub, Sol>>, revived: usize) {
+fn rejoin_migrate<Sub: WireType, Sol: WireType>(shared: &GwShared<Sub, Sol>, revived: usize) {
     // Snapshot which (shard, local) pairs are still queued shard-side:
     // only those can move — a reclaim of anything else is refused.
     let queued_elsewhere: Vec<Vec<u64>> = {
         let health = shared.health.lock().unwrap();
         health.iter().map(|h| h.queued_local.clone()).collect()
     };
-    let candidates: Vec<(u64, u64, u64, usize)> = {
+    let candidates: Vec<(u64, Route)> = {
         let st = shared.state.lock().unwrap();
-        st.jobs
+        st.routed
             .iter()
-            .filter(|(_, j)| !j.state().is_terminal())
-            .filter_map(|(gid, j)| {
-                let r = j.exec.route?;
-                if r.shard == revived || !queued_elsewhere[r.shard].contains(&r.local) {
-                    return None;
-                }
-                (pick_shard(shared, *gid) == Some(revived)).then_some((
-                    *gid,
-                    r.local,
-                    j.exec.epoch,
-                    r.shard,
-                ))
-            })
+            .filter(|(r, _)| r.shard != revived && queued_elsewhere[r.shard].contains(&r.local))
+            .filter(|(_, &gid)| pick_shard(shared, gid) == Some(revived))
+            .map(|(&r, &gid)| (gid, r))
             .collect()
     };
-    for (gid, local, epoch, from) in candidates {
+    for (gid, route) in candidates {
         if !shared.still_primary() {
             return;
         }
-        if migrate_queued(shared, gid, local, epoch, from, revived) {
+        if migrate_queued(shared, gid, route, revived) {
             shared.series.rejoined.inc();
             shared.journal(serde_json::json!({
                 "ev": "rejoin", "gid": gid,
-                "from": shared.config.shards[from].name,
+                "from": shared.config.shards[route.shard].name,
                 "to": shared.config.shards[revived].name,
             }));
         }
@@ -2162,9 +2142,13 @@ impl<Sub: WireType, Sol: WireType> RequestHandler for GwShared<Sub, Sol> {
                         format!("unknown job {job}")
                     }
                 };
-                self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                self.events.stream(out, &self.shutdown, Follow::Job { job, from_seq }, gone)?;
                 return Ok(true);
             }
+            ClientRequest::WatchAll => ServerReply::Error {
+                message: "a gateway watches its shards; WatchAll addresses shards".into(),
+            },
+            ClientRequest::Events { job, from_seq } => self.events.tail(job, from_seq),
             ClientRequest::Status => ServerReply::Status { status: gw_status(self) },
             ClientRequest::Metrics => ServerReply::Metrics { report: gw_metrics(self) },
             ClientRequest::Fleet => ServerReply::Fleet { fleet: gw_fleet(self) },
@@ -2181,7 +2165,7 @@ impl<Sub: WireType, Sol: WireType> RequestHandler for GwShared<Sub, Sol> {
 
 /// Cancels a gateway job wherever it is: still in the dispatch queue
 /// (finish it locally) or routed (forward the cancel; the shard's
-/// terminal event comes back through the tracker).
+/// terminal event comes back through the shard's watcher).
 fn gw_cancel<Sub: WireType, Sol: WireType>(shared: &GwShared<Sub, Sol>, gid: u64) -> bool {
     if !shared.is_primary() {
         return false;
@@ -2441,8 +2425,9 @@ mod tests {
 
     /// A scripted shard: every request on every connection is logged
     /// with its connection number and arrival time, then answered by
-    /// the script (`None` = stay silent). Its threads end with the
-    /// test process.
+    /// the script (`None` = stay silent) — except `WatchAll` and
+    /// `Events`, which the shard's [`FakeEvents`] serve. Its threads end
+    /// with the test process.
     struct FakeShard {
         addr: String,
         log: Arc<Mutex<Vec<(usize, Req, Instant)>>>,
@@ -2456,7 +2441,62 @@ mod tests {
         }
     }
 
+    /// A fake shard's job event logs and its `WatchAll` subscribers.
+    #[derive(Default)]
+    struct FakeEvents(Mutex<FakeLogs>);
+
+    #[derive(Default)]
+    struct FakeLogs {
+        jobs: HashMap<u64, Vec<JobEvent<u32>>>,
+        subscribers: Vec<TcpStream>,
+    }
+
+    impl FakeEvents {
+        /// Appends to `job`'s log and streams the event to every
+        /// subscriber.
+        fn append(&self, job: u64, kind: JobEventKind<u32>) {
+            let mut logs = self.0.lock().unwrap();
+            let log = logs.jobs.entry(job).or_default();
+            let event = JobEvent { job, seq: log.len(), kind };
+            log.push(event.clone());
+            for conn in logs.subscribers.iter_mut() {
+                let _ = wire::write_msg(conn, &Reply::Event { event: event.clone() });
+            }
+        }
+
+        /// Answers `WatchAll` on `conn` and subscribes it, or `Events`.
+        fn serve(&self, req: &Req, conn: &mut TcpStream) -> bool {
+            let mut logs = self.0.lock().unwrap();
+            let reply = match *req {
+                Req::WatchAll => {
+                    logs.subscribers.push(conn.try_clone().unwrap());
+                    Reply::Watching
+                }
+                // A job the script accepted has an empty log until
+                // something is appended to it.
+                Req::Events { job, from_seq } => {
+                    let log = logs.jobs.get(&job).map(Vec::as_slice).unwrap_or_default();
+                    let events = log.get(from_seq..).unwrap_or_default().to_vec();
+                    Reply::Events { job, events, end: log.len() }
+                }
+                _ => return false,
+            };
+            wire::write_msg(conn, &reply).is_ok()
+        }
+
+        fn subscribers(&self) -> usize {
+            self.0.lock().unwrap().subscribers.len()
+        }
+    }
+
     fn fake_shard(script: impl Fn(&Req) -> Option<Reply> + Send + Sync + 'static) -> FakeShard {
+        fake_shard_with(Arc::default(), script)
+    }
+
+    fn fake_shard_with(
+        events: Arc<FakeEvents>,
+        script: impl Fn(&Req) -> Option<Reply> + Send + Sync + 'static,
+    ) -> FakeShard {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -2465,13 +2505,17 @@ mod tests {
         std::thread::spawn(move || {
             for (conn, stream) in listener.incoming().enumerate() {
                 let Ok(mut stream) = stream else { return };
-                let (log, script) = (log.clone(), script.clone());
+                let (log, script, events) = (log.clone(), script.clone(), events.clone());
                 std::thread::spawn(move || {
                     let mut reader = stream.try_clone().unwrap();
                     let mut dec = wire::FrameDecoder::new();
                     while let Ok(Some(req)) = wire::read_msg::<Req, _>(&mut reader, &mut dec) {
                         log.lock().unwrap().push((conn, req.clone(), Instant::now()));
-                        if let Some(reply) = script(&req) {
+                        if matches!(req, Req::WatchAll | Req::Events { .. }) {
+                            if !events.serve(&req, &mut stream) {
+                                return;
+                            }
+                        } else if let Some(reply) = script(&req) {
                             if wire::write_msg(&mut stream, &reply).is_err() {
                                 return;
                             }
@@ -2493,7 +2537,6 @@ mod tests {
             Req::Cancel { job } | Req::Reclaim { job } => {
                 Some(Reply::CancelResult { job: *job, ok: false })
             }
-            Req::Watch { .. } => None,
             _ => Some(Reply::Error { message: "scripted shard".into() }),
         }
     }
@@ -2641,16 +2684,7 @@ mod tests {
             other => accepting(other),
         });
         let journal = std::env::temp_dir().join(format!("ugrs-gw-cancel-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&journal);
-        let gw = Gw::start(GatewayConfig {
-            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
-            health_interval: Duration::from_secs(20),
-            shard_liveness: Duration::from_secs(60),
-            steal_margin: 0,
-            journal_dir: Some(journal.clone()),
-            ..GatewayConfig::default()
-        })
-        .expect("gateway start");
+        let gw = journaling_gateway(&shard, &journal);
         let shared = &gw.shared;
         let gid = gw_submit(shared, spec("j")).unwrap().unwrap();
         // The refused submit parks the job: it is still undispatched.
@@ -2660,15 +2694,9 @@ mod tests {
         assert!(gw_cancel(shared, gid));
         gw.shutdown_and_join();
 
-        let text = std::fs::read_to_string(journal.join("gateway.jsonl")).unwrap();
+        let finishes = finish_lines(&journal, gid);
         let _ = std::fs::remove_dir_all(&journal);
-        let finishes: Vec<serde_json::Value> = text
-            .lines()
-            .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
-            .filter(|v| v.get("ev").and_then(|e| e.as_str()) == Some("finish"))
-            .filter(|v| v.get("gid").and_then(|g| g.as_u64()) == Some(gid))
-            .collect();
-        assert_eq!(finishes.len(), 1, "{text}");
+        assert_eq!(finishes.len(), 1, "{finishes:?}");
         assert_eq!(finishes[0].get("state").and_then(|s| s.as_str()), Some("cancelled"));
     }
 
@@ -2775,11 +2803,12 @@ mod tests {
         None
     }
 
-    /// The tracker used to dial with an unbounded `connect`: a shard
-    /// whose host stopped answering pinned it for the OS connect
-    /// timeout (minutes), and a re-route was not picked up before.
+    /// A job routed to a shard whose host stopped answering is served
+    /// by the shard failover re-routes it to, while that shard's watcher
+    /// still sits in its dial: the dial is bounded by `probe_timeout`,
+    /// and nothing on the job's new path waits for it.
     #[test]
-    fn a_tracker_stuck_on_a_black_holed_shard_follows_a_reroute() {
+    fn a_job_rerouted_off_a_black_holed_shard_is_served_by_its_new_shard() {
         let Some((hole, _filler)) = black_hole() else {
             eprintln!("skipped: cannot build a black-hole listener here");
             return;
@@ -2795,38 +2824,158 @@ mod tests {
         let gid = {
             let mut st = shared.state.lock().unwrap();
             let spec = spec("j");
-            let mut job = Job::queued(spec.clone(), None, 1, Routing::new(&spec));
-            job.exec.route = Some(Route { shard: 0, local: 3 });
-            job.exec.tracker_spawned = true;
+            let job = Job::queued(spec.clone(), None, 1, Routing::new(&spec));
             let id = st.jobs.reserve();
-            st.jobs.insert(id, job)
+            let gid = st.jobs.insert(id, job);
+            st.set_route(gid, Some(Route { shard: 0, local: 3 }));
+            gid
         };
-        let tracker = {
-            let shared = shared.clone();
-            std::thread::spawn(move || tracker_loop(shared, gid))
-        };
-        // The tracker is inside its dial when failover re-routes.
+        // The hole's watcher is inside its dial when the health loop
+        // declares the shard dead and fails its job over.
         std::thread::sleep(Duration::from_millis(150));
         let rerouted = Instant::now();
-        {
-            let mut st = shared.state.lock().unwrap();
-            let job = st.jobs.get_mut(&gid).unwrap();
-            job.exec.epoch += 1;
-            job.exec.route = Some(Route { shard: 1, local: 7 });
-        }
-        shared.cv.notify_all();
+        shared.health.lock().unwrap()[0].alive = false;
+        fail_over(&shared, 0);
 
-        let watched = |r: &Req| matches!(r, Req::Watch { job: 7, .. });
-        // The rest of the bounded dial, the 100 ms back-off, and slack.
-        let bound = probe_timeout + Duration::from_millis(100) + Duration::from_millis(100);
-        wait_until("the tracker to watch the new route", Duration::from_secs(10), || {
-            !up.seen(watched).is_empty()
+        let served = |r: &Req| matches!(r, Req::Events { job: 7, .. });
+        wait_until("the new shard to serve the job", Duration::from_secs(10), || {
+            !up.seen(served).is_empty()
         });
-        let took = up.log.lock().unwrap().iter().find(|(_, r, _)| watched(r)).unwrap().2 - rerouted;
-        assert!(took < bound, "the tracker followed the re-route after {took:?}");
-
+        let took = up.log.lock().unwrap().iter().find(|(_, r, _)| served(r)).unwrap().2 - rerouted;
+        let bound = probe_timeout + Duration::from_millis(200);
+        assert!(took < bound, "the new shard served the job {took:?} after the re-route");
+        let st = shared.state.lock().unwrap();
+        assert_eq!(st.routed_to(Route { shard: 1, local: 7 }), Some(gid));
+        drop(st);
         gw.shutdown_and_join();
-        tracker.join().unwrap();
+    }
+
+    /// A `Finished` with bounds, as a shard sends for a solved job.
+    fn solved() -> JobEventKind<u32> {
+        JobEventKind::Finished {
+            state: JobState::Solved,
+            obj: Some(4.0),
+            dual_bound: 4.0,
+            solution: Some(1),
+            nodes: 1,
+            nodes_so_far: 1,
+            run_index: 1,
+            open_nodes: 0,
+            workers_lost: 0,
+            wall_time: 0.01,
+            final_checkpoint: None,
+        }
+    }
+
+    /// A quiet gateway over one shard that journals to a fresh `dir`.
+    fn journaling_gateway(shard: &FakeShard, dir: &std::path::Path) -> Gw {
+        let _ = std::fs::remove_dir_all(dir);
+        Gw::start(GatewayConfig {
+            shards: vec![ShardSpec::new("s0", shard.addr.as_str())],
+            health_interval: Duration::from_secs(20),
+            shard_liveness: Duration::from_secs(60),
+            steal_margin: 0,
+            journal_dir: Some(dir.to_path_buf()),
+            ..GatewayConfig::default()
+        })
+        .expect("gateway start")
+    }
+
+    /// The `finish` lines the journal in `dir` holds for `gid`.
+    fn finish_lines(dir: &std::path::Path, gid: u64) -> Vec<serde_json::Value> {
+        let text = std::fs::read_to_string(dir.join("gateway.jsonl")).unwrap();
+        text.lines()
+            .map(|line| serde_json::from_str::<serde_json::Value>(line).unwrap())
+            .filter(|v| v.get("ev").and_then(|e| e.as_str()) == Some("finish"))
+            .filter(|v| v.get("gid").and_then(|g| g.as_u64()) == Some(gid))
+            .collect()
+    }
+
+    /// The `Finished` events in the gateway's log of `gid`.
+    fn terminal_events(gw: &Gw, gid: u64) -> usize {
+        let Reply::Events { events, .. } = gw.shared.events.tail(gid, 0) else {
+            panic!("job {gid} has no log")
+        };
+        events.iter().filter(|e| matches!(e.kind, JobEventKind::Finished { .. })).count()
+    }
+
+    /// A shard can run a job to its end before the gateway has recorded
+    /// the route: the watcher finds no job for those events, and the
+    /// catch-up after the route is recorded applies them — once.
+    #[test]
+    fn a_job_that_finishes_before_its_route_is_recorded_ends_once() {
+        let events = Arc::new(FakeEvents::default());
+        let log = events.clone();
+        let shard = fake_shard_with(events.clone(), move |req| match req {
+            // The whole run is on the `WatchAll` stream before the ack,
+            // with time for the watcher to read it.
+            Req::Submit { .. } => {
+                log.append(3, JobEventKind::Queued);
+                log.append(3, JobEventKind::Started { workers: 1 });
+                log.append(3, solved());
+                std::thread::sleep(Duration::from_millis(50));
+                Some(Reply::Submitted { job: 3 })
+            }
+            other => accepting(other),
+        });
+        let journal = std::env::temp_dir().join(format!("ugrs-gw-early-{}", std::process::id()));
+        let gw = journaling_gateway(&shard, &journal);
+        wait_until("the watcher's subscription", Duration::from_secs(5), || {
+            events.subscribers() == 1
+        });
+        let gid = gw_submit(&gw.shared, spec("j")).unwrap().unwrap();
+        wait_until("the job's end", Duration::from_secs(5), || {
+            gw.shared.state.lock().unwrap().jobs[&gid].state().is_terminal()
+        });
+        assert_eq!(gw.shared.state.lock().unwrap().jobs[&gid].state(), JobState::Solved);
+        assert_eq!(terminal_events(&gw, gid), 1);
+        gw.shutdown_and_join();
+        assert_eq!(finish_lines(&journal, gid).len(), 1);
+        let _ = std::fs::remove_dir_all(&journal);
+    }
+
+    /// A steal disowns the job's route, then asks the shard for it back.
+    /// When the shard refuses because the job finished in between, the
+    /// watcher has found no job for the run's events, and the catch-up
+    /// after the route is restored applies them: the job finishes once.
+    #[test]
+    fn a_refused_reclaim_of_a_job_that_finished_meanwhile_finishes_it_once() {
+        let events = Arc::new(FakeEvents::default());
+        let log = events.clone();
+        let shard = fake_shard_with(events.clone(), move |req| match req {
+            Req::Submit { .. } => {
+                log.append(5, JobEventKind::Queued);
+                Some(Reply::Submitted { job: 5 })
+            }
+            Req::Reclaim { job: 5 } => {
+                log.append(5, JobEventKind::Started { workers: 1 });
+                log.append(5, solved());
+                // Time for the watcher to read the run's events while
+                // the route is away.
+                std::thread::sleep(Duration::from_millis(50));
+                Some(Reply::CancelResult { job: 5, ok: false })
+            }
+            other => accepting(other),
+        });
+        let journal = std::env::temp_dir().join(format!("ugrs-gw-steal-{}", std::process::id()));
+        let gw = journaling_gateway(&shard, &journal);
+        wait_until("the watcher's subscription", Duration::from_secs(5), || {
+            events.subscribers() == 1
+        });
+        let gid = gw_submit(&gw.shared, spec("j")).unwrap().unwrap();
+        let route = Route { shard: 0, local: 5 };
+        wait_until("the job's Queued on the shard", Duration::from_secs(5), || {
+            let st = gw.shared.state.lock().unwrap();
+            st.routed_to(route) == Some(gid) && st.jobs[&gid].exec.next_shard_seq == 1
+        });
+
+        assert!(!migrate_queued(&gw.shared, gid, route, 0), "the reclaim was refused");
+        assert_eq!(gw.shared.state.lock().unwrap().jobs[&gid].state(), JobState::Solved);
+        assert_eq!(terminal_events(&gw, gid), 1);
+        assert!(shard.seen(|r| matches!(r, Req::Cancel { .. })).is_empty(), "nothing to cancel");
+        gw.shutdown_and_join();
+        assert_eq!(finish_lines(&journal, gid).len(), 1);
+        let _ = std::fs::remove_dir_all(&journal);
     }
 
     /// A `restart_from` no checkpoint can be read from starts the job

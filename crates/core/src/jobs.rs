@@ -559,7 +559,11 @@ mod tests {
         fn events(&self, job: u64) -> Vec<(usize, bool)> {
             let mut bytes = Vec::new();
             let snapshot = std::sync::atomic::AtomicBool::new(true);
-            self.events.stream(&mut bytes, &snapshot, job, 0, |_| String::new()).unwrap();
+            self.events
+                .stream(&mut bytes, &snapshot, crate::rpc::Follow::Job { job, from_seq: 0 }, |_| {
+                    String::new()
+                })
+                .unwrap();
             let mut dec = crate::wire::FrameDecoder::new();
             dec.push(&bytes);
             let mut seen = Vec::new();

@@ -395,8 +395,8 @@ impl LeaseDir {
 // ---------------------------------------------------------------------
 
 /// What [`RouteLog::replay`] reconstructs for one gateway job: where it
-/// was last routed and how far its tracker had durably consumed the
-/// shard's event stream.
+/// was last routed and how far the gateway had durably applied the
+/// shard's event log.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplayedRoute {
     /// Shard index the job was dispatched to.
@@ -407,18 +407,18 @@ pub struct ReplayedRoute {
     /// off). Replay keeps the highest-epoch route per job and only
     /// honors cursors written under that same epoch.
     pub lease_epoch: u64,
-    /// The `Watch { from_seq }` cursor to resume the tracker at: one
-    /// past the last durably-consumed shard event.
+    /// The cursor to catch the job up from (`Events { from_seq }`):
+    /// one past the last durably-applied shard event.
     pub next_seq: usize,
 }
 
 /// An append-only log of routing decisions and event-stream cursors,
 /// `routes.jsonl` in the gateway state dir. This is what lets a standby
-/// resume trackers *exactly where the dead primary left off*: the
-/// ledger says which jobs are owed answers, the route log says which
-/// shard-local job each one became and how much of its event stream was
-/// already consumed — so a takeover neither loses a `JobEvent` nor
-/// re-delivers a `Started` it already journaled.
+/// resume each job's shard event log *exactly where the dead primary
+/// left off*: the ledger says which jobs are owed answers, the route
+/// log says which shard-local job each one became and how much of its
+/// event log was already applied — so a takeover neither loses a
+/// `JobEvent` nor re-delivers a `Started` it already journaled.
 ///
 /// Lines (one JSON object each):
 /// * `{"r":{"gid":g,"shard":s,"local":l,"ep":e}}` — route assigned
@@ -474,9 +474,9 @@ impl RouteLog {
         )
     }
 
-    /// Records that `gid`'s route was disowned (failover or steal
-    /// bumped the job's epoch); best-effort durability — a lost unroute
-    /// only makes a takeover re-check a route that no longer exists.
+    /// Records that `gid`'s route was disowned (failover, steal);
+    /// best-effort durability — a lost unroute only makes a takeover
+    /// re-check a route that no longer exists.
     pub fn record_unroute(&self, gid: u64, ep: u64) -> io::Result<()> {
         self.append(serde_json::json!({ "u": serde_json::json!({ "gid": gid, "ep": ep }) }), false)
     }

@@ -13,7 +13,9 @@
 //!   framed request loop, every connection shut down when the accept
 //!   loop ends; a daemon supplies only its `RequestHandler`;
 //! * `EventLog` — the per-job append-only event logs with the
-//!   progress-dedup watermarks and the resumable `Watch` stream;
+//!   progress-dedup watermarks, their one arrival order, and the one
+//!   streaming loop behind `Watch` (one job, resumable) and `WatchAll`
+//!   (every job);
 //! * [`install_sigterm_handler`] and [`wait_for_shutdown_or_sigterm`] —
 //!   the SIGTERM handling and main-thread wait of both daemon binaries.
 
@@ -172,19 +174,73 @@ impl<Sol> Default for JobLog<Sol> {
     }
 }
 
+/// Every job's log, and the one arrival order of all their events.
+struct Logs<Sol> {
+    jobs: HashMap<u64, JobLog<Sol>>,
+    /// `(job, seq)` of every event, in the order they were appended.
+    order: Vec<(u64, usize)>,
+}
+
+impl<Sol: Clone> Logs<Sol> {
+    /// Where `follow`'s events end: the length of the job's log or of
+    /// the arrival order; `None` when the job has no log.
+    fn end(&self, follow: Follow) -> Option<usize> {
+        match follow {
+            Follow::Job { job, .. } => self.jobs.get(&job).map(|log| log.events.len()),
+            Follow::All => Some(self.order.len()),
+        }
+    }
+
+    /// `follow`'s events from position `next` on, and whether they
+    /// complete the stream (the job's log holds its `Finished`); `None`
+    /// when the job has no log.
+    fn since(&self, follow: Follow, next: usize) -> Option<(Vec<JobEvent<Sol>>, bool)> {
+        match follow {
+            Follow::Job { job, .. } => {
+                let log = self.jobs.get(&job)?;
+                Some((log.events.get(next..).unwrap_or_default().to_vec(), log.done))
+            }
+            Follow::All => {
+                let order = self.order.get(next..).unwrap_or_default();
+                let events = order.iter().map(|&(job, seq)| self.jobs[&job].events[seq].clone());
+                Some((events.collect(), false))
+            }
+        }
+    }
+}
+
+/// What one [`EventLog::stream`] follows.
+#[derive(Clone, Copy)]
+pub(crate) enum Follow {
+    /// One job's log from `from_seq` on, up to its `Finished` event
+    /// (`Watch`).
+    Job {
+        /// The job.
+        job: u64,
+        /// Its first event to send.
+        from_seq: usize,
+    },
+    /// Every event appended from the request on, in arrival order,
+    /// until shutdown (`WatchAll`).
+    All,
+}
+
 /// The event logs of every job a daemon knows, keyed by job id, with
 /// the condvar that wakes watchers streaming them.
 pub(crate) struct EventLog<Sol> {
-    logs: Mutex<HashMap<u64, JobLog<Sol>>>,
+    logs: Mutex<Logs<Sol>>,
     appended: Condvar,
 }
 
 impl<Sol> EventLog<Sol> {
     pub(crate) fn new() -> Self {
-        EventLog { logs: Mutex::new(HashMap::new()), appended: Condvar::new() }
+        EventLog {
+            logs: Mutex::new(Logs { jobs: HashMap::new(), order: Vec::new() }),
+            appended: Condvar::new(),
+        }
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<u64, JobLog<Sol>>> {
+    fn lock(&self) -> MutexGuard<'_, Logs<Sol>> {
         self.logs.lock().expect("a thread panicked while holding the event logs")
     }
 
@@ -193,7 +249,7 @@ impl<Sol> EventLog<Sol> {
     /// Nothing is appended after the job's `Finished` event.
     fn append(&self, job: u64, pick: impl FnOnce(&mut JobLog<Sol>) -> Option<JobEventKind<Sol>>) {
         let mut logs = self.lock();
-        let log = logs.entry(job).or_default();
+        let log = logs.jobs.entry(job).or_default();
         if log.done {
             return;
         }
@@ -201,6 +257,7 @@ impl<Sol> EventLog<Sol> {
         log.done = matches!(kind, JobEventKind::Finished { .. });
         let seq = log.events.len();
         log.events.push(JobEvent { job, seq, kind });
+        logs.order.push((job, seq));
         self.appended.notify_all();
     }
 
@@ -234,9 +291,11 @@ impl<Sol> EventLog<Sol> {
     }
 
     /// Drops every log (a demoted gateway forgets its jobs); watchers
-    /// in [`Self::stream`] end with an error reply.
+    /// of one job in [`Self::stream`] end with an error reply.
     pub(crate) fn clear(&self) {
-        self.lock().clear();
+        let mut logs = self.lock();
+        logs.jobs.clear();
+        logs.order.clear();
         self.appended.notify_all();
     }
 
@@ -245,55 +304,76 @@ impl<Sol> EventLog<Sol> {
         self.appended.notify_all();
     }
 
-    /// Serves one `Watch`: writes `job`'s events from `from_seq` on to
-    /// `out` as [`ServerReply::Event`]s and returns once the terminal
-    /// `Finished` event is out or `shutdown` is set. A client that lost
-    /// its connection resumes with the `seq` after the last event it
-    /// saw and misses or repeats nothing.
+    /// Answers `Events`: `job`'s events from `from_seq` on, and where
+    /// its log ends — one reply, at once. An `end` below `from_seq`
+    /// tells the asker the log is not the one it read before.
+    pub(crate) fn tail(&self, job: u64, from_seq: usize) -> ServerReply<Sol>
+    where
+        Sol: Clone,
+    {
+        let logs = self.lock();
+        match logs.jobs.get(&job) {
+            Some(log) => ServerReply::Events {
+                job,
+                events: log.events.get(from_seq..).unwrap_or_default().to_vec(),
+                end: log.events.len(),
+            },
+            None => ServerReply::Error { message: format!("unknown job {job}") },
+        }
+    }
+
+    /// Serves one `Watch` or `WatchAll` on `out`.
     ///
-    /// When `job` has no log the stream ends with one
-    /// [`ServerReply::Error`] whose message `gone` builds from whether
-    /// this watch had already found the log (`true`: it was cleared
-    /// mid-watch; `false`: the job is unknown).
+    /// [`Follow::Job`] writes the job's events from `from_seq` on as
+    /// [`ServerReply::Event`]s and returns once the terminal `Finished`
+    /// event is out or `shutdown` is set. A client that lost its
+    /// connection resumes with the `seq` after the last event it saw and
+    /// misses or repeats nothing. When the job has no log the stream
+    /// ends with one [`ServerReply::Error`] whose message `gone` builds
+    /// from whether this watch had already found the log (`true`: it was
+    /// cleared mid-watch; `false`: the job is unknown).
+    ///
+    /// [`Follow::All`] first writes [`ServerReply::Watching`]: every
+    /// event appended after it follows, of any job, in arrival order,
+    /// until `shutdown` is set.
     pub(crate) fn stream<W: Write>(
         &self,
         out: &mut W,
         shutdown: &AtomicBool,
-        job: u64,
-        from_seq: usize,
+        follow: Follow,
         gone: impl Fn(bool) -> String,
     ) -> io::Result<()>
     where
         Sol: Clone + Serialize,
     {
-        let mut next = from_seq;
+        let mut next = match follow {
+            Follow::Job { from_seq, .. } => from_seq,
+            Follow::All => {
+                let now = self.lock().order.len();
+                wire::write_msg(out, &ServerReply::<Sol>::Watching)?;
+                now
+            }
+        };
         let mut found = false;
         loop {
-            let (batch, done_len) = {
-                let logs = self.lock();
-                let Some(log) = logs.get(&job) else {
-                    drop(logs);
-                    let message = gone(found);
-                    return wire::write_msg(out, &ServerReply::<Sol>::Error { message });
-                };
-                let batch: Vec<JobEvent<Sol>> =
-                    log.events.get(next..).map(|s| s.to_vec()).unwrap_or_default();
-                (batch, log.done.then_some(log.events.len()))
+            let Some((batch, done)) = self.lock().since(follow, next) else {
+                let message = gone(found);
+                return wire::write_msg(out, &ServerReply::<Sol>::Error { message });
             };
             found = true;
             next += batch.len();
             for event in batch {
                 wire::write_msg(out, &ServerReply::<Sol>::Event { event })?;
             }
-            // `done` means the Finished event is in the log; once everything
-            // up to the log's end is sent there is nothing more to stream.
-            if done_len.is_some_and(|len| next >= len) || shutdown.load(Ordering::SeqCst) {
+            // `done` means the Finished event is in the log, and the
+            // batch held everything up to the log's end.
+            if done || shutdown.load(Ordering::SeqCst) {
                 return Ok(());
             }
             // Wait only if nothing was appended while the batch was on
             // its way out: that append's wake-up found nobody waiting.
             let logs = self.lock();
-            if logs.get(&job).is_some_and(|log| log.events.len() <= next) {
+            if logs.end(follow).is_some_and(|end| end <= next) {
                 drop(
                     self.appended
                         .wait_timeout(logs, STREAM_WAIT)
@@ -382,7 +462,13 @@ mod tests {
     /// Finished)` of every event, panicking on any other reply.
     fn watch(log: &Log, job: u64, from_seq: usize) -> Vec<(usize, bool)> {
         let mut bytes = Vec::new();
-        log.stream(&mut bytes, &AtomicBool::new(false), job, from_seq, |_| unreachable!()).unwrap();
+        log.stream(
+            &mut bytes,
+            &AtomicBool::new(false),
+            Follow::Job { job, from_seq },
+            |_| unreachable!(),
+        )
+        .unwrap();
         replies(&bytes)
             .into_iter()
             .map(|r| match r {
@@ -395,8 +481,8 @@ mod tests {
             .collect()
     }
 
-    /// A daemon of the smallest kind: `Status` and `Watch` over one
-    /// event log, everything else refused.
+    /// A daemon of the smallest kind: `Status`, `Watch` and `WatchAll`
+    /// over one event log, everything else refused.
     struct Daemon {
         shutdown: AtomicBool,
         events: Log,
@@ -428,7 +514,10 @@ mod tests {
                 }
                 ClientRequest::Watch { job, from_seq } => {
                     let gone = |_| format!("unknown job {job}");
-                    self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                    self.events.stream(out, &self.shutdown, Follow::Job { job, from_seq }, gone)?;
+                }
+                ClientRequest::WatchAll => {
+                    self.events.stream(out, &self.shutdown, Follow::All, |_| String::new())?;
                 }
                 _ => wire::write_msg(out, &ServerReply::<u32>::Error { message: "no".into() })?,
             }
@@ -537,6 +626,55 @@ mod tests {
         stop(&daemon, addr, accept);
     }
 
+    /// `WatchAll` is what a gateway watches a shard by: after the
+    /// `Watching`, every event appended — of every job — in the order
+    /// appended, and nothing from before; shutdown ends the stream.
+    #[test]
+    fn watch_all_streams_every_event_appended_after_it_in_arrival_order() {
+        let (daemon, addr, accept) = daemon();
+        daemon.events.emit(1, JobEventKind::Queued);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        wire::write_msg(&mut conn, &ClientRequest::<u32>::WatchAll).unwrap();
+        let mut dec = FrameDecoder::new();
+        let mut next = || wire::read_msg::<ServerReply<u32>, _>(&mut conn, &mut dec).unwrap();
+        assert!(matches!(next(), Some(ServerReply::Watching)));
+        daemon.events.emit(2, JobEventKind::Queued);
+        daemon.events.emit(1, JobEventKind::Started { workers: 1 });
+        daemon.events.emit(2, finished(JobState::Solved));
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let Some(ServerReply::Event { event }) = next() else { panic!("not an event") };
+            seen.push((event.job, event.seq));
+        }
+        assert_eq!(seen, [(2, 0), (1, 1), (2, 1)]);
+        stop(&daemon, addr, accept);
+        assert!(next().is_none(), "shutdown ends the stream and closes the connection");
+    }
+
+    /// `Events` is answered at once, with the tail and the log's end —
+    /// an end below the asked seq says the log is not the one the asker
+    /// read before.
+    #[test]
+    fn events_answer_the_tail_and_where_the_log_ends() {
+        let log = Log::new();
+        log.emit(7, JobEventKind::Queued);
+        log.emit(7, JobEventKind::Started { workers: 1 });
+        log.emit(7, finished(JobState::Solved));
+        let tail = |from_seq| match log.tail(7, from_seq) {
+            ServerReply::Events { job: 7, events, end } => {
+                (events.iter().map(|e| e.seq).collect::<Vec<_>>(), end)
+            }
+            other => panic!("unexpected reply {other:?}"),
+        };
+        assert_eq!(tail(0), (vec![0, 1, 2], 3));
+        assert_eq!(tail(2), (vec![2], 3));
+        assert_eq!(tail(5), (vec![], 3), "a cursor past the end: the log's end says so");
+        match log.tail(8, 0) {
+            ServerReply::Error { message } => assert_eq!(message, "unknown job 8"),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
     #[test]
     fn resume_from_seq_delivers_exactly_the_tail() {
         let log = Log::new();
@@ -583,7 +721,13 @@ mod tests {
         }
         log.emit(5, finished(JobState::Solved));
         let mut bytes = Vec::new();
-        log.stream(&mut bytes, &AtomicBool::new(false), 5, 0, |_| unreachable!()).unwrap();
+        log.stream(
+            &mut bytes,
+            &AtomicBool::new(false),
+            Follow::Job { job: 5, from_seq: 0 },
+            |_| unreachable!(),
+        )
+        .unwrap();
         let kinds: Vec<String> = replies(&bytes)
             .into_iter()
             .map(|r| match r {
@@ -603,10 +747,15 @@ mod tests {
     fn unknown_job_is_answered_with_the_callers_message() {
         let log = Log::new();
         let mut bytes = Vec::new();
-        log.stream(&mut bytes, &AtomicBool::new(false), 3, 0, |found| {
-            assert!(!found, "the log never existed");
-            "unknown job 3".into()
-        })
+        log.stream(
+            &mut bytes,
+            &AtomicBool::new(false),
+            Follow::Job { job: 3, from_seq: 0 },
+            |found| {
+                assert!(!found, "the log never existed");
+                "unknown job 3".into()
+            },
+        )
         .unwrap();
         match replies(&bytes).as_slice() {
             [ServerReply::Error { message }] => assert_eq!(message, "unknown job 3"),
@@ -639,10 +788,15 @@ mod tests {
                     }
                 }
                 let mut out = Tap(Vec::new(), Some(seen_tx));
-                log.stream(&mut out, &AtomicBool::new(false), 2, 0, |found| {
-                    assert!(found, "the watch had found the log before it vanished");
-                    "job 2 is no longer tracked here".into()
-                })
+                log.stream(
+                    &mut out,
+                    &AtomicBool::new(false),
+                    Follow::Job { job: 2, from_seq: 0 },
+                    |found| {
+                        assert!(found, "the watch had found the log before it vanished");
+                        "job 2 is no longer tracked here".into()
+                    },
+                )
                 .unwrap();
                 out.0
             })
@@ -681,7 +835,13 @@ mod tests {
         log.emit(6, JobEventKind::Queued);
         let mut out = AppendOnWrite(log.clone(), false, Vec::new());
         let t0 = std::time::Instant::now();
-        log.stream(&mut out, &AtomicBool::new(false), 6, 0, |_| unreachable!()).unwrap();
+        log.stream(
+            &mut out,
+            &AtomicBool::new(false),
+            Follow::Job { job: 6, from_seq: 0 },
+            |_| unreachable!(),
+        )
+        .unwrap();
         let took = t0.elapsed();
         assert_eq!(replies(&out.2).len(), 2, "Queued, then the Finished appended meanwhile");
         assert!(took < STREAM_WAIT / 2, "the stream slept {took:?} on an event it already had");
@@ -692,7 +852,13 @@ mod tests {
         let log = Log::new();
         log.emit(4, JobEventKind::Queued);
         let mut bytes = Vec::new();
-        log.stream(&mut bytes, &AtomicBool::new(true), 4, 0, |_| unreachable!()).unwrap();
+        log.stream(
+            &mut bytes,
+            &AtomicBool::new(true),
+            Follow::Job { job: 4, from_seq: 0 },
+            |_| unreachable!(),
+        )
+        .unwrap();
         assert_eq!(replies(&bytes).len(), 1, "what is in the log is still delivered");
     }
 }

@@ -53,7 +53,7 @@ use crate::messages::Message;
 use crate::process::{
     reap, set_rank, spawn_worker, Hello, JobComm, PoolUp, ProcessCommConfig, SessionOwner, Sessions,
 };
-use crate::rpc::{serve_clients, wake_listener, EventLog, RequestHandler};
+use crate::rpc::{serve_clients, wake_listener, EventLog, Follow, RequestHandler};
 use crate::runner::{ParallelOptions, ParallelResult};
 use crate::supervisor::LoadCoordinator;
 use crate::telemetry::{self, MetricsRegistry, ProgressMsg, ProgressSink, TelemetrySink};
@@ -195,6 +195,20 @@ pub enum ClientRequest<Sub> {
         /// First event sequence number to send.
         from_seq: usize,
     },
+    /// Stream every event the server appends from now on, of every
+    /// job, in the one order it appended them: first
+    /// [`ServerReply::Watching`], then one [`ServerReply::Event`] each.
+    /// Ends only when the server shuts down or the connection fails —
+    /// how a gateway watches a shard.
+    WatchAll,
+    /// The job's events from `from_seq` on, answered at once with one
+    /// [`ServerReply::Events`] (or an `Error` for an unknown job).
+    Events {
+        /// The job.
+        job: u64,
+        /// First event sequence number to send.
+        from_seq: usize,
+    },
     /// Snapshot of the pool, the queue and every known job.
     Status,
     /// Prometheus-style exposition + per-job progress snapshots
@@ -246,6 +260,19 @@ pub enum ServerReply<Sol> {
     Event {
         /// The event, with its dense sequence number.
         event: JobEvent<Sol>,
+    },
+    /// Opens a `WatchAll` stream: every event appended after this reply
+    /// follows it.
+    Watching,
+    /// Answer to [`ClientRequest::Events`].
+    Events {
+        /// The job.
+        job: u64,
+        /// Its events from the asked `from_seq` on.
+        events: Vec<JobEvent<Sol>>,
+        /// Length of the job's log. Below the asked `from_seq`, the log
+        /// is not the one the asker read before: the server restarted.
+        end: usize,
     },
     /// Answer to [`ClientRequest::Status`].
     Status {
@@ -1406,9 +1433,14 @@ impl<Sub: WireType, Sol: WireType> RequestHandler for SharedState<Sub, Sol> {
             ClientRequest::Metrics => ServerReply::Metrics { report: metrics_report(self) },
             ClientRequest::Watch { job, from_seq } => {
                 let gone = |_| format!("unknown job {job}");
-                self.events.stream(out, &self.shutdown, job, from_seq, gone)?;
+                self.events.stream(out, &self.shutdown, Follow::Job { job, from_seq }, gone)?;
                 return Ok(true);
             }
+            ClientRequest::WatchAll => {
+                self.events.stream(out, &self.shutdown, Follow::All, |_| String::new())?;
+                return Ok(true);
+            }
+            ClientRequest::Events { job, from_seq } => self.events.tail(job, from_seq),
             ClientRequest::Shutdown => {
                 wire::write_msg(out, &ServerReply::<Sol>::ShuttingDown)?;
                 initiate_shutdown(self);
@@ -1640,9 +1672,15 @@ impl<Inst, Sub: WireType, Sol: WireType> JobClient<Inst, Sub, Sol> {
         }
     }
 
-    /// Bounds every later read (a pooled connection changes hands).
-    pub(crate) fn set_read_timeout(&self, timeout: Duration) -> io::Result<()> {
-        self.stream.set_read_timeout(Some(timeout))
+    /// Bounds every later read (`None`: unbounded).
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(timeout)
+    }
+
+    /// A handle on the connection that can shut it down from another
+    /// thread.
+    pub(crate) fn try_clone_stream(&self) -> io::Result<TcpStream> {
+        self.stream.try_clone()
     }
 
     pub(crate) fn read_reply(&mut self) -> io::Result<ServerReply<Sol>> {
@@ -1852,7 +1890,7 @@ mod tests {
         let mut client = JobClient::<u32, u32, u32>::connect(&server.client_addr().to_string())
             .expect("connect");
         client.status().expect("the connection is being served");
-        client.set_read_timeout(Duration::from_secs(5)).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let t0 = Instant::now();
         server.shutdown();
         let err = client.read_reply().expect_err("nothing but EOF may arrive");

@@ -148,7 +148,7 @@ fn arb_job_spec() -> impl Strategy<Value = JobSpec<EncodedInstance, Vec<u32>>> {
 }
 
 fn arb_client_request() -> impl Strategy<Value = Req> {
-    (0usize..9, arb_job_spec(), 0u64..1_000, 0usize..1_000).prop_map(
+    (0usize..11, arb_job_spec(), 0u64..1_000, 0usize..1_000).prop_map(
         |(variant, spec, job, from_seq)| match variant {
             0 => ClientRequest::Submit { spec },
             1 => ClientRequest::Cancel { job },
@@ -158,6 +158,8 @@ fn arb_client_request() -> impl Strategy<Value = Req> {
             5 => ClientRequest::Reclaim { job },
             6 => ClientRequest::Fleet,
             7 => ClientRequest::GatewayEpoch { epoch: job },
+            8 => ClientRequest::WatchAll,
+            9 => ClientRequest::Events { job, from_seq },
             _ => ClientRequest::Shutdown,
         },
     )
@@ -319,7 +321,7 @@ fn arb_fleet_status() -> impl Strategy<Value = FleetStatus> {
 
 fn arb_server_reply() -> impl Strategy<Value = Reply> {
     (
-        0usize..11,
+        0usize..13,
         (0u64..1_000, any::<bool>(), 0usize..1_000),
         (0usize..1_000, arb_event_kind()),
         arb_status(),
@@ -340,6 +342,14 @@ fn arb_server_reply() -> impl Strategy<Value = Reply> {
                 7 => ServerReply::Fleet { fleet },
                 8 => ServerReply::GatewayEpochAck { epoch: job },
                 9 => ServerReply::Fenced { epoch: job },
+                10 => ServerReply::Watching,
+                11 => ServerReply::Events {
+                    job,
+                    events: (0..err % 3)
+                        .map(|i| JobEvent { job, seq: seq + i, kind: kind.clone() })
+                        .collect(),
+                    end: seq + err % 3,
+                },
                 _ => ServerReply::Error { message: format!("error #{err}: \"quoted\"\n") },
             },
         )
@@ -1012,6 +1022,8 @@ fn job_protocol_variant_count(req: &Req, reply: &Reply, down: &Down, up: &Up, st
         | ClientRequest::Reclaim { .. }
         | ClientRequest::Fleet
         | ClientRequest::GatewayEpoch { .. }
+        | ClientRequest::WatchAll
+        | ClientRequest::Events { .. }
         | ClientRequest::Shutdown => {}
     }
     match reply {
@@ -1039,6 +1051,8 @@ fn job_protocol_variant_count(req: &Req, reply: &Reply, down: &Down, up: &Up, st
         | ServerReply::Fleet { .. }
         | ServerReply::GatewayEpochAck { .. }
         | ServerReply::Fenced { .. }
+        | ServerReply::Watching
+        | ServerReply::Events { .. }
         | ServerReply::Error { .. } => {}
     }
     match down {

@@ -21,7 +21,7 @@ use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 use ugrs::glue::{
     misdp_job, stp_job, JobInstance, SolveClient, SolveGateway, SolveJobSpec, SolveServer,
@@ -30,7 +30,7 @@ use ugrs::misdp::gen::cardinality_ls;
 use ugrs::steiner::gen::{bipartite, hypercube_sparse_terminals, CostScheme};
 use ugrs::steiner::reduce::ReduceParams;
 use ugrs::ug::gateway::{GatewayConfig, ShardSpec, TenantQuota};
-use ugrs::ug::{JobEventKind, JobState, ParallelOptions, SubmitOutcome};
+use ugrs::ug::{JobEvent, JobEventKind, JobState, ParallelOptions, ServerReply, SubmitOutcome};
 
 const SERVER_BIN: &str = env!("CARGO_BIN_EXE_ugd-server");
 const WORKER_BIN: &str = env!("CARGO_BIN_EXE_ugd-worker");
@@ -163,6 +163,7 @@ fn fleet_survives_shard_kill_under_sustained_load() {
     let misdp_expected = misdp_ref.best_obj.expect("threaded MISDP reference must solve");
 
     // ---- the fleet: 3 shard subprocesses + in-process gateway -------
+    let alone = IN_PROCESS_GATEWAYS.write().unwrap_or_else(|e| e.into_inner());
     let root = scratch_dir("kill");
     // CI points this somewhere uploadable so the gateway's decision
     // journal survives the run as an artifact; locally it lives (and
@@ -278,6 +279,12 @@ fn fleet_survives_shard_kill_under_sustained_load() {
         t.join().expect("submitter thread");
     }
     let quota_rejections = greedy.join().expect("greedy thread");
+    // At peak in-flight, the gateway runs dispatch, health, accept,
+    // lease (HA only) and one watcher per shard — not a thread per job.
+    // Its client connections' threads are not counted.
+    let threads = gateway_threads();
+    assert!(threads <= 4 + shards.len(), "the gateway runs {threads} threads");
+    drop(alone);
     assert!(
         quota_rejections >= 6,
         "10 instant submits against burst 3 must mostly bounce, got {quota_rejections}"
@@ -442,6 +449,22 @@ fn fleet_survives_shard_kill_under_sustained_load() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Held (shared) by every test that runs a gateway in this process, and
+/// exclusively by the one that counts the gateway's threads, until it
+/// has counted them.
+static IN_PROCESS_GATEWAYS: RwLock<()> = RwLock::new(());
+
+/// Threads of this process whose name marks them as a gateway's,
+/// except those serving its client connections.
+fn gateway_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("a /proc filesystem")
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|name| name.starts_with("ugw-") && name.trim_end() != "ugw-client")
+        .count()
+}
+
 fn victim_kill(shard: &ShardProc) {
     // SIGKILL via the pid so the ShardProc Drop later is a no-op wait.
     let _ = Command::new("kill").args(["-9", &shard.child.id().to_string()]).status();
@@ -462,6 +485,7 @@ fn work_stealing_drains_a_slow_shard_onto_an_idle_one() {
         assert!(r.solved);
         r.tree.expect("reference tree").1
     };
+    let _shared = IN_PROCESS_GATEWAYS.read().unwrap_or_else(|e| e.into_inner());
     let root = scratch_dir("steal");
     // One worker, one job slot each: queued jobs stay visibly queued.
     let slow = spawn_shard(&root.join("slow"), 1, 1, 1200);
@@ -510,8 +534,8 @@ fn work_stealing_drains_a_slow_shard_onto_an_idle_one() {
             })
             .expect("watch");
         // A steal moves only queued jobs, so each job runs exactly once
-        // — a duplicated Started would mean a tracker re-delivered a
-        // shard's log after a reconnect instead of resuming its cursor.
+        // — a duplicated Started would mean the gateway applied a
+        // shard's event twice instead of in order from its cursor.
         assert_eq!(started, 1, "job {job} must announce exactly one Started event");
         match done.kind {
             JobEventKind::Finished { state, obj, .. } => {
@@ -553,6 +577,7 @@ fn sample(text: &str, series: &str) -> u64 {
 /// the next job costs exactly one redial and no parked dispatch entry.
 #[test]
 fn gateway_reuses_shard_connections_and_redials_once_after_a_shard_restart() {
+    let _shared = IN_PROCESS_GATEWAYS.read().unwrap_or_else(|e| e.into_inner());
     let g = bipartite(5, 9, 3, CostScheme::Perturbed, 42);
     let shard_config = |client_addr: String| ugrs::ug::ServerConfig {
         client_addr,
@@ -625,6 +650,255 @@ fn gateway_reuses_shard_connections_and_redials_once_after_a_shard_restart() {
     shard.shutdown_and_join();
 }
 
+/// One life of a scripted shard process: the job event log it serves
+/// (job 0 only), every connection it accepted, and its `WatchAll`
+/// subscribers. It speaks the client protocol at the JSON level, so it
+/// answers whichever requests a gateway sends.
+#[derive(Default)]
+struct ScriptedLife {
+    events: Vec<JobEvent<u32>>,
+    conns: Vec<std::net::TcpStream>,
+    subscribers: Vec<std::net::TcpStream>,
+}
+
+type Json = serde_json::Value;
+
+impl ScriptedLife {
+    /// Appends to job 0's log and streams the event to the subscribers.
+    fn append(&mut self, kind: JobEventKind<u32>) {
+        let event = JobEvent { job: 0, seq: self.events.len(), kind };
+        let reply = serde_json::to_value(&ServerReply::Event { event: event.clone() });
+        self.events.push(event);
+        for conn in &mut self.subscribers {
+            let _ = ugrs::ug::wire::write_msg(conn, &reply);
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.events.last().is_some_and(|e| matches!(e.kind, JobEventKind::Finished { .. }))
+    }
+}
+
+/// A scripted shard on a fixed address, restartable there: a restart
+/// closes every connection of the old life, like a process exit, and
+/// the new life serves the log the script gives it, like a shard that
+/// recovered its job from its state dir.
+struct ScriptedShard {
+    addr: std::net::SocketAddr,
+    life: Arc<Mutex<ScriptedLife>>,
+    stop: Arc<std::sync::atomic::AtomicBool>,
+    accept: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ScriptedShard {
+    /// Starts a life at `addr`; a `Submit` appends `on_submit` to job
+    /// 0's log before it is answered.
+    fn start(
+        addr: &str,
+        events: Vec<JobEventKind<u32>>,
+        on_submit: Vec<JobEventKind<u32>>,
+    ) -> Self {
+        let listener = std::net::TcpListener::bind(addr).expect("bind scripted shard");
+        let addr = listener.local_addr().unwrap();
+        let life = Arc::new(Mutex::new(ScriptedLife::default()));
+        for kind in events {
+            life.lock().unwrap().append(kind);
+        }
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let on_submit = Arc::new(on_submit);
+        let accept = {
+            let (life, stop) = (life.clone(), stop.clone());
+            std::thread::spawn(move || {
+                for conn in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(conn) = conn else { continue };
+                    life.lock().unwrap().conns.push(conn.try_clone().unwrap());
+                    let (life, on_submit) = (life.clone(), on_submit.clone());
+                    std::thread::spawn(move || serve_scripted(conn, &life, &on_submit));
+                }
+            })
+        };
+        ScriptedShard { addr, life, stop, accept: Some(accept) }
+    }
+
+    /// Ends this life: every connection closes, the listener with it.
+    fn kill(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = std::net::TcpStream::connect(self.addr);
+        self.accept.take().unwrap().join().unwrap();
+        for conn in &self.life.lock().unwrap().conns {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
+/// One connection's request loop of a [`ScriptedShard`].
+fn serve_scripted(
+    mut conn: std::net::TcpStream,
+    life: &Mutex<ScriptedLife>,
+    on_submit: &[JobEventKind<u32>],
+) {
+    let mut reader = conn.try_clone().unwrap();
+    let mut dec = ugrs::ug::wire::FrameDecoder::new();
+    while let Ok(Some(req)) = ugrs::ug::wire::read_msg::<Json, _>(&mut reader, &mut dec) {
+        // `"Status"`, or `{"Watch": {...}}`: the variant and its fields.
+        let (kind, body) = match req.as_object() {
+            Some([(kind, body)]) => (kind.as_str(), body.clone()),
+            _ => (req.as_str().unwrap_or(""), Json::Null),
+        };
+        let field = |name: &str| body.get(name).and_then(Json::as_u64).unwrap_or(0) as usize;
+        let mut life = life.lock().unwrap();
+        let typed = |reply: ServerReply<u32>| serde_json::to_value(&reply);
+        let reply = match kind {
+            "Status" => typed(ServerReply::Status {
+                status: ugrs::ug::ServerStatus {
+                    pool_target: 1,
+                    workers: Vec::new(),
+                    queued: Vec::new(),
+                    jobs: Vec::new(),
+                },
+            }),
+            "Submit" => {
+                for event in on_submit {
+                    life.append(event.clone());
+                }
+                typed(ServerReply::Submitted { job: 0 })
+            }
+            // Like a server's: the log's tail, then the stream stays
+            // open unless the log holds the job's end.
+            "Watch" => {
+                for event in life.events.iter().skip(field("from_seq")) {
+                    let reply = typed(ServerReply::Event { event: event.clone() });
+                    if ugrs::ug::wire::write_msg(&mut conn, &reply).is_err() {
+                        return;
+                    }
+                }
+                if !life.finished() {
+                    life.subscribers.push(conn.try_clone().unwrap());
+                }
+                continue;
+            }
+            "WatchAll" => {
+                life.subscribers.push(conn.try_clone().unwrap());
+                Json::Str("Watching".into())
+            }
+            "Events" => {
+                let tail = life.events.iter().skip(field("from_seq"));
+                let events = tail.map(serde_json::to_value).collect();
+                let body = vec![
+                    ("job".to_string(), serde_json::to_value(&0u64)),
+                    ("events".to_string(), Json::Array(events)),
+                    ("end".to_string(), serde_json::to_value(&life.events.len())),
+                ];
+                Json::Object(vec![("Events".to_string(), Json::Object(body))])
+            }
+            _ => typed(ServerReply::Error { message: format!("scripted shard: {kind}") }),
+        };
+        if ugrs::ug::wire::write_msg(&mut conn, &reply).is_err() {
+            return;
+        }
+    }
+}
+
+/// A shard that restarts inside the gateway's liveness window comes
+/// back with its job recovered and the job's event log started afresh
+/// — here shorter than what the gateway had already read of the old
+/// one. The gateway used to resume the old log at its cursor, was sent
+/// nothing (the fresh log ended below it) and waited for the job's end
+/// forever. The shard is scripted, so the two logs are exactly these.
+#[test]
+fn a_job_recovered_by_a_shard_restarted_inside_liveness_still_finishes() {
+    let _shared = IN_PROCESS_GATEWAYS.read().unwrap_or_else(|e| e.into_inner());
+    let first_life = vec![
+        JobEventKind::Queued,
+        JobEventKind::Started { workers: 1 },
+        JobEventKind::Incumbent { obj: 5.0 },
+        JobEventKind::Bound { dual_bound: 1.0 },
+        JobEventKind::Bound { dual_bound: 2.0 },
+    ];
+    let mut shard = ScriptedShard::start("127.0.0.1:0", Vec::new(), first_life);
+    let gateway = SolveGateway::start(GatewayConfig {
+        shards: vec![ShardSpec::new("s0", shard.addr.to_string())],
+        health_interval: Duration::from_millis(100),
+        shard_liveness: Duration::from_secs(5),
+        probe_timeout: Duration::from_millis(500),
+        steal_margin: 0,
+        ..GatewayConfig::default()
+    })
+    .expect("gateway start");
+    let gw_addr = gateway.client_addr().to_string();
+    let g = bipartite(5, 9, 3, CostScheme::Perturbed, 42);
+    let gid = SolveClient::connect(&gw_addr)
+        .expect("client")
+        .submit(stp_job("restart", &g, &ReduceParams::default()))
+        .expect("submit");
+
+    let (seen_tx, seen_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = SolveClient::connect(&gw_addr).expect("watcher");
+        let done = client.watch(gid, 0, |ev| {
+            let _ = seen_tx.send(Some(ev.kind.clone()));
+        });
+        let _ = seen_tx.send(None);
+        done
+    });
+    // The gateway has read all five events of the first life.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match seen_rx.recv_timeout(left).expect("the first life's events") {
+            Some(JobEventKind::Bound { dual_bound: 2.0 }) => break,
+            Some(_) => {}
+            None => panic!("the watch ended early"),
+        }
+    }
+
+    let restarted = Instant::now();
+    shard.kill();
+    let solved = JobEventKind::Finished {
+        state: JobState::Solved,
+        obj: Some(4.0),
+        dual_bound: 4.0,
+        solution: None,
+        nodes: 3,
+        nodes_so_far: 3,
+        run_index: 2,
+        open_nodes: 0,
+        workers_lost: 0,
+        wall_time: 0.01,
+        final_checkpoint: None,
+    };
+    let second_life = vec![
+        JobEventKind::Queued,
+        JobEventKind::Recovered { run_index: 2, nodes_so_far: 1 },
+        JobEventKind::Started { workers: 1 },
+        solved,
+    ];
+    let mut shard = ScriptedShard::start(&shard.addr.to_string(), second_life, Vec::new());
+
+    // Far inside the liveness window: no failover, the job's end comes
+    // from the restarted shard.
+    let end = loop {
+        let left = Duration::from_secs(3).saturating_sub(restarted.elapsed());
+        match seen_rx.recv_timeout(left) {
+            Ok(Some(JobEventKind::Finished { state, run_index, .. })) => break (state, run_index),
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("the watch ended without the job's end"),
+            Err(_) => panic!("the job did not finish within 3 s of its shard's restart"),
+        }
+    };
+    assert_eq!(end, (JobState::Solved, 2));
+    let fleet = SolveClient::connect(&gateway.client_addr().to_string())
+        .expect("client")
+        .fleet()
+        .expect("fleet rpc");
+    assert_eq!((fleet.inflight, fleet.failed_over_total), (0, 0), "{fleet:?}");
+    gateway.shutdown_and_join();
+    shard.kill();
+}
+
 /// A gateway restart must replay its own write-ahead ledger: jobs
 /// acknowledged before the restart re-enter dispatch under their
 /// original gateway ids, fresh ids are seeded past every recovered one
@@ -642,6 +916,7 @@ fn gateway_restart_recovers_acknowledged_jobs_from_its_ledger() {
         assert!(r.solved);
         r.tree.expect("reference tree").1
     };
+    let _shared = IN_PROCESS_GATEWAYS.read().unwrap_or_else(|e| e.into_inner());
     let root = scratch_dir("gw-restart");
     let gw_state = root.join("gateway");
 
@@ -1150,6 +1425,7 @@ fn revived_shard_wins_back_its_queued_rendezvous_share() {
         assert!(r.solved);
         r.tree.expect("reference tree").1
     };
+    let _shared = IN_PROCESS_GATEWAYS.read().unwrap_or_else(|e| e.into_inner());
     let root = scratch_dir("rejoin");
 
     // Shard b is born, its address learned, and killed before the
