@@ -848,9 +848,10 @@ impl Solver {
     /// primal simplex where it is primal feasible, because the dual phase
     /// then has nothing to do and hands over to the primal polish at once
     /// (where it is neither, dual pivots on clamped reduced costs come first).
-    /// A solve that ends without an answer — in numerical trouble (counted)
-    /// or at the iteration limit — is retried once cold: the simplex rebuilt
-    /// from the slack basis, `solve_primal`.
+    /// A solve that ends without an answer — in numerical trouble or at the
+    /// iteration limit — is retried once cold: the simplex rebuilt from the
+    /// slack basis, `solve_primal`. Both the retries and the solves that end
+    /// in numerical trouble are counted.
     ///
     /// Only an optimal solve has a solution. A truncated one has no bound to
     /// offer (its basis is not known to be dual feasible) and its point
@@ -863,6 +864,7 @@ impl Solver {
         self.stats.lp_iterations += lp.iterations() as u64;
         if matches!(st, LpStatus::Numerical | LpStatus::IterLimit) {
             self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
+            self.stats.lp_cold_retries += 1;
             self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
             refactors_seen = 0;
             *lp = Simplex::new(lp.problem().clone(), self.lp_params());
@@ -1122,7 +1124,7 @@ mod tests {
 
     /// An LP that stops at its iteration limit (also on the retry) gives the
     /// node neither a bound nor a point: the node is branched, not closed on
-    /// whatever the truncated solve left behind.
+    /// whatever the truncated solve left behind. Every cold retry is counted.
     #[test]
     fn truncated_lp_solves_do_not_lose_the_optimum() {
         for lp_iter_limit in 1..=6 {
@@ -1130,6 +1132,7 @@ mod tests {
             let res = Solver::new_bare(knapsack(), st.clone()).solve(&mut NoHooks);
             assert_eq!(res.status, SolveStatus::Optimal);
             assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
+            assert!(res.stats.lp_cold_retries > 0, "limit {lp_iter_limit}: {:?}", res.stats);
 
             // General integers: the branching point must split [0, 2] too.
             let mut m = Model::new("t");

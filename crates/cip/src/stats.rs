@@ -17,6 +17,10 @@ pub struct Statistics {
     /// LP solves that ended in numerical trouble, cold retries included;
     /// each one that persists costs a node its proof.
     pub lp_numerical: u64,
+    /// LP solves retried cold (from the slack basis, by the primal
+    /// simplex) after the warm solve stopped at the iteration limit or in
+    /// numerical trouble.
+    pub lp_cold_retries: u64,
     /// Wall-clock seconds inside the simplex (solve and solution
     /// extraction).
     pub lp_time: f64,
@@ -62,6 +66,7 @@ impl Default for Statistics {
             lp_iterations: 0,
             lp_refactors: 0,
             lp_numerical: 0,
+            lp_cold_retries: 0,
             lp_time: 0.0,
             relax_solves: 0,
             relax_iterations: 0,

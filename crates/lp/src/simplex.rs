@@ -41,7 +41,12 @@ pub enum VarStatus {
 
 /// Minimum acceptable pivot magnitude in the ratio test.
 const PIV_TOL: f64 = 1e-9;
-/// Consecutive degenerate iterations before switching to Bland's rule.
+/// Scale of the cost shifts `solve_dual` works with against dual
+/// degeneracy: column `j` is shifted by `PERTURB·(1+|c_j|)·(1+h_j)`,
+/// `h_j ∈ [0,1)` a hash of `j`.
+const PERTURB: f64 = 5e-7;
+/// Consecutive iterations with a zero primal step before switching to
+/// Bland's rule.
 const STALL_LIMIT: usize = 50;
 
 /// Parameters of the simplex engine.
@@ -89,6 +94,9 @@ pub struct LpCounters {
     pub dual_pivots: u64,
     /// Primal simplex iterations, bound flips included.
     pub primal_pivots: u64,
+    /// Dual simplex iterations whose ratio test saw a ratio of 0: the dual
+    /// objective moved by no more than the tie tolerance.
+    pub dual_degenerate: u64,
 }
 
 /// A compact basis description for warm starting (SCIP-style basis
@@ -133,6 +141,9 @@ pub struct Simplex {
     dj: Vec<f64>,
     dj_current: bool,
     alpha: Vec<f64>,
+    /// Per structural column, the cost shift `col_obj` adds: set by
+    /// `solve_dual` for its dual loop, all zero everywhere else.
+    shift: Vec<f64>,
 }
 
 /// Column `j` of `[A | −I]`.
@@ -174,6 +185,7 @@ impl Simplex {
             dj: vec![0.0; n + m],
             dj_current: false,
             alpha: vec![0.0; n + m],
+            shift: vec![0.0; n],
         };
         s.install_slack_basis();
         s
@@ -233,10 +245,12 @@ impl Simplex {
         }
     }
 
+    /// The cost of column `j` the simplex works with: shifted inside the
+    /// dual loop.
     #[inline]
     fn col_obj(&self, j: usize) -> f64 {
         if j < self.n() {
-            self.prob.obj[j]
+            self.prob.obj[j] + self.shift[j]
         } else {
             0.0
         }
@@ -681,6 +695,15 @@ impl Simplex {
     /// that is not dual feasible is tolerated (reduced costs are clamped in
     /// the ratio test): a primal feasible start goes to the polish at once.
     ///
+    /// The dual loop runs on perturbed costs: every nonbasic structural
+    /// column's cost is shifted toward dual feasibility at its current
+    /// bound by a small amount that differs from column to column, so
+    /// ties among the ratios are broken and the dual objective moves on
+    /// most pivots. The shift
+    /// is removed when the loop ends, however it ends; the polish then
+    /// prices with the true costs, so an optimal result is optimal for
+    /// the unperturbed LP.
+    ///
     /// Each iteration builds the pivot row `ᾱ = ρᵀ[A | −I]` row-wise from
     /// the nonzeros of `ρ = B⁻ᵀe_r`. The reduced costs `dj` are computed
     /// from `y = B⁻ᵀc_B` when the call starts and after every
@@ -689,14 +712,40 @@ impl Simplex {
     /// are recomputed for the next iteration.
     pub fn solve_dual(&mut self) -> LpStatus {
         self.iterations = 0;
-        self.status = self.dual_loop();
+        if !self.prepare_basis() {
+            self.status = LpStatus::Numerical;
+            return self.status;
+        }
+        self.perturb_costs();
+        let end = self.dual_loop();
+        self.shift.fill(0.0);
+        self.status = match end {
+            Some(st) => st,
+            None => self.primal_loop(),
+        };
         self.status
     }
 
-    fn dual_loop(&mut self) -> LpStatus {
-        if !self.prepare_basis() {
-            return LpStatus::Numerical;
+    /// Shifts the cost of every structural column toward dual feasibility
+    /// at its current status: `+ξ_j` at its lower bound, `−ξ_j` at its
+    /// upper bound, none when basic or free, with
+    /// `ξ_j = PERTURB·(1+|c_j|)·(1+h_j)` and `h_j` a SplitMix64 hash of
+    /// `j`. No state and no clock: a solve repeats bit for bit.
+    fn perturb_costs(&mut self) {
+        for j in 0..self.n() {
+            let xi = PERTURB * (1.0 + self.prob.obj[j].abs()) * (1.0 + unit_hash(j as u64));
+            self.shift[j] = match self.vstat[j] {
+                VarStatus::AtLower => xi,
+                VarStatus::AtUpper => -xi,
+                VarStatus::Basic | VarStatus::Free => 0.0,
+            };
         }
+    }
+
+    /// The dual simplex iterations of [`Simplex::solve_dual`] on the
+    /// perturbed costs. `None` hands over to the primal loop: the basis is
+    /// primal feasible, or the dual pivots stalled on void pivots.
+    fn dual_loop(&mut self) -> Option<LpStatus> {
         let tol = FEAS_TOL;
         let dtol = OPT_TOL;
         let mut stall = 0usize;
@@ -704,10 +753,10 @@ impl Simplex {
         self.dj_current = false;
         loop {
             if iters >= self.params.iter_limit {
-                return LpStatus::IterLimit;
+                return Some(LpStatus::IterLimit);
             }
             if self.factor.needs_refactor() && !self.ensure_factorized() {
-                return LpStatus::Numerical;
+                return Some(LpStatus::Numerical);
             }
             // Leaving candidate: most infeasible basic.
             let mut leave: Option<(usize, bool, f64)> = None; // (pos, below, viol)
@@ -728,7 +777,7 @@ impl Simplex {
             let Some((rpos, below, _)) = leave else {
                 // Primal feasible: polish with the primal loop, which will
                 // confirm optimality (or fix mild dual infeasibility).
-                return self.primal_loop();
+                return None;
             };
 
             #[cfg(debug_assertions)]
@@ -753,6 +802,7 @@ impl Simplex {
             let mut enter: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
             let mut best_alpha = 0.0f64;
+            let mut min_ratio = f64::INFINITY;
             for j in 0..self.n() + self.m() {
                 if !self.dual_candidate(j) {
                     continue;
@@ -771,6 +821,7 @@ impl Simplex {
                     }
                     _ => continue,
                 };
+                min_ratio = min_ratio.min(ratio);
                 if bland {
                     enter = Some(j);
                     self.dj_current = false; // Bland pivots price from fresh reduced costs
@@ -785,12 +836,13 @@ impl Simplex {
                 }
             }
             let Some(q) = enter else {
-                return LpStatus::Infeasible;
+                return Some(LpStatus::Infeasible);
             };
 
             iters += 1;
             self.iterations += 1;
             self.counters.dual_pivots += 1;
+            self.counters.dual_degenerate += (min_ratio == 0.0) as u64;
 
             // Pivot: q enters at position rpos; leaving goes to its
             // violated bound.
@@ -799,11 +851,11 @@ impl Simplex {
                 // Numerically void pivot; refactorize and retry, falling
                 // back to primal if it persists.
                 if !self.force_refactor() {
-                    return LpStatus::Numerical;
+                    return Some(LpStatus::Numerical);
                 }
                 stall += 1;
                 if stall > STALL_LIMIT + 20 {
-                    return self.primal_loop();
+                    return None;
                 }
                 continue;
             }
@@ -843,7 +895,7 @@ impl Simplex {
             self.basis_cols[rpos] = q;
             self.counters.eta_updates += 1;
             if self.factor.update(rpos, &self.w).is_err() && !self.force_refactor() {
-                return LpStatus::Numerical;
+                return Some(LpStatus::Numerical);
             }
         }
     }
@@ -942,6 +994,15 @@ impl Simplex {
             iterations: self.iterations,
         }
     }
+}
+
+/// SplitMix64 of `z`, mapped to `[0, 1)`.
+fn unit_hash(z: u64) -> f64 {
+    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -1194,6 +1255,55 @@ mod tests {
         assert_eq!(warm.counters().primal_pivots, cold.counters().primal_pivots);
         assert_eq!(warm.basis_snapshot(), cold.basis_snapshot());
         assert_eq!(warm.obj_value(), cold.obj_value());
+    }
+
+    /// A dual pivot whose entering column has reduced cost 0 leaves the
+    /// dual objective where it is, and is counted as dual degenerate.
+    #[test]
+    fn dual_degenerate_pivots_are_counted() {
+        // min x + y  s.t.  x ≥ 1,  x + y ≥ 1,  x, y ∈ [0, 10]. In the basis
+        // {x, y} (y basic at 0) both rows are tight and the duals are
+        // y₁ = 0, y₂ = 1, so the slack of x ≥ 1 rests at zero reduced cost.
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 10.0, 1.0);
+        let y = p.add_var(0.0, 10.0, 1.0);
+        p.add_row(1.0, f64::INFINITY, &[(x, 1.0)]);
+        p.add_row(1.0, f64::INFINITY, &[(x, 1.0), (y, 1.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        use VarStatus::*;
+        s.set_basis(&BasisSnapshot { col_status: vec![Basic, Basic, AtLower, AtLower] });
+        // The cut x ≥ 1.5 leaves through that slack (ratio 0), which pushes
+        // y below 0; y leaves through the slack of x + y ≥ 1 (ratio 1).
+        s.add_row(1.5, f64::INFINITY, &[(x, 1.0)]);
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert!((s.obj_value() - 1.5).abs() < 1e-12, "obj = {}", s.obj_value());
+        let c = *s.counters();
+        assert_eq!((c.dual_pivots, c.dual_degenerate, c.primal_pivots), (2, 1, 0), "{c:?}");
+    }
+
+    /// The cost shifts are deterministic, in `[ξ, 2ξ)` for `ξ =
+    /// PERTURB·(1+|c_j|)`, signed by the column's bound, and gone once
+    /// `solve_dual` returns.
+    #[test]
+    fn cost_shifts_follow_the_bound_and_do_not_outlive_the_solve() {
+        let mut p = LpProblem::new();
+        let x = p.add_var(0.0, 1.0, 3.0);
+        let y = p.add_var(-1.0, 1.0, -2.0);
+        p.add_row(f64::NEG_INFINITY, 1.0, &[(x, 1.0), (y, 1.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        s.vstat[1] = VarStatus::AtUpper;
+        s.perturb_costs();
+        let (xi_x, xi_y) = (PERTURB * 4.0, PERTURB * 3.0);
+        assert!(xi_x <= s.shift[0] && s.shift[0] < 2.0 * xi_x, "{:?}", s.shift);
+        assert!(-2.0 * xi_y < s.shift[1] && s.shift[1] <= -xi_y, "{:?}", s.shift);
+        assert_eq!(s.col_obj(0), 3.0 + s.shift[0]);
+        let first = s.shift.clone();
+        s.perturb_costs();
+        assert_eq!(s.shift, first);
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert!(s.shift.iter().all(|&d| d == 0.0), "{:?}", s.shift);
+        assert!((0..4).all(|j| unit_hash(j) != unit_hash(j + 1)));
+        assert!((0..1000).all(|j| (0.0..1.0).contains(&unit_hash(j))));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! check warm-started dual simplex re-solves against fresh solves.
 
 use proptest::prelude::*;
-use ugrs_lp::{LpProblem, LpStatus, Simplex, SimplexParams, VarId};
+use ugrs_lp::{LpProblem, LpStatus, Simplex, SimplexParams, VarId, VarStatus, OPT_TOL};
 
 const TOL: f64 = 1e-5;
 
@@ -279,11 +279,14 @@ impl SteinerLp {
 /// solve that needs more than this many iterations ends the case.
 const SHAPE_ITER_LIMIT: usize = 5_000;
 
-/// The warm-started `s` against a cold solve of the same problem. `None`
-/// when there is no optimum to carry into the next round.
+/// The warm-started `s` against a cold solve of the same problem: the
+/// same status and, when optimal, the same objective to `rel_tol`
+/// relative, and the KKT conditions. `None` when there is no optimum to
+/// carry into the next round.
 fn assert_matches_cold_solve(
     s: &mut Simplex,
     warm: LpStatus,
+    rel_tol: f64,
 ) -> Result<Option<LpSolution>, TestCaseError> {
     let p = s.problem().clone();
     let mut cold = Simplex::new(p.clone(), shape_params());
@@ -298,7 +301,7 @@ fn assert_matches_cold_solve(
     let sol = s.extract_solution();
     let cold_obj = cold.obj_value();
     prop_assert!(
-        (sol.obj - cold_obj).abs() <= 1e-7 * (1.0 + cold_obj.abs()),
+        (sol.obj - cold_obj).abs() <= rel_tol * (1.0 + cold_obj.abs()),
         "warm {} vs cold {}",
         sol.obj,
         cold_obj
@@ -331,7 +334,7 @@ proptest! {
         prop_assert!((100..=300).contains(&model.lp.num_rows()));
         let mut s = Simplex::new(model.lp.clone(), shape_params());
         let st = s.solve_primal();
-        let Some(mut sol) = assert_matches_cold_solve(&mut s, st)? else {
+        let Some(mut sol) = assert_matches_cold_solve(&mut s, st, 1e-7)? else {
             return Err(TestCaseError::fail("the cut-free relaxation has an optimum"));
         };
         let mut solves = 1;
@@ -356,7 +359,7 @@ proptest! {
             }
             let st = s.solve_dual();
             solves += 1;
-            match assert_matches_cold_solve(&mut s, st)? {
+            match assert_matches_cold_solve(&mut s, st, 1e-7)? {
                 Some(next) => sol = next,
                 None => break, // branched into an infeasible subproblem, or stalled
             }
@@ -370,4 +373,126 @@ proptest! {
         let pivots = c.dual_pivots + c.primal_pivots;
         prop_assert!(c.btrans <= pivots + pivots / 4 + c.refactors + 2 * solves, "{c:?}");
     }
+}
+
+// ---------------------------------------------------------------------
+// The dual simplex's cost perturbation
+// ---------------------------------------------------------------------
+
+/// `solve_dual` pivots on perturbed costs; what it returns must be
+/// optimal for the true ones: [`assert_matches_cold_solve`] at 1e-9
+/// relative, and every nonbasic non-fixed structural column's reduced
+/// cost under the unperturbed costs with the sign its bound asks for,
+/// within `OPT_TOL`.
+fn assert_optimal_for_true_costs(
+    s: &mut Simplex,
+    warm: LpStatus,
+) -> Result<Option<LpSolution>, TestCaseError> {
+    let Some(sol) = assert_matches_cold_solve(s, warm, 1e-9)? else {
+        return Ok(None);
+    };
+    let p = s.problem();
+    let status = s.basis_snapshot().col_status;
+    for (j, (&st, &d)) in status.iter().zip(&sol.reduced_costs).enumerate() {
+        let v = VarId(j as u32);
+        let (lb, ub) = p.bounds(v);
+        let right_sign = match st {
+            _ if lb == ub => continue,
+            VarStatus::Basic => continue,
+            VarStatus::AtLower => d >= -OPT_TOL,
+            VarStatus::AtUpper => d <= OPT_TOL,
+            VarStatus::Free => d.abs() <= OPT_TOL,
+        };
+        prop_assert!(right_sign, "column {j} ({st:?}, c = {}): reduced cost {d}", p.obj_coef(v));
+    }
+    Ok(Some(sol))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(128)))]
+
+    /// A branching bound and a cut on a boxed LP, re-solved warm.
+    #[test]
+    fn perturbed_dual_solve_is_optimal_for_the_true_costs(
+        lp in random_lp(),
+        tighten in 0.0f64..1.0,
+    ) {
+        let p = build(&lp);
+        let mut s = Simplex::new(p.clone(), shape_params());
+        if s.solve_primal() != LpStatus::Optimal {
+            return Ok(());
+        }
+        let (lb, ub) = p.bounds(VarId(0));
+        s.set_var_bounds(VarId(0), lb, lb + tighten * (ub - lb));
+        let st = s.solve_dual();
+        if assert_optimal_for_true_costs(&mut s, st)?.is_none() {
+            return Ok(());
+        }
+        s.add_row(f64::NEG_INFINITY, 1.0, &[(VarId(0), 1.0), (VarId(1), 1.0)]);
+        let st = s.solve_dual();
+        assert_optimal_for_true_costs(&mut s, st)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(12)))]
+
+    /// Cut rounds on a Steiner-shaped LP, each re-solved warm: the
+    /// degenerate LPs the perturbation is for.
+    #[test]
+    fn perturbed_dual_solve_is_optimal_for_the_true_costs_on_steiner_lps(
+        seed in any::<u64>(),
+        nodes in 55usize..150,
+        unit_costs in any::<bool>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let model = SteinerLp::new(nodes, unit_costs, &mut rng);
+        let mut s = Simplex::new(model.lp.clone(), shape_params());
+        let st = s.solve_dual();
+        let Some(mut sol) = assert_optimal_for_true_costs(&mut s, st)? else {
+            return Err(TestCaseError::fail("the cut-free relaxation has an optimum"));
+        };
+        for _ in 0..8 {
+            let cuts = model.separate(&sol.x, 8);
+            if cuts.is_empty() {
+                break;
+            }
+            s.add_rows(cuts.iter().map(|c| (1.0, f64::INFINITY, &c[..])));
+            let st = s.solve_dual();
+            match assert_optimal_for_true_costs(&mut s, st)? {
+                Some(next) => sol = next,
+                None => break,
+            }
+        }
+    }
+}
+
+/// The perturbation is a function of the column index and its cost, not
+/// of any state: two fresh solvers driven through the same cut rounds
+/// return the same bits.
+#[test]
+fn perturbed_dual_solves_repeat_bit_for_bit() {
+    let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+    let mut rng = SmallRng::seed_from_u64(7);
+    let model = SteinerLp::new(90, true, &mut rng);
+    let run = || {
+        let mut s = Simplex::new(model.lp.clone(), shape_params());
+        let mut trace = Vec::new();
+        let mut st = s.solve_dual();
+        for _ in 0..6 {
+            let sol = s.extract_solution();
+            let cuts = model.separate(&sol.x, 8);
+            trace.push((st, bits(&sol.x), bits(&sol.row_duals), sol.iterations));
+            if st != LpStatus::Optimal || cuts.is_empty() {
+                break;
+            }
+            s.add_rows(cuts.iter().map(|c| (1.0, f64::INFINITY, &c[..])));
+            st = s.solve_dual();
+        }
+        (trace, *s.counters())
+    };
+    let (first, second) = (run(), run());
+    assert!(first.0.len() >= 3, "only {} solves", first.0.len());
+    assert!(first.1.dual_pivots > 0, "{:?}", first.1);
+    assert_eq!(first, second);
 }
