@@ -18,7 +18,7 @@ use crate::stats::Statistics;
 use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
 use std::collections::HashSet;
 use std::time::Instant;
-use ugrs_lp::{LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
+use ugrs_lp::{LpCounters, LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
 
 /// Maximum cut rows kept in the LP; beyond this, aged-out cuts are
 /// dropped and the LP is rebuilt (SCIP's cut aging).
@@ -858,22 +858,22 @@ impl Solver {
     /// satisfies nothing, so the callers treat the node as unsolved.
     fn solve_lp(&mut self, lp: &mut Simplex) -> (LpStatus, Option<LpSolution>) {
         let started = Instant::now();
-        let mut refactors_seen = lp.counters().refactors;
+        let mut seen = *lp.counters();
         let mut st = lp.solve_dual();
         self.stats.lp_solves += 1;
         self.stats.lp_iterations += lp.iterations() as u64;
         if matches!(st, LpStatus::Numerical | LpStatus::IterLimit) {
             self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
             self.stats.lp_cold_retries += 1;
-            self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
-            refactors_seen = 0;
+            self.stats.add_lp_work(&seen, lp.counters());
+            seen = LpCounters::default();
             *lp = Simplex::new(lp.problem().clone(), self.lp_params());
             st = lp.solve_primal();
             self.stats.lp_iterations += lp.iterations() as u64;
             self.stats.lp_numerical += (st == LpStatus::Numerical) as u64;
         }
         let sol = (st == LpStatus::Optimal).then(|| lp.extract_solution());
-        self.stats.lp_refactors += lp.counters().refactors - refactors_seen;
+        self.stats.add_lp_work(&seen, lp.counters());
         self.stats.lp_time += started.elapsed().as_secs_f64();
         (st, sol)
     }
@@ -1133,6 +1133,8 @@ mod tests {
             assert_eq!(res.status, SolveStatus::Optimal);
             assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
             assert!(res.stats.lp_cold_retries > 0, "limit {lp_iter_limit}: {:?}", res.stats);
+            let pivots = res.stats.lp_dual_pivots + res.stats.lp_primal_pivots;
+            assert_eq!(pivots, res.stats.lp_iterations, "the retries' pivots count too");
 
             // General integers: the branching point must split [0, 2] too.
             let mut m = Model::new("t");

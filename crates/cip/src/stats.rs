@@ -2,6 +2,7 @@
 //! (root time, node counts, open nodes, bound trajectories).
 
 use std::time::Instant;
+use ugrs_lp::LpCounters;
 
 /// Statistics collected during one `Solver::solve` call.
 #[derive(Clone, Debug)]
@@ -14,6 +15,16 @@ pub struct Statistics {
     pub lp_iterations: u64,
     /// Basis refactorizations inside the LP solves.
     pub lp_refactors: u64,
+    /// Dual simplex pivots; with `lp_primal_pivots` they make up
+    /// `lp_iterations`.
+    pub lp_dual_pivots: u64,
+    /// Primal simplex pivots: the polish after the dual simplex and the
+    /// cold retries.
+    pub lp_primal_pivots: u64,
+    /// Dual pivots whose ratio test saw a ratio of 0.
+    pub lp_dual_degenerate: u64,
+    /// Dual pivots chosen by Bland's rule after a run of zero dual steps.
+    pub lp_bland_pivots: u64,
     /// LP solves that ended in numerical trouble, cold retries included;
     /// each one that persists costs a node its proof.
     pub lp_numerical: u64,
@@ -65,6 +76,10 @@ impl Default for Statistics {
             lp_solves: 0,
             lp_iterations: 0,
             lp_refactors: 0,
+            lp_dual_pivots: 0,
+            lp_primal_pivots: 0,
+            lp_dual_degenerate: 0,
+            lp_bland_pivots: 0,
             lp_numerical: 0,
             lp_cold_retries: 0,
             lp_time: 0.0,
@@ -105,6 +120,16 @@ impl Statistics {
         }
         let denom = self.primal_bound.abs().max(1e-9);
         ((self.primal_bound - self.dual_bound).max(0.0) / denom) * 100.0
+    }
+
+    /// Adds the simplex work between two readings of one simplex's
+    /// counters.
+    pub(crate) fn add_lp_work(&mut self, before: &LpCounters, after: &LpCounters) {
+        self.lp_refactors += after.refactors - before.refactors;
+        self.lp_dual_pivots += after.dual_pivots - before.dual_pivots;
+        self.lp_primal_pivots += after.primal_pivots - before.primal_pivots;
+        self.lp_dual_degenerate += after.dual_degenerate - before.dual_degenerate;
+        self.lp_bland_pivots += after.bland_pivots - before.bland_pivots;
     }
 
     pub(crate) fn record_dual_bound(&mut self, bound: f64) {

@@ -12,6 +12,15 @@
 //!   cutting-plane separation does),
 //! * extract primal values, duals, reduced costs and the basis.
 //!
+//! The dual simplex prices its leaving row by dual steepest edge: the
+//! infeasible basic position `p` with the largest `infeas_p²/β_p`, with
+//! `β_p ≈ ‖e_pᵀB⁻¹‖²` kept per basis position by the Forrest–Goldfarb
+//! update on every dual pivot. The weights depend only on the basis: bound
+//! changes and refactorizations keep them, a new cut row starts at 1, and
+//! a slack or installed basis resets them to 1. It runs on perturbed
+//! costs against dual degeneracy, and switches to the dual Bland rule
+//! after a run of pivots with a zero dual step.
+//!
 //! # Formulation
 //!
 //! Internally every problem is held in the computational form

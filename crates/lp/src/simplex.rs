@@ -45,9 +45,12 @@ const PIV_TOL: f64 = 1e-9;
 /// degeneracy: column `j` is shifted by `PERTURB·(1+|c_j|)·(1+h_j)`,
 /// `h_j ∈ [0,1)` a hash of `j`.
 const PERTURB: f64 = 5e-7;
-/// Consecutive iterations with a zero primal step before switching to
-/// Bland's rule.
+/// Consecutive pivots that leave the objective where it is — a zero
+/// primal step in the primal loop, a zero dual step in the dual loop —
+/// before the loop switches to Bland's rule.
 const STALL_LIMIT: usize = 50;
+/// Floor of a dual steepest-edge weight after an update.
+const WEIGHT_MIN: f64 = 1e-4;
 
 /// Parameters of the simplex engine.
 #[derive(Clone, Copy, Debug)]
@@ -74,8 +77,6 @@ pub struct LpSolution {
     pub row_duals: Vec<f64>,
     /// Reduced costs of the structural variables.
     pub reduced_costs: Vec<f64>,
-    /// Row activities `Ax`.
-    pub row_activity: Vec<f64>,
     /// Simplex iterations used by the last solve (for a dual solve: dual
     /// pivots plus the primal polish).
     pub iterations: usize,
@@ -86,6 +87,7 @@ pub struct LpSolution {
 pub struct LpCounters {
     /// Basis refactorizations.
     pub refactors: u64,
+    /// FTRAN calls, the `τ = B⁻¹ρ` of every steepest-edge update included.
     pub ftrans: u64,
     pub btrans: u64,
     /// Eta-file updates (basis changes between refactorizations).
@@ -97,6 +99,9 @@ pub struct LpCounters {
     /// Dual simplex iterations whose ratio test saw a ratio of 0: the dual
     /// objective moved by no more than the tie tolerance.
     pub dual_degenerate: u64,
+    /// Dual simplex iterations chosen by Bland's rule after a run of
+    /// `STALL_LIMIT` zero dual steps.
+    pub bland_pivots: u64,
 }
 
 /// A compact basis description for warm starting (SCIP-style basis
@@ -144,6 +149,13 @@ pub struct Simplex {
     /// Per structural column, the cost shift `col_obj` adds: set by
     /// `solve_dual` for its dual loop, all zero everywhere else.
     shift: Vec<f64>,
+    /// Dual steepest-edge weight per basis position, `β_p ≈ ‖e_pᵀB⁻¹‖²`:
+    /// 1 for a slack basis, an installed basis and a new cut row, updated
+    /// on every dual pivot, untouched by bound changes, refactorizations
+    /// and primal pivots.
+    weights: Vec<f64>,
+    /// Position-indexed scratch: `τ = B⁻¹ρ` for the weight update.
+    tau: Vec<f64>,
 }
 
 /// Column `j` of `[A | −I]`.
@@ -186,6 +198,8 @@ impl Simplex {
             dj_current: false,
             alpha: vec![0.0; n + m],
             shift: vec![0.0; n],
+            weights: Vec::new(),
+            tau: vec![0.0; m],
         };
         s.install_slack_basis();
         s
@@ -319,8 +333,16 @@ impl Simplex {
             self.vstat.push(VarStatus::Basic);
         }
         self.basis_cols = (n..n + m).collect();
+        self.reset_weights();
         self.factor.reset(m);
         self.y_duals = false;
+    }
+
+    /// Every dual steepest-edge weight to 1: exact for the slack basis
+    /// `−I`, a guess for any other.
+    fn reset_weights(&mut self) {
+        self.weights.clear();
+        self.weights.resize(self.m(), 1.0);
     }
 
     /// Installs a caller-provided basis snapshot; falls back to the slack
@@ -343,6 +365,7 @@ impl Simplex {
                 VarStatus::Basic => {}
             }
         }
+        self.reset_weights();
         self.factor.reset(m);
         self.y_duals = false;
     }
@@ -385,7 +408,9 @@ impl Simplex {
     }
 
     /// Appends a batch of rows `(lhs, rhs, terms)` as [`Simplex::add_row`]
-    /// does, invalidating the factorization once.
+    /// does, invalidating the factorization once. A new row's weight is
+    /// 1; the old positions keep theirs, which stay exact: `e_pᵀB⁻¹` only
+    /// gains a zero for each new row.
     pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (f64, f64, &'a [(VarId, f64)])>) {
         for (lhs, rhs, terms) in rows {
             let r = self.prob.add_row(lhs, rhs, terms).0;
@@ -395,9 +420,10 @@ impl Simplex {
             self.basis_cols.push(self.n() + r as usize);
             self.xval.push(0.0);
             self.slack.push((r, -1.0));
+            self.weights.push(1.0);
         }
         let (n, m) = (self.n(), self.m());
-        for buf in [&mut self.rowbuf, &mut self.y, &mut self.w, &mut self.cb] {
+        for buf in [&mut self.rowbuf, &mut self.y, &mut self.w, &mut self.cb, &mut self.tau] {
             buf.resize(m, 0.0);
         }
         self.dj.resize(n + m, 0.0);
@@ -704,12 +730,13 @@ impl Simplex {
     /// prices with the true costs, so an optimal result is optimal for
     /// the unperturbed LP.
     ///
-    /// Each iteration builds the pivot row `ᾱ = ρᵀ[A | −I]` row-wise from
-    /// the nonzeros of `ρ = B⁻ᵀe_r`. The reduced costs `dj` are computed
-    /// from `y = B⁻ᵀc_B` when the call starts and after every
-    /// refactorization, and in between updated from that pivot row; under
-    /// Bland's rule the ratio test stops at the first candidate, and they
-    /// are recomputed for the next iteration.
+    /// Each iteration prices the leaving row by dual steepest edge: the
+    /// primal-infeasible basic position `p` with the largest
+    /// `infeas_p²/β_p`, `β_p` the weight of [`Simplex::update_weights`].
+    /// It builds the pivot row `ᾱ = ρᵀ[A | −I]` row-wise from the nonzeros
+    /// of `ρ = B⁻ᵀe_r`. The reduced costs `dj` are computed from `y =
+    /// B⁻ᵀc_B` when the call starts and after every refactorization, and in
+    /// between updated from that pivot row.
     pub fn solve_dual(&mut self) -> LpStatus {
         self.iterations = 0;
         if !self.prepare_basis() {
@@ -745,10 +772,13 @@ impl Simplex {
     /// The dual simplex iterations of [`Simplex::solve_dual`] on the
     /// perturbed costs. `None` hands over to the primal loop: the basis is
     /// primal feasible, or the dual pivots stalled on void pivots.
+    ///
+    /// After more than `STALL_LIMIT` consecutive pivots with a zero dual
+    /// step (an entering ratio of 0) both choices follow Bland's rule until
+    /// the dual objective moves again, which rules out a cycle.
     fn dual_loop(&mut self) -> Option<LpStatus> {
-        let tol = FEAS_TOL;
-        let dtol = OPT_TOL;
-        let mut stall = 0usize;
+        let mut zero_steps = 0usize;
+        let mut void_pivots = 0usize;
         let mut iters = 0usize;
         self.dj_current = false;
         loop {
@@ -758,23 +788,8 @@ impl Simplex {
             if self.factor.needs_refactor() && !self.ensure_factorized() {
                 return Some(LpStatus::Numerical);
             }
-            // Leaving candidate: most infeasible basic.
-            let mut leave: Option<(usize, bool, f64)> = None; // (pos, below, viol)
-            for (pos, &col) in self.basis_cols.iter().enumerate() {
-                let v = self.xval[col];
-                let (lb, ub) = (self.col_lb(col), self.col_ub(col));
-                let (below, viol) = if v < lb - tol {
-                    (true, lb - v)
-                } else if v > ub + tol {
-                    (false, v - ub)
-                } else {
-                    continue;
-                };
-                if leave.as_ref().is_none_or(|l| viol > l.2) {
-                    leave = Some((pos, below, viol));
-                }
-            }
-            let Some((rpos, below, _)) = leave else {
+            let bland = zero_steps > STALL_LIMIT;
+            let Some((rpos, below)) = self.choose_leaving(bland) else {
                 // Primal feasible: polish with the primal loop, which will
                 // confirm optimality (or fix mild dual infeasibility).
                 return None;
@@ -788,54 +803,14 @@ impl Simplex {
                 self.compute_reduced_costs();
                 self.dj_current = true;
             }
-            // Row rpos of B⁻¹N: ρ = B⁻ᵀ e_r (held in `y`), ᾱ_j = ρᵀ a_j.
-            self.cb.fill(0.0);
-            self.cb[rpos] = 1.0;
-            self.btran();
-            self.compute_pivot_row();
+            self.compute_pivot_row(rpos);
             #[cfg(debug_assertions)]
             self.check_pivot_row();
 
             // sign = +1 when the leaving variable must increase.
             let sgn = if below { 1.0 } else { -1.0 };
-            let bland = stall > STALL_LIMIT;
-            let mut enter: Option<usize> = None;
-            let mut best_ratio = f64::INFINITY;
-            let mut best_alpha = 0.0f64;
-            let mut min_ratio = f64::INFINITY;
-            for j in 0..self.n() + self.m() {
-                if !self.dual_candidate(j) {
-                    continue;
-                }
-                let alpha = self.alpha[j] * sgn;
-                // x_Br changes by −ᾱ_j·Δx_j (with ᾱ in unsigned orientation);
-                // after sign-folding we need: at-lower j with alpha < 0 can
-                // increase, at-upper j with alpha > 0 can decrease, free j any.
-                let d = self.dj[j];
-                let ratio = match self.vstat[j] {
-                    VarStatus::AtLower | VarStatus::Free if alpha < -PIV_TOL => {
-                        (d.max(0.0)) / (-alpha)
-                    }
-                    VarStatus::AtUpper | VarStatus::Free if alpha > PIV_TOL => {
-                        ((-d).max(0.0)) / alpha
-                    }
-                    _ => continue,
-                };
-                min_ratio = min_ratio.min(ratio);
-                if bland {
-                    enter = Some(j);
-                    self.dj_current = false; // Bland pivots price from fresh reduced costs
-                    break;
-                }
-                if ratio < best_ratio - dtol
-                    || (ratio < best_ratio + dtol && alpha.abs() > best_alpha)
-                {
-                    best_ratio = ratio;
-                    best_alpha = alpha.abs();
-                    enter = Some(j);
-                }
-            }
-            let Some(q) = enter else {
+            let Some(Entering { col: q, ratio, min_ratio }) = self.choose_entering(sgn, bland)
+            else {
                 return Some(LpStatus::Infeasible);
             };
 
@@ -843,6 +818,7 @@ impl Simplex {
             self.iterations += 1;
             self.counters.dual_pivots += 1;
             self.counters.dual_degenerate += (min_ratio == 0.0) as u64;
+            self.counters.bland_pivots += bland as u64;
 
             // Pivot: q enters at position rpos; leaving goes to its
             // violated bound.
@@ -853,12 +829,14 @@ impl Simplex {
                 if !self.force_refactor() {
                     return Some(LpStatus::Numerical);
                 }
-                stall += 1;
-                if stall > STALL_LIMIT + 20 {
+                void_pivots += 1;
+                if void_pivots > STALL_LIMIT + 20 {
                     return None;
                 }
                 continue;
             }
+            zero_steps = if ratio == 0.0 { zero_steps + 1 } else { 0 };
+            self.update_weights(rpos);
             let leaving = self.basis_cols[rpos];
             if self.dj_current {
                 // y moves by θρ, so d_j by −θᾱ_j; the leaving column has ᾱ = 1.
@@ -880,11 +858,6 @@ impl Simplex {
             // its bound: x_leaving + (−w[rpos])·Δ... leaving moves by
             // −w[rpos]·Δ when q moves by Δ (z_B = −B⁻¹N z_N).
             let delta = (target - lv) / (-self.w[rpos]);
-            if delta.abs() <= 1e-12 {
-                stall += 1;
-            } else {
-                stall = 0;
-            }
             for (pos, &col) in self.basis_cols.iter().enumerate() {
                 self.xval[col] -= self.w[pos] * delta;
             }
@@ -900,11 +873,103 @@ impl Simplex {
         }
     }
 
-    /// `alpha ← ρᵀ[A | −I]` for `ρ` in `y`, row by row over the nonzeros
-    /// of `ρ` in increasing row order: every `ᾱ_j` sums the products
-    /// `c·ρ_i` of [`Simplex::col_dot`] in its order, so it is the same
-    /// value, up to the sign of an exact zero.
-    fn compute_pivot_row(&mut self) {
+    /// The leaving position of a dual iteration and whether its basic
+    /// value lies below its lower bound; `None` when the basis is primal
+    /// feasible. Dual steepest edge takes the infeasible position with the
+    /// largest `infeas_p²/β_p`, Bland's rule the one whose basic column
+    /// has the least index; the first position wins a tie.
+    fn choose_leaving(&self, bland: bool) -> Option<(usize, bool)> {
+        let tol = FEAS_TOL;
+        let mut best: Option<(usize, bool, f64)> = None; // (pos, below, score)
+        for (pos, &col) in self.basis_cols.iter().enumerate() {
+            let v = self.xval[col];
+            let (lb, ub) = (self.col_lb(col), self.col_ub(col));
+            let (below, infeas) = if v < lb - tol {
+                (true, lb - v)
+            } else if v > ub + tol {
+                (false, v - ub)
+            } else {
+                continue;
+            };
+            // Column indices are exact in an f64.
+            let score = if bland { -(col as f64) } else { infeas * infeas / self.weights[pos] };
+            if best.is_none_or(|b| score > b.2) {
+                best = Some((pos, below, score));
+            }
+        }
+        best.map(|(pos, below, _)| (pos, below))
+    }
+
+    /// The dual ratio test over the pivot row in `alpha`; `sgn` is +1 when
+    /// the leaving variable must increase. `None` when no column can enter:
+    /// the LP is infeasible. The least ratio `|d_j/ᾱ_j|` wins, among ratios
+    /// within the tie tolerance of it the largest `|ᾱ_j|`; under Bland's
+    /// rule the least column index among the columns at the least ratio.
+    /// Reduced costs of the wrong sign count as 0.
+    fn choose_entering(&self, sgn: f64, bland: bool) -> Option<Entering> {
+        let dtol = OPT_TOL;
+        let mut enter: Option<usize> = None;
+        let mut best_ratio = f64::INFINITY;
+        let mut best_alpha = 0.0f64;
+        let mut min_ratio = f64::INFINITY;
+        for j in 0..self.n() + self.m() {
+            if !self.dual_candidate(j) {
+                continue;
+            }
+            let alpha = self.alpha[j] * sgn;
+            // x_Br changes by −ᾱ_j·Δx_j (with ᾱ in unsigned orientation);
+            // after sign-folding we need: at-lower j with alpha < 0 can
+            // increase, at-upper j with alpha > 0 can decrease, free j any.
+            let d = self.dj[j];
+            let ratio = match self.vstat[j] {
+                VarStatus::AtLower | VarStatus::Free if alpha < -PIV_TOL => d.max(0.0) / -alpha,
+                VarStatus::AtUpper | VarStatus::Free if alpha > PIV_TOL => (-d).max(0.0) / alpha,
+                _ => continue,
+            };
+            min_ratio = min_ratio.min(ratio);
+            let better = if bland {
+                ratio < best_ratio
+            } else {
+                ratio < best_ratio - dtol || (ratio < best_ratio + dtol && alpha.abs() > best_alpha)
+            };
+            if better {
+                enter = Some(j);
+                best_ratio = ratio;
+                best_alpha = alpha.abs();
+            }
+        }
+        enter.map(|col| Entering { col, ratio: best_ratio, min_ratio })
+    }
+
+    /// Forrest–Goldfarb update of the dual steepest-edge weights for the
+    /// pivot that replaces basis position `r`, with `ρ = B⁻ᵀe_r` in `y` and
+    /// `w = B⁻¹a_q` in `w`: `β_r` is set to `‖ρ‖²` exactly, then, with
+    /// `τ = B⁻¹ρ` from one more FTRAN, `β_i ← β_i − 2(w_i/w_r)τ_i +
+    /// (w_i/w_r)²β_r` (at least `WEIGHT_MIN`) for `w_i ≠ 0` and `β_r ←
+    /// β_r/w_r²`.
+    fn update_weights(&mut self, r: usize) {
+        let beta_r: f64 = self.y.iter().map(|rho| rho * rho).sum();
+        self.rowbuf.copy_from_slice(&self.y);
+        self.counters.ftrans += 1;
+        self.factor.ftran_into(&mut self.rowbuf, &mut self.tau);
+        let wr = self.w[r];
+        for (i, beta) in self.weights.iter_mut().enumerate() {
+            let k = self.w[i] / wr;
+            if i != r && k != 0.0 {
+                *beta = (*beta - 2.0 * k * self.tau[i] + k * k * beta_r).max(WEIGHT_MIN);
+            }
+        }
+        self.weights[r] = beta_r / (wr * wr);
+    }
+
+    /// `alpha ← ρᵀ[A | −I]` for `ρ = B⁻ᵀe_r`, which BTRAN leaves in `y`,
+    /// row by row over the nonzeros of `ρ` in increasing row order: every
+    /// `ᾱ_j` sums the products `c·ρ_i` of [`Simplex::col_dot`] in its
+    /// order, so it is the same value, up to the sign of an exact zero.
+    fn compute_pivot_row(&mut self, r: usize) {
+        self.cb.fill(0.0);
+        self.cb[r] = 1.0;
+        self.btran();
         let n = self.n();
         self.alpha.fill(0.0);
         for (i, &rho) in self.y.iter().enumerate() {
@@ -981,16 +1046,12 @@ impl Simplex {
         for (j, rj) in reduced.iter_mut().enumerate() {
             *rj = self.prob.obj[j] - self.col_dot(j, &row_duals);
         }
-        let row_activity: Vec<f64> = (0..m)
-            .map(|r| self.prob.rows[r].iter().map(|&(j, c)| c * self.xval[j as usize]).sum())
-            .collect();
         LpSolution {
             status: self.status,
             obj: self.obj_value(),
             x,
             row_duals,
             reduced_costs: reduced,
-            row_activity,
             iterations: self.iterations,
         }
     }
@@ -1003,6 +1064,15 @@ fn unit_hash(z: u64) -> f64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The entering column a dual ratio test chose, its ratio, and the least
+/// ratio of any candidate.
+#[derive(Clone, Copy, Debug)]
+struct Entering {
+    col: usize,
+    ratio: f64,
+    min_ratio: f64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -1304,6 +1374,155 @@ mod tests {
         assert!(s.shift.iter().all(|&d| d == 0.0), "{:?}", s.shift);
         assert!((0..4).all(|j| unit_hash(j) != unit_hash(j + 1)));
         assert!((0..1000).all(|j| (0.0..1.0).contains(&unit_hash(j))));
+    }
+
+    /// Two columns tie at the least ratio and a column with a larger ratio
+    /// comes first: Bland's rule picks the infeasible basic of least
+    /// column index and, in its pivot row, the least index at the least
+    /// ratio; dual steepest edge and the ratio test's tie rule pick others.
+    #[test]
+    fn bland_rule_picks_least_indices_at_the_least_ratio() {
+        // min 3x₀ + x₁ + 2x₂ + 2x₃  s.t.  x₀ + x₁ + 2x₂ + x₃ ≥ 1,
+        // x₀ + x₁ ≥ 2: at the slack basis the slacks (columns 4 and 5)
+        // are 1 and 2 below their bounds.
+        let mut p = LpProblem::new();
+        let v: Vec<VarId> = [3.0, 1.0, 2.0, 2.0].iter().map(|&c| p.add_var(0.0, 10.0, c)).collect();
+        p.add_row(1.0, f64::INFINITY, &[(v[0], 1.0), (v[1], 1.0), (v[2], 2.0), (v[3], 1.0)]);
+        p.add_row(2.0, f64::INFINITY, &[(v[0], 1.0), (v[1], 1.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        assert!(s.prepare_basis());
+        assert_eq!(s.choose_leaving(false), Some((1, true)), "infeasibility² 4 against 1");
+        assert_eq!(s.choose_leaving(true), Some((0, true)), "column 4 before column 5");
+
+        // Row 0's ratios d_j/|ᾱ_j| are 3, 1, 1, 2; x₂ has the larger pivot.
+        s.compute_reduced_costs();
+        s.compute_pivot_row(0);
+        let dse = s.choose_entering(1.0, false).unwrap();
+        let bland = s.choose_entering(1.0, true).unwrap();
+        assert_eq!((dse.col, dse.ratio, dse.min_ratio), (2, 1.0, 1.0));
+        assert_eq!((bland.col, bland.ratio, bland.min_ratio), (1, 1.0, 1.0));
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert!((s.obj_value() - 2.0).abs() < 1e-9, "obj = {}", s.obj_value());
+    }
+
+    /// `‖e_pᵀB⁻¹‖²` for every basis position, by BTRAN.
+    fn exact_weights(s: &mut Simplex) -> Vec<f64> {
+        assert!(s.ensure_factorized());
+        (0..s.m())
+            .map(|p| {
+                s.cb.fill(0.0);
+                s.cb[p] = 1.0;
+                s.btran();
+                s.y.iter().map(|r| r * r).sum()
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Dual pivots move the weights off 1 and keep them exact; bound
+    /// changes, refactorizations and a solve without dual pivots leave them
+    /// as they are; new rows append 1s behind the old weights.
+    #[test]
+    fn weights_follow_the_basis_only() {
+        let mut p = LpProblem::new();
+        let v: Vec<VarId> = (0..4).map(|j| p.add_var(0.0, 1.0, 1.0 + j as f64)).collect();
+        p.add_row(1.0, f64::INFINITY, &[(v[0], 2.0), (v[1], 1.0)]);
+        p.add_row(1.0, f64::INFINITY, &[(v[1], 1.0), (v[2], 3.0), (v[3], 1.0)]);
+        let mut s = Simplex::new(p, SimplexParams::default());
+        assert_eq!(s.weights, [1.0, 1.0]);
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert_eq!(s.counters().primal_pivots, 0);
+        let solved = s.weights.clone();
+        assert!(solved.iter().any(|&b| b != 1.0), "{solved:?}");
+        for (b, e) in solved.iter().zip(exact_weights(&mut s)) {
+            assert!((b - e).abs() <= 1e-12 * e, "{solved:?}");
+        }
+
+        s.set_var_bounds(v[3], 0.0, 2.0);
+        assert_eq!(bits(&s.weights), bits(&solved));
+        assert!(s.force_refactor());
+        assert_eq!(bits(&s.weights), bits(&solved));
+        let pivots = s.total_iterations();
+        assert_eq!(s.solve_dual(), LpStatus::Optimal);
+        assert_eq!(s.total_iterations(), pivots, "the optimal basis needs no pivot");
+        assert_eq!(bits(&s.weights), bits(&solved));
+
+        let cut = [(v[0], 1.0), (v[3], 1.0)];
+        s.add_rows([(1.0, f64::INFINITY, &cut[..]), (f64::NEG_INFINITY, 1.0, &cut[..])]);
+        assert_eq!(bits(&s.weights[..2]), bits(&solved));
+        assert_eq!(s.weights[2..], [1.0, 1.0]);
+        s.set_basis(&s.basis_snapshot());
+        assert_eq!(s.weights, [1.0; 4]);
+    }
+
+    /// `PROPTEST_CASES` when it is set, else `default`.
+    fn cases(default: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    }
+
+    use proptest::prelude::*;
+
+    /// Boxed covering LP: costs `c > 0` over `x ∈ [0, u]` and rows `aᵀx ≥
+    /// b` with `a, b > 0`, dual feasible at the slack basis.
+    fn covering_lp() -> impl Strategy<Value = LpProblem> {
+        (2usize..9, 1usize..7).prop_flat_map(|(nvars, nrows)| {
+            let vars = prop::collection::vec((0.1f64..3.0, 1.0f64..4.0), nvars);
+            let row = (0.5f64..4.0, prop::collection::vec((0..nvars, 0.5f64..3.0), 1..=nvars));
+            (vars, prop::collection::vec(row, nrows)).prop_map(|(vars, rows)| {
+                let mut p = LpProblem::new();
+                for (c, u) in vars {
+                    p.add_var(0.0, u, c);
+                }
+                for (lhs, terms) in rows {
+                    let t: Vec<(VarId, f64)> =
+                        terms.iter().map(|&(j, a)| (VarId(j as u32), a)).collect();
+                    p.add_row(lhs, f64::INFINITY, &t);
+                }
+                p
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+        /// A covering LP solved by the dual simplex from its slack basis,
+        /// then re-solved after each of a run of bound changes: while no
+        /// primal pivot has moved the basis behind the weights' back, every
+        /// weight is `‖e_pᵀB⁻¹‖²` to 1e-8 relative; always at least
+        /// `WEIGHT_MIN`.
+        #[test]
+        fn dual_steepest_edge_weights_stay_exact(
+            p in covering_lp(),
+            changes in prop::collection::vec((0usize..8, 0.0f64..1.0, 0.0f64..1.0), 1..8),
+        ) {
+            let boxes: Vec<f64> = p.ub.clone();
+            let mut s = Simplex::new(p, SimplexParams::default());
+            let mut exact = true;
+            for round in 0..=changes.len() {
+                if let Some(&(j, f, g)) = round.checked_sub(1).and_then(|k| changes.get(k)) {
+                    let j = j % boxes.len();
+                    let (lo, hi) = (f.min(g) * boxes[j], f.max(g) * boxes[j]);
+                    s.set_var_bounds(VarId(j as u32), lo, hi);
+                }
+                let polished = s.counters().primal_pivots;
+                s.solve_dual();
+                exact &= s.counters().primal_pivots == polished;
+                prop_assert!(s.weights.iter().all(|&b| b >= WEIGHT_MIN), "{:?}", s.weights);
+                if exact {
+                    let kept = s.weights.clone();
+                    for (pos, (b, e)) in kept.iter().zip(exact_weights(&mut s)).enumerate() {
+                        prop_assert!(
+                            (b - e).abs() <= 1e-8 * e,
+                            "round {round}, position {pos}: weight {b}, ‖e_pᵀB⁻¹‖² {e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

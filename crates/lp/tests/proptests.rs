@@ -85,7 +85,7 @@ fn assert_kkt(p: &LpProblem, sol: &ugrs_lp::LpSolution) {
     // d = c - A'y; for a row with activity strictly inside (lhs, rhs), y_i = 0.
     for r in 0..p.num_rows() {
         let (lhs, rhs) = p.row_sides(ugrs_lp::RowId(r as u32));
-        let a = sol.row_activity[r];
+        let a = p.row_activity(ugrs_lp::RowId(r as u32), &sol.x);
         let y = sol.row_duals[r];
         let at_lhs = !LpProblem::is_neg_inf(lhs) && (a - lhs).abs() < 1e-6;
         let at_rhs = !LpProblem::is_pos_inf(rhs) && (rhs - a).abs() < 1e-6;
@@ -274,9 +274,9 @@ impl SteinerLp {
     }
 }
 
-/// The stalls the pivot rules allow on LPs this degenerate (Bland's rule
-/// picks only the entering column) are not what these tests are about: a
-/// solve that needs more than this many iterations ends the case.
+/// The stalls the pivot rules allow on LPs this degenerate are not what
+/// these tests are about: a solve that needs more than this many
+/// iterations ends the case.
 const SHAPE_ITER_LIMIT: usize = 5_000;
 
 /// The warm-started `s` against a cold solve of the same problem: the
@@ -366,9 +366,8 @@ proptest! {
         }
         prop_assert!(solves > 3, "only {solves} solves");
         // The duals are carried from pivot to pivot: one BTRAN per pivot,
-        // not two, plus one per refactorization, up to two per solve (the
-        // duals the optimal basis was priced with are the solution's), and
-        // a second one per pivot only under Bland's rule.
+        // not two, plus one per refactorization and up to two per solve
+        // (the duals the optimal basis was priced with are the solution's).
         let c = *s.counters();
         let pivots = c.dual_pivots + c.primal_pivots;
         prop_assert!(c.btrans <= pivots + pivots / 4 + c.refactors + 2 * solves, "{c:?}");

@@ -199,6 +199,9 @@ mod tests {
         let st = res.cip_stats.expect("unreduced instance goes through branch-and-cut");
         assert!(st.lp_solves >= 1 && st.lp_iterations >= 1, "{st:?}");
         assert!(st.lp_refactors >= 1, "every LP solve starts from a factorization");
+        assert_eq!(st.lp_dual_pivots + st.lp_primal_pivots, st.lp_iterations, "{st:?}");
+        assert!(st.lp_dual_degenerate <= st.lp_dual_pivots, "{st:?}");
+        assert!(st.lp_bland_pivots <= st.lp_dual_pivots, "{st:?}");
         assert!(0.0 < st.lp_time && st.lp_time <= st.total_time, "{st:?}");
         assert_eq!(st.lp_numerical, 0);
     }
