@@ -17,8 +17,8 @@ use ugrs_steiner::{Graph, SteinerOptions, SteinerSolver};
 
 fn instances() -> Vec<(&'static str, Graph)> {
     use sgen::CostScheme::*;
-    // Five Table-1 instances, scaled to laptop size and calibrated (see
-    // the calibrate* binaries) to span the paper's scaling spectrum:
+    // Five Table-1 instances, scaled to laptop size and calibrated to
+    // span the paper's scaling spectrum:
     // cc3-4u~ scales worst (long root phase relative to its tree, like
     // the paper's cc3-4p), cc3-5u~/bip~ scale best.
     vec![

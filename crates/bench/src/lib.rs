@@ -12,7 +12,6 @@
 //! | Table 4 | `table4` | SCIP-SDP vs ug[SCIP-SDP] with 1..8 threads over TTD/CLS/MkP |
 //! | Figure 1 | `figure1` | racing-winner histogram across the settings list |
 //! | Table 1, distributed | `table1p` | Table 1's instances under ThreadComm vs ProcessComm, side by side |
-//! | (instance sizes) | `calibrate` | sequential/parallel solve times used to pick each table's instance sizes |
 
 /// Shifted geometric mean with shift `s` — the aggregation used by
 /// Table 4 ("shifted geometric mean with shift s = 10").

@@ -64,7 +64,7 @@ pub use plugins::{
 pub use settings::{BranchingRule, Emphasis, NodeSelection, Settings};
 pub use solution::Solution;
 pub use solver::{ControlHooks, NoHooks, SolveResult, SolveStatus, Solver};
-pub use stats::Statistics;
+pub use stats::{NodeOutcome, Statistics};
 pub use tree::NodeDesc;
 
 /// Integrality tolerance: values within this distance of an integer are

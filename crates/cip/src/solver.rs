@@ -4,6 +4,7 @@
 //! hands over a [`NodeDesc`]). External control — the hooks the UG
 //! ParaSolver wrapper needs for incumbent exchange, status reporting,
 //! collect-mode node export and aborts — enters through [`ControlHooks`].
+//! A solve loops select → process → account ([`NodeOutcome`]).
 
 use crate::branching::{select_branching_var, Pseudocosts};
 use crate::heurengine::{HeurEngine, HeurStats, PrimalHeuristic};
@@ -14,8 +15,8 @@ use crate::presolve::presolve;
 use crate::propagation::{propagate_linear, redcost_fixing, PropOutcome};
 use crate::settings::{NodeSelection, Settings};
 use crate::solution::{Incumbents, Solution};
-use crate::stats::Statistics;
-use crate::tree::{BoundChange, BranchInfo, NodeDesc, Tree};
+use crate::stats::{NodeOutcome, Statistics};
+use crate::tree::{BoundChange, BranchInfo, Node, NodeDesc, Tree};
 use std::collections::HashSet;
 use std::time::Instant;
 use ugrs_lp::{LpCounters, LpProblem, LpSolution, LpStatus, Simplex, SimplexParams};
@@ -28,6 +29,8 @@ const MAX_CUT_ROWS: usize = 250;
 const CUT_MAX_AGE: u32 = 3;
 /// Maximum depth of one LP dive.
 const DIVE_DEPTH: usize = 12;
+/// Enforcement rounds (cut, re-solve) on one node before it is given up.
+const MAX_ENFORCE_ROUNDS: usize = 200;
 
 /// Final status of a solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,10 +106,32 @@ pub struct Solver {
     cut_pool: HashSet<u64>,
     /// Cuts currently installed as LP rows, with their slack age.
     active_cuts: Vec<(Cut, u64, u32)>, // (cut, fingerprint, age)
-    /// Bound changes applied before solving (subproblem mode).
-    initial_changes: Vec<BoundChange>,
     /// Dual bound inherited with a transferred subproblem.
     initial_bound: f64,
+}
+
+/// The [`SolveCtx`] of one plugin call at a node with domain `lb..ub`
+/// and, when the node has one, its relaxation point and bound. As a macro
+/// it borrows the solver field by field, so that a plugin list of the same
+/// solver can be iterated mutably beside it.
+macro_rules! ctx {
+    ($solver:ident, $depth:expr, $lb:expr, $ub:expr, $relax:expr, $cuts:expr, $tight:expr) => {{
+        let relax: Option<(&[f64], f64)> = $relax;
+        SolveCtx {
+            model: &$solver.model,
+            depth: $depth,
+            local_lb: $lb,
+            local_ub: $ub,
+            relax_x: relax.map(|r| r.0),
+            relax_obj: relax.map(|r| r.1),
+            incumbent_obj: $solver.incumbents.best_obj(),
+            incumbent_x: $solver.incumbents.best().map(|s| s.x.as_slice()),
+            reduced_costs: &[],
+            cuts: $cuts,
+            tightenings: $tight,
+            seed: $solver.settings.permutation_seed,
+        }
+    }};
 }
 
 impl Solver {
@@ -130,7 +155,6 @@ impl Solver {
             incumbents: Incumbents::default(),
             cut_pool: HashSet::new(),
             active_cuts: Vec::new(),
-            initial_changes: Vec::new(),
             initial_bound: f64::NEG_INFINITY,
         }
     }
@@ -181,7 +205,6 @@ impl Solver {
     /// [`NodeDesc`]. Presolve then runs *again* on the restricted
     /// problem: the paper's layered presolving.
     pub fn apply_node_desc(&mut self, desc: &NodeDesc) {
-        self.initial_changes = desc.bound_changes.clone();
         self.initial_bound = desc.dual_bound;
         if !desc.bound_changes.is_empty() {
             // A transferred subproblem is *not* the root of the whole
@@ -221,8 +244,7 @@ impl Solver {
         if !self.model.check_solution(x, crate::FEAS_TOL) {
             return false;
         }
-        let model = &self.model;
-        self.conshdlrs.iter_mut().all(|h| h.check(model, x))
+        self.conshdlrs.iter_mut().all(|h| h.check(&self.model, x))
     }
 
     fn cutoff(&self) -> f64 {
@@ -243,427 +265,19 @@ impl Solver {
     pub fn solve(&mut self, hooks: &mut dyn ControlHooks) -> SolveResult {
         self.stats = Statistics::default();
         self.stats.start();
-
-        // Domains may have been crossed by apply_node_desc.
-        if self.model.vars().any(|(_, v)| v.lb > v.ub) {
+        let Some((mut tree, mut lp)) = self.start_search() else {
             return self.finish(SolveStatus::Infeasible);
-        }
-
-        // ---- Presolve -----------------------------------------------------
-        if self.settings.presolve_rounds > 0 {
-            let ps = presolve(&mut self.model, self.settings.presolve_rounds);
-            if ps.infeasible {
-                return self.finish(SolveStatus::Infeasible);
-            }
-        }
-
-        // ---- Build the LP relaxation --------------------------------------
-        self.cut_pool.clear();
-        self.active_cuts.clear();
-        let mut lp = self.build_lp();
-        let base_rows = lp.problem().num_rows();
-        // Initial rows from constraint handlers (e.g. dual-ascent cuts),
-        // installed as (ageable) cut rows.
-        {
-            let mut buf = CutBuffer::default();
-            let mut hdlrs = std::mem::take(&mut self.conshdlrs);
-            for h in hdlrs.iter_mut() {
-                h.init_lp(&self.model, &mut buf);
-            }
-            self.conshdlrs = hdlrs;
-            self.install_cuts(buf, &mut lp);
-        }
-
-        let mut tree = Tree::new(self.settings.node_selection);
-        tree.set_root_bound(self.initial_bound);
-        let use_relax = self.settings.use_relaxator && self.relaxator.is_some();
-        let mut root_done = false;
-        let mut status = SolveStatus::Optimal;
-        let n = self.model.num_vars();
-        let glb: Vec<f64> = self.model.vars().map(|(_, v)| v.lb).collect();
-        let gub: Vec<f64> = self.model.vars().map(|(_, v)| v.ub).collect();
-
-        'mainloop: loop {
-            // ---- limits & external control --------------------------------
-            if self.stats.elapsed() > self.settings.time_limit {
-                status = SolveStatus::TimeLimit;
-                break;
-            }
-            if self.stats.nodes >= self.settings.node_limit {
-                status = SolveStatus::NodeLimit;
-                break;
-            }
-            if hooks.should_abort() {
-                status = SolveStatus::Aborted;
-                break;
-            }
-            if let Some(x) = hooks.poll_incumbent() {
-                if x.len() == n && self.check_full(&x) {
-                    let sol = Solution::new(&self.model, x);
-                    if self.incumbents.try_install(sol, self.stats.nodes) {
-                        self.stats.improving_solutions += 1;
-                        tree.prune_by_bound(self.cutoff());
-                    }
-                }
-            }
-            // Export only out of substantial trees: fine-grained transfers
-            // would spend the run re-initializing solvers (the paper's
-            // transfer counts are ~1 per 10⁵ nodes; the unit of work is a
-            // subtree, not a node).
-            while hooks.want_node_export() && tree.num_open() >= 6 {
-                if let Some(id) = tree.steal_open_node() {
-                    hooks.export_node(tree.describe(id));
-                } else {
-                    break;
-                }
-            }
-
-            // ---- select node ----------------------------------------------
-            let cutoff = self.cutoff();
-            let Some(node_id) = tree.pop_best(cutoff) else {
-                break; // exhausted
+        };
+        let status = loop {
+            let node = match self.select_node(&mut tree, hooks) {
+                Ok(node) => node,
+                Err(status) => break status,
             };
-            self.stats.nodes += 1;
-            let depth = tree.node(node_id).depth;
-            let binfo = tree.node(node_id).branch_info;
-            let node_bound_in = tree.node(node_id).dual_bound;
-
-            // global dual bound = min(open, this node)
-            let global_bound = tree
-                .open_bound()
-                .min(node_bound_in)
-                .min(self.incumbents.best_obj().unwrap_or(f64::INFINITY));
-            self.stats.record_dual_bound(global_bound);
-            // Status flows every node; the receiving side rate-limits.
-            hooks.on_status(self.stats.dual_bound, tree.num_open(), self.stats.nodes);
-
-            // ---- local domain ----------------------------------------------
-            let mut lb = glb.clone();
-            let mut ub = gub.clone();
-            let mut local_infeasible = false;
-            for bc in tree.path_changes(node_id) {
-                let j = bc.var.0 as usize;
-                lb[j] = lb[j].max(bc.lb);
-                ub[j] = ub[j].min(bc.ub);
-                if lb[j] > ub[j] {
-                    local_infeasible = true;
-                }
+            let outcome = self.process_node(node, &mut tree, &mut lp, hooks);
+            if let Some(status) = self.account(outcome) {
+                break status;
             }
-            if local_infeasible {
-                continue;
-            }
-
-            // ---- propagation ------------------------------------------------
-            match propagate_linear(&self.model, &mut lb, &mut ub, 3) {
-                PropOutcome::Infeasible => continue,
-                PropOutcome::Tightened => self.stats.propagations += 1,
-                PropOutcome::Unchanged => {}
-            }
-            if self.run_handler_propagation(depth, &mut lb, &mut ub).is_err() {
-                continue;
-            }
-
-            // ---- relaxation --------------------------------------------------
-            let (mut bound, mut relax_x): (f64, Vec<f64>);
-            if use_relax {
-                let mut relaxator = self.relaxator.take().unwrap();
-                let res = {
-                    let mut cuts = CutBuffer::default();
-                    let mut tight = Vec::new();
-                    let mut ctx = self.ctx(depth, &lb, &ub, None, None, &[], &mut cuts, &mut tight);
-                    relaxator.solve_relaxation(&mut ctx)
-                };
-                self.relaxator = Some(relaxator);
-                self.stats.relax_solves += 1;
-                self.stats.relax_iterations += res.iterations;
-                self.stats.relax_fallbacks += res.fallbacks;
-                match res.outcome {
-                    RelaxOutcome::Infeasible => continue,
-                    RelaxOutcome::Error => {
-                        // fall back to pure bound inheritance + branching on
-                        // some unfixed integer var
-                        bound = node_bound_in;
-                        relax_x = unsolved_point(&lb, &ub);
-                    }
-                    RelaxOutcome::Bounded { bound: b, x } => {
-                        bound = b.max(node_bound_in);
-                        relax_x = x;
-                    }
-                }
-            } else {
-                // LP path: drop aged cuts when the LP got too big, push
-                // local bounds, warm start dual simplex.
-                if let Some(newlp) = self.maybe_rebuild_lp(base_rows) {
-                    lp = newlp;
-                }
-                for j in 0..n {
-                    lp.set_var_bounds(ugrs_lp::VarId(j as u32), lb[j], ub[j]);
-                }
-                let (st, sol) = self.solve_lp(&mut lp);
-                match st {
-                    LpStatus::Unbounded if depth == 0 => {
-                        status = SolveStatus::Unbounded;
-                        break 'mainloop;
-                    }
-                    // Infeasible, or unbounded below the root.
-                    LpStatus::Infeasible | LpStatus::Unbounded => continue,
-                    _ => {}
-                }
-                if let Some(mut sol) = sol {
-                    bound = sol.obj.max(node_bound_in);
-                    relax_x = sol.x.clone();
-
-                    // ---- separation loop --------------------------------------
-                    let max_rounds = if depth == 0 {
-                        self.settings.root_sepa_rounds
-                    } else {
-                        self.settings.node_sepa_rounds
-                    };
-                    let mut pruned = false;
-                    let mut stalled_rounds = 0usize;
-                    for _round in 0..max_rounds {
-                        if bound >= self.cutoff() {
-                            pruned = true;
-                            break;
-                        }
-                        if self.stats.elapsed() > self.settings.time_limit {
-                            break;
-                        }
-                        let added = self.run_separation(depth, &lb, &ub, &sol.x, bound, &mut lp);
-                        if added == 0 {
-                            break;
-                        }
-                        let (st, resolved) = self.solve_lp(&mut lp);
-                        if st == LpStatus::Infeasible {
-                            pruned = true;
-                            break;
-                        }
-                        let Some(resolved) = resolved else { break };
-                        sol = resolved;
-                        let prev = bound;
-                        bound = sol.obj.max(bound);
-                        relax_x = sol.x.clone();
-                        // Long root separation phases must still report progress
-                        // (racing compares bounds *during* the root).
-                        if depth == 0 {
-                            self.stats.record_dual_bound(
-                                bound.min(self.incumbents.best_obj().unwrap_or(f64::INFINITY)),
-                            );
-                            hooks.on_status(
-                                self.stats.dual_bound,
-                                tree.num_open() + 1,
-                                self.stats.nodes,
-                            );
-                        }
-                        // Stop when the dual bound stalls ("as long as the
-                        // dual-bound can be sufficiently improved", §3.1).
-                        if bound - prev < 1e-6 * (1.0 + bound.abs()) {
-                            stalled_rounds += 1;
-                            if stalled_rounds >= 2 {
-                                break;
-                            }
-                        } else {
-                            stalled_rounds = 0;
-                        }
-                    }
-                    self.age_cuts(base_rows, &sol.row_duals);
-                    if pruned {
-                        self.update_pseudocosts(binfo, bound);
-                        continue;
-                    }
-
-                    // ---- reduced-cost fixing ----------------------------------
-                    let fixed = redcost_fixing(
-                        &self.model,
-                        &sol.x,
-                        &sol.reduced_costs,
-                        bound,
-                        self.cutoff(),
-                        &mut lb,
-                        &mut ub,
-                    );
-                    self.stats.redcost_fixings += fixed as u64;
-                } else {
-                    // No answer from the LP: the node keeps the bound it came
-                    // with and is branched on some unfixed integer var.
-                    bound = node_bound_in;
-                    relax_x = unsolved_point(&lb, &ub);
-                }
-            }
-
-            self.update_pseudocosts(binfo, bound);
-
-            // The global dual bound may have improved now that this node's
-            // relaxation is solved (min over this bound and all open nodes).
-            let global = tree
-                .open_bound()
-                .min(bound)
-                .min(self.incumbents.best_obj().unwrap_or(f64::INFINITY));
-            self.stats.record_dual_bound(global);
-
-            // ---- bound pruning ----------------------------------------------
-            if bound >= self.cutoff() {
-                continue;
-            }
-
-            // ---- integrality / enforcement ---------------------------------
-            let mut enforce_rounds = 0usize;
-            let feasible_candidate = loop {
-                let frac_var = select_branching_var(
-                    &self.model,
-                    &relax_x,
-                    self.settings.branching,
-                    &self.pcost,
-                    self.settings.permutation_seed,
-                );
-                if frac_var.is_some() {
-                    break None; // fractional → branch below
-                }
-                // Integral on all integer vars: enforce constraint handlers.
-                let mut all_feasible = true;
-                let mut cut_added = false;
-                let mut cutoff_node = false;
-                {
-                    let mut cuts = CutBuffer::default();
-                    let mut tight = Vec::new();
-                    let mut hdlrs = std::mem::take(&mut self.conshdlrs);
-                    for h in hdlrs.iter_mut() {
-                        let mut ctx = self.ctx(
-                            depth,
-                            &lb,
-                            &ub,
-                            Some(&relax_x),
-                            Some(bound),
-                            &[],
-                            &mut cuts,
-                            &mut tight,
-                        );
-                        match h.enforce(&mut ctx) {
-                            EnforceResult::Feasible => {}
-                            EnforceResult::AddedCuts(_) => {
-                                all_feasible = false;
-                                cut_added = true;
-                            }
-                            EnforceResult::Cutoff => {
-                                all_feasible = false;
-                                cutoff_node = true;
-                                break;
-                            }
-                        }
-                    }
-                    self.conshdlrs = hdlrs;
-                    if cut_added && !use_relax {
-                        let installed = self.install_cuts(cuts, &mut lp);
-                        if installed == 0 {
-                            // Handlers reported cuts but all were pool
-                            // duplicates: cannot make progress by cutting.
-                            cutoff_node = true;
-                        }
-                    }
-                }
-                if cutoff_node {
-                    break Some(false);
-                }
-                if all_feasible {
-                    break Some(true);
-                }
-                if use_relax {
-                    // Cuts are meaningless without an LP — prune defensively
-                    // is wrong; instead treat as feasible-check failure and
-                    // branch on the relaxator's most fractional variable
-                    // (none exists, so prune). Documented limitation.
-                    break Some(false);
-                }
-                enforce_rounds += 1;
-                if enforce_rounds > 200 || self.stats.elapsed() > self.settings.time_limit {
-                    break Some(false);
-                }
-                let sol = match self.solve_lp(&mut lp) {
-                    (_, Some(sol)) => sol,
-                    (LpStatus::IterLimit | LpStatus::Numerical, None) => {
-                        // No answer from the LP: branch instead of cutting on.
-                        relax_x = unsolved_point(&lb, &ub);
-                        break None;
-                    }
-                    _ => break Some(false),
-                };
-                bound = sol.obj.max(bound);
-                relax_x = sol.x;
-                if bound >= self.cutoff() {
-                    break Some(false);
-                }
-            };
-
-            match feasible_candidate {
-                Some(true) => {
-                    // Install the incumbent.
-                    let mut sol = Solution::new(&self.model, relax_x.clone());
-                    sol.round_integers(&self.model);
-                    if self.model.check_solution(&sol.x, crate::FEAS_TOL) {
-                        let obj = sol.obj;
-                        if self.incumbents.try_install(sol, self.stats.nodes) {
-                            self.stats.improving_solutions += 1;
-                            hooks.on_incumbent(obj, &self.incumbents.best().unwrap().x);
-                            tree.prune_by_bound(self.cutoff());
-                        }
-                    }
-                    if !root_done {
-                        root_done = true;
-                        self.stats.root_time = self.stats.elapsed();
-                    }
-                    continue;
-                }
-                Some(false) => continue,
-                None => {}
-            }
-
-            // ---- heuristics --------------------------------------------------
-            let freq = self.settings.heur_frequency;
-            if depth == 0 || (freq > 0 && depth.is_multiple_of(freq)) {
-                self.run_heuristics(depth, &lb, &ub, &relax_x, bound, hooks, &mut tree);
-                if !use_relax {
-                    self.run_diving(&lb, &ub, &relax_x, &mut lp, hooks, &mut tree);
-                }
-            }
-
-            // ---- branching ---------------------------------------------------
-            if !root_done {
-                root_done = true;
-                self.stats.root_time = self.stats.elapsed();
-            }
-            let decision = self.pick_branching(depth, &lb, &ub, &relax_x, bound);
-            let Some(dec) = decision else {
-                // No fractional variable and handlers were all feasible —
-                // handled above; reaching here means a custom rule declined
-                // and nothing is fractional: prune defensively.
-                continue;
-            };
-            let j = dec.var.0 as usize;
-            let frac = dec.value - dec.value.floor();
-            let down = BoundChange { var: dec.var, lb: lb[j], ub: dec.value.floor() };
-            let up = BoundChange { var: dec.var, lb: dec.value.floor() + 1.0, ub: ub[j] };
-            let info_down = Some(BranchInfo { var: dec.var, frac, up: false, parent_bound: bound });
-            let info_up = Some(BranchInfo { var: dec.var, frac, up: true, parent_bound: bound });
-            // Push the preferred child last for DFS (LIFO), first for
-            // best-bound (order there is bound-driven anyway).
-            let dfs = self.settings.node_selection == NodeSelection::DepthFirst;
-            let first_down = dec.down_first != dfs;
-            if first_down {
-                tree.push_node_with_info(Some(node_id), vec![down], bound, info_down);
-                tree.push_node_with_info(Some(node_id), vec![up], bound, info_up);
-            } else {
-                tree.push_node_with_info(Some(node_id), vec![up], bound, info_up);
-                tree.push_node_with_info(Some(node_id), vec![down], bound, info_down);
-            }
-        }
-
-        // Exhausted tree: bound closes onto the incumbent.
-        if status == SolveStatus::Optimal {
-            match self.incumbents.best_obj() {
-                Some(obj) => self.stats.record_dual_bound(obj),
-                None => status = SolveStatus::Infeasible,
-            }
-        }
+        };
         self.stats.open_nodes = tree.num_open() as u64;
         self.finish(status)
     }
@@ -680,32 +294,400 @@ impl Solver {
         self.solve(hooks)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn ctx<'a>(
-        &'a self,
-        depth: usize,
-        lb: &'a [f64],
-        ub: &'a [f64],
-        relax_x: Option<&'a [f64]>,
-        relax_obj: Option<f64>,
-        redcosts: &'a [f64],
-        cuts: &'a mut CutBuffer,
-        tight: &'a mut Vec<(VarId, f64, f64)>,
-    ) -> SolveCtx<'a> {
-        SolveCtx {
-            model: &self.model,
-            depth,
-            local_lb: lb,
-            local_ub: ub,
-            relax_x,
-            relax_obj,
-            incumbent_obj: self.incumbents.best_obj(),
-            incumbent_x: self.incumbents.best().map(|s| s.x.as_slice()),
-            reduced_costs: redcosts,
-            cuts,
-            tightenings: tight,
-            seed: self.settings.permutation_seed,
+    /// Presolves, then sets up the tree and — unless a relaxator bounds
+    /// the nodes — the LP: the model rows, then the handlers' initial rows
+    /// as the first cuts. `None` when the problem is infeasible before any
+    /// node.
+    fn start_search(&mut self) -> Option<(Tree, Option<Simplex>)> {
+        // Domains may have been crossed by apply_node_desc.
+        if self.model.vars().any(|(_, v)| v.lb > v.ub) {
+            return None;
         }
+        if self.settings.presolve_rounds > 0
+            && presolve(&mut self.model, self.settings.presolve_rounds).infeasible
+        {
+            return None;
+        }
+        self.cut_pool.clear();
+        self.active_cuts.clear();
+        let lp = if self.settings.use_relaxator && self.relaxator.is_some() {
+            None
+        } else {
+            let mut lp = self.build_lp();
+            // Initial rows from constraint handlers (e.g. dual-ascent
+            // cuts), installed as (ageable) cut rows.
+            let mut buf = CutBuffer::default();
+            for h in self.conshdlrs.iter_mut() {
+                h.init_lp(&self.model, &mut buf);
+            }
+            self.install_cuts(buf, &mut lp);
+            Some(lp)
+        };
+        let mut tree = Tree::new(self.settings.node_selection);
+        tree.set_root_bound(self.initial_bound);
+        Some((tree, lp))
+    }
+
+    /// Checks the limits, serves the hooks between two nodes, then pops
+    /// the next node and counts it. `Err` is the status the solve ends
+    /// with: a limit, an abort, or the tree exhausted.
+    fn select_node(
+        &mut self,
+        tree: &mut Tree,
+        hooks: &mut dyn ControlHooks,
+    ) -> Result<usize, SolveStatus> {
+        if self.stats.elapsed() > self.settings.time_limit {
+            return Err(SolveStatus::TimeLimit);
+        }
+        if self.stats.nodes >= self.settings.node_limit {
+            return Err(SolveStatus::NodeLimit);
+        }
+        if hooks.should_abort() {
+            return Err(SolveStatus::Aborted);
+        }
+        if let Some(x) = hooks.poll_incumbent().filter(|x| self.check_full(x)) {
+            // It came from the hooks: it is not reported back to them.
+            self.install_incumbent(Solution::new(&self.model, x), None, tree);
+        }
+        // Export only out of substantial trees: fine-grained transfers
+        // would spend the run re-initializing solvers (the paper's
+        // transfer counts are ~1 per 10⁵ nodes; the unit of work is a
+        // subtree, not a node).
+        while hooks.want_node_export() && tree.num_open() >= 6 {
+            let Some(id) = tree.steal_open_node() else { break };
+            hooks.export_node(tree.describe(id));
+        }
+        let Some(node) = tree.pop_best(self.cutoff()) else {
+            // Exhausted tree: the bound closes onto the incumbent.
+            let Some(obj) = self.incumbents.best_obj() else {
+                return Err(SolveStatus::Infeasible);
+            };
+            self.stats.record_dual_bound(obj);
+            return Err(SolveStatus::Optimal);
+        };
+        self.stats.nodes += 1;
+        Ok(node)
+    }
+
+    /// Counts how a node was closed; the first node's end is the root
+    /// time. `Some` is the status an outcome ends the solve with.
+    fn account(&mut self, outcome: NodeOutcome) -> Option<SolveStatus> {
+        self.stats.node_outcomes[outcome as usize] += 1;
+        if self.stats.nodes == 1 {
+            self.stats.root_time = self.stats.elapsed();
+        }
+        (outcome == NodeOutcome::Unbounded).then_some(SolveStatus::Unbounded)
+    }
+
+    /// One node: its domain and propagation, its relaxation (the LP with
+    /// separation, or the relaxator), enforcement on an integral point,
+    /// heuristics, and branching.
+    fn process_node(
+        &mut self,
+        node_id: usize,
+        tree: &mut Tree,
+        lp: &mut Option<Simplex>,
+        hooks: &mut dyn ControlHooks,
+    ) -> NodeOutcome {
+        let node = tree.node(node_id);
+        let depth = node.depth;
+        // Neither the tree nor the incumbent changes until this node's
+        // relaxation is solved: one scan of the open nodes serves both
+        // dual-bound records. The global dual bound is the minimum over
+        // the open nodes, this node and the incumbent.
+        let open_bound = tree.open_bound().min(self.incumbents.best_obj().unwrap_or(f64::INFINITY));
+        self.stats.record_dual_bound(open_bound.min(node.dual_bound));
+        // Status flows every node; the receiving side rate-limits.
+        hooks.on_status(self.stats.dual_bound, tree.num_open(), self.stats.nodes);
+
+        // ---- local domain and propagation -----------------------------
+        let mut lb: Vec<f64> = self.model.vars().map(|(_, v)| v.lb).collect();
+        let mut ub: Vec<f64> = self.model.vars().map(|(_, v)| v.ub).collect();
+        for bc in tree.path_changes(node_id) {
+            let j = bc.var.0 as usize;
+            lb[j] = lb[j].max(bc.lb);
+            ub[j] = ub[j].min(bc.ub);
+            if lb[j] > ub[j] {
+                return NodeOutcome::Infeasible;
+            }
+        }
+        match propagate_linear(&self.model, &mut lb, &mut ub, 3) {
+            PropOutcome::Infeasible => return NodeOutcome::Infeasible,
+            PropOutcome::Tightened => self.stats.propagations += 1,
+            PropOutcome::Unchanged => {}
+        }
+        if self.run_handler_propagation(depth, &mut lb, &mut ub).is_err() {
+            return NodeOutcome::Infeasible;
+        }
+
+        // ---- relaxation ------------------------------------------------
+        let relaxed = match lp.as_mut() {
+            Some(lp) => self.solve_node_lp(lp, node, tree.num_open(), &mut lb, &mut ub, hooks),
+            None => self.solve_relaxator(node, &lb, &ub),
+        };
+        let (mut bound, mut relax_x) = match relaxed {
+            Ok(relaxed) => relaxed,
+            Err(outcome) => return outcome,
+        };
+        self.update_pseudocosts(node.branch_info, bound);
+        self.stats.record_dual_bound(open_bound.min(bound));
+        if bound >= self.cutoff() {
+            return NodeOutcome::PrunedByBound;
+        }
+
+        // ---- integrality / enforcement ---------------------------------
+        if let Some(outcome) = self.enforce(depth, &lb, &ub, &mut bound, &mut relax_x, lp.as_mut())
+        {
+            if outcome != NodeOutcome::Feasible {
+                return outcome;
+            }
+            let mut sol = Solution::new(&self.model, relax_x);
+            sol.round_integers(&self.model);
+            if !self.model.check_solution(&sol.x, crate::FEAS_TOL) {
+                return NodeOutcome::RoundedPointRejected;
+            }
+            self.install_incumbent(sol, Some(&mut *hooks), tree);
+            return NodeOutcome::Feasible;
+        }
+
+        // ---- heuristics ------------------------------------------------
+        let freq = self.settings.heur_frequency;
+        if depth == 0 || (freq > 0 && depth.is_multiple_of(freq)) {
+            self.run_heuristics(depth, &lb, &ub, &relax_x, bound, hooks, tree);
+            if let Some(lp) = lp.as_mut() {
+                self.run_diving(&lb, &ub, &relax_x, lp, hooks, tree);
+            }
+        }
+
+        // ---- branching -------------------------------------------------
+        let Some(dec) = self.pick_branching(depth, &lb, &ub, &relax_x, bound) else {
+            // Nothing is fractional and no rule chose a variable: the
+            // relaxation gave no point and `unsolved_point` is integral.
+            return NodeOutcome::NoBranchingDecision;
+        };
+        let j = dec.var.0 as usize;
+        let floor = dec.value.floor();
+        let down = BoundChange { var: dec.var, lb: lb[j], ub: floor };
+        let up = BoundChange { var: dec.var, lb: floor + 1.0, ub: ub[j] };
+        // Push the preferred child last for DFS (LIFO), first for
+        // best-bound (order there is bound-driven anyway).
+        let mut children = [(down, false), (up, true)];
+        if dec.down_first == (self.settings.node_selection == NodeSelection::DepthFirst) {
+            children.reverse();
+        }
+        for (change, up) in children {
+            let info =
+                BranchInfo { var: dec.var, frac: dec.value - floor, up, parent_bound: bound };
+            tree.push_node_with_info(Some(node_id), vec![change], bound, Some(info));
+        }
+        NodeOutcome::Branched
+    }
+
+    /// Bounds a node by the relaxator. `Ok` is the node's bound and
+    /// relaxation point.
+    fn solve_relaxator(
+        &mut self,
+        node: &Node,
+        lb: &[f64],
+        ub: &[f64],
+    ) -> Result<(f64, Vec<f64>), NodeOutcome> {
+        let relaxator = self.relaxator.as_mut().expect("a solve without an LP has a relaxator");
+        let (mut cuts, mut tight) = (CutBuffer::default(), Vec::new());
+        let mut ctx = ctx!(self, node.depth, lb, ub, None, &mut cuts, &mut tight);
+        let res = relaxator.solve_relaxation(&mut ctx);
+        self.stats.relax_solves += 1;
+        self.stats.relax_iterations += res.iterations;
+        self.stats.relax_fallbacks += res.fallbacks;
+        match res.outcome {
+            RelaxOutcome::Infeasible => Err(NodeOutcome::Infeasible),
+            // The relaxator failed: the node keeps the bound it came with
+            // and is branched on some unfixed integer variable.
+            RelaxOutcome::Error => Ok((node.dual_bound, unsolved_point(lb, ub))),
+            RelaxOutcome::Bounded { bound, x } => Ok((bound.max(node.dual_bound), x)),
+        }
+    }
+
+    /// Bounds a node by the LP: drops aged cuts when the LP got too big,
+    /// pushes the local bounds, warm-starts the dual simplex, separates
+    /// while the bound improves, and fixes variables by reduced cost. `Ok`
+    /// is the node's bound and relaxation point; an LP without an answer
+    /// leaves the node the bound it came with, to be branched on some
+    /// unfixed integer variable.
+    fn solve_node_lp(
+        &mut self,
+        lp: &mut Simplex,
+        node: &Node,
+        open_nodes: usize,
+        lb: &mut [f64],
+        ub: &mut [f64],
+        hooks: &mut dyn ControlHooks,
+    ) -> Result<(f64, Vec<f64>), NodeOutcome> {
+        if let Some(fresh) = self.maybe_rebuild_lp() {
+            *lp = fresh;
+        }
+        for (j, (&l, &u)) in lb.iter().zip(ub.iter()).enumerate() {
+            lp.set_var_bounds(ugrs_lp::VarId(j as u32), l, u);
+        }
+        let mut sol = match self.solve_lp(lp) {
+            (LpStatus::Unbounded, _) if node.depth == 0 => return Err(NodeOutcome::Unbounded),
+            // Infeasible, or unbounded below the root.
+            (LpStatus::Infeasible | LpStatus::Unbounded, _) => return Err(NodeOutcome::Infeasible),
+            (_, Some(sol)) => sol,
+            (_, None) => return Ok((node.dual_bound, unsolved_point(lb, ub))),
+        };
+        let mut bound = sol.obj.max(node.dual_bound);
+
+        // ---- separation loop -------------------------------------------
+        let st = &self.settings;
+        let max_rounds = if node.depth == 0 { st.root_sepa_rounds } else { st.node_sepa_rounds };
+        let mut pruned = None;
+        let mut stalled_rounds = 0usize;
+        for _round in 0..max_rounds {
+            if bound >= self.cutoff() {
+                pruned = Some(NodeOutcome::PrunedByBound);
+                break;
+            }
+            if self.stats.elapsed() > self.settings.time_limit {
+                break;
+            }
+            if self.run_separation(node.depth, lb, ub, &sol.x, bound, lp) == 0 {
+                break;
+            }
+            let (st, resolved) = self.solve_lp(lp);
+            if st == LpStatus::Infeasible {
+                pruned = Some(NodeOutcome::Infeasible);
+                break;
+            }
+            let Some(resolved) = resolved else { break };
+            sol = resolved;
+            let prev = bound;
+            bound = sol.obj.max(bound);
+            // Long root separation phases must still report progress
+            // (racing compares bounds *during* the root).
+            if node.depth == 0 {
+                self.stats.record_dual_bound(
+                    bound.min(self.incumbents.best_obj().unwrap_or(f64::INFINITY)),
+                );
+                hooks.on_status(self.stats.dual_bound, open_nodes + 1, self.stats.nodes);
+            }
+            // Stop when the dual bound stalls ("as long as the dual-bound
+            // can be sufficiently improved", §3.1).
+            if bound - prev < 1e-6 * (1.0 + bound.abs()) {
+                stalled_rounds += 1;
+                if stalled_rounds >= 2 {
+                    break;
+                }
+            } else {
+                stalled_rounds = 0;
+            }
+        }
+        self.age_cuts(&sol.row_duals);
+        if let Some(outcome) = pruned {
+            self.update_pseudocosts(node.branch_info, bound);
+            return Err(outcome);
+        }
+
+        // ---- reduced-cost fixing ---------------------------------------
+        let cutoff = self.cutoff();
+        let fixed = redcost_fixing(&self.model, &sol.x, &sol.reduced_costs, bound, cutoff, lb, ub);
+        self.stats.redcost_fixings += fixed as u64;
+        Ok((bound, sol.x))
+    }
+
+    /// Enforces the constraint handlers while the node's relaxation point
+    /// `x` is integral. With an LP, their cuts are installed and the LP
+    /// re-solved, which moves `bound` and `x`. `None` sends the node on to
+    /// branching: `x` is fractional, or the LP gave no answer and `x` is
+    /// now `unsolved_point`. `Some(Feasible)` means every handler accepted
+    /// the integral `x`; every other outcome closes the node.
+    fn enforce(
+        &mut self,
+        depth: usize,
+        lb: &[f64],
+        ub: &[f64],
+        bound: &mut f64,
+        x: &mut Vec<f64>,
+        mut lp: Option<&mut Simplex>,
+    ) -> Option<NodeOutcome> {
+        let mut rounds = 0;
+        loop {
+            if self.fractional(x).is_some() {
+                return None;
+            }
+            let (mut cuts, mut tight) = (CutBuffer::default(), Vec::new());
+            let (mut cut_added, mut cutoff) = (false, false);
+            for h in self.conshdlrs.iter_mut() {
+                let relax = Some((x.as_slice(), *bound));
+                match h.enforce(&mut ctx!(self, depth, lb, ub, relax, &mut cuts, &mut tight)) {
+                    EnforceResult::Feasible => {}
+                    EnforceResult::AddedCuts(_) => cut_added = true,
+                    EnforceResult::Cutoff => {
+                        cutoff = true;
+                        break;
+                    }
+                }
+            }
+            let Some(lp) = lp.as_deref_mut() else {
+                // Without an LP the handlers' cuts have nowhere to go.
+                return Some(match (cutoff, cut_added) {
+                    (true, _) => NodeOutcome::Infeasible,
+                    (false, true) => NodeOutcome::RelaxPointRejected,
+                    (false, false) => NodeOutcome::Feasible,
+                });
+            };
+            // The cuts go in even when a later handler cut the node off.
+            let installed = if cut_added { self.install_cuts(cuts, lp) } else { 0 };
+            if cutoff {
+                return Some(NodeOutcome::Infeasible);
+            }
+            if !cut_added {
+                return Some(NodeOutcome::Feasible);
+            }
+            if installed == 0 {
+                // All pool duplicates: cutting cannot make progress.
+                return Some(NodeOutcome::DuplicateCuts);
+            }
+            rounds += 1;
+            if rounds > MAX_ENFORCE_ROUNDS || self.stats.elapsed() > self.settings.time_limit {
+                return Some(NodeOutcome::EnforceLimit);
+            }
+            match self.solve_lp(lp) {
+                (_, Some(sol)) => {
+                    *bound = sol.obj.max(*bound);
+                    *x = sol.x;
+                }
+                (LpStatus::IterLimit | LpStatus::Numerical, None) => {
+                    // No answer from the LP: branch instead of cutting on.
+                    *x = unsolved_point(lb, ub);
+                    return None;
+                }
+                _ => return Some(NodeOutcome::Infeasible),
+            }
+            if *bound >= self.cutoff() {
+                return Some(NodeOutcome::PrunedByBound);
+            }
+        }
+    }
+
+    /// Offers `sol`, checked at its call site, as the incumbent. An
+    /// improving one is counted, reported to `hooks` when there are any,
+    /// and prunes the open nodes it bounds. Returns whether it improved.
+    fn install_incumbent(
+        &mut self,
+        sol: Solution,
+        hooks: Option<&mut dyn ControlHooks>,
+        tree: &mut Tree,
+    ) -> bool {
+        let obj = sol.obj;
+        if !self.incumbents.try_install(sol, self.stats.nodes) {
+            return false;
+        }
+        self.stats.improving_solutions += 1;
+        if let Some(hooks) = hooks {
+            hooks.on_incumbent(obj, &self.incumbents.best().unwrap().x);
+        }
+        tree.prune_by_bound(self.cutoff());
+        true
     }
 
     fn apply_tightenings(
@@ -742,30 +724,14 @@ impl Solver {
         lb: &mut [f64],
         ub: &mut [f64],
     ) -> Result<(), ()> {
-        let mut hdlrs = std::mem::take(&mut self.conshdlrs);
-        let mut result = Ok(());
-        'outer: for _ in 0..3 {
+        for _ in 0..3 {
             let mut any = false;
-            for h in hdlrs.iter_mut() {
-                let mut cuts = CutBuffer::default();
-                let mut tight = Vec::new();
-                let pr = {
-                    let mut ctx = self.ctx(depth, lb, ub, None, None, &[], &mut cuts, &mut tight);
-                    h.propagate(&mut ctx)
-                };
-                match pr {
-                    PropResult::Infeasible => {
-                        result = Err(());
-                        break 'outer;
-                    }
+            for h in self.conshdlrs.iter_mut() {
+                let (mut cuts, mut tight) = (CutBuffer::default(), Vec::new());
+                match h.propagate(&mut ctx!(self, depth, lb, ub, None, &mut cuts, &mut tight)) {
+                    PropResult::Infeasible => return Err(()),
                     PropResult::Reduced => {
-                        match Self::apply_tightenings(&tight, lb, ub) {
-                            Ok(c) => any |= c,
-                            Err(()) => {
-                                result = Err(());
-                                break 'outer;
-                            }
-                        }
+                        any |= Self::apply_tightenings(&tight, lb, ub)?;
                         self.stats.propagations += 1;
                     }
                     PropResult::Nothing => {}
@@ -775,8 +741,7 @@ impl Solver {
                 break;
             }
         }
-        self.conshdlrs = hdlrs;
-        result
+        Ok(())
     }
 
     /// Runs the handlers' separation; installs surviving cuts.
@@ -790,14 +755,11 @@ impl Solver {
         bound: f64,
         lp: &mut Simplex,
     ) -> usize {
-        let mut buf = CutBuffer::default();
-        let mut tight = Vec::new();
-        let mut hdlrs = std::mem::take(&mut self.conshdlrs);
-        for h in hdlrs.iter_mut() {
-            let mut ctx = self.ctx(depth, lb, ub, Some(x), Some(bound), &[], &mut buf, &mut tight);
-            let _ = h.separate(&mut ctx);
+        let (mut buf, mut tight) = (CutBuffer::default(), Vec::new());
+        for h in self.conshdlrs.iter_mut() {
+            let _ =
+                h.separate(&mut ctx!(self, depth, lb, ub, Some((x, bound)), &mut buf, &mut tight));
         }
-        self.conshdlrs = hdlrs;
         self.install_cuts(buf, lp)
     }
 
@@ -878,9 +840,10 @@ impl Solver {
         (st, sol)
     }
 
-    /// Ages cut rows by their duals in the last LP solution (`base_rows`
-    /// model rows come first; cut rows follow in `active_cuts` order).
-    fn age_cuts(&mut self, base_rows: usize, row_duals: &[f64]) {
+    /// Ages cut rows by their duals in the last LP solution (the model
+    /// rows come first; cut rows follow in `active_cuts` order).
+    fn age_cuts(&mut self, row_duals: &[f64]) {
+        let base_rows = self.model.num_conss();
         for (k, rec) in self.active_cuts.iter_mut().enumerate() {
             let r = base_rows + k;
             if r < row_duals.len() && row_duals[r].abs() > 1e-9 {
@@ -894,7 +857,7 @@ impl Solver {
     /// Drops aged-out cuts and rebuilds the LP when the cut rows exceed
     /// [`MAX_CUT_ROWS`]. Returns a fresh simplex when a rebuild
     /// happened (the caller re-solves from scratch).
-    fn maybe_rebuild_lp(&mut self, base_rows: usize) -> Option<Simplex> {
+    fn maybe_rebuild_lp(&mut self) -> Option<Simplex> {
         if self.active_cuts.len() <= MAX_CUT_ROWS {
             return None;
         }
@@ -915,7 +878,7 @@ impl Solver {
         }
         self.active_cuts = kept;
         let lp = self.build_lp();
-        debug_assert_eq!(lp.problem().num_rows(), base_rows + self.active_cuts.len());
+        debug_assert_eq!(lp.problem().num_rows(), self.model.num_conss() + self.active_cuts.len());
         Some(lp)
     }
 
@@ -930,39 +893,28 @@ impl Solver {
         hooks: &mut dyn ControlHooks,
         tree: &mut Tree,
     ) {
-        let mut engine = std::mem::take(&mut self.heuristics);
-        for i in engine.due_indices(depth) {
-            let cand = {
-                let mut cuts = CutBuffer::default();
-                let mut tight = Vec::new();
-                let mut ctx =
-                    self.ctx(depth, lb, ub, Some(relax_x), Some(bound), &[], &mut cuts, &mut tight);
-                engine.entry_mut(i).call(&mut ctx)
-            };
-            if let Some(x) = cand {
-                if x.len() == self.model.num_vars() && self.check_full(&x) {
-                    let mut sol = Solution::new(&self.model, x);
-                    sol.round_integers(&self.model);
-                    let obj = sol.obj;
-                    if self.incumbents.try_install(sol, self.stats.nodes) {
-                        self.stats.improving_solutions += 1;
-                        engine.record_hit(i, obj);
-                        hooks.on_incumbent(obj, &self.incumbents.best().unwrap().x);
-                        tree.prune_by_bound(self.cutoff());
-                    }
-                }
+        for i in self.heuristics.due_indices(depth) {
+            let (mut cuts, mut tight) = (CutBuffer::default(), Vec::new());
+            let mut ctx = ctx!(self, depth, lb, ub, Some((relax_x, bound)), &mut cuts, &mut tight);
+            let Some(x) = self.heuristics.entry_mut(i).call(&mut ctx) else { continue };
+            if !self.check_full(&x) {
+                continue;
+            }
+            let mut sol = Solution::new(&self.model, x);
+            sol.round_integers(&self.model);
+            let obj = sol.obj;
+            if self.install_incumbent(sol, Some(&mut *hooks), tree) {
+                self.heuristics.record_hit(i, obj);
             }
         }
-        self.heuristics = engine;
     }
 
     /// LP diving (SCIP's fracdiving): starting from the node's LP
     /// optimum, repeatedly fix the most fractional integer variable to
     /// its nearest integer and re-solve, hoping to land on an integral
-    /// feasible point. The LP's variable bounds are freely mutated — the
-    /// main loop re-installs the local domain at every node, so no
+    /// feasible point. The LP's variable bounds are freely mutated —
+    /// `solve_node_lp` installs each node's local domain, so no
     /// restoration is needed.
-    #[allow(clippy::too_many_arguments)]
     fn run_diving(
         &mut self,
         lb: &[f64],
@@ -973,8 +925,6 @@ impl Solver {
         tree: &mut Tree,
     ) {
         let mut x = start_x.to_vec();
-        let mut dlb = lb.to_vec();
-        let mut dub = ub.to_vec();
         for _ in 0..DIVE_DEPTH {
             if self.stats.elapsed() > self.settings.time_limit {
                 return;
@@ -991,19 +941,14 @@ impl Solver {
                 let mut sol = Solution::new(&self.model, x);
                 sol.round_integers(&self.model);
                 if self.check_full(&sol.x) {
-                    let obj = sol.obj;
-                    if self.incumbents.try_install(sol, self.stats.nodes) {
-                        self.stats.improving_solutions += 1;
-                        hooks.on_incumbent(obj, &self.incumbents.best().unwrap().x);
-                        tree.prune_by_bound(self.cutoff());
-                    }
+                    self.install_incumbent(sol, Some(&mut *hooks), tree);
                 }
                 return;
             };
             let j = var.0 as usize;
-            let r = val.round().clamp(dlb[j], dub[j]);
-            dlb[j] = r;
-            dub[j] = r;
+            // A fixed variable is integral from then on and never picked
+            // again, so the node's domain is the one to clamp to.
+            let r = val.round().clamp(lb[j], ub[j]);
             lp.set_var_bounds(ugrs_lp::VarId(var.0), r, r);
             let (LpStatus::Optimal, Some(sol)) = self.solve_lp(lp) else { return };
             if sol.obj >= self.cutoff() {
@@ -1021,33 +966,21 @@ impl Solver {
         relax_x: &[f64],
         bound: f64,
     ) -> Option<BranchDecision> {
-        let mut rules = std::mem::take(&mut self.branchrules);
-        let mut picked = None;
-        for r in rules.iter_mut() {
-            let mut cuts = CutBuffer::default();
-            let mut tight = Vec::new();
-            let mut ctx =
-                self.ctx(depth, lb, ub, Some(relax_x), Some(bound), &[], &mut cuts, &mut tight);
-            if let Some(d) = r.branch(&mut ctx) {
-                picked = Some(d);
-                break;
-            }
-        }
-        self.branchrules = rules;
+        let picked = self.branchrules.iter_mut().find_map(|r| {
+            let (mut cuts, mut tight) = (CutBuffer::default(), Vec::new());
+            r.branch(&mut ctx!(self, depth, lb, ub, Some((relax_x, bound)), &mut cuts, &mut tight))
+        });
         picked.or_else(|| {
-            select_branching_var(
-                &self.model,
-                relax_x,
-                self.settings.branching,
-                &self.pcost,
-                self.settings.permutation_seed,
-            )
-            .map(|(var, value)| BranchDecision {
-                var,
-                value,
-                down_first: value - value.floor() < 0.5,
-            })
+            let (var, value) = self.fractional(relax_x)?;
+            Some(BranchDecision { var, value, down_first: value - value.floor() < 0.5 })
         })
+    }
+
+    /// The default rule's branching variable at `x`; `None` when `x` is
+    /// integral.
+    fn fractional(&self, x: &[f64]) -> Option<(VarId, f64)> {
+        let st = &self.settings;
+        select_branching_var(&self.model, x, st.branching, &self.pcost, st.permutation_seed)
     }
 
     fn update_pseudocosts(&mut self, binfo: Option<BranchInfo>, bound: f64) {
@@ -1102,6 +1035,11 @@ mod tests {
     use super::*;
     use crate::model::VarType;
 
+    /// Every processed node is closed with exactly one outcome.
+    fn assert_outcomes(st: &Statistics) {
+        assert_eq!(st.node_outcomes.iter().sum::<u64>(), st.nodes, "{:?}", st.node_outcomes);
+    }
+
     fn knapsack() -> Model {
         let mut m = Model::new("knap");
         m.set_maximize();
@@ -1116,6 +1054,7 @@ mod tests {
     #[test]
     fn solves_knapsack_to_optimality() {
         let res = knapsack().optimize(Settings::default());
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         // capacity 7: best is items (4,12)+(2,7)+(1,4) = 23.
         assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "obj {:?}", res.best_obj);
@@ -1130,6 +1069,7 @@ mod tests {
         for lp_iter_limit in 1..=6 {
             let st = Settings { lp_iter_limit, ..Default::default() };
             let res = Solver::new_bare(knapsack(), st.clone()).solve(&mut NoHooks);
+            assert_outcomes(&res.stats);
             assert_eq!(res.status, SolveStatus::Optimal);
             assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
             assert!(res.stats.lp_cold_retries > 0, "limit {lp_iter_limit}: {:?}", res.stats);
@@ -1143,6 +1083,7 @@ mod tests {
             let y = m.add_var("y", VarType::Integer, 0.0, 2.0, 1.0);
             m.add_linear(f64::NEG_INFINITY, 3.5, &[(x, 1.0), (y, 1.0)]);
             let res = Solver::new_bare(m, st).solve(&mut NoHooks);
+            assert_outcomes(&res.stats);
             assert!((res.best_obj.unwrap() - 3.0).abs() < 1e-6, "limit {lp_iter_limit}: {res:?}");
         }
     }
@@ -1153,6 +1094,7 @@ mod tests {
         let x = m.add_var("x", VarType::Binary, 0.0, 1.0, 1.0);
         m.add_linear(2.0, f64::INFINITY, &[(x, 1.0)]);
         let res = m.optimize(Settings::default());
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Infeasible);
         assert!(res.best_obj.is_none());
     }
@@ -1164,6 +1106,7 @@ mod tests {
         let y = m.add_var("y", VarType::Continuous, 0.0, 4.0, -1.0);
         m.add_linear(f64::NEG_INFINITY, 5.0, &[(x, 1.0), (y, 1.0)]);
         let res = m.optimize(Settings::default());
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!((res.best_obj.unwrap() + 5.0).abs() < 1e-6);
         assert_eq!(res.stats.nodes, 1);
@@ -1178,6 +1121,7 @@ mod tests {
         let y = m.add_var("y", VarType::Integer, 0.0, 3.0, 1.0);
         m.add_linear(f64::NEG_INFINITY, 3.5, &[(x, 1.0), (y, 1.0)]);
         let res = m.optimize(Settings::default());
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!((res.best_obj.unwrap() - 3.0).abs() < 1e-6);
     }
@@ -1197,6 +1141,7 @@ mod tests {
             Settings { node_limit: 1, presolve_rounds: 0, heur_frequency: 0, ..Default::default() };
         let mut solver = Solver::new_bare(m, st);
         let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::NodeLimit);
     }
 
@@ -1210,6 +1155,7 @@ mod tests {
         };
         let mut solver = Solver::new(m, Settings::default());
         let res = solver.solve_subproblem(&desc, &mut NoHooks);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         // Without item 0 (w=4, p=12): best within cap 7 is (2,7)+(5,14)=21.
         assert!((res.best_obj.unwrap() - 21.0).abs() < 1e-6, "obj {:?}", res.best_obj);
@@ -1222,6 +1168,7 @@ mod tests {
         // x = items 0,1,2 → profit 23, the optimum.
         assert!(solver.inject_solution(vec![1.0, 1.0, 1.0, 0.0, 0.0]));
         let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6);
     }
@@ -1240,6 +1187,7 @@ mod tests {
         let m = knapsack();
         let mut solver = Solver::new(m, Settings::default());
         let res = solver.solve(&mut hooks);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!(!hooks.objs.is_empty());
         // internal sense: minimize −profit; last improvement = −23
@@ -1257,6 +1205,7 @@ mod tests {
         let m = knapsack();
         let mut solver = Solver::new(m, Settings::default());
         let res = solver.solve(&mut AbortNow);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Aborted);
     }
 
@@ -1264,6 +1213,7 @@ mod tests {
     fn depth_first_also_finds_optimum() {
         let st = Settings { node_selection: NodeSelection::DepthFirst, ..Default::default() };
         let res = knapsack().optimize(st);
+        assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6);
     }
@@ -1273,8 +1223,197 @@ mod tests {
         for seed in [0u64, 1, 7, 42] {
             let st = Settings::default().with_seed(seed);
             let res = knapsack().optimize(st);
+            assert_outcomes(&res.stats);
             assert_eq!(res.status, SolveStatus::Optimal);
             assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6, "seed {seed}");
         }
+    }
+
+    /// Rejects every integral point with a redundant cut `x0 ≤ rhs`: the
+    /// same cut each time, or (`fresh`) one with a new right-hand side.
+    /// It adds one initial LP row, and accepts no solution.
+    struct CutEveryPoint {
+        fresh: bool,
+        calls: usize,
+    }
+
+    impl CutEveryPoint {
+        fn boxed(fresh: bool) -> Box<Self> {
+            Box::new(CutEveryPoint { fresh, calls: 0 })
+        }
+    }
+
+    impl ConstraintHandler for CutEveryPoint {
+        fn name(&self) -> &str {
+            "cut-every-point"
+        }
+        fn check(&mut self, _model: &Model, _x: &[f64]) -> bool {
+            false
+        }
+        fn enforce(&mut self, ctx: &mut SolveCtx) -> EnforceResult {
+            self.calls += 1;
+            let rhs = if self.fresh { 1.0 + self.calls as f64 } else { 1.0 };
+            ctx.cuts.add(Cut::new("redundant", f64::NEG_INFINITY, rhs, vec![(VarId(0), 1.0)]));
+            EnforceResult::AddedCuts(1)
+        }
+        fn init_lp(&mut self, _model: &Model, cuts: &mut CutBuffer) {
+            cuts.add(Cut::new(
+                "init",
+                f64::NEG_INFINITY,
+                2.0,
+                vec![(VarId(0), 1.0), (VarId(1), 1.0)],
+            ));
+        }
+    }
+
+    /// A relaxator that answers every node with `x` at bound 0.
+    struct FixedPoint(Vec<f64>);
+
+    impl Relaxator for FixedPoint {
+        fn name(&self) -> &str {
+            "fixed-point"
+        }
+        fn solve_relaxation(&mut self, _ctx: &mut SolveCtx) -> RelaxResult {
+            let outcome = RelaxOutcome::Bounded { bound: 0.0, x: self.0.clone() };
+            RelaxResult { outcome, iterations: 1, fallbacks: 0 }
+        }
+    }
+
+    /// min x0 + x1 over two binaries with x0 + x1 ≤ 2: the LP optimum
+    /// (0, 0) is integral at the root.
+    fn two_binaries() -> Model {
+        let mut m = Model::new("two");
+        let x = m.add_var("x0", VarType::Binary, 0.0, 1.0, 1.0);
+        let y = m.add_var("x1", VarType::Binary, 0.0, 1.0, 1.0);
+        m.add_linear(f64::NEG_INFINITY, 2.0, &[(x, 1.0), (y, 1.0)]);
+        m
+    }
+
+    fn no_presolve() -> Settings {
+        Settings { presolve_rounds: 0, ..Default::default() }
+    }
+
+    /// Hazard: a handler whose enforcement cut is already in the pool
+    /// closes the node unproven, and the solve reports `Infeasible`.
+    #[test]
+    fn duplicate_enforcement_cuts_close_the_node() {
+        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        solver.add_conshdlr(CutEveryPoint::boxed(false));
+        let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.stats.nodes, 1);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::DuplicateCuts), 1);
+        assert!(!NodeOutcome::DuplicateCuts.is_proven());
+        assert_eq!((res.stats.cuts_applied, res.stats.cuts_duplicate), (2, 1));
+        assert_eq!(res.status, SolveStatus::Infeasible);
+    }
+
+    /// Hazard: a handler that rejects the relaxator's integral point
+    /// closes the node unproven. A relaxator solve builds no LP, so the
+    /// handler's initial row and its enforcement cut are never installed.
+    #[test]
+    fn rejected_relaxator_point_closes_the_node() {
+        let st = Settings { use_relaxator: true, ..no_presolve() };
+        let mut solver = Solver::new_bare(two_binaries(), st);
+        solver.add_conshdlr(CutEveryPoint::boxed(false));
+        solver.set_relaxator(Box::new(FixedPoint(vec![0.0, 0.0])));
+        let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.stats.nodes, 1);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::RelaxPointRejected), 1);
+        assert_eq!((res.stats.relax_solves, res.stats.lp_solves), (1, 0));
+        assert_eq!(res.stats.cuts_applied, 0);
+        assert_eq!(res.status, SolveStatus::Infeasible);
+
+        // Registered but switched off, the relaxator leaves the LP in charge.
+        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        solver.add_conshdlr(CutEveryPoint::boxed(false));
+        solver.set_relaxator(Box::new(FixedPoint(vec![0.0, 0.0])));
+        let res = solver.solve(&mut NoHooks);
+        assert_eq!(res.stats.relax_solves, 0);
+        assert!(res.stats.lp_solves > 0 && res.stats.cuts_applied > 0, "{:?}", res.stats);
+    }
+
+    /// Hazard: a handler that adds a fresh cut every round is given up
+    /// after the round cap, unproven.
+    #[test]
+    fn enforcement_round_cap_closes_the_node() {
+        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        solver.add_conshdlr(CutEveryPoint::boxed(true));
+        let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.stats.nodes, 1);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::EnforceLimit), 1);
+        // The initial row, then one cut per round up to and past the cap.
+        assert_eq!(res.stats.cuts_applied, 1 + MAX_ENFORCE_ROUNDS as u64 + 1);
+        assert_eq!(res.status, SolveStatus::Infeasible);
+    }
+
+    /// Hazard: an integral point that every handler accepts, but whose
+    /// rounded copy violates a row, closes the node unproven.
+    #[test]
+    fn rounded_point_that_fails_the_model_closes_the_node() {
+        let mut m = Model::new("round");
+        let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
+        m.add_linear(f64::NEG_INFINITY, 9.999995, &[(x, 10.0)]);
+        let st = Settings { use_relaxator: true, ..no_presolve() };
+        let mut solver = Solver::new_bare(m, st);
+        solver.set_relaxator(Box::new(FixedPoint(vec![0.9999995])));
+        let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::RoundedPointRejected), 1);
+        assert_eq!(res.status, SolveStatus::Infeasible);
+    }
+
+    #[test]
+    fn unbounded_root_lp_ends_the_solve() {
+        let mut m = Model::new("unb");
+        m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, -1.0);
+        let y = m.add_var("y", VarType::Integer, 0.0, 1.0, 0.0);
+        m.add_linear(f64::NEG_INFINITY, 1.0, &[(y, 1.0)]);
+        let res = Solver::new_bare(m, no_presolve()).solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.status, SolveStatus::Unbounded);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::Unbounded), 1);
+    }
+
+    /// A search that closes its nodes by proof only.
+    #[test]
+    fn knapsack_nodes_close_by_proof() {
+        // Capacity 6 leaves the LP optimum fractional.
+        let mut m = Model::new("knap6");
+        m.set_maximize();
+        let data = [(4.0, 12.0), (2.0, 7.0), (1.0, 4.0), (3.0, 9.0), (5.0, 14.0)];
+        let terms: Vec<(VarId, f64)> =
+            data.iter().map(|&(w, p)| (m.add_var("x", VarType::Binary, 0.0, 1.0, p), w)).collect();
+        m.add_linear(f64::NEG_INFINITY, 6.0, &terms);
+        let res = Solver::new_bare(m, no_presolve()).solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        for o in NodeOutcome::ALL {
+            assert!(o.is_proven() || res.stats.outcome_count(o) == 0, "{o:?}: {:?}", res.stats);
+        }
+        assert!(res.stats.outcome_count(NodeOutcome::Branched) > 0);
+        assert!(res.stats.outcome_count(NodeOutcome::Feasible) > 0);
+    }
+
+    /// Hazard: when the LP stops at its iteration limit on a node whose
+    /// integer variables are all fixed, `unsolved_point` is integral and
+    /// no branching variable exists: the node is closed unproven.
+    #[test]
+    fn unsolved_lp_on_fixed_integers_closes_the_node() {
+        let mut m = Model::new("fixed");
+        let z = m.add_var("z", VarType::Integer, 1.0, 1.0, 0.0);
+        let mut terms = vec![(z, 1.0)];
+        terms.extend((0..4).map(|_| (m.add_var("y", VarType::Continuous, 0.0, 1.0, -1.0), 1.0)));
+        m.add_linear(f64::NEG_INFINITY, 4.5, &terms);
+        let st = Settings { lp_iter_limit: 1, ..no_presolve() };
+        let mut solver = Solver::new_bare(m, st);
+        solver.add_conshdlr(CutEveryPoint::boxed(true));
+        let res = solver.solve(&mut NoHooks);
+        assert_outcomes(&res.stats);
+        assert_eq!(res.stats.nodes, 1);
+        assert_eq!(res.stats.outcome_count(NodeOutcome::NoBranchingDecision), 1);
+        assert_eq!(res.stats.lp_cold_retries, 2, "{:?}", res.stats);
+        assert_eq!(res.status, SolveStatus::Infeasible);
     }
 }

@@ -4,11 +4,70 @@
 use std::time::Instant;
 use ugrs_lp::LpCounters;
 
+/// How the node loop closed one node. The first five outcomes are
+/// proven; the other five close a node that nobody proved empty or
+/// bounded.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NodeOutcome {
+    /// An empty domain: crossed bounds, propagation, an infeasible
+    /// relaxation or LP (or an LP unbounded below the root), or a
+    /// handler's `Cutoff`.
+    Infeasible,
+    /// The relaxation bound reached the cutoff.
+    PrunedByBound,
+    /// Integral and accepted by every handler; offered as an incumbent.
+    Feasible,
+    /// Split into two children.
+    Branched,
+    /// The root LP was unbounded; the solve ends.
+    Unbounded,
+    /// Enforcement's cuts were all pool duplicates.
+    DuplicateCuts,
+    /// A handler rejected the relaxator's integral point, and no LP
+    /// takes its cuts.
+    RelaxPointRejected,
+    /// Enforcement hit its round cap or the time limit.
+    EnforceLimit,
+    /// No fractional variable and no rule's choice: the relaxation gave
+    /// no point and every integer variable is fixed.
+    NoBranchingDecision,
+    /// Integral and accepted, but the rounded copy fails the model.
+    RoundedPointRejected,
+}
+
+impl NodeOutcome {
+    /// Every outcome, in `outcome as usize` order.
+    pub const ALL: [NodeOutcome; 10] = {
+        use NodeOutcome::*;
+        [
+            Infeasible,
+            PrunedByBound,
+            Feasible,
+            Branched,
+            Unbounded,
+            DuplicateCuts,
+            RelaxPointRejected,
+            EnforceLimit,
+            NoBranchingDecision,
+            RoundedPointRejected,
+        ]
+    };
+
+    /// True when the outcome rests on a proof.
+    pub fn is_proven(self) -> bool {
+        use NodeOutcome::*;
+        matches!(self, Infeasible | PrunedByBound | Feasible | Branched | Unbounded)
+    }
+}
+
 /// Statistics collected during one `Solver::solve` call.
 #[derive(Clone, Debug)]
 pub struct Statistics {
     /// Nodes processed.
     pub nodes: u64,
+    /// Nodes per [`NodeOutcome`], indexed by `outcome as usize`; they sum
+    /// to `nodes`.
+    pub node_outcomes: [u64; NodeOutcome::ALL.len()],
     /// LP solves.
     pub lp_solves: u64,
     /// Total simplex iterations (dual pivots and primal polish).
@@ -73,6 +132,7 @@ impl Default for Statistics {
     fn default() -> Self {
         Statistics {
             nodes: 0,
+            node_outcomes: [0; NodeOutcome::ALL.len()],
             lp_solves: 0,
             lp_iterations: 0,
             lp_refactors: 0,
@@ -120,6 +180,11 @@ impl Statistics {
         }
         let denom = self.primal_bound.abs().max(1e-9);
         ((self.primal_bound - self.dual_bound).max(0.0) / denom) * 100.0
+    }
+
+    /// Nodes closed with `outcome`.
+    pub fn outcome_count(&self, outcome: NodeOutcome) -> u64 {
+        self.node_outcomes[outcome as usize]
     }
 
     /// Adds the simplex work between two readings of one simplex's

@@ -66,6 +66,8 @@ proptest! {
     fn solver_matches_brute_force(bip in random_bip()) {
         let model = build(&bip);
         let res = model.optimize(Settings::default());
+        // Every processed node is closed with exactly one outcome.
+        prop_assert_eq!(res.stats.node_outcomes.iter().sum::<u64>(), res.stats.nodes);
         match brute_force(&bip) {
             None => prop_assert_eq!(res.status, SolveStatus::Infeasible),
             Some(expected) => {

@@ -116,6 +116,9 @@ mod tests {
     fn solve_both(p: MisdpProblem) -> (MisdpResult, MisdpResult) {
         let lp = MisdpSolver::new(p.clone(), Approach::Lp, Settings::default()).solve();
         let sdp = MisdpSolver::new(p, Approach::Sdp, Settings::default()).solve();
+        for st in [&lp.stats, &sdp.stats] {
+            assert_eq!(st.node_outcomes.iter().sum::<u64>(), st.nodes, "{st:?}");
+        }
         (lp, sdp)
     }
 

@@ -204,6 +204,7 @@ mod tests {
         assert!(st.lp_bland_pivots <= st.lp_dual_pivots, "{st:?}");
         assert!(0.0 < st.lp_time && st.lp_time <= st.total_time, "{st:?}");
         assert_eq!(st.lp_numerical, 0);
+        assert_eq!(st.node_outcomes.iter().sum::<u64>(), st.nodes, "{st:?}");
     }
 
     #[test]
