@@ -54,7 +54,7 @@
 //! an event could have been missed, one `catch_up` of the job fetches
 //! the shard log's tail from the job's cursor.
 
-use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate};
+use crate::chaos::{FaultPlan, RpcFault, RpcFaultGate, SplitMix64};
 use crate::jobs::{
     state_label, submit_reply, JobBook, JobTable, Spec, Terminal, BAD_INSTANCE, GATEWAY,
 };
@@ -256,13 +256,6 @@ impl GatewayConfig {
 // Weighted rendezvous hashing
 // ---------------------------------------------------------------------
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
 fn name_hash(name: &str) -> u64 {
     // FNV-1a: stable across runs (no RandomState), cheap, good enough
     // to decorrelate shard names before mixing with the job id.
@@ -281,7 +274,7 @@ fn name_hash(name: &str) -> u64 {
 /// the defining rendezvous property: a shard's removal only remaps the
 /// jobs it was winning.
 fn rendezvous_score(job: u64, shard_name: &str, weight: f64) -> f64 {
-    let h = splitmix64(job ^ name_hash(shard_name));
+    let h = SplitMix64::new(job ^ name_hash(shard_name)).next_u64();
     // 53 uniform bits into (0, 1]; the +1 offset excludes an exact 0.
     let u = ((h >> 11) + 1) as f64 / (1u64 << 53) as f64;
     -weight / u.ln()

@@ -27,8 +27,6 @@
 //!   who listens. The sink is cheap to clone, defaults to disabled, and
 //!   a disabled sink costs one branch per call site.
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
@@ -1014,10 +1012,6 @@ pub fn sanitize_name(name: &str) -> String {
     }
     out
 }
-
-// Silence "unused" for DeserializeOwned, used only in bounds elsewhere.
-#[allow(dead_code)]
-fn _assert_wire_types<T: Serialize + DeserializeOwned>() {}
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,7 @@
 //! * the saturated cuts, installed as the initial LP rows.
 
 use crate::sap::SapGraph;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::util::shortest_paths;
 
 /// Result of a dual ascent run.
 #[derive(Clone, Debug)]
@@ -116,81 +115,25 @@ pub fn dual_ascent(sap: &SapGraph, keep_cuts: usize) -> DualAscent {
     DualAscent { bound, redcost, cuts }
 }
 
-#[derive(PartialEq)]
-struct Hi(f64, u32);
-impl Eq for Hi {}
-impl PartialOrd for Hi {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Hi {
-    fn cmp(&self, o: &Self) -> Ordering {
-        o.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal).then(o.1.cmp(&self.1))
-    }
-}
-
-/// Dijkstra over arcs with the given per-arc weights, from `source`,
-/// following arc direction. Returns distances.
-pub fn arc_dijkstra(sap: &SapGraph, weights: &[f64], source: usize) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; sap.n];
-    let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(Hi(0.0, source as u32));
-    while let Some(Hi(d, v)) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
-            continue;
-        }
-        for &a in &sap.out[v] {
-            let arc = &sap.arcs[a as usize];
-            let w = arc.head as usize;
-            if !sap.node_alive[w] {
-                continue;
-            }
-            let nd = d + weights[a as usize];
-            if nd < dist[w] - 1e-15 {
-                dist[w] = nd;
-                heap.push(Hi(nd, w as u32));
-            }
-        }
-    }
-    dist
-}
-
-/// Multi-source Dijkstra on *reversed* arcs from all terminals: returns
-/// for each vertex the cheapest reduced-cost distance to reach any
-/// terminal (following arc direction vertex → terminal).
-pub fn dist_to_terminals(sap: &SapGraph, weights: &[f64]) -> Vec<f64> {
-    let mut dist = vec![f64::INFINITY; sap.n];
-    let mut heap = BinaryHeap::new();
-    for (t, dt) in dist.iter_mut().enumerate() {
-        if sap.terminal[t] {
-            *dt = 0.0;
-            heap.push(Hi(0.0, t as u32));
-        }
-    }
-    while let Some(Hi(d, v)) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
-            continue;
-        }
-        // Traverse arcs *into* v: tail → v means tail can reach a terminal
-        // through v.
-        for &a in &sap.inc[v] {
-            let arc = &sap.arcs[a as usize];
-            let u = arc.tail as usize;
-            if !sap.node_alive[u] {
-                continue;
-            }
-            let nd = d + weights[a as usize];
-            if nd < dist[u] - 1e-15 {
-                dist[u] = nd;
-                heap.push(Hi(nd, u as u32));
-            }
-        }
-    }
-    dist
+/// Reduced-cost distances of `sap` under the per-arc `redcost`:
+/// `from_root[v]` along arcs from `root` to `v`, and `to_terminals[v]`
+/// from `v` to its nearest terminal (one search over the reversed arcs
+/// from all terminals). Dead vertices are never entered.
+pub fn redcost_distances(sap: &SapGraph, redcost: &[f64], root: usize) -> (Vec<f64>, Vec<f64>) {
+    let (from_root, _) = shortest_paths(sap.n, [root], |v| {
+        sap.out[v]
+            .iter()
+            .map(|&a| (sap.arcs[a as usize].head as usize, redcost[a as usize], a))
+            .filter(|&(w, _, _)| sap.node_alive[w])
+    });
+    let terminals = (0..sap.n).filter(|&t| sap.terminal[t]);
+    let (to_terminals, _) = shortest_paths(sap.n, terminals, |v| {
+        sap.inc[v]
+            .iter()
+            .map(|&a| (sap.arcs[a as usize].tail as usize, redcost[a as usize], a))
+            .filter(|&(u, _, _)| sap.node_alive[u])
+    });
+    (from_root, to_terminals)
 }
 
 #[cfg(test)]
@@ -267,10 +210,9 @@ mod tests {
         let g = path4();
         let sap = SapGraph::from_graph(&g, 0);
         let da = dual_ascent(&sap, 8);
-        let dfr = arc_dijkstra(&sap, &da.redcost, 0);
+        let (dfr, dtt) = redcost_distances(&sap, &da.redcost, 0);
         // After full ascent the path to the terminal is saturated.
         assert!(dfr[3] < 1e-9);
-        let dtt = dist_to_terminals(&sap, &da.redcost);
         for &d in dtt.iter().take(4) {
             assert!(d < f64::INFINITY);
         }

@@ -5,55 +5,8 @@
 
 use crate::graph::Graph;
 use crate::tree::SteinerTree;
-use crate::util::{mst_on_subset, UnionFind};
+use crate::util::{edge_arcs, mst_on_subset, shortest_paths, UnionFind};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(PartialEq)]
-struct Hi(f64, u32);
-impl Eq for Hi {}
-impl PartialOrd for Hi {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Hi {
-    fn cmp(&self, o: &Self) -> Ordering {
-        o.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal).then(o.1.cmp(&self.1))
-    }
-}
-
-/// Multi-source Dijkstra with per-edge weights; returns (dist, pred_edge).
-fn dijkstra_from_set(
-    g: &Graph,
-    sources: impl Iterator<Item = usize>,
-    weights: &[f64],
-) -> (Vec<f64>, Vec<u32>) {
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
-    for s in sources {
-        dist[s] = 0.0;
-        heap.push(Hi(0.0, s as u32));
-    }
-    while let Some(Hi(d, v)) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
-            continue;
-        }
-        for e in g.incident(v) {
-            let w = g.edge(e).other(v as u32) as usize;
-            let nd = d + weights[e as usize];
-            if nd < dist[w] - 1e-15 {
-                dist[w] = nd;
-                pred[w] = e;
-                heap.push(Hi(nd, w as u32));
-            }
-        }
-    }
-    (dist, pred)
-}
 
 /// Builds a pruned Steiner tree spanning the terminals using only the
 /// vertices in `in_set` (must contain all terminals). Returns `None`
@@ -87,7 +40,8 @@ pub fn tm_from(g: &Graph, start: usize, weights: &[f64]) -> Option<SteinerTree> 
     in_tree[start] = true;
     let mut remaining: usize = g.terminals().filter(|&t| t != start).count();
     while remaining > 0 {
-        let (dist, pred) = dijkstra_from_set(g, (0..n).filter(|&v| in_tree[v]), weights);
+        let (dist, pred) =
+            shortest_paths(n, (0..n).filter(|&v| in_tree[v]), |v| edge_arcs(g, weights, v));
         // Nearest unconnected terminal.
         let t = g
             .terminals()
@@ -316,7 +270,8 @@ fn try_key_path_exchange(g: &Graph, tree: &SteinerTree, path: &KeyPath) -> Optio
         }
     }
     let weights = real_weights(g);
-    let (dist, pred) = dijkstra_from_set(g, (0..n).filter(|&v| in_a[v]), &weights);
+    let (dist, pred) =
+        shortest_paths(n, (0..n).filter(|&v| in_a[v]), |v| edge_arcs(g, &weights, v));
     // Cheapest reconnection endpoint on side B.
     let target = (0..n)
         .filter(|&v| in_b[v] && dist[v].is_finite())
@@ -381,7 +336,7 @@ fn try_key_vertex_elimination(g: &Graph, tree: &SteinerTree, v: usize) -> Option
             }
             s
         };
-        let (dist, pred) = dijkstra_from_set(g, sources.into_iter(), &weights);
+        let (dist, pred) = shortest_paths(n, sources, |v| edge_arcs(g, &weights, v));
         let t = g
             .terminals()
             .filter(|&t| !source_set[t])

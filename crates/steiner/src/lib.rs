@@ -17,7 +17,7 @@
 //!    Steiner arborescence problem ([`sap`]) and solved on the
 //!    flow-balance directed cut formulation (Formulation 1 of the paper):
 //!    violated directed cuts (4) are separated by max-flow/min-cut
-//!    ([`maxflow`]), flow-balance rows (5)/(6) are part of the initial
+//!    ([`maxflow`]), the flow-balance rows (5) are part of the initial
 //!    model, and branching happens on *vertices* via the coupling
 //!    variables `z_v = y(δ⁻(v))`.
 //!

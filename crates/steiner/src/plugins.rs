@@ -11,15 +11,13 @@
 //!   branching-decision transfer of ug-0.8.6 (§4.1) is reproduced without
 //!   node-local constraints,
 //! * in-degree rows `y(δ⁻(t)) = 1` for terminals, `y(δ⁻(r)) = 0`,
-//! * flow-balance rows (5) `z_v ≤ y(δ⁺(v))` and (6) `y_a ≤ z_v`
-//!   for out-arcs of non-terminals,
-//! * antiparallel rows `y_a + y_ā ≤ 1`.
+//! * flow-balance rows (5) `z_v ≤ y(δ⁺(v))` for non-terminals.
 //!
 //! The directed cut constraints (4) are exponentially many and live in
 //! [`DirectedCutHandler`], separated by max-flow/min-cut both for
 //! fractional LP solutions and integral candidates.
 
-use crate::dualascent::{arc_dijkstra, dist_to_terminals, dual_ascent};
+use crate::dualascent::{dual_ascent, redcost_distances};
 use crate::graph::Graph;
 use crate::heur::{key_vertex_local_search, local_search, lp_biased_weights, tm_best};
 use crate::maxflow::MaxFlow;
@@ -114,28 +112,18 @@ impl SpgData {
 /// Panics if the graph has fewer than 2 terminals (those instances are
 /// solved by reduction alone).
 ///
-/// The model always carries the in-degree rows, the `z` couplings and
-/// the aggregated flow-balance rows (5). The per-arc rows (6) and the
-/// antiparallel rows are *strengthenings* (the paper notes (6) does not
-/// change the LP bound but can speed up branch-and-cut); with our dense
-/// LP basis they cost more rows than they save, so [`build_model`] omits
-/// them — [`build_model_strong`] keeps them for the ablation bench.
+/// The model carries the in-degree rows, the `z` couplings and the
+/// aggregated flow-balance rows (5). It leaves out the per-arc rows (6)
+/// and the antiparallel rows: they are *strengthenings* (the paper notes
+/// (6) does not change the LP bound but can speed up branch-and-cut),
+/// and with our dense LP basis they cost more rows than they save.
 pub fn build_model(g: &Graph) -> (Model, Arc<SpgData>) {
-    build_model_opts(g, SapGraph::pick_root(g), false)
+    build_model_rooted(g, SapGraph::pick_root(g))
 }
 
 /// Like [`build_model`] with an explicitly chosen root terminal (needed
 /// by problem-class transformations whose gadgets assume a fixed root).
 pub fn build_model_rooted(g: &Graph, root: usize) -> (Model, Arc<SpgData>) {
-    build_model_opts(g, root, false)
-}
-
-/// Variant including the per-arc rows (6) and antiparallel rows.
-pub fn build_model_strong(g: &Graph) -> (Model, Arc<SpgData>) {
-    build_model_opts(g, SapGraph::pick_root(g), true)
-}
-
-fn build_model_opts(g: &Graph, root: usize, strong_rows: bool) -> (Model, Arc<SpgData>) {
     assert!(g.num_terminals() >= 2, "build_model needs ≥ 2 terminals");
     assert!(g.is_terminal(root), "root must be a terminal");
     let sap = SapGraph::from_graph(g, root);
@@ -171,23 +159,6 @@ fn build_model_opts(g: &Graph, root: usize, strong_rows: bool) -> (Model, Arc<Sp
                 sap.out[v].iter().map(|&a| (arc_var[a as usize], 1.0)).collect();
             fb.push((z, -1.0));
             model.add_linear(0.0, f64::INFINITY, &fb);
-            if strong_rows {
-                // (6): each out-arc needs the coupling: y_a ≤ z_v.
-                for &a in &sap.out[v] {
-                    model.add_linear(0.0, f64::INFINITY, &[(z, 1.0), (arc_var[a as usize], -1.0)]);
-                }
-            }
-        }
-    }
-    if strong_rows {
-        // Antiparallel arcs exclude each other.
-        for e in 0..sap.num_arcs() / 2 {
-            let a = 2 * e as u32;
-            model.add_linear(
-                f64::NEG_INFINITY,
-                1.0,
-                &[(arc_var[a as usize], 1.0), (arc_var[(a + 1) as usize], 1.0)],
-            );
         }
     }
     let data = Arc::new(SpgData { graph: g.clone(), sap, arc_var, node_var, root });
@@ -413,8 +384,7 @@ impl ConstraintHandler for DirectedCutHandler {
         }
         // Arc fixing by reduced cost (the restricted extended test's base
         // form, applied in-tree).
-        let dfr = arc_dijkstra(&local_sap, &da.redcost, d.root);
-        let dtt = dist_to_terminals(&local_sap, &da.redcost);
+        let (dfr, dtt) = redcost_distances(&local_sap, &da.redcost, d.root);
         let mut fixed = 0;
         for (i, arc) in local_sap.arcs.iter().enumerate() {
             let var = d.arc_var[i];

@@ -14,11 +14,11 @@
 //!   reduction techniques" \[54\] whose initial implementation the paper
 //!   credits for solving bip52u.
 
-use crate::dualascent::{arc_dijkstra, dist_to_terminals, dual_ascent};
+use crate::dualascent::{dual_ascent, redcost_distances};
 use crate::graph::Graph;
 use crate::heur::{real_weights, tm_best};
 use crate::sap::SapGraph;
-use std::cmp::Ordering;
+use crate::util::MinEntry;
 use std::collections::BinaryHeap;
 
 /// Vertex-scan limit of the bounded Dijkstra in the SD test.
@@ -170,20 +170,6 @@ fn nnt_test(g: &mut Graph, stats: &mut ReduceStats) -> bool {
     }
 }
 
-#[derive(PartialEq)]
-struct Hi(f64, u32);
-impl Eq for Hi {}
-impl PartialOrd for Hi {
-    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Hi {
-    fn cmp(&self, o: &Self) -> Ordering {
-        o.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal).then(o.1.cmp(&self.1))
-    }
-}
-
 /// Alternative-path (special distance, restricted) test: edge `(u,v,c)`
 /// is deleted when a different u–v path of length ≤ c exists. The
 /// Dijkstra is bounded by distance `c` and `scan_limit` settled vertices.
@@ -202,10 +188,10 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
         let mut dist = std::collections::HashMap::new();
         let mut heap = BinaryHeap::new();
         dist.insert(u, 0.0);
-        heap.push(Hi(0.0, u as u32));
+        heap.push(MinEntry(0.0, u as u32));
         let mut settled = 0usize;
         let mut found = false;
-        while let Some(Hi(d, x)) = heap.pop() {
+        while let Some(MinEntry(d, x)) = heap.pop() {
             let x = x as usize;
             if d > *dist.get(&x).unwrap_or(&f64::INFINITY) + 1e-15 {
                 continue;
@@ -226,7 +212,7 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
                 let nd = d + g.edge(ne).cost;
                 if nd <= c + 1e-12 && nd < *dist.get(&w).unwrap_or(&f64::INFINITY) - 1e-15 {
                     dist.insert(w, nd);
-                    heap.push(Hi(nd, w as u32));
+                    heap.push(MinEntry(nd, w as u32));
                 }
             }
         }
@@ -253,8 +239,7 @@ fn da_tests(g: &mut Graph, stats: &mut ReduceStats) -> bool {
     if !da.bound.is_finite() {
         return false;
     }
-    let dfr = arc_dijkstra(&sap, &da.redcost, root);
-    let dtt = dist_to_terminals(&sap, &da.redcost);
+    let (dfr, dtt) = redcost_distances(&sap, &da.redcost, root);
     let lb = da.bound;
     let tol = 1e-9;
     let mut any = false;

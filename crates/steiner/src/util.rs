@@ -1,5 +1,5 @@
 //! Small algorithmic utilities shared by the Steiner components:
-//! union–find, Dijkstra, Voronoi regions and minimum spanning trees.
+//! union–find, the one shortest-path search and minimum spanning trees.
 
 use crate::graph::Graph;
 use std::cmp::Ordering;
@@ -43,91 +43,66 @@ impl UnionFind {
     }
 }
 
+/// A min-heap entry of the shortest-path searches: `BinaryHeap` pops the
+/// least distance first, ties broken by the least vertex.
 #[derive(PartialEq)]
-struct HeapItem {
-    dist: f64,
-    node: u32,
-}
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
+pub(crate) struct MinEntry(pub f64, pub u32);
+impl Eq for MinEntry {}
+impl PartialOrd for MinEntry {
     fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
         Some(self.cmp(o))
     }
 }
-impl Ord for HeapItem {
+impl Ord for MinEntry {
     fn cmp(&self, o: &Self) -> Ordering {
-        // Min-heap via reversed compare.
-        o.dist.partial_cmp(&self.dist).unwrap_or(Ordering::Equal).then(o.node.cmp(&self.node))
+        o.0.partial_cmp(&self.0).unwrap_or(Ordering::Equal).then(o.1.cmp(&self.1))
     }
 }
 
-/// Dijkstra from `source` over the alive graph. Returns `(dist, pred_edge)`
-/// where `pred_edge[v]` is the edge id used to reach `v` (u32::MAX at the
-/// source / unreachable vertices, with `dist = ∞` for the latter).
-pub fn dijkstra(g: &Graph, source: usize) -> (Vec<f64>, Vec<u32>) {
-    let n = g.num_nodes();
+/// Multi-source Dijkstra over `n` vertices: every source starts at
+/// distance 0, and `arcs(v)` yields the arcs `(head, weight, via)` that
+/// leave `v`. Returns `(dist, pred)`: `dist[v]` is ∞ where `v` is not
+/// reached, `pred[v]` the `via` of the arc that last lowered `dist[v]`
+/// (`u32::MAX` at sources and unreached vertices). A vertex is relaxed
+/// only by more than `1e-15`, so of equally short paths the first found
+/// in (distance, vertex) pop order wins.
+pub(crate) fn shortest_paths<I: Iterator<Item = (usize, f64, u32)>>(
+    n: usize,
+    sources: impl IntoIterator<Item = usize>,
+    arcs: impl Fn(usize) -> I,
+) -> (Vec<f64>, Vec<u32>) {
     let mut dist = vec![f64::INFINITY; n];
     let mut pred = vec![u32::MAX; n];
     let mut heap = BinaryHeap::new();
-    dist[source] = 0.0;
-    heap.push(HeapItem { dist: 0.0, node: source as u32 });
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        let v = node as usize;
+    for s in sources {
+        dist[s] = 0.0;
+        heap.push(MinEntry(0.0, s as u32));
+    }
+    while let Some(MinEntry(d, v)) = heap.pop() {
+        let v = v as usize;
         if d > dist[v] {
             continue;
         }
-        for e in g.incident(v) {
-            let edge = g.edge(e);
-            let w = edge.other(node) as usize;
-            let nd = d + edge.cost;
+        for (w, weight, via) in arcs(v) {
+            let nd = d + weight;
             if nd < dist[w] - 1e-15 {
                 dist[w] = nd;
-                pred[w] = e;
-                heap.push(HeapItem { dist: nd, node: w as u32 });
+                pred[w] = via;
+                heap.push(MinEntry(nd, w as u32));
             }
         }
     }
     (dist, pred)
 }
 
-/// Voronoi decomposition w.r.t. the terminals: for every vertex, the
-/// nearest terminal (`base`), the distance to it, and the predecessor
-/// edge on that shortest path. Used by bound-based reductions.
-pub struct Voronoi {
-    pub base: Vec<u32>,
-    pub dist: Vec<f64>,
-    pub pred: Vec<u32>,
-}
-
-pub fn voronoi(g: &Graph) -> Voronoi {
-    let n = g.num_nodes();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut base = vec![u32::MAX; n];
-    let mut pred = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
-    for t in g.terminals() {
-        dist[t] = 0.0;
-        base[t] = t as u32;
-        heap.push(HeapItem { dist: 0.0, node: t as u32 });
-    }
-    while let Some(HeapItem { dist: d, node }) = heap.pop() {
-        let v = node as usize;
-        if d > dist[v] {
-            continue;
-        }
-        for e in g.incident(v) {
-            let edge = g.edge(e);
-            let w = edge.other(node) as usize;
-            let nd = d + edge.cost;
-            if nd < dist[w] - 1e-15 {
-                dist[w] = nd;
-                base[w] = base[v];
-                pred[w] = e;
-                heap.push(HeapItem { dist: nd, node: w as u32 });
-            }
-        }
-    }
-    Voronoi { base, dist, pred }
+/// The alive edges at `v` as arcs of [`shortest_paths`]: `(other end,
+/// weights[e], e)`, so `pred` holds edge ids.
+pub(crate) fn edge_arcs<'a>(
+    g: &'a Graph,
+    weights: &'a [f64],
+    v: usize,
+) -> impl Iterator<Item = (usize, f64, u32)> + 'a {
+    g.incident(v).map(move |e| (g.edge(e).other(v as u32) as usize, weights[e as usize], e))
 }
 
 /// Kruskal MST over the subgraph induced by `in_set` (alive vertices with
@@ -156,6 +131,10 @@ pub fn mst_on_subset(g: &Graph, in_set: &[bool]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dualascent::redcost_distances;
+    use crate::heur::real_weights;
+    use crate::sap::SapGraph;
+    use proptest::prelude::*;
 
     fn diamond() -> Graph {
         //    1
@@ -187,35 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn dijkstra_distances() {
-        let g = diamond();
-        let (dist, pred) = dijkstra(&g, 0);
-        assert_eq!(dist[3], 2.0);
-        assert_eq!(dist[2], 2.0);
-        // Path to 3 goes via edge 1 (1-3).
-        assert_eq!(pred[3], 1);
-    }
-
-    #[test]
-    fn dijkstra_ignores_dead_edges() {
-        let mut g = diamond();
-        g.delete_edge(0); // remove 0-1
-        let (dist, _) = dijkstra(&g, 0);
-        assert_eq!(dist[3], 4.0); // via 2
-    }
-
-    #[test]
-    fn voronoi_assigns_nearest_terminal() {
-        let g = diamond();
-        let vor = voronoi(&g);
-        assert_eq!(vor.base[0], 0);
-        assert_eq!(vor.base[3], 3);
-        assert_eq!(vor.dist[1], 1.0);
-        // Vertex 1 is equidistant; base must be one of the terminals.
-        assert!(vor.base[1] == 0 || vor.base[1] == 3);
-    }
-
-    #[test]
     fn mst_spans_cheaply() {
         let g = diamond();
         let in_set = vec![true; 4];
@@ -232,5 +182,108 @@ mod tests {
         let mst = mst_on_subset(&g, &in_set);
         let cost: f64 = mst.iter().map(|&e| g.edge(e).cost).sum();
         assert_eq!(cost, 4.0); // 0-2 (2) + 2-3 (2)
+    }
+
+    /// All-pairs distances over `arcs` (tail, head, weight) by
+    /// Floyd–Warshall; `d[i][i] = 0`.
+    fn floyd_warshall(n: usize, arcs: impl Iterator<Item = (usize, usize, f64)>) -> Vec<Vec<f64>> {
+        let mut d = vec![vec![f64::INFINITY; n]; n];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = 0.0;
+        }
+        for (u, v, w) in arcs {
+            d[u][v] = d[u][v].min(w);
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                }
+            }
+        }
+        d
+    }
+
+    proptest! {
+        /// The kernel in each of its uses against Floyd–Warshall. Vertex
+        /// kinds: 0 deleted from the graph, 1 terminal, 2 search source,
+        /// 3 plain, 4 dead in the SAP view only (its arcs stay, as in the
+        /// in-tree reductions). One edge in five is deleted. Weights are
+        /// multiples of 0.5, zero included, so every sum is exact. The
+        /// undirected search runs from the terminals and sources, and
+        /// walking `pred` back from a reached vertex must end at a source
+        /// after a path of length `dist`.
+        #[test]
+        fn shortest_paths_match_floyd_warshall(
+            n in 1usize..=12,
+            edges in prop::collection::vec((0usize..12, 0usize..12, 0u8..8, 0u8..5), 0..36),
+            kinds in prop::collection::vec(0u8..5, 12),
+            arc_weights in prop::collection::vec(0u8..8, 72),
+        ) {
+            let mut g = Graph::new(n);
+            for &(u, v, w, life) in &edges {
+                let (u, v) = (u % n, v % n);
+                if u != v {
+                    let e = g.add_edge(u, v, 0.5 * w as f64);
+                    if life == 0 {
+                        g.delete_edge(e);
+                    }
+                }
+            }
+            for (v, kind) in kinds.iter().enumerate().take(n) {
+                match kind {
+                    0 => g.delete_node(v),
+                    1 => g.set_terminal(v, true),
+                    _ => {}
+                }
+            }
+            let weights = real_weights(&g);
+
+            // TM's use: undirected, per-edge weights, multi-source, `pred`.
+            let is_source = |v: usize| kinds[v] == 1 || kinds[v] == 2;
+            let sources = (0..n).filter(|&v| is_source(v));
+            let (dist, pred) = shortest_paths(n, sources, |v| edge_arcs(&g, &weights, v));
+            let d = floyd_warshall(n, g.alive_edges().flat_map(|e| {
+                let ed = g.edge(e);
+                let (u, v) = (ed.u as usize, ed.v as usize);
+                [(u, v, ed.cost), (v, u, ed.cost)]
+            }));
+            for v in 0..n {
+                let expect = (0..n).filter(|&s| is_source(s)).map(|s| d[s][v]);
+                let expect = expect.fold(f64::INFINITY, f64::min);
+                prop_assert_eq!(dist[v], expect, "vertex {}", v);
+                if dist[v].is_finite() {
+                    let (mut u, mut len, mut steps) = (v, 0.0, 0);
+                    while pred[u] != u32::MAX {
+                        len += weights[pred[u] as usize];
+                        u = g.edge(pred[u]).other(u as u32) as usize;
+                        steps += 1;
+                        prop_assert!(steps < n, "pred cycles at {}", v);
+                    }
+                    prop_assert!(is_source(u), "pred of {} ends at non-source {}", v, u);
+                    prop_assert_eq!(len, dist[v]);
+                }
+            }
+
+            // The dual-ascent reductions' use: directed reduced costs.
+            let Some(root) = g.terminals().next() else { return Ok(()) };
+            let mut sap = SapGraph::from_graph(&g, root);
+            for (alive, &kind) in sap.node_alive.iter_mut().zip(&kinds) {
+                *alive &= kind != 4;
+            }
+            let redcost: Vec<f64> =
+                (0..sap.num_arcs()).map(|a| 0.5 * arc_weights[a] as f64).collect();
+            let (from_root, to_terminals) = redcost_distances(&sap, &redcost, root);
+            let d = floyd_warshall(n, sap.arcs.iter().zip(&redcost).filter_map(|(arc, &w)| {
+                let (t, h) = (arc.tail as usize, arc.head as usize);
+                (sap.node_alive[t] && sap.node_alive[h]).then_some((t, h, w))
+            }));
+            for v in 0..n {
+                prop_assert_eq!(from_root[v], d[root][v], "from root to {}", v);
+                let expect = (0..n).filter(|&t| sap.terminal[t]).map(|t| d[v][t]);
+                let expect = expect.fold(f64::INFINITY, f64::min);
+                prop_assert_eq!(to_terminals[v], expect, "from {} to the terminals", v);
+            }
+        }
     }
 }
