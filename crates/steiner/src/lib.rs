@@ -45,3 +45,10 @@ pub mod variants;
 pub use graph::Graph;
 pub use solver::{SteinerOptions, SteinerResult, SteinerSolver};
 pub use tree::SteinerTree;
+
+/// The crate's proptests run `PROPTEST_CASES` cases when it is set, else
+/// `default`.
+#[cfg(test)]
+fn proptest_cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}

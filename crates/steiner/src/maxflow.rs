@@ -1,7 +1,11 @@
 //! Dinic max-flow / min-cut on small directed graphs with real-valued
 //! capacities — the separation engine for the directed cut constraints
-//! (4) of Formulation 1: violated cuts are exactly min cuts of value
-//! < 1 in the LP-solution-capacitated SAP graph.
+//! (4) of Formulation 1. With the LP point as capacities, a root–sink
+//! max flow below 1 proves some cut violated, and every min cut of that
+//! flow is one; other violated cuts may exist that are no min cut. One
+//! flow gives the two extremal min cuts: the vertices the root reaches
+//! in the residual network ([`MaxFlow::min_cut_source_side`]) and those
+//! that reach the sink ([`MaxFlow::min_cut_sink_side`]).
 
 /// A max-flow problem instance. Arcs are directed; reverse (residual)
 /// arcs are managed internally.
@@ -13,6 +17,8 @@ pub struct MaxFlow {
     adj: Vec<Vec<u32>>,
     level: Vec<i32>,
     iter: Vec<usize>,
+    /// The BFS queue and the cut searches' stack, kept between calls.
+    queue: Vec<u32>,
 }
 
 const EPS: f64 = 1e-9;
@@ -26,6 +32,7 @@ impl MaxFlow {
             adj: vec![Vec::new(); n],
             level: vec![0; n],
             iter: vec![0; n],
+            queue: Vec::new(),
         }
     }
 
@@ -55,16 +62,19 @@ impl MaxFlow {
 
     fn bfs(&mut self, s: usize, t: usize) -> bool {
         self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = std::collections::VecDeque::new();
+        self.queue.clear();
         self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
+        self.queue.push(s as u32);
+        let mut next = 0;
+        while let Some(&v) = self.queue.get(next) {
+            next += 1;
+            let v = v as usize;
             for &a in &self.adj[v] {
                 let a = a as usize;
                 let w = self.head[a] as usize;
                 if self.cap[a] > EPS && self.level[w] < 0 {
                     self.level[w] = self.level[v] + 1;
-                    queue.push_back(w);
+                    self.queue.push(w as u32);
                 }
             }
         }
@@ -114,23 +124,41 @@ impl MaxFlow {
         flow
     }
 
-    /// After `max_flow`, the source side of a min cut: vertices reachable
-    /// from `s` in the residual network.
-    pub fn min_cut_source_side(&self, s: usize) -> Vec<bool> {
-        let mut seen = vec![false; self.n];
-        let mut stack = vec![s];
-        seen[s] = true;
-        while let Some(v) = stack.pop() {
-            for &a in &self.adj[v] {
+    /// After a `max_flow` that stayed below its limit, the source side of
+    /// a min cut: `side[v]` tells whether `v` is reachable from `s` in the
+    /// residual network. The smallest source side of any min cut.
+    pub fn min_cut_source_side(&mut self, s: usize, side: &mut Vec<bool>) {
+        self.residual_search(s, false, side);
+    }
+
+    /// After a `max_flow` that stayed below its limit, the sink side of a
+    /// min cut: `side[v]` tells whether `v` reaches `t` in the residual
+    /// network. The smallest sink side of any min cut, so its cut is the
+    /// one next to `t`.
+    pub fn min_cut_sink_side(&mut self, t: usize, side: &mut Vec<bool>) {
+        self.residual_search(t, true, side);
+    }
+
+    /// Marks in `seen` the vertices reachable from `from` over residual
+    /// arcs of capacity `> EPS`, followed backwards if `backwards`.
+    fn residual_search(&mut self, from: usize, backwards: bool, seen: &mut Vec<bool>) {
+        seen.clear();
+        seen.resize(self.n, false);
+        self.queue.clear();
+        self.queue.push(from as u32);
+        seen[from] = true;
+        while let Some(v) = self.queue.pop() {
+            for &a in &self.adj[v as usize] {
                 let a = a as usize;
                 let w = self.head[a] as usize;
-                if self.cap[a] > EPS && !seen[w] {
+                // Backwards, `a` stands for its partner, the arc `w → v`.
+                let cap = if backwards { self.cap[a ^ 1] } else { self.cap[a] };
+                if cap > EPS && !seen[w] {
                     seen[w] = true;
-                    stack.push(w);
+                    self.queue.push(w as u32);
                 }
             }
         }
-        seen
     }
 }
 
@@ -145,6 +173,28 @@ mod tests {
             mf.add_arc(u, v, c);
         }
         mf
+    }
+
+    fn source_side(mf: &mut MaxFlow, s: usize) -> Vec<bool> {
+        let mut side = Vec::new();
+        mf.min_cut_source_side(s, &mut side);
+        side
+    }
+
+    fn sink_side(mf: &mut MaxFlow, t: usize) -> Vec<bool> {
+        let mut side = Vec::new();
+        mf.min_cut_sink_side(t, &mut side);
+        side
+    }
+
+    /// The capacity of the arcs leaving `side` (negative capacities count
+    /// as 0, as in the network).
+    fn cut_capacity(arcs: &[(usize, usize)], caps: &[f64], side: &[bool]) -> f64 {
+        arcs.iter()
+            .zip(caps)
+            .filter(|(&(u, v), _)| side[u] && !side[v])
+            .map(|(_, c)| c.max(0.0))
+            .sum()
     }
 
     /// Capacities over the arcs, a sink, and whether the flow is capped
@@ -163,6 +213,7 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
         /// One network reset and solved for sink after sink gives the flow
         /// and the min cut of a freshly built network for each.
         #[test]
@@ -175,7 +226,35 @@ mod tests {
                 let mut fresh = build(n, &arcs, caps);
                 let (got, want) = (reused.max_flow(0, *t, limit), fresh.max_flow(0, *t, limit));
                 prop_assert_eq!(got.to_bits(), want.to_bits());
-                prop_assert_eq!(reused.min_cut_source_side(0), fresh.min_cut_source_side(0));
+                prop_assert_eq!(source_side(&mut reused, 0), source_side(&mut fresh, 0));
+                prop_assert_eq!(sink_side(&mut reused, *t), sink_side(&mut fresh, *t));
+            }
+        }
+
+        /// A flow below its limit is a max flow, and both residual
+        /// searches give a min cut of it: the root's side and the sink's
+        /// side are disjoint, each holds its own end only, and the arcs
+        /// leaving the source side, like those entering the sink side,
+        /// carry exactly the flow.
+        #[test]
+        fn both_extremal_cuts_carry_the_flow(net in networks()) {
+            let (n, arcs, rounds) = net;
+            for (caps, t, capped) in &rounds {
+                let limit = if *capped { 1.0 } else { f64::INFINITY };
+                let mut mf = build(n, &arcs, caps);
+                let flow = mf.max_flow(0, *t, limit);
+                if flow >= limit - 1e-6 {
+                    continue;
+                }
+                let (s_side, t_side) = (source_side(&mut mf, 0), sink_side(&mut mf, *t));
+                prop_assert!(s_side[0] && !t_side[0]);
+                prop_assert!(t_side[*t] && !s_side[*t]);
+                prop_assert!((0..n).all(|v| !(s_side[v] && t_side[v])), "the sides overlap");
+                let outside_t: Vec<bool> = t_side.iter().map(|&b| !b).collect();
+                for (name, side) in [("source-side", &s_side), ("sink-side", &outside_t)] {
+                    let cap = cut_capacity(&arcs, caps, side);
+                    prop_assert!((cap - flow).abs() < 1e-6, "{} cut {} vs flow {}", name, cap, flow);
+                }
             }
         }
     }
@@ -197,8 +276,20 @@ mod tests {
         mf.add_arc(0, 1, 10.0);
         mf.add_arc(1, 2, 0.5);
         assert!((mf.max_flow(0, 2, f64::INFINITY) - 0.5).abs() < 1e-9);
-        let cut = mf.min_cut_source_side(0);
-        assert_eq!(cut, vec![true, true, false]);
+        assert_eq!(source_side(&mut mf, 0), vec![true, true, false]);
+        assert_eq!(sink_side(&mut mf, 2), vec![false, false, true]);
+    }
+
+    #[test]
+    fn two_bottlenecks_give_two_cuts() {
+        // 0 → 1 → 2 with two equal bottlenecks: the root's min cut is
+        // the first arc, the sink's the second.
+        let mut mf = MaxFlow::new(3);
+        mf.add_arc(0, 1, 0.5);
+        mf.add_arc(1, 2, 0.5);
+        assert!((mf.max_flow(0, 2, 1.0) - 0.5).abs() < 1e-9);
+        assert_eq!(source_side(&mut mf, 0), vec![true, false, false]);
+        assert_eq!(sink_side(&mut mf, 2), vec![false, false, true]);
     }
 
     #[test]
@@ -219,9 +310,11 @@ mod tests {
         mf.add_arc(2, 3, 0.25);
         let f = mf.max_flow(0, 3, f64::INFINITY);
         assert!((f - 0.5).abs() < 1e-9);
-        let cut = mf.min_cut_source_side(0);
+        let cut = source_side(&mut mf, 0);
         assert!(cut[0] && !cut[3]);
         assert!(cut[1] && cut[2]);
+        // Next to the sink the same cut: only 3 reaches 3.
+        assert_eq!(sink_side(&mut mf, 3), vec![false, false, false, true]);
     }
 
     #[test]

@@ -201,6 +201,13 @@ pub struct DirectedCutHandler {
     /// The SAP graph as a max-flow network, built once: each sink's
     /// separation resets its capacities to the LP point.
     network: MaxFlow,
+    /// Scratch of [`DirectedCutHandler::separate_cuts`], kept between
+    /// rounds: the sinks, the LP point as arc capacities, and the two
+    /// sides of a sink's min cuts.
+    sinks: Vec<usize>,
+    caps: Vec<f64>,
+    source_side: Vec<bool>,
+    sink_side: Vec<bool>,
 }
 
 impl DirectedCutHandler {
@@ -210,6 +217,10 @@ impl DirectedCutHandler {
             network.add_arc(arc.tail as usize, arc.head as usize, 0.0);
         }
         DirectedCutHandler {
+            sinks: data.sap.sinks().collect(),
+            caps: Vec::new(),
+            source_side: Vec::new(),
+            sink_side: Vec::new(),
             data,
             max_cuts_per_round: 25,
             in_tree_reductions,
@@ -220,41 +231,61 @@ impl DirectedCutHandler {
 
     /// Runs min-cut separation against the capacities in `x`; adds up to
     /// `max_cuts` violated cuts to `buf`. Returns the number added.
+    ///
+    /// A sink `t` whose max flow from the root stays below 1 yields two
+    /// cuts: the one next to the root (head set: what the root does not
+    /// reach in the residual network) and the back cut next to `t` (head
+    /// set: what reaches `t`), the latter only if its arcs differ. Both
+    /// carry the flow, so the LP point violates both. The root-side cuts
+    /// of different sinks are mostly the same few sets; the back cuts
+    /// are not.
     fn separate_cuts(&mut self, x: &[f64], buf: &mut CutBuffer, max_cuts: usize) -> usize {
-        let d = &self.data;
-        let sinks: Vec<usize> = d.sap.sinks().collect();
-        if sinks.is_empty() {
+        let k = self.sinks.len();
+        if k == 0 {
             return 0;
         }
-        let caps: Vec<f64> = d.arc_var.iter().map(|v| x[v.0 as usize]).collect();
+        let d = &self.data;
+        self.caps.clear();
+        self.caps.extend(d.arc_var.iter().map(|v| x[v.0 as usize]));
         let mut added = 0;
-        let k = sinks.len();
         for i in 0..k {
             if added >= max_cuts {
                 break;
             }
-            let t = sinks[(self.round_robin + i) % k];
-            self.network.reset_capacities(&caps);
+            let t = self.sinks[(self.round_robin + i) % k];
+            self.network.reset_capacities(&self.caps);
             let flow = self.network.max_flow(d.root, t, 1.0);
             if flow >= 1.0 - 1e-6 {
                 continue;
             }
-            let source_side = self.network.min_cut_source_side(d.root);
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            for (ai, arc) in d.sap.arcs.iter().enumerate() {
-                if source_side[arc.tail as usize] && !source_side[arc.head as usize] {
-                    terms.push((d.arc_var[ai], 1.0));
+            self.network.min_cut_source_side(d.root, &mut self.source_side);
+            self.network.min_cut_sink_side(t, &mut self.sink_side);
+            debug_assert!(!self.sink_side[d.root], "a max flow below 1 leaves the root outside");
+            let front = cut_terms(d, |v| !self.source_side[v]);
+            let back = cut_terms(d, |v| self.sink_side[v]);
+            let back = (back != front).then_some(back);
+            for terms in std::iter::once(front).chain(back) {
+                if !terms.is_empty() {
+                    buf.add(Cut::new("dircut", 1.0, f64::INFINITY, terms));
+                    added += 1;
                 }
             }
-            if terms.is_empty() {
-                continue;
-            }
-            buf.add(Cut::new("dircut", 1.0, f64::INFINITY, terms));
-            added += 1;
         }
-        self.round_robin = (self.round_robin + 1) % k.max(1);
+        self.round_robin = (self.round_robin + 1) % k;
         added
     }
+}
+
+/// The terms of the directed cut row `y(δ⁻(W)) ≥ 1` for the head set
+/// `W = {v : in_w(v)}`: every SAP arc from outside `W` into it.
+fn cut_terms(d: &SpgData, in_w: impl Fn(usize) -> bool) -> Vec<(VarId, f64)> {
+    d.sap
+        .arcs
+        .iter()
+        .zip(&d.arc_var)
+        .filter(|(arc, _)| !in_w(arc.tail as usize) && in_w(arc.head as usize))
+        .map(|(_, &var)| (var, 1.0))
+        .collect()
 }
 
 impl ConstraintHandler for DirectedCutHandler {
@@ -320,12 +351,7 @@ impl ConstraintHandler for DirectedCutHandler {
         let d = &self.data;
         let da = dual_ascent(&d.sap, 32);
         for mask in &da.cuts {
-            let mut terms: Vec<(VarId, f64)> = Vec::new();
-            for (ai, arc) in d.sap.arcs.iter().enumerate() {
-                if !mask[arc.tail as usize] && mask[arc.head as usize] {
-                    terms.push((d.arc_var[ai], 1.0));
-                }
-            }
+            let terms = cut_terms(d, |v| mask[v]);
             if !terms.is_empty() {
                 cuts.add(Cut::new("da-cut", 1.0, f64::INFINITY, terms));
             }
@@ -547,6 +573,7 @@ impl BranchRule for VertexBranching {
 mod tests {
     use super::*;
     use crate::gen::{code_covering, CostScheme};
+    use proptest::prelude::*;
     use ugrs_cip::{Settings, SolveStatus, Solver};
 
     fn solve_graph(g: &Graph) -> (f64, ugrs_cip::SolveResult, Arc<SpgData>) {
@@ -613,6 +640,112 @@ mod tests {
             }
         }
         best
+    }
+
+    /// A connected graph on 3–8 vertices (a spanning path plus random
+    /// edges) with at least two terminals, and a point `x ∈ [0,1]` over a
+    /// model's variables, a quarter each 0 and 1.
+    fn graphs_and_points() -> impl Strategy<Value = (Graph, Vec<f64>)> {
+        (3usize..9, 0usize..12).prop_flat_map(|(n, extra)| {
+            let edges = prop::collection::vec((0..n, 1..n, 1u32..9), extra);
+            let terminals = (prop::collection::vec(any::<bool>(), n), 1..n);
+            let value = (0u8..4, 0.0f64..=1.0).prop_map(|(k, v)| [0.0, 1.0, v, v][k as usize]);
+            let x = prop::collection::vec(value, 2 * (n - 1 + extra) + n);
+            (Just(n), edges, terminals, x).prop_map(|(n, edges, (mask, t), x)| {
+                let mut g = Graph::new(n);
+                for v in 1..n {
+                    g.add_edge(v - 1, v, 1.0);
+                }
+                for (u, d, c) in edges {
+                    g.add_edge(u, (u + d) % n, c as f64);
+                }
+                for v in (0..n).filter(|&v| mask[v] || v == 0 || v == t) {
+                    g.set_terminal(v, true);
+                }
+                (g, x)
+            })
+        })
+    }
+
+    /// The vertices the root cannot reach over SAP arcs outside `cut`:
+    /// the largest head set `W` with `δ⁻(W) ⊆ cut`.
+    fn cut_off_by(d: &SpgData, cut: &Cut) -> Vec<bool> {
+        let vars: std::collections::HashSet<VarId> = cut.terms.iter().map(|&(v, _)| v).collect();
+        let mut cut_off = vec![true; d.sap.n];
+        let mut stack = vec![d.root];
+        cut_off[d.root] = false;
+        while let Some(v) = stack.pop() {
+            for &a in &d.sap.out[v] {
+                let w = d.sap.arcs[a as usize].head as usize;
+                if cut_off[w] && !vars.contains(&d.arc_var[a as usize]) {
+                    cut_off[w] = false;
+                    stack.push(w);
+                }
+            }
+        }
+        cut_off
+    }
+
+    /// `min x(δ⁻(W))` over every head set `W` that holds `t` and not the
+    /// root, by enumeration.
+    fn brute_min_cut(d: &SpgData, x: &[f64], t: usize) -> f64 {
+        let others: Vec<usize> = (0..d.sap.n).filter(|&v| v != d.root && v != t).collect();
+        (0u32..1 << others.len())
+            .map(|mask| {
+                let mut w = vec![false; d.sap.n];
+                w[t] = true;
+                for (i, &v) in others.iter().enumerate() {
+                    w[v] = mask >> i & 1 == 1;
+                }
+                cut_terms(d, |v| w[v]).iter().map(|&(v, _)| x[v.0 as usize]).sum::<f64>()
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Every cut a separation round emits is a directed cut that every
+    /// Steiner arborescence crosses (some terminal is cut off from the
+    /// root without its arcs) and that `x` violates. Per sink, the round
+    /// emits a cut exactly when some cut next to the sink is violated,
+    /// each emitted cut is a minimum one, and its two cuts differ.
+    fn check_separation(g: &Graph, x: &[f64]) -> Result<(), TestCaseError> {
+        let (model, d) = build_model(g);
+        let x = &x[..model.num_vars()];
+        let mut handler = DirectedCutHandler::new(d.clone(), false);
+        let lhs = |cut: &Cut| cut.terms.iter().map(|&(v, c)| c * x[v.0 as usize]).sum::<f64>();
+
+        let mut round = CutBuffer::default();
+        let added = handler.separate_cuts(x, &mut round, handler.max_cuts_per_round);
+        prop_assert_eq!(added, round.len());
+        for cut in &round.cuts {
+            let w = cut_off_by(&d, cut);
+            prop_assert!(!w[d.root] && d.sap.sinks().any(|t| w[t]));
+            prop_assert!(lhs(cut) < 1.0 - 1e-6, "x(δ⁻(W)) = {}", lhs(cut));
+        }
+
+        for t in d.sap.sinks().collect::<Vec<_>>() {
+            handler.sinks = vec![t];
+            let mut buf = CutBuffer::default();
+            handler.separate_cuts(x, &mut buf, usize::MAX);
+            let min = brute_min_cut(&d, x, t);
+            prop_assert_eq!(buf.is_empty(), min >= 1.0 - 1e-6, "sink {} min cut {}", t, min);
+            prop_assert!(buf.len() <= 2);
+            for cut in &buf.cuts {
+                prop_assert!(cut_off_by(&d, cut)[t]);
+                prop_assert!((lhs(cut) - min).abs() < 1e-6, "{} vs min {}", lhs(cut), min);
+            }
+            if let [front, back] = &buf.cuts[..] {
+                prop_assert_ne!(&front.terms, &back.terms);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
+        #[test]
+        fn separated_cuts_are_violated_steiner_cuts(case in graphs_and_points()) {
+            check_separation(&case.0, &case.1)?;
+        }
     }
 
     #[test]

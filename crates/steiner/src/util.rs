@@ -205,6 +205,7 @@ mod tests {
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
         /// The kernel in each of its uses against Floyd–Warshall. Vertex
         /// kinds: 0 deleted from the graph, 1 terminal, 2 search source,
         /// 3 plain, 4 dead in the SAP view only (its arcs stay, as in the

@@ -40,14 +40,15 @@ impl ControlHooks for StopAtTarget {
 }
 
 /// Solves `g` to the known optimum `target`, with or without the
-/// key-vertex heuristic plugged in; everything else — constraint
-/// handler, TM construction heuristic, branching rule, settings — is
-/// identical. Returns (nodes to reach the optimum, key-vertex hits,
-/// incumbent trace).
-fn solve_to(g: &Graph, with_keyvertex: bool, target: f64) -> (u64, u64, Vec<f64>) {
+/// key-vertex heuristic plugged in, for at most `node_limit` nodes;
+/// everything else — constraint handler, TM construction heuristic,
+/// branching rule, settings — is identical. Returns (nodes to reach the
+/// optimum, key-vertex hits, incumbent trace).
+fn solve_to(g: &Graph, with_keyvertex: bool, target: f64, node_limit: u64) -> (u64, u64, Vec<f64>) {
     let (model, data) = build_model(g);
     let hits = Arc::new(AtomicU64::new(0));
-    let mut s = Solver::new(model, ugrs::cip::Settings::default());
+    let settings = ugrs::cip::Settings { node_limit, ..Default::default() };
+    let mut s = Solver::new(model, settings);
     if with_keyvertex {
         register_plugins_with_hits(&mut s, data, Some(hits.clone()));
     } else {
@@ -60,16 +61,31 @@ fn solve_to(g: &Graph, with_keyvertex: bool, target: f64) -> (u64, u64, Vec<f64>
     (res.stats.nodes, hits.load(Ordering::Relaxed), hooks.incumbents)
 }
 
-/// Under identical seeds and settings, the key-vertex local search never
-/// reaches the proven optimum later than the baseline plugin set, and
-/// where it gets there in strictly fewer B&B nodes, it is through a
-/// key-vertex hit. How often that happens depends on the vertex the root
-/// LP ends in, because the LP-biased TM tree the baseline starts from
-/// follows it: seeds 3, 8 and 10 while the root LP was solved by the
-/// primal simplex, 3, 7 and 8 by the unperturbed dual, and only 7 since
-/// the dual simplex perturbs its costs (TM alone then reaches the optimum
-/// at the root on seeds 3 and 8). The plugin's own
-/// effect, independent of the LP, is asserted by
+/// Under identical seeds and settings, the key-vertex plugin changes the
+/// search only through its hits, and its hits are improvements:
+///
+/// * both runs reach the proven optimum;
+/// * at the end of the root node, where both runs have polished nothing
+///   but the same TM tree, the key-vertex run's incumbent is no worse
+///   than the baseline's, and strictly better only through a hit;
+/// * a key-vertex run without a hit is the baseline's search, node for
+///   node and incumbent for incumbent;
+/// * where the key-vertex run reaches the optimum in fewer nodes, it
+///   counted a hit.
+///
+/// The test keeps its name, but it no longer asserts that the key-vertex
+/// run reaches the optimum in no more nodes: a better incumbent tightens
+/// the in-tree reductions' fixings and so the cut rows and the LP
+/// vertices the later nodes branch on, and the rest of a best-bound
+/// search may then find the optimum later. Seed 11 does since the
+/// separator adds back cuts: its hit at the root improves TM's 1 035 to
+/// 1 031, a key-vertex-optimal tree whose four-edge difference to the
+/// 1 030 optimum no single move closes, and the optimum then comes at
+/// node 19 instead of 17. Which seeds the plugin wins at the root follows
+/// the root LP's vertex, which TM's weights follow: 3 and 7 before back
+/// cuts, none with them, under which TM alone reaches the optimum at the
+/// root on seeds 2, 3 and 5–10. The plugin's own effect, independent of
+/// the LP, is asserted by
 /// [`keyvertex_improves_an_lp_free_start`].
 #[test]
 fn keyvertex_never_reaches_optimum_later_than_baseline() {
@@ -85,15 +101,33 @@ fn keyvertex_never_reaches_optimum_later_than_baseline() {
             .best_obj
             .unwrap_or_else(|| panic!("seed {seed}: full solve must find the optimum"));
 
-        let (nodes_kv, hits_kv, trace_kv) = solve_to(&g, true, optimum);
-        let (nodes_base, hits_base, trace_base) = solve_to(&g, false, optimum);
-
+        let (nodes_kv, hits_kv, trace_kv) = solve_to(&g, true, optimum, u64::MAX);
+        let (nodes_base, hits_base, trace_base) = solve_to(&g, false, optimum, u64::MAX);
         assert_eq!(hits_base, 0, "seed {seed}: baseline has no key-vertex plugin");
+        for (run, trace) in [("key-vertex", &trace_kv), ("baseline", &trace_base)] {
+            let end = trace.last().copied().unwrap_or(f64::INFINITY);
+            assert!(end <= optimum + 1e-6, "seed {seed}: the {run} run ends at {end}");
+        }
+
+        let (_, root_hits, root_kv) = solve_to(&g, true, optimum, 1);
+        let (_, _, root_base) = solve_to(&g, false, optimum, 1);
+        let last = |trace: &[f64]| trace.last().copied().unwrap_or(f64::INFINITY);
+        let (root_kv, root_base) = (last(&root_kv), last(&root_base));
         assert!(
-            nodes_kv <= nodes_base,
-            "seed {seed}: key-vertex must not reach the optimum later \
-             ({nodes_kv} nodes vs baseline {nodes_base}); traces {trace_kv:?} vs {trace_base:?}"
+            root_kv <= root_base + 1e-6,
+            "seed {seed}: after the root, key-vertex holds {root_kv}, baseline {root_base}"
         );
+        if root_kv < root_base - 1e-6 {
+            assert!(root_hits >= 1, "seed {seed}: a better root incumbent must be a hit");
+        }
+
+        if hits_kv == 0 {
+            assert_eq!(
+                (nodes_kv, &trace_kv),
+                (nodes_base, &trace_base),
+                "seed {seed}: without a hit the key-vertex run must be the baseline's search"
+            );
+        }
         if nodes_kv < nodes_base {
             assert!(hits_kv >= 1, "seed {seed}: an earlier optimum must be a key-vertex hit");
         }
