@@ -12,6 +12,9 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// The longest the coordinator blocks for a message between two passes.
+const MAX_WAIT: Duration = Duration::from_millis(2);
+
 #[derive(Debug, PartialEq)]
 enum Phase {
     Racing,
@@ -548,23 +551,12 @@ where
         }
         self.opts.telemetry.log(TelemetryEvent::Phase { phase: self.phase_name().into() });
 
+        // Each pass acts on everything the state allows, then waits for
+        // the next message. Assignment leaves no live idle rank next to a
+        // queued subproblem, so no wait delays work that could run.
         let mut solved = false;
         let mut hit_time_limit = false;
         loop {
-            // ---- drain messages ---------------------------------------
-            let mut first = true;
-            loop {
-                let timeout = if first { Duration::from_millis(2) } else { Duration::ZERO };
-                first = false;
-                let Some(msg) = self.comm.recv_timeout(timeout) else { break };
-                if let Some(s) = self.handle(msg) {
-                    solved = s;
-                }
-            }
-            if solved {
-                break;
-            }
-
             // ---- worker attrition -------------------------------------
             // Every worker is gone: nobody is left to assign the
             // requeued work to. Stop unsolved; the checkpoint below
@@ -616,6 +608,25 @@ where
             }
             self.maybe_periodic_checkpoint();
             self.maybe_progress();
+
+            // ---- wait, then drain -------------------------------------
+            // The wait bounds how late the time limit, the cancel flag,
+            // the racing time trigger and the transport's liveness sweep
+            // are seen; a message ends it at once.
+            debug_assert!(
+                self.phase == Phase::Racing || self.idle.is_empty() || self.queue.is_empty(),
+                "the coordinator would wait with work queued and a rank idle"
+            );
+            let mut timeout = MAX_WAIT;
+            while let Some(msg) = self.comm.recv_timeout(timeout) {
+                timeout = Duration::ZERO;
+                if let Some(s) = self.handle(msg) {
+                    solved = s;
+                }
+            }
+            if solved {
+                break;
+            }
         }
 
         // ---- shutdown -------------------------------------------------

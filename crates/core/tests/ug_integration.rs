@@ -315,6 +315,44 @@ fn time_limit_checkpoints_and_restart_completes() {
     assert!((profit_of(&inst, &sol) - expected).abs() < 1e-9);
 }
 
+/// The coordinator hands out work before it first blocks for a message:
+/// every solver that has a subproblem waiting gets it in the first pass,
+/// well under the coordinator's 2 ms wait. Best of 5, to ride out a
+/// descheduled thread.
+#[test]
+fn work_is_handed_out_before_the_coordinator_waits() {
+    let best_first_max_active = |inst: &Arc<Knapsack>, opts: &ParallelOptions| {
+        (0..5)
+            .map(|_| {
+                let res = solve_parallel(factory(inst.clone(), 0), Vec::new(), opts.clone());
+                assert!(res.solved);
+                res.stats.first_max_active_time
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+
+    // One solver, from the root.
+    let inst = Arc::new(Knapsack::gen(14, 3));
+    let opts = ParallelOptions { num_solvers: 1, ..Default::default() };
+    let t = best_first_max_active(&inst, &opts);
+    assert!(t < 1e-3, "one solver from the root: first_max_active_time = {t} s");
+
+    // Two solvers, restarted from a checkpoint with a subproblem for each.
+    let inst = Arc::new(Knapsack::gen_hard(18, 23));
+    let opts = ParallelOptions { num_solvers: 3, time_limit: 0.15, ..Default::default() };
+    let cp = solve_parallel(factory(inst.clone(), 300), Vec::new(), opts)
+        .final_checkpoint
+        .expect("a timed-out run leaves a checkpoint");
+    assert!(cp.num_primitive_nodes() >= 2, "checkpoint holds {}", cp.num_primitive_nodes());
+    let opts = ParallelOptions {
+        num_solvers: 2,
+        restart_from: Some(serde_json::to_string(&cp).unwrap()),
+        ..Default::default()
+    };
+    let t = best_first_max_active(&inst, &opts);
+    assert!(t < 1e-3, "two solvers from a checkpoint: first_max_active_time = {t} s");
+}
+
 #[test]
 fn seeded_incumbent_survives() {
     // Injecting the optimum as a starting incumbent must not be lost.
