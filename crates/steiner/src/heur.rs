@@ -5,7 +5,7 @@
 
 use crate::graph::Graph;
 use crate::tree::SteinerTree;
-use crate::util::{edge_arcs, mst_on_subset, shortest_paths, UnionFind};
+use crate::util::{edge_arcs, mst_on_subset, shortest_paths, Search, UnionFind};
 use std::cmp::Ordering;
 
 /// Builds a pruned Steiner tree spanning the terminals using only the
@@ -34,35 +34,68 @@ pub fn tree_from_vertices(g: &Graph, in_set: &[bool]) -> Option<SteinerTree> {
 /// start terminal, walking shortest paths under `weights` but pricing the
 /// final tree with real costs. Returns `None` if some terminal is
 /// unreachable.
+///
+/// One search per start: each connected path's vertices become sources
+/// at distance 0 and the search continues to the next terminal it
+/// settles, the nearest unconnected one by (distance, vertex). With exact
+/// path sums the paths are those of a search from scratch per terminal
+/// (see `scratch_pred`).
 pub fn tm_from(g: &Graph, start: usize, weights: &[f64]) -> Option<SteinerTree> {
     let n = g.num_nodes();
     let mut in_tree = vec![false; n];
     in_tree[start] = true;
     let mut remaining: usize = g.terminals().filter(|&t| t != start).count();
+    let mut search = Search::new(n);
+    search.add_source(start);
+    let mut path = Vec::new();
     while remaining > 0 {
-        let (dist, pred) =
-            shortest_paths(n, (0..n).filter(|&v| in_tree[v]), |v| edge_arcs(g, weights, v));
-        // Nearest unconnected terminal.
-        let t = g
-            .terminals()
-            .filter(|&t| !in_tree[t])
-            .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap_or(Ordering::Equal))?;
-        if !dist[t].is_finite() {
-            return None;
-        }
-        // Walk the path back into the tree.
+        let t = search.run(|v| edge_arcs(g, weights, v), |v| g.is_terminal(v) && !in_tree[v])?;
+        // Read the whole path back into the tree before any of its
+        // vertices becomes a source and changes `dist`.
         let mut v = t;
         while !in_tree[v] {
-            in_tree[v] = true;
-            let e = pred[v];
+            path.push(v);
+            let e = scratch_pred(g, weights, &search, v);
             if e == u32::MAX {
                 break;
             }
             v = g.edge(e).other(v as u32) as usize;
         }
-        remaining -= 1;
+        // A path may pass through further terminals: count each.
+        for v in path.drain(..) {
+            in_tree[v] = true;
+            remaining -= usize::from(g.is_terminal(v));
+            search.add_source(v);
+        }
     }
     tree_from_vertices(g, &in_tree)
+}
+
+/// The edge into `w` that a search from scratch records: of the alive
+/// edges `e = (u, w)` with `dist[u] < dist[w]` and `dist[u] + weights[e]
+/// == dist[w]`, the one with least (`dist[u]`, `u`, position of `e` at
+/// `u`), which is the first relaxation in (distance, vertex) pop order to
+/// reach `dist[w]`. A continued search may have lowered `dist[w]` along
+/// another path first, so its own `pred[w]` is used only when no edge
+/// qualifies (a zero-weight edge, or a float sum an ulp off).
+fn scratch_pred(g: &Graph, weights: &[f64], search: &Search, w: usize) -> u32 {
+    let dist = &search.dist;
+    let mut best: Option<(usize, u32)> = None;
+    for e in g.incident(w) {
+        let u = g.edge(e).other(w as u32) as usize;
+        if !(dist[u] < dist[w] && dist[u] + weights[e as usize] == dist[w]) {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some((bu, be)) if bu == u => g.incident(u).find(|&f| f == e || f == be) == Some(e),
+            Some((bu, _)) => (dist[u], u) < (dist[bu], bu),
+        };
+        if better {
+            best = Some((u, e));
+        }
+    }
+    best.map_or(search.pred[w], |(_, e)| e)
 }
 
 /// Runs TM from several start terminals (up to `starts`) and returns the
@@ -408,6 +441,7 @@ pub fn key_vertex_local_search(g: &Graph, tree: &SteinerTree, max_passes: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A 6-vertex instance where the optimum uses a Steiner vertex.
     fn steiner_instance() -> Graph {
@@ -463,6 +497,121 @@ mod tests {
         g.set_terminal(2, true);
         let w = real_weights(&g);
         assert!(tm_from(&g, 0, &w).is_none());
+    }
+
+    #[test]
+    fn tm_counts_every_terminal_on_a_path() {
+        // The path from 0 to its nearest terminal 1 (least vertex at
+        // distance 1) passes through terminal 2 over a cost-0 edge.
+        let mut g = Graph::new(3);
+        g.add_edge(0, 2, 1.0);
+        g.add_edge(2, 1, 0.0);
+        for t in 0..3 {
+            g.set_terminal(t, true);
+        }
+        let w = real_weights(&g);
+        for start in 0..3 {
+            let t = tm_from(&g, start, &w).expect("the instance is connected");
+            assert!(t.is_valid(&g), "start {start}");
+            assert_eq!(t.cost, 1.0, "start {start}");
+        }
+    }
+
+    /// TM with a search from scratch from the whole tree for every
+    /// terminal it connects, the construction [`tm_from`] continues one
+    /// search for; every terminal a path passes is connected with it.
+    fn tm_from_scratch(g: &Graph, start: usize, weights: &[f64]) -> Option<SteinerTree> {
+        let n = g.num_nodes();
+        let mut in_tree = vec![false; n];
+        in_tree[start] = true;
+        loop {
+            let (dist, pred) =
+                shortest_paths(n, (0..n).filter(|&v| in_tree[v]), |v| edge_arcs(g, weights, v));
+            let Some(t) = g
+                .terminals()
+                .filter(|&t| !in_tree[t])
+                .min_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap_or(Ordering::Equal))
+            else {
+                break;
+            };
+            if !dist[t].is_finite() {
+                return None;
+            }
+            let mut v = t;
+            while !in_tree[v] {
+                in_tree[v] = true;
+                let e = pred[v];
+                if e == u32::MAX {
+                    break;
+                }
+                v = g.edge(e).other(v as u32) as usize;
+            }
+        }
+        tree_from_vertices(g, &in_tree)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(crate::proptest_cases(64)))]
+        /// The continued search against a search from scratch per
+        /// terminal, from every start. Vertex kinds: 0 deleted, 1
+        /// terminal, else plain; one edge in five is deleted, and random
+        /// pairs give parallel edges. Weight modes: 0 positive integers,
+        /// 1 positive multiples of 0.5 (every path sum exact: the trees
+        /// must be the same), 2 multiples of 0.5 with zeros, 3
+        /// `lp_biased_weights` (a tree exactly when the reference finds
+        /// one, and a valid one).
+        #[test]
+        fn tm_matches_search_from_scratch(
+            n in 1usize..=40,
+            edges in prop::collection::vec((0usize..40, 0usize..40, 0u8..8, 0u8..5), 0..120),
+            kinds in prop::collection::vec(0u8..6, 40),
+            mode in 0u8..4,
+            lp in prop::collection::vec(0u8..5, 120),
+        ) {
+            let mut g = Graph::new(n);
+            for &(u, v, w, life) in &edges {
+                let (u, v) = (u % n, v % n);
+                if u == v {
+                    continue;
+                }
+                let cost = match mode {
+                    0 => 1.0 + w as f64,
+                    1 => 0.5 * (1 + w) as f64,
+                    _ => 0.5 * w as f64,
+                };
+                let e = g.add_edge(u, v, cost);
+                if life == 0 {
+                    g.delete_edge(e);
+                }
+            }
+            for (v, kind) in kinds.iter().enumerate().take(n) {
+                match kind {
+                    0 => g.delete_node(v),
+                    1 => g.set_terminal(v, true),
+                    _ => {}
+                }
+            }
+            let weights = if mode == 3 {
+                let edge_lp: Vec<f64> = lp.iter().map(|&y| 0.25 * y as f64).collect();
+                lp_biased_weights(&g, &edge_lp)
+            } else {
+                real_weights(&g)
+            };
+            for start in g.terminals() {
+                let got = tm_from(&g, start, &weights);
+                let want = tm_from_scratch(&g, start, &weights);
+                if mode <= 1 {
+                    let got = got.map(|t| (t.edges, t.cost));
+                    let want = want.map(|t| (t.edges, t.cost));
+                    prop_assert_eq!(got, want, "start {}", start);
+                } else {
+                    prop_assert_eq!(got.is_some(), want.is_some(), "start {}", start);
+                    if let Some(t) = got {
+                        prop_assert!(t.is_valid(&g), "start {}: invalid tree", start);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct ReduceStats {
     pub sd_deleted: usize,
     pub da_nodes_deleted: usize,
     pub da_edges_deleted: usize,
+    /// Edges at least one of whose directions only the extended test
+    /// excludes; the rest of the bound-based deletions are in
+    /// `da_edges_deleted`.
     pub ext_edges_deleted: usize,
     pub rounds_run: usize,
 }
@@ -175,6 +178,11 @@ fn nnt_test(g: &mut Graph, stats: &mut ReduceStats) -> bool {
 /// Dijkstra is bounded by distance `c` and `scan_limit` settled vertices.
 pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> bool {
     let mut any = false;
+    // One scratch for every edge's search: `touched` lists the entries of
+    // `dist` to reset to ∞ afterwards.
+    let mut dist = vec![f64::INFINITY; g.num_nodes()];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut heap = BinaryHeap::new();
     let edges: Vec<u32> = g.alive_edges().collect();
     for e in edges {
         if !g.edge(e).alive {
@@ -185,15 +193,18 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
             (ed.u as usize, ed.v as usize, ed.cost)
         };
         // Bounded Dijkstra from u avoiding e.
-        let mut dist = std::collections::HashMap::new();
-        let mut heap = BinaryHeap::new();
-        dist.insert(u, 0.0);
+        for x in touched.drain(..) {
+            dist[x] = f64::INFINITY;
+        }
+        heap.clear();
+        dist[u] = 0.0;
+        touched.push(u);
         heap.push(MinEntry(0.0, u as u32));
         let mut settled = 0usize;
         let mut found = false;
         while let Some(MinEntry(d, x)) = heap.pop() {
             let x = x as usize;
-            if d > *dist.get(&x).unwrap_or(&f64::INFINITY) + 1e-15 {
+            if d > dist[x] + 1e-15 {
                 continue;
             }
             if x == v {
@@ -210,8 +221,11 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
                 }
                 let w = g.edge(ne).other(x as u32) as usize;
                 let nd = d + g.edge(ne).cost;
-                if nd <= c + 1e-12 && nd < *dist.get(&w).unwrap_or(&f64::INFINITY) - 1e-15 {
-                    dist.insert(w, nd);
+                if nd <= c + 1e-12 && nd < dist[w] - 1e-15 {
+                    if dist[w] == f64::INFINITY {
+                        touched.push(w);
+                    }
+                    dist[w] = nd;
                     heap.push(MinEntry(nd, w as u32));
                 }
             }
@@ -239,8 +253,21 @@ fn da_tests(g: &mut Graph, stats: &mut ReduceStats) -> bool {
     if !da.bound.is_finite() {
         return false;
     }
-    let (dfr, dtt) = redcost_distances(&sap, &da.redcost, root);
-    let lb = da.bound;
+    bound_tests(g, &sap, &da.redcost, da.bound, ub, stats)
+}
+
+/// The vertex and arc tests of [`da_tests`] under the reduced costs
+/// `redcost` of a dual solution of bound `lb` on `sap`, against the
+/// upper bound `ub`.
+fn bound_tests(
+    g: &mut Graph,
+    sap: &SapGraph,
+    redcost: &[f64],
+    lb: f64,
+    ub: f64,
+    stats: &mut ReduceStats,
+) -> bool {
+    let (dfr, dtt) = redcost_distances(sap, redcost, sap.root);
     let tol = 1e-9;
     let mut any = false;
 
@@ -259,21 +286,32 @@ fn da_tests(g: &mut Graph, stats: &mut ReduceStats) -> bool {
         if !g.edge(e).alive {
             continue;
         }
-        let a1 = find_arc(&sap, e, g.edge(e).u, g.edge(e).v);
-        let a2 = find_arc(&sap, e, g.edge(e).v, g.edge(e).u);
+        let a1 = find_arc(sap, e, g.edge(e).u, g.edge(e).v);
+        let a2 = find_arc(sap, e, g.edge(e).v, g.edge(e).u);
         let (Some(a1), Some(a2)) = (a1, a2) else { continue };
-        let excl1 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a1);
-        if !excl1 {
+        let Some(excl1) = arc_exclusion(g, sap, redcost, &dfr, &dtt, lb, ub, a1) else {
             continue;
-        }
-        let excl2 = arc_excludable(g, &sap, &da.redcost, &dfr, &dtt, lb, ub, a2);
-        if excl2 {
+        };
+        if let Some(excl2) = arc_exclusion(g, sap, redcost, &dfr, &dtt, lb, ub, a2) {
             g.delete_edge(e);
-            stats.da_edges_deleted += 1;
+            if excl1 == Exclusion::Extended || excl2 == Exclusion::Extended {
+                stats.ext_edges_deleted += 1;
+            } else {
+                stats.da_edges_deleted += 1;
+            }
             any = true;
         }
     }
     any
+}
+
+/// Which test of [`arc_exclusion`] excludes an arc.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Exclusion {
+    /// The base reduced-cost test.
+    Base,
+    /// The depth-1 extended continuation.
+    Extended,
 }
 
 fn find_arc(sap: &SapGraph, edge: u32, tail: u32, head: u32) -> Option<u32> {
@@ -283,14 +321,15 @@ fn find_arc(sap: &SapGraph, edge: u32, tail: u32, head: u32) -> Option<u32> {
         .find(|&a| sap.arcs[a as usize].edge == edge && sap.arcs[a as usize].head == head)
 }
 
-/// Can arc `a` be excluded from every optimal arborescence? Base test:
+/// Can arc `a` be excluded from every optimal arborescence, and by
+/// which test (`None`: it cannot)? Base test:
 /// `lb + d̃(r→tail) + c̃(a) + d̃(head→T) > ub`. The *extended* test
 /// then replaces `d̃(head→T)` for non-terminal heads by the best depth-1
 /// continuation `min_{w≠tail} c̃(head→w) + d̃(w→T)` — valid because a
 /// non-terminal head must continue toward a terminal via an arc other
 /// than the reverse of `a`.
 #[allow(clippy::too_many_arguments)]
-fn arc_excludable(
+fn arc_exclusion(
     g: &Graph,
     sap: &SapGraph,
     redcost: &[f64],
@@ -299,17 +338,17 @@ fn arc_excludable(
     lb: f64,
     ub: f64,
     a: u32,
-) -> bool {
+) -> Option<Exclusion> {
     let arc = &sap.arcs[a as usize];
     let tail = arc.tail as usize;
     let head = arc.head as usize;
     let base = lb + dfr[tail] + redcost[a as usize];
     let tol = 1e-9;
     if base + dtt[head] > ub + tol {
-        return true;
+        return Some(Exclusion::Base);
     }
     if g.is_terminal(head) {
-        return false;
+        return None;
     }
     // Extended: every continuation out of `head` (other than back to
     // `tail`) must break the bound.
@@ -321,7 +360,7 @@ fn arc_excludable(
         }
         cont = cont.min(redcost[oa as usize] + dtt[oarc.head as usize]);
     }
-    base + cont > ub + tol
+    (base + cont > ub + tol).then_some(Exclusion::Extended)
 }
 
 #[cfg(test)]
@@ -420,6 +459,33 @@ mod tests {
         let stats = reduce(&mut g, &ReduceParams::default());
         assert!(!g.is_node_alive(2) || g.degree(2) == 0);
         assert!(stats.total_eliminations() > 0);
+    }
+
+    #[test]
+    fn only_the_extended_test_deletes_a_parallel_edge() {
+        // Root 0 and terminals 3, 4; the edges 1–2 are parallel. Under
+        // the reduced costs below (lb 0, ub 4) the expensive one's arc
+        // 1→2 passes the base test (dtt[2] is 0 by the cheap edge back
+        // to 1) and fails only the extended test (its continuation 2→3
+        // costs 2); its arc 2→1 fails the base test. No vertex and no
+        // other edge goes.
+        let mut g = Graph::new(5);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(1, 4, 1.0);
+        let expensive = g.add_edge(1, 2, 5.0);
+        g.add_edge(1, 2, 1.0);
+        g.add_edge(2, 3, 2.0);
+        for t in [0, 3, 4] {
+            g.set_terminal(t, true);
+        }
+        let sap = SapGraph::from_graph(&g, 0);
+        // Arcs 2k and 2k + 1 are edge k's u→v and v→u.
+        let redcost = [0.0, 0.0, 0.0, 0.0, 3.0, 5.0, 0.0, 0.0, 2.0, 2.0];
+        let mut st = ReduceStats::default();
+        assert!(bound_tests(&mut g, &sap, &redcost, 0.0, 4.0, &mut st));
+        assert!(!g.edge(expensive).alive);
+        assert_eq!(st.ext_edges_deleted, 1);
+        assert_eq!(st.total_eliminations(), 1);
     }
 
     #[test]

@@ -59,40 +59,79 @@ impl Ord for MinEntry {
     }
 }
 
-/// Multi-source Dijkstra over `n` vertices: every source starts at
-/// distance 0, and `arcs(v)` yields the arcs `(head, weight, via)` that
-/// leave `v`. Returns `(dist, pred)`: `dist[v]` is ∞ where `v` is not
-/// reached, `pred[v]` the `via` of the arc that last lowered `dist[v]`
-/// (`u32::MAX` at sources and unreached vertices). A vertex is relaxed
+/// The crate's one Dijkstra, resumable: a multi-source search over `n`
+/// vertices that a caller can stop at a settled vertex, give further
+/// sources and continue. `dist[v]` is ∞ where `v` is not reached,
+/// `pred[v]` the `via` of the arc that last lowered `dist[v]` (`u32::MAX`
+/// at sources and unreached vertices). The heap pops by (distance,
+/// vertex) ascending, a stale entry is skipped, and a vertex is relaxed
 /// only by more than `1e-15`, so of equally short paths the first found
-/// in (distance, vertex) pop order wins.
+/// in pop order wins. A vertex whose distance falls after it was relaxed
+/// is relaxed again, so a continued search ends with the distances a
+/// search from scratch from all its sources would find.
+pub(crate) struct Search {
+    pub dist: Vec<f64>,
+    pub pred: Vec<u32>,
+    heap: BinaryHeap<MinEntry>,
+}
+
+impl Search {
+    pub fn new(n: usize) -> Self {
+        Search { dist: vec![f64::INFINITY; n], pred: vec![u32::MAX; n], heap: BinaryHeap::new() }
+    }
+
+    /// Makes `v` a source: distance 0 and no predecessor.
+    pub fn add_source(&mut self, v: usize) {
+        self.pred[v] = u32::MAX;
+        if self.dist[v] != 0.0 {
+            self.dist[v] = 0.0;
+            self.heap.push(MinEntry(0.0, v as u32));
+        }
+    }
+
+    /// Settles vertices in pop order, relaxing the arcs `(head, weight,
+    /// via)` that `arcs(v)` yields, until `stop` accepts a settled
+    /// vertex; returns that vertex unrelaxed, still queued, or `None`
+    /// once every reached vertex is relaxed.
+    pub fn run<I: Iterator<Item = (usize, f64, u32)>>(
+        &mut self,
+        arcs: impl Fn(usize) -> I,
+        mut stop: impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        while let Some(MinEntry(d, v)) = self.heap.pop() {
+            let v = v as usize;
+            if d > self.dist[v] {
+                continue;
+            }
+            if stop(v) {
+                self.heap.push(MinEntry(d, v as u32));
+                return Some(v);
+            }
+            for (w, weight, via) in arcs(v) {
+                let nd = d + weight;
+                if nd < self.dist[w] - 1e-15 {
+                    self.dist[w] = nd;
+                    self.pred[w] = via;
+                    self.heap.push(MinEntry(nd, w as u32));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// A [`Search`] from `sources` run to the end: `(dist, pred)`.
 pub(crate) fn shortest_paths<I: Iterator<Item = (usize, f64, u32)>>(
     n: usize,
     sources: impl IntoIterator<Item = usize>,
     arcs: impl Fn(usize) -> I,
 ) -> (Vec<f64>, Vec<u32>) {
-    let mut dist = vec![f64::INFINITY; n];
-    let mut pred = vec![u32::MAX; n];
-    let mut heap = BinaryHeap::new();
+    let mut search = Search::new(n);
     for s in sources {
-        dist[s] = 0.0;
-        heap.push(MinEntry(0.0, s as u32));
+        search.add_source(s);
     }
-    while let Some(MinEntry(d, v)) = heap.pop() {
-        let v = v as usize;
-        if d > dist[v] {
-            continue;
-        }
-        for (w, weight, via) in arcs(v) {
-            let nd = d + weight;
-            if nd < dist[w] - 1e-15 {
-                dist[w] = nd;
-                pred[w] = via;
-                heap.push(MinEntry(nd, w as u32));
-            }
-        }
-    }
-    (dist, pred)
+    search.run(arcs, |_| false);
+    (search.dist, search.pred)
 }
 
 /// The alive edges at `v` as arcs of [`shortest_paths`]: `(other end,
