@@ -151,14 +151,13 @@ pub enum RelaxOutcome {
 }
 
 /// A relaxator solve: its outcome and the work it took, which the solver
-/// adds to [`crate::Statistics`]`::{relax_iterations, relax_fallbacks}`.
+/// adds to [`crate::Statistics`]`::relax_iterations`.
 #[derive(Clone, Debug)]
 pub struct RelaxResult {
     pub outcome: RelaxOutcome,
-    /// Iterations of the relaxation solver (the SDP's Newton steps).
+    /// Iterations of the relaxation solver (the SDP's primal–dual
+    /// iterations).
     pub iterations: u64,
-    /// Re-solves with a fallback formulation (the SDP's penalty solves).
-    pub fallbacks: u64,
 }
 
 /// A branching decision: split on `var` at `value` (floor/ceil children).

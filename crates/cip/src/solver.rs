@@ -497,7 +497,6 @@ impl Solver {
         let res = relaxator.solve_relaxation(&mut ctx);
         self.stats.relax_solves += 1;
         self.stats.relax_iterations += res.iterations;
-        self.stats.relax_fallbacks += res.fallbacks;
         match res.outcome {
             RelaxOutcome::Infeasible => Err(NodeOutcome::Infeasible),
             // The relaxator failed: the node keeps the bound it came with
@@ -1275,7 +1274,7 @@ mod tests {
         }
         fn solve_relaxation(&mut self, _ctx: &mut SolveCtx) -> RelaxResult {
             let outcome = RelaxOutcome::Bounded { bound: 0.0, x: self.0.clone() };
-            RelaxResult { outcome, iterations: 1, fallbacks: 0 }
+            RelaxResult { outcome, iterations: 1 }
         }
     }
 

@@ -96,11 +96,9 @@ pub struct Statistics {
     pub lp_time: f64,
     /// Relaxator solves.
     pub relax_solves: u64,
-    /// Iterations the relaxator's solves took (the SDP's Newton steps).
+    /// Iterations the relaxator's solves took (the SDP's primal–dual
+    /// iterations).
     pub relax_iterations: u64,
-    /// Relaxator re-solves with a fallback formulation (the SDP's
-    /// penalty solves).
-    pub relax_fallbacks: u64,
     /// Cuts installed into the LP.
     pub cuts_applied: u64,
     /// Cuts rejected as pool duplicates.
@@ -145,7 +143,6 @@ impl Default for Statistics {
             lp_time: 0.0,
             relax_solves: 0,
             relax_iterations: 0,
-            relax_fallbacks: 0,
             cuts_applied: 0,
             cuts_duplicate: 0,
             propagations: 0,

@@ -5,7 +5,7 @@ use crate::{LinalgError, Matrix, Result};
 
 /// Cholesky factor `L` with `A + shift·I = L Lᵀ`.
 ///
-/// The SDP barrier solver hands this nearly-singular Newton systems close
+/// The SDP solver hands this nearly-singular Schur complements close
 /// to the boundary of the PSD cone, so the factorization supports an
 /// *adaptive* diagonal shift: if a pivot turns non-positive the whole
 /// factorization is retried with a geometrically growing shift. The shift
@@ -114,14 +114,8 @@ impl CholeskyFactor {
         Ok(x)
     }
 
-    /// log det(A + shift·I) = 2 Σ log L_ii — the barrier value the SDP
-    /// solver needs, extracted for free from the factorization.
-    pub fn log_det(&self) -> f64 {
-        (0..self.order()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
-
-    /// `(A + shift·I)⁻¹ = L⁻ᵀ L⁻¹`, exactly symmetric: the SDP barrier
-    /// builds its whole Newton system from this one inverse per block.
+    /// `(A + shift·I)⁻¹ = L⁻ᵀ L⁻¹`, exactly symmetric: the SDP solver
+    /// builds its Schur complement from this one `S⁻¹` per block.
     pub fn inverse(&self) -> Matrix {
         let n = self.order();
         // X = L⁻¹ row by row: x_i = (e_i − Σ_{k<i} L_ik x_k) / L_ii.
@@ -148,6 +142,33 @@ impl CholeskyFactor {
             }
         }
         w
+    }
+
+    /// `L⁻¹ D L⁻ᵀ` for a symmetric `d`, symmetrized: `A + α D ⪰ 0` iff
+    /// `I + α L⁻¹ D L⁻ᵀ ⪰ 0`, which gives the SDP solver its step lengths.
+    pub fn congruence(&self, d: &Matrix) -> Matrix {
+        let z = self.forward_rows(d);
+        let mut w = self.forward_rows(&z.transpose());
+        w.symmetrize();
+        w
+    }
+
+    /// `L⁻¹ B`, by forward substitution on whole rows.
+    fn forward_rows(&self, b: &Matrix) -> Matrix {
+        let n = self.order();
+        let mut z = b.clone();
+        for i in 0..n {
+            let (done, rest) = z.data_mut().split_at_mut(i * n);
+            let zi = &mut rest[..n];
+            for k in 0..i {
+                axpy(-self.l[(i, k)], &done[k * n..(k + 1) * n], zi);
+            }
+            let inv = 1.0 / self.l[(i, i)];
+            for v in zi.iter_mut() {
+                *v *= inv;
+            }
+        }
+        z
     }
 }
 
@@ -225,12 +246,5 @@ mod tests {
         let mut diff = a.matmul(&w).unwrap();
         diff.add_scaled(-1.0, &Matrix::identity(3)).unwrap();
         assert!(diff.norm_frobenius() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_matches_direct_computation() {
-        let a = Matrix::from_diag(&[2.0, 3.0, 4.0]);
-        let f = CholeskyFactor::new(&a).unwrap();
-        assert!((f.log_det() - (24.0f64).ln()).abs() < 1e-12);
     }
 }

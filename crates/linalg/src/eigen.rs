@@ -4,8 +4,11 @@
 //! and a corresponding eigenvector of `Z = C − Σ Aᵢ yᵢ` (§3.2 of the
 //! paper: the Sherali–Fraticelli eigenvector cut). Jacobi rotations give
 //! high-quality orthogonal eigenvectors on the small dense blocks we care
-//! about, at the price of O(n³) per sweep — perfectly fine here.
+//! about, at the price of O(n³) per sweep — perfectly fine here. The SDP
+//! solver's step lengths need only the smallest eigenvalue, which
+//! [`min_eigenvalue`] finds by a tridiagonal reduction and bisection.
 
+use crate::vector::{axpy, dot};
 use crate::{LinalgError, Matrix, Result};
 
 /// Full eigendecomposition of a symmetric matrix: `A = V diag(λ) Vᵀ`.
@@ -117,10 +120,119 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
     Ok(SymmetricEigen { values, vectors })
 }
 
-/// Smallest eigenvalue of a symmetric matrix (convenience; full Jacobi
-/// under the hood).
+/// Smallest eigenvalue of a symmetric matrix, to the last bit, without
+/// eigenvectors (see [`Tridiagonal`]).
 pub fn min_eigenvalue(a: &Matrix) -> Result<f64> {
-    Ok(symmetric_eigen(a)?.values[0])
+    let t = Tridiagonal::new(a.clone())?;
+    Ok(t.min_eigenvalue_below(t.upper + 1.0, 0.0).unwrap_or(t.lower))
+}
+
+/// The tridiagonal form `QᵀAQ` of a symmetric `A`, for an orthogonal `Q`
+/// of Householder reflections (`n³` flops): it has `A`'s eigenvalues, and
+/// Sturm counts bracket them in `O(n)` each. The SDP solver reads its step
+/// lengths from it.
+pub struct Tridiagonal {
+    d: Vec<f64>,
+    e: Vec<f64>,
+    /// Gershgorin bounds on every eigenvalue.
+    lower: f64,
+    upper: f64,
+}
+
+impl Tridiagonal {
+    pub fn new(a: Matrix) -> Result<Self> {
+        if !a.is_square() || a.rows() == 0 {
+            return Err(LinalgError::Shape("eigenvalue of a non-square or empty matrix".into()));
+        }
+        let (d, e) = tridiagonal(a);
+        let n = d.len();
+        let radius = |i: usize| {
+            (if i > 0 { e[i - 1].abs() } else { 0.0 }) + (if i + 1 < n { e[i].abs() } else { 0.0 })
+        };
+        let lower = (0..n).map(|i| d[i] - radius(i)).fold(f64::INFINITY, f64::min);
+        let upper = (0..n).map(|i| d[i] + radius(i)).fold(f64::NEG_INFINITY, f64::max);
+        if !(lower.is_finite() && upper.is_finite()) {
+            return Err(LinalgError::NoConvergence);
+        }
+        Ok(Tridiagonal { d, e, lower, upper })
+    }
+
+    /// Whether some eigenvalue lies below `x`: a negative pivot of the
+    /// LDLᵀ factorization of `T − xI` (Sylvester's law of inertia).
+    pub fn has_eigenvalue_below(&self, x: f64) -> bool {
+        let mut q = 1.0;
+        for (i, &di) in self.d.iter().enumerate() {
+            let off = if i > 0 { self.e[i - 1] * self.e[i - 1] / q } else { 0.0 };
+            q = di - x - off;
+            if q < 0.0 {
+                return true;
+            }
+            q = q.max(f64::MIN_POSITIVE);
+        }
+        false
+    }
+
+    /// The smallest eigenvalue `λ`, if it lies below `x`: the lower end
+    /// of a bisection bracket no wider than `rel·|λ|` (0: to the last
+    /// bit), so never above `λ`.
+    pub fn min_eigenvalue_below(&self, x: f64, rel: f64) -> Option<f64> {
+        if !self.has_eigenvalue_below(x) {
+            return None;
+        }
+        let (mut lo, mut hi) = (self.lower, x.min(self.upper));
+        loop {
+            let mid = 0.5 * (lo + hi);
+            if mid <= lo || mid >= hi || hi - lo <= rel * lo.abs() {
+                return Some(lo);
+            }
+            if self.has_eigenvalue_below(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+    }
+}
+
+/// The diagonal and subdiagonal of `QᵀAQ`, tridiagonal, for a symmetric
+/// `a` and an orthogonal `Q` of Householder reflections.
+fn tridiagonal(mut a: Matrix) -> (Vec<f64>, Vec<f64>) {
+    let n = a.rows();
+    a.symmetrize();
+    let mut e = vec![0.0; n.saturating_sub(1)];
+    let (mut v, mut p) = (vec![0.0; n], vec![0.0; n]);
+    for k in 0..n.saturating_sub(2) {
+        // Column k below the diagonal is row k right of it.
+        let x = &a.row(k)[k + 1..];
+        let norm = dot(x, x).sqrt();
+        if norm == 0.0 {
+            continue;
+        }
+        // H = I − β v vᵀ maps x to alpha·e₁.
+        let alpha = if x[0] > 0.0 { -norm } else { norm };
+        let (v, p) = (&mut v[k + 1..], &mut p[k + 1..]);
+        v.copy_from_slice(x);
+        v[0] -= alpha;
+        let beta = 2.0 / dot(v, v);
+        // p = β A₂₂ v, a sum of A₂₂'s rows.
+        p.fill(0.0);
+        for (j, &vj) in v.iter().enumerate() {
+            axpy(beta * vj, &a.row(k + 1 + j)[k + 1..], p);
+        }
+        // A₂₂ ← H A₂₂ H = A₂₂ − v qᵀ − q vᵀ with q = p − (β vᵀp / 2) v.
+        let half = 0.5 * beta * dot(v, p);
+        axpy(-half, v, p);
+        for (i, (&vi, &qi)) in v.iter().zip(p.iter()).enumerate() {
+            let row = &mut a.row_mut(k + 1 + i)[k + 1..];
+            axpy(-vi, p, row);
+            axpy(-qi, v, row);
+        }
+        e[k] = alpha;
+    }
+    if n >= 2 {
+        e[n - 2] = a[(n - 1, n - 2)];
+    }
+    ((0..n).map(|i| a[(i, i)]).collect(), e)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! * [`Matrix`] — row-major dense matrices with the usual arithmetic,
 //! * [`lu::LuFactor`] — LU factorization with partial pivoting,
 //! * [`cholesky::CholeskyFactor`] — LLᵀ factorization of SPD matrices with
-//!   an adaptive diagonal shift (used by the SDP barrier Newton systems),
+//!   an adaptive diagonal shift (used by the SDP solver's Schur complements),
 //! * [`eigen`] — a cyclic Jacobi eigensolver for symmetric matrices, which
 //!   powers the eigenvector-cut separator of the MISDP solver.
 //!
@@ -22,7 +22,7 @@ pub mod matrix;
 pub mod vector;
 
 pub use cholesky::CholeskyFactor;
-pub use eigen::{symmetric_eigen, SymmetricEigen};
+pub use eigen::{symmetric_eigen, SymmetricEigen, Tridiagonal};
 pub use lu::LuFactor;
 pub use matrix::Matrix;
 

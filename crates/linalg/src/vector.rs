@@ -1,7 +1,7 @@
 //! Slice-level vector kernels (dot products, axpy, norms).
 //!
-//! These are the hot inner loops of the simplex pricing and the barrier
-//! Newton steps; they are written over plain slices so callers can use them
+//! These are the hot inner loops of the simplex pricing and the SDP
+//! solver's iterations; they are written over plain slices so callers can use them
 //! on `Vec<f64>`, matrix rows, or scratch buffers alike.
 
 /// Dot product `xᵀy`. Panics if the slices have different lengths.

@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use ugrs_linalg::{
-    cholesky::is_positive_definite, symmetric_eigen, CholeskyFactor, LuFactor, Matrix,
+    cholesky::is_positive_definite, eigen::min_eigenvalue, symmetric_eigen, CholeskyFactor,
+    LuFactor, Matrix,
 };
 
 /// Strategy: a well-conditioned-ish random square matrix (entries in
@@ -98,6 +99,34 @@ proptest! {
         let e = symmetric_eigen(&a).unwrap();
         let sum: f64 = e.values.iter().sum();
         prop_assert!((sum - a.trace()).abs() < 1e-7 * (1.0 + a.trace().abs()));
+    }
+
+    #[test]
+    fn min_eigenvalue_matches_jacobi(n in 1usize..9, seed in prop::collection::vec(-5.0f64..5.0, 64)) {
+        let mut a = Matrix::from_rows(n, n, seed[..n * n].to_vec()).unwrap();
+        a.symmetrize();
+        // A repeated eigenvalue and a zero column, which skips a reflection.
+        if n > 2 {
+            for j in 0..n {
+                a[(0, j)] = 0.0;
+                a[(j, 0)] = 0.0;
+            }
+        }
+        let jacobi = symmetric_eigen(&a).unwrap().values[0];
+        let bisected = min_eigenvalue(&a).unwrap();
+        prop_assert!((jacobi - bisected).abs() <= 1e-10 * (1.0 + a.norm_frobenius()), "{} vs {}", jacobi, bisected);
+    }
+
+    #[test]
+    fn congruence_whitens_by_the_factor(a in spd_matrix(5), d in sym_matrix(5)) {
+        // L (L⁻¹ D L⁻ᵀ) Lᵀ = D.
+        let f = CholeskyFactor::new(&a).unwrap();
+        let w = f.congruence(&d);
+        prop_assert_eq!(w.asymmetry(), 0.0);
+        let back = f.l().matmul(&w).unwrap().matmul(&f.l().transpose()).unwrap();
+        let mut diff = d.clone();
+        diff.add_scaled(-1.0, &back).unwrap();
+        prop_assert!(diff.norm_frobenius() < 1e-9 * (1.0 + d.norm_frobenius()));
     }
 
     #[test]

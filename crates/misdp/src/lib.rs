@@ -14,8 +14,9 @@
 //!   `vᵀ(C − Σ Aᵢ yᵢ)v ≥ 0` with `v` the eigenvector of the most
 //!   negative eigenvalue — inequality (9) of the paper;
 //! * **nonlinear branch-and-bound** ([`relax`]): each node solves a
-//!   continuous SDP relaxation through `ugrs-sdp`, with the penalty
-//!   formulation as fallback when branching harms the Slater condition.
+//!   continuous SDP relaxation through `ugrs-sdp`'s primal–dual method,
+//!   which needs no strictly feasible point when branching harms the
+//!   Slater condition.
 //!
 //! The racing settings of `ug [SCIP-SDP, *]` ([`settings`]) alternate
 //! between the two (§3.2: "half of them using LP-based settings and the

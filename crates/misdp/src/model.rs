@@ -57,7 +57,7 @@ impl MisdpProblem {
                 return false;
             }
         }
-        self.sdp_relaxation(&self.lb, &self.ub).is_feasible(y, tol)
+        ugrs_sdp::problem::is_feasible(y, &self.lb, &self.ub, &self.blocks, &self.lin, tol)
     }
 
     /// True if the objective vector is integral on the integer support

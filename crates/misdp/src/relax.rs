@@ -1,21 +1,23 @@
 //! The SDP relaxator: SCIP-SDP's nonlinear branch-and-bound mode (§3.2).
-//! Each node solves a continuous SDP through the interior-point solver,
-//! retrying with the penalty formulation when the plain solve runs into
-//! Slater-condition trouble.
+//! Each node solves the continuous SDP relaxation under the node's bounds
+//! with the primal–dual interior-point solver.
 
 use crate::model::MisdpProblem;
 use std::sync::Arc;
 use ugrs_cip::{RelaxOutcome, RelaxResult, Relaxator, SolveCtx};
-use ugrs_sdp::{solve, solve_penalty, SdpOptions, SdpStatus};
+use ugrs_sdp::{SdpSolver, SdpStatus};
 
-/// The relaxator plugin.
+/// The relaxator plugin. It builds the SDP's working form once; a node
+/// sets only its bounds.
 pub struct SdpRelaxator {
     pub problem: Arc<MisdpProblem>,
+    sdp: SdpSolver,
 }
 
 impl SdpRelaxator {
     pub fn new(problem: Arc<MisdpProblem>) -> Self {
-        SdpRelaxator { problem }
+        let sdp = SdpSolver::new(&problem.sdp_relaxation(&problem.lb, &problem.ub));
+        SdpRelaxator { problem, sdp }
     }
 }
 
@@ -25,17 +27,7 @@ impl Relaxator for SdpRelaxator {
     }
 
     fn solve_relaxation(&mut self, ctx: &mut SolveCtx) -> RelaxResult {
-        let sdp = self.problem.sdp_relaxation(ctx.local_lb, ctx.local_ub);
-        let mut res = solve(&sdp, &SdpOptions::default());
-        let mut iterations = res.iterations;
-        let mut fallbacks = res.fallbacks;
-        if res.status == SdpStatus::Numerical {
-            // The penalty formulation (§3.2) repairs ill-posed relaxations
-            // created by branching.
-            res = solve_penalty(&sdp, &SdpOptions::default());
-            iterations += res.iterations;
-            fallbacks += 1;
-        }
+        let res = self.sdp.solve(ctx.local_lb, ctx.local_ub);
         let outcome = match res.status {
             SdpStatus::Infeasible => RelaxOutcome::Infeasible,
             SdpStatus::Optimal => {
@@ -43,9 +35,9 @@ impl Relaxator for SdpRelaxator {
                 // the internal bound is −(bᵀy).
                 RelaxOutcome::Bounded { bound: -res.obj, x: res.y }
             }
-            SdpStatus::Unbounded | SdpStatus::Numerical => RelaxOutcome::Error,
+            SdpStatus::Numerical => RelaxOutcome::Error,
         };
-        RelaxResult { outcome, iterations: iterations as u64, fallbacks: fallbacks as u64 }
+        RelaxResult { outcome, iterations: res.iterations as u64 }
     }
 }
 

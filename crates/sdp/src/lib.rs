@@ -9,27 +9,25 @@
 //!                  ℓ ≤ y ≤ u.
 //! ```
 //!
-//! The engine is a log-det **barrier method** with damped Newton steps: it
-//! maximizes `t·bᵀy + Σ log det S_k(y) + Σ log(bound slacks)` along the
-//! central path, geometrically increasing `t`. The blocks of the
+//! The engine is an infeasible-start **primal–dual path-following
+//! method** with the HKM direction and Mehrotra's predictor–corrector, as
+//! in CSDP and SDPT3 (and Mosek, the paper's engine): it needs no
+//! strictly feasible start, so no phase 1 and no penalty formulation, and
+//! it takes 15–30 iterations on the MISDP relaxations. The blocks of the
 //! CBLIB-style relaxations the MISDP solver feeds it are small, and each
 //! coefficient matrix `Aᵢ` is sparse or low-rank (one diagonal entry, two
 //! off-diagonal entries, rank one, `−I`): the solver keeps every `Aᵢ` as
-//! its nonzeros and assembles each Newton system from one inverse
-//! `S⁻¹` per block (Fujisawa–Kojima–Nakata's sparse Schur-complement
-//! formulas).
+//! its nonzeros and assembles each Schur complement from `X` and `S⁻¹`
+//! per block (Fujisawa–Kojima–Nakata's sparse formulas).
 //!
-//! Two properties the paper's solution approach depends on are
-//! reproduced faithfully:
-//!
-//! * a **phase-1 / penalty formulation** ([`solver::solve_penalty`]):
-//!   `sup bᵀy − Γ z  s.t.  S_k(y) + z·I ⪰ 0, z ≥ 0` — the device
-//!   SCIP-SDP uses when branching destroys the (dual) Slater condition;
-//! * strict-interior line searches with Cholesky-based PSD checks, so a
-//!   returned `y` is always strictly feasible (up to tolerance).
+//! A solve ends `Optimal` at a relative gap and relative residuals of
+//! `1e-8`, `Infeasible` only with a Farkas certificate (an iterate's `X`
+//! under which no `y` in the box is feasible), and `Numerical` otherwise.
+//! [`SdpSolver`] builds the working form once and re-solves it under new
+//! bounds, as the MISDP relaxator does at every node.
 
 pub mod problem;
 pub mod solver;
 
 pub use problem::{LinRow, SdpBlock, SdpProblem};
-pub use solver::{solve, solve_penalty, SdpOptions, SdpResult, SdpStatus};
+pub use solver::{solve, SdpOptions, SdpResult, SdpSolver, SdpStatus};

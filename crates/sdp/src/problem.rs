@@ -96,33 +96,28 @@ impl SdpProblem {
     /// Checks feasibility of `y` within `tol` (smallest eigenvalue of
     /// every block ≥ −tol, rows and bounds within tol).
     pub fn is_feasible(&self, y: &[f64], tol: f64) -> bool {
-        if y.len() != self.m {
-            return false;
-        }
-        for (i, &yi) in y.iter().enumerate() {
-            if yi < self.lb[i] - tol || yi > self.ub[i] + tol {
-                return false;
-            }
-        }
-        for row in &self.lin {
-            let a = row.activity(y);
-            if a < row.lhs - tol || a > row.rhs + tol {
-                return false;
-            }
-        }
-        for blk in &self.blocks {
-            let s = blk.slack(y);
-            match ugrs_linalg::eigen::symmetric_eigen(&s) {
-                Ok(e) => {
-                    if e.values[0] < -tol {
-                        return false;
-                    }
-                }
-                Err(_) => return false,
-            }
-        }
-        true
+        is_feasible(y, &self.lb, &self.ub, &self.blocks, &self.lin, tol)
     }
+}
+
+/// [`SdpProblem::is_feasible`] on borrowed parts: `lb ≤ y ≤ ub`, the rows
+/// and the blocks, each within `tol`.
+pub fn is_feasible(
+    y: &[f64],
+    lb: &[f64],
+    ub: &[f64],
+    blocks: &[SdpBlock],
+    lin: &[LinRow],
+    tol: f64,
+) -> bool {
+    let outside = |v: f64, l: f64, u: f64| v < l - tol || v > u + tol;
+    y.len() == lb.len()
+        && !(0..y.len()).any(|i| outside(y[i], lb[i], ub[i]))
+        && !lin.iter().any(|row| outside(row.activity(y), row.lhs, row.rhs))
+        && blocks.iter().all(|blk| match ugrs_linalg::eigen::symmetric_eigen(&blk.slack(y)) {
+            Ok(e) => e.values[0] >= -tol || e.values[0].is_nan(),
+            Err(_) => false,
+        })
 }
 
 #[cfg(test)]

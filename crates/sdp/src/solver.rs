@@ -1,34 +1,39 @@
-//! The barrier solver: damped-Newton log-det barrier maximization with a
-//! phase-1 feasibility search and the penalty formulation of §3.2.
-//!
-//! The coefficient matrices the MISDP generators produce are tiny: one
+//! The SDP solver: an infeasible-start primal–dual path-following method
+//! with the HKM direction and Mehrotra's predictor–corrector, as in CSDP
+//! and SDPT3, on `sup bᵀy s.t. C_k − Σᵢ A_{k,i} yᵢ ⪰ 0, ℓ ≤ y ≤ u` (rows
+//! folded into 1×1 blocks) and its dual
+//! `inf Σ_k ⟨C_k, X_k⟩ + uᵀx_u − ℓᵀx_ℓ s.t. Σ_k ⟨A_{k,i}, X_k⟩ + x_u,i − x_ℓ,i = bᵢ`.
+//! Each iteration factors the Schur complement
+//! `Mᵢⱼ = Σ_k tr(A_{k,i} X_k A_{k,j} S_k⁻¹) + diag(x/s)` once and solves it
+//! for the predictor and the corrector. The MISDP generators' `Aᵢ` are one
 //! diagonal entry (CLS `zᵢ`), two off-diagonal entries (MkP), rank one
-//! (TTD), `−I` (CLS `t`, the penalty variable). The working form keeps
-//! each `Aᵢ` as its nonzeros, and a dense `Aᵢ` that is `σ g gᵀ` also as
-//! `(σ, g)`, and assembles the Newton system from one inverse `W = S⁻¹`
-//! per block, after Fujisawa–Kojima–Nakata: `∂ᵢ log det S = −⟨W, Aᵢ⟩` and
-//! `−∂ᵢ∂ⱼ log det S = ⟨W Aᵢ W, Aⱼ⟩`, by a formula chosen per pair of shapes.
+//! (TTD) or `−I` (CLS `t`): the working form keeps each as its nonzeros,
+//! a dense `σ g gᵀ` also as `(σ, g)`, and assembles `M` by a formula per
+//! pair of shapes, after Fujisawa–Kojima–Nakata.
 
 use crate::problem::{SdpBlock, SdpProblem};
 use ugrs_linalg::vector::{axpy, dot};
-use ugrs_linalg::{CholeskyFactor, Matrix};
+use ugrs_linalg::{CholeskyFactor, Matrix, Tridiagonal};
 
-/// Target duality-gap estimate (ν / t) of a solve.
+/// The relative gap and residuals at which a solve is optimal.
 const TOL: f64 = 1e-7;
-/// Target duality-gap estimate of phase 1, which only needs an interior
-/// point.
-const PHASE1_TOL: f64 = 1e-6;
-/// Barrier parameter growth factor μ.
-const MU: f64 = 10.0;
-/// Initial barrier parameter t₀.
-const T0: f64 = 1.0;
-/// Newton iterations per centering step.
-const MAX_NEWTON: usize = 60;
-/// Penalty coefficient Γ of [`solve_penalty`].
-const PENALTY_GAMMA: f64 = 1e5;
+/// The same for a solve that can make no further progress (relaxations
+/// without a strictly feasible point end here).
+const STALL_TOL: f64 = 1e-6;
+/// A step shorter than this, for either side, means no further progress.
+const STALL_STEP: f64 = 1e-2;
+/// Iterations before a solve gives up as `Numerical`.
+const MAX_ITERS: usize = 80;
+/// The fraction of the distance to the boundary of the cones a step goes.
+const STEP: f64 = 0.95;
+/// Row sides at or beyond this magnitude are infinite, and so are bounds
+/// to the Farkas certificate.
+const BOUND_INF: f64 = 1e8;
+/// Bounds are clamped to ±`FREE`, `SdpProblem::new`'s free variable.
+const FREE: f64 = 1e9;
 
-/// The options of [`solve`] and [`solve_penalty`]. It has no field: the
-/// solver's parameters are this module's constants.
+/// The options of [`solve`]. It has no field: the solver's parameters are
+/// this module's constants.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SdpOptions {}
 
@@ -36,11 +41,10 @@ pub struct SdpOptions {}
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SdpStatus {
     Optimal,
+    /// Certified: an iterate's `X` is a Farkas certificate that no `y` in
+    /// the box is feasible.
     Infeasible,
-    /// The barrier diverged towards unbounded objective.
-    Unbounded,
-    /// Numerical failure; the result values are unreliable. For B&B use,
-    /// retry via [`solve_penalty`] (the SCIP-SDP penalty approach).
+    /// Anything else; the result values are unreliable.
     Numerical,
 }
 
@@ -51,19 +55,11 @@ pub struct SdpResult {
     pub y: Vec<f64>,
     /// `bᵀy` of the returned point.
     pub obj: f64,
-    /// The penalty variable's value when the penalty formulation was
-    /// used (`None` for plain solves).
-    pub penalty_z: Option<f64>,
-    /// Newton iterations spent.
+    /// Primal–dual iterations spent.
     pub iterations: usize,
-    /// Times [`solve`] fell back to the penalty formulation because phase
-    /// 1 ended without a strictly feasible point (0 or 1).
-    pub fallbacks: usize,
 }
 
-const BOUND_INF: f64 = 1e8;
-
-/// How the Newton system treats a coefficient matrix `Aᵢ`.
+/// How the Schur complement treats a coefficient matrix `Aᵢ`.
 #[derive(Clone, Debug, PartialEq)]
 enum Shape {
     /// At most `dim` nonzeros.
@@ -109,51 +105,49 @@ impl Term {
         self.entries.iter().map(|&(p, q, a)| a * m[(p, q)]).sum()
     }
 
-    /// `uᵀ Aᵢ u`.
-    fn quad(&self, u: &[f64]) -> f64 {
-        self.entries.iter().map(|&(p, q, a)| a * u[p] * u[q]).sum()
+    /// `uᵀ Aᵢ v`.
+    fn bilinear(&self, u: &[f64], v: &[f64]) -> f64 {
+        self.entries.iter().map(|&(p, q, a)| a * u[p] * v[q]).sum()
     }
 
-    /// `⟨W Aᵢ W, Aⱼ⟩ = Σ a·b·W[s][p]·W[q][r]` over `Aᵢ`'s nonzeros
+    /// `tr(Aᵢ X Aⱼ Z) = Σ a·b·X[q][r]·Z[s][p]` over `Aᵢ`'s nonzeros
     /// `(p, q, a)` and `Aⱼ`'s `(r, s, b)`: `nnzᵢ·nnzⱼ` flops.
-    fn pair(&self, other: &Term, w: &Matrix) -> f64 {
+    fn pair(&self, other: &Term, x: &Matrix, z: &Matrix) -> f64 {
         let mut v = 0.0;
         for &(p, q, a) in &self.entries {
             for &(r, s, b) in &other.entries {
-                v += a * b * w[(s, p)] * w[(q, r)];
+                v += a * b * x[(q, r)] * z[(s, p)];
             }
         }
         v
     }
 
-    /// `wiw = W Aᵢ W` for a symmetric `W` as the dense product `W (Aᵢ W)`
-    /// (`dim³ + nnz·dim` flops); `aw` is scratch.
-    fn sandwich(&self, w: &Matrix, wiw: &mut Matrix, aw: &mut Matrix) {
-        wiw.data_mut().fill(0.0);
-        aw.data_mut().fill(0.0);
+    /// `xaz = X Aᵢ Z` as the dense product `X (Aᵢ Z)` (`dim³ + nnz·dim`
+    /// flops); `az` is scratch.
+    fn sandwich(&self, x: &Matrix, z: &Matrix, xaz: &mut Matrix, az: &mut Matrix) {
+        xaz.data_mut().fill(0.0);
+        az.data_mut().fill(0.0);
         for &(p, q, a) in &self.entries {
-            axpy(a, w.row(q), aw.row_mut(p));
+            axpy(a, z.row(q), az.row_mut(p));
         }
-        for r in 0..w.rows() {
-            for (p, &wrp) in w.row(r).iter().enumerate() {
-                axpy(wrp, aw.row(p), wiw.row_mut(r));
+        for r in 0..x.rows() {
+            for (p, &xrp) in x.row(r).iter().enumerate() {
+                axpy(xrp, az.row(p), xaz.row_mut(r));
             }
         }
     }
 }
 
 /// A PSD block `C − Σ Aᵢ yᵢ ⪰ 0` of the working form.
-#[derive(Clone)]
 struct Block {
     dim: usize,
     c: Matrix,
-    /// In variable order, so that [`Block::slack`] sums exactly like
-    /// [`SdpBlock::slack`].
+    /// In variable order.
     terms: Vec<Term>,
 }
 
 impl Block {
-    fn from_dense(blk: &SdpBlock, free_pos: &[Option<usize>]) -> Self {
+    fn from_dense(blk: &SdpBlock) -> Self {
         let n = blk.dim;
         let terms = blk
             .a
@@ -172,518 +166,528 @@ impl Block {
                 } else {
                     Shape::Dense
                 };
-                (!entries.is_empty()).then_some(Term { var, free: free_pos[var], entries, shape })
+                (!entries.is_empty()).then_some(Term { var, free: None, entries, shape })
             })
             .collect();
         Block { dim: n, c: blk.c.clone(), terms }
     }
 
-    /// `S(y) = C − Σ Aᵢ yᵢ`, always evaluated from `y` itself.
-    fn slack(&self, y: &[f64]) -> Matrix {
-        let mut s = self.c.clone();
+    /// `out −= Σ cᵢ Aᵢ` over the terms, with `cᵢ = coef(term)`.
+    fn sub_terms(&self, out: &mut Matrix, coef: impl Fn(&Term) -> f64) {
         for term in &self.terms {
-            let v = y[term.var];
-            if v != 0.0 {
+            let c = coef(term);
+            if c != 0.0 {
                 for &(p, q, a) in &term.entries {
-                    s[(p, q)] -= v * a;
+                    out[(p, q)] -= c * a;
                 }
             }
         }
-        s
     }
 
-    /// Adds this block's share of the Newton system at `W = S⁻¹`:
-    /// `grad_i −= ⟨W, Aᵢ⟩` and `h_ij += ⟨W Aᵢ W, Aⱼ⟩` over its free terms.
-    /// With `u = W g` once per rank-one term, a pair with a rank-one
-    /// `σ g gᵀ` is `σᵢσⱼ(gᵢᵀuⱼ)²` or `σ uᵀAu`; a dense `Aᵢ` pairs through
-    /// its sandwich `W Aᵢ W`, a sparse one through [`Term::pair`].
-    fn add_newton_terms(&self, w: &Matrix, grad: &mut [f64], h: &mut Matrix) {
+    /// Adds this block's share of the Schur complement at `(X, Z = S⁻¹)`:
+    /// `m_ij += tr(Aᵢ X Aⱼ Z)` over its free terms. With `u = X g` and
+    /// `v = Z g` once per rank-one term `σ g gᵀ`, a pair with it is
+    /// `σᵢσⱼ(gⱼᵀuᵢ)(gⱼᵀvᵢ)` or `σ uᵀAv`; a dense `Aᵢ` pairs through its
+    /// sandwich `X Aᵢ Z`, a sparse one through [`Term::pair`].
+    fn add_schur(&self, x: &Matrix, z: &Matrix, m: &mut Matrix) {
         let free: Vec<(usize, &Term)> =
             self.terms.iter().filter_map(|t| Some((t.free?, t))).collect();
-        let us: Vec<Vec<f64>> = free
+        let uvs: Vec<(Vec<f64>, Vec<f64>)> = free
             .iter()
             .map(|(_, t)| match &t.shape {
-                Shape::RankOne { g, .. } => w.matvec(g),
-                _ => Vec::new(),
+                Shape::RankOne { g, .. } => (x.matvec(g), z.matvec(g)),
+                _ => (Vec::new(), Vec::new()),
             })
             .collect();
-        let (mut wiw, mut aw) =
+        let (mut xaz, mut az) =
             (Matrix::zeros(self.dim, self.dim), Matrix::zeros(self.dim, self.dim));
         for (n, &(gi, ti)) in free.iter().enumerate() {
-            grad[gi] -= match &ti.shape {
-                Shape::RankOne { sigma, g } => sigma * dot(g, &us[n]),
-                _ => ti.inner(w),
-            };
             if ti.shape == Shape::Dense {
-                ti.sandwich(w, &mut wiw, &mut aw);
+                ti.sandwich(x, z, &mut xaz, &mut az);
             }
+            let (ui, vi) = &uvs[n];
             // Terms run in variable order, so gj ≥ gi: one triangle, mirrored.
-            for (&(gj, tj), uj) in free[n..].iter().zip(&us[n..]) {
+            for (&(gj, tj), (uj, vj)) in free[n..].iter().zip(&uvs[n..]) {
                 let v = match (&ti.shape, &tj.shape) {
-                    (Shape::RankOne { sigma: si, g }, Shape::RankOne { sigma: sj, .. }) => {
-                        let d = dot(g, uj);
-                        si * sj * d * d
+                    (Shape::RankOne { sigma: si, .. }, Shape::RankOne { sigma: sj, g }) => {
+                        si * sj * dot(g, ui) * dot(g, vi)
                     }
-                    (Shape::RankOne { sigma, .. }, _) => sigma * tj.quad(&us[n]),
-                    (_, Shape::RankOne { sigma, .. }) => sigma * ti.quad(uj),
-                    (Shape::Dense, _) => tj.inner(&wiw),
-                    (Shape::Sparse, _) => ti.pair(tj, w),
+                    (Shape::RankOne { sigma, .. }, _) => sigma * tj.bilinear(ui, vi),
+                    (_, Shape::RankOne { sigma, .. }) => sigma * ti.bilinear(uj, vj),
+                    (Shape::Dense, _) => tj.inner(&xaz),
+                    (Shape::Sparse, _) => ti.pair(tj, x, z),
                 };
-                h[(gi, gj)] += v;
+                m[(gi, gj)] += v;
                 if gi != gj {
-                    h[(gj, gi)] += v;
+                    m[(gj, gi)] += v;
                 }
             }
         }
     }
 }
 
-/// Internal working form: linear rows folded into 1×1 blocks so that the
-/// phase-1 penalty uniformly covers every conic constraint.
-struct Work {
+/// `A·B` for square matrices of one order.
+fn mul(a: &Matrix, b: &Matrix) -> Matrix {
+    a.matmul(b).expect("blocks are square")
+}
+
+/// `A + α·D`.
+fn plus(a: &Matrix, alpha: f64, d: &Matrix) -> Matrix {
+    let mut m = a.clone();
+    m.add_scaled(alpha, d).expect("same order");
+    m
+}
+
+/// `A + β·I`.
+fn shifted(mut a: Matrix, beta: f64) -> Matrix {
+    for d in 0..a.rows() {
+        a[(d, d)] += beta;
+    }
+    a
+}
+
+/// The Cholesky factor of every matrix, or `None` unless all are PD.
+fn factor(ms: &[Matrix]) -> Option<Vec<CholeskyFactor>> {
+    ms.iter().map(|m| CholeskyFactor::new(m).ok()).collect()
+}
+
+/// The largest `α ≤ limit` with `x + (α/frac)·dx ≥ 0` entry by entry.
+fn step_to_zero(x: &[f64], dx: &[f64], frac: f64, limit: f64) -> f64 {
+    x.iter().zip(dx).filter(|&(_, &d)| d < 0.0).fold(limit, |a, (&x, &d)| a.min(-frac * x / d))
+}
+
+/// The step along `ds` from `ms` (factored by `chols`) that every block
+/// allows, at most `limit`. With `frac`, the corrector's: `−frac/λ` for
+/// the least eigenvalue `λ` of `L⁻¹DL⁻ᵀ` (to a relative `1e-4`) unless a
+/// factorization shows the block allows `limit`, as a third do. Without,
+/// the predictor's, which only feeds `σ`: the largest of `limit` and the
+/// grid 0.9, 0.8, …, 0.05 at which `A + α·D` factors.
+fn cone_step(
+    ms: &[Matrix],
+    chols: &[CholeskyFactor],
+    ds: &[Matrix],
+    frac: Option<f64>,
+    limit: f64,
+) -> f64 {
+    const GRID: [f64; 10] = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05];
+    let pd = |m: &Matrix, d: &Matrix, alpha: f64| CholeskyFactor::new(&plus(m, alpha, d)).is_ok();
+    ms.iter().zip(chols).zip(ds).fold(limit, |a, ((m, c), d)| match frac {
+        Some(frac) if pd(m, d, a / frac) => a,
+        Some(frac) => match Tridiagonal::new(c.congruence(d)) {
+            Ok(t) => t.min_eigenvalue_below(-frac, 1e-4).map_or(a, |lambda| a.min(-frac / lambda)),
+            Err(_) => 0.0,
+        },
+        None if pd(m, d, a) => a,
+        None => GRID.into_iter().filter(|&g| g < a).find(|&g| pd(m, d, g)).unwrap_or(0.0),
+    })
+}
+
+/// One iterate. `y` stays strictly inside its box, so the bound slacks
+/// `sl, su` are `y − ℓ` and `u − y`, with duals `xl, xu`. The dual residual
+/// of block `k` is `β_k I`: `S_k = S_k(y) + β_k I`, and a dual step `α`
+/// scales `β` by `1 − α`.
+struct Iterate {
+    y: Vec<f64>,
+    sl: Vec<f64>,
+    su: Vec<f64>,
+    beta: Vec<f64>,
+    x: Vec<Matrix>,
+    s: Vec<Matrix>,
+    chol_x: Vec<CholeskyFactor>,
+    chol_s: Vec<CholeskyFactor>,
+    xl: Vec<f64>,
+    xu: Vec<f64>,
+}
+
+/// A search direction.
+struct Direction {
+    dy: Vec<f64>,
+    ds: Vec<Matrix>,
+    dx: Vec<Matrix>,
+    dxl: Vec<f64>,
+    dxu: Vec<f64>,
+}
+
+/// The targets of a direction: `X_k S_k = T_k` per block and `x·s = t`
+/// per lower and upper bound.
+struct Target {
+    t: Vec<Matrix>,
+    tl: Vec<f64>,
+    tu: Vec<f64>,
+}
+
+/// A block of one solve: a working block with a free term, and its `C`
+/// less the fixed variables' terms.
+struct Active<'a> {
+    blk: &'a Block,
+    c: Matrix,
+}
+
+/// An SDP in the solver's working form: built once, then solved under
+/// bounds that may change from solve to solve, as a branch-and-bound
+/// relaxator's do from node to node.
+pub struct SdpSolver {
     m: usize,
     b: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
+    /// The PSD blocks, then one 1×1 block per finite side of a linear row.
     blocks: Vec<Block>,
+    /// The variables whose bounds leave them room.
     free: Vec<usize>,
 }
 
-impl Work {
-    fn from_problem(p: &SdpProblem) -> Self {
-        let free: Vec<usize> = (0..p.m).filter(|&i| p.ub[i] - p.lb[i] > 1e-12).collect();
-        let mut free_pos = vec![None; p.m];
-        for (gi, &i) in free.iter().enumerate() {
-            free_pos[i] = Some(gi);
-        }
-        let mut blocks: Vec<Block> =
-            p.blocks.iter().map(|blk| Block::from_dense(blk, &free_pos)).collect();
-        let row_block = |c: f64, sign: f64, terms: &[(usize, f64)]| {
-            let mut blk = SdpBlock::new(1, p.m);
-            blk.c = Matrix::from_diag(&[c]);
-            for &(i, a) in terms {
-                blk.set_a(i, Matrix::from_diag(&[sign * a]));
-            }
-            Block::from_dense(&blk, &free_pos)
-        };
+impl SdpSolver {
+    pub fn new(p: &SdpProblem) -> Self {
+        let mut blocks: Vec<Block> = p.blocks.iter().map(Block::from_dense).collect();
         for row in &p.lin {
             // aᵀy ≤ rhs  →  1×1 block [rhs − aᵀy] ⪰ 0, and lhs ≤ aᵀy alike.
-            if row.rhs < BOUND_INF {
-                blocks.push(row_block(row.rhs, 1.0, &row.terms));
-            }
-            if row.lhs > -BOUND_INF {
-                blocks.push(row_block(-row.lhs, -1.0, &row.terms));
-            }
-        }
-        Work { m: p.m, b: p.b.clone(), lb: p.lb.clone(), ub: p.ub.clone(), blocks, free }
-    }
-
-    /// Barrier degree of the working form.
-    fn nu(&self) -> f64 {
-        let mut nu: f64 = self.blocks.iter().map(|b| b.dim as f64).sum();
-        for &i in &self.free {
-            if self.lb[i] > -BOUND_INF {
-                nu += 1.0;
-            }
-            if self.ub[i] < BOUND_INF {
-                nu += 1.0;
+            for (c, sign) in
+                [(row.rhs, 1.0), (-row.lhs, -1.0)].into_iter().filter(|c| c.0 < BOUND_INF)
+            {
+                let mut blk = SdpBlock::new(1, p.m);
+                blk.c = Matrix::from_diag(&[c]);
+                for &(i, a) in &row.terms {
+                    blk.set_a(i, Matrix::from_diag(&[sign * a]));
+                }
+                blocks.push(Block::from_dense(&blk));
             }
         }
-        nu.max(1.0)
+        let mut solver =
+            SdpSolver { m: p.m, b: p.b.clone(), lb: vec![], ub: vec![], blocks, free: vec![] };
+        solver.set_bounds(&p.lb, &p.ub);
+        solver
     }
 
-    /// The Cholesky factor of every block's slack at `y`; `None` unless
-    /// `y` is strictly feasible (bounds first: they cost nothing).
-    fn factor(&self, y: &[f64]) -> Option<Vec<CholeskyFactor>> {
-        for &i in &self.free {
-            if self.lb[i] > -BOUND_INF && y[i] <= self.lb[i] {
-                return None;
-            }
-            if self.ub[i] < BOUND_INF && y[i] >= self.ub[i] {
-                return None;
-            }
-        }
-        self.blocks.iter().map(|b| CholeskyFactor::new(&b.slack(y)).ok()).collect()
+    /// Solves `sup bᵀy` under the blocks and rows, within `lb ≤ y ≤ ub`
+    /// (a bound beyond ±1e9 counts as ±1e9, `SdpProblem::new`'s free).
+    pub fn solve(&mut self, lb: &[f64], ub: &[f64]) -> SdpResult {
+        self.set_bounds(lb, ub);
+        self.run()
     }
 
-    /// Strict feasibility (blocks PD, bounds strict) at `y`.
-    fn strictly_feasible(&self, y: &[f64]) -> bool {
-        self.factor(y).is_some()
-    }
-
-    /// Barrier objective `t·bᵀy + Σ log det S + Σ log slacks` at a
-    /// strictly feasible `y` whose slacks `chols` factors.
-    fn f(&self, t: f64, y: &[f64], chols: &[CholeskyFactor]) -> f64 {
-        let mut v = t * self.b.iter().zip(y).map(|(b, y)| b * y).sum::<f64>();
-        for chol in chols {
-            v += chol.log_det();
-        }
-        for &i in &self.free {
-            if self.lb[i] > -BOUND_INF {
-                v += (y[i] - self.lb[i]).ln();
-            }
-            if self.ub[i] < BOUND_INF {
-                v += (self.ub[i] - y[i]).ln();
-            }
-        }
-        v
-    }
-
-    /// The Newton system of `f(t, ·)` at `y`, whose slacks `chols`
-    /// factors: the gradient and the negated (PSD) Hessian over the free
-    /// variables. Every Newton step is assembled here.
-    fn newton_system(&self, t: f64, y: &[f64], chols: &[CholeskyFactor]) -> (Vec<f64>, Matrix) {
-        let k = self.free.len();
-        let mut grad = vec![0.0; k];
-        let mut h = Matrix::zeros(k, k);
+    fn set_bounds(&mut self, lb: &[f64], ub: &[f64]) {
+        self.lb = lb.iter().map(|l| l.max(-FREE)).collect();
+        self.ub = ub.iter().map(|u| u.min(FREE)).collect();
+        self.free = (0..self.m).filter(|&i| self.ub[i] - self.lb[i] > 1e-12).collect();
+        let mut free_pos = vec![None; self.m];
         for (gi, &i) in self.free.iter().enumerate() {
-            grad[gi] = t * self.b[i];
-            let mut d = 0.0;
-            if self.lb[i] > -BOUND_INF {
-                let s = y[i] - self.lb[i];
-                grad[gi] += 1.0 / s;
-                d += 1.0 / (s * s);
-            }
-            if self.ub[i] < BOUND_INF {
-                let s = self.ub[i] - y[i];
-                grad[gi] -= 1.0 / s;
-                d += 1.0 / (s * s);
-            }
-            h[(gi, gi)] = d;
+            free_pos[i] = Some(gi);
         }
-        for (blk, chol) in self.blocks.iter().zip(chols) {
-            blk.add_newton_terms(&chol.inverse(), &mut grad, &mut h);
-        }
-        (grad, h)
-    }
-
-    /// The Newton-decrement exit `λ²` of the centering at `t` on the path
-    /// to `ν/tol`: `¼`, where damped Newton on a self-concordant barrier
-    /// enters its quadratic phase, except for the last three centerings
-    /// (`t·μ² ≥ ν/tol`), which end at `1e-10` — or at `f`'s resolution,
-    /// see [`Work::center`] — because their points are what a solve returns.
-    fn decrement_exit(&self, t: f64, tol: f64) -> f64 {
-        if t * MU * MU >= self.nu() / tol {
-            1e-10
-        } else {
-            0.25
+        for term in self.blocks.iter_mut().flat_map(|b| b.terms.iter_mut()) {
+            term.free = free_pos[term.var];
         }
     }
 
-    /// One centering: damped Newton maximization of `f(t, ·)` from `y`
-    /// until the Newton decrement `λ²` is at most `exit`, in at most
-    /// [`MAX_NEWTON`] steps. `chols` factors the slacks at `y` and
-    /// follows it: the factor of the accepted trial point is the next
-    /// step's. Returns the Newton iterations used; on numerical failure,
-    /// `Err` carries those taken.
-    fn center(
-        &self,
-        t: f64,
-        y: &mut [f64],
-        chols: &mut Vec<CholeskyFactor>,
-        exit: f64,
-    ) -> Result<usize, usize> {
-        let mut ytrial = y.to_vec();
-        for iters in 1..=MAX_NEWTON {
-            let (grad, h) = self.newton_system(t, y, chols);
-            // Newton direction: (−H) dx = grad.
-            let dx = CholeskyFactor::new_shifted(&h, 1e-12, 1e6)
-                .and_then(|hc| hc.solve(&grad))
-                .map_err(|_| iters)?;
-            let decrement: f64 = grad.iter().zip(&dx).map(|(g, d)| g * d).sum();
-            if decrement <= exit {
-                return Ok(iters);
+    /// The start: each variable at the point of its box nearest 0 that
+    /// keeps a unit from both bounds (the midpoint of a box narrower than
+    /// 2, so a fixed variable at its value).
+    fn start_point(&self) -> Vec<f64> {
+        let at = |(&l, &u): (&f64, &f64)| {
+            if u - l <= 2.0 {
+                0.5 * (l + u)
+            } else {
+                0.0f64.clamp(l + 1.0, u - 1.0)
             }
-            // Backtracking line search maintaining strict feasibility. A
-            // trial's slacks come from the trial point, never as S − α·ΔS:
-            // that form differs from S(ytrial) by rounding, accepts points
-            // whose true slack is singular, and so weakens penalty bounds.
-            let f0 = self.f(t, y, chols);
-            let mut gain = None;
-            let mut alpha = 1.0;
-            for _ in 0..60 {
-                ytrial.copy_from_slice(y);
-                for (gi, &i) in self.free.iter().enumerate() {
-                    ytrial[i] += alpha * dx[gi];
-                }
-                if let Some(trial) = self.factor(&ytrial) {
-                    let armijo = 0.25 * alpha * decrement.min(1e18);
-                    if self.f(t, &ytrial, &trial) >= f0 + armijo - 1e-12 {
-                        y.copy_from_slice(&ytrial);
-                        *chols = trial;
-                        gain = Some(armijo);
-                        break;
-                    }
-                }
-                alpha *= 0.5;
-            }
-            // End on no accepted step (no progress possible), or on one
-            // whose certified gain, less the test's 1e-12 slack, is within
-            // f's rounding at y (≈ 4ε|f0|): that trial may have passed by
-            // rounding alone, and further steps would only halve α until
-            // rounding lets another one through. A trial that left y
-            // unchanged (f(trial) = f0) is the extreme case.
-            match gain {
-                Some(g) if g - 1e-12 > 4.0 * f64::EPSILON * f0.abs() => {}
-                _ => return Ok(iters),
-            }
-        }
-        Ok(MAX_NEWTON)
-    }
-
-    /// Full barrier path following from a strictly feasible `y` to the
-    /// gap estimate `tol`, cut short when `done(y)` holds after a
-    /// centering. Returns the Newton iterations used; on numerical
-    /// failure, `Err` carries those taken.
-    fn barrier(
-        &self,
-        y: &mut [f64],
-        tol: f64,
-        done: impl Fn(&[f64]) -> bool,
-    ) -> Result<usize, usize> {
-        if self.free.is_empty() {
-            return Ok(0);
-        }
-        let mut chols = self.factor(y).ok_or(0usize)?;
-        let nu = self.nu();
-        let mut t = T0;
-        let mut total = 0;
-        let mut center_at = |t: f64, y: &mut [f64], total: usize| {
-            let exit = self.decrement_exit(t, tol);
-            self.center(t, y, &mut chols, exit).map_err(|it| total + it)
         };
-        while nu / t > tol {
-            total += center_at(t, y, total)?;
-            if done(y) {
-                return Ok(total);
-            }
-            t *= MU;
-            if total > 100_000 {
-                return Err(total);
-            }
-        }
-        total += center_at(nu / tol, y, total)?;
-        Ok(total)
+        self.lb.iter().zip(&self.ub).map(at).collect()
     }
 
-    /// The verdict on a phase-1/penalty point `yz = (y, z)` with `z > 0`:
-    /// `Infeasible` only if its slacks certify that no `y` in the box is
-    /// feasible, else `Numerical`. With `Z_k = (S_k(y) + z·I)⁻¹ ≻ 0`,
-    /// every feasible `y` has `Σ_k ⟨S_k(y), Z_k⟩ ≥ 0`; that sum is affine
+    /// The bound slacks `y − ℓ` and `u − y` of the free variables.
+    fn bound_slacks(&self, y: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let f = &self.free;
+        (
+            f.iter().map(|&i| y[i] - self.lb[i]).collect(),
+            f.iter().map(|&i| self.ub[i] - y[i]).collect(),
+        )
+    }
+
+    /// `S_k(y) + β_k I` per block.
+    fn slacks(&self, blocks: &[Active], y: &[f64], beta: &[f64]) -> Vec<Matrix> {
+        let slack = |(a, &b): (&Active, &f64)| {
+            let mut s = a.c.clone();
+            a.blk.sub_terms(&mut s, |t| t.free.map_or(0.0, |_| y[t.var]));
+            shifted(s, b)
+        };
+        blocks.iter().zip(beta).map(slack).collect()
+    }
+
+    /// Whether `X_k ⪰ 0` certifies that no `y` in the box is feasible.
+    /// Every feasible `y` has `Σ_k ⟨S_k(y), X_k⟩ ≥ 0`; that sum is affine
     /// in `y`, so a negative maximum over the box (Farkas) rules them all
-    /// out. A path that stalled short of its optimum leaves `z > 0` with no
-    /// such certificate.
-    fn infeasible_or_numerical(&self, yz: &[f64]) -> SdpStatus {
-        let (y, z) = (&yz[..self.m], yz[self.m]);
-        let mut sup = 0.0;
+    /// out. The maximum must be negative beyond its terms' rounding.
+    fn certifies_infeasible(&self, blocks: &[Active], x: &[Matrix]) -> bool {
+        let (mut sup, mut scale) = (0.0, 0.0);
         let mut coef = vec![0.0; self.m];
-        for blk in &self.blocks {
-            let mut s = blk.slack(y);
-            for d in 0..blk.dim {
-                s[(d, d)] += z;
-            }
-            let Ok(chol) = CholeskyFactor::new(&s) else { return SdpStatus::Numerical };
-            let zk = chol.inverse();
-            sup += dot(blk.c.data(), zk.data());
+        for (blk, xk) in blocks.iter().map(|a| a.blk).zip(x) {
+            let cx = dot(blk.c.data(), xk.data());
+            sup += cx;
+            scale += cx.abs();
             for term in &blk.terms {
-                coef[term.var] += term.inner(&zk);
+                coef[term.var] += term.inner(xk);
             }
         }
-        // Σ_k ⟨S_k(y), Z_k⟩ = sup − Σᵢ coefᵢ·yᵢ: take each yᵢ at the bound
-        // that maximizes it.
+        // Σ_k ⟨S_k(y), X_k⟩ = sup − Σᵢ coefᵢ·yᵢ: take each yᵢ at the bound
+        // that maximizes it; a free variable's is no proof.
         for (i, &c) in coef.iter().enumerate().filter(|&(_, &c)| c != 0.0) {
             let at = if c > 0.0 { self.lb[i] } else { self.ub[i] };
             if at.abs() >= BOUND_INF {
-                return SdpStatus::Numerical;
+                return false;
             }
             sup -= c * at;
+            scale += (c * at).abs();
         }
-        if sup < 0.0 {
-            SdpStatus::Infeasible
-        } else {
-            SdpStatus::Numerical
-        }
+        sup < -1e-9 * scale
     }
 
-    /// Extends this work problem with the penalty variable `z`
-    /// (`S + z·I ⪰ 0`), objective `b' = (obj_scale·b, −Γ)`.
-    fn penalized(&self, gamma: f64, obj_scale: f64, z_lb: f64) -> Work {
-        let m = self.m + 1;
-        let mut b: Vec<f64> = self.b.iter().map(|v| v * obj_scale).collect();
-        b.push(-gamma);
-        let mut lb = self.lb.clone();
-        let mut ub = self.ub.clone();
-        lb.push(z_lb);
-        ub.push(1e7);
-        let z = Some(self.free.len());
-        let blocks = self
-            .blocks
-            .iter()
-            .map(|blk| {
-                // A_z = −I ⇒ S' = S + z·I.
-                let mut nb = blk.clone();
-                let entries = (0..blk.dim).map(|d| (d, d, -1.0)).collect();
-                nb.terms.push(Term { var: self.m, free: z, entries, shape: Shape::Sparse });
-                nb
-            })
-            .collect();
-        let mut free: Vec<usize> = self.free.clone();
-        free.push(self.m);
-        Work { m, b, lb, ub, blocks, free }
-    }
-
-    /// A default interior-for-bounds starting point.
-    fn start_point(&self) -> Vec<f64> {
-        (0..self.m)
-            .map(|i| {
-                let (l, u) = (self.lb[i], self.ub[i]);
-                if u - l <= 1e-12 {
-                    l
-                } else if l > -BOUND_INF && u < BOUND_INF {
-                    0.5 * (l + u)
-                } else if l > -BOUND_INF {
-                    l + 1.0
-                } else if u < BOUND_INF {
-                    u - 1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// Minimum over blocks of λmin(S(y)) (strictness margin).
-    fn min_slack_eigen(&self, y: &[f64]) -> f64 {
-        let mut worst = f64::INFINITY;
-        for blk in &self.blocks {
-            match ugrs_linalg::eigen::symmetric_eigen(&blk.slack(y)) {
-                Ok(e) => worst = worst.min(e.values[0]),
-                Err(_) => return f64::NEG_INFINITY,
-            }
-        }
-        worst
-    }
-}
-
-/// Solves the SDP: phase 1 (if the default start is not strictly
-/// feasible) followed by the barrier path.
-pub fn solve(p: &SdpProblem, opts: &SdpOptions) -> SdpResult {
-    let w = Work::from_problem(p);
-    let mut iters = 0usize;
-    let mut y = w.start_point();
-
-    if !w.strictly_feasible(&y) {
-        // Phase 1: max −z  s.t. S(y) + z·I ⪰ 0, z ≥ −1. Strict original
-        // feasibility ⇔ optimum has z < 0, so the path stops at the first
-        // center with z < 0 at which the original problem is strictly
-        // feasible: that is all phase 2 needs.
-        let ph1 = w.penalized(1.0, 0.0, -1.0);
-        let mut yz: Vec<f64> = y.clone();
-        let z0 = (-w.min_slack_eigen(&y)).max(0.0) + 1.0;
-        yz.push(z0.min(1e6));
-        if !ph1.strictly_feasible(&yz) {
-            let obj = p.obj(&y);
-            return SdpResult {
-                status: SdpStatus::Numerical,
-                y,
-                obj,
-                penalty_z: None,
-                iterations: 0,
-                fallbacks: 0,
-            };
-        }
-        let interior = |yz: &[f64]| yz[w.m] < 0.0 && w.strictly_feasible(&yz[..w.m]);
-        match ph1.barrier(&mut yz, PHASE1_TOL, interior) {
-            Ok(it) => iters += it,
-            Err(it) => {
-                let obj = p.obj(&y);
-                return SdpResult {
-                    status: SdpStatus::Numerical,
-                    y,
-                    obj,
-                    penalty_z: None,
-                    iterations: iters + it,
-                    fallbacks: 0,
-                };
-            }
-        }
-        let z = yz[w.m];
-        if z > 1e-5 {
-            return SdpResult {
-                status: w.infeasible_or_numerical(&yz),
-                y: yz[..w.m].to_vec(),
-                obj: 0.0,
-                penalty_z: Some(z),
-                iterations: iters,
-                fallbacks: 0,
-            };
-        }
-        y = yz[..w.m].to_vec();
-        if !w.strictly_feasible(&y) {
-            // Slater condition (practically) violated: fall back to the
-            // penalty formulation, as SCIP-SDP does after branching.
-            let mut res = solve_penalty(p, opts);
-            res.iterations += iters;
-            res.fallbacks += 1;
-            return res;
-        }
-    }
-
-    match w.barrier(&mut y, TOL, |_| false) {
-        Ok(it) => iters += it,
-        Err(it) => {
-            return SdpResult {
-                status: SdpStatus::Numerical,
-                y: y.clone(),
-                obj: p.obj(&y),
-                penalty_z: None,
-                iterations: iters + it,
-                fallbacks: 0,
-            }
-        }
-    }
-    let obj = p.obj(&y);
-    let status = if obj.abs() > 1e10 { SdpStatus::Unbounded } else { SdpStatus::Optimal };
-    SdpResult { status, y, obj, penalty_z: None, iterations: iters, fallbacks: 0 }
-}
-
-/// The penalty formulation: `sup bᵀy − Γ·z  s.t.  S_k(y) + z·I ⪰ 0,
-/// z ≥ 0` — always strictly feasible, so it survives Slater-condition
-/// failures introduced by branching (§3.2). When the returned `z` is
-/// (near) zero the result is feasible for the original SDP.
-pub fn solve_penalty(p: &SdpProblem, _opts: &SdpOptions) -> SdpResult {
-    let w = Work::from_problem(p);
-    let pen = w.penalized(PENALTY_GAMMA, 1.0, 0.0);
-    let mut yz = w.start_point();
-    let z0 = (-w.min_slack_eigen(&yz)).max(0.0) + 1.0;
-    yz.push(z0.min(1e6));
-    if !pen.strictly_feasible(&yz) {
-        return SdpResult {
-            status: SdpStatus::Numerical,
-            y: yz[..w.m].to_vec(),
-            obj: 0.0,
-            penalty_z: None,
-            iterations: 0,
-            fallbacks: 0,
+    /// The starting iterate: `y` at [`SdpSolver::start_point`], `β_k` so
+    /// that `λmin(S_k) ≥ 1`, and the centered `X_k = μ₀ S_k⁻¹`, `x = μ₀/s`,
+    /// with `μ₀` from SDPT3's scale `ξ` of `X`.
+    fn start(&self, blocks: &[Active]) -> Option<Iterate> {
+        let y = self.start_point();
+        let s0 = self.slacks(blocks, &y, &vec![0.0; blocks.len()]);
+        let shift = |s: &Matrix| {
+            let t = Tridiagonal::new(s.clone()).ok()?;
+            Some(t.min_eigenvalue_below(1.0, 1e-4).map_or(0.0, |l| 1.0 - l))
         };
-    }
-    match pen.barrier(&mut yz, TOL, |_| false) {
-        Ok(iters) => {
-            let z = yz[w.m].max(0.0);
-            let y = yz[..w.m].to_vec();
-            let obj = p.obj(&y);
-            let status = if z > 1e-5 { w.infeasible_or_numerical(&yz) } else { SdpStatus::Optimal };
-            SdpResult { status, y, obj, penalty_z: Some(z), iterations: iters, fallbacks: 0 }
+        let beta: Vec<f64> = s0.iter().map(shift).collect::<Option<_>>()?;
+        let s: Vec<Matrix> = s0.into_iter().zip(&beta).map(|(s, &b)| shifted(s, b)).collect();
+        let dim = blocks.iter().map(|a| a.blk.dim).sum::<usize>();
+        let dim_max = blocks.iter().map(|a| a.blk.dim).max().unwrap_or(1) as f64;
+        let mut xi = 10.0f64.max(dim_max.sqrt());
+        for &i in &self.free {
+            let terms = blocks.iter().flat_map(|a| &a.blk.terms).filter(|t| t.var == i);
+            let norm = terms.flat_map(|t| &t.entries).map(|e| e.2 * e.2).sum::<f64>().sqrt();
+            xi = xi.max(dim_max * (1.0 + self.b[i].abs()) / (1.0 + norm));
         }
-        Err(iters) => SdpResult {
-            status: SdpStatus::Numerical,
-            y: yz[..w.m].to_vec(),
-            obj: 0.0,
-            penalty_z: None,
-            iterations: iters,
-            fallbacks: 0,
-        },
+        let mean = s.iter().map(Matrix::trace).sum::<f64>() / dim.max(1) as f64;
+        let mu0 = xi * if dim > 0 { mean } else { 1.0 };
+        let chol_s = factor(&s)?;
+        let x: Vec<Matrix> = chol_s
+            .iter()
+            .map(|c| plus(&Matrix::zeros(c.order(), c.order()), mu0, &c.inverse()))
+            .collect();
+        let (sl, su) = self.bound_slacks(&y);
+        let (xl, xu) = (sl.iter().map(|s| mu0 / s).collect(), su.iter().map(|s| mu0 / s).collect());
+        Some(Iterate { y, sl, su, beta, chol_x: factor(&x)?, x, s, chol_s, xl, xu })
     }
+
+    /// The primal–dual iteration.
+    fn run(&self) -> SdpResult {
+        let result = |status, y: Vec<f64>, iterations| SdpResult {
+            status,
+            obj: dot(&self.b, &y),
+            y,
+            iterations,
+        };
+        let y0 = self.start_point();
+        // The blocks with a free term, with the fixed variables' terms moved
+        // into C. A block without one is constant: it is either PSD, and
+        // plays no part, or its least eigenvector certifies infeasibility.
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for blk in &self.blocks {
+            let mut c = blk.c.clone();
+            blk.sub_terms(&mut c, |t| if t.free.is_none() { y0[t.var] } else { 0.0 });
+            if blk.terms.iter().any(|t| t.free.is_some()) {
+                blocks.push(Active { blk, c });
+            } else if Tridiagonal::new(c.clone())
+                .map_or(true, |t| t.has_eigenvalue_below(-1e-9 * (1.0 + c.norm_frobenius())))
+            {
+                return result(SdpStatus::Infeasible, y0, 0);
+            }
+        }
+        let Some(mut it) = self.start(&blocks) else {
+            return result(SdpStatus::Numerical, y0, 0);
+        };
+        let k = self.free.len();
+        let nu = (blocks.iter().map(|a| a.blk.dim).sum::<usize>() + 2 * k).max(1) as f64;
+        let b_norm = 1.0 + self.free.iter().map(|&i| self.b[i] * self.b[i]).sum::<f64>().sqrt();
+        let c_norm = 1.0 + blocks.iter().map(|a| dot(a.c.data(), a.c.data())).sum::<f64>().sqrt();
+        let fixed = (0..self.m).filter(|&i| self.ub[i] - self.lb[i] <= 1e-12);
+        let fixed_obj: f64 = fixed.map(|i| self.b[i] * y0[i]).sum();
+
+        // The iterate with the least error so far, and the steps taken.
+        let mut best = (f64::INFINITY, it.y.clone());
+        let mut iterations = 0;
+        for _ in 0..MAX_ITERS {
+            let (sl, su) = (&it.sl, &it.su);
+            // The residuals b − 𝒜(X) − x_u + x_ℓ and β, objectives, gap.
+            let mut rp: Vec<f64> = self.free.iter().map(|&i| self.b[i]).collect();
+            axpy(-1.0, &it.xu, &mut rp);
+            axpy(1.0, &it.xl, &mut rp);
+            let mut pobj = fixed_obj;
+            for (a, x) in blocks.iter().zip(&it.x) {
+                pobj += dot(a.c.data(), x.data());
+                for term in &a.blk.terms {
+                    if let Some(gi) = term.free {
+                        rp[gi] -= term.inner(x);
+                    }
+                }
+            }
+            for (gi, &i) in self.free.iter().enumerate() {
+                pobj += self.ub[i] * it.xu[gi] - self.lb[i] * it.xl[gi];
+            }
+            let dobj = dot(&self.b, &it.y);
+            let comp = it.x.iter().zip(&it.s).map(|(x, s)| dot(x.data(), s.data())).sum::<f64>()
+                + dot(&it.xl, sl)
+                + dot(&it.xu, su);
+            let mu = comp / nu;
+            let pinf = dot(&rp, &rp).sqrt() / b_norm;
+            let dims = blocks.iter().map(|a| (a.blk.dim as f64).sqrt());
+            let dinf = dims.zip(&it.beta).map(|(d, b)| d * b).sum::<f64>() / c_norm;
+            let gap = (pobj - dobj).abs().max(comp) / (1.0 + pobj.abs() + dobj.abs());
+            let error = gap.max(pinf).max(dinf);
+            if !error.is_finite() {
+                break;
+            }
+            if error <= best.0 {
+                best = (error, it.y.clone());
+            }
+            if error <= TOL {
+                return result(SdpStatus::Optimal, it.y, iterations);
+            }
+            if self.certifies_infeasible(&blocks, &it.x) {
+                return result(SdpStatus::Infeasible, it.y, iterations);
+            }
+
+            // The Schur complement, factored once for both directions.
+            let zs: Vec<Matrix> = it.chol_s.iter().map(|c| c.inverse()).collect();
+            let mut m = Matrix::zeros(k, k);
+            for ((a, x), z) in blocks.iter().zip(&it.x).zip(&zs) {
+                a.blk.add_schur(x, z, &mut m);
+            }
+            for gi in 0..k {
+                m[(gi, gi)] += it.xl[gi] / sl[gi] + it.xu[gi] / su[gi];
+            }
+            let Ok(schur) = CholeskyFactor::new_shifted(&m, 1e-12, 1e6) else {
+                break;
+            };
+            let xz: Vec<Matrix> = it.x.iter().zip(&zs).map(|(x, z)| mul(x, z)).collect();
+            let direction = |t: &Target| self.direction(&blocks, &it, &zs, &xz, &schur, t);
+
+            // Predictor: the affine-scaling direction (target 0).
+            let zero = |n: usize| Matrix::zeros(n, n);
+            let t = blocks.iter().map(|a| zero(a.blk.dim)).collect();
+            let pred = direction(&Target { t, tl: vec![0.0; k], tu: vec![0.0; k] });
+            let (ap, ad) = steps(&it, &pred, None);
+            let mut comp_aff = 0.0;
+            for (((x, s), dx), ds) in it.x.iter().zip(&it.s).zip(&pred.dx).zip(&pred.ds) {
+                comp_aff += dot(x.data(), s.data())
+                    + ad * dot(x.data(), ds.data())
+                    + ap * dot(dx.data(), s.data())
+                    + ap * ad * dot(dx.data(), ds.data());
+            }
+            for gi in 0..k {
+                let dy = pred.dy[gi];
+                comp_aff += (it.xl[gi] + ap * pred.dxl[gi]) * (sl[gi] + ad * dy)
+                    + (it.xu[gi] + ap * pred.dxu[gi]) * (su[gi] - ad * dy);
+            }
+            let sigma = (comp_aff / comp).clamp(0.0, 1.0).powi(3);
+
+            // Corrector: target σμ, less the predictor's second-order term.
+            let t = |(dx, ds): (&Matrix, &Matrix)| {
+                shifted(plus(&zero(dx.rows()), -1.0, &mul(dx, ds)), sigma * mu)
+            };
+            let target = Target {
+                t: pred.dx.iter().zip(&pred.ds).map(t).collect(),
+                tl: (0..k).map(|gi| sigma * mu - pred.dxl[gi] * pred.dy[gi]).collect(),
+                tu: (0..k).map(|gi| sigma * mu + pred.dxu[gi] * pred.dy[gi]).collect(),
+            };
+            let dir = direction(&target);
+            let (mut ap, mut ad) = steps(&it, &dir, Some(STEP));
+            if ap.min(ad) < STALL_STEP && error <= STALL_TOL {
+                break;
+            }
+            iterations += 1;
+
+            // Step; halve it while a new X or S fails to factor.
+            let stepped = (0..8).any(|_| {
+                let mut y = it.y.clone();
+                for (gi, &i) in self.free.iter().enumerate() {
+                    y[i] += ad * dir.dy[gi];
+                }
+                let beta: Vec<f64> = it.beta.iter().map(|b| b * (1.0 - ad)).collect();
+                let s = self.slacks(&blocks, &y, &beta);
+                let x: Vec<Matrix> =
+                    it.x.iter().zip(&dir.dx).map(|(x, d)| plus(x, ap, d)).collect();
+                let (Some(chol_x), Some(chol_s)) = (factor(&x), factor(&s)) else {
+                    (ap, ad) = (ap / 2.0, ad / 2.0);
+                    return false;
+                };
+                axpy(ap, &dir.dxl, &mut it.xl);
+                axpy(ap, &dir.dxu, &mut it.xu);
+                (it.sl, it.su) = self.bound_slacks(&y);
+                (it.y, it.beta, it.x, it.s, it.chol_x, it.chol_s) = (y, beta, x, s, chol_x, chol_s);
+                true
+            });
+            if !stepped {
+                break;
+            }
+        }
+        // No further progress: the best point within the stall tolerance
+        // is still an answer.
+        let status = if best.0 <= STALL_TOL { SdpStatus::Optimal } else { SdpStatus::Numerical };
+        result(status, best.1, iterations)
+    }
+
+    /// The HKM direction for `target`: with `G_k = (T_k + β_k X_k) S_k⁻¹`,
+    /// `M Δy = b − 𝒜(G) − t_u/s_u + t_ℓ/s_ℓ`, then `ΔS = −βI − Σ AᵢΔyᵢ`,
+    /// `ΔX = sym(G + X (Σ AᵢΔyᵢ) S⁻¹) − X` and `Δx = t/s − x ∓ (x/s) Δy`.
+    #[allow(clippy::too_many_arguments)]
+    fn direction(
+        &self,
+        blocks: &[Active],
+        it: &Iterate,
+        zs: &[Matrix],
+        xz: &[Matrix],
+        schur: &CholeskyFactor,
+        target: &Target,
+    ) -> Direction {
+        let (k, sl, su) = (self.free.len(), &it.sl, &it.su);
+        let mut rhs: Vec<f64> = (0..k)
+            .map(|gi| self.b[self.free[gi]] - target.tu[gi] / su[gi] + target.tl[gi] / sl[gi])
+            .collect();
+        let gs: Vec<Matrix> = (0..blocks.len())
+            .map(|b| plus(&mul(&target.t[b], &zs[b]), it.beta[b], &xz[b]))
+            .collect();
+        for (a, g) in blocks.iter().zip(&gs) {
+            for term in a.blk.terms.iter().filter(|t| t.free.is_some()) {
+                rhs[term.free.unwrap()] -= term.inner(g);
+            }
+        }
+        let dy = schur.solve(&rhs).expect("one order");
+        let (mut ds, mut dx) = (Vec::with_capacity(blocks.len()), Vec::with_capacity(blocks.len()));
+        for (b, blk) in blocks.iter().map(|a| a.blk).enumerate() {
+            // −Σ Aᵢ Δyᵢ, then ΔX and ΔS from it.
+            let mut neg_da = Matrix::zeros(blk.dim, blk.dim);
+            blk.sub_terms(&mut neg_da, |term| term.free.map_or(0.0, |gi| dy[gi]));
+            let mut dxk = plus(&gs[b], -1.0, &mul(&it.x[b], &mul(&neg_da, &zs[b])));
+            dxk.symmetrize();
+            dx.push(plus(&dxk, -1.0, &it.x[b]));
+            ds.push(shifted(neg_da, -it.beta[b]));
+        }
+        let dxl =
+            (0..k).map(|gi| (target.tl[gi] - it.xl[gi] * dy[gi]) / sl[gi] - it.xl[gi]).collect();
+        let dxu =
+            (0..k).map(|gi| (target.tu[gi] + it.xu[gi] * dy[gi]) / su[gi] - it.xu[gi]).collect();
+        Direction { dy, ds, dx, dxl, dxu }
+    }
+}
+
+/// The primal and the dual step along `dir`, each at most 1 and within
+/// the bound cones and the box: see [`cone_step`].
+fn steps(it: &Iterate, dir: &Direction, frac: Option<f64>) -> (f64, f64) {
+    let f = frac.unwrap_or(1.0);
+    let bounds = step_to_zero(&it.xu, &dir.dxu, f, step_to_zero(&it.xl, &dir.dxl, f, 1.0));
+    let down: Vec<f64> = dir.dy.iter().map(|d| -d).collect();
+    let box_ = step_to_zero(&it.su, &down, f, step_to_zero(&it.sl, &dir.dy, f, 1.0));
+    let primal = cone_step(&it.x, &it.chol_x, &dir.dx, frac, bounds);
+    (primal, cone_step(&it.s, &it.chol_s, &dir.ds, frac, box_))
+}
+
+/// Solves the SDP by the primal–dual method.
+pub fn solve(p: &SdpProblem, _opts: &SdpOptions) -> SdpResult {
+    SdpSolver::new(p).solve(&p.lb, &p.ub)
 }
 
 #[cfg(test)]
@@ -708,7 +712,7 @@ mod tests {
     fn scalar_sdp_is_lp() {
         let res = solve(&scalar_problem(), &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
-        assert!((res.obj - 1.0).abs() < 1e-4, "obj = {}", res.obj);
+        assert!((res.obj - 1.0).abs() < 1e-6, "obj = {}", res.obj);
     }
 
     #[test]
@@ -724,7 +728,7 @@ mod tests {
         p.add_block(blk);
         let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
-        assert!((res.obj - 1.0).abs() < 1e-4, "obj = {}", res.obj);
+        assert!((res.obj - 1.0).abs() < 1e-6, "obj = {}", res.obj);
         assert!(p.is_feasible(&res.y, 1e-6));
     }
 
@@ -735,7 +739,7 @@ mod tests {
         p.add_lin_row(f64::NEG_INFINITY, 0.4, vec![(0, 1.0)]);
         let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
-        assert!((res.obj - 0.4).abs() < 1e-4, "obj = {}", res.obj);
+        assert!((res.obj - 0.4).abs() < 1e-6, "obj = {}", res.obj);
     }
 
     #[test]
@@ -756,8 +760,8 @@ mod tests {
         p.add_lin_row(f64::NEG_INFINITY, 0.5, vec![(1, 1.0)]);
         let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
-        assert!((res.obj - 1.5).abs() < 1e-3, "obj = {}", res.obj);
-        assert!(p.is_feasible(&res.y, 1e-5));
+        assert!((res.obj - 1.5).abs() < 1e-6, "obj = {}", res.obj);
+        assert!(p.is_feasible(&res.y, 1e-6));
     }
 
     #[test]
@@ -775,18 +779,13 @@ mod tests {
     }
 
     #[test]
-    fn penalty_handles_infeasibility_gracefully() {
-        let mut p = SdpProblem::new(1);
-        p.b = vec![1.0];
-        p.lb = vec![0.0];
-        p.ub = vec![1.0];
-        let mut blk = SdpBlock::new(1, 1);
-        blk.c = Matrix::from_rows(1, 1, vec![-2.0]).unwrap();
-        p.add_block(blk);
-        let res = solve_penalty(&p, &SdpOptions::default());
+    fn conflicting_rows_are_certified_infeasible() {
+        // y ≤ 1 by the block, y ≥ 1.5 by a row, y ∈ [−5, 5]: only a
+        // certificate with a positive X on both blocks rules y out.
+        let mut p = scalar_problem();
+        p.add_lin_row(1.5, f64::INFINITY, vec![(0, 1.0)]);
+        let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Infeasible);
-        // z must absorb the violation (≈ 2).
-        assert!((res.penalty_z.unwrap() - 2.0).abs() < 1e-2);
     }
 
     #[test]
@@ -803,13 +802,12 @@ mod tests {
         let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
         assert!((res.y[0] - 0.3).abs() < 1e-12);
-        assert!((res.obj - 1.3).abs() < 1e-4, "obj = {}", res.obj);
+        assert!((res.obj - 1.3).abs() < 1e-6, "obj = {}", res.obj);
     }
 
     #[test]
     fn max_cut_style_relaxation() {
-        // A classic: max Σ y_i s.t. Diag(y)... use: max y1+y2+y3 with
-        // C = [[1,.5,.5],[.5,1,.5],[.5,.5,1]], A_i = e_i e_iᵀ:
+        // max y1+y2+y3 with C = [[1,.5,.5],[.5,1,.5],[.5,.5,1]], A_i = e_i e_iᵀ:
         // S = C − Diag(y) ⪰ 0. Optimum pushes S to the PSD boundary.
         let mut p = SdpProblem::new(3);
         p.b = vec![1.0; 3];
@@ -825,56 +823,35 @@ mod tests {
         p.add_block(blk);
         let res = solve(&p, &SdpOptions::default());
         assert_eq!(res.status, SdpStatus::Optimal);
-        assert!(p.is_feasible(&res.y, 1e-5));
+        assert!(p.is_feasible(&res.y, 1e-6));
         // By symmetry y_i = c: S = C − cI ⪰ 0 ⇔ c ≤ λmin(C) = 0.5 → obj 1.5.
-        assert!((res.obj - 1.5).abs() < 1e-3, "obj = {}", res.obj);
-    }
-
-    /// The Newton steps of the default barrier path from `y`, centering
-    /// by centering, up to and including the one that fails; `None` if
-    /// none does.
-    fn steps_until_failure(w: &Work, mut y: Vec<f64>) -> Option<usize> {
-        let mut chols = w.factor(&y).expect("strictly feasible start");
-        let (mut t, mut total) = (T0, 0);
-        while w.nu() / t > TOL {
-            match w.center(t, &mut y, &mut chols, w.decrement_exit(t, TOL)) {
-                Ok(it) => total += it,
-                Err(it) => return Some(total + it),
-            }
-            t *= MU;
-        }
-        None
+        assert!((res.obj - 1.5).abs() < 1e-6, "obj = {}", res.obj);
     }
 
     #[test]
-    fn steps_before_a_numerical_failure_are_counted() {
-        // max c·(y0 + y1) s.t. 1 − y0 − y1 ≥ 0: y0 and y1 enter the block
-        // identically, so the Newton system is singular along y0 − y1 but
-        // for the box terms, at a scale growing like (t·c)². Past
-        // t·c ≈ 1e9 no shift the solver allows lifts its second pivot above
-        // the Cholesky tolerance, after several completed centerings.
-        let c = 1e4;
+    fn a_box_alone_is_solved() {
+        // max y0 − y1 over [−5, 5]² with no block: (5, −5).
         let mut p = SdpProblem::new(2);
-        p.b = vec![c, c];
-        p.lb = vec![-10.0; 2];
-        p.ub = vec![10.0; 2];
-        let mut blk = SdpBlock::new(1, 2);
-        blk.c = Matrix::from_diag(&[1.0]);
-        blk.set_a(0, Matrix::from_diag(&[1.0]));
-        blk.set_a(1, Matrix::from_diag(&[1.0]));
-        p.add_block(blk);
-        let w = Work::from_problem(&p);
-
+        p.b = vec![1.0, -1.0];
+        p.lb = vec![-5.0; 2];
+        p.ub = vec![5.0; 2];
         let res = solve(&p, &SdpOptions::default());
-        assert_eq!(res.status, SdpStatus::Numerical);
-        assert_eq!(Some(res.iterations), steps_until_failure(&w, w.start_point()));
+        assert_eq!(res.status, SdpStatus::Optimal);
+        assert!((res.obj - 10.0).abs() < 1e-5, "obj = {}", res.obj);
+    }
 
-        let res = solve_penalty(&p, &SdpOptions::default());
-        assert_eq!(res.status, SdpStatus::Numerical);
-        let pen = w.penalized(PENALTY_GAMMA, 1.0, 0.0);
-        let mut yz = w.start_point();
-        yz.push(1.0); // the slack at the start point is 1: z0 = 0 + 1
-        assert_eq!(Some(res.iterations), steps_until_failure(&pen, yz));
+    #[test]
+    fn one_solver_serves_changing_bounds() {
+        // The working form is built once; each solve sees only its bounds.
+        let p = scalar_problem();
+        let mut solver = SdpSolver::new(&p);
+        for (ub, expect) in [(5.0, 1.0), (0.25, 0.25), (5.0, 1.0)] {
+            let res = solver.solve(&[-5.0], &[ub]);
+            assert_eq!(res.status, SdpStatus::Optimal);
+            assert!((res.obj - expect).abs() < 1e-6, "ub {ub}: obj = {}", res.obj);
+        }
+        assert_eq!(solver.solve(&[2.0], &[5.0]).status, SdpStatus::Infeasible);
+        assert_eq!(solver.solve(&[0.5], &[0.5]).obj, 0.5);
     }
 
     /// The root relaxation of a minimum-2-partitioning MISDP on `n`
@@ -907,26 +884,25 @@ mod tests {
     }
 
     #[test]
-    fn recentering_a_centered_point_ends_at_once() {
-        // At t = 1e8, |f| is ≈ 1e9 and the Newton decrement stays above
-        // the 1e-10 exit. Without the stop on a gain below f's
-        // resolution, the second centering at 1e8 below ran to
-        // MAX_NEWTON = 60 on each of these relaxations.
+    fn relaxations_without_an_interior_are_solved() {
+        // Fixing y_01 = 1 makes X's minor on {0, 1} singular: no y is
+        // strictly feasible, and X_0j = X_1j on the whole face. Fixing
+        // y_01 = y_12 = 1 and y_02 = 0 as well breaks transitivity, and the
+        // relaxation is infeasible.
         for (n, seed) in [(5, 2), (6, 0), (7, 0), (8, 0)] {
-            let w = Work::from_problem(&mkp_relaxation(n, seed));
-            let mut y = w.start_point();
-            let mut chols = w.factor(&y).expect("X = I at the box midpoint");
-            let mut t = T0;
-            let mut center = |t: f64| {
-                let exit = w.decrement_exit(t, TOL);
-                w.center(t, &mut y, &mut chols, exit).expect("centered")
-            };
-            while t <= 1e8 {
-                center(t);
-                t *= MU;
-            }
-            let again = center(1e8);
-            assert!(again <= 2, "n = {n}, seed {seed}: {again} Newton steps");
+            let mut p = mkp_relaxation(n, seed);
+            let root = solve(&p, &SdpOptions::default());
+            assert_eq!(root.status, SdpStatus::Optimal, "n = {n}");
+            assert!(root.iterations <= 30, "n = {n}: {} iterations", root.iterations);
+            p.lb[0] = 1.0;
+            let face = solve(&p, &SdpOptions::default());
+            assert_eq!(face.status, SdpStatus::Optimal, "n = {n}");
+            assert!(face.obj <= root.obj + 1e-6, "n = {n}");
+            assert!(p.is_feasible(&face.y, 1e-6), "n = {n}");
+            // Pairs (0, 1), (0, 2) and (1, 2) are variables 0, 1 and n − 1.
+            p.ub[1] = 0.0;
+            p.lb[n - 1] = 1.0;
+            assert_eq!(solve(&p, &SdpOptions::default()).status, SdpStatus::Infeasible, "n = {n}");
         }
     }
 
@@ -940,7 +916,6 @@ mod tests {
         )
         .unwrap()
     }
-
     #[test]
     fn rank_one_accepts_signed_outer_products_only() {
         let g = [0.3, -1.2, 0.7, 2.1];
@@ -968,10 +943,9 @@ mod tests {
     /// coefficient shape the generators produce: diagonal (0), two-entry
     /// off-diagonal (1), dense rank one (2), −I (3), full dense (4), a
     /// variable found only in the linear row (5), and a fixed one (6). The
-    /// second is a penalized TTD block: the −I of 3, then one axis bar
-    /// `−c e_k e_kᵀ` per dimension and three dense bars `−g gᵀ` (variables
-    /// from 7 on). The two-sided row over 0, 2 and 5 folds into two 1×1
-    /// blocks.
+    /// second is a TTD block with the −I of 3: one axis bar `−c e_k e_kᵀ`
+    /// per dimension and three dense bars `−g gᵀ` (variables from 7 on).
+    /// The two-sided row over 0, 2 and 5 folds into two 1×1 blocks.
     fn newton_case(dim: usize, seed: u64) -> (SdpProblem, Vec<f64>) {
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
@@ -1035,10 +1009,24 @@ mod tests {
         (p, y)
     }
 
-    /// The definition: `grad_i = −Σ_k tr(S_k⁻¹A_ki)` and
-    /// `h_ij = Σ_k tr(S_k⁻¹A_ki S_k⁻¹A_kj)` over the free variables, with
-    /// `S⁻¹A` formed column by column, densely.
-    fn dense_newton_system(p: &SdpProblem, y: &[f64], free: &[usize]) -> (Vec<f64>, Matrix) {
+    /// `MᵀM + I` for a seeded random `M`.
+    fn random_pd(dim: usize, seed: u64) -> Matrix {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let raw: Vec<f64> = (0..dim * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let m = Matrix::from_rows(dim, dim, raw).unwrap();
+        let mut a = m.transpose().matmul(&m).unwrap();
+        for d in 0..dim {
+            a[(d, d)] += 1.0;
+        }
+        a
+    }
+
+    /// The definition: `m_ij = Σ_k tr(A_ki X_k A_kj S_k⁻¹)` over the free
+    /// variables, as `tr((X_k A_kj)(S_k⁻¹ A_ki))` with `S⁻¹A` formed column
+    /// by column, densely, over `p`'s blocks and then its folded rows.
+    fn dense_schur(p: &SdpProblem, y: &[f64], xs: &[Matrix], free: &[usize]) -> Matrix {
         let mut blocks = p.blocks.clone();
         for row in &p.lin {
             for (c0, sign) in [(row.rhs, 1.0), (-row.lhs, -1.0)] {
@@ -1051,11 +1039,10 @@ mod tests {
             }
         }
         let k = free.len();
-        let mut grad = vec![0.0; k];
-        let mut h = Matrix::zeros(k, k);
-        for blk in &blocks {
+        let mut m = Matrix::zeros(k, k);
+        for (blk, x) in blocks.iter().zip(xs) {
             let chol = CholeskyFactor::new(&blk.slack(y)).unwrap();
-            let ms: Vec<Option<Matrix>> = free
+            let sa: Vec<Option<Matrix>> = free
                 .iter()
                 .map(|&i| {
                     let a = blk.a[i].as_ref()?;
@@ -1069,17 +1056,16 @@ mod tests {
                     Some(m)
                 })
                 .collect();
-            for (gi, mi) in ms.iter().enumerate() {
-                let Some(mi) = mi else { continue };
-                grad[gi] -= mi.trace();
-                for (gj, mj) in ms.iter().enumerate() {
-                    if let Some(mj) = mj {
-                        h[(gi, gj)] += mi.matmul(mj).unwrap().trace();
+            for (gi, sai) in sa.iter().enumerate() {
+                let Some(sai) = sai else { continue };
+                for (gj, &j) in free.iter().enumerate() {
+                    if let Some(aj) = &blk.a[j] {
+                        m[(gi, gj)] += x.matmul(aj).unwrap().matmul(sai).unwrap().trace();
                     }
                 }
             }
         }
-        (grad, h)
+        m
     }
 
     /// `PROPTEST_CASES` when it is set, else `default`.
@@ -1101,9 +1087,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(cases(64)))]
 
         #[test]
-        fn newton_system_matches_its_definition(dim in 1usize..7, seed in proptest::prelude::any::<u64>()) {
+        fn schur_complement_matches_its_definition(dim in 1usize..7, seed in proptest::prelude::any::<u64>()) {
             let (p, y) = newton_case(dim, seed);
-            let w = Work::from_problem(&p);
+            let w = SdpSolver::new(&p);
             assert_eq!(w.free, (0..p.m).filter(|&i| i != 6).collect::<Vec<_>>());
             if dim > 1 {
                 // Between them the two blocks pair rank one with rank one
@@ -1112,21 +1098,25 @@ mod tests {
                 // 2, −I and the axis bars with the dense bars), dense with
                 // dense (4 with itself) and sparse with non-rank-one
                 // (0 with 1, 3, 4; −I with the axis bars): every formula of
-                // `Block::add_newton_terms`.
+                // `Block::add_schur`.
                 assert_eq!(shapes(&w.blocks[0]), "SSRSDD");
                 assert_eq!(shapes(&w.blocks[1]), format!("S{}RRR", "S".repeat(dim)));
             }
-            let chols = w.factor(&y).expect("S(y) is PD by construction");
-            // b = 0 and no finite bounds on the free variables: only the
-            // log det terms remain.
-            let (grad, h) = w.newton_system(0.0, &y, &chols);
-            let (dgrad, dh) = dense_newton_system(&p, &y, &w.free);
-            let scale = 1.0 + dgrad.iter().chain(dh.data()).fold(0.0f64, |a, v| a.max(v.abs()));
-            for (gi, (s, d)) in grad.iter().zip(&dgrad).enumerate() {
-                proptest::prop_assert!((s - d).abs() <= 1e-9 * scale, "grad[{}]: {} vs {}", gi, s, d);
+            // X is a random PD matrix of its own per block, so that the
+            // assembly is held to tr(Aᵢ X Aⱼ S⁻¹), not to X = S⁻¹.
+            let xs: Vec<Matrix> =
+                w.blocks.iter().enumerate().map(|(k, b)| random_pd(b.dim, seed ^ (k as u64 + 1))).collect();
+            let mut m = Matrix::zeros(w.free.len(), w.free.len());
+            for (blk, x) in w.blocks.iter().zip(&xs) {
+                let mut s = blk.c.clone();
+                blk.sub_terms(&mut s, |t| y[t.var]);
+                let z = CholeskyFactor::new(&s).expect("S(y) is PD by construction").inverse();
+                blk.add_schur(x, &z, &mut m);
             }
-            for (n, (s, d)) in h.data().iter().zip(dh.data()).enumerate() {
-                proptest::prop_assert!((s - d).abs() <= 1e-9 * scale, "h[{}]: {} vs {}", n, s, d);
+            let dm = dense_schur(&p, &y, &xs, &w.free);
+            let scale = 1.0 + dm.data().iter().fold(0.0f64, |a, v| a.max(v.abs()));
+            for (n, (s, d)) in m.data().iter().zip(dm.data()).enumerate() {
+                proptest::prop_assert!((s - d).abs() <= 1e-9 * scale, "m[{}]: {} vs {}", n, s, d);
             }
         }
     }

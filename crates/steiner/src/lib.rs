@@ -4,8 +4,7 @@
 //! classes:
 //!
 //! 1. **Reduction techniques** ([`reduce`]) — degree tests, alternative-
-//!    path (special distance) tests, dual-ascent bound-based tests and a
-//!    restricted implementation of *extended* reduction techniques,
+//!    path (special distance) tests and dual-ascent bound-based tests,
 //!    applied both in presolving and (through the constraint handler's
 //!    propagation) deep in the branch-and-bound tree, where branching has
 //!    reshaped the graph — the effect the paper exploits to solve

@@ -408,8 +408,8 @@ impl ConstraintHandler for DirectedCutHandler {
         if da.bound > threshold {
             return PropResult::Infeasible;
         }
-        // Arc fixing by reduced cost (the restricted extended test's base
-        // form, applied in-tree).
+        // Arc fixing by reduced cost (the presolve's arc test, applied
+        // in-tree).
         let (dfr, dtt) = redcost_distances(&local_sap, &da.redcost, d.root);
         let mut fixed = 0;
         for (i, arc) in local_sap.arcs.iter().enumerate() {

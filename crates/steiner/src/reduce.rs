@@ -8,11 +8,7 @@
 //! * **SD / alternative-path test** — delete an edge when a not-longer
 //!   alternative path exists (bounded Dijkstra),
 //! * **dual-ascent bound tests** — delete vertices/edges whose inclusion
-//!   forces the reduced-cost lower bound past an upper bound,
-//! * **restricted extended reduction** — the depth-1 extension of the
-//!   dual-ascent arc test, our honest miniature of the "extended
-//!   reduction techniques" \[54\] whose initial implementation the paper
-//!   credits for solving bip52u.
+//!   forces the reduced-cost lower bound past an upper bound.
 
 use crate::dualascent::{dual_ascent, redcost_distances};
 use crate::graph::Graph;
@@ -41,10 +37,6 @@ pub struct ReduceStats {
     pub sd_deleted: usize,
     pub da_nodes_deleted: usize,
     pub da_edges_deleted: usize,
-    /// Edges at least one of whose directions only the extended test
-    /// excludes; the rest of the bound-based deletions are in
-    /// `da_edges_deleted`.
-    pub ext_edges_deleted: usize,
     pub rounds_run: usize,
 }
 
@@ -57,7 +49,6 @@ impl ReduceStats {
             + self.sd_deleted
             + self.da_nodes_deleted
             + self.da_edges_deleted
-            + self.ext_edges_deleted
     }
 }
 
@@ -239,8 +230,8 @@ pub fn sd_test(g: &mut Graph, scan_limit: usize, stats: &mut ReduceStats) -> boo
     any
 }
 
-/// Dual-ascent bound-based vertex/arc tests plus the restricted extended
-/// test, against the upper bound of a TM solution of the current graph.
+/// Dual-ascent bound-based vertex/arc tests against the upper bound of a
+/// TM solution of the current graph.
 /// Needs ≥ 2 terminals.
 fn da_tests(g: &mut Graph, stats: &mut ReduceStats) -> bool {
     let ub = match tm_best(g, 4, &real_weights(g)) {
@@ -280,7 +271,13 @@ fn bound_tests(
             any = true;
         }
     }
-    // Arc/edge tests (both directions must be excludable) + extended.
+    // Arc/edge tests: every optimal arborescence avoids an arc with
+    // `lb + d̃(r→tail) + c̃(a) + d̃(head→T) > ub`, and an edge goes when
+    // both its arcs do.
+    let excluded = |a: u32| {
+        let arc = &sap.arcs[a as usize];
+        lb + dfr[arc.tail as usize] + redcost[a as usize] + dtt[arc.head as usize] > ub + tol
+    };
     let edges: Vec<u32> = g.alive_edges().collect();
     for e in edges {
         if !g.edge(e).alive {
@@ -289,29 +286,13 @@ fn bound_tests(
         let a1 = find_arc(sap, e, g.edge(e).u, g.edge(e).v);
         let a2 = find_arc(sap, e, g.edge(e).v, g.edge(e).u);
         let (Some(a1), Some(a2)) = (a1, a2) else { continue };
-        let Some(excl1) = arc_exclusion(g, sap, redcost, &dfr, &dtt, lb, ub, a1) else {
-            continue;
-        };
-        if let Some(excl2) = arc_exclusion(g, sap, redcost, &dfr, &dtt, lb, ub, a2) {
+        if excluded(a1) && excluded(a2) {
             g.delete_edge(e);
-            if excl1 == Exclusion::Extended || excl2 == Exclusion::Extended {
-                stats.ext_edges_deleted += 1;
-            } else {
-                stats.da_edges_deleted += 1;
-            }
+            stats.da_edges_deleted += 1;
             any = true;
         }
     }
     any
-}
-
-/// Which test of [`arc_exclusion`] excludes an arc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Exclusion {
-    /// The base reduced-cost test.
-    Base,
-    /// The depth-1 extended continuation.
-    Extended,
 }
 
 fn find_arc(sap: &SapGraph, edge: u32, tail: u32, head: u32) -> Option<u32> {
@@ -319,48 +300,6 @@ fn find_arc(sap: &SapGraph, edge: u32, tail: u32, head: u32) -> Option<u32> {
         .iter()
         .copied()
         .find(|&a| sap.arcs[a as usize].edge == edge && sap.arcs[a as usize].head == head)
-}
-
-/// Can arc `a` be excluded from every optimal arborescence, and by
-/// which test (`None`: it cannot)? Base test:
-/// `lb + d̃(r→tail) + c̃(a) + d̃(head→T) > ub`. The *extended* test
-/// then replaces `d̃(head→T)` for non-terminal heads by the best depth-1
-/// continuation `min_{w≠tail} c̃(head→w) + d̃(w→T)` — valid because a
-/// non-terminal head must continue toward a terminal via an arc other
-/// than the reverse of `a`.
-#[allow(clippy::too_many_arguments)]
-fn arc_exclusion(
-    g: &Graph,
-    sap: &SapGraph,
-    redcost: &[f64],
-    dfr: &[f64],
-    dtt: &[f64],
-    lb: f64,
-    ub: f64,
-    a: u32,
-) -> Option<Exclusion> {
-    let arc = &sap.arcs[a as usize];
-    let tail = arc.tail as usize;
-    let head = arc.head as usize;
-    let base = lb + dfr[tail] + redcost[a as usize];
-    let tol = 1e-9;
-    if base + dtt[head] > ub + tol {
-        return Some(Exclusion::Base);
-    }
-    if g.is_terminal(head) {
-        return None;
-    }
-    // Extended: every continuation out of `head` (other than back to
-    // `tail`) must break the bound.
-    let mut cont = f64::INFINITY;
-    for &oa in &sap.out[head] {
-        let oarc = &sap.arcs[oa as usize];
-        if oarc.head as usize == tail {
-            continue;
-        }
-        cont = cont.min(redcost[oa as usize] + dtt[oarc.head as usize]);
-    }
-    (base + cont > ub + tol).then_some(Exclusion::Extended)
 }
 
 #[cfg(test)]
@@ -459,33 +398,6 @@ mod tests {
         let stats = reduce(&mut g, &ReduceParams::default());
         assert!(!g.is_node_alive(2) || g.degree(2) == 0);
         assert!(stats.total_eliminations() > 0);
-    }
-
-    #[test]
-    fn only_the_extended_test_deletes_a_parallel_edge() {
-        // Root 0 and terminals 3, 4; the edges 1–2 are parallel. Under
-        // the reduced costs below (lb 0, ub 4) the expensive one's arc
-        // 1→2 passes the base test (dtt[2] is 0 by the cheap edge back
-        // to 1) and fails only the extended test (its continuation 2→3
-        // costs 2); its arc 2→1 fails the base test. No vertex and no
-        // other edge goes.
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(1, 4, 1.0);
-        let expensive = g.add_edge(1, 2, 5.0);
-        g.add_edge(1, 2, 1.0);
-        g.add_edge(2, 3, 2.0);
-        for t in [0, 3, 4] {
-            g.set_terminal(t, true);
-        }
-        let sap = SapGraph::from_graph(&g, 0);
-        // Arcs 2k and 2k + 1 are edge k's u→v and v→u.
-        let redcost = [0.0, 0.0, 0.0, 0.0, 3.0, 5.0, 0.0, 0.0, 2.0, 2.0];
-        let mut st = ReduceStats::default();
-        assert!(bound_tests(&mut g, &sap, &redcost, 0.0, 4.0, &mut st));
-        assert!(!g.edge(expensive).alive);
-        assert_eq!(st.ext_edges_deleted, 1);
-        assert_eq!(st.total_eliminations(), 1);
     }
 
     #[test]

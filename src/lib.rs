@@ -19,7 +19,7 @@
 //! | [`glue`] | `ugrs-glue` | the ug[SCIP-*,*]-libraries analog |
 //! | [`instances`] | `ugrs-instances` | the instance zoo: real-format parsers, generators, catalog |
 //! | [`lp`] | `ugrs-lp` | bounded-variable revised simplex |
-//! | [`sdp`] | `ugrs-sdp` | interior-point SDP with penalty formulation |
+//! | [`sdp`] | `ugrs-sdp` | primal–dual interior-point SDP |
 //! | [`linalg`] | `ugrs-linalg` | dense linear algebra kernels |
 //!
 //! ## Quickstart
