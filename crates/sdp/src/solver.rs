@@ -633,7 +633,6 @@ impl SdpSolver {
     /// The HKM direction for `target`: with `G_k = (T_k + β_k X_k) S_k⁻¹`,
     /// `M Δy = b − 𝒜(G) − t_u/s_u + t_ℓ/s_ℓ`, then `ΔS = −βI − Σ AᵢΔyᵢ`,
     /// `ΔX = sym(G + X (Σ AᵢΔyᵢ) S⁻¹) − X` and `Δx = t/s − x ∓ (x/s) Δy`.
-    #[allow(clippy::too_many_arguments)]
     fn direction(
         &self,
         blocks: &[Active],
