@@ -11,19 +11,19 @@
 //! * [`HeurEngine`] owns the registered heuristics, decides per node
 //!   which are due, accounts calls/hits/time per heuristic, and reports
 //!   [`HeurStats`] so a run can show which heuristic found what;
-//! * legacy [`Heuristic`] plugins are adapted
-//!   transparently (run every heuristic round, unlimited budget), so
-//!   existing plugin sets keep working unchanged.
+//! * legacy [`Heuristic`] plugins are adapted transparently, under
+//!   [`HeurSchedule::EVERY_TENTH`], so existing plugin sets keep working.
 //!
-//! The solver's main loop still gates heuristic *rounds* globally by
-//! `Settings::heur_frequency`; within a round, the engine applies each
-//! heuristic's own schedule. Candidates returned by heuristics are
+//! A schedule alone decides when a heuristic runs: the engine rewrites
+//! its frequency by the solve's [`Emphasis`] at registration, as SCIP's
+//! emphasis settings rewrite each heuristic's `freq`. Candidates are
 //! validated by the framework before installation, and accepted
 //! incumbents flow through `ControlHooks::on_incumbent` — which is how a
 //! heuristic-found solution enters UG's incumbent exchange and reaches
 //! every other ParaSolver.
 
 use crate::plugins::{Heuristic, SolveCtx};
+use crate::settings::Emphasis;
 use std::time::{Duration, Instant};
 
 /// When and under which budgets a [`PrimalHeuristic`] runs.
@@ -43,29 +43,39 @@ pub struct HeurSchedule {
     pub priority: i32,
 }
 
-impl Default for HeurSchedule {
-    fn default() -> Self {
-        HeurSchedule {
-            frequency: 1,
-            depth_offset: 0,
-            max_calls: u64::MAX,
-            time_budget: Duration::MAX,
-            priority: 0,
-        }
-    }
-}
-
 impl HeurSchedule {
+    /// Every depth, unlimited budgets, priority 0: the schedule a
+    /// [`PrimalHeuristic`] registers under unless it declares its own.
+    pub const EVERY_DEPTH: HeurSchedule = HeurSchedule {
+        frequency: 1,
+        depth_offset: 0,
+        max_calls: u64::MAX,
+        time_budget: Duration::MAX,
+        priority: 0,
+    };
+
+    /// Every tenth depth, unlimited budgets: the schedule of legacy
+    /// [`Heuristic`] plugins and of the solver's LP diving.
+    pub const EVERY_TENTH: HeurSchedule = HeurSchedule { frequency: 10, ..Self::EVERY_DEPTH };
+
+    /// This schedule with its frequency rewritten by emphasis `e`: scaled
+    /// by `e`'s [`crate::settings::Preset::heur_scale`], or every depth
+    /// where that is `None`. A root-only schedule (`0`) stays root-only.
+    pub const fn under(self, e: Emphasis) -> HeurSchedule {
+        let frequency = match e.preset().heur_scale {
+            _ if self.frequency == 0 => 0,
+            Some(scale) => scale * self.frequency,
+            None => 1,
+        };
+        HeurSchedule { frequency, ..self }
+    }
+
     /// True when a heuristic with this schedule is due at `depth`.
     pub fn due_at(&self, depth: usize) -> bool {
-        if depth < self.depth_offset {
-            return false;
-        }
-        let rel = depth - self.depth_offset;
-        if self.frequency == 0 {
-            rel == 0
-        } else {
-            rel.is_multiple_of(self.frequency)
+        match depth.checked_sub(self.depth_offset) {
+            Some(rel) if self.frequency == 0 => rel == 0,
+            Some(rel) => rel.is_multiple_of(self.frequency),
+            None => false,
         }
     }
 }
@@ -79,7 +89,7 @@ pub trait PrimalHeuristic: Send {
 
     /// The schedule this heuristic registers under.
     fn default_schedule(&self) -> HeurSchedule {
-        HeurSchedule::default()
+        HeurSchedule::EVERY_DEPTH
     }
 
     /// Produces a candidate assignment, or `None`. The framework
@@ -88,12 +98,16 @@ pub trait PrimalHeuristic: Send {
 }
 
 /// Adapter running a legacy [`Heuristic`] plugin under the engine with
-/// the default (always-due, unlimited) schedule.
+/// [`HeurSchedule::EVERY_TENTH`].
 struct LegacyHeuristic(Box<dyn Heuristic>);
 
 impl PrimalHeuristic for LegacyHeuristic {
     fn name(&self) -> &str {
         self.0.name()
+    }
+
+    fn default_schedule(&self) -> HeurSchedule {
+        HeurSchedule::EVERY_TENTH
     }
 
     fn run(&mut self, ctx: &mut SolveCtx) -> Option<Vec<f64>> {
@@ -123,6 +137,8 @@ pub struct HeurEntry {
     calls: u64,
     hits: u64,
     spent: Duration,
+    /// Best objective among its installed candidates.
+    best: Option<f64>,
 }
 
 impl HeurEntry {
@@ -141,58 +157,36 @@ impl HeurEntry {
         self.spent = self.spent.saturating_add(start.elapsed());
         cand
     }
-
-    /// Credits an installed improving incumbent to this heuristic.
-    pub fn credit_hit(&mut self) {
-        self.hits += 1;
-    }
 }
 
 /// The engine owning every registered primal heuristic.
 #[derive(Default)]
 pub struct HeurEngine {
+    /// The emphasis every registered schedule is rewritten by.
+    emphasis: Emphasis,
     entries: Vec<HeurEntry>,
-    /// Best installed objective per entry index (parallel to `entries`;
-    /// kept separate so `HeurEntry` stays `Copy`-free but small).
-    best: Vec<Option<f64>>,
 }
 
 impl HeurEngine {
-    /// Registers a heuristic under its own default schedule. Entries stay
-    /// sorted by descending priority (stable, so registration order
-    /// breaks ties).
-    pub fn add(&mut self, heur: Box<dyn PrimalHeuristic>) {
-        let schedule = heur.default_schedule();
-        self.entries.push(HeurEntry { heur, schedule, calls: 0, hits: 0, spent: Duration::ZERO });
-        self.best.push(None);
-        // Stable insertion keeps equal priorities in registration order.
-        let mut i = self.entries.len() - 1;
-        while i > 0 && self.entries[i - 1].schedule.priority < self.entries[i].schedule.priority {
-            self.entries.swap(i - 1, i);
-            self.best.swap(i - 1, i);
-            i -= 1;
-        }
+    /// An engine whose schedules run under emphasis `emphasis`.
+    pub fn new(emphasis: Emphasis) -> Self {
+        HeurEngine { emphasis, entries: Vec::new() }
     }
 
-    /// Registers a legacy [`Heuristic`] plugin (always-due schedule).
+    /// Registers a heuristic under its own default schedule, rewritten by
+    /// the engine's emphasis. Entries stay sorted by descending priority
+    /// (stable, so registration order breaks ties).
+    pub fn add(&mut self, heur: Box<dyn PrimalHeuristic>) {
+        let schedule = heur.default_schedule().under(self.emphasis);
+        let entry =
+            HeurEntry { heur, schedule, calls: 0, hits: 0, spent: Duration::ZERO, best: None };
+        self.entries.push(entry);
+        self.entries.sort_by_key(|e| std::cmp::Reverse(e.schedule.priority));
+    }
+
+    /// Registers a legacy [`Heuristic`] plugin ([`HeurSchedule::EVERY_TENTH`]).
     pub fn add_legacy(&mut self, heur: Box<dyn Heuristic>) {
         self.add(Box::new(LegacyHeuristic(heur)));
-    }
-
-    /// Removes every registered heuristic.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.best.clear();
-    }
-
-    /// Number of registered heuristics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no heuristic is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Indices (in priority order) of the heuristics due at `depth`.
@@ -207,24 +201,21 @@ impl HeurEngine {
 
     /// Records that entry `i`'s candidate was installed at `obj`.
     pub fn record_hit(&mut self, i: usize, obj: f64) {
-        self.entries[i].credit_hit();
-        let best = &mut self.best[i];
-        if best.is_none_or(|b| obj < b) {
-            *best = Some(obj);
-        }
+        let e = &mut self.entries[i];
+        e.hits += 1;
+        e.best = Some(e.best.map_or(obj, |b| b.min(obj)));
     }
 
     /// Per-heuristic call/hit/time accounting.
     pub fn stats(&self) -> Vec<HeurStats> {
         self.entries
             .iter()
-            .zip(&self.best)
-            .map(|(e, best)| HeurStats {
+            .map(|e| HeurStats {
                 name: e.heur.name().to_string(),
                 calls: e.calls,
                 hits: e.hits,
                 time: e.spent,
-                best_obj: *best,
+                best_obj: e.best,
             })
             .collect()
     }
@@ -253,13 +244,13 @@ mod tests {
 
     #[test]
     fn schedule_due_at() {
-        let s = HeurSchedule { frequency: 4, depth_offset: 2, ..Default::default() };
+        let s = HeurSchedule { frequency: 4, depth_offset: 2, ..HeurSchedule::EVERY_DEPTH };
         assert!(!s.due_at(0));
         assert!(!s.due_at(1));
         assert!(s.due_at(2));
         assert!(!s.due_at(3));
         assert!(s.due_at(6));
-        let root_only = HeurSchedule { frequency: 0, ..Default::default() };
+        let root_only = HeurSchedule { frequency: 0, ..HeurSchedule::EVERY_DEPTH };
         assert!(root_only.due_at(0));
         assert!(!root_only.due_at(1));
     }
@@ -268,7 +259,10 @@ mod tests {
     fn priority_orders_entries() {
         let mut eng = HeurEngine::default();
         let mk = |name, priority| {
-            Box::new(Fixed { name, schedule: HeurSchedule { priority, ..Default::default() } })
+            Box::new(Fixed {
+                name,
+                schedule: HeurSchedule { priority, ..HeurSchedule::EVERY_DEPTH },
+            })
         };
         eng.add(mk("low", -1));
         eng.add(mk("high", 10));
@@ -283,7 +277,7 @@ mod tests {
         let mut eng = HeurEngine::default();
         eng.add(Box::new(Fixed {
             name: "capped",
-            schedule: HeurSchedule { max_calls: 2, ..Default::default() },
+            schedule: HeurSchedule { max_calls: 2, ..HeurSchedule::EVERY_DEPTH },
         }));
         assert_eq!(eng.due_indices(0), vec![0]);
         eng.entries[0].calls = 2;
@@ -293,7 +287,7 @@ mod tests {
     #[test]
     fn hits_and_best_obj_are_accounted() {
         let mut eng = HeurEngine::default();
-        eng.add(Box::new(Fixed { name: "h", schedule: HeurSchedule::default() }));
+        eng.add(Box::new(Fixed { name: "h", schedule: HeurSchedule::EVERY_DEPTH }));
         eng.record_hit(0, 5.0);
         eng.record_hit(0, 3.0);
         eng.record_hit(0, 4.0);

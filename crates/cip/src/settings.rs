@@ -4,13 +4,13 @@
 //! solver under *different parameter settings and permutations of
 //! variables* so that each racer explores a different tree. The racing
 //! settings generators in `ugrs-glue` and `ugrs-misdp` vary the emphasis
-//! preset (named by [`Emphasis::name`]), which sets the separation,
-//! heuristic, presolve and node-selection fields, the permutation seed
-//! and, for MISDPs, the relaxator switch. Parameters that nothing varies
-//! are constants of the solver, not settings.
+//! preset (named by [`Emphasis::name`]), the permutation seed and, for
+//! MISDPs, the relaxator switch. [`Settings`] holds only what a caller
+//! chooses; what an emphasis decides is its [`Preset`], a constant table.
+//! Parameters that nothing varies are constants of the solver.
 
 /// Which rule picks the branching variable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BranchingRule {
     /// Most fractional variable.
     MostFractional,
@@ -20,7 +20,7 @@ pub enum BranchingRule {
 }
 
 /// Node selection strategy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeSelection {
     /// Best dual bound first (default).
     BestBound,
@@ -30,16 +30,35 @@ pub enum NodeSelection {
 
 /// Emphasis presets mirroring SCIP's `set emphasis` / `easycip` settings
 /// referenced by the paper's Figure 1 discussion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum Emphasis {
+    #[default]
     Default,
     /// "easycip": light presolving/separation, cheap heuristics — the
     /// emphasis most often winning the racing on CLS instances.
     EasyCip,
-    /// Aggressive heuristics.
+    /// Aggressive heuristics, depth-first search.
     Feasibility,
-    /// Aggressive separation + propagation, fewer heuristics.
+    /// Aggressive separation, fewer heuristics.
     Optimality,
+}
+
+/// What one emphasis preset decides ([`Emphasis::preset`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Preset {
+    /// The rule that picks the branching variable.
+    pub branching: BranchingRule,
+    /// The order open nodes are processed in.
+    pub node_selection: NodeSelection,
+    /// Presolve fixpoint rounds.
+    pub presolve_rounds: usize,
+    /// Maximum separation rounds at the root node.
+    pub root_sepa_rounds: usize,
+    /// Maximum separation rounds at non-root nodes.
+    pub node_sepa_rounds: usize,
+    /// Factor on every heuristic schedule's frequency; `None` runs each
+    /// scheduled heuristic at every depth (`HeurSchedule::under`).
+    pub heur_scale: Option<usize>,
 }
 
 impl Emphasis {
@@ -61,23 +80,43 @@ impl Emphasis {
     pub fn parse(name: &str) -> Option<Emphasis> {
         Emphasis::ALL.into_iter().find(|e| e.name() == name)
     }
+
+    /// The table of presets: what each one changes from `Default`'s.
+    pub const fn preset(self) -> Preset {
+        let default = Preset {
+            branching: BranchingRule::Pseudocost,
+            node_selection: NodeSelection::BestBound,
+            presolve_rounds: 5,
+            root_sepa_rounds: 50,
+            node_sepa_rounds: 5,
+            heur_scale: Some(1),
+        };
+        match self {
+            Emphasis::Default => default,
+            Emphasis::EasyCip => Preset {
+                presolve_rounds: 1,
+                root_sepa_rounds: 10,
+                node_sepa_rounds: 1,
+                heur_scale: Some(2),
+                ..default
+            },
+            Emphasis::Feasibility => {
+                Preset { node_selection: NodeSelection::DepthFirst, heur_scale: None, ..default }
+            }
+            Emphasis::Optimality => Preset {
+                root_sepa_rounds: 100,
+                node_sepa_rounds: 10,
+                heur_scale: Some(5),
+                ..default
+            },
+        }
+    }
 }
 
-/// All tunable parameters of the [`crate::Solver`].
+/// The parameters a caller of the [`crate::Solver`] chooses.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Settings {
     pub emphasis: Emphasis,
-    pub branching: BranchingRule,
-    pub node_selection: NodeSelection,
-    /// Maximum separation rounds at the root node.
-    pub root_sepa_rounds: usize,
-    /// Maximum separation rounds at non-root nodes.
-    pub node_sepa_rounds: usize,
-    /// Run primal heuristics at nodes whose depth is a multiple of this
-    /// (0 disables heuristics except at the root).
-    pub heur_frequency: usize,
-    /// Presolve fixpoint rounds (0 disables presolving).
-    pub presolve_rounds: usize,
     /// Node limit (u64::MAX = unlimited).
     pub node_limit: u64,
     /// Wall-clock limit in seconds (f64::INFINITY = unlimited).
@@ -96,12 +135,6 @@ impl Default for Settings {
     fn default() -> Self {
         Settings {
             emphasis: Emphasis::Default,
-            branching: BranchingRule::Pseudocost,
-            node_selection: NodeSelection::BestBound,
-            root_sepa_rounds: 50,
-            node_sepa_rounds: 5,
-            heur_frequency: 10,
-            presolve_rounds: 5,
             node_limit: u64::MAX,
             time_limit: f64::INFINITY,
             permutation_seed: 0,
@@ -112,29 +145,9 @@ impl Default for Settings {
 }
 
 impl Settings {
-    /// Applies an emphasis preset to the dependent knobs, returning the
-    /// adjusted settings (the explicit fields above keep their values
-    /// unless the preset overrides them).
+    /// The settings under emphasis preset `e`.
     pub fn with_emphasis(mut self, e: Emphasis) -> Self {
         self.emphasis = e;
-        match e {
-            Emphasis::Default => {}
-            Emphasis::EasyCip => {
-                self.presolve_rounds = 1;
-                self.root_sepa_rounds = 10;
-                self.node_sepa_rounds = 1;
-                self.heur_frequency = 20;
-            }
-            Emphasis::Feasibility => {
-                self.heur_frequency = 1;
-                self.node_selection = NodeSelection::DepthFirst;
-            }
-            Emphasis::Optimality => {
-                self.root_sepa_rounds = 100;
-                self.node_sepa_rounds = 10;
-                self.heur_frequency = 50;
-            }
-        }
         self
     }
 
@@ -148,16 +161,24 @@ impl Settings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heurengine::HeurSchedule;
 
     #[test]
     fn emphasis_presets_change_knobs() {
-        let d = Settings::default();
-        let e = Settings::default().with_emphasis(Emphasis::EasyCip);
+        let [d, e, f, o] = Emphasis::ALL.map(Emphasis::preset);
         assert!(e.root_sepa_rounds < d.root_sepa_rounds);
-        assert_eq!(e.emphasis, Emphasis::EasyCip);
-        let f = Settings::default().with_emphasis(Emphasis::Feasibility);
+        assert!(e.presolve_rounds < d.presolve_rounds);
+        assert!(o.node_sepa_rounds > d.node_sepa_rounds);
+        assert_eq!(d.node_selection, NodeSelection::BestBound);
         assert_eq!(f.node_selection, NodeSelection::DepthFirst);
-        assert_eq!(f.heur_frequency, 1);
+        // The heuristic schedules: as registered, ×2, every depth, ×5; a
+        // root-only schedule stays root-only.
+        let root_only = HeurSchedule { frequency: 0, ..HeurSchedule::EVERY_DEPTH };
+        let freqs = Emphasis::ALL
+            .map(|e| (HeurSchedule::EVERY_TENTH.under(e).frequency, root_only.under(e).frequency));
+        assert_eq!(freqs, [(10, 0), (20, 0), (1, 0), (50, 0)]);
+        let e = Emphasis::EasyCip;
+        assert_eq!(Settings::default().with_emphasis(e).emphasis, e);
     }
 
     #[test]

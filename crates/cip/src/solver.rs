@@ -7,7 +7,7 @@
 //! A solve loops select → process → account ([`NodeOutcome`]).
 
 use crate::branching::{select_branching_var, Pseudocosts};
-use crate::heurengine::{HeurEngine, HeurStats, PrimalHeuristic};
+use crate::heurengine::{HeurEngine, HeurSchedule, HeurStats, PrimalHeuristic};
 use crate::heuristics::{ShiftRounding, SimpleRounding};
 use crate::model::{Model, VarId};
 use crate::plugins::*;
@@ -108,6 +108,8 @@ pub struct Solver {
     active_cuts: Vec<(Cut, u64, u32)>, // (cut, fingerprint, age)
     /// Dual bound inherited with a transferred subproblem.
     initial_bound: f64,
+    /// The root is a transferred subproblem's, not the whole problem's.
+    transferred: bool,
 }
 
 /// The [`SolveCtx`] of one plugin call at a node with domain `lb..ub`
@@ -137,17 +139,19 @@ macro_rules! ctx {
 impl Solver {
     /// Creates a solver with the built-in default plugins registered.
     pub fn new(model: Model, settings: Settings) -> Self {
+        let mut s = Self::new_bare(model, settings);
+        s.add_heuristic(Box::new(SimpleRounding));
+        s.add_heuristic(Box::new(ShiftRounding::default()));
+        s
+    }
+
+    /// Creates a solver with *no* heuristics pre-registered.
+    pub fn new_bare(model: Model, settings: Settings) -> Self {
         let nvars = model.num_vars();
         Solver {
             model,
-            settings,
             conshdlrs: Vec::new(),
-            heuristics: {
-                let mut engine = HeurEngine::default();
-                engine.add_legacy(Box::new(SimpleRounding));
-                engine.add_legacy(Box::new(ShiftRounding::default()));
-                engine
-            },
+            heuristics: HeurEngine::new(settings.emphasis),
             branchrules: Vec::new(),
             relaxator: None,
             pcost: Pseudocosts::new(nvars),
@@ -156,26 +160,21 @@ impl Solver {
             cut_pool: HashSet::new(),
             active_cuts: Vec::new(),
             initial_bound: f64::NEG_INFINITY,
+            transferred: false,
+            settings,
         }
-    }
-
-    /// Creates a solver with *no* heuristics pre-registered.
-    pub fn new_bare(model: Model, settings: Settings) -> Self {
-        let mut s = Self::new(model, settings);
-        s.heuristics.clear();
-        s
     }
 
     pub fn add_conshdlr(&mut self, h: Box<dyn ConstraintHandler>) {
         self.conshdlrs.push(h);
     }
-    /// Registers a legacy [`Heuristic`] plugin (runs at every heuristic
-    /// round, unlimited budget).
+    /// Registers a legacy [`Heuristic`] plugin (every tenth depth before
+    /// the emphasis rewrites it, unlimited budget).
     pub fn add_heuristic(&mut self, h: Box<dyn Heuristic>) {
         self.heuristics.add_legacy(h);
     }
     /// Registers a scheduled [`PrimalHeuristic`] plugin under its own
-    /// default schedule.
+    /// default schedule, rewritten by the emphasis.
     pub fn add_primal_heuristic(&mut self, h: Box<dyn PrimalHeuristic>) {
         self.heuristics.add(h);
     }
@@ -193,9 +192,6 @@ impl Solver {
     pub fn model(&self) -> &Model {
         &self.model
     }
-    pub fn settings(&self) -> &Settings {
-        &self.settings
-    }
     pub fn stats(&self) -> &Statistics {
         &self.stats
     }
@@ -206,16 +202,7 @@ impl Solver {
     /// problem: the paper's layered presolving.
     pub fn apply_node_desc(&mut self, desc: &NodeDesc) {
         self.initial_bound = desc.dual_bound;
-        if !desc.bound_changes.is_empty() {
-            // A transferred subproblem is *not* the root of the whole
-            // problem: re-separating with the full root budget on every
-            // transfer would dominate the run time (this is the layered
-            // presolving trade-off the paper discusses). Cap it.
-            let cap = self.settings.node_sepa_rounds.max(32);
-            if self.settings.root_sepa_rounds > cap {
-                self.settings.root_sepa_rounds = cap;
-            }
-        }
+        self.transferred |= !desc.bound_changes.is_empty();
         for bc in &desc.bound_changes {
             let var = self.model.var_mut(bc.var);
             var.lb = var.lb.max(bc.lb);
@@ -303,9 +290,7 @@ impl Solver {
         if self.model.vars().any(|(_, v)| v.lb > v.ub) {
             return None;
         }
-        if self.settings.presolve_rounds > 0
-            && presolve(&mut self.model, self.settings.presolve_rounds).infeasible
-        {
+        if presolve(&mut self.model, self.settings.emphasis.preset().presolve_rounds).infeasible {
             return None;
         }
         self.cut_pool.clear();
@@ -323,7 +308,7 @@ impl Solver {
             self.install_cuts(buf, &mut lp);
             Some(lp)
         };
-        let mut tree = Tree::new(self.settings.node_selection);
+        let mut tree = Tree::new(self.settings.emphasis.preset().node_selection);
         tree.set_root_bound(self.initial_bound);
         Some((tree, lp))
     }
@@ -450,13 +435,12 @@ impl Solver {
             return NodeOutcome::Feasible;
         }
 
-        // ---- heuristics ------------------------------------------------
-        let freq = self.settings.heur_frequency;
-        if depth == 0 || (freq > 0 && depth.is_multiple_of(freq)) {
-            self.run_heuristics(depth, &lb, &ub, &relax_x, bound, hooks, tree);
-            if let Some(lp) = lp.as_mut() {
-                self.run_diving(&lb, &ub, &relax_x, lp, hooks, tree);
-            }
+        // ---- heuristics: each runs when its own schedule is due --------
+        let emphasis = self.settings.emphasis;
+        self.run_heuristics(depth, &lb, &ub, &relax_x, bound, hooks, tree);
+        let dive = HeurSchedule::EVERY_TENTH.under(emphasis).due_at(depth);
+        if let Some(lp) = lp.as_mut().filter(|_| dive) {
+            self.run_diving(&lb, &ub, &relax_x, lp, hooks, tree);
         }
 
         // ---- branching -------------------------------------------------
@@ -472,7 +456,7 @@ impl Solver {
         // Push the preferred child last for DFS (LIFO), first for
         // best-bound (order there is bound-driven anyway).
         let mut children = [(down, false), (up, true)];
-        if dec.down_first == (self.settings.node_selection == NodeSelection::DepthFirst) {
+        if dec.down_first == (emphasis.preset().node_selection == NodeSelection::DepthFirst) {
             children.reverse();
         }
         for (change, up) in children {
@@ -537,8 +521,16 @@ impl Solver {
         let mut bound = sol.obj.max(node.dual_bound);
 
         // ---- separation loop -------------------------------------------
-        let st = &self.settings;
-        let max_rounds = if node.depth == 0 { st.root_sepa_rounds } else { st.node_sepa_rounds };
+        let p = self.settings.emphasis.preset();
+        let max_rounds = match node.depth {
+            // A transferred subproblem is *not* the root of the whole
+            // problem: re-separating with the full root budget on every
+            // transfer would dominate the run time (this is the layered
+            // presolving trade-off the paper discusses). Cap it.
+            0 if self.transferred => p.root_sepa_rounds.min(p.node_sepa_rounds.max(32)),
+            0 => p.root_sepa_rounds,
+            _ => p.node_sepa_rounds,
+        };
         let mut pruned = None;
         let mut stalled_rounds = 0usize;
         for _round in 0..max_rounds {
@@ -978,8 +970,8 @@ impl Solver {
     /// The default rule's branching variable at `x`; `None` when `x` is
     /// integral.
     fn fractional(&self, x: &[f64]) -> Option<(VarId, f64)> {
-        let st = &self.settings;
-        select_branching_var(&self.model, x, st.branching, &self.pcost, st.permutation_seed)
+        let rule = self.settings.emphasis.preset().branching;
+        select_branching_var(&self.model, x, rule, &self.pcost, self.settings.permutation_seed)
     }
 
     fn update_pseudocosts(&mut self, binfo: Option<BranchInfo>, bound: f64) {
@@ -1136,12 +1128,12 @@ mod tests {
         let terms: Vec<(VarId, f64)> =
             vars.iter().enumerate().map(|(i, &v)| (v, ((i * 5) % 9) as f64 + 1.0)).collect();
         m.add_linear(17.0, 17.0, &terms);
-        let st =
-            Settings { node_limit: 1, presolve_rounds: 0, heur_frequency: 0, ..Default::default() };
+        let st = Settings { node_limit: 1, ..Default::default() };
         let mut solver = Solver::new_bare(m, st);
         let res = solver.solve(&mut NoHooks);
         assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::NodeLimit);
+        assert_eq!(res.stats.nodes, 1);
     }
 
     #[test]
@@ -1210,8 +1202,9 @@ mod tests {
 
     #[test]
     fn depth_first_also_finds_optimum() {
-        let st = Settings { node_selection: NodeSelection::DepthFirst, ..Default::default() };
-        let res = knapsack().optimize(st);
+        let e = crate::Emphasis::Feasibility;
+        assert_eq!(e.preset().node_selection, NodeSelection::DepthFirst);
+        let res = knapsack().optimize(Settings::default().with_emphasis(e));
         assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Optimal);
         assert!((res.best_obj.unwrap() - 23.0).abs() < 1e-6);
@@ -1278,25 +1271,22 @@ mod tests {
         }
     }
 
-    /// min x0 + x1 over two binaries with x0 + x1 ≤ 2: the LP optimum
-    /// (0, 0) is integral at the root.
+    /// min x0 + x1 over two binaries with x0 + x1 ≤ 1, a row presolve
+    /// can neither drop nor tighten a bound by: the LP optimum (0, 0) is
+    /// integral at the root.
     fn two_binaries() -> Model {
         let mut m = Model::new("two");
         let x = m.add_var("x0", VarType::Binary, 0.0, 1.0, 1.0);
         let y = m.add_var("x1", VarType::Binary, 0.0, 1.0, 1.0);
-        m.add_linear(f64::NEG_INFINITY, 2.0, &[(x, 1.0), (y, 1.0)]);
+        m.add_linear(f64::NEG_INFINITY, 1.0, &[(x, 1.0), (y, 1.0)]);
         m
-    }
-
-    fn no_presolve() -> Settings {
-        Settings { presolve_rounds: 0, ..Default::default() }
     }
 
     /// Hazard: a handler whose enforcement cut is already in the pool
     /// closes the node unproven, and the solve reports `Infeasible`.
     #[test]
     fn duplicate_enforcement_cuts_close_the_node() {
-        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        let mut solver = Solver::new_bare(two_binaries(), Settings::default());
         solver.add_conshdlr(CutEveryPoint::boxed(false));
         let res = solver.solve(&mut NoHooks);
         assert_outcomes(&res.stats);
@@ -1312,7 +1302,7 @@ mod tests {
     /// handler's initial row and its enforcement cut are never installed.
     #[test]
     fn rejected_relaxator_point_closes_the_node() {
-        let st = Settings { use_relaxator: true, ..no_presolve() };
+        let st = Settings { use_relaxator: true, ..Default::default() };
         let mut solver = Solver::new_bare(two_binaries(), st);
         solver.add_conshdlr(CutEveryPoint::boxed(false));
         solver.set_relaxator(Box::new(FixedPoint(vec![0.0, 0.0])));
@@ -1325,7 +1315,7 @@ mod tests {
         assert_eq!(res.status, SolveStatus::Infeasible);
 
         // Registered but switched off, the relaxator leaves the LP in charge.
-        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        let mut solver = Solver::new_bare(two_binaries(), Settings::default());
         solver.add_conshdlr(CutEveryPoint::boxed(false));
         solver.set_relaxator(Box::new(FixedPoint(vec![0.0, 0.0])));
         let res = solver.solve(&mut NoHooks);
@@ -1337,7 +1327,7 @@ mod tests {
     /// after the round cap, unproven.
     #[test]
     fn enforcement_round_cap_closes_the_node() {
-        let mut solver = Solver::new_bare(two_binaries(), no_presolve());
+        let mut solver = Solver::new_bare(two_binaries(), Settings::default());
         solver.add_conshdlr(CutEveryPoint::boxed(true));
         let res = solver.solve(&mut NoHooks);
         assert_outcomes(&res.stats);
@@ -1355,7 +1345,7 @@ mod tests {
         let mut m = Model::new("round");
         let x = m.add_var("x", VarType::Integer, 0.0, 10.0, 1.0);
         m.add_linear(f64::NEG_INFINITY, 9.999995, &[(x, 10.0)]);
-        let st = Settings { use_relaxator: true, ..no_presolve() };
+        let st = Settings { use_relaxator: true, ..Default::default() };
         let mut solver = Solver::new_bare(m, st);
         solver.set_relaxator(Box::new(FixedPoint(vec![0.9999995])));
         let res = solver.solve(&mut NoHooks);
@@ -1368,12 +1358,84 @@ mod tests {
     fn unbounded_root_lp_ends_the_solve() {
         let mut m = Model::new("unb");
         m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY, -1.0);
+        // A row presolve can neither drop nor tighten a bound by.
         let y = m.add_var("y", VarType::Integer, 0.0, 1.0, 0.0);
-        m.add_linear(f64::NEG_INFINITY, 1.0, &[(y, 1.0)]);
-        let res = Solver::new_bare(m, no_presolve()).solve(&mut NoHooks);
+        let z = m.add_var("z", VarType::Integer, 0.0, 1.0, 0.0);
+        m.add_linear(f64::NEG_INFINITY, 1.0, &[(y, 1.0), (z, 1.0)]);
+        let res = Solver::new_bare(m, Settings::default()).solve(&mut NoHooks);
         assert_outcomes(&res.stats);
         assert_eq!(res.status, SolveStatus::Unbounded);
         assert_eq!(res.stats.outcome_count(NodeOutcome::Unbounded), 1);
+    }
+
+    /// Logs the depths it is called at and finds nothing: as a scheduled
+    /// heuristic it registers at every other depth.
+    #[derive(Clone, Default)]
+    struct DepthLog(std::sync::Arc<std::sync::Mutex<Vec<usize>>>);
+
+    impl DepthLog {
+        fn depths(&self) -> Vec<usize> {
+            let mut depths = self.0.lock().unwrap().clone();
+            depths.sort_unstable();
+            depths.dedup();
+            depths
+        }
+    }
+
+    impl Heuristic for DepthLog {
+        fn name(&self) -> &str {
+            "depth-log"
+        }
+        fn run(&mut self, ctx: &mut SolveCtx) -> Option<Vec<f64>> {
+            self.0.lock().unwrap().push(ctx.depth);
+            None
+        }
+    }
+
+    impl PrimalHeuristic for DepthLog {
+        fn name(&self) -> &str {
+            "depth-log"
+        }
+        fn default_schedule(&self) -> HeurSchedule {
+            HeurSchedule { frequency: 2, ..HeurSchedule::EVERY_DEPTH }
+        }
+        fn run(&mut self, ctx: &mut SolveCtx) -> Option<Vec<f64>> {
+            self.0.lock().unwrap().push(ctx.depth);
+            None
+        }
+    }
+
+    /// One heuristic schedule: each heuristic runs exactly at the depths
+    /// its own schedule, rewritten by the emphasis, is due at — a legacy
+    /// one every tenth depth, the scheduled one every other, both ×2 under
+    /// `EasyCip` and at every depth under `Feasibility`.
+    #[test]
+    fn heuristics_run_where_their_own_schedule_is_due() {
+        use crate::Emphasis::*;
+        // 2·Σx = 9 over eight binaries: propagation closes a node once
+        // four ones or three zeros are fixed, and every other node's LP is
+        // feasible and fractional, so the search reaches depth 5 and
+        // proves infeasibility.
+        let mut m = Model::new("odd");
+        let terms: Vec<_> =
+            (0..8).map(|_| (m.add_var("x", VarType::Binary, 0.0, 1.0, 1.0), 2.0)).collect();
+        m.add_linear(9.0, 9.0, &terms);
+        let every = vec![0, 1, 2, 3, 4, 5];
+        for (e, scheduled, legacy) in [
+            (Default, vec![0, 2, 4], vec![0]),
+            (EasyCip, vec![0, 4], vec![0]),
+            (Feasibility, every.clone(), every),
+        ] {
+            let (prim, leg) = (DepthLog::default(), DepthLog::default());
+            let mut solver = Solver::new_bare(m.clone(), Settings::default().with_emphasis(e));
+            solver.add_primal_heuristic(Box::new(prim.clone()));
+            solver.add_heuristic(Box::new(leg.clone()));
+            let res = solver.solve(&mut NoHooks);
+            assert_outcomes(&res.stats);
+            assert_eq!(res.status, SolveStatus::Infeasible, "{e:?}");
+            assert_eq!(prim.depths(), scheduled, "{e:?}: the scheduled heuristic");
+            assert_eq!(leg.depths(), legacy, "{e:?}: the legacy heuristic");
+        }
     }
 
     /// A search that closes its nodes by proof only.
@@ -1386,7 +1448,7 @@ mod tests {
         let terms: Vec<(VarId, f64)> =
             data.iter().map(|&(w, p)| (m.add_var("x", VarType::Binary, 0.0, 1.0, p), w)).collect();
         m.add_linear(f64::NEG_INFINITY, 6.0, &terms);
-        let res = Solver::new_bare(m, no_presolve()).solve(&mut NoHooks);
+        let res = Solver::new_bare(m, Settings::default()).solve(&mut NoHooks);
         assert_outcomes(&res.stats);
         for o in NodeOutcome::ALL {
             assert!(o.is_proven() || res.stats.outcome_count(o) == 0, "{o:?}: {:?}", res.stats);
@@ -1405,7 +1467,7 @@ mod tests {
         let mut terms = vec![(z, 1.0)];
         terms.extend((0..4).map(|_| (m.add_var("y", VarType::Continuous, 0.0, 1.0, -1.0), 1.0)));
         m.add_linear(f64::NEG_INFINITY, 4.5, &terms);
-        let st = Settings { lp_iter_limit: 1, ..no_presolve() };
+        let st = Settings { lp_iter_limit: 1, ..Default::default() };
         let mut solver = Solver::new_bare(m, st);
         solver.add_conshdlr(CutEveryPoint::boxed(true));
         let res = solver.solve(&mut NoHooks);

@@ -2,7 +2,12 @@
 //! enumeration on random binary programs, plus structural invariants.
 
 use proptest::prelude::*;
-use ugrs_cip::{Model, NodeDesc, Settings, SolveStatus, Solver, VarType};
+use ugrs_cip::{Emphasis, Model, NodeDesc, Settings, SolveStatus, Solver, VarType};
+
+/// `PROPTEST_CASES` when it is set, else `default`.
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+}
 
 /// `(lhs, rhs, sparse coefficients)` of a generated row.
 type RandomRow = (f64, f64, Vec<(usize, f64)>);
@@ -60,7 +65,7 @@ fn brute_force(bip: &RandomBip) -> Option<f64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
 
     #[test]
     fn solver_matches_brute_force(bip in random_bip()) {
@@ -83,14 +88,16 @@ proptest! {
         }
     }
 
+    /// Every emphasis preset (presolve, separation and heuristic
+    /// schedules, depth-first search under `Feasibility`) reaches the same
+    /// verdict and optimum.
     #[test]
-    fn all_node_selections_agree(bip in random_bip()) {
-        use ugrs_cip::NodeSelection;
+    fn all_emphases_agree(bip in random_bip()) {
         let model = build(&bip);
         let mut objs = Vec::new();
-        for sel in [NodeSelection::BestBound, NodeSelection::DepthFirst] {
-            let st = Settings { node_selection: sel, ..Default::default() };
-            let res = model.optimize(st);
+        for e in Emphasis::ALL {
+            let res = model.optimize(Settings::default().with_emphasis(e));
+            prop_assert_eq!(res.stats.node_outcomes.iter().sum::<u64>(), res.stats.nodes);
             objs.push((res.status, res.best_obj));
         }
         for w in objs.windows(2) {

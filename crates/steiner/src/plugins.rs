@@ -505,13 +505,13 @@ impl PrimalHeuristic for KeyVertexHeuristic {
 
     fn default_schedule(&self) -> HeurSchedule {
         HeurSchedule {
-            // Every other depth: the search is heavier than TM, and
-            // polishing the same incumbent at every node is wasted work.
-            frequency: 2,
+            // Every tenth depth, as TM: polishing the same incumbent at
+            // every node is wasted work.
+            frequency: 10,
             max_calls: 512,
             // Below TM so it polishes what TM (priority 0) just found.
             priority: -1,
-            ..HeurSchedule::default()
+            ..HeurSchedule::EVERY_DEPTH
         }
     }
 
